@@ -807,21 +807,24 @@ func (s *System) Sync() {
 // Release returns one for reuse. Panics when MaxWorkers distinct workers
 // are simultaneously live.
 func (s *System) Register() *Worker {
+	// The id claim, the slot fill and the nWorkers bump are one critical
+	// section: two callers reading nWorkers outside it would claim the
+	// same id, share one announcement slot and leave a nil slot below
+	// nWorkers for waitQuiesce to trip over.
 	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
 	if n := len(s.freeIDs); n > 0 {
 		id := s.freeIDs[n-1]
 		s.freeIDs = s.freeIDs[:n-1]
-		s.freeMu.Unlock()
 		return s.workers[id]
 	}
-	s.freeMu.Unlock()
 	id := int(s.nWorkers.Load())
 	if id >= s.cfg.MaxWorkers {
 		panic(fmt.Sprintf("epoch: more than %d workers", s.cfg.MaxWorkers))
 	}
 	w := &Worker{sys: s, id: id, shard: id & (s.cfg.Shards - 1)}
 	s.workers[id] = w
-	s.nWorkers.Add(1) // publish after the slot is filled
+	s.nWorkers.Add(1) // publish after the slot is filled (waitQuiesce reads lock-free)
 	return w
 }
 

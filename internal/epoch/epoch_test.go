@@ -3,6 +3,7 @@ package epoch
 import (
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,6 +318,52 @@ func TestConcurrentWorkers(t *testing.T) {
 	_, got := recoverAll(h)
 	if len(got) != goroutines*perG {
 		t.Fatalf("recovered %d blocks, want %d", len(got), goroutines*perG)
+	}
+}
+
+// TestRegisterConcurrentDistinctIDs pins Register's id claim: concurrent
+// callers must never hold the same worker at once (they would share one
+// announcement slot), and every slot below nWorkers must be filled, since
+// waitQuiesce walks them lock-free while the advancer runs.
+func TestRegisterConcurrentDistinctIDs(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 16})
+	s := New(h, Config{EpochLength: 200 * time.Microsecond})
+	defer s.Stop()
+	const goroutines = 64
+	const rounds = 50
+	live := make([]atomic.Bool, s.cfg.MaxWorkers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				w := s.Register()
+				if !live[w.ID()].CompareAndSwap(false, true) {
+					t.Errorf("worker id %d handed to two live callers", w.ID())
+				}
+				w.BeginOp()
+				w.EndOp()
+				live[w.ID()].Store(false)
+				s.Release(w)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	n := int(s.nWorkers.Load())
+	if n == 0 || n > goroutines {
+		t.Fatalf("nWorkers = %d, want 1..%d", n, goroutines)
+	}
+	for i := 0; i < n; i++ {
+		if s.workers[i] == nil {
+			t.Fatalf("nil worker slot %d below nWorkers %d", i, n)
+		}
+		if s.workers[i].id != i {
+			t.Fatalf("workers[%d].id = %d", i, s.workers[i].id)
+		}
 	}
 }
 
