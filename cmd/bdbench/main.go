@@ -6,7 +6,7 @@
 //
 //	bdbench [flags] <experiment>
 //
-// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery recover tail advance hotpath fallback engines serve all
+// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery recover tail advance hotpath engines serve all
 //
 // Default parameters are scaled down so the full suite completes in
 // minutes on a laptop; -full restores paper-scale settings (large key
@@ -73,7 +73,7 @@ func main() {
 		*duration = time.Second
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|recover|tail|advance|hotpath|fallback|engines|serve|all")
+		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|recover|tail|advance|hotpath|engines|serve|all")
 		os.Exit(2)
 	}
 	if *engineFlag != "" {
@@ -132,7 +132,6 @@ func main() {
 	run("tail", tailLatency)
 	run("advance", advanceScaling)
 	run("hotpath", hotpath)
-	run("fallback", fallbackExperiment)
 	run("engines", engineComparison)
 	run("serve", serve)
 	if !ran {

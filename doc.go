@@ -12,8 +12,9 @@
 //     latency model, and eADR/DRAM modes;
 //   - internal/htm — simulated best-effort HTM (line-granularity
 //     conflicts, capacity and spurious aborts, explicit abort codes,
-//     fallback-lock subscription); persist instructions abort
-//     transactions, reproducing the central incompatibility;
+//     fine-grained fallback sessions as the slow path); persist
+//     instructions abort transactions, reproducing the central
+//     incompatibility;
 //   - internal/palloc — a persistent slab allocator with durable block
 //     headers and crash recovery;
 //   - internal/epoch — the paper's contribution: a buffered-durable

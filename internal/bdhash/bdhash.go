@@ -2,9 +2,9 @@
 // paper's Listing 1 — the tutorial structure for the BDL + HTM strategy.
 //
 // The bucket array lives in DRAM and holds addresses of KV blocks in NVM.
-// Every operation runs inside one hardware transaction (with a global-lock
-// fallback), brackets itself with BeginOp/EndOp, and follows the epoch
-// discipline:
+// Every operation runs inside one hardware transaction (with a slow-path
+// htm.Fallback session after repeated aborts), brackets itself with
+// BeginOp/EndOp, and follows the epoch discipline:
 //
 //   - a preallocated NVM block (with invalid epoch) is kept per worker so
 //     that allocation never happens inside the transaction;
@@ -45,11 +45,9 @@ const (
 // values. All methods are safe for concurrent use; each goroutine passes
 // its own epoch.Worker.
 type Table struct {
-	sys    *epoch.System
-	tm     *htm.TM
-	lock   *htm.FallbackLock
-	hybrid bool // fine-grained slow path; transactions skip subscription
-	tag    uint8
+	sys *epoch.System
+	tm  *htm.TM
+	tag uint8
 
 	nBuckets uint64 // power of two
 	slots    []uint64
@@ -86,8 +84,6 @@ func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 	return &Table{
 		sys:      sys,
 		tm:       tm,
-		lock:     htm.NewFallbackLock(tm),
-		hybrid:   tm.Hybrid(),
 		tag:      tag,
 		nBuckets: nBuckets,
 		slots:    make([]uint64, nBuckets*BucketSize),
@@ -151,9 +147,6 @@ retryTxn:
 		opts = append(opts, htm.PreWalked())
 	}
 	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		if !t.hybrid {
-			tx.Subscribe(t.lock)
-		}
 		newBlk.SetEpochTx(tx, opEpoch)
 		t.insertBody(tx, w, opEpoch, k, v, newBlk, &out)
 	}, opts...)
@@ -162,9 +155,6 @@ retryTxn:
 	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
 		w.AbortOp() // restart in the (newer) current epoch
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
 	case res.Cause == htm.CauseMemType:
 		t.preWalk(k)
 		preWalked = true
@@ -175,7 +165,6 @@ retryTxn:
 		if retries < maxRetries {
 			goto retryTxn
 		}
-		// Fallback path under the global lock.
 		if !t.insertFallback(w, opEpoch, k, v, newBlk, &out) {
 			w.AbortOp()
 			goto retryRegist
@@ -258,12 +247,11 @@ func (t *Table) insertBody(tx *htm.Tx, w *epoch.Worker, opEpoch, k, v uint64, ne
 	out.usedPrealloc = true
 }
 
-// insertFallback runs the insert as a slow-path session: per-line locks
-// on the hybrid path, the global lock otherwise. It returns false if the
-// operation must restart in a newer epoch.
+// insertFallback runs the insert as a slow-path session. It returns false
+// if the operation must restart in a newer epoch.
 func (t *Table) insertFallback(w *epoch.Worker, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) bool {
 	ok := true
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+	t.tm.RunFallback(func(f *htm.Fallback) {
 		// The session body may be re-executed after a lock-order restart:
 		// reset all outputs and reach shared state only through f.
 		ok = true
@@ -351,9 +339,6 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 		var v uint64
 		var ok bool
 		res := attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
-			}
 			v, ok = 0, false
 			start, n := t.slotRange(k)
 			for i := uint64(0); i < n; i++ {
@@ -371,15 +356,11 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 		if res.Committed {
 			return v, ok
 		}
-		if res.Cause == htm.CauseLocked {
-			t.lock.WaitUnlocked()
-			continue
-		}
-		if retries++; t.hybrid && retries >= maxRetries {
+		if retries++; retries >= maxRetries {
 			// A long slow-path writer parked on this probe window would
 			// otherwise abort this loop indefinitely; a read-only session
 			// waits its turn per line instead.
-			t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+			t.tm.RunFallback(func(f *htm.Fallback) {
 				v, ok = 0, false
 				start, n := t.slotRange(k)
 				for i := uint64(0); i < n; i++ {
@@ -412,9 +393,6 @@ retryRegist:
 retryTxn:
 	retire, removed = epoch.Block{}, false
 	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		if !t.hybrid {
-			tx.Subscribe(t.lock)
-		}
 		start, n := t.slotRange(k)
 		for i := uint64(0); i < n; i++ {
 			sp := t.slotAt(start + i)
@@ -443,9 +421,6 @@ retryTxn:
 	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
 	default:
 		retries++
 		if retries < maxRetries {
@@ -466,7 +441,7 @@ retryTxn:
 
 func (t *Table) removeFallback(w *epoch.Worker, opEpoch, k uint64, retire *epoch.Block, removed *bool) bool {
 	ok := true
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+	t.tm.RunFallback(func(f *htm.Fallback) {
 		ok = true
 		*retire, *removed = epoch.Block{}, false
 		start, n := t.slotRange(k)

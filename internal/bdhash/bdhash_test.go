@@ -198,8 +198,8 @@ func TestRemoveThenCrashAfterPersist(t *testing.T) {
 	}
 }
 
-// TestFallbackPathCrashRecovery drives every operation down the hybrid
-// slow path (SpuriousRate 1 kills each transactional attempt before it
+// TestFallbackPathCrashRecovery drives every operation down the slow
+// path (SpuriousRate 1 kills each transactional attempt before it
 // runs) and then power-fails at a persist event, so the crash lands in a
 // history written entirely by fallback sessions. Sessions buffer their
 // writes and apply them under per-line locks, so the recovered image

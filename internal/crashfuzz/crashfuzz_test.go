@@ -83,7 +83,7 @@ func TestResolveDeterminism(t *testing.T) {
 	if c.KeySpace != a.KeySpace || c.Evict != a.Evict || c.Workers != a.Workers ||
 		c.AdvEvery != a.AdvEvery || c.Spurious != a.Spurious || c.MemType != a.MemType ||
 		c.CrashEvents != a.CrashEvents || c.TailAdvances != a.TailAdvances ||
-		c.Shards != a.Shards || c.Async != a.Async || c.FGL != a.FGL {
+		c.Shards != a.Shards || c.Async != a.Async {
 		t.Fatalf("overriding Ops shifted other derived fields:\n%+v\n%+v", a, c)
 	}
 }
@@ -96,8 +96,8 @@ func TestParseReplayDefaultsPipelineFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Shards != 0 || p.Async != Derive || p.FGL != Derive {
-		t.Fatalf("old-format spec: Shards = %d (want 0 = derive), Async = %d, FGL = %d (want %d = derive)", p.Shards, p.Async, p.FGL, Derive)
+	if p.Shards != 0 || p.Async != Derive {
+		t.Fatalf("old-format spec: Shards = %d (want 0 = derive), Async = %d (want %d = derive)", p.Shards, p.Async, Derive)
 	}
 	r := Resolve(p)
 	if r.Shards != 1 && r.Shards != 4 {
@@ -106,8 +106,44 @@ func TestParseReplayDefaultsPipelineFields(t *testing.T) {
 	if r.Async != 0 && r.Async != 1 {
 		t.Fatalf("resolved Async = %d, want 0 or 1", r.Async)
 	}
-	if r.FGL != 0 && r.FGL != 1 {
-		t.Fatalf("resolved FGL = %d, want 0 or 1", r.FGL)
+}
+
+// TestResolveReplayCompatAcrossFGLRemoval pins the derived-parameter
+// stream across the removal of the fgl= (global vs fine-grained fallback)
+// axis: each want string is Resolve's output for that seed captured at the
+// last commit that still had the axis, minus its trailing fgl= field. Every
+// recorded seed, corpus entry and printed replay line therefore resolves
+// to the same round as before. Old lines that carry fgl=0 or fgl=1 parse,
+// and to identical params.
+func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		want string
+	}{
+		{0x1, "subject=bdhash seed=0x1 ops=200 workers=1 keyspace=16 evict=0.26 events=1 crash-after=24 crash-step=0 tail-adv=2 adv-every=15 spurious=0.00 memtype=0.01 shards=4 async=0 engine=quadra rworkers=4"},
+		{0x2, "subject=bdhash seed=0x2 ops=600 workers=4 keyspace=256 evict=0.14 events=1 crash-after=201 crash-step=0 tail-adv=2 adv-every=8 spurious=0.05 memtype=0.00 shards=1 async=0 engine=undo rworkers=1"},
+		{0x3, "subject=bdhash seed=0x3 ops=200 workers=1 keyspace=16 evict=0.03 events=2 crash-after=65 crash-step=4 tail-adv=2 adv-every=30 spurious=0.00 memtype=0.00 shards=4 async=1 engine=redo2f rworkers=8"},
+		{0xbd0ff, "subject=bdhash seed=0xbd0ff ops=200 workers=4 keyspace=256 evict=0.61 events=1 crash-after=167 crash-step=0 tail-adv=1 adv-every=28 spurious=0.05 memtype=0.00 shards=1 async=1 engine=undo rworkers=1"},
+		{0x1234, "subject=bdhash seed=0x1234 ops=600 workers=1 keyspace=16 evict=0.06 events=2 crash-after=273 crash-step=14 tail-adv=1 adv-every=31 spurious=0.00 memtype=0.00 shards=4 async=0 engine=redo4f rworkers=8"},
+		{0xdeadbeef, "subject=bdhash seed=0xdeadbeef ops=600 workers=1 keyspace=16 evict=0.95 events=1 crash-after=537 crash-step=40 tail-adv=1 adv-every=26 spurious=0.05 memtype=0.00 shards=1 async=1 engine=redo2f rworkers=4"},
+		{0x9e3779b97f4a7c15, "subject=bdhash seed=0x9e3779b97f4a7c15 ops=64 workers=1 keyspace=16 evict=0.89 events=1 crash-after=29 crash-step=0 tail-adv=2 adv-every=28 spurious=0.05 memtype=0.00 shards=1 async=1 engine=quadra rworkers=2"},
+		{0x2a, "subject=bdhash seed=0x2a ops=64 workers=4 keyspace=256 evict=0.22 events=1 crash-after=53 crash-step=0 tail-adv=0 adv-every=6 spurious=0.00 memtype=0.00 shards=1 async=1 engine=redo4f rworkers=4"},
+	} {
+		derive := NewRoundParams("bdhash", tc.seed)
+		derive.Engine = "" // the captured strings derive it; CI may pin BDFUZZ_ENGINE
+		got := Resolve(derive)
+		if s := got.ReplayString(); s != tc.want {
+			t.Errorf("seed %#x resolves differently:\n got %s\nwant %s", tc.seed, s, tc.want)
+		}
+		for _, fgl := range []string{" fgl=0", " fgl=1"} {
+			p, err := ParseReplay(tc.want + fgl)
+			if err != nil {
+				t.Fatalf("old-format spec with%s: %v", fgl, err)
+			}
+			if !reflect.DeepEqual(p, got) {
+				t.Errorf("old-format spec with%s parsed to\n%+v\nwant\n%+v", fgl, p, got)
+			}
+		}
 	}
 }
 

@@ -43,7 +43,6 @@ type RoundParams struct {
 	Async        int     // <0 = derive; 0 = serial advance, 1 = pipelined advance
 	Engine       string  // durability engine; "" = derive from durability.Names()
 	RWorkers     int     // recovery scan workers; 0 = derive from {1, 2, 4, 8}
-	FGL          int     // <0 = derive; 1 = fine-grained hybrid fallback, 0 = global fallback lock
 }
 
 // Derive is the sentinel for "fill this field from the seed".
@@ -57,7 +56,7 @@ func NewRoundParams(subject string, seed uint64) RoundParams {
 		Subject: subject, Seed: seed,
 		Evict: Derive, CrashAfter: Derive, CrashStep: Derive,
 		TailAdvances: Derive, AdvEvery: Derive, Spurious: Derive, MemType: Derive,
-		Async: Derive, FGL: Derive,
+		Async:  Derive,
 		Engine: os.Getenv("BDFUZZ_ENGINE"),
 	}
 }
@@ -99,7 +98,10 @@ func Resolve(p RoundParams) RoundParams {
 	asyncDraw := rng.next()
 	engineDraw := rng.next()
 	rworkersDraw := rng.next()
-	fglDraw := rng.next()
+	// The retired fgl= draw (global vs fine-grained fallback) is still
+	// consumed, so any draw appended after it keeps the stream position
+	// every recorded seed resolved with.
+	rng.next()
 
 	if p.KeySpace == 0 {
 		p.KeySpace = keyspace
@@ -151,9 +153,6 @@ func Resolve(p RoundParams) RoundParams {
 	if p.RWorkers == 0 {
 		p.RWorkers = []int{1, 2, 4, 8}[rworkersDraw%4]
 	}
-	if p.FGL < 0 {
-		p.FGL = int(fglDraw % 2)
-	}
 	return p
 }
 
@@ -161,10 +160,10 @@ func Resolve(p RoundParams) RoundParams {
 // bdfuzz -replay flag.
 func (p RoundParams) ReplayString() string {
 	return fmt.Sprintf(
-		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f shards=%d async=%d engine=%s rworkers=%d fgl=%d",
+		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f shards=%d async=%d engine=%s rworkers=%d",
 		p.Subject, p.Seed, p.Ops, p.Workers, p.KeySpace, p.Evict, p.CrashEvents,
 		p.CrashAfter, p.CrashStep, p.TailAdvances, p.AdvEvery, p.Spurious, p.MemType,
-		p.Shards, p.Async, p.Engine, p.RWorkers, p.FGL)
+		p.Shards, p.Async, p.Engine, p.RWorkers)
 }
 
 // ReplayCommand is the shell command that reproduces one round.
@@ -173,14 +172,15 @@ func (p RoundParams) ReplayCommand() string {
 }
 
 // ParseReplay decodes a ReplayString back into params. Specs recorded
-// before the sharded advance pipeline, the pluggable engines, the
-// parallel recovery scan, or the fine-grained fallback existed carry no
-// shards=/async=/engine=/rworkers=/fgl= fields; those stay at their
-// derive defaults and Resolve fills them.
+// before the sharded advance pipeline, the pluggable engines or the
+// parallel recovery scan existed carry no shards=/async=/engine=/rworkers=
+// fields; those stay at their derive defaults and Resolve fills them.
+// Specs recorded while the global fallback lock was selectable carry an
+// fgl= field, which is accepted and ignored.
 func ParseReplay(s string) (RoundParams, error) {
 	p := RoundParams{Evict: Derive, CrashAfter: Derive, CrashStep: Derive,
 		TailAdvances: Derive, AdvEvery: Derive, Spurious: Derive, MemType: Derive,
-		Async: Derive, FGL: Derive}
+		Async: Derive}
 	for _, field := range strings.Fields(s) {
 		kv := strings.SplitN(field, "=", 2)
 		if len(kv) != 2 {
@@ -226,7 +226,6 @@ func ParseReplay(s string) (RoundParams, error) {
 		case "rworkers":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.RWorkers)
 		case "fgl":
-			_, err = fmt.Sscanf(kv[1], "%d", &p.FGL)
 		default:
 			return p, fmt.Errorf("crashfuzz: unknown replay field %q", kv[0])
 		}
@@ -375,7 +374,6 @@ func newSession(p RoundParams, sub Subject) *session {
 		Async:           p.Async == 1,
 		Engine:          p.Engine,
 		RecoveryWorkers: p.RWorkers,
-		GlobalFallback:  p.FGL == 0,
 		Obs:             s.obs,
 	})
 	s.h = sub.Handle(0)
@@ -647,7 +645,6 @@ func runConcurrent(p RoundParams, sub Subject) *Failure {
 		Async:           p.Async == 1,
 		Engine:          p.Engine,
 		RecoveryWorkers: p.RWorkers,
-		GlobalFallback:  p.FGL == 0,
 		Obs:             rec,
 	})
 	fail := func(err error) *Failure { return &Failure{Params: p, Msg: subjectMsg(sub.Name(), err)} }

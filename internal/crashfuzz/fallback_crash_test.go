@@ -1,68 +1,45 @@
 package crashfuzz
 
-import (
-	"fmt"
-	"testing"
-)
-
-// TestResolveDrawsBothFallbackModes checks the fgl draw actually explores
-// both disciplines across seeds, so fuzz sweeps cover the fine-grained
-// hybrid path and the legacy global lock.
-func TestResolveDrawsBothFallbackModes(t *testing.T) {
-	seen := map[int]bool{}
-	for seed := uint64(0); seed < 32; seed++ {
-		p := Resolve(NewRoundParams("bdhash", seed))
-		if p.FGL != 0 && p.FGL != 1 {
-			t.Fatalf("seed %d resolved FGL = %d", seed, p.FGL)
-		}
-		seen[p.FGL] = true
-	}
-	if !seen[0] || !seen[1] {
-		t.Fatalf("32 seeds drew only FGL values %v", seen)
-	}
-}
+import "testing"
 
 // TestCrashMidFallbackWrite pins power failures while operations are
 // running down the fallback slow path: a 0.9 spurious-abort rate kills
 // almost every transactional attempt, so most inserts and removes reach
-// the structures through fallback — fine-grained sessions at fgl=1, the
-// global lock at fgl=0 — and the persist hook then power-fails at the
-// n-th persist event past the crash point. crashCheck asserts the full
-// BDL window on the recovered image for every buffered subject.
+// the structures through fallback sessions, and the persist hook then
+// power-fails at the n-th persist event past the crash point. crashCheck
+// asserts the full BDL window on the recovered image for every buffered
+// subject.
 //
-// Crashing mid-fallback is the interesting schedule for the hybrid path:
-// a session's writes are buffered and applied at finish, so a power
-// failure must never observe a half-applied session ahead of the
-// recovery boundary.
+// Crashing mid-fallback is the interesting schedule: a session's writes
+// are buffered and applied at finish, so a power failure must never
+// observe a half-applied session ahead of the recovery boundary.
 func TestCrashMidFallbackWrite(t *testing.T) {
 	for _, subject := range []string{"bdhash", "veb", "skiplist", "spash"} {
-		for _, fgl := range []int{0, 1} {
-			subject, fgl := subject, fgl
-			t.Run(fmt.Sprintf("%s/fgl=%d", subject, fgl), func(t *testing.T) {
-				t.Parallel()
-				for _, step := range []int{1, 2, 3, 5, 9, 15} {
-					p := RoundParams{
-						Subject: subject, Seed: 0xf6bd0000 + uint64(step),
-						Ops: 32, Workers: 1, KeySpace: 32, Evict: 1,
-						CrashEvents: 1, CrashAfter: 10, CrashStep: step,
-						TailAdvances: 1, AdvEvery: 5, Spurious: 0.9, MemType: 0,
-						Shards: 1, Async: 0, FGL: fgl,
-					}
-					if f := RunRound(p); f != nil {
-						t.Fatalf("crash-step %d: %s", step, f.Error())
-					}
+		subject := subject
+		t.Run(subject, func(t *testing.T) {
+			t.Parallel()
+			for _, step := range []int{1, 2, 3, 5, 9, 15} {
+				p := RoundParams{
+					Subject: subject, Seed: 0xf6bd0000 + uint64(step),
+					Ops: 32, Workers: 1, KeySpace: 32, Evict: 1,
+					CrashEvents: 1, CrashAfter: 10, CrashStep: step,
+					TailAdvances: 1, AdvEvery: 5, Spurious: 0.9, MemType: 0,
+					Shards: 1, Async: 0,
 				}
-			})
-		}
+				if f := RunRound(p); f != nil {
+					t.Fatalf("crash-step %d: %s", step, f.Error())
+				}
+			}
+		})
 	}
 }
 
-// TestConcurrentHybridFallbackRounds runs multi-worker rounds with heavy
-// abort injection on the fine-grained path, so fallback sessions, commit
+// TestConcurrentFallbackRounds runs multi-worker rounds with heavy abort
+// injection, so fallback sessions, commit
 // write-backs, and session restarts interleave across workers before the
 // quiesced crash; the linearizability-window checker then validates the
 // recovered state.
-func TestConcurrentHybridFallbackRounds(t *testing.T) {
+func TestConcurrentFallbackRounds(t *testing.T) {
 	for _, subject := range []string{"bdhash", "veb", "skiplist", "spash"} {
 		subject := subject
 		t.Run(subject, func(t *testing.T) {
@@ -73,7 +50,7 @@ func TestConcurrentHybridFallbackRounds(t *testing.T) {
 					Ops: 60, Workers: 4, KeySpace: 16, Evict: 0.8,
 					CrashEvents: 1, CrashAfter: 0, CrashStep: 0,
 					TailAdvances: 1, AdvEvery: 4, Spurious: 0.5, MemType: 0.01,
-					Shards: 1, Async: 0, FGL: 1,
+					Shards: 1, Async: 0,
 				}
 				if f := RunRound(p); f != nil {
 					t.Fatalf("round %d: %s", i, f.Error())

@@ -39,11 +39,10 @@ func fuzzSubject(f *testing.F, subject string) {
 	f.Add([]byte("\x00\x06\x00\x00\x00\x00\x00\x00" + "\x0a\x0b\x80\x80\x4a\xc0\x0c\x80\xc1"))
 	f.Add([]byte("\x10\x02\x00\x00\x00\x00\x00\x00" + "\x11\x12\x13\x80\x80\x51\x52\xc0\x14\x80\xbf"))
 	f.Add([]byte("\x40\x06\x00\x00\x00\x00\x00\x00" + "\x15\x16\x80\x80\x55\xc0\x17\x80\xc0"))
-	// Seed bit 11 selects the fallback discipline (set = legacy global
-	// lock, clear = fine-grained hybrid; see ReplayBytes). These shapes
-	// pair insert/remove/crash scripts across both disciplines, alone and
-	// combined with sharded + pipelined advances. testdata/fuzz/ carries
-	// named copies.
+	// Insert/remove/crash scripts, alone and combined with sharded +
+	// pipelined advances, recorded in pairs that differ in seed bit 11
+	// (no longer decoded; the bit still varies the heap/HTM RNG seed).
+	// testdata/fuzz/ carries named copies.
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x03\x80\x41\x04\x80\xbf\x05\x80\xc0"))
 	f.Add([]byte("\x10\x00\x00\x00\x00\x00\x00\x00" + "\x05\x06\x07\x08\x80\x80\x45\x46\xc0\x09\x80\xa8"))
 	f.Add([]byte("\x20\x04\x00\x00\x00\x00\x00\x00" + "\x0a\x0b\x80\x4a\x80\xc1\x0c\x80\xbf"))

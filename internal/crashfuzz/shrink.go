@@ -131,12 +131,6 @@ func ReplayBytes(subject string, data []byte) *Failure {
 	names := durability.Names()
 	p.Engine = names[(p.Seed>>6)&7%uint64(len(names))]
 	p.RWorkers = 1 << ((p.Seed >> 9) & 3)
-	// Seed bit 11 selects the fallback discipline: set = the legacy global
-	// lock, clear = the default fine-grained hybrid path.
-	p.FGL = 1
-	if p.Seed&(1<<11) != 0 {
-		p.FGL = 0
-	}
 	s := newSession(p, sub)
 	fail := func(err error) *Failure {
 		return &Failure{Params: p, Msg: fmt.Sprintf("%s (native fuzz input, seed 0x%x)", err, p.Seed)}

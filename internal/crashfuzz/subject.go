@@ -60,10 +60,6 @@ type Env struct {
 	// palloc subject threads it into palloc.Allocator.RecoverParallel
 	// directly.
 	RecoveryWorkers int
-	// GlobalFallback selects the legacy single-word fallback lock
-	// (htm.Config.GlobalFallback) instead of the default fine-grained
-	// hybrid slow path, so both fallback disciplines get fuzzed.
-	GlobalFallback bool
 	// OnAdvance is forwarded to epoch.Config.OnAdvance for buffered
 	// subjects; the engine snapshots its model there.
 	OnAdvance func(persisted uint64)
@@ -96,7 +92,6 @@ func (e Env) TM() *htm.TM {
 		SpuriousRate:        e.SpuriousRate,
 		MemTypeRate:         e.MemTypeRate,
 		PreWalkResidualRate: e.MemTypeRate / 10,
-		GlobalFallback:      e.GlobalFallback,
 	})
 	tm.SetObs(e.Obs)
 	return tm

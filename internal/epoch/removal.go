@@ -55,28 +55,20 @@ func (r *RemovalStamps) RaiseTx(tx *htm.Tx, k, opEpoch uint64) {
 	}
 }
 
-// Ok is the fallback-path (lock-held) version of CheckTx: it reports
-// whether an absence observed for k is safe to act on in opEpoch.
+// Ok is the non-transactional version of CheckTx: it reports whether an
+// absence observed for k is safe to act on in opEpoch.
 func (r *RemovalStamps) Ok(tm *htm.TM, k, opEpoch uint64) bool {
 	return tm.DirectLoad(r.slot(k)) <= opEpoch
 }
 
-// Raise is the fallback-path version of RaiseTx.
-func (r *RemovalStamps) Raise(tm *htm.TM, k, opEpoch uint64) {
-	p := r.slot(k)
-	if tm.DirectLoad(p) < opEpoch {
-		tm.DirectStore(p, opEpoch)
-	}
-}
-
-// OkF is Ok through a hybrid fallback session: the stamp word's line is
+// OkF is Ok through a fallback session: the stamp word's line is
 // locked for the rest of the session, so a racing removal's RaiseTx
 // conflicts with this absence check exactly as it would transactionally.
 func (r *RemovalStamps) OkF(f *htm.Fallback, k, opEpoch uint64) bool {
 	return f.Load(r.slot(k)) <= opEpoch
 }
 
-// RaiseF is RaiseTx through a hybrid fallback session.
+// RaiseF is RaiseTx through a fallback session.
 func (r *RemovalStamps) RaiseF(f *htm.Fallback, k, opEpoch uint64) {
 	p := r.slot(k)
 	if f.Load(p) < opEpoch {

@@ -53,9 +53,6 @@ type Opts struct {
 	// RecoveryWorkers partitions the recovery header scan across this
 	// many goroutines (0/1 = serial; see epoch.Config.RecoveryWorkers).
 	RecoveryWorkers int
-	// GlobalFallback selects the legacy single-word fallback lock for HTM
-	// subjects instead of the default fine-grained hybrid slow path.
-	GlobalFallback bool
 }
 
 func (o Opts) withDefaults() Opts {
@@ -104,7 +101,7 @@ func (o Opts) eadrHeap() *nvm.Heap {
 }
 
 func (o Opts) tm() *htm.TM {
-	tm := htm.New(htm.Config{MemTypeRate: o.MemTypeRate, PreWalkResidualRate: o.MemTypeRate / 10, GlobalFallback: o.GlobalFallback})
+	tm := htm.New(htm.Config{MemTypeRate: o.MemTypeRate, PreWalkResidualRate: o.MemTypeRate / 10})
 	tm.SetObs(o.Obs)
 	return tm
 }

@@ -9,14 +9,13 @@ import (
 	"bdhtm/internal/obs"
 )
 
-// The fine-grained hybrid slow path.
+// The slow path: fine-grained two-phase-locking sessions.
 //
-// Instead of serializing behind one global FallbackLock, a fallback
-// operation opens a Fallback session and performs every shared access
-// through it. The session acquires the versioned-lock slot covering each
-// touched cache line — the same table, and the same global slot order,
-// that transactional commit uses — so a fast-path transaction conflicts
-// with the slow path only when their line sets actually overlap:
+// A fallback operation opens a Fallback session and performs every shared
+// access through it. The session acquires the versioned-lock slot covering
+// each touched cache line — the same table, and the same global slot
+// order, that transactional commit uses — so a fast-path transaction
+// conflicts with the slow path only when their line sets actually overlap:
 //
 //   - Reads lock their line too (two-phase locking, so a transaction
 //     cannot slip a write between a fallback read and its commit — that
@@ -29,8 +28,8 @@ import (
 //
 // Deadlock/livelock discipline:
 //
-//   - Transactional commit never blocks: it try-locks and aborts, as
-//     before. A commit can therefore never participate in a cycle.
+//   - Transactional commit never blocks: it try-locks and aborts. A
+//     commit can therefore never participate in a cycle.
 //   - A session's blocking waits are bounded: after a bounded spin the
 //     session restarts, releasing everything it holds (waits on slots
 //     above its current maximum get a longer budget, because they cannot
@@ -41,11 +40,6 @@ import (
 //     non-escalated session that restarts (releasing its slots) in
 //     bounded time. Escalation grabs the mutex only after releasing all
 //     slots, so there is no hold-and-wait on the mutex itself.
-//
-// With Config.GlobalFallback set, RunFallback degenerates to the classic
-// global-lock path — Acquire/Release around the body — and the session's
-// accessors become plain DirectLoad/DirectStore. Structures are written
-// once against the session API and work in both modes.
 
 const (
 	// fbOwnerBit marks a versioned-lock slot as held by a fallback
@@ -69,8 +63,7 @@ const (
 // Fallback is one slow-path session. It is only valid inside the function
 // passed to RunFallback and must not escape it.
 type Fallback struct {
-	tm     *TM
-	global bool // degenerate mode: running under the global FallbackLock
+	tm *TM
 
 	owner     uint64   // slot word while holding: fbOwnerBit | id<<1 | 1
 	slots     []uint64 // acquired slot indices, ascending
@@ -82,10 +75,6 @@ type Fallback struct {
 }
 
 type fbRestart struct{ f *Fallback }
-
-// Hybrid reports whether the session locks individual lines (true) or
-// runs under the global FallbackLock (false).
-func (f *Fallback) Hybrid() bool { return !f.global }
 
 // lookup returns the buffered write for p, or nil. Fallback write sets
 // are small (an operation's few mutated words), so a linear scan beats a
@@ -132,9 +121,6 @@ func (f *Fallback) lockLine(p *uint64) {
 
 // Load reads a DRAM word, locking its line for the rest of the session.
 func (f *Fallback) Load(p *uint64) uint64 {
-	if f.global {
-		return f.tm.DirectLoad(p)
-	}
 	if we := f.lookup(p); we != nil {
 		return we.val
 	}
@@ -144,9 +130,6 @@ func (f *Fallback) Load(p *uint64) uint64 {
 
 // LoadAddr reads a word of simulated NVM, locking its line.
 func (f *Fallback) LoadAddr(h *nvm.Heap, a nvm.Addr) uint64 {
-	if f.global {
-		return h.Load(a)
-	}
 	p := h.WordPtr(a)
 	if we := f.lookup(p); we != nil {
 		return we.val
@@ -158,10 +141,6 @@ func (f *Fallback) LoadAddr(h *nvm.Heap, a nvm.Addr) uint64 {
 // Store buffers a write to a DRAM word, locking its line. The write is
 // applied when the session finishes.
 func (f *Fallback) Store(p *uint64, v uint64) {
-	if f.global {
-		f.tm.DirectStore(p, v)
-		return
-	}
 	f.lockLine(p)
 	f.put(writeEntry{p: p, val: v})
 }
@@ -170,10 +149,6 @@ func (f *Fallback) Store(p *uint64, v uint64) {
 // On finish the write goes through the heap so dirty-line tracking stays
 // correct.
 func (f *Fallback) StoreAddr(h *nvm.Heap, a nvm.Addr, v uint64) {
-	if f.global {
-		f.tm.DirectStoreAddr(h, a, v)
-		return
-	}
 	p := h.WordPtr(a)
 	f.lockLine(p)
 	f.put(writeEntry{p: p, val: v, heap: h, addr: a})
@@ -192,13 +167,8 @@ func (f *Fallback) put(we writeEntry) {
 // commits on the lines it touches; this barrier is for sessions about to
 // mutate structure state that transactions read *without* the conflict
 // tables (e.g. spash's directory pointers), after locking the word those
-// transactions validate. In global mode Acquire has already drained.
-func (f *Fallback) DrainCommits() {
-	if f.global {
-		return
-	}
-	f.tm.drainCommits()
-}
+// transactions validate.
+func (f *Fallback) DrainCommits() { f.tm.drainCommits() }
 
 // release lets go of every held slot. Slots covering buffered writes take
 // a fresh version (after finish applied them); the rest revert to their
@@ -244,19 +214,11 @@ func (f *Fallback) finish() {
 	f.release(true)
 }
 
-// RunFallback runs fn as one slow-path session. In the default hybrid
-// mode fn's accesses through the session lock only the lines they touch;
-// fn may be re-executed (after a session restart) and must therefore
-// reach shared state only through the session. With Config.GlobalFallback
-// the session runs under lock with direct accessors, exactly like the
-// pre-hybrid slow path.
-func (tm *TM) RunFallback(lock *FallbackLock, fn func(f *Fallback)) {
-	if !tm.Hybrid() {
-		lock.Acquire()
-		defer lock.Release()
-		fn(&Fallback{tm: tm, global: true})
-		return
-	}
+// RunFallback runs fn as one slow-path session: fn's accesses through the
+// session lock only the lines they touch. fn may be re-executed (after a
+// session restart) and must therefore reach shared state only through the
+// session.
+func (tm *TM) RunFallback(fn func(f *Fallback)) {
 	f := &Fallback{tm: tm, owner: fbOwnerBit | tm.txIDs.Add(1)<<1 | 1}
 	tm.stats.fallbackAcquires.Add(1)
 	tm.obs.MetricAdd(obs.MFallbackAcquires, f.owner, 1)
@@ -300,48 +262,31 @@ func (tm *TM) runFallbackBody(f *Fallback, fn func(*Fallback)) (done bool) {
 	return true
 }
 
-// RunHybrid is Run for the hybrid slow path: retry body transactionally,
-// then run fallback as a Fallback session. In global mode body is
-// additionally wrapped in a lock subscription, making RunHybrid a drop-in
-// Run. It returns true if the transactional path committed.
-func (tm *TM) RunHybrid(lock *FallbackLock, maxRetries int, body func(tx *Tx), fallback func(f *Fallback)) bool {
-	return tm.RunHybridSpan(nil, lock, maxRetries, body, fallback)
-}
-
-// RunHybridSpan is RunHybrid with a sampled request span threaded through
-// to every attempt; sp may be nil.
-func (tm *TM) RunHybridSpan(sp *obs.Span, lock *FallbackLock, maxRetries int, body func(tx *Tx), fallback func(f *Fallback)) bool {
-	hybrid := tm.Hybrid()
-	retries := 0
-	preWalked := false
-	for retries < maxRetries {
-		res := tm.AttemptSpan(sp, func(tx *Tx) {
-			if !hybrid {
-				tx.Subscribe(lock)
-			}
-			body(tx)
-		}, func() []AttemptOption {
-			if preWalked {
-				return []AttemptOption{PreWalked()}
-			}
-			return nil
-		}()...)
+// Run executes body with a simple default policy: retry on transient aborts
+// up to maxRetries with backoff, go straight to the slow path on
+// deterministic aborts (capacity, explicit), and finally run fallback as a
+// Fallback session. It covers the common case; code that needs
+// Listing-1-style custom abort handling uses Attempt and RunFallback
+// directly. It returns true if the transactional path committed, false if
+// the fallback session ran.
+func (tm *TM) Run(maxRetries int, body func(tx *Tx), fallback func(f *Fallback)) bool {
+	var opts []AttemptOption
+	for retries := 0; retries < maxRetries; {
+		res := tm.Attempt(body, opts...)
 		if res.Committed {
 			return true
 		}
 		switch res.Cause {
-		case CauseLocked:
-			lock.WaitUnlocked() // global mode only; does not consume retries
 		case CauseMemType:
-			preWalked = true
+			opts = []AttemptOption{PreWalked()}
 			retries++
 		case CauseCapacity, CauseExplicit:
-			retries = maxRetries // deterministic aborts: straight to fallback
+			retries = maxRetries
 		default:
 			retries++
 			tm.backoff(retries)
 		}
 	}
-	tm.RunFallback(lock, fallback)
+	tm.RunFallback(fallback)
 	return false
 }

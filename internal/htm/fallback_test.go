@@ -29,12 +29,10 @@ func disjointWords(tb testing.TB, tm *TM, n int) []*uint64 {
 	return out
 }
 
-// The headline property of the hybrid slow path: a small transaction on
-// lines the fallback never touched commits while the fallback is still
-// mid-operation, where the global lock would have aborted it.
+// The headline property of the slow path: a small transaction on lines the
+// session never touched commits while the session is still mid-operation.
 func TestDisjointLineProgressDuringFallback(t *testing.T) {
 	tm := Default()
-	lock := NewFallbackLock(tm)
 	ws := disjointWords(t, tm, 2)
 	a, b := ws[0], ws[1]
 	inSession := make(chan struct{})
@@ -44,7 +42,7 @@ func TestDisjointLineProgressDuringFallback(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tm.RunFallback(lock, func(f *Fallback) {
+		tm.RunFallback(func(f *Fallback) {
 			f.Store(a, f.Load(a)+1)
 			once.Do(func() { close(inSession) })
 			<-release
@@ -86,7 +84,6 @@ func TestDisjointLineProgressDuringFallback(t *testing.T) {
 // session ends, the slot reverts and the same transaction commits.
 func TestFallbackReadLocksLine(t *testing.T) {
 	tm := Default()
-	lock := NewFallbackLock(tm)
 	a := disjointWords(t, tm, 1)[0]
 	inSession := make(chan struct{})
 	release := make(chan struct{})
@@ -95,7 +92,7 @@ func TestFallbackReadLocksLine(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tm.RunFallback(lock, func(f *Fallback) {
+		tm.RunFallback(func(f *Fallback) {
 			_ = f.Load(a) // read-only access still locks the line
 			once.Do(func() { close(inSession) })
 			<-release
@@ -120,7 +117,6 @@ func TestFallbackReadLocksLine(t *testing.T) {
 // completes once the holder finishes.
 func TestFallbackRestartUnderContention(t *testing.T) {
 	tm := Default()
-	lock := NewFallbackLock(tm)
 	ws := disjointWords(t, tm, 2)
 	a, b := ws[0], ws[1]
 	inSession := make(chan struct{})
@@ -130,7 +126,7 @@ func TestFallbackRestartUnderContention(t *testing.T) {
 	wg.Add(1)
 	go func() { // holder: pins a's line, then waits
 		defer wg.Done()
-		tm.RunFallback(lock, func(f *Fallback) {
+		tm.RunFallback(func(f *Fallback) {
 			_ = f.Load(a)
 			once.Do(func() { close(inSession) })
 			<-release
@@ -140,7 +136,7 @@ func TestFallbackRestartUnderContention(t *testing.T) {
 	wg.Add(1)
 	go func() { // contender: buffers b, then needs a — must restart
 		defer wg.Done()
-		tm.RunFallback(lock, func(f *Fallback) {
+		tm.RunFallback(func(f *Fallback) {
 			f.Store(b, 1)
 			f.Store(a, f.Load(a)+1)
 		})
@@ -162,9 +158,8 @@ func TestFallbackRestartUnderContention(t *testing.T) {
 // Property test for the lock-order discipline: concurrent sessions that
 // acquire overlapping line sets in adversarial (random, often opposite)
 // orders neither deadlock nor lose updates.
-func TestFallbackLockOrderNoDeadlock(t *testing.T) {
+func TestSessionLockOrderNoDeadlock(t *testing.T) {
 	tm := Default()
-	lock := NewFallbackLock(tm)
 	ws := disjointWords(t, tm, 8)
 	const goroutines = 4
 	const iters = 300
@@ -176,7 +171,7 @@ func TestFallbackLockOrderNoDeadlock(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(id)+1, 99))
 			for i := 0; i < iters; i++ {
 				idxs := rng.Perm(len(ws))[:4]
-				tm.RunFallback(lock, func(f *Fallback) {
+				tm.RunFallback(func(f *Fallback) {
 					for _, j := range idxs {
 						f.Store(ws[j], f.Load(ws[j])+1)
 					}
@@ -194,118 +189,92 @@ func TestFallbackLockOrderNoDeadlock(t *testing.T) {
 	}
 }
 
-// Serializability with both paths live on the same lines, in both fallback
-// modes: transactional and session increments must all survive.
+// Serializability with both paths live on the same lines: transactional
+// and session increments must all survive.
 func TestMixedTxFallbackSerializable(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		global bool
-	}{{"hybrid", false}, {"global", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			tm := New(Config{GlobalFallback: mode.global})
-			lock := NewFallbackLock(tm)
-			ws := disjointWords(t, tm, 4)
-			const perG = 400
-			var wg sync.WaitGroup
-			for g := 0; g < 3; g++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewPCG(uint64(id)+1, 3))
-					for i := 0; i < perG; i++ {
-						j := int(rng.Uint64N(uint64(len(ws))))
-						k := (j + 1 + int(rng.Uint64N(uint64(len(ws)-1)))) % len(ws)
-						for {
-							res := tm.Attempt(func(tx *Tx) {
-								if !tm.Hybrid() {
-									tx.Subscribe(lock)
-								}
-								tx.Store(ws[j], tx.Load(ws[j])+1)
-								tx.Store(ws[k], tx.Load(ws[k])+1)
-							})
-							if res.Committed {
-								break
-							}
-							if res.Cause == CauseLocked {
-								lock.WaitUnlocked()
-							}
-						}
-					}
-				}(g)
+	tm := Default()
+	ws := disjointWords(t, tm, 4)
+	const perG = 400
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(id)+1, 3))
+			for i := 0; i < perG; i++ {
+				j := int(rng.Uint64N(uint64(len(ws))))
+				k := (j + 1 + int(rng.Uint64N(uint64(len(ws)-1)))) % len(ws)
+				for !tm.Attempt(func(tx *Tx) {
+					tx.Store(ws[j], tx.Load(ws[j])+1)
+					tx.Store(ws[k], tx.Load(ws[k])+1)
+				}).Committed {
+				}
 			}
-			for g := 0; g < 3; g++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewPCG(uint64(id)+100, 5))
-					for i := 0; i < perG; i++ {
-						j := int(rng.Uint64N(uint64(len(ws))))
-						k := (j + 1 + int(rng.Uint64N(uint64(len(ws)-1)))) % len(ws)
-						tm.RunFallback(lock, func(f *Fallback) {
-							f.Store(ws[j], f.Load(ws[j])+1)
-							f.Store(ws[k], f.Load(ws[k])+1)
-						})
-					}
-				}(g)
+		}(g)
+	}
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(id)+100, 5))
+			for i := 0; i < perG; i++ {
+				j := int(rng.Uint64N(uint64(len(ws))))
+				k := (j + 1 + int(rng.Uint64N(uint64(len(ws)-1)))) % len(ws)
+				tm.RunFallback(func(f *Fallback) {
+					f.Store(ws[j], f.Load(ws[j])+1)
+					f.Store(ws[k], f.Load(ws[k])+1)
+				})
 			}
-			wg.Wait()
-			var total uint64
-			for _, p := range ws {
-				total += *p
-			}
-			if total != 6*perG*2 {
-				t.Fatalf("total = %d, want %d", total, 6*perG*2)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	var total uint64
+	for _, p := range ws {
+		total += *p
+	}
+	if total != 6*perG*2 {
+		t.Fatalf("total = %d, want %d", total, 6*perG*2)
 	}
 }
 
-// Global mode must be the classic path: the session runs under the
-// FallbackLock with immediate (direct) stores.
-func TestGlobalModeRunFallbackTakesLock(t *testing.T) {
-	tm := New(Config{GlobalFallback: true})
-	lock := NewFallbackLock(tm)
-	var x uint64
-	tm.RunFallback(lock, func(f *Fallback) {
-		if f.Hybrid() {
-			t.Error("global-mode session reports Hybrid")
-		}
-		if !lock.Locked() {
-			t.Error("global-mode session did not take the lock")
-		}
-		f.Store(&x, 3)
-		if atomic.LoadUint64(&x) != 3 {
-			t.Error("global-mode store is not immediate")
-		}
-	})
-	if lock.Locked() {
-		t.Fatal("lock still held after RunFallback")
-	}
-	if x != 3 {
-		t.Fatalf("x = %d, want 3", x)
-	}
-}
-
-func TestRunHybridPaths(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		global bool
-	}{{"hybrid", false}, {"global", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			tm := New(Config{GlobalFallback: mode.global})
-			lock := NewFallbackLock(tm)
+// Run's policy, one case per way out of the retry loop: a clean commit
+// never opens a session; deterministic aborts (explicit, capacity) go to
+// the session after one attempt; transient aborts spend exactly maxRetries
+// attempts first.
+func TestRun(t *testing.T) {
+	const maxRetries = 3
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		body     func(tx *Tx, x *uint64, lines []*uint64)
+		wantTx   bool
+		attempts int64
+	}{
+		{"commit", Config{}, func(tx *Tx, x *uint64, _ []*uint64) { tx.Store(x, 1) }, true, 1},
+		{"explicit", Config{}, func(tx *Tx, _ *uint64, _ []*uint64) { tx.Abort(1) }, false, 1},
+		{"capacity", Config{MaxWriteLines: 2}, func(tx *Tx, _ *uint64, lines []*uint64) {
+			for _, p := range lines {
+				tx.Store(p, 1)
+			}
+		}, false, 1},
+		{"spurious", Config{SpuriousRate: 1}, func(tx *Tx, x *uint64, _ []*uint64) { tx.Store(x, 1) }, false, maxRetries},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tm := New(tc.cfg)
+			lines := disjointWords(t, tm, 3)
 			var x uint64
-			ok := tm.RunHybrid(lock, 3,
-				func(tx *Tx) { tx.Store(&x, 1) },
+			committed := tm.Run(maxRetries,
+				func(tx *Tx) { tc.body(tx, &x, lines) },
 				func(f *Fallback) { f.Store(&x, 2) })
-			if !ok || x != 1 {
-				t.Fatalf("transactional path: ok=%v x=%d", ok, x)
+			wantX, wantSessions := uint64(2), int64(1)
+			if tc.wantTx {
+				wantX, wantSessions = 1, 0
 			}
-			ok = tm.RunHybrid(lock, 3,
-				func(tx *Tx) { tx.Abort(1) },
-				func(f *Fallback) { f.Store(&x, 2) })
-			if ok || x != 2 {
-				t.Fatalf("fallback path: ok=%v x=%d", ok, x)
+			if committed != tc.wantTx || x != wantX {
+				t.Fatalf("committed=%v x=%d, want committed=%v x=%d", committed, x, tc.wantTx, wantX)
+			}
+			if s := tm.Stats(); s.Attempts() != tc.attempts || s.FallbackAcquires != wantSessions {
+				t.Fatalf("attempts=%d sessions=%d, want %d and %d", s.Attempts(), s.FallbackAcquires, tc.attempts, wantSessions)
 			}
 		})
 	}
@@ -316,7 +285,6 @@ func TestRunHybridPaths(t *testing.T) {
 // drainCommits spins forever.
 func TestHeldCounterBalanced(t *testing.T) {
 	tm := Default()
-	lock := NewFallbackLock(tm)
 	ws := disjointWords(t, tm, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -334,7 +302,7 @@ func TestHeldCounterBalanced(t *testing.T) {
 				case 2:
 					tm.DirectStore(p, 1)
 				default:
-					tm.RunFallback(lock, func(f *Fallback) { f.Store(p, f.Load(p)+1) })
+					tm.RunFallback(func(f *Fallback) { f.Store(p, f.Load(p)+1) })
 				}
 			}
 		}(g)
@@ -378,25 +346,5 @@ func TestDrainCommitsIsCounterRead(t *testing.T) {
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("50k idle drains took %v; drain is scanning the table again", el)
-	}
-}
-
-// WaitUnlocked's bounded backoff must still observe the release promptly.
-func TestWaitUnlockedBackoffReturns(t *testing.T) {
-	tm := Default()
-	lock := NewFallbackLock(tm)
-	lock.Acquire()
-	done := make(chan struct{})
-	go func() { lock.WaitUnlocked(); close(done) }()
-	select {
-	case <-done:
-		t.Fatal("WaitUnlocked returned while the lock was held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	lock.Release()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitUnlocked missed the release")
 	}
 }

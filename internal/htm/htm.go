@@ -19,10 +19,12 @@
 //   - Persist operations (clwb/sfence) are incompatible with transactions:
 //     Tx.Flush and Tx.Fence always abort with CausePersistOp. This is the
 //     central incompatibility the paper resolves with buffered durability.
-//   - A FallbackLock provides the standard global-lock fallback path with
-//     lock subscription: transactions that Subscribe abort when the lock is
-//     taken, and fallback-path writes (DirectStore) are visible to the
-//     conflict-detection mechanism.
+//   - The slow path is a Fallback session (RunFallback): two-phase locking
+//     over the same versioned-lock table commits use, one slot per touched
+//     cache line, with writes buffered until the session finishes. A
+//     transaction conflicts with a session only where their line sets
+//     overlap, and non-transactional writes (DirectStore) are likewise
+//     visible to the conflict-detection mechanism.
 //
 // Transactions address ordinary Go words (*uint64) and simulated NVM words
 // (nvm.Heap + nvm.Addr) uniformly; speculative writes are buffered in the
@@ -63,8 +65,9 @@ const (
 	CauseCapacity
 	// CauseExplicit: the transaction called Abort with a user code.
 	CauseExplicit
-	// CauseLocked: the transaction observed a subscribed fallback lock
-	// held and aborted to wait for it.
+	// CauseLocked is never reported (nothing subscribes to a lock any
+	// more); the slot stays so the enum keeps mirroring obs.Outcome and
+	// the bench/STATS schemas value for value.
 	CauseLocked
 	// CauseSpurious: a transient event (interrupt, fault) killed the
 	// transaction.
@@ -134,12 +137,6 @@ type Config struct {
 	// default, so injection is deterministic either way; fuzzers vary the
 	// seed per round to explore different abort interleavings.
 	Seed uint64
-	// GlobalFallback restores the pre-hybrid slow path: RunFallback and
-	// RunHybrid serialize through the structure's FallbackLock and
-	// fast-path transactions subscribe to its one word. The default
-	// (false) is the fine-grained hybrid path, where a fallback locks
-	// only the lines it touches.
-	GlobalFallback bool
 }
 
 func (c Config) withDefaults() Config {
@@ -220,10 +217,6 @@ func New(cfg Config) *TM {
 
 // Default returns a TM with default configuration and no abort injection.
 func Default() *TM { return New(Config{}) }
-
-// Hybrid reports whether the TM uses the fine-grained hybrid slow path
-// (the default) rather than the global FallbackLock.
-func (tm *TM) Hybrid() bool { return !tm.cfg.GlobalFallback }
 
 // Stats returns a snapshot of commit/abort counters.
 func (tm *TM) Stats() StatsSnapshot { return tm.stats.snapshot() }
@@ -405,15 +398,6 @@ func (tx *Tx) Flush() { tx.abort(CausePersistOp, 0) }
 
 // Fence models attempting sfence inside a transaction: it always aborts.
 func (tx *Tx) Fence() { tx.abort(CausePersistOp, 0) }
-
-// Subscribe reads the fallback lock transactionally and aborts with
-// CauseLocked if it is held. Committing transactions thereby conflict with
-// any fallback-path execution that overlaps them.
-func (tx *Tx) Subscribe(l *FallbackLock) {
-	if tx.Load(&l.word) != 0 {
-		tx.abort(CauseLocked, 0)
-	}
-}
 
 func (tx *Tx) reset(id, rv uint64) {
 	tx.id = id
@@ -623,55 +607,6 @@ func (tm *TM) runBody(tx *Tx, body func(tx *Tx)) (res Result, ok bool) {
 	}()
 	body(tx)
 	return Result{}, true
-}
-
-// Run executes body with a simple default policy: retry on transient aborts
-// up to maxRetries, spinning politely while a subscribed lock is held, and
-// finally run fallback under the lock. It covers the common case; code that
-// needs Listing-1-style custom abort handling uses Attempt directly.
-// It returns true if the transactional path committed, false if the
-// fallback path ran.
-func (tm *TM) Run(lock *FallbackLock, maxRetries int, body func(tx *Tx), fallback func()) bool {
-	return tm.RunSpan(nil, lock, maxRetries, body, fallback)
-}
-
-// RunSpan is Run with a sampled request span threaded through to every
-// attempt; sp may be nil.
-func (tm *TM) RunSpan(sp *obs.Span, lock *FallbackLock, maxRetries int, body func(tx *Tx), fallback func()) bool {
-	retries := 0
-	preWalked := false
-	for retries < maxRetries {
-		res := tm.AttemptSpan(sp, func(tx *Tx) {
-			tx.Subscribe(lock)
-			body(tx)
-		}, func() []AttemptOption {
-			if preWalked {
-				return []AttemptOption{PreWalked()}
-			}
-			return nil
-		}()...)
-		if res.Committed {
-			return true
-		}
-		switch res.Cause {
-		case CauseLocked:
-			lock.WaitUnlocked()
-			// Waiting for the lock does not consume a retry budget.
-		case CauseMemType:
-			preWalked = true
-			retries++
-		case CauseCapacity, CauseExplicit:
-			// Deterministic aborts: go straight to the fallback.
-			retries = maxRetries
-		default:
-			retries++
-			tm.backoff(retries)
-		}
-	}
-	lock.Acquire()
-	defer lock.Release()
-	fallback()
-	return false
 }
 
 // backoff yields for a bounded, jittered, exponentially growing delay

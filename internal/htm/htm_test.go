@@ -216,33 +216,10 @@ func TestConflictingWritersSerialize(t *testing.T) {
 	}
 }
 
-func TestFallbackLockSubscription(t *testing.T) {
-	tm := Default()
-	lock := NewFallbackLock(tm)
-	lock.Acquire()
-	var x uint64
-	res := tm.Attempt(func(tx *Tx) {
-		tx.Subscribe(lock)
-		tx.Store(&x, 1)
-	})
-	if res.Committed || res.Cause != CauseLocked {
-		t.Fatalf("subscribed txn under held lock: got %+v, want locked abort", res)
-	}
-	lock.Release()
-	res = tm.Attempt(func(tx *Tx) {
-		tx.Subscribe(lock)
-		tx.Store(&x, 1)
-	})
-	if !res.Committed {
-		t.Fatalf("after release: %+v", res)
-	}
-}
-
-// A transaction that subscribed must abort if the fallback path acquires
-// the lock and writes mid-transaction.
+// A non-transactional DirectStore is visible to conflict detection: a
+// transaction that read the line before the store fails validation.
 func TestFallbackWritesAbortActiveTransactions(t *testing.T) {
 	tm := Default()
-	lock := NewFallbackLock(tm)
 	var data uint64
 	started := make(chan struct{})
 	proceed := make(chan struct{})
@@ -252,7 +229,6 @@ func TestFallbackWritesAbortActiveTransactions(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		res = tm.Attempt(func(tx *Tx) {
-			tx.Subscribe(lock)
 			_ = tx.Load(&data)
 			close(started)
 			<-proceed
@@ -261,31 +237,14 @@ func TestFallbackWritesAbortActiveTransactions(t *testing.T) {
 		})
 	}()
 	<-started
-	lock.Acquire()
 	tm.DirectStore(&data, 5)
-	lock.Release()
 	close(proceed)
 	wg.Wait()
 	if res.Committed {
-		t.Fatalf("transaction overlapping fallback writes committed; data=%d", data)
+		t.Fatalf("transaction overlapping a direct store committed; data=%d", data)
 	}
 	if data != 5 {
 		t.Fatalf("data = %d, want 5", data)
-	}
-}
-
-func TestRunFallsBackAfterRetries(t *testing.T) {
-	tm := Default()
-	lock := NewFallbackLock(tm)
-	var viaTxn, viaFallback bool
-	ok := tm.Run(lock, 3, func(tx *Tx) { tx.Abort(1) }, func() { viaFallback = true })
-	if ok || viaTxn || !viaFallback {
-		t.Fatalf("Run should take fallback on explicit abort: ok=%v fb=%v", ok, viaFallback)
-	}
-	var x uint64
-	ok = tm.Run(lock, 3, func(tx *Tx) { tx.Store(&x, 1) }, func() { x = 2 })
-	if !ok || x != 1 {
-		t.Fatalf("Run should commit transactionally: ok=%v x=%d", ok, x)
 	}
 }
 

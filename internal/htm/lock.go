@@ -7,72 +7,13 @@ import (
 	"bdhtm/internal/nvm"
 )
 
-// FallbackLock is the global lock used by best-effort HTM fallback paths.
+// drainCommits waits until no commit or direct store holds a versioned
+// lock, i.e. every write-back that was in flight when the caller published
+// its own lock has finished. Unlike real HTM, whose commits are
+// instantaneous, this simulation's commits write back over a window.
 //
-// Transactions call Tx.Subscribe(l) as their first action; the lock word
-// then sits in their read set, so an Acquire by a fallback-path thread
-// conflicts with (and aborts) every subscribed transaction. While holding
-// the lock, the fallback path must perform its writes with DirectStore /
-// DirectStoreAddr so that concurrent transactions' validation observes
-// them, mirroring the way real HTM detects the fallback's coherence
-// traffic.
-//
-// Since the fine-grained hybrid slow path (RunFallback / Fallback)
-// landed, this type is the compatibility shim for Config.GlobalFallback
-// mode: the degenerate one-line lock set every fallback shares. Hybrid
-// TMs keep a FallbackLock around only to hand to RunFallback, which
-// ignores it; subscription and Acquire/Release semantics are unchanged
-// for code still on the global path.
-type FallbackLock struct {
-	tm   *TM
-	word uint64
-	_    [7]uint64 // keep the lock word on its own cache line
-}
-
-// NewFallbackLock creates a fallback lock bound to tm.
-func NewFallbackLock(tm *TM) *FallbackLock {
-	return &FallbackLock{tm: tm}
-}
-
-// Acquire spins until it holds the lock. Acquisition is published through
-// the version table so subscribed transactions abort, and then waits for
-// in-flight commits to drain: a transaction that validated its read set
-// before the lock was published may still be writing back, and — unlike
-// real HTM, whose commits are instantaneous — this simulation must let it
-// finish before the fallback path reads or writes shared data.
-func (l *FallbackLock) Acquire() {
-	for {
-		if atomic.LoadUint64(&l.word) == 0 &&
-			atomic.CompareAndSwapUint64(&l.word, 0, 1) {
-			// Publish: bump the version of the lock word's line so that
-			// subscribed transactions fail validation.
-			l.tm.bumpVersion(&l.word)
-			l.tm.drainCommits()
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// TryAcquire attempts to take the lock without spinning.
-func (l *FallbackLock) TryAcquire() bool {
-	if atomic.CompareAndSwapUint64(&l.word, 0, 1) {
-		l.tm.bumpVersion(&l.word)
-		l.tm.drainCommits()
-		return true
-	}
-	return false
-}
-
-// drainCommits waits until no transaction holds a versioned lock, i.e.
-// every commit that validated before the fallback lock was published has
-// finished its write-back. Transactions that validate afterwards abort on
-// the subscribed lock word, so once the table is clean the fallback holder
-// has exclusive access.
-//
-// The wait is one counter spin — tm.held tracks outstanding lock windows,
-// incremented before the first slot CAS of a commit or direct store —
-// where it used to scan all 1<<TableBits slots on every acquisition.
+// The wait is one counter spin: tm.held tracks outstanding lock windows,
+// incremented before the first slot CAS of a commit or direct store.
 func (tm *TM) drainCommits() {
 	for spin := 0; tm.held.Load() != 0; spin++ {
 		yieldBackoff(spin)
@@ -89,25 +30,6 @@ func yieldBackoff(spin int) {
 	}
 	for i := 0; i < 1<<shift; i++ {
 		runtime.Gosched()
-	}
-}
-
-// Release drops the lock.
-func (l *FallbackLock) Release() {
-	atomic.StoreUint64(&l.word, 0)
-	l.tm.bumpVersion(&l.word)
-}
-
-// Locked reports whether the lock is currently held.
-func (l *FallbackLock) Locked() bool { return atomic.LoadUint64(&l.word) != 0 }
-
-// WaitUnlocked spins until the lock is free, with bounded exponential
-// backoff: a bare Gosched loop burns a core re-checking a lock that stays
-// held for a whole fallback operation, while the backoff caps at 64
-// yields per probe so wakeup latency stays bounded.
-func (l *FallbackLock) WaitUnlocked() {
-	for spin := 0; atomic.LoadUint64(&l.word) != 0; spin++ {
-		yieldBackoff(spin)
 	}
 }
 
@@ -140,15 +62,11 @@ func (tm *TM) unlockSlotDirect(slot *atomic.Uint64) {
 	tm.held.Add(-1)
 }
 
-// bumpVersion advances the versioned-lock slot covering p, making any
-// transactional read of p's line fail validation.
-func (tm *TM) bumpVersion(p *uint64) {
-	tm.unlockSlotDirect(tm.lockSlotDirect(p))
-}
-
 // DirectStore performs a non-transactional store to a DRAM word that is
-// visible to the conflict-detection mechanism. It must only be used while
-// holding the fallback lock (or during single-threaded recovery).
+// visible to the conflict-detection mechanism: it bumps the line's version,
+// so a transaction that read the line fails validation. It does not make a
+// multi-word update atomic; callers own that (single-threaded recovery,
+// words no session or transaction writes concurrently).
 func (tm *TM) DirectStore(p *uint64, v uint64) {
 	slot := tm.lockSlotDirect(p)
 	atomic.StoreUint64(p, v)
@@ -164,6 +82,6 @@ func (tm *TM) DirectStoreAddr(h *nvm.Heap, a nvm.Addr, v uint64) {
 }
 
 // DirectLoad performs a non-transactional load. Plain atomic semantics are
-// sufficient: fallback-path readers hold the lock, and transactional
-// writers' stores only become visible at commit.
+// sufficient: transactional and session writes only become visible at
+// commit/finish.
 func (tm *TM) DirectLoad(p *uint64) uint64 { return atomic.LoadUint64(p) }

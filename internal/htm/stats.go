@@ -2,12 +2,12 @@ package htm
 
 import "sync/atomic"
 
-// Stats counts attempt outcomes per cause, plus the hybrid slow path's
-// session counters.
+// Stats counts attempt outcomes per cause, plus the slow path's session
+// counters.
 type Stats struct {
 	counts [numCauses]atomic.Int64
 
-	fallbackAcquires atomic.Int64 // fine-grained fallback sessions started
+	fallbackAcquires atomic.Int64 // fallback sessions started
 	fallbackLines    atomic.Int64 // lock-table slots acquired by sessions
 	fallbackBlocked  atomic.Int64 // tx aborts caused by a fallback-held slot
 	fallbackRestarts atomic.Int64 // whole-session restarts (lock contention)
@@ -27,12 +27,11 @@ type StatsSnapshot struct {
 	MemType   int64
 	PersistOp int64
 
-	// Hybrid slow-path counters. FallbackAcquires counts fine-grained
-	// sessions (the global path counts under the structures' own
-	// bookkeeping, not here); FallbackLines is the total lock-table slots
-	// those sessions acquired; FallbackBlocked counts fast-path aborts
-	// whose blocking slot was fallback-held; FallbackRestarts counts
-	// whole-session restarts forced by lock-order discipline.
+	// Slow-path counters. FallbackAcquires counts sessions started;
+	// FallbackLines is the total lock-table slots those sessions acquired;
+	// FallbackBlocked counts fast-path aborts whose blocking slot was
+	// session-held; FallbackRestarts counts whole-session restarts forced
+	// by lock-order discipline.
 	FallbackAcquires int64
 	FallbackLines    int64
 	FallbackBlocked  int64

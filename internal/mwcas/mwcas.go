@@ -3,8 +3,8 @@
 //
 //   - MwWR — unsynchronized, non-persistent multi-word writes (baseline);
 //   - HTMMwCAS — a multi-word compare-and-swap built from one hardware
-//     transaction (with global-lock fallback), the paper's replacement for
-//     descriptor-based protocols;
+//     transaction (with a slow-path htm.Fallback session), the paper's
+//     replacement for descriptor-based protocols;
 //   - Desc — the descriptor-based MwCAS of Wang et al. (ICDE'18), with
 //     helping; in persistent mode (PMwCAS) every step of the protocol is
 //     flushed so an operation interrupted by a crash can roll forward or
@@ -43,14 +43,13 @@ func MwWR(h *nvm.Heap, entries []Entry) {
 // HTMMwCAS performs multi-word compare-and-swap inside one hardware
 // transaction.
 type HTMMwCAS struct {
-	h    *nvm.Heap
-	tm   *htm.TM
-	lock *htm.FallbackLock
+	h  *nvm.Heap
+	tm *htm.TM
 }
 
 // NewHTMMwCAS creates an HTM-based MwCAS over heap h.
 func NewHTMMwCAS(h *nvm.Heap, tm *htm.TM) *HTMMwCAS {
-	return &HTMMwCAS{h: h, tm: tm, lock: htm.NewFallbackLock(tm)}
+	return &HTMMwCAS{h: h, tm: tm}
 }
 
 const htmMwFailCode uint8 = 0xC5
@@ -62,7 +61,6 @@ func (m *HTMMwCAS) Apply(entries []Entry) bool {
 	retries := 0
 	for {
 		res := m.tm.Attempt(func(tx *htm.Tx) {
-			tx.Subscribe(m.lock)
 			for _, e := range entries {
 				if tx.LoadAddr(m.h, e.Addr) != e.Old {
 					tx.Abort(htmMwFailCode)
@@ -77,8 +75,6 @@ func (m *HTMMwCAS) Apply(entries []Entry) bool {
 			return true
 		case res.Cause == htm.CauseExplicit && res.Code == htmMwFailCode:
 			return false
-		case res.Cause == htm.CauseLocked:
-			m.lock.WaitUnlocked()
 		default:
 			retries++
 			if retries >= maxRetries {
@@ -91,18 +87,22 @@ func (m *HTMMwCAS) Apply(entries []Entry) bool {
 	}
 }
 
+// applyFallback is Apply as a slow-path session: check all, then store all.
 func (m *HTMMwCAS) applyFallback(entries []Entry) bool {
-	m.lock.Acquire()
-	defer m.lock.Release()
-	for _, e := range entries {
-		if m.h.Load(e.Addr) != e.Old {
-			return false
+	var swapped bool
+	m.tm.RunFallback(func(f *htm.Fallback) {
+		swapped = false // the body may be re-executed after a restart
+		for _, e := range entries {
+			if f.LoadAddr(m.h, e.Addr) != e.Old {
+				return
+			}
 		}
-	}
-	for _, e := range entries {
-		m.tm.DirectStoreAddr(m.h, e.Addr, e.New)
-	}
-	return true
+		for _, e := range entries {
+			f.StoreAddr(m.h, e.Addr, e.New)
+		}
+		swapped = true
+	})
+	return swapped
 }
 
 // Read returns the current value of a word, which for the HTM variant is

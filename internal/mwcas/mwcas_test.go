@@ -3,6 +3,7 @@ package mwcas
 import (
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bdhtm/internal/htm"
@@ -211,6 +212,59 @@ func TestHTMMwCASConcurrent(t *testing.T) {
 		words[i] = a.alloc(8)
 	}
 	testConcurrentEngine(t, func(_ int, es []Entry) bool { return m.Apply(es) }, m.Read, words)
+}
+
+// With every transactional attempt killed, each Apply runs as a slow-path
+// session: concurrent 2-word transfers must conserve the total, and a CAS
+// that fails on its second word must not have written its first.
+func TestHTMMwCASSessionPathConservesTotal(t *testing.T) {
+	a := newArena(1 << 16)
+	tm := htm.New(htm.Config{SpuriousRate: 1})
+	m := NewHTMMwCAS(a.h, tm)
+	const initial = 1000
+	words := make([]nvm.Addr, 8)
+	for i := range words {
+		words[i] = a.alloc(8)
+		a.h.Store(words[i], initial)
+	}
+	const goroutines = 6
+	const perG = 200
+	var applies atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(tid)+1, 17))
+			for i := 0; i < perG; i++ {
+				i1 := int(rng.Uint64N(uint64(len(words))))
+				i2 := (i1 + 1 + int(rng.Uint64N(uint64(len(words)-1)))) % len(words)
+				o1, o2 := m.Read(words[i1]), m.Read(words[i2])
+				applies.Add(1)
+				if i%4 == 3 {
+					// Doomed: no word ever holds 1<<62, so the second
+					// check fails whether or not the first matches.
+					if m.Apply([]Entry{{words[i1], o1, o1 - 1}, {words[i2], 1 << 62, o2 + 1}}) {
+						t.Errorf("CAS with an impossible old value succeeded")
+					}
+					continue
+				}
+				m.Apply([]Entry{{words[i1], o1, o1 - 1}, {words[i2], o2, o2 + 1}})
+			}
+		}(g)
+	}
+	wg.Wait()
+	var total uint64
+	for _, w := range words {
+		total += m.Read(w)
+	}
+	if want := uint64(initial * len(words)); total != want {
+		t.Fatalf("total = %d, want %d (partial write or lost update)", total, want)
+	}
+	if s := tm.Stats(); s.Commits != 0 || s.FallbackAcquires != applies.Load() {
+		t.Fatalf("commits=%d sessions=%d, want 0 and %d: not every Apply took the session",
+			s.Commits, s.FallbackAcquires, applies.Load())
+	}
 }
 
 func TestDescHelpingCompletesConflicting(t *testing.T) {

@@ -129,9 +129,9 @@ type HTMSummary struct {
 	CommitRate float64          `json:"commit_rate"`
 	Aborts     map[string]int64 `json:"aborts"`
 	// Fallback is the slow-path ledger (omitted by rows produced before
-	// the fine-grained hybrid path existed): "acquires" fine-grained
-	// sessions, the table "lines" they locked, fast-path aborts "blocked"
-	// on a fallback-held slot, and bounded-wait session "restarts".
+	// fallback sessions existed): sessions started ("acquires"), the
+	// table "lines" they locked, fast-path aborts "blocked" on a
+	// session-held slot, and bounded-wait session "restarts".
 	Fallback map[string]int64 `json:"fallback,omitempty"`
 }
 

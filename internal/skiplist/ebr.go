@@ -16,7 +16,7 @@ import (
 // it operates; a retired node is freed only once every active handle has
 // been observed in a later era (or idle).
 //
-// On the hybrid fast path the announcement stores themselves are elided
+// On the HTM fast path the announcement stores themselves are elided
 // ("teleportation"): operations run unannounced and instead validate the
 // era-seqlock word seq inside their transactions. seq is bumped through
 // the TM around every freeing scan, so a transaction that overlaps a
@@ -27,7 +27,7 @@ type ebr struct {
 	era   atomic.Uint64
 	slots []ebrSlot
 
-	tm     *htm.TM // non-nil enables the seqlock (hybrid HTM variants)
+	tm     *htm.TM // non-nil enables the seqlock (HTM variants)
 	tele   bool
 	_      [6]uint64
 	seq    uint64 // era-seqlock: odd while a scan is freeing; own line

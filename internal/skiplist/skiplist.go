@@ -116,17 +116,14 @@ type List struct {
 	cfg   Config
 	h     *nvm.Heap // index heap
 	al    *palloc.Allocator
-	desc  *mwcas.Desc       // descriptor engine (DL, PNoFlush, Transient)
-	lock  *htm.FallbackLock // HTM variants
+	desc  *mwcas.Desc // descriptor engine (DL, PNoFlush, Transient)
 	head  nvm.Addr
 	reap  *ebr
 	count atomic.Int64
 	tids  atomic.Int32
 
-	// hybrid: the TM uses the fine-grained slow path, so transactions do
-	// not subscribe to the global lock. teleport additionally elides the
-	// EBR announcement stores on HTM variants (see ebr / guard).
-	hybrid   bool
+	// teleport elides the EBR announcement stores on HTM variants (see
+	// ebr / guard).
 	teleport bool
 
 	// removals guards BDL absence-dependent paths against acting on an
@@ -156,17 +153,15 @@ func New(cfg Config) *List {
 		if cfg.TM == nil {
 			panic("skiplist: HTM variant requires a TM")
 		}
-		l.lock = htm.NewFallbackLock(cfg.TM)
-		l.hybrid = cfg.TM.Hybrid()
+		// Teleportation rides on transactional validation of the
+		// era-seqlock, so it is only sound for the HTM variants.
+		l.teleport = true
 	}
 	if cfg.Variant == BDL && cfg.DataSys == nil {
 		panic("skiplist: BDL requires an epoch system")
 	}
 	l.reap = newEBR(l.al, cfg.Threads)
-	if l.hybrid {
-		// Teleportation rides on transactional validation of the
-		// era-seqlock, so it is only sound for the HTM variants.
-		l.teleport = true
+	if l.teleport {
 		l.reap.tm = cfg.TM
 		l.reap.tele = true
 	}
@@ -376,7 +371,7 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 		return h.getBDL(&g, k)
 	}
 	// Non-BDL reads never enter a transaction, so there is no seqlock to
-	// validate against: they always announce, even on the hybrid path.
+	// validate against: they always announce.
 	l.reap.enter(h.tid)
 	defer l.reap.exit(h.tid)
 	_, _, found := l.find(&guard{}, k)
@@ -399,7 +394,7 @@ func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 	const maxRetries = 64
 	retries := 0
 	for {
-		if l.hybrid && retries >= maxRetries {
+		if retries >= maxRetries {
 			// Persistently aborting read: escape into a read-only session
 			// under per-line locks. Announce first — session reads are not
 			// seqlock-validated.
@@ -410,7 +405,7 @@ func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 			}
 			var v uint64
 			var ok bool
-			l.cfg.TM.RunFallback(l.lock, func(f *htm.Fallback) {
+			l.cfg.TM.RunFallback(func(f *htm.Fallback) {
 				v, ok = 0, false
 				if f.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
 					return
@@ -428,9 +423,6 @@ func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 		var v uint64
 		var ok bool
 		res := h.w.Attempt(l.cfg.TM, func(tx *htm.Tx) {
-			if !l.hybrid {
-				tx.Subscribe(l.lock)
-			}
 			g.validate(tx)
 			if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
 				ok = false
@@ -450,8 +442,6 @@ func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 		switch {
 		case res.Cause == htm.CauseExplicit && res.Code == recaptureCode:
 			g.capture()
-		case res.Cause == htm.CauseLocked:
-			l.lock.WaitUnlocked()
 		default:
 			retries++
 		}
@@ -571,8 +561,7 @@ const (
 
 // htmApply runs the entries — validate all Olds, run the optional extra
 // transactional step, store all News — as one hardware transaction with a
-// slow-path fallback (per-line locks in hybrid mode, the global lock
-// otherwise). extra may call tx.Abort(retryCode) or
+// slow-path fallback session. extra may call tx.Abort(retryCode) or
 // tx.Abort(epoch.OldSeeNewCode). direct is the fallback-path version of
 // extra: it performs any non-entry reads/writes through the session and
 // returns the outcome; entries are validated before and stored after it
@@ -582,9 +571,6 @@ func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra 
 	retries := 0
 	for {
 		res := l.attemptW(w, func(tx *htm.Tx) {
-			if !l.hybrid {
-				tx.Subscribe(l.lock)
-			}
 			g.validate(tx)
 			for _, e := range entries {
 				if tx.LoadAddr(l.h, e.Addr) != e.Old {
@@ -610,8 +596,6 @@ func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra 
 			return applyOldSeeNew
 		case res.Cause == htm.CauseExplicit:
 			panic(fmt.Sprintf("skiplist: unexpected abort code %#x", res.Code))
-		case res.Cause == htm.CauseLocked:
-			l.lock.WaitUnlocked()
 		default:
 			retries++
 			if retries >= maxRetries {
@@ -633,14 +617,14 @@ func (l *List) attemptW(w *epoch.Worker, body func(tx *htm.Tx)) htm.Result {
 
 func (l *List) htmFallback(g *guard, entries []mwcas.Entry, direct func(f *htm.Fallback) applyResult) applyResult {
 	if g.teleporting() {
-		// The lock path takes full hazard capture: session reads are not
+		// The slow path takes full hazard capture: session reads are not
 		// seqlock-validated, and the entries were gathered unannounced, so
 		// announce and re-find before trusting any of them.
 		g.capture()
 		return applyRetry
 	}
 	r := applyOK
-	l.cfg.TM.RunFallback(l.lock, func(f *htm.Fallback) {
+	l.cfg.TM.RunFallback(func(f *htm.Fallback) {
 		r = applyOK
 		for _, e := range entries {
 			if f.LoadAddr(l.h, e.Addr) != e.Old {

@@ -61,9 +61,6 @@ retryTxn:
 	case res.Cause == htm.CauseExplicit && res.Code == splitCode:
 		t.split(h)
 		goto retryTxn
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
 	default:
 		retries++
 		if retries < maxRetries {
@@ -173,22 +170,19 @@ const (
 	fbOldSeeNew
 )
 
-// insertFallback performs the insert on the slow path (a fine-grained
-// session in hybrid mode, the global lock otherwise), splitting between
-// rounds if the bucket is full.
+// insertFallback performs the insert as a slow-path session, splitting
+// between rounds if the bucket is full.
 func (t *Table) insertFallback(opEpoch, h, k, v uint64, newBlk nvm.Addr, bd bool, out *outcome) fbResult {
 	for {
 		r := fbOK
 		needSplit := false
-		t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+		t.tm.RunFallback(func(f *htm.Fallback) {
 			// The session body may restart on lock contention: reset every
-			// output first. The gate serializes hybrid fallbacks against
-			// each other and against splits.
+			// output first. The gate serializes sessions against each other
+			// and against splits.
 			r, needSplit = fbOK, false
 			*out = outcome{}
-			if f.Hybrid() {
-				f.Load(&t.fbGate)
-			}
+			f.Load(&t.fbGate)
 			seg, bucket := t.locate(h)
 			base := bucket * slotsPerBucket
 			var empty *uint64
@@ -296,12 +290,10 @@ func (t *Table) Get(k uint64) (uint64, bool) {
 		if res.Committed {
 			return v, ok
 		}
-		if res.Cause == htm.CauseLocked {
-			t.lock.WaitUnlocked()
-		} else if retries++; t.hybrid && retries >= maxRetries {
+		if retries++; retries >= maxRetries {
 			// Persistently aborting read: a read-only session under the
 			// per-line locks is guaranteed to finish.
-			t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+			t.tm.RunFallback(func(f *htm.Fallback) {
 				v, ok = 0, false
 				f.Load(&t.fbGate)
 				seg, bucket := t.locate(h)
@@ -373,9 +365,6 @@ retryTxn:
 	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
 	default:
 		retries++
 		if retries < maxRetries {
@@ -405,12 +394,10 @@ retryTxn:
 
 func (t *Table) removeFallback(opEpoch, h, k uint64, bd bool, victim *nvm.Addr) fbResult {
 	r := fbOK
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+	t.tm.RunFallback(func(f *htm.Fallback) {
 		r = fbOK
 		*victim = 0
-		if f.Hybrid() {
-			f.Load(&t.fbGate)
-		}
+		f.Load(&t.fbGate)
 		seg, bucket := t.locate(h)
 		base := bucket * slotsPerBucket
 		for s := 0; s < slotsPerBucket; s++ {
@@ -442,28 +429,24 @@ func (t *Table) removeFallback(opEpoch, h, k uint64, bd bool, victim *nvm.Addr) 
 }
 
 // split splits the segment containing hash h (doubling the directory if
-// needed) on the slow path. In hybrid mode the session takes the fallback
-// gate, then locks the split barrier and drains in-flight commit windows:
-// from that point no transaction can commit (ver is in every hybrid
-// transaction's read set and its slot stays locked), so the native
-// dir/segs manipulation is safe. The barrier word is the session's only
-// write, and no lock is acquired after the manipulation, so a session
-// restart can only happen before any state changed.
+// needed) on the slow path. The session takes the fallback gate, then
+// locks the split barrier and drains in-flight commit windows: from that
+// point no transaction can commit (ver is in every transaction's read
+// set and its slot stays locked), so the native dir/segs manipulation is
+// safe. The barrier word is the session's only write, and no lock is
+// acquired after the manipulation, so a session restart can only happen
+// before any state changed.
 func (t *Table) split(h uint64) {
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-		if f.Hybrid() {
-			f.Load(&t.fbGate)
-			cur := f.Load(&t.ver)
-			f.DrainCommits()
-			t.splitLocked(h)
-			f.Store(&t.ver, cur+1)
-			return
-		}
+	t.tm.RunFallback(func(f *htm.Fallback) {
+		f.Load(&t.fbGate)
+		cur := f.Load(&t.ver)
+		f.DrainCommits()
 		t.splitLocked(h)
+		f.Store(&t.ver, cur+1)
 	})
 }
 
-// splitLocked is split with the lock already held. It loops until the
+// splitLocked is split with the barrier already held. It loops until the
 // bucket that overflowed has room (skewed fingerprints can force several
 // rounds).
 func (t *Table) splitLocked(h uint64) {

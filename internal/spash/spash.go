@@ -7,10 +7,11 @@
 // Structure (both modes): an extendible-hashing directory and segments in
 // DRAM; KV pairs in NVM blocks referenced from bucket slots (fingerprint
 // + address packed in one word). Every operation runs as one hardware
-// transaction with a global-lock fallback; segment splits and directory
-// doubling run under that same lock, aborting concurrent transactions via
-// lock subscription. A DRAM hotspot detector tracks per-bucket access
-// frequency:
+// transaction with a slow-path session (htm.Fallback) after repeated
+// aborts; segment splits and directory doubling run as sessions that lock
+// a split-barrier word every transaction reads, aborting and excluding
+// them for the split's duration. A DRAM hotspot detector tracks per-bucket
+// access frequency:
 //
 //   - Spash (eADR heap): stores are durable at the point of visibility;
 //     flushes are pure performance hints. Cold blocks are proactively
@@ -25,8 +26,8 @@
 //     cheap bookkeeping.
 //
 // Deviations from the original (documented in DESIGN.md): background
-// segment movers are replaced by splits completed synchronously under the
-// fallback lock, and small cold writes are not coalesced into thread-local
+// segment movers are replaced by splits completed synchronously behind the
+// split barrier, and small cold writes are not coalesced into thread-local
 // chunks — the paper's own BD-Spash makes the same choice (Sec. 4.3).
 package spash
 
@@ -67,7 +68,7 @@ const (
 	maxRetries     = 32
 
 	// splitCode aborts a transaction whose bucket is full; the operation
-	// then splits the segment under the fallback lock and retries.
+	// then splits the segment on the slow path and retries.
 	splitCode uint8 = 0xB5
 	// eadrEpoch is the constant epoch stamped into eADR-mode blocks when
 	// they are published (any value other than InvalidEpoch works: the
@@ -131,21 +132,18 @@ type Table struct {
 	sys   *epoch.System     // ModeBD
 	alloc *palloc.Allocator // ModeEADR
 	heap  *nvm.Heap         // heap holding KV blocks
-	lock  *htm.FallbackLock
 
 	dir         atomic.Pointer[[]uint64] // segment indices
 	globalDepth atomic.Uint64
-	segs        atomic.Pointer[[]*segment] // append-only under lock
+	segs        atomic.Pointer[[]*segment] // append-only behind the split barrier
 
-	hybrid bool
-
-	// Hybrid split barriers, each on its own cache line. ver is read by
-	// every hybrid transaction in place of the global-lock subscription: a
-	// split locks and bumps it through its fallback session, excluding and
-	// aborting all transactions for exactly the split's duration. fbGate is
-	// locked first by every hybrid fallback session, serializing slow-path
-	// operations against each other and against splits (which mutate
-	// dir/segs natively) without ever conflicting with transactions.
+	// Split barriers, each on its own cache line. ver is read by every
+	// transaction: a split locks and bumps it through its fallback
+	// session, excluding and aborting all transactions for exactly the
+	// split's duration. fbGate is locked first by every fallback session,
+	// serializing slow-path operations against each other and against
+	// splits (which mutate dir/segs natively) without ever conflicting
+	// with transactions.
 	_      [7]uint64
 	ver    uint64
 	_      [7]uint64
@@ -184,7 +182,7 @@ func New(cfg Config) *Table {
 	if cfg.TM == nil {
 		panic("spash: TM required")
 	}
-	t := &Table{cfg: cfg, tm: cfg.TM, lock: htm.NewFallbackLock(cfg.TM), hybrid: cfg.TM.Hybrid(), perW: make([]spashWState, 512)}
+	t := &Table{cfg: cfg, tm: cfg.TM, perW: make([]spashWState, 512)}
 	switch cfg.Mode {
 	case ModeBD:
 		if cfg.Sys == nil {
@@ -248,9 +246,8 @@ func unpackAddr(s uint64) nvm.Addr        { return nvm.Addr(s & (1<<48 - 1)) }
 
 // locate returns the segment and bucket for a hash under the current
 // directory. The pointers are read non-transactionally; structural
-// changes happen only on the slow path behind the split barrier (global
-// lock subscription, or the hybrid ver word — see subscribe), so a
-// transaction that raced a split cannot commit.
+// changes happen only on the slow path behind the split barrier (the ver
+// word — see subscribe), so a transaction that raced a split cannot commit.
 func (t *Table) locate(h uint64) (seg *segment, bucket int) {
 	dir := *t.dir.Load()
 	segs := *t.segs.Load()
@@ -339,13 +336,6 @@ func (t *Table) epochF(f *htm.Fallback, b nvm.Addr) uint64 {
 	return f.LoadAddr(t.heap, b) & palloc.InvalidEpoch
 }
 
-// subscribe orders a transaction against structural changes: global mode
-// subscribes to the fallback lock; hybrid mode reads the split barrier,
-// which a split locks and bumps for its duration.
-func (t *Table) subscribe(tx *htm.Tx) {
-	if t.hybrid {
-		tx.Load(&t.ver)
-	} else {
-		tx.Subscribe(t.lock)
-	}
-}
+// subscribe orders a transaction against structural changes by reading
+// the split barrier, which a split locks and bumps for its duration.
+func (t *Table) subscribe(tx *htm.Tx) { tx.Load(&t.ver) }

@@ -13,8 +13,7 @@ const leafBits = 6
 
 // mem abstracts transactional vs fallback-path memory access so the vEB
 // recursion is written once. txMem routes through the hardware
-// transaction; fbMem routes through a slow-path session (per-line locks
-// on the hybrid path, direct accessors under the global lock); directMem
+// transaction; fbMem routes through a slow-path session; directMem
 // is for single-threaded contexts like recovery and the discarded
 // pre-walk (writes are published through the conflict-detection tables).
 type mem interface {

@@ -5,7 +5,7 @@
 //
 //   - HTM-vEB (transient): the whole tree, values included, lives in
 //     DRAM; each operation runs as one hardware transaction with a
-//     global-lock fallback.
+//     slow-path session (htm.Fallback) after repeated aborts.
 //   - PHTM-vEB (buffered durable): the index stays in DRAM for speed,
 //     while leaf value slots hold addresses of KV blocks in NVM managed
 //     by the epoch system. Operations follow the Listing-1 discipline
@@ -47,14 +47,12 @@ type Config struct {
 // Tree is a concurrent vEB tree mapping keys in [0, 2^UniverseBits) to
 // uint64 values.
 type Tree struct {
-	cfg    Config
-	tm     *htm.TM
-	sys    *epoch.System // nil for transient
-	pool   *pool
-	root   uint64
-	lock   *htm.FallbackLock
-	hybrid bool // fine-grained slow path: no global subscription
-	count  atomic.Int64
+	cfg   Config
+	tm    *htm.TM
+	sys   *epoch.System // nil for transient
+	pool  *pool
+	root  uint64
+	count atomic.Int64
 
 	// removals guards the fresh-insert path against acting on an absence
 	// created by a newer-epoch removal (see epoch.RemovalStamps).
@@ -79,13 +77,11 @@ func New(cfg Config) *Tree {
 		panic("veb: TM required")
 	}
 	t := &Tree{
-		cfg:    cfg,
-		tm:     cfg.TM,
-		sys:    cfg.DataSys,
-		pool:   newPool(),
-		lock:   htm.NewFallbackLock(cfg.TM),
-		hybrid: cfg.TM.Hybrid(),
-		perW:   make([]vebWState, 512),
+		cfg:  cfg,
+		tm:   cfg.TM,
+		sys:  cfg.DataSys,
+		pool: newPool(),
+		perW: make([]vebWState, 512),
 	}
 	t.root = t.pool.alloc(cfg.UniverseBits)
 	return t
@@ -139,9 +135,6 @@ func (t *Tree) Get(k uint64) (uint64, bool) {
 			opts = append(opts, htm.PreWalked())
 		}
 		res := t.tm.Attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
-			}
 			m := txMem{tx}
 			v, ok = 0, false
 			if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
@@ -156,16 +149,13 @@ func (t *Tree) Get(k uint64) (uint64, bool) {
 			return v, ok
 		}
 		switch res.Cause {
-		case htm.CauseLocked:
-			t.lock.WaitUnlocked()
 		case htm.CauseMemType:
 			t.preWalk(k)
 			preWalked = true
 		default:
-			// On the hybrid path there is no global lock to wait out, so a
-			// persistently aborting read escapes into a read-only session.
-			if retries++; t.hybrid && retries >= maxRetries {
-				t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+			// A persistently aborting read escapes into a read-only session.
+			if retries++; retries >= maxRetries {
+				t.tm.RunFallback(func(f *htm.Fallback) {
 					m := fbMem{f}
 					v, ok = 0, false
 					if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
@@ -197,9 +187,6 @@ func (t *Tree) Successor(k uint64) (uint64, uint64, bool) {
 		var sk, v uint64
 		var ok bool
 		res := t.tm.Attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
-			}
 			m := txMem{tx}
 			sk = t.succRec(m, t.rootNode(), k)
 			if sk == EMPTY {
@@ -216,10 +203,8 @@ func (t *Tree) Successor(k uint64) (uint64, uint64, bool) {
 		if res.Committed {
 			return sk, v, ok
 		}
-		if res.Cause == htm.CauseLocked {
-			t.lock.WaitUnlocked()
-		} else if retries++; t.hybrid && retries >= maxRetries {
-			t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+		if retries++; retries >= maxRetries {
+			t.tm.RunFallback(func(f *htm.Fallback) {
 				m := fbMem{f}
 				sk, v, ok = 0, 0, false
 				sk = t.succRec(m, t.rootNode(), k)
@@ -286,9 +271,6 @@ func (t *Tree) insertTransient(k, v uint64) bool {
 			opts = append(opts, htm.PreWalked())
 		}
 		res := t.tm.Attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
-			}
 			m := txMem{tx}
 			slot, inserted := t.insertRec(m, t.rootNode(), k, v)
 			if !inserted {
@@ -302,15 +284,13 @@ func (t *Tree) insertTransient(k, v uint64) bool {
 				t.count.Add(1)
 			}
 			return replaced
-		case res.Cause == htm.CauseLocked:
-			t.lock.WaitUnlocked()
 		case res.Cause == htm.CauseMemType:
 			t.preWalk(k)
 			preWalked = true
 		default:
 			retries++
 			if retries >= maxRetries {
-				t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+				t.tm.RunFallback(func(f *htm.Fallback) {
 					m := fbMem{f}
 					replaced = false
 					slot, inserted := t.insertRec(m, t.rootNode(), k, v)
@@ -350,9 +330,6 @@ retryTxn:
 		opts = append(opts, htm.PreWalked())
 	}
 	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		if !t.hybrid {
-			tx.Subscribe(t.lock)
-		}
 		m := txMem{tx}
 		newBlk.SetEpochTx(tx, opEpoch)
 		slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(newBlk.Addr()))
@@ -382,9 +359,6 @@ retryTxn:
 	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
 	case res.Cause == htm.CauseMemType:
 		t.preWalk(k)
 		preWalked = true
@@ -418,13 +392,12 @@ retryTxn:
 	return replaced
 }
 
-// insertFallback performs the insert on the slow path — a fine-grained
-// fallback session in hybrid mode, the global lock otherwise; it returns
+// insertFallback performs the insert as a slow-path session; it returns
 // false if the operation must restart in a newer epoch.
 func (t *Tree) insertFallback(w *epoch.Worker, opEpoch, k, v uint64, newBlk epoch.Block,
 	retire, persist *epoch.Block, usedPrealloc, replaced *bool) bool {
 	ok := true
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+	t.tm.RunFallback(func(f *htm.Fallback) {
 		// The session body may restart on lock contention: every output is
 		// reset here, and all shared writes are buffered until it finishes.
 		ok = true
@@ -478,9 +451,6 @@ func (t *Tree) removeTransient(k uint64) bool {
 	for {
 		var removed bool
 		res := t.tm.Attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
-			}
 			m := txMem{tx}
 			_, removed = t.removeRec(m, t.rootNode(), k)
 		})
@@ -490,12 +460,10 @@ func (t *Tree) removeTransient(k uint64) bool {
 				t.count.Add(-1)
 			}
 			return removed
-		case res.Cause == htm.CauseLocked:
-			t.lock.WaitUnlocked()
 		default:
 			retries++
 			if retries >= maxRetries {
-				t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+				t.tm.RunFallback(func(f *htm.Fallback) {
 					m := fbMem{f}
 					_, removed = t.removeRec(m, t.rootNode(), k)
 				})
@@ -516,9 +484,6 @@ retryRegist:
 retryTxn:
 	retire = epoch.Block{}
 	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		if !t.hybrid {
-			tx.Subscribe(t.lock)
-		}
 		m := txMem{tx}
 		val, ok := t.removeRec(m, t.rootNode(), k)
 		if !ok {
@@ -540,9 +505,6 @@ retryTxn:
 	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
 	default:
 		retries++
 		if retries < maxRetries {
@@ -564,7 +526,7 @@ retryTxn:
 
 func (t *Tree) removeFallback(w *epoch.Worker, opEpoch, k uint64, retire *epoch.Block) bool {
 	ok := true
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
+	t.tm.RunFallback(func(f *htm.Fallback) {
 		ok = true
 		*retire = epoch.Block{}
 		m := fbMem{f}
