@@ -44,7 +44,6 @@ var (
 	full     = flag.Bool("full", false, "paper-scale parameters (2^22 keys, 1s points)")
 
 	epochShards = flag.Int("epoch-shards", 1, "epoch persistence-path shards (power of two, max 32)")
-	asyncAdv    = flag.Bool("async-advance", false, "pipeline epoch advancement (flush of epoch E-1 overlaps execution of E)")
 	engineFlag  = flag.String("engine", "", "durability engine for buffered-durable subjects: "+strings.Join(durability.Names(), "|")+" (default bdl)")
 
 	obsFlag   = flag.Bool("obs", false, "record obs telemetry and print a summary at exit")
@@ -221,8 +220,7 @@ func threadList() []int {
 func opts() harness.Opts {
 	return harness.Opts{
 		KeySpace: *keySpace, Latency: *latency, Obs: benchObs,
-		EpochShards: *epochShards, AsyncAdvance: *asyncAdv,
-		Engine: *engineFlag,
+		EpochShards: *epochShards, Engine: *engineFlag,
 	}
 }
 
@@ -576,49 +574,27 @@ func recovery() {
 }
 
 // advanceScaling measures the sharded epoch-advance pipeline: PHTM-vEB,
-// write-heavy, at the highest configured thread count, across the
-// shard/async matrix with a short epoch so the persistence path is hot.
-// It exits non-zero when every pipelined configuration commits fewer
-// operations than the serial one — the regression gate CI's bench-smoke
-// lane relies on.
+// write-heavy, at the highest configured thread count, across shard
+// counts with a short epoch so the persistence path is hot. Report only:
+// single-run throughput on a small host cannot resolve the shard axis, so
+// there is no exit gate.
 func advanceScaling() {
 	tl := threadList()
 	n := tl[len(tl)-1]
 	wl := harness.Workload{KeySpace: *keySpace, Dist: harness.Uniform, Mix: ycsb.WriteHeavy, Prefill: true}
 	fmt.Printf("\nAdvance-pipeline scaling — PHTM-vEB, write-heavy, %d threads (keyspace 2^%d)\n", n, log2(*keySpace))
-	var serialOps, bestOps int64
-	var bestName string
-	for _, c := range []struct {
-		shards int
-		async  bool
-	}{{1, false}, {4, false}, {1, true}, {4, true}} {
+	for _, shards := range []int{1, 4} {
 		o := opts()
-		o.EpochShards = c.shards
-		o.AsyncAdvance = c.async
+		o.EpochShards = shards
 		o.EpochLength = 2 * time.Millisecond
 		inst := harness.NewPHTMvEB(o)
-		name := fmt.Sprintf("PHTM-vEB/shards=%d", c.shards)
-		if c.async {
-			name += "+async"
-		}
-		inst.Name = name
+		inst.Name = fmt.Sprintf("PHTM-vEB/shards=%d", shards)
 		r := harness.Run(inst, wl, n, *duration, 42)
 		st := inst.EpochStats()
 		inst.Close()
-		fmt.Printf("  shards=%d async=%-5v  %8.3f Mops/s   advance p99 %8.1f µs   backpressure %d\n",
-			c.shards, c.async, r.Throughput, float64(st.AdvanceP99NS)/1e3, st.Backpressure)
-		if c.shards == 1 && !c.async {
-			serialOps = r.Ops
-		} else if r.Ops > bestOps {
-			bestOps, bestName = r.Ops, name
-		}
+		fmt.Printf("  shards=%d  %8.3f Mops/s   advance p99 %8.1f µs   backpressure %d\n",
+			shards, r.Throughput, float64(st.AdvanceP99NS)/1e3, st.Backpressure)
 	}
-	if bestOps < serialOps {
-		fmt.Fprintf(os.Stderr, "bdbench: advance: pipeline regression — best pipelined config committed %d ops < serial %d\n",
-			bestOps, serialOps)
-		os.Exit(1)
-	}
-	fmt.Printf("  best pipelined: %s (%.2fx serial ops)\n", bestName, float64(bestOps)/float64(serialOps))
 }
 
 // engineComparison sweeps the pluggable durability engines under an

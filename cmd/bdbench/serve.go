@@ -48,7 +48,6 @@ func serve() {
 			KeySpace:    *keySpace,
 			EpochLength: 2 * time.Millisecond,
 			Shards:      *epochShards,
-			Async:       *asyncAdv,
 			Engine:      *engineFlag,
 			SyncAcks:    sync,
 			Obs:         sloObs,

@@ -38,7 +38,7 @@ func main() {
 		workers = flag.Int("workers", 0, "worker goroutines (0 = derive per round; 1 = exact-prefix mode)")
 		evict   = flag.Float64("evict", crashfuzz.Derive, "eviction fraction at crash (default: derive per round)")
 		shards  = flag.Int("shards", 0, "epoch flusher shards (0 = derive per round from {1, 4})")
-		async   = flag.Int("async", crashfuzz.Derive, "pipelined epoch advance: 1 = on, 0 = off (default: derive per round)")
+		async   = flag.Int("async", crashfuzz.Derive, "schedule: flusher step runs right after each advance (1) or lags a full epoch (0) (default: derive per round)")
 		engine  = flag.String("engine", "", "durability engine: "+strings.Join(durability.Names(), ", ")+" (default: derive per round)")
 		replay  = flag.String("replay", "", "replay one fully specified round (as printed by a failure) and exit")
 		verbose = flag.Bool("v", false, "log each subject's progress")

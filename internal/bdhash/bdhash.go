@@ -9,7 +9,9 @@
 //   - a preallocated NVM block (with invalid epoch) is kept per worker so
 //     that allocation never happens inside the transaction;
 //   - the block is stamped with the operation's epoch inside the
-//     transaction, before the linearization point;
+//     transaction, by the branch that links it and only by that branch
+//     (a stamped block the transaction did not link is a phantom insert
+//     at recovery);
 //   - a block from an older epoch is replaced out-of-place and retired;
 //     a block from the *current* epoch is updated in place (pSet);
 //   - finding a block from a *newer* epoch aborts with OldSeeNewCode and
@@ -147,7 +149,6 @@ retryTxn:
 		opts = append(opts, htm.PreWalked())
 	}
 	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		newBlk.SetEpochTx(tx, opEpoch)
 		t.insertBody(tx, w, opEpoch, k, v, newBlk, &out)
 	}, opts...)
 	switch {
@@ -173,14 +174,6 @@ retryTxn:
 	if out.full {
 		w.AbortOp()
 		panic(fmt.Sprintf("bdhash: probe window full inserting key %d; table under-sized", k))
-	}
-	if !out.usedPrealloc {
-		// The committed transaction stamped the preallocated block's
-		// epoch (before knowing whether it would be needed) but took the
-		// in-place path. Re-invalidate it before EndOp — otherwise a
-		// crash after this epoch persists would resurrect the unlinked
-		// block as a phantom insert (the Sec. 5 pitfall).
-		newBlk.ResetEpoch()
 	}
 	if !out.retire.IsNil() {
 		w.PRetire(out.retire)
@@ -223,6 +216,7 @@ func (t *Table) insertBody(tx *htm.Tx, w *epoch.Worker, opEpoch, k, v uint64, ne
 			tx.Abort(epoch.OldSeeNewCode)
 		case be < opEpoch:
 			// Out-of-place update: swap in the preallocated block.
+			newBlk.SetEpochTx(tx, opEpoch)
 			tx.Store(sp, uint64(newBlk.Addr()))
 			out.retire = b
 			out.persist = newBlk
@@ -242,6 +236,7 @@ func (t *Table) insertBody(tx *htm.Tx, w *epoch.Worker, opEpoch, k, v uint64, ne
 	// Fresh insert: no block to epoch-compare, so the absence itself must
 	// be validated against newer removals.
 	t.removals.CheckTx(tx, k, opEpoch)
+	newBlk.SetEpochTx(tx, opEpoch)
 	tx.Store(empty, uint64(newBlk.Addr()))
 	out.persist = newBlk
 	out.usedPrealloc = true

@@ -41,12 +41,13 @@ func TestFuzzAllSubjects(t *testing.T) {
 
 // TestBDHashPhantomRegression pins the round that detects the Listing-1
 // phantom-preallocated-block pitfall (DESIGN.md Sec. 6.1): a prealloc
-// block stamped with a valid epoch inside a committed transaction but
-// left unlinked must be re-invalidated before EndOp, or recovery
-// resurrects it as a phantom insert.
+// block may carry a valid epoch only once a transaction has linked it —
+// stamped on a path that commits without using it, recovery resurrects
+// it as a phantom insert.
 //
-// Mutation check: deleting the `if !out.usedPrealloc { newBlk.ResetEpoch() }`
-// guard in bdhash.Insert makes this round fail with "duplicate key in
+// Mutation check: stamping up front in bdhash.Insert's transaction
+// (`newBlk.SetEpochTx` before insertBody instead of in the two branches
+// that link the block) makes this round fail with "duplicate key in
 // recovery", and makes TestFuzzAllSubjects/bdhash fail within 200 rounds
 // at seed 0xbd0ff. Both were verified against the mutated tree; the
 // failure replays deterministically from the printed command.
@@ -148,7 +149,8 @@ func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 }
 
 // pipelineConfigs is the persistence-path matrix the deterministic crash
-// tests sweep: every flusher shard count crossed with both advance modes.
+// tests sweep: every flusher shard count crossed with both flusher
+// schedules (async=1: the flusher step right after each advance).
 var pipelineConfigs = []struct {
 	name   string
 	shards int
@@ -167,7 +169,7 @@ var pipelineConfigs = []struct {
 // full BDL contract — the recovery boundary P satisfies
 // P >= crash_epoch - 2, the recovered state is exactly the end-of-epoch-P
 // snapshot, and the allocator has one live block per key. Swept over
-// every shards x async configuration so a torn per-shard batch (some
+// every shards x schedule configuration so a torn per-shard batch (some
 // shards flushed, others not, root unwritten) cannot surface as a
 // phantom or lost key.
 func TestCrashMidParallelFlush(t *testing.T) {
@@ -192,10 +194,10 @@ func TestCrashMidParallelFlush(t *testing.T) {
 	}
 }
 
-// TestAsyncBehindCrash pins the async-advance crash schedule: with the
-// pipelined path on, AdvanceOnce publishes epoch e+1 before epoch e's
-// flush runs, so a power failure inside that flush crashes with
-// global = e+1 while the root still names e-1 — the exact
+// TestAsyncBehindCrash pins the crash schedule of the flusher step run
+// right after each advance: AdvanceOnce publishes epoch e+1 before epoch
+// e's flush (FlushOnce) runs, so a power failure inside that flush
+// crashes with global = e+1 while the root still names e-1 — the exact
 // P = crash_epoch - 2 lower bound of the BDL window. The op-boundary
 // variant (CrashStep = 0) crashes after the advance completes instead,
 // hitting the P = crash_epoch - 1 steady state. Both must recover to a

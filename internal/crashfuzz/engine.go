@@ -40,7 +40,7 @@ type RoundParams struct {
 	Spurious     float64 // <0 = derive from {0, 0.01, 0.05}
 	MemType      float64 // <0 = derive from {0, 0.01}
 	Shards       int     // persistence-path flusher shards; 0 = derive from {1, 4}
-	Async        int     // <0 = derive; 0 = serial advance, 1 = pipelined advance
+	Async        int     // <0 = derive; schedule: flusher step runs right after each advance (1) or lags a full epoch (0)
 	Engine       string  // durability engine; "" = derive from durability.Names()
 	RWorkers     int     // recovery scan workers; 0 = derive from {1, 2, 4, 8}
 }
@@ -743,6 +743,9 @@ func runConcurrent(p RoundParams, sub Subject) *Failure {
 			persisted = sub.PersistedEpoch()
 			if persisted+2 < crashEpoch {
 				return fail(fmt.Errorf("recovery boundary too stale: persisted %d, crash epoch %d", persisted, crashEpoch))
+			}
+			if g := sub.GlobalEpoch(); g-persisted > 2 {
+				return fail(fmt.Errorf("recovered system opens outside the window: global %d, persisted %d", g, persisted))
 			}
 		}
 		if lb := sub.LiveBlocks(); lb >= 0 && lb != int64(len(dump)) {

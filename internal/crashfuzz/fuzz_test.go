@@ -18,8 +18,9 @@ func fuzzSubject(f *testing.F, subject string) {
 	f.Add([]byte("\x01\x02\x03\x04\x05\x06\x07\x08" + "\x01\x02\x03\x80\xa0\x42\x81\xbf"))
 	f.Add([]byte("\x99\x88\x77\x66\x55\x44\x33\x22" + "\x01\x01\x80\x80\xa5\x02\xc1"))
 	f.Add([]byte("\xff\xee\xdd\xcc\xbb\xaa\x00\x11" + "\x1f\x1e\x1d\x80\xbf\x41\x42\x80\xa0"))
-	// Seed bit 4 = 4 flusher shards, bit 5 = pipelined advance (see
-	// ReplayBytes); these exercise the sharded fan-out and async paths.
+	// Seed bit 4 = 4 flusher shards, bit 5 = flusher step right after
+	// each advance (see ReplayBytes); these exercise the sharded fan-out
+	// and the eager schedule.
 	f.Add([]byte("\x10\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x03\x04\x80\x05\x80\xbf\x06"))
 	f.Add([]byte("\x30\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x80\x42\x80\x80\xc1\x03\x80"))
 	// Seed bits 6-8 select the durability engine (undo, redo4f, redo2f,

@@ -47,11 +47,13 @@ type Env struct {
 	// SpuriousRate / MemTypeRate inject HTM abort churn.
 	SpuriousRate float64
 	MemTypeRate  float64
-	// Shards / Async shape the epoch system's persistence path for
-	// buffered subjects: the flusher shard count and whether advances run
-	// the previous epoch's flush pipelined (epoch.Config.Shards / Async).
+	// Shards is the flusher shard count buffered subjects open their
+	// epoch system with (epoch.Config.Shards).
 	Shards int
-	Async  bool
+	// Async is the flusher schedule for buffered subjects: the flusher
+	// step runs right after each advance (true) or lags a full epoch
+	// (false). See Env.advance.
+	Async bool
 	// Engine names the durability engine buffered subjects close epochs
 	// with (epoch.Config.Engine; "" = the default BDL engine).
 	Engine string
@@ -60,9 +62,6 @@ type Env struct {
 	// palloc subject threads it into palloc.Allocator.RecoverParallel
 	// directly.
 	RecoveryWorkers int
-	// OnAdvance is forwarded to epoch.Config.OnAdvance for buffered
-	// subjects; the engine snapshots its model there.
-	OnAdvance func(persisted uint64)
 	// Obs, when non-nil, is attached to every component the subject
 	// builds (TM, heaps, epoch system). The engine installs one per round
 	// with an active tracer, so every fuzzed schedule also exercises the
@@ -76,11 +75,20 @@ func (e Env) epochCfg() epoch.Config {
 	return epoch.Config{
 		Manual:          true,
 		Shards:          e.Shards,
-		Async:           e.Async,
 		Engine:          e.Engine,
 		RecoveryWorkers: e.RecoveryWorkers,
-		OnAdvance:       e.OnAdvance,
 		Obs:             e.Obs,
+	}
+}
+
+// advance is one step of the round's epoch schedule on a buffered
+// subject's system: the advancer's step, then — in the Async schedule —
+// the flusher's, so the closed epoch persists at once instead of at the
+// next advance.
+func (e Env) advance(sys *epoch.System) {
+	sys.AdvanceOnce()
+	if e.Async {
+		sys.FlushOnce()
 	}
 }
 
@@ -146,7 +154,8 @@ type Subject interface {
 	// PersistedEpoch returns the newest durable epoch; after Recover it
 	// is the recovery boundary P (Buffered; 0 for Strict).
 	PersistedEpoch() uint64
-	// Advance performs one manual epoch transition (no-op for Strict).
+	// Advance performs one manual epoch transition in the round's flusher
+	// schedule (Env.Async; no-op for Strict).
 	Advance()
 	// Crash power-fails the structure. All handles become invalid.
 	Crash(opts nvm.CrashOptions)

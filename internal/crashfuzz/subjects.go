@@ -95,7 +95,7 @@ func (s *bdhashSubject) Handle(i int) Handle         { return s.hs[i] }
 func (s *bdhashSubject) Heap() *nvm.Heap             { return s.heap }
 func (s *bdhashSubject) GlobalEpoch() uint64         { return s.sys.GlobalEpoch() }
 func (s *bdhashSubject) PersistedEpoch() uint64      { return s.sys.PersistedEpoch() }
-func (s *bdhashSubject) Advance()                    { s.sys.AdvanceOnce() }
+func (s *bdhashSubject) Advance()                    { s.env.advance(s.sys) }
 func (s *bdhashSubject) Crash(opts nvm.CrashOptions) { s.sys.SimulateCrash(opts) }
 func (s *bdhashSubject) Len() int                    { return s.tab.Len() }
 func (s *bdhashSubject) LiveBlocks() int64           { return s.sys.Allocator().LiveBlocks() }
@@ -151,7 +151,7 @@ func (s *vebSubject) Handle(i int) Handle         { return s.hs[i] }
 func (s *vebSubject) Heap() *nvm.Heap             { return s.heap }
 func (s *vebSubject) GlobalEpoch() uint64         { return s.sys.GlobalEpoch() }
 func (s *vebSubject) PersistedEpoch() uint64      { return s.sys.PersistedEpoch() }
-func (s *vebSubject) Advance()                    { s.sys.AdvanceOnce() }
+func (s *vebSubject) Advance()                    { s.env.advance(s.sys) }
 func (s *vebSubject) Crash(opts nvm.CrashOptions) { s.sys.SimulateCrash(opts) }
 func (s *vebSubject) Len() int                    { return s.tree.Len() }
 func (s *vebSubject) LiveBlocks() int64           { return s.sys.Allocator().LiveBlocks() }
@@ -218,7 +218,7 @@ func (s *skiplistSubject) Handle(i int) Handle         { return s.hs[i] }
 func (s *skiplistSubject) Heap() *nvm.Heap             { return s.heap }
 func (s *skiplistSubject) GlobalEpoch() uint64         { return s.sys.GlobalEpoch() }
 func (s *skiplistSubject) PersistedEpoch() uint64      { return s.sys.PersistedEpoch() }
-func (s *skiplistSubject) Advance()                    { s.sys.AdvanceOnce() }
+func (s *skiplistSubject) Advance()                    { s.env.advance(s.sys) }
 func (s *skiplistSubject) Crash(opts nvm.CrashOptions) { s.sys.SimulateCrash(opts) }
 func (s *skiplistSubject) Len() int                    { return s.list.Len() }
 func (s *skiplistSubject) LiveBlocks() int64           { return s.sys.Allocator().LiveBlocks() }
@@ -272,7 +272,7 @@ func (s *spashSubject) Handle(i int) Handle         { return s.hs[i] }
 func (s *spashSubject) Heap() *nvm.Heap             { return s.heap }
 func (s *spashSubject) GlobalEpoch() uint64         { return s.sys.GlobalEpoch() }
 func (s *spashSubject) PersistedEpoch() uint64      { return s.sys.PersistedEpoch() }
-func (s *spashSubject) Advance()                    { s.sys.AdvanceOnce() }
+func (s *spashSubject) Advance()                    { s.env.advance(s.sys) }
 func (s *spashSubject) Crash(opts nvm.CrashOptions) { s.sys.SimulateCrash(opts) }
 func (s *spashSubject) Len() int                    { return s.tab.Len() }
 func (s *spashSubject) LiveBlocks() int64           { return s.sys.Allocator().LiveBlocks() }

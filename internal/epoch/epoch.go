@@ -4,13 +4,16 @@
 //
 // The design extends Montage (Wen et al., ICPP'21). A background advancer
 // increments a global epoch clock every few milliseconds, dividing
-// execution into epochs. At any instant,
+// execution into epochs, and a background flusher persists each epoch as
+// it closes. At any instant,
 //
 //   - epoch e (the value of the global clock) is *active*: new operations
 //     begin here;
-//   - epoch e-1 is *in-flight*: operations that began there may finish,
-//     but no new ones start;
-//   - epochs ≤ e-2 are *valid*: their updates have fully persisted.
+//   - epoch e-1 is *closed*: operations that began there may finish, but
+//     no new ones start, and it has been handed to the flusher — being
+//     flushed from the instant it closed;
+//   - epochs ≤ e-2 are *valid*: their updates have fully persisted (the
+//     advance that closes e-1 first waits for e-2's flush to land).
 //
 // NVM writes performed during an epoch are tracked in per-worker buffers
 // and flushed in the background when the epoch closes, never on the
@@ -72,15 +75,13 @@ type Config struct {
 	EpochLength time.Duration
 	// MaxWorkers bounds concurrently registered workers. Default 256.
 	MaxWorkers int
-	// Manual disables the background advancer; epochs then advance only
-	// via Sync/AdvanceOnce. Used by tests and deterministic examples.
+	// Manual starts neither background goroutine: the caller is the
+	// advancer (AdvanceOnce closes the active epoch and leaves it pending)
+	// and the flusher (FlushOnce persists the pending epoch). A caller that
+	// never calls FlushOnce has the pending epoch drained by its next
+	// AdvanceOnce or Sync — a flusher a full epoch behind. Used by tests
+	// and deterministic examples.
 	Manual bool
-	// OnAdvance, when non-nil, is called synchronously at the end of every
-	// AdvanceOnce with the epoch that has just become durable. It runs
-	// under the advancer's serialization lock, after the new active epoch
-	// is published. Crash-consistency harnesses use it to snapshot model
-	// state at epoch boundaries; it must not call back into the system.
-	OnAdvance func(persisted uint64)
 	// Shards is the width of the persistence path: the parallel flush
 	// fan-out during an advance, the per-shard block-lifecycle counters,
 	// and the allocator's magazine caches are all striped this many ways,
@@ -88,18 +89,6 @@ type Config struct {
 	// and clamped to [1, 32] (obs.NumShards) so a shard index is also an
 	// exact obs counter lane. Default 1 — the serial path.
 	Shards int
-	// Async pipelines advancement: instead of flushing the closing epoch
-	// inside AdvanceOnce, the advance publishes the new active epoch
-	// immediately and the flush of epoch E-1 overlaps execution of epoch
-	// E. With a background advancer a doorbell wakes a dedicated flusher
-	// goroutine; an advance that arrives while the previous flush is
-	// still in flight blocks until it lands (backpressure), so at most
-	// two epochs are ever unflushed and the recovery window
-	// P >= crash_epoch - 2 is preserved. In Manual mode there is no
-	// flusher goroutine and the pipelined flush runs inline right after
-	// the epoch is published — deterministically modeling a flusher that
-	// caught up before the next advance.
-	Async bool
 	// RecoveryWorkers is the number of goroutines Recover partitions the
 	// slab header scan across (Sec. 5.2's judgment is independent per
 	// block, so the scan parallelizes by slab range). 0 or 1 selects the
@@ -172,8 +161,7 @@ type Stats struct {
 	RecoveryWorkers   int
 
 	Shards       int   // persistence-path shard count (Config.Shards)
-	Async        bool  // pipelined advancer (Config.Async)
-	Backpressure int64 // advances that found the previous flush still in flight
+	Backpressure int64 // advances that waited for the flusher goroutine to land the previous epoch
 	AdvanceP99NS int64 // p99 of AdvanceOnce wall time, nanoseconds
 
 	// Durability-engine identity and self-accounting (Config.Engine;
@@ -227,14 +215,16 @@ type System struct {
 
 	advMu sync.Mutex // serializes epoch advancement
 
-	// Async-advancer state. pendEpoch is the closed epoch whose flush
-	// has been handed to the background flusher (0 = none); the doorbell
-	// wakes the flusher, pendCond wakes advances blocked on backpressure.
+	// Advancer→flusher hand-off. pendEpoch is the closed epoch awaiting
+	// its flush (0 = none); the doorbell wakes the flusher goroutine,
+	// pendCond wakes an advance blocked on backpressure. flusherLive is
+	// true while that goroutine runs — never in Manual mode, and no
+	// longer once Stop or a crash hook has ended it.
 	pendMu      sync.Mutex
 	pendCond    *sync.Cond
 	pendEpoch   uint64
-	flusherGone bool
-	doorbell    chan struct{} // nil unless a background flusher runs
+	flusherLive bool
+	doorbell    chan struct{} // nil in Manual mode
 	flusherDone chan struct{}
 
 	stopOnce sync.Once
@@ -308,15 +298,14 @@ func New(h *nvm.Heap, cfg Config) *System {
 func (s *System) Engine() durability.Engine { return s.eng }
 
 func (s *System) startAdvancer() {
-	if s.cfg.Async && !s.cfg.Manual {
-		s.doorbell = make(chan struct{}, 1)
-		s.flusherDone = make(chan struct{})
-		go s.flusherLoop()
-	}
 	if s.cfg.Manual {
 		close(s.done)
 		return
 	}
+	s.doorbell = make(chan struct{}, 1)
+	s.flusherDone = make(chan struct{})
+	s.flusherLive = true
+	go s.flusherLoop()
 	go func() {
 		defer close(s.done)
 		t := time.NewTicker(s.cfg.EpochLength)
@@ -332,15 +321,18 @@ func (s *System) startAdvancer() {
 	}()
 }
 
-// flusherLoop is the async advancer's background flusher: each doorbell
-// ring drains the pending epoch's flush task. On Stop it exits without
-// draining — a crash may land while a flush is queued, which is exactly
-// the state recovery must (and does) handle, since the undrained epoch
-// is within the two-epoch window.
+// flusherLoop is the background flusher: each doorbell ring persists the
+// pending epoch. On Stop it exits without draining — a crash may land
+// while a flush is queued, which is exactly the state recovery must (and
+// does) handle, since the undrained epoch is within the two-epoch window.
 func (s *System) flusherLoop() {
 	defer func() {
+		// A persist hook that simulates a power failure panics mid-flush:
+		// the flusher dies with the machine and the epoch stays pending.
+		// If the process survives (tests), the next settle drains it inline.
+		recover()
 		s.pendMu.Lock()
-		s.flusherGone = true
+		s.flusherLive = false
 		s.pendMu.Unlock()
 		s.pendCond.Broadcast()
 		close(s.flusherDone)
@@ -350,41 +342,61 @@ func (s *System) flusherLoop() {
 		case <-s.stop:
 			return
 		case <-s.doorbell:
-		}
-		s.pendMu.Lock()
-		x := s.pendEpoch
-		s.pendMu.Unlock()
-		if x == 0 {
-			continue
-		}
-		if !s.runTaskRecover(x) {
-			// A persist hook simulated a power failure mid-flush: the
-			// flusher dies with the machine. The epoch stays pending;
-			// if the process survives (tests), the next AdvanceOnce
-			// sees flusherGone and drains inline.
-			return
-		}
-		s.pendMu.Lock()
-		s.pendEpoch = 0
-		s.pendMu.Unlock()
-		s.pendCond.Broadcast()
-		if o := s.cfg.Obs; o != nil {
-			o.SetGauge(obs.GFlusherDepth, 0)
+			s.flushPending()
 		}
 	}
 }
 
-// runTaskRecover runs a flush task on the flusher goroutine, converting
-// a panic (a crash-simulation hook) into a false return instead of
-// killing the process.
-func (s *System) runTaskRecover(x uint64) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
+// flushPending is the flusher's step: persist the pending epoch, if any,
+// and wake an advance waiting on the hand-off. It runs on the flusher
+// goroutine or, when there is none, under advMu.
+func (s *System) flushPending() {
+	s.pendMu.Lock()
+	x := s.pendEpoch
+	s.pendMu.Unlock()
+	if x == 0 {
+		return
+	}
 	s.runTask(x)
-	return true
+	s.pendMu.Lock()
+	s.pendEpoch = 0
+	s.pendMu.Unlock()
+	s.pendCond.Broadcast()
+	if o := s.cfg.Obs; o != nil {
+		o.SetGauge(obs.GFlusherDepth, 0)
+	}
+}
+
+// settle lands the pending hand-off, under advMu: it waits for a live
+// flusher goroutine — counted as backpressure when it is an advance that
+// has to wait — and otherwise (Manual mode, or a flusher ended by Stop or
+// a crash hook) runs the flusher's step inline.
+func (s *System) settle(advancing bool) {
+	s.pendMu.Lock()
+	if advancing && s.pendEpoch != 0 && s.flusherLive {
+		s.backpressure.Add(1)
+	}
+	for s.pendEpoch != 0 && s.flusherLive {
+		s.pendCond.Wait()
+	}
+	s.pendMu.Unlock()
+	s.flushPending()
+}
+
+// FlushOnce is the Manual-mode flusher step, the counterpart of
+// AdvanceOnce: it persists the epoch the last advance left pending, so
+// that PersistedEpoch == GlobalEpoch-1 until the next advance. It does
+// nothing when nothing is pending or when a flusher goroutine owns the
+// hand-off.
+func (s *System) FlushOnce() {
+	s.advMu.Lock()
+	defer s.advMu.Unlock()
+	s.pendMu.Lock()
+	live := s.flusherLive
+	s.pendMu.Unlock()
+	if !live {
+		s.flushPending()
+	}
 }
 
 // Heap returns the underlying simulated NVM heap.
@@ -449,10 +461,7 @@ func (s *System) notifyDurable(p uint64) {
 // in aggregate) true in every snapshot: each freed block was retired
 // earlier, and both counters are monotone.
 func (s *System) Stats() Stats {
-	st := Stats{
-		Shards: s.cfg.Shards,
-		Async:  s.cfg.Async,
-	}
+	st := Stats{Shards: s.cfg.Shards}
 	for {
 		s1 := s.advSeq.Load()
 		if s1&1 != 0 {
@@ -515,101 +524,63 @@ func (s *System) Stop() {
 	}
 }
 
-// AdvanceOnce performs one epoch transition e -> e+1. In the classic
-// (sync) mode it runs the closing epoch's flush task inline before
-// publishing the new epoch, exactly the Montage-style advance:
+// AdvanceOnce is the advancer's step, one epoch transition e -> e+1:
 //
-//  1. wait for the in-flight epoch e-1 to quiesce,
-//  2. flush every NVM write tracked in epoch e-1 (and the DELETED markers
-//     of blocks retired in e-1), fanned out across Config.Shards,
-//  3. durably advance the persisted-epoch root to e-1,
-//  4. reclaim blocks retired in e-1, and
-//  5. publish the new active epoch e+1.
+//  1. settle the previous hand-off, so that at most one closed epoch is
+//     ever unflushed behind the active one and recovery's window
+//     P >= crash_epoch - 2 holds — an advance that finds epoch e-1's
+//     flush still in flight waits for it (backpressure);
+//  2. publish the new active epoch e+1;
+//  3. hand epoch e — which quiesces once its in-flight operations drain —
+//     to the flusher, whose task (runTask) flushes every NVM write tracked
+//     in e and the DELETED markers of blocks retired in e, fanned out
+//     across Config.Shards, durably advances the watermark to e, and
+//     reclaims e's retired blocks.
 //
-// With Config.Async the order inverts: the new epoch is published first
-// and the flush of the epoch that just stopped being active overlaps
-// execution of the new one — handed to the background flusher goroutine
-// (doorbell), or, in Manual mode, run inline right after the publish.
+// So the flush of e overlaps execution of e+1: between advances
+// PersistedEpoch is GlobalEpoch-1 once the flush has landed and
+// GlobalEpoch-2 while it is in flight, never less.
 //
 // Worker threads are never paused: operations keep starting in the
 // active epoch throughout. AdvanceOnce is normally driven by the
-// background advancer but may be called directly (Sync, tests, manual
-// mode).
+// background advancer but may be called directly (tests, Manual mode).
 func (s *System) AdvanceOnce() {
 	s.advMu.Lock()
 	defer s.advMu.Unlock()
+	s.advance()
+}
 
+// advance is AdvanceOnce's body; the caller holds advMu.
+func (s *System) advance() {
 	t0 := time.Now()
+	s.settle(true)
+	// Catch up any epochs the persisted clock is still behind (fresh
+	// system, post-recovery); a no-op otherwise.
 	e := s.global.Load()
-
-	if s.cfg.Async && s.doorbell != nil {
-		// Backpressure: at most one epoch's flush may be in flight. An
-		// advance that finds the previous hand-off still pending blocks
-		// until it lands, so at most two epochs are ever unflushed and
-		// recovery's window P >= crash_epoch - 2 is preserved.
-		s.pendMu.Lock()
-		if s.pendEpoch != 0 && !s.flusherGone {
-			s.backpressure.Add(1)
-			for s.pendEpoch != 0 && !s.flusherGone {
-				s.pendCond.Wait()
-			}
-		}
-		gone := s.flusherGone
-		s.pendMu.Unlock()
-		if !gone {
-			// Catch up any epochs the persisted clock is behind (fresh
-			// system, post-recovery), publish e+1, and hand epoch e —
-			// which quiesces once in-flight operations drain — to the
-			// flusher.
-			for p := s.persisted.Load(); p < e-1; p = s.persisted.Load() {
-				s.runTask(p + 1)
-			}
-			s.global.Store(e + 1)
-			s.stampClosed(e)
-			s.pendMu.Lock()
-			s.pendEpoch = e
-			s.pendMu.Unlock()
-			select {
-			case s.doorbell <- struct{}{}:
-			default:
-			}
-			if o := s.cfg.Obs; o != nil {
-				o.SetGauge(obs.GFlusherDepth, 1)
-			}
-			s.finishAdvance(e, t0)
-			return
-		}
-		// The flusher died mid-flush (a simulated power failure): fall
-		// through to the inline path and drain its abandoned epoch here.
-	}
-
-	if s.cfg.Async && e > firstEpoch && s.persisted.Load() < e-1 {
-		// Inline-async (Manual mode, or unwinding after flusher death):
-		// the pipelined flush had not landed when this advance arrived —
-		// count it as backpressure, same as the blocking wait above.
-		s.backpressure.Add(1)
-	}
-
-	// Drain every epoch the persisted clock is behind. In sync mode the
-	// invariant persisted == e-2 makes this exactly one task (epoch e-1),
-	// the classic advance; in inline-async mode it is normally a no-op
-	// because the previous advance flushed eagerly below.
 	for p := s.persisted.Load(); p < e-1; p = s.persisted.Load() {
 		s.runTask(p + 1)
 	}
 
 	s.global.Store(e + 1)
 	s.stampClosed(e)
-
-	if s.cfg.Async {
-		// Inline-async: eagerly flush the epoch that just stopped being
-		// active, deterministically modeling a flusher that caught up
-		// before the next advance (persisted == global-1 between
-		// advances, vs. global-2 in sync mode).
-		s.runTask(e)
+	s.pendMu.Lock()
+	s.pendEpoch = e
+	s.pendMu.Unlock()
+	if o := s.cfg.Obs; o != nil {
+		o.SetGauge(obs.GFlusherDepth, 1) // before the ring: the flusher zeroes it
+	}
+	select {
+	case s.doorbell <- struct{}{}:
+	default:
+		// Already rung, or no doorbell (Manual): FlushOnce or the next
+		// settle picks the epoch up.
 	}
 
-	s.finishAdvance(e, t0)
+	s.advances.Add(1)
+	s.advHist.Record(e, int64(time.Since(t0)))
+	if o := s.cfg.Obs; o != nil {
+		o.Hit(obs.MAdvances, obs.EvAdvance, e-1, e+1)
+	}
 }
 
 // stampClosed records when epoch e stopped being active, so runTask can
@@ -619,20 +590,6 @@ func (s *System) AdvanceOnce() {
 func (s *System) stampClosed(e uint64) {
 	if o := s.cfg.Obs; o != nil {
 		s.closedNS[e%numSlots].Store(o.Now())
-	}
-}
-
-// finishAdvance publishes the bookkeeping for an advance that opened
-// epoch e+1: the advance counter and event, the wall-time sample, and
-// the OnAdvance callback. Runs under advMu.
-func (s *System) finishAdvance(e uint64, t0 time.Time) {
-	s.advances.Add(1)
-	s.advHist.Record(e, int64(time.Since(t0)))
-	if o := s.cfg.Obs; o != nil {
-		o.Hit(obs.MAdvances, obs.EvAdvance, e-1, e+1)
-	}
-	if s.cfg.OnAdvance != nil {
-		s.cfg.OnAdvance(s.persisted.Load())
 	}
 }
 
@@ -793,14 +750,16 @@ func (s *System) waitQuiesce(target uint64) {
 	}
 }
 
-// Sync advances epochs until every operation that completed before the
-// call is durable, then returns. It must not be called between BeginOp and
-// EndOp on the calling thread (the advance would wait for that operation).
+// Sync returns once every operation that completed before the call is
+// durable: it closes the active epoch and settles its hand-off (waits for
+// the flusher, or runs the flush inline when there is none), so the clock
+// moves by exactly one epoch. It must not be called between BeginOp and
+// EndOp on the calling thread (the flush would wait for that operation).
 func (s *System) Sync() {
-	target := s.global.Load()
-	for s.persisted.Load() < target {
-		s.AdvanceOnce()
-	}
+	s.advMu.Lock()
+	defer s.advMu.Unlock()
+	s.advance()
+	s.settle(false)
 }
 
 // Register allocates a Worker for the calling thread. Workers are pooled:

@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,18 +91,29 @@ func TestShardedStatsParity(t *testing.T) {
 	}
 }
 
+// TestAsyncManualPipelinesFlush drives both Manual-mode steps by hand:
+// AdvanceOnce closes the epoch and leaves it pending, FlushOnce persists
+// it without another advance.
 func TestAsyncManualPipelinesFlush(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 16})
-	s := New(h, Config{Manual: true, Async: true, Shards: 2})
+	s := New(h, Config{Manual: true, Shards: 2})
 	w := s.Register()
 	putKV(w, 3, 30)
 	e := s.GlobalEpoch()
 	s.AdvanceOnce()
-	// Async publishes first and then flushes the epoch that just stopped
-	// being active, so the persisted clock trails the global one by one
-	// (not two) between advances.
+	// The advancer's step publishes e+1 and hands e off unflushed.
+	if g, p := s.GlobalEpoch(), s.PersistedEpoch(); g != e+1 || p != e-1 {
+		t.Fatalf("after advance global=%d persisted=%d, want %d/%d", g, p, e+1, e-1)
+	}
+	s.FlushOnce()
+	// The flusher's step lands it: the persisted clock now trails the
+	// global one by one (not two), and the clock did not move.
 	if g, p := s.GlobalEpoch(), s.PersistedEpoch(); g != e+1 || p != e {
-		t.Fatalf("after async advance global=%d persisted=%d, want %d/%d", g, p, e+1, e)
+		t.Fatalf("after flush global=%d persisted=%d, want %d/%d", g, p, e+1, e)
+	}
+	s.FlushOnce() // nothing pending: a no-op
+	if g, p := s.GlobalEpoch(), s.PersistedEpoch(); g != e+1 || p != e {
+		t.Fatalf("idle FlushOnce moved the clocks to %d/%d", g, p)
 	}
 	// The insert epoch just persisted: durable after a single advance.
 	s.SimulateCrash(nvm.CrashOptions{})
@@ -113,7 +125,7 @@ func TestAsyncManualPipelinesFlush(t *testing.T) {
 
 func TestAsyncBackgroundAdvancer(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 18})
-	s := New(h, Config{EpochLength: time.Millisecond, Async: true, Shards: 2})
+	s := New(h, Config{EpochLength: time.Millisecond, Shards: 2})
 	w := s.Register()
 	for k := uint64(0); k < 32; k++ {
 		putKV(w, k, k+1)
@@ -128,12 +140,13 @@ func TestAsyncBackgroundAdvancer(t *testing.T) {
 	}
 }
 
-// TestAsyncWindowInvariant hammers an async background advancer while
-// polling the two clocks: the recovery window P >= global-2 must hold at
-// every instant, backpressure notwithstanding.
+// TestAsyncWindowInvariant hammers the background advancer and flusher
+// while polling the two clocks: the recovery window P >= global-2 must
+// hold at every instant, backpressure notwithstanding, and whenever the
+// flusher is idle the persisted clock trails by exactly one.
 func TestAsyncWindowInvariant(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 22})
-	s := New(h, Config{EpochLength: 200 * time.Microsecond, Async: true, Shards: 4})
+	s := New(h, Config{EpochLength: 200 * time.Microsecond, Shards: 4})
 	defer s.Stop()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -149,10 +162,14 @@ func TestAsyncWindowInvariant(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	for stop := false; !stop; {
+	// Poll while the workers run, then on until the flusher (saturated
+	// under load) has been caught idle.
+	idleSeen := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for running := true; running || (idleSeen == 0 && time.Now().Before(deadline)); {
 		select {
 		case <-done:
-			stop = true
+			running = false
 		default:
 		}
 		g := s.GlobalEpoch()
@@ -162,6 +179,23 @@ func TestAsyncWindowInvariant(t *testing.T) {
 		if p+2 < g {
 			t.Fatalf("window violated: global=%d persisted=%d", g, p)
 		}
+		// With no advance in progress (advMu) and nothing handed off
+		// (pendEpoch), the last closed epoch has landed.
+		s.advMu.Lock()
+		s.pendMu.Lock()
+		idle := s.pendEpoch == 0 && s.advances.Load() > 0
+		g, p = s.GlobalEpoch(), s.PersistedEpoch()
+		s.pendMu.Unlock()
+		s.advMu.Unlock()
+		if idle {
+			idleSeen++
+			if g-p != 1 {
+				t.Fatalf("flusher idle but global=%d persisted=%d, want a lag of 1", g, p)
+			}
+		}
+	}
+	if idleSeen == 0 {
+		t.Fatal("never observed an idle flusher; the lag-of-1 check is vacuous")
 	}
 }
 
@@ -171,13 +205,11 @@ func TestAsyncWindowInvariant(t *testing.T) {
 // retired block must eventually be freed exactly once (palloc panics on
 // double-free) and none may leak in an orphaned buffer.
 func TestWorkerChurnNoLostRetires(t *testing.T) {
-	for _, cfg := range []Config{
-		{Manual: true, Shards: 4},
-		{Manual: true, Shards: 4, Async: true},
-	} {
-		cfg := cfg
+	// Both Manual schedules: the flusher step lagging a full epoch, and
+	// run right after each advance.
+	for _, flush := range []bool{false, true} {
 		h := nvm.New(nvm.Config{Words: 1 << 22})
-		s := New(h, cfg)
+		s := New(h, Config{Manual: true, Shards: 4})
 		var retired atomic.Int64
 		var stop atomic.Bool
 		var churn sync.WaitGroup
@@ -208,6 +240,9 @@ func TestWorkerChurnNoLostRetires(t *testing.T) {
 			defer close(advDone)
 			for !stop.Load() {
 				s.AdvanceOnce()
+				if flush {
+					s.FlushOnce()
+				}
 			}
 		}()
 		churn.Wait()
@@ -220,17 +255,17 @@ func TestWorkerChurnNoLostRetires(t *testing.T) {
 		s.AdvanceOnce()
 		st := s.Stats()
 		if st.RetiredBlocks != retired.Load() {
-			t.Fatalf("%+v: Stats retired=%d, want %d", cfg, st.RetiredBlocks, retired.Load())
+			t.Fatalf("flush=%v: Stats retired=%d, want %d", flush, st.RetiredBlocks, retired.Load())
 		}
 		if st.FreedBlocks != st.RetiredBlocks {
-			t.Fatalf("%+v: freed=%d retired=%d; retired blocks lost in churn",
-				cfg, st.FreedBlocks, st.RetiredBlocks)
+			t.Fatalf("flush=%v: freed=%d retired=%d; retired blocks lost in churn",
+				flush, st.FreedBlocks, st.RetiredBlocks)
 		}
 		if live := s.Allocator().LiveBlocks(); live != 0 {
-			t.Fatalf("%+v: %d live blocks after full drain", cfg, live)
+			t.Fatalf("flush=%v: %d live blocks after full drain", flush, live)
 		}
 		if p, g := s.PersistedEpoch(), s.GlobalEpoch(); p+2 < g {
-			t.Fatalf("%+v: window violated at end: global=%d persisted=%d", cfg, g, p)
+			t.Fatalf("flush=%v: window violated at end: global=%d persisted=%d", flush, g, p)
 		}
 		s.Stop()
 	}
@@ -297,23 +332,15 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkAdvance measures one epoch advance closing a write-heavy
-// epoch (8 workers x 16 tracked blocks) across the shard/async matrix,
-// under the Optane latency profile so flush fan-out parallelism shows.
+// BenchmarkAdvance measures closing and persisting one write-heavy epoch
+// (8 workers x 16 tracked blocks) — the advancer's step plus the
+// flusher's — across shard counts, under the Optane latency profile so
+// flush fan-out parallelism shows.
 func BenchmarkAdvance(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		shards int
-		async  bool
-	}{
-		{"shards=1", 1, false},
-		{"shards=4", 4, false},
-		{"shards=1/async", 1, true},
-		{"shards=4/async", 4, true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			h := nvm.New(nvm.Config{Words: 1 << 24, Latency: nvm.OptaneProfile})
-			s := New(h, Config{Manual: true, Shards: bc.shards, Async: bc.async})
+			s := New(h, Config{Manual: true, Shards: shards})
 			defer s.Stop()
 			ws := make([]*Worker, 8)
 			for i := range ws {
@@ -332,6 +359,7 @@ func BenchmarkAdvance(b *testing.B) {
 				}
 				b.StartTimer()
 				s.AdvanceOnce()
+				s.FlushOnce()
 				b.StopTimer()
 				// Retire outside the timed region to keep the heap small.
 				w := ws[0]

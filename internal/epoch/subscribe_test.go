@@ -83,23 +83,21 @@ func TestSubscribeDurableCancel(t *testing.T) {
 }
 
 // TestSubscribeDurableBackground: notifications also fire from the
-// background advancer/flusher paths, including the async pipeline.
+// background flusher goroutine.
 func TestSubscribeDurableBackground(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		h := nvm.New(nvm.Config{Words: 1 << 16})
-		s := New(h, Config{EpochLength: 200 * time.Microsecond, Async: async})
-		ch := make(chan uint64, 1)
-		cancel := s.SubscribeDurable(ch)
-		start := s.PersistedEpoch()
-		deadline := time.After(10 * time.Second)
-		for s.PersistedEpoch() < start+3 {
-			select {
-			case <-ch:
-			case <-deadline:
-				t.Fatalf("async=%v: watermark stuck at %d", async, s.PersistedEpoch())
-			}
+	h := nvm.New(nvm.Config{Words: 1 << 16})
+	s := New(h, Config{EpochLength: 200 * time.Microsecond})
+	defer s.Stop()
+	ch := make(chan uint64, 1)
+	cancel := s.SubscribeDurable(ch)
+	defer cancel()
+	start := s.PersistedEpoch()
+	deadline := time.After(10 * time.Second)
+	for s.PersistedEpoch() < start+3 {
+		select {
+		case <-ch:
+		case <-deadline:
+			t.Fatalf("watermark stuck at %d", s.PersistedEpoch())
 		}
-		cancel()
-		s.Stop()
 	}
 }

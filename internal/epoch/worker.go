@@ -130,10 +130,15 @@ func (w *Worker) PTrack(b Block) {
 // operation may retire a given block.
 func (w *Worker) PRetire(b Block) {
 	al := w.sys.alloc
+	// Delete epoch first, DELETED mark second: the block's line can be
+	// written back between the two stores (a neighbour's allocation flush,
+	// the flusher), and a DELETED header over a not-yet-written delete
+	// epoch reads as a deletion that persisted — recovery would reclaim a
+	// block whose removal never became durable.
+	al.SetDeleteEpoch(b.addr, w.opEpoch)
 	hdr := al.ReadHeader(b.addr)
 	hdr.Status = palloc.Deleted
 	al.WriteHeader(b.addr, hdr)
-	al.SetDeleteEpoch(b.addr, w.opEpoch)
 	buf := &w.bufs[w.opEpoch%numSlots]
 	buf.retire = append(buf.retire, b.addr)
 	w.sys.shardCtrs[w.shard].retired.Add(1)

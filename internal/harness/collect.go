@@ -168,7 +168,6 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 			RetiredBlocks: e.RetiredBlocks - base.epoch.RetiredBlocks,
 			FreedBlocks:   e.FreedBlocks - base.epoch.FreedBlocks,
 			Shards:        e.Shards,
-			Async:         e.Async,
 			AdvanceP99NS:  e.AdvanceP99NS,
 			Backpressure:  e.Backpressure - base.epoch.Backpressure,
 			Engine:        e.Engine,

@@ -44,9 +44,6 @@ type Opts struct {
 	// EpochShards widths the epoch system's persistence path (parallel
 	// flush fan-out + sharded allocator magazines). 0/1 = serial.
 	EpochShards int
-	// AsyncAdvance pipelines epoch advancement: the flush of the closing
-	// epoch overlaps execution of the next one.
-	AsyncAdvance bool
 	// Engine selects the durability engine for buffered-durable subjects
 	// ("" = the default BDL epoch engine; see durability.Names).
 	Engine string
@@ -111,7 +108,6 @@ func (o Opts) epochCfg() epoch.Config {
 		EpochLength:     o.EpochLength,
 		Manual:          o.Manual,
 		Shards:          o.EpochShards,
-		Async:           o.AsyncAdvance,
 		Engine:          o.Engine,
 		RecoveryWorkers: o.RecoveryWorkers,
 		Obs:             o.Obs,

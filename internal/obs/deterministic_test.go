@@ -224,9 +224,10 @@ func TestStructureOpCounts(t *testing.T) {
 	}
 }
 
-// TestEpochPhaseAccounting: with a manual epoch system, Sync drives a
-// known number of advances; obs must agree with epoch.Stats and record
-// every phase of every advance exactly once.
+// TestEpochPhaseAccounting: with a manual epoch system, Sync closes
+// exactly one epoch and runs a known number of flush tasks; obs must
+// agree with epoch.Stats and record every phase of every task exactly
+// once.
 func TestEpochPhaseAccounting(t *testing.T) {
 	rec := obs.New("epoch")
 	inst := harness.NewPHTMvEB(harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
@@ -237,16 +238,21 @@ func TestEpochPhaseAccounting(t *testing.T) {
 	}
 	inst.Sync()
 
-	advances := inst.EpochStats().Advances
-	if advances == 0 {
-		t.Fatal("Sync performed no advances")
+	st := inst.EpochStats()
+	if st.Advances != 1 {
+		t.Fatalf("Sync performed %d advances, want exactly 1", st.Advances)
 	}
-	if got := rec.Metric(obs.MAdvances); got != advances {
-		t.Errorf("obs advances %d != epoch stats %d", got, advances)
+	if got := rec.Metric(obs.MAdvances); got != st.Advances {
+		t.Errorf("obs advances %d != epoch stats %d", got, st.Advances)
+	}
+	// On a fresh system Sync runs two tasks: the catch-up of the epoch
+	// below the first one, and the flush of the epoch it closed.
+	if st.EngineCommits != 2 {
+		t.Fatalf("Sync ran %d flush tasks, want 2", st.EngineCommits)
 	}
 	for p := obs.EpochPhase(0); p < obs.NumEpochPhases; p++ {
-		if got := rec.PhaseHist(p).Count; got != advances {
-			t.Errorf("phase %v recorded %d times, want once per advance (%d)", p, got, advances)
+		if got := rec.PhaseHist(p).Count; got != st.EngineCommits {
+			t.Errorf("phase %v recorded %d times, want once per flush task (%d)", p, got, st.EngineCommits)
 		}
 	}
 	if rec.Metric(obs.MAllocs) == 0 {
@@ -333,7 +339,6 @@ func TestForcedBackpressure(t *testing.T) {
 	heap.SetObs(rec)
 	sys := epoch.New(heap, epoch.Config{
 		EpochLength: time.Hour, // ticker never fires; the test owns every advance
-		Async:       true,
 		Obs:         rec,
 	})
 	defer sys.Stop()

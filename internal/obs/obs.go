@@ -270,9 +270,9 @@ func (m Metric) String() string {
 type GaugeID uint8
 
 const (
-	// GFlusherDepth is the async epoch advancer's queue depth: the number
-	// of closed epochs whose flush has been handed to the background
-	// flusher but not yet completed (0 or 1 under the two-epoch window).
+	// GFlusherDepth is the epoch advancer's hand-off depth: the number of
+	// closed epochs handed to the flusher but not yet persisted (0 or 1
+	// under the two-epoch window).
 	GFlusherDepth GaugeID = iota
 
 	// Service-layer gauges (appended). GServeConns is open connections;

@@ -160,7 +160,6 @@ type EpochSummary struct {
 	// Persistence-path configuration and pipeline health (omitted by
 	// rows produced before the sharded advance pipeline existed).
 	Shards       int   `json:"shards,omitempty"`
-	Async        bool  `json:"async,omitempty"`
 	AdvanceP99NS int64 `json:"advance_p99_ns,omitempty"`
 	Backpressure int64 `json:"backpressure,omitempty"`
 

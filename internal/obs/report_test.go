@@ -47,7 +47,7 @@ func fixedReport() *Report {
 		},
 		Epoch: &EpochSummary{
 			Advances: 4, FlushedBlocks: 4800, RetiredBlocks: 900, FreedBlocks: 700,
-			Shards: 2, Async: true, AdvanceP99NS: 1500, Backpressure: 1,
+			Shards: 2, AdvanceP99NS: 1500, Backpressure: 1,
 			PerShard: []EpochShardSummary{
 				{FlushedBlocks: 2500, RetiredBlocks: 500, FreedBlocks: 400},
 				{FlushedBlocks: 2300, RetiredBlocks: 400, FreedBlocks: 300},

@@ -41,7 +41,6 @@ retryRegist:
 					if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
 						tx.Abort(retryCode) // node was removed; re-find
 					}
-					newBlk.SetEpochTx(tx, opEpoch)
 					ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
 					if g.teleporting() && !l.blockOK(ba) {
 						tx.Abort(recaptureCode) // recycled tower
@@ -52,6 +51,7 @@ retryRegist:
 					case be > opEpoch:
 						tx.Abort(epoch.OldSeeNewCode)
 					case be < opEpoch:
+						newBlk.SetEpochTx(tx, opEpoch)
 						tx.StoreAddr(l.h, l.valueAddr(found), uint64(newBlk.Addr()))
 						retire, persist, usedPrealloc = blk, newBlk, true
 					default:
@@ -207,12 +207,7 @@ retryRegist:
 
 // finishOp applies the post-commit half of the Listing-1 pattern.
 func (h *Handle) finishOp(newBlk epoch.Block, usedPrealloc bool, retire, persist epoch.Block) {
-	if !usedPrealloc {
-		// The committed transaction stamped the prealloc's epoch but did
-		// not link it; re-invalidate so a crash cannot resurrect it as a
-		// phantom (the Sec. 5 pitfall).
-		newBlk.ResetEpoch()
-	} else {
+	if usedPrealloc {
 		h.prealloc = epoch.Block{}
 	}
 	if !retire.IsNil() {

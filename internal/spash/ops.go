@@ -50,7 +50,6 @@ retryTxn:
 	out = outcome{}
 	res := t.attempt(w, func(tx *htm.Tx) {
 		t.subscribe(tx)
-		t.stampTx(tx, newBlk, opEpoch)
 		t.insertBody(tx, opEpoch, h, k, v, newBlk, bd, &out)
 	})
 	switch {
@@ -82,8 +81,6 @@ func (t *Table) finishInsert(w *epoch.Worker, newBlk nvm.Addr, bd bool, out *out
 		ws := &t.perW[w.ID()]
 		if out.usedNew {
 			ws.prealloc = 0
-		} else {
-			t.resetEpochDirect(newBlk) // the Sec. 5 phantom pitfall
 		}
 		if !out.retire.IsNil() {
 			w.PRetire(t.sys.BlockAt(out.retire))
@@ -133,6 +130,7 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr,
 			case be > opEpoch:
 				tx.Abort(epoch.OldSeeNewCode)
 			case be < opEpoch:
+				t.stampTx(tx, newBlk, opEpoch)
 				tx.Store(sp, pack(h, newBlk))
 				out.retire, out.track, out.usedNew = b, newBlk, true
 				out.touched = newBlk
@@ -155,6 +153,7 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr,
 		// must be validated against newer removals.
 		t.removals.CheckTx(tx, k, opEpoch)
 	}
+	t.stampTx(tx, newBlk, opEpoch)
 	tx.Store(empty, pack(h, newBlk))
 	out.usedNew = true
 	out.touched = newBlk

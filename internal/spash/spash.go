@@ -322,12 +322,6 @@ func (t *Table) stampF(f *htm.Fallback, b nvm.Addr, e uint64) {
 	f.StoreAddr(t.heap, b, hdr)
 }
 
-// resetEpochDirect re-invalidates an unused preallocated block.
-func (t *Table) resetEpochDirect(b nvm.Addr) {
-	hdr := t.heap.Load(b)
-	t.heap.Store(b, hdr|palloc.InvalidEpoch)
-}
-
 func (t *Table) epochTx(tx *htm.Tx, b nvm.Addr) uint64 {
 	return tx.LoadAddr(t.heap, b) & palloc.InvalidEpoch
 }

@@ -331,12 +331,12 @@ retryTxn:
 	}
 	res := w.Attempt(t.tm, func(tx *htm.Tx) {
 		m := txMem{tx}
-		newBlk.SetEpochTx(tx, opEpoch)
 		slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(newBlk.Addr()))
 		if inserted {
 			// Fresh insert: there is no block to epoch-compare, so the
 			// absence itself must be validated against newer removals.
 			t.removals.CheckTx(tx, k, opEpoch)
+			newBlk.SetEpochTx(tx, opEpoch)
 			persist, usedPrealloc = newBlk, true
 			return
 		}
@@ -347,6 +347,7 @@ retryTxn:
 		case be > opEpoch:
 			tx.Abort(epoch.OldSeeNewCode)
 		case be < opEpoch:
+			newBlk.SetEpochTx(tx, opEpoch)
 			m.store(slot, uint64(newBlk.Addr()))
 			retire, persist, usedPrealloc = blk, newBlk, true
 		default:
@@ -374,9 +375,7 @@ retryTxn:
 			goto retryRegist
 		}
 	}
-	if !usedPrealloc {
-		newBlk.ResetEpoch() // the Sec. 5 phantom-prealloc pitfall
-	} else {
+	if usedPrealloc {
 		ws.prealloc = epoch.Block{}
 	}
 	if !retire.IsNil() {
