@@ -163,7 +163,7 @@ retryTxn:
 		goto retryTxn
 	default:
 		retries++
-		if retries < maxRetries {
+		if retries < t.tm.Budget(maxRetries) {
 			goto retryTxn
 		}
 		if !t.insertFallback(w, opEpoch, k, v, newBlk, &out) {
@@ -323,17 +323,11 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 	if t.obs != nil {
 		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
 	}
-	attempt := t.tm.Attempt
-	if w != nil {
-		attempt = func(body func(tx *htm.Tx), opts ...htm.AttemptOption) htm.Result {
-			return w.Attempt(t.tm, body, opts...)
-		}
-	}
 	retries := 0
 	for {
 		var v uint64
 		var ok bool
-		res := attempt(func(tx *htm.Tx) {
+		res := t.attemptW(w, func(tx *htm.Tx) {
 			v, ok = 0, false
 			start, n := t.slotRange(k)
 			for i := uint64(0); i < n; i++ {
@@ -351,7 +345,7 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 		if res.Committed {
 			return v, ok
 		}
-		if retries++; retries >= maxRetries {
+		if retries++; retries >= t.tm.Budget(maxRetries) {
 			// A long slow-path writer parked on this probe window would
 			// otherwise abort this loop indefinitely; a read-only session
 			// waits its turn per line instead.
@@ -373,6 +367,15 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 			return v, ok
 		}
 	}
+}
+
+// attemptW routes one HTM attempt through w when there is one. The two
+// calls are static, so the body closure stays on the caller's stack.
+func (t *Table) attemptW(w *epoch.Worker, body func(tx *htm.Tx)) htm.Result {
+	if w != nil {
+		return w.Attempt(t.tm, body)
+	}
+	return t.tm.Attempt(body)
 }
 
 // Remove deletes a key, reporting whether it was present.
@@ -418,7 +421,7 @@ retryTxn:
 		goto retryRegist
 	default:
 		retries++
-		if retries < maxRetries {
+		if retries < t.tm.Budget(maxRetries) {
 			goto retryTxn
 		}
 		if !t.removeFallback(w, opEpoch, k, &retire, &removed) {

@@ -417,6 +417,42 @@ func TestSpuriousInjectionRecovers(t *testing.T) {
 	}
 }
 
+// With every attempt killed, the first few operations spend their whole
+// retry budget and trip the TM's; from then on an operation is one probe
+// attempt and one session, and still does its job.
+func TestDeadFastPathCostsOneProbePerOp(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 20})
+	sys := epoch.New(h, epoch.Config{Manual: true})
+	tm := htm.New(htm.Config{SpuriousRate: 1})
+	tab := New(sys, tm, 4096, 1)
+	w := sys.Register()
+	for k := uint64(0); k < 8; k++ { // warm-up: 4 × maxRetries futile attempts trip it
+		tab.Insert(w, k, k)
+	}
+	if s := tm.Stats(); s.Attempts() < 4*maxRetries {
+		t.Fatalf("warm-up spent %d attempts, want the first operations to spend full budgets (>= %d)", s.Attempts(), 4*maxRetries)
+	}
+	before := tm.Stats()
+	const n = 300
+	for k := uint64(100); k < 100+n; k++ {
+		tab.Insert(w, k, k+1)
+		if v, ok := tab.GetW(w, k); !ok || v != k+1 {
+			t.Fatalf("Get(%d) = %d,%v after insert", k, v, ok)
+		}
+		if k%3 == 0 && !tab.Remove(w, k) {
+			t.Fatalf("Remove(%d) = false", k)
+		}
+	}
+	ops := int64(n + n + n/3)
+	s := tm.Stats().Sub(before)
+	if s.FallbackAcquires != ops {
+		t.Errorf("%d sessions for %d operations", s.FallbackAcquires, ops)
+	}
+	if s.Attempts() > 2*ops {
+		t.Errorf("%d attempts for %d operations, want <= 2 per op", s.Attempts(), ops)
+	}
+}
+
 // Randomized multi-epoch crash test: single worker, random ops and epoch
 // advances, crash at a random point with random eviction; the recovered
 // table must equal the model at the persisted epoch boundary.

@@ -150,6 +150,7 @@ func New(name string, h *nvm.Heap, shards int, rec *obs.Recorder) (Engine, error
 	b.heap, b.rec, b.shards = h, rec, shards
 	b.persist = make([][]nvm.Extent, shards)
 	b.retire = make([][]nvm.Extent, shards)
+	b.exts = make([][]nvm.Extent, shards)
 	return e, nil
 }
 
@@ -175,6 +176,7 @@ type base struct {
 
 	persist [][]nvm.Extent // per shard, write-back extents
 	retire  [][]nvm.Extent // per shard, tombstone (retired header) extents
+	exts    [][]nvm.Extent // per shard, applyShard's merged batch (scratch)
 
 	watermark atomic.Uint64
 
@@ -318,9 +320,10 @@ func (b *base) applyShards(persist, retire [][]nvm.Extent) {
 func (b *base) applyShard(sh int, persist, retire []nvm.Extent) {
 	o := b.rec
 	t := o.Now()
-	exts := make([]nvm.Extent, 0, len(persist)+len(retire))
-	exts = append(exts, persist...)
-	exts = append(exts, retire...)
+	// Both batches go through one FlushExtents call — one sorted pass, one
+	// XPLine coalescing window — from a buffer the shard keeps.
+	exts := append(append(b.exts[sh][:0], persist...), retire...)
+	b.exts[sh] = exts
 	b.heap.FlushExtents(exts)
 	b.countFlushes(uint64(sh), int64(len(exts)))
 	if o != nil {

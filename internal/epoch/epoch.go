@@ -247,6 +247,13 @@ type System struct {
 	// active, consumed by runTask for the durable-lag gauge.
 	closedNS [numSlots]atomic.Int64
 
+	// runTask's per-shard scratch — the epoch's tracked and retired block
+	// addresses and flushed counts. Tasks are serialised, so one set,
+	// emptied at the start of each task, serves them all.
+	taskPersist [][]nvm.Addr
+	taskRetire  [][]nvm.Addr
+	taskFlushed []int64
+
 	// Durable-watermark subscribers (group-commit ackers and friends).
 	// Notifications are coalescing wakes, not a value stream: subscribers
 	// re-read PersistedEpoch after each wake.
@@ -267,6 +274,10 @@ func newSystem(h *nvm.Heap, cfg Config) *System {
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		shardCtrs: make([]shardCtr, cfg.Shards),
+
+		taskPersist: make([][]nvm.Addr, cfg.Shards),
+		taskRetire:  make([][]nvm.Addr, cfg.Shards),
+		taskFlushed: make([]int64, cfg.Shards),
 	}
 	s.pendCond = sync.NewCond(&s.pendMu)
 	s.alloc.SetObs(cfg.Obs)
@@ -613,8 +624,10 @@ func (s *System) runTask(x uint64) {
 
 	// (2) Collect the per-worker buffers for x, partitioned by shard.
 	shards := s.cfg.Shards
-	persist := make([][]nvm.Addr, shards)
-	retire := make([][]nvm.Addr, shards)
+	persist, retire, flushed := s.taskPersist, s.taskRetire, s.taskFlushed
+	for sh := range persist {
+		persist[sh], retire[sh], flushed[sh] = persist[sh][:0], retire[sh][:0], 0
+	}
 	n := int(s.nWorkers.Load())
 	slot := int(x % numSlots)
 	for i := 0; i < n; i++ {
@@ -633,7 +646,6 @@ func (s *System) runTask(x uint64) {
 	// PhaseFlush/PhaseRoot samples at the matching points). Under eADR
 	// the engine is skipped entirely: every store is already durable and
 	// only the watermark word needs recording.
-	flushed := make([]int64, shards)
 	if !s.eadr() {
 		s.eng.Begin(x)
 		// Per-block header reads dominate collection, so fan the shard

@@ -24,6 +24,25 @@ type BlockRecord struct {
 	Resurrected bool
 }
 
+// recordList is one recovery worker's rebuild records in scan order, held
+// in fixed-capacity chunks: a heap's worth of records (half a million at
+// the benchmark's size) is written once, where a single slice grown by
+// append would copy it five times over on the way up.
+type recordList struct {
+	chunks [][]BlockRecord
+}
+
+const recordChunk = 1024
+
+func (l *recordList) add(r BlockRecord) {
+	n := len(l.chunks)
+	if n == 0 || len(l.chunks[n-1]) == recordChunk {
+		l.chunks = append(l.chunks, make([]BlockRecord, 0, recordChunk))
+		n++
+	}
+	l.chunks[n-1] = append(l.chunks[n-1], r)
+}
+
 // Recover reopens a heap after a crash (heap.Crash) and reconstructs the
 // epoch system's durable state, implementing the recovery procedure of
 // Sec. 5.2:
@@ -76,7 +95,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	// under the one trailing fence instead of per-block.
 	workers := cfg.RecoveryWorkers
 	type workerState struct {
-		recs      []BlockRecord
+		recs      recordList
 		resurrect []nvm.Extent
 		sinceTick int
 	}
@@ -100,7 +119,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 			}
 			s.recoveredLive.Add(1)
 			if rebuild != nil {
-				st.recs = append(st.recs, BlockRecord{
+				st.recs.add(BlockRecord{
 					Block: Block{sys: s, addr: bi.Addr},
 					Tag:   hdr.Tag,
 					Epoch: hdr.Epoch,
@@ -124,7 +143,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 			s.resurrected.Add(1)
 			s.recoveredLive.Add(1)
 			if rebuild != nil {
-				st.recs = append(st.recs, BlockRecord{
+				st.recs.add(BlockRecord{
 					Block:       Block{sys: s, addr: bi.Addr},
 					Tag:         hdr.Tag,
 					Epoch:       hdr.Epoch,
@@ -157,8 +176,10 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	rebuildStart := time.Now()
 	if rebuild != nil {
 		for i := range ws {
-			for _, r := range ws[i].recs {
-				rebuild(r)
+			for _, chunk := range ws[i].recs.chunks {
+				for _, r := range chunk {
+					rebuild(r)
+				}
 			}
 		}
 	}

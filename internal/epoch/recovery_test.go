@@ -2,8 +2,10 @@ package epoch
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"bdhtm/internal/nvm"
 )
@@ -108,6 +110,42 @@ func TestResurrectionWriteBackBatched(t *testing.T) {
 			if delta.UsefulBytes == 0 {
 				t.Fatal("recovery wrote no useful bytes despite resurrections")
 			}
+		})
+	}
+}
+
+// TestRecoverAllocatesRecordsOnce pins the chunked record list: recovering
+// N live blocks may allocate their N rebuild records, a quarter again for
+// everything else, and a constant — where one slice grown by append
+// allocated five times the records on the way up, all of it live between
+// two collections at the moment a recovering process's memory peaks.
+func TestRecoverAllocatesRecordsOnce(t *testing.T) {
+	const slabs = 64
+	const n = slabs * 1022 // KV blocks per 4096-word slab: whole slabs, so no free list to build
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			h, s := newManual(t, 1<<19)
+			w := s.Register()
+			for i := 0; i < n; i++ {
+				putKV(w, uint64(i), uint64(i))
+			}
+			s.Sync()
+			s.SimulateCrash(nvm.CrashOptions{})
+
+			var got int
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s2 := Recover(h, Config{Manual: true, RecoveryWorkers: workers}, func(BlockRecord) { got++ })
+			runtime.ReadMemStats(&after)
+			if got != n {
+				t.Fatalf("recovered %d blocks, want %d", got, n)
+			}
+			records := uint64(n) * uint64(unsafe.Sizeof(BlockRecord{}))
+			limit := records*5/4 + 256<<10
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+				t.Fatalf("Recover of %d blocks allocated %d bytes (%.2f x the records), want <= %d", n, alloc, float64(alloc)/float64(records), limit)
+			}
+			s2.Stop()
 		})
 	}
 }

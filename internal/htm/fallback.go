@@ -61,7 +61,8 @@ const (
 )
 
 // Fallback is one slow-path session. It is only valid inside the function
-// passed to RunFallback and must not escape it.
+// passed to RunFallback and must not escape it: sessions are pooled on the
+// TM, and the next RunFallback reuses this one's slices.
 type Fallback struct {
 	tm *TM
 
@@ -178,7 +179,8 @@ func (f *Fallback) release(committed bool) {
 	if len(f.slots) == 0 {
 		return
 	}
-	f.written = append(f.written[:0], make([]bool, len(f.slots))...)
+	f.written = slices.Grow(f.written[:0], len(f.slots))[:len(f.slots)]
+	clear(f.written)
 	if committed {
 		for i := range f.writes {
 			if n, ok := slices.BinarySearch(f.slots, tm.slotIdx(lineKey(f.writes[i].p))); ok {
@@ -219,14 +221,11 @@ func (f *Fallback) finish() {
 // session restart) and must therefore reach shared state only through the
 // session.
 func (tm *TM) RunFallback(fn func(f *Fallback)) {
-	f := &Fallback{tm: tm, owner: fbOwnerBit | tm.txIDs.Add(1)<<1 | 1}
+	f := tm.fbPool.Get().(*Fallback)
+	f.owner = fbOwnerBit | tm.txIDs.Add(1)<<1 | 1
 	tm.stats.fallbackAcquires.Add(1)
 	tm.obs.MetricAdd(obs.MFallbackAcquires, f.owner, 1)
-	for {
-		if tm.runFallbackBody(f, fn) {
-			f.finish()
-			break
-		}
+	for !tm.runFallbackBody(f, fn) {
 		f.release(false)
 		f.writes = f.writes[:0]
 		f.restarts++
@@ -237,14 +236,24 @@ func (tm *TM) RunFallback(fn func(f *Fallback)) {
 		}
 		tm.backoff(f.restarts)
 	}
+	f.finish()
+	tm.closeFallback(f)
+}
+
+// closeFallback ends a session that holds no slots any more: it leaves the
+// escalation mutex if the session took it, and goes back to the pool empty.
+func (tm *TM) closeFallback(f *Fallback) {
 	if f.escalated {
 		tm.fbMu.Unlock()
 	}
+	f.writes = f.writes[:0]
+	f.restarts, f.escalated = 0, false
+	tm.fbPool.Put(f)
 }
 
 // runFallbackBody executes fn, converting a restart panic into done ==
-// false. A foreign panic releases the held slots before propagating so
-// the table is never left locked.
+// false. A foreign panic releases the held slots and closes the session
+// before propagating, so the table is never left locked.
 func (tm *TM) runFallbackBody(f *Fallback, fn func(*Fallback)) (done bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -252,9 +261,7 @@ func (tm *TM) runFallbackBody(f *Fallback, fn func(*Fallback)) (done bool) {
 				return
 			}
 			f.release(false)
-			if f.escalated {
-				tm.fbMu.Unlock()
-			}
+			tm.closeFallback(f)
 			panic(r)
 		}
 	}()
@@ -263,15 +270,16 @@ func (tm *TM) runFallbackBody(f *Fallback, fn func(*Fallback)) (done bool) {
 }
 
 // Run executes body with a simple default policy: retry on transient aborts
-// up to maxRetries with backoff, go straight to the slow path on
-// deterministic aborts (capacity, explicit), and finally run fallback as a
-// Fallback session. It covers the common case; code that needs
-// Listing-1-style custom abort handling uses Attempt and RunFallback
-// directly. It returns true if the transactional path committed, false if
-// the fallback session ran.
+// with backoff while the TM's Budget for maxRetries lasts, go straight to
+// the slow path on deterministic aborts (capacity, explicit), and finally
+// run fallback as a Fallback session. It covers the common case; code that
+// needs Listing-1-style custom abort handling uses Attempt, Budget and
+// RunFallback directly. It returns true if the transactional path
+// committed, false if the fallback session ran.
 func (tm *TM) Run(maxRetries int, body func(tx *Tx), fallback func(f *Fallback)) bool {
 	var opts []AttemptOption
-	for retries := 0; retries < maxRetries; {
+retry:
+	for retries := 0; retries < tm.Budget(maxRetries); {
 		res := tm.Attempt(body, opts...)
 		if res.Committed {
 			return true
@@ -281,7 +289,7 @@ func (tm *TM) Run(maxRetries int, body func(tx *Tx), fallback func(f *Fallback))
 			opts = []AttemptOption{PreWalked()}
 			retries++
 		case CauseCapacity, CauseExplicit:
-			retries = maxRetries
+			break retry
 		default:
 			retries++
 			tm.backoff(retries)

@@ -24,7 +24,21 @@
 //     cache line, with writes buffered until the session finishes. A
 //     transaction conflicts with a session only where their line sets
 //     overlap, and non-transactional writes (DirectStore) are likewise
-//     visible to the conflict-detection mechanism.
+//     visible to the conflict-detection mechanism. Sessions are pooled on
+//     the TM like transaction attempts, so neither path allocates in steady
+//     state.
+//   - The retry budget is the TM's (Budget): callers ask it how many
+//     attempts an operation may spend before its session. The TM counts
+//     consecutive attempts, TM-wide, that ended in an abort a retry does
+//     not cure — spurious, memtype, capacity — and any commit clears the
+//     count. Conflict and explicit aborts leave it alone: they are caused
+//     by other operations making progress or by the caller's own logic,
+//     and say nothing about whether the fast path works. Once the count
+//     reaches four budgets' worth the fast path is taken for dead and
+//     Budget answers 1: every operation still probes it once, and the
+//     first commit restores the full budget. It takes 4·max consecutive
+//     such aborts with no commit anywhere on the TM to get there, so
+//     injection rates of a few percent never do (0.05^128).
 //
 // Transactions address ordinary Go words (*uint64) and simulated NVM words
 // (nvm.Heap + nvm.Addr) uniformly; speculative writes are buffered in the
@@ -179,10 +193,15 @@ type TM struct {
 	// with bounded waiting (see RunFallback's escalation).
 	fbMu sync.Mutex
 
+	// futile counts consecutive attempts that ended in an abort retrying
+	// cannot cure; see Budget.
+	futile atomic.Int64
+
 	stats Stats
 	obs   *obs.Recorder
 
-	pool sync.Pool
+	pool   sync.Pool // *Tx
+	fbPool sync.Pool // *Fallback
 }
 
 // New creates a TM with the given configuration.
@@ -212,6 +231,7 @@ func New(cfg Config) *TM {
 			wlines:   newKVSet(wlineCap),
 		}
 	}
+	tm.fbPool.New = func() any { return &Fallback{tm: tm} }
 	return tm
 }
 
@@ -516,18 +536,15 @@ func (tx *Tx) releaseLocks(n int, wv uint64, committed bool) {
 	tx.lockPrev = tx.lockPrev[:0]
 }
 
-// AttemptOption modifies a single transaction attempt.
-type AttemptOption func(*attemptOpts)
+// AttemptOption modifies a single transaction attempt. Options are plain
+// values, so passing and decoding them never allocates.
+type AttemptOption uint8
 
-type attemptOpts struct {
-	preWalked bool
-}
+const optPreWalked AttemptOption = 1
 
 // PreWalked marks the attempt as preceded by a non-transactional pre-walk
 // of the data, the paper's mitigation for MEMTYPE aborts.
-func PreWalked() AttemptOption {
-	return func(o *attemptOpts) { o.preWalked = true }
-}
+func PreWalked() AttemptOption { return optPreWalked }
 
 // Attempt runs body as one transaction attempt and reports the outcome.
 // There is no automatic retry: callers implement their own retry and
@@ -557,22 +574,18 @@ func (tm *TM) AttemptSpan(sp *obs.Span, body func(tx *Tx), opts ...AttemptOption
 }
 
 func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
-	var o attemptOpts
-	for _, f := range opts {
-		f(&o)
-	}
 	// Injected aborts: decided up front, charged before any work, like a
 	// transaction killed early by an interrupt.
 	if tm.chance(tm.cfg.SpuriousRate) {
-		tm.stats.record(CauseSpurious)
+		tm.note(CauseSpurious)
 		return Result{Cause: CauseSpurious}
 	}
 	mtRate := tm.cfg.MemTypeRate
-	if o.preWalked {
+	if slices.Contains(opts, optPreWalked) {
 		mtRate = tm.cfg.PreWalkResidualRate
 	}
 	if tm.chance(mtRate) {
-		tm.stats.record(CauseMemType)
+		tm.note(CauseMemType)
 		return Result{Cause: CauseMemType}
 	}
 
@@ -582,15 +595,47 @@ func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
 
 	res, ok := tm.runBody(tx, body)
 	if !ok {
-		tm.stats.record(res.Cause)
+		tm.note(res.Cause)
 		return res
 	}
 	if tx.commit() {
-		tm.stats.record(CauseNone)
+		tm.note(CauseNone)
 		return Result{Committed: true}
 	}
-	tm.stats.record(CauseConflict)
+	tm.note(CauseConflict)
 	return Result{Cause: CauseConflict}
+}
+
+// note records one attempt's outcome: the per-cause counter, and the
+// streak of futile aborts behind Budget. A commit pays one shared read
+// unless there is a streak to clear.
+func (tm *TM) note(c AbortCause) {
+	tm.stats.record(c)
+	switch c {
+	case CauseNone:
+		if tm.futile.Load() != 0 {
+			tm.futile.Store(0)
+		}
+	case CauseSpurious, CauseMemType, CauseCapacity:
+		tm.futile.Add(1)
+	}
+}
+
+// Budget returns how many fast-path attempts an operation whose retry
+// limit is maxRetries may spend before it takes its slow path. That is
+// maxRetries, until 4*maxRetries consecutive attempts anywhere on the TM
+// have ended in an abort a retry does not cure (spurious, memtype,
+// capacity — conflict and explicit aborts neither count nor reset) with no
+// commit in between; from then on it is 1, so every operation still probes
+// the fast path once, and the first commit restores the full budget. Retry
+// loops compare against it on every iteration:
+//
+//	if retries++; retries >= tm.Budget(maxRetries) { /* RunFallback */ }
+func (tm *TM) Budget(maxRetries int) int {
+	if tm.futile.Load() >= 4*int64(maxRetries) {
+		return 1
+	}
+	return maxRetries
 }
 
 // runBody executes the body, converting abort panics into results.

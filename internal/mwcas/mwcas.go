@@ -77,7 +77,7 @@ func (m *HTMMwCAS) Apply(entries []Entry) bool {
 			return false
 		default:
 			retries++
-			if retries >= maxRetries {
+			if retries >= m.tm.Budget(maxRetries) {
 				return m.applyFallback(entries)
 			}
 			if retries&7 == 7 {

@@ -8,25 +8,33 @@
 //
 // Two copies of memory are maintained:
 //
-//   - the volatile view (what the CPU sees through its cache), and
-//   - the persistent image (what has actually reached the NVM media).
+//   - the volatile view (what the CPU sees through its cache), a flat
+//     array of words, and
+//   - the persistent image (what has actually reached the NVM media), a
+//     table of 4096-word pages. A page is materialised by the first
+//     write-back that lands in it; a page nothing was ever written back
+//     to does not exist and reads as zero — the state the media started
+//     in — so a heap costs one copy of its size plus one page per 32 KiB
+//     of it that was ever persisted.
 //
 // Stores update only the volatile view and mark the containing cache line
 // dirty. A line reaches the persistent image when it is explicitly flushed
 // (Flush, modeling clwb/clflushopt) or when the simulated cache evicts it in
 // an unpredictable order (modeling capacity write-back). Crash discards the
-// volatile view and resurrects the persistent image, so software layered on
-// this package observes exactly the post-crash states that make persistent
-// programming hard: the gap between point of visibility and point of
-// persistence, and out-of-order line write-back.
+// volatile view and resurrects the persistent image (zeroes where the
+// image has no page), so software layered on this package observes exactly
+// the post-crash states that make persistent programming hard: the gap
+// between point of visibility and point of persistence, and out-of-order
+// line write-back.
 //
 // Three modes are supported:
 //
 //   - ModeADR: volatile cache; flush+fence required for durability.
 //   - ModeEADR: persistent cache (Intel eADR); every store is durable at the
 //     point of visibility, flushes are performance hints only.
-//   - ModeDRAM: plain DRAM; nothing survives a crash. Used for transient
-//     baselines so that all structures share one memory substrate.
+//   - ModeDRAM: plain DRAM; nothing survives a crash (the image's pages
+//     are dropped wholesale). Used for transient baselines so that all
+//     structures share one memory substrate.
 //
 // An optional latency model charges calibrated busy-wait delays for cache
 // misses, write-backs, flushes and fences, reproducing the ~3x read and
@@ -153,8 +161,8 @@ type Config struct {
 // may be shared freely between goroutines.
 type Heap struct {
 	cfg   Config
-	words []uint64 // volatile view (CPU perspective)
-	pimg  []uint64 // persistent image (media perspective)
+	words []uint64                  // volatile view (CPU perspective)
+	pimg  []atomic.Pointer[imgPage] // persistent image (media perspective), by page
 
 	dirty  bitset // lines with volatile contents newer than the media
 	cached bitset // lines currently resident in the simulated cache
@@ -248,7 +256,7 @@ func New(cfg Config) *Heap {
 	h := &Heap{
 		cfg:      cfg,
 		words:    make([]uint64, cfg.Words),
-		pimg:     make([]uint64, cfg.Words),
+		pimg:     make([]atomic.Pointer[imgPage], (cfg.Words+pageWords-1)/pageWords),
 		dirty:    newBitset(lines),
 		cached:   newBitset(lines),
 		evictRNG: rand.New(rand.NewPCG(seed, seed^0xda942042e4dd58b5)),
@@ -345,14 +353,42 @@ func (h *Heap) evictSome() {
 	}
 }
 
+// pageWords is the granularity at which the persistent image is
+// materialised: 4096 words, 32 KiB — one palloc slab, a whole number of
+// lines and XPLines.
+const pageWords = 4096
+
+type imgPage [pageWords]uint64
+
+// imagePage returns the persistent-image page holding word a, creating it
+// (zeroed, like the media it stands for) on the first write-back into it.
+// Flusher shards and capacity evictions race here; the CAS picks one page
+// and every racer writes its own lines into the winner.
+func (h *Heap) imagePage(a uint64) *imgPage {
+	slot := &h.pimg[a/pageWords]
+	if pg := slot.Load(); pg != nil {
+		return pg
+	}
+	slot.CompareAndSwap(nil, new(imgPage))
+	return slot.Load()
+}
+
+// persistLine copies line l from the volatile view to the persistent
+// image: the one place a word reaches the media.
+func (h *Heap) persistLine(l uint64) {
+	base := l * LineWords
+	src := h.words[base : base+LineWords]
+	dst := h.imagePage(base)[base%pageWords:][:LineWords]
+	for i := range src {
+		atomic.StoreUint64(&dst[i], atomic.LoadUint64(&src[i]))
+	}
+}
+
 // writeBackLine copies one cache line from the volatile view to the
 // persistent image and charges media-write accounting.
 func (h *Heap) writeBackLine(l uint64, eviction bool) {
 	base := l * LineWords
-	for i := uint64(0); i < LineWords; i++ {
-		v := atomic.LoadUint64(&h.words[base+i])
-		atomic.StoreUint64(&h.pimg[base+i], v)
-	}
+	h.persistLine(l)
 	h.stats.lineWritebacks.Add(l, 1)
 	if h.obs != nil {
 		var ev uint64
@@ -478,7 +514,7 @@ func (h *Heap) FlushRange(a Addr, words int) {
 		return
 	}
 	lastXP := ^uint64(0)
-	h.flushLines(a.Line(), (a+Addr(words)-1).Line(), &lastXP)
+	h.flushLines(a.Line(), (a + Addr(words) - 1).Line(), &lastXP)
 }
 
 // Extent is one contiguous word range of an NVM heap, the unit of a
@@ -569,10 +605,7 @@ func (h *Heap) flushLines(first, last uint64, lastXP *uint64) {
 			continue
 		}
 		base := l * LineWords
-		for i := uint64(0); i < LineWords; i++ {
-			v := atomic.LoadUint64(&h.words[base+i])
-			atomic.StoreUint64(&h.pimg[base+i], v)
-		}
+		h.persistLine(l)
 		h.stats.lineWritebacks.Add(l, 1)
 		if h.obs != nil {
 			h.obs.Hit(obs.MWriteBacks, obs.EvWriteBack, base, 0)
@@ -644,7 +677,9 @@ func (h *Heap) Crash(opts CrashOptions) {
 	case ModeDRAM:
 		for i := range h.words {
 			atomic.StoreUint64(&h.words[i], 0)
-			atomic.StoreUint64(&h.pimg[i], 0)
+		}
+		for i := range h.pimg {
+			h.pimg[i].Store(nil)
 		}
 	case ModeEADR:
 		for l := uint64(0); l < lines; l++ {
@@ -652,7 +687,7 @@ func (h *Heap) Crash(opts CrashOptions) {
 				h.writeBackLine(l, false)
 			}
 		}
-		copyWords(h.words, h.pimg)
+		h.restoreView()
 	case ModeADR:
 		for l := uint64(0); l < lines; l++ {
 			if !h.dirty.testAndClear(l) {
@@ -662,7 +697,7 @@ func (h *Heap) Crash(opts CrashOptions) {
 				h.writeBackLine(l, false)
 			}
 		}
-		copyWords(h.words, h.pimg)
+		h.restoreView()
 	}
 	h.cached.clear()
 	h.dirty.clear()
@@ -676,15 +711,29 @@ func (h *Heap) Crash(opts CrashOptions) {
 // the volatile view. Intended for tests and debugging.
 func (h *Heap) PersistedLoad(a Addr) uint64 {
 	h.check(a)
-	return atomic.LoadUint64(&h.pimg[a])
+	pg := h.pimg[a/pageWords].Load()
+	if pg == nil {
+		return 0 // nothing in this page was ever written back
+	}
+	return atomic.LoadUint64(&pg[a%pageWords])
 }
 
 // DirtyLine reports whether the line containing a holds volatile data that
 // has not reached the persistent image. Intended for tests.
 func (h *Heap) DirtyLine(a Addr) bool { return h.dirty.test(a.Line()) }
 
-func copyWords(dst, src []uint64) {
-	for i := range dst {
-		atomic.StoreUint64(&dst[i], atomic.LoadUint64(&src[i]))
+// restoreView overwrites the volatile view with the persistent image, the
+// restart half of Crash. A page the image never materialised is zero.
+func (h *Heap) restoreView() {
+	for p := range h.pimg {
+		view := h.words[p*pageWords : min((p+1)*pageWords, len(h.words))]
+		pg := h.pimg[p].Load()
+		for i := range view {
+			var v uint64
+			if pg != nil {
+				v = atomic.LoadUint64(&pg[i])
+			}
+			atomic.StoreUint64(&view[i], v)
+		}
 	}
 }

@@ -394,7 +394,7 @@ func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 	const maxRetries = 64
 	retries := 0
 	for {
-		if retries >= maxRetries {
+		if retries >= l.cfg.TM.Budget(maxRetries) {
 			// Persistently aborting read: escape into a read-only session
 			// under per-line locks. Announce first — session reads are not
 			// seqlock-validated.
@@ -598,7 +598,7 @@ func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra 
 			panic(fmt.Sprintf("skiplist: unexpected abort code %#x", res.Code))
 		default:
 			retries++
-			if retries >= maxRetries {
+			if retries >= l.cfg.TM.Budget(maxRetries) {
 				return l.htmFallback(g, entries, direct)
 			}
 		}

@@ -62,7 +62,7 @@ retryTxn:
 		goto retryTxn
 	default:
 		retries++
-		if retries < maxRetries {
+		if retries < t.tm.Budget(maxRetries) {
 			goto retryTxn
 		}
 		switch t.insertFallback(opEpoch, h, k, v, newBlk, bd, &out) {
@@ -289,7 +289,7 @@ func (t *Table) Get(k uint64) (uint64, bool) {
 		if res.Committed {
 			return v, ok
 		}
-		if retries++; retries >= maxRetries {
+		if retries++; retries >= t.tm.Budget(maxRetries) {
 			// Persistently aborting read: a read-only session under the
 			// per-line locks is guaranteed to finish.
 			t.tm.RunFallback(func(f *htm.Fallback) {
@@ -366,7 +366,7 @@ retryTxn:
 		goto retryRegist
 	default:
 		retries++
-		if retries < maxRetries {
+		if retries < t.tm.Budget(maxRetries) {
 			goto retryTxn
 		}
 		switch t.removeFallback(opEpoch, h, k, bd, &victim) {

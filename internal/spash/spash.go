@@ -248,11 +248,18 @@ func unpackAddr(s uint64) nvm.Addr        { return nvm.Addr(s & (1<<48 - 1)) }
 // directory. The pointers are read non-transactionally; structural
 // changes happen only on the slow path behind the split barrier (the ver
 // word — see subscribe), so a transaction that raced a split cannot commit.
+//
+// The loads run in the reverse of splitLocked's publication order — depth,
+// then directory, then the entry (atomically: a split rewrites entries in
+// place), then the segment table — so whatever mix of old and new a racing
+// reader sees indexes in range: a depth is published after the directory
+// that is long enough for it, an entry after the segment table that holds
+// its segment.
 func (t *Table) locate(h uint64) (seg *segment, bucket int) {
-	dir := *t.dir.Load()
-	segs := *t.segs.Load()
 	gd := t.globalDepth.Load()
-	idx := dir[h&(1<<gd-1)]
+	dir := *t.dir.Load()
+	idx := atomic.LoadUint64(&dir[h&(1<<gd-1)])
+	segs := *t.segs.Load()
 	return segs[idx], int(h >> 56 & (bucketsPerSeg - 1))
 }
 

@@ -154,7 +154,7 @@ func (t *Tree) Get(k uint64) (uint64, bool) {
 			preWalked = true
 		default:
 			// A persistently aborting read escapes into a read-only session.
-			if retries++; retries >= maxRetries {
+			if retries++; retries >= t.tm.Budget(maxRetries) {
 				t.tm.RunFallback(func(f *htm.Fallback) {
 					m := fbMem{f}
 					v, ok = 0, false
@@ -203,7 +203,7 @@ func (t *Tree) Successor(k uint64) (uint64, uint64, bool) {
 		if res.Committed {
 			return sk, v, ok
 		}
-		if retries++; retries >= maxRetries {
+		if retries++; retries >= t.tm.Budget(maxRetries) {
 			t.tm.RunFallback(func(f *htm.Fallback) {
 				m := fbMem{f}
 				sk, v, ok = 0, 0, false
@@ -289,7 +289,7 @@ func (t *Tree) insertTransient(k, v uint64) bool {
 			preWalked = true
 		default:
 			retries++
-			if retries >= maxRetries {
+			if retries >= t.tm.Budget(maxRetries) {
 				t.tm.RunFallback(func(f *htm.Fallback) {
 					m := fbMem{f}
 					replaced = false
@@ -367,7 +367,7 @@ retryTxn:
 		goto retryTxn
 	default:
 		retries++
-		if retries < maxRetries {
+		if retries < t.tm.Budget(maxRetries) {
 			goto retryTxn
 		}
 		if !t.insertFallback(w, opEpoch, k, v, newBlk, &retire, &persist, &usedPrealloc, &replaced) {
@@ -461,7 +461,7 @@ func (t *Tree) removeTransient(k uint64) bool {
 			return removed
 		default:
 			retries++
-			if retries >= maxRetries {
+			if retries >= t.tm.Budget(maxRetries) {
 				t.tm.RunFallback(func(f *htm.Fallback) {
 					m := fbMem{f}
 					_, removed = t.removeRec(m, t.rootNode(), k)
@@ -506,7 +506,7 @@ retryTxn:
 		goto retryRegist
 	default:
 		retries++
-		if retries < maxRetries {
+		if retries < t.tm.Budget(maxRetries) {
 			goto retryTxn
 		}
 		if !t.removeFallback(w, opEpoch, k, &retire) {
