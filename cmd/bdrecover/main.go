@@ -4,10 +4,12 @@
 //	bdrecover [-structure veb|skiplist|spash|hash] [-records N] [-evict F]
 //	          [-engine bdl|undo|redo4f|redo2f|quadra] [-workers N]
 //
-// It fills the structure, makes the data durable, power-fails the heap
+// It fills the structure, overwrites and restores a few records so that
+// the retire journal has work, makes the data durable, power-fails the heap
 // with a random fraction of dirty lines written back, recovers (with the
 // header scan partitioned across -workers goroutines and a live progress
-// report), verifies every record, and prints scan/rebuild timings.
+// report), verifies every record, and prints scan/rebuild timings and what
+// the journal replay read, applied and erased.
 package main
 
 import (
@@ -123,6 +125,19 @@ func run(cfg runConfig) error {
 	for k := 0; k < cfg.records; k++ {
 		insert(w, uint64(k), uint64(k)*3+1)
 	}
+	// Overwrite the first -tail records and put them back an epoch later:
+	// both waves retire the blocks they replace, so the checkpoint has
+	// journaled retirements below it for recovery to replay.
+	for _, scratch := range []bool{true, false} {
+		sys.Sync()
+		for k := 0; k < min(cfg.tail, cfg.records); k++ {
+			v := uint64(k)*3 + 1
+			if scratch {
+				v = 5
+			}
+			insert(w, uint64(k), v)
+		}
+	}
 	sys.Sync()
 	fmt.Fprintf(cfg.out, "checkpoint: persisted epoch %d\n", sys.PersistedEpoch())
 
@@ -173,6 +188,8 @@ func run(cfg runConfig) error {
 	st := sys2.Stats()
 	fmt.Fprintf(cfg.out, "heap scan:      %v (%d blocks, %d resurrected, %d workers)\n",
 		scan, len(recs), st.Resurrected, cfg.workers)
+	fmt.Fprintf(cfg.out, "retire journal: %d pages read, %d records applied, %d pages erased\n",
+		st.JournalPagesRead, st.JournalRecordsApplied, st.JournalPagesErased)
 	fmt.Fprintf(cfg.out, "index rebuild:  %v\n", rebuild)
 
 	bad := 0

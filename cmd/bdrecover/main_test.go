@@ -53,5 +53,11 @@ func TestParallelWorkersVerify(t *testing.T) {
 		if !strings.Contains(sb.String(), "verified: all 400") {
 			t.Fatalf("workers=%d: missing verification line:\n%s", w, sb.String())
 		}
+		// Each overwrite wave journaled 40 retirements, two pages; the
+		// blocks of the second that the tail did not claim in time are
+		// gone on the journal's word alone.
+		if out := sb.String(); !strings.Contains(out, "retire journal: 4 pages read, ") || strings.Contains(out, " 0 records applied") {
+			t.Fatalf("workers=%d: journal replay line missing or idle:\n%s", w, out)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"bdhtm/internal/epoch"
 )
 
 // defaultSeed is the suite's fixed fuzzing seed; override with
@@ -255,8 +257,13 @@ func TestRoundsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestFuzzSoak is the long-running sweep: skipped in -short runs (CI
-// tier-1), available locally and to the nightly lane.
+// TestFuzzSoak is the long-running sweep: skipped in -short runs, part of
+// the literal tier-1 command. Beside the derived rounds every subject gets,
+// each buffered subject runs the long-segment shape (Epochs derived, ≥ 4·K
+// epochs before each of two crashes, no tail advances) with one worker and
+// with four: the derived rounds crash some fifty ops into a segment, long
+// before the retire journal recycles its first page. CI's engine matrix runs
+// the long lanes alone (-run 'TestFuzzSoak/^long-') per engine.
 func TestFuzzSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipped in short mode")
@@ -270,5 +277,57 @@ func TestFuzzSoak(t *testing.T) {
 				t.Fatalf("%s", f.Error())
 			}
 		})
+		if sub, _ := NewSubject(name); sub.Durability() != Buffered {
+			continue
+		}
+		for _, workers := range []int{1, 4} {
+			workers := workers
+			t.Run(fmt.Sprintf("long-%s-workers=%d", name, workers), func(t *testing.T) {
+				t.Parallel()
+				p := NewRoundParams(name, seed^0x1095)
+				p.Epochs, p.Workers, p.CrashEvents, p.TailAdvances = Derive, workers, 2, 0
+				if f := Fuzz(p, 150, nil); f != nil {
+					t.Fatalf("%s", f.Error())
+				}
+			})
+		}
+	}
+}
+
+// TestLongSegmentShape pins the long-segment shape: Epochs derives from a
+// draw of its own, past every other, into [4K, 6K]; a single-writer round
+// then runs that many epochs before its crash point; the replay line
+// carries it and round-trips; and a round that does not ask for it resolves
+// and prints exactly as it did before the shape existed (the strings
+// TestResolveReplayCompatAcrossFGLRemoval pins are those of the parent).
+func TestLongSegmentShape(t *testing.T) {
+	for seed := uint64(1); seed <= 64; seed++ {
+		p := NewRoundParams("bdhash", seed)
+		p.Workers = 1
+		plain := Resolve(p)
+		if plain.Epochs != 0 {
+			t.Fatalf("seed %d: Epochs = %d on a round that did not ask for the shape", seed, plain.Epochs)
+		}
+		p.Epochs = Derive
+		long := Resolve(p)
+		if long.Epochs < 4*epoch.JournalK || long.Epochs > 6*epoch.JournalK {
+			t.Fatalf("seed %d: derived Epochs = %d, want in [%d, %d]", seed, long.Epochs, 4*epoch.JournalK, 6*epoch.JournalK)
+		}
+		if long.CrashAfter < long.Epochs*long.AdvEvery {
+			t.Fatalf("seed %d: crash after %d ops at an advance every %d: fewer than %d epochs", seed, long.CrashAfter, long.AdvEvery, long.Epochs)
+		}
+		if long.CrashAfter, long.Epochs = plain.CrashAfter, 0; !reflect.DeepEqual(long, plain) {
+			t.Fatalf("seed %d: asking for the shape moved other fields:\n%+v\n%+v", seed, long, plain)
+		}
+	}
+	p := NewRoundParams("skiplist", 0xfeed)
+	p.Epochs = Derive
+	p = Resolve(p)
+	q, err := ParseReplay(p.ReplayString())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q = Resolve(q); !reflect.DeepEqual(p, q) {
+		t.Fatalf("long-segment replay round trip drifted:\n%+v\n%+v", p, q)
 	}
 }

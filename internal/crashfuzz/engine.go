@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bdhtm/internal/durability"
+	"bdhtm/internal/epoch"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -43,6 +44,13 @@ type RoundParams struct {
 	Async        int     // <0 = derive; schedule: flusher step runs right after each advance (1) or lags a full epoch (0)
 	Engine       string  // durability engine; "" = derive from durability.Names()
 	RWorkers     int     // recovery scan workers; 0 = derive from {1, 2, 4, 8}
+	// Epochs, when positive, is the long-segment shape: every crash segment
+	// runs at least this many epochs of AdvEvery ops before its crash point,
+	// far enough for the retire journal to recycle pages and rewrite
+	// recycled ones (epoch.JournalK); in a concurrent round worker 0 drives
+	// those advances beside the background advancer. 0 leaves the segment
+	// as Ops and AdvEvery make it; <0 = derive in [4K, 6K].
+	Epochs int
 }
 
 // Derive is the sentinel for "fill this field from the seed".
@@ -102,6 +110,10 @@ func Resolve(p RoundParams) RoundParams {
 	// consumed, so any draw appended after it keeps the stream position
 	// every recorded seed resolved with.
 	rng.next()
+	// Appended last, and used only when the caller asks for the
+	// long-segment shape: recorded seeds, corpus entries and replay lines
+	// carry Epochs = 0 and resolve to the rounds they always did.
+	epochsDraw := rng.next()
 
 	if p.KeySpace == 0 {
 		p.KeySpace = keyspace
@@ -153,17 +165,30 @@ func Resolve(p RoundParams) RoundParams {
 	if p.RWorkers == 0 {
 		p.RWorkers = []int{1, 2, 4, 8}[rworkersDraw%4]
 	}
+	if p.Epochs < 0 {
+		p.Epochs = 4*epoch.JournalK + int(epochsDraw%(2*epoch.JournalK+1))
+	}
+	if need := p.Epochs * p.AdvEvery; p.Workers <= 1 {
+		p.CrashAfter = max(p.CrashAfter, need) // the plain phase alone spans Epochs epochs
+	} else {
+		p.Ops = max(p.Ops, need)
+	}
 	return p
 }
 
 // ReplayString encodes fully resolved params as the argument of the
-// bdfuzz -replay flag.
+// bdfuzz -replay flag. epochs= appears only on long-segment rounds, so
+// every other round prints the line it always printed.
 func (p RoundParams) ReplayString() string {
-	return fmt.Sprintf(
+	s := fmt.Sprintf(
 		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f shards=%d async=%d engine=%s rworkers=%d",
 		p.Subject, p.Seed, p.Ops, p.Workers, p.KeySpace, p.Evict, p.CrashEvents,
 		p.CrashAfter, p.CrashStep, p.TailAdvances, p.AdvEvery, p.Spurious, p.MemType,
 		p.Shards, p.Async, p.Engine, p.RWorkers)
+	if p.Epochs != 0 {
+		s += fmt.Sprintf(" epochs=%d", p.Epochs)
+	}
+	return s
 }
 
 // ReplayCommand is the shell command that reproduces one round.
@@ -225,6 +250,8 @@ func ParseReplay(s string) (RoundParams, error) {
 			p.Engine = kv[1]
 		case "rworkers":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.RWorkers)
+		case "epochs":
+			_, err = fmt.Sscanf(kv[1], "%d", &p.Epochs)
 		case "fgl":
 		default:
 			return p, fmt.Errorf("crashfuzz: unknown replay field %q", kv[0])
@@ -355,9 +382,15 @@ type session struct {
 	opSeq    uint64
 	crashes  int
 	obs      *obs.Recorder
+	// recoverStep, when positive, makes crashCheck power-fail the recovery
+	// itself at its recoverStep-th persist event (if it has that many)
+	// and recover again before checking.
+	recoverStep int
 }
 
-func newSession(p RoundParams, sub Subject) *session {
+// newSession opens a session on a fresh heap of heapWords (a crash costs a
+// pass over the heap, which is most of what a short scripted run costs).
+func newSession(p RoundParams, sub Subject, heapWords int) *session {
 	s := &session{p: p, sub: sub, buffered: sub.Durability() == Buffered}
 	// Every round runs with telemetry and a live tracer attached, so the
 	// fuzzer also exercises the obs hooks across crash and recovery (the
@@ -366,7 +399,7 @@ func newSession(p RoundParams, sub Subject) *session {
 	s.obs.StartTrace(1 << 10)
 	sub.Init(Env{
 		Seed:            p.Seed,
-		HeapWords:       DefaultHeapWords,
+		HeapWords:       heapWords,
 		Workers:         1,
 		SpuriousRate:    p.Spurious,
 		MemTypeRate:     p.MemType,
@@ -444,7 +477,20 @@ func (s *session) crashCheck(midOp bool) error {
 	s.sub.Heap().SetPersistHook(nil)
 	s.crashes++
 	s.sub.Crash(nvm.CrashOptions{EvictFraction: s.p.Evict, Seed: Mix(s.p.Seed, 0xC0+uint64(s.crashes))})
-	if err := s.sub.Recover(); err != nil {
+	if s.recoverStep > 0 {
+		s.armHook(s.recoverStep)
+	}
+	err := s.sub.Recover()
+	if err != nil && s.recoverStep > 0 {
+		// The recovery died — at the hook, or of something the
+		// uninterrupted attempt will die of again and report. Power-cycle
+		// (which also disarms the hook) and recover from what it left.
+		s.crashes++
+		s.sub.Heap().Crash(nvm.CrashOptions{EvictFraction: s.p.Evict, Seed: Mix(s.p.Seed, 0xC0+uint64(s.crashes))})
+		err = s.sub.Recover()
+	}
+	s.sub.Heap().SetPersistHook(nil)
+	if err != nil {
 		return err
 	}
 
@@ -552,7 +598,7 @@ func subjectMsg(name string, err error) string {
 }
 
 func runSingle(p RoundParams, sub Subject) *Failure {
-	s := newSession(p, sub)
+	s := newSession(p, sub, DefaultHeapWords)
 	fail := func(err error) *Failure { return &Failure{Params: p, Msg: subjectMsg(sub.Name(), err)} }
 
 	opRNG := splitmix{s: Mix(p.Seed, 0x09)}
@@ -693,6 +739,9 @@ func runConcurrent(p RoundParams, sub Subject) *Failure {
 				for i := 0; i < p.Ops; i++ {
 					if panicMsg.Load() != nil {
 						break // another goroutine died; stop cleanly
+					}
+					if p.Epochs > 0 && w == 0 && i > 0 && i%p.AdvEvery == 0 {
+						sub.Advance() // long-segment shape: Epochs epochs whatever the scheduler does
 					}
 					r := rng.next()
 					k := (r >> 8) % p.KeySpace

@@ -131,7 +131,7 @@ func ReplayBytes(subject string, data []byte) *Failure {
 	names := durability.Names()
 	p.Engine = names[(p.Seed>>6)&7%uint64(len(names))]
 	p.RWorkers = 1 << ((p.Seed >> 9) & 3)
-	s := newSession(p, sub)
+	s := newSession(p, sub, DefaultHeapWords)
 	fail := func(err error) *Failure {
 		return &Failure{Params: p, Msg: fmt.Sprintf("%s (native fuzz input, seed 0x%x)", err, p.Seed)}
 	}

@@ -26,7 +26,7 @@ func (e *bdlEngine) Format(watermark uint64) {
 
 func (e *bdlEngine) Commit() {
 	e.commitStart()
-	e.applyShards(e.persist, e.retire)
+	e.applyShards(e.exts)
 	e.fence()
 	e.phase(obs.PhaseFlush)
 	e.heap.Store(WatermarkAddr, e.epoch)

@@ -24,9 +24,10 @@
 //
 // Every engine maintains the same external invariant the BDL recovery
 // scan relies on: at any crash point the durable watermark names an
-// epoch P whose writes (data extents and DELETED tombstones) are fully
-// persistent, and any partially-persisted later-epoch data is discarded
-// or resurrected by the palloc header judgment in epoch.Recover.
+// epoch P whose extents — tracked blocks, the epoch's retire-journal
+// pages, checkpointed headers; the engine does not tell them apart — are
+// fully persistent, and any partially-persisted later-epoch data is
+// discarded or resurrected by the judgment in epoch.Recover.
 package durability
 
 import (
@@ -71,11 +72,10 @@ const DefaultEngine = "bdl"
 // called concurrently for *distinct* shards (the engine may fan work out
 // internally):
 //
-//	Begin(x)                    open the commit for epoch x
-//	LogWrite(shard, ext, tomb)  declare one tracked extent (tomb marks a
-//	                            retired block's header extent)
-//	Commit()                    make every declared extent and the
-//	                            watermark x durable
+//	Begin(x)              open the commit for epoch x
+//	LogWrite(shard, ext)  declare one extent of the epoch
+//	Commit()              make every declared extent and the
+//	                      watermark x durable
 //
 // Format initializes a fresh heap's engine words (the caller flushes
 // the root line and fences). Recover repairs the persistent image after
@@ -93,7 +93,7 @@ type Engine interface {
 	FencesPerCommit() int64
 	Format(watermark uint64)
 	Begin(epoch uint64)
-	LogWrite(shard int, ext nvm.Extent, tombstone bool)
+	LogWrite(shard int, ext nvm.Extent)
 	Commit()
 	Watermark() uint64
 	Recover() uint64
@@ -148,8 +148,6 @@ func New(name string, h *nvm.Heap, shards int, rec *obs.Recorder) (Engine, error
 		return nil, fmt.Errorf("durability: unknown engine %q (have %v)", name, Names())
 	}
 	b.heap, b.rec, b.shards = h, rec, shards
-	b.persist = make([][]nvm.Extent, shards)
-	b.retire = make([][]nvm.Extent, shards)
 	b.exts = make([][]nvm.Extent, shards)
 	return e, nil
 }
@@ -174,9 +172,7 @@ type base struct {
 	epoch uint64
 	t     int64 // obs timestamp chained through the commit's phase samples
 
-	persist [][]nvm.Extent // per shard, write-back extents
-	retire  [][]nvm.Extent // per shard, tombstone (retired header) extents
-	exts    [][]nvm.Extent // per shard, applyShard's merged batch (scratch)
+	exts [][]nvm.Extent // per shard, the open commit's extents
 
 	watermark atomic.Uint64
 
@@ -204,12 +200,8 @@ func (b *base) Begin(epoch uint64) {
 	b.t = b.rec.Now()
 }
 
-func (b *base) LogWrite(shard int, ext nvm.Extent, tombstone bool) {
-	if tombstone {
-		b.retire[shard] = append(b.retire[shard], ext)
-	} else {
-		b.persist[shard] = append(b.persist[shard], ext)
-	}
+func (b *base) LogWrite(shard int, ext nvm.Extent) {
+	b.exts[shard] = append(b.exts[shard], ext)
 }
 
 // format writes the watermark and engine-identity root words. The
@@ -239,9 +231,8 @@ func (b *base) checkID(id uint64, name string) {
 
 // reset drops the committed batches, keeping capacity.
 func (b *base) reset() {
-	for sh := range b.persist {
-		b.persist[sh] = b.persist[sh][:0]
-		b.retire[sh] = b.retire[sh][:0]
+	for sh := range b.exts {
+		b.exts[sh] = b.exts[sh][:0]
 	}
 }
 
@@ -282,17 +273,15 @@ func (b *base) phase(p obs.EpochPhase) {
 }
 
 // applyShards writes the per-shard extent batches back to the
-// persistent image — write-back extents first, then tombstone extents,
-// one FlushExtents batch per shard, fanned out in parallel when sharded.
-// This is exactly the write-back fan-out the pre-engine epoch system
-// performed: one PhaseShardFlush sample is recorded per shard per call
-// even when the shard is empty (sample counts stay proportional to
-// advances), per-shard MFlushedBlocks counts write-back extents only,
-// and a crash-simulation panic on a shard goroutine is re-raised on the
-// caller's goroutine. It does not fence.
-func (b *base) applyShards(persist, retire [][]nvm.Extent) {
+// persistent image, one FlushExtents batch per shard, fanned out in
+// parallel when sharded. This is exactly the write-back fan-out the
+// pre-engine epoch system performed: one PhaseShardFlush sample is
+// recorded per shard per call even when the shard is empty (sample counts
+// stay proportional to advances), and a crash-simulation panic on a shard
+// goroutine is re-raised on the caller's goroutine. It does not fence.
+func (b *base) applyShards(exts [][]nvm.Extent) {
 	if b.shards == 1 {
-		b.applyShard(0, persist[0], retire[0])
+		b.applyShard(0, exts[0])
 		return
 	}
 	var wg sync.WaitGroup
@@ -306,7 +295,7 @@ func (b *base) applyShards(persist, retire [][]nvm.Extent) {
 					firstPanic.CompareAndSwap(nil, &r)
 				}
 			}()
-			b.applyShard(sh, persist[sh], retire[sh])
+			b.applyShard(sh, exts[sh])
 		}(sh)
 	}
 	wg.Wait()
@@ -317,19 +306,12 @@ func (b *base) applyShards(persist, retire [][]nvm.Extent) {
 	}
 }
 
-func (b *base) applyShard(sh int, persist, retire []nvm.Extent) {
+func (b *base) applyShard(sh int, exts []nvm.Extent) {
 	o := b.rec
 	t := o.Now()
-	// Both batches go through one FlushExtents call — one sorted pass, one
-	// XPLine coalescing window — from a buffer the shard keeps.
-	exts := append(append(b.exts[sh][:0], persist...), retire...)
-	b.exts[sh] = exts
 	b.heap.FlushExtents(exts)
 	b.countFlushes(uint64(sh), int64(len(exts)))
 	if o != nil {
-		if n := int64(len(persist)); n != 0 {
-			o.MetricAdd(obs.MFlushedBlocks, uint64(sh), n)
-		}
 		o.Phase(obs.PhaseShardFlush, uint64(sh), t)
 	}
 }

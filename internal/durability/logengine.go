@@ -64,11 +64,10 @@ type logEngine struct {
 	entries []logEntry // scratch, rebuilt each commit
 }
 
-// logEntry is one tracked extent queued for the open commit.
+// logEntry is one extent queued for the open commit.
 type logEntry struct {
 	shard int
 	ext   nvm.Extent
-	tomb  bool
 }
 
 func (e *logEngine) Name() string { return e.name }
@@ -101,21 +100,17 @@ func (e *logEngine) Format(watermark uint64) {
 }
 
 // Commit makes the epoch's extents and the watermark durable through
-// the engine's log discipline. Entries are written shard-major (write
-// back extents before tombstones within a shard, matching the BDL
-// write-back composition); when the next entry would overflow the log
-// region the current segment is sealed — logged, fenced and applied
-// per the discipline — and the log restarts (a "spill", surcharged on
-// the fence budget and counted in Accounting.Spills).
+// the engine's log discipline. Entries are written shard-major; when the
+// next entry would overflow the log region the current segment is sealed
+// — logged, fenced and applied per the discipline — and the log restarts
+// (a "spill", surcharged on the fence budget and counted in
+// Accounting.Spills).
 func (e *logEngine) Commit() {
 	e.commitStart()
 	e.entries = e.entries[:0]
 	for sh := 0; sh < e.shards; sh++ {
-		for _, ex := range e.persist[sh] {
+		for _, ex := range e.exts[sh] {
 			e.entries = append(e.entries, logEntry{shard: sh, ext: ex})
-		}
-		for _, ex := range e.retire[sh] {
-			e.entries = append(e.entries, logEntry{shard: sh, ext: ex, tomb: true})
 		}
 	}
 
@@ -143,18 +138,14 @@ func (e *logEngine) Commit() {
 	e.reset()
 }
 
-// writeEntry stores one entry at pos: a header word (address, length,
-// tombstone flag) followed by the extent's payload — the current
+// writeEntry stores one entry at pos: a header word (address, length)
+// followed by the extent's payload — the current
 // volatile values for the redo family, the persistent-image pre-images
 // for undo (read before this segment's apply, so rollback restores the
 // media state the commit found).
 func (e *logEngine) writeEntry(pos nvm.Addr, en logEntry) nvm.Addr {
 	h := e.heap
-	hdr := uint64(en.ext.Addr)<<16 | uint64(en.ext.Words)<<1
-	if en.tomb {
-		hdr |= 1
-	}
-	h.Store(pos, hdr)
+	h.Store(pos, uint64(en.ext.Addr)<<16|uint64(en.ext.Words))
 	for i := 0; i < en.ext.Words; i++ {
 		var v uint64
 		if e.disc == discUndo {
@@ -234,14 +225,9 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		state |= recFinalBit
 	}
 
-	persist := make([][]nvm.Extent, e.shards)
-	retire := make([][]nvm.Extent, e.shards)
+	exts := make([][]nvm.Extent, e.shards)
 	for _, en := range entries {
-		if en.tomb {
-			retire[en.shard] = append(retire[en.shard], en.ext)
-		} else {
-			persist[en.shard] = append(persist[en.shard], en.ext)
-		}
+		exts[en.shard] = append(exts[en.shard], en.ext)
 	}
 
 	switch e.disc {
@@ -252,7 +238,7 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		e.writeRecord(end, state)
 		e.fence()
 		// F2: the data write-back is durable.
-		e.applyShards(persist, retire)
+		e.applyShards(exts)
 		e.fence()
 		// F3: disarm strictly before the watermark advances, so "record
 		// armed" always implies "watermark still behind" — a crash
@@ -268,7 +254,7 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		e.fence() // F1: entries durable
 		e.writeRecord(end, state)
 		e.fence() // F2: commit point
-		e.applyShards(persist, retire)
+		e.applyShards(exts)
 		e.fence() // F3: data durable
 		if final {
 			e.bumpWatermark(e.epoch)
@@ -279,7 +265,7 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		e.flushLog(end)
 		e.writeRecord(end, state)
 		e.fence() // F1: commit point (entries program-ordered before the record)
-		e.applyShards(persist, retire)
+		e.applyShards(exts)
 		if final {
 			e.bumpWatermark(e.epoch)
 		}
@@ -294,7 +280,7 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		// once the next commit starts rewriting the entry area.
 		e.flushLog(end)
 		e.writeRecord(end, state)
-		e.applyShards(persist, retire)
+		e.applyShards(exts)
 		if final {
 			e.bumpWatermark(e.epoch)
 		}
@@ -363,7 +349,7 @@ func (e *logEngine) replay(words nvm.Addr, reverse bool) {
 	for pos := logEntriesAddr; pos < logEntriesAddr+words; {
 		hdr := h.Load(pos)
 		a := nvm.Addr(hdr >> 16)
-		w := int(hdr >> 1 & 0x7fff)
+		w := int(hdr & 0xffff)
 		if w <= 0 || pos+1+nvm.Addr(w) > logEntriesAddr+words {
 			break // defensive: the checksum should have rejected a torn log
 		}

@@ -28,6 +28,9 @@
 //     SetEpochTx just before use (Listing 1);
 //   - persistence (PTrack) and reclamation (PRetire) of blocks touched by
 //     a transaction are deferred until after the transaction commits;
+//     a retirement becomes durable as a record in the closing epoch's
+//     retire journal (journal.go), not as a write-back of the retired
+//     block's header;
 //   - updating a block that a later epoch already modified is forbidden —
 //     structures abort with ErrOldSeeNew (the OldSeeNewException) and
 //     restart in the current epoch.
@@ -160,6 +163,20 @@ type Stats struct {
 	RecoveryRebuildNS int64
 	RecoveryWorkers   int
 
+	// Retire-journal traffic: records appended (one per retired block, at
+	// the close of its epoch) and block headers checkpointed when a page
+	// was recycled with the record still judging the media. The rest of
+	// the recycled records were superseded by a reallocation for free.
+	JournalRecords     int64
+	JournalCheckpoints int64
+
+	// What Recover found in the journal (zero for systems created by
+	// New): pages at or below the recovered watermark whose records it
+	// read, blocks those records reclaimed, and rolled-back pages erased.
+	JournalPagesRead      int64
+	JournalRecordsApplied int64
+	JournalPagesErased    int64
+
 	Shards       int   // persistence-path shard count (Config.Shards)
 	Backpressure int64 // advances that waited for the flusher goroutine to land the previous epoch
 	AdvanceP99NS int64 // p99 of AdvanceOnce wall time, nanoseconds
@@ -242,6 +259,12 @@ type System struct {
 	shardCtrs []shardCtr    // per-shard flushed/retired/freed
 	advSeq    atomic.Uint64 // seqlock over each task's counter burst
 	advHist   obs.Hist      // AdvanceOnce wall-time distribution
+
+	journal            journal // the flusher's retire-journal state (journal.go)
+	journalRecords     atomic.Int64
+	journalCheckpoints atomic.Int64
+	// Set once by Recover, before the system is shared.
+	journalPagesRead, journalRecordsApplied, journalPagesErased int64
 
 	// closedNS[e%numSlots] is the obs-clock time epoch e stopped being
 	// active, consumed by runTask for the durable-lag gauge.
@@ -482,6 +505,8 @@ func (s *System) Stats() Stats {
 		st.Advances = s.advances.Load()
 		st.Backpressure = s.backpressure.Load()
 		ps := make([]ShardCounters, s.cfg.Shards)
+		st.JournalRecords = s.journalRecords.Load()
+		st.JournalCheckpoints = s.journalCheckpoints.Load()
 		var flushed, freed int64
 		for i := range ps {
 			ps[i].FlushedBlocks = s.shardCtrs[i].flushed.Load()
@@ -504,6 +529,9 @@ func (s *System) Stats() Stats {
 	}
 	st.Resurrected = s.resurrected.Load()
 	st.RecoveredLive = s.recoveredLive.Load()
+	st.JournalPagesRead = s.journalPagesRead
+	st.JournalRecordsApplied = s.journalRecordsApplied
+	st.JournalPagesErased = s.journalPagesErased
 	st.RecoveryScanNS = s.recoveryScanNS.Load()
 	st.RecoveryRebuildNS = s.recoveryRebuildNS.Load()
 	if st.RecoveryScanNS > 0 {
@@ -544,9 +572,9 @@ func (s *System) Stop() {
 //  2. publish the new active epoch e+1;
 //  3. hand epoch e — which quiesces once its in-flight operations drain —
 //     to the flusher, whose task (runTask) flushes every NVM write tracked
-//     in e and the DELETED markers of blocks retired in e, fanned out
-//     across Config.Shards, durably advances the watermark to e, and
-//     reclaims e's retired blocks.
+//     in e, fanned out across Config.Shards, and the journal pages
+//     recording the blocks retired in e, durably advances the watermark
+//     to e, and reclaims e's retired blocks.
 //
 // So the flush of e overlaps execution of e+1: between advances
 // PersistedEpoch is GlobalEpoch-1 once the flush has landed and
@@ -605,10 +633,10 @@ func (s *System) stampClosed(e uint64) {
 }
 
 // runTask persists epoch x: it waits for x to quiesce, collects every
-// worker's tracked blocks for x partitioned by flusher shard, hands
-// them to the durability engine (which writes them back and durably
-// advances the watermark to x in its own discipline), and reclaims x's
-// retired blocks shard-locally. Callers
+// worker's tracked blocks for x partitioned by flusher shard, journals
+// x's retirements, hands the lot to the durability engine (which writes
+// it back and durably advances the watermark to x in its own
+// discipline), and reclaims x's retired blocks shard-locally. Callers
 // serialize tasks (advMu, or the flusher/pendEpoch hand-off protocol)
 // and guarantee x < the active epoch.
 func (s *System) runTask(x uint64) {
@@ -639,13 +667,15 @@ func (s *System) runTask(x uint64) {
 		buf.retire = buf.retire[:0]
 	}
 
-	// (3)+(4) Hand the epoch's tracked extents to the durability engine,
+	// (3)+(4) Hand the epoch's extents — tracked blocks, then the journal's
+	// pages and checkpoints — to the durability engine,
 	// which makes them and the watermark durable in its own discipline
 	// (for BDL: the per-shard write-back fan-out, one combining fence,
 	// and a flushed watermark bump — the engine also records the
 	// PhaseFlush/PhaseRoot samples at the matching points). Under eADR
 	// the engine is skipped entirely: every store is already durable and
 	// only the watermark word needs recording.
+	var records, checkpoints int64
 	if !s.eadr() {
 		s.eng.Begin(x)
 		// Per-block header reads dominate collection, so fan the shard
@@ -654,12 +684,7 @@ func (s *System) runTask(x uint64) {
 		collect := func(sh int) {
 			for _, b := range persist[sh] {
 				hdr := s.alloc.ReadHeader(b)
-				s.eng.LogWrite(sh, nvm.Extent{Addr: b, Words: palloc.ClassWords(hdr.Class)}, false)
-			}
-			for _, b := range retire[sh] {
-				// Header word + delete-epoch word — 4-word block alignment
-				// keeps the pair on one line.
-				s.eng.LogWrite(sh, nvm.Extent{Addr: b, Words: 2}, true)
+				s.eng.LogWrite(sh, nvm.Extent{Addr: b, Words: palloc.ClassWords(hdr.Class)})
 			}
 			flushed[sh] = int64(len(persist[sh]))
 		}
@@ -676,6 +701,7 @@ func (s *System) runTask(x uint64) {
 			}
 			wg.Wait()
 		}
+		records, checkpoints = s.journalEpoch(x, retire)
 		s.eng.Commit()
 		s.persisted.Store(s.eng.Watermark())
 		s.notifyDurable(s.eng.Watermark())
@@ -701,7 +727,7 @@ func (s *System) runTask(x uint64) {
 		}
 	}
 
-	// (5) Blocks retired in x are now reclaimable: their DELETED markers
+	// (5) Blocks retired in x are now reclaimable: their journal records
 	// and the root above are durable, so no recovery can resurrect them.
 	// Each shard frees into its own allocator magazine, off the other
 	// shards' locks.
@@ -733,13 +759,20 @@ func (s *System) runTask(x uint64) {
 		s.shardCtrs[sh].flushed.Add(flushed[sh])
 		s.shardCtrs[sh].freed.Add(int64(len(retire[sh])))
 	}
+	s.journalRecords.Add(records)
+	s.journalCheckpoints.Add(checkpoints)
 	s.advSeq.Add(1)
 	if o != nil {
 		for sh := 0; sh < shards; sh++ {
+			if f := flushed[sh]; f != 0 {
+				o.MetricAdd(obs.MFlushedBlocks, uint64(sh), f)
+			}
 			if f := int64(len(retire[sh])); f != 0 {
 				o.MetricAdd(obs.MFreedBlocks, uint64(sh), f)
 			}
 		}
+		o.MetricAdd(obs.MJournalRecords, 0, records)
+		o.MetricAdd(obs.MJournalCheckpoints, 0, checkpoints)
 		o.Phase(obs.PhaseReclaim, x, t)
 	}
 }

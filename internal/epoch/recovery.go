@@ -48,9 +48,19 @@ func (l *recordList) add(r BlockRecord) {
 // Sec. 5.2:
 //
 //   - the persisted global epoch P is read from the durable root;
-//   - ALLOCATED blocks whose epoch is at most P are recovered;
-//   - DELETED blocks whose deletion epoch did not persist (d > P) but
-//     whose creation did (epoch ≤ P) are resurrected;
+//   - the retire journal is read: pages of epochs ≤ P give, per block, the
+//     newest journaled retirement epoch d; pages of later epochs are
+//     erased (recoverJournal);
+//   - ALLOCATED blocks whose epoch is at most P are recovered — unless
+//     the journal holds a retirement d ≥ that epoch, which is how a
+//     persisted deletion normally reads, the retired block's own header
+//     never having been written back. A retirement older than the block's
+//     creation epoch belongs to an earlier incarnation of the address (a
+//     block is freed, and so reused, only after its retirement is durable)
+//     and judges nothing;
+//   - DELETED blocks — a stray write-back carried PRetire's mark to the
+//     media — whose deletion epoch did not persist (d > P) but whose
+//     creation did (epoch ≤ P) are resurrected;
 //   - everything else — blocks with invalid epochs (preallocated but
 //     unused), blocks created in unpersisted epochs, and blocks whose
 //     deletion persisted — is reclaimed by the allocator.
@@ -59,13 +69,16 @@ func (l *recordList) add(r BlockRecord) {
 // reconstruct its DRAM index; calls are made from a single goroutine,
 // in address order, after the header scan completes.
 // On an eADR heap every store was durable at the point of visibility, so
-// all ALLOCATED blocks are recovered regardless of epoch.
+// all ALLOCATED blocks are recovered regardless of epoch, and there is no
+// journal: the DELETED marks themselves are durable.
 //
 // With cfg.RecoveryWorkers > 1 the header scan is partitioned across
 // that many goroutines by slab range (the judgment above is independent
-// per block); the engine's media repair stays serial, resurrection
-// write-backs from all workers are batched through nvm.FlushExtents
-// under the single trailing fence, and per-worker results are merged in
+// per block, against a journal index built before the scan and only read
+// during it); the engine's media repair and the journal read stay serial,
+// resurrection write-backs from all workers and the journal's erasures
+// are batched through nvm.FlushExtents under the single trailing fence,
+// and per-worker results are merged in
 // slab order, so the rebuilt state — persistent image, allocator free
 // lists, and the rebuild-record sequence — is bit-identical to the
 // serial scan's.
@@ -88,6 +101,13 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	p := s.eng.Recover()
 	s.global.Store(p + 2)
 	s.persisted.Store(p)
+	var (
+		retired journalIndex
+		erase   []nvm.Extent
+	)
+	if !eadr {
+		retired, erase = s.recoverJournal(p)
+	}
 
 	// Per-worker accumulators. Workers own contiguous ascending slab
 	// ranges, so concatenating in worker order reproduces the serial
@@ -98,6 +118,8 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 		recs      recordList
 		resurrect []nvm.Extent
 		sinceTick int
+		cursor    int   // this worker's position in the journal index
+		journaled int64 // blocks a journal record reclaimed
 	}
 	ws := make([]workerState, workers)
 	judge := func(w int, bi palloc.BlockInfo) bool {
@@ -116,6 +138,10 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 		case palloc.Allocated:
 			if !eadr && hdr.Epoch > p {
 				return false // created in an unpersisted epoch
+			}
+			if d, ok := retired.retiredAt(&st.cursor, bi.Addr); ok && d >= hdr.Epoch {
+				st.journaled++
+				return false // retired in a persisted epoch
 			}
 			s.recoveredLive.Add(1)
 			if rebuild != nil {
@@ -164,6 +190,11 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 		if len(ws[i].resurrect) > 0 {
 			h.FlushExtents(ws[i].resurrect)
 		}
+		s.journalRecordsApplied += ws[i].journaled
+	}
+	if len(erase) > 0 {
+		h.FlushExtents(erase)
+		s.journalPagesErased = int64(len(erase))
 	}
 	h.Fence()
 	s.recoveryScanNS.Store(max(time.Since(scanStart).Nanoseconds(), 1))

@@ -123,18 +123,22 @@ func (w *Worker) PTrack(b Block) {
 	buf.persist = append(buf.persist, b.addr)
 }
 
-// PRetire tracks a block for future reclamation: it durably marks the
-// block DELETED in the current operation's epoch and defers the actual
-// free until that epoch has persisted (two epochs later). Call it after
-// the transaction that unlinked the block has committed; exactly one
-// operation may retire a given block.
+// PRetire tracks a block for future reclamation: it marks the block
+// DELETED in the current operation's epoch and defers the actual free
+// until that epoch has persisted (two epochs later). The mark is a store to
+// the volatile view only — what makes the retirement durable is the record
+// the flusher writes to the retire journal when the epoch closes — but a
+// neighbour's flush or an eviction may still carry it to the media, where
+// recovery's DELETED branch judges it. Call PRetire after the transaction
+// that unlinked the block has committed; exactly one operation may retire
+// a given block.
 func (w *Worker) PRetire(b Block) {
 	al := w.sys.alloc
 	// Delete epoch first, DELETED mark second: the block's line can be
-	// written back between the two stores (a neighbour's allocation flush,
-	// the flusher), and a DELETED header over a not-yet-written delete
-	// epoch reads as a deletion that persisted — recovery would reclaim a
-	// block whose removal never became durable.
+	// written back between the two stores (a neighbour's creation flush,
+	// a journal checkpoint), and a DELETED header over a not-yet-written
+	// delete epoch reads as a deletion that persisted — recovery would
+	// reclaim a block whose removal never became durable.
 	al.SetDeleteEpoch(b.addr, w.opEpoch)
 	hdr := al.ReadHeader(b.addr)
 	hdr.Status = palloc.Deleted

@@ -323,6 +323,15 @@ func TestPerShardStatsParity(t *testing.T) {
 			if st.RetiredBlocks == 0 {
 				t.Error("scripted upserts retired no blocks; parity check is vacuous")
 			}
+			// The journal's counters: one record per retirement once every
+			// retire epoch has been flushed, and journal pages are not blocks
+			// (the flushed parity above would be off by the page count).
+			if got := rec.Metric(obs.MJournalRecords); got != st.JournalRecords || got != st.RetiredBlocks {
+				t.Errorf("obs journal records %d, epoch stats %d, retired %d: want all equal", got, st.JournalRecords, st.RetiredBlocks)
+			}
+			if got := rec.Metric(obs.MJournalCheckpoints); got != st.JournalCheckpoints {
+				t.Errorf("obs journal checkpoints %d != epoch stats %d", got, st.JournalCheckpoints)
+			}
 		})
 	}
 }

@@ -208,6 +208,13 @@ const (
 	MFallbackLines    // versioned-lock slots acquired by fallback sessions
 	MFallbackBlocked  // transaction aborts caused by a fallback-held line
 
+	// Retire-journal counters (appended; enum order is part of the trace
+	// format), the flusher's counterparts of MRetiredBlocks: the epoch
+	// system bumps them once per flush task, on lane 0 — the journal is
+	// written serially.
+	MJournalRecords     // retirements appended to the journal at epoch close
+	MJournalCheckpoints // block headers flushed when a journal page was recycled
+
 	NumMetrics
 )
 
@@ -261,6 +268,10 @@ func (m Metric) String() string {
 		return "fallback-lines"
 	case MFallbackBlocked:
 		return "fallback-blocked"
+	case MJournalRecords:
+		return "journal-records"
+	case MJournalCheckpoints:
+		return "journal-checkpoints"
 	default:
 		return fmt.Sprintf("Metric(%d)", uint8(m))
 	}

@@ -12,6 +12,10 @@
 // that judgment is where the epoch system implements buffered-durability
 // recovery (Sec. 5.2 of the paper).
 //
+// One slab class is reserved: a journal slab holds no blocks, only the
+// epoch system's retire-journal pages (FormatJournalSlab, JournalSlabs).
+// Every block scan skips it; FootprintBytes counts it.
+//
 // As with real NVM allocators, Alloc and Free flush the headers they
 // modify. Those flushes are exactly why allocation must happen *outside*
 // hardware transactions (the paper's preallocation pattern, Listing 1).
@@ -35,7 +39,9 @@ const (
 	// Allocated blocks belong to the application.
 	Allocated
 	// Deleted blocks have been logically freed but are retained for
-	// crash recovery until their deletion epoch persists.
+	// crash recovery until their deletion epoch persists. The epoch system
+	// sets the mark in the volatile view only; it is on the media only when
+	// a write-back of the line happened to carry it.
 	Deleted
 )
 
@@ -117,7 +123,18 @@ const (
 	slabMagic      = uint64(0x51ab0000) << 32
 	slabMagicMask  = uint64(0xffffffff) << 32
 	slabClassShift = 0
+
+	// journalClass is the slab-header class of a journal slab: not a size
+	// class — the slab's first XPLine is its header, the rest belongs to
+	// whoever formatted it.
+	journalClass = 0x3f
 )
+
+// slabClass decodes a slab header word: ok reports a formatted slab,
+// class its size class or journalClass.
+func slabClass(sh uint64) (class int, ok bool) {
+	return int(sh >> slabClassShift & 0x3f), sh&slabMagicMask == slabMagic
+}
 
 // Allocator manages the portion of a heap above the root words.
 type Allocator struct {
@@ -183,6 +200,13 @@ func (al *Allocator) formatSlab(class int) nvm.Addr {
 	al.formatted++
 	// Durable slab header: magic + class.
 	al.heap.Store(base+slabHeaderOff, slabMagic|uint64(class)<<slabClassShift)
+	if class == journalClass {
+		// Nothing else to initialize: a journal page is valid only once its
+		// own header word says so, and no page is written before this fence.
+		al.heap.Flush(base + slabHeaderOff)
+		al.heap.Fence()
+		return base
+	}
 	// Initialize every block header to FREE so the recovery scan reads
 	// coherent state.
 	n := slabCap(class)
@@ -193,6 +217,40 @@ func (al *Allocator) formatSlab(class int) nvm.Addr {
 	al.heap.FlushRange(base, slabWords)
 	al.heap.Fence()
 	return base
+}
+
+// journalArea is the part of a journal slab its owner may write: everything
+// past the slab header's XPLine.
+func journalArea(base nvm.Addr) nvm.Extent {
+	return nvm.Extent{Addr: base + nvm.XPLineWords, Words: slabWords - nvm.XPLineWords}
+}
+
+// FormatJournalSlab dedicates the next unformatted slab to the epoch
+// system's retire journal and returns its XPLine-aligned writable area.
+// Like any slab it is formatted durably, in address order, and never
+// returned.
+func (al *Allocator) FormatJournalSlab() nvm.Extent {
+	al.mu.Lock()
+	defer al.mu.Unlock()
+	return journalArea(al.formatSlab(journalClass))
+}
+
+// JournalSlabs returns the writable areas of the formatted journal slabs,
+// in address order, read from the slab headers (so after a crash it sees
+// the persisted ones). It must not run concurrently with slab formatting.
+func (al *Allocator) JournalSlabs() []nvm.Extent {
+	var areas []nvm.Extent
+	for s := 0; s < al.slabs; s++ {
+		base := al.start + nvm.Addr(s*slabWords)
+		class, ok := slabClass(al.heap.Load(base + slabHeaderOff))
+		if !ok {
+			break
+		}
+		if class == journalClass {
+			areas = append(areas, journalArea(base))
+		}
+	}
+	return areas
 }
 
 // Alloc returns an ALLOCATED block of the given class, tagged with
@@ -221,8 +279,9 @@ func (al *Allocator) AllocShard(class int, tag uint8, shard int) nvm.Addr {
 
 	// Ralloc-style lazy persistence: the header is NOT flushed here. If
 	// the block never reaches a persisted epoch, the media still holds
-	// its previous durable state (FREE from slab formatting, or DELETED
-	// from a persisted retirement) and recovery reclaims it; when the
+	// its previous durable state (FREE from slab formatting or a
+	// recovery's reclaim, or the incarnation whose persisted retirement
+	// the epoch system's journal records) and recovery reclaims it; when the
 	// block does persist, the epoch system's flush covers the whole
 	// block, header included. Keeping this store volatile removes a
 	// flush+fence from every allocation — the cost the paper attributes
@@ -309,8 +368,7 @@ func (al *Allocator) ReadHeader(b nvm.Addr) Header {
 }
 
 // WriteHeader stores a new header for b without flushing. Callers that
-// need durability (e.g. pRetire marking DELETED) flush separately or defer
-// to the epoch system.
+// need durability flush separately or defer to the epoch system.
 func (al *Allocator) WriteHeader(b nvm.Addr, h Header) {
 	al.heap.Store(b, h.Pack())
 }
@@ -321,8 +379,9 @@ func Payload(b nvm.Addr) nvm.Addr { return b + HeaderWords }
 // DeleteEpoch reads the block's durable deletion-epoch word.
 func (al *Allocator) DeleteEpoch(b nvm.Addr) uint64 { return al.heap.Load(b + 1) }
 
-// SetDeleteEpoch stores the block's deletion-epoch word (not flushed; the
-// epoch system flushes it with the retire batch).
+// SetDeleteEpoch stores the block's deletion-epoch word (not flushed: the
+// epoch system makes a retirement durable through its retire journal, and
+// this word reaches the media only on a stray write-back of the line).
 func (al *Allocator) SetDeleteEpoch(b nvm.Addr, e uint64) { al.heap.Store(b+1, e) }
 
 // LiveBlocks returns the number of currently allocated (or deleted but not
@@ -358,11 +417,13 @@ type BlockInfo struct {
 func (al *Allocator) Scan(fn func(BlockInfo)) {
 	for s := 0; s < al.slabs; s++ {
 		base := al.start + nvm.Addr(s*slabWords)
-		sh := al.heap.Load(base + slabHeaderOff)
-		if sh&slabMagicMask != slabMagic {
+		class, ok := slabClass(al.heap.Load(base + slabHeaderOff))
+		if !ok {
 			break
 		}
-		class := int(sh >> slabClassShift & 0x3f)
+		if class == journalClass {
+			continue
+		}
 		n := slabCap(class)
 		for i := 0; i < n; i++ {
 			b := base + slabBlocksOff + nvm.Addr(i*classWords[class])
@@ -400,12 +461,15 @@ func (al *Allocator) Recover(judge func(BlockInfo) bool) {
 	}
 	for s := 0; s < al.slabs; s++ {
 		base := al.start + nvm.Addr(s*slabWords)
-		sh := al.heap.Load(base + slabHeaderOff)
-		if sh&slabMagicMask != slabMagic {
+		class, ok := slabClass(al.heap.Load(base + slabHeaderOff))
+		if !ok {
 			break // first unformatted slab: formatting is sequential
 		}
 		al.formatted = s + 1
-		class := int(sh >> slabClassShift & 0x3f)
+		if class == journalClass {
+			al.scanSlabs.Add(1)
+			continue
+		}
 		n := slabCap(class)
 		for i := 0; i < n; i++ {
 			b := base + slabBlocksOff + nvm.Addr(i*classWords[class])

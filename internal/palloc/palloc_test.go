@@ -2,6 +2,7 @@ package palloc
 
 import (
 	"math/rand/v2"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -319,5 +320,76 @@ func TestOutOfMemoryPanics(t *testing.T) {
 	}()
 	for i := 0; i < 1<<20; i++ {
 		al.Alloc(5, 0) // large class exhausts quickly
+	}
+}
+
+// TestJournalSlabsAreSkippedAndCounted: a journal slab between two block
+// slabs is invisible to every block scan — whatever its owner wrote there —
+// is found again from the slab headers after a crash, and counts towards
+// the footprint like any other slab.
+func TestJournalSlabsAreSkippedAndCounted(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 16})
+	al := New(h)
+	before := al.Alloc(0, 1)
+	h.Store(before, Header{Status: Allocated, Tag: 1, Epoch: 3}.Pack())
+	h.FlushRange(before, 4)
+
+	area := al.FormatJournalSlab()
+	if area.Addr%nvm.XPLineWords != 0 || area.Words != slabWords-nvm.XPLineWords {
+		t.Fatalf("journal area %+v: want XPLine-aligned, one XPLine short of a slab", area)
+	}
+	// Fill the area with words that would read as ALLOCATED class-0 block
+	// headers if a scan walked it.
+	for i := 0; i < area.Words; i++ {
+		h.Store(area.Addr+nvm.Addr(i), Header{Status: Allocated, Tag: 9, Epoch: 1}.Pack())
+	}
+	h.FlushRange(area.Addr, area.Words)
+
+	// Exhaust the first block slab so the next allocation formats a third.
+	var after nvm.Addr
+	for al.FootprintBytes() < 3*slabWords*nvm.WordBytes {
+		after = al.Alloc(0, 2)
+	}
+	h.Store(after, Header{Status: Allocated, Tag: 2, Epoch: 3}.Pack())
+	h.FlushRange(after, 4)
+	h.Fence()
+	h.Crash(nvm.CrashOptions{})
+
+	for _, workers := range []int{0, 1, 3} {
+		al2 := New(h)
+		if got := al2.JournalSlabs(); len(got) != 1 || got[0] != area {
+			t.Fatalf("JournalSlabs() after crash = %+v, want [%+v]", got, area)
+		}
+		var seen []uint8
+		judge := func(bi BlockInfo) bool {
+			seen = append(seen, bi.Header.Tag)
+			return true
+		}
+		switch workers {
+		case 0:
+			al2.Recover(judge)
+		default:
+			var mu sync.Mutex
+			al2.RecoverParallel(workers, func(_ int, bi BlockInfo) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return judge(bi)
+			})
+		}
+		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
+		if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
+			t.Fatalf("workers=%d: judged tags %v, want the two flushed blocks [1 2] and nothing from the journal slab", workers, seen)
+		}
+		if got := al2.FootprintBytes(); got != 3*slabWords*nvm.WordBytes {
+			t.Fatalf("workers=%d: footprint %d, want 3 slabs (journal slab included)", workers, got)
+		}
+		n := 0
+		al2.Scan(func(BlockInfo) { n++ })
+		if n != 2 {
+			t.Fatalf("workers=%d: Scan visited %d blocks, want 2", workers, n)
+		}
+		if h.Load(area.Addr) != (Header{Status: Allocated, Tag: 9, Epoch: 1}.Pack()) {
+			t.Fatalf("workers=%d: recovery wrote into the journal area", workers)
+		}
 	}
 }

@@ -19,8 +19,7 @@ const reclaimBatch = 256
 func (al *Allocator) formattedSlabs() int {
 	n := 0
 	for s := 0; s < al.slabs; s++ {
-		sh := al.heap.Load(al.start + nvm.Addr(s*slabWords) + slabHeaderOff)
-		if sh&slabMagicMask != slabMagic {
+		if _, ok := slabClass(al.heap.Load(al.start + nvm.Addr(s*slabWords) + slabHeaderOff)); !ok {
 			break
 		}
 		n = s + 1
@@ -75,11 +74,14 @@ func (al *Allocator) ScanParallel(workers int, fn func(worker int, bi BlockInfo)
 // appended to free[class] (when free != nil), non-FREE blocks go to
 // judge; a false verdict reclaims the block (marked FREE, extent queued
 // on *reclaim for a batched flush) and frees it. With free == nil the
-// walk is read-only and judge's verdict is ignored.
+// walk is read-only and judge's verdict is ignored. A journal slab has no
+// blocks to walk.
 func (al *Allocator) scanSlab(s int, judge func(BlockInfo) bool, free [][]nvm.Addr, reclaim *[]nvm.Extent) (liveBlocks, liveBytes int64) {
 	base := al.start + nvm.Addr(s*slabWords)
-	sh := al.heap.Load(base + slabHeaderOff)
-	class := int(sh >> slabClassShift & 0x3f)
+	class, _ := slabClass(al.heap.Load(base + slabHeaderOff))
+	if class == journalClass {
+		return 0, 0
+	}
 	n := slabCap(class)
 	for i := 0; i < n; i++ {
 		b := base + slabBlocksOff + nvm.Addr(i*classWords[class])
