@@ -15,8 +15,8 @@
 //     fine-grained fallback sessions as the slow path); persist
 //     instructions abort transactions, reproducing the central
 //     incompatibility;
-//   - internal/palloc — a persistent slab allocator with durable block
-//     headers and crash recovery;
+//   - internal/palloc — a persistent slab allocator with one-word
+//     durable block headers (24-byte KV blocks) and crash recovery;
 //   - internal/epoch — the paper's contribution: a buffered-durable
 //     epoch system with the Table 2 API (BeginOp/EndOp/AbortOp, PNew,
 //     PTrack, PRetire, epoch stamps, OldSeeNew restarts) and

@@ -63,6 +63,32 @@ func TestBDHashPhantomRegression(t *testing.T) {
 	}
 }
 
+// TestPallocStraddleRegression pins the rounds that caught the palloc
+// subject persisting a class-0 block as if it sat in one cache line. The
+// block is three words packed densely, so two in eight straddle a line.
+//
+// Mutation check: (1) the upsert and remove paths persisting with
+// heap.Flush(b) instead of the whole block fail the first two rounds
+// ("strict subject lost or invented completed ops", "recovered key … is
+// superseded" — the second is round 1 of TestFuzzAllSubjects/palloc);
+// (2) Insert writing payload and header under one FlushRange, without
+// the payload's own fence first, fails the third with "phantom value".
+func TestPallocStraddleRegression(t *testing.T) {
+	for _, line := range []string{
+		"subject=palloc seed=0x53fdd124f4244bb8 ops=8 workers=1 keyspace=64 evict=0.51 events=1 crash-after=8 crash-step=0 tail-adv=0 adv-every=21 spurious=0.05 memtype=0.00 shards=4 async=1 engine=undo rworkers=2",
+		"subject=palloc seed=0xcc4121b295044b47 ops=75 workers=4 keyspace=64 evict=0.96 events=1 crash-after=2 crash-step=0 tail-adv=0 adv-every=11 spurious=0.00 memtype=0.00 shards=4 async=0 engine=redo2f rworkers=8",
+		"subject=palloc seed=0x770eb37887dd1b48 ops=600 workers=1 keyspace=64 evict=0.72 events=1 crash-after=443 crash-step=4 tail-adv=0 adv-every=22 spurious=0.05 memtype=0.00 shards=1 async=0 engine=undo rworkers=2",
+	} {
+		p, err := ParseReplay(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := RunRound(p); f != nil {
+			t.Errorf("%s", f.Error())
+		}
+	}
+}
+
 // TestResolveDeterminism locks down the derive-unless-set contract:
 // resolution is a pure function of the seed, and overriding one field
 // must not shift what the others derive to (shrunk replays depend on

@@ -166,6 +166,25 @@ var journalScripts = []journalScript{
 	},
 }
 
+// sweepEngines is the engine axis of the scripted sweeps: every durability
+// engine, or the one BDFUZZ_ENGINE pins.
+func sweepEngines() []string {
+	if e := NewRoundParams("", 0).Engine; e != "" {
+		return []string{e}
+	}
+	return durability.Names()
+}
+
+// openSession opens a session for p's subject on a fresh heap.
+func openSession(t *testing.T, p RoundParams, heapWords int) *session {
+	t.Helper()
+	sub, err := NewSubject(p.Subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newSession(p, sub, heapWords)
+}
+
 // TestJournalCrashSweep runs every script under both subjects with a
 // record-per-key block layout, every durability engine (one, when
 // BDFUZZ_ENGINE pins it) and both flusher schedules. Short mode — the race
@@ -173,10 +192,7 @@ var journalScripts = []journalScript{
 // eviction fraction and every sixteenth crash point, from an offset that
 // differs from one configuration to the next.
 func TestJournalCrashSweep(t *testing.T) {
-	engines := durability.Names()
-	if e := NewRoundParams("", 0).Engine; e != "" {
-		engines = []string{e}
-	}
+	engines := sweepEngines()
 	evicts, stride := []float64{0, 0.5, 1}, 1
 	if testing.Short() {
 		evicts, stride = []float64{0.5}, 16
@@ -216,11 +232,7 @@ func sweepJournal(t *testing.T, base RoundParams, sc journalScript, evicts []flo
 		}
 	}
 	start := func(p RoundParams) *session {
-		sub, err := NewSubject(p.Subject)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := newSession(p, sub, sc.heapWords)
+		s := openSession(t, p, sc.heapWords)
 		if err := sc.prefix(s); err != nil {
 			t.Fatalf("prefix: %v", err)
 		}

@@ -37,13 +37,18 @@ type parallelCell struct {
 // recovered/resurrected counters whether the header scan runs on 1, 2,
 // 4, or 8 workers. The trace ends with unsynced removes fully evicted to
 // media, so the resurrection write-back path is exercised too (asserted
-// non-empty across the matrix). Runs in CI's race lane, where the
-// worker fan-out and the merge are also checked for data races.
+// non-empty across the matrix), on blocks that straddle cache lines among
+// them (three-word KV blocks packed densely; also asserted). Runs in CI's
+// race lane, where the worker fan-out and the merge are also checked for
+// data races.
 func TestRecoverParallelEquivalence(t *testing.T) {
-	var resurrectedTotal atomic.Int64
+	var resurrectedTotal, straddlersResurrected atomic.Int64
 	t.Cleanup(func() {
 		if resurrectedTotal.Load() == 0 {
 			t.Error("no cell resurrected any block: the trace no longer covers the resurrection write-back path")
+		}
+		if straddlersResurrected.Load() == 0 {
+			t.Error("no cell resurrected a block whose header and value sit on different cache lines")
 		}
 	})
 	for _, subject := range Names() {
@@ -53,6 +58,11 @@ func TestRecoverParallelEquivalence(t *testing.T) {
 			for _, engine := range durability.Names() {
 				base := runParallelCell(t, subject, engine, 1)
 				resurrectedTotal.Add(base.resurrected)
+				for _, r := range base.recs {
+					if r.resurrected && r.addr%nvm.LineWords >= 6 {
+						straddlersResurrected.Add(1)
+					}
+				}
 				for _, workers := range []int{2, 4, 8} {
 					got := runParallelCell(t, subject, engine, workers)
 					compareCells(t, engine, workers, base, got)
@@ -110,8 +120,9 @@ func runParallelCell(t *testing.T, subject, engine string, workers int) parallel
 	sub.Advance()
 	// Unsynced epilogue: remove half the keyspace and insert a few fresh
 	// keys, then crash with EvictFraction 1. Every dirty header reaches
-	// media: the deletions (delete epoch > P, creation <= P) must be
-	// resurrected, the fresh creations (epoch > P) reclaimed.
+	// media: the deletions (creation <= P, no journal record: their epoch
+	// never closed) must be resurrected, the fresh creations (epoch > P)
+	// reclaimed.
 	for k := uint64(0); k < keySpace/2; k++ {
 		h.Remove(k)
 	}

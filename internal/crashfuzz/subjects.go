@@ -394,11 +394,13 @@ const pallocTag uint8 = 0x3F
 const pallocEpoch uint64 = 1
 
 // pallocSubject drives the persistent allocator directly: Insert(k, v)
-// allocates a class-0 block holding {k, v} and makes it durable with one
-// line flush (class-0 blocks never straddle a cache line, so the
-// header+payload write-back is failure-atomic); Remove frees it and
-// persists the FREE header the same way. A DRAM map mirrors the live set
-// and is rebuilt by scanning after a crash.
+// allocates a class-0 block holding {k, v}; Remove frees it and persists
+// the FREE header. A class-0 block is three words packed from the slab
+// header on, so it may straddle two cache lines: every path persists the
+// whole block (persist), never "the block's line", and Insert makes the
+// payload durable under its own fence before the header that validates it
+// — the one-word header is the only failure-atomic unit there is. A DRAM
+// map mirrors the live set and is rebuilt by scanning after a crash.
 type pallocSubject struct {
 	env  Env
 	heap *nvm.Heap
@@ -439,21 +441,28 @@ func (h *pallocHandle) Insert(k, v uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b, dup := s.live[k]; dup {
-		// Upsert: overwrite the value in place and re-persist the line.
+		// Upsert: overwrite the value word in place and re-persist.
 		s.heap.Store(palloc.Payload(b)+1, v)
-		s.heap.Flush(b)
-		s.heap.Fence()
+		s.persist(b)
 		return true
 	}
+	// Alloc leaves the header at InvalidEpoch, which recovery reclaims:
+	// the payload goes in and becomes durable under that header first.
 	b := s.al.Alloc(0, pallocTag)
 	p := palloc.Payload(b)
 	s.heap.Store(p, k)
 	s.heap.Store(p+1, v)
+	s.persist(b)
 	s.al.WriteHeader(b, palloc.Header{Status: palloc.Allocated, Class: 0, Tag: pallocTag, Epoch: pallocEpoch})
-	s.heap.FlushRange(b, palloc.ClassWords(0))
-	s.heap.Fence()
+	s.persist(b)
 	s.live[k] = b
 	return false
+}
+
+// persist writes back every line the class-0 block b touches and fences.
+func (s *pallocSubject) persist(b nvm.Addr) {
+	s.heap.FlushRange(b, palloc.ClassWords(0))
+	s.heap.Fence()
 }
 
 func (h *pallocHandle) Remove(k uint64) bool {
@@ -465,8 +474,7 @@ func (h *pallocHandle) Remove(k uint64) bool {
 		return false
 	}
 	s.al.Free(b)
-	s.heap.Flush(b)
-	s.heap.Fence()
+	s.persist(b)
 	delete(s.live, k)
 	return true
 }

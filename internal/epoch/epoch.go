@@ -705,6 +705,7 @@ func (s *System) runTask(x uint64) {
 		s.eng.Commit()
 		s.persisted.Store(s.eng.Watermark())
 		s.notifyDurable(s.eng.Watermark())
+		s.planRecycle(x + 1)
 		t = o.Now()
 	} else {
 		if o != nil {

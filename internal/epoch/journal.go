@@ -14,9 +14,11 @@ import (
 // sequential journal pages and hands each page to the durability engine as
 // an ordinary extent of x, so the records are durable under x's own fences
 // before the watermark reaches x. Recovery reads the pages back before its
-// header judgment (recoverJournal); PRetire's DELETED mark stays in the
-// volatile view only, where Free's double-free check and — should a stray
-// write-back carry it to the media — recovery's DELETED branch read it.
+// header judgment (recoverJournal). They are the only place a retirement's
+// epoch is recorded: PRetire's DELETED mark stays in the volatile view,
+// where Free's double-free check reads it, and should a stray write-back
+// carry it to the media, recovery's DELETED branch asks these records
+// whether that deletion persisted.
 //
 // A page is one XPLine of a journal slab (palloc.FormatJournalSlab):
 //
@@ -36,7 +38,7 @@ import (
 //  2. A record is dropped only when the media header it judged has moved
 //     on: K epochs after it was written its page is recycled, and a record
 //     whose block still shows the retired incarnation on the media has the
-//     block's header line checkpointed — flushed as it is in the view, which
+//     block's header word checkpointed — flushed as it is in the view, which
 //     is FREE or a later incarnation, never the retired one — in the
 //     recycling epoch's commit. A block reallocated in the meantime, its
 //     new creation epoch durable, needs nothing: the creation flush already
@@ -78,6 +80,11 @@ type journal struct {
 	free    []nvm.Addr    // pages writable now (a stack)
 	cooling []nvm.Addr    // recycled by the last task: writable once its commit has fenced
 	live    []journalPage // written pages, oldest first
+
+	// The next task's recycling, planned by the task before it (planRecycle):
+	// the pages it releases and the blocks whose headers it checkpoints.
+	recycle     []nvm.Addr
+	checkpoints []nvm.Addr
 }
 
 func packRecord(b nvm.Addr, x uint64) uint64 { return uint64(b)<<recTagBits | x&recTagMask }
@@ -96,15 +103,17 @@ func (j *journal) pushPages(area nvm.Extent) {
 	}
 }
 
-// journalEpoch is the journal's share of runTask(x), between the engine's
-// Begin and Commit: it recycles the pages written K epochs ago, queuing the
-// checkpoint of every record the media has not superseded, and writes x's
-// retirements into fresh pages. Every extent goes to shard 0.
-func (s *System) journalEpoch(x uint64, retire [][]nvm.Addr) (records, checkpoints int64) {
+// planRecycle is the journal's share of the task before x, run once that
+// task's own commit is durable and its waiters are notified: it takes the
+// pages written K epochs before x off the live list and decides which of
+// their records x must checkpoint — every one the media has not superseded.
+// The verdict is the one x would reach itself: the watermark does not move
+// until x commits, and a header that reads superseded now — a later
+// incarnation whose creation is durable — can only move further from the
+// retired one. Planning ahead keeps the scan, a cache miss per record, off
+// the path between an epoch's close and its durability.
+func (s *System) planRecycle(x uint64) {
 	j, h := &s.journal, s.heap
-	j.free = append(j.free, j.cooling...)
-	j.cooling = j.cooling[:0]
-
 	p := s.persisted.Load()
 	n := 0
 	for ; n < len(j.live) && j.live[n].epoch+JournalK <= x; n++ {
@@ -117,12 +126,26 @@ func (s *System) journalEpoch(x uint64, retire [][]nvm.Addr) (records, checkpoin
 			if e := s.alloc.ReadHeader(b).Epoch; e > pg.epoch && e <= p {
 				continue // reallocated, and that creation is durable
 			}
-			s.eng.LogWrite(0, nvm.Extent{Addr: b, Words: palloc.HeaderWords})
-			checkpoints++
+			j.checkpoints = append(j.checkpoints, b)
 		}
-		j.cooling = append(j.cooling, pg.addr)
+		j.recycle = append(j.recycle, pg.addr)
 	}
 	j.live = j.live[:copy(j.live, j.live[n:])]
+}
+
+// journalEpoch is the journal's share of runTask(x), between the engine's
+// Begin and Commit: it recycles the pages written K epochs ago as the task
+// before planned it (planRecycle), queuing the checkpoints, and writes x's
+// retirements into fresh pages. Every extent goes to shard 0.
+func (s *System) journalEpoch(x uint64, retire [][]nvm.Addr) (records, checkpoints int64) {
+	j, h := &s.journal, s.heap
+	j.free = append(j.free, j.cooling...)
+	j.cooling = append(j.cooling[:0], j.recycle...)
+	for _, b := range j.checkpoints {
+		s.eng.LogWrite(0, nvm.Extent{Addr: b, Words: palloc.HeaderWords})
+	}
+	checkpoints = int64(len(j.checkpoints))
+	j.recycle, j.checkpoints = j.recycle[:0], j.checkpoints[:0]
 
 	var page nvm.Addr
 	used := pageRecords

@@ -142,3 +142,84 @@ func TestRecoverHeapWithoutJournalSlabs(t *testing.T) {
 		t.Fatalf("recovered %d keys (key 0 present: %v), want 99 without key 0", len(got), ok)
 	}
 }
+
+// TestDeletedMarkOnMediaIsJudgedByJournal: the block does not record when it
+// was deleted, so when a stray write-back has carried PRetire's DELETED mark
+// to the media, recovery asks the journal whether that deletion persisted.
+// The block under test straddles a cache line (offset 6 of 8), its header
+// alone on the line the write-back carries.
+func TestDeletedMarkOnMediaIsJudgedByJournal(t *testing.T) {
+	// retireWithStrayWriteBack persists key 7 in a straddling block, retires
+	// it in the active epoch and writes the marked header's line back.
+	retireWithStrayWriteBack := func(t *testing.T) (*nvm.Heap, *System, Block) {
+		h, s := newManual(t, 1<<16)
+		w := s.Register()
+		putKV(w, 1, 10)
+		putKV(w, 2, 20)
+		b := putKV(w, 7, 70)
+		if b.Addr()%nvm.LineWords != 6 {
+			t.Fatalf("third block of the slab at line offset %d, want 6 (header and key | value)", b.Addr()%nvm.LineWords)
+		}
+		s.Sync()
+		w.BeginOp()
+		w.PRetire(b)
+		w.EndOp()
+		h.Flush(b.Addr())
+		if got := palloc.UnpackHeader(h.PersistedLoad(b.Addr())).Status; got != palloc.Deleted {
+			t.Fatalf("media header is %v after the write-back, want DELETED", got)
+		}
+		return h, s, b
+	}
+
+	t.Run("crash before the delete epoch persists", func(t *testing.T) {
+		h, s, b := retireWithStrayWriteBack(t)
+		s.SimulateCrash(nvm.CrashOptions{})
+		s2, got := recoverAll(h)
+		if len(got) != 3 || got[7] != 70 {
+			t.Fatalf("recovered %v, want keys 1, 2 and the resurrected 7 -> 70", got)
+		}
+		if st := s2.Stats(); st.Resurrected != 1 || st.JournalRecordsApplied != 0 {
+			t.Fatalf("%d resurrected, %d journal records applied; want 1, 0", st.Resurrected, st.JournalRecordsApplied)
+		}
+		if got := palloc.UnpackHeader(h.PersistedLoad(b.Addr())).Status; got != palloc.Allocated {
+			t.Fatalf("media header of the resurrected block is %v, want ALLOCATED", got)
+		}
+	})
+
+	t.Run("crash after it persists", func(t *testing.T) {
+		h, s, b := retireWithStrayWriteBack(t)
+		s.Sync() // journals the retirement, then frees the block in the view only
+		if got := palloc.UnpackHeader(h.PersistedLoad(b.Addr())).Status; got != palloc.Deleted {
+			t.Fatalf("media header is %v once the retirement is durable, want DELETED still", got)
+		}
+		s.SimulateCrash(nvm.CrashOptions{})
+		s2, got := recoverAll(h)
+		if _, ok := got[7]; ok || len(got) != 2 {
+			t.Fatalf("recovered %v, want keys 1 and 2 only", got)
+		}
+		if st := s2.Stats(); st.Resurrected != 0 || st.JournalRecordsApplied != 1 {
+			t.Fatalf("%d resurrected, %d journal records applied; want 0, 1", st.Resurrected, st.JournalRecordsApplied)
+		}
+	})
+
+	t.Run("crash after the page is recycled", func(t *testing.T) {
+		h, s, b := retireWithStrayWriteBack(t)
+		for i := 0; i <= JournalK; i++ {
+			s.Sync()
+		}
+		if st := s.Stats(); st.JournalCheckpoints != 1 {
+			t.Fatalf("%d checkpoints after the page's recycling, want 1 (the block was not reused)", st.JournalCheckpoints)
+		}
+		if got := palloc.UnpackHeader(h.PersistedLoad(b.Addr())).Status; got != palloc.Free {
+			t.Fatalf("media header is %v after the checkpoint, want FREE", got)
+		}
+		s.SimulateCrash(nvm.CrashOptions{})
+		s2, got := recoverAll(h)
+		if _, ok := got[7]; ok || len(got) != 2 {
+			t.Fatalf("recovered %v, want keys 1 and 2 only", got)
+		}
+		if st := s2.Stats(); st.Resurrected != 0 || st.JournalPagesRead != 0 {
+			t.Fatalf("%d resurrected, %d journal pages read; want 0, 0 (the page is older than K epochs)", st.Resurrected, st.JournalPagesRead)
+		}
+	})
+}

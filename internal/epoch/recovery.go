@@ -59,8 +59,12 @@ func (l *recordList) add(r BlockRecord) {
 //     block is freed, and so reused, only after its retirement is durable)
 //     and judges nothing;
 //   - DELETED blocks — a stray write-back carried PRetire's mark to the
-//     media — whose deletion epoch did not persist (d > P) but whose
-//     creation did (epoch ≤ P) are resurrected;
+//     media — are judged by the same records: the block does not say when
+//     it was deleted, so one whose creation persisted (epoch ≤ P) and whose
+//     retirement the journal does not hold (no d ≥ that epoch: the record's
+//     page was of an epoch > P, or never written) is resurrected. A
+//     retirement too old to be in the journal has had its header
+//     checkpointed, so the media cannot still show that mark;
 //   - everything else — blocks with invalid epochs (preallocated but
 //     unused), blocks created in unpersisted epochs, and blocks whose
 //     deletion persisted — is reclaimed by the allocator.
@@ -122,6 +126,16 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 		journaled int64 // blocks a journal record reclaimed
 	}
 	ws := make([]workerState, workers)
+	// journaled reports whether the journal holds a persisted retirement of
+	// the incarnation of b created in epoch c.
+	journaled := func(st *workerState, b nvm.Addr, c uint64) bool {
+		d, ok := retired.retiredAt(&st.cursor, b)
+		if !ok || d < c {
+			return false
+		}
+		st.journaled++
+		return true
+	}
 	judge := func(w int, bi palloc.BlockInfo) bool {
 		st := &ws[w]
 		if cfg.RecoveryTick != nil {
@@ -139,8 +153,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 			if !eadr && hdr.Epoch > p {
 				return false // created in an unpersisted epoch
 			}
-			if d, ok := retired.retiredAt(&st.cursor, bi.Addr); ok && d >= hdr.Epoch {
-				st.journaled++
+			if journaled(st, bi.Addr, hdr.Epoch) {
 				return false // retired in a persisted epoch
 			}
 			s.recoveredLive.Add(1)
@@ -153,18 +166,18 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 			}
 			return true
 		case palloc.Deleted:
-			if eadr || bi.DeleteEpoch <= p {
+			if eadr || hdr.Epoch > p {
+				return false // the mark itself is durable, or the block never persisted
+			}
+			if journaled(st, bi.Addr, hdr.Epoch) {
 				return false // deletion is part of the recovered prefix
 			}
-			if hdr.Epoch > p {
-				return false // never persisted in the first place
-			}
-			// Deleted in an epoch that was lost: roll the deletion back.
-			// The store is volatile here; the write-back rides the
+			// No record of this incarnation's retirement at or below P: it
+			// was deleted in an epoch that was lost. Roll the deletion
+			// back. The store is volatile here; the write-back rides the
 			// batched FlushExtents below, under the trailing fence.
 			hdr.Status = palloc.Allocated
 			h.Store(bi.Addr, hdr.Pack())
-			h.Store(bi.Addr+1, 0)
 			st.resurrect = append(st.resurrect, nvm.Extent{Addr: bi.Addr, Words: palloc.HeaderWords})
 			s.resurrected.Add(1)
 			s.recoveredLive.Add(1)

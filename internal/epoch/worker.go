@@ -125,21 +125,16 @@ func (w *Worker) PTrack(b Block) {
 
 // PRetire tracks a block for future reclamation: it marks the block
 // DELETED in the current operation's epoch and defers the actual free
-// until that epoch has persisted (two epochs later). The mark is a store to
-// the volatile view only — what makes the retirement durable is the record
-// the flusher writes to the retire journal when the epoch closes — but a
-// neighbour's flush or an eviction may still carry it to the media, where
-// recovery's DELETED branch judges it. Call PRetire after the transaction
+// until that epoch has persisted (two epochs later). The mark is one store
+// to the volatile view — what makes the retirement durable, and records
+// its epoch, is the record the flusher writes to the retire journal when
+// the epoch closes — but a neighbour's flush or an eviction may still carry
+// it to the media, where recovery's DELETED branch asks the journal whether
+// the deletion persisted. Call PRetire after the transaction
 // that unlinked the block has committed; exactly one operation may retire
 // a given block.
 func (w *Worker) PRetire(b Block) {
 	al := w.sys.alloc
-	// Delete epoch first, DELETED mark second: the block's line can be
-	// written back between the two stores (a neighbour's creation flush,
-	// a journal checkpoint), and a DELETED header over a not-yet-written
-	// delete epoch reads as a deletion that persisted — recovery would
-	// reclaim a block whose removal never became durable.
-	al.SetDeleteEpoch(b.addr, w.opEpoch)
 	hdr := al.ReadHeader(b.addr)
 	hdr.Status = palloc.Deleted
 	al.WriteHeader(b.addr, hdr)

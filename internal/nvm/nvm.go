@@ -173,6 +173,7 @@ type Heap struct {
 	evictRNG *rand.Rand
 
 	persistHook atomic.Pointer[func(PersistPoint, Addr)]
+	storeHook   atomic.Pointer[func(Addr)]
 
 	stats   Stats
 	obs     *obs.Recorder
@@ -230,6 +231,28 @@ func (h *Heap) SetPersistHook(fn func(PersistPoint, Addr)) {
 		return
 	}
 	h.persistHook.Store(&fn)
+}
+
+// SetStoreHook installs fn, called synchronously after every store to the
+// volatile view (Store, Add, a CompareAndSwap that succeeded) with the
+// address written, once the line has been marked dirty. It is what lets a
+// crash test play the cache at its worst: write a line back (Flush) between
+// two stores of one operation, the tear no explicit persist event marks.
+// Passing nil removes the hook; Crash removes it too. Install/remove only
+// while no other goroutine uses the heap.
+func (h *Heap) SetStoreHook(fn func(Addr)) {
+	if fn == nil {
+		h.storeHook.Store(nil)
+		return
+	}
+	h.storeHook.Store(&fn)
+}
+
+// fireStore invokes the store hook, if any.
+func (h *Heap) fireStore(a Addr) {
+	if fn := h.storeHook.Load(); fn != nil {
+		(*fn)(a)
+	}
 }
 
 // firePersist invokes the persist hook, if any.
@@ -429,6 +452,7 @@ func (h *Heap) Store(a Addr, v uint64) {
 	h.touch(l)
 	atomic.StoreUint64(&h.words[a], v)
 	h.dirty.set(l)
+	h.fireStore(a)
 }
 
 // CompareAndSwap atomically replaces the word at a if it equals old.
@@ -440,6 +464,7 @@ func (h *Heap) CompareAndSwap(a Addr, old, new uint64) bool {
 	ok := atomic.CompareAndSwapUint64(&h.words[a], old, new)
 	if ok {
 		h.dirty.set(l)
+		h.fireStore(a)
 	}
 	return ok
 }
@@ -452,6 +477,7 @@ func (h *Heap) Add(a Addr, delta uint64) uint64 {
 	h.touch(l)
 	v := atomic.AddUint64(&h.words[a], delta)
 	h.dirty.set(l)
+	h.fireStore(a)
 	return v
 }
 
@@ -526,7 +552,7 @@ type Extent struct {
 
 // FlushExtents flushes every line covered by the extents as one batch,
 // issuing at most one flush per cache line — extents sharing a line
-// (two 4-word blocks on one 8-word line) cost a single clwb, the
+// (neighbouring 3-word blocks on one 8-word line) cost a single clwb, the
 // coalescing a batching persister gets for free by sorting its work.
 // The XPLine media-write accounting is likewise shared across the whole
 // call: two extents landing in the same 256-byte XPLine charge a single
@@ -705,6 +731,7 @@ func (h *Heap) Crash(opts CrashOptions) {
 	// The failure the hook was waiting for has happened; recovery-time
 	// flushes must not re-trigger it.
 	h.persistHook.Store(nil)
+	h.storeHook.Store(nil)
 }
 
 // PersistedLoad reads the word at a from the persistent image, bypassing

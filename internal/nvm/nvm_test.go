@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -406,5 +407,44 @@ func TestAddrHelpers(t *testing.T) {
 	}
 	if Addr(33).XPLine() != 1 {
 		t.Fatalf("Addr(33).XPLine() = %d, want 1", Addr(33).XPLine())
+	}
+}
+
+// TestStoreHookTearsALine: the store hook fires after each store has
+// landed in the view and dirtied its line — Store, Add, a CompareAndSwap
+// that succeeded, not one that failed — so a hook that flushes carries
+// exactly the stores made so far to the media: the line state no persist
+// event of the stored-to code would ever expose. Crash removes the hook.
+func TestStoreHookTearsALine(t *testing.T) {
+	h := New(Config{Words: 1024})
+	const a = Addr(128)
+	var seen []Addr
+	h.SetStoreHook(func(at Addr) {
+		if !h.DirtyLine(at) {
+			t.Errorf("store hook at %d before the line was marked dirty", at)
+		}
+		seen = append(seen, at)
+		if len(seen) == 2 {
+			h.Flush(at) // between the second store and the third
+		}
+	})
+	h.Store(a, 1)
+	h.Add(a+1, 2)
+	if h.CompareAndSwap(a+2, 7, 9) {
+		t.Fatal("CompareAndSwap against the wrong old value succeeded")
+	}
+	if !h.CompareAndSwap(a+2, 0, 3) {
+		t.Fatal("CompareAndSwap against the right old value failed")
+	}
+	if want := []Addr{a, a + 1, a + 2}; !slices.Equal(seen, want) {
+		t.Fatalf("hook saw stores at %v, want %v", seen, want)
+	}
+	h.Crash(CrashOptions{})
+	if got := [3]uint64{h.Load(a), h.Load(a + 1), h.Load(a + 2)}; got != [3]uint64{1, 2, 0} {
+		t.Fatalf("line after the crash = %v, want the first two stores and not the third", got)
+	}
+	h.Store(a, 5)
+	if len(seen) != 3 {
+		t.Fatal("store hook survived the crash")
 	}
 }

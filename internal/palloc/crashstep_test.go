@@ -8,14 +8,17 @@ import (
 
 // This file walks the allocator's metadata protocol with a power failure
 // injected between every pair of persist events. The protocol under test
-// is the committed alloc/free pair the epoch layer (and the crashfuzz
-// palloc subject) drives:
+// is the committed alloc/free pair:
 //
 //	alloc:  Alloc -> store payload -> stamp header with committed epoch
 //	        -> FlushRange(block) -> Fence
 //	free:   Free -> Flush(header) -> Fence
 //
-// A class-0 block is 4 words and never straddles a cache line, so the
+// The block under test is its slab's first: three words at the start of a
+// cache line. That is what makes the single block flush failure-atomic here
+// — two class-0 blocks in eight straddle a line, and a caller that wants
+// this protocol for those must make the payload durable before the header
+// (the crashfuzz palloc subject does). So the
 // pair issues exactly four persist events: the block flush, the commit
 // fence, the free-header flush, and the free fence. Crashing before each
 // one in turn covers every distinct media state the protocol can leave.

@@ -5,12 +5,19 @@
 // The heap area is carved into fixed-size slabs, each dedicated to one size
 // class when first formatted. Every block carries a one-word durable header
 // encoding its status (FREE / ALLOCATED / DELETED), size class, an 8-bit
-// user tag, and a 48-bit epoch number. Headers are the authoritative
+// user tag, and a 48-bit epoch number — and nothing else: the payload
+// starts at the next word. Headers are the authoritative
 // source of truth: after a crash, Recover rebuilds all transient state
 // (free lists, bump pointers) by scanning slab and block headers, and asks
 // a caller-supplied judge which ALLOCATED/DELETED blocks should survive —
 // that judgment is where the epoch system implements buffered-durability
 // recovery (Sec. 5.2 of the paper).
+//
+// Blocks are packed from the slab's second cache line on with no padding.
+// The smallest class is the 24-byte KV block (header, key, value), 1362 to
+// a 32 KiB slab, so two blocks in eight straddle a cache line and two in
+// thirty-two an XPLine; the other classes are multiples of the line size.
+// The only failure-atomic unit is therefore the header word itself.
 //
 // One slab class is reserved: a journal slab holds no blocks, only the
 // epoch system's retire-journal pages (FormatJournalSlab, JournalSlabs).
@@ -62,15 +69,16 @@ func (s Status) String() string {
 // any operation. Recovery reclaims such blocks unconditionally.
 const InvalidEpoch = (uint64(1) << 48) - 1
 
-// HeaderWords is the size of the durable per-block header: word 0 packs
-// status/class/tag and the creation (or last-modification) epoch; word 1
-// holds the deletion epoch (0 if never deleted). Keeping the two epochs
-// separate lets recovery distinguish "deleted in an unpersisted epoch but
-// created in a persisted one" (resurrect) from "created in an unpersisted
-// epoch" (reclaim).
-const HeaderWords = 2
+// HeaderWords is the size of the durable per-block header: one word packing
+// status/class/tag and the creation (or last-modification) epoch. The
+// deletion epoch is not in the block: a retirement is durable as a record
+// in the epoch system's retire journal, which is also what lets recovery
+// tell "deleted in an unpersisted epoch but created in a persisted one"
+// (DELETED on the media, no record: resurrect) from a deletion that
+// persisted (a record at or after the creation epoch: reclaim).
+const HeaderWords = 1
 
-// Header is the decoded form of a block's durable header word 0.
+// Header is the decoded form of a block's durable header word.
 type Header struct {
 	Status Status
 	Class  int
@@ -94,8 +102,10 @@ func UnpackHeader(w uint64) Header {
 	}
 }
 
-// Size classes, in words including the header word.
-var classWords = []int{4, 8, 16, 32, 64, 128, 256}
+// Size classes, in words including the header word. Class 0 is the KV
+// block — header, key, value — and not a divisor of the line size: nothing
+// may assume a block is persisted by one line write-back (package comment).
+var classWords = []int{3, 8, 16, 32, 64, 128, 256}
 
 // NumClasses is the number of size classes.
 func NumClasses() int { return len(classWords) }
@@ -287,7 +297,6 @@ func (al *Allocator) AllocShard(class int, tag uint8, shard int) nvm.Addr {
 	// flush+fence from every allocation — the cost the paper attributes
 	// to "memory management for KV pairs" (Sec. 4.1).
 	al.heap.Store(b, Header{Status: Allocated, Class: class, Tag: tag, Epoch: InvalidEpoch}.Pack())
-	al.heap.Store(b+1, 0) // clear any stale deletion epoch
 	al.liveBlocks.Add(1)
 	if al.obs != nil {
 		al.obs.Hit(obs.MAllocs, obs.EvAlloc, uint64(b), uint64(class))
@@ -376,14 +385,6 @@ func (al *Allocator) WriteHeader(b nvm.Addr, h Header) {
 // Payload returns the address of the block's first payload word.
 func Payload(b nvm.Addr) nvm.Addr { return b + HeaderWords }
 
-// DeleteEpoch reads the block's durable deletion-epoch word.
-func (al *Allocator) DeleteEpoch(b nvm.Addr) uint64 { return al.heap.Load(b + 1) }
-
-// SetDeleteEpoch stores the block's deletion-epoch word (not flushed: the
-// epoch system makes a retirement durable through its retire journal, and
-// this word reaches the media only on a stray write-back of the line).
-func (al *Allocator) SetDeleteEpoch(b nvm.Addr, e uint64) { al.heap.Store(b+1, e) }
-
 // LiveBlocks returns the number of currently allocated (or deleted but not
 // yet reclaimed) blocks.
 func (al *Allocator) LiveBlocks() int64 { return al.liveBlocks.Load() }
@@ -404,9 +405,8 @@ func (al *Allocator) FootprintBytes() int64 {
 
 // BlockInfo describes one block during a recovery scan.
 type BlockInfo struct {
-	Addr        nvm.Addr
-	Header      Header
-	DeleteEpoch uint64
+	Addr   nvm.Addr
+	Header Header
 }
 
 // Scan calls fn for every non-FREE block in the heap, without modifying
@@ -432,7 +432,7 @@ func (al *Allocator) Scan(fn func(BlockInfo)) {
 				continue
 			}
 			hdr.Class = class
-			fn(BlockInfo{Addr: b, Header: hdr, DeleteEpoch: al.heap.Load(b + 1)})
+			fn(BlockInfo{Addr: b, Header: hdr})
 		}
 	}
 }
@@ -478,7 +478,7 @@ func (al *Allocator) Recover(judge func(BlockInfo) bool) {
 			switch {
 			case hdr.Status == Free:
 				al.free[class] = append(al.free[class], b)
-			case judge(BlockInfo{Addr: b, Header: hdr, DeleteEpoch: al.heap.Load(b + 1)}):
+			case judge(BlockInfo{Addr: b, Header: hdr}):
 				al.liveBlocks.Add(1)
 				al.liveBytes.Add(int64(classWords[class] * nvm.WordBytes))
 			default:

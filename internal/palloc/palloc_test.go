@@ -2,6 +2,7 @@ package palloc
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func TestHeaderPackUnpack(t *testing.T) {
 }
 
 func TestClassFor(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 0, 3: 1, 6: 1, 7: 2, 14: 2, 30: 3, 62: 4, 126: 5}
+	cases := map[int]int{1: 0, 2: 0, 3: 1, 7: 1, 8: 2, 15: 2, 16: 3, 31: 3, 63: 4, 127: 5, 255: 6}
 	for words, want := range cases {
 		if got := ClassFor(words); got != want {
 			t.Errorf("ClassFor(%d) = %d, want %d", words, got, want)
@@ -332,7 +333,7 @@ func TestJournalSlabsAreSkippedAndCounted(t *testing.T) {
 	al := New(h)
 	before := al.Alloc(0, 1)
 	h.Store(before, Header{Status: Allocated, Tag: 1, Epoch: 3}.Pack())
-	h.FlushRange(before, 4)
+	h.FlushRange(before, ClassWords(0))
 
 	area := al.FormatJournalSlab()
 	if area.Addr%nvm.XPLineWords != 0 || area.Words != slabWords-nvm.XPLineWords {
@@ -351,7 +352,7 @@ func TestJournalSlabsAreSkippedAndCounted(t *testing.T) {
 		after = al.Alloc(0, 2)
 	}
 	h.Store(after, Header{Status: Allocated, Tag: 2, Epoch: 3}.Pack())
-	h.FlushRange(after, 4)
+	h.FlushRange(after, ClassWords(0))
 	h.Fence()
 	h.Crash(nvm.CrashOptions{})
 
@@ -390,6 +391,134 @@ func TestJournalSlabsAreSkippedAndCounted(t *testing.T) {
 		}
 		if h.Load(area.Addr) != (Header{Status: Allocated, Tag: 9, Epoch: 1}.Pack()) {
 			t.Fatalf("workers=%d: recovery wrote into the journal area", workers)
+		}
+	}
+}
+
+// TestClassZeroGeometry pins the KV block layout: a one-word header and two
+// payload words, 1362 to a slab, packed from the slab header's line on with
+// no padding — so two blocks in eight straddle a cache line and two in
+// thirty-two an XPLine — and none reaching past its slab. The largest class
+// keeps its index and size (bench/probes.go allocates class 6 by number).
+func TestClassZeroGeometry(t *testing.T) {
+	if HeaderWords != 1 || ClassWords(0) != 3 || PayloadWords(0) != 2 || ClassWords(6) != 256 {
+		t.Fatalf("HeaderWords=%d ClassWords(0)=%d PayloadWords(0)=%d ClassWords(6)=%d, want 1 3 2 256",
+			HeaderWords, ClassWords(0), PayloadWords(0), ClassWords(6))
+	}
+	if got := slabCap(0); got != 1362 {
+		t.Fatalf("slabCap(0) = %d, want 1362", got)
+	}
+	al := New(nvm.New(nvm.Config{Words: 1 << 16}))
+	first := al.Alloc(0, 0)
+	slab := first - slabBlocksOff
+	lineStraddle, xpStraddle := 0, 0
+	for i, b := 0, first; i < slabCap(0); i++ {
+		if want := first + nvm.Addr(3*i); b != want {
+			t.Fatalf("block %d at %d, want %d (dense packing)", i, b, want)
+		}
+		last := b + nvm.Addr(ClassWords(0)) - 1
+		if last >= slab+slabWords {
+			t.Fatalf("block %d [%d, %d] crosses the slab end %d", i, b, last, slab+slabWords)
+		}
+		if b.Line() != last.Line() {
+			lineStraddle++
+			if m := b % nvm.LineWords; m != 6 && m != 7 {
+				t.Fatalf("block %d straddles a line from offset %d", i, m)
+			}
+		}
+		if b.XPLine() != last.XPLine() {
+			xpStraddle++
+		}
+		if i+1 < slabCap(0) {
+			b = al.Alloc(0, 0)
+		}
+	}
+	// 1362 = 170 groups of eight (and 42 of thirty-two) plus a remainder
+	// that holds no further straddler.
+	if lineStraddle != 2*(1362/8) || xpStraddle != 2*(1362/32) {
+		t.Fatalf("%d line and %d XPLine straddlers in a slab, want %d and %d",
+			lineStraddle, xpStraddle, 2*(1362/8), 2*(1362/32))
+	}
+	if next := al.Alloc(0, 0); next != slab+slabWords+slabBlocksOff {
+		t.Fatalf("block 1363 at %d, want the start of the next slab (%d)", next, slab+slabWords+slabBlocksOff)
+	}
+}
+
+// TestScansAgreeOnStraddlingBlocks: Scan, Recover and RecoverParallel see
+// the same blocks, in the same order, on slabs full of class-0 blocks —
+// line straddlers, XPLine straddlers and the blocks that share the slab's
+// last line included — and rebuild the same free lists from them.
+func TestScansAgreeOnStraddlingBlocks(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 16})
+	al := New(h)
+	n := 2*slabCap(0) + 5 // two full slabs and the start of a third
+	blocks := make([]nvm.Addr, n)
+	for i := range blocks {
+		blocks[i] = al.Alloc(0, uint8(i))
+	}
+	for i, b := range blocks {
+		if i%7 == 3 {
+			al.Free(b)
+			h.Flush(b)
+			continue
+		}
+		status := Allocated
+		if i%5 == 0 {
+			status = Deleted
+		}
+		h.Store(b, Header{Status: status, Tag: uint8(i), Epoch: uint64(2 + i%3)}.Pack())
+		h.Store(Payload(b), uint64(i))
+		h.FlushRange(b, ClassWords(0))
+	}
+	h.Fence()
+	h.Crash(nvm.CrashOptions{})
+
+	var scanned []BlockInfo
+	New(h).Scan(func(bi BlockInfo) { scanned = append(scanned, bi) })
+	if want := n - (n+3)/7; len(scanned) != want {
+		t.Fatalf("Scan saw %d blocks, want %d", len(scanned), want)
+	}
+	for _, bi := range scanned {
+		if uint64(bi.Header.Tag) != h.Load(Payload(bi.Addr))&0xff {
+			t.Fatalf("block %d: header tag %d over payload %d", bi.Addr, bi.Header.Tag, h.Load(Payload(bi.Addr)))
+		}
+	}
+	keep := func(bi BlockInfo) bool { return bi.Header.Status == Allocated }
+
+	serial := New(h)
+	var judged []BlockInfo
+	serial.Recover(func(bi BlockInfo) bool {
+		judged = append(judged, bi)
+		return keep(bi)
+	})
+	if !slices.Equal(judged, scanned) {
+		t.Fatalf("Recover judged %d blocks, Scan saw %d, or in another order", len(judged), len(scanned))
+	}
+	// The same image again: Recover's reclaims are what a second crash keeps.
+	h.Crash(nvm.CrashOptions{})
+	for _, workers := range []int{2, 3} {
+		par := New(h)
+		perWorker := make([][]BlockInfo, workers)
+		par.RecoverParallel(workers, func(w int, bi BlockInfo) bool {
+			perWorker[w] = append(perWorker[w], bi)
+			return keep(bi)
+		})
+		var merged []BlockInfo
+		for _, l := range perWorker {
+			merged = append(merged, l...)
+		}
+		var want []BlockInfo
+		for _, bi := range scanned {
+			if keep(bi) {
+				want = append(want, bi)
+			}
+		}
+		if !slices.Equal(merged, want) {
+			t.Fatalf("workers=%d: judged %d blocks, want the %d Recover kept", workers, len(merged), len(want))
+		}
+		if par.LiveBlocks() != serial.LiveBlocks() || !slices.Equal(par.free[0], serial.free[0]) {
+			t.Fatalf("workers=%d: %d live and %d free blocks, serial scan %d and %d",
+				workers, par.LiveBlocks(), len(par.free[0]), serial.LiveBlocks(), len(serial.free[0]))
 		}
 	}
 }

@@ -92,7 +92,7 @@ func (al *Allocator) scanSlab(s int, judge func(BlockInfo) bool, free [][]nvm.Ad
 			if free != nil {
 				free[class] = append(free[class], b)
 			}
-		case judge(BlockInfo{Addr: b, Header: hdr, DeleteEpoch: al.heap.Load(b + 1)}):
+		case judge(BlockInfo{Addr: b, Header: hdr}):
 			liveBlocks++
 			liveBytes += int64(classWords[class] * nvm.WordBytes)
 		default:

@@ -561,10 +561,8 @@ func (t *Tree) RebuildBlock(rec epoch.BlockRecord) {
 	slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(rec.Block.Addr()))
 	if !inserted {
 		old := t.sys.BlockAt(nvm.Addr(m.load(slot)))
-		al := t.sys.Allocator()
-		panic(fmt.Sprintf("veb: duplicate key %d during recovery (BDL invariant violated): existing blk@%d epoch=%d del=%d vs new blk@%d epoch=%d del=%d resurrected=%v",
-			k, old.Addr(), old.Epoch(), al.DeleteEpoch(old.Addr()),
-			rec.Block.Addr(), rec.Block.Epoch(), al.DeleteEpoch(rec.Block.Addr()), rec.Resurrected))
+		panic(fmt.Sprintf("veb: duplicate key %d during recovery (BDL invariant violated): existing blk@%d epoch=%d vs new blk@%d epoch=%d resurrected=%v",
+			k, old.Addr(), old.Epoch(), rec.Block.Addr(), rec.Block.Epoch(), rec.Resurrected))
 	}
 	t.count.Add(1)
 }
