@@ -2,9 +2,10 @@
 // paper's Listing 1 — the tutorial structure for the BDL + HTM strategy.
 //
 // The bucket array lives in DRAM and holds addresses of KV blocks in NVM.
-// Every operation runs inside one hardware transaction (with a slow-path
-// htm.Fallback session after repeated aborts), brackets itself with
-// BeginOp/EndOp, and follows the epoch discipline:
+// Every operation has one body, which epoch.Worker.Run attempts as a
+// hardware transaction and, after repeated aborts, runs as a slow-path
+// session; it brackets itself with BeginOp/EndOp, and follows the epoch
+// discipline:
 //
 //   - a preallocated NVM block (with invalid epoch) is kept per worker so
 //     that allocation never happens inside the transaction;
@@ -39,7 +40,7 @@ const (
 	// maxProbeBuckets is the linear-probing window: an operation scans
 	// at most this many consecutive buckets.
 	maxProbeBuckets = 4
-	// maxRetries bounds transactional retries before the fallback path.
+	// maxRetries bounds transactional retries before the session.
 	maxRetries = 32
 )
 
@@ -140,36 +141,14 @@ retryRegist:
 	newBlk.InitKV(k, v) // initialize block, epoch reset to invalid
 
 	var out insertOutcome
-	retries := 0
-	preWalked := false
-retryTxn:
-	out = insertOutcome{}
-	var opts []htm.AttemptOption
-	if preWalked {
-		opts = append(opts, htm.PreWalked())
-	}
-	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		t.insertBody(tx, w, opEpoch, k, v, newBlk, &out)
-	}, opts...)
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
-		w.AbortOp() // restart in the (newer) current epoch
+	res := w.Run(t.tm, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+		t.insertBody(tx, opEpoch, k, v, newBlk, &out)
+	})
+	if !res.Committed {
+		// OldSeeNewCode, the body's only explicit abort: restart in the
+		// (newer) current epoch.
+		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseMemType:
-		t.preWalk(k)
-		preWalked = true
-		retries++
-		goto retryTxn
-	default:
-		retries++
-		if retries < t.tm.Budget(maxRetries) {
-			goto retryTxn
-		}
-		if !t.insertFallback(w, opEpoch, k, v, newBlk, &out) {
-			w.AbortOp()
-			goto retryRegist
-		}
 	}
 	if out.full {
 		w.AbortOp()
@@ -191,8 +170,11 @@ retryTxn:
 	return out.replaced
 }
 
-// insertBody is the transactional insert of Listing 1 (lines 17-37).
-func (t *Table) insertBody(tx *htm.Tx, w *epoch.Worker, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) {
+// insertBody is the insert of Listing 1 (lines 17-37), as a transaction or
+// as a session. A failed attempt may have run it to completion (conflicts
+// surface at commit) and a session may restart it, so it resets out first.
+func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) {
+	*out = insertOutcome{}
 	start, n := t.slotRange(k)
 	var empty *uint64
 	for i := uint64(0); i < n; i++ {
@@ -242,63 +224,6 @@ func (t *Table) insertBody(tx *htm.Tx, w *epoch.Worker, opEpoch, k, v uint64, ne
 	out.usedPrealloc = true
 }
 
-// insertFallback runs the insert as a slow-path session. It returns false
-// if the operation must restart in a newer epoch.
-func (t *Table) insertFallback(w *epoch.Worker, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) bool {
-	ok := true
-	t.tm.RunFallback(func(f *htm.Fallback) {
-		// The session body may be re-executed after a lock-order restart:
-		// reset all outputs and reach shared state only through f.
-		ok = true
-		*out = insertOutcome{}
-		start, n := t.slotRange(k)
-		var empty *uint64
-		for i := uint64(0); i < n; i++ {
-			sp := t.slotAt(start + i)
-			addr := f.Load(sp)
-			if addr == 0 {
-				if empty == nil {
-					empty = sp
-				}
-				continue
-			}
-			b := t.sys.BlockAt(nvm.Addr(addr))
-			if b.KeyF(f) != k {
-				continue
-			}
-			be := b.EpochF(f)
-			switch {
-			case be > opEpoch:
-				ok = false // OldSeeNew: restart outside
-				return
-			case be < opEpoch:
-				newBlk.SetEpochF(f, opEpoch)
-				f.Store(sp, uint64(newBlk.Addr()))
-				out.retire = b
-				out.persist = newBlk
-				out.usedPrealloc = true
-			default:
-				b.SetValueF(f, v)
-			}
-			out.replaced = true
-			return
-		}
-		if empty == nil {
-			out.full = true
-			return
-		}
-		if !t.removals.OkF(f, k, opEpoch) {
-			ok = false // absence created by a newer-epoch removal
-			return
-		}
-		newBlk.SetEpochF(f, opEpoch)
-		f.Store(empty, uint64(newBlk.Addr()))
-		out.persist = newBlk
-		out.usedPrealloc = true
-	})
-	return ok
-}
-
 // preWalk touches the key's probe window non-transactionally, the paper's
 // mitigation for MEMTYPE aborts (Sec. 4.1).
 func (t *Table) preWalk(k uint64) {
@@ -318,64 +243,31 @@ func (t *Table) Get(k uint64) (uint64, bool) { return t.GetW(nil, k) }
 
 // GetW is Get routed through an epoch worker so a service request's
 // sampled span (worker.SetSpan) sees the lookup's HTM attempts; w may be
-// nil (plain Get).
+// nil (plain Get). A long slow-path writer parked on the probe window would
+// abort a pure retry loop indefinitely; past its budget the lookup runs as
+// a read-only session, which waits its turn per line instead.
 func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 	if t.obs != nil {
 		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
 	}
-	retries := 0
-	for {
-		var v uint64
-		var ok bool
-		res := t.attemptW(w, func(tx *htm.Tx) {
-			v, ok = 0, false
-			start, n := t.slotRange(k)
-			for i := uint64(0); i < n; i++ {
-				addr := tx.Load(t.slotAt(start + i))
-				if addr == 0 {
-					continue
-				}
-				b := t.sys.BlockAt(nvm.Addr(addr))
-				if b.KeyTx(tx) == k {
-					v, ok = b.ValueTx(tx), true
-					return
-				}
+	var v uint64
+	var ok bool
+	w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
+		v, ok = 0, false
+		start, n := t.slotRange(k)
+		for i := uint64(0); i < n; i++ {
+			addr := tx.Load(t.slotAt(start + i))
+			if addr == 0 {
+				continue
 			}
-		})
-		if res.Committed {
-			return v, ok
+			b := t.sys.BlockAt(nvm.Addr(addr))
+			if b.KeyTx(tx) == k {
+				v, ok = b.ValueTx(tx), true
+				return
+			}
 		}
-		if retries++; retries >= t.tm.Budget(maxRetries) {
-			// A long slow-path writer parked on this probe window would
-			// otherwise abort this loop indefinitely; a read-only session
-			// waits its turn per line instead.
-			t.tm.RunFallback(func(f *htm.Fallback) {
-				v, ok = 0, false
-				start, n := t.slotRange(k)
-				for i := uint64(0); i < n; i++ {
-					addr := f.Load(t.slotAt(start + i))
-					if addr == 0 {
-						continue
-					}
-					b := t.sys.BlockAt(nvm.Addr(addr))
-					if b.KeyF(f) == k {
-						v, ok = b.ValueF(f), true
-						return
-					}
-				}
-			})
-			return v, ok
-		}
-	}
-}
-
-// attemptW routes one HTM attempt through w when there is one. The two
-// calls are static, so the body closure stays on the caller's stack.
-func (t *Table) attemptW(w *epoch.Worker, body func(tx *htm.Tx)) htm.Result {
-	if w != nil {
-		return w.Attempt(t.tm, body)
-	}
-	return t.tm.Attempt(body)
+	})
+	return v, ok
 }
 
 // Remove deletes a key, reporting whether it was present.
@@ -386,11 +278,8 @@ func (t *Table) Remove(w *epoch.Worker, k uint64) bool {
 retryRegist:
 	opEpoch := w.BeginOp()
 	var retire epoch.Block
-	var removed bool
-	retries := 0
-retryTxn:
-	retire, removed = epoch.Block{}, false
-	res := w.Attempt(t.tm, func(tx *htm.Tx) {
+	res := w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
+		retire = epoch.Block{}
 		start, n := t.slotRange(k)
 		for i := uint64(0); i < n; i++ {
 			sp := t.slotAt(start + i)
@@ -408,65 +297,22 @@ retryTxn:
 			t.removals.RaiseTx(tx, k, opEpoch)
 			tx.Store(sp, 0)
 			retire = b
-			removed = true
 			return
 		}
 		// Absent: make sure the absence is not a newer removal's work.
 		t.removals.CheckTx(tx, k, opEpoch)
 	})
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
-		w.AbortOp()
+	if !res.Committed {
+		w.AbortOp() // OldSeeNewCode: restart in the current epoch
 		goto retryRegist
-	default:
-		retries++
-		if retries < t.tm.Budget(maxRetries) {
-			goto retryTxn
-		}
-		if !t.removeFallback(w, opEpoch, k, &retire, &removed) {
-			w.AbortOp()
-			goto retryRegist
-		}
 	}
+	removed := !retire.IsNil()
 	if removed {
 		w.PRetire(retire)
 		t.count.Add(-1)
 	}
 	w.EndOp()
 	return removed
-}
-
-func (t *Table) removeFallback(w *epoch.Worker, opEpoch, k uint64, retire *epoch.Block, removed *bool) bool {
-	ok := true
-	t.tm.RunFallback(func(f *htm.Fallback) {
-		ok = true
-		*retire, *removed = epoch.Block{}, false
-		start, n := t.slotRange(k)
-		for i := uint64(0); i < n; i++ {
-			sp := t.slotAt(start + i)
-			addr := f.Load(sp)
-			if addr == 0 {
-				continue
-			}
-			b := t.sys.BlockAt(nvm.Addr(addr))
-			if b.KeyF(f) != k {
-				continue
-			}
-			if b.EpochF(f) > opEpoch {
-				ok = false
-				return
-			}
-			t.removals.RaiseF(f, k, opEpoch)
-			f.Store(sp, 0)
-			*retire = b
-			*removed = true
-			return
-		}
-		// Absent: restart in a newer epoch if a newer removal made it so.
-		ok = t.removals.OkF(f, k, opEpoch)
-	})
-	return ok
 }
 
 // RebuildBlock reinserts one recovered block into the DRAM index. Call it

@@ -288,8 +288,14 @@ func TestRoundsAreIndependent(t *testing.T) {
 // each buffered subject runs the long-segment shape (Epochs derived, ≥ 4·K
 // epochs before each of two crashes, no tail advances) with one worker and
 // with four: the derived rounds crash some fifty ops into a segment, long
-// before the retire journal recycles its first page. CI's engine matrix runs
-// the long lanes alone (-run 'TestFuzzSoak/^long-') per engine.
+// before the retire journal recycles its first page. Each buffered subject
+// also runs derived rounds in session mode: the derived spurious rates (at
+// most 0.05) never exhaust a retry budget, so those rounds run every body
+// as a transaction; pinning the rate to 1 — an override, applied after
+// Resolve's draws, so every other field and every recorded replay line is
+// what it was — runs every body as a session instead. CI's engine matrix
+// runs the long and session lanes alone (-run 'TestFuzzSoak/^(long|session)-')
+// per engine.
 func TestFuzzSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipped in short mode")
@@ -306,6 +312,14 @@ func TestFuzzSoak(t *testing.T) {
 		if sub, _ := NewSubject(name); sub.Durability() != Buffered {
 			continue
 		}
+		t.Run("session-"+name, func(t *testing.T) {
+			t.Parallel()
+			p := NewRoundParams(name, seed^0x5e55)
+			p.Spurious = 1
+			if f := Fuzz(p, 150, nil); f != nil {
+				t.Fatalf("%s", f.Error())
+			}
+		})
 		for _, workers := range []int{1, 4} {
 			workers := workers
 			t.Run(fmt.Sprintf("long-%s-workers=%d", name, workers), func(t *testing.T) {

@@ -2,15 +2,16 @@ package crashfuzz
 
 import "testing"
 
-// TestCrashMidFallbackWrite pins power failures while operations are
-// running down the fallback slow path: a 0.9 spurious-abort rate kills
-// almost every transactional attempt, so most inserts and removes reach
-// the structures through fallback sessions, and the persist hook then
-// power-fails at the n-th persist event past the crash point. crashCheck
-// asserts the full BDL window on the recovered image for every buffered
-// subject.
+// TestCrashMidFallbackWrite pins power failures while operations run in
+// session mode: with a spurious-abort rate of 1 no transactional attempt
+// ever reaches its body, so every insert and remove runs its body as a
+// slow-path session — after a full retry budget at first, after one probe
+// once the TM has taken its fast path for dead (htm.TM.Budget) — and the
+// persist hook then power-fails at the n-th persist event past the crash
+// point. crashCheck asserts the full BDL window on the recovered image for
+// every buffered subject.
 //
-// Crashing mid-fallback is the interesting schedule: a session's writes
+// Crashing mid-session is the interesting schedule: a session's writes
 // are buffered and applied at finish, so a power failure must never
 // observe a half-applied session ahead of the recovery boundary.
 func TestCrashMidFallbackWrite(t *testing.T) {
@@ -23,7 +24,7 @@ func TestCrashMidFallbackWrite(t *testing.T) {
 					Subject: subject, Seed: 0xf6bd0000 + uint64(step),
 					Ops: 32, Workers: 1, KeySpace: 32, Evict: 1,
 					CrashEvents: 1, CrashAfter: 10, CrashStep: step,
-					TailAdvances: 1, AdvEvery: 5, Spurious: 0.9, MemType: 0,
+					TailAdvances: 1, AdvEvery: 5, Spurious: 1, MemType: 0,
 					Shards: 1, Async: 0,
 				}
 				if f := RunRound(p); f != nil {

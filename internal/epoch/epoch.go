@@ -17,8 +17,10 @@
 //
 // NVM writes performed during an epoch are tracked in per-worker buffers
 // and flushed in the background when the epoch closes, never on the
-// operation's critical path and never inside a hardware transaction — this
-// removes the flush/HTM incompatibility entirely. A crash during epoch e
+// operation's critical path and never inside a transaction body (which may
+// run as a hardware transaction or, after repeated aborts, as a slow-path
+// session of the same htm.Tx) — this removes the flush/HTM incompatibility
+// entirely. A crash during epoch e
 // recovers the structure to its state at the end of an epoch ≥ e-2.
 //
 // HTM-specific extensions over Montage (Sec. 3 of the paper):

@@ -202,6 +202,39 @@ func TestPNewInsideTxnPanics(t *testing.T) {
 	})
 }
 
+// The guard covers the body's other mode too: on a TM whose every attempt
+// is killed the body runs only as a session, where PNew would flush while
+// holding line locks. The panic must leave neither the worker flagged nor
+// the session's lines locked.
+func TestPNewInsideSessionPanics(t *testing.T) {
+	_, s := newManual(t, 1<<16)
+	w := s.Register()
+	tm := htm.New(htm.Config{SpuriousRate: 1})
+	w.BeginOp()
+	defer w.EndOp()
+	var x uint64
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("PNew inside a session should panic")
+			}
+		}()
+		w.Run(tm, 1, nil, func(tx *htm.Tx) {
+			if !tx.InSession() {
+				t.Error("body ran as a transaction on a TM that kills every attempt")
+			}
+			tx.Store(&x, 1)
+			w.PNew(2, 0)
+		})
+	}()
+	if w.InTxn() {
+		t.Fatal("worker still marked in-txn after the panic")
+	}
+	if res := tm.RunSession(func(tx *htm.Tx) { tx.Store(&x, tx.Load(&x)+2) }); !res.Committed || x != 2 {
+		t.Fatalf("session after the panic: %+v, x = %d (want committed, 2)", res, x)
+	}
+}
+
 func TestWorkerPoolReuse(t *testing.T) {
 	_, s := newManual(t, 1<<16)
 	w1 := s.Register()

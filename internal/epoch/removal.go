@@ -21,7 +21,8 @@ import "bdhtm/internal/htm"
 // and every absence-dependent path (a fresh insert, or a remove that
 // found nothing) checks the watermark and restarts in a newer epoch if a
 // newer removal has been recorded. Shards are transactional DRAM words,
-// so HTM conflict detection orders racing removals and inserts for free;
+// so HTM conflict detection (or, when the body runs as a session, the
+// stamp word's line lock) orders racing removals and inserts for free;
 // sharding by key hash keeps unrelated keys from contending. The stamps
 // are transient state: after a crash they start over at zero, which is
 // sound because the new system's epochs start strictly above every
@@ -59,19 +60,4 @@ func (r *RemovalStamps) RaiseTx(tx *htm.Tx, k, opEpoch uint64) {
 // absence observed for k is safe to act on in opEpoch.
 func (r *RemovalStamps) Ok(tm *htm.TM, k, opEpoch uint64) bool {
 	return tm.DirectLoad(r.slot(k)) <= opEpoch
-}
-
-// OkF is Ok through a fallback session: the stamp word's line is
-// locked for the rest of the session, so a racing removal's RaiseTx
-// conflicts with this absence check exactly as it would transactionally.
-func (r *RemovalStamps) OkF(f *htm.Fallback, k, opEpoch uint64) bool {
-	return f.Load(r.slot(k)) <= opEpoch
-}
-
-// RaiseF is RaiseTx through a fallback session.
-func (r *RemovalStamps) RaiseF(f *htm.Fallback, k, opEpoch uint64) {
-	p := r.slot(k)
-	if f.Load(p) < opEpoch {
-		f.Store(p, opEpoch)
-	}
 }

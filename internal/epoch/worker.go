@@ -34,9 +34,9 @@ type Worker struct {
 	retireMark  int
 
 	// span is the sampled request span of the operation in progress (nil
-	// when unsampled): every HTM attempt routed through Attempt records
-	// its outcome there, so service requests get per-cause abort counts
-	// without the structures knowing about spans.
+	// when unsampled): every HTM attempt routed through Run or Attempt
+	// records its outcome there, so service requests get per-cause abort
+	// counts without the structures knowing about spans.
 	span *obs.Span
 
 	bufs [numSlots]opBuf
@@ -94,10 +94,11 @@ func (w *Worker) AbortOp() {
 // words. The block is born with an invalid epoch number and is stamped
 // with a real epoch only when an operation is about to use it
 // (SetEpochTx). Allocation flushes the block header, so PNew must not be
-// called inside a hardware transaction; it panics if it is.
+// called inside an operation's body, in either of its modes; it panics if
+// it is.
 func (w *Worker) PNew(payloadWords int, tag uint8) Block {
 	if w.inTxn {
-		panic("epoch: PNew inside a hardware transaction would abort it; preallocate outside (Listing 1)")
+		panic("epoch: PNew inside a transaction body would abort it (or flush under a session's line locks); preallocate outside (Listing 1)")
 	}
 	b := w.sys.alloc.AllocWordsShard(payloadWords, tag, w.shard)
 	return Block{sys: w.sys, addr: b}
@@ -107,10 +108,10 @@ func (w *Worker) PNew(payloadWords int, tag uint8) Block {
 // Only blocks that were never visible to other threads (e.g. preallocated
 // blocks that will not be used) may be deleted this way; visible blocks
 // must go through PRetire. PDelete flushes allocator metadata and so also
-// must not run inside a transaction.
+// must not run inside a transaction body.
 func (w *Worker) PDelete(b Block) {
 	if w.inTxn {
-		panic("epoch: PDelete inside a hardware transaction would abort it")
+		panic("epoch: PDelete inside a transaction body would abort it (or flush under a session's line locks)")
 	}
 	w.sys.alloc.FreeShard(b.addr, w.shard)
 }
@@ -147,7 +148,7 @@ func (w *Worker) PRetire(b Block) {
 }
 
 // InTxn reports whether the worker is currently inside a (simulated)
-// hardware transaction.
+// hardware transaction or a slow-path session.
 func (w *Worker) InTxn() bool { return w.inTxn }
 
 // SetSpan attaches a sampled request span to the worker for the duration
@@ -160,11 +161,25 @@ func (w *Worker) SetSpan(sp *obs.Span) { w.span = sp }
 func (w *Worker) Span() *obs.Span { return w.span }
 
 // Attempt runs body as one HTM attempt with the worker marked in-txn, so
-// that misuse of PNew/PDelete inside the transaction is caught. It is the
-// standard way structures combine HTM with the epoch system; any span
-// attached via SetSpan receives the attempt's outcome.
+// that misuse of PNew/PDelete inside the transaction is caught; any span
+// attached via SetSpan receives the attempt's outcome. Structures use Run.
 func (w *Worker) Attempt(tm *htm.TM, body func(tx *htm.Tx), opts ...htm.AttemptOption) htm.Result {
 	w.inTxn = true
 	defer func() { w.inTxn = false }()
 	return tm.AttemptSpan(w.span, body, opts...)
+}
+
+// Run is htm.TM.Run routed through the worker: the standard way structures
+// combine HTM with the epoch system. The worker stays marked in-txn across
+// the attempts and the session alike — PNew/PDelete flush, which aborts a
+// transaction and, in a session, would run while holding line locks — and
+// the attached span receives each attempt's outcome. A nil worker (a
+// structure flavor with no epoch system) runs body on the TM directly.
+func (w *Worker) Run(tm *htm.TM, maxRetries int, preWalk func(), body func(tx *htm.Tx)) htm.Result {
+	if w == nil {
+		return tm.Run(nil, maxRetries, preWalk, body)
+	}
+	w.inTxn = true
+	defer func() { w.inTxn = false }()
+	return tm.Run(w.span, maxRetries, preWalk, body)
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"bdhtm/internal/epoch"
+	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -81,20 +82,10 @@ func AppendRow(row obs.BenchRow) {
 	c.Report.Append(row)
 }
 
-// Sub returns the interval difference s - prev.
-func (s TMStatsSnapshot) Sub(prev TMStatsSnapshot) TMStatsSnapshot {
-	return TMStatsSnapshot{
-		Commits: s.Commits - prev.Commits, Conflict: s.Conflict - prev.Conflict,
-		Capacity: s.Capacity - prev.Capacity, Explicit: s.Explicit - prev.Explicit,
-		Locked: s.Locked - prev.Locked, Spurious: s.Spurious - prev.Spurious,
-		MemType: s.MemType - prev.MemType, PersistOp: s.PersistOp - prev.PersistOp,
-	}
-}
-
 // statsBaseline captures an instance's absolute counters so a row can
 // report the measured interval only (prefill traffic excluded).
 type statsBaseline struct {
-	tm    TMStatsSnapshot
+	tm    htm.StatsSnapshot
 	nvm   nvm.StatsSnapshot
 	epoch epoch.Stats
 }
@@ -128,9 +119,10 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 	}
 	if inst.TMStats != nil {
 		d := inst.TMStats().Sub(base.tm)
-		sum := &obs.HTMSummary{
-			Attempts: d.Attempts(),
-			Commits:  d.Commits,
+		row.HTM = &obs.HTMSummary{
+			Attempts:   d.Attempts(),
+			Commits:    d.Commits,
+			CommitRate: d.CommitRate(),
 			Aborts: map[string]int64{
 				"conflict": d.Conflict, "capacity": d.Capacity,
 				"explicit": d.Explicit, "locked": d.Locked,
@@ -138,12 +130,6 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 				"persist-op": d.PersistOp,
 			},
 		}
-		if sum.Attempts > 0 {
-			sum.CommitRate = float64(sum.Commits) / float64(sum.Attempts)
-		} else {
-			sum.CommitRate = 1 // idle TM: nothing failed
-		}
-		row.HTM = sum
 	}
 	if inst.NVMStats != nil {
 		d := inst.NVMStats().Sub(base.nvm)

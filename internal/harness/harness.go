@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"bdhtm/internal/epoch"
+	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 	"bdhtm/internal/ycsb"
@@ -37,23 +38,12 @@ type Instance struct {
 	Close func()
 
 	// Optional hooks (nil/zero when not applicable).
-	TMStats    func() TMStatsSnapshot   // HTM commit/abort counters (Fig. 2)
+	TMStats    func() htm.StatsSnapshot // HTM commit/abort counters (Fig. 2)
 	NVMStats   func() nvm.StatsSnapshot // persist-cost counters (Sec. 5.1)
 	EpochStats func() epoch.Stats       // epoch-system activity
 	DRAMBytes  func() int64             // index memory (Table 3)
 	NVMBytes   func() int64             // NVM footprint (Table 3, Fig. 8)
 	Sync       func()                   // force buffered data durable
-}
-
-// TMStatsSnapshot mirrors htm.StatsSnapshot without importing it here
-// (keeps the harness decoupled from the simulator's types in reports).
-type TMStatsSnapshot struct {
-	Commits, Conflict, Capacity, Explicit, Locked, Spurious, MemType, PersistOp int64
-}
-
-// Attempts is the total number of HTM attempts.
-func (s TMStatsSnapshot) Attempts() int64 {
-	return s.Commits + s.Conflict + s.Capacity + s.Explicit + s.Locked + s.Spurious + s.MemType + s.PersistOp
 }
 
 // Dist selects the key distribution.

@@ -118,17 +118,6 @@ func (o Opts) universeBits() uint8 {
 	return uint8(bits.Len64(o.KeySpace - 1))
 }
 
-func tmHook(tm *htm.TM) func() TMStatsSnapshot {
-	return func() TMStatsSnapshot {
-		s := tm.Stats()
-		return TMStatsSnapshot{
-			Commits: s.Commits, Conflict: s.Conflict, Capacity: s.Capacity,
-			Explicit: s.Explicit, Locked: s.Locked, Spurious: s.Spurious,
-			MemType: s.MemType, PersistOp: s.PersistOp,
-		}
-	}
-}
-
 // --- vEB trees (Sec. 4.1) ---------------------------------------------------
 
 type vebMap struct {
@@ -150,7 +139,7 @@ func NewHTMvEB(o Opts) *Instance {
 		Name:      "HTM-vEB",
 		NewHandle: func() Map { return vebMap{t: t} },
 		Close:     func() {},
-		TMStats:   tmHook(tm),
+		TMStats:   tm.Stats,
 		DRAMBytes: t.DRAMBytes,
 	}
 }
@@ -167,7 +156,7 @@ func NewPHTMvEB(o Opts) *Instance {
 		Name:       "PHTM-vEB",
 		NewHandle:  func() Map { return vebMap{t: t, w: sys.Register()} },
 		Close:      sys.Stop,
-		TMStats:    tmHook(tm),
+		TMStats:    tm.Stats,
 		NVMStats:   h.Stats,
 		EpochStats: sys.Stats,
 		DRAMBytes:  t.DRAMBytes,
@@ -255,7 +244,7 @@ func NewSkiplist(v skiplist.Variant, o Opts) *Instance {
 		cfg.IndexHeap = o.nvmHeap()
 		inst.NVMStats = cfg.IndexHeap.Stats
 		cfg.TM = o.tm()
-		inst.TMStats = tmHook(cfg.TM)
+		inst.TMStats = cfg.TM.Stats
 	case skiplist.Transient:
 		cfg.IndexHeap = o.dramHeap()
 	case skiplist.BDL:
@@ -269,7 +258,7 @@ func NewSkiplist(v skiplist.Variant, o Opts) *Instance {
 		inst.NVMStats = nh.Stats
 		inst.EpochStats = sys.Stats
 		inst.NVMBytes = sys.Allocator().FootprintBytes
-		inst.TMStats = tmHook(cfg.TM)
+		inst.TMStats = cfg.TM.Stats
 	}
 	l := skiplist.New(cfg)
 	l.SetObs(o.Obs)
@@ -305,7 +294,7 @@ func NewSpash(o Opts) *Instance {
 		Name:      "Spash",
 		NewHandle: func() Map { return spashMap{t: t} },
 		Close:     func() {},
-		TMStats:   tmHook(tm),
+		TMStats:   tm.Stats,
 		NVMStats:  h.Stats,
 	}
 }
@@ -322,7 +311,7 @@ func NewBDSpash(o Opts) *Instance {
 		Name:       "BD-Spash",
 		NewHandle:  func() Map { return spashMap{t: t, w: sys.Register()} },
 		Close:      sys.Stop,
-		TMStats:    tmHook(tm),
+		TMStats:    tm.Stats,
 		NVMStats:   h.Stats,
 		EpochStats: sys.Stats,
 		NVMBytes:   sys.Allocator().FootprintBytes,
@@ -397,7 +386,7 @@ func NewBDHash(o Opts) *Instance {
 		Name:       "BD-Hash (Listing 1)",
 		NewHandle:  func() Map { return bdhashMap{t: t, w: sys.Register()} },
 		Close:      sys.Stop,
-		TMStats:    tmHook(tm),
+		TMStats:    tm.Stats,
 		NVMStats:   h.Stats,
 		EpochStats: sys.Stats,
 		Sync:       sys.Sync,

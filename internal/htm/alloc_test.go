@@ -1,8 +1,8 @@
 //go:build !race
 
 // Under the race detector sync.Pool drops a quarter of what it is handed,
-// so the pooled Tx and Fallback are rebuilt at random and these pins do not
-// hold; the race lane skips the file.
+// so the pooled Tx is rebuilt at random and these pins do not hold; the race
+// lane skips the file.
 
 package htm
 
@@ -14,7 +14,6 @@ import "testing"
 func TestAttemptsAndSessionsDoNotAllocate(t *testing.T) {
 	var w [16]uint64
 	body := func(tx *Tx) { tx.Store(&w[0], tx.Load(&w[8])+1) }
-	session := func(f *Fallback) { f.Store(&w[0], f.Load(&w[8])+1) }
 	clean, spurious := Default(), New(Config{SpuriousRate: 1})
 	memtype := New(Config{MemTypeRate: 1, PreWalkResidualRate: 1})
 	for _, tc := range []struct {
@@ -26,8 +25,10 @@ func TestAttemptsAndSessionsDoNotAllocate(t *testing.T) {
 		{"injected spurious abort", func() { spurious.Attempt(body) }},
 		{"injected memtype abort after a pre-walk", func() { memtype.Attempt(body, PreWalked()) }},
 		{"explicit abort", func() { clean.Attempt(func(tx *Tx) { tx.Load(&w[8]); tx.Abort(1) }) }},
-		{"session", func() { clean.RunFallback(session) }},
-		{"Run on a tripped TM", func() { spurious.Run(2, body, session) }},
+		{"session", func() { clean.RunSession(body) }},
+		{"abandoned session", func() { clean.RunSession(func(tx *Tx) { tx.Load(&w[8]); tx.Abort(1) }) }},
+		{"Run on a tripped TM", func() { spurious.Run(nil, 2, nil, body) }},
+		{"Run with a pre-walk", func() { memtype.Run(nil, 2, func() { w[15]++ }, body) }},
 	} {
 		if n := testing.AllocsPerRun(1000, tc.op); n != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", tc.name, n)

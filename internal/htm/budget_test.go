@@ -104,7 +104,7 @@ func TestRunOnTrippedTM(t *testing.T) {
 	tm := New(Config{SpuriousRate: 1})
 	var x uint64
 	run := func() {
-		tm.Run(maxRetries, func(tx *Tx) { tx.Store(&x, 1) }, func(f *Fallback) { f.Store(&x, f.Load(&x)+1) })
+		tm.Run(nil, maxRetries, nil, func(tx *Tx) { tx.Store(&x, tx.Load(&x)+1) })
 	}
 	for i := 0; i < 4; i++ {
 		run()

@@ -83,13 +83,9 @@ func benchFallbackMixed(b *testing.B, g int) {
 			default:
 			}
 			i++
-			tm.Run(2, func(tx *Tx) {
+			tm.Run(nil, 2, nil, func(tx *Tx) {
 				for l := 0; l < bigLines; l++ {
 					tx.Store(&big[l*8], i)
-				}
-			}, func(f *Fallback) {
-				for l := 0; l < bigLines; l++ {
-					f.Store(&big[l*8], i)
 				}
 			})
 		}

@@ -19,15 +19,17 @@
 //   - Persist operations (clwb/sfence) are incompatible with transactions:
 //     Tx.Flush and Tx.Fence always abort with CausePersistOp. This is the
 //     central incompatibility the paper resolves with buffered durability.
-//   - The slow path is a Fallback session (RunFallback): two-phase locking
-//     over the same versioned-lock table commits use, one slot per touched
-//     cache line, with writes buffered until the session finishes. A
-//     transaction conflicts with a session only where their line sets
-//     overlap, and non-transactional writes (DirectStore) are likewise
-//     visible to the conflict-detection mechanism. Sessions are pooled on
-//     the TM like transaction attempts, so neither path allocates in steady
-//     state.
-//   - The retry budget is the TM's (Budget): callers ask it how many
+//   - The slow path is a session, and a session is a mode of Tx: the same
+//     body runs under two-phase locking over the versioned-lock table
+//     commits use, one slot per touched cache line, with writes buffered
+//     until the session finishes (session.go). A transaction conflicts with
+//     a session only where their line sets overlap, and non-transactional
+//     writes (DirectStore) are likewise visible to the conflict-detection
+//     mechanism. Both modes run on the TM's pooled Tx, so neither allocates
+//     in steady state.
+//   - Run is the one retry-then-session driver: an operation hands it one
+//     body, which it attempts as a transaction and then runs as a session.
+//   - The retry budget is the TM's (Budget): Run asks it how many
 //     attempts an operation may spend before its session. The TM counts
 //     consecutive attempts, TM-wide, that ended in an abort a retry does
 //     not cure — spurious, memtype, capacity — and any commit clears the
@@ -71,7 +73,7 @@ type AbortCause int
 const (
 	// CauseNone means the attempt committed.
 	CauseNone AbortCause = iota
-	// CauseConflict: another transaction or a fallback-path writer
+	// CauseConflict: another transaction, a session or a direct store
 	// touched a line in this transaction's read or write set.
 	CauseConflict
 	// CauseCapacity: the read or write set exceeded the configured
@@ -189,8 +191,8 @@ type TM struct {
 	// instead of a full table scan.
 	held atomic.Int64
 
-	// fbMu serializes fallback sessions that failed to make progress
-	// with bounded waiting (see RunFallback's escalation).
+	// fbMu serializes sessions that failed to make progress with bounded
+	// waiting (see RunSession's escalation).
 	fbMu sync.Mutex
 
 	// futile counts consecutive attempts that ended in an abort retrying
@@ -200,8 +202,7 @@ type TM struct {
 	stats Stats
 	obs   *obs.Recorder
 
-	pool   sync.Pool // *Tx
-	fbPool sync.Pool // *Fallback
+	pool sync.Pool // *Tx
 }
 
 // New creates a TM with the given configuration.
@@ -231,7 +232,6 @@ func New(cfg Config) *TM {
 			wlines:   newKVSet(wlineCap),
 		}
 	}
-	tm.fbPool.New = func() any { return &Fallback{tm: tm} }
 	return tm
 }
 
@@ -278,20 +278,33 @@ type writeEntry struct {
 	addr nvm.Addr
 }
 
-// Tx is a transaction attempt in progress. A Tx is only valid inside the
-// body function passed to Attempt and must not escape it.
+// apply performs the buffered write; heap words go through the heap so
+// dirty-line tracking stays correct.
+func (we *writeEntry) apply() {
+	if we.heap != nil {
+		we.heap.Store(we.addr, we.val)
+	} else {
+		atomic.StoreUint64(we.p, we.val)
+	}
+}
+
+// Tx is one execution of an operation's body: a transaction attempt, or —
+// with sess set — a slow-path session (session.go). A Tx is only valid
+// inside the body function it is passed to and must not escape it.
 type Tx struct {
 	tm       *TM
-	id       uint64
+	sess     bool   // session mode: accesses lock lines instead of tracking sets
+	owner    uint64 // slot word while holding: id<<1|1, fbOwnerBit set in a session
 	rv       uint64
 	reads    kvSet // line key -> observed slot version word
 	writes   []writeEntry
 	writeIdx kvSet // word pointer -> index+1 into writes
 	wlines   kvSet // distinct write lines (capacity accounting)
 
-	// Lock-acquisition state for commit. lockOrder holds the lock-table
-	// slots covering the write set: appended raw, then sorted and
-	// deduped in place, so acquisition runs in ascending slot order.
+	// Held lock-table slots. A commit fills lockOrder with the slots
+	// covering the write set: appended raw, then sorted and deduped in
+	// place, so acquisition runs in ascending slot order. A session keeps
+	// it sorted as it locks each touched line.
 	// lockPrev[i] is the pre-lock version of lockOrder[i], recorded at
 	// acquisition; aborts revert from it, and read-validation finds a
 	// held slot's pre-lock version by binary search on the sorted
@@ -299,6 +312,12 @@ type Tx struct {
 	// scan per validated read.
 	lockOrder []uint64
 	lockPrev  []uint64
+
+	// Session-only state: release's scratch (slot covers a buffered
+	// write), and the restart count behind escalation to fbMu.
+	written   []bool
+	restarts  int
+	escalated bool
 
 	res Result
 }
@@ -319,12 +338,17 @@ func (tx *Tx) abort(cause AbortCause, code uint8) {
 }
 
 // Abort explicitly aborts the transaction with a user code, like _xabort.
+// In a session it abandons the session: held lines revert, buffered writes
+// are dropped, and the code comes back in RunSession's result.
 func (tx *Tx) Abort(code uint8) {
 	tx.abort(CauseExplicit, code)
 }
 
 // Load transactionally reads a DRAM word.
 func (tx *Tx) Load(p *uint64) uint64 {
+	if tx.sess {
+		return tx.sessionLoad(p, nil, 0)
+	}
 	if we := tx.lookupWrite(p); we != nil {
 		return we.val
 	}
@@ -334,6 +358,9 @@ func (tx *Tx) Load(p *uint64) uint64 {
 // LoadAddr transactionally reads a word of simulated NVM.
 func (tx *Tx) LoadAddr(h *nvm.Heap, a nvm.Addr) uint64 {
 	p := h.WordPtr(a)
+	if tx.sess {
+		return tx.sessionLoad(p, h, a)
+	}
 	if we := tx.lookupWrite(p); we != nil {
 		return we.val
 	}
@@ -396,6 +423,10 @@ func (tx *Tx) StoreAddr(h *nvm.Heap, a nvm.Addr, v uint64) {
 
 func (tx *Tx) storeCommon(p *uint64, we writeEntry) {
 	we.p = p
+	if tx.sess {
+		tx.sessionStore(we)
+		return
+	}
 	if prev := tx.lookupWrite(p); prev != nil {
 		*prev = we
 		return
@@ -414,13 +445,16 @@ func (tx *Tx) storeCommon(p *uint64, we writeEntry) {
 
 // Flush models attempting clwb inside a transaction: it always aborts,
 // because write-back instructions are unsupported in speculative execution.
+// A session refuses it the same way (it would flush while holding line
+// locks), so a body cannot come to depend on the mode it runs in.
 func (tx *Tx) Flush() { tx.abort(CausePersistOp, 0) }
 
 // Fence models attempting sfence inside a transaction: it always aborts.
 func (tx *Tx) Fence() { tx.abort(CausePersistOp, 0) }
 
-func (tx *Tx) reset(id, rv uint64) {
-	tx.id = id
+func (tx *Tx) reset(owner, rv uint64) {
+	tx.sess = false
+	tx.owner = owner
 	tx.rv = rv
 	tx.reads.reset()
 	tx.writes = tx.writes[:0]
@@ -457,7 +491,7 @@ func (tx *Tx) commit() bool {
 	// livelock where two transactions lock their first lines in opposite
 	// order and each aborts the other forever: with a global order, one
 	// of any pair of contenders always wins.
-	lockedWord := tx.id<<1 | 1
+	lockedWord := tx.owner
 	tm.held.Add(1)
 	for n, idx := range tx.lockOrder {
 		slot := &tm.table[idx]
@@ -498,12 +532,7 @@ func (tx *Tx) commit() bool {
 	wv := tm.clock.Add(1)
 	// Write back.
 	for i := range tx.writes {
-		we := &tx.writes[i]
-		if we.heap != nil {
-			we.heap.Store(we.addr, we.val)
-		} else {
-			atomic.StoreUint64(we.p, we.val)
-		}
+		tx.writes[i].apply()
 	}
 	tx.releaseLocks(len(tx.lockOrder), wv, true)
 	tm.held.Add(-1)
@@ -511,7 +540,7 @@ func (tx *Tx) commit() bool {
 }
 
 // noteFallbackBlocked counts a fast-path abort whose blocking slot word
-// belongs to a fallback session (fbOwnerBit set), so the slow path's cost
+// belongs to a session (fbOwnerBit set), so the slow path's cost
 // to concurrent transactions is observable.
 func (tm *TM) noteFallbackBlocked(slotWord uint64) {
 	if slotWord&1 == 1 && slotWord&fbOwnerBit != 0 {
@@ -547,10 +576,10 @@ const optPreWalked AttemptOption = 1
 func PreWalked() AttemptOption { return optPreWalked }
 
 // Attempt runs body as one transaction attempt and reports the outcome.
-// There is no automatic retry: callers implement their own retry and
-// fallback policy, exactly as with _xbegin/_xend. If body panics with
-// anything other than a transactional abort, the panic propagates after the
-// attempt's speculative state is discarded.
+// There is no automatic retry, exactly as with _xbegin/_xend; operations
+// that want Listing 1's retry-then-session policy use Run. If body panics
+// with anything other than a transactional abort, the panic propagates
+// after the attempt's speculative state is discarded.
 func (tm *TM) Attempt(body func(tx *Tx), opts ...AttemptOption) Result {
 	return tm.AttemptSpan(nil, body, opts...)
 }
@@ -591,7 +620,7 @@ func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
 
 	tx := tm.pool.Get().(*Tx)
 	defer tm.pool.Put(tx)
-	tx.reset(tm.txIDs.Add(1), tm.clock.Load())
+	tx.reset(tm.txIDs.Add(1)<<1|1, tm.clock.Load())
 
 	res, ok := tm.runBody(tx, body)
 	if !ok {
@@ -627,10 +656,8 @@ func (tm *TM) note(c AbortCause) {
 // have ended in an abort a retry does not cure (spurious, memtype,
 // capacity — conflict and explicit aborts neither count nor reset) with no
 // commit in between; from then on it is 1, so every operation still probes
-// the fast path once, and the first commit restores the full budget. Retry
-// loops compare against it on every iteration:
-//
-//	if retries++; retries >= tm.Budget(maxRetries) { /* RunFallback */ }
+// the fast path once, and the first commit restores the full budget. Run
+// compares against it after every failed attempt.
 func (tm *TM) Budget(maxRetries int) int {
 	if tm.futile.Load() >= 4*int64(maxRetries) {
 		return 1
@@ -639,13 +666,20 @@ func (tm *TM) Budget(maxRetries int) int {
 }
 
 // runBody executes the body, converting abort panics into results.
-// ok reports whether the body ran to completion (and may try to commit).
+// ok reports whether the body ran to completion (and may try to commit, or
+// finish its session). A foreign panic in a session releases the held
+// slots and closes it before propagating, so the table is never left
+// locked.
 func (tm *TM) runBody(tx *Tx, body func(tx *Tx)) (res Result, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ab, isAbort := r.(txAbort); isAbort && ab.tx == tx {
 				res, ok = tx.res, false
 				return
+			}
+			if tx.sess {
+				tx.release(false)
+				tm.closeSession(tx)
 			}
 			panic(r)
 		}
@@ -655,13 +689,12 @@ func (tm *TM) runBody(tx *Tx, body func(tx *Tx)) (res Result, ok bool) {
 }
 
 // backoff yields for a bounded, jittered, exponentially growing delay
-// after the attempt-th transient abort. Exponential growth separates
-// contenders that keep colliding; jitter keeps two transactions with
-// identical retry counts from re-colliding in lockstep; the bound keeps
-// worst-case delay in the tens of microseconds so the fallback path is
-// still reached promptly when maxRetries is large.
-func (tm *TM) backoff(attempt int) {
-	shift := attempt
+// after a session's restart-th restart (Run retries attempts at once).
+// Exponential growth separates contenders that keep colliding; jitter keeps
+// two sessions with identical restart counts from re-colliding in lockstep;
+// the bound keeps worst-case delay in the tens of microseconds.
+func (tm *TM) backoff(restart int) {
+	shift := restart
 	if shift > 6 {
 		shift = 6
 	}

@@ -3,8 +3,6 @@ package htm
 import (
 	"runtime"
 	"sync/atomic"
-
-	"bdhtm/internal/nvm"
 )
 
 // drainCommits waits until no commit or direct store holds a versioned
@@ -70,14 +68,6 @@ func (tm *TM) unlockSlotDirect(slot *atomic.Uint64) {
 func (tm *TM) DirectStore(p *uint64, v uint64) {
 	slot := tm.lockSlotDirect(p)
 	atomic.StoreUint64(p, v)
-	tm.unlockSlotDirect(slot)
-}
-
-// DirectStoreAddr is DirectStore for simulated NVM words; the store goes
-// through the heap so dirty-line tracking stays correct.
-func (tm *TM) DirectStoreAddr(h *nvm.Heap, a nvm.Addr, v uint64) {
-	slot := tm.lockSlotDirect(h.WordPtr(a))
-	h.Store(a, v)
 	tm.unlockSlotDirect(slot)
 }
 

@@ -42,8 +42,8 @@ func TestDisjointLineProgressDuringFallback(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tm.RunFallback(func(f *Fallback) {
-			f.Store(a, f.Load(a)+1)
+		tm.RunSession(func(tx *Tx) {
+			tx.Store(a, tx.Load(a)+1)
 			once.Do(func() { close(inSession) })
 			<-release
 		})
@@ -92,8 +92,8 @@ func TestFallbackReadLocksLine(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tm.RunFallback(func(f *Fallback) {
-			_ = f.Load(a) // read-only access still locks the line
+		tm.RunSession(func(tx *Tx) {
+			_ = tx.Load(a) // read-only access still locks the line
 			once.Do(func() { close(inSession) })
 			<-release
 		})
@@ -126,8 +126,8 @@ func TestFallbackRestartUnderContention(t *testing.T) {
 	wg.Add(1)
 	go func() { // holder: pins a's line, then waits
 		defer wg.Done()
-		tm.RunFallback(func(f *Fallback) {
-			_ = f.Load(a)
+		tm.RunSession(func(tx *Tx) {
+			_ = tx.Load(a)
 			once.Do(func() { close(inSession) })
 			<-release
 		})
@@ -136,9 +136,9 @@ func TestFallbackRestartUnderContention(t *testing.T) {
 	wg.Add(1)
 	go func() { // contender: buffers b, then needs a — must restart
 		defer wg.Done()
-		tm.RunFallback(func(f *Fallback) {
-			f.Store(b, 1)
-			f.Store(a, f.Load(a)+1)
+		tm.RunSession(func(tx *Tx) {
+			tx.Store(b, 1)
+			tx.Store(a, tx.Load(a)+1)
 		})
 	}()
 	for tm.Stats().FallbackRestarts == 0 {
@@ -171,9 +171,9 @@ func TestSessionLockOrderNoDeadlock(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(id)+1, 99))
 			for i := 0; i < iters; i++ {
 				idxs := rng.Perm(len(ws))[:4]
-				tm.RunFallback(func(f *Fallback) {
+				tm.RunSession(func(tx *Tx) {
 					for _, j := range idxs {
-						f.Store(ws[j], f.Load(ws[j])+1)
+						tx.Store(ws[j], tx.Load(ws[j])+1)
 					}
 				})
 			}
@@ -220,9 +220,9 @@ func TestMixedTxFallbackSerializable(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				j := int(rng.Uint64N(uint64(len(ws))))
 				k := (j + 1 + int(rng.Uint64N(uint64(len(ws)-1)))) % len(ws)
-				tm.RunFallback(func(f *Fallback) {
-					f.Store(ws[j], f.Load(ws[j])+1)
-					f.Store(ws[k], f.Load(ws[k])+1)
+				tm.RunSession(func(tx *Tx) {
+					tx.Store(ws[j], tx.Load(ws[j])+1)
+					tx.Store(ws[k], tx.Load(ws[k])+1)
 				})
 			}
 		}(g)
@@ -237,46 +237,169 @@ func TestMixedTxFallbackSerializable(t *testing.T) {
 	}
 }
 
-// Run's policy, one case per way out of the retry loop: a clean commit
-// never opens a session; deterministic aborts (explicit, capacity) go to
-// the session after one attempt; transient aborts spend exactly maxRetries
-// attempts first.
+// Run's policy, one case per way out of the retry loop, with one body
+// serving both modes: a clean commit never opens a session; an explicit
+// abort returns to the caller from either mode; every other abort —
+// capacity included — spends the budget and then exactly one session runs;
+// a MemType abort runs the pre-walk and the next attempt carries PreWalked.
 func TestRun(t *testing.T) {
 	const maxRetries = 3
+	store := func(tx *Tx, x *uint64, _ []*uint64) {
+		if tx.InSession() {
+			tx.Store(x, 2)
+		} else {
+			tx.Store(x, 1)
+		}
+	}
 	for _, tc := range []struct {
 		name     string
 		cfg      Config
 		body     func(tx *Tx, x *uint64, lines []*uint64)
-		wantTx   bool
+		want     Result
+		wantX    uint64
 		attempts int64
+		sessions int64
+		preWalks int
 	}{
-		{"commit", Config{}, func(tx *Tx, x *uint64, _ []*uint64) { tx.Store(x, 1) }, true, 1},
-		{"explicit", Config{}, func(tx *Tx, _ *uint64, _ []*uint64) { tx.Abort(1) }, false, 1},
-		{"capacity", Config{MaxWriteLines: 2}, func(tx *Tx, _ *uint64, lines []*uint64) {
+		{"commit", Config{}, store, Result{Committed: true}, 1, 1, 0, 0},
+		{"explicit", Config{}, func(tx *Tx, x *uint64, _ []*uint64) { tx.Store(x, 1); tx.Abort(9) },
+			Result{Cause: CauseExplicit, Code: 9}, 0, 1, 0, 0},
+		{"explicit in the session", Config{SpuriousRate: 1}, func(tx *Tx, x *uint64, _ []*uint64) { tx.Store(x, 2); tx.Abort(9) },
+			Result{Cause: CauseExplicit, Code: 9}, 0, maxRetries, 1, 0},
+		{"capacity", Config{MaxWriteLines: 2}, func(tx *Tx, x *uint64, lines []*uint64) {
 			for _, p := range lines {
 				tx.Store(p, 1)
 			}
-		}, false, 1},
-		{"spurious", Config{SpuriousRate: 1}, func(tx *Tx, x *uint64, _ []*uint64) { tx.Store(x, 1) }, false, maxRetries},
+			tx.Store(x, 2)
+		}, Result{Committed: true}, 2, maxRetries, 1, 0},
+		{"spurious", Config{SpuriousRate: 1}, store, Result{Committed: true}, 2, maxRetries, 1, 0},
+		{"memtype", Config{MemTypeRate: 1}, store, Result{Committed: true}, 1, 2, 0, 1},
+		{"memtype past a pre-walk", Config{MemTypeRate: 1, PreWalkResidualRate: 1}, store, Result{Committed: true}, 2, maxRetries, 1, maxRetries - 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tm := New(tc.cfg)
 			lines := disjointWords(t, tm, 3)
 			var x uint64
-			committed := tm.Run(maxRetries,
-				func(tx *Tx) { tc.body(tx, &x, lines) },
-				func(f *Fallback) { f.Store(&x, 2) })
-			wantX, wantSessions := uint64(2), int64(1)
-			if tc.wantTx {
-				wantX, wantSessions = 1, 0
+			preWalks := 0
+			res := tm.Run(nil, maxRetries, func() { preWalks++ }, func(tx *Tx) { tc.body(tx, &x, lines) })
+			if res != tc.want || x != tc.wantX {
+				t.Fatalf("res=%+v x=%d, want %+v and %d", res, x, tc.want, tc.wantX)
 			}
-			if committed != tc.wantTx || x != wantX {
-				t.Fatalf("committed=%v x=%d, want committed=%v x=%d", committed, x, tc.wantTx, wantX)
+			s := tm.Stats()
+			if s.Attempts() != tc.attempts || s.FallbackAcquires != tc.sessions || preWalks != tc.preWalks {
+				t.Fatalf("attempts=%d sessions=%d pre-walks=%d, want %d, %d and %d",
+					s.Attempts(), s.FallbackAcquires, preWalks, tc.attempts, tc.sessions, tc.preWalks)
 			}
-			if s := tm.Stats(); s.Attempts() != tc.attempts || s.FallbackAcquires != wantSessions {
-				t.Fatalf("attempts=%d sessions=%d, want %d and %d", s.Attempts(), s.FallbackAcquires, tc.attempts, wantSessions)
+			if fromSession := tc.want.Cause == CauseExplicit && tc.sessions == 1; fromSession && s.Explicit != 0 {
+				t.Fatalf("a session's explicit abort was counted as an attempt outcome: %+v", s)
 			}
 		})
+	}
+}
+
+// Abort in session mode abandons the session: every line it locked is back
+// at its pre-lock version (so a transaction that read those lines before
+// still validates), the buffered writes are dropped, the code comes back,
+// and the pooled Tx serves the next session and the next attempt.
+func TestSessionAbortLeavesNoTrace(t *testing.T) {
+	tm := Default()
+	ws := disjointWords(t, tm, 3)
+	for _, p := range ws { // give every slot a non-zero version to revert to
+		tm.DirectStore(p, 10)
+	}
+	slot := func(p *uint64) uint64 { return tm.table[tm.slotIdx(lineKey(p))].Load() }
+	before := []uint64{slot(ws[0]), slot(ws[1]), slot(ws[2])}
+	clock := tm.clock.Load()
+
+	res := tm.RunSession(func(tx *Tx) {
+		tx.Store(ws[0], tx.Load(ws[1])+1)
+		tx.Store(ws[2], 99)
+		for _, p := range ws {
+			if slot(p)&1 == 0 {
+				t.Error("line not locked mid-session")
+			}
+		}
+		tx.Abort(0x5e)
+	})
+	if want := (Result{Cause: CauseExplicit, Code: 0x5e}); res != want {
+		t.Fatalf("abandoned session returned %+v, want %+v", res, want)
+	}
+	for i, p := range ws {
+		if *p != 10 {
+			t.Fatalf("word %d = %d after an abandoned session, want 10", i, *p)
+		}
+		if got := slot(p); got != before[i] {
+			t.Fatalf("slot %d = %#x after an abandoned session, want its pre-lock version %#x", i, got, before[i])
+		}
+	}
+	if tm.clock.Load() != clock {
+		t.Fatal("an abandoned session advanced the version clock")
+	}
+	if s := tm.Stats(); s.Explicit != 0 || s.Attempts() != 0 || s.FallbackAcquires != 1 {
+		t.Fatalf("stats after one abandoned session: %+v", s)
+	}
+	// The same pooled Tx, reused in both modes, starts clean.
+	if res := tm.RunSession(func(tx *Tx) { tx.Store(ws[0], tx.Load(ws[0])+1) }); !res.Committed || *ws[0] != 11 || *ws[2] != 10 {
+		t.Fatalf("next session: %+v, words %d %d", res, *ws[0], *ws[2])
+	}
+	if res := tm.Attempt(func(tx *Tx) {
+		if tx.InSession() {
+			t.Error("attempt on a recycled Tx still in session mode")
+		}
+		tx.Store(ws[1], tx.Load(ws[0])+1)
+	}); !res.Committed || *ws[1] != 12 {
+		t.Fatalf("next attempt: %+v, word %d", res, *ws[1])
+	}
+	if got := tm.held.Load(); got != 0 {
+		t.Fatalf("held = %d, want 0", got)
+	}
+}
+
+// Flush and Fence refuse in a session exactly as in a transaction, so a
+// body cannot come to depend on its mode: the session is abandoned with
+// CausePersistOp and nothing it buffered is applied.
+func TestPersistOpsRefuseInSession(t *testing.T) {
+	tm := Default()
+	var x uint64
+	for name, op := range map[string]func(*Tx){"Flush": (*Tx).Flush, "Fence": (*Tx).Fence} {
+		reached := false
+		res := tm.RunSession(func(tx *Tx) { tx.Store(&x, 1); op(tx); reached = true })
+		if res.Cause != CausePersistOp || res.Committed || reached || x != 0 {
+			t.Fatalf("%s inside a session: %+v, reached=%v x=%d", name, res, reached, x)
+		}
+	}
+	if res := tm.Attempt(func(tx *Tx) { tx.Store(&x, 3) }); !res.Committed {
+		t.Fatalf("line left locked by a refused session: %+v", res)
+	}
+}
+
+// DrainCommits is a session's barrier; a transaction attempt cannot wait
+// for other commits, so calling it there is a programming error.
+func TestDrainCommitsOutsideSessionPanics(t *testing.T) {
+	tm := Default()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DrainCommits in a transaction attempt did not panic")
+		}
+	}()
+	tm.Attempt(func(tx *Tx) { tx.DrainCommits() })
+}
+
+// A foreign panic inside a session propagates, and leaves neither a line
+// locked nor the escalation mutex held.
+func TestUserPanicInSessionReleases(t *testing.T) {
+	tm := Default()
+	var x uint64
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected user panic to propagate")
+			}
+		}()
+		tm.RunSession(func(tx *Tx) { tx.Store(&x, 1); panic("user bug") })
+	}()
+	if res := tm.RunSession(func(tx *Tx) { tx.Store(&x, tx.Load(&x)+2) }); !res.Committed || x != 2 {
+		t.Fatalf("session after the panic: %+v, x = %d", res, x)
 	}
 }
 
@@ -302,7 +425,7 @@ func TestHeldCounterBalanced(t *testing.T) {
 				case 2:
 					tm.DirectStore(p, 1)
 				default:
-					tm.RunFallback(func(f *Fallback) { f.Store(p, f.Load(p)+1) })
+					tm.RunSession(func(tx *Tx) { tx.Store(p, tx.Load(p)+1) })
 				}
 			}
 		}(g)

@@ -3,8 +3,8 @@
 //
 //   - MwWR — unsynchronized, non-persistent multi-word writes (baseline);
 //   - HTMMwCAS — a multi-word compare-and-swap built from one hardware
-//     transaction (with a slow-path htm.Fallback session), the paper's
-//     replacement for descriptor-based protocols;
+//     transaction (run as a slow-path session after repeated aborts), the
+//     paper's replacement for descriptor-based protocols;
 //   - Desc — the descriptor-based MwCAS of Wang et al. (ICDE'18), with
 //     helping; in persistent mode (PMwCAS) every step of the protocol is
 //     flushed so an operation interrupted by a crash can roll forward or
@@ -18,7 +18,6 @@ package mwcas
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"bdhtm/internal/htm"
@@ -55,54 +54,21 @@ func NewHTMMwCAS(h *nvm.Heap, tm *htm.TM) *HTMMwCAS {
 const htmMwFailCode uint8 = 0xC5
 
 // Apply atomically replaces every entry's word if all of them still hold
-// their Old values; it reports whether the swap happened.
+// their Old values; it reports whether the swap happened. The one body
+// runs as a transaction or, past the retry budget, as a session; either
+// way a mismatch aborts it with the fail code.
 func (m *HTMMwCAS) Apply(entries []Entry) bool {
 	const maxRetries = 64
-	retries := 0
-	for {
-		res := m.tm.Attempt(func(tx *htm.Tx) {
-			for _, e := range entries {
-				if tx.LoadAddr(m.h, e.Addr) != e.Old {
-					tx.Abort(htmMwFailCode)
-				}
-			}
-			for _, e := range entries {
-				tx.StoreAddr(m.h, e.Addr, e.New)
-			}
-		})
-		switch {
-		case res.Committed:
-			return true
-		case res.Cause == htm.CauseExplicit && res.Code == htmMwFailCode:
-			return false
-		default:
-			retries++
-			if retries >= m.tm.Budget(maxRetries) {
-				return m.applyFallback(entries)
-			}
-			if retries&7 == 7 {
-				runtime.Gosched()
-			}
-		}
-	}
-}
-
-// applyFallback is Apply as a slow-path session: check all, then store all.
-func (m *HTMMwCAS) applyFallback(entries []Entry) bool {
-	var swapped bool
-	m.tm.RunFallback(func(f *htm.Fallback) {
-		swapped = false // the body may be re-executed after a restart
+	return m.tm.Run(nil, maxRetries, nil, func(tx *htm.Tx) {
 		for _, e := range entries {
-			if f.LoadAddr(m.h, e.Addr) != e.Old {
-				return
+			if tx.LoadAddr(m.h, e.Addr) != e.Old {
+				tx.Abort(htmMwFailCode)
 			}
 		}
 		for _, e := range entries {
-			f.StoreAddr(m.h, e.Addr, e.New)
+			tx.StoreAddr(m.h, e.Addr, e.New)
 		}
-		swapped = true
-	})
-	return swapped
+	}).Committed
 }
 
 // Read returns the current value of a word, which for the HTM variant is

@@ -34,9 +34,10 @@ retryRegist:
 			res := l.htmApply(h.w, g, nil,
 				func(tx *htm.Tx) {
 					// A failed attempt may have run this closure to
-					// completion (conflicts surface at commit); reset the
-					// captured outputs so a retry that takes a different
-					// branch cannot inherit a stale retire/persist pair.
+					// completion (conflicts surface at commit) and a
+					// session may restart it; reset the captured outputs
+					// so a retry that takes a different branch cannot
+					// inherit a stale retire/persist pair.
 					retire, persist, usedPrealloc = epoch.Block{}, epoch.Block{}, false
 					if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
 						tx.Abort(retryCode) // node was removed; re-find
@@ -57,27 +58,6 @@ retryRegist:
 					default:
 						blk.SetValueTx(tx, v)
 					}
-				},
-				func(f *htm.Fallback) applyResult {
-					// The session body may restart on lock contention:
-					// outputs are reset here, writes are buffered.
-					retire, persist, usedPrealloc = epoch.Block{}, epoch.Block{}, false
-					if f.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
-						return applyRetry
-					}
-					blk := l.cfg.DataSys.BlockAt(nvm.Addr(f.LoadAddr(l.h, l.valueAddr(found))))
-					be := blk.EpochF(f)
-					switch {
-					case be > opEpoch:
-						return applyOldSeeNew
-					case be < opEpoch:
-						newBlk.SetEpochF(f, opEpoch)
-						f.StoreAddr(l.h, l.valueAddr(found), uint64(newBlk.Addr()))
-						retire, persist, usedPrealloc = blk, newBlk, true
-					default:
-						blk.SetValueF(f, v)
-					}
-					return applyOK
 				},
 			)
 			switch res {
@@ -105,13 +85,6 @@ retryRegist:
 				// removal from a newer epoch (no block left to epoch-check).
 				l.removals.CheckTx(tx, k, opEpoch)
 				newBlk.SetEpochTx(tx, opEpoch)
-			},
-			func(f *htm.Fallback) applyResult {
-				if !l.removals.OkF(f, k, opEpoch) {
-					return applyOldSeeNew
-				}
-				newBlk.SetEpochF(f, opEpoch)
-				return applyOK
 			},
 		)
 		if res == applyOK {
@@ -179,15 +152,6 @@ retryRegist:
 				}
 				l.removals.RaiseTx(tx, k, opEpoch)
 				retire = blk
-			},
-			func(f *htm.Fallback) applyResult {
-				blk := l.cfg.DataSys.BlockAt(nvm.Addr(f.LoadAddr(l.h, l.valueAddr(found))))
-				if blk.EpochF(f) > opEpoch {
-					return applyOldSeeNew
-				}
-				l.removals.RaiseF(f, k, opEpoch)
-				retire = blk
-				return applyOK
 			},
 		)
 		switch res {

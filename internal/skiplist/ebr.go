@@ -159,9 +159,11 @@ func (g *guard) capture() {
 // or completed since the operation started, unannounced reads may have
 // observed freed memory — abort and recapture. Reading seq also puts it
 // in the transaction's read set, so a scan that starts after this check
-// still fails the commit-time validation.
+// still fails the commit-time validation. A session has no commit-time
+// validation, so an unannounced operation never runs as one: it aborts the
+// same way, and comes back announced.
 func (g *guard) validate(tx *htm.Tx) {
-	if g.tele && tx.Load(&g.l.reap.seq) != g.seq {
+	if g.tele && (tx.InSession() || tx.Load(&g.l.reap.seq) != g.seq) {
 		tx.Abort(recaptureCode)
 	}
 }

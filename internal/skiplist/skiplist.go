@@ -197,8 +197,8 @@ func (l *List) allocTagged(tag uint8, key, value uint64, level int, nexts []uint
 	return b
 }
 
-func (l *List) key(n nvm.Addr) uint64   { return l.h.Load(palloc.Payload(n) + offKey) }
-func (l *List) level(n nvm.Addr) int    { return int(l.h.Load(palloc.Payload(n) + offLevel)) }
+func (l *List) key(n nvm.Addr) uint64 { return l.h.Load(palloc.Payload(n) + offKey) }
+func (l *List) level(n nvm.Addr) int  { return int(l.h.Load(palloc.Payload(n) + offLevel)) }
 func (l *List) valueAddr(n nvm.Addr) nvm.Addr {
 	return palloc.Payload(n) + offValue
 }
@@ -388,63 +388,35 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 
 // getBDL dereferences the node's NVM block inside a small transaction so
 // that a racing remove (which marks next[0] in the same transaction that
-// retires the block) cannot expose a reclaimed block's contents.
+// retires the block) cannot expose a reclaimed block's contents. A
+// persistently aborting read escapes into a read-only session of the same
+// body; guard.validate makes a teleporting one announce and re-find first.
 func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 	l := h.l
 	const maxRetries = 64
-	retries := 0
 	for {
-		if retries >= l.cfg.TM.Budget(maxRetries) {
-			// Persistently aborting read: escape into a read-only session
-			// under per-line locks. Announce first — session reads are not
-			// seqlock-validated.
-			g.capture()
-			_, _, found := l.find(g, k)
-			if found == 0 {
-				return 0, false
-			}
-			var v uint64
-			var ok bool
-			l.cfg.TM.RunFallback(func(f *htm.Fallback) {
-				v, ok = 0, false
-				if f.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
-					return
-				}
-				blk := l.cfg.DataSys.BlockAt(nvm.Addr(f.LoadAddr(l.h, l.valueAddr(found))))
-				v = blk.ValueF(f)
-				ok = true
-			})
-			return v, ok
-		}
 		_, _, found := l.find(g, k)
 		if found == 0 {
 			return 0, false
 		}
 		var v uint64
 		var ok bool
-		res := h.w.Attempt(l.cfg.TM, func(tx *htm.Tx) {
+		res := h.w.Run(l.cfg.TM, maxRetries, nil, func(tx *htm.Tx) {
+			v, ok = 0, false
 			g.validate(tx)
 			if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
-				ok = false
 				return
 			}
 			ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
 			if g.teleporting() && !l.blockOK(ba) {
 				tx.Abort(recaptureCode) // recycled tower: value word is garbage
 			}
-			blk := l.cfg.DataSys.BlockAt(ba)
-			v = blk.ValueTx(tx)
-			ok = true
+			v, ok = l.cfg.DataSys.BlockAt(ba).ValueTx(tx), true
 		})
 		if res.Committed {
 			return v, ok
 		}
-		switch {
-		case res.Cause == htm.CauseExplicit && res.Code == recaptureCode:
-			g.capture()
-		default:
-			retries++
-		}
+		g.capture() // recaptureCode, the body's only explicit abort
 	}
 }
 
@@ -543,7 +515,7 @@ func (h *Handle) apply(g *guard, entries []mwcas.Entry) bool {
 	if h.l.desc != nil {
 		return h.l.desc.Apply(h.tid, entries)
 	}
-	return h.l.htmApply(h.w, g, entries, nil, nil) == applyOK
+	return h.l.htmApply(h.w, g, entries, nil) == applyOK
 }
 
 // applyResult is the outcome of one transactional multi-word update.
@@ -560,86 +532,40 @@ const (
 )
 
 // htmApply runs the entries — validate all Olds, run the optional extra
-// transactional step, store all News — as one hardware transaction with a
-// slow-path fallback session. extra may call tx.Abort(retryCode) or
-// tx.Abort(epoch.OldSeeNewCode). direct is the fallback-path version of
-// extra: it performs any non-entry reads/writes through the session and
-// returns the outcome; entries are validated before and stored after it
-// only when it returns applyOK.
-func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra func(tx *htm.Tx), direct func(f *htm.Fallback) applyResult) applyResult {
+// step, store all News — as one body under the worker's Run: a hardware
+// transaction, then a slow-path session. extra may call
+// tx.Abort(retryCode), tx.Abort(recaptureCode) or
+// tx.Abort(epoch.OldSeeNewCode), and like any body must reset its outputs
+// on entry. A session does not validate the era-seqlock, so guard.validate
+// sends a still-teleporting operation back (recaptureCode) to announce and
+// re-find before its entries are trusted.
+func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra func(tx *htm.Tx)) applyResult {
 	const maxRetries = 64
-	retries := 0
-	for {
-		res := l.attemptW(w, func(tx *htm.Tx) {
-			g.validate(tx)
-			for _, e := range entries {
-				if tx.LoadAddr(l.h, e.Addr) != e.Old {
-					tx.Abort(retryCode)
-				}
-			}
-			if extra != nil {
-				extra(tx)
-			}
-			for _, e := range entries {
-				tx.StoreAddr(l.h, e.Addr, e.New)
-			}
-		})
-		switch {
-		case res.Committed:
-			return applyOK
-		case res.Cause == htm.CauseExplicit && res.Code == retryCode:
-			return applyRetry
-		case res.Cause == htm.CauseExplicit && res.Code == recaptureCode:
-			g.capture()
-			return applyRetry
-		case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
-			return applyOldSeeNew
-		case res.Cause == htm.CauseExplicit:
-			panic(fmt.Sprintf("skiplist: unexpected abort code %#x", res.Code))
-		default:
-			retries++
-			if retries >= l.cfg.TM.Budget(maxRetries) {
-				return l.htmFallback(g, entries, direct)
-			}
-		}
-	}
-}
-
-// attemptW routes one HTM attempt through the handle's epoch worker when
-// one exists (BDL), so the attempt lands in the worker's request span;
-// transient variants pass w == nil and hit the TM directly.
-func (l *List) attemptW(w *epoch.Worker, body func(tx *htm.Tx)) htm.Result {
-	if w != nil {
-		return w.Attempt(l.cfg.TM, body)
-	}
-	return l.cfg.TM.Attempt(body)
-}
-
-func (l *List) htmFallback(g *guard, entries []mwcas.Entry, direct func(f *htm.Fallback) applyResult) applyResult {
-	if g.teleporting() {
-		// The slow path takes full hazard capture: session reads are not
-		// seqlock-validated, and the entries were gathered unannounced, so
-		// announce and re-find before trusting any of them.
-		g.capture()
-		return applyRetry
-	}
-	r := applyOK
-	l.cfg.TM.RunFallback(func(f *htm.Fallback) {
-		r = applyOK
+	res := w.Run(l.cfg.TM, maxRetries, nil, func(tx *htm.Tx) {
+		g.validate(tx)
 		for _, e := range entries {
-			if f.LoadAddr(l.h, e.Addr) != e.Old {
-				r = applyRetry
-				return
+			if tx.LoadAddr(l.h, e.Addr) != e.Old {
+				tx.Abort(retryCode)
 			}
 		}
-		if direct != nil {
-			if r = direct(f); r != applyOK {
-				return
-			}
+		if extra != nil {
+			extra(tx)
 		}
 		for _, e := range entries {
-			f.StoreAddr(l.h, e.Addr, e.New)
+			tx.StoreAddr(l.h, e.Addr, e.New)
 		}
 	})
-	return r
+	switch {
+	case res.Committed:
+		return applyOK
+	case res.Code == retryCode:
+		return applyRetry
+	case res.Code == recaptureCode:
+		g.capture()
+		return applyRetry
+	case res.Code == epoch.OldSeeNewCode:
+		return applyOldSeeNew
+	default:
+		panic(fmt.Sprintf("skiplist: unexpected outcome %+v", res))
+	}
 }

@@ -6,12 +6,12 @@
 //
 // Structure (both modes): an extendible-hashing directory and segments in
 // DRAM; KV pairs in NVM blocks referenced from bucket slots (fingerprint
-// + address packed in one word). Every operation runs as one hardware
-// transaction with a slow-path session (htm.Fallback) after repeated
-// aborts; segment splits and directory doubling run as sessions that lock
-// a split-barrier word every transaction reads, aborting and excluding
-// them for the split's duration. A DRAM hotspot detector tracks per-bucket
-// access frequency:
+// + address packed in one word). Every operation is one body, attempted as
+// a hardware transaction and run as a slow-path session (a mode of the
+// same htm.Tx) after repeated aborts; segment splits and directory
+// doubling run as sessions that lock a split-barrier word every
+// transaction reads, aborting and excluding them for the split's duration.
+// A DRAM hotspot detector tracks per-bucket access frequency:
 //
 //   - Spash (eADR heap): stores are durable at the point of visibility;
 //     flushes are pure performance hints. Cold blocks are proactively
@@ -138,12 +138,12 @@ type Table struct {
 	segs        atomic.Pointer[[]*segment] // append-only behind the split barrier
 
 	// Split barriers, each on its own cache line. ver is read by every
-	// transaction: a split locks and bumps it through its fallback
-	// session, excluding and aborting all transactions for exactly the
-	// split's duration. fbGate is locked first by every fallback session,
-	// serializing slow-path operations against each other and against
-	// splits (which mutate dir/segs natively) without ever conflicting
-	// with transactions.
+	// transaction: a split locks and bumps it through its session,
+	// excluding and aborting all transactions for exactly the split's
+	// duration. fbGate is locked first by every session, serializing
+	// slow-path operations against each other and against splits (which
+	// mutate dir/segs natively) without ever conflicting with
+	// transactions. See enter.
 	_      [7]uint64
 	ver    uint64
 	_      [7]uint64
@@ -247,7 +247,7 @@ func unpackAddr(s uint64) nvm.Addr        { return nvm.Addr(s & (1<<48 - 1)) }
 // locate returns the segment and bucket for a hash under the current
 // directory. The pointers are read non-transactionally; structural
 // changes happen only on the slow path behind the split barrier (the ver
-// word — see subscribe), so a transaction that raced a split cannot commit.
+// word — see enter), so a transaction that raced a split cannot commit.
 //
 // The loads run in the reverse of splitLocked's publication order — depth,
 // then directory, then the entry (atomically: a split rewrites entries in
@@ -315,28 +315,26 @@ func (t *Table) initBlock(b nvm.Addr, k, v uint64) {
 	}
 }
 
-// stampTx stamps the block's epoch inside a transaction.
+// stampTx stamps the block's epoch inside the operation's body.
 func (t *Table) stampTx(tx *htm.Tx, b nvm.Addr, e uint64) {
 	hdr := tx.LoadAddr(t.heap, b)
 	hdr = hdr&^(palloc.InvalidEpoch) | e
 	tx.StoreAddr(t.heap, b, hdr)
 }
 
-// stampF is stampTx through a fallback session.
-func (t *Table) stampF(f *htm.Fallback, b nvm.Addr, e uint64) {
-	hdr := f.LoadAddr(t.heap, b)
-	hdr = hdr&^(palloc.InvalidEpoch) | e
-	f.StoreAddr(t.heap, b, hdr)
-}
-
 func (t *Table) epochTx(tx *htm.Tx, b nvm.Addr) uint64 {
 	return tx.LoadAddr(t.heap, b) & palloc.InvalidEpoch
 }
 
-func (t *Table) epochF(f *htm.Fallback, b nvm.Addr) uint64 {
-	return f.LoadAddr(t.heap, b) & palloc.InvalidEpoch
+// enter orders a body against structural changes; it is the one place the
+// two modes differ. A transaction subscribes to the split barrier, which a
+// split locks and bumps for its duration. A session takes the gate
+// instead: locking ver's line would abort every concurrent transaction,
+// and the gate already excludes splits (and other sessions).
+func (t *Table) enter(tx *htm.Tx) {
+	if tx.InSession() {
+		tx.Load(&t.fbGate)
+	} else {
+		tx.Load(&t.ver)
+	}
 }
-
-// subscribe orders a transaction against structural changes by reading
-// the split barrier, which a split locks and bumps for its duration.
-func (t *Table) subscribe(tx *htm.Tx) { tx.Load(&t.ver) }

@@ -4,45 +4,31 @@ import (
 	"math/bits"
 
 	"bdhtm/internal/htm"
-	"bdhtm/internal/nvm"
 )
 
 // leafBits is the largest log-universe handled by a bitmap leaf (2^6 = 64
 // keys per one-word bitmap).
 const leafBits = 6
 
-// mem abstracts transactional vs fallback-path memory access so the vEB
-// recursion is written once. txMem routes through the hardware
-// transaction; fbMem routes through a slow-path session; directMem
-// is for single-threaded contexts like recovery and the discarded
+// mem abstracts the operation body's memory access from single-threaded
+// access so the vEB recursion is written once. txMem routes through the
+// body's htm.Tx, in whichever mode it runs (transaction or session);
+// directMem is for single-threaded contexts like recovery and the discarded
 // pre-walk (writes are published through the conflict-detection tables).
 type mem interface {
 	load(p *uint64) uint64
 	store(p *uint64, v uint64)
-	loadHeap(h *nvm.Heap, a nvm.Addr) uint64
-	storeHeap(h *nvm.Heap, a nvm.Addr, v uint64)
 }
 
 type txMem struct{ tx *htm.Tx }
 
-func (m txMem) load(p *uint64) uint64                          { return m.tx.Load(p) }
-func (m txMem) store(p *uint64, v uint64)                      { m.tx.Store(p, v) }
-func (m txMem) loadHeap(h *nvm.Heap, a nvm.Addr) uint64        { return m.tx.LoadAddr(h, a) }
-func (m txMem) storeHeap(h *nvm.Heap, a nvm.Addr, v uint64)    { m.tx.StoreAddr(h, a, v) }
-
-type fbMem struct{ f *htm.Fallback }
-
-func (m fbMem) load(p *uint64) uint64                       { return m.f.Load(p) }
-func (m fbMem) store(p *uint64, v uint64)                   { m.f.Store(p, v) }
-func (m fbMem) loadHeap(h *nvm.Heap, a nvm.Addr) uint64     { return m.f.LoadAddr(h, a) }
-func (m fbMem) storeHeap(h *nvm.Heap, a nvm.Addr, v uint64) { m.f.StoreAddr(h, a, v) }
+func (m txMem) load(p *uint64) uint64     { return m.tx.Load(p) }
+func (m txMem) store(p *uint64, v uint64) { m.tx.Store(p, v) }
 
 type directMem struct{ tm *htm.TM }
 
-func (m directMem) load(p *uint64) uint64                       { return m.tm.DirectLoad(p) }
-func (m directMem) store(p *uint64, v uint64)                   { m.tm.DirectStore(p, v) }
-func (m directMem) loadHeap(h *nvm.Heap, a nvm.Addr) uint64     { return h.Load(a) }
-func (m directMem) storeHeap(h *nvm.Heap, a nvm.Addr, v uint64) { m.tm.DirectStoreAddr(h, a, v) }
+func (m directMem) load(p *uint64) uint64     { return m.tm.DirectLoad(p) }
+func (m directMem) store(p *uint64, v uint64) { m.tm.DirectStore(p, v) }
 
 // split decomposes key k in a 2^b universe into its cluster index (high
 // bits) and in-cluster key (low bits). The low half has floor(b/2) bits,

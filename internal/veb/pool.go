@@ -23,11 +23,11 @@ const (
 // headers are immutable after creation (nodes are published only by a
 // committed store of their index into a parent's cluster slot).
 type node struct {
-	min    uint64 // smallest key in this node; EMPTY if none (internal)
-	max    uint64 // largest key (internal)
-	minVal uint64 // value (or NVM block address) of min
+	min     uint64 // smallest key in this node; EMPTY if none (internal)
+	max     uint64 // largest key (internal)
+	minVal  uint64 // value (or NVM block address) of min
 	summary uint64 // node index of the summary structure
-	bits   uint64 // presence bitmap (leaf nodes, universe <= 64)
+	bits    uint64 // presence bitmap (leaf nodes, universe <= 64)
 
 	ubits    uint8    // log2 of this node's universe
 	clusters []uint64 // child node indices (internal)

@@ -4,8 +4,9 @@
 // Khalaji et al. (PPoPP'24), in two flavors:
 //
 //   - HTM-vEB (transient): the whole tree, values included, lives in
-//     DRAM; each operation runs as one hardware transaction with a
-//     slow-path session (htm.Fallback) after repeated aborts.
+//     DRAM; each operation is one body that htm.TM.Run attempts as a
+//     hardware transaction and, after repeated aborts, runs as a
+//     slow-path session.
 //   - PHTM-vEB (buffered durable): the index stays in DRAM for speed,
 //     while leaf value slots hold addresses of KV blocks in NVM managed
 //     by the epoch system. Operations follow the Listing-1 discipline
@@ -125,51 +126,20 @@ func (t *Tree) Get(k uint64) (uint64, bool) {
 		// Deferred-args idiom: Now() is evaluated here, at op start.
 		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
 	}
-	preWalked := false
-	retries := 0
-	for {
-		var v uint64
-		var ok bool
-		var opts []htm.AttemptOption
-		if preWalked {
-			opts = append(opts, htm.PreWalked())
-		}
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			m := txMem{tx}
-			v, ok = 0, false
-			if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
-				v = m.load(slot)
-				if t.sys != nil {
-					v = t.sys.BlockAt(nvm.Addr(v)).ValueTx(tx)
-				}
-				ok = true
+	var v uint64
+	var ok bool
+	t.tm.Run(nil, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+		m := txMem{tx}
+		v, ok = 0, false
+		if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
+			v = m.load(slot)
+			if t.sys != nil {
+				v = t.sys.BlockAt(nvm.Addr(v)).ValueTx(tx)
 			}
-		}, opts...)
-		if res.Committed {
-			return v, ok
+			ok = true
 		}
-		switch res.Cause {
-		case htm.CauseMemType:
-			t.preWalk(k)
-			preWalked = true
-		default:
-			// A persistently aborting read escapes into a read-only session.
-			if retries++; retries >= t.tm.Budget(maxRetries) {
-				t.tm.RunFallback(func(f *htm.Fallback) {
-					m := fbMem{f}
-					v, ok = 0, false
-					if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
-						v = m.load(slot)
-						if t.sys != nil {
-							v = t.sys.BlockAt(nvm.Addr(v)).ValueF(f)
-						}
-						ok = true
-					}
-				})
-				return v, ok
-			}
-		}
-	}
+	})
+	return v, ok
 }
 
 // Contains reports whether k is present.
@@ -182,45 +152,22 @@ func (t *Tree) Contains(k uint64) bool {
 // value.
 func (t *Tree) Successor(k uint64) (uint64, uint64, bool) {
 	t.checkKey(k)
-	retries := 0
-	for {
-		var sk, v uint64
-		var ok bool
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			m := txMem{tx}
-			sk = t.succRec(m, t.rootNode(), k)
-			if sk == EMPTY {
-				ok = false
-				return
-			}
-			slot := t.findSlot(m, t.rootNode(), sk)
-			v = m.load(slot)
-			if t.sys != nil {
-				v = t.sys.BlockAt(nvm.Addr(v)).ValueTx(tx)
-			}
-			ok = true
-		})
-		if res.Committed {
-			return sk, v, ok
+	var sk, v uint64
+	var ok bool
+	t.tm.Run(nil, maxRetries, nil, func(tx *htm.Tx) {
+		m := txMem{tx}
+		sk, v, ok = t.succRec(m, t.rootNode(), k), 0, false
+		if sk == EMPTY {
+			return
 		}
-		if retries++; retries >= t.tm.Budget(maxRetries) {
-			t.tm.RunFallback(func(f *htm.Fallback) {
-				m := fbMem{f}
-				sk, v, ok = 0, 0, false
-				sk = t.succRec(m, t.rootNode(), k)
-				if sk == EMPTY {
-					return
-				}
-				slot := t.findSlot(m, t.rootNode(), sk)
-				v = m.load(slot)
-				if t.sys != nil {
-					v = t.sys.BlockAt(nvm.Addr(v)).ValueF(f)
-				}
-				ok = true
-			})
-			return sk, v, ok
+		slot := t.findSlot(m, t.rootNode(), sk)
+		v = m.load(slot)
+		if t.sys != nil {
+			v = t.sys.BlockAt(nvm.Addr(v)).ValueTx(tx)
 		}
-	}
+		ok = true
+	})
+	return sk, v, ok
 }
 
 // Range calls fn for every key in [lo, hi] in ascending order, stopping
@@ -262,50 +209,20 @@ func (t *Tree) Insert(w *epoch.Worker, k, v uint64) bool {
 }
 
 func (t *Tree) insertTransient(k, v uint64) bool {
-	retries := 0
-	preWalked := false
-	for {
-		var replaced bool
-		var opts []htm.AttemptOption
-		if preWalked {
-			opts = append(opts, htm.PreWalked())
+	var replaced bool
+	t.tm.Run(nil, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+		m := txMem{tx}
+		replaced = false
+		slot, inserted := t.insertRec(m, t.rootNode(), k, v)
+		if !inserted {
+			m.store(slot, v)
+			replaced = true
 		}
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			m := txMem{tx}
-			slot, inserted := t.insertRec(m, t.rootNode(), k, v)
-			if !inserted {
-				m.store(slot, v)
-				replaced = true
-			}
-		}, opts...)
-		switch {
-		case res.Committed:
-			if !replaced {
-				t.count.Add(1)
-			}
-			return replaced
-		case res.Cause == htm.CauseMemType:
-			t.preWalk(k)
-			preWalked = true
-		default:
-			retries++
-			if retries >= t.tm.Budget(maxRetries) {
-				t.tm.RunFallback(func(f *htm.Fallback) {
-					m := fbMem{f}
-					replaced = false
-					slot, inserted := t.insertRec(m, t.rootNode(), k, v)
-					if !inserted {
-						m.store(slot, v)
-						replaced = true
-					}
-				})
-				if !replaced {
-					t.count.Add(1)
-				}
-				return replaced
-			}
-		}
+	})
+	if !replaced {
+		t.count.Add(1)
 	}
+	return replaced
 }
 
 func (t *Tree) insertPersistent(w *epoch.Worker, k, v uint64) bool {
@@ -320,16 +237,11 @@ retryRegist:
 
 	var retire, persist epoch.Block
 	var usedPrealloc, replaced bool
-	retries := 0
-	preWalked := false
-retryTxn:
-	retire, persist = epoch.Block{}, epoch.Block{}
-	usedPrealloc, replaced = false, false
-	var opts []htm.AttemptOption
-	if preWalked {
-		opts = append(opts, htm.PreWalked())
-	}
-	res := w.Attempt(t.tm, func(tx *htm.Tx) {
+	res := w.Run(t.tm, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+		// A failed attempt may have run to completion and a session may
+		// restart: reset the outputs before anything else.
+		retire, persist = epoch.Block{}, epoch.Block{}
+		usedPrealloc, replaced = false, false
 		m := txMem{tx}
 		slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(newBlk.Addr()))
 		if inserted {
@@ -354,26 +266,10 @@ retryTxn:
 			blk.SetValueTx(tx, v)
 		}
 		replaced = true
-	}, opts...)
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
-		w.AbortOp()
+	})
+	if !res.Committed {
+		w.AbortOp() // OldSeeNewCode: restart in the current epoch
 		goto retryRegist
-	case res.Cause == htm.CauseMemType:
-		t.preWalk(k)
-		preWalked = true
-		retries++
-		goto retryTxn
-	default:
-		retries++
-		if retries < t.tm.Budget(maxRetries) {
-			goto retryTxn
-		}
-		if !t.insertFallback(w, opEpoch, k, v, newBlk, &retire, &persist, &usedPrealloc, &replaced) {
-			w.AbortOp()
-			goto retryRegist
-		}
 	}
 	if usedPrealloc {
 		ws.prealloc = epoch.Block{}
@@ -391,48 +287,6 @@ retryTxn:
 	return replaced
 }
 
-// insertFallback performs the insert as a slow-path session; it returns
-// false if the operation must restart in a newer epoch.
-func (t *Tree) insertFallback(w *epoch.Worker, opEpoch, k, v uint64, newBlk epoch.Block,
-	retire, persist *epoch.Block, usedPrealloc, replaced *bool) bool {
-	ok := true
-	t.tm.RunFallback(func(f *htm.Fallback) {
-		// The session body may restart on lock contention: every output is
-		// reset here, and all shared writes are buffered until it finishes.
-		ok = true
-		*retire, *persist = epoch.Block{}, epoch.Block{}
-		*usedPrealloc, *replaced = false, false
-		m := fbMem{f}
-		if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
-			blk := t.sys.BlockAt(nvm.Addr(m.load(slot)))
-			be := blk.EpochF(f)
-			switch {
-			case be > opEpoch:
-				ok = false
-				return
-			case be < opEpoch:
-				newBlk.SetEpochF(f, opEpoch)
-				m.store(slot, uint64(newBlk.Addr()))
-				*retire, *persist, *usedPrealloc = blk, newBlk, true
-			default:
-				m.storeHeap(t.sys.Heap(), blk.Payload(1), v)
-			}
-			*replaced = true
-			return
-		}
-		if !t.removals.OkF(f, k, opEpoch) {
-			ok = false // absence created by a newer-epoch removal
-			return
-		}
-		newBlk.SetEpochF(f, opEpoch)
-		if _, inserted := t.insertRec(m, t.rootNode(), k, uint64(newBlk.Addr())); !inserted {
-			panic("veb: key appeared during fallback insert despite the slow-path locks")
-		}
-		*persist, *usedPrealloc = newBlk, true
-	})
-	return ok
-}
-
 // Remove deletes k, reporting whether it was present.
 func (t *Tree) Remove(w *epoch.Worker, k uint64) bool {
 	t.checkKey(k)
@@ -446,52 +300,30 @@ func (t *Tree) Remove(w *epoch.Worker, k uint64) bool {
 }
 
 func (t *Tree) removeTransient(k uint64) bool {
-	retries := 0
-	for {
-		var removed bool
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			m := txMem{tx}
-			_, removed = t.removeRec(m, t.rootNode(), k)
-		})
-		switch {
-		case res.Committed:
-			if removed {
-				t.count.Add(-1)
-			}
-			return removed
-		default:
-			retries++
-			if retries >= t.tm.Budget(maxRetries) {
-				t.tm.RunFallback(func(f *htm.Fallback) {
-					m := fbMem{f}
-					_, removed = t.removeRec(m, t.rootNode(), k)
-				})
-				if removed {
-					t.count.Add(-1)
-				}
-				return removed
-			}
-		}
+	var removed bool
+	t.tm.Run(nil, maxRetries, nil, func(tx *htm.Tx) {
+		_, removed = t.removeRec(txMem{tx}, t.rootNode(), k)
+	})
+	if removed {
+		t.count.Add(-1)
 	}
+	return removed
 }
 
 func (t *Tree) removePersistent(w *epoch.Worker, k uint64) bool {
 retryRegist:
 	opEpoch := w.BeginOp()
 	var retire epoch.Block
-	retries := 0
-retryTxn:
-	retire = epoch.Block{}
-	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		m := txMem{tx}
-		val, ok := t.removeRec(m, t.rootNode(), k)
+	res := w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
+		retire = epoch.Block{}
+		val, ok := t.removeRec(txMem{tx}, t.rootNode(), k)
 		if !ok {
 			// Absent: make sure the absence is not a newer removal's work.
 			t.removals.CheckTx(tx, k, opEpoch)
 			return
 		}
-		// Epoch check after the (speculative) mutation: an abort rolls
-		// the whole transaction back.
+		// Epoch check after the (buffered) mutation: an abort rolls the
+		// whole body back, in a session as in a transaction.
 		blk := t.sys.BlockAt(nvm.Addr(val))
 		if blk.EpochTx(tx) > opEpoch {
 			tx.Abort(epoch.OldSeeNewCode)
@@ -499,20 +331,9 @@ retryTxn:
 		t.removals.RaiseTx(tx, k, opEpoch)
 		retire = blk
 	})
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
-		w.AbortOp()
+	if !res.Committed {
+		w.AbortOp() // OldSeeNewCode: restart in the current epoch
 		goto retryRegist
-	default:
-		retries++
-		if retries < t.tm.Budget(maxRetries) {
-			goto retryTxn
-		}
-		if !t.removeFallback(w, opEpoch, k, &retire) {
-			w.AbortOp()
-			goto retryRegist
-		}
 	}
 	removed := !retire.IsNil()
 	if removed {
@@ -521,32 +342,6 @@ retryTxn:
 	}
 	w.EndOp()
 	return removed
-}
-
-func (t *Tree) removeFallback(w *epoch.Worker, opEpoch, k uint64, retire *epoch.Block) bool {
-	ok := true
-	t.tm.RunFallback(func(f *htm.Fallback) {
-		ok = true
-		*retire = epoch.Block{}
-		m := fbMem{f}
-		slot := t.findSlot(m, t.rootNode(), k)
-		if slot == nil {
-			// Absent: restart in a newer epoch if a newer removal made it so.
-			ok = t.removals.OkF(f, k, opEpoch)
-			return
-		}
-		blk := t.sys.BlockAt(nvm.Addr(m.load(slot)))
-		if blk.EpochF(f) > opEpoch {
-			ok = false
-			return
-		}
-		if _, removed := t.removeRec(m, t.rootNode(), k); !removed {
-			panic("veb: key vanished during fallback remove despite the slow-path locks")
-		}
-		t.removals.RaiseF(f, k, opEpoch)
-		*retire = blk
-	})
-	return ok
 }
 
 // RebuildBlock reinserts one recovered KV block into a fresh persistent
