@@ -3,18 +3,20 @@
 // `go test -bench=.` completes quickly. cmd/bdbench runs the same
 // experiments with figure-shaped output and paper-scale flags.
 //
-// Mapping (see DESIGN.md for the full per-experiment index):
+// Mapping (see DESIGN.md for the full per-experiment index); the
+// structure sub-benchmarks are named <paper name>/<distribution>, one per
+// row of the figure's kind table:
 //
-//	BenchmarkFig1*     vEB trees, transient vs buffered durable
-//	BenchmarkFig2      HTM commit/abort breakdown (reported via b.Log)
-//	BenchmarkFig3*     persistent trees vs baselines
+//	BenchmarkFig1      vEB trees, transient vs buffered durable
+//	BenchmarkFig2      HTM commit/abort breakdown (reported as metrics)
+//	BenchmarkFig3      persistent trees vs baselines (write-heavy uniform, read-heavy Zipfian)
 //	BenchmarkTable3    space consumption (reported via b.Log)
 //	BenchmarkFig4*     MwCAS microbenchmark
-//	BenchmarkFig5*     skiplist variants
-//	BenchmarkFig6*     persistent hash tables
-//	BenchmarkFig7*     epoch-length sensitivity (throughput)
+//	BenchmarkFig5      skiplist variants
+//	BenchmarkFig6      persistent hash tables
+//	BenchmarkFig7      epoch-length sensitivity (throughput)
 //	BenchmarkFig8      epoch-length sensitivity (NVM space, via b.Log)
-//	BenchmarkRecovery* Sec. 5.2 recovery scan+rebuild
+//	BenchmarkRecovery  Sec. 5.2 recovery scan+rebuild, every buffered kind
 package bdhtm
 
 import (
@@ -26,10 +28,9 @@ import (
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/harness"
 	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/mwcas"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/skiplist"
-	"bdhtm/internal/veb"
 	"bdhtm/internal/ycsb"
 )
 
@@ -39,14 +40,15 @@ func benchOpts() harness.Opts {
 	return harness.Opts{KeySpace: benchKeySpace, Latency: true}
 }
 
-// benchMap drives b.N operations of the workload against one instance.
-func benchMap(b *testing.B, build func() *harness.Instance, dist harness.Dist, mix ycsb.Mix) {
+// benchOps drives b.N operations of the workload through one session.
+func benchOps(b *testing.B, inst *harness.Instance, dist harness.Dist, mix ycsb.Mix, seed uint64) {
 	b.Helper()
-	inst := build()
-	defer inst.Close()
 	harness.Prefill(inst, benchKeySpace)
-	h := inst.NewHandle()
-	g := distGen(dist, mix, 42)
+	h := inst.Store.NewSession()
+	g := ycsb.NewUniform(benchKeySpace, mix, seed)
+	if dist.Zipfian {
+		g = ycsb.NewZipfian(benchKeySpace, dist.Theta, mix, seed)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op, k, v := g.Next()
@@ -60,58 +62,53 @@ func benchMap(b *testing.B, build func() *harness.Instance, dist harness.Dist, m
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
 }
 
-func distGen(d harness.Dist, mix ycsb.Mix, seed uint64) *ycsb.Generator {
-	if d.Zipfian {
-		return ycsb.NewZipfian(benchKeySpace, d.Theta, mix, seed)
+// panel is one figure panel: a distribution and an operation mix.
+type panel struct {
+	name string
+	dist harness.Dist
+	mix  ycsb.Mix
+}
+
+var (
+	writeUniform = panel{"uniform", harness.Uniform, ycsb.WriteHeavy}
+	writeZipf    = panel{"zipf", harness.Zipf99, ycsb.WriteHeavy}
+)
+
+// benchKind runs one kind under one panel as <title>/<variant/>?<panel>.
+func benchKind(b *testing.B, o harness.Opts, kind, variant string, p panel) {
+	k, _ := kv.Lookup(kind)
+	b.Run(k.Title+"/"+variant+p.name, func(b *testing.B) {
+		inst := harness.New(kind, o)
+		defer inst.Close()
+		benchOps(b, inst, p.dist, p.mix, 42)
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+	})
+}
+
+// benchKinds runs every kind under every panel.
+func benchKinds(b *testing.B, kinds []string, panels ...panel) {
+	for _, kind := range kinds {
+		for _, p := range panels {
+			benchKind(b, benchOpts(), kind, "", p)
+		}
 	}
-	return ycsb.NewUniform(benchKeySpace, mix, seed)
 }
 
-// --- Fig. 1 -------------------------------------------------------------------
-
-func BenchmarkFig1_HTMvEB_Uniform(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewHTMvEB(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig1_PHTMvEB_Uniform(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig1_HTMvEB_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewHTMvEB(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig1_PHTMvEB_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
+func BenchmarkFig1(b *testing.B) {
+	benchKinds(b, []string{"veb-transient", "veb"}, writeUniform, writeZipf)
 }
 
 // --- Fig. 2 -------------------------------------------------------------------
 
-func BenchmarkFig2_AbortRates(b *testing.B) {
+func BenchmarkFig2(b *testing.B) {
 	o := benchOpts()
 	o.MemTypeRate = 0.3 // the low-thread-count anomaly, mitigated by pre-walks
-	inst := harness.NewPHTMvEB(o)
+	inst := harness.New("veb", o)
 	defer inst.Close()
-	harness.Prefill(inst, benchKeySpace)
-	h := inst.NewHandle()
-	g := distGen(harness.Uniform, ycsb.WriteHeavy, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op, k, v := g.Next()
-		switch op {
-		case ycsb.OpRead:
-			h.Get(k)
-		case ycsb.OpInsert:
-			h.Insert(k, v)
-		case ycsb.OpRemove:
-			h.Remove(k)
-		}
-	}
-	b.StopTimer()
-	s := inst.TMStats()
+	benchOps(b, inst, harness.Uniform, ycsb.WriteHeavy, 7)
+	s := inst.TM.Stats()
 	at := float64(s.Attempts())
 	b.ReportMetric(100*float64(s.Commits)/at, "%commit")
 	b.ReportMetric(100*float64(s.Conflict)/at, "%conflict")
@@ -120,61 +117,22 @@ func BenchmarkFig2_AbortRates(b *testing.B) {
 
 // --- Fig. 3 -------------------------------------------------------------------
 
-func BenchmarkFig3_PHTMvEB(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig3_LBTree(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewLBTree(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig3_ElimTree(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewElimTree(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig3_OCCTree(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewOCCTree(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig3_PHTMvEB_ReadHeavy_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
-}
-
-func BenchmarkFig3_LBTree_ReadHeavy_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewLBTree(benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
-}
-
-func BenchmarkFig3_ElimTree_ReadHeavy_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewElimTree(benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
-}
-
-func BenchmarkFig3_OCCTree_ReadHeavy_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewOCCTree(benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
+func BenchmarkFig3(b *testing.B) {
+	benchKinds(b, []string{"veb", "lbtree", "abtree-elim", "abtree-occ"},
+		writeUniform, panel{"read-heavy-zipf", harness.Zipf99, ycsb.ReadHeavy})
 }
 
 // --- Table 3 ------------------------------------------------------------------
 
-func BenchmarkTable3_Space(b *testing.B) {
+func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var report string
-		for _, build := range []func(harness.Opts) *harness.Instance{
-			harness.NewHTMvEB, harness.NewPHTMvEB, harness.NewLBTree,
-			harness.NewElimTree, harness.NewOCCTree,
-		} {
-			inst := build(benchOpts())
+		for _, kind := range []string{"veb-transient", "veb", "lbtree", "abtree-elim", "abtree-occ"} {
+			inst := harness.New(kind, benchOpts())
 			harness.Prefill(inst, benchKeySpace)
-			if inst.Sync != nil {
-				inst.Sync()
-			}
-			var dram, nv int64
-			if inst.DRAMBytes != nil {
-				dram = inst.DRAMBytes()
-			}
-			if inst.NVMBytes != nil {
-				nv = inst.NVMBytes()
-			}
+			inst.Sync()
 			report += fmt.Sprintf("%s: DRAM %.2f MiB, NVM %.2f MiB; ",
-				inst.Name, float64(dram)/(1<<20), float64(nv)/(1<<20))
+				inst.Name, float64(inst.DRAMBytes())/(1<<20), float64(inst.NVMBytes())/(1<<20))
 			inst.Close()
 		}
 		if i == 0 {
@@ -243,87 +201,45 @@ func BenchmarkFig4_PMwCAS_4(b *testing.B) {
 
 // --- Fig. 5 -------------------------------------------------------------------
 
-func benchSkiplist(b *testing.B, v skiplist.Variant) {
-	benchMap(b, func() *harness.Instance { return harness.NewSkiplist(v, benchOpts()) },
-		harness.Uniform, ycsb.WriteHeavy)
+func BenchmarkFig5(b *testing.B) {
+	benchKinds(b,
+		[]string{"skiplist-dl", "skiplist-noflush", "skiplist-mwcas", "skiplist", "skiplist-transient"}, writeUniform)
 }
-
-func BenchmarkFig5_DLSkiplist(b *testing.B)      { benchSkiplist(b, skiplist.DL) }
-func BenchmarkFig5_PNoFlush(b *testing.B)        { benchSkiplist(b, skiplist.PNoFlush) }
-func BenchmarkFig5_PHTMMwCAS(b *testing.B)       { benchSkiplist(b, skiplist.PHTMMwCAS) }
-func BenchmarkFig5_BDLSkiplist(b *testing.B)     { benchSkiplist(b, skiplist.BDL) }
-func BenchmarkFig5_TransientSkiplist(b *testing.B) { benchSkiplist(b, skiplist.Transient) }
 
 // --- Fig. 6 -------------------------------------------------------------------
 
-func BenchmarkFig6_BDSpash(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewBDSpash(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig6_Spash(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewSpash(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig6_CCEH(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewCCEH(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig6_Plush(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPlush(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig6_BDSpash_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewBDSpash(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig6_Spash_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewSpash(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig6_CCEH_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewCCEH(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
-}
-
-func BenchmarkFig6_Plush_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPlush(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
+func BenchmarkFig6(b *testing.B) {
+	benchKinds(b, []string{"spash", "spash-eadr", "cceh", "plush"}, writeUniform, writeZipf)
 }
 
 // --- Fig. 7 -------------------------------------------------------------------
 
-func benchEpochLength(b *testing.B, el time.Duration, dist harness.Dist) {
-	o := benchOpts()
-	o.EpochLength = el
-	o.CacheLines = 1 << 13
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(o) }, dist, ycsb.Mix{ReadPct: 20})
-}
-
-func BenchmarkFig7_Epoch100us_Zipf99(b *testing.B) {
-	benchEpochLength(b, 100*time.Microsecond, harness.Zipf99)
-}
-
-func BenchmarkFig7_Epoch10ms_Zipf99(b *testing.B) {
-	benchEpochLength(b, 10*time.Millisecond, harness.Zipf99)
-}
-
-func BenchmarkFig7_Epoch1s_Zipf99(b *testing.B) {
-	benchEpochLength(b, time.Second, harness.Zipf99)
-}
-
-func BenchmarkFig7_Epoch10ms_Uniform(b *testing.B) {
-	benchEpochLength(b, 10*time.Millisecond, harness.Uniform)
+func BenchmarkFig7(b *testing.B) {
+	for _, c := range []struct {
+		epoch time.Duration
+		dist  panel
+	}{
+		{100 * time.Microsecond, writeZipf}, {10 * time.Millisecond, writeZipf},
+		{time.Second, writeZipf}, {10 * time.Millisecond, writeUniform},
+	} {
+		o := benchOpts()
+		o.EpochLength = c.epoch
+		o.CacheLines = 1 << 13
+		benchKind(b, o, "veb", "epoch="+c.epoch.String()+"/", panel{c.dist.name, c.dist.dist, ycsb.Mix{ReadPct: 20}})
+	}
 }
 
 // --- Fig. 8 -------------------------------------------------------------------
 
-func BenchmarkFig8_NVMSpace(b *testing.B) {
+func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var report string
 		for _, el := range []time.Duration{time.Millisecond, 100 * time.Millisecond} {
 			for _, d := range []harness.Dist{harness.Uniform, harness.Zipf99} {
 				o := benchOpts()
 				o.EpochLength = el
-				inst := harness.NewPHTMvEB(o)
-				harness.Run(inst, harness.Workload{
+				inst := harness.New("veb", o)
+				harness.Run(nil, inst, harness.Workload{
 					KeySpace: benchKeySpace, Dist: d, Mix: ycsb.WriteOnly, Prefill: true,
 				}, 1, 100*time.Millisecond, 5)
 				report += fmt.Sprintf("epoch=%v %s: %.2f MiB; ", el, d, float64(inst.NVMBytes())/(1<<20))
@@ -338,61 +254,35 @@ func BenchmarkFig8_NVMSpace(b *testing.B) {
 
 // --- Sec. 5.2 recovery ---------------------------------------------------------
 
-func BenchmarkRecovery_PHTMvEB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		h := nvm.New(nvm.Config{Words: 1 << 21})
-		sys := epoch.New(h, epoch.Config{Manual: true})
-		t := veb.New(veb.Config{UniverseBits: 14, TM: htm.Default(), DataSys: sys})
-		w := sys.Register()
-		for k := uint64(0); k < benchKeySpace; k += 2 {
-			t.Insert(w, k, k)
+func BenchmarkRecovery(b *testing.B) {
+	for _, kind := range kv.BufferedKinds() {
+		k, _ := kv.Lookup(kind)
+		parts := func(h *nvm.Heap) kv.Parts {
+			p := kv.Parts{Heap: h, TM: htm.Default(), Epoch: epoch.Config{Manual: true}, KeySpace: benchKeySpace}
+			if k.Index {
+				p.Index = nvm.New(nvm.Config{Words: 1 << 21, Mode: nvm.ModeDRAM})
+			}
+			return p
 		}
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		b.StartTimer()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(h, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		t2 := veb.New(veb.Config{UniverseBits: 14, TM: htm.Default(), DataSys: sys2})
-		for _, r := range recs {
-			t2.RebuildBlock(r)
-		}
-		b.StopTimer()
-		if t2.Len() != benchKeySpace/2 {
-			b.Fatalf("recovered %d keys", t2.Len())
-		}
-		sys2.Stop()
-	}
-}
-
-func BenchmarkRecovery_BDLSkiplist(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		nh := nvm.New(nvm.Config{Words: 1 << 21})
-		sys := epoch.New(nh, epoch.Config{Manual: true})
-		l := skiplist.New(skiplist.Config{Variant: skiplist.BDL,
-			IndexHeap: nvm.New(nvm.Config{Words: 1 << 21, Mode: nvm.ModeDRAM}),
-			DataSys:   sys, TM: htm.Default()})
-		hd := l.NewHandle()
-		for k := uint64(0); k < benchKeySpace; k += 2 {
-			hd.Insert(k, k)
-		}
-		hd.Close()
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		b.StartTimer()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(nh, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		l2 := skiplist.New(skiplist.Config{Variant: skiplist.BDL,
-			IndexHeap: nvm.New(nvm.Config{Words: 1 << 21, Mode: nvm.ModeDRAM}),
-			DataSys:   sys2, TM: htm.Default()})
-		for _, r := range recs {
-			l2.RebuildBlock(r)
-		}
-		b.StopTimer()
-		if l2.Len() != benchKeySpace/2 {
-			b.Fatalf("recovered %d keys", l2.Len())
-		}
-		sys2.Stop()
+		b.Run(k.Title, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := kv.Open(kind, parts(nvm.New(nvm.Config{Words: 1 << 21})))
+				s := st.Store.NewSession()
+				for k := uint64(0); k < benchKeySpace; k += 2 {
+					s.Insert(k, k)
+				}
+				st.Sync()
+				st.Sys.SimulateCrash(nvm.CrashOptions{})
+				p := parts(st.Heap)
+				b.StartTimer()
+				rec := kv.Recover(kind, p)
+				b.StopTimer()
+				if rec.Store.Len() != benchKeySpace/2 {
+					b.Fatalf("recovered %d keys", rec.Store.Len())
+				}
+				rec.Close()
+			}
+		})
 	}
 }

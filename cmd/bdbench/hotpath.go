@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/harness"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
@@ -41,7 +40,7 @@ func hotpathRow(name string, threads int, readPct int, ops int64, elapsed time.D
 	htmSum *obs.HTMSummary, nvmSum *obs.NVMSummary) {
 	mops := float64(ops) / elapsed.Seconds() / 1e6
 	fmt.Printf("%-18s %8d %11.3f Mops\n", name, threads, mops)
-	harness.AppendRow(obs.BenchRow{
+	collector.Append(obs.BenchRow{
 		Structure: name,
 		Threads:   threads,
 		Dist:      "uniform",

@@ -6,7 +6,7 @@
 //
 //	bdbench [flags] <experiment>
 //
-// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery recover tail advance hotpath engines serve all
+// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery tail advance hotpath engines serve all
 //
 // Default parameters are scaled down so the full suite completes in
 // minutes on a laptop; -full restores paper-scale settings (large key
@@ -24,15 +24,11 @@ import (
 	"time"
 
 	"bdhtm/internal/durability"
-	"bdhtm/internal/epoch"
 	"bdhtm/internal/harness"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/mwcas"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
-	"bdhtm/internal/skiplist"
-	"bdhtm/internal/spash"
-	"bdhtm/internal/veb"
 	"bdhtm/internal/ycsb"
 )
 
@@ -57,6 +53,10 @@ var (
 // -obs/-trace/-http is given; nil otherwise (zero-overhead path).
 var benchObs *obs.Recorder
 
+// collector receives every experiment's rows when -json is given; nil
+// otherwise (harness and Append treat nil as "collect nothing").
+var collector *harness.Collector
+
 func main() {
 	flag.Parse()
 	if *validateF != "" {
@@ -72,7 +72,7 @@ func main() {
 		*duration = time.Second
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|recover|tail|advance|hotpath|engines|serve|all")
+		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|tail|advance|hotpath|engines|serve|all")
 		os.Exit(2)
 	}
 	if *engineFlag != "" {
@@ -95,7 +95,6 @@ func main() {
 		}
 		fmt.Printf("obs endpoint: http://%s/obs (metrics at /metrics, expvar at /debug/vars, pprof at /debug/pprof)\n", hs.Addr())
 	}
-	var collector *harness.Collector
 	if *jsonOut != "" {
 		collector = harness.NewCollector(obs.RunConfig{
 			KeySpace:   *keySpace,
@@ -105,14 +104,13 @@ func main() {
 			Full:       *full,
 			Engine:     *engineFlag,
 		})
-		harness.SetCollector(collector)
 	}
 	exp := flag.Arg(0)
 	all := exp == "all"
 	ran := false
 	run := func(name string, f func()) {
 		if all || exp == name {
-			harness.SetExperiment(name)
+			collector.SetExperiment(name)
 			f()
 			ran = true
 		}
@@ -127,7 +125,6 @@ func main() {
 	run("fig7", fig7)
 	run("fig8", fig8)
 	run("recovery", recovery)
-	run("recover", recoverExperiment)
 	run("tail", tailLatency)
 	run("advance", advanceScaling)
 	run("hotpath", hotpath)
@@ -138,7 +135,6 @@ func main() {
 		os.Exit(2)
 	}
 	if collector != nil {
-		harness.SetCollector(nil)
 		if err := collector.Report.WriteFile(*jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "bdbench: -json: %v\n", err)
 			os.Exit(1)
@@ -190,13 +186,12 @@ func printObsSummary() {
 // nonblocking skiplist's low tail latency: per-operation latency
 // percentiles for one thread while background threads contend.
 func tailLatency() {
-	variants := []skiplist.Variant{skiplist.DL, skiplist.BDL, skiplist.Transient}
 	rows := map[string]harness.LatencyResult{}
 	var order []string
-	for _, v := range variants {
-		inst := harness.NewSkiplist(v, opts())
+	for _, kind := range []string{"skiplist-dl", "skiplist", "skiplist-transient"} {
+		inst := harness.New(kind, opts())
 		wl := harness.Workload{KeySpace: *keySpace, Dist: harness.Uniform, Mix: ycsb.WriteHeavy, Prefill: true}
-		rows[inst.Name] = harness.RunLatency(inst, wl, 20000, 2, 21)
+		rows[inst.Name] = harness.RunLatency(collector, inst, wl, 20000, 2, 21)
 		order = append(order, inst.Name)
 		inst.Close()
 	}
@@ -224,8 +219,9 @@ func opts() harness.Opts {
 	}
 }
 
-func sweep(build func() *harness.Instance, wl harness.Workload) harness.Series {
-	return harness.Sweep(build, wl, threadList(), *duration)
+// sweep measures one kind across the thread list, a fresh instance per point.
+func sweep(kind string, wl harness.Workload) harness.Series {
+	return harness.Sweep(collector, func() *harness.Instance { return harness.New(kind, opts()) }, wl, threadList(), *duration)
 }
 
 // fig1: throughput of transient vs buffered-durable vEB trees,
@@ -233,10 +229,7 @@ func sweep(build func() *harness.Instance, wl harness.Workload) harness.Series {
 func fig1() {
 	for _, dist := range []harness.Dist{harness.Uniform, harness.Zipf99} {
 		wl := harness.Workload{KeySpace: *keySpace, Dist: dist, Mix: ycsb.WriteHeavy, Prefill: true}
-		series := []harness.Series{
-			sweep(func() *harness.Instance { return harness.NewHTMvEB(opts()) }, wl),
-			sweep(func() *harness.Instance { return harness.NewPHTMvEB(opts()) }, wl),
-		}
+		series := []harness.Series{sweep("veb-transient", wl), sweep("veb", wl)}
 		harness.PrintFigure(os.Stdout,
 			fmt.Sprintf("Fig. 1 — vEB trees, write-heavy, %s (keyspace 2^%d)", dist, log2(*keySpace)), series)
 	}
@@ -250,7 +243,7 @@ func fig2() {
 		fmt.Printf("%-8s %-10s %9s %9s %9s %9s %9s\n",
 			"threads", "tree", "commit", "conflict", "capacity", "memtype", "other")
 		for _, n := range threadList() {
-			for _, b := range []func(harness.Opts) *harness.Instance{harness.NewHTMvEB, harness.NewPHTMvEB} {
+			for _, kind := range []string{"veb-transient", "veb"} {
 				o := opts()
 				if n <= 2 {
 					// The anomaly appeared at low thread counts on the
@@ -258,10 +251,10 @@ func fig2() {
 					// structures' pre-walk retry.
 					o.MemTypeRate = 0.3
 				}
-				inst := b(o)
+				inst := harness.New(kind, o)
 				wl := harness.Workload{KeySpace: *keySpace, Dist: dist, Mix: ycsb.WriteHeavy, Prefill: true}
-				harness.Run(inst, wl, n, *duration, 42)
-				s := inst.TMStats()
+				harness.Run(collector, inst, wl, n, *duration, 42)
+				s := inst.TM.Stats()
 				at := float64(s.Attempts())
 				if at == 0 {
 					at = 1
@@ -280,28 +273,21 @@ func fig2() {
 
 // fig3: persistent trees, four panels (distribution x mix).
 func fig3() {
-	builders := []func(harness.Opts) *harness.Instance{
-		harness.NewPHTMvEB, harness.NewLBTree, harness.NewElimTree, harness.NewOCCTree,
-	}
-	panels(builders, "Fig. 3 — persistent trees")
+	panels([]string{"veb", "lbtree", "abtree-elim", "abtree-occ"}, "Fig. 3 — persistent trees")
 }
 
 // fig6: persistent hash tables, four panels.
 func fig6() {
-	builders := []func(harness.Opts) *harness.Instance{
-		harness.NewBDSpash, harness.NewSpash, harness.NewCCEH, harness.NewPlush,
-	}
-	panels(builders, "Fig. 6 — persistent hash tables")
+	panels([]string{"spash", "spash-eadr", "cceh", "plush"}, "Fig. 6 — persistent hash tables")
 }
 
-func panels(builders []func(harness.Opts) *harness.Instance, title string) {
+func panels(kinds []string, title string) {
 	for _, dist := range []harness.Dist{harness.Uniform, harness.Zipf99} {
 		for _, mix := range []ycsb.Mix{ycsb.WriteHeavy, ycsb.ReadHeavy} {
 			wl := harness.Workload{KeySpace: *keySpace, Dist: dist, Mix: mix, Prefill: true}
 			var series []harness.Series
-			for _, b := range builders {
-				b := b
-				series = append(series, sweep(func() *harness.Instance { return b(opts()) }, wl))
+			for _, kind := range kinds {
+				series = append(series, sweep(kind, wl))
 			}
 			harness.PrintFigure(os.Stdout,
 				fmt.Sprintf("%s, %s, %d%% reads", title, dist, mix.ReadPct), series)
@@ -312,27 +298,14 @@ func panels(builders []func(harness.Opts) *harness.Instance, title string) {
 // table3: space consumption of the five trees, prefilled with half the
 // universe.
 func table3() {
-	builders := []func(harness.Opts) *harness.Instance{
-		harness.NewHTMvEB, harness.NewPHTMvEB, harness.NewLBTree,
-		harness.NewElimTree, harness.NewOCCTree,
-	}
 	var rows [][2]string
-	for _, b := range builders {
-		inst := b(opts())
+	for _, kind := range []string{"veb-transient", "veb", "lbtree", "abtree-elim", "abtree-occ"} {
+		inst := harness.New(kind, opts())
 		harness.Prefill(inst, *keySpace)
-		if inst.Sync != nil {
-			inst.Sync()
-		}
-		var dram, nvmB int64
-		if inst.DRAMBytes != nil {
-			dram = inst.DRAMBytes()
-		}
-		if inst.NVMBytes != nil {
-			nvmB = inst.NVMBytes()
-		}
+		inst.Sync()
 		rows = append(rows, [2]string{inst.Name,
 			fmt.Sprintf("DRAM %8.1f MiB   NVM %8.1f MiB",
-				float64(dram)/(1<<20), float64(nvmB)/(1<<20))})
+				float64(inst.DRAMBytes())/(1<<20), float64(inst.NVMBytes())/(1<<20))})
 		inst.Close()
 	}
 	harness.PrintKV(os.Stdout,
@@ -421,11 +394,8 @@ func (a *bumpArena) alloc(words int) nvm.Addr {
 func fig5() {
 	wl := harness.Workload{KeySpace: *keySpace, Dist: harness.Uniform, Mix: ycsb.WriteHeavy, Prefill: true}
 	var series []harness.Series
-	for _, v := range []skiplist.Variant{
-		skiplist.DL, skiplist.PNoFlush, skiplist.PHTMMwCAS, skiplist.BDL, skiplist.Transient,
-	} {
-		v := v
-		series = append(series, sweep(func() *harness.Instance { return harness.NewSkiplist(v, opts()) }, wl))
+	for _, kind := range []string{"skiplist-dl", "skiplist-noflush", "skiplist-mwcas", "skiplist", "skiplist-transient"} {
+		series = append(series, sweep(kind, wl))
 	}
 	harness.PrintFigure(os.Stdout,
 		fmt.Sprintf("Fig. 5 — skiplists, uniform, read:write 2:8 (keyspace 2^%d)", log2(*keySpace)), series)
@@ -455,9 +425,9 @@ func fig7() {
 			o := opts()
 			o.EpochLength = el
 			o.CacheLines = 1 << 13 // 512 KiB simulated cache
-			inst := harness.NewPHTMvEB(o)
+			inst := harness.New("veb", o)
 			wl := harness.Workload{KeySpace: *keySpace, Dist: d, Mix: ycsb.Mix{ReadPct: 20}, Prefill: true}
-			r := harness.Run(inst, wl, 1, *duration, 11)
+			r := harness.Run(collector, inst, wl, 1, *duration, 11)
 			inst.Close()
 			fmt.Printf("%12.3f Mops", r.Throughput)
 		}
@@ -479,97 +449,14 @@ func fig8() {
 		for _, d := range []harness.Dist{harness.Uniform, harness.Zipf99} {
 			o := opts()
 			o.EpochLength = el
-			inst := harness.NewPHTMvEB(o)
+			inst := harness.New("veb", o)
 			wl := harness.Workload{KeySpace: *keySpace, Dist: d, Mix: ycsb.WriteOnly, Prefill: true}
-			harness.Run(inst, wl, 1, *duration, 13)
+			harness.Run(collector, inst, wl, 1, *duration, 13)
 			mb := float64(inst.NVMBytes()) / (1 << 20)
 			inst.Close()
 			fmt.Printf("%14.1f MiB", mb)
 		}
 		fmt.Println()
-	}
-}
-
-// recovery: Sec. 5.2 — heap scan plus index rebuild times for the three
-// BDL structures.
-func recovery() {
-	records := int(*keySpace / 2)
-	fmt.Printf("\nSec. 5.2 — recovery time, %d records\n", records)
-
-	// PHTM-vEB.
-	{
-		h := nvm.New(nvm.Config{Words: heapWordsFor(*keySpace)})
-		sys := epoch.New(h, epoch.Config{Manual: true})
-		tm := htm.Default()
-		t := veb.New(veb.Config{UniverseBits: uint8(log2(*keySpace)), TM: tm, DataSys: sys})
-		w := sys.Register()
-		for k := uint64(0); k < *keySpace; k += 2 {
-			t.Insert(w, k, k)
-		}
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		start := time.Now()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(h, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		scan := time.Since(start)
-		t2 := veb.New(veb.Config{UniverseBits: uint8(log2(*keySpace)), TM: htm.Default(), DataSys: sys2})
-		start = time.Now()
-		for _, r := range recs {
-			t2.RebuildBlock(r)
-		}
-		fmt.Printf("  %-14s scan %10v   rebuild %10v   (%d blocks)\n", "PHTM-vEB", scan, time.Since(start), len(recs))
-		sys2.Stop()
-	}
-	// BDL-Skiplist.
-	{
-		nh := nvm.New(nvm.Config{Words: heapWordsFor(*keySpace)})
-		sys := epoch.New(nh, epoch.Config{Manual: true})
-		l := skiplist.New(skiplist.Config{Variant: skiplist.BDL,
-			IndexHeap: nvm.New(nvm.Config{Words: heapWordsFor(*keySpace), Mode: nvm.ModeDRAM}),
-			DataSys:   sys, TM: htm.Default()})
-		hd := l.NewHandle()
-		for k := uint64(0); k < *keySpace; k += 2 {
-			hd.Insert(k, k)
-		}
-		hd.Close()
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		start := time.Now()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(nh, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		scan := time.Since(start)
-		l2 := skiplist.New(skiplist.Config{Variant: skiplist.BDL,
-			IndexHeap: nvm.New(nvm.Config{Words: heapWordsFor(*keySpace), Mode: nvm.ModeDRAM}),
-			DataSys:   sys2, TM: htm.Default()})
-		start = time.Now()
-		for _, r := range recs {
-			l2.RebuildBlock(r)
-		}
-		fmt.Printf("  %-14s scan %10v   rebuild %10v   (%d blocks)\n", "BDL-Skiplist", scan, time.Since(start), len(recs))
-		sys2.Stop()
-	}
-	// BD-Spash.
-	{
-		nh := nvm.New(nvm.Config{Words: heapWordsFor(*keySpace)})
-		sys := epoch.New(nh, epoch.Config{Manual: true})
-		t := spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys, TM: htm.Default()})
-		w := sys.Register()
-		for k := uint64(0); k < *keySpace; k += 2 {
-			t.Insert(w, k, k)
-		}
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		start := time.Now()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(nh, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		scan := time.Since(start)
-		t2 := spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys2, TM: htm.Default()})
-		start = time.Now()
-		for _, r := range recs {
-			t2.RebuildBlock(r)
-		}
-		fmt.Printf("  %-14s scan %10v   rebuild %10v   (%d blocks)\n", "BD-Spash", scan, time.Since(start), len(recs))
-		sys2.Stop()
 	}
 }
 
@@ -587,10 +474,10 @@ func advanceScaling() {
 		o := opts()
 		o.EpochShards = shards
 		o.EpochLength = 2 * time.Millisecond
-		inst := harness.NewPHTMvEB(o)
+		inst := harness.New("veb", o)
 		inst.Name = fmt.Sprintf("PHTM-vEB/shards=%d", shards)
-		r := harness.Run(inst, wl, n, *duration, 42)
-		st := inst.EpochStats()
+		r := harness.Run(collector, inst, wl, n, *duration, 42)
+		st := inst.Sys.Stats()
 		inst.Close()
 		fmt.Printf("  shards=%d  %8.3f Mops/s   advance p99 %8.1f µs   backpressure %d\n",
 			shards, r.Throughput, float64(st.AdvanceP99NS)/1e3, st.Backpressure)
@@ -614,12 +501,12 @@ func engineComparison() {
 		o := opts()
 		o.Engine = eng
 		o.EpochLength = 2 * time.Millisecond
-		inst := harness.NewPHTMvEB(o)
+		inst := harness.New("veb", o)
 		inst.Name = "PHTM-vEB/" + eng
-		base := inst.NVMStats()
-		r := harness.Run(inst, wl, n, *duration, 42)
-		d := inst.NVMStats().Sub(base)
-		st := inst.EpochStats()
+		base := inst.Heap.Stats()
+		r := harness.Run(collector, inst, wl, n, *duration, 42)
+		d := inst.Heap.Stats().Sub(base)
+		st := inst.Sys.Stats()
 		inst.Close()
 		fpo := 0.0
 		if r.Ops > 0 {
@@ -629,14 +516,6 @@ func engineComparison() {
 			eng, r.Throughput, fpo, d.WriteAmplification(),
 			st.EngineCommits, st.EngineFences, st.LogSpills)
 	}
-}
-
-func heapWordsFor(keySpace uint64) int {
-	w := int(keySpace) * 32
-	if w < 1<<21 {
-		w = 1 << 21
-	}
-	return w
 }
 
 func log2(v uint64) int {

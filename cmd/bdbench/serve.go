@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bdhtm/internal/bdserve"
-	"bdhtm/internal/harness"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/loadgen"
 	"bdhtm/internal/obs"
@@ -92,7 +91,7 @@ func serve() {
 			time.Duration(res.NetP50NS), time.Duration(res.NetP99NS),
 			res.AppliedAcks, res.DurableAcks)
 
-		harness.AppendRow(obs.BenchRow{
+		collector.Append(obs.BenchRow{
 			Structure: "bdserve/bdhash+" + mode,
 			Threads:   conns,
 			Dist:      "uniform",

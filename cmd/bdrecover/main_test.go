@@ -18,7 +18,7 @@ func TestEngineFormattedHeapRecovers(t *testing.T) {
 	for _, eng := range durability.Names() {
 		t.Run(eng, func(t *testing.T) {
 			err := run(runConfig{
-				structure: "hash",
+				structure: "bdhash",
 				records:   400,
 				evict:     1,
 				tail:      40,
@@ -39,7 +39,7 @@ func TestParallelWorkersVerify(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		var sb strings.Builder
 		err := run(runConfig{
-			structure: "hash",
+			structure: "bdhash",
 			records:   400,
 			evict:     0.5,
 			tail:      40,

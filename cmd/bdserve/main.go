@@ -1,5 +1,6 @@
-// Command bdserve exposes the buffered-durable KV substrate (bdhash or
-// the BDL skiplist) over TCP using the internal/wire protocol.
+// Command bdserve exposes the buffered-durable KV substrate (bdhash, or
+// any other of internal/kv's buffered kinds: veb, skiplist, spash) over TCP
+// using the internal/wire protocol.
 //
 // Usage:
 //
@@ -33,13 +34,14 @@ import (
 
 	"bdhtm/internal/bdserve"
 	"bdhtm/internal/durability"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/loadgen"
 	"bdhtm/internal/obs"
 )
 
 var (
 	addr        = flag.String("addr", "127.0.0.1:7787", "listen address")
-	structure   = flag.String("structure", "bdhash", "store: bdhash|skiplist")
+	structure   = flag.String("structure", "bdhash", "store: "+strings.Join(kv.BufferedKinds(), "|"))
 	keySpace    = flag.Uint64("keyspace", 1<<12, "key universe size")
 	epochLength = flag.Duration("epoch-length", 2*time.Millisecond, "epoch advance cadence")
 	epochShards = flag.Int("epoch-shards", 1, "epoch persistence-path shards (power of two, max 32)")
@@ -63,8 +65,8 @@ var (
 
 func main() {
 	flag.Parse()
-	if *structure != "bdhash" && *structure != "skiplist" {
-		fmt.Fprintf(os.Stderr, "bdserve: unknown structure %q\n", *structure)
+	if k, ok := kv.Lookup(*structure); !ok || !k.Buffered {
+		fmt.Fprintf(os.Stderr, "bdserve: unknown structure %q (have %s)\n", *structure, strings.Join(kv.BufferedKinds(), "|"))
 		os.Exit(2)
 	}
 	if *engineFlag != "" {

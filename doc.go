@@ -26,6 +26,9 @@
 //     BD-Spash), internal/bdhash (the Listing 1 tutorial table);
 //   - baselines: internal/lbtree, internal/abtree (OCC/Elim),
 //     internal/cceh, internal/plush;
+//   - internal/kv — the one store contract (Session, Store, a table of
+//     kinds, Open and Recover) through which the harness, the crash
+//     fuzzer and the network service use all of the above;
 //   - internal/ycsb and internal/harness — workloads and the experiment
 //     driver behind cmd/bdbench and this package's benchmarks.
 //

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bdhtm/internal/kv"
 	"bdhtm/internal/obs"
 	"bdhtm/internal/wire"
 )
@@ -42,7 +43,7 @@ type pendingAck struct {
 type conn struct {
 	srv  *Server
 	nc   net.Conn
-	sess session
+	sess kv.Session
 
 	respCh     chan outMsg
 	durCh      chan struct{} // coalescing doorbell from the durable watermark
@@ -124,6 +125,16 @@ func (c *conn) readLoop() {
 		srv.requests.Add(1)
 		srv.metric(obs.MServeReqs, c.lane, 1)
 		c.bumpInflight(1)
+		if m.Key > srv.keyLimit {
+			// A bounded-universe structure (veb) panics on such a key;
+			// refuse the request instead and keep the connection.
+			c.bumpInflight(-1)
+			c.send(outMsg{m: wire.Msg{
+				Type: wire.RespError, ID: m.ID, Code: wire.ECodeServer,
+				Text: "key outside the served key space",
+			}})
+			continue
+		}
 		// Sample a request span (deterministic in the request ID). decNS
 		// doubles as the latency origin for the ack histograms, recorded
 		// for every request whenever obs is on, sampled or not. STATS
@@ -172,9 +183,9 @@ func (c *conn) readLoop() {
 			}
 			var ok bool
 			if m.Type == wire.CmdPut {
-				ok = c.sess.Put(m.Key, m.Value)
+				ok = c.sess.Insert(m.Key, m.Value)
 			} else {
-				ok = c.sess.Del(m.Key)
+				ok = c.sess.Remove(m.Key)
 			}
 			ep := c.sess.Epoch()
 			var cmtNS int64

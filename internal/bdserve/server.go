@@ -1,8 +1,8 @@
 // Package bdserve is the networked KV service over the buffered-durable
-// substrate: a TCP server exposing bdhash (or the BDL skiplist) through
-// the internal/wire protocol, with per-connection goroutines running HTM
-// transactions and a group-commit acker that rides the epoch system's
-// durable watermark.
+// substrate: a TCP server exposing any of internal/kv's buffered kinds
+// (bdhash by default) through the internal/wire protocol, with
+// per-connection goroutines running HTM transactions and a group-commit
+// acker that rides the epoch system's durable watermark.
 //
 // The ack state machine is the service-level face of buffered
 // durability. A write op (PUT/DEL) commits its HTM transaction at memory
@@ -33,20 +33,21 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/bdhash"
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
-	"bdhtm/internal/skiplist"
 	"bdhtm/internal/wire"
 )
 
 // Config shapes one server instance.
 type Config struct {
-	// Structure selects the store: "bdhash" (default) or "skiplist".
+	// Structure selects the store: one of kv.BufferedKinds ("bdhash" by
+	// default).
 	Structure string
-	// KeySpace sizes the structure (and bounds Dump sweeps).
+	// KeySpace sizes the structure (and bounds Dump sweeps); a kind with a
+	// bounded universe (veb) serves only keys below it.
 	KeySpace uint64
 	// HeapWords sizes the simulated NVM heap (default derived from
 	// KeySpace, 32 words per key, min 1<<16).
@@ -91,75 +92,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) epochCfg() epoch.Config {
-	return epoch.Config{
-		EpochLength:     c.EpochLength,
-		Manual:          c.Manual,
-		Shards:          c.Shards,
-		Engine:          c.Engine,
-		RecoveryWorkers: c.RecoveryWorkers,
-		Obs:             c.Obs,
-		MaxWorkers:      c.MaxSessions + 8,
+// parts are the components the configured kind runs on, over heap. Every
+// connection session (plus Dump's spare) is an epoch worker and, on the
+// skiplist, a handle: both are sized MaxSessions + 8.
+func (c Config) parts(heap *nvm.Heap) kv.Parts {
+	k, ok := kv.Lookup(c.Structure)
+	if !ok || !k.Buffered {
+		panic(fmt.Sprintf("bdserve: unknown structure %q (have %v)", c.Structure, kv.BufferedKinds()))
 	}
+	p := kv.Parts{
+		Heap: heap,
+		TM:   htm.New(htm.Config{}),
+		Epoch: epoch.Config{
+			EpochLength:     c.EpochLength,
+			Manual:          c.Manual,
+			Shards:          c.Shards,
+			Engine:          c.Engine,
+			RecoveryWorkers: c.RecoveryWorkers,
+			Obs:             c.Obs,
+			MaxWorkers:      c.MaxSessions + 8,
+		},
+		KeySpace: c.KeySpace,
+		Threads:  c.MaxSessions + 8,
+	}
+	if k.Index {
+		p.Index = nvm.New(nvm.Config{Words: c.HeapWords, Mode: nvm.ModeDRAM})
+	}
+	return p
 }
-
-// session is one connection's handle onto the store: a private epoch
-// worker, so HTM transactions from different connections proceed
-// concurrently. Epoch returns the exact commit epoch of the session's
-// last completed write. SetSpan brackets one request with its sampled
-// span (nil detaches), routed down to the worker so every HTM attempt
-// the op makes is counted on the span.
-type session interface {
-	Put(k, v uint64) bool
-	Del(k uint64) bool
-	Get(k uint64) (uint64, bool)
-	Epoch() uint64
-	SetSpan(sp *obs.Span)
-}
-
-// store is the structure behind the sessions plus its recovery hooks.
-type store interface {
-	NewSession() session
-	Rebuild(r epoch.BlockRecord)
-}
-
-// --- bdhash store ---
-
-type hashStore struct {
-	tab *bdhash.Table
-	sys *epoch.System
-}
-
-type hashSession struct {
-	s *hashStore
-	w *epoch.Worker
-}
-
-func (s *hashStore) NewSession() session           { return &hashSession{s: s, w: s.sys.Register()} }
-func (s *hashStore) Rebuild(r epoch.BlockRecord)   { s.tab.RebuildBlock(r) }
-func (h *hashSession) Put(k, v uint64) bool        { return h.s.tab.Insert(h.w, k, v) }
-func (h *hashSession) Del(k uint64) bool           { return h.s.tab.Remove(h.w, k) }
-func (h *hashSession) Get(k uint64) (uint64, bool) { return h.s.tab.GetW(h.w, k) }
-func (h *hashSession) Epoch() uint64               { return h.w.OpEpoch() }
-func (h *hashSession) SetSpan(sp *obs.Span)        { h.w.SetSpan(sp) }
-
-// --- skiplist store ---
-
-type listStore struct {
-	list *skiplist.List
-}
-
-type listSession struct {
-	h *skiplist.Handle
-}
-
-func (s *listStore) NewSession() session           { return &listSession{h: s.list.NewHandle()} }
-func (s *listStore) Rebuild(r epoch.BlockRecord)   { s.list.RebuildBlock(r) }
-func (h *listSession) Put(k, v uint64) bool        { return h.h.Insert(k, v) }
-func (h *listSession) Del(k uint64) bool           { return h.h.Remove(k) }
-func (h *listSession) Get(k uint64) (uint64, bool) { return h.h.Get(k) }
-func (h *listSession) Epoch() uint64               { return h.h.Worker().OpEpoch() }
-func (h *listSession) SetSpan(sp *obs.Span)        { h.h.SetSpan(sp) }
 
 // Counters is a point-in-time snapshot of the server's service-layer
 // accounting, for tests and the stats endpoint.
@@ -198,22 +158,23 @@ type Server struct {
 	heap     *nvm.Heap
 	sys      *epoch.System
 	tm       *htm.TM
-	st       store
+	st       kv.Store
+	keyLimit uint64 // largest key the structure accepts
 	recovery RecoveryInfo
 
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[*conn]struct{}
-	sessions []session // free pool; sessions outlive connections
+	sessions []kv.Session // free pool; sessions outlive connections
 	nSess    int
 	closed   bool
 
 	// dumpMu/dumpSess: lazily created fallback session for Dump when the
 	// pool is drained and nSess is at MaxSessions, so Dump never blocks
 	// on (or races with) connection sessions. One extra worker, outside
-	// the MaxSessions budget (epochCfg reserves headroom for it).
+	// the MaxSessions budget (Config.parts reserves headroom for it).
 	dumpMu   sync.Mutex
-	dumpSess session
+	dumpSess kv.Session
 
 	wg        sync.WaitGroup
 	notifyCh  chan uint64
@@ -235,63 +196,44 @@ type Server struct {
 // Serve or Start).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	heap := nvm.New(nvm.Config{Words: cfg.HeapWords})
-	sys := epoch.New(heap, cfg.epochCfg())
-	return build(cfg, heap, sys, nil)
+	return newServer(cfg, kv.Open(cfg.Structure, cfg.parts(nvm.New(nvm.Config{Words: cfg.HeapWords}))))
 }
 
 // Recover brings a server back up on a crashed heap: the epoch system
 // replays the durability engine's image and every surviving block is
-// rebuilt into a fresh structure. The heap must have been formatted by a
-// server with a compatible Config (same Engine).
+// rebuilt into a fresh structure (kv.Recover). The heap must have been
+// formatted by a server with a compatible Config (same Structure and
+// Engine).
 func Recover(heap *nvm.Heap, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	recs := []epoch.BlockRecord{} // non-nil: build records RecoveryInfo even for an empty heap
-	sys := epoch.Recover(heap, cfg.epochCfg(), func(r epoch.BlockRecord) {
-		recs = append(recs, r)
-	})
-	return build(cfg, heap, sys, recs)
+	st := kv.Recover(cfg.Structure, cfg.parts(heap))
+	s := newServer(cfg, st)
+	es := st.Sys.Stats()
+	s.recovery = RecoveryInfo{
+		Workers:     es.RecoveryWorkers,
+		ScanNS:      es.RecoveryScanNS,
+		RebuildNS:   es.RecoveryRebuildNS + st.RebuildNS,
+		Blocks:      es.RecoveredLive,
+		Resurrected: es.Resurrected,
+	}
+	return s
 }
 
-func build(cfg Config, heap *nvm.Heap, sys *epoch.System, recs []epoch.BlockRecord) *Server {
+func newServer(cfg Config, st *kv.Stack) *Server {
 	s := &Server{
 		cfg:      cfg,
-		heap:     heap,
-		sys:      sys,
-		tm:       htm.New(htm.Config{}),
+		heap:     st.Heap,
+		sys:      st.Sys,
+		tm:       st.TM,
+		st:       st.Store,
+		keyLimit: ^uint64(0),
 		conns:    map[*conn]struct{}{},
 		notifyCh: make(chan uint64, 1),
 	}
-	switch cfg.Structure {
-	case "bdhash":
-		s.st = &hashStore{tab: bdhash.New(sys, s.tm, int(cfg.KeySpace), 1), sys: sys}
-	case "skiplist":
-		dram := nvm.New(nvm.Config{Words: cfg.HeapWords, Mode: nvm.ModeDRAM})
-		s.st = &listStore{list: skiplist.New(skiplist.Config{
-			Variant:   skiplist.BDL,
-			IndexHeap: dram,
-			DataSys:   sys,
-			TM:        s.tm,
-			Threads:   cfg.MaxSessions + 8,
-		})}
-	default:
-		panic(fmt.Sprintf("bdserve: unknown structure %q", cfg.Structure))
+	if st.Kind.Bounded {
+		s.keyLimit = cfg.KeySpace - 1
 	}
-	if recs != nil {
-		rebuildStart := time.Now()
-		for _, r := range recs {
-			s.st.Rebuild(r)
-		}
-		st := sys.Stats()
-		s.recovery = RecoveryInfo{
-			Workers:     st.RecoveryWorkers,
-			ScanNS:      st.RecoveryScanNS,
-			RebuildNS:   st.RecoveryRebuildNS + time.Since(rebuildStart).Nanoseconds(),
-			Blocks:      st.RecoveredLive,
-			Resurrected: st.Resurrected,
-		}
-	}
-	s.cancelSub = sys.SubscribeDurable(s.notifyCh)
+	s.cancelSub = s.sys.SubscribeDurable(s.notifyCh)
 	s.wg.Add(1)
 	go s.notifyLoop()
 	return s
@@ -429,7 +371,7 @@ func (s *Server) Dump(keyspace uint64) map[uint64]uint64 {
 	return s.dumpWith(s.dumpSess, keyspace)
 }
 
-func (s *Server) dumpWith(sess session, keyspace uint64) map[uint64]uint64 {
+func (s *Server) dumpWith(sess kv.Session, keyspace uint64) map[uint64]uint64 {
 	m := make(map[uint64]uint64)
 	for k := uint64(0); k < keyspace; k++ {
 		if v, ok := sess.Get(k); ok {
@@ -518,13 +460,13 @@ func (s *Server) startConn(nc net.Conn) {
 	go c.writeLoop()
 }
 
-func (s *Server) takeSession() session {
+func (s *Server) takeSession() kv.Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.takeSessionLocked()
 }
 
-func (s *Server) takeSessionLocked() session {
+func (s *Server) takeSessionLocked() kv.Session {
 	if n := len(s.sessions); n > 0 {
 		sess := s.sessions[n-1]
 		s.sessions = s.sessions[:n-1]
@@ -537,7 +479,7 @@ func (s *Server) takeSessionLocked() session {
 	return s.st.NewSession()
 }
 
-func (s *Server) putSession(sess session) {
+func (s *Server) putSession(sess kv.Session) {
 	s.mu.Lock()
 	s.sessions = append(s.sessions, sess)
 	s.mu.Unlock()

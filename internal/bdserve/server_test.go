@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bdhtm/internal/kv"
 	"bdhtm/internal/wire"
 )
 
@@ -97,7 +98,7 @@ func expectAcks(t *testing.T, c *tclient, id uint64) (epoch uint64) {
 }
 
 func TestBasicOps(t *testing.T) {
-	for _, structure := range []string{"bdhash", "skiplist"} {
+	for _, structure := range kv.BufferedKinds() {
 		t.Run(structure, func(t *testing.T) {
 			_, addr := startServer(t, Config{
 				Structure:   structure,
@@ -138,6 +139,26 @@ func TestBasicOps(t *testing.T) {
 				t.Fatalf("scan stub: %+v", m)
 			}
 		})
+	}
+}
+
+// TestBoundedUniverseRefusesKey: a key outside a bounded kind's universe
+// (veb panics on one) is answered with an error frame, and the connection
+// and the server go on serving.
+func TestBoundedUniverseRefusesKey(t *testing.T) {
+	_, addr := startServer(t, Config{Structure: "veb", KeySpace: 1 << 10, EpochLength: time.Millisecond})
+	c := dial(t, addr)
+	for id, typ := range []wire.Type{wire.CmdPut, wire.CmdGet, wire.CmdDel} {
+		c.send(wire.Msg{Type: typ, ID: uint64(id + 1), Key: 1 << 10, Value: 1})
+		if m := c.recv(); m.Type != wire.RespError || m.Code != wire.ECodeServer || m.ID != uint64(id+1) {
+			t.Fatalf("%s of key 1<<10: %+v", typ, m)
+		}
+	}
+	c.send(wire.Msg{Type: wire.CmdPut, ID: 9, Key: 1<<10 - 1, Value: 5})
+	expectAcks(t, c, 9)
+	c.send(wire.Msg{Type: wire.CmdGet, ID: 10, Key: 1<<10 - 1})
+	if m := c.recv(); !m.Found || m.Value != 5 {
+		t.Fatalf("get of the universe's last key: %+v", m)
 	}
 }
 

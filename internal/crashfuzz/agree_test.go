@@ -4,12 +4,11 @@ import (
 	"reflect"
 	"testing"
 
-	"bdhtm/internal/bdhash"
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/mwcas"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/skiplist"
 	"bdhtm/internal/spash"
 	"bdhtm/internal/veb"
 )
@@ -23,6 +22,7 @@ type agreeRun struct {
 	final func() []int64 // dump, Len, LiveBlocks — whatever the structure has
 	sys   *epoch.System  // buffered structures: advanced by the script, synced at the end
 	stats func() htm.StatsSnapshot
+	keys  uint64 // the script's key universe
 }
 
 func b2u(b bool) uint64 {
@@ -32,32 +32,49 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// kvRun adapts an Insert/Remove/Get structure: 40 % inserts, 30 % removes,
-// 30 % gets; final is every key's value, then Len, then the extra counters.
-func kvRun(tm *htm.TM, sys *epoch.System, ins func(k, v uint64) bool, rem func(k uint64) bool,
-	get func(k uint64) (uint64, bool), length func() int, extra ...func() int64) agreeRun {
+// kvRun opens one kv kind on tm and drives it through a session: 40 %
+// inserts, 30 % removes, 30 % gets over keys [0, keys); final is every
+// key's value, then Len, then (buffered kinds) the data allocator's live
+// blocks, then whatever extra reads off the concrete structure.
+func kvRun(kind string, tm *htm.TM, keys uint64, extra func(structure any) []int64) agreeRun {
+	k, _ := kv.Lookup(kind)
+	p := kv.Parts{TM: tm, Epoch: epoch.Config{Manual: true}, KeySpace: fuzzKeySpace[kind], Threads: 1}
+	if k.Bounded {
+		p.KeySpace = 1 << vebUniverseBits
+	}
+	if k.Heap != nvm.ModeDRAM {
+		p.Heap = nvm.New(nvm.Config{Words: DefaultHeapWords, Mode: k.Heap})
+	}
+	if k.Index {
+		p.Index = nvm.New(nvm.Config{Words: DefaultHeapWords, Mode: nvm.ModeDRAM})
+	}
+	st := kv.Open(kind, p)
+	h := st.Store.NewSession()
 	return agreeRun{
-		sys: sys, stats: tm.Stats,
+		sys: st.Sys, stats: tm.Stats, keys: keys,
 		op: func(kind int, k, v uint64) [2]uint64 {
 			switch {
 			case kind < 40:
-				return [2]uint64{b2u(ins(k, v))}
+				return [2]uint64{b2u(h.Insert(k, v))}
 			case kind < 70:
-				return [2]uint64{b2u(rem(k))}
+				return [2]uint64{b2u(h.Remove(k))}
 			default:
-				v, ok := get(k)
+				v, ok := h.Get(k)
 				return [2]uint64{v, b2u(ok)}
 			}
 		},
 		final: func() []int64 {
 			var out []int64
-			for k := uint64(0); k < agreeKeys; k++ {
-				v, ok := get(k)
+			for k := uint64(0); k < keys; k++ {
+				v, ok := h.Get(k)
 				out = append(out, int64(v), int64(b2u(ok)))
 			}
-			out = append(out, int64(length()))
-			for _, f := range extra {
-				out = append(out, f())
+			out = append(out, int64(st.Store.Len()))
+			if st.Sys != nil {
+				out = append(out, st.Sys.Allocator().LiveBlocks())
+			}
+			if extra != nil {
+				out = append(out, extra(st.Structure)...)
 			}
 			return out
 		},
@@ -67,75 +84,38 @@ func kvRun(tm *htm.TM, sys *epoch.System, ins func(k, v uint64) bool, rem func(k
 const (
 	agreeKeys = 256
 	agreeOps  = 2000
+	// spashKeys is wide enough that the script overflows buckets of the
+	// default 16-segment table: it splits segments (session-only) and
+	// doubles the directory in both modes.
+	spashKeys = 2048
 )
-
-func agreeSys() *epoch.System {
-	return epoch.New(nvm.New(nvm.Config{Words: DefaultHeapWords}), epoch.Config{Manual: true})
-}
 
 // agreeSubjects builds every structure whose operations run under htm.Run.
 var agreeSubjects = []struct {
 	name  string
 	build func(tm *htm.TM) agreeRun
 }{
-	{"bdhash", func(tm *htm.TM) agreeRun {
-		sys := agreeSys()
-		t, w := bdhash.New(sys, tm, 1<<10, 1), sys.Register()
-		return kvRun(tm, sys,
-			func(k, v uint64) bool { return t.Insert(w, k, v) },
-			func(k uint64) bool { return t.Remove(w, k) },
-			func(k uint64) (uint64, bool) { return t.GetW(w, k) },
-			t.Len, sys.Allocator().LiveBlocks)
-	}},
+	{"bdhash", func(tm *htm.TM) agreeRun { return kvRun("bdhash", tm, agreeKeys, nil) }},
 	{"spash-BD", func(tm *htm.TM) agreeRun {
-		sys := agreeSys()
-		// Depth 1: 16 buckets of 8 for 256 keys, so the script splits segments
-		// (session-only) and doubles the directory in both modes.
-		t, w := spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys, TM: tm, InitialDepth: 1}), sys.Register()
-		return kvRun(tm, sys,
-			func(k, v uint64) bool { return t.Insert(w, k, v) },
-			func(k uint64) bool { return t.Remove(w, k) },
-			t.Get, t.Len, sys.Allocator().LiveBlocks,
-			func() int64 { return t.Stats().Splits }, func() int64 { return t.Stats().Doublings })
+		return kvRun("spash", tm, spashKeys, func(t any) []int64 {
+			st := t.(*spash.Table).Stats()
+			return []int64{st.Splits, st.Doublings}
+		})
 	}},
 	{"spash-eADR", func(tm *htm.TM) agreeRun {
-		t := spash.New(spash.Config{Mode: spash.ModeEADR, TM: tm, InitialDepth: 1,
-			Heap: nvm.New(nvm.Config{Words: DefaultHeapWords, Mode: nvm.ModeEADR})})
-		return kvRun(tm, nil,
-			func(k, v uint64) bool { return t.Insert(nil, k, v) },
-			func(k uint64) bool { return t.Remove(nil, k) },
-			t.Get, t.Len, t.Allocator().LiveBlocks,
-			func() int64 { return t.Stats().Splits })
+		return kvRun("spash-eadr", tm, spashKeys, func(t any) []int64 {
+			return []int64{t.(*spash.Table).Allocator().LiveBlocks(), t.(*spash.Table).Stats().Splits}
+		})
 	}},
 	{"veb-persistent", func(tm *htm.TM) agreeRun {
-		sys := agreeSys()
-		t, w := veb.New(veb.Config{UniverseBits: vebUniverseBits, TM: tm, DataSys: sys}), sys.Register()
-		return kvRun(tm, sys,
-			func(k, v uint64) bool { return t.Insert(w, k, v) },
-			func(k uint64) bool { return t.Remove(w, k) },
-			t.Get, t.Len, sys.Allocator().LiveBlocks,
-			func() int64 { k, v, ok := t.Successor(agreeKeys / 2); return int64(k ^ v ^ b2u(ok)) })
+		return kvRun("veb", tm, agreeKeys, func(t any) []int64 {
+			k, v, ok := t.(*veb.Tree).Successor(agreeKeys / 2)
+			return []int64{int64(k ^ v ^ b2u(ok))}
+		})
 	}},
-	{"veb-transient", func(tm *htm.TM) agreeRun {
-		t := veb.New(veb.Config{UniverseBits: vebUniverseBits, TM: tm})
-		return kvRun(tm, nil,
-			func(k, v uint64) bool { return t.Insert(nil, k, v) },
-			func(k uint64) bool { return t.Remove(nil, k) },
-			t.Get, t.Len)
-	}},
-	{"skiplist-BDL", func(tm *htm.TM) agreeRun {
-		sys := agreeSys()
-		l := skiplist.New(skiplist.Config{Variant: skiplist.BDL, TM: tm, DataSys: sys, Threads: 1,
-			IndexHeap: nvm.New(nvm.Config{Words: DefaultHeapWords, Mode: nvm.ModeDRAM})})
-		h := l.NewHandle()
-		return kvRun(tm, sys, h.Insert, h.Remove, h.Get, l.Len, sys.Allocator().LiveBlocks)
-	}},
-	{"skiplist-PHTM-MwCAS", func(tm *htm.TM) agreeRun {
-		l := skiplist.New(skiplist.Config{Variant: skiplist.PHTMMwCAS, TM: tm, Threads: 1,
-			IndexHeap: nvm.New(nvm.Config{Words: DefaultHeapWords})})
-		h := l.NewHandle()
-		return kvRun(tm, nil, h.Insert, h.Remove, h.Get, l.Len)
-	}},
+	{"veb-transient", func(tm *htm.TM) agreeRun { return kvRun("veb-transient", tm, agreeKeys, nil) }},
+	{"skiplist-BDL", func(tm *htm.TM) agreeRun { return kvRun("skiplist", tm, agreeKeys, nil) }},
+	{"skiplist-PHTM-MwCAS", func(tm *htm.TM) agreeRun { return kvRun("skiplist-mwcas", tm, agreeKeys, nil) }},
 	{"HTMMwCAS", func(tm *htm.TM) agreeRun {
 		// Three-word compare-and-swaps over agreeKeys words, a line apart from
 		// each other; a third of them carry one stale Old and must fail
@@ -144,7 +124,7 @@ var agreeSubjects = []struct {
 		m := mwcas.NewHTMMwCAS(h, tm)
 		word := func(k uint64) nvm.Addr { return nvm.Addr(nvm.RootWords) + nvm.Addr(k%agreeKeys)*nvm.LineWords }
 		return agreeRun{
-			stats: tm.Stats,
+			stats: tm.Stats, keys: agreeKeys,
 			op: func(kind int, k, v uint64) [2]uint64 {
 				var es [3]mwcas.Entry
 				for i := range es {
@@ -189,7 +169,7 @@ func TestFastAndSessionAgree(t *testing.T) {
 			if r.sys != nil && i%16 == 15 {
 				r.sys.AdvanceOnce() // out-of-place updates, retirements, OldSeeNew-free restarts
 			}
-			kind, k, v := rng.intn(100), rng.next()%agreeKeys, rng.next()>>1
+			kind, k, v := rng.intn(100), rng.next()%r.keys, rng.next()>>1
 			out.results = append(out.results, r.op(kind, k, v))
 		}
 		out.final = r.final()

@@ -12,6 +12,7 @@ import (
 
 	"bdhtm/internal/durability"
 	"bdhtm/internal/epoch"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -374,7 +375,7 @@ type pendingOp struct {
 type session struct {
 	p        RoundParams
 	sub      Subject
-	h        Handle
+	h        kv.Session
 	buffered bool
 	model    map[uint64]uint64
 	snaps    map[uint64]map[uint64]uint64
@@ -752,13 +753,13 @@ func runConcurrent(p RoundParams, sub Subject) *Failure {
 						ok := h.Insert(k, v)
 						local = append(local, opRec{
 							insert: true, k: k, v: v, ok: ok,
-							start: start, end: clock.Add(1), epoch: h.LastWriteEpoch(),
+							start: start, end: clock.Add(1), epoch: h.Epoch(),
 						})
 					case 5, 6, 7:
 						ok := h.Remove(k)
 						local = append(local, opRec{
 							k: k, ok: ok,
-							start: start, end: clock.Add(1), epoch: h.LastWriteEpoch(),
+							start: start, end: clock.Add(1), epoch: h.Epoch(),
 						})
 					default:
 						h.Get(k)

@@ -65,13 +65,7 @@ func (s *session) play(steps []scriptStep) error {
 
 // epochSystem reaches the epoch system under a swept subject.
 func epochSystem(sub Subject) *epoch.System {
-	switch s := sub.(type) {
-	case *bdhashSubject:
-		return s.sys
-	case *skiplistSubject:
-		return s.sys
-	}
-	panic("journal sweep: subject " + sub.Name() + " has no epoch system accessor")
+	return sub.(*bufferedSubject).st.Sys
 }
 
 // retireJunk allocates and retires n blocks no structure ever saw, in one

@@ -8,6 +8,7 @@ import (
 
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -117,24 +118,9 @@ func (e Env) DRAMHeap() *nvm.Heap {
 	return nvm.New(nvm.Config{Words: e.HeapWords, Mode: nvm.ModeDRAM})
 }
 
-// Handle is a per-goroutine session on a subject. Implementations wrap
-// the structure's own per-thread handle (epoch worker, skiplist handle).
-// The contract matches every structure in the repo: Insert is an upsert
-// reporting whether an existing value was replaced; Remove reports
-// whether the key was present.
-type Handle interface {
-	Insert(k, v uint64) bool
-	Remove(k uint64) bool
-	Get(k uint64) (uint64, bool)
-	// LastWriteEpoch returns the final epoch of the handle's last
-	// completed write (Buffered subjects; 0 for Strict). Exact, not a
-	// bound: restarted operations report the epoch they committed in.
-	LastWriteEpoch() uint64
-}
-
 // Subject adapts one persistent structure to the fuzzer: init / op /
-// crash / recover / dump. Implementations live in subjects.go; every
-// structure the repo ships is registered here.
+// crash / recover / dump. Implementations live in subjects.go: one for
+// kv's buffered kinds, one for its strict kinds, one for palloc itself.
 type Subject interface {
 	Name() string
 	Durability() Durability
@@ -145,8 +131,9 @@ type Subject interface {
 	// Recover.
 	Init(env Env)
 	// Handle returns per-goroutine session i in [0, env.Workers).
-	// Handles are re-created by Recover.
-	Handle(i int) Handle
+	// Handles are re-created by Recover. Buffered subjects' sessions
+	// report exact commit epochs (Epoch); strict ones report 0.
+	Handle(i int) kv.Session
 	// Heap returns the persistent heap (for crash-point hooks).
 	Heap() *nvm.Heap
 	// GlobalEpoch returns the active epoch (Buffered; 0 for Strict).

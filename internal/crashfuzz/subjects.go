@@ -4,25 +4,22 @@ import (
 	"fmt"
 	"sync"
 
-	"bdhtm/internal/bdhash"
-	"bdhtm/internal/cceh"
 	"bdhtm/internal/epoch"
-	"bdhtm/internal/htm"
-	"bdhtm/internal/lbtree"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
+	"bdhtm/internal/obs"
 	"bdhtm/internal/palloc"
-	"bdhtm/internal/skiplist"
-	"bdhtm/internal/spash"
-	"bdhtm/internal/veb"
 )
 
 func init() {
-	register("bdhash", func() Subject { return &bdhashSubject{} })
-	register("veb", func() Subject { return &vebSubject{} })
-	register("skiplist", func() Subject { return &skiplistSubject{} })
-	register("spash", func() Subject { return &spashSubject{} })
-	register("cceh", func() Subject { return &ccehSubject{} })
-	register("lbtree", func() Subject { return &lbtreeSubject{} })
+	for _, name := range kv.BufferedKinds() {
+		k, _ := kv.Lookup(name)
+		register(name, func() Subject { return &bufferedSubject{kvSubject{kind: k}} })
+	}
+	for _, name := range []string{"cceh", "lbtree"} {
+		k, _ := kv.Lookup(name)
+		register(name, func() Subject { return &strictSubject{kvSubject{kind: k}} })
+	}
 	register("palloc", func() Subject { return &pallocSubject{} })
 }
 
@@ -34,355 +31,92 @@ func recoverToErr(name string, err *error) {
 	}
 }
 
-// workerKV adapts the (worker, k, v) method shape shared by bdhash, veb
-// and spash.
-type workerKV struct {
-	ins func(w *epoch.Worker, k, v uint64) bool
-	rem func(w *epoch.Worker, k uint64) bool
-	get func(k uint64) (uint64, bool)
-	w   *epoch.Worker
-}
-
-func (h *workerKV) Insert(k, v uint64) bool     { return h.ins(h.w, k, v) }
-func (h *workerKV) Remove(k uint64) bool        { return h.rem(h.w, k) }
-func (h *workerKV) Get(k uint64) (uint64, bool) { return h.get(k) }
-func (h *workerKV) LastWriteEpoch() uint64      { return h.w.OpEpoch() }
-
-// strictKV adapts the plain (k, v) method shape shared by cceh and
-// lbtree.
-type strictKV struct {
-	ins func(k, v uint64) bool
-	rem func(k uint64) bool
-	get func(k uint64) (uint64, bool)
-}
-
-func (h *strictKV) Insert(k, v uint64) bool     { return h.ins(k, v) }
-func (h *strictKV) Remove(k uint64) bool        { return h.rem(k) }
-func (h *strictKV) Get(k uint64) (uint64, bool) { return h.get(k) }
-func (h *strictKV) LastWriteEpoch() uint64      { return 0 }
-
-// --- bdhash -----------------------------------------------------------------
-
-type bdhashSubject struct {
-	env  Env
-	heap *nvm.Heap
-	sys  *epoch.System
-	tab  *bdhash.Table
-	hs   []Handle
-	recs []epoch.BlockRecord // last Recover's rebuild records
-}
-
-func (s *bdhashSubject) Name() string           { return "bdhash" }
-func (s *bdhashSubject) Durability() Durability { return Buffered }
-func (s *bdhashSubject) MaxKeySpace() uint64    { return 1 << 40 }
-
-func (s *bdhashSubject) Init(env Env) {
-	s.env = env
-	s.heap = env.NVMHeap()
-	s.sys = epoch.New(s.heap, env.epochCfg())
-	s.build(env.TM())
-}
-
-func (s *bdhashSubject) build(tm *htm.TM) {
-	s.tab = bdhash.New(s.sys, tm, 1<<10, 1)
-	s.hs = make([]Handle, s.env.Workers)
-	for i := range s.hs {
-		s.hs[i] = &workerKV{ins: s.tab.Insert, rem: s.tab.Remove, get: s.tab.Get, w: s.sys.Register()}
-	}
-}
-
-func (s *bdhashSubject) Handle(i int) Handle         { return s.hs[i] }
-func (s *bdhashSubject) Heap() *nvm.Heap             { return s.heap }
-func (s *bdhashSubject) GlobalEpoch() uint64         { return s.sys.GlobalEpoch() }
-func (s *bdhashSubject) PersistedEpoch() uint64      { return s.sys.PersistedEpoch() }
-func (s *bdhashSubject) Advance()                    { s.env.advance(s.sys) }
-func (s *bdhashSubject) Crash(opts nvm.CrashOptions) { s.sys.SimulateCrash(opts) }
-func (s *bdhashSubject) Len() int                    { return s.tab.Len() }
-func (s *bdhashSubject) LiveBlocks() int64           { return s.sys.Allocator().LiveBlocks() }
-
-func (s *bdhashSubject) Recover() (err error) {
-	defer recoverToErr("bdhash", &err)
-	var recs []epoch.BlockRecord
-	s.sys = epoch.Recover(s.heap, s.env.epochCfg(),
-		func(r epoch.BlockRecord) { recs = append(recs, r) })
-	s.recs = recs
-	s.build(s.env.TM())
-	for _, r := range recs {
-		s.tab.RebuildBlock(r)
-	}
-	return nil
-}
-
-func (s *bdhashSubject) RecoveryRecords() []epoch.BlockRecord { return s.recs }
-
-// --- veb (PHTM-vEB) ---------------------------------------------------------
-
 const vebUniverseBits = 16
 
-type vebSubject struct {
+// fuzzKeySpace is what the fuzzer sizes a kind with (kv.Parts.KeySpace):
+// bdhash's slot capacity and veb's universe.
+var fuzzKeySpace = map[string]uint64{"bdhash": 1 << 10, "veb": 1 << vebUniverseBits}
+
+// kvSubject is what every structure subject shares: one kv kind on the
+// round's seeded heap, with one session per worker. bufferedSubject and
+// strictSubject add the half of Subject that depends on whether there is
+// an epoch system underneath.
+type kvSubject struct {
+	kind kv.Kind
 	env  Env
 	heap *nvm.Heap
-	sys  *epoch.System
-	tree *veb.Tree
-	hs   []Handle
-	recs []epoch.BlockRecord // last Recover's rebuild records
+	st   *kv.Stack
+	hs   []kv.Session
 }
 
-func (s *vebSubject) Name() string           { return "veb" }
-func (s *vebSubject) Durability() Durability { return Buffered }
-func (s *vebSubject) MaxKeySpace() uint64    { return 1 << vebUniverseBits }
+func (s *kvSubject) Name() string { return s.kind.Name }
 
-func (s *vebSubject) Init(env Env) {
+func (s *kvSubject) MaxKeySpace() uint64 {
+	if s.kind.Bounded {
+		return fuzzKeySpace[s.kind.Name]
+	}
+	return 1 << 40
+}
+
+func (s *kvSubject) Init(env Env) {
+	env.HeapWords = max(env.HeapWords, s.kind.MinHeapWords)
 	s.env = env
 	s.heap = env.NVMHeap()
-	s.sys = epoch.New(s.heap, env.epochCfg())
-	s.build(env.TM())
+	s.open(kv.Open)
 }
 
-func (s *vebSubject) build(tm *htm.TM) {
-	s.tree = veb.New(veb.Config{UniverseBits: vebUniverseBits, TM: tm, DataSys: s.sys})
-	s.hs = make([]Handle, s.env.Workers)
+// open builds the stack with kv.Open or kv.Recover on the subject's heap
+// and a fresh TM and index heap, then registers the workers' sessions in
+// worker order.
+func (s *kvSubject) open(open func(string, kv.Parts) *kv.Stack) {
+	p := kv.Parts{
+		Heap:     s.heap,
+		TM:       s.env.TM(),
+		Epoch:    s.env.epochCfg(),
+		KeySpace: fuzzKeySpace[s.kind.Name],
+		Threads:  s.env.Workers,
+	}
+	if s.kind.Index {
+		p.Index = s.env.DRAMHeap()
+	}
+	s.st = open(s.kind.Name, p)
+	s.hs = make([]kv.Session, s.env.Workers)
 	for i := range s.hs {
-		s.hs[i] = &workerKV{ins: s.tree.Insert, rem: s.tree.Remove, get: s.tree.Get, w: s.sys.Register()}
+		s.hs[i] = s.st.Store.NewSession()
 	}
 }
 
-func (s *vebSubject) Handle(i int) Handle         { return s.hs[i] }
-func (s *vebSubject) Heap() *nvm.Heap             { return s.heap }
-func (s *vebSubject) GlobalEpoch() uint64         { return s.sys.GlobalEpoch() }
-func (s *vebSubject) PersistedEpoch() uint64      { return s.sys.PersistedEpoch() }
-func (s *vebSubject) Advance()                    { s.env.advance(s.sys) }
-func (s *vebSubject) Crash(opts nvm.CrashOptions) { s.sys.SimulateCrash(opts) }
-func (s *vebSubject) Len() int                    { return s.tree.Len() }
-func (s *vebSubject) LiveBlocks() int64           { return s.sys.Allocator().LiveBlocks() }
-
-func (s *vebSubject) Recover() (err error) {
-	defer recoverToErr("veb", &err)
-	var recs []epoch.BlockRecord
-	s.sys = epoch.Recover(s.heap, s.env.epochCfg(),
-		func(r epoch.BlockRecord) { recs = append(recs, r) })
-	s.recs = recs
-	s.build(s.env.TM())
-	for _, r := range recs {
-		s.tree.RebuildBlock(r)
-	}
+func (s *kvSubject) Recover() (err error) {
+	defer recoverToErr(s.kind.Name, &err)
+	s.open(kv.Recover)
 	return nil
 }
 
-func (s *vebSubject) RecoveryRecords() []epoch.BlockRecord { return s.recs }
+func (s *kvSubject) Handle(i int) kv.Session { return s.hs[i] }
+func (s *kvSubject) Heap() *nvm.Heap         { return s.heap }
+func (s *kvSubject) Len() int                { return s.st.Store.Len() }
 
-// --- skiplist (BDL) ---------------------------------------------------------
+// bufferedSubject is a BDL kind on the epoch system.
+type bufferedSubject struct{ kvSubject }
 
-type skiplistSubject struct {
-	env  Env
-	heap *nvm.Heap
-	sys  *epoch.System
-	list *skiplist.List
-	hs   []Handle
-	recs []epoch.BlockRecord // last Recover's rebuild records
-}
+func (s *bufferedSubject) Durability() Durability      { return Buffered }
+func (s *bufferedSubject) GlobalEpoch() uint64         { return s.st.Sys.GlobalEpoch() }
+func (s *bufferedSubject) PersistedEpoch() uint64      { return s.st.Sys.PersistedEpoch() }
+func (s *bufferedSubject) Advance()                    { s.env.advance(s.st.Sys) }
+func (s *bufferedSubject) Crash(opts nvm.CrashOptions) { s.st.Sys.SimulateCrash(opts) }
+func (s *bufferedSubject) LiveBlocks() int64           { return s.st.Sys.Allocator().LiveBlocks() }
 
-type skiplistHandle struct{ h *skiplist.Handle }
+func (s *bufferedSubject) RecoveryRecords() []epoch.BlockRecord { return s.st.Recovered }
 
-func (h *skiplistHandle) Insert(k, v uint64) bool     { return h.h.Insert(k, v) }
-func (h *skiplistHandle) Remove(k uint64) bool        { return h.h.Remove(k) }
-func (h *skiplistHandle) Get(k uint64) (uint64, bool) { return h.h.Get(k) }
-func (h *skiplistHandle) LastWriteEpoch() uint64      { return h.h.Worker().OpEpoch() }
+// strictSubject is a baseline that persists every operation itself.
+type strictSubject struct{ kvSubject }
 
-func (s *skiplistSubject) Name() string           { return "skiplist" }
-func (s *skiplistSubject) Durability() Durability { return Buffered }
-func (s *skiplistSubject) MaxKeySpace() uint64    { return 1 << 40 }
-
-func (s *skiplistSubject) Init(env Env) {
-	s.env = env
-	s.heap = env.NVMHeap()
-	s.sys = epoch.New(s.heap, env.epochCfg())
-	s.build(env.TM())
-}
-
-func (s *skiplistSubject) build(tm *htm.TM) {
-	s.list = skiplist.New(skiplist.Config{
-		Variant:   skiplist.BDL,
-		IndexHeap: s.env.DRAMHeap(),
-		DataSys:   s.sys,
-		TM:        tm,
-		Threads:   s.env.Workers,
-	})
-	s.hs = make([]Handle, s.env.Workers)
-	for i := range s.hs {
-		s.hs[i] = &skiplistHandle{h: s.list.NewHandle()}
-	}
-}
-
-func (s *skiplistSubject) Handle(i int) Handle         { return s.hs[i] }
-func (s *skiplistSubject) Heap() *nvm.Heap             { return s.heap }
-func (s *skiplistSubject) GlobalEpoch() uint64         { return s.sys.GlobalEpoch() }
-func (s *skiplistSubject) PersistedEpoch() uint64      { return s.sys.PersistedEpoch() }
-func (s *skiplistSubject) Advance()                    { s.env.advance(s.sys) }
-func (s *skiplistSubject) Crash(opts nvm.CrashOptions) { s.sys.SimulateCrash(opts) }
-func (s *skiplistSubject) Len() int                    { return s.list.Len() }
-func (s *skiplistSubject) LiveBlocks() int64           { return s.sys.Allocator().LiveBlocks() }
-
-func (s *skiplistSubject) Recover() (err error) {
-	defer recoverToErr("skiplist", &err)
-	var recs []epoch.BlockRecord
-	s.sys = epoch.Recover(s.heap, s.env.epochCfg(),
-		func(r epoch.BlockRecord) { recs = append(recs, r) })
-	s.recs = recs
-	s.build(s.env.TM())
-	for _, r := range recs {
-		s.list.RebuildBlock(r)
-	}
-	return nil
-}
-
-func (s *skiplistSubject) RecoveryRecords() []epoch.BlockRecord { return s.recs }
-
-// --- spash (BD-Spash) -------------------------------------------------------
-
-type spashSubject struct {
-	env  Env
-	heap *nvm.Heap
-	sys  *epoch.System
-	tab  *spash.Table
-	hs   []Handle
-	recs []epoch.BlockRecord // last Recover's rebuild records
-}
-
-func (s *spashSubject) Name() string           { return "spash" }
-func (s *spashSubject) Durability() Durability { return Buffered }
-func (s *spashSubject) MaxKeySpace() uint64    { return 1 << 40 }
-
-func (s *spashSubject) Init(env Env) {
-	s.env = env
-	s.heap = env.NVMHeap()
-	s.sys = epoch.New(s.heap, env.epochCfg())
-	s.build(env.TM())
-}
-
-func (s *spashSubject) build(tm *htm.TM) {
-	s.tab = spash.New(spash.Config{Mode: spash.ModeBD, Sys: s.sys, TM: tm})
-	s.hs = make([]Handle, s.env.Workers)
-	for i := range s.hs {
-		s.hs[i] = &workerKV{ins: s.tab.Insert, rem: s.tab.Remove, get: s.tab.Get, w: s.sys.Register()}
-	}
-}
-
-func (s *spashSubject) Handle(i int) Handle         { return s.hs[i] }
-func (s *spashSubject) Heap() *nvm.Heap             { return s.heap }
-func (s *spashSubject) GlobalEpoch() uint64         { return s.sys.GlobalEpoch() }
-func (s *spashSubject) PersistedEpoch() uint64      { return s.sys.PersistedEpoch() }
-func (s *spashSubject) Advance()                    { s.env.advance(s.sys) }
-func (s *spashSubject) Crash(opts nvm.CrashOptions) { s.sys.SimulateCrash(opts) }
-func (s *spashSubject) Len() int                    { return s.tab.Len() }
-func (s *spashSubject) LiveBlocks() int64           { return s.sys.Allocator().LiveBlocks() }
-
-func (s *spashSubject) Recover() (err error) {
-	defer recoverToErr("spash", &err)
-	var recs []epoch.BlockRecord
-	s.sys = epoch.Recover(s.heap, s.env.epochCfg(),
-		func(r epoch.BlockRecord) { recs = append(recs, r) })
-	s.recs = recs
-	s.build(s.env.TM())
-	for _, r := range recs {
-		s.tab.RebuildBlock(r)
-	}
-	return nil
-}
-
-func (s *spashSubject) RecoveryRecords() []epoch.BlockRecord { return s.recs }
-
-// --- cceh (strict) ----------------------------------------------------------
-
-type ccehSubject struct {
-	env  Env
-	heap *nvm.Heap
-	tab  *cceh.Table
-	hs   []Handle
-}
-
-func (s *ccehSubject) Name() string           { return "cceh" }
-func (s *ccehSubject) Durability() Durability { return Strict }
-func (s *ccehSubject) MaxKeySpace() uint64    { return 1 << 40 }
-
-func (s *ccehSubject) Init(env Env) {
-	s.env = env
-	// CCEH pre-allocates a max-depth directory (1<<16 words); give it
-	// room beyond the default fuzzing heap.
-	if env.HeapWords < 1<<18 {
-		env.HeapWords = 1 << 18
-		s.env.HeapWords = 1 << 18
-	}
-	s.heap = env.NVMHeap()
-	s.tab = cceh.New(s.heap, 2)
-	s.mkHandles()
-}
-
-func (s *ccehSubject) mkHandles() {
-	s.hs = make([]Handle, s.env.Workers)
-	for i := range s.hs {
-		s.hs[i] = &strictKV{ins: s.tab.Insert, rem: s.tab.Remove, get: s.tab.Get}
-	}
-}
-
-func (s *ccehSubject) Handle(i int) Handle         { return s.hs[i] }
-func (s *ccehSubject) Heap() *nvm.Heap             { return s.heap }
-func (s *ccehSubject) GlobalEpoch() uint64         { return 0 }
-func (s *ccehSubject) PersistedEpoch() uint64      { return 0 }
-func (s *ccehSubject) Advance()                    {}
-func (s *ccehSubject) Crash(opts nvm.CrashOptions) { s.heap.Crash(opts) }
-func (s *ccehSubject) Len() int                    { return s.tab.Len() }
-func (s *ccehSubject) LiveBlocks() int64           { return -1 }
-
-func (s *ccehSubject) Recover() (err error) {
-	defer recoverToErr("cceh", &err)
-	s.tab = cceh.Recover(s.heap)
-	s.mkHandles()
-	return nil
-}
-
-// --- lbtree (strict) --------------------------------------------------------
-
-type lbtreeSubject struct {
-	env  Env
-	heap *nvm.Heap
-	tree *lbtree.Tree
-	hs   []Handle
-}
-
-func (s *lbtreeSubject) Name() string           { return "lbtree" }
-func (s *lbtreeSubject) Durability() Durability { return Strict }
-func (s *lbtreeSubject) MaxKeySpace() uint64    { return 1 << 40 }
-
-func (s *lbtreeSubject) Init(env Env) {
-	s.env = env
-	s.heap = env.NVMHeap()
-	s.tree = lbtree.New(s.heap)
-	s.mkHandles()
-}
-
-func (s *lbtreeSubject) mkHandles() {
-	s.hs = make([]Handle, s.env.Workers)
-	for i := range s.hs {
-		s.hs[i] = &strictKV{ins: s.tree.Insert, rem: s.tree.Remove, get: s.tree.Get}
-	}
-}
-
-func (s *lbtreeSubject) Handle(i int) Handle         { return s.hs[i] }
-func (s *lbtreeSubject) Heap() *nvm.Heap             { return s.heap }
-func (s *lbtreeSubject) GlobalEpoch() uint64         { return 0 }
-func (s *lbtreeSubject) PersistedEpoch() uint64      { return 0 }
-func (s *lbtreeSubject) Advance()                    {}
-func (s *lbtreeSubject) Crash(opts nvm.CrashOptions) { s.heap.Crash(opts) }
-func (s *lbtreeSubject) Len() int                    { return s.tree.Len() }
-func (s *lbtreeSubject) LiveBlocks() int64           { return -1 }
-
-func (s *lbtreeSubject) Recover() (err error) {
-	defer recoverToErr("lbtree", &err)
-	s.tree = lbtree.Recover(s.heap)
-	s.mkHandles()
-	return nil
-}
+func (s *strictSubject) Durability() Durability      { return Strict }
+func (s *strictSubject) GlobalEpoch() uint64         { return 0 }
+func (s *strictSubject) PersistedEpoch() uint64      { return 0 }
+func (s *strictSubject) Advance()                    {}
+func (s *strictSubject) Crash(opts nvm.CrashOptions) { s.heap.Crash(opts) }
+func (s *strictSubject) LiveBlocks() int64           { return -1 }
 
 // --- palloc (strict, exercises the allocator itself) ------------------------
 
@@ -423,7 +157,7 @@ func (s *pallocSubject) Init(env Env) {
 	s.live = make(map[uint64]nvm.Addr)
 }
 
-func (s *pallocSubject) Handle(i int) Handle         { return &pallocHandle{s: s} }
+func (s *pallocSubject) Handle(i int) kv.Session     { return &pallocHandle{s: s} }
 func (s *pallocSubject) Heap() *nvm.Heap             { return s.heap }
 func (s *pallocSubject) GlobalEpoch() uint64         { return 0 }
 func (s *pallocSubject) PersistedEpoch() uint64      { return 0 }
@@ -490,7 +224,8 @@ func (h *pallocHandle) Get(k uint64) (uint64, bool) {
 	return s.heap.Load(palloc.Payload(b) + 1), true
 }
 
-func (h *pallocHandle) LastWriteEpoch() uint64 { return 0 }
+func (h *pallocHandle) Epoch() uint64     { return 0 }
+func (h *pallocHandle) SetSpan(*obs.Span) {}
 
 func (s *pallocSubject) Recover() (err error) {
 	defer recoverToErr("palloc", &err)

@@ -10,10 +10,9 @@ import (
 )
 
 // Collector accumulates machine-readable benchmark rows (obs.BenchRow)
-// while experiments run. When a collector is installed (SetCollector),
-// Run and RunLatency append one row per measurement, tagged with the
-// current experiment label, and bdbench writes the finished report as
-// BENCH_*.json.
+// while experiments run: Run and RunLatency append one row per measurement
+// to the collector they are handed, tagged with its current experiment
+// label, and bdbench writes the finished report as BENCH_*.json.
 type Collector struct {
 	Report *obs.Report
 
@@ -26,8 +25,12 @@ func NewCollector(cfg obs.RunConfig) *Collector {
 	return &Collector{Report: obs.NewReport(cfg)}
 }
 
-// SetExperiment labels subsequent rows (e.g. "fig1", "tail").
+// SetExperiment labels subsequent rows (e.g. "fig1", "tail"); a no-op on
+// a nil collector.
 func (c *Collector) SetExperiment(name string) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	c.experiment = name
 	c.mu.Unlock()
@@ -39,40 +42,11 @@ func (c *Collector) experimentName() string {
 	return c.experiment
 }
 
-var (
-	collectorMu     sync.Mutex
-	activeCollector *Collector
-)
-
-// SetCollector installs (or, with nil, removes) the process-wide
-// collector consulted by Run and RunLatency.
-func SetCollector(c *Collector) {
-	collectorMu.Lock()
-	activeCollector = c
-	collectorMu.Unlock()
-}
-
-// SetExperiment labels subsequent rows on the installed collector, if
-// any. The run() helper in cmd/bdbench calls it per experiment.
-func SetExperiment(name string) {
-	if c := currentCollector(); c != nil {
-		c.SetExperiment(name)
-	}
-}
-
-func currentCollector() *Collector {
-	collectorMu.Lock()
-	defer collectorMu.Unlock()
-	return activeCollector
-}
-
-// AppendRow appends a prebuilt row to the installed collector, tagging
-// it with the current experiment label when the row carries none. It is
-// a no-op without a collector. Experiments that measure outside the
-// Run/RunLatency pipeline (bdbench's hotpath substrate matrix) use it
-// to land rows in the same report.
-func AppendRow(row obs.BenchRow) {
-	c := currentCollector()
+// Append adds a prebuilt row, tagged with the current experiment label
+// when it carries none; a nil collector drops it. Experiments that measure
+// outside Run/RunLatency (bdbench's hotpath matrix, recovery, serve) land
+// their rows in the same report with it.
+func (c *Collector) Append(row obs.BenchRow) {
 	if c == nil {
 		return
 	}
@@ -92,14 +66,14 @@ type statsBaseline struct {
 
 func captureBaseline(inst *Instance) statsBaseline {
 	var b statsBaseline
-	if inst.TMStats != nil {
-		b.tm = inst.TMStats()
+	if inst.TM != nil {
+		b.tm = inst.TM.Stats()
 	}
-	if inst.NVMStats != nil {
-		b.nvm = inst.NVMStats()
+	if inst.Heap != nil {
+		b.nvm = inst.Heap.Stats()
 	}
-	if inst.EpochStats != nil {
-		b.epoch = inst.EpochStats()
+	if inst.Sys != nil {
+		b.epoch = inst.Sys.Stats()
 	}
 	return b
 }
@@ -117,8 +91,8 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 		Mops:       res.Throughput,
 		Latency:    lat,
 	}
-	if inst.TMStats != nil {
-		d := inst.TMStats().Sub(base.tm)
+	if inst.TM != nil {
+		d := inst.TM.Stats().Sub(base.tm)
 		row.HTM = &obs.HTMSummary{
 			Attempts:   d.Attempts(),
 			Commits:    d.Commits,
@@ -131,8 +105,8 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 			},
 		}
 	}
-	if inst.NVMStats != nil {
-		d := inst.NVMStats().Sub(base.nvm)
+	if inst.Heap != nil {
+		d := inst.Heap.Stats().Sub(base.nvm)
 		row.NVM = &obs.NVMSummary{
 			Flushes:            d.Flushes,
 			Fences:             d.Fences,
@@ -146,8 +120,8 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 			row.NVM.FencesPerOp = float64(d.Fences) / float64(res.Ops)
 		}
 	}
-	if inst.EpochStats != nil {
-		e := inst.EpochStats()
+	if inst.Sys != nil {
+		e := inst.Sys.Stats()
 		sum := &obs.EpochSummary{
 			Advances:      e.Advances - base.epoch.Advances,
 			FlushedBlocks: e.FlushedBlocks - base.epoch.FlushedBlocks,

@@ -1,6 +1,6 @@
 // Package harness drives the experiments of the paper's evaluation
-// section: it wraps every data structure behind a uniform per-thread Map
-// interface, generates YCSB-style workloads, measures throughput across
+// section: it builds any internal/kv kind scaled to an experiment,
+// generates YCSB-style workloads, measures throughput across
 // thread sweeps, and formats results as the rows/series of each figure
 // and table. Both cmd/bdbench and the repository's bench_test.go build on
 // it.
@@ -15,36 +15,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/epoch"
-	"bdhtm/internal/htm"
-	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 	"bdhtm/internal/ycsb"
 )
-
-// Map is the uniform per-thread view of a keyed structure under test.
-type Map interface {
-	Insert(k, v uint64) bool
-	Remove(k uint64) bool
-	Get(k uint64) (uint64, bool)
-}
-
-// Instance is one constructed structure plus its observability hooks.
-type Instance struct {
-	Name string
-	// NewHandle returns a goroutine-private Map view.
-	NewHandle func() Map
-	// Close stops background machinery (epoch advancers).
-	Close func()
-
-	// Optional hooks (nil/zero when not applicable).
-	TMStats    func() htm.StatsSnapshot // HTM commit/abort counters (Fig. 2)
-	NVMStats   func() nvm.StatsSnapshot // persist-cost counters (Sec. 5.1)
-	EpochStats func() epoch.Stats       // epoch-system activity
-	DRAMBytes  func() int64             // index memory (Table 3)
-	NVMBytes   func() int64             // NVM footprint (Table 3, Fig. 8)
-	Sync       func()                   // force buffered data durable
-}
 
 // Dist selects the key distribution.
 type Dist struct {
@@ -91,15 +64,15 @@ type Result struct {
 }
 
 // Run measures the instance under the workload with the given number of
-// worker goroutines for roughly the given duration.
-func Run(inst *Instance, wl Workload, threads int, dur time.Duration, seed uint64) Result {
+// worker goroutines for roughly the given duration, and appends the
+// measurement's row to c (nil collects nothing).
+func Run(c *Collector, inst *Instance, wl Workload, threads int, dur time.Duration, seed uint64) Result {
 	if wl.Prefill {
 		Prefill(inst, wl.KeySpace)
 	}
-	// When a collector is installed, time every op into a sharded
-	// histogram and capture counter baselines after the prefill so the
-	// reported row covers the measured interval only.
-	c := currentCollector()
+	// When collecting, time every op into a sharded histogram and capture
+	// counter baselines after the prefill so the reported row covers the
+	// measured interval only.
 	var base statsBaseline
 	var opHist *obs.Hist
 	if c != nil {
@@ -114,7 +87,7 @@ func Run(inst *Instance, wl Workload, threads int, dur time.Duration, seed uint6
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			h := inst.NewHandle()
+			h := inst.Store.NewSession()
 			g := wl.generator(seed + uint64(tid)*7919)
 			ops := int64(0)
 			for !stop.Load() {
@@ -176,7 +149,7 @@ func RunOps(inst *Instance, wl Workload, threads int, opsPerThread int, seed uin
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			h := inst.NewHandle()
+			h := inst.Store.NewSession()
 			g := wl.generator(seed + uint64(tid)*7919)
 			for i := 0; i < opsPerThread; i++ {
 				op, k, v := g.Next()
@@ -204,7 +177,7 @@ func RunOps(inst *Instance, wl Workload, threads int, opsPerThread int, seed uin
 // Prefill inserts every even key (half the key space), the paper's
 // standard initial population.
 func Prefill(inst *Instance, keySpace uint64) {
-	h := inst.NewHandle()
+	h := inst.Store.NewSession()
 	for k := uint64(0); k < keySpace; k += 2 {
 		h.Insert(k, k*2654435761+12345)
 	}
@@ -218,15 +191,13 @@ type Series struct {
 
 // Sweep measures the subject across thread counts, creating a fresh
 // instance per point (so points do not inherit structural state).
-func Sweep(build func() *Instance, wl Workload, threads []int, dur time.Duration) Series {
+func Sweep(c *Collector, build func() *Instance, wl Workload, threads []int, dur time.Duration) Series {
 	var s Series
 	for _, n := range threads {
 		inst := build()
 		s.Name = inst.Name
-		r := Run(inst, wl, n, dur, 42)
-		if inst.Close != nil {
-			inst.Close()
-		}
+		r := Run(c, inst, wl, n, dur, 42)
+		inst.Close()
 		s.Points = append(s.Points, r)
 	}
 	return s

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"bdhtm/internal/skiplist"
 	"bdhtm/internal/ycsb"
 )
 
@@ -13,12 +12,11 @@ import (
 // prefilled data it never removed.
 func TestAllSubjectsSmoke(t *testing.T) {
 	o := Opts{KeySpace: 1 << 10}
-	builders := []func(Opts) *Instance{
-		NewHTMvEB, NewPHTMvEB, NewLBTree, NewOCCTree, NewElimTree,
-		NewSpash, NewBDSpash, NewCCEH, NewPlush, NewBDHash,
-	}
-	for _, b := range builders {
-		inst := b(o)
+	for _, kind := range []string{
+		"veb-transient", "veb", "lbtree", "abtree-occ", "abtree-elim",
+		"spash-eadr", "spash", "cceh", "plush", "bdhash",
+	} {
+		inst := New(kind, o)
 		t.Run(inst.Name, func(t *testing.T) {
 			defer inst.Close()
 			wl := Workload{KeySpace: o.KeySpace, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 50}, Prefill: true}
@@ -34,8 +32,8 @@ func TestAllSubjectsSmoke(t *testing.T) {
 }
 
 func TestAllSkiplistVariantsSmoke(t *testing.T) {
-	for _, v := range []skiplist.Variant{skiplist.DL, skiplist.PNoFlush, skiplist.PHTMMwCAS, skiplist.BDL, skiplist.Transient} {
-		inst := NewSkiplist(v, Opts{KeySpace: 1 << 10})
+	for _, kind := range []string{"skiplist-dl", "skiplist-noflush", "skiplist-mwcas", "skiplist", "skiplist-transient"} {
+		inst := New(kind, Opts{KeySpace: 1 << 10})
 		t.Run(inst.Name, func(t *testing.T) {
 			defer inst.Close()
 			wl := Workload{KeySpace: 1 << 10, Dist: Zipf99, Mix: ycsb.Mix{ReadPct: 20}, Prefill: true}
@@ -48,10 +46,10 @@ func TestAllSkiplistVariantsSmoke(t *testing.T) {
 }
 
 func TestRunDuration(t *testing.T) {
-	inst := NewHTMvEB(Opts{KeySpace: 1 << 10})
+	inst := New("veb-transient", Opts{KeySpace: 1 << 10})
 	defer inst.Close()
 	wl := Workload{KeySpace: 1 << 10, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 20}}
-	r := Run(inst, wl, 1, 50*time.Millisecond, 1)
+	r := Run(nil, inst, wl, 1, 50*time.Millisecond, 1)
 	if r.Ops == 0 {
 		t.Fatal("no ops measured")
 	}
@@ -62,7 +60,7 @@ func TestRunDuration(t *testing.T) {
 
 func TestSweepAndPrint(t *testing.T) {
 	wl := Workload{KeySpace: 1 << 10, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 20}}
-	s := Sweep(func() *Instance { return NewHTMvEB(Opts{KeySpace: 1 << 10}) }, wl, []int{1, 2}, 20*time.Millisecond)
+	s := Sweep(nil, func() *Instance { return New("veb-transient", Opts{KeySpace: 1 << 10}) }, wl, []int{1, 2}, 20*time.Millisecond)
 	if len(s.Points) != 2 {
 		t.Fatalf("points = %d", len(s.Points))
 	}
@@ -75,18 +73,18 @@ func TestSweepAndPrint(t *testing.T) {
 }
 
 func TestTMStatsHook(t *testing.T) {
-	inst := NewPHTMvEB(Opts{KeySpace: 1 << 10})
+	inst := New("veb", Opts{KeySpace: 1 << 10})
 	defer inst.Close()
 	wl := Workload{KeySpace: 1 << 10, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 0}, Prefill: false}
 	RunOps(inst, wl, 1, 500, 5)
-	s := inst.TMStats()
+	s := inst.TM.Stats()
 	if s.Commits == 0 {
 		t.Fatal("no HTM commits recorded")
 	}
 }
 
 func TestSpaceHooks(t *testing.T) {
-	inst := NewPHTMvEB(Opts{KeySpace: 1 << 12})
+	inst := New("veb", Opts{KeySpace: 1 << 12})
 	defer inst.Close()
 	Prefill(inst, 1<<12)
 	inst.Sync()

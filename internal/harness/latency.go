@@ -24,8 +24,9 @@ type LatencyResult struct {
 
 // RunLatency executes ops operations on one goroutine while background
 // goroutines apply contending traffic, and reports the foreground
-// thread's latency distribution.
-func RunLatency(inst *Instance, wl Workload, ops int, bgThreads int, seed uint64) LatencyResult {
+// thread's latency distribution, appending its row to c (nil collects
+// nothing).
+func RunLatency(c *Collector, inst *Instance, wl Workload, ops int, bgThreads int, seed uint64) LatencyResult {
 	if wl.Prefill {
 		Prefill(inst, wl.KeySpace)
 	}
@@ -34,7 +35,7 @@ func RunLatency(inst *Instance, wl Workload, ops int, bgThreads int, seed uint64
 	for t := 0; t < bgThreads; t++ {
 		go func(tid int) {
 			defer func() { done <- struct{}{} }()
-			h := inst.NewHandle()
+			h := inst.Store.NewSession()
 			g := wl.generator(seed + 1000 + uint64(tid)*131)
 			for {
 				select {
@@ -56,12 +57,11 @@ func RunLatency(inst *Instance, wl Workload, ops int, bgThreads int, seed uint64
 			}
 		}(t)
 	}
-	c := currentCollector()
 	var base statsBaseline
 	if c != nil {
 		base = captureBaseline(inst)
 	}
-	h := inst.NewHandle()
+	h := inst.Store.NewSession()
 	g := wl.generator(seed)
 	lat := make([]time.Duration, ops)
 	fgStart := time.Now()

@@ -16,7 +16,6 @@ import (
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
-	"bdhtm/internal/skiplist"
 	"bdhtm/internal/ycsb"
 )
 
@@ -76,9 +75,9 @@ func TestExactFlushCounts(t *testing.T) {
 // every operation.
 func TestEADRNoFlushes(t *testing.T) {
 	rec := obs.New("eadr")
-	inst := harness.NewSpash(harness.Opts{KeySpace: 1 << 10, Obs: rec})
+	inst := harness.New("spash-eadr", harness.Opts{KeySpace: 1 << 10, Obs: rec})
 	defer inst.Close()
-	h := inst.NewHandle()
+	h := inst.Store.NewSession()
 	const n = 64
 	for k := uint64(0); k < n; k++ {
 		h.Insert(k, k+1)
@@ -134,21 +133,20 @@ func TestForcedMemTypeAbort(t *testing.T) {
 // subjectBuilders is every harness structure, built with a fresh recorder
 // attached to all of its components.
 var subjectBuilders = []struct {
-	name  string
-	build func(harness.Opts) *harness.Instance
+	name, kind string
 }{
-	{"HTM-vEB", harness.NewHTMvEB},
-	{"PHTM-vEB", harness.NewPHTMvEB},
-	{"LB+Tree", harness.NewLBTree},
-	{"OCC-abtree", harness.NewOCCTree},
-	{"Elim-abtree", harness.NewElimTree},
-	{"CCEH", harness.NewCCEH},
-	{"Plush", harness.NewPlush},
-	{"Spash", harness.NewSpash},
-	{"BD-Spash", harness.NewBDSpash},
-	{"BD-Hash", harness.NewBDHash},
-	{"DL-Skiplist", func(o harness.Opts) *harness.Instance { return harness.NewSkiplist(skiplist.DL, o) }},
-	{"BDL-Skiplist", func(o harness.Opts) *harness.Instance { return harness.NewSkiplist(skiplist.BDL, o) }},
+	{"HTM-vEB", "veb-transient"},
+	{"PHTM-vEB", "veb"},
+	{"LB+Tree", "lbtree"},
+	{"OCC-abtree", "abtree-occ"},
+	{"Elim-abtree", "abtree-elim"},
+	{"CCEH", "cceh"},
+	{"Plush", "plush"},
+	{"Spash", "spash-eadr"},
+	{"BD-Spash", "spash"},
+	{"BD-Hash", "bdhash"},
+	{"DL-Skiplist", "skiplist-dl"},
+	{"BDL-Skiplist", "skiplist"},
 }
 
 // TestStructureOpCounts drives every structure through a scripted
@@ -161,9 +159,9 @@ func TestStructureOpCounts(t *testing.T) {
 	for _, b := range subjectBuilders {
 		t.Run(b.name, func(t *testing.T) {
 			rec := obs.New(b.name)
-			inst := b.build(harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
+			inst := harness.New(b.kind, harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
 			defer inst.Close()
-			h := inst.NewHandle()
+			h := inst.Store.NewSession()
 			for k := uint64(0); k < inserts; k++ {
 				h.Insert(k, k+1)
 			}
@@ -187,8 +185,8 @@ func TestStructureOpCounts(t *testing.T) {
 			}
 
 			// Attempts == commits + aborts, and obs mirrors the TM exactly.
-			if inst.TMStats != nil {
-				s := inst.TMStats()
+			if inst.TM != nil {
+				s := inst.TM.Stats()
 				if s.Attempts() != s.Commits+s.Conflict+s.Capacity+s.Explicit+s.Locked+s.Spurious+s.MemType+s.PersistOp {
 					t.Errorf("TM attempts %d != commits+aborts", s.Attempts())
 				}
@@ -205,8 +203,8 @@ func TestStructureOpCounts(t *testing.T) {
 			}
 
 			// obs metric counters mirror the heap's stats counters.
-			if inst.NVMStats != nil {
-				s := inst.NVMStats()
+			if inst.Heap != nil {
+				s := inst.Heap.Stats()
 				if got := rec.Metric(obs.MFlushes); got != s.Flushes {
 					t.Errorf("obs flushes %d != heap stats %d", got, s.Flushes)
 				}
@@ -230,15 +228,15 @@ func TestStructureOpCounts(t *testing.T) {
 // once.
 func TestEpochPhaseAccounting(t *testing.T) {
 	rec := obs.New("epoch")
-	inst := harness.NewPHTMvEB(harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
+	inst := harness.New("veb", harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
 	defer inst.Close()
-	h := inst.NewHandle()
+	h := inst.Store.NewSession()
 	for k := uint64(0); k < 200; k++ {
 		h.Insert(k, k)
 	}
 	inst.Sync()
 
-	st := inst.EpochStats()
+	st := inst.Sys.Stats()
 	if st.Advances != 1 {
 		t.Fatalf("Sync performed %d advances, want exactly 1", st.Advances)
 	}
@@ -272,11 +270,11 @@ func TestPerShardStatsParity(t *testing.T) {
 	for _, b := range subjectBuilders {
 		t.Run(b.name, func(t *testing.T) {
 			rec := obs.New(b.name)
-			inst := b.build(harness.Opts{
+			inst := harness.New(b.kind, harness.Opts{
 				KeySpace: 1 << 10, Obs: rec, Manual: true, EpochShards: shards,
 			})
 			defer inst.Close()
-			h := inst.NewHandle()
+			h := inst.Store.NewSession()
 			for k := uint64(0); k < 240; k++ {
 				h.Insert(k, k+1)
 			}
@@ -286,11 +284,11 @@ func TestPerShardStatsParity(t *testing.T) {
 			for k := uint64(1); k < 240; k += 4 {
 				h.Remove(k)
 			}
-			if inst.EpochStats == nil {
+			if inst.Sys == nil {
 				return // no persistence path to decompose
 			}
 			inst.Sync()
-			st := inst.EpochStats()
+			st := inst.Sys.Stats()
 			if st.Shards != shards {
 				t.Fatalf("epoch system runs %d shards, want %d", st.Shards, shards)
 			}
@@ -443,22 +441,19 @@ func TestObsSurvivesCrash(t *testing.T) {
 }
 
 // TestCollectorEndToEnd runs a real (short) measured workload with the
-// collector installed and checks the produced report is schema-valid and
+// collector handed to Run and checks the produced report is schema-valid and
 // carries every summary section.
 func TestCollectorEndToEnd(t *testing.T) {
 	rec := obs.New("collect")
 	c := harness.NewCollector(obs.RunConfig{
 		KeySpace: 256, DurationNS: int64(20 * time.Millisecond), Threads: []int{2},
 	})
-	harness.SetCollector(c)
-	defer harness.SetCollector(nil)
-	harness.SetExperiment("unit")
+	c.SetExperiment("unit")
 
-	inst := harness.NewPHTMvEB(harness.Opts{KeySpace: 256, Obs: rec})
+	inst := harness.New("veb", harness.Opts{KeySpace: 256, Obs: rec})
 	wl := harness.Workload{KeySpace: 256, Mix: ycsb.WriteHeavy, Prefill: true}
-	harness.Run(inst, wl, 2, 20*time.Millisecond, 7)
+	harness.Run(c, inst, wl, 2, 20*time.Millisecond, 7)
 	inst.Close()
-	harness.SetCollector(nil)
 
 	if c.Report.Len() != 1 {
 		t.Fatalf("collected %d rows, want 1", c.Report.Len())
@@ -522,9 +517,9 @@ func TestIdleRatesAreOne(t *testing.T) {
 // runScripted is the shared loop for the overhead benchmarks: a fixed
 // single-threaded op sequence against HTM-vEB.
 func runScripted(b *testing.B, o harness.Opts) {
-	inst := harness.NewHTMvEB(o)
+	inst := harness.New("veb-transient", o)
 	defer inst.Close()
-	h := inst.NewHandle()
+	h := inst.Store.NewSession()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := uint64(i) & 1023
