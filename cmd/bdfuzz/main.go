@@ -14,7 +14,9 @@
 //
 //	bdfuzz -replay 'subject=bdhash seed=0x... ops=150 workers=4 ...'
 //
-// The seed may also come from BDFUZZ_SEED; the -seed flag wins.
+// The seed may also come from BDFUZZ_SEED; the -seed flag wins. Every
+// round also takes the early write-back step every few operations (its
+// replay line carries early=).
 package main
 
 import (
@@ -99,6 +101,7 @@ func main() {
 		base.Shards = *shards
 		base.Async = *async
 		base.Engine = *engine
+		base.Early = crashfuzz.Derive // every round takes early write-back steps
 		start := time.Now()
 		if f := crashfuzz.Fuzz(base, *rounds, logf); f != nil {
 			fmt.Fprintf(os.Stderr, "%-9s FAIL after shrink: %s\n", name, f.Error())

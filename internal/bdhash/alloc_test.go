@@ -19,7 +19,7 @@ import (
 // path is dead (SpuriousRate 1, budget tripped), where an operation is one
 // doomed probe attempt plus one pooled session. What is left is amortised
 // growth — the worker's epoch buffers, one image page per slab — which
-// rounds to zero per operation.
+// rounds to zero per operation; early passes between operations add none.
 func TestOperationsDoNotAllocate(t *testing.T) {
 	const runs = 500
 	for _, path := range []struct {
@@ -45,6 +45,7 @@ func TestOperationsDoNotAllocate(t *testing.T) {
 			}{
 				{"Insert (new key)", func() { tab.Insert(w, fresh, 1); fresh++ }},
 				{"Insert (same key, same epoch)", func() { tab.Insert(w, 1<<20, 2) }},
+				{"Insert (same key) after an early pass", func() { sys.FlushEarly(); tab.Insert(w, 1<<20, 3) }},
 				{"Remove", func() { tab.Remove(w, victim); victim++ }},
 				{"GetW(nil)", func() { tab.GetW(nil, probe); probe++ }},
 				{"GetW(w)", func() { tab.GetW(w, probe); probe-- }},

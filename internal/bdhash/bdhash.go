@@ -14,7 +14,8 @@
 //     (a stamped block the transaction did not link is a phantom insert
 //     at recovery);
 //   - a block from an older epoch is replaced out-of-place and retired;
-//     a block from the *current* epoch is updated in place (pSet);
+//     a block from the *current* epoch is updated in place (pSet) and
+//     tracked again;
 //   - finding a block from a *newer* epoch aborts with OldSeeNewCode and
 //     restarts the operation in the current epoch;
 //   - persistence (PTrack) and reclamation (PRetire) happen after the
@@ -204,9 +205,11 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block,
 			out.persist = newBlk
 			out.usedPrealloc = true
 		default:
-			// Same epoch: in-place update (pSet). The block is already
-			// tracked in this epoch, so no re-tracking is needed.
+			// Same epoch: in-place update (pSet). The block is tracked in
+			// this epoch already, but an early pass may have written it back
+			// since: track it again, after the commit.
 			b.SetValueTx(tx, v)
+			out.persist = b
 		}
 		out.replaced = true
 		return

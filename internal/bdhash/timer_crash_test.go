@@ -47,26 +47,53 @@ func legalAfterCrash(base keyState, ws []keyWrite, watermark uint64, got keyStat
 }
 
 // TestTimerModeCrashWindow crash-tests the default path end to end: a
-// real ticker, a live flusher goroutine, backpressure, and Stop leaving a
-// queued flush undrained. Four workers, each owning a key range, write
-// strictly increasing versions; at a seeded random moment they stop and
-// the power fails with the advancer and flusher wherever the clock caught
-// them. Every recovery must land within the window and leave every key in
-// a state its history allows. The recovered system runs the same ticker,
-// so the post-recovery catch-up is under test too.
+// real ticker, a live flusher goroutine, backpressure, early write-backs,
+// and Stop leaving a queued flush undrained. Four workers, each owning a
+// key range, write strictly increasing versions; at a seeded random moment
+// they stop and the power fails with the advancer and flusher wherever the
+// clock caught them. Every recovery must land within the window and leave
+// every key in a state its history allows. The recovered system runs the
+// same ticker, so the post-recovery catch-up is under test too. The Optane
+// cell charges the latency profile's write-back costs, so the flusher's
+// measured per-block cost puts the early threshold within reach of every
+// epoch and the workers ring it for early passes; it must see some. The
+// forced cell adds a goroutine taking early passes back to back, the worst
+// case for an in-place update that forgets to track its block again.
 func TestTimerModeCrashWindow(t *testing.T) {
+	for _, cell := range []struct {
+		name          string
+		latency       nvm.LatencyProfile
+		forced        bool
+		heaps, cycles int
+	}{
+		{"dram", nvm.LatencyProfile{}, false, 5, 12}, // 60 crashes
+		{"optane", nvm.OptaneProfile, false, 3, 10},  // 30 crashes
+		{"forced", nvm.LatencyProfile{}, true, 3, 10},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			early := timerCrashWindow(t, cell.latency, cell.forced, cell.heaps, cell.cycles)
+			// Short mode is the race lane, too slow for an epoch to track the
+			// 64 blocks the flusher needs to time a write-back over.
+			if cell.latency != (nvm.LatencyProfile{}) && early == 0 && !testing.Short() {
+				t.Fatal("no early write-back in timer mode under the Optane profile")
+			}
+		})
+	}
+}
+
+// timerCrashWindow runs the drill on heaps fresh heaps of cycles crashes
+// each and returns how many blocks the crashed systems wrote back early.
+func timerCrashWindow(t *testing.T, latency nvm.LatencyProfile, forced bool, heaps, cycles int) (early int64) {
 	const (
 		workers  = 4
 		keysPerW = 24
 		capacity = 1 << 10
-		heaps    = 5
-		cycles   = 12 // 60 crashes in all
 	)
 	cfg := epoch.Config{EpochLength: 200 * time.Microsecond}
 	for hi := 0; hi < heaps; hi++ {
 		seed := 0x71c0de + uint64(hi)
 		rng := rand.New(rand.NewPCG(seed, 0xbd))
-		h := nvm.New(nvm.Config{Words: 1 << 18})
+		h := nvm.New(nvm.Config{Words: 1 << 18, Latency: latency})
 		sys := epoch.New(h, cfg)
 		tab := New(sys, htm.Default(), capacity, 1)
 		base := make(map[uint64]keyState)
@@ -98,12 +125,22 @@ func TestTimerModeCrashWindow(t *testing.T) {
 					hist[w] = mine
 				}(w, rng.Uint64())
 			}
+			if forced {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						sys.FlushEarly()
+					}
+				}()
+			}
 			time.Sleep(time.Duration(200+rng.Uint64N(1800)) * time.Microsecond)
 			stop.Store(true)
 			wg.Wait()
 
 			sys.Stop() // freeze the clock so the crash epoch can be read
 			crashEpoch := sys.GlobalEpoch()
+			early += sys.Stats().EarlyFlushedBlocks
 			evict := []float64{0, 0.5, 1}[rng.Uint64N(3)]
 			sys.SimulateCrash(nvm.CrashOptions{EvictFraction: evict, Seed: rng.Uint64() | 1})
 			// The recovered system's ticker moves PersistedEpoch at once;
@@ -134,4 +171,5 @@ func TestTimerModeCrashWindow(t *testing.T) {
 		}
 		sys.Stop()
 	}
+	return early
 }

@@ -3,6 +3,7 @@ package crashfuzz
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bdhtm/internal/epoch"
@@ -293,9 +294,11 @@ func TestRoundsAreIndependent(t *testing.T) {
 // most 0.05) never exhaust a retry budget, so those rounds run every body
 // as a transaction; pinning the rate to 1 — an override, applied after
 // Resolve's draws, so every other field and every recorded replay line is
-// what it was — runs every body as a session instead. CI's engine matrix
-// runs the long and session lanes alone (-run 'TestFuzzSoak/^(long|session)-')
-// per engine.
+// what it was — runs every body as a session instead. And each buffered
+// subject runs derived rounds that take the early write-back step every few
+// ops (Early derived, from a draw past every other, so a round is the derived
+// one plus the step). CI's engine matrix runs the long, session and early
+// lanes alone (-run 'TestFuzzSoak/^(long|session|early)-') per engine.
 func TestFuzzSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipped in short mode")
@@ -317,6 +320,14 @@ func TestFuzzSoak(t *testing.T) {
 			p := NewRoundParams(name, seed^0x5e55)
 			p.Spurious = 1
 			if f := Fuzz(p, 150, nil); f != nil {
+				t.Fatalf("%s", f.Error())
+			}
+		})
+		t.Run("early-"+name, func(t *testing.T) {
+			t.Parallel()
+			p := NewRoundParams(name, seed^0xea71)
+			p.Early = Derive
+			if f := Fuzz(p, 300, nil); f != nil {
 				t.Fatalf("%s", f.Error())
 			}
 		})
@@ -369,5 +380,35 @@ func TestLongSegmentShape(t *testing.T) {
 	}
 	if q = Resolve(q); !reflect.DeepEqual(p, q) {
 		t.Fatalf("long-segment replay round trip drifted:\n%+v\n%+v", p, q)
+	}
+}
+
+// TestEarlyStepShape pins the early write-back step's place in the replay
+// format: Early derives from a draw of its own, past every other, into
+// [1, AdvEvery]; asking for it moves no other field; the replay line carries
+// it and round-trips; and a round that does not ask prints the line it
+// always printed.
+func TestEarlyStepShape(t *testing.T) {
+	for seed := uint64(1); seed <= 64; seed++ {
+		p := NewRoundParams("veb", seed)
+		plain := Resolve(p)
+		if plain.Early != 0 || strings.Contains(plain.ReplayString(), "early=") {
+			t.Fatalf("seed %d: %q on a round that did not ask for the step", seed, plain.ReplayString())
+		}
+		p.Early = Derive
+		early := Resolve(p)
+		if early.Early < 1 || early.Early > early.AdvEvery {
+			t.Fatalf("seed %d: derived Early = %d, want in [1, %d]", seed, early.Early, early.AdvEvery)
+		}
+		q, err := ParseReplay(early.ReplayString())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q = Resolve(q); !reflect.DeepEqual(q, early) {
+			t.Fatalf("seed %d: early replay round trip drifted:\n%+v\n%+v", seed, q, early)
+		}
+		if early.Early = 0; !reflect.DeepEqual(early, plain) {
+			t.Fatalf("seed %d: asking for the step moved other fields:\n%+v\n%+v", seed, early, plain)
+		}
 	}
 }

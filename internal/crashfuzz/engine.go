@@ -52,6 +52,11 @@ type RoundParams struct {
 	// those advances beside the background advancer. 0 leaves the segment
 	// as Ops and AdvEvery make it; <0 = derive in [4K, 6K].
 	Epochs int
+	// Early, when positive, takes the Manual early write-back step
+	// (epoch.System.FlushEarly) after every Early-th op — of the single
+	// writer, or of worker 0 beside the others in a concurrent round. 0
+	// takes none; <0 = derive in [1, AdvEvery].
+	Early int
 }
 
 // Derive is the sentinel for "fill this field from the seed".
@@ -113,8 +118,10 @@ func Resolve(p RoundParams) RoundParams {
 	rng.next()
 	// Appended last, and used only when the caller asks for the
 	// long-segment shape: recorded seeds, corpus entries and replay lines
-	// carry Epochs = 0 and resolve to the rounds they always did.
+	// carry Epochs = 0 and resolve to the rounds they always did. The same
+	// holds for the early write-back step's draw after it.
 	epochsDraw := rng.next()
+	earlyDraw := rng.next()
 
 	if p.KeySpace == 0 {
 		p.KeySpace = keyspace
@@ -169,6 +176,9 @@ func Resolve(p RoundParams) RoundParams {
 	if p.Epochs < 0 {
 		p.Epochs = 4*epoch.JournalK + int(epochsDraw%(2*epoch.JournalK+1))
 	}
+	if p.Early < 0 {
+		p.Early = 1 + int(earlyDraw%uint64(p.AdvEvery))
+	}
 	if need := p.Epochs * p.AdvEvery; p.Workers <= 1 {
 		p.CrashAfter = max(p.CrashAfter, need) // the plain phase alone spans Epochs epochs
 	} else {
@@ -178,8 +188,9 @@ func Resolve(p RoundParams) RoundParams {
 }
 
 // ReplayString encodes fully resolved params as the argument of the
-// bdfuzz -replay flag. epochs= appears only on long-segment rounds, so
-// every other round prints the line it always printed.
+// bdfuzz -replay flag. epochs= appears only on long-segment rounds and
+// early= only on rounds that take early write-back steps, so every other
+// round prints the line it always printed.
 func (p RoundParams) ReplayString() string {
 	s := fmt.Sprintf(
 		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f shards=%d async=%d engine=%s rworkers=%d",
@@ -188,6 +199,9 @@ func (p RoundParams) ReplayString() string {
 		p.Shards, p.Async, p.Engine, p.RWorkers)
 	if p.Epochs != 0 {
 		s += fmt.Sprintf(" epochs=%d", p.Epochs)
+	}
+	if p.Early != 0 {
+		s += fmt.Sprintf(" early=%d", p.Early)
 	}
 	return s
 }
@@ -253,6 +267,8 @@ func ParseReplay(s string) (RoundParams, error) {
 			_, err = fmt.Sscanf(kv[1], "%d", &p.RWorkers)
 		case "epochs":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Epochs)
+		case "early":
+			_, err = fmt.Sscanf(kv[1], "%d", &p.Early)
 		case "fgl":
 		default:
 			return p, fmt.Errorf("crashfuzz: unknown replay field %q", kv[0])
@@ -460,6 +476,14 @@ func (s *session) op(kind int, k uint64) error {
 	return nil
 }
 
+// early takes the early write-back step, if the round asks for one after
+// the i-th op (counted from 0).
+func (s *session) early(i int) {
+	if s.p.Early > 0 && (i+1)%s.p.Early == 0 {
+		s.sub.Early()
+	}
+}
+
 // advance snapshots the model as the end-of-epoch state of the active
 // epoch, then performs one epoch transition.
 func (s *session) advance() {
@@ -627,6 +651,7 @@ func runSingle(p RoundParams, sub Subject) *Failure {
 			if err := s.op(kind, k); err != nil {
 				return fail(err)
 			}
+			s.early(i)
 		}
 
 		// Crash phase: either at this op boundary (after optional tail
@@ -643,6 +668,7 @@ func runSingle(p RoundParams, sub Subject) *Failure {
 					if err := s.op(kind, k); err != nil {
 						return err
 					}
+					s.early(i)
 				}
 				for i := 0; i < p.TailAdvances+1; i++ {
 					s.advance()
@@ -763,6 +789,9 @@ func runConcurrent(p RoundParams, sub Subject) *Failure {
 						})
 					default:
 						h.Get(k)
+					}
+					if p.Early > 0 && w == 0 && (i+1)%p.Early == 0 {
+						sub.Early() // beside the other workers' operations
 					}
 				}
 				recs[w] = local

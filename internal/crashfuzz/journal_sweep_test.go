@@ -37,21 +37,35 @@ import (
 //	       removal never persisted (lost keys).
 
 type scriptStep struct {
-	kind   int // 0 upsert, 1 remove (session.op kinds); -1 epoch advance
+	kind   int // 0 upsert, 1 remove (session.op kinds); -1 epoch advance; -2 early write-back
 	lo, hi uint64
 }
 
-const stepAdvance = -1
+const (
+	stepAdvance = -1
+	stepEarly   = -2
+)
 
 func puts(lo, hi uint64) scriptStep { return scriptStep{0, lo, hi} }
 func dels(lo, hi uint64) scriptStep { return scriptStep{1, lo, hi} }
 
 var adv = scriptStep{kind: stepAdvance}
 
+// withEarly inserts an early write-back step into steps at a point drawn
+// from seed.
+func withEarly(steps []scriptStep, seed uint64) []scriptStep {
+	at := int(Mix(seed, 0xea) % uint64(len(steps)+1))
+	return append(steps[:at:at], append([]scriptStep{{kind: stepEarly}}, steps[at:]...)...)
+}
+
 func (s *session) play(steps []scriptStep) error {
 	for _, st := range steps {
-		if st.kind == stepAdvance {
+		switch st.kind {
+		case stepAdvance:
 			s.advance()
+			continue
+		case stepEarly:
+			s.sub.Early()
 			continue
 		}
 		for k := st.lo; k <= st.hi; k++ {
@@ -181,10 +195,11 @@ func openSession(t *testing.T, p RoundParams, heapWords int) *session {
 
 // TestJournalCrashSweep runs every script under both subjects with a
 // record-per-key block layout, every durability engine (one, when
-// BDFUZZ_ENGINE pins it) and both flusher schedules. Short mode — the race
-// lane, where a run costs some twenty times more — keeps the torn-line
-// eviction fraction and every sixteenth crash point, from an offset that
-// differs from one configuration to the next.
+// BDFUZZ_ENGINE pins it) and both flusher schedules, each configuration
+// taking one early write-back step at a point of the window drawn from its
+// index. Short mode — the race lane, where a run costs some twenty times
+// more — keeps the torn-line eviction fraction and every sixteenth crash
+// point, from an offset that differs from one configuration to the next.
 func TestJournalCrashSweep(t *testing.T) {
 	engines := sweepEngines()
 	evicts, stride := []float64{0, 0.5, 1}, 1
@@ -198,7 +213,7 @@ func TestJournalCrashSweep(t *testing.T) {
 				for async := 0; async <= 1; async++ {
 					sc, subject, engine, async := sc, subject, engine, async
 					config++
-					first := 1 + config%stride
+					first, draw := 1+config%stride, uint64(config)
 					t.Run(fmt.Sprintf("%s/%s/%s/async=%d", sc.name, subject, engine, async), func(t *testing.T) {
 						t.Parallel()
 						base := RoundParams{
@@ -206,7 +221,7 @@ func TestJournalCrashSweep(t *testing.T) {
 							Workers: 1, KeySpace: 64, CrashEvents: 1,
 							Shards: 1, Async: async, Engine: engine, RWorkers: 1,
 						}
-						points := sweepJournal(t, base, sc, evicts, first, stride)
+						points := sweepJournal(t, base, sc, evicts, first, stride, draw)
 						t.Logf("%d crash points x %d eviction fractions", points, len(evicts))
 					})
 				}
@@ -215,11 +230,12 @@ func TestJournalCrashSweep(t *testing.T) {
 	}
 }
 
-// sweepJournal crashes sc at its n-th window persist event for n = first,
+// sweepJournal crashes sc, its window taking an early write-back step at
+// a point drawn from draw, at its n-th window persist event for n = first,
 // first+stride, … until the window runs out of events, at every eviction
 // fraction, and returns the number of crash points.
-func sweepJournal(t *testing.T, base RoundParams, sc journalScript, evicts []float64, first, stride int) int {
-	window := sc.window
+func sweepJournal(t *testing.T, base RoundParams, sc journalScript, evicts []float64, first, stride int, draw uint64) int {
+	window := withEarly(sc.window, draw)
 	if base.Async == 0 {
 		for i := 0; i < sc.lagAdvances; i++ {
 			window = append(window[:len(window):len(window)], adv)

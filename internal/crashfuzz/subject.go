@@ -144,6 +144,9 @@ type Subject interface {
 	// Advance performs one manual epoch transition in the round's flusher
 	// schedule (Env.Async; no-op for Strict).
 	Advance()
+	// Early takes one early write-back step of the open epoch (no-op for
+	// Strict).
+	Early()
 	// Crash power-fails the structure. All handles become invalid.
 	Crash(opts nvm.CrashOptions)
 	// Recover rebuilds the structure and fresh handles from the heap's

@@ -103,6 +103,7 @@ func (s *bufferedSubject) Durability() Durability      { return Buffered }
 func (s *bufferedSubject) GlobalEpoch() uint64         { return s.st.Sys.GlobalEpoch() }
 func (s *bufferedSubject) PersistedEpoch() uint64      { return s.st.Sys.PersistedEpoch() }
 func (s *bufferedSubject) Advance()                    { s.env.advance(s.st.Sys) }
+func (s *bufferedSubject) Early()                      { s.st.Sys.FlushEarly() }
 func (s *bufferedSubject) Crash(opts nvm.CrashOptions) { s.st.Sys.SimulateCrash(opts) }
 func (s *bufferedSubject) LiveBlocks() int64           { return s.st.Sys.Allocator().LiveBlocks() }
 
@@ -115,6 +116,7 @@ func (s *strictSubject) Durability() Durability      { return Strict }
 func (s *strictSubject) GlobalEpoch() uint64         { return 0 }
 func (s *strictSubject) PersistedEpoch() uint64      { return 0 }
 func (s *strictSubject) Advance()                    {}
+func (s *strictSubject) Early()                      {}
 func (s *strictSubject) Crash(opts nvm.CrashOptions) { s.heap.Crash(opts) }
 func (s *strictSubject) LiveBlocks() int64           { return -1 }
 
@@ -162,6 +164,7 @@ func (s *pallocSubject) Heap() *nvm.Heap             { return s.heap }
 func (s *pallocSubject) GlobalEpoch() uint64         { return 0 }
 func (s *pallocSubject) PersistedEpoch() uint64      { return 0 }
 func (s *pallocSubject) Advance()                    {}
+func (s *pallocSubject) Early()                      {}
 func (s *pallocSubject) Crash(opts nvm.CrashOptions) { s.heap.Crash(opts) }
 func (s *pallocSubject) Len() int {
 	s.mu.Lock()

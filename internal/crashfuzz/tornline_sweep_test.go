@@ -34,11 +34,12 @@ import (
 // resurrects — but here the tear is placed, not drawn, and evict 0 shows it
 // without an eviction lottery):
 //
-//	(a) runTask logs Extent{b, 2} for a tracked block instead of the
-//	    whole block
-//	    -> 16 of 20 cells: the value word of a block at offset 6 sits on a
+//	(a) runTask and the early pass write Extent{b, 2} for a tracked block
+//	    instead of the whole block
+//	    -> 13 of 20 cells: the value word of a block at offset 6 sits on a
 //	       line no neighbour flushes in that epoch and is lost ("key 50:
-//	       got … want …" in reuse);
+//	       got … want …" in reuse); in runTask alone, 6 of 20 — the blocks
+//	       the drawn early step writes back whole escape it;
 //	(b) PR 18's phantom prealloc: bdhash.Insert stamps the preallocated
 //	    block before insertBody instead of in the branches that link it
 //	    -> the five straddle/bdhash cells: the same-epoch update leaves an
@@ -156,9 +157,11 @@ func singleOps(steps []scriptStep) []scriptStep {
 // TestTornLineSweep runs every script under both subjects with a
 // record-per-key block layout and every durability engine (one, when
 // BDFUZZ_ENGINE pins it), the flusher schedule alternating from one cell to
-// the next. Short mode — the race lane, where a run costs some thirty times
-// more — keeps the torn-line eviction fraction and every sixteenth crash
-// point, from an offset that differs from one tear to the next.
+// the next, and one early write-back step among the swept operations at a
+// point drawn from the cell's index. Short mode — the race lane, where a
+// run costs some thirty times more — keeps the torn-line eviction fraction
+// and every sixteenth crash point, from an offset that differs from one
+// tear to the next.
 func TestTornLineSweep(t *testing.T) {
 	engines := sweepEngines()
 	evicts, stride := []float64{0, 0.5, 1}, 1
@@ -169,7 +172,7 @@ func TestTornLineSweep(t *testing.T) {
 	for _, sc := range tornScripts {
 		for _, subject := range []string{"bdhash", "skiplist"} {
 			for _, engine := range engines {
-				sc, subject, engine, async := sc, subject, engine, cell&1
+				sc, subject, engine, async, draw := sc, subject, engine, cell&1, uint64(cell)
 				cell++
 				t.Run(fmt.Sprintf("%s/%s/%s/async=%d", sc.name, subject, engine, async), func(t *testing.T) {
 					t.Parallel()
@@ -178,7 +181,7 @@ func TestTornLineSweep(t *testing.T) {
 						Workers: 1, KeySpace: 64, CrashEvents: 1,
 						Shards: 1, Async: async, Engine: engine, RWorkers: 1,
 					}
-					tears, points := sweepTorn(t, base, sc, evicts, stride)
+					tears, points := sweepTorn(t, base, sc, evicts, stride, draw)
 					t.Logf("%d tears, %d crash points x %d eviction fractions", tears, points, len(evicts))
 				})
 			}
@@ -190,8 +193,8 @@ func TestTornLineSweep(t *testing.T) {
 // each tear, crashes at its n-th later persist event for n = first,
 // first+stride, … until the script runs out of events, at every eviction
 // fraction. It returns the number of tears and of crash points.
-func sweepTorn(t *testing.T, base RoundParams, sc tornScript, evicts []float64, stride int) (tears, points int) {
-	swept, tail := singleOps(sc.swept), sc.tail
+func sweepTorn(t *testing.T, base RoundParams, sc tornScript, evicts []float64, stride int, draw uint64) (tears, points int) {
+	swept, tail := withEarly(singleOps(sc.swept), draw), sc.tail
 	if base.Async == 0 {
 		tail = append(tail[:len(tail):len(tail)], adv) // the lagging flusher's last task
 	}

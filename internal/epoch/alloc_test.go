@@ -13,10 +13,10 @@ import (
 
 // TestAdvanceReusesScratch pins the flusher's per-epoch scratch: once every
 // buffer on the way — the workers' epoch ring, the task's per-shard address
-// lists, the engine's extent batches, the merged batch handed to
-// FlushExtents — has seen a full epoch, closing and flushing another one
-// allocates a small constant, whatever the number of blocks it tracked and
-// retired.
+// lists, the early pass's extent list, the engine's extent batches, the
+// merged batch handed to FlushExtents — has seen a full epoch, closing and
+// flushing another one, half of it written back by an early pass, allocates
+// a small constant, whatever the number of blocks it tracked and retired.
 func TestAdvanceReusesScratch(t *testing.T) {
 	for _, n := range []int{64, 8192} {
 		t.Run(fmt.Sprintf("blocks=%d", n), func(t *testing.T) {
@@ -27,6 +27,9 @@ func TestAdvanceReusesScratch(t *testing.T) {
 			round := func() {
 				for cur = cur[:0]; len(cur) < n; key++ {
 					cur = append(cur, putKV(w, key, key))
+					if len(cur) == n/2 {
+						s.FlushEarly()
+					}
 				}
 				w.BeginOp()
 				for _, b := range prev {
@@ -43,7 +46,7 @@ func TestAdvanceReusesScratch(t *testing.T) {
 			if got := testing.AllocsPerRun(16, round); got > 2 {
 				t.Fatalf("an epoch of %d tracked + %d retired blocks cost %v allocs to track, close and flush, want <= 2", n, n, got)
 			}
-			if st := s.Stats(); st.FlushedBlocks < int64(16*n) || st.FreedBlocks < int64(16*n) {
+			if st := s.Stats(); st.FlushedBlocks < int64(16*n) || st.EarlyFlushedBlocks < int64(8*n) || st.FreedBlocks < int64(16*n) {
 				t.Fatalf("rounds did not flush and reclaim: %+v", st)
 			}
 		})

@@ -92,8 +92,9 @@ func (b Block) LoadTx(tx *htm.Tx, i int) uint64 {
 
 // StoreTx writes payload word i inside a transaction. This is pSet for
 // in-place updates of current-epoch blocks (Listing 1 line 29): the write
-// becomes visible at commit, and the block is already tracked in this
-// epoch's persist buffer, so no re-tracking is needed.
+// becomes visible at commit, and the caller must PTrack the block again
+// after the commit: an early pass (early.go) may already have written the
+// block back, before this store, on its first tracking.
 func (b Block) StoreTx(tx *htm.Tx, i int, v uint64) {
 	tx.StoreAddr(b.sys.heap, b.Payload(i), v)
 }
@@ -132,5 +133,6 @@ func (b Block) KeyTx(tx *htm.Tx) uint64 { return b.LoadTx(tx, 0) }
 func (b Block) ValueTx(tx *htm.Tx) uint64 { return b.LoadTx(tx, 1) }
 
 // SetValueTx updates the value in place transactionally (pSet). Only legal
-// when the block's epoch equals the operation's epoch.
+// when the block's epoch equals the operation's epoch; like StoreTx it
+// needs a PTrack after the commit.
 func (b Block) SetValueTx(tx *htm.Tx, v uint64) { b.StoreTx(tx, 1, v) }

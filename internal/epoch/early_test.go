@@ -1,0 +1,225 @@
+package epoch
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"bdhtm/internal/nvm"
+)
+
+// TestFlushEarlyLeavesTheCloseTheRest: an early pass writes back what the
+// open epoch has tracked so far, with no fence and without moving the
+// watermark; the close flushes only what was tracked after it, and both
+// halves count as flushed blocks.
+func TestFlushEarlyLeavesTheCloseTheRest(t *testing.T) {
+	h, s := newManual(t, 1<<16)
+	w := s.Register()
+	var early []Block
+	for k := uint64(0); k < 10; k++ {
+		early = append(early, putKV(w, k, k+100))
+	}
+	fences, p := h.Stats().Fences, s.PersistedEpoch()
+	s.FlushEarly()
+	if d := h.Stats().Fences - fences; d != 0 || s.PersistedEpoch() != p {
+		t.Fatalf("early pass issued %d fences and moved the watermark %d -> %d", d, p, s.PersistedEpoch())
+	}
+	for _, b := range early {
+		for a := b.Addr(); a < b.Addr()+3; a++ {
+			if h.DirtyLine(a) || h.PersistedLoad(a) != h.Load(a) {
+				t.Fatalf("block %d word %d not written back by the early pass", b.Addr(), a)
+			}
+		}
+	}
+	if st := s.Stats(); st.EarlyFlushedBlocks != 10 || st.FlushedBlocks != 10 {
+		t.Fatalf("after the early pass: early %d, flushed %d; want 10 and 10", st.EarlyFlushedBlocks, st.FlushedBlocks)
+	}
+	s.FlushEarly() // nothing new: a no-op
+	for k := uint64(10); k < 15; k++ {
+		putKV(w, k, k+100)
+	}
+	s.Sync()
+	if st := s.Stats(); st.EarlyFlushedBlocks != 10 || st.FlushedBlocks != 15 {
+		t.Fatalf("after the close: early %d, flushed %d; want 10 and 15", st.EarlyFlushedBlocks, st.FlushedBlocks)
+	}
+	s.SimulateCrash(nvm.CrashOptions{})
+	if _, got := recoverAll(h); len(got) != 15 {
+		t.Fatalf("recovered %d keys, want 15: %v", len(got), got)
+	}
+}
+
+// TestEarlyWrittenBlockNeedsRetrack is invariant 1 of early.go: an in-place
+// update after an early pass reaches the closing flush only through the
+// tracking that follows it. Without that re-track the close skips the block
+// (its entry is behind the early index), and a crash with no stray
+// write-back recovers the value the early pass wrote, not the update.
+func TestEarlyWrittenBlockNeedsRetrack(t *testing.T) {
+	for _, retrack := range []bool{true, false} {
+		h, s := newManual(t, 1<<16)
+		w := s.Register()
+		b := putKV(w, 7, 70)
+		s.FlushEarly()
+		w.BeginOp()
+		if b.Epoch() != w.OpEpoch() {
+			t.Fatal("the update must be in the block's own epoch")
+		}
+		b.Store(1, 71) // pSet
+		if retrack {
+			w.PTrack(b)
+		}
+		w.EndOp()
+		s.Sync()
+		s.SimulateCrash(nvm.CrashOptions{})
+		_, got := recoverAll(h)
+		want := uint64(71)
+		if !retrack {
+			want = 70
+		}
+		if got[7] != want {
+			t.Fatalf("retrack=%v: recovered %v, want key 7 -> %d", retrack, got, want)
+		}
+	}
+}
+
+// TestAbortOpKeepsEarlyPassesOut: entries an operation tracked are published
+// only when it ends, so an early pass never writes back what AbortOp then
+// discards, and the early index stays behind every later entry.
+func TestAbortOpKeepsEarlyPassesOut(t *testing.T) {
+	h, s := newManual(t, 1<<16)
+	w := s.Register()
+	putKV(w, 1, 10)
+	w.BeginOp()
+	b := w.NewKV(0)
+	b.InitKV(3, 30)
+	w.PTrack(b)
+	s.FlushEarly() // mid-operation: the tracking is not published yet
+	w.AbortOp()
+	if st := s.Stats(); st.EarlyFlushedBlocks != 1 {
+		t.Fatalf("early pass wrote back %d blocks, want only the completed op's 1", st.EarlyFlushedBlocks)
+	}
+	putKV(w, 2, 20)
+	s.Sync()
+	if st := s.Stats(); st.FlushedBlocks != 2 {
+		t.Fatalf("flushed %d blocks, want the two completed ops' 2", st.FlushedBlocks)
+	}
+	s.SimulateCrash(nvm.CrashOptions{})
+	if _, got := recoverAll(h); len(got) != 2 || got[1] != 10 || got[2] != 20 {
+		t.Fatalf("recovered %v, want exactly 1 -> 10 and 2 -> 20", got)
+	}
+}
+
+// TestEarlyThresholdFromMeasuredCost: a flusher goroutine publishes the
+// early threshold once it has timed a write-back of at least costSample
+// blocks — the budget over the measured per-block cost, shared among the
+// workers that tracked — and Manual mode, with no doorbell, never does.
+func TestEarlyThresholdFromMeasuredCost(t *testing.T) {
+	for _, manual := range []bool{true, false} {
+		h := nvm.New(nvm.Config{Words: 1 << 18})
+		s := New(h, Config{Manual: manual, EpochLength: time.Hour}) // the ticker never fires
+		ws := []*Worker{s.Register(), s.Register()}
+		if s.earlyAt.Load() != neverEarly {
+			t.Fatal("threshold set before any write-back was timed")
+		}
+		for k := uint64(0); k < 2*costSample; k++ {
+			putKV(ws[k%2], k, k)
+		}
+		s.Sync()
+		at := s.earlyAt.Load()
+		if manual != (at == neverEarly) {
+			t.Fatalf("manual=%v: threshold %d after a timed close", manual, at)
+		}
+		if !manual && (at < 1 || at > int64(time.Hour/earlyBudgetDiv)/2) {
+			t.Fatalf("threshold %d out of range for a %v budget shared by 2 workers", at, time.Hour/earlyBudgetDiv)
+		}
+		s.Stop()
+	}
+}
+
+// TestEarlyPassesRaceTrackingAndTasks is the concurrent form of the two
+// invariants, for the race lane: workers create, update in place (with the
+// re-track) and replace blocks while one goroutine takes early passes and
+// another closes and flushes epochs. Every tracking is written back exactly
+// once, early or at its epoch's close, and a crash after a final Sync with
+// no stray write-back recovers every worker's last value.
+func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
+	const workers, keys, ops = 4, 32, 3000
+	h := nvm.New(nvm.Config{Words: 1 << 20})
+	s := New(h, Config{Manual: true, Shards: 2})
+	var stop atomic.Bool
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() {
+		defer bg.Done()
+		for !stop.Load() {
+			s.FlushEarly()
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		for !stop.Load() {
+			s.AdvanceOnce()
+			s.FlushOnce()
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	var tracks atomic.Int64
+	want := make([]map[uint64]uint64, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			w := s.Register()
+			live := map[uint64]Block{}
+			want[g] = map[uint64]uint64{}
+			for i := uint64(0); i < ops; i++ {
+				k := uint64(g)*keys + i*7%keys
+				e := w.BeginOp()
+				if b, ok := live[k]; ok && b.Epoch() == e {
+					b.Store(1, i) // in place, then re-track
+					w.PTrack(b)
+				} else {
+					nb := w.NewKV(0)
+					nb.InitKV(k, i)
+					hdr := s.alloc.ReadHeader(nb.Addr())
+					hdr.Epoch = e
+					s.alloc.WriteHeader(nb.Addr(), hdr)
+					w.PTrack(nb)
+					if ok {
+						w.PRetire(b)
+					}
+					live[k] = nb
+				}
+				w.EndOp()
+				tracks.Add(1)
+				want[g][k] = i
+			}
+		}(g)
+	}
+	wg.Wait()
+	stop.Store(true)
+	bg.Wait()
+	s.Sync()
+
+	st := s.Stats()
+	if st.FlushedBlocks != tracks.Load() || st.EarlyFlushedBlocks == 0 || st.EarlyFlushedBlocks > st.FlushedBlocks {
+		t.Fatalf("%d trackings: flushed %d, of them early %d; want every tracking flushed once, some early",
+			tracks.Load(), st.FlushedBlocks, st.EarlyFlushedBlocks)
+	}
+	s.SimulateCrash(nvm.CrashOptions{})
+	_, got := recoverAll(h)
+	n := 0
+	for g := range want {
+		for k, v := range want[g] {
+			n++
+			if got[k] != v {
+				t.Fatalf("worker %d key %d recovered as %d, want %d", g, k, got[k], v)
+			}
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("recovered %d keys, want %d", len(got), n)
+	}
+}

@@ -16,11 +16,12 @@
 //     advance that closes e-1 first waits for e-2's flush to land).
 //
 // NVM writes performed during an epoch are tracked in per-worker buffers
-// and flushed in the background when the epoch closes, never on the
-// operation's critical path and never inside a transaction body (which may
-// run as a hardware transaction or, after repeated aborts, as a slow-path
-// session of the same htm.Tx) — this removes the flush/HTM incompatibility
-// entirely. A crash during epoch e
+// and flushed in the background when the epoch closes (or ahead of the
+// close, once the backlog would cost it more than an eighth of an epoch —
+// early.go), never on the operation's critical path and never inside a
+// transaction body (which may run as a hardware transaction or, after
+// repeated aborts, as a slow-path session of the same htm.Tx) — this
+// removes the flush/HTM incompatibility entirely. A crash during epoch e
 // recovers the structure to its state at the end of an epoch ≥ e-2.
 //
 // HTM-specific extensions over Montage (Sec. 3 of the paper):
@@ -157,6 +158,10 @@ type Stats struct {
 	Resurrected   int64 // deleted-but-unpersisted blocks revived by recovery
 	RecoveredLive int64 // live blocks handed to the rebuild callback
 
+	// EarlyFlushedBlocks is the subset of FlushedBlocks written back before
+	// their epoch closed (early.go).
+	EarlyFlushedBlocks int64
+
 	// Recovery timing for a system opened by Recover (zero for systems
 	// created by New): the header-scan duration (engine repair + palloc
 	// judgment + write-back), the rebuild-callback replay duration, and
@@ -235,7 +240,8 @@ type System struct {
 	advMu sync.Mutex // serializes epoch advancement
 
 	// Advancer→flusher hand-off. pendEpoch is the closed epoch awaiting
-	// its flush (0 = none); the doorbell wakes the flusher goroutine,
+	// its flush (0 = none); the doorbell wakes the flusher goroutine — the
+	// advancer rings it for pendEpoch, a worker for an early pass —
 	// pendCond wakes an advance blocked on backpressure. flusherLive is
 	// true while that goroutine runs — never in Manual mode, and no
 	// longer once Stop or a crash hook has ended it.
@@ -272,12 +278,28 @@ type System struct {
 	// active, consumed by runTask for the durable-lag gauge.
 	closedNS [numSlots]atomic.Int64
 
+	// taskMu serialises flush tasks (runTask) and early passes (early.go):
+	// the flusher goroutine runs both, but a task may also run inline under
+	// advMu and FlushEarly on its caller's goroutine.
+	taskMu sync.Mutex
+
 	// runTask's per-shard scratch — the epoch's tracked and retired block
 	// addresses and flushed counts. Tasks are serialised, so one set,
-	// emptied at the start of each task, serves them all.
+	// emptied at the start of each task, serves them all (and the early
+	// pass, which borrows the counts).
 	taskPersist [][]nvm.Addr
 	taskRetire  [][]nvm.Addr
 	taskFlushed []int64
+
+	// Early write-back (early.go). earlyAt is the per-worker published
+	// backlog that rings the flusher; trackers — the workers that tracked
+	// in the last closed epoch — and the scratch are the flusher's, under
+	// taskMu.
+	earlyAt      atomic.Int64
+	earlyFlushed atomic.Int64
+	trackers     int
+	earlyExts    []nvm.Extent
+	earlyMarks   []earlyMark
 
 	// Durable-watermark subscribers (group-commit ackers and friends).
 	// Notifications are coalescing wakes, not a value stream: subscribers
@@ -305,6 +327,7 @@ func newSystem(h *nvm.Heap, cfg Config) *System {
 		taskFlushed: make([]int64, cfg.Shards),
 	}
 	s.pendCond = sync.NewCond(&s.pendMu)
+	s.earlyAt.Store(neverEarly)
 	s.alloc.SetObs(cfg.Obs)
 	s.alloc.SetShards(cfg.Shards)
 	eng, err := durability.New(cfg.Engine, h, cfg.Shards, cfg.Obs)
@@ -358,9 +381,11 @@ func (s *System) startAdvancer() {
 }
 
 // flusherLoop is the background flusher: each doorbell ring persists the
-// pending epoch. On Stop it exits without draining — a crash may land
-// while a flush is queued, which is exactly the state recovery must (and
-// does) handle, since the undrained epoch is within the two-epoch window.
+// pending epoch and then, if the open epoch's backlog is due, writes it
+// back early (early.go). On Stop it exits without draining — a crash may
+// land while a flush is queued, which is exactly the state recovery must
+// (and does) handle, since the undrained epoch is within the two-epoch
+// window.
 func (s *System) flusherLoop() {
 	defer func() {
 		// A persist hook that simulates a power failure panics mid-flush:
@@ -379,6 +404,7 @@ func (s *System) flusherLoop() {
 			return
 		case <-s.doorbell:
 			s.flushPending()
+			s.earlyPass(false)
 		}
 	}
 }
@@ -509,6 +535,7 @@ func (s *System) Stats() Stats {
 		ps := make([]ShardCounters, s.cfg.Shards)
 		st.JournalRecords = s.journalRecords.Load()
 		st.JournalCheckpoints = s.journalCheckpoints.Load()
+		st.EarlyFlushedBlocks = s.earlyFlushed.Load()
 		var flushed, freed int64
 		for i := range ps {
 			ps[i].FlushedBlocks = s.shardCtrs[i].flushed.Load()
@@ -635,13 +662,14 @@ func (s *System) stampClosed(e uint64) {
 }
 
 // runTask persists epoch x: it waits for x to quiesce, collects every
-// worker's tracked blocks for x partitioned by flusher shard, journals
-// x's retirements, hands the lot to the durability engine (which writes
-// it back and durably advances the watermark to x in its own
-// discipline), and reclaims x's retired blocks shard-locally. Callers
-// serialize tasks (advMu, or the flusher/pendEpoch hand-off protocol)
-// and guarantee x < the active epoch.
+// worker's tracked blocks for x that no early pass wrote back, partitioned
+// by flusher shard, journals x's retirements, hands the lot to the
+// durability engine (which writes it back and durably advances the
+// watermark to x in its own discipline), and reclaims x's retired blocks
+// in address order. Callers guarantee x < the active epoch.
 func (s *System) runTask(x uint64) {
+	s.taskMu.Lock()
+	defer s.taskMu.Unlock()
 	o := s.cfg.Obs
 	t := o.Now()
 
@@ -652,7 +680,8 @@ func (s *System) runTask(x uint64) {
 		t = o.Phase(obs.PhaseQuiesce, x, t)
 	}
 
-	// (2) Collect the per-worker buffers for x, partitioned by shard.
+	// (2) Collect the per-worker buffers for x, partitioned by shard: of
+	// the tracked blocks, those after the last early pass.
 	shards := s.cfg.Shards
 	persist, retire, flushed := s.taskPersist, s.taskRetire, s.taskFlushed
 	for sh := range persist {
@@ -660,13 +689,16 @@ func (s *System) runTask(x uint64) {
 	}
 	n := int(s.nWorkers.Load())
 	slot := int(x % numSlots)
+	s.trackers = 0
 	for i := 0; i < n; i++ {
 		w := s.workers[i]
 		buf := &w.bufs[slot]
-		persist[w.shard] = append(persist[w.shard], buf.persist...)
+		if len(buf.persist) > 0 {
+			s.trackers++
+		}
+		persist[w.shard] = append(persist[w.shard], buf.persist[buf.early.Load():]...)
 		retire[w.shard] = append(retire[w.shard], buf.retire...)
-		buf.persist = buf.persist[:0]
-		buf.retire = buf.retire[:0]
+		buf.reset()
 	}
 
 	// (3)+(4) Hand the epoch's extents — tracked blocks, then the journal's
@@ -679,6 +711,7 @@ func (s *System) runTask(x uint64) {
 	// only the watermark word needs recording.
 	var records, checkpoints int64
 	if !s.eadr() {
+		t0 := time.Now()
 		s.eng.Begin(x)
 		// Per-block header reads dominate collection, so fan the shard
 		// loops out like the flush itself; LogWrite is safe for distinct
@@ -705,6 +738,11 @@ func (s *System) runTask(x uint64) {
 		}
 		records, checkpoints = s.journalEpoch(x, retire)
 		s.eng.Commit()
+		blocks := 0
+		for _, f := range flushed {
+			blocks += int(f)
+		}
+		s.noteCost(time.Since(t0), blocks)
 		s.persisted.Store(s.eng.Watermark())
 		s.notifyDurable(s.eng.Watermark())
 		s.planRecycle(x + 1)
@@ -732,27 +770,11 @@ func (s *System) runTask(x uint64) {
 
 	// (5) Blocks retired in x are now reclaimable: their journal records
 	// and the root above are durable, so no recovery can resurrect them.
-	// Each shard frees into its own allocator magazine, off the other
-	// shards' locks.
-	if shards == 1 {
-		for _, b := range retire[0] {
-			s.alloc.Free(b)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for sh := 0; sh < shards; sh++ {
-			if len(retire[sh]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(sh int) {
-				defer wg.Done()
-				for _, b := range retire[sh] {
-					s.alloc.FreeShard(b, sh)
-				}
-			}(sh)
-		}
-		wg.Wait()
+	// The batch free pushes them in descending address order, so the
+	// epochs after allocate them in ascending order and the blocks one of
+	// them tracks share lines and XPLines.
+	for _, r := range retire {
+		s.alloc.FreeBatch(r)
 	}
 
 	// Publish the task's counter burst under the seqlock so Stats never

@@ -13,6 +13,34 @@ import (
 type opBuf struct {
 	persist []nvm.Addr // blocks scheduled for background write-back
 	retire  []nvm.Addr // blocks scheduled for deferred reclamation
+
+	// The early pass's view of persist while the epoch is open (early.go).
+	// EndOp publishes the completed operations' entries: the backing array
+	// when it has grown, then the count. The flusher reads
+	// persist[early:published] and moves early past what it wrote back;
+	// the worker only ever appends past published, so neither side writes
+	// what the other reads.
+	arr       atomic.Pointer[[]nvm.Addr]
+	published atomic.Int64
+	early     atomic.Int64
+}
+
+// publish makes persist[:n] visible to early passes.
+func (b *opBuf) publish(n int64) {
+	// The array only changes by growing, so its capacity names it.
+	if arr := b.arr.Load(); arr == nil || cap(*arr) != cap(b.persist) {
+		p := b.persist
+		b.arr.Store(&p)
+	}
+	b.published.Store(n)
+}
+
+// reset empties the buffer for its next epoch, keeping its capacity. Only
+// the task that closed the epoch calls it, once the epoch has quiesced.
+func (b *opBuf) reset() {
+	b.persist, b.retire = b.persist[:0], b.retire[:0]
+	b.published.Store(0)
+	b.early.Store(0)
 }
 
 // Worker is the per-thread handle to the epoch system. A Worker must be
@@ -75,8 +103,20 @@ func (w *Worker) BeginOp() uint64 {
 func (w *Worker) OpEpoch() uint64 { return w.opEpoch }
 
 // EndOp schedules the operation's tracked writes for persistence and
-// disassociates the worker from its epoch.
+// disassociates the worker from its epoch. The writes are published to the
+// flusher's early pass, which this worker wakes once its published backlog
+// reaches the threshold the flusher last set (early.go).
 func (w *Worker) EndOp() {
+	buf := &w.bufs[w.opEpoch%numSlots]
+	if n := int64(len(buf.persist)); n != buf.published.Load() {
+		buf.publish(n)
+		if n-buf.early.Load() >= w.sys.earlyAt.Load() {
+			select {
+			case w.sys.doorbell <- struct{}{}:
+			default: // a ring is already pending
+			}
+		}
+	}
 	w.ann.Store(0)
 }
 
@@ -117,8 +157,12 @@ func (w *Worker) PDelete(b Block) {
 }
 
 // PTrack tracks a block in the current operation's epoch: its contents
-// will be flushed by the background persister when the epoch closes.
-// Call it after the transaction that made the block visible has committed.
+// will be flushed by the background persister — when the epoch closes, or
+// earlier, once the operation has ended, by an early pass (early.go). Call
+// it after the transaction that made the block visible has committed, and
+// again after every later store to the block in the same epoch (an
+// in-place update): an early pass may already have written the block back,
+// and only a tracking after the store puts it in the closing flush.
 func (w *Worker) PTrack(b Block) {
 	buf := &w.bufs[w.opEpoch%numSlots]
 	buf.persist = append(buf.persist, b.addr)

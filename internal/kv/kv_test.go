@@ -142,6 +142,37 @@ func TestRecover(t *testing.T) {
 	}
 }
 
+// TestInPlaceUpdateAfterEarlyPass: a key inserted, written back by an early
+// pass, then updated in place in the same epoch must recover with the
+// update — which reaches the closing flush only if the structure tracks the
+// block again after its in-place store. The crash writes back no stray
+// line, so nothing else can carry the update to the media.
+func TestInPlaceUpdateAfterEarlyPass(t *testing.T) {
+	for _, name := range BufferedKinds() {
+		k, _ := Lookup(name)
+		t.Run(name, func(t *testing.T) {
+			st := Open(name, testParts(k, nil))
+			s := st.Store.NewSession()
+			s.Insert(5, 50)
+			e := st.Sys.GlobalEpoch()
+			st.Sys.FlushEarly()
+			if !s.Insert(5, 51) || s.Epoch() != e {
+				t.Fatalf("second insert did not replace in the same epoch (%d, want %d)", s.Epoch(), e)
+			}
+			st.Sync()
+			if st.Sys.Stats().EarlyFlushedBlocks == 0 {
+				t.Fatal("the early pass wrote nothing back")
+			}
+			st.Sys.SimulateCrash(nvm.CrashOptions{})
+			rec := Recover(name, testParts(k, st.Heap))
+			defer rec.Close()
+			if v, ok := rec.Store.NewSession().Get(5); !ok || v != 51 {
+				t.Fatalf("Get(5) = %d,%v after recovery, want the in-place update 51", v, ok)
+			}
+		})
+	}
+}
+
 // TestConcurrentSessions: sessions of one store are independent handles;
 // four goroutines on disjoint keys, with the epoch advancing under them,
 // leave exactly their own writes (run under -race in CI).

@@ -278,6 +278,9 @@ func TestPerShardStatsParity(t *testing.T) {
 			for k := uint64(0); k < 240; k++ {
 				h.Insert(k, k+1)
 			}
+			if inst.Sys != nil {
+				inst.Sys.FlushEarly() // the inserts so far are written back early
+			}
 			for k := uint64(0); k < 240; k += 2 {
 				h.Insert(k, k+2) // upserts retire the replaced blocks
 			}
@@ -295,9 +298,10 @@ func TestPerShardStatsParity(t *testing.T) {
 			if len(st.PerShard) != shards {
 				t.Fatalf("PerShard has %d entries, want %d", len(st.PerShard), shards)
 			}
-			var flushed, retired, freed int64
+			var flushed, retired, freed, early int64
 			for sh, ps := range st.PerShard {
 				lane := sh
+				early += rec.MetricLane(obs.MEarlyFlushedBlocks, lane)
 				if got := rec.MetricLane(obs.MFlushedBlocks, lane); got != ps.FlushedBlocks {
 					t.Errorf("shard %d: obs flushed %d != epoch stats %d", sh, got, ps.FlushedBlocks)
 				}
@@ -320,6 +324,12 @@ func TestPerShardStatsParity(t *testing.T) {
 			}
 			if st.RetiredBlocks == 0 {
 				t.Error("scripted upserts retired no blocks; parity check is vacuous")
+			}
+			// Early write-backs are a subset of the flushed blocks, counted on
+			// the same lanes.
+			if early != st.EarlyFlushedBlocks || early == 0 || early > st.FlushedBlocks {
+				t.Errorf("obs early-flushed %d, epoch stats %d of %d flushed: want equal, nonzero, a subset",
+					early, st.EarlyFlushedBlocks, st.FlushedBlocks)
 			}
 			// The journal's counters: one record per retirement once every
 			// retire epoch has been flushed, and journal pages are not blocks

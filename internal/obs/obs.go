@@ -168,7 +168,7 @@ const (
 	// part of the trace format). The epoch system bumps these with the
 	// flusher-shard index as the lane, so LoadLane-level parity against
 	// epoch.Stats.PerShard is exact when shard counts stay <= NumShards.
-	MFlushedBlocks // blocks written back at epoch close
+	MFlushedBlocks // blocks written back by the flusher (at epoch close, or early)
 	MRetiredBlocks // blocks retired (PRetire) awaiting reclamation
 	MFreedBlocks   // retired blocks reclaimed after their epoch persisted
 
@@ -214,6 +214,11 @@ const (
 	// written serially.
 	MJournalRecords     // retirements appended to the journal at epoch close
 	MJournalCheckpoints // block headers flushed when a journal page was recycled
+
+	// Early write-back (appended; enum order is part of the trace format):
+	// the subset of MFlushedBlocks the flusher wrote back before their
+	// epoch closed, on the same flusher-shard lanes.
+	MEarlyFlushedBlocks
 
 	NumMetrics
 )
@@ -272,6 +277,8 @@ func (m Metric) String() string {
 		return "journal-records"
 	case MJournalCheckpoints:
 		return "journal-checkpoints"
+	case MEarlyFlushedBlocks:
+		return "early-flushed-blocks"
 	default:
 		return fmt.Sprintf("Metric(%d)", uint8(m))
 	}

@@ -111,7 +111,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 			h := nvm.New(nvm.Config{Words: 1 << 16})
 			al := New(h)
 			// Warm-up with the hook disarmed: formats the class-0 slab (its
-			// own 513 persist events are the slab's problem, not the
+			// own two persist events are the slab's problem, not the
 			// pair's) and leaves one block on the free list for reuse.
 			warm := al.Alloc(0, 0)
 			al.Free(warm)

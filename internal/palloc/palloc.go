@@ -30,6 +30,7 @@ package palloc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -209,16 +210,22 @@ func (al *Allocator) formatSlab(class int) nvm.Addr {
 	base := al.start + nvm.Addr(al.formatted*slabWords)
 	al.formatted++
 	// Durable slab header: magic + class.
+	fresh := al.heap.Load(base+slabHeaderOff) == 0
 	al.heap.Store(base+slabHeaderOff, slabMagic|uint64(class)<<slabClassShift)
-	if class == journalClass {
-		// Nothing else to initialize: a journal page is valid only once its
+	if class == journalClass || fresh {
+		// Nothing else to initialize. A journal page is valid only once its
 		// own header word says so, and no page is written before this fence.
+		// A slab whose header word reads 0 was never formatted, so its media
+		// is still zero — nothing is written into a slab before its header is
+		// durable — and a zero block header decodes as FREE: every scan takes
+		// the class from the slab header.
 		al.heap.Flush(base + slabHeaderOff)
 		al.heap.Fence()
 		return base
 	}
-	// Initialize every block header to FREE so the recovery scan reads
-	// coherent state.
+	// A slab that already carries the magic (a fresh epoch system over a
+	// used heap) holds stale headers: set every one to FREE so the recovery
+	// scan reads coherent state.
 	n := slabCap(class)
 	hdr := Header{Status: Free, Class: class}.Pack()
 	for i := 0; i < n; i++ {
@@ -289,13 +296,14 @@ func (al *Allocator) AllocShard(class int, tag uint8, shard int) nvm.Addr {
 
 	// Ralloc-style lazy persistence: the header is NOT flushed here. If
 	// the block never reaches a persisted epoch, the media still holds
-	// its previous durable state (FREE from slab formatting or a
-	// recovery's reclaim, or the incarnation whose persisted retirement
-	// the epoch system's journal records) and recovery reclaims it; when the
-	// block does persist, the epoch system's flush covers the whole
-	// block, header included. Keeping this store volatile removes a
-	// flush+fence from every allocation — the cost the paper attributes
-	// to "memory management for KV pairs" (Sec. 4.1).
+	// its previous durable state (FREE from slab formatting — a zero word
+	// on a fresh slab — or a recovery's reclaim, or the incarnation whose
+	// persisted retirement the epoch system's journal records) and
+	// recovery reclaims it; when the block does persist, the epoch
+	// system's flush covers the whole block, header included. Keeping
+	// this store volatile removes a flush+fence from every allocation —
+	// the cost the paper attributes to "memory management for KV pairs"
+	// (Sec. 4.1).
 	al.heap.Store(b, Header{Status: Allocated, Class: class, Tag: tag, Epoch: InvalidEpoch}.Pack())
 	al.liveBlocks.Add(1)
 	if al.obs != nil {
@@ -352,23 +360,46 @@ func (al *Allocator) Free(b nvm.Addr) {
 // FreeShard is Free routed through a flusher shard's magazine cache
 // (see SetShards). With sharding disabled it is exactly Free.
 func (al *Allocator) FreeShard(b nvm.Addr, shard int) {
+	class := al.release(b)
+	if al.nShards > 1 {
+		al.putMagazine(class, b, shard)
+	} else {
+		al.mu.Lock()
+		al.free[class] = append(al.free[class], b)
+		al.mu.Unlock()
+	}
+}
+
+// FreeBatch frees every block of bs as Free would, pushing them onto the
+// global free lists in descending address order (it sorts bs): the lists
+// pop from the top — and a shard's magazine refills from there in the same
+// order — so the batch is allocated again in ascending order, and the
+// blocks one epoch allocates share cache lines and XPLines instead of
+// scattering.
+func (al *Allocator) FreeBatch(bs []nvm.Addr) {
+	slices.Sort(bs)
+	al.mu.Lock()
+	defer al.mu.Unlock()
+	for i := len(bs) - 1; i >= 0; i-- {
+		class := al.release(bs[i])
+		al.free[class] = append(al.free[class], bs[i])
+	}
+}
+
+// release marks b FREE and settles the live accounting, returning its class
+// for the caller to push it on a free list.
+func (al *Allocator) release(b nvm.Addr) (class int) {
 	hdr := al.ReadHeader(b)
 	if hdr.Status == Free {
 		panic(fmt.Sprintf("palloc: double free of block %d", b))
 	}
 	al.heap.Store(b, Header{Status: Free, Class: hdr.Class}.Pack())
-	if al.nShards > 1 {
-		al.putMagazine(hdr.Class, b, shard)
-	} else {
-		al.mu.Lock()
-		al.free[hdr.Class] = append(al.free[hdr.Class], b)
-		al.mu.Unlock()
-	}
 	al.liveBlocks.Add(-1)
 	if al.obs != nil {
 		al.obs.Hit(obs.MFrees, obs.EvFree, uint64(b), uint64(hdr.Class))
 	}
 	al.liveBytes.Add(-int64(classWords[hdr.Class] * nvm.WordBytes))
+	return hdr.Class
 }
 
 // ReadHeader decodes the current (volatile-view) header of block b.

@@ -522,3 +522,112 @@ func TestScansAgreeOnStraddlingBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshSlabFormatsOneLine: a slab whose header word reads 0 has never
+// been formatted, so its media is zero and its block headers already decode
+// as FREE; formatting it writes back the slab header's line and fences, and
+// nothing else. A slab that carries the magic already (a new allocator over a
+// used heap) still has every block header reset.
+func TestFreshSlabFormatsOneLine(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 18})
+	before := h.Stats()
+	New(h).Alloc(2, 1)
+	if d := h.Stats().Sub(before); d.Flushes != 1 || d.Fences != 1 {
+		t.Fatalf("formatting a fresh slab took %d flushes and %d fences, want 1 and 1", d.Flushes, d.Fences)
+	}
+	before = h.Stats()
+	New(h).Alloc(2, 1)
+	if d := h.Stats().Sub(before); d.Flushes != slabWords/nvm.LineWords {
+		t.Fatalf("reformatting a used slab took %d flushes, want all %d lines", d.Flushes, slabWords/nvm.LineWords)
+	}
+}
+
+// TestFreshSlabBlocksRecoverFree power-fails an allocator that carved
+// blocks out of a fresh slab — some made durable under a committed stamp,
+// the rest allocated and written but never persisted — with none, half or
+// all of the dirty lines written back. Recovery keeps exactly the committed
+// blocks and returns every other block of the slab as FREE, of the slab's
+// class, whether its header on the media is the zero the slab was formatted
+// with or an ALLOCATED header a stray write-back carried there.
+func TestFreshSlabBlocksRecoverFree(t *testing.T) {
+	const class, committed = 2, 1
+	for _, evict := range []float64{0, 0.5, 1} {
+		h := nvm.New(nvm.Config{Words: 1 << 18, Seed: 3})
+		al := New(h)
+		var blocks []nvm.Addr
+		kept := map[nvm.Addr]bool{}
+		for i := 0; i < slabCap(class)-5; i++ {
+			b := al.Alloc(class, 7)
+			h.Store(Payload(b), uint64(i))
+			if i%7 == 0 {
+				al.WriteHeader(b, Header{Status: Allocated, Class: class, Tag: 7, Epoch: committed})
+				h.FlushRange(b, ClassWords(class))
+				h.Fence()
+				kept[b] = true
+			}
+			blocks = append(blocks, b)
+		}
+		h.Crash(nvm.CrashOptions{EvictFraction: evict, Seed: 9})
+
+		al2 := New(h)
+		al2.Recover(func(bi BlockInfo) bool { return bi.Header.Epoch == committed })
+		if got := al2.LiveBlocks(); got != int64(len(kept)) {
+			t.Fatalf("evict %.1f: %d live blocks, want the %d committed", evict, got, len(kept))
+		}
+		for _, b := range blocks {
+			if st := al2.ReadHeader(b).Status; (st == Allocated) != kept[b] || (st != Free && !kept[b]) {
+				t.Fatalf("evict %.1f: block %d recovered %v (committed %v)", evict, b, st, kept[b])
+			}
+		}
+		// Every block but the committed ones comes back to the slab's class,
+		// and the slab holds them all: no new slab is formatted.
+		footprint := al2.FootprintBytes()
+		seen := map[nvm.Addr]bool{}
+		for i := 0; i < slabCap(class)-len(kept); i++ {
+			b := al2.Alloc(class, 7)
+			if kept[b] || seen[b] {
+				t.Fatalf("evict %.1f: block %d handed out twice", evict, b)
+			}
+			seen[b] = true
+		}
+		if al2.FootprintBytes() != footprint {
+			t.Fatalf("evict %.1f: recovery lost blocks of the fresh slab", evict)
+		}
+	}
+}
+
+// TestFreeBatchReturnsBlocksInAddressOrder: a batch free hands its blocks
+// back to the next allocations lowest address first, however the batch was
+// ordered — through the global free list, and through a shard's magazine
+// once the blocks the magazine already held are gone.
+func TestFreeBatchReturnsBlocksInAddressOrder(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		al := newAlloc(t)
+		al.SetShards(shards)
+		var blocks []nvm.Addr
+		for i := 0; i < 200; i++ {
+			blocks = append(blocks, al.AllocShard(0, 0, 1))
+		}
+		batch := slices.Clone(blocks[20:120])
+		rand.New(rand.NewPCG(1, 2)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		al.FreeBatch(batch)
+		if al.LiveBlocks() != 100 {
+			t.Fatalf("shards=%d: %d live blocks after freeing 100 of 200", shards, al.LiveBlocks())
+		}
+		freed := map[nvm.Addr]bool{}
+		for _, b := range batch {
+			freed[b] = true
+		}
+		var got []nvm.Addr
+		for len(got) < len(batch) {
+			if b := al.AllocShard(0, 0, 1); freed[b] {
+				got = append(got, b)
+			} else if shards == 1 {
+				t.Fatalf("allocated %d before the freed batch was used up", b)
+			}
+		}
+		if want := slices.Sorted(slices.Values(blocks[20:120])); !slices.Equal(got, want) {
+			t.Fatalf("shards=%d: reallocated\n%v\nwant ascending\n%v", shards, got, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package palloc
 
 import (
+	"slices"
 	"sync"
 
 	"bdhtm/internal/nvm"
@@ -84,8 +85,9 @@ func (al *Allocator) Shards() int {
 }
 
 // takeMagazine pops a block from the shard's magazine, refilling a whole
-// batch from the global pool when it runs dry. Lock order is magazine.mu
-// then al.mu, same as putMagazine's spill.
+// batch from the global pool when it runs dry — reversed, so the magazine
+// hands the batch out in the order the pool would have. Lock order is
+// magazine.mu then al.mu, same as putMagazine's spill.
 func (al *Allocator) takeMagazine(class, shard int) nvm.Addr {
 	m := al.mags[shard&(al.nShards-1)]
 	m.mu.Lock()
@@ -97,6 +99,7 @@ func (al *Allocator) takeMagazine(class, shard int) nvm.Addr {
 			m.free[class] = append(m.free[class], al.takeLocked(class))
 		}
 		al.mu.Unlock()
+		slices.Reverse(m.free[class])
 	}
 	n := len(m.free[class])
 	b := m.free[class][n-1]

@@ -56,7 +56,10 @@ retryRegist:
 						tx.StoreAddr(l.h, l.valueAddr(found), uint64(newBlk.Addr()))
 						retire, persist, usedPrealloc = blk, newBlk, true
 					default:
+						// In place (pSet): re-track, an early pass may have
+						// written the block back since its first tracking.
 						blk.SetValueTx(tx, v)
+						persist = blk
 					}
 				},
 			)

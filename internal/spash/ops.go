@@ -125,8 +125,10 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr,
 				out.retire, out.track, out.usedNew = b, newBlk, true
 				out.touched = newBlk
 			default:
+				// In place (pSet): re-track, an early pass may have written
+				// the block back since its first tracking.
 				tx.StoreAddr(t.heap, blockValueAddr(b), v)
-				out.touched = b
+				out.track, out.touched = b, b
 			}
 		} else {
 			tx.StoreAddr(t.heap, blockValueAddr(b), v)

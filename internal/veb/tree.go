@@ -263,7 +263,10 @@ retryRegist:
 			m.store(slot, uint64(newBlk.Addr()))
 			retire, persist, usedPrealloc = blk, newBlk, true
 		default:
+			// In place (pSet): re-track, an early pass may have written
+			// the block back since its first tracking.
 			blk.SetValueTx(tx, v)
+			persist = blk
 		}
 		replaced = true
 	})
