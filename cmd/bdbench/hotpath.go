@@ -161,9 +161,8 @@ func hotpathTx(name string, threads, nReads, nWrites int) {
 		CommitRate: d.CommitRate(),
 		Aborts: map[string]int64{
 			"conflict": d.Conflict, "capacity": d.Capacity,
-			"explicit": d.Explicit, "locked": d.Locked,
-			"spurious": d.Spurious, "memtype": d.MemType,
-			"persist-op": d.PersistOp,
+			"explicit": d.Explicit, "spurious": d.Spurious,
+			"memtype": d.MemType, "persist-op": d.PersistOp,
 		},
 	}, nil)
 }

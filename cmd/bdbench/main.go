@@ -6,7 +6,7 @@
 //
 //	bdbench [flags] <experiment>
 //
-// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery tail advance hotpath engines serve all
+// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery tail hotpath engines serve all
 //
 // Default parameters are scaled down so the full suite completes in
 // minutes on a laptop; -full restores paper-scale settings (large key
@@ -39,8 +39,7 @@ var (
 	latency  = flag.Bool("latency", true, "enable the Optane latency model on NVM heaps")
 	full     = flag.Bool("full", false, "paper-scale parameters (2^22 keys, 1s points)")
 
-	epochShards = flag.Int("epoch-shards", 1, "epoch persistence-path shards (power of two, max 32)")
-	engineFlag  = flag.String("engine", "", "durability engine for buffered-durable subjects: "+strings.Join(durability.Names(), "|")+" (default bdl)")
+	engineFlag = flag.String("engine", "", "durability engine for buffered-durable subjects: "+strings.Join(durability.Names(), "|")+" (default bdl)")
 
 	obsFlag   = flag.Bool("obs", false, "record obs telemetry and print a summary at exit")
 	traceOut  = flag.String("trace", "", "write a Chrome trace_event file (implies -obs)")
@@ -72,11 +71,11 @@ func main() {
 		*duration = time.Second
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|tail|advance|hotpath|engines|serve|all")
+		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|tail|hotpath|engines|serve|all")
 		os.Exit(2)
 	}
 	if *engineFlag != "" {
-		if _, err := durability.New(*engineFlag, nil, 1, nil); err != nil {
+		if _, err := durability.New(*engineFlag, nil, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "bdbench: %v\n", err)
 			os.Exit(2)
 		}
@@ -126,7 +125,6 @@ func main() {
 	run("fig8", fig8)
 	run("recovery", recovery)
 	run("tail", tailLatency)
-	run("advance", advanceScaling)
 	run("hotpath", hotpath)
 	run("engines", engineComparison)
 	run("serve", serve)
@@ -215,7 +213,7 @@ func threadList() []int {
 func opts() harness.Opts {
 	return harness.Opts{
 		KeySpace: *keySpace, Latency: *latency, Obs: benchObs,
-		EpochShards: *epochShards, Engine: *engineFlag,
+		Engine: *engineFlag,
 	}
 }
 
@@ -259,7 +257,7 @@ func fig2() {
 				if at == 0 {
 					at = 1
 				}
-				other := s.Explicit + s.Locked + s.Spurious + s.PersistOp
+				other := s.Explicit + s.Spurious + s.PersistOp
 				fmt.Printf("%-8d %-10s %8.2f%% %8.2f%% %8.2f%% %8.2f%% %8.2f%%\n",
 					n, inst.Name,
 					100*float64(s.Commits)/at, 100*float64(s.Conflict)/at,
@@ -457,30 +455,6 @@ func fig8() {
 			fmt.Printf("%14.1f MiB", mb)
 		}
 		fmt.Println()
-	}
-}
-
-// advanceScaling measures the sharded epoch-advance pipeline: PHTM-vEB,
-// write-heavy, at the highest configured thread count, across shard
-// counts with a short epoch so the persistence path is hot. Report only:
-// single-run throughput on a small host cannot resolve the shard axis, so
-// there is no exit gate.
-func advanceScaling() {
-	tl := threadList()
-	n := tl[len(tl)-1]
-	wl := harness.Workload{KeySpace: *keySpace, Dist: harness.Uniform, Mix: ycsb.WriteHeavy, Prefill: true}
-	fmt.Printf("\nAdvance-pipeline scaling — PHTM-vEB, write-heavy, %d threads (keyspace 2^%d)\n", n, log2(*keySpace))
-	for _, shards := range []int{1, 4} {
-		o := opts()
-		o.EpochShards = shards
-		o.EpochLength = 2 * time.Millisecond
-		inst := harness.New("veb", o)
-		inst.Name = fmt.Sprintf("PHTM-vEB/shards=%d", shards)
-		r := harness.Run(collector, inst, wl, n, *duration, 42)
-		st := inst.Sys.Stats()
-		inst.Close()
-		fmt.Printf("  shards=%d  %8.3f Mops/s   advance p99 %8.1f µs   backpressure %d\n",
-			shards, r.Throughput, float64(st.AdvanceP99NS)/1e3, st.Backpressure)
 	}
 }
 

@@ -46,7 +46,6 @@ func serve() {
 		srv := bdserve.New(bdserve.Config{
 			KeySpace:    *keySpace,
 			EpochLength: 2 * time.Millisecond,
-			Shards:      *epochShards,
 			Engine:      *engineFlag,
 			SyncAcks:    sync,
 			Obs:         sloObs,
@@ -136,7 +135,6 @@ func serveSLO(r *obs.Recorder, tm htm.StatsSnapshot) *obs.NetSLO {
 		"conflict":   tm.Conflict,
 		"capacity":   tm.Capacity,
 		"explicit":   tm.Explicit,
-		"locked":     tm.Locked,
 		"spurious":   tm.Spurious,
 		"memtype":    tm.MemType,
 		"persist-op": tm.PersistOp,

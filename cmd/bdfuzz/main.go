@@ -39,7 +39,6 @@ func main() {
 		ops     = flag.Int("ops", 0, "ops per worker per crash segment (0 = derive per round)")
 		workers = flag.Int("workers", 0, "worker goroutines (0 = derive per round; 1 = exact-prefix mode)")
 		evict   = flag.Float64("evict", crashfuzz.Derive, "eviction fraction at crash (default: derive per round)")
-		shards  = flag.Int("shards", 0, "epoch flusher shards (0 = derive per round from {1, 4})")
 		async   = flag.Int("async", crashfuzz.Derive, "schedule: flusher step runs right after each advance (1) or lags a full epoch (0) (default: derive per round)")
 		engine  = flag.String("engine", "", "durability engine: "+strings.Join(durability.Names(), ", ")+" (default: derive per round)")
 		replay  = flag.String("replay", "", "replay one fully specified round (as printed by a failure) and exit")
@@ -62,7 +61,7 @@ func main() {
 	}
 
 	if *engine != "" {
-		if _, err := durability.New(*engine, nil, 1, nil); err != nil {
+		if _, err := durability.New(*engine, nil, nil); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -98,7 +97,6 @@ func main() {
 		base.Ops = *ops
 		base.Workers = *workers
 		base.Evict = *evict
-		base.Shards = *shards
 		base.Async = *async
 		base.Engine = *engine
 		base.Early = crashfuzz.Derive // every round takes early write-back steps

@@ -57,7 +57,7 @@ type runConfig struct {
 func main() {
 	flag.Parse()
 	if *engineFlag != "" {
-		if _, err := durability.New(*engineFlag, nil, 1, nil); err != nil {
+		if _, err := durability.New(*engineFlag, nil, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "bdrecover: %v\n", err)
 			os.Exit(2)
 		}

@@ -44,7 +44,6 @@ var (
 	structure   = flag.String("structure", "bdhash", "store: "+strings.Join(kv.BufferedKinds(), "|"))
 	keySpace    = flag.Uint64("keyspace", 1<<12, "key universe size")
 	epochLength = flag.Duration("epoch-length", 2*time.Millisecond, "epoch advance cadence")
-	epochShards = flag.Int("epoch-shards", 1, "epoch persistence-path shards (power of two, max 32)")
 	engineFlag  = flag.String("engine", "", "durability engine: "+strings.Join(durability.Names(), "|")+" (default bdl)")
 	syncAcks    = flag.Bool("sync", false, "ack writes only when durable (no applied acks)")
 	maxSessions = flag.Int("max-sessions", 64, "maximum concurrently served connections")
@@ -70,7 +69,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *engineFlag != "" {
-		if _, err := durability.New(*engineFlag, nil, 1, nil); err != nil {
+		if _, err := durability.New(*engineFlag, nil, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "bdserve: %v\n", err)
 			os.Exit(2)
 		}
@@ -79,7 +78,6 @@ func main() {
 		Structure:   *structure,
 		KeySpace:    *keySpace,
 		EpochLength: *epochLength,
-		Shards:      *epochShards,
 		Engine:      *engineFlag,
 		SyncAcks:    *syncAcks,
 		MaxSessions: *maxSessions,

@@ -57,9 +57,7 @@ type Config struct {
 	// Manual disables the background advancer; tests drive
 	// System().AdvanceOnce() themselves for deterministic scripts.
 	Manual bool
-	// Shards / Engine configure the persistence pipeline, forwarded to
-	// epoch.Config.
-	Shards int
+	// Engine selects the durability engine, forwarded to epoch.Config.
 	Engine string
 	// RecoveryWorkers partitions Recover's header scan across this many
 	// goroutines (0/1 = serial; forwarded to epoch.Config).
@@ -106,7 +104,6 @@ func (c Config) parts(heap *nvm.Heap) kv.Parts {
 		Epoch: epoch.Config{
 			EpochLength:     c.EpochLength,
 			Manual:          c.Manual,
-			Shards:          c.Shards,
 			Engine:          c.Engine,
 			RecoveryWorkers: c.RecoveryWorkers,
 			Obs:             c.Obs,
@@ -347,7 +344,7 @@ func (s *Server) wireStats() wire.StatsSnap {
 		AbortsConflict:  uint64(ts.Conflict),
 		AbortsCapacity:  uint64(ts.Capacity),
 		AbortsInjected:  uint64(ts.Spurious + ts.MemType),
-		AbortsOther:     uint64(ts.Explicit + ts.Locked + ts.PersistOp),
+		AbortsOther:     uint64(ts.Explicit + ts.PersistOp),
 		FlushedBlocks:   uint64(es.FlushedBlocks),
 		SpansSampled:    uint64(sampled),
 		SpansDropped:    uint64(dropped),

@@ -3,6 +3,7 @@ package crashfuzz
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -76,9 +77,9 @@ func TestBDHashPhantomRegression(t *testing.T) {
 // the payload's own fence first, fails the third with "phantom value".
 func TestPallocStraddleRegression(t *testing.T) {
 	for _, line := range []string{
-		"subject=palloc seed=0x53fdd124f4244bb8 ops=8 workers=1 keyspace=64 evict=0.51 events=1 crash-after=8 crash-step=0 tail-adv=0 adv-every=21 spurious=0.05 memtype=0.00 shards=4 async=1 engine=undo rworkers=2",
-		"subject=palloc seed=0xcc4121b295044b47 ops=75 workers=4 keyspace=64 evict=0.96 events=1 crash-after=2 crash-step=0 tail-adv=0 adv-every=11 spurious=0.00 memtype=0.00 shards=4 async=0 engine=redo2f rworkers=8",
-		"subject=palloc seed=0x770eb37887dd1b48 ops=600 workers=1 keyspace=64 evict=0.72 events=1 crash-after=443 crash-step=4 tail-adv=0 adv-every=22 spurious=0.05 memtype=0.00 shards=1 async=0 engine=undo rworkers=2",
+		"subject=palloc seed=0x53fdd124f4244bb8 ops=8 workers=1 keyspace=64 evict=0.51 events=1 crash-after=8 crash-step=0 tail-adv=0 adv-every=21 spurious=0.05 memtype=0.00 async=1 engine=undo rworkers=2",
+		"subject=palloc seed=0xcc4121b295044b47 ops=75 workers=4 keyspace=64 evict=0.96 events=1 crash-after=2 crash-step=0 tail-adv=0 adv-every=11 spurious=0.00 memtype=0.00 async=0 engine=redo2f rworkers=8",
+		"subject=palloc seed=0x770eb37887dd1b48 ops=600 workers=1 keyspace=64 evict=0.72 events=1 crash-after=443 crash-step=4 tail-adv=0 adv-every=22 spurious=0.05 memtype=0.00 async=0 engine=undo rworkers=2",
 	} {
 		p, err := ParseReplay(line)
 		if err != nil {
@@ -113,26 +114,23 @@ func TestResolveDeterminism(t *testing.T) {
 	if c.KeySpace != a.KeySpace || c.Evict != a.Evict || c.Workers != a.Workers ||
 		c.AdvEvery != a.AdvEvery || c.Spurious != a.Spurious || c.MemType != a.MemType ||
 		c.CrashEvents != a.CrashEvents || c.TailAdvances != a.TailAdvances ||
-		c.Shards != a.Shards || c.Async != a.Async {
+		c.Async != a.Async {
 		t.Fatalf("overriding Ops shifted other derived fields:\n%+v\n%+v", a, c)
 	}
 }
 
 // TestParseReplayDefaultsPipelineFields ensures replay specs recorded
-// before the sharded advance pipeline existed still parse: shards= and
-// async= are absent, stay at derive defaults, and Resolve fills them.
+// before the advance pipeline existed still parse: async= is absent, stays
+// at its derive default, and Resolve fills it.
 func TestParseReplayDefaultsPipelineFields(t *testing.T) {
 	p, err := ParseReplay("subject=bdhash seed=0x1 ops=16 workers=1 keyspace=32 evict=0.50 events=1 crash-after=4 crash-step=0 tail-adv=0 adv-every=8 spurious=0.00 memtype=0.00")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Shards != 0 || p.Async != Derive {
-		t.Fatalf("old-format spec: Shards = %d (want 0 = derive), Async = %d (want %d = derive)", p.Shards, p.Async, Derive)
+	if p.Async != Derive {
+		t.Fatalf("old-format spec: Async = %d (want %d = derive)", p.Async, Derive)
 	}
 	r := Resolve(p)
-	if r.Shards != 1 && r.Shards != 4 {
-		t.Fatalf("resolved Shards = %d, want 1 or 4", r.Shards)
-	}
 	if r.Async != 0 && r.Async != 1 {
 		t.Fatalf("resolved Async = %d, want 0 or 1", r.Async)
 	}
@@ -150,14 +148,14 @@ func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 		seed uint64
 		want string
 	}{
-		{0x1, "subject=bdhash seed=0x1 ops=200 workers=1 keyspace=16 evict=0.26 events=1 crash-after=24 crash-step=0 tail-adv=2 adv-every=15 spurious=0.00 memtype=0.01 shards=4 async=0 engine=quadra rworkers=4"},
-		{0x2, "subject=bdhash seed=0x2 ops=600 workers=4 keyspace=256 evict=0.14 events=1 crash-after=201 crash-step=0 tail-adv=2 adv-every=8 spurious=0.05 memtype=0.00 shards=1 async=0 engine=undo rworkers=1"},
-		{0x3, "subject=bdhash seed=0x3 ops=200 workers=1 keyspace=16 evict=0.03 events=2 crash-after=65 crash-step=4 tail-adv=2 adv-every=30 spurious=0.00 memtype=0.00 shards=4 async=1 engine=redo2f rworkers=8"},
-		{0xbd0ff, "subject=bdhash seed=0xbd0ff ops=200 workers=4 keyspace=256 evict=0.61 events=1 crash-after=167 crash-step=0 tail-adv=1 adv-every=28 spurious=0.05 memtype=0.00 shards=1 async=1 engine=undo rworkers=1"},
-		{0x1234, "subject=bdhash seed=0x1234 ops=600 workers=1 keyspace=16 evict=0.06 events=2 crash-after=273 crash-step=14 tail-adv=1 adv-every=31 spurious=0.00 memtype=0.00 shards=4 async=0 engine=redo4f rworkers=8"},
-		{0xdeadbeef, "subject=bdhash seed=0xdeadbeef ops=600 workers=1 keyspace=16 evict=0.95 events=1 crash-after=537 crash-step=40 tail-adv=1 adv-every=26 spurious=0.05 memtype=0.00 shards=1 async=1 engine=redo2f rworkers=4"},
-		{0x9e3779b97f4a7c15, "subject=bdhash seed=0x9e3779b97f4a7c15 ops=64 workers=1 keyspace=16 evict=0.89 events=1 crash-after=29 crash-step=0 tail-adv=2 adv-every=28 spurious=0.05 memtype=0.00 shards=1 async=1 engine=quadra rworkers=2"},
-		{0x2a, "subject=bdhash seed=0x2a ops=64 workers=4 keyspace=256 evict=0.22 events=1 crash-after=53 crash-step=0 tail-adv=0 adv-every=6 spurious=0.00 memtype=0.00 shards=1 async=1 engine=redo4f rworkers=4"},
+		{0x1, "subject=bdhash seed=0x1 ops=200 workers=1 keyspace=16 evict=0.26 events=1 crash-after=24 crash-step=0 tail-adv=2 adv-every=15 spurious=0.00 memtype=0.01 async=0 engine=quadra rworkers=4"},
+		{0x2, "subject=bdhash seed=0x2 ops=600 workers=4 keyspace=256 evict=0.14 events=1 crash-after=201 crash-step=0 tail-adv=2 adv-every=8 spurious=0.05 memtype=0.00 async=0 engine=undo rworkers=1"},
+		{0x3, "subject=bdhash seed=0x3 ops=200 workers=1 keyspace=16 evict=0.03 events=2 crash-after=65 crash-step=4 tail-adv=2 adv-every=30 spurious=0.00 memtype=0.00 async=1 engine=redo2f rworkers=8"},
+		{0xbd0ff, "subject=bdhash seed=0xbd0ff ops=200 workers=4 keyspace=256 evict=0.61 events=1 crash-after=167 crash-step=0 tail-adv=1 adv-every=28 spurious=0.05 memtype=0.00 async=1 engine=undo rworkers=1"},
+		{0x1234, "subject=bdhash seed=0x1234 ops=600 workers=1 keyspace=16 evict=0.06 events=2 crash-after=273 crash-step=14 tail-adv=1 adv-every=31 spurious=0.00 memtype=0.00 async=0 engine=redo4f rworkers=8"},
+		{0xdeadbeef, "subject=bdhash seed=0xdeadbeef ops=600 workers=1 keyspace=16 evict=0.95 events=1 crash-after=537 crash-step=40 tail-adv=1 adv-every=26 spurious=0.05 memtype=0.00 async=1 engine=redo2f rworkers=4"},
+		{0x9e3779b97f4a7c15, "subject=bdhash seed=0x9e3779b97f4a7c15 ops=64 workers=1 keyspace=16 evict=0.89 events=1 crash-after=29 crash-step=0 tail-adv=2 adv-every=28 spurious=0.05 memtype=0.00 async=1 engine=quadra rworkers=2"},
+		{0x2a, "subject=bdhash seed=0x2a ops=64 workers=4 keyspace=256 evict=0.22 events=1 crash-after=53 crash-step=0 tail-adv=0 adv-every=6 spurious=0.00 memtype=0.00 async=1 engine=redo4f rworkers=4"},
 	} {
 		derive := NewRoundParams("bdhash", tc.seed)
 		derive.Engine = "" // the captured strings derive it; CI may pin BDFUZZ_ENGINE
@@ -177,34 +175,60 @@ func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 	}
 }
 
-// pipelineConfigs is the persistence-path matrix the deterministic crash
-// tests sweep: every flusher shard count crossed with both flusher
-// schedules (async=1: the flusher step right after each advance).
-var pipelineConfigs = []struct {
-	name   string
-	shards int
-	async  int
-}{
-	{"shards=1", 1, 0},
-	{"shards=4", 4, 0},
-	{"shards=1+async", 1, 1},
-	{"shards=4+async", 4, 1},
+// TestResolveReplayCompatAcrossShardsRemoval pins the derived-parameter
+// stream across the removal of the shards= (flusher shard count) axis: each
+// line is Resolve's output for that seed captured at the last commit that
+// still had the axis. Minus its shards= field it is what Resolve prints
+// now, and the line with shards=1 or shards=4 appended parses to identical
+// params, so recorded seeds and old replay lines keep their rounds.
+func TestResolveReplayCompatAcrossShardsRemoval(t *testing.T) {
+	shardsField := regexp.MustCompile(` shards=\d+`)
+	for _, tc := range []struct {
+		seed uint64
+		old  string
+	}{
+		{0x5, "subject=veb seed=0x5 ops=200 workers=4 keyspace=16 evict=0.43 events=2 crash-after=8 crash-step=0 tail-adv=0 adv-every=18 spurious=0.00 memtype=0.01 shards=1 async=0 engine=redo2f rworkers=8"},
+		{0x77, "subject=veb seed=0x77 ops=200 workers=1 keyspace=256 evict=0.70 events=2 crash-after=154 crash-step=2 tail-adv=1 adv-every=20 spurious=0.00 memtype=0.00 shards=4 async=0 engine=redo2f rworkers=8"},
+		{0xbd5, "subject=veb seed=0xbd5 ops=200 workers=4 keyspace=256 evict=0.57 events=2 crash-after=193 crash-step=0 tail-adv=2 adv-every=19 spurious=0.05 memtype=0.01 shards=4 async=0 engine=quadra rworkers=1"},
+		{0x1f00d, "subject=veb seed=0x1f00d ops=64 workers=4 keyspace=16 evict=0.61 events=1 crash-after=27 crash-step=0 tail-adv=2 adv-every=18 spurious=0.05 memtype=0.01 shards=1 async=1 engine=bdl rworkers=2"},
+		{0xc0ffee, "subject=veb seed=0xc0ffee ops=64 workers=4 keyspace=256 evict=0.16 events=2 crash-after=61 crash-step=0 tail-adv=3 adv-every=31 spurious=0.01 memtype=0.00 shards=4 async=0 engine=redo4f rworkers=1"},
+		{0x51a4d5, "subject=veb seed=0x51a4d5 ops=200 workers=1 keyspace=16 evict=0.00 events=1 crash-after=165 crash-step=0 tail-adv=0 adv-every=30 spurious=0.00 memtype=0.00 shards=1 async=0 engine=redo2f rworkers=4"},
+		{0xfeedface, "subject=veb seed=0xfeedface ops=600 workers=4 keyspace=64 evict=0.50 events=1 crash-after=512 crash-step=0 tail-adv=0 adv-every=11 spurious=0.05 memtype=0.00 shards=4 async=0 engine=quadra rworkers=8"},
+		{0x7fffffffffffffff, "subject=veb seed=0x7fffffffffffffff ops=64 workers=1 keyspace=16 evict=0.37 events=2 crash-after=31 crash-step=8 tail-adv=0 adv-every=5 spurious=0.01 memtype=0.00 shards=4 async=1 engine=redo2f rworkers=2"},
+	} {
+		derive := NewRoundParams("veb", tc.seed)
+		derive.Engine = "" // the captured lines derive it; CI may pin BDFUZZ_ENGINE
+		got := Resolve(derive)
+		want := shardsField.ReplaceAllString(tc.old, "")
+		if s := got.ReplayString(); s != want {
+			t.Errorf("seed %#x resolves differently:\n got %s\nwant %s", tc.seed, s, want)
+		}
+		for _, shards := range []string{" shards=1", " shards=4"} {
+			p, err := ParseReplay(want + shards)
+			if err != nil {
+				t.Fatalf("old-format spec with%s: %v", shards, err)
+			}
+			if !reflect.DeepEqual(p, got) {
+				t.Errorf("old-format spec with%s parsed to\n%+v\nwant\n%+v", shards, p, got)
+			}
+		}
+	}
 }
 
-// TestCrashMidParallelFlush pins power failures inside the sharded flush
-// fan-out: the persist hook fires at the n-th persist event past the
-// crash point, landing mid-advance while per-shard flushers are writing
-// back epoch-closure batches. The engine's crashCheck then asserts the
-// full BDL contract — the recovery boundary P satisfies
-// P >= crash_epoch - 2, the recovered state is exactly the end-of-epoch-P
-// snapshot, and the allocator has one live block per key. Swept over
-// every shards x schedule configuration so a torn per-shard batch (some
-// shards flushed, others not, root unwritten) cannot surface as a
-// phantom or lost key.
+// TestCrashMidParallelFlush pins power failures inside the epoch-close
+// write-back: the persist hook fires at the n-th persist event past the
+// crash point, landing mid-advance while the flusher is writing back the
+// closed epoch's batch. The engine's crashCheck then asserts the full BDL
+// contract — the recovery boundary P satisfies P >= crash_epoch - 2, the
+// recovered state is exactly the end-of-epoch-P snapshot, and the
+// allocator has one live block per key — under both flusher schedules
+// (async=1: the flusher step right after each advance), so a torn batch
+// (some lines written back, root unwritten) cannot surface as a phantom or
+// lost key.
 func TestCrashMidParallelFlush(t *testing.T) {
 	for _, subject := range []string{"bdhash", "veb"} {
-		for _, cfg := range pipelineConfigs {
-			t.Run(subject+"/"+cfg.name, func(t *testing.T) {
+		for async := 0; async <= 1; async++ {
+			t.Run(fmt.Sprintf("%s/async=%d", subject, async), func(t *testing.T) {
 				t.Parallel()
 				for step := 1; step <= 24; step += 2 {
 					p := RoundParams{
@@ -212,7 +236,7 @@ func TestCrashMidParallelFlush(t *testing.T) {
 						Ops: 48, Workers: 1, KeySpace: 32, Evict: 0.6,
 						CrashEvents: 1, CrashAfter: 12, CrashStep: step,
 						TailAdvances: 1, AdvEvery: 4, Spurious: 0, MemType: 0,
-						Shards: cfg.shards, Async: cfg.async,
+						Async: async,
 					}
 					if f := RunRound(p); f != nil {
 						t.Fatalf("crash-step %d: %s", step, f.Error())
@@ -233,24 +257,21 @@ func TestCrashMidParallelFlush(t *testing.T) {
 // snapshotted epoch boundary.
 func TestAsyncBehindCrash(t *testing.T) {
 	for _, subject := range []string{"bdhash", "veb"} {
-		for _, shards := range []int{1, 4} {
-			subject, shards := subject, shards
-			t.Run(fmt.Sprintf("%s/shards=%d", subject, shards), func(t *testing.T) {
-				t.Parallel()
-				for _, step := range []int{0, 1, 2, 3, 5, 8, 13} {
-					p := RoundParams{
-						Subject: subject, Seed: 0xa55bd0000 + uint64(step),
-						Ops: 40, Workers: 1, KeySpace: 32, Evict: 1,
-						CrashEvents: 2, CrashAfter: 9, CrashStep: step,
-						TailAdvances: 2, AdvEvery: 3, Spurious: 0, MemType: 0,
-						Shards: shards, Async: 1,
-					}
-					if f := RunRound(p); f != nil {
-						t.Fatalf("crash-step %d: %s", step, f.Error())
-					}
+		t.Run(subject, func(t *testing.T) {
+			t.Parallel()
+			for _, step := range []int{0, 1, 2, 3, 5, 8, 13} {
+				p := RoundParams{
+					Subject: subject, Seed: 0xa55bd0000 + uint64(step),
+					Ops: 40, Workers: 1, KeySpace: 32, Evict: 1,
+					CrashEvents: 2, CrashAfter: 9, CrashStep: step,
+					TailAdvances: 2, AdvEvery: 3, Spurious: 0, MemType: 0,
+					Async: 1,
 				}
-			})
-		}
+				if f := RunRound(p); f != nil {
+					t.Fatalf("crash-step %d: %s", step, f.Error())
+				}
+			}
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ type RoundParams struct {
 	AdvEvery     int     // <0 = derive in [4, 32]
 	Spurious     float64 // <0 = derive from {0, 0.01, 0.05}
 	MemType      float64 // <0 = derive from {0, 0.01}
-	Shards       int     // persistence-path flusher shards; 0 = derive from {1, 4}
 	Async        int     // <0 = derive; schedule: flusher step runs right after each advance (1) or lags a full epoch (0)
 	Engine       string  // durability engine; "" = derive from durability.Names()
 	RWorkers     int     // recovery scan workers; 0 = derive from {1, 2, 4, 8}
@@ -105,10 +104,12 @@ func Resolve(p RoundParams) RoundParams {
 	crashAfterDraw := rng.next()
 	crashStepDraw := rng.next()
 	tailAdvDraw := rng.next()
-	// Pipeline draws come last so rounds recorded before the sharded
-	// advance path existed derive the same op streams they always did;
-	// the engine draw in turn follows them for the same reason.
-	shardsDraw := rng.next()
+	// Pipeline draws come last so rounds recorded before the advance
+	// pipeline existed derive the same op streams they always did; the
+	// engine draw in turn follows them for the same reason. The retired
+	// shards= draw (the flusher shard count) is still consumed ahead of
+	// them, so every later draw keeps its stream position.
+	rng.next()
 	asyncDraw := rng.next()
 	engineDraw := rng.next()
 	rworkersDraw := rng.next()
@@ -160,9 +161,6 @@ func Resolve(p RoundParams) RoundParams {
 	if p.TailAdvances < 0 {
 		p.TailAdvances = int(tailAdvDraw % 4)
 	}
-	if p.Shards == 0 {
-		p.Shards = []int{1, 4}[shardsDraw%2]
-	}
 	if p.Async < 0 {
 		p.Async = int(asyncDraw % 2)
 	}
@@ -193,10 +191,10 @@ func Resolve(p RoundParams) RoundParams {
 // round prints the line it always printed.
 func (p RoundParams) ReplayString() string {
 	s := fmt.Sprintf(
-		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f shards=%d async=%d engine=%s rworkers=%d",
+		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f async=%d engine=%s rworkers=%d",
 		p.Subject, p.Seed, p.Ops, p.Workers, p.KeySpace, p.Evict, p.CrashEvents,
 		p.CrashAfter, p.CrashStep, p.TailAdvances, p.AdvEvery, p.Spurious, p.MemType,
-		p.Shards, p.Async, p.Engine, p.RWorkers)
+		p.Async, p.Engine, p.RWorkers)
 	if p.Epochs != 0 {
 		s += fmt.Sprintf(" epochs=%d", p.Epochs)
 	}
@@ -212,11 +210,11 @@ func (p RoundParams) ReplayCommand() string {
 }
 
 // ParseReplay decodes a ReplayString back into params. Specs recorded
-// before the sharded advance pipeline, the pluggable engines or the
-// parallel recovery scan existed carry no shards=/async=/engine=/rworkers=
-// fields; those stay at their derive defaults and Resolve fills them.
-// Specs recorded while the global fallback lock was selectable carry an
-// fgl= field, which is accepted and ignored.
+// before the advance pipeline, the pluggable engines or the parallel
+// recovery scan existed carry no async=/engine=/rworkers= fields; those
+// stay at their derive defaults and Resolve fills them. Specs recorded
+// while the global fallback lock or the flusher shard count was selectable
+// carry an fgl= or shards= field, which is accepted and ignored.
 func ParseReplay(s string) (RoundParams, error) {
 	p := RoundParams{Evict: Derive, CrashAfter: Derive, CrashStep: Derive,
 		TailAdvances: Derive, AdvEvery: Derive, Spurious: Derive, MemType: Derive,
@@ -257,8 +255,6 @@ func ParseReplay(s string) (RoundParams, error) {
 			_, err = fmt.Sscanf(kv[1], "%f", &p.Spurious)
 		case "memtype":
 			_, err = fmt.Sscanf(kv[1], "%f", &p.MemType)
-		case "shards":
-			_, err = fmt.Sscanf(kv[1], "%d", &p.Shards)
 		case "async":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Async)
 		case "engine":
@@ -269,7 +265,7 @@ func ParseReplay(s string) (RoundParams, error) {
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Epochs)
 		case "early":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Early)
-		case "fgl":
+		case "fgl", "shards":
 		default:
 			return p, fmt.Errorf("crashfuzz: unknown replay field %q", kv[0])
 		}
@@ -420,7 +416,6 @@ func newSession(p RoundParams, sub Subject, heapWords int) *session {
 		Workers:         1,
 		SpuriousRate:    p.Spurious,
 		MemTypeRate:     p.MemType,
-		Shards:          p.Shards,
 		Async:           p.Async == 1,
 		Engine:          p.Engine,
 		RecoveryWorkers: p.RWorkers,
@@ -714,7 +709,6 @@ func runConcurrent(p RoundParams, sub Subject) *Failure {
 		Workers:         p.Workers,
 		SpuriousRate:    p.Spurious,
 		MemTypeRate:     p.MemType,
-		Shards:          p.Shards,
 		Async:           p.Async == 1,
 		Engine:          p.Engine,
 		RecoveryWorkers: p.RWorkers,

@@ -25,7 +25,7 @@ func TestCrashMidFallbackWrite(t *testing.T) {
 					Ops: 32, Workers: 1, KeySpace: 32, Evict: 1,
 					CrashEvents: 1, CrashAfter: 10, CrashStep: step,
 					TailAdvances: 1, AdvEvery: 5, Spurious: 1, MemType: 0,
-					Shards: 1, Async: 0,
+					Async: 0,
 				}
 				if f := RunRound(p); f != nil {
 					t.Fatalf("crash-step %d: %s", step, f.Error())
@@ -51,7 +51,7 @@ func TestConcurrentFallbackRounds(t *testing.T) {
 					Ops: 60, Workers: 4, KeySpace: 16, Evict: 0.8,
 					CrashEvents: 1, CrashAfter: 0, CrashStep: 0,
 					TailAdvances: 1, AdvEvery: 4, Spurious: 0.5, MemType: 0.01,
-					Shards: 1, Async: 0,
+					Async: 0,
 				}
 				if f := RunRound(p); f != nil {
 					t.Fatalf("round %d: %s", i, f.Error())

@@ -18,9 +18,9 @@ func fuzzSubject(f *testing.F, subject string) {
 	f.Add([]byte("\x01\x02\x03\x04\x05\x06\x07\x08" + "\x01\x02\x03\x80\xa0\x42\x81\xbf"))
 	f.Add([]byte("\x99\x88\x77\x66\x55\x44\x33\x22" + "\x01\x01\x80\x80\xa5\x02\xc1"))
 	f.Add([]byte("\xff\xee\xdd\xcc\xbb\xaa\x00\x11" + "\x1f\x1e\x1d\x80\xbf\x41\x42\x80\xa0"))
-	// Seed bit 4 = 4 flusher shards, bit 5 = flusher step right after
-	// each advance (see ReplayBytes); these exercise the sharded fan-out
-	// and the eager schedule.
+	// Seed bit 5 = flusher step right after each advance (see
+	// ReplayBytes); these exercise the eager schedule. Bit 4 once selected
+	// four flusher shards and is no longer decoded.
 	f.Add([]byte("\x10\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x03\x04\x80\x05\x80\xbf\x06"))
 	f.Add([]byte("\x30\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x80\x42\x80\x80\xc1\x03\x80"))
 	// Seed bits 6-8 select the durability engine (undo, redo4f, redo2f,
@@ -40,9 +40,9 @@ func fuzzSubject(f *testing.F, subject string) {
 	f.Add([]byte("\x00\x06\x00\x00\x00\x00\x00\x00" + "\x0a\x0b\x80\x80\x4a\xc0\x0c\x80\xc1"))
 	f.Add([]byte("\x10\x02\x00\x00\x00\x00\x00\x00" + "\x11\x12\x13\x80\x80\x51\x52\xc0\x14\x80\xbf"))
 	f.Add([]byte("\x40\x06\x00\x00\x00\x00\x00\x00" + "\x15\x16\x80\x80\x55\xc0\x17\x80\xc0"))
-	// Insert/remove/crash scripts, alone and combined with sharded +
-	// pipelined advances, recorded in pairs that differ in seed bit 11
-	// (no longer decoded; the bit still varies the heap/HTM RNG seed).
+	// Insert/remove/crash scripts, alone and combined with pipelined
+	// advances, recorded in pairs that differ in seed bit 11 (no longer
+	// decoded; the bit still varies the heap/HTM RNG seed).
 	// testdata/fuzz/ carries named copies.
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x03\x80\x41\x04\x80\xbf\x05\x80\xc0"))
 	f.Add([]byte("\x10\x00\x00\x00\x00\x00\x00\x00" + "\x05\x06\x07\x08\x80\x80\x45\x46\xc0\x09\x80\xa8"))

@@ -219,7 +219,7 @@ func TestJournalCrashSweep(t *testing.T) {
 						base := RoundParams{
 							Subject: subject, Seed: 0x70a12e7 + uint64(async),
 							Workers: 1, KeySpace: 64, CrashEvents: 1,
-							Shards: 1, Async: async, Engine: engine, RWorkers: 1,
+							Async: async, Engine: engine, RWorkers: 1,
 						}
 						points := sweepJournal(t, base, sc, evicts, first, stride, draw)
 						t.Logf("%d crash points x %d eviction fractions", points, len(evicts))

@@ -15,7 +15,7 @@ import (
 func TestCrashMidLogTruncation(t *testing.T) {
 	p := Resolve(RoundParams{
 		Subject: "bdhash", Seed: 0xbd7e10c, Ops: 48, Workers: 1, KeySpace: 64,
-		CrashEvents: 1, AdvEvery: 8, Shards: 1, Async: 0, Engine: "redo2f",
+		CrashEvents: 1, AdvEvery: 8, Async: 0, Engine: "redo2f",
 	})
 	p.Evict, p.Spurious, p.MemType = 0, 0, 0
 	sub, err := NewSubject(p.Subject)

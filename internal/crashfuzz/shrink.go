@@ -89,12 +89,13 @@ func Shrink(f *Failure, logf func(format string, args ...any)) *Failure {
 
 // ReplayBytes drives a subject from a raw byte stream — the bridge into
 // Go's native fuzzing. The first 8 bytes seed the heap/HTM RNGs; seed
-// bit 4 selects the epoch flusher shard count (set = 4 shards, clear =
-// serial), bit 5 the flusher schedule (set = the flusher step runs
-// right after each advance, clear = it lags a full epoch), bits 6-8 the
+// bit 5 selects the flusher schedule (set = the flusher step runs right
+// after each advance, clear = it lags a full epoch), bits 6-8 the
 // durability engine (modulo durability.Names()), and bits 9-10 the
 // recovery worker count (1 << bits, i.e. {1, 2, 4, 8}), so the fuzzer's
 // inputs exercise every persistence-path and recovery configuration.
+// Bits 4 and 11 selected knobs that no longer exist; like every other
+// bit they still vary the seed.
 // Each following byte decodes to one action on a 32-key universe:
 //
 //	b>>5 == 0,1,7  insert key b&31
@@ -120,10 +121,6 @@ func ReplayBytes(subject string, data []byte) *Failure {
 		KeySpace: 32,
 		Workers:  1,
 		Evict:    1,
-		Shards:   1,
-	}
-	if p.Seed&(1<<4) != 0 {
-		p.Shards = 4
 	}
 	if p.Seed&(1<<5) != 0 {
 		p.Async = 1

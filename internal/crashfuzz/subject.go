@@ -48,9 +48,6 @@ type Env struct {
 	// SpuriousRate / MemTypeRate inject HTM abort churn.
 	SpuriousRate float64
 	MemTypeRate  float64
-	// Shards is the flusher shard count buffered subjects open their
-	// epoch system with (epoch.Config.Shards).
-	Shards int
 	// Async is the flusher schedule for buffered subjects: the flusher
 	// step runs right after each advance (true) or lags a full epoch
 	// (false). See Env.advance.
@@ -75,7 +72,6 @@ type Env struct {
 func (e Env) epochCfg() epoch.Config {
 	return epoch.Config{
 		Manual:          true,
-		Shards:          e.Shards,
 		Engine:          e.Engine,
 		RecoveryWorkers: e.RecoveryWorkers,
 		Obs:             e.Obs,

@@ -179,7 +179,7 @@ func TestTornLineSweep(t *testing.T) {
 					base := RoundParams{
 						Subject: subject, Seed: 0x7042e + uint64(async),
 						Workers: 1, KeySpace: 64, CrashEvents: 1,
-						Shards: 1, Async: async, Engine: engine, RWorkers: 1,
+						Async: async, Engine: engine, RWorkers: 1,
 					}
 					tears, points := sweepTorn(t, base, sc, evicts, stride, draw)
 					t.Logf("%d tears, %d crash points x %d eviction fractions", tears, points, len(evicts))

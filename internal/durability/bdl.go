@@ -6,9 +6,8 @@ import (
 
 // bdlEngine is the paper's buffered-durability epoch engine, extracted
 // verbatim from the pre-engine epoch system: the closing epoch's
-// extents are written back in one batch per shard (in parallel when
-// sharded), a single fence orders them, and the watermark bump is
-// flushed behind a second fence. No log is kept — the per-worker epoch
+// extents are written back in one batch, a single fence orders them, and
+// the watermark bump is flushed behind a second fence. No log is kept — the per-worker epoch
 // buffers upstream are the "log", and recovery relies purely on the
 // palloc header judgment against the watermark.
 //
@@ -26,7 +25,7 @@ func (e *bdlEngine) Format(watermark uint64) {
 
 func (e *bdlEngine) Commit() {
 	e.commitStart()
-	e.applyShards(e.exts)
+	e.apply(e.exts)
 	e.fence()
 	e.phase(obs.PhaseFlush)
 	e.heap.Store(WatermarkAddr, e.epoch)

@@ -6,8 +6,9 @@
 // which makes them — and the durable-epoch watermark — persistent in its
 // own discipline:
 //
-//	bdl     the paper's epoch engine: per-shard write-back fan-out, one
-//	        trailing fence, then a flushed watermark bump (2 fences).
+//	bdl     the paper's epoch engine: one write-back of the epoch's
+//	        extents, one trailing fence, then a flushed watermark bump
+//	        (2 fences).
 //	undo    undo logging: persist the pre-images and an armed commit
 //	        record, apply, disarm and bump the watermark (3 fences).
 //	redo4f  classic redo logging: entries / commit record / data /
@@ -32,7 +33,6 @@ package durability
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"bdhtm/internal/nvm"
@@ -68,14 +68,12 @@ const (
 const DefaultEngine = "bdl"
 
 // Engine is one epoch-close persist discipline. The epoch system drives
-// it once per closing epoch, single-threaded except that LogWrite may be
-// called concurrently for *distinct* shards (the engine may fan work out
-// internally):
+// it once per closing epoch, single-threaded:
 //
-//	Begin(x)              open the commit for epoch x
-//	LogWrite(shard, ext)  declare one extent of the epoch
-//	Commit()              make every declared extent and the
-//	                      watermark x durable
+//	Begin(x)       open the commit for epoch x
+//	LogWrite(ext)  declare one extent of the epoch
+//	Commit()       make every declared extent and the watermark x
+//	               durable
 //
 // Format initializes a fresh heap's engine words (the caller flushes
 // the root line and fences). Recover repairs the persistent image after
@@ -93,7 +91,7 @@ type Engine interface {
 	FencesPerCommit() int64
 	Format(watermark uint64)
 	Begin(epoch uint64)
-	LogWrite(shard int, ext nvm.Extent)
+	LogWrite(ext nvm.Extent)
 	Commit()
 	Watermark() uint64
 	Recover() uint64
@@ -118,13 +116,10 @@ func Names() []string { return []string{"bdl", "undo", "redo4f", "redo2f", "quad
 
 // New builds the named engine over the heap. An empty name selects
 // DefaultEngine. The recorder (which may be nil) receives the engine's
-// per-shard flush counters and fence/commit/spill counters.
-func New(name string, h *nvm.Heap, shards int, rec *obs.Recorder) (Engine, error) {
+// flush, fence, commit and spill counters.
+func New(name string, h *nvm.Heap, rec *obs.Recorder) (Engine, error) {
 	if name == "" {
 		name = DefaultEngine
-	}
-	if shards < 1 {
-		shards = 1
 	}
 	var e Engine
 	var b *base
@@ -147,8 +142,7 @@ func New(name string, h *nvm.Heap, shards int, rec *obs.Recorder) (Engine, error
 	default:
 		return nil, fmt.Errorf("durability: unknown engine %q (have %v)", name, Names())
 	}
-	b.heap, b.rec, b.shards = h, rec, shards
-	b.exts = make([][]nvm.Extent, shards)
+	b.heap, b.rec = h, rec
 	return e, nil
 }
 
@@ -162,17 +156,16 @@ func StoreWatermark(h *nvm.Heap, epoch uint64) {
 }
 
 // base carries the state and accounting shared by every engine: the
-// per-shard extent batches of the open commit, the cached watermark,
-// and the fence/flush counters.
+// extents of the open commit, the cached watermark, and the fence/flush
+// counters.
 type base struct {
-	heap   *nvm.Heap
-	rec    *obs.Recorder
-	shards int
+	heap *nvm.Heap
+	rec  *obs.Recorder
 
 	epoch uint64
 	t     int64 // obs timestamp chained through the commit's phase samples
 
-	exts [][]nvm.Extent // per shard, the open commit's extents
+	exts []nvm.Extent // the open commit's extents, in LogWrite order
 
 	watermark atomic.Uint64
 
@@ -200,8 +193,8 @@ func (b *base) Begin(epoch uint64) {
 	b.t = b.rec.Now()
 }
 
-func (b *base) LogWrite(shard int, ext nvm.Extent) {
-	b.exts[shard] = append(b.exts[shard], ext)
+func (b *base) LogWrite(ext nvm.Extent) {
+	b.exts = append(b.exts, ext)
 }
 
 // format writes the watermark and engine-identity root words. The
@@ -229,11 +222,9 @@ func (b *base) checkID(id uint64, name string) {
 	panic(fmt.Sprintf("durability: heap formatted by engine %q, recovering with %q", have, name))
 }
 
-// reset drops the committed batches, keeping capacity.
+// reset drops the committed batch, keeping capacity.
 func (b *base) reset() {
-	for sh := range b.exts {
-		b.exts[sh] = b.exts[sh][:0]
-	}
+	b.exts = b.exts[:0]
 }
 
 func (b *base) commitStart() {
@@ -255,13 +246,13 @@ func (b *base) fence() {
 // flushWord issues one accounted line flush for a control word.
 func (b *base) flushWord(a nvm.Addr) {
 	b.heap.Flush(a)
-	b.countFlushes(0, 1)
+	b.countFlushes(1)
 }
 
-func (b *base) countFlushes(shard uint64, n int64) {
+func (b *base) countFlushes(n int64) {
 	b.flushes.Add(n)
 	if b.rec != nil {
-		b.rec.MetricAdd(obs.MEngineFlushes, shard, n)
+		b.rec.MetricAdd(obs.MEngineFlushes, 0, n)
 	}
 }
 
@@ -272,46 +263,9 @@ func (b *base) phase(p obs.EpochPhase) {
 	}
 }
 
-// applyShards writes the per-shard extent batches back to the
-// persistent image, one FlushExtents batch per shard, fanned out in
-// parallel when sharded. This is exactly the write-back fan-out the
-// pre-engine epoch system performed: one PhaseShardFlush sample is
-// recorded per shard per call even when the shard is empty (sample counts
-// stay proportional to advances), and a crash-simulation panic on a shard
-// goroutine is re-raised on the caller's goroutine. It does not fence.
-func (b *base) applyShards(exts [][]nvm.Extent) {
-	if b.shards == 1 {
-		b.applyShard(0, exts[0])
-		return
-	}
-	var wg sync.WaitGroup
-	var firstPanic atomic.Pointer[any]
-	for sh := 0; sh < b.shards; sh++ {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					firstPanic.CompareAndSwap(nil, &r)
-				}
-			}()
-			b.applyShard(sh, exts[sh])
-		}(sh)
-	}
-	wg.Wait()
-	if p := firstPanic.Load(); p != nil {
-		// Re-raise the first crash-simulation panic on the task's own
-		// goroutine so crash harnesses can catch it.
-		panic(*p)
-	}
-}
-
-func (b *base) applyShard(sh int, exts []nvm.Extent) {
-	o := b.rec
-	t := o.Now()
+// apply writes a batch of extents back to the persistent image in one
+// FlushExtents call. It does not fence.
+func (b *base) apply(exts []nvm.Extent) {
 	b.heap.FlushExtents(exts)
-	b.countFlushes(uint64(sh), int64(len(exts)))
-	if o != nil {
-		o.Phase(obs.PhaseShardFlush, uint64(sh), t)
-	}
+	b.countFlushes(int64(len(exts)))
 }

@@ -60,14 +60,6 @@ type logEngine struct {
 	disc discipline
 	name string
 	id   uint64
-
-	entries []logEntry // scratch, rebuilt each commit
-}
-
-// logEntry is one extent queued for the open commit.
-type logEntry struct {
-	shard int
-	ext   nvm.Extent
 }
 
 func (e *logEngine) Name() string { return e.name }
@@ -100,38 +92,31 @@ func (e *logEngine) Format(watermark uint64) {
 }
 
 // Commit makes the epoch's extents and the watermark durable through
-// the engine's log discipline. Entries are written shard-major; when the
-// next entry would overflow the log region the current segment is sealed
+// the engine's log discipline, one entry per extent in LogWrite order; when
+// the next entry would overflow the log region the current segment is sealed
 // — logged, fenced and applied per the discipline — and the log restarts
 // (a "spill", surcharged on the fence budget and counted in
 // Accounting.Spills).
 func (e *logEngine) Commit() {
 	e.commitStart()
-	e.entries = e.entries[:0]
-	for sh := 0; sh < e.shards; sh++ {
-		for _, ex := range e.exts[sh] {
-			e.entries = append(e.entries, logEntry{shard: sh, ext: ex})
-		}
-	}
-
 	seg := 0
 	pos := logEntriesAddr
-	for i := range e.entries {
-		need := nvm.Addr(1 + e.entries[i].ext.Words)
+	for i, ex := range e.exts {
+		need := nvm.Addr(1 + ex.Words)
 		if logEntriesAddr+need > logLimitAddr {
-			panic(fmt.Sprintf("durability: extent of %d words exceeds the log region", e.entries[i].ext.Words))
+			panic(fmt.Sprintf("durability: extent of %d words exceeds the log region", ex.Words))
 		}
 		if pos+need > logLimitAddr {
-			e.commitSegment(e.entries[seg:i], pos, false)
+			e.commitSegment(e.exts[seg:i], pos, false)
 			e.spills.Add(1)
 			if e.rec != nil {
 				e.rec.MetricAdd(obs.MLogSpills, 0, 1)
 			}
 			seg, pos = i, logEntriesAddr
 		}
-		pos = e.writeEntry(pos, e.entries[i])
+		pos = e.writeEntry(pos, ex)
 	}
-	e.commitSegment(e.entries[seg:], pos, true)
+	e.commitSegment(e.exts[seg:], pos, true)
 	e.phase(obs.PhaseFlush)
 	e.phase(obs.PhaseRoot)
 	e.watermark.Store(e.epoch)
@@ -143,20 +128,20 @@ func (e *logEngine) Commit() {
 // volatile values for the redo family, the persistent-image pre-images
 // for undo (read before this segment's apply, so rollback restores the
 // media state the commit found).
-func (e *logEngine) writeEntry(pos nvm.Addr, en logEntry) nvm.Addr {
+func (e *logEngine) writeEntry(pos nvm.Addr, ext nvm.Extent) nvm.Addr {
 	h := e.heap
-	h.Store(pos, uint64(en.ext.Addr)<<16|uint64(en.ext.Words))
-	for i := 0; i < en.ext.Words; i++ {
+	h.Store(pos, uint64(ext.Addr)<<16|uint64(ext.Words))
+	for i := 0; i < ext.Words; i++ {
 		var v uint64
 		if e.disc == discUndo {
-			v = h.PersistedLoad(en.ext.Addr + nvm.Addr(i))
+			v = h.PersistedLoad(ext.Addr + nvm.Addr(i))
 		} else {
-			v = atomic.LoadUint64(h.WordPtr(en.ext.Addr + nvm.Addr(i)))
+			v = atomic.LoadUint64(h.WordPtr(ext.Addr + nvm.Addr(i)))
 		}
 		h.Store(pos+1+nvm.Addr(i), v)
 	}
-	e.logWords.Add(int64(1 + en.ext.Words))
-	return pos + nvm.Addr(1+en.ext.Words)
+	e.logWords.Add(int64(1 + ext.Words))
+	return pos + nvm.Addr(1+ext.Words)
 }
 
 // logChecksum mixes the epoch and the entry words [logEntriesAddr, end)
@@ -183,7 +168,7 @@ func (e *logEngine) flushLog(end nvm.Addr) {
 	}
 	e.heap.FlushRange(logEntriesAddr, words)
 	lines := int64((end-1)/nvm.LineWords - logEntriesAddr/nvm.LineWords + 1)
-	e.countFlushes(0, lines)
+	e.countFlushes(lines)
 }
 
 // writeRecord stores and flushes the commit record in one line-atomic
@@ -216,18 +201,13 @@ func (e *logEngine) bumpWatermark(epoch uint64) {
 // them. Within one segment the flushes are program-ordered, which the
 // simulator makes synchronous; the fence placement is what the budget
 // accounting (and a real machine) would pay.
-func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) {
+func (e *logEngine) commitSegment(exts []nvm.Extent, end nvm.Addr, final bool) {
 	state := recCommitted
 	if e.disc == discUndo {
 		state = recArmed
 	}
 	if final {
 		state |= recFinalBit
-	}
-
-	exts := make([][]nvm.Extent, e.shards)
-	for _, en := range entries {
-		exts[en.shard] = append(exts[en.shard], en.ext)
 	}
 
 	switch e.disc {
@@ -238,7 +218,7 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		e.writeRecord(end, state)
 		e.fence()
 		// F2: the data write-back is durable.
-		e.applyShards(exts)
+		e.apply(exts)
 		e.fence()
 		// F3: disarm strictly before the watermark advances, so "record
 		// armed" always implies "watermark still behind" — a crash
@@ -254,7 +234,7 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		e.fence() // F1: entries durable
 		e.writeRecord(end, state)
 		e.fence() // F2: commit point
-		e.applyShards(exts)
+		e.apply(exts)
 		e.fence() // F3: data durable
 		if final {
 			e.bumpWatermark(e.epoch)
@@ -265,7 +245,7 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		e.flushLog(end)
 		e.writeRecord(end, state)
 		e.fence() // F1: commit point (entries program-ordered before the record)
-		e.applyShards(exts)
+		e.apply(exts)
 		if final {
 			e.bumpWatermark(e.epoch)
 		}
@@ -280,7 +260,7 @@ func (e *logEngine) commitSegment(entries []logEntry, end nvm.Addr, final bool) 
 		// once the next commit starts rewriting the entry area.
 		e.flushLog(end)
 		e.writeRecord(end, state)
-		e.applyShards(exts)
+		e.apply(exts)
 		if final {
 			e.bumpWatermark(e.epoch)
 		}
@@ -364,7 +344,7 @@ func (e *logEngine) replay(words nvm.Addr, reverse bool) {
 			h.Store(s.ext.Addr+nvm.Addr(i), h.Load(s.pos+1+nvm.Addr(i)))
 		}
 		h.FlushRange(s.ext.Addr, s.ext.Words)
-		e.countFlushes(0, 1)
+		e.countFlushes(1)
 	}
 	if reverse {
 		for i := len(spans) - 1; i >= 0; i-- {

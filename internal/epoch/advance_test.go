@@ -1,7 +1,6 @@
 package epoch
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,34 +18,37 @@ func putRetire(w *Worker, key uint64) {
 	w.EndOp()
 }
 
+// TestShardedAdvancePreservesSemantics: one task collects every registered
+// worker's buffers — eight workers tracking in the same Manual-mode epoch
+// all recover after a Sync and a crash.
 func TestShardedAdvancePreservesSemantics(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		h := nvm.New(nvm.Config{Words: 1 << 18})
-		s := New(h, Config{Manual: true, Shards: shards})
-		ws := make([]*Worker, 8)
-		for i := range ws {
-			ws[i] = s.Register()
+	h := nvm.New(nvm.Config{Words: 1 << 18})
+	s := New(h, Config{Manual: true})
+	ws := make([]*Worker, 8)
+	for i := range ws {
+		ws[i] = s.Register()
+	}
+	for i, w := range ws {
+		for k := uint64(0); k < 8; k++ {
+			putKV(w, uint64(i)*100+k, k)
 		}
-		for i, w := range ws {
-			for k := uint64(0); k < 8; k++ {
-				putKV(w, uint64(i)*100+k, k)
-			}
-		}
-		s.Sync()
-		s.SimulateCrash(nvm.CrashOptions{})
-		_, got := recoverAll(h)
-		if len(got) != 64 {
-			t.Fatalf("shards=%d: recovered %d blocks, want 64", shards, len(got))
-		}
+	}
+	s.Sync()
+	s.SimulateCrash(nvm.CrashOptions{})
+	_, got := recoverAll(h)
+	if len(got) != 64 {
+		t.Fatalf("recovered %d blocks, want 64", len(got))
 	}
 }
 
+// TestShardedStatsParity: the block counters add up over eight workers —
+// every block one of them retired is counted retired once and, two
+// advances after its epoch persisted, freed once.
 func TestShardedStatsParity(t *testing.T) {
-	const shards = 4
 	h := nvm.New(nvm.Config{Words: 1 << 18})
-	s := New(h, Config{Manual: true, Shards: shards})
+	s := New(h, Config{Manual: true})
 	defer s.Stop()
-	ws := make([]*Worker, 8) // two workers per shard
+	ws := make([]*Worker, 8)
 	for i := range ws {
 		ws[i] = s.Register()
 	}
@@ -60,34 +62,15 @@ func TestShardedStatsParity(t *testing.T) {
 	s.AdvanceOnce()
 
 	st := s.Stats()
-	if st.Shards != shards || len(st.PerShard) != shards {
-		t.Fatalf("Shards=%d PerShard len=%d, want %d", st.Shards, len(st.PerShard), shards)
-	}
-	var f, r, fr int64
-	for i, ps := range st.PerShard {
-		if ps.FreedBlocks > ps.RetiredBlocks {
-			t.Fatalf("shard %d: freed %d > retired %d", i, ps.FreedBlocks, ps.RetiredBlocks)
-		}
-		f += ps.FlushedBlocks
-		r += ps.RetiredBlocks
-		fr += ps.FreedBlocks
-	}
-	if f != st.FlushedBlocks || r != st.RetiredBlocks || fr != st.FreedBlocks {
-		t.Fatalf("per-shard sums (%d,%d,%d) != aggregates (%d,%d,%d)",
-			f, r, fr, st.FlushedBlocks, st.RetiredBlocks, st.FreedBlocks)
-	}
-	// Workers 0..7 map to shards round-robin; every shard saw traffic.
-	for i, ps := range st.PerShard {
-		if ps.RetiredBlocks == 0 {
-			t.Fatalf("shard %d retired nothing; worker->shard mapping broken", i)
-		}
-	}
 	want := int64(0)
 	for i := 0; i < 8; i++ {
 		want += 4 + int64(i)
 	}
 	if st.RetiredBlocks != want || st.FreedBlocks != want {
 		t.Fatalf("retired=%d freed=%d, want both %d", st.RetiredBlocks, st.FreedBlocks, want)
+	}
+	if st.FlushedBlocks != want {
+		t.Fatalf("flushed=%d, want %d (one write-back per inserted block)", st.FlushedBlocks, want)
 	}
 }
 
@@ -96,7 +79,7 @@ func TestShardedStatsParity(t *testing.T) {
 // it without another advance.
 func TestAsyncManualPipelinesFlush(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 16})
-	s := New(h, Config{Manual: true, Shards: 2})
+	s := New(h, Config{Manual: true})
 	w := s.Register()
 	putKV(w, 3, 30)
 	e := s.GlobalEpoch()
@@ -125,7 +108,7 @@ func TestAsyncManualPipelinesFlush(t *testing.T) {
 
 func TestAsyncBackgroundAdvancer(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 18})
-	s := New(h, Config{EpochLength: time.Millisecond, Shards: 2})
+	s := New(h, Config{EpochLength: time.Millisecond})
 	w := s.Register()
 	for k := uint64(0); k < 32; k++ {
 		putKV(w, k, k+1)
@@ -146,7 +129,7 @@ func TestAsyncBackgroundAdvancer(t *testing.T) {
 // flusher is idle the persisted clock trails by exactly one.
 func TestAsyncWindowInvariant(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 22})
-	s := New(h, Config{EpochLength: 200 * time.Microsecond, Shards: 4})
+	s := New(h, Config{EpochLength: 200 * time.Microsecond})
 	defer s.Stop()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -209,7 +192,7 @@ func TestWorkerChurnNoLostRetires(t *testing.T) {
 	// run right after each advance.
 	for _, flush := range []bool{false, true} {
 		h := nvm.New(nvm.Config{Words: 1 << 22})
-		s := New(h, Config{Manual: true, Shards: 4})
+		s := New(h, Config{Manual: true})
 		var retired atomic.Int64
 		var stop atomic.Bool
 		var churn sync.WaitGroup
@@ -273,11 +256,10 @@ func TestWorkerChurnNoLostRetires(t *testing.T) {
 
 // TestStatsConsistentSnapshot is the regression test for the torn
 // freed/retired read: Stats taken while advances and retires are in full
-// flight must never show freed > retired (in aggregate or per shard) and
-// per-shard columns must always sum to the aggregates.
+// flight must never show freed > retired.
 func TestStatsConsistentSnapshot(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 22})
-	s := New(h, Config{Manual: true, Shards: 4})
+	s := New(h, Config{Manual: true})
 	defer s.Stop()
 	var stop atomic.Bool
 	var churn sync.WaitGroup
@@ -314,65 +296,46 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 			stop.Store(true)
 			break
 		}
-		var f, fr int64
-		for i, ps := range st.PerShard {
-			if ps.FreedBlocks > ps.RetiredBlocks {
-				t.Errorf("shard %d torn: freed=%d > retired=%d", i, ps.FreedBlocks, ps.RetiredBlocks)
-				stop.Store(true)
-			}
-			f += ps.FlushedBlocks
-			fr += ps.FreedBlocks
-		}
-		if f != st.FlushedBlocks || fr != st.FreedBlocks {
-			t.Errorf("per-shard sums (%d,%d) != aggregates (%d,%d)",
-				f, fr, st.FlushedBlocks, st.FreedBlocks)
-			stop.Store(true)
-		}
 	}
 	wg.Wait()
 }
 
 // BenchmarkAdvance measures closing and persisting one write-heavy epoch
 // (8 workers x 16 tracked blocks) — the advancer's step plus the
-// flusher's — across shard counts, under the Optane latency profile so
-// flush fan-out parallelism shows.
+// flusher's — under the Optane latency profile.
 func BenchmarkAdvance(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			h := nvm.New(nvm.Config{Words: 1 << 24, Latency: nvm.OptaneProfile})
-			s := New(h, Config{Manual: true, Shards: shards})
-			defer s.Stop()
-			ws := make([]*Worker, 8)
-			for i := range ws {
-				ws[i] = s.Register()
-			}
-			var key uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				blocks := make([]Block, 0, 8*16)
-				for _, w := range ws {
-					for k := 0; k < 16; k++ {
-						key++
-						blocks = append(blocks, putKV(w, key, key))
-					}
-				}
-				b.StartTimer()
-				s.AdvanceOnce()
-				s.FlushOnce()
-				b.StopTimer()
-				// Retire outside the timed region to keep the heap small.
-				w := ws[0]
-				for _, blk := range blocks {
-					w.BeginOp()
-					w.PRetire(blk)
-					w.EndOp()
-				}
-				s.Sync()
-				b.StartTimer()
-			}
-			st := s.Stats()
-			b.ReportMetric(float64(st.AdvanceP99NS), "p99-ns")
-		})
+	h := nvm.New(nvm.Config{Words: 1 << 24, Latency: nvm.OptaneProfile})
+	s := New(h, Config{Manual: true})
+	defer s.Stop()
+	ws := make([]*Worker, 8)
+	for i := range ws {
+		ws[i] = s.Register()
 	}
+	var key uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		blocks := make([]Block, 0, 8*16)
+		for _, w := range ws {
+			for k := 0; k < 16; k++ {
+				key++
+				blocks = append(blocks, putKV(w, key, key))
+			}
+		}
+		b.StartTimer()
+		s.AdvanceOnce()
+		s.FlushOnce()
+		b.StopTimer()
+		// Retire outside the timed region to keep the heap small.
+		w := ws[0]
+		for _, blk := range blocks {
+			w.BeginOp()
+			w.PRetire(blk)
+			w.EndOp()
+		}
+		s.Sync()
+		b.StartTimer()
+	}
+	st := s.Stats()
+	b.ReportMetric(float64(st.AdvanceP99NS), "p99-ns")
 }

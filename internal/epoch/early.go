@@ -92,11 +92,9 @@ func (s *System) earlyPass(force bool) {
 	}
 
 	t0 := time.Now()
-	exts, marks, counts := s.earlyExts[:0], s.earlyMarks[:0], s.taskFlushed
-	clear(counts)
+	exts, marks := s.earlyExts[:0], s.earlyMarks[:0]
 	for i := 0; i < n; i++ {
-		w := s.workers[i]
-		buf := &w.bufs[slot]
+		buf := &s.workers[i].bufs[slot]
 		lo, hi := buf.early.Load(), buf.published.Load()
 		if lo == hi {
 			continue
@@ -105,7 +103,6 @@ func (s *System) earlyPass(force bool) {
 			exts = append(exts, nvm.Extent{Addr: b, Words: palloc.ClassWords(s.alloc.ReadHeader(b).Class)})
 		}
 		marks = append(marks, earlyMark{buf: buf, to: hi})
-		counts[w.shard] += hi - lo
 	}
 	s.earlyExts, s.earlyMarks = exts, marks
 	if len(exts) == 0 {
@@ -117,19 +114,14 @@ func (s *System) earlyPass(force bool) {
 	}
 	s.noteCost(time.Since(t0), len(exts))
 
+	f := int64(len(exts))
 	s.advSeq.Add(1)
-	for sh, f := range counts {
-		s.shardCtrs[sh].flushed.Add(f)
-	}
-	s.earlyFlushed.Add(int64(len(exts)))
+	s.flushed.Add(f)
+	s.earlyFlushed.Add(f)
 	s.advSeq.Add(1)
 	if o := s.cfg.Obs; o != nil {
-		for sh, f := range counts {
-			if f != 0 {
-				o.MetricAdd(obs.MFlushedBlocks, uint64(sh), f)
-				o.MetricAdd(obs.MEarlyFlushedBlocks, uint64(sh), f)
-			}
-		}
+		o.MetricAdd(obs.MFlushedBlocks, 0, f)
+		o.MetricAdd(obs.MEarlyFlushedBlocks, 0, f)
 	}
 }
 

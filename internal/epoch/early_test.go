@@ -145,7 +145,7 @@ func TestEarlyThresholdFromMeasuredCost(t *testing.T) {
 func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 	const workers, keys, ops = 4, 32, 3000
 	h := nvm.New(nvm.Config{Words: 1 << 20})
-	s := New(h, Config{Manual: true, Shards: 2})
+	s := New(h, Config{Manual: true})
 	var stop atomic.Bool
 	var bg sync.WaitGroup
 	bg.Add(2)
@@ -174,7 +174,10 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 			w := s.Register()
 			live := map[uint64]Block{}
 			want[g] = map[uint64]uint64{}
-			for i := uint64(0); i < ops; i++ {
+			// Past ops, keep going until some early pass has landed: on a
+			// loaded host the workers can otherwise finish before the
+			// early-pass goroutine is first scheduled.
+			for i := uint64(0); i < ops || s.earlyFlushed.Load() == 0; i++ {
 				k := uint64(g)*keys + i*7%keys
 				e := w.BeginOp()
 				if b, ok := live[k]; ok && b.Epoch() == e {

@@ -88,13 +88,6 @@ type Config struct {
 	// AdvanceOnce or Sync — a flusher a full epoch behind. Used by tests
 	// and deterministic examples.
 	Manual bool
-	// Shards is the width of the persistence path: the parallel flush
-	// fan-out during an advance, the per-shard block-lifecycle counters,
-	// and the allocator's magazine caches are all striped this many ways,
-	// with workers mapped to shards by ID. Rounded down to a power of two
-	// and clamped to [1, 32] (obs.NumShards) so a shard index is also an
-	// exact obs counter lane. Default 1 — the serial path.
-	Shards int
 	// RecoveryWorkers is the number of goroutines Recover partitions the
 	// slab header scan across (Sec. 5.2's judgment is independent per
 	// block, so the scan parallelizes by slab range). 0 or 1 selects the
@@ -116,9 +109,9 @@ type Config struct {
 	// heap; mixing them panics.
 	Engine string
 	// Obs, when non-nil, receives the epoch-advance phase timeline
-	// (quiesce/flush/root/reclaim durations plus per-shard fan-out
-	// timings), advance events, per-shard block-lifecycle counters, the
-	// flusher queue-depth gauge, and the allocator's alloc/free events.
+	// (quiesce/flush/root/reclaim durations), advance events, the
+	// block-lifecycle counters, the flusher queue-depth gauge, and the
+	// allocator's alloc/free events.
 	// It does not reach the heap: attach a recorder there separately
 	// (nvm.Heap.SetObs) if persist events are wanted too.
 	Obs *obs.Recorder
@@ -130,15 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWorkers == 0 {
 		c.MaxWorkers = 256
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if c.Shards > obs.NumShards {
-		c.Shards = obs.NumShards
-	}
-	for c.Shards&(c.Shards-1) != 0 {
-		c.Shards &= c.Shards - 1
 	}
 	if c.RecoveryWorkers < 1 {
 		c.RecoveryWorkers = 1
@@ -184,7 +168,6 @@ type Stats struct {
 	JournalRecordsApplied int64
 	JournalPagesErased    int64
 
-	Shards       int   // persistence-path shard count (Config.Shards)
 	Backpressure int64 // advances that waited for the flusher goroutine to land the previous epoch
 	AdvanceP99NS int64 // p99 of AdvanceOnce wall time, nanoseconds
 
@@ -198,28 +181,6 @@ type Stats struct {
 	EngineFlushes  int64
 	EngineLogWords int64
 	LogSpills      int64
-
-	// PerShard is the per-flusher-shard decomposition of the flushed /
-	// retired / freed totals (len == Shards; sums equal the aggregates).
-	PerShard []ShardCounters
-}
-
-// ShardCounters is one flusher shard's slice of the block-lifecycle
-// counters.
-type ShardCounters struct {
-	FlushedBlocks int64
-	RetiredBlocks int64
-	FreedBlocks   int64
-}
-
-// shardCtr is one shard's cache-line-padded counter stripe. Retired is
-// bumped worker-side by PRetire; flushed and freed are published by the
-// advancer in one burst per task under the advSeq seqlock.
-type shardCtr struct {
-	flushed atomic.Int64
-	retired atomic.Int64
-	freed   atomic.Int64
-	_       [5]int64
 }
 
 // System is a BDL epoch system over one NVM heap.
@@ -264,9 +225,14 @@ type System struct {
 	recoveryScanNS    atomic.Int64 // set once by Recover
 	recoveryRebuildNS atomic.Int64 // set once by Recover
 
-	shardCtrs []shardCtr    // per-shard flushed/retired/freed
-	advSeq    atomic.Uint64 // seqlock over each task's counter burst
-	advHist   obs.Hist      // AdvanceOnce wall-time distribution
+	// Block-lifecycle counters. Retired is bumped worker-side by PRetire;
+	// flushed and freed are published by the flusher in one burst per task
+	// or early pass under the advSeq seqlock.
+	flushed atomic.Int64
+	retired atomic.Int64
+	freed   atomic.Int64
+	advSeq  atomic.Uint64 // seqlock over each task's counter burst
+	advHist obs.Hist      // AdvanceOnce wall-time distribution
 
 	journal            journal // the flusher's retire-journal state (journal.go)
 	journalRecords     atomic.Int64
@@ -283,13 +249,11 @@ type System struct {
 	// advMu and FlushEarly on its caller's goroutine.
 	taskMu sync.Mutex
 
-	// runTask's per-shard scratch — the epoch's tracked and retired block
-	// addresses and flushed counts. Tasks are serialised, so one set,
-	// emptied at the start of each task, serves them all (and the early
-	// pass, which borrows the counts).
-	taskPersist [][]nvm.Addr
-	taskRetire  [][]nvm.Addr
-	taskFlushed []int64
+	// runTask's scratch — the epoch's tracked and retired block
+	// addresses. Tasks are serialised, so one pair, emptied at the start of
+	// each task, serves them all.
+	taskPersist []nvm.Addr
+	taskRetire  []nvm.Addr
 
 	// Early write-back (early.go). earlyAt is the per-worker published
 	// backlog that rings the flusher; trackers — the workers that tracked
@@ -314,23 +278,17 @@ type System struct {
 // startAdvancer.
 func newSystem(h *nvm.Heap, cfg Config) *System {
 	s := &System{
-		heap:      h,
-		alloc:     palloc.New(h),
-		cfg:       cfg,
-		workers:   make([]*Worker, cfg.MaxWorkers),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		shardCtrs: make([]shardCtr, cfg.Shards),
-
-		taskPersist: make([][]nvm.Addr, cfg.Shards),
-		taskRetire:  make([][]nvm.Addr, cfg.Shards),
-		taskFlushed: make([]int64, cfg.Shards),
+		heap:    h,
+		alloc:   palloc.New(h),
+		cfg:     cfg,
+		workers: make([]*Worker, cfg.MaxWorkers),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	s.pendCond = sync.NewCond(&s.pendMu)
 	s.earlyAt.Store(neverEarly)
 	s.alloc.SetObs(cfg.Obs)
-	s.alloc.SetShards(cfg.Shards)
-	eng, err := durability.New(cfg.Engine, h, cfg.Shards, cfg.Obs)
+	eng, err := durability.New(cfg.Engine, h, cfg.Obs)
 	if err != nil {
 		panic(err)
 	}
@@ -519,11 +477,11 @@ func (s *System) notifyDurable(p uint64) {
 // burst per flush task under the advSeq seqlock, so a snapshot never
 // shows a task's counters half-applied. Retired is bumped worker-side
 // outside the seqlock; it is loaded strictly after freed, which keeps
-// the fuzzer's conservation invariant (freed <= retired, per shard and
-// in aggregate) true in every snapshot: each freed block was retired
-// earlier, and both counters are monotone.
+// the fuzzer's conservation invariant (freed <= retired) true in every
+// snapshot: each freed block was retired earlier, and both counters are
+// monotone.
 func (s *System) Stats() Stats {
-	st := Stats{Shards: s.cfg.Shards}
+	var st Stats
 	for {
 		s1 := s.advSeq.Load()
 		if s1&1 != 0 {
@@ -532,30 +490,16 @@ func (s *System) Stats() Stats {
 		}
 		st.Advances = s.advances.Load()
 		st.Backpressure = s.backpressure.Load()
-		ps := make([]ShardCounters, s.cfg.Shards)
 		st.JournalRecords = s.journalRecords.Load()
 		st.JournalCheckpoints = s.journalCheckpoints.Load()
 		st.EarlyFlushedBlocks = s.earlyFlushed.Load()
-		var flushed, freed int64
-		for i := range ps {
-			ps[i].FlushedBlocks = s.shardCtrs[i].flushed.Load()
-			ps[i].FreedBlocks = s.shardCtrs[i].freed.Load()
-			flushed += ps[i].FlushedBlocks
-			freed += ps[i].FreedBlocks
+		st.FlushedBlocks = s.flushed.Load()
+		st.FreedBlocks = s.freed.Load()
+		if s.advSeq.Load() == s1 {
+			break
 		}
-		if s.advSeq.Load() != s1 {
-			continue
-		}
-		st.PerShard = ps
-		st.FlushedBlocks = flushed
-		st.FreedBlocks = freed
-		break
 	}
-	for i := range st.PerShard {
-		v := s.shardCtrs[i].retired.Load()
-		st.PerShard[i].RetiredBlocks = v
-		st.RetiredBlocks += v
-	}
+	st.RetiredBlocks = s.retired.Load()
 	st.Resurrected = s.resurrected.Load()
 	st.RecoveredLive = s.recoveredLive.Load()
 	st.JournalPagesRead = s.journalPagesRead
@@ -601,7 +545,7 @@ func (s *System) Stop() {
 //  2. publish the new active epoch e+1;
 //  3. hand epoch e — which quiesces once its in-flight operations drain —
 //     to the flusher, whose task (runTask) flushes every NVM write tracked
-//     in e, fanned out across Config.Shards, and the journal pages
+//     in e that no early pass wrote back, and the journal pages
 //     recording the blocks retired in e, durably advances the watermark
 //     to e, and reclaims e's retired blocks.
 //
@@ -662,11 +606,10 @@ func (s *System) stampClosed(e uint64) {
 }
 
 // runTask persists epoch x: it waits for x to quiesce, collects every
-// worker's tracked blocks for x that no early pass wrote back, partitioned
-// by flusher shard, journals x's retirements, hands the lot to the
-// durability engine (which writes it back and durably advances the
-// watermark to x in its own discipline), and reclaims x's retired blocks
-// in address order. Callers guarantee x < the active epoch.
+// worker's tracked blocks for x that no early pass wrote back, journals x's
+// retirements, hands the lot to the durability engine (which writes it back
+// and durably advances the watermark to x in its own discipline), and
+// reclaims x's retired blocks in address order. Callers guarantee x < the active epoch.
 func (s *System) runTask(x uint64) {
 	s.taskMu.Lock()
 	defer s.taskMu.Unlock()
@@ -680,69 +623,43 @@ func (s *System) runTask(x uint64) {
 		t = o.Phase(obs.PhaseQuiesce, x, t)
 	}
 
-	// (2) Collect the per-worker buffers for x, partitioned by shard: of
-	// the tracked blocks, those after the last early pass.
-	shards := s.cfg.Shards
-	persist, retire, flushed := s.taskPersist, s.taskRetire, s.taskFlushed
-	for sh := range persist {
-		persist[sh], retire[sh], flushed[sh] = persist[sh][:0], retire[sh][:0], 0
-	}
+	// (2) Collect the per-worker buffers for x: of the tracked blocks,
+	// those after the last early pass.
+	persist, retire := s.taskPersist[:0], s.taskRetire[:0]
 	n := int(s.nWorkers.Load())
 	slot := int(x % numSlots)
 	s.trackers = 0
 	for i := 0; i < n; i++ {
-		w := s.workers[i]
-		buf := &w.bufs[slot]
+		buf := &s.workers[i].bufs[slot]
 		if len(buf.persist) > 0 {
 			s.trackers++
 		}
-		persist[w.shard] = append(persist[w.shard], buf.persist[buf.early.Load():]...)
-		retire[w.shard] = append(retire[w.shard], buf.retire...)
+		persist = append(persist, buf.persist[buf.early.Load():]...)
+		retire = append(retire, buf.retire...)
 		buf.reset()
 	}
+	s.taskPersist, s.taskRetire = persist, retire
 
 	// (3)+(4) Hand the epoch's extents — tracked blocks, then the journal's
 	// pages and checkpoints — to the durability engine,
 	// which makes them and the watermark durable in its own discipline
-	// (for BDL: the per-shard write-back fan-out, one combining fence,
-	// and a flushed watermark bump — the engine also records the
-	// PhaseFlush/PhaseRoot samples at the matching points). Under eADR
-	// the engine is skipped entirely: every store is already durable and
-	// only the watermark word needs recording.
-	var records, checkpoints int64
+	// (for BDL: one write-back of the batch, one fence, and a flushed
+	// watermark bump — the engine also records the PhaseFlush/PhaseRoot
+	// samples at the matching points). Under eADR the engine is skipped
+	// entirely: every store is already durable and only the watermark word
+	// needs recording.
+	var flushed, records, checkpoints int64
 	if !s.eadr() {
 		t0 := time.Now()
 		s.eng.Begin(x)
-		// Per-block header reads dominate collection, so fan the shard
-		// loops out like the flush itself; LogWrite is safe for distinct
-		// shards concurrently (it only appends to per-shard batches).
-		collect := func(sh int) {
-			for _, b := range persist[sh] {
-				hdr := s.alloc.ReadHeader(b)
-				s.eng.LogWrite(sh, nvm.Extent{Addr: b, Words: palloc.ClassWords(hdr.Class)})
-			}
-			flushed[sh] = int64(len(persist[sh]))
+		for _, b := range persist {
+			hdr := s.alloc.ReadHeader(b)
+			s.eng.LogWrite(nvm.Extent{Addr: b, Words: palloc.ClassWords(hdr.Class)})
 		}
-		if shards == 1 {
-			collect(0)
-		} else {
-			var wg sync.WaitGroup
-			for sh := 0; sh < shards; sh++ {
-				wg.Add(1)
-				go func(sh int) {
-					defer wg.Done()
-					collect(sh)
-				}(sh)
-			}
-			wg.Wait()
-		}
+		flushed = int64(len(persist))
 		records, checkpoints = s.journalEpoch(x, retire)
 		s.eng.Commit()
-		blocks := 0
-		for _, f := range flushed {
-			blocks += int(f)
-		}
-		s.noteCost(time.Since(t0), blocks)
+		s.noteCost(time.Since(t0), len(persist))
 		s.persisted.Store(s.eng.Watermark())
 		s.notifyDurable(s.eng.Watermark())
 		s.planRecycle(x + 1)
@@ -773,29 +690,20 @@ func (s *System) runTask(x uint64) {
 	// The batch free pushes them in descending address order, so the
 	// epochs after allocate them in ascending order and the blocks one of
 	// them tracks share lines and XPLines.
-	for _, r := range retire {
-		s.alloc.FreeBatch(r)
-	}
+	s.alloc.FreeBatch(retire)
 
 	// Publish the task's counter burst under the seqlock so Stats never
 	// observes it half-applied.
+	freed := int64(len(retire))
 	s.advSeq.Add(1)
-	for sh := 0; sh < shards; sh++ {
-		s.shardCtrs[sh].flushed.Add(flushed[sh])
-		s.shardCtrs[sh].freed.Add(int64(len(retire[sh])))
-	}
+	s.flushed.Add(flushed)
+	s.freed.Add(freed)
 	s.journalRecords.Add(records)
 	s.journalCheckpoints.Add(checkpoints)
 	s.advSeq.Add(1)
 	if o != nil {
-		for sh := 0; sh < shards; sh++ {
-			if f := flushed[sh]; f != 0 {
-				o.MetricAdd(obs.MFlushedBlocks, uint64(sh), f)
-			}
-			if f := int64(len(retire[sh])); f != 0 {
-				o.MetricAdd(obs.MFreedBlocks, uint64(sh), f)
-			}
-		}
+		o.MetricAdd(obs.MFlushedBlocks, 0, flushed)
+		o.MetricAdd(obs.MFreedBlocks, 0, freed)
 		o.MetricAdd(obs.MJournalRecords, 0, records)
 		o.MetricAdd(obs.MJournalCheckpoints, 0, checkpoints)
 		o.Phase(obs.PhaseReclaim, x, t)
@@ -851,7 +759,7 @@ func (s *System) Register() *Worker {
 	if id >= s.cfg.MaxWorkers {
 		panic(fmt.Sprintf("epoch: more than %d workers", s.cfg.MaxWorkers))
 	}
-	w := &Worker{sys: s, id: id, shard: id & (s.cfg.Shards - 1)}
+	w := &Worker{sys: s, id: id}
 	s.workers[id] = w
 	s.nWorkers.Add(1) // publish after the slot is filled (waitQuiesce reads lock-free)
 	return w

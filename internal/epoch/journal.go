@@ -136,13 +136,13 @@ func (s *System) planRecycle(x uint64) {
 // journalEpoch is the journal's share of runTask(x), between the engine's
 // Begin and Commit: it recycles the pages written K epochs ago as the task
 // before planned it (planRecycle), queuing the checkpoints, and writes x's
-// retirements into fresh pages. Every extent goes to shard 0.
-func (s *System) journalEpoch(x uint64, retire [][]nvm.Addr) (records, checkpoints int64) {
+// retirements into fresh pages.
+func (s *System) journalEpoch(x uint64, retire []nvm.Addr) (records, checkpoints int64) {
 	j, h := &s.journal, s.heap
 	j.free = append(j.free, j.cooling...)
 	j.cooling = append(j.cooling[:0], j.recycle...)
 	for _, b := range j.checkpoints {
-		s.eng.LogWrite(0, nvm.Extent{Addr: b, Words: palloc.HeaderWords})
+		s.eng.LogWrite(nvm.Extent{Addr: b, Words: palloc.HeaderWords})
 	}
 	checkpoints = int64(len(j.checkpoints))
 	j.recycle, j.checkpoints = j.recycle[:0], j.checkpoints[:0]
@@ -156,25 +156,23 @@ func (s *System) journalEpoch(x uint64, retire [][]nvm.Addr) (records, checkpoin
 		for i := used + 1; i < pageWords; i++ {
 			h.Store(page+nvm.Addr(i), 0) // a reused page's old tail
 		}
-		s.eng.LogWrite(0, nvm.Extent{Addr: page, Words: pageWords})
+		s.eng.LogWrite(nvm.Extent{Addr: page, Words: pageWords})
 	}
-	for _, blocks := range retire {
-		for _, b := range blocks {
-			if used == pageRecords {
-				seal()
-				if len(j.free) == 0 {
-					j.pushPages(s.alloc.FormatJournalSlab())
-				}
-				page = j.free[len(j.free)-1]
-				j.free = j.free[:len(j.free)-1]
-				j.live = append(j.live, journalPage{addr: page, epoch: x})
-				h.Store(page, pageMagic|x)
-				used = 0
+	for _, b := range retire {
+		if used == pageRecords {
+			seal()
+			if len(j.free) == 0 {
+				j.pushPages(s.alloc.FormatJournalSlab())
 			}
-			used++
-			h.Store(page+nvm.Addr(used), packRecord(b, x))
-			records++
+			page = j.free[len(j.free)-1]
+			j.free = j.free[:len(j.free)-1]
+			j.live = append(j.live, journalPage{addr: page, epoch: x})
+			h.Store(page, pageMagic|x)
+			used = 0
 		}
+		used++
+		h.Store(page+nvm.Addr(used), packRecord(b, x))
+		records++
 	}
 	seal()
 	return records, checkpoints

@@ -20,7 +20,7 @@ import "bdhtm/internal/htm"
 // per-key-shard watermark to its operation epoch inside the transaction,
 // and every absence-dependent path (a fresh insert, or a remove that
 // found nothing) checks the watermark and restarts in a newer epoch if a
-// newer removal has been recorded. Shards are transactional DRAM words,
+// newer removal has been recorded. The watermarks are transactional DRAM words,
 // so HTM conflict detection (or, when the body runs as a session, the
 // stamp word's line lock) orders racing removals and inserts for free;
 // sharding by key hash keeps unrelated keys from contending. The stamps

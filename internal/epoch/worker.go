@@ -48,9 +48,8 @@ func (b *opBuf) reset() {
 // the Table 2 API: BeginOp/EndOp/AbortOp bracket each data-structure
 // operation; PNew/PTrack/PRetire/PDelete manage NVM blocks.
 type Worker struct {
-	sys   *System
-	id    int
-	shard int // flusher shard (id & (Config.Shards-1))
+	sys *System
+	id  int
 
 	// ann is the worker's slot in the announcement array: 0 when idle,
 	// otherwise the epoch of the operation in progress.
@@ -140,7 +139,7 @@ func (w *Worker) PNew(payloadWords int, tag uint8) Block {
 	if w.inTxn {
 		panic("epoch: PNew inside a transaction body would abort it (or flush under a session's line locks); preallocate outside (Listing 1)")
 	}
-	b := w.sys.alloc.AllocWordsShard(payloadWords, tag, w.shard)
+	b := w.sys.alloc.AllocWords(payloadWords, tag)
 	return Block{sys: w.sys, addr: b}
 }
 
@@ -153,7 +152,7 @@ func (w *Worker) PDelete(b Block) {
 	if w.inTxn {
 		panic("epoch: PDelete inside a transaction body would abort it (or flush under a session's line locks)")
 	}
-	w.sys.alloc.FreeShard(b.addr, w.shard)
+	w.sys.alloc.Free(b.addr)
 }
 
 // PTrack tracks a block in the current operation's epoch: its contents
@@ -185,9 +184,9 @@ func (w *Worker) PRetire(b Block) {
 	al.WriteHeader(b.addr, hdr)
 	buf := &w.bufs[w.opEpoch%numSlots]
 	buf.retire = append(buf.retire, b.addr)
-	w.sys.shardCtrs[w.shard].retired.Add(1)
+	w.sys.retired.Add(1)
 	if o := w.sys.cfg.Obs; o != nil {
-		o.MetricAdd(obs.MRetiredBlocks, uint64(w.shard), 1)
+		o.MetricAdd(obs.MRetiredBlocks, 0, 1)
 	}
 }
 

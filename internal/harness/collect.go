@@ -99,9 +99,8 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 			CommitRate: d.CommitRate(),
 			Aborts: map[string]int64{
 				"conflict": d.Conflict, "capacity": d.Capacity,
-				"explicit": d.Explicit, "locked": d.Locked,
-				"spurious": d.Spurious, "memtype": d.MemType,
-				"persist-op": d.PersistOp,
+				"explicit": d.Explicit, "spurious": d.Spurious,
+				"memtype": d.MemType, "persist-op": d.PersistOp,
 			},
 		}
 	}
@@ -122,12 +121,11 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 	}
 	if inst.Sys != nil {
 		e := inst.Sys.Stats()
-		sum := &obs.EpochSummary{
+		row.Epoch = &obs.EpochSummary{
 			Advances:      e.Advances - base.epoch.Advances,
 			FlushedBlocks: e.FlushedBlocks - base.epoch.FlushedBlocks,
 			RetiredBlocks: e.RetiredBlocks - base.epoch.RetiredBlocks,
 			FreedBlocks:   e.FreedBlocks - base.epoch.FreedBlocks,
-			Shards:        e.Shards,
 			AdvanceP99NS:  e.AdvanceP99NS,
 			Backpressure:  e.Backpressure - base.epoch.Backpressure,
 			Engine:        e.Engine,
@@ -136,20 +134,6 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 			EngineFlushes: e.EngineFlushes - base.epoch.EngineFlushes,
 			LogSpills:     e.LogSpills - base.epoch.LogSpills,
 		}
-		if len(e.PerShard) == len(base.epoch.PerShard) || len(base.epoch.PerShard) == 0 {
-			for i, ps := range e.PerShard {
-				var prev epoch.ShardCounters
-				if i < len(base.epoch.PerShard) {
-					prev = base.epoch.PerShard[i]
-				}
-				sum.PerShard = append(sum.PerShard, obs.EpochShardSummary{
-					FlushedBlocks: ps.FlushedBlocks - prev.FlushedBlocks,
-					RetiredBlocks: ps.RetiredBlocks - prev.RetiredBlocks,
-					FreedBlocks:   ps.FreedBlocks - prev.FreedBlocks,
-				})
-			}
-		}
-		row.Epoch = sum
 	}
 	return row
 }

@@ -35,9 +35,6 @@ type Opts struct {
 	// subjects; epochs then advance only via the instance's Sync.
 	// Deterministic stats tests use it to script exact flush counts.
 	Manual bool
-	// EpochShards widths the epoch system's persistence path (parallel
-	// flush fan-out + sharded allocator magazines). 0/1 = serial.
-	EpochShards int
 	// Engine selects the durability engine for buffered-durable subjects
 	// ("" = the default BDL epoch engine; see durability.Names).
 	Engine string
@@ -89,7 +86,6 @@ func (o Opts) epochCfg() epoch.Config {
 	return epoch.Config{
 		EpochLength:     o.EpochLength,
 		Manual:          o.Manual,
-		Shards:          o.EpochShards,
 		Engine:          o.Engine,
 		RecoveryWorkers: o.RecoveryWorkers,
 		Obs:             o.Obs,

@@ -81,10 +81,6 @@ const (
 	CauseCapacity
 	// CauseExplicit: the transaction called Abort with a user code.
 	CauseExplicit
-	// CauseLocked is never reported (nothing subscribes to a lock any
-	// more); the slot stays so the enum keeps mirroring obs.Outcome and
-	// the bench/STATS schemas value for value.
-	CauseLocked
 	// CauseSpurious: a transient event (interrupt, fault) killed the
 	// transaction.
 	CauseSpurious
@@ -108,8 +104,6 @@ func (c AbortCause) String() string {
 		return "capacity"
 	case CauseExplicit:
 		return "explicit"
-	case CauseLocked:
-		return "locked"
 	case CauseSpurious:
 		return "spurious"
 	case CauseMemType:

@@ -22,7 +22,6 @@ type StatsSnapshot struct {
 	Conflict  int64
 	Capacity  int64
 	Explicit  int64
-	Locked    int64
 	Spurious  int64
 	MemType   int64
 	PersistOp int64
@@ -45,7 +44,7 @@ func (s StatsSnapshot) Attempts() int64 {
 
 // Aborts is the total number of aborted attempts.
 func (s StatsSnapshot) Aborts() int64 {
-	return s.Conflict + s.Capacity + s.Explicit + s.Locked + s.Spurious + s.MemType + s.PersistOp
+	return s.Conflict + s.Capacity + s.Explicit + s.Spurious + s.MemType + s.PersistOp
 }
 
 // CommitRate is the fraction of attempts that committed. An idle TM (no
@@ -76,8 +75,6 @@ func (s StatsSnapshot) Rate(c AbortCause) float64 {
 		n = s.Capacity
 	case CauseExplicit:
 		n = s.Explicit
-	case CauseLocked:
-		n = s.Locked
 	case CauseSpurious:
 		n = s.Spurious
 	case CauseMemType:
@@ -95,7 +92,6 @@ func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 		Conflict:  s.Conflict - prev.Conflict,
 		Capacity:  s.Capacity - prev.Capacity,
 		Explicit:  s.Explicit - prev.Explicit,
-		Locked:    s.Locked - prev.Locked,
 		Spurious:  s.Spurious - prev.Spurious,
 		MemType:   s.MemType - prev.MemType,
 		PersistOp: s.PersistOp - prev.PersistOp,
@@ -113,7 +109,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		Conflict:  s.counts[CauseConflict].Load(),
 		Capacity:  s.counts[CauseCapacity].Load(),
 		Explicit:  s.counts[CauseExplicit].Load(),
-		Locked:    s.counts[CauseLocked].Load(),
 		Spurious:  s.counts[CauseSpurious].Load(),
 		MemType:   s.counts[CauseMemType].Load(),
 		PersistOp: s.counts[CausePersistOp].Load(),

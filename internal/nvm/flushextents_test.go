@@ -6,9 +6,9 @@ import (
 )
 
 // TestFlushExtentsMediaAtLeastUseful pins the documented accounting
-// invariant media_bytes >= useful_bytes while multiple flusher shards
-// race batched flushes over overlapping regions — the case where one
-// XPLine's media charge may be counted once per shard. This test is
+// invariant media_bytes >= useful_bytes while several callers race batched
+// flushes over overlapping regions — the case where one XPLine's media
+// charge may be counted once per caller. This test is
 // part of the race lane; the raciness is the point.
 func TestFlushExtentsMediaAtLeastUseful(t *testing.T) {
 	const words = 1 << 14

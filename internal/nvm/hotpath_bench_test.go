@@ -56,9 +56,9 @@ func BenchmarkHotPath(b *testing.B) {
 	}
 }
 
-// benchFlushExtents measures the batched-flush path the epoch flusher
-// shards drive: each goroutine repeatedly dirties and batch-flushes its
-// own word ranges. Allocation-free is part of the contract (ReportAllocs).
+// benchFlushExtents measures the batched-flush path the epoch flusher and
+// recovery's scan workers drive: each goroutine repeatedly dirties and
+// batch-flushes its own word ranges. Allocation-free is part of the contract (ReportAllocs).
 func benchFlushExtents(b *testing.B, g int) {
 	const words = 1 << 16
 	const extPer = 32 // extents per batch

@@ -385,8 +385,9 @@ type imgPage [pageWords]uint64
 
 // imagePage returns the persistent-image page holding word a, creating it
 // (zeroed, like the media it stands for) on the first write-back into it.
-// Flusher shards and capacity evictions race here; the CAS picks one page
-// and every racer writes its own lines into the winner.
+// Concurrent write-backs (recovery workers, the flusher, capacity
+// evictions) race here; the CAS picks one page and every racer writes its
+// own lines into the winner.
 func (h *Heap) imagePage(a uint64) *imgPage {
 	slot := &h.pimg[a/pageWords]
 	if pg := slot.Load(); pg != nil {
@@ -557,9 +558,9 @@ type Extent struct {
 // The XPLine media-write accounting is likewise shared across the whole
 // call: two extents landing in the same 256-byte XPLine charge a single
 // media write, the way Optane's on-DIMM write-combining buffer absorbs
-// a burst of write-backs. Safe for concurrent use; when several flusher
-// shards race on one XPLine the media charge may be counted once per
-// shard, which keeps media_bytes >= useful_bytes.
+// a burst of write-backs. Safe for concurrent use; when several callers
+// (recovery's scan workers) race on one XPLine the media charge may be
+// counted once per caller, which keeps media_bytes >= useful_bytes.
 func (h *Heap) FlushExtents(exts []Extent) {
 	if h.cfg.Mode != ModeADR {
 		return

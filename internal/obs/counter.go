@@ -21,12 +21,6 @@ func (c *Counter) Add(shard uint64, delta int64) {
 	c.lanes[shard&shardMask].v.Add(delta)
 }
 
-// LoadLane reads one lane's current value (lanes beyond NumShards wrap,
-// matching Add's lane selection).
-func (c *Counter) LoadLane(i int) int64 {
-	return c.lanes[uint64(i)&shardMask].v.Load()
-}
-
 // Load returns the sum across all lanes. Concurrent with Add it is a
 // best-effort (but never torn per-lane) total; quiescent it is exact.
 func (c *Counter) Load() int64 {

@@ -187,7 +187,7 @@ func TestStructureOpCounts(t *testing.T) {
 			// Attempts == commits + aborts, and obs mirrors the TM exactly.
 			if inst.TM != nil {
 				s := inst.TM.Stats()
-				if s.Attempts() != s.Commits+s.Conflict+s.Capacity+s.Explicit+s.Locked+s.Spurious+s.MemType+s.PersistOp {
+				if s.Attempts() != s.Commits+s.Conflict+s.Capacity+s.Explicit+s.Spurious+s.MemType+s.PersistOp {
 					t.Errorf("TM attempts %d != commits+aborts", s.Attempts())
 				}
 				var histTotal int64
@@ -258,21 +258,15 @@ func TestEpochPhaseAccounting(t *testing.T) {
 	}
 }
 
-// TestPerShardStatsParity drives every structure through a scripted run
-// with a 4-shard epoch persistence path and checks the obs per-lane
-// metric counters agree with epoch.Stats().PerShard exactly, lane by
-// lane, and that the lanes sum to the aggregates. Transient and strict
-// structures have no epoch system; for those the test only asserts the
-// scripted ops complete with the sharded options set (the options must
-// be inert, not a crash).
-func TestPerShardStatsParity(t *testing.T) {
-	const shards = 4
+// TestEpochCounterParity drives every structure through a scripted run and
+// checks the obs block-lifecycle counters agree with epoch.Stats exactly.
+// Transient and strict structures have no epoch system; for those the test
+// only asserts the scripted ops complete.
+func TestEpochCounterParity(t *testing.T) {
 	for _, b := range subjectBuilders {
 		t.Run(b.name, func(t *testing.T) {
 			rec := obs.New(b.name)
-			inst := harness.New(b.kind, harness.Opts{
-				KeySpace: 1 << 10, Obs: rec, Manual: true, EpochShards: shards,
-			})
+			inst := harness.New(b.kind, harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
 			defer inst.Close()
 			h := inst.Store.NewSession()
 			for k := uint64(0); k < 240; k++ {
@@ -288,45 +282,27 @@ func TestPerShardStatsParity(t *testing.T) {
 				h.Remove(k)
 			}
 			if inst.Sys == nil {
-				return // no persistence path to decompose
+				return // no persistence path to count
 			}
 			inst.Sync()
 			st := inst.Sys.Stats()
-			if st.Shards != shards {
-				t.Fatalf("epoch system runs %d shards, want %d", st.Shards, shards)
+			if got := rec.Metric(obs.MFlushedBlocks); got != st.FlushedBlocks {
+				t.Errorf("obs flushed %d != epoch stats %d", got, st.FlushedBlocks)
 			}
-			if len(st.PerShard) != shards {
-				t.Fatalf("PerShard has %d entries, want %d", len(st.PerShard), shards)
+			if got := rec.Metric(obs.MRetiredBlocks); got != st.RetiredBlocks {
+				t.Errorf("obs retired %d != epoch stats %d", got, st.RetiredBlocks)
 			}
-			var flushed, retired, freed, early int64
-			for sh, ps := range st.PerShard {
-				lane := sh
-				early += rec.MetricLane(obs.MEarlyFlushedBlocks, lane)
-				if got := rec.MetricLane(obs.MFlushedBlocks, lane); got != ps.FlushedBlocks {
-					t.Errorf("shard %d: obs flushed %d != epoch stats %d", sh, got, ps.FlushedBlocks)
-				}
-				if got := rec.MetricLane(obs.MRetiredBlocks, lane); got != ps.RetiredBlocks {
-					t.Errorf("shard %d: obs retired %d != epoch stats %d", sh, got, ps.RetiredBlocks)
-				}
-				if got := rec.MetricLane(obs.MFreedBlocks, lane); got != ps.FreedBlocks {
-					t.Errorf("shard %d: obs freed %d != epoch stats %d", sh, got, ps.FreedBlocks)
-				}
-				if ps.FreedBlocks > ps.RetiredBlocks {
-					t.Errorf("shard %d: freed %d > retired %d", sh, ps.FreedBlocks, ps.RetiredBlocks)
-				}
-				flushed += ps.FlushedBlocks
-				retired += ps.RetiredBlocks
-				freed += ps.FreedBlocks
+			if got := rec.Metric(obs.MFreedBlocks); got != st.FreedBlocks {
+				t.Errorf("obs freed %d != epoch stats %d", got, st.FreedBlocks)
 			}
-			if flushed != st.FlushedBlocks || retired != st.RetiredBlocks || freed != st.FreedBlocks {
-				t.Errorf("per-shard sums (%d,%d,%d) != aggregates (%d,%d,%d)",
-					flushed, retired, freed, st.FlushedBlocks, st.RetiredBlocks, st.FreedBlocks)
+			if st.FreedBlocks > st.RetiredBlocks {
+				t.Errorf("freed %d > retired %d", st.FreedBlocks, st.RetiredBlocks)
 			}
 			if st.RetiredBlocks == 0 {
 				t.Error("scripted upserts retired no blocks; parity check is vacuous")
 			}
-			// Early write-backs are a subset of the flushed blocks, counted on
-			// the same lanes.
+			// Early write-backs are a subset of the flushed blocks.
+			early := rec.Metric(obs.MEarlyFlushedBlocks)
 			if early != st.EarlyFlushedBlocks || early == 0 || early > st.FlushedBlocks {
 				t.Errorf("obs early-flushed %d, epoch stats %d of %d flushed: want equal, nonzero, a subset",
 					early, st.EarlyFlushedBlocks, st.FlushedBlocks)

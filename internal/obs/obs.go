@@ -77,7 +77,6 @@ const (
 	OutConflict
 	OutCapacity
 	OutExplicit
-	OutLocked
 	OutSpurious
 	OutMemType
 	OutPersistOp
@@ -95,8 +94,6 @@ func (o Outcome) String() string {
 		return "capacity"
 	case OutExplicit:
 		return "explicit"
-	case OutLocked:
-		return "locked"
 	case OutSpurious:
 		return "spurious"
 	case OutMemType:
@@ -124,12 +121,6 @@ const (
 	PhaseRoot
 	// PhaseReclaim is the deferred reclamation of retired blocks.
 	PhaseReclaim
-	// PhaseShardFlush is one flusher shard's slice of PhaseFlush: the
-	// parallel fan-out records one sample per shard per advance, keyed by
-	// shard index, so per-shard flush skew is visible. (Appended after
-	// the original phases: trace events encode the phase number in Arg1,
-	// so the enum order is part of the trace format.)
-	PhaseShardFlush
 
 	NumEpochPhases
 )
@@ -144,8 +135,6 @@ func (p EpochPhase) String() string {
 		return "root"
 	case PhaseReclaim:
 		return "reclaim"
-	case PhaseShardFlush:
-		return "shard-flush"
 	default:
 		return fmt.Sprintf("EpochPhase(%d)", uint8(p))
 	}
@@ -164,10 +153,9 @@ const (
 	MCrashes                  // simulated power failures
 	MRecoveries               // recovery passes
 
-	// Per-shard epoch block-lifecycle counters (appended; enum order is
-	// part of the trace format). The epoch system bumps these with the
-	// flusher-shard index as the lane, so LoadLane-level parity against
-	// epoch.Stats.PerShard is exact when shard counts stay <= NumShards.
+	// Epoch block-lifecycle counters (appended; enum order is part of the
+	// trace format). The epoch system bumps these on lane 0, and their
+	// totals equal the matching epoch.Stats counters.
 	MFlushedBlocks // blocks written back by the flusher (at epoch close, or early)
 	MRetiredBlocks // blocks retired (PRetire) awaiting reclamation
 	MFreedBlocks   // retired blocks reclaimed after their epoch persisted
@@ -178,7 +166,7 @@ const (
 	// budgets are checkable against the heap-level MFences/MFlushes.
 	MEngineCommits // epoch-close commits executed by the durability engine
 	MEngineFences  // fences issued by the durability engine
-	MEngineFlushes // flush operations issued by the durability engine (lane = shard)
+	MEngineFlushes // flush operations issued by the durability engine
 	MLogSpills     // log-overflow segments sealed mid-commit
 
 	// Service-layer counters for bdserve (appended; enum order is part
@@ -217,7 +205,7 @@ const (
 
 	// Early write-back (appended; enum order is part of the trace format):
 	// the subset of MFlushedBlocks the flusher wrote back before their
-	// epoch closed, on the same flusher-shard lanes.
+	// epoch closed, on the same lane.
 	MEarlyFlushedBlocks
 
 	NumMetrics
@@ -482,7 +470,7 @@ func (r *Recorder) Hit(m Metric, kind EventKind, shard, arg2 uint64) {
 
 // MetricAdd bumps a metric counter by delta on the given lane without
 // emitting a trace event — the bulk form Hit used by the epoch flusher
-// to publish a whole shard's worth of block counts at once.
+// to publish a whole task's worth of block counts at once.
 func (r *Recorder) MetricAdd(m Metric, shard uint64, delta int64) {
 	if r == nil || delta == 0 {
 		return
@@ -496,15 +484,6 @@ func (r *Recorder) Metric(m Metric) int64 {
 		return 0
 	}
 	return r.metrics[m].Load()
-}
-
-// MetricLane returns one lane of a counter — the per-shard view used by
-// the sharded-epoch parity tests. Lanes beyond NumShards wrap.
-func (r *Recorder) MetricLane(m Metric, lane int) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.metrics[m].LoadLane(lane)
 }
 
 // SetGauge publishes an instantaneous value.

@@ -157,16 +157,10 @@ type EpochSummary struct {
 	RetiredBlocks int64 `json:"retired_blocks"`
 	FreedBlocks   int64 `json:"freed_blocks"`
 
-	// Persistence-path configuration and pipeline health (omitted by
-	// rows produced before the sharded advance pipeline existed).
-	Shards       int   `json:"shards,omitempty"`
+	// Advance-pipeline health (omitted by rows produced before the
+	// advance pipeline existed).
 	AdvanceP99NS int64 `json:"advance_p99_ns,omitempty"`
 	Backpressure int64 `json:"backpressure,omitempty"`
-
-	// PerShard decomposes the block counters by flusher shard; when
-	// present its length equals Shards and its columns sum to the
-	// aggregates above.
-	PerShard []EpochShardSummary `json:"per_shard,omitempty"`
 
 	// Durability-engine accounting (omitted by rows produced before
 	// pluggable engines existed). EngineFences counts only the fences the
@@ -236,13 +230,6 @@ type RecoverySummary struct {
 	RebuildNS       int64 `json:"rebuild_ns"`
 	BlocksRecovered int64 `json:"blocks_recovered"`
 	Resurrected     int64 `json:"resurrected"`
-}
-
-// EpochShardSummary is one flusher shard's slice of the epoch counters.
-type EpochShardSummary struct {
-	FlushedBlocks int64 `json:"flushed_blocks"`
-	RetiredBlocks int64 `json:"retired_blocks"`
-	FreedBlocks   int64 `json:"freed_blocks"`
 }
 
 // ValidateReport checks that data parses as a schema-conformant report:
@@ -331,32 +318,11 @@ func ValidateReport(data []byte) error {
 			if e.FreedBlocks > e.RetiredBlocks {
 				return fmt.Errorf("%s: freed blocks %d > retired blocks %d", where, e.FreedBlocks, e.RetiredBlocks)
 			}
-			if e.Shards < 0 || e.Backpressure < 0 || e.AdvanceP99NS < 0 {
+			if e.Backpressure < 0 || e.AdvanceP99NS < 0 {
 				return fmt.Errorf("%s: negative epoch pipeline fields", where)
 			}
 			if e.EngineCommits < 0 || e.EngineFences < 0 || e.EngineFlushes < 0 || e.LogSpills < 0 {
 				return fmt.Errorf("%s: negative engine counters", where)
-			}
-			if len(e.PerShard) > 0 {
-				if e.Shards != len(e.PerShard) {
-					return fmt.Errorf("%s: per_shard has %d entries, shards says %d", where, len(e.PerShard), e.Shards)
-				}
-				var f, r, fr int64
-				for j, ps := range e.PerShard {
-					if ps.FlushedBlocks < 0 || ps.RetiredBlocks < 0 || ps.FreedBlocks < 0 {
-						return fmt.Errorf("%s: per_shard[%d] negative counters", where, j)
-					}
-					if ps.FreedBlocks > ps.RetiredBlocks {
-						return fmt.Errorf("%s: per_shard[%d] freed %d > retired %d", where, j, ps.FreedBlocks, ps.RetiredBlocks)
-					}
-					f += ps.FlushedBlocks
-					r += ps.RetiredBlocks
-					fr += ps.FreedBlocks
-				}
-				if f != e.FlushedBlocks || r != e.RetiredBlocks || fr != e.FreedBlocks {
-					return fmt.Errorf("%s: per_shard sums (%d,%d,%d) != aggregates (%d,%d,%d)",
-						where, f, r, fr, e.FlushedBlocks, e.RetiredBlocks, e.FreedBlocks)
-				}
 			}
 		}
 		if rc := row.Recovery; rc != nil {

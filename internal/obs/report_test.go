@@ -31,9 +31,9 @@ func fixedReport() *Report {
 			Count: 100000, MeanNS: 1800, P50: 1023, P90: 2047, P99: 8191, P999: 16383, Max: 20000,
 		},
 		HTM: &HTMSummary{
-			Attempts: 101000, Commits: 100000, CommitRate: float64(100000) / 101000,
+			Attempts: 100800, Commits: 100000, CommitRate: float64(100000) / 100800,
 			Aborts: map[string]int64{
-				"conflict": 600, "capacity": 100, "explicit": 0, "locked": 200,
+				"conflict": 600, "capacity": 100, "explicit": 0,
 				"spurious": 0, "memtype": 100, "persist-op": 0,
 			},
 			Fallback: map[string]int64{
@@ -47,11 +47,7 @@ func fixedReport() *Report {
 		},
 		Epoch: &EpochSummary{
 			Advances: 4, FlushedBlocks: 4800, RetiredBlocks: 900, FreedBlocks: 700,
-			Shards: 2, AdvanceP99NS: 1500, Backpressure: 1,
-			PerShard: []EpochShardSummary{
-				{FlushedBlocks: 2500, RetiredBlocks: 500, FreedBlocks: 400},
-				{FlushedBlocks: 2300, RetiredBlocks: 400, FreedBlocks: 300},
-			},
+			AdvanceP99NS: 1500, Backpressure: 1,
 		},
 		Net: &NetSummary{
 			Conns: 4, Mode: "closed",
@@ -162,12 +158,6 @@ func TestValidateReportRejects(t *testing.T) {
 		{"amplification < 1", func(r *Report) { r.Results[0].NVM.WriteAmplification = 0.5 }, "write amplification"},
 		{"freed > retired", func(r *Report) { r.Results[0].Epoch.FreedBlocks = r.Results[0].Epoch.RetiredBlocks + 1 }, "freed blocks"},
 		{"negative pipeline field", func(r *Report) { r.Results[0].Epoch.Backpressure = -1 }, "pipeline"},
-		{"per_shard count mismatch", func(r *Report) { r.Results[0].Epoch.Shards = 3 }, "per_shard has"},
-		{"per_shard sums mismatch", func(r *Report) { r.Results[0].Epoch.PerShard[0].FlushedBlocks++ }, "per_shard sums"},
-		{"per_shard freed > retired", func(r *Report) {
-			ps := r.Results[0].Epoch.PerShard
-			ps[0].FreedBlocks = ps[0].RetiredBlocks + 1
-		}, "per_shard[0] freed"},
 		{"recovery zero workers", func(r *Report) { r.Results[0].Recovery.Workers = 0 }, "recovery workers"},
 		{"recovery zero heap", func(r *Report) { r.Results[0].Recovery.HeapWords = 0 }, "recovery heap_words"},
 		{"recovery zero scan time", func(r *Report) { r.Results[0].Recovery.ScanNS = 0 }, "recovery timings"},

@@ -158,9 +158,6 @@ type Allocator struct {
 	free      [][]nvm.Addr // per-class free lists (DRAM)
 	active    []activeSlab // per-class bump state
 
-	nShards int         // sharded magazine caches (1 = disabled)
-	mags    []*magazine // len nShards when nShards > 1, else nil
-
 	liveBlocks atomic.Int64
 	liveBytes  atomic.Int64
 	peakBytes  atomic.Int64
@@ -276,23 +273,12 @@ func (al *Allocator) JournalSlabs() []nvm.Extent {
 // transaction). The returned address is the block header; the payload
 // starts one word above it.
 func (al *Allocator) Alloc(class int, tag uint8) nvm.Addr {
-	return al.AllocShard(class, tag, 0)
-}
-
-// AllocShard is Alloc routed through a flusher shard's magazine cache
-// (see SetShards). With sharding disabled it is exactly Alloc.
-func (al *Allocator) AllocShard(class int, tag uint8, shard int) nvm.Addr {
 	if class < 0 || class >= len(classWords) {
 		panic(fmt.Sprintf("palloc: bad class %d", class))
 	}
-	var b nvm.Addr
-	if al.nShards > 1 {
-		b = al.takeMagazine(class, shard)
-	} else {
-		al.mu.Lock()
-		b = al.takeLocked(class)
-		al.mu.Unlock()
-	}
+	al.mu.Lock()
+	b := al.takeLocked(class)
+	al.mu.Unlock()
 
 	// Ralloc-style lazy persistence: the header is NOT flushed here. If
 	// the block never reaches a persisted epoch, the media still holds
@@ -344,36 +330,20 @@ func (al *Allocator) AllocWords(n int, tag uint8) nvm.Addr {
 	return al.Alloc(ClassFor(n), tag)
 }
 
-// AllocWordsShard is AllocWords through a shard's magazine cache.
-func (al *Allocator) AllocWordsShard(n int, tag uint8, shard int) nvm.Addr {
-	return al.AllocShard(ClassFor(n), tag, shard)
-}
-
 // Free marks a block FREE and returns it to its class free list. Like
 // Alloc, the header store is volatile (see Alloc): a freed block is only
 // freed because its deletion persisted (or it was never visible), so the
 // media already holds a state recovery handles correctly.
 func (al *Allocator) Free(b nvm.Addr) {
-	al.FreeShard(b, 0)
-}
-
-// FreeShard is Free routed through a flusher shard's magazine cache
-// (see SetShards). With sharding disabled it is exactly Free.
-func (al *Allocator) FreeShard(b nvm.Addr, shard int) {
 	class := al.release(b)
-	if al.nShards > 1 {
-		al.putMagazine(class, b, shard)
-	} else {
-		al.mu.Lock()
-		al.free[class] = append(al.free[class], b)
-		al.mu.Unlock()
-	}
+	al.mu.Lock()
+	al.free[class] = append(al.free[class], b)
+	al.mu.Unlock()
 }
 
 // FreeBatch frees every block of bs as Free would, pushing them onto the
-// global free lists in descending address order (it sorts bs): the lists
-// pop from the top — and a shard's magazine refills from there in the same
-// order — so the batch is allocated again in ascending order, and the
+// free lists in descending address order (it sorts bs): the lists pop from
+// the top, so the batch is allocated again in ascending order, and the
 // blocks one epoch allocates share cache lines and XPLines instead of
 // scattering.
 func (al *Allocator) FreeBatch(bs []nvm.Addr) {
@@ -483,13 +453,6 @@ func (al *Allocator) Recover(judge func(BlockInfo) bool) {
 	al.liveBytes.Store(0)
 	al.formatted = 0
 	al.scanSlabs.Store(0)
-	for _, m := range al.mags {
-		m.mu.Lock()
-		for c := range m.free {
-			m.free[c] = m.free[c][:0]
-		}
-		m.mu.Unlock()
-	}
 	for s := 0; s < al.slabs; s++ {
 		base := al.start + nvm.Addr(s*slabWords)
 		class, ok := slabClass(al.heap.Load(base + slabHeaderOff))

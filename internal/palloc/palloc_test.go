@@ -598,36 +598,24 @@ func TestFreshSlabBlocksRecoverFree(t *testing.T) {
 
 // TestFreeBatchReturnsBlocksInAddressOrder: a batch free hands its blocks
 // back to the next allocations lowest address first, however the batch was
-// ordered — through the global free list, and through a shard's magazine
-// once the blocks the magazine already held are gone.
+// ordered.
 func TestFreeBatchReturnsBlocksInAddressOrder(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		al := newAlloc(t)
-		al.SetShards(shards)
-		var blocks []nvm.Addr
-		for i := 0; i < 200; i++ {
-			blocks = append(blocks, al.AllocShard(0, 0, 1))
-		}
-		batch := slices.Clone(blocks[20:120])
-		rand.New(rand.NewPCG(1, 2)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-		al.FreeBatch(batch)
-		if al.LiveBlocks() != 100 {
-			t.Fatalf("shards=%d: %d live blocks after freeing 100 of 200", shards, al.LiveBlocks())
-		}
-		freed := map[nvm.Addr]bool{}
-		for _, b := range batch {
-			freed[b] = true
-		}
-		var got []nvm.Addr
-		for len(got) < len(batch) {
-			if b := al.AllocShard(0, 0, 1); freed[b] {
-				got = append(got, b)
-			} else if shards == 1 {
-				t.Fatalf("allocated %d before the freed batch was used up", b)
-			}
-		}
-		if want := slices.Sorted(slices.Values(blocks[20:120])); !slices.Equal(got, want) {
-			t.Fatalf("shards=%d: reallocated\n%v\nwant ascending\n%v", shards, got, want)
-		}
+	al := newAlloc(t)
+	var blocks []nvm.Addr
+	for i := 0; i < 200; i++ {
+		blocks = append(blocks, al.Alloc(0, 0))
+	}
+	batch := slices.Clone(blocks[20:120])
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	al.FreeBatch(batch)
+	if al.LiveBlocks() != 100 {
+		t.Fatalf("%d live blocks after freeing 100 of 200", al.LiveBlocks())
+	}
+	var got []nvm.Addr
+	for range batch {
+		got = append(got, al.Alloc(0, 0))
+	}
+	if want := slices.Sorted(slices.Values(blocks[20:120])); !slices.Equal(got, want) {
+		t.Fatalf("reallocated\n%v\nwant ascending\n%v", got, want)
 	}
 }

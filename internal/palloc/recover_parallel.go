@@ -14,7 +14,7 @@ import (
 const reclaimBatch = 256
 
 // formattedSlabs counts the formatted slab prefix. Slab formatting is
-// sequential (see shard.go): the magic of slab s becomes durable before
+// sequential (formatSlab runs under al.mu): the magic of slab s becomes durable before
 // slab s+1 is touched, so the scan stops at the first non-magic header.
 func (al *Allocator) formattedSlabs() int {
 	n := 0
@@ -174,13 +174,6 @@ func (al *Allocator) RecoverParallel(workers int, judge func(worker int, bi Bloc
 	}
 	al.liveBlocks.Store(0)
 	al.liveBytes.Store(0)
-	for _, m := range al.mags {
-		m.mu.Lock()
-		for c := range m.free {
-			m.free[c] = m.free[c][:0]
-		}
-		m.mu.Unlock()
-	}
 	formatted := al.formattedSlabs()
 	al.formatted = formatted
 	al.scanSlabs.Store(0)
