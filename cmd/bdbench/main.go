@@ -44,7 +44,7 @@ var (
 	obsFlag   = flag.Bool("obs", false, "record obs telemetry and print a summary at exit")
 	traceOut  = flag.String("trace", "", "write a Chrome trace_event file (implies -obs)")
 	jsonOut   = flag.String("json", "", "write machine-readable results (schema "+obs.SchemaVersion+") to FILE")
-	httpAddr  = flag.String("http", "", "serve /obs, expvar and pprof on this address (implies -obs)")
+	httpAddr  = flag.String("http", "", "serve /obs, /metrics and pprof on this address (implies -obs)")
 	validateF = flag.String("validate", "", "validate FILE against the bench schema and exit")
 )
 
@@ -87,12 +87,12 @@ func main() {
 		benchObs.StartTrace(1 << 16)
 	}
 	if *httpAddr != "" {
-		hs, err := obs.StartHTTP(*httpAddr, benchObs)
+		hs, err := obs.StartHTTP(*httpAddr, benchObs, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bdbench: -http: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obs endpoint: http://%s/obs (metrics at /metrics, expvar at /debug/vars, pprof at /debug/pprof)\n", hs.Addr())
+		fmt.Printf("obs endpoint: http://%s/obs (metrics at /metrics, pprof at /debug/pprof)\n", hs.Addr())
 	}
 	if *jsonOut != "" {
 		collector = harness.NewCollector(obs.RunConfig{

@@ -65,7 +65,7 @@ func main() {
 	var rec *obs.Recorder
 	if *obsHTTP != "" {
 		rec = obs.New("bdrecover")
-		hs, err := obs.StartHTTP(*obsHTTP, rec)
+		hs, err := obs.StartHTTP(*obsHTTP, rec, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bdrecover: obs-http: %v\n", err)
 			os.Exit(1)

@@ -29,6 +29,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -62,6 +63,17 @@ var (
 	recoverWrks = flag.Int("recover-workers", 4, "recovery scan worker goroutines for -recover")
 )
 
+// live is the server whose counters -obs-http serves; every mode stores
+// the server it is running.
+var live atomic.Pointer[bdserve.Server]
+
+func liveCounters() any {
+	if srv := live.Load(); srv != nil {
+		return srv.WireStats()
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
 	if k, ok := kv.Lookup(*structure); !ok || !k.Buffered {
@@ -89,7 +101,7 @@ func main() {
 		cfg.Obs.EnableSpans(4096, *spanSample)
 	}
 	if *obsHTTP != "" {
-		hs, err := obs.StartHTTP(*obsHTTP, cfg.Obs)
+		hs, err := obs.StartHTTP(*obsHTTP, cfg.Obs, liveCounters)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bdserve: obs-http: %v\n", err)
 			os.Exit(1)
@@ -105,6 +117,7 @@ func main() {
 	}
 
 	srv := bdserve.New(cfg)
+	live.Store(srv)
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bdserve: %v\n", err)
@@ -131,6 +144,7 @@ func main() {
 // asserted on both ends of the wire.
 func runSelftest(cfg bdserve.Config) int {
 	srv := bdserve.New(cfg)
+	live.Store(srv)
 	bound, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bdserve: selftest: %v\n", err)
@@ -231,7 +245,7 @@ func runSelftest(cfg bdserve.Config) int {
 	}
 	if r := cfg.Obs; r != nil && *metricsOut != "" {
 		var buf strings.Builder
-		if err := r.WriteOpenMetrics(&buf); err != nil {
+		if err := r.WriteOpenMetrics(&buf, srv.WireStats()); err != nil {
 			return fail("metrics render: %v", err)
 		}
 		if err := obs.LintOpenMetrics([]byte(buf.String())); err != nil {

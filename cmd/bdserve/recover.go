@@ -29,6 +29,7 @@ func runRecover(cfg bdserve.Config, n, workers int) int {
 	cfg.RecoveryWorkers = workers
 
 	srv := bdserve.New(cfg)
+	live.Store(srv)
 	bound, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		return fail("%v", err)
@@ -97,6 +98,7 @@ func runRecover(cfg bdserve.Config, n, workers int) int {
 	fmt.Printf("bdserve: recover: -- crash (watermark %d) --\n", maxEpoch)
 	start := time.Now()
 	rec := bdserve.Recover(srv.Heap(), cfg)
+	live.Store(rec)
 	defer rec.Close()
 	ri := rec.Recovery()
 	fmt.Printf("bdserve: recover: cold start %v (%d workers: scan %v, rebuild %v; %d blocks, %d resurrected)\n",

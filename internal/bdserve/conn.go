@@ -59,7 +59,7 @@ type conn struct {
 	pending []pendingAck
 
 	seq      uint64       // write-op sequence (reader-only writes)
-	lane     uint64       // obs shard for this connection's metrics/hists
+	lane     uint64       // obs shard for this connection's histograms and spans
 	inflight atomic.Int64 // this conn's share of the inflight gauge
 }
 
@@ -73,7 +73,7 @@ func (c *conn) pokeDurable() {
 
 func (c *conn) bumpInflight(d int64) {
 	c.inflight.Add(d)
-	c.srv.gauge(obs.GServeInflight, c.srv.inflight.Add(d))
+	c.srv.inflight.Add(d)
 }
 
 // send hands a frame to the writer. If the writer has already exited
@@ -123,7 +123,6 @@ func (c *conn) readLoop() {
 			return
 		}
 		srv.requests.Add(1)
-		srv.metric(obs.MServeReqs, c.lane, 1)
 		c.bumpInflight(1)
 		if m.Key > srv.keyLimit {
 			// A bounded-universe structure (veb) panics on such a key;
@@ -172,7 +171,7 @@ func (c *conn) readLoop() {
 			c.bumpInflight(-1)
 			c.send(outMsg{m: wire.Msg{Type: wire.RespScan, ID: m.ID, Count: 0}, sp: sp, decNS: decNS})
 		case wire.CmdStats:
-			st := srv.wireStats()
+			st := srv.WireStats()
 			c.bumpInflight(-1)
 			c.send(outMsg{m: wire.Msg{Type: wire.RespStats, ID: m.ID, Stats: &st}})
 		case wire.CmdPut, wire.CmdDel:
@@ -211,7 +210,7 @@ func (c *conn) readLoop() {
 			c.ackMu.Lock()
 			c.pending = append(c.pending, pendingAck{id: m.ID, ok: ok, epoch: ep, seq: seq, sp: sp, decNS: decNS, cmtNS: cmtNS})
 			c.ackMu.Unlock()
-			srv.gauge(obs.GServeAckQueue, srv.ackQueue.Add(1))
+			srv.ackQueue.Add(1)
 			if !srv.cfg.SyncAcks {
 				c.send(outMsg{m: wire.Msg{Type: wire.RespApplied, ID: m.ID, OK: ok, Epoch: ep}, seq: seq, sp: sp, decNS: decNS})
 			}
@@ -278,7 +277,6 @@ func (c *conn) writeLoop() {
 		switch m.m.Type {
 		case wire.RespApplied:
 			c.srv.appliedAcks.Add(1)
-			c.srv.metric(obs.MServeAppliedAcks, 0, 1)
 			c.bumpInflight(-1)
 			if o := c.srv.cfg.Obs; o != nil && m.decNS > 0 {
 				now := o.Now()
@@ -345,8 +343,7 @@ func (c *conn) drainDurable(w *wire.Writer, appliedDone uint64) bool {
 			return false
 		}
 		srv.durableAcks.Add(1)
-		srv.metric(obs.MServeDurableAcks, 0, 1)
-		srv.gauge(obs.GServeAckQueue, srv.ackQueue.Add(-1))
+		srv.ackQueue.Add(-1)
 		srv.bumpAckLag(int64(watermark - p.epoch))
 		if o != nil {
 			now := o.Now()

@@ -67,7 +67,9 @@ type Config struct {
 	SyncAcks bool
 	// MaxSessions bounds concurrently served connections (default 64).
 	MaxSessions int
-	// Obs receives service counters and gauges (nil disables).
+	// Obs receives the service latency histograms, request spans and the
+	// TM's attempt histograms (nil disables). The counters are the
+	// server's own: Stats and WireStats.
 	Obs *obs.Recorder
 }
 
@@ -98,9 +100,11 @@ func (c Config) parts(heap *nvm.Heap) kv.Parts {
 	if !ok || !k.Buffered {
 		panic(fmt.Sprintf("bdserve: unknown structure %q (have %v)", c.Structure, kv.BufferedKinds()))
 	}
+	tm := htm.New(htm.Config{})
+	tm.SetObs(c.Obs)
 	p := kv.Parts{
 		Heap: heap,
-		TM:   htm.New(htm.Config{}),
+		TM:   tm,
 		Epoch: epoch.Config{
 			EpochLength:     c.EpochLength,
 			Manual:          c.Manual,
@@ -119,7 +123,8 @@ func (c Config) parts(heap *nvm.Heap) kv.Parts {
 }
 
 // Counters is a point-in-time snapshot of the server's service-layer
-// accounting, for tests and the stats endpoint.
+// accounting, for tests and in-process callers; the STATS frame and
+// /metrics carry the same counters in WireStats.
 type Counters struct {
 	Conns        int64 // connections accepted, lifetime
 	Requests     int64 // request frames dispatched
@@ -304,31 +309,26 @@ func (s *Server) oldestUnackedNS() int64 {
 	}
 	s.mu.Unlock()
 	if oldest == 0 {
-		o.SetGauge(obs.GOldestUnackedNS, 0)
 		return 0
 	}
-	age := o.Now() - oldest
-	o.SetGauge(obs.GOldestUnackedNS, age)
-	return age
+	return o.Now() - oldest
 }
 
-// wireStats assembles the compact binary snapshot behind the STATS
-// opcode: service counters, epoch/flusher state, and the HTM abort
-// breakdown, cheap enough for dashboard polling.
-func (s *Server) wireStats() wire.StatsSnap {
+// WireStats assembles the compact snapshot behind the STATS opcode:
+// service counters, epoch/flusher state, and the HTM abort breakdown,
+// cheap enough for dashboard polling. It is also the counter struct the
+// /metrics exposition renders, so the wire frame, bdtop's columns and
+// the scrape all read one struct.
+func (s *Server) WireStats() wire.StatsSnap {
 	es := s.sys.Stats()
 	ts := s.tm.Stats()
-	sampled, dropped := s.cfg.Obs.SpanCounts()
-	var depth int64
-	if s.cfg.Obs != nil {
-		depth = s.cfg.Obs.Gauge(obs.GFlusherDepth)
-	}
+	sampled, dropped, _ := s.cfg.Obs.SpanRing().Counts()
 	return wire.StatsSnap{
 		GlobalEpoch:     s.sys.GlobalEpoch(),
 		PersistedEpoch:  s.sys.PersistedEpoch(),
 		Advances:        uint64(es.Advances),
 		Backpressure:    uint64(es.Backpressure),
-		FlusherDepth:    uint64(depth),
+		FlusherDepth:    uint64(es.FlusherDepth),
 		Conns:           uint64(s.conns64.Load()),
 		OpenConns:       uint64(s.openConns.Load()),
 		Requests:        uint64(s.requests.Load()),
@@ -449,8 +449,7 @@ func (s *Server) startConn(nc net.Conn) {
 	s.mu.Unlock()
 
 	c.lane = uint64(s.conns64.Add(1)-1) % obs.NumShards
-	s.gauge(obs.GServeConns, s.openConns.Add(1))
-	s.metric(obs.MServeConns, 0, 1)
+	s.openConns.Add(1)
 
 	s.wg.Add(2)
 	go c.readLoop()
@@ -501,7 +500,7 @@ func (s *Server) dropConn(c *conn) {
 	c.closing.Store(true)
 	c.nc.Close()
 	<-c.readerGone
-	s.gauge(obs.GServeConns, s.openConns.Add(-1))
+	s.openConns.Add(-1)
 	// Whatever this connection still owed (unanswered requests,
 	// unflushed durable acks) dies with it; the gauges must not leak.
 	c.ackMu.Lock()
@@ -509,10 +508,10 @@ func (s *Server) dropConn(c *conn) {
 	c.pending = nil
 	c.ackMu.Unlock()
 	if orphaned > 0 {
-		s.gauge(obs.GServeAckQueue, s.ackQueue.Add(-orphaned))
+		s.ackQueue.Add(-orphaned)
 	}
 	if inflight := c.inflight.Swap(0); inflight > 0 {
-		s.gauge(obs.GServeInflight, s.inflight.Add(-inflight))
+		s.inflight.Add(-inflight)
 	}
 	// Only now is the session quiescent and safe to hand to another
 	// connection.
@@ -565,14 +564,6 @@ func (s *Server) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-func (s *Server) metric(m obs.Metric, lane uint64, delta int64) {
-	s.cfg.Obs.MetricAdd(m, lane, delta)
-}
-
-func (s *Server) gauge(g obs.GaugeID, v int64) {
-	s.cfg.Obs.SetGauge(g, v)
 }
 
 func (s *Server) bumpAckLag(lag int64) {

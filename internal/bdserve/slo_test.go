@@ -1,6 +1,10 @@
 package bdserve
 
 import (
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,12 +60,6 @@ func TestSpanLedgerParity(t *testing.T) {
 	if st.AckQueue != 0 || st.OldestUnackedNS != 0 {
 		t.Fatalf("quiescent server still owes acks: %+v", st)
 	}
-	if got := r.Metric(obs.MServeAppliedAcks); got != writes {
-		t.Fatalf("MServeAppliedAcks = %d, want %d", got, writes)
-	}
-	if got := r.Metric(obs.MServeDurableAcks); got != writes {
-		t.Fatalf("MServeDurableAcks = %d, want %d", got, writes)
-	}
 
 	// Ledger 2: SLO histograms. Applied-ack latency is recorded once per
 	// write's applied ack and once per read response; the durable lanes
@@ -80,11 +78,10 @@ func TestSpanLedgerParity(t *testing.T) {
 
 	// Ledger 3: spans. Sampling at 1-in-1 with an unfilled ring must have
 	// traced every request, finished every trace, and dropped none.
-	sampled, dropped := r.SpanCounts()
+	sampled, dropped, active := r.SpanRing().Counts()
 	if sampled != writes+reads || dropped != 0 {
-		t.Fatalf("SpanCounts = %d sampled %d dropped, want %d, 0", sampled, dropped, writes+reads)
+		t.Fatalf("span counts = %d sampled %d dropped, want %d, 0", sampled, dropped, writes+reads)
 	}
-	_, _, active := r.SpanRing().Counts()
 	if active != 0 {
 		t.Fatalf("%d orphan spans still active at quiescence", active)
 	}
@@ -185,5 +182,86 @@ func TestSpanLedgerParitySync(t *testing.T) {
 			t.Fatalf("sync span %d: applied stamp %d != flush stamp %d",
 				i, spans[i].Phase[obs.SpanApplied], spans[i].Phase[obs.SpanFlush])
 		}
+	}
+}
+
+// TestStatsFlusherDepthWithoutRecorder: the STATS frame's flusher depth
+// comes from the epoch system, so a server running without a recorder
+// (bdtop's default target) still reports the hand-off: one closed epoch
+// pending after an advance, none once the flusher step has run.
+func TestStatsFlusherDepthWithoutRecorder(t *testing.T) {
+	srv, addr := startServer(t, Config{KeySpace: 1 << 10, Manual: true})
+	c := dial(t, addr)
+	id := uint64(0)
+	depth := func() uint64 {
+		t.Helper()
+		id++
+		c.send(wire.Msg{Type: wire.CmdStats, ID: id})
+		m := c.recv()
+		if m.Type != wire.RespStats || m.Stats == nil {
+			t.Fatalf("stats response: %+v", m)
+		}
+		return m.Stats.FlusherDepth
+	}
+	srv.System().AdvanceOnce()
+	if d := depth(); d != 1 {
+		t.Fatalf("flusher depth after AdvanceOnce = %d, want 1", d)
+	}
+	srv.System().FlushOnce()
+	if d := depth(); d != 0 {
+		t.Fatalf("flusher depth after FlushOnce = %d, want 0", d)
+	}
+}
+
+// TestServedMetricsCarryAttempts: the recorder a server is configured with
+// reaches its TM, so the served /metrics has attempt histograms, and the
+// exposition's counters are the server's own.
+func TestServedMetricsCarryAttempts(t *testing.T) {
+	r := obs.New("served-metrics")
+	srv, addr := startServer(t, Config{KeySpace: 1 << 10, Manual: true, Obs: r})
+	hs, err := obs.StartHTTP("127.0.0.1:0", r, func() any { return srv.WireStats() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	c := dial(t, addr)
+	for i := uint64(1); i <= 10; i++ {
+		c.send(wire.Msg{Type: wire.CmdPut, ID: i, Key: i, Value: i})
+		if m := c.recv(); m.Type != wire.RespApplied {
+			t.Fatalf("want applied ack for %d, got %+v", i, m)
+		}
+	}
+
+	resp, err := http.Get("http://" + hs.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.LintOpenMetrics(body); err != nil {
+		t.Fatalf("served /metrics fails lint: %v\n%s", err, body)
+	}
+	sample := func(name string) int64 {
+		t.Helper()
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("served /metrics has no %s sample:\n%s", name, body)
+		return 0
+	}
+	if n := sample(`bdhtm_attempt_latency_ns_count{outcome="commit"}`); n == 0 {
+		t.Error("served attempt histogram is empty: the TM has no recorder")
+	}
+	if n, want := sample("bdhtm_tx_commits"), srv.TMStats().Commits; n != want {
+		t.Errorf("bdhtm_tx_commits = %d, TMStats().Commits = %d", n, want)
 	}
 }

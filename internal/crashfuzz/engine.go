@@ -394,7 +394,6 @@ type session struct {
 	pending  *pendingOp
 	opSeq    uint64
 	crashes  int
-	obs      *obs.Recorder
 	// recoverStep, when positive, makes crashCheck power-fail the recovery
 	// itself at its recoverStep-th persist event (if it has that many)
 	// and recover again before checking.
@@ -406,10 +405,9 @@ type session struct {
 func newSession(p RoundParams, sub Subject, heapWords int) *session {
 	s := &session{p: p, sub: sub, buffered: sub.Durability() == Buffered}
 	// Every round runs with telemetry and a live tracer attached, so the
-	// fuzzer also exercises the obs hooks across crash and recovery (the
-	// crash counter is cross-checked in crashCheck).
-	s.obs = obs.New("crashfuzz")
-	s.obs.StartTrace(1 << 10)
+	// fuzzer also exercises the obs hooks across crash and recovery.
+	rec := obs.New("crashfuzz")
+	rec.StartTrace(1 << 10)
 	sub.Init(Env{
 		Seed:            p.Seed,
 		HeapWords:       heapWords,
@@ -419,7 +417,7 @@ func newSession(p RoundParams, sub Subject, heapWords int) *session {
 		Async:           p.Async == 1,
 		Engine:          p.Engine,
 		RecoveryWorkers: p.RWorkers,
-		Obs:             s.obs,
+		Obs:             rec,
 	})
 	s.h = sub.Handle(0)
 	s.model = map[uint64]uint64{}
@@ -563,10 +561,10 @@ func (s *session) crashCheck(midOp bool) error {
 	if lb := s.sub.LiveBlocks(); lb >= 0 && lb != int64(len(dump)) {
 		return fmt.Errorf("allocator has %d live blocks for %d keys (leak or phantom block)", lb, len(dump))
 	}
-	// The telemetry layer must survive the crash/recover cycle without
-	// deadlocking or double-counting: exactly one crash event per Crash().
-	if got := s.obs.Metric(obs.MCrashes); got != int64(s.crashes) {
-		return fmt.Errorf("obs crash counter %d != %d crashes performed", got, s.crashes)
+	// The heap must survive the crash/recover cycle without losing or
+	// double-counting a power failure: exactly one crash per Crash().
+	if got := s.sub.Heap().Crashes(); got != int64(s.crashes) {
+		return fmt.Errorf("heap crash counter %d != %d crashes performed", got, s.crashes)
 	}
 	if ic, ok := s.sub.(InvariantChecker); ok {
 		if err := ic.CheckInvariants(dump); err != nil {

@@ -26,8 +26,8 @@ type parallelCell struct {
 	recs        []recInfo         // rebuild records in delivery order (buffered subjects)
 	dump        map[uint64]uint64 // logical contents via Get
 	persisted   uint64            // recovery boundary P
-	recovered   int64             // obs recovered-blocks counter
-	resurrected int64             // obs resurrected-blocks counter
+	recovered   int64             // epoch.Stats RecoveredLive (buffered subjects)
+	resurrected int64             // epoch.Stats Resurrected (buffered subjects)
 }
 
 // TestRecoverParallelEquivalence is the serial-equivalence contract for
@@ -135,11 +135,10 @@ func runParallelCell(t *testing.T, subject, engine string, workers int) parallel
 		t.Fatalf("%s/%s workers=%d: %v", subject, engine, workers, err)
 	}
 
-	cell := parallelCell{
-		dump:        map[uint64]uint64{},
-		persisted:   sub.PersistedEpoch(),
-		recovered:   rec.Metric(obs.MRecoveredBlocks),
-		resurrected: rec.Metric(obs.MResurrectedBlocks),
+	cell := parallelCell{dump: map[uint64]uint64{}, persisted: sub.PersistedEpoch()}
+	if b, ok := sub.(*bufferedSubject); ok {
+		es := b.st.Sys.Stats()
+		cell.recovered, cell.resurrected = es.RecoveredLive, es.Resurrected
 	}
 	heap := sub.Heap()
 	cell.image = make([]uint64, heap.Words())

@@ -24,7 +24,7 @@ func (e *bdlEngine) Format(watermark uint64) {
 }
 
 func (e *bdlEngine) Commit() {
-	e.commitStart()
+	e.commits.Add(1)
 	e.apply(e.exts)
 	e.fence()
 	e.phase(obs.PhaseFlush)

@@ -115,8 +115,9 @@ type Accounting struct {
 func Names() []string { return []string{"bdl", "undo", "redo4f", "redo2f", "quadra"} }
 
 // New builds the named engine over the heap. An empty name selects
-// DefaultEngine. The recorder (which may be nil) receives the engine's
-// flush, fence, commit and spill counters.
+// DefaultEngine. The recorder (which may be nil) receives the commit's
+// flush and root epoch-phase samples; the engine's own counters are its
+// Accounting.
 func New(name string, h *nvm.Heap, rec *obs.Recorder) (Engine, error) {
 	if name == "" {
 		name = DefaultEngine
@@ -227,33 +228,16 @@ func (b *base) reset() {
 	b.exts = b.exts[:0]
 }
 
-func (b *base) commitStart() {
-	b.commits.Add(1)
-	if b.rec != nil {
-		b.rec.MetricAdd(obs.MEngineCommits, 0, 1)
-	}
-}
-
 // fence issues one accounted store fence.
 func (b *base) fence() {
 	b.heap.Fence()
 	b.fences.Add(1)
-	if b.rec != nil {
-		b.rec.MetricAdd(obs.MEngineFences, 0, 1)
-	}
 }
 
 // flushWord issues one accounted line flush for a control word.
 func (b *base) flushWord(a nvm.Addr) {
 	b.heap.Flush(a)
-	b.countFlushes(1)
-}
-
-func (b *base) countFlushes(n int64) {
-	b.flushes.Add(n)
-	if b.rec != nil {
-		b.rec.MetricAdd(obs.MEngineFlushes, 0, n)
-	}
+	b.flushes.Add(1)
 }
 
 // phase records one epoch-phase sample chained from the previous one.
@@ -267,5 +251,5 @@ func (b *base) phase(p obs.EpochPhase) {
 // FlushExtents call. It does not fence.
 func (b *base) apply(exts []nvm.Extent) {
 	b.heap.FlushExtents(exts)
-	b.countFlushes(int64(len(exts)))
+	b.flushes.Add(int64(len(exts)))
 }

@@ -6,7 +6,6 @@ import (
 	"bdhtm/internal/durability"
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 // fenceBudget is the documented fences-per-commit figure of each engine
@@ -23,8 +22,8 @@ var fenceBudget = map[string]int64{
 // TestFenceAccountingPerEngine pins the engines' fence/flush accounting
 // on a scripted workload: with sync manual advances and a log that never
 // spills, every engine must issue exactly FencesPerCommit() heap fences
-// per committed epoch, self-report them in Accounting(), and mirror them
-// into the obs MEngine* counters.
+// per committed epoch, self-report them in Accounting(), and surface them
+// through epoch.Stats.
 func TestFenceAccountingPerEngine(t *testing.T) {
 	const rounds = 20
 	for _, eng := range durability.Names() {
@@ -34,10 +33,8 @@ func TestFenceAccountingPerEngine(t *testing.T) {
 			if !ok {
 				t.Fatalf("engine %s has no documented fence budget", eng)
 			}
-			rec := obs.New("fence-test")
 			h := nvm.New(nvm.Config{Words: 1 << 16})
-			h.SetObs(rec)
-			sys := epoch.New(h, epoch.Config{Manual: true, Engine: eng, Obs: rec})
+			sys := epoch.New(h, epoch.Config{Manual: true, Engine: eng})
 			if got := sys.Engine().FencesPerCommit(); got != budget {
 				t.Fatalf("FencesPerCommit() = %d, documented budget is %d", got, budget)
 			}
@@ -61,15 +58,6 @@ func TestFenceAccountingPerEngine(t *testing.T) {
 			if acct.Fences != acct.Commits*budget {
 				t.Errorf("%d fences for %d commits, want commits*budget = %d",
 					acct.Fences, acct.Commits, acct.Commits*budget)
-			}
-			if got := rec.Metric(obs.MEngineFences); got != acct.Fences {
-				t.Errorf("obs engine-fences counter %d != accounting fences %d", got, acct.Fences)
-			}
-			if got := rec.Metric(obs.MEngineCommits); got != acct.Commits {
-				t.Errorf("obs engine-commits counter %d != accounting commits %d", got, acct.Commits)
-			}
-			if got := rec.Metric(obs.MEngineFlushes); got != acct.Flushes {
-				t.Errorf("obs engine-flushes counter %d != accounting flushes %d", got, acct.Flushes)
 			}
 			// Engine stats surface through epoch.Stats for the bench rows.
 			st := sys.Stats()

@@ -98,7 +98,7 @@ func (e *logEngine) Format(watermark uint64) {
 // (a "spill", surcharged on the fence budget and counted in
 // Accounting.Spills).
 func (e *logEngine) Commit() {
-	e.commitStart()
+	e.commits.Add(1)
 	seg := 0
 	pos := logEntriesAddr
 	for i, ex := range e.exts {
@@ -109,9 +109,6 @@ func (e *logEngine) Commit() {
 		if pos+need > logLimitAddr {
 			e.commitSegment(e.exts[seg:i], pos, false)
 			e.spills.Add(1)
-			if e.rec != nil {
-				e.rec.MetricAdd(obs.MLogSpills, 0, 1)
-			}
 			seg, pos = i, logEntriesAddr
 		}
 		pos = e.writeEntry(pos, ex)
@@ -168,7 +165,7 @@ func (e *logEngine) flushLog(end nvm.Addr) {
 	}
 	e.heap.FlushRange(logEntriesAddr, words)
 	lines := int64((end-1)/nvm.LineWords - logEntriesAddr/nvm.LineWords + 1)
-	e.countFlushes(lines)
+	e.flushes.Add(lines)
 }
 
 // writeRecord stores and flushes the commit record in one line-atomic
@@ -344,7 +341,7 @@ func (e *logEngine) replay(words nvm.Addr, reverse bool) {
 			h.Store(s.ext.Addr+nvm.Addr(i), h.Load(s.pos+1+nvm.Addr(i)))
 		}
 		h.FlushRange(s.ext.Addr, s.ext.Words)
-		e.countFlushes(1)
+		e.flushes.Add(1)
 	}
 	if reverse {
 		for i := len(spans) - 1; i >= 0; i-- {

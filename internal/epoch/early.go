@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 	"bdhtm/internal/palloc"
 )
 
@@ -119,10 +118,6 @@ func (s *System) earlyPass(force bool) {
 	s.flushed.Add(f)
 	s.earlyFlushed.Add(f)
 	s.advSeq.Add(1)
-	if o := s.cfg.Obs; o != nil {
-		o.MetricAdd(obs.MFlushedBlocks, 0, f)
-		o.MetricAdd(obs.MEarlyFlushedBlocks, 0, f)
-	}
 }
 
 // noteCost takes the per-block write-back cost from one write-back of

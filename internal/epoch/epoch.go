@@ -109,9 +109,9 @@ type Config struct {
 	// heap; mixing them panics.
 	Engine string
 	// Obs, when non-nil, receives the epoch-advance phase timeline
-	// (quiesce/flush/root/reclaim durations), advance events, the
-	// block-lifecycle counters, the flusher queue-depth gauge, and the
-	// allocator's alloc/free events.
+	// (quiesce, flush, root and reclaim durations) and the advance,
+	// recovery and allocator alloc/free trace events. The counters stay
+	// in Stats.
 	// It does not reach the heap: attach a recorder there separately
 	// (nvm.Heap.SetObs) if persist events are wanted too.
 	Obs *obs.Recorder
@@ -169,6 +169,7 @@ type Stats struct {
 	JournalPagesErased    int64
 
 	Backpressure int64 // advances that waited for the flusher goroutine to land the previous epoch
+	FlusherDepth int64 // closed epochs not yet persisted: global − 1 − persisted, clamped to [0, 1]
 	AdvanceP99NS int64 // p99 of AdvanceOnce wall time, nanoseconds
 
 	// Durability-engine identity and self-accounting (Config.Engine;
@@ -239,10 +240,6 @@ type System struct {
 	journalCheckpoints atomic.Int64
 	// Set once by Recover, before the system is shared.
 	journalPagesRead, journalRecordsApplied, journalPagesErased int64
-
-	// closedNS[e%numSlots] is the obs-clock time epoch e stopped being
-	// active, consumed by runTask for the durable-lag gauge.
-	closedNS [numSlots]atomic.Int64
 
 	// taskMu serialises flush tasks (runTask) and early passes (early.go):
 	// the flusher goroutine runs both, but a task may also run inline under
@@ -382,9 +379,6 @@ func (s *System) flushPending() {
 	s.pendEpoch = 0
 	s.pendMu.Unlock()
 	s.pendCond.Broadcast()
-	if o := s.cfg.Obs; o != nil {
-		o.SetGauge(obs.GFlusherDepth, 0)
-	}
 }
 
 // settle lands the pending hand-off, under advMu: it waits for a live
@@ -500,6 +494,7 @@ func (s *System) Stats() Stats {
 		}
 	}
 	st.RetiredBlocks = s.retired.Load()
+	st.FlusherDepth = min(max(int64(s.global.Load())-1-int64(s.persisted.Load()), 0), 1)
 	st.Resurrected = s.resurrected.Load()
 	st.RecoveredLive = s.recoveredLive.Load()
 	st.JournalPagesRead = s.journalPagesRead
@@ -574,13 +569,9 @@ func (s *System) advance() {
 	}
 
 	s.global.Store(e + 1)
-	s.stampClosed(e)
 	s.pendMu.Lock()
 	s.pendEpoch = e
 	s.pendMu.Unlock()
-	if o := s.cfg.Obs; o != nil {
-		o.SetGauge(obs.GFlusherDepth, 1) // before the ring: the flusher zeroes it
-	}
 	select {
 	case s.doorbell <- struct{}{}:
 	default:
@@ -590,19 +581,7 @@ func (s *System) advance() {
 
 	s.advances.Add(1)
 	s.advHist.Record(e, int64(time.Since(t0)))
-	if o := s.cfg.Obs; o != nil {
-		o.Hit(obs.MAdvances, obs.EvAdvance, e-1, e+1)
-	}
-}
-
-// stampClosed records when epoch e stopped being active, so runTask can
-// report how long it sat closed-but-volatile once it persists. The slot
-// ring reuses entries after numSlots epochs, safely past the two-epoch
-// persistence window.
-func (s *System) stampClosed(e uint64) {
-	if o := s.cfg.Obs; o != nil {
-		s.closedNS[e%numSlots].Store(o.Now())
-	}
+	s.cfg.Obs.Hit(obs.EvAdvance, e-1, e+1)
 }
 
 // runTask persists epoch x: it waits for x to quiesce, collects every
@@ -676,15 +655,6 @@ func (s *System) runTask(x uint64) {
 		}
 	}
 
-	// Durability-SLO gauges: the live BDL window in epochs, and how long
-	// this epoch sat closed but volatile before its flush landed.
-	if o != nil {
-		o.SetGauge(obs.GDurableLagEpochs, int64(s.global.Load()-s.persisted.Load()))
-		if c := s.closedNS[x%numSlots].Load(); c > 0 {
-			o.SetGauge(obs.GDurableLagNS, o.Now()-c)
-		}
-	}
-
 	// (5) Blocks retired in x are now reclaimable: their journal records
 	// and the root above are durable, so no recovery can resurrect them.
 	// The batch free pushes them in descending address order, so the
@@ -702,10 +672,6 @@ func (s *System) runTask(x uint64) {
 	s.journalCheckpoints.Add(checkpoints)
 	s.advSeq.Add(1)
 	if o != nil {
-		o.MetricAdd(obs.MFlushedBlocks, 0, flushed)
-		o.MetricAdd(obs.MFreedBlocks, 0, freed)
-		o.MetricAdd(obs.MJournalRecords, 0, records)
-		o.MetricAdd(obs.MJournalCheckpoints, 0, checkpoints)
 		o.Phase(obs.PhaseReclaim, x, t)
 	}
 }

@@ -230,11 +230,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	s.recoveryRebuildNS.Store(max(time.Since(rebuildStart).Nanoseconds(), 1))
 
 	// The watermark was already re-persisted by the engine's Recover.
-	if cfg.Obs != nil {
-		cfg.Obs.Hit(obs.MRecoveries, obs.EvRecover, p, uint64(s.recoveredLive.Load()))
-		cfg.Obs.MetricAdd(obs.MRecoveredBlocks, 0, s.recoveredLive.Load())
-		cfg.Obs.MetricAdd(obs.MResurrectedBlocks, 0, s.resurrected.Load())
-	}
+	cfg.Obs.Hit(obs.EvRecover, p, uint64(s.recoveredLive.Load()))
 	s.startAdvancer()
 	return s
 }

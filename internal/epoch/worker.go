@@ -185,9 +185,6 @@ func (w *Worker) PRetire(b Block) {
 	buf := &w.bufs[w.opEpoch%numSlots]
 	buf.retire = append(buf.retire, b.addr)
 	w.sys.retired.Add(1)
-	if o := w.sys.cfg.Obs; o != nil {
-		o.MetricAdd(obs.MRetiredBlocks, 0, 1)
-	}
 }
 
 // InTxn reports whether the worker is currently inside a (simulated)

@@ -539,7 +539,6 @@ func (tx *Tx) commit() bool {
 func (tm *TM) noteFallbackBlocked(slotWord uint64) {
 	if slotWord&1 == 1 && slotWord&fbOwnerBit != 0 {
 		tm.stats.fallbackBlocked.Add(1)
-		tm.obs.MetricAdd(obs.MFallbackBlocked, slotWord, 1)
 	}
 }
 

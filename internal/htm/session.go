@@ -100,7 +100,6 @@ func (tx *Tx) lockLine(p *uint64) {
 			tx.lockOrder = slices.Insert(tx.lockOrder, n, idx)
 			tx.lockPrev = slices.Insert(tx.lockPrev, n, cur)
 			tm.stats.fallbackLines.Add(1)
-			tm.obs.MetricAdd(obs.MFallbackLines, tx.owner, 1)
 			return
 		}
 		if !tx.escalated && spins >= limit {
@@ -204,7 +203,6 @@ func (tm *TM) RunSession(body func(tx *Tx)) Result {
 	tx.reset(fbOwnerBit|tm.txIDs.Add(1)<<1|1, 0)
 	tx.sess = true
 	tm.stats.fallbackAcquires.Add(1)
-	tm.obs.MetricAdd(obs.MFallbackAcquires, tx.owner, 1)
 	for {
 		res, ok := tm.runBody(tx, body)
 		if ok {

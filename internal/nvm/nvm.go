@@ -181,11 +181,11 @@ type Heap struct {
 }
 
 // SetObs attaches a telemetry recorder: flushes, fences, line write-backs,
-// and crashes are mirrored onto its counters (and its tracer, when one is
-// active). A nil recorder disables mirroring. Attach before the heap is
-// shared between goroutines. Word loads and stores are deliberately not
-// mirrored — they are orders of magnitude hotter than persist events and
-// already counted by Stats.
+// and crashes emit trace events while a trace is active (Stats counts
+// them either way). A nil recorder disables tracing. Attach before the
+// heap is shared between goroutines. Word loads and stores are
+// deliberately not traced — they are orders of magnitude hotter than
+// persist events.
 func (h *Heap) SetObs(r *obs.Recorder) { h.obs = r }
 
 // PersistPoint identifies one durability-relevant heap event observed by a
@@ -419,7 +419,7 @@ func (h *Heap) writeBackLine(l uint64, eviction bool) {
 		if eviction {
 			ev = 1
 		}
-		h.obs.Hit(obs.MWriteBacks, obs.EvWriteBack, base, ev)
+		h.obs.Hit(obs.EvWriteBack, base, ev)
 	}
 	if eviction {
 		h.stats.evictions.Add(l, 1)
@@ -513,7 +513,7 @@ func (h *Heap) Flush(a Addr) {
 	h.firePersist(PointFlush, a)
 	h.stats.flushes.Add(a.Line(), 1)
 	if h.obs != nil {
-		h.obs.Hit(obs.MFlushes, obs.EvFlush, uint64(a), 0)
+		h.obs.Hit(obs.EvFlush, uint64(a), 0)
 	}
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.FlushNS)
@@ -620,7 +620,7 @@ func (h *Heap) flushLines(first, last uint64, lastXP *uint64) {
 		h.firePersist(PointFlush, Addr(l*LineWords))
 		h.stats.flushes.Add(l, 1)
 		if h.obs != nil {
-			h.obs.Hit(obs.MFlushes, obs.EvFlush, l*LineWords, 0)
+			h.obs.Hit(obs.EvFlush, l*LineWords, 0)
 		}
 		if !h.cfg.Latency.Zero() {
 			spin(h.cfg.Latency.FlushNS)
@@ -635,7 +635,7 @@ func (h *Heap) flushLines(first, last uint64, lastXP *uint64) {
 		h.persistLine(l)
 		h.stats.lineWritebacks.Add(l, 1)
 		if h.obs != nil {
-			h.obs.Hit(obs.MWriteBacks, obs.EvWriteBack, base, 0)
+			h.obs.Hit(obs.EvWriteBack, base, 0)
 		}
 		h.stats.usefulBytes.Add(l, LineBytes)
 		xp := base / XPLineWords
@@ -657,7 +657,7 @@ func (h *Heap) Fence() {
 	h.firePersist(PointFence, 0)
 	h.stats.fences.Add(0, 1)
 	if h.obs != nil {
-		h.obs.Hit(obs.MFences, obs.EvFence, 0, 0)
+		h.obs.Hit(obs.EvFence, 0, 0)
 	}
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.FenceNS)
@@ -692,7 +692,7 @@ type CrashOptions struct {
 func (h *Heap) Crash(opts CrashOptions) {
 	n := h.crashes.Add(1)
 	if h.obs != nil {
-		h.obs.Hit(obs.MCrashes, obs.EvCrash, uint64(n), 0)
+		h.obs.Hit(obs.EvCrash, uint64(n), 0)
 	}
 	seed := opts.Seed
 	if seed == 0 {

@@ -2,27 +2,10 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync/atomic"
 )
-
-// expvarRec is the recorder behind /debug/vars' "obs" key. expvar only
-// allows publishing a name once per process, so the published Func
-// chases this pointer: every StartHTTP call (and restart) retargets it
-// at its recorder instead of the first call winning forever.
-var expvarRec atomic.Pointer[Recorder]
-
-var publishExpvar = func() func() {
-	var once atomic.Bool
-	return func() {
-		if once.CompareAndSwap(false, true) {
-			expvar.Publish("obs", expvar.Func(func() any { return expvarRec.Load().Snapshot() }))
-		}
-	}
-}()
 
 // HTTPServer is a running observability endpoint; Close shuts down the
 // listener and its serving goroutine, after which StartHTTP may be
@@ -40,27 +23,31 @@ func (h *HTTPServer) Addr() string { return h.addr }
 func (h *HTTPServer) Close() error { return h.srv.Close() }
 
 // StartHTTP serves live observability over HTTP on addr: /obs (JSON
-// snapshot of r), /metrics (OpenMetrics text exposition), /debug/vars
-// (expvar, including the same snapshot under the "obs" key), and
-// /debug/pprof. Each call builds its own ServeMux and server, so
-// multiple endpoints (or stop/restart cycles) coexist; the returned
-// handle's Close tears the endpoint down. Intended for benchmark runs
-// and service daemons, not the open internet.
-func StartHTTP(addr string, r *Recorder) (*HTTPServer, error) {
-	expvarRec.Store(r)
-	publishExpvar()
+// snapshot of r, plus the counters under "counters"), /metrics (the
+// OpenMetrics exposition of r and the counters) and /debug/pprof.
+// counters, if non-nil, is called on every request for the caller's
+// current flat counter struct (see WriteOpenMetrics). Each call builds
+// its own ServeMux and server, so multiple endpoints (or stop/restart
+// cycles) coexist; the returned handle's Close tears the endpoint down.
+// Intended for benchmark runs and service daemons, not the open internet.
+func StartHTTP(addr string, r *Recorder, counters func() any) (*HTTPServer, error) {
+	if counters == nil {
+		counters = func() any { return nil }
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/obs", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Snapshot())
+		_ = enc.Encode(struct {
+			Snapshot
+			Counters any `json:"counters,omitempty"`
+		}{r.Snapshot(), counters()})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		_ = r.WriteOpenMetrics(w)
+		_ = r.WriteOpenMetrics(w, counters())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

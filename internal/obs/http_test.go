@@ -22,12 +22,16 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestStartHTTPEndpoints: one endpoint serves /obs (JSON snapshot),
-// /metrics (lintable OpenMetrics), /debug/vars and /debug/pprof.
+// counterSource returns a counters func serving a one-field struct.
+func counterSource(reqs int64) func() any {
+	return func() any { return struct{ ServeReqs int64 }{reqs} }
+}
+
+// TestStartHTTPEndpoints: one endpoint serves /obs (JSON snapshot plus
+// the counters), /metrics (lintable OpenMetrics) and /debug/pprof.
 func TestStartHTTPEndpoints(t *testing.T) {
 	r := New("http-test")
-	r.MetricAdd(MServeReqs, 0, 3)
-	h, err := StartHTTP("127.0.0.1:0", r)
+	h, err := StartHTTP("127.0.0.1:0", r, counterSource(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +42,15 @@ func TestStartHTTPEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/obs status %d", code)
 	}
-	var snap map[string]any
+	var snap struct {
+		Name     string
+		Counters struct{ ServeReqs int64 }
+	}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("/obs is not JSON: %v\n%s", err, body)
+	}
+	if snap.Name != "http-test" || snap.Counters.ServeReqs != 3 {
+		t.Fatalf("/obs = %+v, want the recorder snapshot plus the counters:\n%s", snap, body)
 	}
 
 	code, body = httpGet(t, base+"/metrics")
@@ -50,13 +60,10 @@ func TestStartHTTPEndpoints(t *testing.T) {
 	if err := LintOpenMetrics(body); err != nil {
 		t.Fatalf("/metrics fails lint: %v\n%s", err, body)
 	}
-	if !strings.Contains(string(body), `bdhtm_events_total{event="serve_reqs"} 3`) {
-		t.Fatalf("/metrics missing recorded counter:\n%s", body)
+	if !strings.Contains(string(body), "\nbdhtm_serve_reqs 3\n") {
+		t.Fatalf("/metrics missing the counter:\n%s", body)
 	}
 
-	if code, _ := httpGet(t, base+"/debug/vars"); code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
 	if code, _ := httpGet(t, base+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline status %d", code)
 	}
@@ -64,19 +71,14 @@ func TestStartHTTPEndpoints(t *testing.T) {
 
 // TestStartHTTPTwice: two concurrent endpoints must coexist (the old
 // implementation panicked on the second DefaultServeMux registration),
-// each serving its own recorder.
+// each serving its own counters.
 func TestStartHTTPTwice(t *testing.T) {
-	r1 := New("first")
-	r1.MetricAdd(MServeReqs, 0, 1)
-	r2 := New("second")
-	r2.MetricAdd(MServeReqs, 0, 2)
-
-	h1, err := StartHTTP("127.0.0.1:0", r1)
+	h1, err := StartHTTP("127.0.0.1:0", New("first"), counterSource(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h1.Close()
-	h2, err := StartHTTP("127.0.0.1:0", r2)
+	h2, err := StartHTTP("127.0.0.1:0", New("second"), counterSource(2))
 	if err != nil {
 		t.Fatalf("second StartHTTP: %v", err)
 	}
@@ -84,20 +86,19 @@ func TestStartHTTPTwice(t *testing.T) {
 
 	_, b1 := httpGet(t, "http://"+h1.Addr()+"/metrics")
 	_, b2 := httpGet(t, "http://"+h2.Addr()+"/metrics")
-	if !strings.Contains(string(b1), `event="serve_reqs"} 1`) {
-		t.Fatalf("first endpoint not serving first recorder:\n%s", b1)
+	if !strings.Contains(string(b1), "bdhtm_serve_reqs 1\n") {
+		t.Fatalf("first endpoint not serving its counters:\n%s", b1)
 	}
-	if !strings.Contains(string(b2), `event="serve_reqs"} 2`) {
-		t.Fatalf("second endpoint not serving second recorder:\n%s", b2)
+	if !strings.Contains(string(b2), "bdhtm_serve_reqs 2\n") {
+		t.Fatalf("second endpoint not serving its counters:\n%s", b2)
 	}
 }
 
 // TestStartHTTPStopRestart: Close releases the address; a later
-// StartHTTP (same process) serves the new recorder, including via the
-// process-global expvar key.
+// StartHTTP (same process) serves the new recorder.
 func TestStartHTTPStopRestart(t *testing.T) {
 	r1 := New("gen-one")
-	h, err := StartHTTP("127.0.0.1:0", r1)
+	h, err := StartHTTP("127.0.0.1:0", r1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +111,16 @@ func TestStartHTTPStopRestart(t *testing.T) {
 	}
 
 	r2 := New("gen-two")
-	h2, err := StartHTTP(addr, r2) // exact same address must be free again
+	h2, err := StartHTTP(addr, r2, nil) // exact same address must be free again
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
 	defer h2.Close()
-	code, body := httpGet(t, "http://"+h2.Addr()+"/debug/vars")
+	code, body := httpGet(t, "http://"+h2.Addr()+"/obs")
 	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
+		t.Fatalf("/obs status %d", code)
 	}
-	// expvar is process-global; the "obs" key must chase the restart.
 	if !strings.Contains(string(body), `"gen-two"`) {
-		t.Fatalf("expvar obs key still bound to old recorder:\n%s", body)
+		t.Fatalf("/obs still bound to the old recorder:\n%s", body)
 	}
 }

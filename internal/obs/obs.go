@@ -1,24 +1,23 @@
-// Package obs is the repository's unified observability layer: one
-// low-overhead telemetry hub threaded through the substrate packages
-// (htm, nvm, epoch, palloc) and every data structure's operation hot
-// path. It provides the measurement backbone behind the paper's entire
-// evaluation — commit/abort breakdowns (Fig. 2), persist-cost and
-// write-amplification accounting (Sec. 5.1), epoch-advance stall
-// attribution (Fig. 7) — as reusable machinery instead of per-experiment
-// ad-hoc printing.
+// Package obs is the repository's telemetry layer for what no layer's
+// own Stats owns: latency distributions, event traces and request spans.
+// Counters and gauges are not declared here — each lives once, in the
+// Stats of the layer that owns it (htm.Stats, nvm.Stats, epoch.Stats,
+// bdserve's STATS snapshot) — and the exposition renders them from there.
 //
 // Components:
 //
-//   - Counter: lock-free sharded event counters (counter.go).
+//   - Counter: lock-free sharded event counters, the building block of
+//     nvm.Stats (counter.go).
 //   - Hist: log-scale latency histograms, per op type (insert / remove /
 //     lookup), per HTM attempt outcome (commit vs. each abort cause),
-//     and per epoch-advance phase (hist.go).
+//     per epoch-advance phase, and per service latency (hist.go).
 //   - Tracer: a sharded ring-buffer event tracer with Chrome
-//     trace_event and JSONL exporters (trace.go).
+//     trace_event and JSONL exporters (trace.go); spans follow sampled
+//     requests through the service stack (span.go).
 //   - Report: the stable BENCH_*.json machine-readable benchmark schema
 //     and its validator (report.go).
-//   - StartHTTP: an optional expvar/pprof/live-snapshot HTTP endpoint
-//     for long runs (http.go).
+//   - WriteOpenMetrics / StartHTTP: the OpenMetrics exposition and an
+//     optional /obs, /metrics and pprof HTTP endpoint (prom.go, http.go).
 //
 // Overhead discipline: a nil *Recorder is a valid, fully disabled
 // recorder — every method is nil-safe, and instrumented call sites guard
@@ -140,190 +139,6 @@ func (p EpochPhase) String() string {
 	}
 }
 
-// Metric names one sharded event counter.
-type Metric uint8
-
-const (
-	MFlushes    Metric = iota // explicit line flushes (clwb)
-	MFences                   // store fences
-	MWriteBacks               // capacity-eviction write-backs
-	MAllocs                   // palloc block allocations
-	MFrees                    // palloc block frees
-	MAdvances                 // epoch transitions
-	MCrashes                  // simulated power failures
-	MRecoveries               // recovery passes
-
-	// Epoch block-lifecycle counters (appended; enum order is part of the
-	// trace format). The epoch system bumps these on lane 0, and their
-	// totals equal the matching epoch.Stats counters.
-	MFlushedBlocks // blocks written back by the flusher (at epoch close, or early)
-	MRetiredBlocks // blocks retired (PRetire) awaiting reclamation
-	MFreedBlocks   // retired blocks reclaimed after their epoch persisted
-
-	// Durability-engine self-accounting (appended; enum order is part
-	// of the trace format). The engine bumps these for every fence and
-	// flush it issues on the epoch-close path, so per-engine fence
-	// budgets are checkable against the heap-level MFences/MFlushes.
-	MEngineCommits // epoch-close commits executed by the durability engine
-	MEngineFences  // fences issued by the durability engine
-	MEngineFlushes // flush operations issued by the durability engine
-	MLogSpills     // log-overflow segments sealed mid-commit
-
-	// Service-layer counters for bdserve (appended; enum order is part
-	// of the trace format). The server bumps these with the connection
-	// index as the lane, so per-connection ack conservation (durable acks
-	// == write commits, applied acks == write commits in buffered mode)
-	// is checkable from telemetry alone.
-	MServeConns       // connections accepted
-	MServeReqs        // request frames decoded and dispatched
-	MServeAppliedAcks // applied acks written (buffered mode)
-	MServeDurableAcks // durable acks written by the group-commit acker
-
-	// Recovery-outcome counters (appended; enum order is part of the
-	// trace format). epoch.Recover bumps these once per pass with the
-	// header-judgment totals, so recovered-block counts are comparable
-	// across worker counts from telemetry alone (the parallel-recovery
-	// equivalence matrix pins them identical to the serial scan).
-	MRecoveredBlocks   // live blocks recovered by the header judgment
-	MResurrectedBlocks // deleted-but-unpersisted blocks rolled back to live
-
-	// Hybrid-fallback counters (appended; enum order is part of the trace
-	// format). The HTM unit bumps these on the fine-grained slow path, so
-	// fallback pressure (how many slow-path sessions ran, how many lines
-	// they locked, how many fast-path aborts they caused) is visible from
-	// telemetry alone.
-	MFallbackAcquires // fine-grained fallback sessions started
-	MFallbackLines    // versioned-lock slots acquired by fallback sessions
-	MFallbackBlocked  // transaction aborts caused by a fallback-held line
-
-	// Retire-journal counters (appended; enum order is part of the trace
-	// format), the flusher's counterparts of MRetiredBlocks: the epoch
-	// system bumps them once per flush task, on lane 0 — the journal is
-	// written serially.
-	MJournalRecords     // retirements appended to the journal at epoch close
-	MJournalCheckpoints // block headers flushed when a journal page was recycled
-
-	// Early write-back (appended; enum order is part of the trace format):
-	// the subset of MFlushedBlocks the flusher wrote back before their
-	// epoch closed, on the same lane.
-	MEarlyFlushedBlocks
-
-	NumMetrics
-)
-
-func (m Metric) String() string {
-	switch m {
-	case MFlushes:
-		return "flushes"
-	case MFences:
-		return "fences"
-	case MWriteBacks:
-		return "writebacks"
-	case MAllocs:
-		return "allocs"
-	case MFrees:
-		return "frees"
-	case MAdvances:
-		return "advances"
-	case MCrashes:
-		return "crashes"
-	case MRecoveries:
-		return "recoveries"
-	case MFlushedBlocks:
-		return "flushed-blocks"
-	case MRetiredBlocks:
-		return "retired-blocks"
-	case MFreedBlocks:
-		return "freed-blocks"
-	case MEngineCommits:
-		return "engine-commits"
-	case MEngineFences:
-		return "engine-fences"
-	case MEngineFlushes:
-		return "engine-flushes"
-	case MLogSpills:
-		return "log-spills"
-	case MServeConns:
-		return "serve-conns"
-	case MServeReqs:
-		return "serve-reqs"
-	case MServeAppliedAcks:
-		return "serve-applied-acks"
-	case MServeDurableAcks:
-		return "serve-durable-acks"
-	case MRecoveredBlocks:
-		return "recovered-blocks"
-	case MResurrectedBlocks:
-		return "resurrected-blocks"
-	case MFallbackAcquires:
-		return "fallback-acquires"
-	case MFallbackLines:
-		return "fallback-lines"
-	case MFallbackBlocked:
-		return "fallback-blocked"
-	case MJournalRecords:
-		return "journal-records"
-	case MJournalCheckpoints:
-		return "journal-checkpoints"
-	case MEarlyFlushedBlocks:
-		return "early-flushed-blocks"
-	default:
-		return fmt.Sprintf("Metric(%d)", uint8(m))
-	}
-}
-
-// GaugeID names one instantaneous (settable, non-monotonic) value.
-type GaugeID uint8
-
-const (
-	// GFlusherDepth is the epoch advancer's hand-off depth: the number of
-	// closed epochs handed to the flusher but not yet persisted (0 or 1
-	// under the two-epoch window).
-	GFlusherDepth GaugeID = iota
-
-	// Service-layer gauges (appended). GServeConns is open connections;
-	// GServeInflight is requests decoded but not yet applied-acked;
-	// GServeAckQueue is ops applied but awaiting their durable ack. All
-	// three must drain to zero when every client disconnects cleanly —
-	// the race-lane conservation test pins that.
-	GServeConns
-	GServeInflight
-	GServeAckQueue
-
-	// Durability-SLO gauges (appended). GDurableLagEpochs is the
-	// distance global-epoch − persisted-epoch after each persist step
-	// (the live BDL window); GDurableLagNS is how long the most recently
-	// persisted epoch sat closed-but-volatile; GOldestUnackedNS is the
-	// age of the oldest write applied but not yet durable-acked, the
-	// head of the service's durability backlog.
-	GDurableLagEpochs
-	GDurableLagNS
-	GOldestUnackedNS
-
-	NumGauges
-)
-
-func (g GaugeID) String() string {
-	switch g {
-	case GFlusherDepth:
-		return "flusher-depth"
-	case GServeConns:
-		return "serve-conns"
-	case GServeInflight:
-		return "serve-inflight"
-	case GServeAckQueue:
-		return "serve-ack-queue"
-	case GDurableLagEpochs:
-		return "durable-lag-epochs"
-	case GDurableLagNS:
-		return "durable-lag-ns"
-	case GOldestUnackedNS:
-		return "oldest-unacked-ns"
-	default:
-		return fmt.Sprintf("GaugeID(%d)", uint8(g))
-	}
-}
-
 // SvcHist names one service-level latency histogram: the ack-latency and
 // durability-lag distributions behind the server's SLO reporting. The
 // enum order is part of the exported metric set; append only.
@@ -371,8 +186,6 @@ type Recorder struct {
 	attempts [NumOutcomes]Hist
 	phases   [NumEpochPhases]Hist
 	svc      [NumSvcHists]Hist
-	metrics  [NumMetrics]Counter
-	gauges   [NumGauges]atomic.Int64
 
 	tracer atomic.Pointer[Tracer]
 	spans  atomic.Pointer[SpanRing]
@@ -455,51 +268,16 @@ func (r *Recorder) Phase(p EpochPhase, epoch uint64, start int64) int64 {
 	return end
 }
 
-// Hit bumps a metric counter and, when a trace is active, emits one
-// instant event of the given kind. shard doubles as the event's first
-// argument (an address, an epoch).
-func (r *Recorder) Hit(m Metric, kind EventKind, shard, arg2 uint64) {
+// Hit emits one instant trace event of the given kind when a trace is
+// active; it counts nothing (the emitting layer's Stats does). shard
+// doubles as the event's first argument (an address, an epoch).
+func (r *Recorder) Hit(kind EventKind, shard, arg2 uint64) {
 	if r == nil {
 		return
 	}
-	r.metrics[m].Add(shard, 1)
 	if tr := r.tracer.Load(); tr != nil {
 		tr.emit(Event{TS: r.now(), Kind: kind, Shard: uint16(shard & shardMask), Arg1: shard, Arg2: arg2})
 	}
-}
-
-// MetricAdd bumps a metric counter by delta on the given lane without
-// emitting a trace event — the bulk form Hit used by the epoch flusher
-// to publish a whole task's worth of block counts at once.
-func (r *Recorder) MetricAdd(m Metric, shard uint64, delta int64) {
-	if r == nil || delta == 0 {
-		return
-	}
-	r.metrics[m].Add(shard, delta)
-}
-
-// Metric returns the current value of one counter (0 for nil recorders).
-func (r *Recorder) Metric(m Metric) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.metrics[m].Load()
-}
-
-// SetGauge publishes an instantaneous value.
-func (r *Recorder) SetGauge(g GaugeID, v int64) {
-	if r == nil {
-		return
-	}
-	r.gauges[g].Store(v)
-}
-
-// Gauge reads an instantaneous value (0 for nil recorders).
-func (r *Recorder) Gauge(g GaugeID) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[g].Load()
 }
 
 // OpHist returns a snapshot of one op-kind latency histogram.
@@ -590,20 +368,6 @@ func (r *Recorder) SampleSpan(reqID, conn uint64, op uint8) *Span {
 	return sr.sample(reqID, conn, op, r.now())
 }
 
-// SpanCounts reports the active ring's sampled/dropped totals (0, 0
-// when spans are disabled).
-func (r *Recorder) SpanCounts() (sampled, dropped int64) {
-	if r == nil {
-		return 0, 0
-	}
-	sr := r.spans.Load()
-	if sr == nil {
-		return 0, 0
-	}
-	sampled, dropped, _ = sr.Counts()
-	return sampled, dropped
-}
-
 // StartTrace activates event tracing with room for roughly capacity
 // events (split across shards; older events are overwritten once a
 // shard's ring fills). It returns the tracer, which stays readable after
@@ -634,16 +398,16 @@ func (r *Recorder) Tracer() *Tracer {
 	return r.tracer.Load()
 }
 
-// Snapshot captures every histogram and counter, for the -obs summary,
-// the expvar endpoint, and tests. Call it while the workload is paused
-// for exact values; concurrent calls see a possibly-torn but safe view.
+// Snapshot captures every histogram and the tracer's counts, for the -obs
+// summary, the /obs endpoint, and tests. Call it while the workload is
+// paused for exact values; concurrent calls see a possibly-torn but safe
+// view.
 func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{
 		Name:        r.Name(),
 		Ops:         map[string]HistSnapshot{},
 		Attempts:    map[string]HistSnapshot{},
 		EpochPhases: map[string]HistSnapshot{},
-		Metrics:     map[string]int64{},
 	}
 	if r == nil {
 		return s
@@ -671,24 +435,8 @@ func (r *Recorder) Snapshot() Snapshot {
 			s.Service[v.String()] = h
 		}
 	}
-	for m := Metric(0); m < NumMetrics; m++ {
-		if v := r.metrics[m].Load(); v != 0 {
-			s.Metrics[m.String()] = v
-		}
-	}
-	for g := GaugeID(0); g < NumGauges; g++ {
-		if v := r.gauges[g].Load(); v != 0 {
-			if s.Gauges == nil {
-				s.Gauges = map[string]int64{}
-			}
-			s.Gauges[g.String()] = v
-		}
-	}
 	if tr := r.tracer.Load(); tr != nil {
 		s.TraceEvents, s.TraceDropped = tr.Counts()
-	}
-	if sr := r.spans.Load(); sr != nil {
-		s.SpansSampled, s.SpansDropped, _ = sr.Counts()
 	}
 	return s
 }
@@ -700,10 +448,6 @@ type Snapshot struct {
 	Attempts     map[string]HistSnapshot `json:"attempts"`
 	EpochPhases  map[string]HistSnapshot `json:"epoch_phases"`
 	Service      map[string]HistSnapshot `json:"service,omitempty"`
-	Metrics      map[string]int64        `json:"metrics"`
-	Gauges       map[string]int64        `json:"gauges,omitempty"`
 	TraceEvents  int64                   `json:"trace_events"`
 	TraceDropped int64                   `json:"trace_dropped"`
-	SpansSampled int64                   `json:"spans_sampled,omitempty"`
-	SpansDropped int64                   `json:"spans_dropped,omitempty"`
 }

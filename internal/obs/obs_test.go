@@ -28,10 +28,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if end := r.Phase(PhaseFlush, 9, 2); end != 0 {
 		t.Errorf("nil Phase = %d", end)
 	}
-	r.Hit(MFlushes, EvFlush, 0, 0)
-	if r.Metric(MFlushes) != 0 {
-		t.Errorf("nil Metric = %d", r.Metric(MFlushes))
-	}
+	r.Hit(EvFlush, 0, 0)
 	if h := r.OpHist(OpInsert); h.Count != 0 {
 		t.Errorf("nil OpHist count = %d", h.Count)
 	}
@@ -51,7 +48,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Errorf("nil Tracer = %v", tr)
 	}
 	s := r.Snapshot()
-	if s.Name != "" || len(s.Ops) != 0 || len(s.Metrics) != 0 {
+	if s.Name != "" || len(s.Ops) != 0 || s.TraceEvents != 0 {
 		t.Errorf("nil Snapshot = %+v", s)
 	}
 }
@@ -66,23 +63,23 @@ func TestNilRecorderIsCheap(t *testing.T) {
 		r.EndOp(OpInsert, 42, start)
 		r.Attempt(OutCommit, 42, start)
 		r.Phase(PhaseFlush, 1, start)
-		r.Hit(MFlushes, EvFlush, 7, 0)
+		r.Hit(EvFlush, 7, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recording allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestEnabledRecordingIsAllocFree pins the enabled hot path: counters and
-// histograms are pre-sized arrays of atomics, so steady-state recording
-// (without an active tracer) must not allocate either.
+// TestEnabledRecordingIsAllocFree pins the enabled hot path: histograms
+// are pre-sized arrays of atomics and Hit only emits to an active tracer,
+// so steady-state recording (without one) must not allocate either.
 func TestEnabledRecordingIsAllocFree(t *testing.T) {
 	r, _ := scripted(5)
 	allocs := testing.AllocsPerRun(1000, func() {
 		start := r.Now()
 		r.EndOp(OpLookup, 3, start)
 		r.Attempt(OutCommit, 3, start)
-		r.Hit(MFences, EvFence, 0, 0)
+		r.Hit(EvFence, 0, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled recording allocates %.1f objects/op, want 0", allocs)
@@ -147,28 +144,27 @@ func TestRecorderAttemptAndPhase(t *testing.T) {
 	}
 }
 
+// TestRecorderMetricsAndSnapshot: Hit is trace-only — without a tracer it
+// leaves no mark — and the snapshot carries the histograms and the
+// tracer's counts.
 func TestRecorderMetricsAndSnapshot(t *testing.T) {
 	r, _ := scripted(1)
+	r.Hit(EvFence, 0, 0)
+	r.StartTrace(64)
 	for i := 0; i < 5; i++ {
-		r.Hit(MFlushes, EvFlush, uint64(i), 0)
+		r.Hit(EvFlush, uint64(i), 0)
 	}
-	r.Hit(MAdvances, EvAdvance, 0, 1)
+	r.Hit(EvAdvance, 0, 1)
 	r.EndOp(OpRemove, 0, r.Now())
 
-	if got := r.Metric(MFlushes); got != 5 {
-		t.Errorf("MFlushes = %d, want 5", got)
-	}
 	s := r.Snapshot()
 	if s.Name != "test" {
 		t.Errorf("snapshot name = %q", s.Name)
 	}
-	if s.Metrics["flushes"] != 5 || s.Metrics["advances"] != 1 {
-		t.Errorf("snapshot metrics = %v", s.Metrics)
+	if s.TraceEvents != 7 || s.TraceDropped != 0 {
+		t.Errorf("snapshot trace counts = %d/%d, want 7/0 (5 flushes, 1 advance, 1 op)", s.TraceEvents, s.TraceDropped)
 	}
-	// Zero entries are omitted entirely.
-	if _, ok := s.Metrics["fences"]; ok {
-		t.Errorf("zero metric present in snapshot: %v", s.Metrics)
-	}
+	// Empty histograms are omitted entirely.
 	if _, ok := s.Ops["insert"]; ok {
 		t.Errorf("empty op hist present in snapshot: %v", s.Ops)
 	}
@@ -221,8 +217,7 @@ func TestEnumStrings(t *testing.T) {
 		{OutPersistOp.String(), "persist-op"},
 		{PhaseQuiesce.String(), "quiesce"},
 		{PhaseReclaim.String(), "reclaim"},
-		{MFlushes.String(), "flushes"},
-		{MRecoveries.String(), "recoveries"},
+		{EvRecover.String(), "recover"},
 		{EvEpochPhase.String(), "epoch-phase"},
 		{OpKind(99).String(), "OpKind(99)"},
 	}

@@ -4,22 +4,21 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
-// OpenMetrics text exposition of a Recorder: every counter, gauge, and
-// histogram under stable metric names, servable at /metrics and
-// scrapable by Prometheus. Families:
+// OpenMetrics text exposition of a Recorder plus a caller's counters,
+// servable at /metrics and scrapable by Prometheus. Families:
 //
-//	bdhtm_events_total{event="..."}          one counter per Metric
-//	bdhtm_<gauge-name>                       one gauge per GaugeID
+//	bdhtm_<snake_case(field)>                one gauge per counters field
 //	bdhtm_op_latency_ns{op="..."}            histogram per OpKind
 //	bdhtm_attempt_latency_ns{outcome="..."}  histogram per Outcome
 //	bdhtm_epoch_phase_ns{phase="..."}        histogram per EpochPhase
 //	bdhtm_svc_<name>                         histogram per SvcHist
-//	bdhtm_spans_sampled_total / bdhtm_spans_dropped_total
 //
 // Dashes in enum String() names become underscores; the names above are
 // a published contract (DESIGN.md §7) — renames are breaking changes.
@@ -30,24 +29,50 @@ func promName(s string) string {
 	return strings.ReplaceAll(s, "-", "_")
 }
 
-// WriteOpenMetrics renders the recorder's full state in OpenMetrics text
-// format, terminated by the required "# EOF" line. A nil recorder
-// renders an empty (but valid) exposition.
-func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if r != nil {
-		fmt.Fprintf(bw, "# TYPE bdhtm_events counter\n")
-		for m := Metric(0); m < NumMetrics; m++ {
-			fmt.Fprintf(bw, "bdhtm_events_total{event=%q} %d\n", promName(m.String()), r.metrics[m].Load())
+// snakeCase converts a Go field name to a metric-name token:
+// "MaxAckLagEpochs" → "max_ack_lag_epochs", "OldestUnackedNS" →
+// "oldest_unacked_ns".
+func snakeCase(s string) string {
+	rs := []rune(s)
+	var b strings.Builder
+	for i, c := range rs {
+		if i > 0 && unicode.IsUpper(c) &&
+			(!unicode.IsUpper(rs[i-1]) || i+1 < len(rs) && unicode.IsLower(rs[i+1])) {
+			b.WriteByte('_')
 		}
-		for g := GaugeID(0); g < NumGauges; g++ {
-			name := "bdhtm_" + promName(g.String())
-			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %d\n", name, name, r.gauges[g].Load())
-		}
-		sampled, dropped := r.SpanCounts()
-		fmt.Fprintf(bw, "# TYPE bdhtm_spans_sampled counter\nbdhtm_spans_sampled_total %d\n", sampled)
-		fmt.Fprintf(bw, "# TYPE bdhtm_spans_dropped counter\nbdhtm_spans_dropped_total %d\n", dropped)
+		b.WriteRune(unicode.ToLower(c))
+	}
+	return b.String()
+}
 
+// WriteOpenMetrics renders each field of counters (a flat struct of
+// integer fields, or a pointer to one; nil renders none) as a gauge named
+// bdhtm_<snake_case(field)>, then the recorder's histograms, terminated
+// by the required "# EOF" line. The struct's fields are the declaration:
+// there is no second name table. A field of any other kind is an error.
+// A nil recorder renders no histograms.
+func (r *Recorder) WriteOpenMetrics(w io.Writer, counters any) error {
+	bw := bufio.NewWriter(w)
+	if counters != nil {
+		v := reflect.Indirect(reflect.ValueOf(counters))
+		if v.Kind() != reflect.Struct {
+			return fmt.Errorf("obs: counters is a %s, not a struct", v.Kind())
+		}
+		for i := 0; i < v.NumField(); i++ {
+			var n string
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				n = strconv.FormatInt(f.Int(), 10)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				n = strconv.FormatUint(f.Uint(), 10)
+			default:
+				return fmt.Errorf("obs: counters field %s is a %s, not an integer", v.Type().Field(i).Name, f.Kind())
+			}
+			name := "bdhtm_" + snakeCase(v.Type().Field(i).Name)
+			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", name, name, n)
+		}
+	}
+	if r != nil {
 		fmt.Fprintf(bw, "# TYPE bdhtm_op_latency_ns histogram\n")
 		for k := OpKind(0); k < NumOps; k++ {
 			writePromHist(bw, "bdhtm_op_latency_ns", fmt.Sprintf("op=%q", promName(k.String())), r.ops[k].Snapshot())

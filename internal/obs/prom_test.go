@@ -2,8 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"bdhtm/internal/wire"
 )
 
 // TestWriteOpenMetricsLints: a populated recorder's exposition must pass
@@ -12,22 +16,15 @@ import (
 func TestWriteOpenMetricsLints(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewWithClock("prom-test", clk.now)
-	r.MetricAdd(MServeReqs, 0, 7)
-	r.SetGauge(GDurableLagEpochs, 2)
-	r.SetGauge(GDurableLagNS, 1500)
 	r.EndOp(OpInsert, 0, r.Now())
 	r.Attempt(OutCommit, 0, r.Now())
 	r.Attempt(OutConflict, 1, r.Now())
 	r.SvcRecord(SvcAppliedAckNS, 0, 120)
 	r.SvcRecord(SvcDurableAckNS, 0, 90000)
 	r.SvcRecord(SvcAckLagEpochs, 0, 2)
-	r.EnableSpans(4, 1)
-	if sp := r.SampleSpan(1, 0, 2); sp == nil {
-		t.Fatal("sample failed")
-	}
 
 	var buf bytes.Buffer
-	if err := r.WriteOpenMetrics(&buf); err != nil {
+	if err := r.WriteOpenMetrics(&buf, &wire.StatsSnap{FlusherDepth: 1, Requests: 7}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -35,17 +32,15 @@ func TestWriteOpenMetricsLints(t *testing.T) {
 		t.Fatalf("own exposition fails lint: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"# TYPE bdhtm_events counter",
-		`bdhtm_events_total{event="serve_reqs"} 7`,
-		"# TYPE bdhtm_durable_lag_epochs gauge",
-		"bdhtm_durable_lag_epochs 2",
+		"# TYPE bdhtm_flusher_depth gauge",
+		"\nbdhtm_flusher_depth 1\n",
+		"\nbdhtm_requests 7\n",
 		"# TYPE bdhtm_op_latency_ns histogram",
 		`op="insert"`,
 		"# TYPE bdhtm_attempt_latency_ns histogram",
 		`outcome="conflict"`,
 		"# TYPE bdhtm_svc_applied_ack_ns histogram",
 		"bdhtm_svc_applied_ack_ns_count 1",
-		"bdhtm_spans_sampled_total 1",
 		"# EOF\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -57,16 +52,77 @@ func TestWriteOpenMetricsLints(t *testing.T) {
 	}
 }
 
-// TestWriteOpenMetricsEmptyRecorder: a fresh recorder still produces a
-// well-formed (lintable) exposition.
+// TestWriteOpenMetricsEmptyRecorder: a fresh recorder with no counters
+// still produces a well-formed (lintable) exposition.
 func TestWriteOpenMetricsEmptyRecorder(t *testing.T) {
 	r := New("empty")
 	var buf bytes.Buffer
-	if err := r.WriteOpenMetrics(&buf); err != nil {
+	if err := r.WriteOpenMetrics(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintOpenMetrics(buf.Bytes()); err != nil {
 		t.Fatalf("empty exposition fails lint: %v\n%s", err, buf.String())
+	}
+}
+
+// TestWriteOpenMetricsStructFields: every field of a counters struct
+// renders exactly once, as a gauge family of its own named after the
+// field, whatever its integer kind; a non-integer field is refused.
+func TestWriteOpenMetricsStructFields(t *testing.T) {
+	var snap wire.StatsSnap
+	v := reflect.ValueOf(&snap).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(1000 + i)) // distinct values name the field
+	}
+	var buf bytes.Buffer
+	var nilRec *Recorder
+	if err := nilRec.WriteOpenMetrics(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := LintOpenMetrics(buf.Bytes()); err != nil {
+		t.Fatalf("struct exposition fails lint: %v\n%s", err, buf.String())
+	}
+	families := map[string]string{} // sample value -> family
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			if prev, dup := families[f[1]]; dup {
+				t.Fatalf("value %s rendered twice (%s, %s)", f[1], prev, f[0])
+			}
+			families[f[1]] = f[0]
+		}
+	}
+	if len(families) != v.NumField() {
+		t.Fatalf("%d samples for %d fields:\n%s", len(families), v.NumField(), buf.String())
+	}
+	for i := 0; i < v.NumField(); i++ {
+		name := families[strconv.Itoa(1000+i)]
+		if strings.Count(buf.String(), "# TYPE "+name+" gauge\n") != 1 {
+			t.Errorf("field %s: family %q not declared exactly once as a gauge", v.Type().Field(i).Name, name)
+		}
+	}
+	for field, want := range map[string]string{
+		"FlusherDepth":    "bdhtm_flusher_depth",
+		"MaxAckLagEpochs": "bdhtm_max_ack_lag_epochs",
+		"OldestUnackedNS": "bdhtm_oldest_unacked_ns",
+		"TxCommits":       "bdhtm_tx_commits",
+	} {
+		f, _ := v.Type().FieldByName(field)
+		if got := families[strconv.Itoa(1000+f.Index[0])]; got != want {
+			t.Errorf("field %s renders as %q, want %q", field, got, want)
+		}
+	}
+
+	signed := struct {
+		Depth int64
+		Lag   int32
+	}{-1, 2}
+	buf.Reset()
+	if err := nilRec.WriteOpenMetrics(&buf, &signed); err != nil ||
+		!strings.Contains(buf.String(), "\nbdhtm_depth -1\n") || !strings.Contains(buf.String(), "\nbdhtm_lag 2\n") {
+		t.Errorf("signed fields: err %v\n%s", err, buf.String())
+	}
+	if err := nilRec.WriteOpenMetrics(&buf, struct{ Name string }{"x"}); err == nil {
+		t.Error("a string field was rendered as a counter")
 	}
 }
 

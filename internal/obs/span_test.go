@@ -201,13 +201,8 @@ func TestSpanLifecycleThroughRecorder(t *testing.T) {
 		}
 	}
 
-	sampled, dropped := r.SpanCounts()
-	if sampled != 1 || dropped != 0 {
-		t.Fatalf("SpanCounts = %d, %d, want 1, 0", sampled, dropped)
-	}
-	snap := r.Snapshot()
-	if snap.SpansSampled != 1 {
-		t.Fatalf("Snapshot.SpansSampled = %d", snap.SpansSampled)
+	if sampled, dropped, _ := r.SpanRing().Counts(); sampled != 1 || dropped != 0 {
+		t.Fatalf("span counts = %d, %d, want 1, 0", sampled, dropped)
 	}
 
 	r.DisableSpans()

@@ -78,10 +78,10 @@ func TestNilTracerReads(t *testing.T) {
 func TestRecorderTraceLifecycle(t *testing.T) {
 	r, _ := scripted(10)
 	// No tracer: recording works, nothing is captured.
-	r.Hit(MFlushes, EvFlush, 1, 0)
+	r.Hit(EvFlush, 1, 0)
 	tr := r.StartTrace(64)
 	r.EndOp(OpInsert, 0, r.Now())
-	r.Hit(MAdvances, EvAdvance, 0, 3)
+	r.Hit(EvAdvance, 0, 3)
 	got := r.StopTrace()
 	if got != tr {
 		t.Fatalf("StopTrace returned a different tracer")
@@ -94,7 +94,7 @@ func TestRecorderTraceLifecycle(t *testing.T) {
 		t.Fatalf("captured %d events, want 2 (one op, one advance)", len(evs))
 	}
 	// Recording after stop is dropped, not a panic.
-	r.Hit(MFences, EvFence, 0, 0)
+	r.Hit(EvFence, 0, 0)
 	if k, _ := tr.Counts(); k != 2 {
 		t.Fatalf("events leaked into detached tracer: %d", k)
 	}

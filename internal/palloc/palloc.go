@@ -166,8 +166,8 @@ type Allocator struct {
 	obs *obs.Recorder
 }
 
-// SetObs attaches a telemetry recorder: every Alloc and Free is mirrored
-// onto its counters (and tracer). A nil recorder disables mirroring.
+// SetObs attaches a telemetry recorder: every Alloc and Free emits a
+// trace event while a trace is active. A nil recorder disables it.
 // Attach before the allocator is shared between goroutines.
 func (al *Allocator) SetObs(r *obs.Recorder) { al.obs = r }
 
@@ -293,7 +293,7 @@ func (al *Allocator) Alloc(class int, tag uint8) nvm.Addr {
 	al.heap.Store(b, Header{Status: Allocated, Class: class, Tag: tag, Epoch: InvalidEpoch}.Pack())
 	al.liveBlocks.Add(1)
 	if al.obs != nil {
-		al.obs.Hit(obs.MAllocs, obs.EvAlloc, uint64(b), uint64(class))
+		al.obs.Hit(obs.EvAlloc, uint64(b), uint64(class))
 	}
 	bytes := al.liveBytes.Add(int64(classWords[class] * nvm.WordBytes))
 	for {
@@ -366,7 +366,7 @@ func (al *Allocator) release(b nvm.Addr) (class int) {
 	al.heap.Store(b, Header{Status: Free, Class: hdr.Class}.Pack())
 	al.liveBlocks.Add(-1)
 	if al.obs != nil {
-		al.obs.Hit(obs.MFrees, obs.EvFree, uint64(b), uint64(hdr.Class))
+		al.obs.Hit(obs.EvFree, uint64(b), uint64(hdr.Class))
 	}
 	al.liveBytes.Add(-int64(classWords[hdr.Class] * nvm.WordBytes))
 	return hdr.Class

@@ -167,7 +167,7 @@ type StatsSnap struct {
 	AbortsConflict  uint64 // HTM conflict aborts
 	AbortsCapacity  uint64 // HTM capacity aborts
 	AbortsInjected  uint64 // injected (spurious + memtype) aborts
-	AbortsOther     uint64 // explicit + locked + persist-op aborts
+	AbortsOther     uint64 // explicit + persist-op aborts
 	FlushedBlocks   uint64 // NVM blocks written back by epoch flushes
 	SpansSampled    uint64 // request spans sampled
 	SpansDropped    uint64 // span samples dropped on ring wrap
