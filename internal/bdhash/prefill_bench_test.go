@@ -12,22 +12,27 @@ import (
 // BenchmarkPrefill is the in-repo probe for set-up cost: what the repo
 // benchmark's set-up phase does — a fresh heap, a timer-mode epoch system,
 // a table sized for 2^20 keys, 2^19 inserts from one goroutine, Sync — on
-// the fast path and with every attempt killed, so each insert ends in a
-// fallback session. One iteration is one whole prefill; CI runs it with
-// -benchtime 1x, EXPERIMENTS.md ("Memory and set-up") records the numbers.
+// the fast path, with every attempt killed, so each insert ends in a
+// fallback session, and on the fast path over the Optane latency model,
+// the set-up of the benchmark's write-heavy workload, where the flusher's
+// early passes run beside the prefill. One iteration is one whole prefill;
+// CI runs it with -benchtime 1x, EXPERIMENTS.md ("Memory and set-up",
+// "Durable sooner") records the numbers.
 func BenchmarkPrefill(b *testing.B) {
 	const capacity, live = 1 << 20, 1 << 19
 	for _, path := range []struct {
-		name string
-		cfg  htm.Config
+		name    string
+		cfg     htm.Config
+		latency nvm.LatencyProfile
 	}{
-		{"fast", htm.Config{}},
-		{"session", htm.Config{SpuriousRate: 1}},
+		{"fast", htm.Config{}, nvm.LatencyProfile{}},
+		{"session", htm.Config{SpuriousRate: 1}, nvm.LatencyProfile{}},
+		{"optane", htm.Config{}, nvm.OptaneProfile},
 	} {
 		b.Run(path.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				h := nvm.New(nvm.Config{Words: capacity*4 + 1<<21})
+				h := nvm.New(nvm.Config{Words: capacity*4 + 1<<21, Latency: path.latency})
 				sys := epoch.New(h, epoch.Config{EpochLength: 50 * time.Millisecond})
 				tab := New(sys, htm.New(path.cfg), capacity, 1)
 				w := sys.Register()

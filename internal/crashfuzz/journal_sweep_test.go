@@ -24,7 +24,7 @@ import (
 //	(a) journalEpoch never queues the checkpoint extent
 //	    -> recycle: a block retired, reclaimed and not yet reused comes
 //	       back once its page has been rewritten (phantom key);
-//	(b) journalEpoch appends recycled pages to free instead of cooling
+//	(b) planRecycle appends recycled pages to free instead of cooling
 //	    -> recycle: the page is rewritten in the batch that carries its
 //	       checkpoints; a crash inside the batch loses both;
 //	(c) recoverJournal skips pages above P instead of erasing them
@@ -49,13 +49,16 @@ const (
 func puts(lo, hi uint64) scriptStep { return scriptStep{0, lo, hi} }
 func dels(lo, hi uint64) scriptStep { return scriptStep{1, lo, hi} }
 
-var adv = scriptStep{kind: stepAdvance}
+var (
+	adv   = scriptStep{kind: stepAdvance}
+	early = scriptStep{kind: stepEarly}
+)
 
 // withEarly inserts an early write-back step into steps at a point drawn
 // from seed.
 func withEarly(steps []scriptStep, seed uint64) []scriptStep {
 	at := int(Mix(seed, 0xea) % uint64(len(steps)+1))
-	return append(steps[:at:at], append([]scriptStep{{kind: stepEarly}}, steps[at:]...)...)
+	return append(steps[:at:at], append([]scriptStep{early}, steps[at:]...)...)
 }
 
 func (s *session) play(steps []scriptStep) error {
@@ -107,15 +110,19 @@ type journalScript struct {
 	window      []scriptStep
 	lagAdvances int
 	// check inspects an uncrashed run, so that the sweep cannot quietly
-	// stop covering what it is for.
-	check func(t *testing.T, sys *epoch.System)
+	// stop covering what it is for; earlyRecords is how many records the
+	// run's early write-back steps journaled.
+	check func(t *testing.T, sys *epoch.System, earlyRecords int64)
 }
 
 var journalScripts = []journalScript{
 	{
 		// 3K+5 epochs; the first, which formats the data slab, is the
-		// prefix. Epoch 2 retires 33 blocks (a full page and a second
-		// one); the epochs after it reuse a few of the reclaimed blocks,
+		// prefix. Epoch 2 retires 33 blocks and takes an early write-back
+		// step, which journals a whole page of them ahead of the close (the
+		// close journals the other two in a second page, and with async=0
+		// the step runs while the prefix's task is still pending); the
+		// epochs after it reuse a few of the reclaimed blocks,
 		// so that at its recycling (task 5) some records are superseded and
 		// most are still stale; epoch 6 retires 12 blocks into the page that
 		// recycling just released, the rewrite's second line included; the
@@ -125,7 +132,7 @@ var journalScripts = []journalScript{
 		heapWords: 4 * 4096, // roots and log, one data slab, one journal slab, one to spare
 		prefix:    func(s *session) error { return s.play([]scriptStep{puts(0, 39), adv}) },
 		window: []scriptStep{
-			puts(0, 32), adv,
+			puts(0, 32), early, adv,
 			puts(33, 36), dels(37, 37), adv,
 			puts(0, 2), adv,
 			puts(3, 4), puts(40, 41), adv,
@@ -139,11 +146,14 @@ var journalScripts = []journalScript{
 			adv, adv,
 		},
 		lagAdvances: 1,
-		check: func(t *testing.T, sys *epoch.System) {
+		check: func(t *testing.T, sys *epoch.System, earlyRecords int64) {
 			st := sys.Stats()
 			if st.JournalRecords < 60 || st.JournalCheckpoints == 0 || st.JournalCheckpoints >= st.JournalRecords {
 				t.Fatalf("script journaled %d records and checkpointed %d: want both superseded and checkpointed records",
 					st.JournalRecords, st.JournalCheckpoints)
+			}
+			if earlyRecords < 31 {
+				t.Fatalf("early steps journaled %d records: want at least a whole page (31) written early", earlyRecords)
 			}
 			if n := len(sys.Allocator().JournalSlabs()); n != 1 {
 				t.Fatalf("script formatted %d journal slabs, want 1 (pages are reused)", n)
@@ -166,7 +176,7 @@ var journalScripts = []journalScript{
 		},
 		window:      []scriptStep{puts(0, 9), dels(10, 12), adv},
 		lagAdvances: 1,
-		check: func(t *testing.T, sys *epoch.System) {
+		check: func(t *testing.T, sys *epoch.System, _ int64) {
 			if n := len(sys.Allocator().JournalSlabs()); n != 2 {
 				t.Fatalf("script formatted %d journal slabs, want 2", n)
 			}
@@ -250,10 +260,17 @@ func sweepJournal(t *testing.T, base RoundParams, sc journalScript, evicts []flo
 	}
 
 	clean := start(base)
-	if err := clean.play(window); err != nil {
-		t.Fatalf("uncrashed run: %v", err)
+	sys, earlyRecords := epochSystem(clean.sub), int64(0)
+	for _, st := range window {
+		before := sys.Stats().JournalRecords
+		if err := clean.play([]scriptStep{st}); err != nil {
+			t.Fatalf("uncrashed run: %v", err)
+		}
+		if st.kind == stepEarly {
+			earlyRecords += sys.Stats().JournalRecords - before
+		}
 	}
-	sc.check(t, epochSystem(clean.sub))
+	sc.check(t, sys, earlyRecords)
 
 	for n, points := first, 0; ; n, points = n+stride, points+1 {
 		for ei, evict := range evicts {

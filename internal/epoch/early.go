@@ -15,15 +15,20 @@ import (
 // the whole write-back ran after the close, the close-time flush would grow
 // with the epoch's work. Instead, once the open epoch's backlog would cost
 // the closing task more than EpochLength/earlyBudgetDiv, the flusher
-// goroutine writes that backlog back ahead of the close, with no fence
-// (earlyPass), and the task that closes the epoch flushes only what was
-// tracked after the pass. It still journals, fences and moves the watermark
-// as it always did.
+// goroutine writes ahead of the close, with no fence (earlyPass), what it
+// already knows of the commit: the blocks tracked so far, the retirements
+// published so far in whole journal pages, and the checkpoints the task
+// before planned for this commit. The task that closes the epoch carries
+// only the residual — the blocks tracked after the pass, the last partial
+// page — and fences and moves the watermark as it always did.
 //
 // To recovery an early write-back is an eviction, which it already
-// tolerates: the blocks it carries to the media have a header epoch above
-// any watermark that can be recovered until their epoch's own commit lands
-// (Sec. 5.2: header epoch > P, reclaim). What the engineering has to keep is
+// tolerates: the blocks and pages it carries to the media have an epoch
+// above any watermark that can be recovered until their epoch's own commit
+// lands (Sec. 5.2: header epoch > P, reclaim; a journal page above P is
+// erased), and a checkpoint is the header as it stands in the view, which
+// is never the retired incarnation. The journal's side of it is three
+// invariants of journal.go. What the engineering has to keep for blocks is
 // that the closing flush stays complete:
 //
 //  1. Every store to a tracked block after an early pass has written it back
@@ -39,8 +44,8 @@ import (
 // flusher's doorbell at EndOp. Manual mode has no flusher goroutine; its
 // caller runs the step explicitly (FlushEarly).
 const (
-	// earlyBudgetDiv sets the close-time flush budget: EpochLength/8.
-	earlyBudgetDiv = 8
+	// earlyBudgetDiv sets the close-time flush budget: EpochLength/16.
+	earlyBudgetDiv = 16
 	// costSample is the fewest blocks a write-back must carry for its
 	// duration to update the per-block cost estimate: below it the fixed
 	// costs of a flush (fences, the watermark) dominate.
@@ -50,40 +55,41 @@ const (
 	neverEarly = math.MaxInt64
 )
 
-// earlyMark is one buffer an early pass wrote back up to entry to.
+// earlyMark is one list an early pass took up to entry to.
 type earlyMark struct {
-	buf *opBuf
-	to  int64
+	l  *pubList
+	to int64
 }
 
 // FlushEarly is the early write-back step taken on demand — in Manual mode,
 // which has no flusher goroutine to take it when the backlog is due, and by
 // tests that force it in either mode: it writes back every block the open
-// epoch has tracked in completed operations so far, with no fence, so that
-// the task closing the epoch flushes only what is tracked after it. It
-// does nothing on an eADR heap. Like Sync it must not be called between
-// BeginOp and EndOp on the calling thread: a task it waits for may be
-// waiting for that operation.
+// epoch has tracked in completed operations so far, the whole journal pages
+// their retirements fill and the checkpoints planned for the epoch's
+// commit, with no fence, so that the task closing the epoch carries only
+// the rest. It does nothing on an eADR heap. Like Sync it must not be called
+// between BeginOp and EndOp on the calling thread: a task it waits for may
+// be waiting for that operation.
 func (s *System) FlushEarly() { s.earlyPass(true) }
 
 // earlyPass writes back the open epoch's published backlog: all of it when
-// forced (FlushEarly), otherwise only once some worker's share has reached
-// earlyAt — the doorbell also rings for closed epochs, and a worker that
-// keeps ringing while a pass runs finds its backlog gone when the next
-// one looks.
+// forced (FlushEarly), otherwise only once some worker's share of tracked
+// blocks has reached earlyAt — the doorbell also rings for closed epochs,
+// and a worker that keeps ringing while a pass runs finds its backlog gone
+// when the next one looks. All of it goes in one FlushExtents.
 func (s *System) earlyPass(force bool) {
 	s.taskMu.Lock()
 	defer s.taskMu.Unlock()
 	if s.eadr() {
 		return
 	}
-	slot := int(s.global.Load() % numSlots)
+	x := s.global.Load()
+	slot := int(x % numSlots)
 	n := int(s.nWorkers.Load())
 	if !force {
 		at, due := s.earlyAt.Load(), false
 		for i := 0; i < n && !due; i++ {
-			buf := &s.workers[i].bufs[slot]
-			due = buf.published.Load()-buf.early.Load() >= at
+			due = s.workers[i].bufs[slot].persist.backlog() >= at
 		}
 		if !due {
 			return
@@ -91,41 +97,72 @@ func (s *System) earlyPass(force bool) {
 	}
 
 	t0 := time.Now()
-	exts, marks := s.earlyExts[:0], s.earlyMarks[:0]
+	exts, recs, marks := s.earlyExts[:0], s.earlyRecs[:0], s.earlyMarks[:0]
 	for i := 0; i < n; i++ {
-		buf := &s.workers[i].bufs[slot]
-		lo, hi := buf.early.Load(), buf.published.Load()
+		l := &s.workers[i].bufs[slot].persist
+		lo, hi := l.early.Load(), l.published.Load()
 		if lo == hi {
 			continue
 		}
-		for _, b := range (*buf.arr.Load())[lo:hi] {
+		for _, b := range (*l.arr.Load())[lo:hi] {
 			exts = append(exts, nvm.Extent{Addr: b, Words: palloc.ClassWords(s.alloc.ReadHeader(b).Class)})
 		}
-		marks = append(marks, earlyMark{buf: buf, to: hi})
+		marks = append(marks, earlyMark{l: l, to: hi})
 	}
-	s.earlyExts, s.earlyMarks = exts, marks
+	blocks := len(exts)
+
+	// The published retirements, as many as fill whole pages: the close
+	// journals the rest and seals the last page. Published counts only
+	// grow, so the second walk finds at least what the first counted.
+	var backlog int64
+	for i := 0; i < n; i++ {
+		backlog += s.workers[i].bufs[slot].retire.backlog()
+	}
+	whole := int(backlog - backlog%pageRecords)
+	for i := 0; i < n && len(recs) < whole; i++ {
+		l := &s.workers[i].bufs[slot].retire
+		lo := l.early.Load()
+		hi := min(l.published.Load(), lo+int64(whole-len(recs)))
+		if lo == hi {
+			continue
+		}
+		recs = append(recs, (*l.arr.Load())[lo:hi]...)
+		marks = append(marks, earlyMark{l: l, to: hi})
+	}
+	j := &s.journal
+	s.writePages(x, recs, &j.early, func(e nvm.Extent) { exts = append(exts, e) })
+	var checkpoints int
+	if !j.checkpointed {
+		for _, b := range j.checkpoints {
+			exts = append(exts, nvm.Extent{Addr: b, Words: palloc.HeaderWords})
+		}
+		checkpoints, j.checkpointed = len(j.checkpoints), true
+	}
+	s.earlyExts, s.earlyRecs, s.earlyMarks = exts, recs, marks
 	if len(exts) == 0 {
 		return
 	}
 	s.heap.FlushExtents(exts)
 	for _, m := range marks {
-		m.buf.early.Store(m.to)
+		m.l.early.Store(m.to)
 	}
-	s.noteCost(time.Since(t0), len(exts))
+	s.noteCost(time.Since(t0), blocks)
 
-	f := int64(len(exts))
 	s.advSeq.Add(1)
-	s.flushed.Add(f)
-	s.earlyFlushed.Add(f)
+	s.flushed.Add(int64(blocks))
+	s.earlyFlushed.Add(int64(blocks))
+	s.journalRecords.Add(int64(len(recs)))
+	s.journalCheckpoints.Add(int64(checkpoints))
 	s.advSeq.Add(1)
 }
 
 // noteCost takes the per-block write-back cost from one write-back of
-// blocks blocks that took d, and republishes the early threshold: the
-// backlog share at which the workers that tracked in the last closed epoch,
-// if they all held as much, would cost the closing task the budget. Manual
-// mode has no doorbell to ring, and its threshold stays at never. The
-// caller holds taskMu.
+// blocks tracked blocks that took d — the whole of a task's commit or of an
+// early pass, journal pages and checkpoints included — and republishes the
+// early threshold: the backlog share at which the workers that tracked in
+// the last closed epoch, if they all held as much, would cost the closing
+// task the budget. Manual mode has no doorbell to ring, and its threshold
+// stays at never. The caller holds taskMu.
 func (s *System) noteCost(d time.Duration, blocks int) {
 	if s.cfg.Manual || blocks < costSample {
 		return

@@ -138,21 +138,30 @@ func TestEarlyThresholdFromMeasuredCost(t *testing.T) {
 
 // TestEarlyPassesRaceTrackingAndTasks is the concurrent form of the two
 // invariants, for the race lane: workers create, update in place (with the
-// re-track) and replace blocks while one goroutine takes early passes and
-// another closes and flushes epochs. Every tracking is written back exactly
-// once, early or at its epoch's close, and a crash after a final Sync with
-// no stray write-back recovers every worker's last value.
+// re-track), replace and delete blocks while one goroutine takes early
+// passes and another closes and flushes epochs — an early pass may land
+// between an advance and its flush. Every tracking is written back exactly
+// once, early or at its epoch's close; every retirement is journaled exactly
+// once and freed, the workers running until some early pass has journaled a
+// page; and a crash after a final Sync with no stray write-back recovers
+// every worker's last value.
 func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 	const workers, keys, ops = 4, 32, 3000
 	h := nvm.New(nvm.Config{Words: 1 << 20})
 	s := New(h, Config{Manual: true})
 	var stop atomic.Bool
 	var bg sync.WaitGroup
+	var earlyPage atomic.Bool // an early pass left a page for its epoch's task
 	bg.Add(2)
 	go func() {
 		defer bg.Done()
 		for !stop.Load() {
 			s.FlushEarly()
+			s.taskMu.Lock()
+			if len(s.journal.early) > 0 {
+				earlyPage.Store(true)
+			}
+			s.taskMu.Unlock()
 		}
 	}()
 	go func() {
@@ -174,16 +183,34 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 			w := s.Register()
 			live := map[uint64]Block{}
 			want[g] = map[uint64]uint64{}
-			// Past ops, keep going until some early pass has landed: on a
-			// loaded host the workers can otherwise finish before the
-			// early-pass goroutine is first scheduled.
-			for i := uint64(0); i < ops || s.earlyFlushed.Load() == 0; i++ {
+			// Past ops, keep going — for a while — until some early pass has
+			// written a block back and one has journaled a page: on a loaded
+			// host the workers can otherwise finish before the early-pass
+			// goroutine is first scheduled.
+			var lastEpoch, deletes uint64
+			for i := uint64(0); i < ops || (s.earlyFlushed.Load() == 0 || !earlyPage.Load()) && i < 100*ops; i++ {
 				k := uint64(g)*keys + i*7%keys
 				e := w.BeginOp()
-				if b, ok := live[k]; ok && b.Epoch() == e {
+				if e != lastEpoch {
+					lastEpoch, deletes = e, 0
+				}
+				b, ok := live[k]
+				switch {
+				case ok && i%5 == 4 && deletes < keys:
+					// Delete, up to keys times an epoch: on a loaded host an
+					// epoch can outlast thousands of ops, and a worker that
+					// kept deleting and recreating would allocate a block
+					// every few ops with nothing freed until the epoch closes.
+					deletes++
+					w.PRetire(b)
+					delete(live, k)
+					delete(want[g], k)
+				case ok && b.Epoch() == e:
 					b.Store(1, i) // in place, then re-track
 					w.PTrack(b)
-				} else {
+					tracks.Add(1)
+					want[g][k] = i
+				default:
 					nb := w.NewKV(0)
 					nb.InitKV(k, i)
 					hdr := s.alloc.ReadHeader(nb.Addr())
@@ -194,10 +221,10 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 						w.PRetire(b)
 					}
 					live[k] = nb
+					tracks.Add(1)
+					want[g][k] = i
 				}
 				w.EndOp()
-				tracks.Add(1)
-				want[g][k] = i
 			}
 		}(g)
 	}
@@ -210,6 +237,10 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 	if st.FlushedBlocks != tracks.Load() || st.EarlyFlushedBlocks == 0 || st.EarlyFlushedBlocks > st.FlushedBlocks {
 		t.Fatalf("%d trackings: flushed %d, of them early %d; want every tracking flushed once, some early",
 			tracks.Load(), st.FlushedBlocks, st.EarlyFlushedBlocks)
+	}
+	if st.JournalRecords != st.RetiredBlocks || st.FreedBlocks != st.RetiredBlocks || !earlyPage.Load() {
+		t.Fatalf("%d retirements: %d journaled, %d freed, a page journaled early: %v; want every one journaled once and freed, some early",
+			st.RetiredBlocks, st.JournalRecords, st.FreedBlocks, earlyPage.Load())
 	}
 	s.SimulateCrash(nvm.CrashOptions{})
 	_, got := recoverAll(h)

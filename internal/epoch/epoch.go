@@ -17,7 +17,7 @@
 //
 // NVM writes performed during an epoch are tracked in per-worker buffers
 // and flushed in the background when the epoch closes (or ahead of the
-// close, once the backlog would cost it more than an eighth of an epoch —
+// close, once the backlog would cost it more than a sixteenth of an epoch —
 // early.go), never on the operation's critical path and never inside a
 // transaction body (which may run as a hardware transaction or, after
 // repeated aborts, as a slow-path session of the same htm.Tx) — this
@@ -260,6 +260,7 @@ type System struct {
 	earlyFlushed atomic.Int64
 	trackers     int
 	earlyExts    []nvm.Extent
+	earlyRecs    []nvm.Addr
 	earlyMarks   []earlyMark
 
 	// Durable-watermark subscribers (group-commit ackers and friends).
@@ -451,18 +452,21 @@ func (s *System) SubscribeDurable(ch chan<- uint64) (cancel func()) {
 }
 
 // notifyDurable pokes every subscriber after the durable watermark
-// reaches p. Called from the advance path with advMu held (or from the
-// background flusher), so it must never block: full subscriber channels
-// just miss this wake and catch up on the next.
-func (s *System) notifyDurable(p uint64) {
+// reaches p and reports whether it woke any. Called from the advance path
+// with advMu held (or from the background flusher), so it must never
+// block: full subscriber channels just miss this wake and catch up on the
+// next.
+func (s *System) notifyDurable(p uint64) (woke bool) {
 	s.subMu.Lock()
 	for _, ch := range s.subs {
 		select {
 		case ch <- p:
+			woke = true
 		default:
 		}
 	}
 	s.subMu.Unlock()
+	return woke
 }
 
 // Stats returns a consistent snapshot of epoch-system activity counters.
@@ -541,8 +545,9 @@ func (s *System) Stop() {
 //  3. hand epoch e — which quiesces once its in-flight operations drain —
 //     to the flusher, whose task (runTask) flushes every NVM write tracked
 //     in e that no early pass wrote back, and the journal pages
-//     recording the blocks retired in e, durably advances the watermark
-//     to e, and reclaims e's retired blocks.
+//     recording the blocks retired in e that no early pass journaled,
+//     durably advances the watermark to e, and reclaims e's retired
+//     blocks.
 //
 // So the flush of e overlaps execution of e+1: between advances
 // PersistedEpoch is GlobalEpoch-1 once the flush has landed and
@@ -585,10 +590,12 @@ func (s *System) advance() {
 }
 
 // runTask persists epoch x: it waits for x to quiesce, collects every
-// worker's tracked blocks for x that no early pass wrote back, journals x's
-// retirements, hands the lot to the durability engine (which writes it back
-// and durably advances the watermark to x in its own discipline), and
-// reclaims x's retired blocks in address order. Callers guarantee x < the active epoch.
+// worker's tracked blocks and retirements for x that no early pass took,
+// journals those retirements, hands the lot to the durability engine (which
+// writes it back and durably advances the watermark to x in its own
+// discipline), lets the waiters it woke run, and then plans the next
+// recycle and reclaims all of x's retired blocks in address order. Callers
+// guarantee x < the active epoch.
 func (s *System) runTask(x uint64) {
 	s.taskMu.Lock()
 	defer s.taskMu.Unlock()
@@ -602,19 +609,25 @@ func (s *System) runTask(x uint64) {
 		t = o.Phase(obs.PhaseQuiesce, x, t)
 	}
 
-	// (2) Collect the per-worker buffers for x: of the tracked blocks,
-	// those after the last early pass.
+	// (2) Collect the per-worker buffers for x: of the tracked blocks and
+	// of the retirements, those after the last early pass; then the
+	// retirements early passes journaled, which are freed all the same.
 	persist, retire := s.taskPersist[:0], s.taskRetire[:0]
 	n := int(s.nWorkers.Load())
 	slot := int(x % numSlots)
 	s.trackers = 0
 	for i := 0; i < n; i++ {
 		buf := &s.workers[i].bufs[slot]
-		if len(buf.persist) > 0 {
+		if len(buf.persist.items) > 0 {
 			s.trackers++
 		}
-		persist = append(persist, buf.persist[buf.early.Load():]...)
-		retire = append(retire, buf.retire...)
+		persist = append(persist, buf.persist.items[buf.persist.early.Load():]...)
+		retire = append(retire, buf.retire.items[buf.retire.early.Load():]...)
+	}
+	unjournaled := len(retire)
+	for i := 0; i < n; i++ {
+		buf := &s.workers[i].bufs[slot]
+		retire = append(retire, buf.retire.items[:buf.retire.early.Load()]...)
 		buf.reset()
 	}
 	s.taskPersist, s.taskRetire = persist, retire
@@ -636,23 +649,27 @@ func (s *System) runTask(x uint64) {
 			s.eng.LogWrite(nvm.Extent{Addr: b, Words: palloc.ClassWords(hdr.Class)})
 		}
 		flushed = int64(len(persist))
-		records, checkpoints = s.journalEpoch(x, retire)
+		records, checkpoints = s.journalEpoch(x, retire[:unjournaled])
 		s.eng.Commit()
 		s.noteCost(time.Since(t0), len(persist))
-		s.persisted.Store(s.eng.Watermark())
-		s.notifyDurable(s.eng.Watermark())
-		s.planRecycle(x + 1)
-		t = o.Now()
 	} else {
 		if o != nil {
 			t = o.Phase(obs.PhaseFlush, x, t)
 		}
 		durability.StoreWatermark(s.heap, x)
-		s.persisted.Store(x)
-		s.notifyDurable(x)
-		if o != nil {
-			t = o.Phase(obs.PhaseRoot, x, t)
-		}
+	}
+	s.persisted.Store(x)
+	// Waiters first: a woken subscriber — a durable-ack writer — is queued
+	// on this goroutine's processor and would otherwise wait out the
+	// reclamation below, so yield to it.
+	if s.notifyDurable(x) {
+		runtime.Gosched()
+	}
+	if !s.eadr() {
+		s.planRecycle(x + 1)
+		t = o.Now()
+	} else if o != nil {
+		t = o.Phase(obs.PhaseRoot, x, t)
 	}
 
 	// (5) Blocks retired in x are now reclaimable: their journal records

@@ -9,13 +9,17 @@ import (
 )
 
 // The retire journal makes retirement durable as a redo record instead of
-// a write-back of every retired block's own header line. At the close of
-// epoch x the flusher appends one record per block retired in x to
-// sequential journal pages and hands each page to the durability engine as
-// an ordinary extent of x, so the records are durable under x's own fences
-// before the watermark reaches x. Recovery reads the pages back before its
-// header judgment (recoverJournal). They are the only place a retirement's
-// epoch is recorded: PRetire's DELETED mark stays in the volatile view,
+// a write-back of every retired block's own header line. By the close of
+// epoch x the flusher has appended one record per block retired in x to
+// sequential journal pages — whole pages ahead of the close in early passes
+// (early.go), the rest at the close, where each page is handed to the
+// durability engine as an ordinary extent of x — so the records are durable
+// under x's own fences before the watermark reaches x. To recovery a page
+// written early is an eviction: its epoch is above every watermark it can
+// find until x commits, and such pages are erased (invariant 1 below).
+// Recovery reads the pages back before its header judgment
+// (recoverJournal). They are the only place a retirement's epoch is
+// recorded: PRetire's DELETED mark stays in the volatile view,
 // where Free's double-free check reads it, and should a stray write-back
 // carry it to the media, recovery's DELETED branch asks these records
 // whether that deletion persisted.
@@ -44,8 +48,23 @@ import (
 //     new creation epoch durable, needs nothing: the creation flush already
 //     replaced the header, and the record, older than that creation,
 //     judges nothing any more.
-//  3. A recycled page is rewritten only from the next task on, after the
-//     fence of the commit that carried its checkpoints.
+//  3. A recycled page is rewritten only after the fence of the commit that
+//     carried its checkpoints: it waits in cooling until then.
+//
+// Writing pages and checkpoints ahead of the close adds three more:
+//
+//  1. The live list stays in epoch order, since recycling walks it oldest
+//     first and stops at the first page too young to go. A page written
+//     early for x waits on the early list until task x runs — an early pass
+//     of x may run while task x−1 is still pending. Otherwise a page of x−1
+//     queued behind it is recycled an epoch late: once the watermark is K
+//     past x−1 recovery no longer reads the page, and its checkpoints are
+//     not durable yet.
+//  2. Early pages, like the close's, come from free, never cooling: a page
+//     in cooling still holds records whose checkpoints are not yet durable.
+//  3. An early pass writes only the checkpoints the commit that recycles
+//     their pages would have carried — the list planned for the next commit
+//     — and that commit skips them; the plan after it starts a fresh list.
 const (
 	// JournalK is the number of epochs a journal page is kept before it is
 	// recycled. Longer costs journal space (K+1 epochs of pages are in use
@@ -73,18 +92,20 @@ type journalPage struct {
 	epoch uint64
 }
 
-// journal is the flusher's DRAM view of the journal slabs. Tasks are
-// serialised, so it needs no lock; every slice is scratch that keeps its
-// capacity from epoch to epoch.
+// journal is the flusher's DRAM view of the journal slabs. Tasks and early
+// passes are serialised, so it needs no lock; every slice is scratch that
+// keeps its capacity from epoch to epoch.
 type journal struct {
 	free    []nvm.Addr    // pages writable now (a stack)
-	cooling []nvm.Addr    // recycled by the last task: writable once its commit has fenced
-	live    []journalPage // written pages, oldest first
+	cooling []nvm.Addr    // recycled by the next commit: writable once it has fenced
+	early   []journalPage // written by early passes of epochs whose task has not run, oldest first
+	live    []journalPage // written pages of epochs whose task has run, oldest first
 
-	// The next task's recycling, planned by the task before it (planRecycle):
-	// the pages it releases and the blocks whose headers it checkpoints.
-	recycle     []nvm.Addr
-	checkpoints []nvm.Addr
+	// The blocks whose headers the next commit checkpoints, planned with
+	// cooling by the task before it (planRecycle), and whether an early pass
+	// has written them already.
+	checkpoints  []nvm.Addr
+	checkpointed bool
 }
 
 func packRecord(b nvm.Addr, x uint64) uint64 { return uint64(b)<<recTagBits | x&recTagMask }
@@ -104,16 +125,20 @@ func (j *journal) pushPages(area nvm.Extent) {
 }
 
 // planRecycle is the journal's share of the task before x, run once that
-// task's own commit is durable and its waiters are notified: it takes the
-// pages written K epochs before x off the live list and decides which of
+// task's own commit is durable and the waiters it woke have run: the pages
+// that commit recycled become writable, and the pages written K epochs
+// before x leave the live list for cooling, with the verdict on which of
 // their records x must checkpoint — every one the media has not superseded.
 // The verdict is the one x would reach itself: the watermark does not move
 // until x commits, and a header that reads superseded now — a later
 // incarnation whose creation is durable — can only move further from the
-// retired one. Planning ahead keeps the scan, a cache miss per record, off
-// the path between an epoch's close and its durability.
+// retired one. Planning ahead keeps the scan, a cache miss per record, out
+// of x's commit and lets an early pass of x write the checkpoints; running
+// it after the waiters keeps it off their path too.
 func (s *System) planRecycle(x uint64) {
 	j, h := &s.journal, s.heap
+	j.free = append(j.free, j.cooling...)
+	j.cooling, j.checkpoints, j.checkpointed = j.cooling[:0], j.checkpoints[:0], false
 	p := s.persisted.Load()
 	n := 0
 	for ; n < len(j.live) && j.live[n].epoch+JournalK <= x; n++ {
@@ -128,54 +153,60 @@ func (s *System) planRecycle(x uint64) {
 			}
 			j.checkpoints = append(j.checkpoints, b)
 		}
-		j.recycle = append(j.recycle, pg.addr)
+		j.cooling = append(j.cooling, pg.addr)
 	}
 	j.live = j.live[:copy(j.live, j.live[n:])]
 }
 
 // journalEpoch is the journal's share of runTask(x), between the engine's
-// Begin and Commit: it recycles the pages written K epochs ago as the task
-// before planned it (planRecycle), queuing the checkpoints, and writes x's
-// retirements into fresh pages.
+// Begin and Commit: it queues the checkpoints the task before planned
+// (planRecycle) unless an early pass has written them, moves the pages
+// early passes wrote for x to the live list, and journals the retirements
+// they left — retire — in pages of its own.
 func (s *System) journalEpoch(x uint64, retire []nvm.Addr) (records, checkpoints int64) {
-	j, h := &s.journal, s.heap
-	j.free = append(j.free, j.cooling...)
-	j.cooling = append(j.cooling[:0], j.recycle...)
-	for _, b := range j.checkpoints {
-		s.eng.LogWrite(nvm.Extent{Addr: b, Words: palloc.HeaderWords})
+	j := &s.journal
+	if !j.checkpointed {
+		for _, b := range j.checkpoints {
+			s.eng.LogWrite(nvm.Extent{Addr: b, Words: palloc.HeaderWords})
+		}
+		checkpoints = int64(len(j.checkpoints))
 	}
-	checkpoints = int64(len(j.checkpoints))
-	j.recycle, j.checkpoints = j.recycle[:0], j.checkpoints[:0]
+	n := 0
+	for n < len(j.early) && j.early[n].epoch <= x {
+		n++
+	}
+	j.live = append(j.live, j.early[:n]...)
+	j.early = j.early[:copy(j.early, j.early[n:])]
+	s.writePages(x, retire, &j.live, s.eng.LogWrite)
+	return int64(len(retire)), checkpoints
+}
 
-	var page nvm.Addr
-	used := pageRecords
-	seal := func() {
-		if page.IsNil() {
-			return
+// writePages is the journal's one page writer, for the close and for early
+// passes alike: it writes recs, retirements of epoch x, 31 to a page into
+// pages taken from the free stack (a new journal slab is formatted when it
+// is empty), appends each page to *to and hands its whole extent to emit.
+// Records a reused page held past the new ones are zeroed.
+func (s *System) writePages(x uint64, recs []nvm.Addr, to *[]journalPage, emit func(nvm.Extent)) {
+	j, h := &s.journal, s.heap
+	for len(recs) > 0 {
+		if len(j.free) == 0 {
+			j.pushPages(s.alloc.FormatJournalSlab())
 		}
-		for i := used + 1; i < pageWords; i++ {
-			h.Store(page+nvm.Addr(i), 0) // a reused page's old tail
-		}
-		s.eng.LogWrite(nvm.Extent{Addr: page, Words: pageWords})
-	}
-	for _, b := range retire {
-		if used == pageRecords {
-			seal()
-			if len(j.free) == 0 {
-				j.pushPages(s.alloc.FormatJournalSlab())
+		page := j.free[len(j.free)-1]
+		j.free = j.free[:len(j.free)-1]
+		*to = append(*to, journalPage{addr: page, epoch: x})
+		h.Store(page, pageMagic|x)
+		n := min(len(recs), pageRecords)
+		for i := 1; i < pageWords; i++ {
+			var rec uint64
+			if i <= n {
+				rec = packRecord(recs[i-1], x)
 			}
-			page = j.free[len(j.free)-1]
-			j.free = j.free[:len(j.free)-1]
-			j.live = append(j.live, journalPage{addr: page, epoch: x})
-			h.Store(page, pageMagic|x)
-			used = 0
+			h.Store(page+nvm.Addr(i), rec)
 		}
-		used++
-		h.Store(page+nvm.Addr(used), packRecord(b, x))
-		records++
+		emit(nvm.Extent{Addr: page, Words: pageWords})
+		recs = recs[n:]
 	}
-	seal()
-	return records, checkpoints
 }
 
 // journalRec is one journaled retirement: block b was retired in epoch d.

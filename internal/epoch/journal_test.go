@@ -223,3 +223,251 @@ func TestDeletedMarkOnMediaIsJudgedByJournal(t *testing.T) {
 		}
 	})
 }
+
+// mediaPages returns the journal pages whose header on the media names
+// epoch x.
+func mediaPages(s *System, x uint64) (pages []nvm.Addr) {
+	for _, area := range s.alloc.JournalSlabs() {
+		for p := area.Addr; p < area.Addr+nvm.Addr(area.Words); p += pageWords {
+			if s.heap.PersistedLoad(p) == pageMagic|x {
+				pages = append(pages, p)
+			}
+		}
+	}
+	return pages
+}
+
+// journalLines counts the journal-slab lines flushed while fn runs.
+func journalLines(s *System, fn func()) (lines int) {
+	areas := s.alloc.JournalSlabs()
+	s.heap.SetPersistHook(func(pt nvm.PersistPoint, a nvm.Addr) {
+		for _, area := range areas {
+			if pt == nvm.PointFlush && a >= area.Addr && a < area.Addr+nvm.Addr(area.Words) {
+				lines++
+			}
+		}
+	})
+	defer s.heap.SetPersistHook(nil)
+	fn()
+	return lines
+}
+
+// retireAll retires bs in one operation of the open epoch.
+func retireAll(w *Worker, bs []Block) {
+	w.BeginOp()
+	for _, b := range bs {
+		w.PRetire(b)
+	}
+	w.EndOp()
+}
+
+// TestEarlyPassJournalsWholePages: an early pass of the open epoch x writes
+// the whole pages x's published retirements fill — one page of 31 records,
+// of 40 — with no fence and without moving the watermark, and the close
+// journals only the other 9, in one page. A crash before x commits erases
+// the early page with the rest of x; a crash after it applies its records.
+func TestEarlyPassJournalsWholePages(t *testing.T) {
+	const n = 40
+	pageLines := pageWords / nvm.LineWords
+	// retireEarly persists keys 0..n, retires key n in an epoch of its own
+	// (which formats the journal slab), then retires keys 0..n-1 in epoch x
+	// and takes an early pass.
+	retireEarly := func(t *testing.T) (*nvm.Heap, *System, uint64) {
+		h, s := newManual(t, 1<<16)
+		w := s.Register()
+		blocks := make([]Block, n+1)
+		for i := range blocks {
+			blocks[i] = putKV(w, uint64(i), uint64(i)+100)
+		}
+		s.Sync()
+		retireAll(w, blocks[n:])
+		s.Sync()
+
+		x := s.GlobalEpoch()
+		retireAll(w, blocks[:n])
+		fences, p := h.Stats().Fences, s.PersistedEpoch()
+		if lines := journalLines(s, s.FlushEarly); lines != pageLines {
+			t.Fatalf("early pass flushed %d journal lines, want %d (one page)", lines, pageLines)
+		}
+		if d := h.Stats().Fences - fences; d != 0 || s.PersistedEpoch() != p {
+			t.Fatalf("early pass issued %d fences and moved the watermark %d -> %d", d, p, s.PersistedEpoch())
+		}
+		pages := mediaPages(s, x)
+		if len(pages) != 1 {
+			t.Fatalf("%d pages of epoch %d on the media after the early pass, want 1", len(pages), x)
+		}
+		for i := 1; i < pageWords; i++ {
+			if _, ok := unpackRecord(h.PersistedLoad(pages[0]+nvm.Addr(i)), x); !ok {
+				t.Fatalf("record %d of the early page is not on the media", i)
+			}
+		}
+		if st := s.Stats(); st.JournalRecords != 1+pageRecords || st.EarlyFlushedBlocks != 0 {
+			t.Fatalf("after the early pass: %d journal records, %d early blocks; want %d and 0",
+				st.JournalRecords, st.EarlyFlushedBlocks, 1+pageRecords)
+		}
+		return h, s, x
+	}
+
+	t.Run("the close journals the rest", func(t *testing.T) {
+		_, s, x := retireEarly(t)
+		s.AdvanceOnce()
+		if lines := journalLines(s, s.FlushOnce); lines != pageLines {
+			t.Fatalf("the close flushed %d journal lines, want %d (one page)", lines, pageLines)
+		}
+		if pages := mediaPages(s, x); len(pages) != 2 {
+			t.Fatalf("%d pages of epoch %d on the media after the close, want 2", len(pages), x)
+		}
+		if st := s.Stats(); st.JournalRecords != 1+n || st.FreedBlocks != 1+n {
+			t.Fatalf("after the close: %d records, %d freed; want %d and %d", st.JournalRecords, st.FreedBlocks, 1+n, 1+n)
+		}
+	})
+
+	t.Run("crash before x commits", func(t *testing.T) {
+		h, s, x := retireEarly(t)
+		s.SimulateCrash(nvm.CrashOptions{})
+		s2, got := recoverAll(h)
+		if len(got) != n {
+			t.Fatalf("recovered %d keys, want the %d whose retirement never committed", len(got), n)
+		}
+		if st := s2.Stats(); st.JournalPagesErased != 1 {
+			t.Fatalf("recovery erased %d pages, want the early one", st.JournalPagesErased)
+		}
+		if pages := mediaPages(s2, x); len(pages) != 0 {
+			t.Fatalf("%d pages of the rolled-back epoch %d left on the media", len(pages), x)
+		}
+	})
+
+	t.Run("crash after x commits", func(t *testing.T) {
+		h, s, _ := retireEarly(t)
+		s.Sync()
+		s.SimulateCrash(nvm.CrashOptions{})
+		s2, got := recoverAll(h)
+		if len(got) != 0 {
+			t.Fatalf("recovered %v, want nothing: every retirement committed", got)
+		}
+		if st := s2.Stats(); st.JournalRecordsApplied != n+1 {
+			t.Fatalf("recovery applied %d records, want %d", st.JournalRecordsApplied, n+1)
+		}
+	})
+}
+
+// TestEarlyPagesJoinTheLiveListInEpochOrder is invariant 1 of early pages
+// (journal.go): an early pass of x taken while task x−1 is still pending
+// writes a page of x before x−1's pages exist, and that page must not join
+// the live list ahead of them. If it did, recycling — oldest first, stopping
+// at the first page too young — would pass x−1's page over when its turn
+// came; once the watermark is K past x−1 recovery no longer reads the page,
+// and the blocks it retired, never checkpointed, come back.
+func TestEarlyPagesJoinTheLiveListInEpochOrder(t *testing.T) {
+	const n, kept = 10, 5
+	h, s := newManual(t, 1<<16)
+	w := s.Register()
+	blocks := make([]Block, n+pageRecords+kept)
+	for i := range blocks {
+		blocks[i] = putKV(w, uint64(i), uint64(i))
+	}
+	s.Sync()
+	retireAll(w, blocks[:n]) // epoch x−1
+	s.AdvanceOnce()          // x−1 pending, its task not run
+	retireAll(w, blocks[n:n+pageRecords])
+	s.FlushEarly() // a whole page of x
+	s.FlushOnce()  // task x−1 writes its page
+	for i := 0; i < JournalK; i++ {
+		s.Sync() // the second recycles x−1's page, the third commits its checkpoints
+	}
+	if st := s.Stats(); st.JournalCheckpoints != n {
+		t.Fatalf("%d checkpoints, want x−1's %d records checkpointed when its page was recycled", st.JournalCheckpoints, n)
+	}
+	s.SimulateCrash(nvm.CrashOptions{})
+	if _, got := recoverAll(h); len(got) != kept {
+		t.Fatalf("recovered %d keys, want the %d never retired: %v", len(got), kept, got)
+	}
+}
+
+// TestEarlyPagesComeFromFreeNotCooling is invariant 2 of early pages
+// (journal.go): a page the next commit recycles waits in cooling, its
+// records judging the media until the checkpoints that replace them are
+// durable, and an early pass must not write over it. Here the recycled
+// page's blocks sit in a data slab above the journal slab, so the early
+// pass's batch — flushed in address order — lands its new page before the
+// checkpoints, and the power fails in between.
+func TestEarlyPagesComeFromFreeNotCooling(t *testing.T) {
+	h, s := newManual(t, 1<<16)
+	w := s.Register()
+	retireAll(w, []Block{putKV(w, 0, 0)})
+	s.Sync() // formats the journal slab after the first data slab
+	area := s.alloc.JournalSlabs()[0]
+	end := area.Addr + nvm.Addr(area.Words)
+	var fillers, victims []Block
+	for k := uint64(1); len(victims) < pageRecords; k++ {
+		if b := putKV(w, k, k); b.Addr() < end {
+			fillers = append(fillers, b)
+		} else {
+			victims = append(victims, b)
+		}
+	}
+	s.Sync()
+	retireAll(w, victims)
+	for i := 0; i < JournalK; i++ {
+		s.Sync()
+	}
+	if j := &s.journal; len(j.cooling) != 1 || len(j.checkpoints) != pageRecords {
+		t.Fatalf("%d pages cooling with %d checkpoints planned, want the victims' page and its %d records",
+			len(j.cooling), len(j.checkpoints), pageRecords)
+	}
+
+	type powerFailure struct{}
+	retireAll(w, fillers[:pageRecords])
+	h.SetPersistHook(func(pt nvm.PersistPoint, a nvm.Addr) {
+		if pt == nvm.PointFlush && a >= end {
+			panic(powerFailure{}) // the first checkpoint line
+		}
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != (powerFailure{}) {
+				t.Fatalf("early pass ended with %v, want the power failure", r)
+			}
+		}()
+		s.FlushEarly()
+	}()
+	h.SetPersistHook(nil)
+	s.SimulateCrash(nvm.CrashOptions{})
+	if _, got := recoverAll(h); len(got) != len(fillers) {
+		t.Fatalf("recovered %d keys, want the %d fillers and none of the %d victims retired K epochs ago",
+			len(got), len(fillers), len(victims))
+	}
+}
+
+// TestEarlyCheckpointsAreTheNextCommits is invariant 3 of early pages
+// (journal.go): an early pass writes the checkpoints planned for the commit
+// that recycles their pages, that commit skips them, and the plan after it
+// starts afresh — its own checkpoints are the next commit's to write.
+func TestEarlyCheckpointsAreTheNextCommits(t *testing.T) {
+	const n, kept = 10, 5
+	h, s := newManual(t, 1<<16)
+	w := s.Register()
+	blocks := make([]Block, 2*n+kept)
+	for i := range blocks {
+		blocks[i] = putKV(w, uint64(i), uint64(i))
+	}
+	s.Sync()
+	retireAll(w, blocks[:n]) // epoch a
+	s.Sync()
+	retireAll(w, blocks[n:2*n]) // epoch a+1
+	s.Sync()
+	s.Sync() // plans a's page for the commit of a+3, the open epoch
+	s.FlushEarly()
+	if st := s.Stats(); st.JournalCheckpoints != n {
+		t.Fatalf("early pass wrote %d checkpoints, want a's %d", st.JournalCheckpoints, n)
+	}
+	s.Sync() // commits a+3 and plans a+1's page for a+4
+	s.Sync() // commits a+4 with a+1's checkpoints
+	if st := s.Stats(); st.JournalCheckpoints != 2*n {
+		t.Fatalf("%d checkpoints, want %d: a's early and a+1's at the close", st.JournalCheckpoints, 2*n)
+	}
+	s.SimulateCrash(nvm.CrashOptions{})
+	if _, got := recoverAll(h); len(got) != kept {
+		t.Fatalf("recovered %d keys, want the %d never retired: %v", len(got), kept, got)
+	}
+}

@@ -11,36 +11,55 @@ import (
 
 // opBuf tracks the NVM activity of one worker in one epoch.
 type opBuf struct {
-	persist []nvm.Addr // blocks scheduled for background write-back
-	retire  []nvm.Addr // blocks scheduled for deferred reclamation
+	persist pubList // blocks scheduled for background write-back
+	retire  pubList // blocks scheduled for deferred reclamation
+}
 
-	// The early pass's view of persist while the epoch is open (early.go).
-	// EndOp publishes the completed operations' entries: the backing array
-	// when it has grown, then the count. The flusher reads
-	// persist[early:published] and moves early past what it wrote back;
-	// the worker only ever appends past published, so neither side writes
-	// what the other reads.
+// pubList is one of a buffer's block lists together with the early pass's
+// view of it while the epoch is open (early.go). EndOp publishes the
+// completed operations' entries: the backing array when it has grown, then
+// the count. The flusher reads items[early:published] — tracked blocks to
+// write back, retirements to journal — and moves early past what it wrote;
+// the worker only ever appends past published, so neither side writes what
+// the other reads.
+type pubList struct {
+	items     []nvm.Addr
 	arr       atomic.Pointer[[]nvm.Addr]
 	published atomic.Int64
 	early     atomic.Int64
 }
 
-// publish makes persist[:n] visible to early passes.
-func (b *opBuf) publish(n int64) {
-	// The array only changes by growing, so its capacity names it.
-	if arr := b.arr.Load(); arr == nil || cap(*arr) != cap(b.persist) {
-		p := b.persist
-		b.arr.Store(&p)
+// publish makes every entry appended so far visible to early passes and
+// reports whether there were new ones.
+func (l *pubList) publish() bool {
+	n := int64(len(l.items))
+	if n == l.published.Load() {
+		return false
 	}
-	b.published.Store(n)
+	// The array only changes by growing, so its capacity names it.
+	if arr := l.arr.Load(); arr == nil || cap(*arr) != cap(l.items) {
+		p := l.items
+		l.arr.Store(&p)
+	}
+	l.published.Store(n)
+	return true
 }
 
-// reset empties the buffer for its next epoch, keeping its capacity. Only
-// the task that closed the epoch calls it, once the epoch has quiesced.
+// backlog is the number of published entries no early pass has taken.
+func (l *pubList) backlog() int64 { return l.published.Load() - l.early.Load() }
+
+// reset empties the list for its next epoch, keeping its capacity.
+func (l *pubList) reset() {
+	l.items = l.items[:0]
+	l.published.Store(0)
+	l.early.Store(0)
+}
+
+// reset empties the buffer for its next epoch. Only the task that closed the
+// epoch calls it, once the epoch has quiesced.
 func (b *opBuf) reset() {
-	b.persist, b.retire = b.persist[:0], b.retire[:0]
-	b.published.Store(0)
-	b.early.Store(0)
+	b.persist.reset()
+	b.retire.reset()
 }
 
 // Worker is the per-thread handle to the epoch system. A Worker must be
@@ -91,8 +110,8 @@ func (w *Worker) BeginOp() uint64 {
 		if w.sys.global.Load() == e {
 			w.opEpoch = e
 			buf := &w.bufs[e%numSlots]
-			w.persistMark = len(buf.persist)
-			w.retireMark = len(buf.retire)
+			w.persistMark = len(buf.persist.items)
+			w.retireMark = len(buf.retire.items)
 			return e
 		}
 	}
@@ -101,31 +120,30 @@ func (w *Worker) BeginOp() uint64 {
 // OpEpoch returns the epoch of the operation in progress.
 func (w *Worker) OpEpoch() uint64 { return w.opEpoch }
 
-// EndOp schedules the operation's tracked writes for persistence and
-// disassociates the worker from its epoch. The writes are published to the
-// flusher's early pass, which this worker wakes once its published backlog
-// reaches the threshold the flusher last set (early.go).
+// EndOp schedules the operation's tracked writes for persistence and its
+// retirements for the journal, and disassociates the worker from its epoch.
+// Both are published to the flusher's early pass, which this worker wakes
+// once its published write-back backlog reaches the threshold the flusher
+// last set (early.go).
 func (w *Worker) EndOp() {
 	buf := &w.bufs[w.opEpoch%numSlots]
-	if n := int64(len(buf.persist)); n != buf.published.Load() {
-		buf.publish(n)
-		if n-buf.early.Load() >= w.sys.earlyAt.Load() {
-			select {
-			case w.sys.doorbell <- struct{}{}:
-			default: // a ring is already pending
-			}
+	buf.retire.publish()
+	if buf.persist.publish() && buf.persist.backlog() >= w.sys.earlyAt.Load() {
+		select {
+		case w.sys.doorbell <- struct{}{}:
+		default: // a ring is already pending
 		}
 	}
 	w.ann.Store(0)
 }
 
 // AbortOp disassociates the worker from its epoch and discards the blocks
-// tracked since BeginOp. Structures call it when restarting an operation
-// in a newer epoch (the OldSeeNewException path of Listing 1).
+// tracked and retired since BeginOp. Structures call it when restarting an
+// operation in a newer epoch (the OldSeeNewException path of Listing 1).
 func (w *Worker) AbortOp() {
 	buf := &w.bufs[w.opEpoch%numSlots]
-	buf.persist = buf.persist[:w.persistMark]
-	buf.retire = buf.retire[:w.retireMark]
+	buf.persist.items = buf.persist.items[:w.persistMark]
+	buf.retire.items = buf.retire.items[:w.retireMark]
 	w.ann.Store(0)
 }
 
@@ -164,15 +182,15 @@ func (w *Worker) PDelete(b Block) {
 // and only a tracking after the store puts it in the closing flush.
 func (w *Worker) PTrack(b Block) {
 	buf := &w.bufs[w.opEpoch%numSlots]
-	buf.persist = append(buf.persist, b.addr)
+	buf.persist.items = append(buf.persist.items, b.addr)
 }
 
 // PRetire tracks a block for future reclamation: it marks the block
 // DELETED in the current operation's epoch and defers the actual free
 // until that epoch has persisted (two epochs later). The mark is one store
 // to the volatile view — what makes the retirement durable, and records
-// its epoch, is the record the flusher writes to the retire journal when
-// the epoch closes — but a neighbour's flush or an eviction may still carry
+// its epoch, is the record the flusher writes to the retire journal by the
+// time the epoch closes — but a neighbour's flush or an eviction may still carry
 // it to the media, where recovery's DELETED branch asks the journal whether
 // the deletion persisted. Call PRetire after the transaction
 // that unlinked the block has committed; exactly one operation may retire
@@ -183,7 +201,7 @@ func (w *Worker) PRetire(b Block) {
 	hdr.Status = palloc.Deleted
 	al.WriteHeader(b.addr, hdr)
 	buf := &w.bufs[w.opEpoch%numSlots]
-	buf.retire = append(buf.retire, b.addr)
+	buf.retire.items = append(buf.retire.items, b.addr)
 	w.sys.retired.Add(1)
 }
 
