@@ -239,7 +239,7 @@ func BenchmarkFig8(b *testing.B) {
 				o := benchOpts()
 				o.EpochLength = el
 				inst := harness.New("veb", o)
-				harness.Run(nil, inst, harness.Workload{
+				harness.Run(inst, harness.Workload{
 					KeySpace: benchKeySpace, Dist: d, Mix: ycsb.WriteOnly, Prefill: true,
 				}, 1, 100*time.Millisecond, 5)
 				report += fmt.Sprintf("epoch=%v %s: %.2f MiB; ", el, d, float64(inst.NVMBytes())/(1<<20))

@@ -6,7 +6,7 @@
 //
 //	bdbench [flags] <experiment>
 //
-// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery tail hotpath engines serve all
+// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery tail engines serve all
 //
 // Default parameters are scaled down so the full suite completes in
 // minutes on a laptop; -full restores paper-scale settings (large key
@@ -41,37 +41,23 @@ var (
 
 	engineFlag = flag.String("engine", "", "durability engine for buffered-durable subjects: "+strings.Join(durability.Names(), "|")+" (default bdl)")
 
-	obsFlag   = flag.Bool("obs", false, "record obs telemetry and print a summary at exit")
-	traceOut  = flag.String("trace", "", "write a Chrome trace_event file (implies -obs)")
-	jsonOut   = flag.String("json", "", "write machine-readable results (schema "+obs.SchemaVersion+") to FILE")
-	httpAddr  = flag.String("http", "", "serve /obs, /metrics and pprof on this address (implies -obs)")
-	validateF = flag.String("validate", "", "validate FILE against the bench schema and exit")
+	obsFlag  = flag.Bool("obs", false, "record obs telemetry and print a summary at exit")
+	traceOut = flag.String("trace", "", "write a Chrome trace_event file (implies -obs)")
+	httpAddr = flag.String("http", "", "serve /obs, /metrics and pprof on this address (implies -obs)")
 )
 
 // benchObs is the process-wide recorder wired into every subject when
 // -obs/-trace/-http is given; nil otherwise (zero-overhead path).
 var benchObs *obs.Recorder
 
-// collector receives every experiment's rows when -json is given; nil
-// otherwise (harness and Append treat nil as "collect nothing").
-var collector *harness.Collector
-
 func main() {
 	flag.Parse()
-	if *validateF != "" {
-		if err := obs.ValidateReportFile(*validateF); err != nil {
-			fmt.Fprintf(os.Stderr, "bdbench: %s: %v\n", *validateF, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid %s report\n", *validateF, obs.SchemaVersion)
-		return
-	}
 	if *full {
 		*keySpace = 1 << 22
 		*duration = time.Second
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|tail|hotpath|engines|serve|all")
+		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|tail|engines|serve|all")
 		os.Exit(2)
 	}
 	if *engineFlag != "" {
@@ -94,22 +80,11 @@ func main() {
 		}
 		fmt.Printf("obs endpoint: http://%s/obs (metrics at /metrics, pprof at /debug/pprof)\n", hs.Addr())
 	}
-	if *jsonOut != "" {
-		collector = harness.NewCollector(obs.RunConfig{
-			KeySpace:   *keySpace,
-			DurationNS: duration.Nanoseconds(),
-			Threads:    threadList(),
-			Latency:    *latency,
-			Full:       *full,
-			Engine:     *engineFlag,
-		})
-	}
 	exp := flag.Arg(0)
 	all := exp == "all"
 	ran := false
 	run := func(name string, f func()) {
 		if all || exp == name {
-			collector.SetExperiment(name)
 			f()
 			ran = true
 		}
@@ -125,20 +100,11 @@ func main() {
 	run("fig8", fig8)
 	run("recovery", recovery)
 	run("tail", tailLatency)
-	run("hotpath", hotpath)
 	run("engines", engineComparison)
 	run("serve", serve)
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
 		os.Exit(2)
-	}
-	if collector != nil {
-		if err := collector.Report.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bdbench: -json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d result rows to %s (schema %s)\n",
-			collector.Report.Len(), *jsonOut, obs.SchemaVersion)
 	}
 	if *traceOut != "" {
 		writeTrace()
@@ -189,7 +155,7 @@ func tailLatency() {
 	for _, kind := range []string{"skiplist-dl", "skiplist", "skiplist-transient"} {
 		inst := harness.New(kind, opts())
 		wl := harness.Workload{KeySpace: *keySpace, Dist: harness.Uniform, Mix: ycsb.WriteHeavy, Prefill: true}
-		rows[inst.Name] = harness.RunLatency(collector, inst, wl, 20000, 2, 21)
+		rows[inst.Name] = harness.RunLatency(inst, wl, 20000, 2, 21)
 		order = append(order, inst.Name)
 		inst.Close()
 	}
@@ -219,7 +185,7 @@ func opts() harness.Opts {
 
 // sweep measures one kind across the thread list, a fresh instance per point.
 func sweep(kind string, wl harness.Workload) harness.Series {
-	return harness.Sweep(collector, func() *harness.Instance { return harness.New(kind, opts()) }, wl, threadList(), *duration)
+	return harness.Sweep(func() *harness.Instance { return harness.New(kind, opts()) }, wl, threadList(), *duration)
 }
 
 // fig1: throughput of transient vs buffered-durable vEB trees,
@@ -251,7 +217,7 @@ func fig2() {
 				}
 				inst := harness.New(kind, o)
 				wl := harness.Workload{KeySpace: *keySpace, Dist: dist, Mix: ycsb.WriteHeavy, Prefill: true}
-				harness.Run(collector, inst, wl, n, *duration, 42)
+				harness.Run(inst, wl, n, *duration, 42)
 				s := inst.TM.Stats()
 				at := float64(s.Attempts())
 				if at == 0 {
@@ -425,7 +391,7 @@ func fig7() {
 			o.CacheLines = 1 << 13 // 512 KiB simulated cache
 			inst := harness.New("veb", o)
 			wl := harness.Workload{KeySpace: *keySpace, Dist: d, Mix: ycsb.Mix{ReadPct: 20}, Prefill: true}
-			r := harness.Run(collector, inst, wl, 1, *duration, 11)
+			r := harness.Run(inst, wl, 1, *duration, 11)
 			inst.Close()
 			fmt.Printf("%12.3f Mops", r.Throughput)
 		}
@@ -449,7 +415,7 @@ func fig8() {
 			o.EpochLength = el
 			inst := harness.New("veb", o)
 			wl := harness.Workload{KeySpace: *keySpace, Dist: d, Mix: ycsb.WriteOnly, Prefill: true}
-			harness.Run(collector, inst, wl, 1, *duration, 13)
+			harness.Run(inst, wl, 1, *duration, 13)
 			mb := float64(inst.NVMBytes()) / (1 << 20)
 			inst.Close()
 			fmt.Printf("%14.1f MiB", mb)
@@ -462,8 +428,7 @@ func fig8() {
 // identical write-heavy PHTM-vEB workload with a short epoch, so the
 // epoch-close persist path dominates and the engines' fence budgets
 // (bdl=2, undo=3, redo4f=4, redo2f=2, quadra=1 per commit) show up as
-// fences-per-op and write amplification. Rows land in -json reports
-// tagged with the engine name.
+// fences-per-op and write amplification.
 func engineComparison() {
 	tl := threadList()
 	n := tl[len(tl)-1]
@@ -478,7 +443,7 @@ func engineComparison() {
 		inst := harness.New("veb", o)
 		inst.Name = "PHTM-vEB/" + eng
 		base := inst.Heap.Stats()
-		r := harness.Run(collector, inst, wl, n, *duration, 42)
+		r := harness.Run(inst, wl, n, *duration, 42)
 		d := inst.Heap.Stats().Sub(base)
 		st := inst.Sys.Stats()
 		inst.Close()

@@ -8,7 +8,6 @@ import (
 	"bdhtm/internal/htm"
 	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 // recovery measures crash recovery (Sec. 5.2) for every buffered-durable
@@ -37,7 +36,7 @@ func recovery() {
 				rec := recoverCell(k, words, workers)
 				st := rec.Sys.Stats()
 				rec.Close()
-				scan, rebuild, blocks := st.RecoveryScanNS, max(rec.RebuildNS, 1), int64(len(rec.Recovered))
+				scan, rebuild, blocks := st.RecoveryScanNS, rec.RebuildNS, len(rec.Recovered)
 				if workers == 1 {
 					baseScan = scan
 				}
@@ -46,23 +45,6 @@ func recovery() {
 					time.Duration(scan).Round(time.Microsecond),
 					time.Duration(rebuild).Round(time.Microsecond),
 					blocks, st.Resurrected, float64(baseScan)/float64(scan))
-				collector.Append(obs.BenchRow{
-					Structure: k.Title,
-					Threads:   workers,
-					Dist:      "uniform",
-					ReadPct:   0,
-					Ops:       blocks,
-					ElapsedNS: scan + rebuild,
-					Mops:      float64(blocks) / (float64(scan+rebuild) / 1e9) / 1e6,
-					Recovery: &obs.RecoverySummary{
-						HeapWords:       int64(words),
-						Workers:         workers,
-						ScanNS:          scan,
-						RebuildNS:       rebuild,
-						BlocksRecovered: blocks,
-						Resurrected:     st.Resurrected,
-					},
-				})
 			}
 		}
 	}

@@ -152,6 +152,7 @@ func (s *System) earlyPass(force bool) {
 	s.flushed.Add(int64(blocks))
 	s.earlyFlushed.Add(int64(blocks))
 	s.journalRecords.Add(int64(len(recs)))
+	s.journalEarlyRecords.Add(int64(len(recs)))
 	s.journalCheckpoints.Add(int64(checkpoints))
 	s.advSeq.Add(1)
 }

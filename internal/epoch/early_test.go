@@ -141,27 +141,37 @@ func TestEarlyThresholdFromMeasuredCost(t *testing.T) {
 // re-track), replace and delete blocks while one goroutine takes early
 // passes and another closes and flushes epochs — an early pass may land
 // between an advance and its flush. Every tracking is written back exactly
-// once, early or at its epoch's close; every retirement is journaled exactly
-// once and freed, the workers running until some early pass has journaled a
-// page; and a crash after a final Sync with no stray write-back recovers
-// every worker's last value.
+// once, early or at its epoch's close, the workers running until some
+// concurrent early pass has written a block back; every retirement is
+// journaled exactly once and freed, a page of them early by construction;
+// and a crash after a final Sync with no stray write-back recovers every
+// worker's last value.
 func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 	const workers, keys, ops = 4, 32, 3000
 	h := nvm.New(nvm.Config{Words: 1 << 20})
 	s := New(h, Config{Manual: true})
+
+	// A whole journal page of retirements published in the open epoch and
+	// written back early before its close, so that early journal pages do
+	// not depend on how the passes below happen to be scheduled.
+	var tracks atomic.Int64
+	pre := s.Register()
+	var gone []Block
+	for k := uint64(0); k < pageRecords; k++ {
+		gone = append(gone, putKV(pre, workers*keys+k, k))
+		tracks.Add(1)
+	}
+	retireAll(pre, gone)
+	s.FlushEarly()
+	earlyBase := s.Stats().EarlyFlushedBlocks
+
 	var stop atomic.Bool
 	var bg sync.WaitGroup
-	var earlyPage atomic.Bool // an early pass left a page for its epoch's task
 	bg.Add(2)
 	go func() {
 		defer bg.Done()
 		for !stop.Load() {
 			s.FlushEarly()
-			s.taskMu.Lock()
-			if len(s.journal.early) > 0 {
-				earlyPage.Store(true)
-			}
-			s.taskMu.Unlock()
 		}
 	}()
 	go func() {
@@ -173,7 +183,6 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 		}
 	}()
 
-	var tracks atomic.Int64
 	want := make([]map[uint64]uint64, workers)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -183,12 +192,12 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 			w := s.Register()
 			live := map[uint64]Block{}
 			want[g] = map[uint64]uint64{}
-			// Past ops, keep going — for a while — until some early pass has
-			// written a block back and one has journaled a page: on a loaded
-			// host the workers can otherwise finish before the early-pass
-			// goroutine is first scheduled.
+			// Past ops, keep going — for a while — until some concurrent early
+			// pass has written a block back: on a loaded host the workers can
+			// otherwise finish before the early-pass goroutine is first
+			// scheduled.
 			var lastEpoch, deletes uint64
-			for i := uint64(0); i < ops || (s.earlyFlushed.Load() == 0 || !earlyPage.Load()) && i < 100*ops; i++ {
+			for i := uint64(0); i < ops || s.earlyFlushed.Load() == earlyBase && i < 100*ops; i++ {
 				k := uint64(g)*keys + i*7%keys
 				e := w.BeginOp()
 				if e != lastEpoch {
@@ -234,13 +243,14 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 	s.Sync()
 
 	st := s.Stats()
-	if st.FlushedBlocks != tracks.Load() || st.EarlyFlushedBlocks == 0 || st.EarlyFlushedBlocks > st.FlushedBlocks {
-		t.Fatalf("%d trackings: flushed %d, of them early %d; want every tracking flushed once, some early",
-			tracks.Load(), st.FlushedBlocks, st.EarlyFlushedBlocks)
+	if st.FlushedBlocks != tracks.Load() || st.EarlyFlushedBlocks == earlyBase || st.EarlyFlushedBlocks > st.FlushedBlocks {
+		t.Fatalf("%d trackings: flushed %d, of them early %d (%d before the workers); want every tracking flushed once, some early while they ran",
+			tracks.Load(), st.FlushedBlocks, st.EarlyFlushedBlocks, earlyBase)
 	}
-	if st.JournalRecords != st.RetiredBlocks || st.FreedBlocks != st.RetiredBlocks || !earlyPage.Load() {
-		t.Fatalf("%d retirements: %d journaled, %d freed, a page journaled early: %v; want every one journaled once and freed, some early",
-			st.RetiredBlocks, st.JournalRecords, st.FreedBlocks, earlyPage.Load())
+	if st.JournalRecords != st.RetiredBlocks || st.FreedBlocks != st.RetiredBlocks ||
+		st.JournalEarlyRecords == 0 || st.JournalEarlyRecords > st.JournalRecords {
+		t.Fatalf("%d retirements: %d journaled, %d freed, %d journaled early; want every one journaled once and freed, some early",
+			st.RetiredBlocks, st.JournalRecords, st.FreedBlocks, st.JournalEarlyRecords)
 	}
 	s.SimulateCrash(nvm.CrashOptions{})
 	_, got := recoverAll(h)

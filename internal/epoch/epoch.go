@@ -160,6 +160,9 @@ type Stats struct {
 	// the recycled records were superseded by a reallocation for free.
 	JournalRecords     int64
 	JournalCheckpoints int64
+	// JournalEarlyRecords is the subset of JournalRecords written in
+	// journal pages by an early pass, before their epoch closed (early.go).
+	JournalEarlyRecords int64
 
 	// What Recover found in the journal (zero for systems created by
 	// New): pages at or below the recovered watermark whose records it
@@ -235,9 +238,10 @@ type System struct {
 	advSeq  atomic.Uint64 // seqlock over each task's counter burst
 	advHist obs.Hist      // AdvanceOnce wall-time distribution
 
-	journal            journal // the flusher's retire-journal state (journal.go)
-	journalRecords     atomic.Int64
-	journalCheckpoints atomic.Int64
+	journal             journal // the flusher's retire-journal state (journal.go)
+	journalRecords      atomic.Int64
+	journalCheckpoints  atomic.Int64
+	journalEarlyRecords atomic.Int64
 	// Set once by Recover, before the system is shared.
 	journalPagesRead, journalRecordsApplied, journalPagesErased int64
 
@@ -490,6 +494,7 @@ func (s *System) Stats() Stats {
 		st.Backpressure = s.backpressure.Load()
 		st.JournalRecords = s.journalRecords.Load()
 		st.JournalCheckpoints = s.journalCheckpoints.Load()
+		st.JournalEarlyRecords = s.journalEarlyRecords.Load()
 		st.EarlyFlushedBlocks = s.earlyFlushed.Load()
 		st.FlushedBlocks = s.flushed.Load()
 		st.FreedBlocks = s.freed.Load()

@@ -301,9 +301,9 @@ func TestEarlyPassJournalsWholePages(t *testing.T) {
 				t.Fatalf("record %d of the early page is not on the media", i)
 			}
 		}
-		if st := s.Stats(); st.JournalRecords != 1+pageRecords || st.EarlyFlushedBlocks != 0 {
-			t.Fatalf("after the early pass: %d journal records, %d early blocks; want %d and 0",
-				st.JournalRecords, st.EarlyFlushedBlocks, 1+pageRecords)
+		if st := s.Stats(); st.JournalRecords != 1+pageRecords || st.JournalEarlyRecords != pageRecords || st.EarlyFlushedBlocks != 0 {
+			t.Fatalf("after the early pass: %d journal records, %d of them early, %d early blocks; want %d, %d and 0",
+				st.JournalRecords, st.JournalEarlyRecords, st.EarlyFlushedBlocks, 1+pageRecords, pageRecords)
 		}
 		return h, s, x
 	}

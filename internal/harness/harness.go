@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/obs"
 	"bdhtm/internal/ycsb"
 )
 
@@ -64,20 +63,10 @@ type Result struct {
 }
 
 // Run measures the instance under the workload with the given number of
-// worker goroutines for roughly the given duration, and appends the
-// measurement's row to c (nil collects nothing).
-func Run(c *Collector, inst *Instance, wl Workload, threads int, dur time.Duration, seed uint64) Result {
+// worker goroutines for roughly the given duration.
+func Run(inst *Instance, wl Workload, threads int, dur time.Duration, seed uint64) Result {
 	if wl.Prefill {
 		Prefill(inst, wl.KeySpace)
-	}
-	// When collecting, time every op into a sharded histogram and capture
-	// counter baselines after the prefill so the reported row covers the
-	// measured interval only.
-	var base statsBaseline
-	var opHist *obs.Hist
-	if c != nil {
-		base = captureBaseline(inst)
-		opHist = &obs.Hist{}
 	}
 	var stop atomic.Bool
 	var totalOps atomic.Int64
@@ -93,10 +82,6 @@ func Run(c *Collector, inst *Instance, wl Workload, threads int, dur time.Durati
 			for !stop.Load() {
 				for i := 0; i < 64; i++ {
 					op, k, v := g.Next()
-					var t0 time.Time
-					if opHist != nil {
-						t0 = time.Now()
-					}
 					switch op {
 					case ycsb.OpRead:
 						h.Get(k)
@@ -104,9 +89,6 @@ func Run(c *Collector, inst *Instance, wl Workload, threads int, dur time.Durati
 						h.Insert(k, v)
 					case ycsb.OpRemove:
 						h.Remove(k)
-					}
-					if opHist != nil {
-						opHist.Record(uint64(tid), int64(time.Since(t0)))
 					}
 				}
 				ops += 64
@@ -120,21 +102,12 @@ func Run(c *Collector, inst *Instance, wl Workload, threads int, dur time.Durati
 	wg.Wait()
 	elapsed := time.Since(start)
 	ops := totalOps.Load()
-	res := Result{
+	return Result{
 		Threads:    threads,
 		Ops:        ops,
 		Elapsed:    elapsed,
 		Throughput: float64(ops) / elapsed.Seconds() / 1e6,
 	}
-	if c != nil {
-		var lat *obs.LatencySummary
-		if h := opHist.Snapshot(); h.Count > 0 {
-			lat = &obs.LatencySummary{}
-			lat.FromHist(h)
-		}
-		c.Report.Append(buildRow(c, inst, wl, res, base, lat))
-	}
-	return res
 }
 
 // RunOps measures a fixed operation count per thread (deterministic work,
@@ -191,12 +164,12 @@ type Series struct {
 
 // Sweep measures the subject across thread counts, creating a fresh
 // instance per point (so points do not inherit structural state).
-func Sweep(c *Collector, build func() *Instance, wl Workload, threads []int, dur time.Duration) Series {
+func Sweep(build func() *Instance, wl Workload, threads []int, dur time.Duration) Series {
 	var s Series
 	for _, n := range threads {
 		inst := build()
 		s.Name = inst.Name
-		r := Run(c, inst, wl, n, dur, 42)
+		r := Run(inst, wl, n, dur, 42)
 		inst.Close()
 		s.Points = append(s.Points, r)
 	}

@@ -49,7 +49,7 @@ func TestRunDuration(t *testing.T) {
 	inst := New("veb-transient", Opts{KeySpace: 1 << 10})
 	defer inst.Close()
 	wl := Workload{KeySpace: 1 << 10, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 20}}
-	r := Run(nil, inst, wl, 1, 50*time.Millisecond, 1)
+	r := Run(inst, wl, 1, 50*time.Millisecond, 1)
 	if r.Ops == 0 {
 		t.Fatal("no ops measured")
 	}
@@ -60,7 +60,7 @@ func TestRunDuration(t *testing.T) {
 
 func TestSweepAndPrint(t *testing.T) {
 	wl := Workload{KeySpace: 1 << 10, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 20}}
-	s := Sweep(nil, func() *Instance { return New("veb-transient", Opts{KeySpace: 1 << 10}) }, wl, []int{1, 2}, 20*time.Millisecond)
+	s := Sweep(func() *Instance { return New("veb-transient", Opts{KeySpace: 1 << 10}) }, wl, []int{1, 2}, 20*time.Millisecond)
 	if len(s.Points) != 2 {
 		t.Fatalf("points = %d", len(s.Points))
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"bdhtm/internal/obs"
 	"bdhtm/internal/ycsb"
 )
 
@@ -24,9 +23,8 @@ type LatencyResult struct {
 
 // RunLatency executes ops operations on one goroutine while background
 // goroutines apply contending traffic, and reports the foreground
-// thread's latency distribution, appending its row to c (nil collects
-// nothing).
-func RunLatency(c *Collector, inst *Instance, wl Workload, ops int, bgThreads int, seed uint64) LatencyResult {
+// thread's latency distribution.
+func RunLatency(inst *Instance, wl Workload, ops int, bgThreads int, seed uint64) LatencyResult {
 	if wl.Prefill {
 		Prefill(inst, wl.KeySpace)
 	}
@@ -57,14 +55,9 @@ func RunLatency(c *Collector, inst *Instance, wl Workload, ops int, bgThreads in
 			}
 		}(t)
 	}
-	var base statsBaseline
-	if c != nil {
-		base = captureBaseline(inst)
-	}
 	h := inst.Store.NewSession()
 	g := wl.generator(seed)
 	lat := make([]time.Duration, ops)
-	fgStart := time.Now()
 	for i := 0; i < ops; i++ {
 		op, k, v := g.Next()
 		start := time.Now()
@@ -78,7 +71,6 @@ func RunLatency(c *Collector, inst *Instance, wl Workload, ops int, bgThreads in
 		}
 		lat[i] = time.Since(start)
 	}
-	fgElapsed := time.Since(fgStart)
 	close(stop)
 	for t := 0; t < bgThreads; t++ {
 		<-done
@@ -91,36 +83,13 @@ func RunLatency(c *Collector, inst *Instance, wl Workload, ops int, bgThreads in
 		}
 		return lat[i]
 	}
-	res := LatencyResult{
+	return LatencyResult{
 		Ops:  ops,
 		P50:  pick(0.50),
 		P99:  pick(0.99),
 		P999: pick(0.999),
 		Max:  lat[len(lat)-1],
 	}
-	if c != nil {
-		var sum time.Duration
-		for _, d := range lat {
-			sum += d
-		}
-		c.Report.Append(buildRow(c, inst, wl, Result{
-			Threads: 1 + bgThreads,
-			Ops:     int64(ops),
-			Elapsed: fgElapsed,
-			// Foreground Mops only: the tail experiment measures the
-			// instrumented thread, not aggregate throughput.
-			Throughput: float64(ops) / fgElapsed.Seconds() / 1e6,
-		}, base, &obs.LatencySummary{
-			Count:  int64(ops),
-			MeanNS: float64(sum.Nanoseconds()) / float64(ops),
-			P50:    pick(0.50).Nanoseconds(),
-			P90:    pick(0.90).Nanoseconds(),
-			P99:    pick(0.99).Nanoseconds(),
-			P999:   pick(0.999).Nanoseconds(),
-			Max:    res.Max.Nanoseconds(),
-		}))
-	}
-	return res
 }
 
 // PrintLatency renders one row per subject.

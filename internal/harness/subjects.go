@@ -93,8 +93,7 @@ func (o Opts) epochCfg() epoch.Config {
 }
 
 // Instance is one kv stack under a display name (the kind's title unless
-// an experiment relabels it). Which statistics a row carries follows from
-// which parts the stack has: TM, Heap and Sys are nil where the kind has
+// an experiment relabels it). TM, Heap and Sys are nil where the kind has
 // none.
 type Instance struct {
 	Name string

@@ -100,14 +100,6 @@ type HistSnapshot struct {
 	Buckets []int64 `json:"buckets,omitempty"`
 }
 
-// Mean returns the average duration in nanoseconds (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.SumNS) / float64(s.Count)
-}
-
 // Quantile returns an upper bound for the q-quantile (q in [0, 1]):
 // the upper edge of the bucket holding the rank-⌈q·Count⌉ sample,
 // clamped to the exact observed maximum. Deterministic for a given set
@@ -135,26 +127,4 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.MaxNS
-}
-
-// Merge returns the pointwise sum of two snapshots.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := HistSnapshot{
-		Count: s.Count + o.Count,
-		SumNS: s.SumNS + o.SumNS,
-		MaxNS: s.MaxNS,
-	}
-	if o.MaxNS > out.MaxNS {
-		out.MaxNS = o.MaxNS
-	}
-	n := len(s.Buckets)
-	if len(o.Buckets) > n {
-		n = len(o.Buckets)
-	}
-	out.Buckets = make([]int64, n)
-	copy(out.Buckets, s.Buckets)
-	for i, c := range o.Buckets {
-		out.Buckets[i] += c
-	}
-	return out
 }

@@ -14,8 +14,6 @@
 //   - Tracer: a sharded ring-buffer event tracer with Chrome
 //     trace_event and JSONL exporters (trace.go); spans follow sampled
 //     requests through the service stack (span.go).
-//   - Report: the stable BENCH_*.json machine-readable benchmark schema
-//     and its validator (report.go).
 //   - WriteOpenMetrics / StartHTTP: the OpenMetrics exposition and an
 //     optional /obs, /metrics and pprof HTTP endpoint (prom.go, http.go).
 //

@@ -3,11 +3,14 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixedEvents is a deterministic event set covering every export shape:
 // duration events (op/attempt/epoch-phase, with name refinement) and
