@@ -258,11 +258,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, kind := range kv.BufferedKinds() {
 		k, _ := kv.Lookup(kind)
 		parts := func(h *nvm.Heap) kv.Parts {
-			p := kv.Parts{Heap: h, TM: htm.Default(), Epoch: epoch.Config{Manual: true}, KeySpace: benchKeySpace}
-			if k.Index {
-				p.Index = nvm.New(nvm.Config{Words: 1 << 21, Mode: nvm.ModeDRAM})
-			}
-			return p
+			return kv.Parts{Heap: h, TM: htm.Default(), Epoch: epoch.Config{Manual: true}, KeySpace: benchKeySpace}
 		}
 		b.Run(k.Title, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

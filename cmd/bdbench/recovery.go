@@ -2,80 +2,120 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"time"
 
+	"bdhtm/internal/durability"
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 )
 
-// recovery measures crash recovery (Sec. 5.2) for every buffered-durable
-// kind: heaps of increasing size are filled, hit with an unsynced remove
-// wave (so the scan also performs resurrection write-backs), power-failed
-// with every dirty line evicted, and recovered through kv.Recover with 1,
-// 2, 4 and 8 scan workers. Each cell rebuilds the identical pre-crash image
-// from scratch, so the timings are comparable across worker counts; the
-// scan is the same work for every kind, the rebuild is the structure's own.
-// Report only: a single run's wall clock cannot rank worker counts on a
-// small host (crashfuzz's TestRecoverParallelEquivalence is the
-// correctness check).
+// recovery measures and checks crash recovery (Sec. 5.2) for every
+// buffered-durable kind at heaps of increasing size, one recovery each:
+// recoverCell builds the pre-crash image and recovers it under -engine. A
+// row prints the header scan (on up to GOMAXPROCS workers) and the rebuild,
+// the blocks recovered and resurrected, what the retire journal replay
+// read, applied and erased, and the engine the recovered system runs. Each
+// row is verified: every synced key must read back its value, and the
+// engine must be the one -engine asked for. Any failure exits non-zero
+// once every row is printed. The timings are report only: a single run's
+// wall clock cannot rank anything on a small host.
 func recovery() {
 	heapSizes := []int{1 << 19, 1 << 21, 1 << 23}
 	if *full {
 		heapSizes = append(heapSizes, 1<<25)
 	}
-	fmt.Printf("\nSec. 5.2 — recovery, scan+rebuild vs structure, heap size and scan workers\n")
-	fmt.Printf("  %-22s %-12s %-8s %12s %12s %10s %12s %10s\n",
-		"structure", "heap_words", "workers", "scan", "rebuild", "blocks", "resurrected", "speedup")
+	want := *engineFlag
+	if want == "" {
+		want = durability.DefaultEngine
+	}
+	fmt.Printf("\nSec. 5.2 — recovery, scan+rebuild vs structure and heap size (GOMAXPROCS %d)\n", runtime.GOMAXPROCS(0))
+	fmt.Printf("  %-22s %10s %-7s %7s %12s %12s %9s %11s %7s %9s %8s  %s\n",
+		"structure", "heap_words", "engine", "workers", "scan", "rebuild", "blocks", "resurrected",
+		"j_read", "j_applied", "j_erased", "verified")
+	failed := false
 	for _, name := range kv.BufferedKinds() {
 		k, _ := kv.Lookup(name)
 		for _, words := range heapSizes {
-			var baseScan int64
-			for _, workers := range []int{1, 2, 4, 8} {
-				rec := recoverCell(k, words, workers)
-				st := rec.Sys.Stats()
-				rec.Close()
-				scan, rebuild, blocks := st.RecoveryScanNS, rec.RebuildNS, len(rec.Recovered)
-				if workers == 1 {
-					baseScan = scan
-				}
-				fmt.Printf("  %-22s %-12d %-8d %12v %12v %10d %12d %9.2fx\n",
-					k.Title, words, workers,
-					time.Duration(scan).Round(time.Microsecond),
-					time.Duration(rebuild).Round(time.Microsecond),
-					blocks, st.Resurrected, float64(baseScan)/float64(scan))
+			rec, err := recoverCell(k, words)
+			st := rec.Sys.Stats()
+			rec.Close()
+			if err == nil && st.Engine != want {
+				err = fmt.Errorf("recovered with engine %s, -engine asked for %s", st.Engine, want)
 			}
+			verdict := "ok"
+			if err != nil {
+				verdict, failed = "FAIL: "+err.Error(), true
+			}
+			fmt.Printf("  %-22s %10d %-7s %7d %12v %12v %9d %11d %7d %9d %8d  %s\n",
+				k.Title, words, st.Engine, st.RecoveryWorkers,
+				time.Duration(st.RecoveryScanNS).Round(time.Microsecond),
+				time.Duration(rec.RebuildNS).Round(time.Microsecond),
+				len(rec.Recovered), st.Resurrected,
+				st.JournalPagesRead, st.JournalRecordsApplied, st.JournalPagesErased, verdict)
 		}
+	}
+	if failed {
+		fmt.Fprintln(os.Stderr, "bdbench: recovery: verification failed")
+		os.Exit(1)
 	}
 }
 
-// recoverCell builds one pre-crash image of kind k deterministically, power
-// fails it, and recovers it with the given scan worker count.
-func recoverCell(k kv.Kind, heapWords, workers int) *kv.Stack {
+// recoverCell builds one pre-crash image of kind k on a heap of heapWords,
+// deterministically and under -engine, power-fails it and recovers it. The
+// image holds one record per 32 heap words. The first eighth of the keys
+// is overwritten and restored an epoch later, both waves synced: each
+// retires the blocks it replaces, so the journal holds retirements at or
+// below the persisted epoch for the scan to apply. That eighth is then
+// removed without a sync, and the crash writes back half the dirty lines,
+// so the scan also resurrects the removals that reached the media. The
+// error reports synced keys the recovered store lost or got wrong.
+func recoverCell(k kv.Kind, heapWords int) (*kv.Stack, error) {
 	records := heapWords / 32
 	parts := func(h *nvm.Heap) kv.Parts {
-		p := kv.Parts{
+		return kv.Parts{
 			Heap:     h,
 			TM:       htm.Default(),
-			Epoch:    epoch.Config{Manual: true, RecoveryWorkers: workers},
+			Epoch:    epoch.Config{Manual: true, Engine: *engineFlag},
 			KeySpace: uint64(records) * 2,
 		}
-		if k.Index {
-			p.Index = nvm.New(nvm.Config{Words: heapWords, Mode: nvm.ModeDRAM})
-		}
-		return p
 	}
+	value := func(i int) uint64 { return uint64(i)*3 + 1 }
 	st := kv.Open(k.Name, parts(nvm.New(nvm.Config{Words: heapWords})))
 	s := st.Store.NewSession()
 	for i := 0; i < records; i++ {
-		s.Insert(uint64(i), uint64(i)*3+1)
+		s.Insert(uint64(i), value(i))
+	}
+	wave := records / 8
+	for _, scratch := range []bool{true, false} {
+		st.Sync()
+		for i := 0; i < wave; i++ {
+			v := value(i)
+			if scratch {
+				v = 5
+			}
+			s.Insert(uint64(i), v)
+		}
 	}
 	st.Sync()
-	// Unsynced remove wave, fully evicted: the scan must resurrect these.
-	for i := 0; i < records/8; i++ {
+	for i := 0; i < wave; i++ {
 		s.Remove(uint64(i))
 	}
-	st.Sys.SimulateCrash(nvm.CrashOptions{EvictFraction: 1})
-	return kv.Recover(k.Name, parts(st.Heap))
+	st.Sys.SimulateCrash(nvm.CrashOptions{EvictFraction: 0.5, Seed: uint64(heapWords)})
+
+	rec := kv.Recover(k.Name, parts(st.Heap))
+	s = rec.Store.NewSession()
+	bad := 0
+	for i := 0; i < records; i++ {
+		if v, ok := s.Get(uint64(i)); !ok || v != value(i) {
+			bad++
+		}
+	}
+	if n := rec.Store.Len(); bad != 0 || n != records {
+		return rec, fmt.Errorf("%d of %d synced keys lost or wrong, Len %d", bad, records, n)
+	}
+	return rec, nil
 }

@@ -49,7 +49,6 @@ func serve() {
 			Addr:     addr.String(),
 			Conns:    conns,
 			Ops:      opsPer,
-			Mode:     loadgen.Closed,
 			Pipeline: 8,
 			Workload: workload,
 			KeySpace: *keySpace,

@@ -11,8 +11,7 @@
 //	                                ledger, exit non-zero on violations
 //	bdserve -recover N [flags]      recover-then-serve cold start: fill N
 //	                                keys durably over the wire, power-fail
-//	                                the heap, recover on the same heap
-//	                                (-recover-workers scan goroutines),
+//	                                the heap, recover on the same heap,
 //	                                verify every durable-acked key is
 //	                                served, exit non-zero on loss
 //
@@ -59,8 +58,7 @@ var (
 	spansOut     = flag.String("spans-out", "", "selftest: write sampled spans as JSONL to this file")
 	metricsOut   = flag.String("metrics-out", "", "selftest: write the OpenMetrics exposition to this file")
 
-	recoverN    = flag.Int("recover", 0, "recover-then-serve cold start: fill N keys durably, crash, recover, verify over the wire, then exit")
-	recoverWrks = flag.Int("recover-workers", 4, "recovery scan worker goroutines for -recover")
+	recoverN = flag.Int("recover", 0, "recover-then-serve cold start: fill N keys durably, crash, recover, verify over the wire, then exit")
 )
 
 // live is the server whose counters -obs-http serves; every mode stores
@@ -110,7 +108,7 @@ func main() {
 		fmt.Printf("bdserve: observability on http://%s (/obs /metrics /debug/pprof)\n", hs.Addr())
 	}
 	if *recoverN > 0 {
-		os.Exit(runRecover(cfg, *recoverN, *recoverWrks))
+		os.Exit(runRecover(cfg, *recoverN))
 	}
 	if *selftest > 0 {
 		os.Exit(runSelftest(cfg))
@@ -156,7 +154,6 @@ func runSelftest(cfg bdserve.Config) int {
 		Addr:     bound.String(),
 		Conns:    *selfConns,
 		Ops:      *selftest,
-		Mode:     loadgen.Closed,
 		Pipeline: 8,
 		Workload: *selfWorkload,
 		KeySpace: cfg.KeySpace,

@@ -14,11 +14,11 @@ import (
 // runRecover is the recover-then-serve cold start: fill a fresh server
 // with N keys over a loopback connection until every write is acked
 // durable, issue an unsynced tail, power-fail the heap, recover a new
-// server on the same heap with -recover-workers scan goroutines, and
-// verify over the wire that the recovered server serves every
-// durable-acked key. Exits non-zero if any durable-acked key is lost or
-// wrong, or if an unsynced tail update survived.
-func runRecover(cfg bdserve.Config, n, workers int) int {
+// server on the same heap, and verify over the wire that the recovered
+// server serves every durable-acked key. Exits non-zero if any
+// durable-acked key is lost or wrong, or if an unsynced tail update
+// survived.
+func runRecover(cfg bdserve.Config, n int) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "bdserve: recover: "+format+"\n", args...)
 		return 1
@@ -26,7 +26,6 @@ func runRecover(cfg bdserve.Config, n, workers int) int {
 	// Manual epochs: the fill drives advances itself, so the durable
 	// cut before the crash is deterministic.
 	cfg.Manual = true
-	cfg.RecoveryWorkers = workers
 
 	srv := bdserve.New(cfg)
 	live.Store(srv)

@@ -2,6 +2,7 @@ package bdserve
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bdhtm/internal/kv"
@@ -12,20 +13,18 @@ import (
 // TestRecoverColdStartServes is the recover-then-serve smoke for the
 // service layer (mirrors cmd/bdserve -recover): fill a server over the
 // wire, drive a durable checkpoint, power-fail, bring a new server up on
-// the same heap with parallel recovery, and assert every durable-acked
-// key is served with its exact value — plus that the cold start reports
-// its recovery metrics. Runs in CI's race lane.
+// the same heap with its header scan on GOMAXPROCS = 1 or 4 workers, and
+// assert every durable-acked key is served with its exact value — plus
+// that the cold start reports its recovery metrics. Runs in CI's race
+// lane.
 func TestRecoverColdStartServes(t *testing.T) {
 	const n = 64
 	for _, structure := range kv.BufferedKinds() {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", structure, workers), func(t *testing.T) {
-				cfg := Config{
-					Structure:       structure,
-					KeySpace:        1 << 8,
-					Manual:          true,
-					RecoveryWorkers: workers,
-				}
+				prev := runtime.GOMAXPROCS(workers)
+				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+				cfg := Config{Structure: structure, KeySpace: 1 << 8, Manual: true}
 				srv := New(cfg)
 				if got := srv.Recovery(); got != (RecoveryInfo{}) {
 					t.Fatalf("fresh server reports recovery metrics: %+v", got)
@@ -70,8 +69,9 @@ func TestRecoverColdStartServes(t *testing.T) {
 				rec := Recover(srv.Heap(), cfg)
 				defer rec.Close()
 				ri := rec.Recovery()
-				if ri.Workers != workers {
-					t.Fatalf("RecoveryInfo.Workers = %d, want %d", ri.Workers, workers)
+				slabs := int(rec.System().Allocator().FootprintBytes() / (4096 * nvm.WordBytes))
+				if want := min(workers, slabs); ri.Workers != want {
+					t.Fatalf("RecoveryInfo.Workers = %d, want %d (GOMAXPROCS %d, %d formatted slabs)", ri.Workers, want, workers, slabs)
 				}
 				if ri.ScanNS <= 0 || ri.RebuildNS <= 0 {
 					t.Fatalf("recovery timings missing: %+v", ri)

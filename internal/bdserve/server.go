@@ -59,9 +59,6 @@ type Config struct {
 	Manual bool
 	// Engine selects the durability engine, forwarded to epoch.Config.
 	Engine string
-	// RecoveryWorkers partitions Recover's header scan across this many
-	// goroutines (0/1 = serial; forwarded to epoch.Config).
-	RecoveryWorkers int
 	// SyncAcks suppresses applied acks: every write is acked only once,
 	// when durable (the -sync server flag).
 	SyncAcks bool
@@ -102,24 +99,19 @@ func (c Config) parts(heap *nvm.Heap) kv.Parts {
 	}
 	tm := htm.New(htm.Config{})
 	tm.SetObs(c.Obs)
-	p := kv.Parts{
+	return kv.Parts{
 		Heap: heap,
 		TM:   tm,
 		Epoch: epoch.Config{
-			EpochLength:     c.EpochLength,
-			Manual:          c.Manual,
-			Engine:          c.Engine,
-			RecoveryWorkers: c.RecoveryWorkers,
-			Obs:             c.Obs,
-			MaxWorkers:      c.MaxSessions + 8,
+			EpochLength: c.EpochLength,
+			Manual:      c.Manual,
+			Engine:      c.Engine,
+			Obs:         c.Obs,
+			MaxWorkers:  c.MaxSessions + 8,
 		},
 		KeySpace: c.KeySpace,
 		Threads:  c.MaxSessions + 8,
 	}
-	if k.Index {
-		p.Index = nvm.New(nvm.Config{Words: c.HeapWords, Mode: nvm.ModeDRAM})
-	}
-	return p
 }
 
 // Counters is a point-in-time snapshot of the server's service-layer

@@ -45,9 +45,6 @@ func kvRun(kind string, tm *htm.TM, keys uint64, extra func(structure any) []int
 	if k.Heap != nvm.ModeDRAM {
 		p.Heap = nvm.New(nvm.Config{Words: DefaultHeapWords, Mode: k.Heap})
 	}
-	if k.Index {
-		p.Index = nvm.New(nvm.Config{Words: DefaultHeapWords, Mode: nvm.ModeDRAM})
-	}
 	st := kv.Open(kind, p)
 	h := st.Store.NewSession()
 	return agreeRun{

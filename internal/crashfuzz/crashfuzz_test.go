@@ -136,13 +136,18 @@ func TestParseReplayDefaultsPipelineFields(t *testing.T) {
 	}
 }
 
+// rworkersField matches the rworkers= field (the recovery scan's worker
+// count) that replay lines printed until the scan took its worker count
+// from GOMAXPROCS.
+var rworkersField = regexp.MustCompile(` rworkers=\d+`)
+
 // TestResolveReplayCompatAcrossFGLRemoval pins the derived-parameter
 // stream across the removal of the fgl= (global vs fine-grained fallback)
 // axis: each want string is Resolve's output for that seed captured at the
-// last commit that still had the axis, minus its trailing fgl= field. Every
-// recorded seed, corpus entry and printed replay line therefore resolves
-// to the same round as before. Old lines that carry fgl=0 or fgl=1 parse,
-// and to identical params.
+// last commit that still had the axis, minus its trailing fgl= field (and,
+// since, its rworkers= field). Every recorded seed, corpus entry and
+// printed replay line therefore resolves to the same round as before. Old
+// lines that carry fgl=0 or fgl=1 parse, and to identical params.
 func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 	for _, tc := range []struct {
 		seed uint64
@@ -160,8 +165,8 @@ func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 		derive := NewRoundParams("bdhash", tc.seed)
 		derive.Engine = "" // the captured strings derive it; CI may pin BDFUZZ_ENGINE
 		got := Resolve(derive)
-		if s := got.ReplayString(); s != tc.want {
-			t.Errorf("seed %#x resolves differently:\n got %s\nwant %s", tc.seed, s, tc.want)
+		if s, want := got.ReplayString(), rworkersField.ReplaceAllString(tc.want, ""); s != want {
+			t.Errorf("seed %#x resolves differently:\n got %s\nwant %s", tc.seed, s, want)
 		}
 		for _, fgl := range []string{" fgl=0", " fgl=1"} {
 			p, err := ParseReplay(tc.want + fgl)
@@ -178,9 +183,10 @@ func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 // TestResolveReplayCompatAcrossShardsRemoval pins the derived-parameter
 // stream across the removal of the shards= (flusher shard count) axis: each
 // line is Resolve's output for that seed captured at the last commit that
-// still had the axis. Minus its shards= field it is what Resolve prints
-// now, and the line with shards=1 or shards=4 appended parses to identical
-// params, so recorded seeds and old replay lines keep their rounds.
+// still had the axis. Minus its shards= (and rworkers=) field it is what
+// Resolve prints now, and the line with shards=1 or shards=4 appended
+// parses to identical params, so recorded seeds and old replay lines keep
+// their rounds.
 func TestResolveReplayCompatAcrossShardsRemoval(t *testing.T) {
 	shardsField := regexp.MustCompile(` shards=\d+`)
 	for _, tc := range []struct {
@@ -199,7 +205,7 @@ func TestResolveReplayCompatAcrossShardsRemoval(t *testing.T) {
 		derive := NewRoundParams("veb", tc.seed)
 		derive.Engine = "" // the captured lines derive it; CI may pin BDFUZZ_ENGINE
 		got := Resolve(derive)
-		want := shardsField.ReplaceAllString(tc.old, "")
+		want := rworkersField.ReplaceAllString(shardsField.ReplaceAllString(tc.old, ""), "")
 		if s := got.ReplayString(); s != want {
 			t.Errorf("seed %#x resolves differently:\n got %s\nwant %s", tc.seed, s, want)
 		}
@@ -211,6 +217,42 @@ func TestResolveReplayCompatAcrossShardsRemoval(t *testing.T) {
 			if !reflect.DeepEqual(p, got) {
 				t.Errorf("old-format spec with%s parsed to\n%+v\nwant\n%+v", shards, p, got)
 			}
+		}
+	}
+}
+
+// TestResolveReplayCompatAcrossRecoveryWorkersRemoval pins the derived-parameter
+// stream across the removal of the rworkers= (recovery scan worker count)
+// axis: each line is Resolve's output for that seed captured at the last
+// commit that still had the axis. It parses, to the params Resolve derives
+// now, and prints as itself minus the rworkers= field, so recorded seeds
+// and old replay lines keep their rounds.
+func TestResolveReplayCompatAcrossRecoveryWorkersRemoval(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		old  string
+	}{
+		{0x9, "subject=spash seed=0x9 ops=600 workers=1 keyspace=16 evict=0.69 events=1 crash-after=514 crash-step=0 tail-adv=3 adv-every=24 spurious=0.05 memtype=0.00 async=1 engine=redo4f rworkers=8"},
+		{0x42, "subject=spash seed=0x42 ops=200 workers=1 keyspace=64 evict=0.60 events=2 crash-after=196 crash-step=38 tail-adv=3 adv-every=31 spurious=0.00 memtype=0.00 async=1 engine=redo4f rworkers=1"},
+		{0xabc, "subject=spash seed=0xabc ops=200 workers=4 keyspace=256 evict=0.44 events=2 crash-after=4 crash-step=0 tail-adv=1 adv-every=5 spurious=0.00 memtype=0.00 async=0 engine=redo2f rworkers=2"},
+		{0x5eed, "subject=spash seed=0x5eed ops=200 workers=1 keyspace=16 evict=0.89 events=1 crash-after=194 crash-step=30 tail-adv=0 adv-every=28 spurious=0.00 memtype=0.00 async=1 engine=redo4f rworkers=4"},
+		{0xfacade, "subject=spash seed=0xfacade ops=64 workers=4 keyspace=256 evict=0.83 events=1 crash-after=9 crash-step=0 tail-adv=1 adv-every=9 spurious=0.00 memtype=0.00 async=1 engine=bdl rworkers=1"},
+		{0x31337, "subject=spash seed=0x31337 ops=200 workers=1 keyspace=16 evict=0.90 events=1 crash-after=31 crash-step=0 tail-adv=0 adv-every=11 spurious=0.00 memtype=0.01 async=0 engine=redo4f rworkers=8"},
+		{0xbadc0de, "subject=spash seed=0xbadc0de ops=200 workers=4 keyspace=64 evict=0.14 events=1 crash-after=29 crash-step=0 tail-adv=1 adv-every=9 spurious=0.01 memtype=0.01 async=1 engine=redo4f rworkers=4"},
+		{0x1dea, "subject=spash seed=0x1dea ops=600 workers=4 keyspace=256 evict=0.18 events=2 crash-after=84 crash-step=0 tail-adv=2 adv-every=32 spurious=0.05 memtype=0.01 async=0 engine=bdl rworkers=2"},
+	} {
+		derive := NewRoundParams("spash", tc.seed)
+		derive.Engine = "" // the captured lines derive it; CI may pin BDFUZZ_ENGINE
+		got := Resolve(derive)
+		p, err := ParseReplay(tc.old)
+		if err != nil {
+			t.Fatalf("old-format spec: %v", err)
+		}
+		if r := Resolve(p); !reflect.DeepEqual(r, got) {
+			t.Errorf("seed %#x: old-format spec resolved to\n%+v\nwant\n%+v", tc.seed, r, got)
+		}
+		if s, want := Resolve(p).ReplayString(), rworkersField.ReplaceAllString(tc.old, ""); s != want {
+			t.Errorf("seed %#x prints\n got %s\nwant %s", tc.seed, s, want)
 		}
 	}
 }

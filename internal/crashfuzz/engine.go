@@ -43,7 +43,6 @@ type RoundParams struct {
 	MemType      float64 // <0 = derive from {0, 0.01}
 	Async        int     // <0 = derive; schedule: flusher step runs right after each advance (1) or lags a full epoch (0)
 	Engine       string  // durability engine; "" = derive from durability.Names()
-	RWorkers     int     // recovery scan workers; 0 = derive from {1, 2, 4, 8}
 	// Epochs, when positive, is the long-segment shape: every crash segment
 	// runs at least this many epochs of AdvEvery ops before its crash point,
 	// far enough for the retire journal to recycle pages and rewrite
@@ -108,11 +107,12 @@ func Resolve(p RoundParams) RoundParams {
 	// pipeline existed derive the same op streams they always did; the
 	// engine draw in turn follows them for the same reason. The retired
 	// shards= draw (the flusher shard count) is still consumed ahead of
-	// them, so every later draw keeps its stream position.
+	// them, and the retired rworkers= draw (the recovery scan's worker
+	// count) after them, so every later draw keeps its stream position.
 	rng.next()
 	asyncDraw := rng.next()
 	engineDraw := rng.next()
-	rworkersDraw := rng.next()
+	rng.next()
 	// The retired fgl= draw (global vs fine-grained fallback) is still
 	// consumed, so any draw appended after it keeps the stream position
 	// every recorded seed resolved with.
@@ -168,9 +168,6 @@ func Resolve(p RoundParams) RoundParams {
 		names := durability.Names()
 		p.Engine = names[engineDraw%uint64(len(names))]
 	}
-	if p.RWorkers == 0 {
-		p.RWorkers = []int{1, 2, 4, 8}[rworkersDraw%4]
-	}
 	if p.Epochs < 0 {
 		p.Epochs = 4*epoch.JournalK + int(epochsDraw%(2*epoch.JournalK+1))
 	}
@@ -191,10 +188,10 @@ func Resolve(p RoundParams) RoundParams {
 // round prints the line it always printed.
 func (p RoundParams) ReplayString() string {
 	s := fmt.Sprintf(
-		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f async=%d engine=%s rworkers=%d",
+		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f async=%d engine=%s",
 		p.Subject, p.Seed, p.Ops, p.Workers, p.KeySpace, p.Evict, p.CrashEvents,
 		p.CrashAfter, p.CrashStep, p.TailAdvances, p.AdvEvery, p.Spurious, p.MemType,
-		p.Async, p.Engine, p.RWorkers)
+		p.Async, p.Engine)
 	if p.Epochs != 0 {
 		s += fmt.Sprintf(" epochs=%d", p.Epochs)
 	}
@@ -210,11 +207,11 @@ func (p RoundParams) ReplayCommand() string {
 }
 
 // ParseReplay decodes a ReplayString back into params. Specs recorded
-// before the advance pipeline, the pluggable engines or the parallel
-// recovery scan existed carry no async=/engine=/rworkers= fields; those
-// stay at their derive defaults and Resolve fills them. Specs recorded
-// while the global fallback lock or the flusher shard count was selectable
-// carry an fgl= or shards= field, which is accepted and ignored.
+// before the advance pipeline or the pluggable engines existed carry no
+// async=/engine= fields; those stay at their derive defaults and Resolve
+// fills them. Specs recorded while the global fallback lock, the flusher
+// shard count or the recovery scan's worker count was selectable carry an
+// fgl=, shards= or rworkers= field, which is accepted and ignored.
 func ParseReplay(s string) (RoundParams, error) {
 	p := RoundParams{Evict: Derive, CrashAfter: Derive, CrashStep: Derive,
 		TailAdvances: Derive, AdvEvery: Derive, Spurious: Derive, MemType: Derive,
@@ -259,13 +256,11 @@ func ParseReplay(s string) (RoundParams, error) {
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Async)
 		case "engine":
 			p.Engine = kv[1]
-		case "rworkers":
-			_, err = fmt.Sscanf(kv[1], "%d", &p.RWorkers)
 		case "epochs":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Epochs)
 		case "early":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Early)
-		case "fgl", "shards":
+		case "fgl", "shards", "rworkers":
 		default:
 			return p, fmt.Errorf("crashfuzz: unknown replay field %q", kv[0])
 		}
@@ -409,15 +404,14 @@ func newSession(p RoundParams, sub Subject, heapWords int) *session {
 	rec := obs.New("crashfuzz")
 	rec.StartTrace(1 << 10)
 	sub.Init(Env{
-		Seed:            p.Seed,
-		HeapWords:       heapWords,
-		Workers:         1,
-		SpuriousRate:    p.Spurious,
-		MemTypeRate:     p.MemType,
-		Async:           p.Async == 1,
-		Engine:          p.Engine,
-		RecoveryWorkers: p.RWorkers,
-		Obs:             rec,
+		Seed:         p.Seed,
+		HeapWords:    heapWords,
+		Workers:      1,
+		SpuriousRate: p.Spurious,
+		MemTypeRate:  p.MemType,
+		Async:        p.Async == 1,
+		Engine:       p.Engine,
+		Obs:          rec,
 	})
 	s.h = sub.Handle(0)
 	s.model = map[uint64]uint64{}
@@ -702,15 +696,14 @@ func runConcurrent(p RoundParams, sub Subject) *Failure {
 	rec := obs.New("crashfuzz")
 	rec.StartTrace(1 << 10)
 	sub.Init(Env{
-		Seed:            p.Seed,
-		HeapWords:       DefaultHeapWords,
-		Workers:         p.Workers,
-		SpuriousRate:    p.Spurious,
-		MemTypeRate:     p.MemType,
-		Async:           p.Async == 1,
-		Engine:          p.Engine,
-		RecoveryWorkers: p.RWorkers,
-		Obs:             rec,
+		Seed:         p.Seed,
+		HeapWords:    DefaultHeapWords,
+		Workers:      p.Workers,
+		SpuriousRate: p.Spurious,
+		MemTypeRate:  p.MemType,
+		Async:        p.Async == 1,
+		Engine:       p.Engine,
+		Obs:          rec,
 	})
 	fail := func(err error) *Failure { return &Failure{Params: p, Msg: subjectMsg(sub.Name(), err)} }
 

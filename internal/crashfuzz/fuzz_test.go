@@ -30,9 +30,9 @@ func fuzzSubject(f *testing.F, subject string) {
 	f.Add([]byte("\x80\x00\x00\x00\x00\x00\x00\x00" + "\x05\x06\x07\x80\x45\x08\x80\xa5\x09\x80\xc0"))
 	f.Add([]byte("\xd0\x00\x00\x00\x00\x00\x00\x00" + "\x0a\x0b\x0c\x80\x4a\x0d\x80\x80\xbf\x0e\x80\xc0"))
 	f.Add([]byte("\x00\x01\x00\x00\x00\x00\x00\x00" + "\x11\x12\x13\x80\x51\x14\x80\xb0\x15\x80\xc0"))
-	// Seed bits 9-10 select the recovery worker count ({1,2,4,8}; see
-	// ReplayBytes): each shape persists inserts, deletes some, and
-	// power-fails with full eviction so recovery's parallel header scan
+	// Seed bits 9-10 once selected the recovery scan's worker count and
+	// are no longer decoded (see ReplayBytes): each shape persists inserts,
+	// deletes some, and power-fails with full eviction so the recovery scan
 	// sees resurrectable DELETED blocks. testdata/fuzz/ carries named
 	// copies.
 	f.Add([]byte("\x00\x02\x00\x00\x00\x00\x00\x00" + "\x01\x02\x03\x80\x80\x41\x42\xc1\x04\x80\xbf"))

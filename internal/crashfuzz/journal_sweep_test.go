@@ -229,7 +229,7 @@ func TestJournalCrashSweep(t *testing.T) {
 						base := RoundParams{
 							Subject: subject, Seed: 0x70a12e7 + uint64(async),
 							Workers: 1, KeySpace: 64, CrashEvents: 1,
-							Async: async, Engine: engine, RWorkers: 1,
+							Async: async, Engine: engine,
 						}
 						points := sweepJournal(t, base, sc, evicts, first, stride, draw)
 						t.Logf("%d crash points x %d eviction fractions", points, len(evicts))
@@ -277,7 +277,6 @@ func sweepJournal(t *testing.T, base RoundParams, sc journalScript, evicts []flo
 			p := base
 			p.Seed = Mix(base.Seed, uint64(n)<<2|uint64(ei))
 			p.Evict = evict
-			p.RWorkers = 1 + 3*(n&1) // the journal index is walked per scan worker
 			fail := func(stage string, err error) {
 				t.Helper()
 				t.Fatalf("crash at window persist event %d, evict %.1f, %s: %v", n, evict, stage, err)

@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -19,9 +20,9 @@ type recInfo struct {
 	resurrected bool
 }
 
-// parallelCell is everything recovery produces for one
+// recoveryCell is everything recovery produces for one
 // (subject, engine, workers) run of the identical seeded trace.
-type parallelCell struct {
+type recoveryCell struct {
 	image       []uint64          // full post-recovery persistent image
 	recs        []recInfo         // rebuild records in delivery order (buffered subjects)
 	dump        map[uint64]uint64 // logical contents via Get
@@ -30,18 +31,19 @@ type parallelCell struct {
 	resurrected int64             // epoch.Stats Resurrected (buffered subjects)
 }
 
-// TestRecoverParallelEquivalence is the serial-equivalence contract for
-// parallel recovery: the identical seeded pre-crash trace, run per
-// subject under every durability engine, must recover to a bit-identical
+// TestRecoverWorkerEquivalence is the worker-count contract of the
+// recovery scan: the identical seeded pre-crash trace, run per subject
+// under every durability engine, must recover to a bit-identical
 // persistent image, the identical BlockRecord sequence, and identical
-// recovered/resurrected counters whether the header scan runs on 1, 2,
-// 4, or 8 workers. The trace ends with unsynced removes fully evicted to
-// media, so the resurrection write-back path is exercised too (asserted
-// non-empty across the matrix), on blocks that straddle cache lines among
-// them (three-word KV blocks packed densely; also asserted). Runs in CI's
-// race lane, where the worker fan-out and the merge are also checked for
-// data races.
-func TestRecoverParallelEquivalence(t *testing.T) {
+// recovered/resurrected counters whether the header scan runs on 1, 2, 4,
+// or 8 workers. The scan takes its worker count from GOMAXPROCS, which
+// each cell sets (so no other test may run beside this one). The trace
+// ends with unsynced removes fully evicted to media, so the resurrection
+// write-back path is exercised too (asserted non-empty across the matrix),
+// on blocks that straddle cache lines among them (three-word KV blocks
+// packed densely; also asserted). Runs in CI's race lane, where the worker
+// fan-out and the merge are also checked for data races.
+func TestRecoverWorkerEquivalence(t *testing.T) {
 	var resurrectedTotal, straddlersResurrected atomic.Int64
 	t.Cleanup(func() {
 		if resurrectedTotal.Load() == 0 {
@@ -52,11 +54,9 @@ func TestRecoverParallelEquivalence(t *testing.T) {
 		}
 	})
 	for _, subject := range Names() {
-		subject := subject
 		t.Run(subject, func(t *testing.T) {
-			t.Parallel()
 			for _, engine := range durability.Names() {
-				base := runParallelCell(t, subject, engine, 1)
+				base := runRecoveryCell(t, subject, engine, 1)
 				resurrectedTotal.Add(base.resurrected)
 				for _, r := range base.recs {
 					if r.resurrected && r.addr%nvm.LineWords >= 6 {
@@ -64,7 +64,7 @@ func TestRecoverParallelEquivalence(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{2, 4, 8} {
-					got := runParallelCell(t, subject, engine, workers)
+					got := runRecoveryCell(t, subject, engine, workers)
 					compareCells(t, engine, workers, base, got)
 				}
 			}
@@ -72,12 +72,14 @@ func TestRecoverParallelEquivalence(t *testing.T) {
 	}
 }
 
-// runParallelCell drives one subject through the scripted trace under
+// runRecoveryCell drives one subject through the scripted trace under
 // the given engine, crashes with every dirty line written back (so
-// unsynced deletions reach media and must be resurrected), recovers with
-// the given worker count, and captures the full recovery output.
-func runParallelCell(t *testing.T, subject, engine string, workers int) parallelCell {
+// unsynced deletions reach media and must be resurrected), recovers under
+// GOMAXPROCS workers, and captures the full recovery output.
+func runRecoveryCell(t *testing.T, subject, engine string, workers int) recoveryCell {
 	t.Helper()
+	prev := runtime.GOMAXPROCS(workers)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	const keySpace = 64
 	rec := obs.New("equiv")
 	sub, err := NewSubject(subject)
@@ -85,12 +87,11 @@ func runParallelCell(t *testing.T, subject, engine string, workers int) parallel
 		t.Fatal(err)
 	}
 	sub.Init(Env{
-		Seed:            0x9a7a11e1,
-		HeapWords:       DefaultHeapWords,
-		Workers:         1,
-		Engine:          engine,
-		RecoveryWorkers: workers,
-		Obs:             rec,
+		Seed:      0x9a7a11e1,
+		HeapWords: DefaultHeapWords,
+		Workers:   1,
+		Engine:    engine,
+		Obs:       rec,
 	})
 	h := sub.Handle(0)
 	rng := Mix(0x9a7a11e1, 0x0d1)
@@ -135,7 +136,7 @@ func runParallelCell(t *testing.T, subject, engine string, workers int) parallel
 		t.Fatalf("%s/%s workers=%d: %v", subject, engine, workers, err)
 	}
 
-	cell := parallelCell{dump: map[uint64]uint64{}, persisted: sub.PersistedEpoch()}
+	cell := recoveryCell{dump: map[uint64]uint64{}, persisted: sub.PersistedEpoch()}
 	if b, ok := sub.(*bufferedSubject); ok {
 		es := b.st.Sys.Stats()
 		cell.recovered, cell.resurrected = es.RecoveredLive, es.Resurrected
@@ -164,23 +165,23 @@ func runParallelCell(t *testing.T, subject, engine string, workers int) parallel
 	return cell
 }
 
-func compareCells(t *testing.T, engine string, workers int, base, got parallelCell) {
+func compareCells(t *testing.T, engine string, workers int, base, got recoveryCell) {
 	t.Helper()
 	if got.persisted != base.persisted {
-		t.Errorf("%s workers=%d: recovered to epoch %d, serial recovered to %d",
+		t.Errorf("%s workers=%d: recovered to epoch %d, 1 worker recovered to %d",
 			engine, workers, got.persisted, base.persisted)
 	}
 	if got.recovered != base.recovered || got.resurrected != base.resurrected {
-		t.Errorf("%s workers=%d: counters recovered=%d resurrected=%d, serial recovered=%d resurrected=%d",
+		t.Errorf("%s workers=%d: counters recovered=%d resurrected=%d, 1 worker recovered=%d resurrected=%d",
 			engine, workers, got.recovered, got.resurrected, base.recovered, base.resurrected)
 	}
 	if len(got.recs) != len(base.recs) {
-		t.Errorf("%s workers=%d: %d rebuild records, serial delivered %d",
+		t.Errorf("%s workers=%d: %d rebuild records, 1 worker delivered %d",
 			engine, workers, len(got.recs), len(base.recs))
 	} else {
 		for i := range base.recs {
 			if got.recs[i] != base.recs[i] {
-				t.Errorf("%s workers=%d: record %d = %+v, serial %+v",
+				t.Errorf("%s workers=%d: record %d = %+v, 1 worker %+v",
 					engine, workers, i, got.recs[i], base.recs[i])
 				break
 			}
@@ -197,16 +198,16 @@ func compareCells(t *testing.T, engine string, workers int, base, got parallelCe
 		}
 	}
 	if diffWords != 0 {
-		t.Errorf("%s workers=%d: persistent image differs from serial in %d words (first at %#x: got %#x want %#x)",
+		t.Errorf("%s workers=%d: persistent image differs from 1 worker's in %d words (first at %#x: got %#x want %#x)",
 			engine, workers, diffWords, firstDiff, got.image[firstDiff], base.image[firstDiff])
 	}
 	if len(got.dump) != len(base.dump) {
-		t.Errorf("%s workers=%d: %d live keys, serial recovered %d",
+		t.Errorf("%s workers=%d: %d live keys, 1 worker recovered %d",
 			engine, workers, len(got.dump), len(base.dump))
 	}
 	for k, v := range base.dump {
 		if gv, ok := got.dump[k]; !ok || gv != v {
-			t.Errorf("%s workers=%d: key %d = %d,%v, serial %d", engine, workers, k, gv, ok, v)
+			t.Errorf("%s workers=%d: key %d = %d,%v, 1 worker %d", engine, workers, k, gv, ok, v)
 			break
 		}
 	}

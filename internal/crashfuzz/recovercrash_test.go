@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,10 +21,9 @@ func buildResurrectionScenario(t *testing.T) Subject {
 		t.Fatal(err)
 	}
 	sub.Init(Env{
-		Seed:            0xc4a5,
-		HeapWords:       DefaultHeapWords,
-		Workers:         1,
-		RecoveryWorkers: 2,
+		Seed:      0xc4a5,
+		HeapWords: DefaultHeapWords,
+		Workers:   1,
 	})
 	h := sub.Handle(0)
 	for k := uint64(0); k < 96; k++ {
@@ -46,6 +46,8 @@ func buildResurrectionScenario(t *testing.T) Subject {
 // exact same state — same logical contents, same persistent image — as a
 // recovery that was never interrupted.
 func TestCrashDuringRecovery(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2) // the header scan runs on two workers
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	// Pass 1: clean recovery. Record the persist-event sequence so the
 	// crash point can be aimed, plus the expected dump and image.
 	sub := buildResurrectionScenario(t)

@@ -90,12 +90,11 @@ func Shrink(f *Failure, logf func(format string, args ...any)) *Failure {
 // ReplayBytes drives a subject from a raw byte stream — the bridge into
 // Go's native fuzzing. The first 8 bytes seed the heap/HTM RNGs; seed
 // bit 5 selects the flusher schedule (set = the flusher step runs right
-// after each advance, clear = it lags a full epoch), bits 6-8 the
-// durability engine (modulo durability.Names()), and bits 9-10 the
-// recovery worker count (1 << bits, i.e. {1, 2, 4, 8}), so the fuzzer's
-// inputs exercise every persistence-path and recovery configuration.
-// Bits 4 and 11 selected knobs that no longer exist; like every other
-// bit they still vary the seed.
+// after each advance, clear = it lags a full epoch) and bits 6-8 the
+// durability engine (modulo durability.Names()), so the fuzzer's inputs
+// exercise every persistence-path configuration. Bits 4, 9-10 and 11
+// selected knobs that no longer exist (the last two the recovery scan's
+// worker count); like every other bit they still vary the seed.
 // Each following byte decodes to one action on a 32-key universe:
 //
 //	b>>5 == 0,1,7  insert key b&31
@@ -127,7 +126,6 @@ func ReplayBytes(subject string, data []byte) *Failure {
 	}
 	names := durability.Names()
 	p.Engine = names[(p.Seed>>6)&7%uint64(len(names))]
-	p.RWorkers = 1 << ((p.Seed >> 9) & 3)
 	s := newSession(p, sub, DefaultHeapWords)
 	fail := func(err error) *Failure {
 		return &Failure{Params: p, Msg: fmt.Sprintf("%s (native fuzz input, seed 0x%x)", err, p.Seed)}

@@ -55,11 +55,6 @@ type Env struct {
 	// Engine names the durability engine buffered subjects close epochs
 	// with (epoch.Config.Engine; "" = the default BDL engine).
 	Engine string
-	// RecoveryWorkers partitions the recovery header scan across this
-	// many goroutines (epoch.Config.RecoveryWorkers; 0/1 = serial). The
-	// palloc subject threads it into palloc.Allocator.RecoverParallel
-	// directly.
-	RecoveryWorkers int
 	// Obs, when non-nil, is attached to every component the subject
 	// builds (TM, heaps, epoch system). The engine installs one per round
 	// with an active tracer, so every fuzzed schedule also exercises the
@@ -71,10 +66,9 @@ type Env struct {
 // recovers) its system with.
 func (e Env) epochCfg() epoch.Config {
 	return epoch.Config{
-		Manual:          true,
-		Engine:          e.Engine,
-		RecoveryWorkers: e.RecoveryWorkers,
-		Obs:             e.Obs,
+		Manual: true,
+		Engine: e.Engine,
+		Obs:    e.Obs,
 	}
 }
 
@@ -107,11 +101,6 @@ func (e Env) NVMHeap() *nvm.Heap {
 	h := nvm.New(nvm.Config{Words: e.HeapWords, Seed: e.Seed ^ 0x9e3779b97f4a7c15, CacheLines: e.CacheLines})
 	h.SetObs(e.Obs)
 	return h
-}
-
-// DRAMHeap builds a transient heap (BDL index side).
-func (e Env) DRAMHeap() *nvm.Heap {
-	return nvm.New(nvm.Config{Words: e.HeapWords, Mode: nvm.ModeDRAM})
 }
 
 // Subject adapts one persistent structure to the fuzzer: init / op /
@@ -166,7 +155,7 @@ type InvariantChecker interface {
 
 // RecoveryRecorder is an optional Subject extension exposing the
 // BlockRecords the last Recover delivered to the rebuild callback, in
-// delivery order. The parallel-recovery equivalence matrix compares the
+// delivery order. The recovery worker-equivalence matrix compares the
 // record sequence across worker counts; buffered subjects implement it,
 // strict subjects (no epoch rebuild) do not.
 type RecoveryRecorder interface {

@@ -66,20 +66,15 @@ func (s *kvSubject) Init(env Env) {
 }
 
 // open builds the stack with kv.Open or kv.Recover on the subject's heap
-// and a fresh TM and index heap, then registers the workers' sessions in
-// worker order.
+// and a fresh TM, then registers the workers' sessions in worker order.
 func (s *kvSubject) open(open func(string, kv.Parts) *kv.Stack) {
-	p := kv.Parts{
+	s.st = open(s.kind.Name, kv.Parts{
 		Heap:     s.heap,
 		TM:       s.env.TM(),
 		Epoch:    s.env.epochCfg(),
 		KeySpace: fuzzKeySpace[s.kind.Name],
 		Threads:  s.env.Workers,
-	}
-	if s.kind.Index {
-		p.Index = s.env.DRAMHeap()
-	}
-	s.st = open(s.kind.Name, p)
+	})
 	s.hs = make([]kv.Session, s.env.Workers)
 	for i := range s.hs {
 		s.hs[i] = s.st.Store.NewSession()
@@ -234,15 +229,9 @@ func (s *pallocSubject) Recover() (err error) {
 	defer recoverToErr("palloc", &err)
 	s.mu = sync.Mutex{}
 	s.al = palloc.New(s.heap)
-	if w := s.env.RecoveryWorkers; w > 1 {
-		s.al.RecoverParallel(w, func(_ int, bi palloc.BlockInfo) bool {
-			return bi.Header.Status == palloc.Allocated && bi.Header.Epoch == pallocEpoch
-		})
-	} else {
-		s.al.Recover(func(bi palloc.BlockInfo) bool {
-			return bi.Header.Status == palloc.Allocated && bi.Header.Epoch == pallocEpoch
-		})
-	}
+	s.al.Recover(1, func(_ int, bi palloc.BlockInfo) bool {
+		return bi.Header.Status == palloc.Allocated && bi.Header.Epoch == pallocEpoch
+	})
 	live := make(map[uint64]nvm.Addr)
 	var dup error
 	s.al.Scan(func(bi palloc.BlockInfo) {

@@ -179,7 +179,7 @@ func TestTornLineSweep(t *testing.T) {
 					base := RoundParams{
 						Subject: subject, Seed: 0x7042e + uint64(async),
 						Workers: 1, KeySpace: 64, CrashEvents: 1,
-						Async: async, Engine: engine, RWorkers: 1,
+						Async: async, Engine: engine,
 					}
 					tears, points := sweepTorn(t, base, sc, evicts, stride, draw)
 					t.Logf("%d tears, %d crash points x %d eviction fractions", tears, points, len(evicts))
@@ -227,7 +227,6 @@ func sweepTorn(t *testing.T, base RoundParams, sc tornScript, evicts []float64, 
 					p := base
 					p.Seed = Mix(base.Seed, uint64(j)<<24|uint64(i)<<16|uint64(n)<<2|uint64(ei))
 					p.Evict = evict
-					p.RWorkers = 1 + 3*(n&1)
 					fail := func(stage string, err error) {
 						t.Helper()
 						t.Fatalf("tear after store %d of swept op %d (%+v), crash at persist event %d from there, evict %.1f, %s: %v",

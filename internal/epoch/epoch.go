@@ -88,20 +88,6 @@ type Config struct {
 	// AdvanceOnce or Sync — a flusher a full epoch behind. Used by tests
 	// and deterministic examples.
 	Manual bool
-	// RecoveryWorkers is the number of goroutines Recover partitions the
-	// slab header scan across (Sec. 5.2's judgment is independent per
-	// block, so the scan parallelizes by slab range). 0 or 1 selects the
-	// serial scan; values are clamped to [1, 64]. The engine's media
-	// repair and the rebuild-callback replay stay serial either way, and
-	// the rebuilt state is bit-identical to the serial scan's.
-	RecoveryWorkers int
-	// RecoveryTick, when non-nil, is called periodically during
-	// Recover's header scan with live progress: slabs scanned, blocks
-	// recovered so far, resurrections so far. Calls may come
-	// concurrently from recovery worker goroutines, so implementations
-	// must be thread-safe and cheap. cmd/bdrecover uses it for its live
-	// progress report.
-	RecoveryTick func(slabs, recovered, resurrected int64)
 	// Engine selects the durability engine that persists each closing
 	// epoch: "bdl" (default — the paper's buffered-durability epoch
 	// engine), "undo", "redo4f", "redo2f" or "quadra" (see package
@@ -123,12 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWorkers == 0 {
 		c.MaxWorkers = 256
-	}
-	if c.RecoveryWorkers < 1 {
-		c.RecoveryWorkers = 1
-	}
-	if c.RecoveryWorkers > 64 {
-		c.RecoveryWorkers = 64
 	}
 	return c
 }
@@ -228,6 +208,7 @@ type System struct {
 
 	recoveryScanNS    atomic.Int64 // set once by Recover
 	recoveryRebuildNS atomic.Int64 // set once by Recover
+	recoveryWorkers   int          // set once by Recover, before the system is shared
 
 	// Block-lifecycle counters. Retired is bumped worker-side by PRetire;
 	// flushed and freed are published by the flusher in one burst per task
@@ -511,9 +492,7 @@ func (s *System) Stats() Stats {
 	st.JournalPagesErased = s.journalPagesErased
 	st.RecoveryScanNS = s.recoveryScanNS.Load()
 	st.RecoveryRebuildNS = s.recoveryRebuildNS.Load()
-	if st.RecoveryScanNS > 0 {
-		st.RecoveryWorkers = s.cfg.RecoveryWorkers
-	}
+	st.RecoveryWorkers = s.recoveryWorkers
 	st.AdvanceP99NS = s.advHist.Snapshot().Quantile(0.99)
 	st.Engine = s.eng.Name()
 	a := s.eng.Accounting()

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"bdhtm/internal/nvm"
@@ -76,16 +77,16 @@ func (l *recordList) add(r BlockRecord) {
 // all ALLOCATED blocks are recovered regardless of epoch, and there is no
 // journal: the DELETED marks themselves are durable.
 //
-// With cfg.RecoveryWorkers > 1 the header scan is partitioned across
-// that many goroutines by slab range (the judgment above is independent
-// per block, against a journal index built before the scan and only read
-// during it); the engine's media repair and the journal read stay serial,
-// resurrection write-backs from all workers and the journal's erasures
-// are batched through nvm.FlushExtents under the single trailing fence,
-// and per-worker results are merged in
-// slab order, so the rebuilt state — persistent image, allocator free
-// lists, and the rebuild-record sequence — is bit-identical to the
-// serial scan's.
+// The header scan is partitioned by slab range across runtime.GOMAXPROCS(0)
+// goroutines, at most one per formatted slab (Stats.RecoveryWorkers is the
+// count it ran on): the judgment above is independent per block, against a
+// journal index built before the scan and only read during it. The
+// engine's media repair and the journal read run before it, on the
+// caller's goroutine; resurrection write-backs from all workers and the
+// journal's erasures are batched through nvm.FlushExtents under the single
+// trailing fence, and per-worker results are merged in slab order, so the
+// rebuilt state — persistent image, allocator free lists, and the
+// rebuild-record sequence — does not depend on the worker count.
 //
 // The returned system starts a fresh epoch strictly above every recovered
 // epoch. Recover panics if the heap was never formatted by New, or if
@@ -114,18 +115,16 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	}
 
 	// Per-worker accumulators. Workers own contiguous ascending slab
-	// ranges, so concatenating in worker order reproduces the serial
-	// scan's record order; resurrection extents are flushed in batches
-	// under the one trailing fence instead of per-block.
-	workers := cfg.RecoveryWorkers
+	// ranges, so concatenating in worker order reproduces the slab-order
+	// record sequence; resurrection extents are flushed in batches under
+	// the one trailing fence instead of per-block.
 	type workerState struct {
 		recs      recordList
 		resurrect []nvm.Extent
-		sinceTick int
 		cursor    int   // this worker's position in the journal index
 		journaled int64 // blocks a journal record reclaimed
 	}
-	ws := make([]workerState, workers)
+	ws := make([]workerState, runtime.GOMAXPROCS(0))
 	// journaled reports whether the journal holds a persisted retirement of
 	// the incarnation of b created in epoch c.
 	journaled := func(st *workerState, b nvm.Addr, c uint64) bool {
@@ -138,12 +137,6 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	}
 	judge := func(w int, bi palloc.BlockInfo) bool {
 		st := &ws[w]
-		if cfg.RecoveryTick != nil {
-			if st.sinceTick++; st.sinceTick >= 1024 {
-				st.sinceTick = 0
-				cfg.RecoveryTick(s.alloc.ScanProgress(), s.recoveredLive.Load(), s.resurrected.Load())
-			}
-		}
 		hdr := bi.Header
 		if hdr.Epoch == palloc.InvalidEpoch {
 			return false // preallocated, never used
@@ -194,11 +187,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 			return false
 		}
 	}
-	if workers == 1 {
-		s.alloc.Recover(func(bi palloc.BlockInfo) bool { return judge(0, bi) })
-	} else {
-		s.alloc.RecoverParallel(workers, judge)
-	}
+	s.recoveryWorkers = s.alloc.Recover(len(ws), judge)
 	for i := range ws {
 		if len(ws[i].resurrect) > 0 {
 			h.FlushExtents(ws[i].resurrect)
@@ -211,9 +200,6 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	}
 	h.Fence()
 	s.recoveryScanNS.Store(max(time.Since(scanStart).Nanoseconds(), 1))
-	if cfg.RecoveryTick != nil {
-		cfg.RecoveryTick(s.alloc.ScanProgress(), s.recoveredLive.Load(), s.resurrected.Load())
-	}
 
 	// Serialized merge: replay the rebuild records from one goroutine,
 	// in slab (address) order, preserving the documented contract.

@@ -10,6 +10,40 @@ import (
 	"bdhtm/internal/nvm"
 )
 
+// withProcs sets GOMAXPROCS to n for the rest of the test, and so the
+// number of goroutines Recover's header scan runs on (at most one per
+// formatted slab).
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestRecoverScanRunsOnGOMAXPROCSWorkers: with no knob to ask for it, a
+// default-config Recover partitions its header scan across GOMAXPROCS
+// goroutines, one per formatted slab at most, and reports the count it
+// used; a system made by New reports none.
+func TestRecoverScanRunsOnGOMAXPROCSWorkers(t *testing.T) {
+	withProcs(t, 4)
+	h, s := newManual(t, 1<<17)
+	if got := s.Stats().RecoveryWorkers; got != 0 {
+		t.Fatalf("fresh system reports %d recovery workers", got)
+	}
+	w := s.Register()
+	for i := 0; i < 4*1362; i++ { // four slabs of KV blocks
+		putKV(w, uint64(i), uint64(i))
+	}
+	s.Sync()
+	if f := s.Allocator().FootprintBytes() / (4096 * nvm.WordBytes); f < 4 {
+		t.Fatalf("%d formatted slabs, want at least 4", f)
+	}
+	s.SimulateCrash(nvm.CrashOptions{})
+	s2 := Recover(h, Config{}, nil)
+	defer s2.Stop()
+	if got := s2.Stats().RecoveryWorkers; got != 4 {
+		t.Fatalf("Recover under GOMAXPROCS 4 reports %d scan workers, want 4", got)
+	}
+}
+
 // TestResurrectionWriteBackBatched pins the batched resurrection
 // write-back: recovery must flush each cache line covering a resurrected
 // header exactly once (headers sharing a line ride one clwb via
@@ -21,6 +55,7 @@ func TestResurrectionWriteBackBatched(t *testing.T) {
 	const n = 64
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			withProcs(t, workers)
 			h, s := newManual(t, 1<<16)
 			w := s.Register()
 			blocks := make([]Block, n)
@@ -55,7 +90,7 @@ func TestResurrectionWriteBackBatched(t *testing.T) {
 			})
 			before := h.Stats()
 			var resurrected []nvm.Addr
-			s2 := Recover(h, Config{Manual: true, RecoveryWorkers: workers}, func(r BlockRecord) {
+			s2 := Recover(h, Config{Manual: true}, func(r BlockRecord) {
 				if r.Resurrected {
 					resurrected = append(resurrected, r.Block.Addr())
 				}
@@ -124,6 +159,7 @@ func TestRecoverAllocatesRecordsOnce(t *testing.T) {
 	const n = slabs * 1022 // KV blocks per 4096-word slab: whole slabs, so no free list to build
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			withProcs(t, workers)
 			h, s := newManual(t, 1<<19)
 			w := s.Register()
 			for i := 0; i < n; i++ {
@@ -135,7 +171,7 @@ func TestRecoverAllocatesRecordsOnce(t *testing.T) {
 			var got int
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			s2 := Recover(h, Config{Manual: true, RecoveryWorkers: workers}, func(BlockRecord) { got++ })
+			s2 := Recover(h, Config{Manual: true}, func(BlockRecord) { got++ })
 			runtime.ReadMemStats(&after)
 			if got != n {
 				t.Fatalf("recovered %d blocks, want %d", got, n)

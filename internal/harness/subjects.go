@@ -38,9 +38,6 @@ type Opts struct {
 	// Engine selects the durability engine for buffered-durable subjects
 	// ("" = the default BDL epoch engine; see durability.Names).
 	Engine string
-	// RecoveryWorkers partitions the recovery header scan across this
-	// many goroutines (0/1 = serial; see epoch.Config.RecoveryWorkers).
-	RecoveryWorkers int
 }
 
 func (o Opts) withDefaults() Opts {
@@ -84,11 +81,10 @@ func (o Opts) tm() *htm.TM {
 
 func (o Opts) epochCfg() epoch.Config {
 	return epoch.Config{
-		EpochLength:     o.EpochLength,
-		Manual:          o.Manual,
-		Engine:          o.Engine,
-		RecoveryWorkers: o.RecoveryWorkers,
-		Obs:             o.Obs,
+		EpochLength: o.EpochLength,
+		Manual:      o.Manual,
+		Engine:      o.Engine,
+		Obs:         o.Obs,
 	}
 }
 
@@ -111,9 +107,6 @@ func New(kind string, o Opts) *Instance {
 	p := kv.Parts{TM: o.tm(), Epoch: o.epochCfg(), KeySpace: o.KeySpace, Threads: 128}
 	if k.Heap != nvm.ModeDRAM {
 		p.Heap = o.heap(k)
-	}
-	if k.Index {
-		p.Index = nvm.New(nvm.Config{Words: o.heapWords(), Mode: nvm.ModeDRAM})
 	}
 	st := kv.Open(kind, p)
 	st.Structure.(interface{ SetObs(*obs.Recorder) }).SetObs(o.Obs)

@@ -67,7 +67,8 @@ type Kind struct {
 	// Heap is the mode Parts.Heap must be in. ModeDRAM means the kind
 	// keeps nothing persistent and takes no Parts.Heap.
 	Heap nvm.Mode
-	// Index kinds keep their towers in Parts.Index, a DRAM-mode heap.
+	// Index kinds keep their towers in a DRAM-mode heap that Open and
+	// Recover create, as large as Parts.Heap (see indexHeap).
 	Index bool
 	// Bounded kinds accept only keys below Parts.KeySpace.
 	Bounded bool
@@ -80,7 +81,6 @@ type Kind struct {
 // does not take (see Kind) are ignored.
 type Parts struct {
 	Heap     *nvm.Heap
-	Index    *nvm.Heap
 	TM       *htm.TM
 	Epoch    epoch.Config
 	KeySpace uint64 // bdhash's capacity, veb's universe (rounded up to a power of two)
@@ -256,6 +256,18 @@ var kinds = []kind{
 		}},
 }
 
+// indexHeap is an Index kind's DRAM heap for its towers: as large as
+// Parts.Heap or, for a kind that takes no Parts.Heap, 32 words per key of
+// Parts.KeySpace and at least 2^21. A crash loses it, so Recover builds a
+// fresh one.
+func indexHeap(p Parts) *nvm.Heap {
+	words := max(32*int(p.KeySpace), 1<<21)
+	if p.Heap != nil {
+		words = p.Heap.Words()
+	}
+	return nvm.New(nvm.Config{Words: words, Mode: nvm.ModeDRAM})
+}
+
 func buildVEB(p Parts, sys *epoch.System) (any, Store) {
 	return workerFirst(veb.New(veb.Config{UniverseBits: uint8(bits.Len64(p.KeySpace - 1)), TM: p.TM, DataSys: sys}), sys)
 }
@@ -265,7 +277,7 @@ func skiplistKind(name string, v skiplist.Variant, k Kind, tm bool) kind {
 	return kind{Kind: k, tm: tm, build: func(p Parts, sys *epoch.System) (any, Store) {
 		cfg := skiplist.Config{Variant: v, IndexHeap: p.Heap, DataSys: sys, TM: p.TM, Threads: p.Threads}
 		if k.Index {
-			cfg.IndexHeap = p.Index
+			cfg.IndexHeap = indexHeap(p)
 		}
 		l := skiplist.New(cfg)
 		return l, store{l.Len, func() Session { return listSession{l.NewHandle()} }}

@@ -19,9 +19,6 @@ func testParts(k Kind, h *nvm.Heap) Parts {
 			p.Heap = nvm.New(nvm.Config{Words: max(1<<18, k.MinHeapWords), Mode: k.Heap, Seed: 7})
 		}
 	}
-	if k.Index {
-		p.Index = nvm.New(nvm.Config{Words: 1 << 18, Mode: nvm.ModeDRAM})
-	}
 	return p
 }
 

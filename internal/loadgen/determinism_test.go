@@ -12,26 +12,22 @@ import (
 
 // TestPlanDeterminism: the op stream and request-ID sequence are a pure
 // function of (seed, conn) — identical across repeated calls and across
-// closed/open modes, which is what makes server bugs replayable.
+// pipeline windows, which is what makes server bugs replayable.
 func TestPlanDeterminism(t *testing.T) {
-	base := Config{Conns: 3, Ops: 500, Workload: "A", KeySpace: 1 << 10, Seed: 42, Zipfian: true}
-	closed := base
-	closed.Mode = Closed
-	closed.Pipeline = 4
-	open := base
-	open.Mode = Open
-	open.RatePerSec = 123
+	narrow := Config{Conns: 3, Ops: 500, Workload: "A", KeySpace: 1 << 10, Seed: 42, Pipeline: 4}
+	wide := narrow
+	wide.Pipeline = 32
 
 	for conn := 0; conn < 3; conn++ {
-		a, err := Plan(closed, conn)
+		a, err := Plan(narrow, conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Plan(open, conn)
+		b, err := Plan(wide, conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Plan(closed, conn)
+		c, err := Plan(narrow, conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +36,7 @@ func TestPlanDeterminism(t *testing.T) {
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("conn %d op %d differs across modes: %+v vs %+v", conn, i, a[i], b[i])
+				t.Fatalf("conn %d op %d differs across windows: %+v vs %+v", conn, i, a[i], b[i])
 			}
 			if a[i] != c[i] {
 				t.Fatalf("conn %d op %d differs across calls: %+v vs %+v", conn, i, a[i], c[i])
@@ -52,8 +48,8 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 
 	// Different seeds and different conns must diverge.
-	d, _ := Plan(closed, 0)
-	shifted := closed
+	d, _ := Plan(narrow, 0)
+	shifted := narrow
 	shifted.Seed = 43
 	e, _ := Plan(shifted, 0)
 	same := 0
@@ -112,9 +108,9 @@ func TestPlanUnknownWorkload(t *testing.T) {
 	}
 }
 
-// runAgainstServer is the end-to-end smoke shared by the mode tests:
+// runAgainstServer is the end-to-end smoke shared by the run tests:
 // every planned op must complete with a balanced ack ledger.
-func runAgainstServer(t *testing.T, mode Mode, sync bool, workload string) (Result, *bdserve.Server) {
+func runAgainstServer(t *testing.T, sync bool, workload string) (Result, *bdserve.Server) {
 	t.Helper()
 	srv := bdserve.New(bdserve.Config{
 		KeySpace:    1 << 10,
@@ -127,17 +123,15 @@ func runAgainstServer(t *testing.T, mode Mode, sync bool, workload string) (Resu
 	}
 	t.Cleanup(srv.Close)
 	res, err := Run(Config{
-		Addr:       addr.String(),
-		Conns:      2,
-		Ops:        300,
-		Mode:       mode,
-		RatePerSec: 20000,
-		Pipeline:   8,
-		Workload:   workload,
-		KeySpace:   1 << 10,
-		Seed:       1,
-		SyncAcks:   sync,
-		Timeout:    60 * time.Second,
+		Addr:     addr.String(),
+		Conns:    2,
+		Ops:      300,
+		Pipeline: 8,
+		Workload: workload,
+		KeySpace: 1 << 10,
+		Seed:     1,
+		SyncAcks: sync,
+		Timeout:  60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +140,7 @@ func runAgainstServer(t *testing.T, mode Mode, sync bool, workload string) (Resu
 }
 
 func TestRunClosedLoop(t *testing.T) {
-	res, srv := runAgainstServer(t, Closed, false, "A")
+	res, srv := runAgainstServer(t, false, "A")
 	if res.Ops != 600 {
 		t.Fatalf("completed %d/600 ops", res.Ops)
 	}
@@ -168,18 +162,8 @@ func TestRunClosedLoop(t *testing.T) {
 	}
 }
 
-func TestRunOpenLoop(t *testing.T) {
-	res, _ := runAgainstServer(t, Open, false, "B")
-	if res.Ops != 600 {
-		t.Fatalf("completed %d/600 ops", res.Ops)
-	}
-	if res.DupAcks != 0 || res.Errors != 0 {
-		t.Fatalf("dup acks %d, errors %d", res.DupAcks, res.Errors)
-	}
-}
-
 func TestRunSyncMode(t *testing.T) {
-	res, srv := runAgainstServer(t, Closed, true, "A")
+	res, srv := runAgainstServer(t, true, "A")
 	if res.Ops != 600 {
 		t.Fatalf("completed %d/600 ops", res.Ops)
 	}
@@ -195,7 +179,7 @@ func TestRunSyncMode(t *testing.T) {
 }
 
 func TestRunScanWorkload(t *testing.T) {
-	res, _ := runAgainstServer(t, Closed, false, "E")
+	res, _ := runAgainstServer(t, false, "E")
 	if res.Ops != 600 {
 		t.Fatalf("completed %d/600 ops", res.Ops)
 	}

@@ -1,9 +1,8 @@
 // Package loadgen drives a bdserve instance over the wire protocol:
-// closed-loop (windowed) or open-loop (rate-paced) YCSB A–F workloads on
-// N connections, with full ack bookkeeping. Op streams are a pure
-// function of (seed, connection index, op index) — Plan is shared by
-// both modes — so any server-side anomaly found under load replays
-// exactly from the same Config.
+// closed-loop (windowed) YCSB A–F workloads on N connections, with full
+// ack bookkeeping. Op streams are a pure function of (seed, connection
+// index, op index), whatever the window, so any server-side anomaly found
+// under load replays exactly from the same Config.
 package loadgen
 
 import (
@@ -17,42 +16,19 @@ import (
 	"bdhtm/internal/ycsb"
 )
 
-// Mode selects the load-generation discipline.
-type Mode int
-
-const (
-	// Closed keeps a fixed window of outstanding requests per
-	// connection: a new request is sent when a previous one completes.
-	Closed Mode = iota
-	// Open sends requests at a fixed rate regardless of completions —
-	// the discipline that exposes queueing (ack-lag) behavior.
-	Open
-)
-
-func (m Mode) String() string {
-	if m == Open {
-		return "open"
-	}
-	return "closed"
-}
-
 // Config shapes one load-generation run.
 type Config struct {
 	Addr  string
 	Conns int
 	// Ops is the per-connection op count.
-	Ops  int
-	Mode Mode
-	// RatePerSec paces each connection in Open mode (default 10k/s).
-	RatePerSec float64
-	// Pipeline is the closed-loop window per connection (default 8).
+	Ops int
+	// Pipeline is the window of outstanding requests per connection
+	// (default 8): a new request is sent when a previous one completes.
 	Pipeline int
 	// Workload is a YCSB letter A–F; empty uses Mix directly.
 	Workload string
 	Mix      ycsb.Mix
-	// Zipfian selects the skewed key distribution (theta 0.99);
-	// otherwise keys are uniform.
-	Zipfian  bool
+	// KeySpace bounds the uniformly drawn keys.
 	KeySpace uint64
 	Seed     uint64
 	// SyncAcks mirrors the server's -sync flag: writes are acked once
@@ -71,9 +47,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Pipeline <= 0 {
 		c.Pipeline = 8
-	}
-	if c.RatePerSec <= 0 {
-		c.RatePerSec = 10000
 	}
 	if c.KeySpace == 0 {
 		c.KeySpace = 1 << 12
@@ -109,20 +82,14 @@ func OpID(conn, i int) uint64 {
 }
 
 // Plan returns connection conn's full op stream. It depends only on
-// (cfg.Seed, cfg key distribution, conn) — never on Mode, Pipeline, or
-// rate — which is the determinism contract the replay tests pin.
+// (cfg.Seed, the workload, cfg.KeySpace, conn) — never on Pipeline —
+// which is the determinism contract the replay tests pin.
 func Plan(cfg Config, conn int) ([]Op, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed + uint64(conn)*0x9e3779b97f4a7c15
-	var g *ycsb.Generator
-	if cfg.Zipfian {
-		g = ycsb.NewZipfian(cfg.KeySpace, ycsb.DefaultZipfian, cfg.Mix, seed)
-	} else {
-		g = ycsb.NewUniform(cfg.KeySpace, cfg.Mix, seed)
-	}
+	g := ycsb.NewUniform(cfg.KeySpace, cfg.Mix, cfg.Seed+uint64(conn)*0x9e3779b97f4a7c15)
 	ops := make([]Op, cfg.Ops)
 	for i := range ops {
 		kind, k, v := g.Next()
@@ -259,37 +226,22 @@ func runConn(cfg Config, ci int, ops []Op, deadline time.Time, hist, gapHist *ob
 	states := make(map[uint64]*opState, cfg.Pipeline*2)
 	var stMu sync.Mutex // sender writes states, receiver resolves them
 
-	// tokens is the closed-loop window; in open mode the sender paces by
-	// time instead and the channel stays unused.
-	var tokens chan struct{}
-	if cfg.Mode == Closed {
-		tokens = make(chan struct{}, cfg.Pipeline)
-		for i := 0; i < cfg.Pipeline; i++ {
-			tokens <- struct{}{}
-		}
+	// tokens is the window.
+	tokens := make(chan struct{}, cfg.Pipeline)
+	for i := 0; i < cfg.Pipeline; i++ {
+		tokens <- struct{}{}
 	}
 	release := func() {
-		if tokens != nil {
-			select {
-			case tokens <- struct{}{}:
-			default:
-			}
+		select {
+		case tokens <- struct{}{}:
+		default:
 		}
 	}
 
 	sendErr := make(chan error, 1)
 	go func() {
-		interval := time.Duration(float64(time.Second) / cfg.RatePerSec)
-		next := time.Now()
 		for i := range ops {
-			if cfg.Mode == Closed {
-				<-tokens
-			} else {
-				if d := time.Until(next); d > 0 {
-					time.Sleep(d)
-				}
-				next = next.Add(interval)
-			}
+			<-tokens
 			o := &ops[i]
 			stMu.Lock()
 			states[o.ID] = &opState{sentAt: time.Now(), isWrite: o.Kind == ycsb.OpInsert || o.Kind == ycsb.OpRemove}
@@ -299,14 +251,11 @@ func runConn(cfg Config, ci int, ops []Op, deadline time.Time, hist, gapHist *ob
 				sendErr <- err
 				return
 			}
-			// In closed mode every send follows a completion, so flushing
-			// per send keeps the window moving; open mode flushes on a
-			// small batch boundary to stay pipelined.
-			if cfg.Mode == Closed || (i+1)%16 == 0 || i == len(ops)-1 {
-				if err := w.Flush(); err != nil {
-					sendErr <- err
-					return
-				}
+			// Every send follows a completion, so flushing per send keeps
+			// the window moving.
+			if err := w.Flush(); err != nil {
+				sendErr <- err
+				return
 			}
 		}
 		sendErr <- nil

@@ -131,7 +131,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 			h.Crash(nvm.CrashOptions{})
 			al2 := New(h)
 			live := make(map[nvm.Addr]Header)
-			al2.Recover(func(bi BlockInfo) bool {
+			al2.Recover(1, func(_ int, bi BlockInfo) bool {
 				if !judge(bi) {
 					return false
 				}
@@ -228,7 +228,7 @@ func TestCrashAtEveryStepWithStrayWritebacks(t *testing.T) {
 		h.Crash(nvm.CrashOptions{EvictFraction: 1, Seed: uint64(tc.step)*2 + 1})
 		al2 := New(h)
 		live := 0
-		al2.Recover(func(bi BlockInfo) bool {
+		al2.Recover(1, func(_ int, bi BlockInfo) bool {
 			if !judge(bi) {
 				return false
 			}

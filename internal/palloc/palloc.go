@@ -161,7 +161,6 @@ type Allocator struct {
 	liveBlocks atomic.Int64
 	liveBytes  atomic.Int64
 	peakBytes  atomic.Int64
-	scanSlabs  atomic.Int64 // live recovery-scan progress (see ScanProgress)
 
 	obs *obs.Recorder
 }
@@ -402,90 +401,4 @@ func (al *Allocator) FootprintBytes() int64 {
 	al.mu.Lock()
 	defer al.mu.Unlock()
 	return int64(al.formatted) * slabWords * nvm.WordBytes
-}
-
-// BlockInfo describes one block during a recovery scan.
-type BlockInfo struct {
-	Addr   nvm.Addr
-	Header Header
-}
-
-// Scan calls fn for every non-FREE block in the heap, without modifying
-// anything. It reads through the volatile view, so after a crash it sees
-// exactly the persisted state. Intended for structure-specific recovery
-// passes that need to inspect blocks before deciding their fate; it must
-// not run concurrently with Alloc/Free.
-func (al *Allocator) Scan(fn func(BlockInfo)) {
-	for s := 0; s < al.slabs; s++ {
-		base := al.start + nvm.Addr(s*slabWords)
-		class, ok := slabClass(al.heap.Load(base + slabHeaderOff))
-		if !ok {
-			break
-		}
-		if class == journalClass {
-			continue
-		}
-		n := slabCap(class)
-		for i := 0; i < n; i++ {
-			b := base + slabBlocksOff + nvm.Addr(i*classWords[class])
-			hdr := UnpackHeader(al.heap.Load(b))
-			if hdr.Status == Free {
-				continue
-			}
-			hdr.Class = class
-			fn(BlockInfo{Addr: b, Header: hdr})
-		}
-	}
-}
-
-// Recover rebuilds the allocator's transient state after a heap crash by
-// scanning slab and block headers. For every non-FREE block it calls
-// judge; if judge returns false the block is reclaimed (marked FREE,
-// durably). Recover must run single-threaded, before any Alloc/Free.
-func (al *Allocator) Recover(judge func(BlockInfo) bool) {
-	al.mu.Lock()
-	defer al.mu.Unlock()
-	for c := range al.free {
-		al.free[c] = al.free[c][:0]
-		al.active[c] = activeSlab{}
-	}
-	al.liveBlocks.Store(0)
-	al.liveBytes.Store(0)
-	al.formatted = 0
-	al.scanSlabs.Store(0)
-	for s := 0; s < al.slabs; s++ {
-		base := al.start + nvm.Addr(s*slabWords)
-		class, ok := slabClass(al.heap.Load(base + slabHeaderOff))
-		if !ok {
-			break // first unformatted slab: formatting is sequential
-		}
-		al.formatted = s + 1
-		if class == journalClass {
-			al.scanSlabs.Add(1)
-			continue
-		}
-		n := slabCap(class)
-		for i := 0; i < n; i++ {
-			b := base + slabBlocksOff + nvm.Addr(i*classWords[class])
-			hdr := UnpackHeader(al.heap.Load(b))
-			hdr.Class = class // trust the slab, not a possibly-torn header
-			switch {
-			case hdr.Status == Free:
-				al.free[class] = append(al.free[class], b)
-			case judge(BlockInfo{Addr: b, Header: hdr}):
-				al.liveBlocks.Add(1)
-				al.liveBytes.Add(int64(classWords[class] * nvm.WordBytes))
-			default:
-				al.heap.Store(b, Header{Status: Free, Class: class}.Pack())
-				al.heap.Flush(b)
-				al.free[class] = append(al.free[class], b)
-			}
-		}
-		al.scanSlabs.Add(1)
-	}
-	al.heap.Fence()
-	bytes := al.liveBytes.Load()
-	if bytes > al.peakBytes.Load() {
-		al.peakBytes.Store(bytes)
-	}
 }

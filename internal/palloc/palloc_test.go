@@ -68,7 +68,7 @@ func TestUnflushedAllocationReclaimedAtCrash(t *testing.T) {
 	h.Crash(nvm.CrashOptions{})
 	al2 := New(h)
 	scanned := 0
-	al2.Recover(func(BlockInfo) bool { scanned++; return true })
+	al2.Recover(1, func(int, BlockInfo) bool { scanned++; return true })
 	if scanned != 0 {
 		t.Fatalf("unflushed allocation survived the crash (%d blocks)", scanned)
 	}
@@ -147,7 +147,7 @@ func TestRecoveryRebuildsFreeLists(t *testing.T) {
 	h.Crash(nvm.CrashOptions{})
 	al2 := New(h)
 	var scanned []BlockInfo
-	al2.Recover(func(bi BlockInfo) bool {
+	al2.Recover(1, func(_ int, bi BlockInfo) bool {
 		scanned = append(scanned, bi)
 		return bi.Header.Tag == 1
 	})
@@ -180,7 +180,7 @@ func TestRecoveryPreservesClassFromSlab(t *testing.T) {
 	b := al.Alloc(2, 9) // class 2
 	h.Crash(nvm.CrashOptions{})
 	al2 := New(h)
-	al2.Recover(func(bi BlockInfo) bool {
+	al2.Recover(1, func(_ int, bi BlockInfo) bool {
 		if bi.Addr == b && bi.Header.Class != 2 {
 			t.Errorf("recovered class = %d, want 2", bi.Header.Class)
 		}
@@ -200,7 +200,7 @@ func TestFlushedAllocationSurvivesCrash(t *testing.T) {
 	h.Crash(nvm.CrashOptions{})
 	al2 := New(h)
 	var got Header
-	al2.Recover(func(bi BlockInfo) bool {
+	al2.Recover(1, func(_ int, bi BlockInfo) bool {
 		if bi.Addr == b {
 			got = bi.Header
 		}
@@ -274,7 +274,7 @@ func TestQuickCrashRecoveryLiveSet(t *testing.T) {
 		h.Crash(nvm.CrashOptions{Seed: seed | 1})
 		al2 := New(h)
 		recovered := make(map[nvm.Addr]bool)
-		al2.Recover(func(bi BlockInfo) bool {
+		al2.Recover(1, func(_ int, bi BlockInfo) bool {
 			recovered[bi.Addr] = true
 			return true
 		})
@@ -356,27 +356,21 @@ func TestJournalSlabsAreSkippedAndCounted(t *testing.T) {
 	h.Fence()
 	h.Crash(nvm.CrashOptions{})
 
-	for _, workers := range []int{0, 1, 3} {
+	for _, workers := range []int{1, 3} {
 		al2 := New(h)
 		if got := al2.JournalSlabs(); len(got) != 1 || got[0] != area {
 			t.Fatalf("JournalSlabs() after crash = %+v, want [%+v]", got, area)
 		}
-		var seen []uint8
-		judge := func(bi BlockInfo) bool {
+		var (
+			mu   sync.Mutex
+			seen []uint8
+		)
+		al2.Recover(workers, func(_ int, bi BlockInfo) bool {
+			mu.Lock()
+			defer mu.Unlock()
 			seen = append(seen, bi.Header.Tag)
 			return true
-		}
-		switch workers {
-		case 0:
-			al2.Recover(judge)
-		default:
-			var mu sync.Mutex
-			al2.RecoverParallel(workers, func(_ int, bi BlockInfo) bool {
-				mu.Lock()
-				defer mu.Unlock()
-				return judge(bi)
-			})
-		}
+		})
 		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
 		if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 			t.Fatalf("workers=%d: judged tags %v, want the two flushed blocks [1 2] and nothing from the journal slab", workers, seen)
@@ -444,8 +438,8 @@ func TestClassZeroGeometry(t *testing.T) {
 	}
 }
 
-// TestScansAgreeOnStraddlingBlocks: Scan, Recover and RecoverParallel see
-// the same blocks, in the same order, on slabs full of class-0 blocks —
+// TestScansAgreeOnStraddlingBlocks: Scan and Recover on 1, 2 or 3 workers
+// see the same blocks, in the same order, on slabs full of class-0 blocks —
 // line straddlers, XPLine straddlers and the blocks that share the slab's
 // last line included — and rebuild the same free lists from them.
 func TestScansAgreeOnStraddlingBlocks(t *testing.T) {
@@ -485,41 +479,44 @@ func TestScansAgreeOnStraddlingBlocks(t *testing.T) {
 	}
 	keep := func(bi BlockInfo) bool { return bi.Header.Status == Allocated }
 
-	serial := New(h)
-	var judged []BlockInfo
-	serial.Recover(func(bi BlockInfo) bool {
-		judged = append(judged, bi)
-		return keep(bi)
-	})
-	if !slices.Equal(judged, scanned) {
-		t.Fatalf("Recover judged %d blocks, Scan saw %d, or in another order", len(judged), len(scanned))
+	var want []BlockInfo
+	for _, bi := range scanned {
+		if keep(bi) {
+			want = append(want, bi)
+		}
 	}
-	// The same image again: Recover's reclaims are what a second crash keeps.
-	h.Crash(nvm.CrashOptions{})
-	for _, workers := range []int{2, 3} {
-		par := New(h)
+	var first *Allocator
+	for i, workers := range []int{1, 2, 3} {
+		al := New(h)
 		perWorker := make([][]BlockInfo, workers)
-		par.RecoverParallel(workers, func(w int, bi BlockInfo) bool {
+		if got := al.Recover(workers, func(w int, bi BlockInfo) bool {
 			perWorker[w] = append(perWorker[w], bi)
 			return keep(bi)
-		})
+		}); got != workers {
+			t.Fatalf("Recover(%d) ran on %d workers over 3 formatted slabs", workers, got)
+		}
 		var merged []BlockInfo
 		for _, l := range perWorker {
 			merged = append(merged, l...)
 		}
-		var want []BlockInfo
-		for _, bi := range scanned {
-			if keep(bi) {
-				want = append(want, bi)
+		if i == 0 {
+			// The first pass judges every block Scan saw and reclaims the
+			// DELETED ones; the later passes, over the image a second crash
+			// keeps, see only what it kept.
+			if !slices.Equal(merged, scanned) {
+				t.Fatalf("Recover judged %d blocks, Scan saw %d, or in another order", len(merged), len(scanned))
+			}
+			first = al
+		} else {
+			if !slices.Equal(merged, want) {
+				t.Fatalf("workers=%d: judged %d blocks, want the %d the first pass kept", workers, len(merged), len(want))
+			}
+			if al.LiveBlocks() != first.LiveBlocks() || !slices.Equal(al.free[0], first.free[0]) {
+				t.Fatalf("workers=%d: %d live and %d free blocks, one worker rebuilt %d and %d",
+					workers, al.LiveBlocks(), len(al.free[0]), first.LiveBlocks(), len(first.free[0]))
 			}
 		}
-		if !slices.Equal(merged, want) {
-			t.Fatalf("workers=%d: judged %d blocks, want the %d Recover kept", workers, len(merged), len(want))
-		}
-		if par.LiveBlocks() != serial.LiveBlocks() || !slices.Equal(par.free[0], serial.free[0]) {
-			t.Fatalf("workers=%d: %d live and %d free blocks, serial scan %d and %d",
-				workers, par.LiveBlocks(), len(par.free[0]), serial.LiveBlocks(), len(serial.free[0]))
-		}
+		h.Crash(nvm.CrashOptions{})
 	}
 }
 
@@ -570,7 +567,7 @@ func TestFreshSlabBlocksRecoverFree(t *testing.T) {
 		h.Crash(nvm.CrashOptions{EvictFraction: evict, Seed: 9})
 
 		al2 := New(h)
-		al2.Recover(func(bi BlockInfo) bool { return bi.Header.Epoch == committed })
+		al2.Recover(1, func(_ int, bi BlockInfo) bool { return bi.Header.Epoch == committed })
 		if got := al2.LiveBlocks(); got != int64(len(kept)) {
 			t.Fatalf("evict %.1f: %d live blocks, want the %d committed", evict, got, len(kept))
 		}

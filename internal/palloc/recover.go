@@ -13,6 +13,12 @@ import (
 // bounding per-worker memory on heaps with many dead blocks.
 const reclaimBatch = 256
 
+// BlockInfo describes one block during a recovery scan.
+type BlockInfo struct {
+	Addr   nvm.Addr
+	Header Header
+}
+
 // formattedSlabs counts the formatted slab prefix. Slab formatting is
 // sequential (formatSlab runs under al.mu): the magic of slab s becomes durable before
 // slab s+1 is touched, so the scan stops at the first non-magic header.
@@ -28,46 +34,12 @@ func (al *Allocator) formattedSlabs() int {
 }
 
 // slabRange partitions the formatted slab prefix into contiguous,
-// ascending per-worker ranges. Contiguity is what makes the parallel
-// scan's merge deterministic: concatenating per-worker results in worker
-// order reproduces the serial slab-order traversal exactly.
+// ascending, non-empty per-worker ranges (workers <= formatted).
+// Contiguity is what makes the partitioned scan's merge deterministic:
+// concatenating per-worker results in worker order reproduces the
+// slab-order traversal exactly.
 func slabRange(formatted, workers, w int) (lo, hi int) {
-	per := (formatted + workers - 1) / workers
-	lo = w * per
-	hi = lo + per
-	if hi > formatted {
-		hi = formatted
-	}
-	if lo > formatted {
-		lo = formatted
-	}
-	return lo, hi
-}
-
-// ScanProgress returns the number of slabs the current (or last)
-// Recover/RecoverParallel/ScanParallel pass has finished scanning. It is
-// safe to read concurrently with a running scan; cmd/bdrecover samples
-// it for its live progress report.
-func (al *Allocator) ScanProgress() int64 { return al.scanSlabs.Load() }
-
-// ScanParallel is Scan with the formatted slab range partitioned across
-// workers goroutines. fn is called concurrently from up to workers
-// goroutines — it receives the worker index so callers can keep
-// per-worker state without locking; calls within one slab range arrive
-// in address order from a single goroutine. Like Scan it reads through
-// the volatile view and must not run concurrently with Alloc/Free.
-// A panic on a worker goroutine (e.g. a crash-simulation sentinel from a
-// persist hook) is re-raised on the caller's goroutine.
-func (al *Allocator) ScanParallel(workers int, fn func(worker int, bi BlockInfo)) {
-	formatted := al.formattedSlabs()
-	al.scanSlabs.Store(0)
-	al.forEachSlab(formatted, workers, func(w, s int) {
-		al.scanSlab(s, func(bi BlockInfo) bool {
-			fn(w, bi)
-			return true
-		}, nil, nil)
-		al.scanSlabs.Add(1)
-	})
+	return w * formatted / workers, (w + 1) * formatted / workers
 }
 
 // scanSlab walks slab s and dispatches every block: FREE blocks are
@@ -111,16 +83,27 @@ func (al *Allocator) scanSlab(s int, judge func(BlockInfo) bool, free [][]nvm.Ad
 	return liveBlocks, liveBytes
 }
 
-// forEachSlab runs body(worker, slab) over [0, formatted), partitioned
-// contiguously across workers goroutines. workers <= 1 (or a range
-// smaller than the worker count) degenerates to fewer goroutines; a
-// panic on any worker is re-raised on the caller's goroutine so
-// crash-simulation sentinels from persist hooks keep their type.
-func (al *Allocator) forEachSlab(formatted, workers int, body func(worker, slab int)) {
-	if workers > formatted {
-		workers = formatted
+// Scan calls fn for every non-FREE block in the heap, in address order,
+// without modifying anything. It reads through the volatile view, so after
+// a crash it sees exactly the persisted state. Intended for
+// structure-specific recovery passes that need to inspect blocks before
+// deciding their fate; it must not run concurrently with Alloc/Free.
+func (al *Allocator) Scan(fn func(BlockInfo)) {
+	for s := range al.formattedSlabs() {
+		al.scanSlab(s, func(bi BlockInfo) bool {
+			fn(bi)
+			return true
+		}, nil, nil)
 	}
-	if workers <= 1 {
+}
+
+// forEachSlab runs body(worker, slab) over [0, formatted), partitioned
+// contiguously across workers goroutines (1 <= workers <= formatted, or
+// workers == 1 on an empty heap). A panic on any worker is re-raised on
+// the caller's goroutine so crash-simulation sentinels from persist hooks
+// keep their type.
+func (al *Allocator) forEachSlab(formatted, workers int, body func(worker, slab int)) {
+	if workers == 1 {
 		for s := 0; s < formatted; s++ {
 			body(0, s)
 		}
@@ -129,22 +112,19 @@ func (al *Allocator) forEachSlab(formatted, workers int, body func(worker, slab 
 	var wg sync.WaitGroup
 	var firstPanic atomic.Pointer[any]
 	for w := 0; w < workers; w++ {
-		lo, hi := slabRange(formatted, workers, w)
-		if lo >= hi {
-			continue
-		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					firstPanic.CompareAndSwap(nil, &r)
 				}
 			}()
+			lo, hi := slabRange(formatted, workers, w)
 			for s := lo; s < hi; s++ {
 				body(w, s)
 			}
-		}(w, lo, hi)
+		}(w)
 	}
 	wg.Wait()
 	if r := firstPanic.Load(); r != nil {
@@ -152,20 +132,24 @@ func (al *Allocator) forEachSlab(formatted, workers int, body func(worker, slab 
 	}
 }
 
-// RecoverParallel is Recover with the formatted slab range partitioned
-// across workers goroutines. judge may be called concurrently from up to
-// workers goroutines and receives the worker index (calls within one
-// worker's slab range arrive in address order from a single goroutine).
-// Reclaimed blocks are marked FREE and written back through batched
-// nvm.FlushExtents calls instead of per-block Flush; one trailing Fence
-// covers every batch.
+// Recover rebuilds the allocator's transient state after a heap crash by
+// scanning slab and block headers, and returns the number of goroutines
+// the scan ran on: workers, clamped to [1, formatted slabs]. The formatted
+// slab range is partitioned contiguously across them. For every non-FREE
+// block it calls judge with the index of the worker scanning it; calls
+// within one worker's range arrive in address order from a single
+// goroutine, so a judge that keeps per-worker state needs no lock, and a
+// judge that is not safe for concurrent use passes workers = 1. A false
+// verdict reclaims the block: it is marked FREE and written back through
+// batched nvm.FlushExtents calls, and one trailing Fence covers every
+// batch.
 //
-// The rebuilt allocator state is bit-identical to Recover's: workers own
-// contiguous ascending slab ranges and accumulate per-class free lists
-// locally, and the merge concatenates them in worker order, reproducing
-// the serial slab-order free lists exactly. Must run single-threaded
-// (with respect to the allocator) before any Alloc/Free.
-func (al *Allocator) RecoverParallel(workers int, judge func(worker int, bi BlockInfo) bool) {
+// The rebuilt state does not depend on the worker count: workers
+// accumulate per-class free lists locally, and the merge concatenates them
+// in worker order, reproducing the slab-order free lists exactly. Recover
+// must run single-threaded (with respect to the allocator), before any
+// Alloc/Free.
+func (al *Allocator) Recover(workers int, judge func(worker int, bi BlockInfo) bool) int {
 	al.mu.Lock()
 	defer al.mu.Unlock()
 	for c := range al.free {
@@ -176,22 +160,13 @@ func (al *Allocator) RecoverParallel(workers int, judge func(worker int, bi Bloc
 	al.liveBytes.Store(0)
 	formatted := al.formattedSlabs()
 	al.formatted = formatted
-	al.scanSlabs.Store(0)
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, formatted))
 
 	type workerState struct {
 		free    [][]nvm.Addr
 		reclaim []nvm.Extent
 		blocks  int64
 		bytes   int64
-	}
-	if workers > formatted {
-		workers = formatted
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	ws := make([]workerState, workers)
 	for w := range ws {
@@ -204,7 +179,6 @@ func (al *Allocator) RecoverParallel(workers int, judge func(worker int, bi Bloc
 		}, st.free, &st.reclaim)
 		st.blocks += blocks
 		st.bytes += bytes
-		al.scanSlabs.Add(1)
 	})
 	for w := range ws {
 		st := &ws[w]
@@ -222,4 +196,5 @@ func (al *Allocator) RecoverParallel(workers int, judge func(worker int, bi Bloc
 	if bytes > al.peakBytes.Load() {
 		al.peakBytes.Store(bytes)
 	}
+	return workers
 }

@@ -125,7 +125,7 @@ func RecoverDL(h *nvm.Heap, cfg Config) (*List, int) {
 	}
 	// Reset the heap's allocator state entirely and rebuild.
 	fresh := palloc.New(h)
-	fresh.Recover(func(palloc.BlockInfo) bool { return false })
+	fresh.Recover(1, func(int, palloc.BlockInfo) bool { return false })
 	cfg.IndexHeap = h
 	l := New(cfg)
 	hd := l.NewHandle()

@@ -401,7 +401,7 @@ func RecoverEADR(h *nvm.Heap, cfg Config) *Table {
 	cfg.Heap = h
 	t := New(cfg)
 	var blocks []nvm.Addr
-	t.alloc.Recover(func(bi palloc.BlockInfo) bool {
+	t.alloc.Recover(1, func(_ int, bi palloc.BlockInfo) bool {
 		if bi.Header.Tag != BlockTag || bi.Header.Epoch == palloc.InvalidEpoch {
 			return false
 		}
