@@ -2,6 +2,9 @@
 // paper's Listing 1 — the tutorial structure for the BDL + HTM strategy.
 //
 // The bucket array lives in DRAM and holds addresses of KV blocks in NVM.
+// A slot word packs the block's address (bits 0-47) with a 16-bit
+// fingerprint of its key (bits 48-63, hash bits the bucket index does not
+// use), so a probe reads a block's key from NVM only on a fingerprint hit.
 // Every operation has one body, which epoch.Worker.Run attempts as a
 // hardware transaction and, after repeated aborts, runs as a slow-path
 // session; it brackets itself with BeginOp/EndOp, and follows the epoch
@@ -43,6 +46,12 @@ const (
 	maxProbeBuckets = 4
 	// maxRetries bounds transactional retries before the session.
 	maxRetries = 32
+
+	// A slot word is addr | fingerprint: the block address in the low
+	// addrBits bits, the top bits of the key's hash above them. An
+	// occupied slot is nonzero because no block lives at address 0.
+	addrBits = 48
+	addrMask = 1<<addrBits - 1
 )
 
 // Table is a buffered-durable hash table mapping uint64 keys to uint64
@@ -91,7 +100,7 @@ func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 		tag:      tag,
 		nBuckets: nBuckets,
 		slots:    make([]uint64, nBuckets*BucketSize),
-		perW:     make([]wstate, 512),
+		perW:     make([]wstate, sys.MaxWorkers()),
 	}
 }
 
@@ -103,14 +112,29 @@ func hash64(k uint64) uint64 {
 	return k ^ k>>33
 }
 
-func (t *Table) slotRange(k uint64) (start, n uint64) {
-	b := hash64(k) & (t.nBuckets - 1)
-	return b * BucketSize, maxProbeBuckets * BucketSize
+// probeSlots is the length of a key's probe window.
+const probeSlots = maxProbeBuckets * BucketSize
+
+// probe returns the first slot of k's probe window and k's fingerprint,
+// in place in the slot word's top bits. The bucket index takes the hash's
+// low bits and the fingerprint its top 16, so keys that share a bucket
+// still differ in fingerprint unless they collide on both.
+func (t *Table) probe(k uint64) (start, fp uint64) {
+	h := hash64(k)
+	return (h & (t.nBuckets - 1)) * BucketSize, h &^ addrMask
 }
 
 func (t *Table) slotAt(i uint64) *uint64 {
 	return &t.slots[i&(t.nBuckets*BucketSize-1)]
 }
+
+// blockAt decodes an occupied slot word's block.
+func (t *Table) blockAt(word uint64) epoch.Block {
+	return t.sys.BlockAt(nvm.Addr(word & addrMask))
+}
+
+// slotWord packs a block address with its key's fingerprint.
+func slotWord(b epoch.Block, fp uint64) uint64 { return uint64(b.Addr()) | fp }
 
 // Len returns the number of keys in the table.
 func (t *Table) Len() int { return int(t.count.Load()) }
@@ -176,18 +200,21 @@ retryRegist:
 // surface at commit) and a session may restart it, so it resets out first.
 func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) {
 	*out = insertOutcome{}
-	start, n := t.slotRange(k)
+	start, fp := t.probe(k)
 	var empty *uint64
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < probeSlots; i++ {
 		sp := t.slotAt(start + i)
-		addr := tx.Load(sp)
-		if addr == 0 {
+		word := tx.Load(sp)
+		if word == 0 {
 			if empty == nil {
 				empty = sp
 			}
 			continue
 		}
-		b := t.sys.BlockAt(nvm.Addr(addr))
+		if word&^addrMask != fp {
+			continue
+		}
+		b := t.blockAt(word)
 		if b.KeyTx(tx) != k {
 			continue
 		}
@@ -200,7 +227,7 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block,
 		case be < opEpoch:
 			// Out-of-place update: swap in the preallocated block.
 			newBlk.SetEpochTx(tx, opEpoch)
-			tx.Store(sp, uint64(newBlk.Addr()))
+			tx.Store(sp, slotWord(newBlk, fp))
 			out.retire = b
 			out.persist = newBlk
 			out.usedPrealloc = true
@@ -222,20 +249,21 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block,
 	// be validated against newer removals.
 	t.removals.CheckTx(tx, k, opEpoch)
 	newBlk.SetEpochTx(tx, opEpoch)
-	tx.Store(empty, uint64(newBlk.Addr()))
+	tx.Store(empty, slotWord(newBlk, fp))
 	out.persist = newBlk
 	out.usedPrealloc = true
 }
 
 // preWalk touches the key's probe window non-transactionally, the paper's
-// mitigation for MEMTYPE aborts (Sec. 4.1).
+// mitigation for MEMTYPE aborts (Sec. 4.1): the slots, and the key of each
+// fingerprint hit, which is all the body will read.
 func (t *Table) preWalk(k uint64) {
-	start, n := t.slotRange(k)
+	start, fp := t.probe(k)
 	var sink uint64
-	for i := uint64(0); i < n; i++ {
-		addr := t.tm.DirectLoad(t.slotAt(start + i))
-		if addr != 0 {
-			sink += t.sys.Heap().Load(nvm.Addr(addr))
+	for i := uint64(0); i < probeSlots; i++ {
+		word := t.tm.DirectLoad(t.slotAt(start + i))
+		if word != 0 && word&^addrMask == fp {
+			sink += t.sys.Heap().Load(nvm.Addr(word & addrMask))
 		}
 	}
 	_ = sink
@@ -257,13 +285,13 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 	var ok bool
 	w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
 		v, ok = 0, false
-		start, n := t.slotRange(k)
-		for i := uint64(0); i < n; i++ {
-			addr := tx.Load(t.slotAt(start + i))
-			if addr == 0 {
+		start, fp := t.probe(k)
+		for i := uint64(0); i < probeSlots; i++ {
+			word := tx.Load(t.slotAt(start + i))
+			if word == 0 || word&^addrMask != fp {
 				continue
 			}
-			b := t.sys.BlockAt(nvm.Addr(addr))
+			b := t.blockAt(word)
 			if b.KeyTx(tx) == k {
 				v, ok = b.ValueTx(tx), true
 				return
@@ -283,14 +311,14 @@ retryRegist:
 	var retire epoch.Block
 	res := w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
 		retire = epoch.Block{}
-		start, n := t.slotRange(k)
-		for i := uint64(0); i < n; i++ {
+		start, fp := t.probe(k)
+		for i := uint64(0); i < probeSlots; i++ {
 			sp := t.slotAt(start + i)
-			addr := tx.Load(sp)
-			if addr == 0 {
+			word := tx.Load(sp)
+			if word == 0 || word&^addrMask != fp {
 				continue
 			}
-			b := t.sys.BlockAt(nvm.Addr(addr))
+			b := t.blockAt(word)
 			if b.KeyTx(tx) != k {
 				continue
 			}
@@ -323,15 +351,15 @@ retryRegist:
 // table's tag. Recovery is single-threaded, so plain stores suffice.
 func (t *Table) RebuildBlock(rec epoch.BlockRecord) {
 	k := rec.Block.Key()
-	start, n := t.slotRange(k)
-	for i := uint64(0); i < n; i++ {
+	start, fp := t.probe(k)
+	for i := uint64(0); i < probeSlots; i++ {
 		sp := t.slotAt(start + i)
 		if *sp == 0 {
-			*sp = uint64(rec.Block.Addr())
+			*sp = slotWord(rec.Block, fp)
 			t.count.Add(1)
 			return
 		}
-		if t.sys.BlockAt(nvm.Addr(*sp)).Key() == k {
+		if *sp&^addrMask == fp && t.blockAt(*sp).Key() == k {
 			panic(fmt.Sprintf("bdhash: duplicate key %d in recovery (BDL invariant violated)", k))
 		}
 	}
@@ -342,8 +370,8 @@ func (t *Table) RebuildBlock(rec epoch.BlockRecord) {
 // tests and diagnostics.
 func (t *Table) Keys(fn func(k, v uint64)) {
 	for i := range t.slots {
-		if a := atomic.LoadUint64(&t.slots[i]); a != 0 {
-			b := t.sys.BlockAt(nvm.Addr(a))
+		if word := atomic.LoadUint64(&t.slots[i]); word != 0 {
+			b := t.blockAt(word)
 			fn(b.Key(), b.Value())
 		}
 	}

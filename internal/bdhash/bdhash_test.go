@@ -519,3 +519,123 @@ func TestRandomizedCrashConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerIDAboveOldBound drives a worker whose ID is 512 on a system
+// that allows 600: per-worker state is sized from the epoch system's
+// worker bound, not from a constant.
+func TestWorkerIDAboveOldBound(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 20})
+	sys := epoch.New(h, epoch.Config{Manual: true, MaxWorkers: 600})
+	tab := New(sys, htm.Default(), 1024, 1)
+	var w *epoch.Worker
+	for range 513 {
+		w = sys.Register()
+	}
+	if w.ID() != 512 {
+		t.Fatalf("513th worker has ID %d", w.ID())
+	}
+	tab.Insert(w, 5, 50)
+	if v, ok := tab.GetW(w, 5); !ok || v != 50 {
+		t.Fatalf("GetW(5) = %d,%v", v, ok)
+	}
+	if !tab.Remove(w, 5) {
+		t.Fatal("Remove(5) = false")
+	}
+}
+
+// collidingKeys returns n keys that share both the bucket and the
+// fingerprint in t, found by brute force over hash64: a probe can tell
+// them apart only by reading their keys.
+func collidingKeys(t *Table, n int) []uint64 {
+	classes := map[uint64][]uint64{}
+	for k := uint64(1); ; k++ {
+		start, fp := t.probe(k)
+		c := fp | start
+		classes[c] = append(classes[c], k)
+		if len(classes[c]) == n {
+			return classes[c]
+		}
+	}
+}
+
+// TestFingerprintCollisions runs every operation on keys whose slot words
+// carry the same fingerprint in the same bucket, then crashes, recovers
+// and rebuilds. A probe that trusted a fingerprint match without comparing
+// keys would return, replace or remove the wrong key, or report a false
+// duplicate at rebuild.
+func TestFingerprintCollisions(t *testing.T) {
+	f := newFixture(t, 64)
+	ks := collidingKeys(f.tab, 5)
+	live, absent := ks[:4], ks[4]
+	want := map[uint64]uint64{}
+	check := func(stage string) {
+		t.Helper()
+		for _, k := range live {
+			v, ok := f.tab.Get(k)
+			if w, in := want[k]; ok != in || v != w {
+				t.Fatalf("%s: Get(%d) = %d,%v, want %d,%v", stage, k, v, ok, w, in)
+			}
+		}
+		if v, ok := f.tab.Get(absent); ok {
+			t.Fatalf("%s: Get(%d) of an absent colliding key = %d", stage, absent, v)
+		}
+		if f.tab.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", stage, f.tab.Len(), len(want))
+		}
+	}
+	for i, k := range live {
+		if f.tab.Insert(f.w, k, uint64(100+i)) {
+			t.Fatalf("fresh insert of %d reported a replacement", k)
+		}
+		want[k] = uint64(100 + i)
+	}
+	check("inserts")
+	if !f.tab.Insert(f.w, live[1], 201) { // same epoch: in place
+		t.Fatal("same-epoch update not reported as replacement")
+	}
+	want[live[1]] = 201
+	check("in-place update")
+	f.sys.AdvanceOnce()
+	if !f.tab.Insert(f.w, live[2], 302) { // older epoch: out of place
+		t.Fatal("out-of-place update not reported as replacement")
+	}
+	want[live[2]] = 302
+	check("out-of-place update")
+	if f.tab.Remove(f.w, absent) {
+		t.Fatal("Remove of an absent colliding key reported success")
+	}
+	if !f.tab.Remove(f.w, live[0]) {
+		t.Fatal("Remove of a colliding key failed")
+	}
+	delete(want, live[0])
+	check("remove")
+	if f.tab.Insert(f.w, live[0], 400) {
+		t.Fatal("reinsert reported a replacement")
+	}
+	want[live[0]] = 400
+	check("reinsert")
+	f.sys.Sync()
+	f.tab.Insert(f.w, live[3], 999) // unpersisted epoch: rolls back
+	f.recoverTable(t, nvm.CrashOptions{EvictFraction: 0.5, Seed: 7}, 64)
+	check("recovery")
+
+	// The rebuild still refuses a real duplicate.
+	var dup epoch.Block
+	for _, word := range f.tab.slots {
+		if word != 0 && f.tab.blockAt(word).Key() == live[1] {
+			dup = f.tab.blockAt(word)
+		}
+	}
+	if dup.IsNil() {
+		t.Fatalf("key %d not found in the rebuilt slots", live[1])
+	}
+	if !panics(func() { f.tab.RebuildBlock(epoch.BlockRecord{Block: dup}) }) {
+		t.Fatal("RebuildBlock accepted a duplicate of a recovered key")
+	}
+}
+
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"math"
+	"runtime"
 	"time"
 
 	"bdhtm/internal/nvm"
@@ -43,6 +44,13 @@ import (
 // write-backs, and a worker whose published backlog reaches it rings the
 // flusher's doorbell at EndOp. Manual mode has no flusher goroutine; its
 // caller runs the step explicitly (FlushEarly).
+//
+// The trigger is also the flow control. A worker whose published backlog
+// reaches twice the threshold has outrun the flusher by a whole pass, and it
+// waits after EndOp, holding no epoch, until a pass or the close has taken
+// the backlog (awaitEarlyPass). Without that, a worker faster than the
+// flusher grows the open epoch without bound: the advance waits for the last
+// close, the epoch runs that much longer, and its close is longer again.
 const (
 	// earlyBudgetDiv sets the close-time flush budget: EpochLength/16.
 	earlyBudgetDiv = 16
@@ -155,6 +163,24 @@ func (s *System) earlyPass(force bool) {
 	s.journalEarlyRecords.Add(int64(len(recs)))
 	s.journalCheckpoints.Add(int64(checkpoints))
 	s.advSeq.Add(1)
+}
+
+// awaitEarlyPass holds a worker between operations until the flusher has
+// taken its published backlog l below the threshold — by an early pass, or
+// by the close, which empties the buffer — or no flusher goroutine is left
+// to take it (Stop, or a crash hook that killed it). The worker announces
+// no epoch meanwhile, so no task waits for it. Manual mode and eADR heaps
+// never publish a threshold, so they never wait.
+func (s *System) awaitEarlyPass(l *pubList) {
+	for l.backlog() >= s.earlyAt.Load() {
+		s.pendMu.Lock()
+		live := s.flusherLive
+		s.pendMu.Unlock()
+		if !live {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // noteCost takes the per-block write-back cost from one write-back of

@@ -267,3 +267,45 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 		t.Fatalf("recovered %d keys, want %d", len(got), n)
 	}
 }
+
+// TestWorkerWaitsForLaggingFlusher is the flow control of early.go: with
+// the flusher held up, a worker's operations run until its published
+// backlog reaches twice the threshold, and the one that reaches it waits
+// after EndOp, announcing no epoch, until the flusher's pass has taken the
+// backlog. With no flusher goroutine left, nothing waits.
+func TestWorkerWaitsForLaggingFlusher(t *testing.T) {
+	const at = 4
+	h := nvm.New(nvm.Config{Words: 1 << 16})
+	s := New(h, Config{EpochLength: time.Hour}) // the ticker never fires
+	w := s.Register()
+	s.earlyAt.Store(at)
+	s.taskMu.Lock() // the flusher's next pass waits for this
+	var ended atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := uint64(0); k < 2*at; k++ {
+			putKV(w, k, k)
+			ended.Add(1)
+		}
+	}()
+	select {
+	case <-done:
+		t.Fatal("the worker ran 2×threshold operations past a held-up flusher")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n, ann := ended.Load(), w.ann.Load(); n != 2*at-1 || ann != 0 {
+		t.Fatalf("waiting worker: %d operations returned, announcing epoch %d; want %d and none", n, ann, 2*at-1)
+	}
+	s.taskMu.Unlock()
+	<-done
+	if st := s.Stats(); st.EarlyFlushedBlocks != 2*at {
+		t.Fatalf("the pass the worker waited for wrote back %d blocks, want %d", st.EarlyFlushedBlocks, 2*at)
+	}
+
+	s.Stop()
+	s.earlyAt.Store(at)
+	for k := uint64(0); k < 4*at; k++ {
+		putKV(w, k, k) // would wait forever if it waited for a stopped flusher
+	}
+}

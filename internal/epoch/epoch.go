@@ -405,6 +405,10 @@ func (s *System) Heap() *nvm.Heap { return s.heap }
 // Allocator returns the underlying persistent allocator.
 func (s *System) Allocator() *palloc.Allocator { return s.alloc }
 
+// MaxWorkers returns the bound on worker IDs: every Worker.ID is below it.
+// Structures size per-worker state from it.
+func (s *System) MaxWorkers() int { return s.cfg.MaxWorkers }
+
 // GlobalEpoch returns the current active epoch.
 func (s *System) GlobalEpoch() uint64 { return s.global.Load() }
 
@@ -537,9 +541,11 @@ func (s *System) Stop() {
 // PersistedEpoch is GlobalEpoch-1 once the flush has landed and
 // GlobalEpoch-2 while it is in flight, never less.
 //
-// Worker threads are never paused: operations keep starting in the
-// active epoch throughout. AdvanceOnce is normally driven by the
-// background advancer but may be called directly (tests, Manual mode).
+// Worker threads are never paused by an advance: operations keep
+// starting in the active epoch throughout. (A worker that outruns the
+// flusher waits between operations for an early pass; see early.go.)
+// AdvanceOnce is normally driven by the background advancer but may be
+// called directly (tests, Manual mode).
 func (s *System) AdvanceOnce() {
 	s.advMu.Lock()
 	defer s.advMu.Unlock()

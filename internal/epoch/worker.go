@@ -124,17 +124,22 @@ func (w *Worker) OpEpoch() uint64 { return w.opEpoch }
 // retirements for the journal, and disassociates the worker from its epoch.
 // Both are published to the flusher's early pass, which this worker wakes
 // once its published write-back backlog reaches the threshold the flusher
-// last set (early.go).
+// last set, and which it waits for, outside the operation, once the backlog
+// reaches twice that (early.go).
 func (w *Worker) EndOp() {
 	buf := &w.bufs[w.opEpoch%numSlots]
 	buf.retire.publish()
-	if buf.persist.publish() && buf.persist.backlog() >= w.sys.earlyAt.Load() {
+	at := w.sys.earlyAt.Load()
+	if buf.persist.publish() && buf.persist.backlog() >= at {
 		select {
 		case w.sys.doorbell <- struct{}{}:
 		default: // a ring is already pending
 		}
 	}
 	w.ann.Store(0)
+	if buf.persist.backlog()-at >= at {
+		w.sys.awaitEarlyPass(&buf.persist)
+	}
 }
 
 // AbortOp disassociates the worker from its epoch and discards the blocks

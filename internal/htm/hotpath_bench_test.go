@@ -7,12 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
 
 // BenchmarkHotPath measures the transaction engine's fast paths: read-only
-// and read-write transactions, and commit cost across write-set sizes,
-// at 1-8 goroutines. Goroutines work on disjoint cache lines, so aborts
+// and read-write transactions, a hash-table probe (bdhash's shape: 32
+// slot reads over 4 lines plus one NVM key read), and commit cost across
+// write-set sizes, at 1-8 goroutines. Goroutines work on disjoint cache lines, so aborts
 // come only from hash collisions in the versioned-lock table — the
 // benchmark isolates bookkeeping cost (set maintenance, lock acquisition,
 // validation), not conflict behaviour. CI runs it with -benchtime=100x;
@@ -24,6 +26,9 @@ func BenchmarkHotPath(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("tx-readwrite/goroutines=%d", g), func(b *testing.B) {
 			benchTx(b, g, 8, 8)
+		})
+		b.Run(fmt.Sprintf("tx-probe/goroutines=%d", g), func(b *testing.B) {
+			benchProbe(b, g)
 		})
 	}
 	for _, ws := range []int{1, 16, 256} {
@@ -170,6 +175,42 @@ func benchTxSpan(b *testing.B, g, nReads, nWrites, every int) {
 					}
 				}
 				sp.Finish()
+			}
+			_ = sink
+		}(w)
+	}
+	wg.Wait()
+}
+
+// benchProbe runs b.N read-only probe-shaped transactions split across g
+// goroutines: every word of a private 4-line DRAM window in order, as a
+// probe scans its buckets' slots, then one word of NVM, as a fingerprint
+// hit reads its block's key.
+func benchProbe(b *testing.B, g int) {
+	tm := New(Config{})
+	h := nvm.New(nvm.Config{Words: 1 << 12})
+	windows := make([][]uint64, g)
+	for w := range windows {
+		windows[w] = alignedLines(4)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	per := b.N/g + 1
+	for w := 0; w < g; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			window, key := windows[w], nvm.Addr(nvm.RootWords+w*nvm.LineWords)
+			var sink uint64
+			for i := 0; i < per; i++ {
+				for !tm.Attempt(func(tx *Tx) {
+					for j := range window {
+						sink += tx.Load(&window[j])
+					}
+					sink += tx.LoadAddr(h, key)
+				}).Committed {
+				}
 			}
 			_ = sink
 		}(w)

@@ -295,6 +295,11 @@ type Tx struct {
 	writeIdx kvSet // word pointer -> index+1 into writes
 	wlines   kvSet // distinct write lines (capacity accounting)
 
+	// lastLine/lastSeen repeat the read set's most recent entry (line
+	// key, version+1), so a run of reads on one line — a probe scanning a
+	// bucket's slots — records the line once.
+	lastLine, lastSeen uint64
+
 	// Held lock-table slots. A commit fills lockOrder with the slots
 	// covering the write set: appended raw, then sorted and deduped in
 	// place, so acquisition runs in ascending slot order. A session keeps
@@ -318,6 +323,9 @@ type Tx struct {
 
 // lookupWrite returns the buffered write for p, or nil.
 func (tx *Tx) lookupWrite(p *uint64) *writeEntry {
+	if len(tx.writes) == 0 {
+		return nil
+	}
 	if idx, ok := tx.writeIdx.get(uint64(uintptr(unsafe.Pointer(p)))); ok {
 		return &tx.writes[idx-1]
 	}
@@ -388,7 +396,12 @@ func (tx *Tx) loadCommon(p *uint64, h *nvm.Heap, a nvm.Addr) uint64 {
 			tx.abort(CauseConflict, 0)
 		}
 		// Record the observed version (stored +1 so version 0 survives
-		// the set's zero-means-empty convention).
+		// the set's zero-means-empty convention). The line this attempt
+		// recorded last, seen at the same version, is in the set already;
+		// any other version falls through to the set, which aborts.
+		if lk == tx.lastLine && v1+1 == tx.lastSeen {
+			return val
+		}
 		if prev, inserted, full := tx.reads.put(lk, v1+1); !inserted {
 			if !full && prev != v1+1 {
 				tx.abort(CauseConflict, 0)
@@ -399,6 +412,7 @@ func (tx *Tx) loadCommon(p *uint64, h *nvm.Heap, a nvm.Addr) uint64 {
 		} else if tx.reads.len() > tx.tm.cfg.MaxReadLines {
 			tx.abort(CauseCapacity, 0)
 		}
+		tx.lastLine, tx.lastSeen = lk, v1+1
 		return val
 	}
 }
@@ -451,6 +465,7 @@ func (tx *Tx) reset(owner, rv uint64) {
 	tx.owner = owner
 	tx.rv = rv
 	tx.reads.reset()
+	tx.lastLine, tx.lastSeen = 0, 0
 	tx.writes = tx.writes[:0]
 	tx.writeIdx.reset()
 	tx.wlines.reset()

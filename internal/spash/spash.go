@@ -182,7 +182,7 @@ func New(cfg Config) *Table {
 	if cfg.TM == nil {
 		panic("spash: TM required")
 	}
-	t := &Table{cfg: cfg, tm: cfg.TM, perW: make([]spashWState, 512)}
+	t := &Table{cfg: cfg, tm: cfg.TM}
 	switch cfg.Mode {
 	case ModeBD:
 		if cfg.Sys == nil {
@@ -190,6 +190,7 @@ func New(cfg Config) *Table {
 		}
 		t.sys = cfg.Sys
 		t.heap = cfg.Sys.Heap()
+		t.perW = make([]spashWState, cfg.Sys.MaxWorkers())
 	case ModeEADR:
 		if cfg.Heap == nil {
 			panic("spash: ModeEADR requires a heap")

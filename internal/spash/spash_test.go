@@ -304,3 +304,20 @@ func TestModeString(t *testing.T) {
 		t.Fatal("mode names")
 	}
 }
+
+// TestWorkerIDAboveOldBound drives a worker whose ID is 512 on a system
+// that allows 600: per-worker state is sized from the epoch system's
+// worker bound, not from a constant.
+func TestWorkerIDAboveOldBound(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 20})
+	sys := epoch.New(h, epoch.Config{Manual: true, MaxWorkers: 600})
+	tab := New(Config{Mode: ModeBD, Sys: sys, TM: htm.Default()})
+	var w *epoch.Worker
+	for range 513 {
+		w = sys.Register()
+	}
+	if w.ID() != 512 {
+		t.Fatalf("513th worker has ID %d", w.ID())
+	}
+	testBasics(t, tab, w)
+}

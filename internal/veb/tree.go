@@ -82,7 +82,9 @@ func New(cfg Config) *Tree {
 		tm:   cfg.TM,
 		sys:  cfg.DataSys,
 		pool: newPool(),
-		perW: make([]vebWState, 512),
+	}
+	if t.sys != nil {
+		t.perW = make([]vebWState, t.sys.MaxWorkers())
 	}
 	t.root = t.pool.alloc(cfg.UniverseBits)
 	return t

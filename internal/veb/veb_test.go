@@ -435,3 +435,26 @@ func TestUniverseBoundaries(t *testing.T) {
 		t.Fatal("not empty")
 	}
 }
+
+// TestWorkerIDAboveOldBound drives a worker whose ID is 512 on a system
+// that allows 600: per-worker state is sized from the epoch system's
+// worker bound, not from a constant.
+func TestWorkerIDAboveOldBound(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 20})
+	sys := epoch.New(h, epoch.Config{Manual: true, MaxWorkers: 600})
+	tree := New(Config{UniverseBits: 16, TM: htm.Default(), DataSys: sys})
+	var w *epoch.Worker
+	for range 513 {
+		w = sys.Register()
+	}
+	if w.ID() != 512 {
+		t.Fatalf("513th worker has ID %d", w.ID())
+	}
+	tree.Insert(w, 5, 50)
+	if v, ok := tree.Get(5); !ok || v != 50 {
+		t.Fatalf("Get(5) = %d,%v", v, ok)
+	}
+	if !tree.Remove(w, 5) {
+		t.Fatal("Remove(5) = false")
+	}
+}
