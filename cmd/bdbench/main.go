@@ -6,7 +6,7 @@
 //
 //	bdbench [flags] <experiment>
 //
-// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery tail engines serve all
+// Experiments: fig1 fig2 fig3 table3 fig4 fig5 fig6 fig7 fig8 recovery tail serve all
 //
 // Default parameters are scaled down so the full suite completes in
 // minutes on a laptop; -full restores paper-scale settings (large key
@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/harness"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/mwcas"
@@ -38,8 +37,6 @@ var (
 	threads  = flag.String("threads", "1,2,4,8", "comma-separated thread counts")
 	latency  = flag.Bool("latency", true, "enable the Optane latency model on NVM heaps")
 	full     = flag.Bool("full", false, "paper-scale parameters (2^22 keys, 1s points)")
-
-	engineFlag = flag.String("engine", "", "durability engine for buffered-durable subjects: "+strings.Join(durability.Names(), "|")+" (default bdl)")
 
 	obsFlag  = flag.Bool("obs", false, "record obs telemetry and print a summary at exit")
 	traceOut = flag.String("trace", "", "write a Chrome trace_event file (implies -obs)")
@@ -57,14 +54,8 @@ func main() {
 		*duration = time.Second
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|tail|engines|serve|all")
+		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|tail|serve|all")
 		os.Exit(2)
-	}
-	if *engineFlag != "" {
-		if _, err := durability.New(*engineFlag, nil, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "bdbench: %v\n", err)
-			os.Exit(2)
-		}
 	}
 	if *obsFlag || *traceOut != "" || *httpAddr != "" {
 		benchObs = obs.New("bdbench")
@@ -100,7 +91,6 @@ func main() {
 	run("fig8", fig8)
 	run("recovery", recovery)
 	run("tail", tailLatency)
-	run("engines", engineComparison)
 	run("serve", serve)
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
@@ -179,7 +169,6 @@ func threadList() []int {
 func opts() harness.Opts {
 	return harness.Opts{
 		KeySpace: *keySpace, Latency: *latency, Obs: benchObs,
-		Engine: *engineFlag,
 	}
 }
 
@@ -421,39 +410,6 @@ func fig8() {
 			fmt.Printf("%14.1f MiB", mb)
 		}
 		fmt.Println()
-	}
-}
-
-// engineComparison sweeps the pluggable durability engines under an
-// identical write-heavy PHTM-vEB workload with a short epoch, so the
-// epoch-close persist path dominates and the engines' fence budgets
-// (bdl=2, undo=3, redo4f=4, redo2f=2, quadra=1 per commit) show up as
-// fences-per-op and write amplification.
-func engineComparison() {
-	tl := threadList()
-	n := tl[len(tl)-1]
-	wl := harness.Workload{KeySpace: *keySpace, Dist: harness.Uniform, Mix: ycsb.WriteHeavy, Prefill: true}
-	fmt.Printf("\nDurability engines — PHTM-vEB, write-heavy, %d threads (keyspace 2^%d)\n", n, log2(*keySpace))
-	fmt.Printf("  %-8s %12s %12s %10s %12s %12s %8s\n",
-		"engine", "Mops/s", "fences/op", "WA", "commits", "eng fences", "spills")
-	for _, eng := range durability.Names() {
-		o := opts()
-		o.Engine = eng
-		o.EpochLength = 2 * time.Millisecond
-		inst := harness.New("veb", o)
-		inst.Name = "PHTM-vEB/" + eng
-		base := inst.Heap.Stats()
-		r := harness.Run(inst, wl, n, *duration, 42)
-		d := inst.Heap.Stats().Sub(base)
-		st := inst.Sys.Stats()
-		inst.Close()
-		fpo := 0.0
-		if r.Ops > 0 {
-			fpo = float64(d.Fences) / float64(r.Ops)
-		}
-		fmt.Printf("  %-8s %12.3f %12.4f %10.2f %12d %12d %8d\n",
-			eng, r.Throughput, fpo, d.WriteAmplification(),
-			st.EngineCommits, st.EngineFences, st.LogSpills)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/kv"
@@ -15,26 +14,21 @@ import (
 
 // recovery measures and checks crash recovery (Sec. 5.2) for every
 // buffered-durable kind at heaps of increasing size, one recovery each:
-// recoverCell builds the pre-crash image and recovers it under -engine. A
-// row prints the header scan (on up to GOMAXPROCS workers) and the rebuild,
-// the blocks recovered and resurrected, what the retire journal replay
-// read, applied and erased, and the engine the recovered system runs. Each
-// row is verified: every synced key must read back its value, and the
-// engine must be the one -engine asked for. Any failure exits non-zero
-// once every row is printed. The timings are report only: a single run's
-// wall clock cannot rank anything on a small host.
+// recoverCell builds the pre-crash image and recovers it. A row prints the
+// header scan (on up to GOMAXPROCS workers) and the rebuild, the blocks
+// recovered and resurrected, and what the retire journal replay read,
+// applied and erased. Each row is verified: every synced key must read
+// back its value. Any failure exits non-zero once every row is printed.
+// The timings are report only: a single run's wall clock cannot rank
+// anything on a small host.
 func recovery() {
 	heapSizes := []int{1 << 19, 1 << 21, 1 << 23}
 	if *full {
 		heapSizes = append(heapSizes, 1<<25)
 	}
-	want := *engineFlag
-	if want == "" {
-		want = durability.DefaultEngine
-	}
 	fmt.Printf("\nSec. 5.2 — recovery, scan+rebuild vs structure and heap size (GOMAXPROCS %d)\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("  %-22s %10s %-7s %7s %12s %12s %9s %11s %7s %9s %8s  %s\n",
-		"structure", "heap_words", "engine", "workers", "scan", "rebuild", "blocks", "resurrected",
+	fmt.Printf("  %-22s %10s %7s %12s %12s %9s %11s %7s %9s %8s  %s\n",
+		"structure", "heap_words", "workers", "scan", "rebuild", "blocks", "resurrected",
 		"j_read", "j_applied", "j_erased", "verified")
 	failed := false
 	for _, name := range kv.BufferedKinds() {
@@ -43,15 +37,12 @@ func recovery() {
 			rec, err := recoverCell(k, words)
 			st := rec.Sys.Stats()
 			rec.Close()
-			if err == nil && st.Engine != want {
-				err = fmt.Errorf("recovered with engine %s, -engine asked for %s", st.Engine, want)
-			}
 			verdict := "ok"
 			if err != nil {
 				verdict, failed = "FAIL: "+err.Error(), true
 			}
-			fmt.Printf("  %-22s %10d %-7s %7d %12v %12v %9d %11d %7d %9d %8d  %s\n",
-				k.Title, words, st.Engine, st.RecoveryWorkers,
+			fmt.Printf("  %-22s %10d %7d %12v %12v %9d %11d %7d %9d %8d  %s\n",
+				k.Title, words, st.RecoveryWorkers,
 				time.Duration(st.RecoveryScanNS).Round(time.Microsecond),
 				time.Duration(rec.RebuildNS).Round(time.Microsecond),
 				len(rec.Recovered), st.Resurrected,
@@ -65,7 +56,7 @@ func recovery() {
 }
 
 // recoverCell builds one pre-crash image of kind k on a heap of heapWords,
-// deterministically and under -engine, power-fails it and recovers it. The
+// deterministically, power-fails it and recovers it. The
 // image holds one record per 32 heap words. The first eighth of the keys
 // is overwritten and restored an epoch later, both waves synced: each
 // retires the blocks it replaces, so the journal holds retirements at or
@@ -79,7 +70,7 @@ func recoverCell(k kv.Kind, heapWords int) (*kv.Stack, error) {
 		return kv.Parts{
 			Heap:     h,
 			TM:       htm.Default(),
-			Epoch:    epoch.Config{Manual: true, Engine: *engineFlag},
+			Epoch:    epoch.Config{Manual: true},
 			KeySpace: uint64(records) * 2,
 		}
 	}

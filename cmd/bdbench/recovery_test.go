@@ -5,34 +5,9 @@ import (
 	"runtime"
 	"testing"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 )
-
-// TestEngineFormattedHeapRecovers is the regression for the recovery
-// experiment ignoring -engine: it formatted and recovered with epoch's
-// default engine, so `bdbench -engine X recovery` silently measured bdl.
-// With the flag threaded into both configs, every engine's cell must
-// recover on that engine and verify.
-func TestEngineFormattedHeapRecovers(t *testing.T) {
-	k, _ := kv.Lookup("bdhash")
-	prev := *engineFlag
-	t.Cleanup(func() { *engineFlag = prev })
-	for _, eng := range durability.Names() {
-		t.Run(eng, func(t *testing.T) {
-			*engineFlag = eng
-			rec, err := recoverCell(k, 1<<17)
-			defer rec.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rec.Sys.Stats().Engine; got != eng {
-				t.Fatalf("recovered with engine %s, want %s", got, eng)
-			}
-		})
-	}
-}
 
 // TestRecoveryCellVerifies runs every buffered kind's cell with the
 // header scan on GOMAXPROCS = 1, 2, 4 and 8 workers: each must verify,

@@ -37,7 +37,6 @@ func serve() {
 		srv := bdserve.New(bdserve.Config{
 			KeySpace:    *keySpace,
 			EpochLength: 2 * time.Millisecond,
-			Engine:      *engineFlag,
 			SyncAcks:    sync,
 		})
 		addr, err := srv.Start("127.0.0.1:0")

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"bdhtm/internal/crashfuzz"
-	"bdhtm/internal/durability"
 )
 
 func main() {
@@ -40,7 +39,6 @@ func main() {
 		workers = flag.Int("workers", 0, "worker goroutines (0 = derive per round; 1 = exact-prefix mode)")
 		evict   = flag.Float64("evict", crashfuzz.Derive, "eviction fraction at crash (default: derive per round)")
 		async   = flag.Int("async", crashfuzz.Derive, "schedule: flusher step runs right after each advance (1) or lags a full epoch (0) (default: derive per round)")
-		engine  = flag.String("engine", "", "durability engine: "+strings.Join(durability.Names(), ", ")+" (default: derive per round)")
 		replay  = flag.String("replay", "", "replay one fully specified round (as printed by a failure) and exit")
 		verbose = flag.Bool("v", false, "log each subject's progress")
 	)
@@ -58,13 +56,6 @@ func main() {
 		}
 		fmt.Println("round passed")
 		return
-	}
-
-	if *engine != "" {
-		if _, err := durability.New(*engine, nil, nil); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	}
 
 	seed := crashfuzz.SeedFromEnv(0xbdf)
@@ -98,7 +89,6 @@ func main() {
 		base.Workers = *workers
 		base.Evict = *evict
 		base.Async = *async
-		base.Engine = *engine
 		base.Early = crashfuzz.Derive // every round takes early write-back steps
 		start := time.Now()
 		if f := crashfuzz.Fuzz(base, *rounds, logf); f != nil {

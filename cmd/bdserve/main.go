@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"bdhtm/internal/bdserve"
-	"bdhtm/internal/durability"
 	"bdhtm/internal/kv"
 	"bdhtm/internal/loadgen"
 	"bdhtm/internal/obs"
@@ -44,7 +43,6 @@ var (
 	structure   = flag.String("structure", "bdhash", "store: "+strings.Join(kv.BufferedKinds(), "|"))
 	keySpace    = flag.Uint64("keyspace", 1<<12, "key universe size")
 	epochLength = flag.Duration("epoch-length", 2*time.Millisecond, "epoch advance cadence")
-	engineFlag  = flag.String("engine", "", "durability engine: "+strings.Join(durability.Names(), "|")+" (default bdl)")
 	syncAcks    = flag.Bool("sync", false, "ack writes only when durable (no applied acks)")
 	maxSessions = flag.Int("max-sessions", 64, "maximum concurrently served connections")
 
@@ -78,17 +76,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bdserve: unknown structure %q (have %s)\n", *structure, strings.Join(kv.BufferedKinds(), "|"))
 		os.Exit(2)
 	}
-	if *engineFlag != "" {
-		if _, err := durability.New(*engineFlag, nil, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "bdserve: %v\n", err)
-			os.Exit(2)
-		}
-	}
 	cfg := bdserve.Config{
 		Structure:   *structure,
 		KeySpace:    *keySpace,
 		EpochLength: *epochLength,
-		Engine:      *engineFlag,
 		SyncAcks:    *syncAcks,
 		MaxSessions: *maxSessions,
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
@@ -145,7 +144,7 @@ func timerCrashWindow(t *testing.T, latency nvm.LatencyProfile, forced bool, hea
 			sys.SimulateCrash(nvm.CrashOptions{EvictFraction: evict, Seed: rng.Uint64() | 1})
 			// The recovered system's ticker moves PersistedEpoch at once;
 			// the boundary recovery judges by is the media's watermark.
-			watermark := h.Load(durability.WatermarkAddr)
+			watermark := h.Load(epoch.WatermarkAddr)
 			if watermark+2 < crashEpoch {
 				t.Fatalf("seed %#x cycle %d: window violated: recovered to %d after a crash in epoch %d",
 					seed, c, watermark, crashEpoch)

@@ -8,8 +8,8 @@
 // durability. A write op (PUT/DEL) commits its HTM transaction at memory
 // speed and is immediately acked *applied* (RespApplied, carrying the
 // op's exact commit epoch). The op's durability then arrives for free:
-// when the epoch system advances and the durability engine's watermark
-// reaches the op's commit epoch, the acker flushes a *durable* ack
+// when the epoch system advances and its durable watermark reaches the
+// op's commit epoch, the acker flushes a *durable* ack
 // (RespDurable) — one watermark movement acks every op of that epoch on
 // every connection, the group commit. In -sync mode the applied ack is
 // suppressed and the client hears nothing until durability, which is
@@ -17,7 +17,7 @@
 // mode is measured against.
 //
 // A client that has seen RespDurable for an op is guaranteed the op
-// survives any crash: the durable ack is emitted only after the engine's
+// survives any crash: the durable ack is emitted only after the durable
 // watermark (re-read at ack time, never cached) covers the op's epoch,
 // and recovery restores at least that watermark. Ops acked only
 // *applied* may be lost wholesale by a crash — but never torn, and never
@@ -57,8 +57,6 @@ type Config struct {
 	// Manual disables the background advancer; tests drive
 	// System().AdvanceOnce() themselves for deterministic scripts.
 	Manual bool
-	// Engine selects the durability engine, forwarded to epoch.Config.
-	Engine string
 	// SyncAcks suppresses applied acks: every write is acked only once,
 	// when durable (the -sync server flag).
 	SyncAcks bool
@@ -105,7 +103,6 @@ func (c Config) parts(heap *nvm.Heap) kv.Parts {
 		Epoch: epoch.Config{
 			EpochLength: c.EpochLength,
 			Manual:      c.Manual,
-			Engine:      c.Engine,
 			Obs:         c.Obs,
 			MaxWorkers:  c.MaxSessions + 8,
 		},
@@ -194,10 +191,9 @@ func New(cfg Config) *Server {
 }
 
 // Recover brings a server back up on a crashed heap: the epoch system
-// replays the durability engine's image and every surviving block is
-// rebuilt into a fresh structure (kv.Recover). The heap must have been
-// formatted by a server with a compatible Config (same Structure and
-// Engine).
+// judges the image against its durable watermark and every surviving block
+// is rebuilt into a fresh structure (kv.Recover). The heap must have been
+// formatted by a server with the same Structure.
 func Recover(heap *nvm.Heap, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	st := kv.Recover(cfg.Structure, cfg.parts(heap))

@@ -136,18 +136,20 @@ func TestParseReplayDefaultsPipelineFields(t *testing.T) {
 	}
 }
 
-// rworkersField matches the rworkers= field (the recovery scan's worker
-// count) that replay lines printed until the scan took its worker count
-// from GOMAXPROCS.
-var rworkersField = regexp.MustCompile(` rworkers=\d+`)
+// retiredFields matches the engine= (durability engine) and rworkers=
+// (recovery scan worker count) fields that replay lines printed until the
+// close kept one discipline and the scan took its worker count from
+// GOMAXPROCS.
+var retiredFields = regexp.MustCompile(` (engine|rworkers)=\w+`)
 
 // TestResolveReplayCompatAcrossFGLRemoval pins the derived-parameter
 // stream across the removal of the fgl= (global vs fine-grained fallback)
 // axis: each want string is Resolve's output for that seed captured at the
 // last commit that still had the axis, minus its trailing fgl= field (and,
-// since, its rworkers= field). Every recorded seed, corpus entry and
-// printed replay line therefore resolves to the same round as before. Old
-// lines that carry fgl=0 or fgl=1 parse, and to identical params.
+// since, its engine= and rworkers= fields). Every recorded seed, corpus
+// entry and printed replay line therefore resolves to the same round as
+// before. Old lines that carry fgl=0 or fgl=1 parse, and to identical
+// params.
 func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 	for _, tc := range []struct {
 		seed uint64
@@ -163,9 +165,8 @@ func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 		{0x2a, "subject=bdhash seed=0x2a ops=64 workers=4 keyspace=256 evict=0.22 events=1 crash-after=53 crash-step=0 tail-adv=0 adv-every=6 spurious=0.00 memtype=0.00 async=1 engine=redo4f rworkers=4"},
 	} {
 		derive := NewRoundParams("bdhash", tc.seed)
-		derive.Engine = "" // the captured strings derive it; CI may pin BDFUZZ_ENGINE
 		got := Resolve(derive)
-		if s, want := got.ReplayString(), rworkersField.ReplaceAllString(tc.want, ""); s != want {
+		if s, want := got.ReplayString(), retiredFields.ReplaceAllString(tc.want, ""); s != want {
 			t.Errorf("seed %#x resolves differently:\n got %s\nwant %s", tc.seed, s, want)
 		}
 		for _, fgl := range []string{" fgl=0", " fgl=1"} {
@@ -183,10 +184,10 @@ func TestResolveReplayCompatAcrossFGLRemoval(t *testing.T) {
 // TestResolveReplayCompatAcrossShardsRemoval pins the derived-parameter
 // stream across the removal of the shards= (flusher shard count) axis: each
 // line is Resolve's output for that seed captured at the last commit that
-// still had the axis. Minus its shards= (and rworkers=) field it is what
-// Resolve prints now, and the line with shards=1 or shards=4 appended
-// parses to identical params, so recorded seeds and old replay lines keep
-// their rounds.
+// still had the axis. Minus its shards= (and engine= and rworkers=) fields
+// it is what Resolve prints now, and the line with shards=1 or shards=4
+// appended parses to identical params, so recorded seeds and old replay
+// lines keep their rounds.
 func TestResolveReplayCompatAcrossShardsRemoval(t *testing.T) {
 	shardsField := regexp.MustCompile(` shards=\d+`)
 	for _, tc := range []struct {
@@ -203,9 +204,8 @@ func TestResolveReplayCompatAcrossShardsRemoval(t *testing.T) {
 		{0x7fffffffffffffff, "subject=veb seed=0x7fffffffffffffff ops=64 workers=1 keyspace=16 evict=0.37 events=2 crash-after=31 crash-step=8 tail-adv=0 adv-every=5 spurious=0.01 memtype=0.00 shards=4 async=1 engine=redo2f rworkers=2"},
 	} {
 		derive := NewRoundParams("veb", tc.seed)
-		derive.Engine = "" // the captured lines derive it; CI may pin BDFUZZ_ENGINE
 		got := Resolve(derive)
-		want := rworkersField.ReplaceAllString(shardsField.ReplaceAllString(tc.old, ""), "")
+		want := retiredFields.ReplaceAllString(shardsField.ReplaceAllString(tc.old, ""), "")
 		if s := got.ReplayString(); s != want {
 			t.Errorf("seed %#x resolves differently:\n got %s\nwant %s", tc.seed, s, want)
 		}
@@ -225,8 +225,8 @@ func TestResolveReplayCompatAcrossShardsRemoval(t *testing.T) {
 // stream across the removal of the rworkers= (recovery scan worker count)
 // axis: each line is Resolve's output for that seed captured at the last
 // commit that still had the axis. It parses, to the params Resolve derives
-// now, and prints as itself minus the rworkers= field, so recorded seeds
-// and old replay lines keep their rounds.
+// now, and prints as itself minus the rworkers= (and engine=) field, so
+// recorded seeds and old replay lines keep their rounds.
 func TestResolveReplayCompatAcrossRecoveryWorkersRemoval(t *testing.T) {
 	for _, tc := range []struct {
 		seed uint64
@@ -242,7 +242,6 @@ func TestResolveReplayCompatAcrossRecoveryWorkersRemoval(t *testing.T) {
 		{0x1dea, "subject=spash seed=0x1dea ops=600 workers=4 keyspace=256 evict=0.18 events=2 crash-after=84 crash-step=0 tail-adv=2 adv-every=32 spurious=0.05 memtype=0.01 async=0 engine=bdl rworkers=2"},
 	} {
 		derive := NewRoundParams("spash", tc.seed)
-		derive.Engine = "" // the captured lines derive it; CI may pin BDFUZZ_ENGINE
 		got := Resolve(derive)
 		p, err := ParseReplay(tc.old)
 		if err != nil {
@@ -251,8 +250,50 @@ func TestResolveReplayCompatAcrossRecoveryWorkersRemoval(t *testing.T) {
 		if r := Resolve(p); !reflect.DeepEqual(r, got) {
 			t.Errorf("seed %#x: old-format spec resolved to\n%+v\nwant\n%+v", tc.seed, r, got)
 		}
-		if s, want := Resolve(p).ReplayString(), rworkersField.ReplaceAllString(tc.old, ""); s != want {
+		if s, want := Resolve(p).ReplayString(), retiredFields.ReplaceAllString(tc.old, ""); s != want {
 			t.Errorf("seed %#x prints\n got %s\nwant %s", tc.seed, s, want)
+		}
+	}
+}
+
+// TestResolveReplayCompatAcrossEngineRemoval pins the derived-parameter
+// stream across the removal of the engine= (durability engine) axis: each
+// line is Resolve's output for that seed captured at the last commit that
+// still had the axis, under every engine it drew, with the long-segment
+// and early write-back shapes among them. It parses to the params Resolve
+// derives now for the same seed and shape, prints as itself minus the
+// engine= field, and the round it names passes.
+func TestResolveReplayCompatAcrossEngineRemoval(t *testing.T) {
+	for _, old := range []string{
+		"subject=bdhash seed=0x34 ops=64 workers=1 keyspace=256 evict=0.82 events=2 crash-after=12 crash-step=16 tail-adv=3 adv-every=19 spurious=0.00 memtype=0.01 async=1 engine=undo",
+		"subject=veb seed=0x35 ops=200 workers=1 keyspace=256 evict=0.38 events=2 crash-after=137 crash-step=20 tail-adv=3 adv-every=14 spurious=0.01 memtype=0.01 async=1 engine=undo",
+		"subject=skiplist seed=0x36 ops=200 workers=1 keyspace=16 evict=0.86 events=2 crash-after=53 crash-step=10 tail-adv=2 adv-every=4 spurious=0.00 memtype=0.00 async=1 engine=redo4f",
+		"subject=spash seed=0x37 ops=64 workers=4 keyspace=256 evict=0.19 events=1 crash-after=11 crash-step=0 tail-adv=1 adv-every=30 spurious=0.05 memtype=0.01 async=0 engine=redo4f",
+		"subject=palloc seed=0x38 ops=64 workers=1 keyspace=256 evict=0.20 events=2 crash-after=44 crash-step=20 tail-adv=1 adv-every=29 spurious=0.05 memtype=0.00 async=1 engine=quadra",
+		"subject=cceh seed=0x39 ops=64 workers=1 keyspace=16 evict=0.61 events=1 crash-after=23 crash-step=36 tail-adv=1 adv-every=14 spurious=0.05 memtype=0.01 async=1 engine=redo2f",
+		"subject=skiplist seed=0x3a ops=600 workers=4 keyspace=64 evict=0.43 events=2 crash-after=468 crash-step=0 tail-adv=2 adv-every=11 spurious=0.00 memtype=0.00 async=1 engine=bdl epochs=13",
+		"subject=bdhash seed=0x3b ops=200 workers=1 keyspace=256 evict=0.45 events=1 crash-after=72 crash-step=22 tail-adv=3 adv-every=28 spurious=0.00 memtype=0.00 async=1 engine=redo2f early=6",
+	} {
+		p, err := ParseReplay(old)
+		if err != nil {
+			t.Fatalf("old-format spec: %v", err)
+		}
+		derive := NewRoundParams(p.Subject, p.Seed)
+		if p.Epochs != 0 {
+			derive.Epochs = Derive
+		}
+		if p.Early != 0 {
+			derive.Early = Derive
+		}
+		want := Resolve(derive)
+		if got := Resolve(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %#x: old-format spec resolved to\n%+v\nwant\n%+v", p.Seed, got, want)
+		}
+		if s, line := want.ReplayString(), retiredFields.ReplaceAllString(old, ""); s != line {
+			t.Errorf("seed %#x prints\n got %s\nwant %s", p.Seed, s, line)
+		}
+		if f := RunRound(p); f != nil {
+			t.Errorf("%s", f.Error())
 		}
 	}
 }
@@ -360,8 +401,8 @@ func TestRoundsAreIndependent(t *testing.T) {
 // what it was — runs every body as a session instead. And each buffered
 // subject runs derived rounds that take the early write-back step every few
 // ops (Early derived, from a draw past every other, so a round is the derived
-// one plus the step). CI's engine matrix runs the long, session and early
-// lanes alone (-run 'TestFuzzSoak/^(long|session|early)-') per engine.
+// one plus the step). The long, session and early lanes run alone with
+// -run 'TestFuzzSoak/^(long|session|early)-'.
 func TestFuzzSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipped in short mode")

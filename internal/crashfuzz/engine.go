@@ -2,7 +2,6 @@ package crashfuzz
 
 import (
 	"fmt"
-	"os"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
@@ -42,7 +40,6 @@ type RoundParams struct {
 	Spurious     float64 // <0 = derive from {0, 0.01, 0.05}
 	MemType      float64 // <0 = derive from {0, 0.01}
 	Async        int     // <0 = derive; schedule: flusher step runs right after each advance (1) or lags a full epoch (0)
-	Engine       string  // durability engine; "" = derive from durability.Names()
 	// Epochs, when positive, is the long-segment shape: every crash segment
 	// runs at least this many epochs of AdvEvery ops before its crash point,
 	// far enough for the retire journal to recycle pages and rewrite
@@ -61,15 +58,12 @@ type RoundParams struct {
 const Derive = -1
 
 // NewRoundParams returns params with every derivable field set to derive.
-// BDFUZZ_ENGINE, when set, pins the durability engine for every round —
-// CI's engines matrix uses it to run the whole fuzz suite per engine.
 func NewRoundParams(subject string, seed uint64) RoundParams {
 	return RoundParams{
 		Subject: subject, Seed: seed,
 		Evict: Derive, CrashAfter: Derive, CrashStep: Derive,
 		TailAdvances: Derive, AdvEvery: Derive, Spurious: Derive, MemType: Derive,
-		Async:  Derive,
-		Engine: os.Getenv("BDFUZZ_ENGINE"),
+		Async: Derive,
 	}
 }
 
@@ -104,14 +98,14 @@ func Resolve(p RoundParams) RoundParams {
 	crashStepDraw := rng.next()
 	tailAdvDraw := rng.next()
 	// Pipeline draws come last so rounds recorded before the advance
-	// pipeline existed derive the same op streams they always did; the
-	// engine draw in turn follows them for the same reason. The retired
-	// shards= draw (the flusher shard count) is still consumed ahead of
-	// them, and the retired rworkers= draw (the recovery scan's worker
-	// count) after them, so every later draw keeps its stream position.
+	// pipeline existed derive the same op streams they always did. The
+	// retired shards= draw (the flusher shard count) is still consumed
+	// ahead of the async= draw, and the retired engine= draw (the
+	// durability engine) and rworkers= draw (the recovery scan's worker
+	// count) after it, so every later draw keeps its stream position.
 	rng.next()
 	asyncDraw := rng.next()
-	engineDraw := rng.next()
+	rng.next()
 	rng.next()
 	// The retired fgl= draw (global vs fine-grained fallback) is still
 	// consumed, so any draw appended after it keeps the stream position
@@ -164,10 +158,6 @@ func Resolve(p RoundParams) RoundParams {
 	if p.Async < 0 {
 		p.Async = int(asyncDraw % 2)
 	}
-	if p.Engine == "" {
-		names := durability.Names()
-		p.Engine = names[engineDraw%uint64(len(names))]
-	}
 	if p.Epochs < 0 {
 		p.Epochs = 4*epoch.JournalK + int(epochsDraw%(2*epoch.JournalK+1))
 	}
@@ -185,13 +175,13 @@ func Resolve(p RoundParams) RoundParams {
 // ReplayString encodes fully resolved params as the argument of the
 // bdfuzz -replay flag. epochs= appears only on long-segment rounds and
 // early= only on rounds that take early write-back steps, so every other
-// round prints the line it always printed.
+// round prints the line it always printed, less the retired engine= field.
 func (p RoundParams) ReplayString() string {
 	s := fmt.Sprintf(
-		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f async=%d engine=%s",
+		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f async=%d",
 		p.Subject, p.Seed, p.Ops, p.Workers, p.KeySpace, p.Evict, p.CrashEvents,
 		p.CrashAfter, p.CrashStep, p.TailAdvances, p.AdvEvery, p.Spurious, p.MemType,
-		p.Async, p.Engine)
+		p.Async)
 	if p.Epochs != 0 {
 		s += fmt.Sprintf(" epochs=%d", p.Epochs)
 	}
@@ -207,11 +197,11 @@ func (p RoundParams) ReplayCommand() string {
 }
 
 // ParseReplay decodes a ReplayString back into params. Specs recorded
-// before the advance pipeline or the pluggable engines existed carry no
-// async=/engine= fields; those stay at their derive defaults and Resolve
-// fills them. Specs recorded while the global fallback lock, the flusher
-// shard count or the recovery scan's worker count was selectable carry an
-// fgl=, shards= or rworkers= field, which is accepted and ignored.
+// before the advance pipeline existed carry no async= field; it stays at
+// its derive default and Resolve fills it. Specs recorded while the global
+// fallback lock, the flusher shard count, the durability engine or the
+// recovery scan's worker count was selectable carry an fgl=, shards=,
+// engine= or rworkers= field, which is accepted and ignored.
 func ParseReplay(s string) (RoundParams, error) {
 	p := RoundParams{Evict: Derive, CrashAfter: Derive, CrashStep: Derive,
 		TailAdvances: Derive, AdvEvery: Derive, Spurious: Derive, MemType: Derive,
@@ -254,13 +244,11 @@ func ParseReplay(s string) (RoundParams, error) {
 			_, err = fmt.Sscanf(kv[1], "%f", &p.MemType)
 		case "async":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Async)
-		case "engine":
-			p.Engine = kv[1]
 		case "epochs":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Epochs)
 		case "early":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Early)
-		case "fgl", "shards", "rworkers":
+		case "fgl", "shards", "engine", "rworkers":
 		default:
 			return p, fmt.Errorf("crashfuzz: unknown replay field %q", kv[0])
 		}
@@ -410,7 +398,6 @@ func newSession(p RoundParams, sub Subject, heapWords int) *session {
 		SpuriousRate: p.Spurious,
 		MemTypeRate:  p.MemType,
 		Async:        p.Async == 1,
-		Engine:       p.Engine,
 		Obs:          rec,
 	})
 	s.h = sub.Handle(0)
@@ -702,7 +689,6 @@ func runConcurrent(p RoundParams, sub Subject) *Failure {
 		SpuriousRate: p.Spurious,
 		MemTypeRate:  p.MemType,
 		Async:        p.Async == 1,
-		Engine:       p.Engine,
 		Obs:          rec,
 	})
 	fail := func(err error) *Failure { return &Failure{Params: p, Msg: subjectMsg(sub.Name(), err)} }

@@ -23,9 +23,9 @@ func fuzzSubject(f *testing.F, subject string) {
 	// four flusher shards and is no longer decoded.
 	f.Add([]byte("\x10\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x03\x04\x80\x05\x80\xbf\x06"))
 	f.Add([]byte("\x30\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x80\x42\x80\x80\xc1\x03\x80"))
-	// Seed bits 6-8 select the durability engine (undo, redo4f, redo2f,
-	// quadra); each shape crashes mid-stream so the engine's log replay
-	// or rollback runs at recovery. testdata/fuzz/ carries named copies.
+	// Seed bits 6-8 once selected a durability engine and are no longer
+	// decoded; each shape crashes mid-stream, inside a close among others.
+	// testdata/fuzz/ carries named copies.
 	f.Add([]byte("\x40\x00\x00\x00\x00\x00\x00\x00" + "\x01\x02\x03\x80\x41\x04\x80\xbf\x05\x80\xc0"))
 	f.Add([]byte("\x80\x00\x00\x00\x00\x00\x00\x00" + "\x05\x06\x07\x80\x45\x08\x80\xa5\x09\x80\xc0"))
 	f.Add([]byte("\xd0\x00\x00\x00\x00\x00\x00\x00" + "\x0a\x0b\x0c\x80\x4a\x0d\x80\x80\xbf\x0e\x80\xc0"))

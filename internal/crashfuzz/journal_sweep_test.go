@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/epoch"
 )
 
@@ -31,10 +30,12 @@ import (
 //	    -> both scripts, at the second crash: the rolled-back page reads as
 //	       valid once the watermark has passed its epoch (lost keys);
 //	(d) unpackRecord ignores the tag
-//	    -> recycle, at the second crash, evict 0.5: a page of the old
-//	       journal, its header still valid, under record lines the
-//	       recovered system was writing when it died, retires blocks whose
-//	       removal never persisted (lost keys).
+//	    -> second-slab/skiplist/async=1, at the second crash, evict 0.5:
+//	       a page of the old journal, its header still valid, under record
+//	       lines the recovered system was writing when it died, retires
+//	       blocks whose removal never persisted (lost keys). One cell only:
+//	       epoch.TestTornPageRecordsOfAnotherEpochJudgeNothing builds that
+//	       page directly.
 
 type scriptStep struct {
 	kind   int // 0 upsert, 1 remove (session.op kinds); -1 epoch advance; -2 early write-back
@@ -184,15 +185,6 @@ var journalScripts = []journalScript{
 	},
 }
 
-// sweepEngines is the engine axis of the scripted sweeps: every durability
-// engine, or the one BDFUZZ_ENGINE pins.
-func sweepEngines() []string {
-	if e := NewRoundParams("", 0).Engine; e != "" {
-		return []string{e}
-	}
-	return durability.Names()
-}
-
 // openSession opens a session for p's subject on a fresh heap.
 func openSession(t *testing.T, p RoundParams, heapWords int) *session {
 	t.Helper()
@@ -204,14 +196,12 @@ func openSession(t *testing.T, p RoundParams, heapWords int) *session {
 }
 
 // TestJournalCrashSweep runs every script under both subjects with a
-// record-per-key block layout, every durability engine (one, when
-// BDFUZZ_ENGINE pins it) and both flusher schedules, each configuration
+// record-per-key block layout and both flusher schedules, each configuration
 // taking one early write-back step at a point of the window drawn from its
 // index. Short mode — the race lane, where a run costs some twenty times
 // more — keeps the torn-line eviction fraction and every sixteenth crash
 // point, from an offset that differs from one configuration to the next.
 func TestJournalCrashSweep(t *testing.T) {
-	engines := sweepEngines()
 	evicts, stride := []float64{0, 0.5, 1}, 1
 	if testing.Short() {
 		evicts, stride = []float64{0.5}, 16
@@ -219,22 +209,20 @@ func TestJournalCrashSweep(t *testing.T) {
 	config := 0
 	for _, sc := range journalScripts {
 		for _, subject := range []string{"bdhash", "skiplist"} {
-			for _, engine := range engines {
-				for async := 0; async <= 1; async++ {
-					sc, subject, engine, async := sc, subject, engine, async
-					config++
-					first, draw := 1+config%stride, uint64(config)
-					t.Run(fmt.Sprintf("%s/%s/%s/async=%d", sc.name, subject, engine, async), func(t *testing.T) {
-						t.Parallel()
-						base := RoundParams{
-							Subject: subject, Seed: 0x70a12e7 + uint64(async),
-							Workers: 1, KeySpace: 64, CrashEvents: 1,
-							Async: async, Engine: engine,
-						}
-						points := sweepJournal(t, base, sc, evicts, first, stride, draw)
-						t.Logf("%d crash points x %d eviction fractions", points, len(evicts))
-					})
-				}
+			for async := 0; async <= 1; async++ {
+				sc, subject, async := sc, subject, async
+				config++
+				first, draw := 1+config%stride, uint64(config)
+				t.Run(fmt.Sprintf("%s/%s/async=%d", sc.name, subject, async), func(t *testing.T) {
+					t.Parallel()
+					base := RoundParams{
+						Subject: subject, Seed: 0x70a12e7 + uint64(async),
+						Workers: 1, KeySpace: 64, CrashEvents: 1,
+						Async: async,
+					}
+					points := sweepJournal(t, base, sc, evicts, first, stride, draw)
+					t.Logf("%d crash points x %d eviction fractions", points, len(evicts))
+				})
 			}
 		}
 	}

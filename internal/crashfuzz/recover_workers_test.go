@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -21,7 +20,7 @@ type recInfo struct {
 }
 
 // recoveryCell is everything recovery produces for one
-// (subject, engine, workers) run of the identical seeded trace.
+// (subject, workers) run of the identical seeded trace.
 type recoveryCell struct {
 	image       []uint64          // full post-recovery persistent image
 	recs        []recInfo         // rebuild records in delivery order (buffered subjects)
@@ -32,8 +31,8 @@ type recoveryCell struct {
 }
 
 // TestRecoverWorkerEquivalence is the worker-count contract of the
-// recovery scan: the identical seeded pre-crash trace, run per subject
-// under every durability engine, must recover to a bit-identical
+// recovery scan: the identical seeded pre-crash trace, run per subject,
+// must recover to a bit-identical
 // persistent image, the identical BlockRecord sequence, and identical
 // recovered/resurrected counters whether the header scan runs on 1, 2, 4,
 // or 8 workers. The scan takes its worker count from GOMAXPROCS, which
@@ -55,28 +54,25 @@ func TestRecoverWorkerEquivalence(t *testing.T) {
 	})
 	for _, subject := range Names() {
 		t.Run(subject, func(t *testing.T) {
-			for _, engine := range durability.Names() {
-				base := runRecoveryCell(t, subject, engine, 1)
-				resurrectedTotal.Add(base.resurrected)
-				for _, r := range base.recs {
-					if r.resurrected && r.addr%nvm.LineWords >= 6 {
-						straddlersResurrected.Add(1)
-					}
+			base := runRecoveryCell(t, subject, 1)
+			resurrectedTotal.Add(base.resurrected)
+			for _, r := range base.recs {
+				if r.resurrected && r.addr%nvm.LineWords >= 6 {
+					straddlersResurrected.Add(1)
 				}
-				for _, workers := range []int{2, 4, 8} {
-					got := runRecoveryCell(t, subject, engine, workers)
-					compareCells(t, engine, workers, base, got)
-				}
+			}
+			for _, workers := range []int{2, 4, 8} {
+				got := runRecoveryCell(t, subject, workers)
+				compareCells(t, subject, workers, base, got)
 			}
 		})
 	}
 }
 
-// runRecoveryCell drives one subject through the scripted trace under
-// the given engine, crashes with every dirty line written back (so
+// runRecoveryCell drives one subject through the scripted trace, crashes with every dirty line written back (so
 // unsynced deletions reach media and must be resurrected), recovers under
 // GOMAXPROCS workers, and captures the full recovery output.
-func runRecoveryCell(t *testing.T, subject, engine string, workers int) recoveryCell {
+func runRecoveryCell(t *testing.T, subject string, workers int) recoveryCell {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(workers)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -90,7 +86,6 @@ func runRecoveryCell(t *testing.T, subject, engine string, workers int) recovery
 		Seed:      0x9a7a11e1,
 		HeapWords: DefaultHeapWords,
 		Workers:   1,
-		Engine:    engine,
 		Obs:       rec,
 	})
 	h := sub.Handle(0)
@@ -133,7 +128,7 @@ func runRecoveryCell(t *testing.T, subject, engine string, workers int) recovery
 	}
 	sub.Crash(nvm.CrashOptions{EvictFraction: 1})
 	if err := sub.Recover(); err != nil {
-		t.Fatalf("%s/%s workers=%d: %v", subject, engine, workers, err)
+		t.Fatalf("%s workers=%d: %v", subject, workers, err)
 	}
 
 	cell := recoveryCell{dump: map[uint64]uint64{}, persisted: sub.PersistedEpoch()}
@@ -165,24 +160,24 @@ func runRecoveryCell(t *testing.T, subject, engine string, workers int) recovery
 	return cell
 }
 
-func compareCells(t *testing.T, engine string, workers int, base, got recoveryCell) {
+func compareCells(t *testing.T, subject string, workers int, base, got recoveryCell) {
 	t.Helper()
 	if got.persisted != base.persisted {
 		t.Errorf("%s workers=%d: recovered to epoch %d, 1 worker recovered to %d",
-			engine, workers, got.persisted, base.persisted)
+			subject, workers, got.persisted, base.persisted)
 	}
 	if got.recovered != base.recovered || got.resurrected != base.resurrected {
 		t.Errorf("%s workers=%d: counters recovered=%d resurrected=%d, 1 worker recovered=%d resurrected=%d",
-			engine, workers, got.recovered, got.resurrected, base.recovered, base.resurrected)
+			subject, workers, got.recovered, got.resurrected, base.recovered, base.resurrected)
 	}
 	if len(got.recs) != len(base.recs) {
 		t.Errorf("%s workers=%d: %d rebuild records, 1 worker delivered %d",
-			engine, workers, len(got.recs), len(base.recs))
+			subject, workers, len(got.recs), len(base.recs))
 	} else {
 		for i := range base.recs {
 			if got.recs[i] != base.recs[i] {
 				t.Errorf("%s workers=%d: record %d = %+v, 1 worker %+v",
-					engine, workers, i, got.recs[i], base.recs[i])
+					subject, workers, i, got.recs[i], base.recs[i])
 				break
 			}
 		}
@@ -199,15 +194,15 @@ func compareCells(t *testing.T, engine string, workers int, base, got recoveryCe
 	}
 	if diffWords != 0 {
 		t.Errorf("%s workers=%d: persistent image differs from 1 worker's in %d words (first at %#x: got %#x want %#x)",
-			engine, workers, diffWords, firstDiff, got.image[firstDiff], base.image[firstDiff])
+			subject, workers, diffWords, firstDiff, got.image[firstDiff], base.image[firstDiff])
 	}
 	if len(got.dump) != len(base.dump) {
 		t.Errorf("%s workers=%d: %d live keys, 1 worker recovered %d",
-			engine, workers, len(got.dump), len(base.dump))
+			subject, workers, len(got.dump), len(base.dump))
 	}
 	for k, v := range base.dump {
 		if gv, ok := got.dump[k]; !ok || gv != v {
-			t.Errorf("%s workers=%d: key %d = %d,%v, 1 worker %d", engine, workers, k, gv, ok, v)
+			t.Errorf("%s workers=%d: key %d = %d,%v, 1 worker %d", subject, workers, k, gv, ok, v)
 			break
 		}
 	}

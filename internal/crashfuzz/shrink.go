@@ -3,8 +3,6 @@ package crashfuzz
 import (
 	"encoding/binary"
 	"fmt"
-
-	"bdhtm/internal/durability"
 )
 
 // Fuzz runs `rounds` rounds derived from base.Seed. Overridden fields in
@@ -90,11 +88,11 @@ func Shrink(f *Failure, logf func(format string, args ...any)) *Failure {
 // ReplayBytes drives a subject from a raw byte stream — the bridge into
 // Go's native fuzzing. The first 8 bytes seed the heap/HTM RNGs; seed
 // bit 5 selects the flusher schedule (set = the flusher step runs right
-// after each advance, clear = it lags a full epoch) and bits 6-8 the
-// durability engine (modulo durability.Names()), so the fuzzer's inputs
-// exercise every persistence-path configuration. Bits 4, 9-10 and 11
-// selected knobs that no longer exist (the last two the recovery scan's
-// worker count); like every other bit they still vary the seed.
+// after each advance, clear = it lags a full epoch), so the fuzzer's
+// inputs exercise both. Bits 4, 6-8, 9-10 and 11 selected knobs that no
+// longer exist (6-8 the durability engine, the last two the recovery
+// scan's worker count) and are not decoded; like every other bit they
+// still vary the seed.
 // Each following byte decodes to one action on a 32-key universe:
 //
 //	b>>5 == 0,1,7  insert key b&31
@@ -124,8 +122,6 @@ func ReplayBytes(subject string, data []byte) *Failure {
 	if p.Seed&(1<<5) != 0 {
 		p.Async = 1
 	}
-	names := durability.Names()
-	p.Engine = names[(p.Seed>>6)&7%uint64(len(names))]
 	s := newSession(p, sub, DefaultHeapWords)
 	fail := func(err error) *Failure {
 		return &Failure{Params: p, Msg: fmt.Sprintf("%s (native fuzz input, seed 0x%x)", err, p.Seed)}

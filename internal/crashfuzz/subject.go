@@ -52,9 +52,6 @@ type Env struct {
 	// step runs right after each advance (true) or lags a full epoch
 	// (false). See Env.advance.
 	Async bool
-	// Engine names the durability engine buffered subjects close epochs
-	// with (epoch.Config.Engine; "" = the default BDL engine).
-	Engine string
 	// Obs, when non-nil, is attached to every component the subject
 	// builds (TM, heaps, epoch system). The engine installs one per round
 	// with an active tracer, so every fuzzed schedule also exercises the
@@ -67,7 +64,6 @@ type Env struct {
 func (e Env) epochCfg() epoch.Config {
 	return epoch.Config{
 		Manual: true,
-		Engine: e.Engine,
 		Obs:    e.Obs,
 	}
 }

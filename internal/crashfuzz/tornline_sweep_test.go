@@ -36,17 +36,16 @@ import (
 //
 //	(a) runTask and the early pass write Extent{b, 2} for a tracked block
 //	    instead of the whole block
-//	    -> 13 of 20 cells: the value word of a block at offset 6 sits on a
-//	       line no neighbour flushes in that epoch and is lost ("key 50:
-//	       got … want …" in reuse); in runTask alone, 6 of 20 — the blocks
-//	       the drawn early step writes back whole escape it;
+//	    -> the two reuse cells: the value word of a block at offset 6 sits
+//	       on a line no neighbour flushes in that epoch and is lost ("key
+//	       50: got … want …");
 //	(b) PR 18's phantom prealloc: bdhash.Insert stamps the preallocated
 //	    block before insertBody instead of in the branches that link it
-//	    -> the five straddle/bdhash cells: the same-epoch update leaves an
+//	    -> the straddle/bdhash cell: the same-epoch update leaves an
 //	       unlinked, validly stamped block in the view, and a write-back
 //	       carries it to the media ("key 42: phantom value");
 //	(c) Recover's DELETED branch reclaims without consulting the journal
-//	    -> the ten straddle cells, at the first tear, evict 0: the
+//	    -> both straddle cells, at the first tear, evict 0: the
 //	       write-back after PRetire's mark, a crash before the delete epoch
 //	       persists, and the key whose removal was rolled back is gone
 //	       ("key 2: lost value").
@@ -155,15 +154,13 @@ func singleOps(steps []scriptStep) []scriptStep {
 }
 
 // TestTornLineSweep runs every script under both subjects with a
-// record-per-key block layout and every durability engine (one, when
-// BDFUZZ_ENGINE pins it), the flusher schedule alternating from one cell to
-// the next, and one early write-back step among the swept operations at a
+// record-per-key block layout, the flusher schedule alternating from one
+// cell to the next, and one early write-back step among the swept operations at a
 // point drawn from the cell's index. Short mode — the race lane, where a
 // run costs some thirty times more — keeps the torn-line eviction fraction
 // and every sixteenth crash point, from an offset that differs from one
 // tear to the next.
 func TestTornLineSweep(t *testing.T) {
-	engines := sweepEngines()
 	evicts, stride := []float64{0, 0.5, 1}, 1
 	if testing.Short() {
 		evicts, stride = []float64{0.5}, 16
@@ -171,20 +168,18 @@ func TestTornLineSweep(t *testing.T) {
 	cell := 0
 	for _, sc := range tornScripts {
 		for _, subject := range []string{"bdhash", "skiplist"} {
-			for _, engine := range engines {
-				sc, subject, engine, async, draw := sc, subject, engine, cell&1, uint64(cell)
-				cell++
-				t.Run(fmt.Sprintf("%s/%s/%s/async=%d", sc.name, subject, engine, async), func(t *testing.T) {
-					t.Parallel()
-					base := RoundParams{
-						Subject: subject, Seed: 0x7042e + uint64(async),
-						Workers: 1, KeySpace: 64, CrashEvents: 1,
-						Async: async, Engine: engine,
-					}
-					tears, points := sweepTorn(t, base, sc, evicts, stride, draw)
-					t.Logf("%d tears, %d crash points x %d eviction fractions", tears, points, len(evicts))
-				})
-			}
+			sc, subject, async, draw := sc, subject, cell&1, uint64(cell)
+			cell++
+			t.Run(fmt.Sprintf("%s/%s/async=%d", sc.name, subject, async), func(t *testing.T) {
+				t.Parallel()
+				base := RoundParams{
+					Subject: subject, Seed: 0x7042e + uint64(async),
+					Workers: 1, KeySpace: 64, CrashEvents: 1,
+					Async: async,
+				}
+				tears, points := sweepTorn(t, base, sc, evicts, stride, draw)
+				t.Logf("%d tears, %d crash points x %d eviction fractions", tears, points, len(evicts))
+			})
 		}
 	}
 }

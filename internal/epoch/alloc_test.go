@@ -13,7 +13,7 @@ import (
 
 // TestAdvanceReusesScratch pins the flusher's per-epoch scratch: once every
 // buffer on the way — the workers' epoch ring, the task's address lists,
-// the early pass's extent list, the engine's extent batch — has seen a full
+// the early pass's extent list, the close's extent batch — has seen a full
 // epoch, closing and
 // flushing another one, half of it written back by an early pass, allocates
 // a small constant, whatever the number of blocks it tracked and retired.

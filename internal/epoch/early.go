@@ -138,7 +138,7 @@ func (s *System) earlyPass(force bool) {
 		marks = append(marks, earlyMark{l: l, to: hi})
 	}
 	j := &s.journal
-	s.writePages(x, recs, &j.early, func(e nvm.Extent) { exts = append(exts, e) })
+	exts = s.writePages(x, recs, &j.early, exts)
 	var checkpoints int
 	if !j.checkpointed {
 		for _, b := range j.checkpoints {

@@ -46,17 +46,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 	"bdhtm/internal/palloc"
 )
 
-// Durable root layout (word addresses within nvm.RootWords). The
-// durability layer owns the two words after the magic: the persisted
-// watermark (durability.WatermarkAddr) and the engine-identity word.
+// Durable root layout (word addresses within nvm.RootWords).
 const (
 	rootMagicAddr nvm.Addr = 1
+	// WatermarkAddr holds the durable watermark: the newest epoch whose
+	// updates are fully persistent. Each close advances it behind the
+	// epoch's write-back fence; recovery reads it back as the boundary P.
+	WatermarkAddr nvm.Addr = 2
 
 	rootMagic = 0xbd17eb0c0ffee001
 )
@@ -88,12 +89,6 @@ type Config struct {
 	// AdvanceOnce or Sync — a flusher a full epoch behind. Used by tests
 	// and deterministic examples.
 	Manual bool
-	// Engine selects the durability engine that persists each closing
-	// epoch: "bdl" (default — the paper's buffered-durability epoch
-	// engine), "undo", "redo4f", "redo2f" or "quadra" (see package
-	// durability). Recovery must use the engine that formatted the
-	// heap; mixing them panics.
-	Engine string
 	// Obs, when non-nil, receives the epoch-advance phase timeline
 	// (quiesce, flush, root and reclaim durations) and the advance,
 	// recovery and allocator alloc/free trace events. The counters stay
@@ -127,9 +122,9 @@ type Stats struct {
 	EarlyFlushedBlocks int64
 
 	// Recovery timing for a system opened by Recover (zero for systems
-	// created by New): the header-scan duration (engine repair + palloc
-	// judgment + write-back), the rebuild-callback replay duration, and
-	// the worker count the scan actually used.
+	// created by New): the header-scan duration (watermark, journal read,
+	// palloc judgment and write-back), the rebuild-callback replay
+	// duration, and the worker count the scan actually used.
 	RecoveryScanNS    int64
 	RecoveryRebuildNS int64
 	RecoveryWorkers   int
@@ -155,16 +150,17 @@ type Stats struct {
 	FlusherDepth int64 // closed epochs not yet persisted: global − 1 − persisted, clamped to [0, 1]
 	AdvanceP99NS int64 // p99 of AdvanceOnce wall time, nanoseconds
 
-	// Durability-engine identity and self-accounting (Config.Engine;
-	// see durability.Accounting). EngineFences relates to EngineCommits
-	// by the engine's documented per-commit fence budget, plus the
-	// spill surcharge.
-	Engine         string
+	// The close's own persist traffic (runTask): EngineCommits counts the
+	// closes on a non-eADR heap, EngineFences and EngineFlushes what they
+	// issued — 2 fences per commit, one flush per extent plus the
+	// watermark's — and a recovery adds the watermark's flush and fence.
+	// Early passes are not counted. EngineLogWords is always 0: the close
+	// keeps no log. The names, and the field that is always 0, are pinned
+	// by bench/'s durability probes.
 	EngineCommits  int64
 	EngineFences   int64
 	EngineFlushes  int64
 	EngineLogWords int64
-	LogSpills      int64
 }
 
 // System is a BDL epoch system over one NVM heap.
@@ -172,7 +168,6 @@ type System struct {
 	heap  *nvm.Heap
 	alloc *palloc.Allocator
 	cfg   Config
-	eng   durability.Engine
 
 	global    atomic.Uint64 // active epoch
 	persisted atomic.Uint64 // newest fully persisted epoch (mirrors NVM root)
@@ -219,6 +214,11 @@ type System struct {
 	advSeq  atomic.Uint64 // seqlock over each task's counter burst
 	advHist obs.Hist      // AdvanceOnce wall-time distribution
 
+	// The close's persist accounting (Stats.Engine*).
+	commits atomic.Int64
+	fences  atomic.Int64
+	flushes atomic.Int64
+
 	journal             journal // the flusher's retire-journal state (journal.go)
 	journalRecords      atomic.Int64
 	journalCheckpoints  atomic.Int64
@@ -231,11 +231,12 @@ type System struct {
 	// advMu and FlushEarly on its caller's goroutine.
 	taskMu sync.Mutex
 
-	// runTask's scratch — the epoch's tracked and retired block
-	// addresses. Tasks are serialised, so one pair, emptied at the start of
-	// each task, serves them all.
+	// runTask's scratch — the epoch's tracked and retired block addresses
+	// and the close's extent batch. Tasks are serialised, so one set,
+	// emptied at the start of each task, serves them all.
 	taskPersist []nvm.Addr
 	taskRetire  []nvm.Addr
+	taskExts    []nvm.Extent
 
 	// Early write-back (early.go). earlyAt is the per-worker published
 	// backlog that rings the flusher; trackers — the workers that tracked
@@ -271,11 +272,6 @@ func newSystem(h *nvm.Heap, cfg Config) *System {
 	s.pendCond = sync.NewCond(&s.pendMu)
 	s.earlyAt.Store(neverEarly)
 	s.alloc.SetObs(cfg.Obs)
-	eng, err := durability.New(cfg.Engine, h, cfg.Obs)
-	if err != nil {
-		panic(err)
-	}
-	s.eng = eng
 	return s
 }
 
@@ -287,15 +283,12 @@ func New(h *nvm.Heap, cfg Config) *System {
 	s.global.Store(firstEpoch)
 	s.persisted.Store(firstEpoch - 2)
 	h.Store(rootMagicAddr, rootMagic)
-	s.eng.Format(firstEpoch - 2) // watermark + engine-identity words (+ log header)
-	h.FlushRange(rootMagicAddr, 3)
+	h.Store(WatermarkAddr, firstEpoch-2)
+	h.FlushRange(rootMagicAddr, 2)
 	h.Fence()
 	s.startAdvancer()
 	return s
 }
-
-// Engine returns the durability engine persisting this system's epochs.
-func (s *System) Engine() durability.Engine { return s.eng }
 
 func (s *System) startAdvancer() {
 	if s.cfg.Manual {
@@ -498,13 +491,9 @@ func (s *System) Stats() Stats {
 	st.RecoveryRebuildNS = s.recoveryRebuildNS.Load()
 	st.RecoveryWorkers = s.recoveryWorkers
 	st.AdvanceP99NS = s.advHist.Snapshot().Quantile(0.99)
-	st.Engine = s.eng.Name()
-	a := s.eng.Accounting()
-	st.EngineCommits = a.Commits
-	st.EngineFences = a.Fences
-	st.EngineFlushes = a.Flushes
-	st.EngineLogWords = a.LogWords
-	st.LogSpills = a.Spills
+	st.EngineCommits = s.commits.Load()
+	st.EngineFences = s.fences.Load()
+	st.EngineFlushes = s.flushes.Load()
 	return st
 }
 
@@ -581,9 +570,8 @@ func (s *System) advance() {
 
 // runTask persists epoch x: it waits for x to quiesce, collects every
 // worker's tracked blocks and retirements for x that no early pass took,
-// journals those retirements, hands the lot to the durability engine (which
-// writes it back and durably advances the watermark to x in its own
-// discipline), lets the waiters it woke run, and then plans the next
+// journals those retirements, writes the lot back and durably advances the
+// watermark to x, lets the waiters it woke run, and then plans the next
 // recycle and reclaims all of x's retired blocks in address order. Callers
 // guarantee x < the active epoch.
 func (s *System) runTask(x uint64) {
@@ -622,31 +610,48 @@ func (s *System) runTask(x uint64) {
 	}
 	s.taskPersist, s.taskRetire = persist, retire
 
-	// (3)+(4) Hand the epoch's extents — tracked blocks, then the journal's
-	// pages and checkpoints — to the durability engine,
-	// which makes them and the watermark durable in its own discipline
-	// (for BDL: one write-back of the batch, one fence, and a flushed
-	// watermark bump — the engine also records the PhaseFlush/PhaseRoot
-	// samples at the matching points). Under eADR the engine is skipped
-	// entirely: every store is already durable and only the watermark word
+	// (3) The epoch's extents — tracked blocks, then the journal's
+	// checkpoints and pages — in one batch.
+	// (4) The commit: one write-back of the batch and a fence, then the
+	// watermark word behind a second fence. No log is kept: the per-worker
+	// buffers are the log, and recovery judges every header against the
+	// watermark. An early pass needs no commit of its own: what it writes
+	// is durable under this epoch's first fence, before the watermark can
+	// name the epoch, and recovery treats it as an eviction until then.
+	// Under eADR every store is already durable and only the watermark word
 	// needs recording.
 	var flushed, records, checkpoints int64
 	if !s.eadr() {
 		t0 := time.Now()
-		s.eng.Begin(x)
+		t = o.Now()
+		h, exts := s.heap, s.taskExts[:0]
 		for _, b := range persist {
-			hdr := s.alloc.ReadHeader(b)
-			s.eng.LogWrite(nvm.Extent{Addr: b, Words: palloc.ClassWords(hdr.Class)})
+			exts = append(exts, nvm.Extent{Addr: b, Words: palloc.ClassWords(s.alloc.ReadHeader(b).Class)})
 		}
 		flushed = int64(len(persist))
-		records, checkpoints = s.journalEpoch(x, retire[:unjournaled])
-		s.eng.Commit()
+		exts, records, checkpoints = s.journalEpoch(x, retire[:unjournaled], exts)
+		s.taskExts = exts
+		h.FlushExtents(exts)
+		h.Fence()
+		if o != nil {
+			t = o.Phase(obs.PhaseFlush, x, t)
+		}
+		h.Store(WatermarkAddr, x)
+		h.Flush(WatermarkAddr)
+		h.Fence()
+		if o != nil {
+			o.Phase(obs.PhaseRoot, x, t)
+		}
+		s.commits.Add(1)
+		s.fences.Add(2)
+		s.flushes.Add(int64(len(exts)) + 1)
 		s.noteCost(time.Since(t0), len(persist))
 	} else {
 		if o != nil {
 			t = o.Phase(obs.PhaseFlush, x, t)
 		}
-		durability.StoreWatermark(s.heap, x)
+		s.heap.Store(WatermarkAddr, x)
+		s.heap.Persist(WatermarkAddr)
 	}
 	s.persisted.Store(x)
 	// Waiters first: a woken subscriber — a durable-ack writer — is queued

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"bdhtm/internal/durability"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/palloc"
@@ -459,7 +458,7 @@ func TestBDLPrefixConsistency(t *testing.T) {
 			EvictFraction: float64(rng.Uint64N(101)) / 100,
 			Seed:          rng.Uint64() | 1,
 		})
-		p := h.Load(durability.WatermarkAddr)
+		p := h.Load(WatermarkAddr)
 		want, ok := snaps[p]
 		if !ok {
 			t.Fatalf("trial %d: no snapshot for persisted epoch %d", trial, p)
@@ -500,5 +499,84 @@ func TestStatsProgression(t *testing.T) {
 	st := s.Stats()
 	if st.Advances == 0 || st.FlushedBlocks == 0 || st.RetiredBlocks != 1 || st.FreedBlocks != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCloseFenceBudget pins the close's persist accounting on scripted
+// workloads of sync Manual advances: every commit issues exactly two heap
+// fences — the write-back's and the watermark's — the heap's own fence
+// count agrees with what Stats reports, and no log word is ever written.
+// The tracked script writes only blocks back, so it also pins one flush to
+// each tracked block and one to the watermark line; the retiring script
+// puts journal records in the same batch. It is the one test that fails
+// when either fence is dropped: the simulator lands an unfenced write-back
+// all the same, so no crash test can.
+func TestCloseFenceBudget(t *testing.T) {
+	const rounds = 20
+	for _, tc := range []struct {
+		name   string
+		retire bool
+	}{{"tracked", false}, {"retiring", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, s := newManual(t, 1<<16)
+			w := s.Register()
+			var live []Block
+			if tc.retire {
+				// Close one retirement before counting: it formats the
+				// journal's slab, whose fence is the allocator's, not the
+				// close's. A sync advance closes the epoch before the one
+				// it leaves, so the retirement's close is the second.
+				b := putKV(w, 1, 1)
+				s.AdvanceOnce()
+				w.BeginOp()
+				w.PRetire(b)
+				w.EndOp()
+				s.AdvanceOnce()
+				s.AdvanceOnce()
+			}
+			base := s.Stats()
+			var heapFences int64
+			for r := 0; r < rounds; r++ {
+				w.BeginOp()
+				if tc.retire {
+					for _, b := range live {
+						w.PRetire(b)
+					}
+					live = live[:0]
+				}
+				for j := 0; j < 4; j++ {
+					b := w.PNew(2, 1)
+					w.PTrack(b)
+					live = append(live, b)
+				}
+				w.EndOp()
+				before := h.Stats()
+				s.AdvanceOnce()
+				heapFences += h.Stats().Sub(before).Fences
+			}
+			st := s.Stats()
+			commits := st.EngineCommits - base.EngineCommits
+			fences := st.EngineFences - base.EngineFences
+			if commits != rounds {
+				t.Fatalf("%d commits for %d sync advances", commits, rounds)
+			}
+			if fences != 2*commits {
+				t.Errorf("%d fences for %d commits, want 2 per commit", fences, commits)
+			}
+			if heapFences != fences {
+				t.Errorf("the advances issued %d heap fences, Stats reports %d", heapFences, fences)
+			}
+			if tc.retire {
+				if st.JournalRecords == base.JournalRecords {
+					t.Errorf("no journal records: the retiring script put none in the batch")
+				}
+			} else if want := st.FlushedBlocks + commits; st.EngineFlushes != want {
+				t.Errorf("%d flushes, want one per tracked block (%d) and one per watermark (%d)",
+					st.EngineFlushes, st.FlushedBlocks, commits)
+			}
+			if st.EngineLogWords != 0 {
+				t.Errorf("%d log words: the close keeps no log", st.EngineLogWords)
+			}
+		})
 	}
 }

@@ -12,11 +12,11 @@ import (
 // a write-back of every retired block's own header line. By the close of
 // epoch x the flusher has appended one record per block retired in x to
 // sequential journal pages — whole pages ahead of the close in early passes
-// (early.go), the rest at the close, where each page is handed to the
-// durability engine as an ordinary extent of x — so the records are durable
-// under x's own fences before the watermark reaches x. To recovery a page
-// written early is an eviction: its epoch is above every watermark it can
-// find until x commits, and such pages are erased (invariant 1 below).
+// (early.go), the rest at the close, where each page is an ordinary extent
+// of x's batch — so the records are durable under x's own fences before the
+// watermark reaches x. To recovery a page written early is an eviction: its
+// epoch is above every watermark it can find until x commits, and such
+// pages are erased (invariant 1 below).
 // Recovery reads the pages back before its header judgment
 // (recoverJournal). They are the only place a retirement's epoch is
 // recorded: PRetire's DELETED mark stays in the volatile view,
@@ -158,16 +158,16 @@ func (s *System) planRecycle(x uint64) {
 	j.live = j.live[:copy(j.live, j.live[n:])]
 }
 
-// journalEpoch is the journal's share of runTask(x), between the engine's
-// Begin and Commit: it queues the checkpoints the task before planned
+// journalEpoch is the journal's share of runTask(x), before the commit: it
+// appends to x's batch exts the checkpoints the task before planned
 // (planRecycle) unless an early pass has written them, moves the pages
 // early passes wrote for x to the live list, and journals the retirements
 // they left — retire — in pages of its own.
-func (s *System) journalEpoch(x uint64, retire []nvm.Addr) (records, checkpoints int64) {
+func (s *System) journalEpoch(x uint64, retire []nvm.Addr, exts []nvm.Extent) (_ []nvm.Extent, records, checkpoints int64) {
 	j := &s.journal
 	if !j.checkpointed {
 		for _, b := range j.checkpoints {
-			s.eng.LogWrite(nvm.Extent{Addr: b, Words: palloc.HeaderWords})
+			exts = append(exts, nvm.Extent{Addr: b, Words: palloc.HeaderWords})
 		}
 		checkpoints = int64(len(j.checkpoints))
 	}
@@ -177,16 +177,16 @@ func (s *System) journalEpoch(x uint64, retire []nvm.Addr) (records, checkpoints
 	}
 	j.live = append(j.live, j.early[:n]...)
 	j.early = j.early[:copy(j.early, j.early[n:])]
-	s.writePages(x, retire, &j.live, s.eng.LogWrite)
-	return int64(len(retire)), checkpoints
+	exts = s.writePages(x, retire, &j.live, exts)
+	return exts, int64(len(retire)), checkpoints
 }
 
 // writePages is the journal's one page writer, for the close and for early
 // passes alike: it writes recs, retirements of epoch x, 31 to a page into
 // pages taken from the free stack (a new journal slab is formatted when it
-// is empty), appends each page to *to and hands its whole extent to emit.
+// is empty), appends each page to *to and its whole extent to exts.
 // Records a reused page held past the new ones are zeroed.
-func (s *System) writePages(x uint64, recs []nvm.Addr, to *[]journalPage, emit func(nvm.Extent)) {
+func (s *System) writePages(x uint64, recs []nvm.Addr, to *[]journalPage, exts []nvm.Extent) []nvm.Extent {
 	j, h := &s.journal, s.heap
 	for len(recs) > 0 {
 		if len(j.free) == 0 {
@@ -204,9 +204,10 @@ func (s *System) writePages(x uint64, recs []nvm.Addr, to *[]journalPage, emit f
 			}
 			h.Store(page+nvm.Addr(i), rec)
 		}
-		emit(nvm.Extent{Addr: page, Words: pageWords})
+		exts = append(exts, nvm.Extent{Addr: page, Words: pageWords})
 		recs = recs[n:]
 	}
+	return exts
 }
 
 // journalRec is one journaled retirement: block b was retired in epoch d.
@@ -233,8 +234,8 @@ func (ix journalIndex) retiredAt(cur *int, b nvm.Addr) (d uint64, ok bool) {
 	return 0, false
 }
 
-// recoverJournal reads the journal the crash left on the media, after the
-// engine's repair has fixed the watermark p and before the header scan.
+// recoverJournal reads the journal the crash left on the media, once the
+// watermark p is read back and before the header scan.
 // Pages of the K epochs up to p contribute their records to the returned
 // index and stay as they are: once the scan's reclaims are durable they
 // judge nothing, and they are overwritten when their turn comes. Older

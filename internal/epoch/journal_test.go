@@ -471,3 +471,70 @@ func TestEarlyCheckpointsAreTheNextCommits(t *testing.T) {
 		t.Fatalf("recovered %d keys, want the %d never retired: %v", len(got), kept, got)
 	}
 }
+
+// TestTornPageRecordsOfAnotherEpochJudgeNothing: a recycled page is
+// rewritten a line at a time, so a crash can land the new header over
+// lines still holding the old epoch's records. Here a page of retire epoch
+// a has its header line rewritten for epoch P, while its other lines keep
+// a's records — of blocks since reclaimed and reallocated, their new
+// creations durable at P. Those records carry a's tag, not P's: recovery
+// must ignore them and keep every new incarnation. Read as P's, they would
+// reclaim live blocks.
+func TestTornPageRecordsOfAnotherEpochJudgeNothing(t *testing.T) {
+	const n = 40
+	h, s := newManual(t, 1<<16)
+	w := s.Register()
+	blocks := make([]Block, n)
+	for i := range blocks {
+		blocks[i] = putKV(w, uint64(i), 1)
+	}
+	s.Sync()
+	a := s.GlobalEpoch()
+	retireAll(w, blocks)
+	s.Sync() // a's retirements durable, the blocks reclaimed
+	reclaimed := map[nvm.Addr]bool{}
+	for _, b := range blocks {
+		reclaimed[b.Addr()] = true
+	}
+	for i := range blocks {
+		if b := putKV(w, uint64(100+i), 2); !reclaimed[b.Addr()] {
+			t.Fatalf("allocator handed out %#x, not a reclaimed block", b.Addr())
+		}
+	}
+	s.Sync()
+	p := s.PersistedEpoch()
+	pages := mediaPages(s, a)
+	if len(pages) == 0 {
+		t.Fatalf("no journal page of epoch %d on the media", a)
+	}
+	page := pages[0]
+	stale := 0
+	for r := nvm.LineWords; r < pageWords; r++ {
+		if _, ok := unpackRecord(h.PersistedLoad(page+nvm.Addr(r)), a); ok {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatalf("page %#x holds no records of epoch %d past its first line", page, a)
+	}
+	// The torn rewrite: P's header and an empty first line reach the
+	// media, the page's other lines still hold a's records.
+	h.Store(page, pageMagic|p)
+	for r := 1; r < nvm.LineWords; r++ {
+		h.Store(page+nvm.Addr(r), 0)
+	}
+	h.Flush(page)
+	h.Fence()
+
+	s.SimulateCrash(nvm.CrashOptions{})
+	_, got := recoverAll(h)
+	if len(got) != n {
+		t.Fatalf("recovered %d keys, want the %d new incarnations (%d stale records of epoch %d under a header of %d)",
+			len(got), n, stale, a, p)
+	}
+	for i := 0; i < n; i++ {
+		if got[uint64(100+i)] != 2 {
+			t.Fatalf("key %d lost or wrong after recovery: %v", 100+i, got)
+		}
+	}
+}

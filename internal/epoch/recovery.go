@@ -81,16 +81,15 @@ func (l *recordList) add(r BlockRecord) {
 // goroutines, at most one per formatted slab (Stats.RecoveryWorkers is the
 // count it ran on): the judgment above is independent per block, against a
 // journal index built before the scan and only read during it. The
-// engine's media repair and the journal read run before it, on the
-// caller's goroutine; resurrection write-backs from all workers and the
+// watermark and the journal read run before it, on the caller's
+// goroutine; resurrection write-backs from all workers and the
 // journal's erasures are batched through nvm.FlushExtents under the single
 // trailing fence, and per-worker results are merged in slab order, so the
 // rebuilt state — persistent image, allocator free lists, and the
 // rebuild-record sequence — does not depend on the worker count.
 //
 // The returned system starts a fresh epoch strictly above every recovered
-// epoch. Recover panics if the heap was never formatted by New, or if
-// cfg.Engine differs from the engine that formatted it.
+// epoch. Recover panics if the heap was never formatted by New.
 func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	cfg = cfg.withDefaults()
 	if h.Load(rootMagicAddr) != rootMagic {
@@ -100,10 +99,16 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 
 	s := newSystem(h, cfg)
 	scanStart := time.Now()
-	// The engine repairs the persistent image first — rolling back or
-	// replaying any commit its discipline left interrupted — and supplies
-	// the watermark P the header judgment below is made against.
-	p := s.eng.Recover()
+	// The watermark P the header judgment below is made against. A crash
+	// inside a close left it at the previous epoch, so there is nothing to
+	// repair: it is re-asserted and persisted, and whatever later-epoch
+	// lines leaked are judged below.
+	p := h.Load(WatermarkAddr)
+	h.Store(WatermarkAddr, p)
+	h.Flush(WatermarkAddr)
+	h.Fence()
+	s.flushes.Add(1)
+	s.fences.Add(1)
 	s.global.Store(p + 2)
 	s.persisted.Store(p)
 	var (
@@ -215,7 +220,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	}
 	s.recoveryRebuildNS.Store(max(time.Since(rebuildStart).Nanoseconds(), 1))
 
-	// The watermark was already re-persisted by the engine's Recover.
+	// The watermark was re-persisted before the scan.
 	cfg.Obs.Hit(obs.EvRecover, p, uint64(s.recoveredLive.Load()))
 	s.startAdvancer()
 	return s

@@ -35,9 +35,6 @@ type Opts struct {
 	// subjects; epochs then advance only via the instance's Sync.
 	// Deterministic stats tests use it to script exact flush counts.
 	Manual bool
-	// Engine selects the durability engine for buffered-durable subjects
-	// ("" = the default BDL epoch engine; see durability.Names).
-	Engine string
 }
 
 func (o Opts) withDefaults() Opts {
@@ -83,7 +80,6 @@ func (o Opts) epochCfg() epoch.Config {
 	return epoch.Config{
 		EpochLength: o.EpochLength,
 		Manual:      o.Manual,
-		Engine:      o.Engine,
 		Obs:         o.Obs,
 	}
 }

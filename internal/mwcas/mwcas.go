@@ -18,7 +18,9 @@ package mwcas
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
@@ -120,6 +122,10 @@ type Desc struct {
 	h       *nvm.Heap
 	persist bool
 	descs   []nvm.Addr // per-thread descriptor blocks
+	slot    map[nvm.Addr]int
+	// installing[i] counts the threads inside an install window of
+	// descs[i] (see install); phase 3 waits for it to drain.
+	installing []atomic.Int64
 }
 
 // NewDesc carves nThreads descriptor blocks out of the heap using the
@@ -127,13 +133,15 @@ type Desc struct {
 // recycled, never freed, exactly as high-performance PMwCAS
 // implementations pool them.
 func NewDesc(h *nvm.Heap, persist bool, nThreads int, alloc func(words int) nvm.Addr) *Desc {
-	d := &Desc{h: h, persist: persist, descs: make([]nvm.Addr, nThreads)}
+	d := &Desc{h: h, persist: persist, descs: make([]nvm.Addr, nThreads),
+		slot: make(map[nvm.Addr]int, nThreads), installing: make([]atomic.Int64, nThreads)}
 	for i := range d.descs {
 		a := alloc(descWords)
 		if uint64(a) >= 1<<31 {
 			panic("mwcas: descriptor address exceeds 31-bit encoding")
 		}
 		d.descs[i] = a
+		d.slot[a] = i
 		h.Store(a+descSeqOff, 0)
 		h.Store(a+descStatusOff, 0)
 	}
@@ -191,34 +199,10 @@ func (d *Desc) Apply(tid int, entries []Entry) bool {
 		h.Fence()
 	}
 
-	ptr := markedPtr(desc, seq)
-
 	// Phase 1: install the descriptor into every target, in address
 	// order, helping any conflicting operation we encounter.
-	status := stSucceeded
-install:
-	for _, e := range es {
-		for {
-			if h.CompareAndSwap(e.Addr, e.Old, ptr) {
-				d.flush(e.Addr)
-				break
-			}
-			cur := h.Load(e.Addr)
-			switch {
-			case cur == ptr:
-				break // a helper installed for us
-			case isMarked(cur):
-				d.help(cur)
-				continue
-			case cur != e.Old:
-				status = stFailed
-				break install
-			default:
-				continue // transient CAS failure; retry
-			}
-			break
-		}
-	}
+	installing := &d.installing[tid]
+	status := d.install(desc, seq, installing, es)
 
 	// Phase 2: decide.
 	h.CompareAndSwap(desc+descStatusOff, seq<<8|stUndecided, seq<<8|status)
@@ -226,26 +210,93 @@ install:
 	final := h.Load(desc+descStatusOff) & 0xff
 
 	// Phase 3: replace descriptor pointers with final values.
+	d.resolve(markedPtr(desc, seq), final, installing, es)
+	return final == stSucceeded
+}
+
+// install is phase 1 of the operation that descriptor desc holds at
+// sequence seq, run by its owner and its helpers alike. It swings each
+// target from its old value to the descriptor pointer, in address order,
+// helping any operation it finds in the way, and returns the status to
+// propose: stFailed once a target holds neither its old value nor the
+// pointer. It stops as soon as the operation is decided (or the
+// descriptor recycled); the caller's decision CAS then fails.
+//
+// Every install CAS runs inside a window counted in installing, and only
+// after a status read inside the window found the operation undecided;
+// phase 3 starts only once no window is open (resolve). So no install
+// lands after phase 3 began: a thread that stalled between its status
+// read and its CAS used to put the pointer back into a target whose old
+// value had come back after phase 3, and Read then resolved the target to
+// the stale new value, or, once the owner had recycled the descriptor,
+// spun on the pointer forever. A window never waits, so the wait in
+// resolve always ends.
+func (d *Desc) install(desc nvm.Addr, seq uint64, installing *atomic.Int64, es []Entry) uint64 {
+	h := d.h
+	ptr := markedPtr(desc, seq)
+	for _, e := range es {
+		for {
+			installing.Add(1)
+			if h.Load(desc+descStatusOff) != seq<<8|stUndecided {
+				installing.Add(-1)
+				return stSucceeded
+			}
+			swapped := h.CompareAndSwap(e.Addr, e.Old, ptr)
+			installing.Add(-1)
+			if swapped {
+				d.flush(e.Addr)
+				break
+			}
+			cur := h.Load(e.Addr)
+			if cur == ptr {
+				break // a helper installed for us
+			}
+			if isMarked(cur) {
+				d.help(cur)
+				continue
+			}
+			if cur != e.Old {
+				return stFailed
+			}
+			// transient CAS failure; retry
+		}
+	}
+	return stSucceeded
+}
+
+// resolve is phase 3 of a decided operation: once no install window of
+// its descriptor is open, it replaces the pointer ptr with each target's
+// final value. A target that no longer holds ptr was resolved already.
+func (d *Desc) resolve(ptr, final uint64, installing *atomic.Int64, es []Entry) {
+	for installing.Load() != 0 {
+		runtime.Gosched()
+	}
 	for _, e := range es {
 		want := e.Old
 		if final == stSucceeded {
 			want = e.New
 		}
-		if h.CompareAndSwap(e.Addr, ptr, want) {
+		if d.h.CompareAndSwap(e.Addr, ptr, want) {
 			d.flush(e.Addr)
 		}
 	}
-	return final == stSucceeded
 }
 
 // help completes (or unwinds) the operation owning the marked pointer v.
 // It is called by threads that find v installed in a word they need.
 func (d *Desc) help(v uint64) {
 	desc, seq := decodePtr(v)
+	i, ok := d.slot[desc]
+	if !ok {
+		return
+	}
 	h := d.h
 	// Validate that the descriptor still belongs to this operation; the
-	// double-read of the sequence brackets the entry reads.
-	if h.Load(desc+descSeqOff)&0xffffffff != seq {
+	// double-read of the sequence brackets the entry reads, and the
+	// sequence used from here on is the one both reads saw, so the
+	// entries and the sequence belong to the same operation.
+	fullSeq := h.Load(desc + descSeqOff)
+	if fullSeq&0xffffffff != seq {
 		return
 	}
 	count := h.Load(desc + descCountOff)
@@ -257,47 +308,16 @@ func (d *Desc) help(v uint64) {
 		base := desc + descEntryOff + nvm.Addr(i*3)
 		es[i] = Entry{Addr: nvm.Addr(h.Load(base)), Old: h.Load(base + 1), New: h.Load(base + 2)}
 	}
-	if h.Load(desc+descSeqOff)&0xffffffff != seq {
+	if h.Load(desc+descSeqOff) != fullSeq {
 		return
 	}
-	fullSeq := h.Load(desc + descSeqOff)
-	ptr := markedPtr(desc, seq)
+	installing := &d.installing[i]
 
 	// Only run phase 1 while the operation is still undecided. A decided
-	// descriptor's pointer can linger in a word (a stalled helper may
-	// reinstall it after the decision — the protocol's accepted ABA), and
-	// re-running installation for it would try to claim words now owned
-	// by live operations: two such descriptors each holding a word the
-	// other's entry list names would make help() recurse between them
-	// forever. A decided operation only needs its pointers removed.
-	if st := h.Load(desc + descStatusOff); st>>8 == fullSeq && st&0xff == stUndecided {
-		status := stSucceeded
-	install:
-		for _, e := range es {
-			for {
-				if h.Load(desc+descSeqOff) != fullSeq {
-					return // owner moved on; nothing left to help
-				}
-				if h.CompareAndSwap(e.Addr, e.Old, ptr) {
-					d.flush(e.Addr)
-					break
-				}
-				cur := h.Load(e.Addr)
-				switch {
-				case cur == ptr:
-					break
-				case isMarked(cur):
-					d.help(cur)
-					continue
-				case cur != e.Old:
-					status = stFailed
-					break install
-				default:
-					continue
-				}
-				break
-			}
-		}
+	// operation only needs its pointers removed: re-running installation
+	// for it would try to claim words now owned by live operations.
+	if h.Load(desc+descStatusOff) == fullSeq<<8|stUndecided {
+		status := d.install(desc, fullSeq, installing, es)
 		h.CompareAndSwap(desc+descStatusOff, fullSeq<<8|stUndecided, fullSeq<<8|status)
 		d.flush(desc + descStatusOff)
 	}
@@ -305,16 +325,7 @@ func (d *Desc) help(v uint64) {
 	if st>>8 != fullSeq {
 		return
 	}
-	final := st & 0xff
-	for _, e := range es {
-		want := e.Old
-		if final == stSucceeded {
-			want = e.New
-		}
-		if h.CompareAndSwap(e.Addr, ptr, want) {
-			d.flush(e.Addr)
-		}
-	}
+	d.resolve(markedPtr(desc, seq), st&0xff, installing, es)
 }
 
 // Read returns the logical value of a word, helping any in-flight

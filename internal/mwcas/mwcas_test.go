@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
@@ -293,6 +294,57 @@ func TestDescHelpingCompletesConflicting(t *testing.T) {
 	}
 }
 
+// TestDescToggleKeepsEveryWordsParity runs descriptor MwCASes whose old
+// values come back: each operation flips two of three 0/1 words, so a word
+// returns to a value it held before, and a helper that reinstalled a
+// decided operation's pointer there would either flip it a second time or,
+// once the owner had recycled the descriptor, leave a pointer no Read can
+// resolve. Each word must end at the parity of the flips that succeeded on
+// it, within a deadline of its own.
+func TestDescToggleKeepsEveryWordsParity(t *testing.T) {
+	const goroutines = 6
+	const rounds = 8
+	const perG = 4000
+	for r := 0; r < rounds; r++ {
+		a, d := descEngine(t, false, goroutines)
+		words := []nvm.Addr{a.alloc(8), a.alloc(8), a.alloc(8)}
+		var flips [goroutines][3]int
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(tid int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(uint64(tid)+1, uint64(r)))
+				for i := 0; i < perG; i++ {
+					i1 := int(rng.Uint64N(3))
+					i2 := (i1 + 1 + int(rng.Uint64N(2))) % 3
+					o1, o2 := d.Read(words[i1]), d.Read(words[i2])
+					if d.Apply(tid, []Entry{{words[i1], o1, 1 - o1}, {words[i2], o2, 1 - o2}}) {
+						flips[tid][i1]++
+						flips[tid][i2]++
+					}
+				}
+			}(g)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			panic("descriptor MwCAS workers did not finish: a word holds a pointer no Read can resolve")
+		}
+		for w, addr := range words {
+			n := 0
+			for g := range flips {
+				n += flips[g][w]
+			}
+			if got := d.Read(addr); got != uint64(n%2) {
+				t.Fatalf("round %d: word %d = %d after %d successful flips", r, w, got, n)
+			}
+		}
+	}
+}
+
 func TestDescDuplicateAddrPanics(t *testing.T) {
 	a, d := descEngine(t, false, 1)
 	w := a.alloc(8)
@@ -312,9 +364,8 @@ func TestDescEmptyApply(t *testing.T) {
 }
 
 // TestHelpDecidedDescriptorTerminates pins the helping-cycle fix: a
-// decided descriptor whose pointer still sits in a word (the accepted
-// ABA — a stalled helper reinstalled it after the decision) must not be
-// re-installed by help(). Before the status check in help(), this state
+// decided descriptor whose pointer still sits in a word (phase 3 has not
+// reached it yet) must not be re-installed by help(). Before the status check in help(), this state
 // made two helpers recurse into each other until the stack overflowed:
 // helping the decided descriptor re-ran phase 1, hit the live
 // descriptor's pointer in its first word, helped it, which hit the
