@@ -16,9 +16,10 @@ import (
 // buffered-durable kind at heaps of increasing size, one recovery each:
 // recoverCell builds the pre-crash image and recovers it. A row prints the
 // header scan (on up to GOMAXPROCS workers) and the rebuild, the blocks
-// recovered and resurrected, and what the retire journal replay read,
-// applied and erased. Each row is verified: every synced key must read
-// back its value. Any failure exits non-zero once every row is printed.
+// recovered and resurrected, what the retire journal replay read, applied
+// and erased, and the recovered heap's materialised view and image pages
+// (32 KiB each, nvm.StatsSnapshot). Each row is verified: every synced key
+// must read back its value. Any failure exits non-zero once every row is printed.
 // The timings are report only: a single run's wall clock cannot rank
 // anything on a small host.
 func recovery() {
@@ -27,26 +28,27 @@ func recovery() {
 		heapSizes = append(heapSizes, 1<<25)
 	}
 	fmt.Printf("\nSec. 5.2 — recovery, scan+rebuild vs structure and heap size (GOMAXPROCS %d)\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("  %-22s %10s %7s %12s %12s %9s %11s %7s %9s %8s  %s\n",
+	fmt.Printf("  %-22s %10s %7s %12s %12s %9s %11s %7s %9s %8s %8s %8s  %s\n",
 		"structure", "heap_words", "workers", "scan", "rebuild", "blocks", "resurrected",
-		"j_read", "j_applied", "j_erased", "verified")
+		"j_read", "j_applied", "j_erased", "view_pg", "image_pg", "verified")
 	failed := false
 	for _, name := range kv.BufferedKinds() {
 		k, _ := kv.Lookup(name)
 		for _, words := range heapSizes {
 			rec, err := recoverCell(k, words)
-			st := rec.Sys.Stats()
+			st, hs := rec.Sys.Stats(), rec.Heap.Stats()
 			rec.Close()
 			verdict := "ok"
 			if err != nil {
 				verdict, failed = "FAIL: "+err.Error(), true
 			}
-			fmt.Printf("  %-22s %10d %7d %12v %12v %9d %11d %7d %9d %8d  %s\n",
+			fmt.Printf("  %-22s %10d %7d %12v %12v %9d %11d %7d %9d %8d %8d %8d  %s\n",
 				k.Title, words, st.RecoveryWorkers,
 				time.Duration(st.RecoveryScanNS).Round(time.Microsecond),
-				time.Duration(rec.RebuildNS).Round(time.Microsecond),
-				len(rec.Recovered), st.Resurrected,
-				st.JournalPagesRead, st.JournalRecordsApplied, st.JournalPagesErased, verdict)
+				time.Duration(st.RecoveryRebuildNS).Round(time.Microsecond),
+				st.RecoveredLive, st.Resurrected,
+				st.JournalPagesRead, st.JournalRecordsApplied, st.JournalPagesErased,
+				hs.ViewPages, hs.ImagePages, verdict)
 		}
 	}
 	if failed {

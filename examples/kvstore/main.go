@@ -54,12 +54,11 @@ func main() {
 	sys.SimulateCrash(nvm.CrashOptions{EvictFraction: 0.3, Seed: 7})
 	fmt.Println("-- power failure --")
 
-	var recs []epoch.BlockRecord
-	sys2 := epoch.Recover(heap, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-	store2 := spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys2, TM: htm.Default()})
-	for _, r := range recs {
-		store2.RebuildBlock(r)
-	}
+	var store2 *spash.Table
+	sys2 := epoch.RecoverInto(heap, epoch.Config{Manual: true}, func(sys *epoch.System) func(epoch.BlockRecord) {
+		store2 = spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys, TM: htm.Default()})
+		return store2.RebuildBlock
+	})
 
 	fmt.Printf("recovered %d accounts\n", store2.Len())
 	balanced := 0

@@ -42,12 +42,11 @@ func main() {
 
 	// Range survives a crash: the index is rebuilt from NVM blocks.
 	sys.SimulateCrash(nvm.CrashOptions{EvictFraction: 0.8, Seed: 1})
-	var recs []epoch.BlockRecord
-	sys2 := epoch.Recover(heap, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-	tree2 := veb.New(veb.Config{UniverseBits: 20, TM: htm.Default(), DataSys: sys2})
-	for _, r := range recs {
-		tree2.RebuildBlock(r)
-	}
+	var tree2 *veb.Tree
+	sys2 := epoch.RecoverInto(heap, epoch.Config{Manual: true}, func(sys *epoch.System) func(epoch.BlockRecord) {
+		tree2 = veb.New(veb.Config{UniverseBits: 20, TM: htm.Default(), DataSys: sys})
+		return tree2.RebuildBlock
+	})
 	if nk, _, ok := tree2.Successor(250000); ok {
 		fmt.Printf("after crash+recovery, successor(250000) = %d\n", nk)
 	}

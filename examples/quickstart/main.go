@@ -46,15 +46,13 @@ func main() {
 	fmt.Println("-- crash --")
 
 	// 6. Recovery scans the NVM heap, keeps exactly the blocks from
-	//    persisted epochs, and rebuilds the DRAM index.
-	var recs []epoch.BlockRecord
-	sys2 := epoch.Recover(heap, epoch.Config{Manual: true}, func(r epoch.BlockRecord) {
-		recs = append(recs, r)
+	//    persisted epochs, and replays them into a DRAM index built on the
+	//    recovered system.
+	var table2 *bdhash.Table
+	sys2 := epoch.RecoverInto(heap, epoch.Config{Manual: true}, func(sys *epoch.System) func(epoch.BlockRecord) {
+		table2 = bdhash.New(sys, htm.Default(), 4096, 1)
+		return table2.RebuildBlock
 	})
-	table2 := bdhash.New(sys2, htm.Default(), 4096, 1)
-	for _, r := range recs {
-		table2.RebuildBlock(r)
-	}
 
 	fmt.Printf("recovered %d keys (persisted epoch %d)\n", table2.Len(), sys2.PersistedEpoch())
 	if v, ok := table2.Get(31); ok && v == 31*31 {

@@ -202,7 +202,7 @@ func Recover(heap *nvm.Heap, cfg Config) *Server {
 	s.recovery = RecoveryInfo{
 		Workers:     es.RecoveryWorkers,
 		ScanNS:      es.RecoveryScanNS,
-		RebuildNS:   es.RecoveryRebuildNS + st.RebuildNS,
+		RebuildNS:   es.RecoveryRebuildNS,
 		Blocks:      es.RecoveredLive,
 		Resurrected: es.Resurrected,
 	}

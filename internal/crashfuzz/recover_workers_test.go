@@ -7,11 +7,13 @@ import (
 
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
+	"bdhtm/internal/palloc"
 )
 
-// recInfo is the comparable projection of an epoch.BlockRecord (Block
-// carries an unexported *System, so records from different runs are
-// compared by address/tag/epoch/resurrected).
+// recInfo is one block recovery kept, as the allocator's scan of the
+// recovered heap shows it (address order, the order recovery replays its
+// records in), and whether recovery resurrected it: the crashed heap's
+// scan showed it DELETED.
 type recInfo struct {
 	addr        nvm.Addr
 	tag         uint8
@@ -23,7 +25,7 @@ type recInfo struct {
 // (subject, workers) run of the identical seeded trace.
 type recoveryCell struct {
 	image       []uint64          // full post-recovery persistent image
-	recs        []recInfo         // rebuild records in delivery order (buffered subjects)
+	recs        []recInfo         // recovered blocks in address order (buffered subjects)
 	dump        map[uint64]uint64 // logical contents via Get
 	persisted   uint64            // recovery boundary P
 	recovered   int64             // epoch.Stats RecoveredLive (buffered subjects)
@@ -33,8 +35,8 @@ type recoveryCell struct {
 // TestRecoverWorkerEquivalence is the worker-count contract of the
 // recovery scan: the identical seeded pre-crash trace, run per subject,
 // must recover to a bit-identical
-// persistent image, the identical BlockRecord sequence, and identical
-// recovered/resurrected counters whether the header scan runs on 1, 2, 4,
+// persistent image, the identical sequence of recovered blocks, and
+// identical recovered/resurrected counters whether the header scan runs on 1, 2, 4,
 // or 8 workers. The scan takes its worker count from GOMAXPROCS, which
 // each cell sets (so no other test may run beside this one). The trace
 // ends with unsynced removes fully evicted to media, so the resurrection
@@ -127,29 +129,38 @@ func runRecoveryCell(t *testing.T, subject string, workers int) recoveryCell {
 		h.Insert(keySpace+k, opSeq)
 	}
 	sub.Crash(nvm.CrashOptions{EvictFraction: 1})
+	b, buffered := sub.(*bufferedSubject)
+	deleted := map[nvm.Addr]bool{}
+	if buffered {
+		b.st.Sys.Allocator().Scan(func(bi palloc.BlockInfo) {
+			deleted[bi.Addr] = bi.Header.Status == palloc.Deleted
+		})
+	}
 	if err := sub.Recover(); err != nil {
 		t.Fatalf("%s workers=%d: %v", subject, workers, err)
 	}
 
 	cell := recoveryCell{dump: map[uint64]uint64{}, persisted: sub.PersistedEpoch()}
-	if b, ok := sub.(*bufferedSubject); ok {
+	if buffered {
 		es := b.st.Sys.Stats()
 		cell.recovered, cell.resurrected = es.RecoveredLive, es.Resurrected
+		b.st.Sys.Allocator().Scan(func(bi palloc.BlockInfo) {
+			cell.recs = append(cell.recs, recInfo{
+				addr:        bi.Addr,
+				tag:         bi.Header.Tag,
+				epoch:       bi.Header.Epoch,
+				resurrected: deleted[bi.Addr],
+			})
+		})
+		if int64(len(cell.recs)) != cell.recovered {
+			t.Fatalf("%s workers=%d: %d blocks live after recovery, epoch.Stats RecoveredLive %d",
+				subject, workers, len(cell.recs), cell.recovered)
+		}
 	}
 	heap := sub.Heap()
 	cell.image = make([]uint64, heap.Words())
 	for a := range cell.image {
 		cell.image[a] = heap.PersistedLoad(nvm.Addr(a))
-	}
-	if rr, ok := sub.(RecoveryRecorder); ok {
-		for _, r := range rr.RecoveryRecords() {
-			cell.recs = append(cell.recs, recInfo{
-				addr:        r.Block.Addr(),
-				tag:         r.Tag,
-				epoch:       r.Epoch,
-				resurrected: r.Resurrected,
-			})
-		}
 	}
 	h = sub.Handle(0)
 	for k := uint64(0); k < keySpace+8; k++ {
@@ -171,12 +182,12 @@ func compareCells(t *testing.T, subject string, workers int, base, got recoveryC
 			subject, workers, got.recovered, got.resurrected, base.recovered, base.resurrected)
 	}
 	if len(got.recs) != len(base.recs) {
-		t.Errorf("%s workers=%d: %d rebuild records, 1 worker delivered %d",
+		t.Errorf("%s workers=%d: %d recovered blocks, 1 worker recovered %d",
 			subject, workers, len(got.recs), len(base.recs))
 	} else {
 		for i := range base.recs {
 			if got.recs[i] != base.recs[i] {
-				t.Errorf("%s workers=%d: record %d = %+v, 1 worker %+v",
+				t.Errorf("%s workers=%d: recovered block %d = %+v, 1 worker %+v",
 					subject, workers, i, got.recs[i], base.recs[i])
 				break
 			}

@@ -65,13 +65,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 	}
 	sub.Heap().SetPersistHook(nil)
 
-	resurrected := 0
-	for _, r := range sub.(RecoveryRecorder).RecoveryRecords() {
-		if r.Resurrected {
-			resurrected++
-		}
-	}
-	if resurrected < 8 {
+	if resurrected := sub.(*bufferedSubject).st.Sys.Stats().Resurrected; resurrected < 8 {
 		t.Fatalf("scenario resurrected only %d blocks; the crash point would miss the write-back batch", resurrected)
 	}
 	wantLen := sub.Len()

@@ -149,15 +149,6 @@ type InvariantChecker interface {
 	CheckInvariants(recovered map[uint64]uint64) error
 }
 
-// RecoveryRecorder is an optional Subject extension exposing the
-// BlockRecords the last Recover delivered to the rebuild callback, in
-// delivery order. The recovery worker-equivalence matrix compares the
-// record sequence across worker counts; buffered subjects implement it,
-// strict subjects (no epoch rebuild) do not.
-type RecoveryRecorder interface {
-	RecoveryRecords() []epoch.BlockRecord
-}
-
 // --- registry ---------------------------------------------------------------
 
 var registry = map[string]func() Subject{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"bdhtm/internal/epoch"
 	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
@@ -101,8 +100,6 @@ func (s *bufferedSubject) Advance()                    { s.env.advance(s.st.Sys)
 func (s *bufferedSubject) Early()                      { s.st.Sys.FlushEarly() }
 func (s *bufferedSubject) Crash(opts nvm.CrashOptions) { s.st.Sys.SimulateCrash(opts) }
 func (s *bufferedSubject) LiveBlocks() int64           { return s.st.Sys.Allocator().LiveBlocks() }
-
-func (s *bufferedSubject) RecoveryRecords() []epoch.BlockRecord { return s.st.Recovered }
 
 // strictSubject is a baseline that persists every operation itself.
 type strictSubject struct{ kvSubject }

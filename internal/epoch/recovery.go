@@ -15,11 +15,9 @@ import (
 type BlockRecord struct {
 	Block Block
 	// Tag is the 8-bit user tag from allocation; structures sharing a
-	// heap dispatch on it.
+	// heap dispatch on it. (The epoch the block was last modified in is
+	// its header's, Block.Epoch.)
 	Tag uint8
-	// Epoch is the (persisted) epoch in which the block was last
-	// modified.
-	Epoch uint64
 	// Resurrected reports that the block had been deleted in an epoch
 	// that did not persist; the deletion has been rolled back.
 	Resurrected bool
@@ -91,6 +89,16 @@ func (l *recordList) add(r BlockRecord) {
 // The returned system starts a fresh epoch strictly above every recovered
 // epoch. Recover panics if the heap was never formatted by New.
 func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
+	return RecoverInto(h, cfg, func(*System) func(BlockRecord) { return rebuild })
+}
+
+// RecoverInto is Recover for a caller whose rebuild target lives on the
+// recovered system itself — a structure built over it. After the header
+// scan, and before any record is replayed, it calls into with the
+// recovered system; into returns the rebuild callback (nil for none), which
+// then receives every record exactly as Recover's would. The records are
+// held once, in the scan's own chunked lists, from scan to replay.
+func RecoverInto(h *nvm.Heap, cfg Config, into func(*System) func(BlockRecord)) *System {
 	cfg = cfg.withDefaults()
 	if h.Load(rootMagicAddr) != rootMagic {
 		panic(fmt.Sprintf("epoch: heap not formatted (magic %#x)", h.Load(rootMagicAddr)))
@@ -155,13 +163,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 				return false // retired in a persisted epoch
 			}
 			s.recoveredLive.Add(1)
-			if rebuild != nil {
-				st.recs.add(BlockRecord{
-					Block: Block{sys: s, addr: bi.Addr},
-					Tag:   hdr.Tag,
-					Epoch: hdr.Epoch,
-				})
-			}
+			st.recs.add(BlockRecord{Block: Block{sys: s, addr: bi.Addr}, Tag: hdr.Tag})
 			return true
 		case palloc.Deleted:
 			if eadr || hdr.Epoch > p {
@@ -179,14 +181,7 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 			st.resurrect = append(st.resurrect, nvm.Extent{Addr: bi.Addr, Words: palloc.HeaderWords})
 			s.resurrected.Add(1)
 			s.recoveredLive.Add(1)
-			if rebuild != nil {
-				st.recs.add(BlockRecord{
-					Block:       Block{sys: s, addr: bi.Addr},
-					Tag:         hdr.Tag,
-					Epoch:       hdr.Epoch,
-					Resurrected: true,
-				})
-			}
+			st.recs.add(BlockRecord{Block: Block{sys: s, addr: bi.Addr}, Tag: hdr.Tag, Resurrected: true})
 			return true
 		default:
 			return false
@@ -206,8 +201,10 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 	h.Fence()
 	s.recoveryScanNS.Store(max(time.Since(scanStart).Nanoseconds(), 1))
 
-	// Serialized merge: replay the rebuild records from one goroutine,
-	// in slab (address) order, preserving the documented contract.
+	// The caller builds its rebuild target on s before any record is
+	// replayed. Serialized merge: replay the rebuild records from one
+	// goroutine, in slab (address) order, preserving the documented contract.
+	rebuild := into(s)
 	rebuildStart := time.Now()
 	if rebuild != nil {
 		for i := range ws {

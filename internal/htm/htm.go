@@ -474,6 +474,20 @@ func (tx *Tx) reset(owner, rv uint64) {
 	tx.res = Result{}
 }
 
+// dropWrites empties the write set, zeroing the entries it held: a write
+// entry points into its heap, and a Tx resting in the pool must not keep
+// the last heap it wrote reachable.
+func (tx *Tx) dropWrites() {
+	clear(tx.writes)
+	tx.writes = tx.writes[:0]
+}
+
+// put returns a finished Tx to the pool, holding no heap.
+func (tm *TM) put(tx *Tx) {
+	tx.dropWrites()
+	tm.pool.Put(tx)
+}
+
 func (tx *Tx) commit() bool {
 	tm := tx.tm
 	if len(tx.writes) == 0 {
@@ -627,7 +641,7 @@ func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
 	}
 
 	tx := tm.pool.Get().(*Tx)
-	defer tm.pool.Put(tx)
+	defer tm.put(tx)
 	tx.reset(tm.txIDs.Add(1)<<1|1, tm.clock.Load())
 
 	res, ok := tm.runBody(tx, body)

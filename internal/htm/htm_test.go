@@ -2,10 +2,12 @@ package htm
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"bdhtm/internal/nvm"
 )
@@ -271,6 +273,39 @@ func TestNVMWordTransactions(t *testing.T) {
 	h.Persist(100)
 	if got := h.PersistedLoad(100); got != 42 {
 		t.Fatalf("persistent image = %d after flush, want 42", got)
+	}
+}
+
+// TestPooledTxDoesNotPinHeap: a Tx back in the TM's pool keeps nothing of
+// the heap its body wrote, in either mode, so a heap the program has
+// dropped is collected by the next GC — not one GC later, when sync.Pool's
+// victim cache lets go of the Tx that still pointed into it.
+func TestPooledTxDoesNotPinHeap(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		run  func(tm *TM, body func(tx *Tx)) Result
+	}{
+		{"transaction", func(tm *TM, body func(tx *Tx)) Result { return tm.Attempt(body) }},
+		{"session", func(tm *TM, body func(tx *Tx)) Result { return tm.RunSession(body) }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			tm := Default()
+			collected := make(chan struct{})
+			func() {
+				h := nvm.New(nvm.Config{Words: 1 << 12})
+				runtime.AddCleanup(h, func(ch chan struct{}) { close(ch) }, collected)
+				if res := mode.run(tm, func(tx *Tx) { tx.StoreAddr(h, 100, 1) }); !res.Committed {
+					t.Fatalf("store aborted: %v", res.Cause)
+				}
+			}()
+			runtime.GC()
+			select {
+			case <-collected:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the heap survived a GC after its last reference was dropped: the pooled Tx pins it")
+			}
+			runtime.KeepAlive(tm)
+		})
 	}
 }
 

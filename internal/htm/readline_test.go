@@ -18,7 +18,7 @@ func alignedLines(n int) []uint64 {
 // fires, which isolates the read set's own version compare.
 func attemptAtRV(tm *TM, rv uint64, body func(tx *Tx)) Result {
 	tx := tm.pool.Get().(*Tx)
-	defer tm.pool.Put(tx)
+	defer tm.put(tx)
 	tx.reset(tm.txIDs.Add(1)<<1|1, rv)
 	if res, ok := tm.runBody(tx, body); !ok {
 		return res

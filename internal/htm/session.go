@@ -174,7 +174,7 @@ func (tx *Tx) release(finished bool) {
 		tx.lockOrder = tx.lockOrder[:0]
 		tx.lockPrev = tx.lockPrev[:0]
 	}
-	tx.writes = tx.writes[:0]
+	tx.dropWrites()
 }
 
 // closeSession ends a session that holds no slots any more: it leaves the
@@ -185,7 +185,7 @@ func (tm *TM) closeSession(tx *Tx) {
 		tm.fbMu.Unlock()
 	}
 	tx.restarts, tx.escalated = 0, false
-	tm.pool.Put(tx)
+	tm.put(tx)
 }
 
 // RunSession runs body as one slow-path session, with no transaction

@@ -15,7 +15,6 @@ package kv
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"bdhtm/internal/abtree"
 	"bdhtm/internal/bdhash"
@@ -99,10 +98,6 @@ type Stack struct {
 	// for callers that need more than the contract: footprint accounting,
 	// SetObs, a test's Successor.
 	Structure any
-	// Recovered is what Recover's header scan delivered, in delivery
-	// order, and RebuildNS the time spent replaying it into the structure.
-	Recovered []epoch.BlockRecord
-	RebuildNS int64
 }
 
 // Sync makes everything written so far durable (buffered kinds; the others
@@ -133,9 +128,11 @@ func Open(name string, p Parts) *Stack {
 
 // Recover brings the named kind back up on p.Heap after a crash. For a
 // buffered kind this is Sec. 5.2: the epoch system judges every block
-// header against the persisted epoch, and each survivor is replayed into a
-// fresh structure. Strict kinds run their own recovery. Structure-level
-// findings (a duplicate key, a corrupt directory) panic.
+// header against the persisted epoch, a fresh structure is built on the
+// recovered system, and each survivor is replayed straight into it (the
+// system's Stats count them and time the replay). Strict kinds run their
+// own recovery. Structure-level findings (a duplicate key, a corrupt
+// directory) panic.
 func Recover(name string, p Parts) *Stack {
 	k, st := stack(name, p)
 	if !k.Buffered {
@@ -145,16 +142,10 @@ func Recover(name string, p Parts) *Stack {
 		st.Structure, st.Store = k.reopen(p)
 		return st
 	}
-	st.Sys = epoch.Recover(p.Heap, p.Epoch, func(r epoch.BlockRecord) {
-		st.Recovered = append(st.Recovered, r)
+	st.Sys = epoch.RecoverInto(p.Heap, p.Epoch, func(sys *epoch.System) func(epoch.BlockRecord) {
+		st.Structure, st.Store = k.build(p, sys)
+		return st.Structure.(interface{ RebuildBlock(epoch.BlockRecord) }).RebuildBlock
 	})
-	st.Structure, st.Store = k.build(p, st.Sys)
-	rb := st.Structure.(interface{ RebuildBlock(epoch.BlockRecord) })
-	start := time.Now()
-	for _, r := range st.Recovered {
-		rb.RebuildBlock(r)
-	}
-	st.RebuildNS = time.Since(start).Nanoseconds()
 	return st
 }
 

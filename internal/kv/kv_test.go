@@ -128,12 +128,13 @@ func TestRecover(t *testing.T) {
 					t.Fatalf("Get(%d) = %d,%v after recovery, synced %d,%v", key, v, ok, want, had)
 				}
 			}
+			es := rec.Sys.Stats()
 			n, live := rec.Store.Len(), rec.Sys.Allocator().LiveBlocks()
-			if len(rec.Recovered) != len(synced) || n != len(synced) || live != int64(len(synced)) {
-				t.Fatalf("%d records, Len %d, %d live blocks; want %d each", len(rec.Recovered), n, live, len(synced))
+			if es.RecoveredLive != int64(len(synced)) || n != len(synced) || live != int64(len(synced)) {
+				t.Fatalf("%d records, Len %d, %d live blocks; want %d each", es.RecoveredLive, n, live, len(synced))
 			}
-			if rec.RebuildNS <= 0 {
-				t.Fatalf("RebuildNS = %d", rec.RebuildNS)
+			if es.RecoveryRebuildNS <= 0 {
+				t.Fatalf("RecoveryRebuildNS = %d", es.RecoveryRebuildNS)
 			}
 		})
 	}

@@ -216,18 +216,20 @@ func TestImagePageFirstWriteBackRace(t *testing.T) {
 	}
 }
 
-// TestNewAllocatesOneCopy pins what the paged image is for: a fresh heap
-// costs one copy of its words (plus bitsets and the page table), not one
-// for the view and another for an image nothing has been written to yet.
-func TestNewAllocatesOneCopy(t *testing.T) {
+// TestNewAllocatesTablesOnly pins what paging both copies is for: a fresh
+// heap costs its two page tables and its two line bitsets — no copy of its
+// words, neither a view nothing has stored to nor an image nothing has
+// been written back to.
+func TestNewAllocatesTablesOnly(t *testing.T) {
 	const words = 1 << 24
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	h := New(Config{Words: words})
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(WordBytes*words) * 11 / 10; got >= limit {
-		t.Fatalf("New(%d words) allocated %d bytes, want < %d", words, got, limit)
+	tables := uint64(2*8*(words/pageWords) + 2*(words/LineWords)/8)
+	if limit := tables*11/10 + 4<<10; got >= limit {
+		t.Fatalf("New(%d words) allocated %d bytes, want < %d (page tables and bitsets: %d)", words, got, limit, tables)
 	}
 	runtime.KeepAlive(h)
 }

@@ -6,16 +6,22 @@
 // grouped into 64-byte cache lines and 256-byte "XPLines" (the internal
 // access granularity of first-generation Optane media).
 //
-// Two copies of memory are maintained:
+// Two copies of memory are maintained, each a table of 4096-word (32 KiB)
+// pages:
 //
-//   - the volatile view (what the CPU sees through its cache), a flat
-//     array of words, and
-//   - the persistent image (what has actually reached the NVM media), a
-//     table of 4096-word pages. A page is materialised by the first
-//     write-back that lands in it; a page nothing was ever written back
-//     to does not exist and reads as zero — the state the media started
-//     in — so a heap costs one copy of its size plus one page per 32 KiB
-//     of it that was ever persisted.
+//   - the volatile view (what the CPU sees through its cache), whose page
+//     is materialised by the first store into it (Store, CompareAndSwap,
+//     Add) or the first WordPtr; and
+//   - the persistent image (what has actually reached the NVM media), whose
+//     page is materialised by the first write-back that lands in it.
+//
+// A page that does not exist reads as zero — the state the media and a
+// fresh heap start in — so a heap costs its page tables and line bitsets
+// plus one page per 32 KiB that was ever stored to, and one more per
+// 32 KiB that was ever persisted; Stats reports both counts. View pages
+// stay put for the heap's lifetime (a crash overwrites them in place), so
+// a WordPtr is stable across Crash. Both tables hold ordinary Go memory:
+// the race detector sees atomics only on the Go heap.
 //
 // Stores update only the volatile view and mark the containing cache line
 // dirty. A line reaches the persistent image when it is explicitly flushed
@@ -161,8 +167,9 @@ type Config struct {
 // may be shared freely between goroutines.
 type Heap struct {
 	cfg   Config
-	words []uint64                  // volatile view (CPU perspective)
-	pimg  []atomic.Pointer[imgPage] // persistent image (media perspective), by page
+	words int                    // heap size in words
+	view  []atomic.Pointer[page] // volatile view (CPU perspective), by page
+	pimg  []atomic.Pointer[page] // persistent image (media perspective), by page
 
 	dirty  bitset // lines with volatile contents newer than the media
 	cached bitset // lines currently resident in the simulated cache
@@ -276,10 +283,12 @@ func New(cfg Config) *Heap {
 		seed = 0x9e3779b97f4a7c15
 	}
 	lines := cfg.Words / LineWords
+	pages := (cfg.Words + pageWords - 1) / pageWords
 	h := &Heap{
 		cfg:      cfg,
-		words:    make([]uint64, cfg.Words),
-		pimg:     make([]atomic.Pointer[imgPage], (cfg.Words+pageWords-1)/pageWords),
+		words:    cfg.Words,
+		view:     make([]atomic.Pointer[page], pages),
+		pimg:     make([]atomic.Pointer[page], pages),
 		dirty:    newBitset(lines),
 		cached:   newBitset(lines),
 		evictRNG: rand.New(rand.NewPCG(seed, seed^0xda942042e4dd58b5)),
@@ -291,20 +300,24 @@ func New(cfg Config) *Heap {
 }
 
 // Words returns the heap size in words.
-func (h *Heap) Words() int { return len(h.words) }
+func (h *Heap) Words() int { return h.words }
 
 // Mode returns the durability mode of the heap.
 func (h *Heap) Mode() Mode { return h.cfg.Mode }
 
 // Stats returns a snapshot of the heap's event counters.
-func (h *Heap) Stats() StatsSnapshot { return h.stats.snapshot() }
+func (h *Heap) Stats() StatsSnapshot {
+	st := h.stats.snapshot()
+	st.ViewPages, st.ImagePages = countPages(h.view), countPages(h.pimg)
+	return st
+}
 
 // Crashes returns how many simulated crashes this heap has been through.
 func (h *Heap) Crashes() int64 { return h.crashes.Load() }
 
 func (h *Heap) check(a Addr) {
-	if uint64(a) >= uint64(len(h.words)) {
-		panic(fmt.Sprintf("nvm: address %d out of range (heap %d words)", a, len(h.words)))
+	if uint64(a) >= uint64(h.words) {
+		panic(fmt.Sprintf("nvm: address %d out of range (heap %d words)", a, h.words))
 	}
 }
 
@@ -351,7 +364,7 @@ func (h *Heap) evictSome() {
 		return // someone else is already applying pressure
 	}
 	defer h.evictMu.Unlock()
-	lines := uint64(len(h.words) / LineWords)
+	lines := uint64(h.words / LineWords)
 	const batch = 16
 	for h.residentLines.Load() > int64(h.cfg.CacheLines) {
 		evicted := 0
@@ -376,33 +389,44 @@ func (h *Heap) evictSome() {
 	}
 }
 
-// pageWords is the granularity at which the persistent image is
+// pageWords is the granularity at which both copies of memory are
 // materialised: 4096 words, 32 KiB — one palloc slab, a whole number of
 // lines and XPLines.
 const pageWords = 4096
 
-type imgPage [pageWords]uint64
+type page [pageWords]uint64
 
-// imagePage returns the persistent-image page holding word a, creating it
-// (zeroed, like the media it stands for) on the first write-back into it.
-// Concurrent write-backs (recovery workers, the flusher, capacity
-// evictions) race here; the CAS picks one page and every racer writes its
-// own lines into the winner.
-func (h *Heap) imagePage(a uint64) *imgPage {
-	slot := &h.pimg[a/pageWords]
+// materialise returns the page of table tbl holding word a, creating it
+// zeroed — the value a page that does not exist reads as — on first use.
+// First touches race here (concurrent first stores into a view page;
+// recovery workers, the flusher and capacity evictions writing back into
+// an image page); the CAS picks one page and every racer uses the winner.
+func materialise(tbl []atomic.Pointer[page], a uint64) *page {
+	slot := &tbl[a/pageWords]
 	if pg := slot.Load(); pg != nil {
 		return pg
 	}
-	slot.CompareAndSwap(nil, new(imgPage))
+	slot.CompareAndSwap(nil, new(page))
 	return slot.Load()
+}
+
+// countPages is the number of materialised pages in tbl.
+func countPages(tbl []atomic.Pointer[page]) int64 {
+	n := int64(0)
+	for i := range tbl {
+		if tbl[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // persistLine copies line l from the volatile view to the persistent
 // image: the one place a word reaches the media.
 func (h *Heap) persistLine(l uint64) {
 	base := l * LineWords
-	src := h.words[base : base+LineWords]
-	dst := h.imagePage(base)[base%pageWords:][:LineWords]
+	src := materialise(h.view, base)[base%pageWords:][:LineWords]
+	dst := materialise(h.pimg, base)[base%pageWords:][:LineWords]
 	for i := range src {
 		atomic.StoreUint64(&dst[i], atomic.LoadUint64(&src[i]))
 	}
@@ -440,7 +464,11 @@ func (h *Heap) Load(a Addr) uint64 {
 	l := a.Line()
 	h.stats.loads.Add(l, 1)
 	h.touch(l)
-	return atomic.LoadUint64(&h.words[a])
+	pg := h.view[a/pageWords].Load()
+	if pg == nil {
+		return 0 // never stored to: reads as the zero it started as
+	}
+	return atomic.LoadUint64(&pg[a%pageWords])
 }
 
 // Store atomically writes the word at a in the volatile view and marks the
@@ -451,7 +479,7 @@ func (h *Heap) Store(a Addr, v uint64) {
 	l := a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	atomic.StoreUint64(&h.words[a], v)
+	atomic.StoreUint64(&materialise(h.view, uint64(a))[a%pageWords], v)
 	h.dirty.set(l)
 	h.fireStore(a)
 }
@@ -462,7 +490,7 @@ func (h *Heap) CompareAndSwap(a Addr, old, new uint64) bool {
 	l := a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	ok := atomic.CompareAndSwapUint64(&h.words[a], old, new)
+	ok := atomic.CompareAndSwapUint64(&materialise(h.view, uint64(a))[a%pageWords], old, new)
 	if ok {
 		h.dirty.set(l)
 		h.fireStore(a)
@@ -476,19 +504,20 @@ func (h *Heap) Add(a Addr, delta uint64) uint64 {
 	l := a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	v := atomic.AddUint64(&h.words[a], delta)
+	v := atomic.AddUint64(&materialise(h.view, uint64(a))[a%pageWords], delta)
 	h.dirty.set(l)
 	h.fireStore(a)
 	return v
 }
 
-// WordPtr returns a stable pointer to the volatile word at a. It allows
-// CAS-based algorithms (and the HTM simulator) to address heap words and
-// plain Go words uniformly. Callers that store through the pointer must
-// call MarkDirty to preserve persistence accounting.
+// WordPtr returns a pointer to the volatile word at a, materialising its
+// page; the pointer is stable for the heap's lifetime, crashes included.
+// It allows CAS-based algorithms (and the HTM simulator) to address heap
+// words and plain Go words uniformly. Callers that store through the
+// pointer must call MarkDirty to preserve persistence accounting.
 func (h *Heap) WordPtr(a Addr) *uint64 {
 	h.check(a)
-	return &h.words[a]
+	return &materialise(h.view, uint64(a))[a%pageWords]
 }
 
 // MarkDirty records that the line containing a has been modified through
@@ -687,8 +716,9 @@ type CrashOptions struct {
 // using the heap must have stopped. In ModeADR, dirty lines are lost except
 // for a random EvictFraction that the cache happened to write back first.
 // In ModeEADR the whole cache drains (persistent cache). In ModeDRAM the
-// heap is zeroed. After Crash returns, the volatile view equals the
-// persistent image and recovery code may run.
+// heap is zeroed: the image's pages are dropped and the view's zeroed in
+// place. After Crash returns, the volatile view equals the persistent
+// image and recovery code may run.
 func (h *Heap) Crash(opts CrashOptions) {
 	n := h.crashes.Add(1)
 	if h.obs != nil {
@@ -699,15 +729,13 @@ func (h *Heap) Crash(opts CrashOptions) {
 		seed = uint64(n) * 0x9e3779b97f4a7c15
 	}
 	rng := rand.New(rand.NewPCG(seed, seed^0xbf58476d1ce4e5b9))
-	lines := uint64(len(h.words) / LineWords)
+	lines := uint64(h.words / LineWords)
 	switch h.cfg.Mode {
 	case ModeDRAM:
-		for i := range h.words {
-			atomic.StoreUint64(&h.words[i], 0)
-		}
 		for i := range h.pimg {
 			h.pimg[i].Store(nil)
 		}
+		h.restoreView()
 	case ModeEADR:
 		for l := uint64(0); l < lines; l++ {
 			if h.dirty.testAndClear(l) {
@@ -751,15 +779,23 @@ func (h *Heap) PersistedLoad(a Addr) uint64 {
 func (h *Heap) DirtyLine(a Addr) bool { return h.dirty.test(a.Line()) }
 
 // restoreView overwrites the volatile view with the persistent image, the
-// restart half of Crash. A page the image never materialised is zero.
+// restart half of Crash. View pages are overwritten in place, so WordPtrs
+// stay valid; a page the image never materialised is zero, and a view
+// page is materialised only where the image holds one.
 func (h *Heap) restoreView() {
-	for p := range h.pimg {
-		view := h.words[p*pageWords : min((p+1)*pageWords, len(h.words))]
-		pg := h.pimg[p].Load()
+	for p := range h.view {
+		img := h.pimg[p].Load()
+		view := h.view[p].Load()
+		if view == nil {
+			if img == nil {
+				continue // zero on both sides
+			}
+			view = materialise(h.view, uint64(p)*pageWords)
+		}
 		for i := range view {
 			var v uint64
-			if pg != nil {
-				v = atomic.LoadUint64(&pg[i])
+			if img != nil {
+				v = atomic.LoadUint64(&img[i])
 			}
 			atomic.StoreUint64(&view[i], v)
 		}

@@ -35,6 +35,11 @@ type StatsSnapshot struct {
 	MediaWrites    int64 // 256-byte XPLine writes at the media
 	MediaBytes     int64 // bytes written at the media (XPLine granularity)
 	UsefulBytes    int64 // bytes of actual payload written back
+
+	// Gauges, not counters: the 32 KiB pages of each copy of memory that
+	// exist now (see the package doc). Sub keeps the later snapshot's.
+	ViewPages  int64 // volatile-view pages materialised by a store or WordPtr
+	ImagePages int64 // persistent-image pages materialised by a write-back
 }
 
 // WriteAmplification is the ratio of media bytes written to useful payload
@@ -62,6 +67,8 @@ func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 		MediaWrites:    s.MediaWrites - prev.MediaWrites,
 		MediaBytes:     s.MediaBytes - prev.MediaBytes,
 		UsefulBytes:    s.UsefulBytes - prev.UsefulBytes,
+		ViewPages:      s.ViewPages,
+		ImagePages:     s.ImagePages,
 	}
 }
 
