@@ -5,6 +5,10 @@
 // A slot word packs the block's address (bits 0-47) with a 16-bit
 // fingerprint of its key (bits 48-63, hash bits the bucket index does not
 // use), so a probe reads a block's key from NVM only on a fingerprint hit.
+// A probe ends at the first empty slot of its window: a removal leaves a
+// tombstone where a later key's probe may still have to pass, so every key
+// lies before the first empty slot of its window, and an operation at low
+// load reads one bucket line, not the whole window.
 // Every operation has one body, which epoch.Worker.Run attempts as a
 // hardware transaction and, after repeated aborts, runs as a slow-path
 // session; it brackets itself with BeginOp/EndOp, and follows the epoch
@@ -41,8 +45,9 @@ const (
 	// BucketSize is the number of slots per bucket (one cache line of
 	// DRAM per bucket).
 	BucketSize = 8
-	// maxProbeBuckets is the linear-probing window: an operation scans
-	// at most this many consecutive buckets.
+	// maxProbeBuckets is the linear-probing window: a key lives in one of
+	// this many consecutive buckets. A probe scans them only up to the
+	// first empty slot, so the window bounds capacity, not the usual scan.
 	maxProbeBuckets = 4
 	// maxRetries bounds transactional retries before the session.
 	maxRetries = 32
@@ -52,6 +57,11 @@ const (
 	// occupied slot is nonzero because no block lives at address 0.
 	addrBits = 48
 	addrMask = 1<<addrBits - 1
+
+	// tomb marks a slot whose key was removed while a later key's probe
+	// may run through it: not empty, so probes go on past it, and free to
+	// an insert. No block lives at address 1, so it is never a slot word.
+	tomb = 1
 )
 
 // Table is a buffered-durable hash table mapping uint64 keys to uint64
@@ -201,17 +211,17 @@ retryRegist:
 func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) {
 	*out = insertOutcome{}
 	start, fp := t.probe(k)
-	var empty *uint64
+	var free *uint64 // the first tombstone or empty slot on the way
 	for i := uint64(0); i < probeSlots; i++ {
 		sp := t.slotAt(start + i)
 		word := tx.Load(sp)
-		if word == 0 {
-			if empty == nil {
-				empty = sp
-			}
-			continue
+		if word <= tomb && free == nil {
+			free = sp
 		}
-		if word&^addrMask != fp {
+		if word == 0 {
+			break // k is absent: no key lies past an empty slot
+		}
+		if word == tomb || word&^addrMask != fp {
 			continue
 		}
 		b := t.blockAt(word)
@@ -241,7 +251,7 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block,
 		out.replaced = true
 		return
 	}
-	if empty == nil {
+	if free == nil {
 		out.full = true
 		return
 	}
@@ -249,20 +259,24 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block,
 	// be validated against newer removals.
 	t.removals.CheckTx(tx, k, opEpoch)
 	newBlk.SetEpochTx(tx, opEpoch)
-	tx.Store(empty, slotWord(newBlk, fp))
+	tx.Store(free, slotWord(newBlk, fp))
 	out.persist = newBlk
 	out.usedPrealloc = true
 }
 
 // preWalk touches the key's probe window non-transactionally, the paper's
 // mitigation for MEMTYPE aborts (Sec. 4.1): the slots, and the key of each
-// fingerprint hit, which is all the body will read.
+// fingerprint hit, up to the first empty slot, which is all the body will
+// read.
 func (t *Table) preWalk(k uint64) {
 	start, fp := t.probe(k)
 	var sink uint64
 	for i := uint64(0); i < probeSlots; i++ {
 		word := t.tm.DirectLoad(t.slotAt(start + i))
-		if word != 0 && word&^addrMask == fp {
+		if word == 0 {
+			break
+		}
+		if word != tomb && word&^addrMask == fp {
 			sink += t.sys.Heap().Load(nvm.Addr(word & addrMask))
 		}
 	}
@@ -288,7 +302,10 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 		start, fp := t.probe(k)
 		for i := uint64(0); i < probeSlots; i++ {
 			word := tx.Load(t.slotAt(start + i))
-			if word == 0 || word&^addrMask != fp {
+			if word == 0 {
+				return
+			}
+			if word == tomb || word&^addrMask != fp {
 				continue
 			}
 			b := t.blockAt(word)
@@ -313,9 +330,11 @@ retryRegist:
 		retire = epoch.Block{}
 		start, fp := t.probe(k)
 		for i := uint64(0); i < probeSlots; i++ {
-			sp := t.slotAt(start + i)
-			word := tx.Load(sp)
-			if word == 0 || word&^addrMask != fp {
+			word := tx.Load(t.slotAt(start + i))
+			if word == 0 {
+				break
+			}
+			if word == tomb || word&^addrMask != fp {
 				continue
 			}
 			b := t.blockAt(word)
@@ -326,7 +345,7 @@ retryRegist:
 				tx.Abort(epoch.OldSeeNewCode)
 			}
 			t.removals.RaiseTx(tx, k, opEpoch)
-			tx.Store(sp, 0)
+			t.vacate(tx, start+i)
 			retire = b
 			return
 		}
@@ -346,9 +365,32 @@ retryRegist:
 	return removed
 }
 
+// vacate frees slot i of a removed key. A slot followed by an empty slot
+// is on no key's probe (that key would lie past an empty slot), so it is
+// emptied, and then so is each tombstone just before it in its bucket;
+// any other slot becomes a tombstone. The slots before i in its bucket are
+// in the probe's reads already, so only a bucket's last slot reads a new
+// line.
+func (t *Table) vacate(tx *htm.Tx, i uint64) {
+	if tx.Load(t.slotAt(i+1)) != 0 {
+		tx.Store(t.slotAt(i), tomb)
+		return
+	}
+	tx.Store(t.slotAt(i), 0)
+	for i%BucketSize != 0 {
+		i--
+		sp := t.slotAt(i)
+		if tx.Load(sp) != tomb {
+			return
+		}
+		tx.Store(sp, 0)
+	}
+}
+
 // RebuildBlock reinserts one recovered block into the DRAM index. Call it
 // from the epoch.Recover rebuild callback for records carrying this
-// table's tag. Recovery is single-threaded, so plain stores suffice.
+// table's tag. Recovery is single-threaded, so plain stores suffice, and
+// it builds a fresh table, so no tombstone survives a crash.
 func (t *Table) RebuildBlock(rec epoch.BlockRecord) {
 	k := rec.Block.Key()
 	start, fp := t.probe(k)
@@ -370,7 +412,7 @@ func (t *Table) RebuildBlock(rec epoch.BlockRecord) {
 // tests and diagnostics.
 func (t *Table) Keys(fn func(k, v uint64)) {
 	for i := range t.slots {
-		if word := atomic.LoadUint64(&t.slots[i]); word != 0 {
+		if word := atomic.LoadUint64(&t.slots[i]); word != 0 && word != tomb {
 			b := t.blockAt(word)
 			fn(b.Key(), b.Value())
 		}

@@ -1,6 +1,7 @@
 package bdhash
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -15,19 +16,24 @@ import (
 // the fast path, with every attempt killed, so each insert ends in a
 // fallback session, and on the fast path over the Optane latency model,
 // the set-up of the benchmark's write-heavy workload, where the flusher's
-// early passes run beside the prefill. One iteration is one whole prefill;
-// CI runs it with -benchtime 1x, EXPERIMENTS.md ("Memory and set-up",
-// "Durable sooner") records the numbers.
+// early passes run beside the prefill. The churn cell follows the fast
+// prefill with 2^20 operations of a 20/40/40 get/insert/remove mix over
+// the whole key space, so removals leave tombstones and inserts take them
+// over at full size. One iteration is one whole prefill (and churn); CI
+// runs it with -benchtime 1x, EXPERIMENTS.md ("Memory and set-up",
+// "Durable sooner", "Short probes") records the numbers.
 func BenchmarkPrefill(b *testing.B) {
 	const capacity, live = 1 << 20, 1 << 19
 	for _, path := range []struct {
 		name    string
 		cfg     htm.Config
 		latency nvm.LatencyProfile
+		churn   int
 	}{
-		{"fast", htm.Config{}, nvm.LatencyProfile{}},
-		{"session", htm.Config{SpuriousRate: 1}, nvm.LatencyProfile{}},
-		{"optane", htm.Config{}, nvm.OptaneProfile},
+		{"fast", htm.Config{}, nvm.LatencyProfile{}, 0},
+		{"session", htm.Config{SpuriousRate: 1}, nvm.LatencyProfile{}, 0},
+		{"optane", htm.Config{}, nvm.OptaneProfile, 0},
+		{"churn", htm.Config{}, nvm.LatencyProfile{}, 1 << 20},
 	} {
 		b.Run(path.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -39,9 +45,21 @@ func BenchmarkPrefill(b *testing.B) {
 				for k := uint64(0); k < live; k++ {
 					tab.Insert(w, 2*k, k)
 				}
+				rng := rand.New(rand.NewPCG(uint64(i), 0xc4))
+				for j := 0; j < path.churn; j++ {
+					k := rng.Uint64N(2 * live)
+					switch r := rng.IntN(5); {
+					case r == 0:
+						tab.Get(k)
+					case r <= 2:
+						tab.Insert(w, k, uint64(j))
+					default:
+						tab.Remove(w, k)
+					}
+				}
 				sys.Sync()
 				sys.Stop()
-				if tab.Len() != live {
+				if path.churn == 0 && tab.Len() != live {
 					b.Fatalf("Len = %d after prefill", tab.Len())
 				}
 			}

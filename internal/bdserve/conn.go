@@ -40,6 +40,37 @@ type pendingAck struct {
 	cmtNS int64     // HTM commit timestamp, for commit→durable lag
 }
 
+// ackFIFO is a connection's pending-ack queue. It drains from a head
+// index and moves what is left to the front only when a push would grow
+// the slice, so a steady stream of pushes and pops reuses one array.
+type ackFIFO struct {
+	q    []pendingAck
+	head int
+}
+
+func (f *ackFIFO) len() int { return len(f.q) - f.head }
+
+// front is the oldest entry; the queue must not be empty.
+func (f *ackFIFO) front() *pendingAck { return &f.q[f.head] }
+
+func (f *ackFIFO) push(p pendingAck) {
+	if f.head > 0 && len(f.q) == cap(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:]) // drop the moved entries' span pointers
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, p)
+}
+
+// pop removes the oldest entry; the queue must not be empty.
+func (f *ackFIFO) pop() {
+	f.q[f.head] = pendingAck{}
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+}
+
 type conn struct {
 	srv  *Server
 	nc   net.Conn
@@ -56,7 +87,7 @@ type conn struct {
 	closing atomic.Bool
 
 	ackMu   sync.Mutex
-	pending []pendingAck
+	pending ackFIFO
 
 	seq      uint64       // write-op sequence (reader-only writes)
 	lane     uint64       // obs shard for this connection's histograms and spans
@@ -208,7 +239,7 @@ func (c *conn) readLoop() {
 			// durable frame can never overtake its applied frame even
 			// though it is queued earlier.
 			c.ackMu.Lock()
-			c.pending = append(c.pending, pendingAck{id: m.ID, ok: ok, epoch: ep, seq: seq, sp: sp, decNS: decNS, cmtNS: cmtNS})
+			c.pending.push(pendingAck{id: m.ID, ok: ok, epoch: ep, seq: seq, sp: sp, decNS: decNS, cmtNS: cmtNS})
 			c.ackMu.Unlock()
 			srv.ackQueue.Add(1)
 			if !srv.cfg.SyncAcks {
@@ -328,16 +359,16 @@ func (c *conn) drainDurable(w *wire.Writer, appliedDone uint64) bool {
 	}
 	for {
 		c.ackMu.Lock()
-		if len(c.pending) == 0 {
+		if c.pending.len() == 0 {
 			c.ackMu.Unlock()
 			return true
 		}
-		p := c.pending[0]
+		p := *c.pending.front()
 		if p.epoch > watermark || (!srv.cfg.SyncAcks && p.seq > appliedDone) {
 			c.ackMu.Unlock()
 			return true
 		}
-		c.pending = c.pending[1:]
+		c.pending.pop()
 		c.ackMu.Unlock()
 		if err := w.Write(&wire.Msg{Type: wire.RespDurable, ID: p.id, OK: p.ok, Epoch: p.epoch}); err != nil {
 			return false

@@ -288,8 +288,8 @@ func (s *Server) oldestUnackedNS() int64 {
 	s.mu.Lock()
 	for c := range s.conns {
 		c.ackMu.Lock()
-		if len(c.pending) > 0 {
-			if t := c.pending[0].decNS; t > 0 && (oldest == 0 || t < oldest) {
+		if c.pending.len() > 0 {
+			if t := c.pending.front().decNS; t > 0 && (oldest == 0 || t < oldest) {
 				oldest = t
 			}
 		}
@@ -492,8 +492,8 @@ func (s *Server) dropConn(c *conn) {
 	// Whatever this connection still owed (unanswered requests,
 	// unflushed durable acks) dies with it; the gauges must not leak.
 	c.ackMu.Lock()
-	orphaned := int64(len(c.pending))
-	c.pending = nil
+	orphaned := int64(c.pending.len())
+	c.pending = ackFIFO{}
 	c.ackMu.Unlock()
 	if orphaned > 0 {
 		s.ackQueue.Add(-orphaned)

@@ -12,8 +12,10 @@ import (
 )
 
 // BenchmarkHotPath measures the transaction engine's fast paths: read-only
-// and read-write transactions, a hash-table probe (bdhash's shape: 32
-// slot reads over 4 lines plus one NVM key read), and commit cost across
+// and read-write transactions, a hash-table probe (bdhash's shape: a
+// bucket's 8 slot reads on one line plus one NVM key read, and, as
+// tx-probe-window, the whole 32-slot window over 4 lines that a probe reads
+// when no slot before the window's end is empty), and commit cost across
 // write-set sizes, at 1-8 goroutines. Goroutines work on disjoint cache lines, so aborts
 // come only from hash collisions in the versioned-lock table — the
 // benchmark isolates bookkeeping cost (set maintenance, lock acquisition,
@@ -28,7 +30,10 @@ func BenchmarkHotPath(b *testing.B) {
 			benchTx(b, g, 8, 8)
 		})
 		b.Run(fmt.Sprintf("tx-probe/goroutines=%d", g), func(b *testing.B) {
-			benchProbe(b, g)
+			benchProbe(b, g, 1)
+		})
+		b.Run(fmt.Sprintf("tx-probe-window/goroutines=%d", g), func(b *testing.B) {
+			benchProbe(b, g, 4)
 		})
 	}
 	for _, ws := range []int{1, 16, 256} {
@@ -183,15 +188,15 @@ func benchTxSpan(b *testing.B, g, nReads, nWrites, every int) {
 }
 
 // benchProbe runs b.N read-only probe-shaped transactions split across g
-// goroutines: every word of a private 4-line DRAM window in order, as a
-// probe scans its buckets' slots, then one word of NVM, as a fingerprint
-// hit reads its block's key.
-func benchProbe(b *testing.B, g int) {
+// goroutines: every word of a private DRAM window of the given number of
+// lines in order, as a probe scans its buckets' slots, then one word of
+// NVM, as a fingerprint hit reads its block's key.
+func benchProbe(b *testing.B, g, lines int) {
 	tm := New(Config{})
 	h := nvm.New(nvm.Config{Words: 1 << 12})
 	windows := make([][]uint64, g)
 	for w := range windows {
-		windows[w] = alignedLines(4)
+		windows[w] = alignedLines(lines)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -352,6 +352,7 @@ func b2u(b bool) byte {
 // use; each connection side owns one Reader.
 type Reader struct {
 	br  *bufio.Reader
+	hdr [HeaderSize]byte // a field, not a local: io.ReadFull would move it to the heap
 	buf [MaxPayload]byte
 }
 
@@ -365,7 +366,7 @@ func NewReader(r io.Reader) *Reader {
 // header or payload returns a *ProtocolError. After a non-EOF error the
 // stream position is undefined and the connection should be closed.
 func (r *Reader) Read() (Msg, error) {
-	var hdr [HeaderSize]byte
+	hdr := &r.hdr
 	if _, err := io.ReadFull(r.br, hdr[:1]); err != nil {
 		if err == io.EOF {
 			return Msg{}, io.EOF
