@@ -10,20 +10,16 @@ import (
 	"bdhtm/internal/wire"
 )
 
-// outMsg is one frame queued for the writer. seq orders a write op's
-// applied ack against its durable ack: the durable drain only releases
-// a pending entry once the writer has written the applied ack with the
-// same seq (trivially satisfied in sync mode, where seq is 0 and no
-// applied ack exists). closeAfter makes the writer flush and tear the
-// connection down after this frame (protocol-error farewells).
-type outMsg struct {
-	m          wire.Msg
-	seq        uint64
-	closeAfter bool
+// outBound bounds a connection's unsent reply bytes: the frames in out
+// plus the batch being written to the socket. The reader waits (and so
+// stops reading requests) while its next reply would not fit, so a client
+// that pipelines and never reads holds at most this many reply bytes.
+const outBound = 64 << 10
 
-	sp    *obs.Span // sampled request span (nil for unsampled / non-op frames)
-	decNS int64     // request decode timestamp (0 when obs is off)
-}
+// sendAt is the size at which the reader sends out itself rather than
+// go on executing buffered requests, so the client gets replies (and
+// refills its window) while a long burst executes.
+const sendAt = 1 << 10
 
 // pendingAck is one write op waiting for its epoch to persist. Entries
 // are appended in completion order by the reader, and per connection the
@@ -33,7 +29,6 @@ type pendingAck struct {
 	id    uint64
 	ok    bool
 	epoch uint64
-	seq   uint64
 
 	sp    *obs.Span // sampled request span (nil for unsampled)
 	decNS int64     // decode timestamp, for durable-ack latency
@@ -76,95 +71,165 @@ type conn struct {
 	nc   net.Conn
 	sess kv.Session
 
-	respCh     chan outMsg
-	durCh      chan struct{} // coalescing doorbell from the durable watermark
-	writerGone chan struct{} // closed when the writer exits
+	durCh      chan uint64   // coalescing doorbell from the durable watermark
+	cancelSub  func()        // unsubscribes durCh
 	readerGone chan struct{} // closed when the reader exits
 
-	// closing is set (by the writer or dropConn) just before we close
-	// our own socket, so the reader's resulting Read error is treated as
-	// teardown rather than a peer protocol violation.
+	// closing is set just before we close our own socket, so the reader's
+	// resulting Read error is treated as teardown rather than a peer
+	// protocol violation.
 	closing atomic.Bool
 
-	ackMu   sync.Mutex
+	// mu guards the reply buffer and the pending durable acks together: a
+	// write's applied frame and its pending entry enter in one critical
+	// section, and a durable frame is appended only by a drain that pops
+	// the entry, so it always follows its applied frame in out.
+	mu      sync.Mutex
+	room    sync.Cond // broadcast when a write to the socket returns
+	out     []byte    // encoded replies not yet handed to the socket
+	firsts  int64     // frames in out that are their request's first response
+	spare   []byte    // the last sent batch's array, reused as the next out
+	sending int       // bytes of the batch on the socket; 0 when nobody sends
+	dead    bool      // a socket write failed: replies are dropped
 	pending ackFIFO
 
-	seq      uint64       // write-op sequence (reader-only writes)
-	lane     uint64       // obs shard for this connection's histograms and spans
-	inflight atomic.Int64 // this conn's share of the inflight gauge
+	frame []byte // the reader's encode scratch
+	lane  uint64 // obs shard for this connection's histograms and spans
 }
 
-// pokeDurable is the coalescing wake from the server's notify loop.
-func (c *conn) pokeDurable() {
-	select {
-	case c.durCh <- struct{}{}:
-	default:
+// reply appends m's frame to out and, for a write, queues p for its
+// durable ack in the same critical section (m is the zero Msg for a
+// sync-mode write, which has no applied frame). It waits while the frame,
+// and p's durable frame to come, would take the unsent bytes past
+// outBound; only a sender's write frees room, and the reader sends out
+// itself once it holds sendAt bytes, so it waits only while another
+// goroutine is sending. sp and decNS, when set, get the applied phase.
+// It reports false once the socket is dead.
+func (c *conn) reply(m *wire.Msg, sp *obs.Span, decNS int64, p *pendingAck) bool {
+	c.frame = c.frame[:0]
+	if m.Type != 0 {
+		c.frame, _ = wire.Append(c.frame, m) // every frame the server builds encodes
 	}
-}
-
-func (c *conn) bumpInflight(d int64) {
-	c.inflight.Add(d)
-	c.srv.inflight.Add(d)
-}
-
-// send hands a frame to the writer. If the writer has already exited
-// (dead socket) the frame is dropped — nobody is listening.
-func (c *conn) send(m outMsg) {
-	select {
-	case c.respCh <- m:
-	case <-c.writerGone:
+	need := len(c.frame)
+	if p != nil {
+		need += wire.AckFrameLen // the durable ack to come
 	}
+	c.mu.Lock()
+	for len(c.out)+c.sending+need > outBound && !c.dead {
+		c.room.Wait()
+	}
+	if c.dead {
+		c.mu.Unlock()
+		return false
+	}
+	c.out = append(c.out, c.frame...)
+	if len(c.frame) > 0 {
+		c.firsts++
+	}
+	c.srv.inflight.Add(1) // until a sender takes its first response (a sync-mode write's: the durable ack)
+	full := len(c.out) >= sendAt
+	if o := c.srv.cfg.Obs; o != nil && len(c.frame) > 0 && decNS > 0 {
+		// Stamped under the lock: a drain that releases this write's
+		// durable ack takes its flush stamp later.
+		now := o.Now()
+		o.SvcRecord(obs.SvcAppliedAckNS, c.lane, now-decNS)
+		sp.Stamp(obs.SpanApplied, now)
+		if p == nil {
+			sp.Finish() // a read's span ends at its response
+		}
+	}
+	if p != nil {
+		c.pending.push(*p)
+		c.srv.ackQueue.Add(1)
+	}
+	c.mu.Unlock()
+	if m.Type == wire.RespApplied {
+		c.srv.appliedAcks.Add(1)
+	}
+	return !full || c.send(false)
 }
 
-// readLoop decodes and executes requests. Execution happens here, on
-// the connection's own goroutine, inside HTM transactions on the
-// connection's private epoch worker; only socket writes are delegated
-// to the writer.
+// send appends the durable acks the watermark has released and writes
+// out to the socket, one Write per batch, until nothing is left. One
+// goroutine writes at a time: if the other is sending, send leaves out to
+// that sender's loop, or with wait returns only once every byte is on
+// the socket. It reports false once the socket is dead.
+func (c *conn) send(wait bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !c.dead {
+		c.drainDurable()
+		if c.sending > 0 {
+			if !wait {
+				break
+			}
+			c.room.Wait()
+			continue
+		}
+		if len(c.out) == 0 {
+			break
+		}
+		b := c.out
+		c.out, c.spare = c.spare, nil
+		c.sending = len(b)
+		c.srv.inflight.Add(-c.firsts)
+		c.firsts = 0
+		c.mu.Unlock()
+		_, err := c.nc.Write(b)
+		c.mu.Lock()
+		c.sending, c.spare = 0, b[:0]
+		c.dead = err != nil
+		c.room.Broadcast()
+	}
+	return !c.dead
+}
+
+// farewell sends m after every reply before it and closes the
+// connection: the peer broke the protocol.
+func (c *conn) farewell(m *wire.Msg) {
+	c.srv.protoErrors.Add(1)
+	if c.reply(m, nil, 0, nil) {
+		c.send(true)
+	}
+	c.closing.Store(true)
+	c.nc.Close()
+}
+
+// readLoop decodes and executes requests and appends their replies to
+// out. Execution happens here, on the connection's own goroutine, inside
+// HTM transactions on the connection's private epoch worker.
 func (c *conn) readLoop() {
 	defer c.srv.wg.Done()
 	defer close(c.readerGone)
 	srv := c.srv
 	r := wire.NewReader(c.nc)
 	for {
+		// Input drained: send the batch before blocking in Read, so a
+		// lone request costs no hand-off. A long burst is sent in sendAt
+		// pieces by reply.
+		if r.Buffered() == 0 && !c.send(false) {
+			return
+		}
 		m, err := r.Read()
 		if err != nil {
 			if wire.IsProtocol(err) && !srv.isClosed() && !c.closing.Load() {
 				// The peer spoke garbage: farewell frame, then close. ID 0
 				// because the stream is broken and the offending request's
 				// ID is unknowable.
-				srv.protoErrors.Add(1)
-				c.send(outMsg{m: wire.Msg{
-					Type: wire.RespError, Code: wire.ECodeProto, Text: err.Error(),
-				}, closeAfter: true})
-			} else {
-				// Clean EOF, or our own teardown: close quietly. Closing
-				// respCh still delivers the frames already buffered, then
-				// stops the writer.
-				c.nc.Close()
-				close(c.respCh)
+				c.farewell(&wire.Msg{Type: wire.RespError, Code: wire.ECodeProto, Text: err.Error()})
 			}
+			// Otherwise a clean EOF or our own teardown: the writer sees
+			// readerGone and closes the connection.
 			return
 		}
 		if !m.Type.IsRequest() {
-			srv.protoErrors.Add(1)
-			c.send(outMsg{m: wire.Msg{
+			c.farewell(&wire.Msg{
 				Type: wire.RespError, ID: m.ID, Code: wire.ECodeOrder,
 				Text: "response frame " + m.Type.String() + " sent to server",
-			}, closeAfter: true})
+			})
 			return
 		}
 		srv.requests.Add(1)
-		c.bumpInflight(1)
-		if m.Key > srv.keyLimit {
-			// A bounded-universe structure (veb) panics on such a key;
-			// refuse the request instead and keep the connection.
-			c.bumpInflight(-1)
-			c.send(outMsg{m: wire.Msg{
-				Type: wire.RespError, ID: m.ID, Code: wire.ECodeServer,
-				Text: "key outside the served key space",
-			}})
-			continue
-		}
 		// Sample a request span (deterministic in the request ID). decNS
 		// doubles as the latency origin for the ack histograms, recorded
 		// for every request whenever obs is on, sampled or not. STATS
@@ -172,12 +237,21 @@ func (c *conn) readLoop() {
 		o := srv.cfg.Obs
 		var sp *obs.Span
 		var decNS int64
-		if o != nil && m.Type != wire.CmdStats {
+		if o != nil && m.Type != wire.CmdStats && m.Key <= srv.keyLimit {
 			decNS = o.Now()
 			sp = o.SampleSpan(m.ID, c.lane, uint8(m.Type))
 		}
-		switch m.Type {
-		case wire.CmdGet:
+		var resp wire.Msg
+		var pend *pendingAck
+		switch {
+		case m.Key > srv.keyLimit:
+			// A bounded-universe structure (veb) panics on such a key;
+			// refuse the request instead and keep the connection.
+			resp = wire.Msg{
+				Type: wire.RespError, ID: m.ID, Code: wire.ECodeServer,
+				Text: "key outside the served key space",
+			}
+		case m.Type == wire.CmdGet:
 			if sp != nil {
 				sp.Stamp(obs.SpanExec, o.Now())
 				c.sess.SetSpan(sp)
@@ -188,9 +262,8 @@ func (c *conn) readLoop() {
 				sp.OK = found
 				sp.Stamp(obs.SpanCommit, o.Now())
 			}
-			c.bumpInflight(-1)
-			c.send(outMsg{m: wire.Msg{Type: wire.RespValue, ID: m.ID, Found: found, Value: v}, sp: sp, decNS: decNS})
-		case wire.CmdScan:
+			resp = wire.Msg{Type: wire.RespValue, ID: m.ID, Found: found, Value: v}
+		case m.Type == wire.CmdScan:
 			// Wire-level stub: the scan op exists in the protocol and the
 			// workloads (YCSB E), but returns no entries yet.
 			if sp != nil {
@@ -199,13 +272,11 @@ func (c *conn) readLoop() {
 				sp.Stamp(obs.SpanExec, now)
 				sp.Stamp(obs.SpanCommit, now)
 			}
-			c.bumpInflight(-1)
-			c.send(outMsg{m: wire.Msg{Type: wire.RespScan, ID: m.ID, Count: 0}, sp: sp, decNS: decNS})
-		case wire.CmdStats:
+			resp = wire.Msg{Type: wire.RespScan, ID: m.ID, Count: 0}
+		case m.Type == wire.CmdStats:
 			st := srv.WireStats()
-			c.bumpInflight(-1)
-			c.send(outMsg{m: wire.Msg{Type: wire.RespStats, ID: m.ID, Stats: &st}})
-		case wire.CmdPut, wire.CmdDel:
+			resp = wire.Msg{Type: wire.RespStats, ID: m.ID, Stats: &st}
+		default: // CmdPut, CmdDel
 			if sp != nil {
 				sp.Write = true
 				sp.Stamp(obs.SpanExec, o.Now())
@@ -229,155 +300,71 @@ func (c *conn) readLoop() {
 				sp.Stamp(obs.SpanCommit, cmtNS)
 			}
 			srv.writeCommits.Add(1)
-			seq := uint64(0)
+			pend = &pendingAck{id: m.ID, ok: ok, epoch: ep, sp: sp, decNS: decNS, cmtNS: cmtNS}
 			if !srv.cfg.SyncAcks {
-				c.seq++
-				seq = c.seq
+				resp = wire.Msg{Type: wire.RespApplied, ID: m.ID, OK: ok, Epoch: ep}
 			}
-			// Enqueue for the durable ack FIRST, then send the applied
-			// ack: the durable drain gates on seq <= appliedDone, so the
-			// durable frame can never overtake its applied frame even
-			// though it is queued earlier.
-			c.ackMu.Lock()
-			c.pending.push(pendingAck{id: m.ID, ok: ok, epoch: ep, seq: seq, sp: sp, decNS: decNS, cmtNS: cmtNS})
-			c.ackMu.Unlock()
-			srv.ackQueue.Add(1)
-			if !srv.cfg.SyncAcks {
-				c.send(outMsg{m: wire.Msg{Type: wire.RespApplied, ID: m.ID, OK: ok, Epoch: ep}, seq: seq, sp: sp, decNS: decNS})
+		}
+		if !c.reply(&resp, sp, decNS, pend) {
+			return
+		}
+		// The watermark may have covered the op's epoch before its entry
+		// was queued, and the wake for that movement found nothing to
+		// ack: no later wake is owed, so ring the doorbell here.
+		if pend != nil && pend.epoch <= srv.sys.PersistedEpoch() {
+			select {
+			case c.durCh <- 0:
+			default:
 			}
-			// Always poke: the watermark may already have passed ep (the
-			// epoch can persist between the op's commit and this enqueue),
-			// in which case no future advance will wake this connection.
-			c.pokeDurable()
 		}
 	}
 }
 
-// writeLoop owns the socket's write side: immediate responses arrive on
-// respCh, and durable-watermark wakes on durCh trigger the group-commit
-// drain. Frames are buffered and flushed once per quiet point, so a
-// single watermark movement acks a whole epoch's ops with one syscall.
+// writeLoop sends the durable acks each watermark movement releases
+// (durCh), and tears the connection down once the reader exits or a
+// write fails.
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
 	defer c.srv.dropConn(c)
-	defer close(c.writerGone)
-	w := wire.NewWriter(c.nc)
-	var appliedDone uint64 // highest applied-ack seq actually written
-	dirty := false
 	for {
-		var m outMsg
-		var ok bool
-		if dirty {
-			// Opportunistically batch: block only once the buffer is
-			// flushed.
-			select {
-			case m, ok = <-c.respCh:
-			case <-c.durCh:
-				if !c.drainDurable(w, appliedDone) {
-					return
-				}
-				continue
-			default:
-				if w.Flush() != nil {
-					return
-				}
-				dirty = false
-				continue
-			}
-		} else {
-			select {
-			case m, ok = <-c.respCh:
-			case <-c.durCh:
-				if !c.drainDurable(w, appliedDone) {
-					return
-				}
-				if w.Flush() != nil {
-					return
-				}
-				continue
-			}
-		}
-		if !ok {
-			w.Flush()
+		select {
+		case <-c.durCh:
+		case <-c.readerGone:
 			return
 		}
-		if err := w.Write(&m.m); err != nil {
-			return
-		}
-		dirty = true
-		switch m.m.Type {
-		case wire.RespApplied:
-			c.srv.appliedAcks.Add(1)
-			c.bumpInflight(-1)
-			if o := c.srv.cfg.Obs; o != nil && m.decNS > 0 {
-				now := o.Now()
-				o.SvcRecord(obs.SvcAppliedAckNS, c.lane, now-m.decNS)
-				m.sp.Stamp(obs.SpanApplied, now)
-			}
-			if m.seq > appliedDone {
-				appliedDone = m.seq
-			}
-			// The applied ack may unblock a durable ack whose wake was
-			// already consumed; re-check.
-			if !c.drainDurable(w, appliedDone) {
-				return
-			}
-		case wire.RespValue, wire.RespScan:
-			// A read's span ends at its response: applied-ack latency is
-			// the full request latency, and there is nothing to persist.
-			if o := c.srv.cfg.Obs; o != nil && m.decNS > 0 {
-				now := o.Now()
-				o.SvcRecord(obs.SvcAppliedAckNS, c.lane, now-m.decNS)
-				m.sp.Stamp(obs.SpanApplied, now)
-				m.sp.Finish()
-			}
-		}
-		if m.closeAfter {
-			w.Flush()
-			c.closing.Store(true)
-			c.nc.Close()
+		if !c.send(false) {
 			return
 		}
 	}
 }
 
 // drainDurable is the group-commit acker: it re-reads the durable
-// watermark and writes RespDurable for every pending prefix entry whose
-// commit epoch has persisted and whose applied ack (if any) has been
-// written. Returns false on a dead socket.
-func (c *conn) drainDurable(w *wire.Writer, appliedDone uint64) bool {
+// watermark and appends RespDurable for every pending prefix entry whose
+// commit epoch has persisted, while the frames fit under outBound. The
+// caller holds c.mu.
+func (c *conn) drainDurable() {
 	srv := c.srv
 	o := srv.cfg.Obs
 	watermark := srv.sys.PersistedEpoch()
 	// One flush stamp per drain: every op released by this watermark
 	// movement shares the group commit, so its span records the same
-	// epoch-flush instant. Taken after any applied-ack stamps on this
-	// goroutine, so span phases stay monotone.
+	// epoch-flush instant. Taken under the lock, after the applied
+	// stamps of every entry it releases.
 	var flushNS int64
-	if o != nil {
-		flushNS = o.Now()
-	}
-	for {
-		c.ackMu.Lock()
-		if c.pending.len() == 0 {
-			c.ackMu.Unlock()
-			return true
+	for c.pending.len() > 0 && len(c.out)+c.sending+wire.AckFrameLen <= outBound {
+		p := c.pending.front()
+		if p.epoch > watermark {
+			return
 		}
-		p := *c.pending.front()
-		if p.epoch > watermark || (!srv.cfg.SyncAcks && p.seq > appliedDone) {
-			c.ackMu.Unlock()
-			return true
-		}
-		c.pending.pop()
-		c.ackMu.Unlock()
-		if err := w.Write(&wire.Msg{Type: wire.RespDurable, ID: p.id, OK: p.ok, Epoch: p.epoch}); err != nil {
-			return false
-		}
+		c.out, _ = wire.Append(c.out, &wire.Msg{Type: wire.RespDurable, ID: p.id, OK: p.ok, Epoch: p.epoch}) // always encodes
 		srv.durableAcks.Add(1)
 		srv.ackQueue.Add(-1)
 		srv.bumpAckLag(int64(watermark - p.epoch))
 		if o != nil {
 			now := o.Now()
+			if flushNS == 0 {
+				flushNS = now
+			}
 			if p.decNS > 0 {
 				o.SvcRecord(obs.SvcDurableAckNS, c.lane, now-p.decNS)
 			}
@@ -399,7 +386,8 @@ func (c *conn) drainDurable(w *wire.Writer, appliedDone uint64) bool {
 			}
 		}
 		if srv.cfg.SyncAcks {
-			c.bumpInflight(-1)
+			c.firsts++
 		}
+		c.pending.pop()
 	}
 }

@@ -23,6 +23,17 @@
 // *applied* may be lost wholesale by a crash — but never torn, and never
 // out of order within the epoch structure (the crashfuzz window checker
 // is the test-side proof).
+//
+// Each connection has one reply buffer. Its reader decodes a request,
+// executes it and appends the reply frame; a write's pending durable ack
+// is queued under the same lock, so its durable frame can only follow its
+// applied frame. Whole batches leave in one write: the reader sends once
+// its input is drained or the buffer holds sendAt bytes, and a writer
+// goroutine wakes on every durable-watermark movement to append the
+// released durable acks and send them. One goroutine writes at a time;
+// the other leaves its frames to the sender's next batch. The unsent
+// bytes are bounded (outBound): past it the reader stops reading until
+// the socket takes the batch.
 package bdserve
 
 import (
@@ -118,14 +129,14 @@ type Counters struct {
 	Conns        int64 // connections accepted, lifetime
 	Requests     int64 // request frames dispatched
 	WriteCommits int64 // PUT/DEL transactions committed
-	AppliedAcks  int64 // RespApplied frames written
-	DurableAcks  int64 // RespDurable frames written
+	AppliedAcks  int64 // RespApplied frames queued to the socket
+	DurableAcks  int64 // RespDurable frames queued to the socket
 	ProtoErrors  int64 // connections torn down on protocol errors
 	MaxAckLag    int64 // worst (watermark − commit epoch) seen at durable ack
 
 	OpenConns int64 // gauge: currently open connections
-	Inflight  int64 // gauge: requests decoded, first response not yet written
-	AckQueue  int64 // gauge: write ops applied, durable ack not yet written
+	Inflight  int64 // gauge: requests decoded, first response not yet handed to the socket
+	AckQueue  int64 // gauge: write ops applied, durable ack not yet queued
 
 	// OldestUnackedNS: age of the oldest write applied but not yet
 	// durable-acked (0 when the ack queue is empty or obs is disabled —
@@ -167,9 +178,7 @@ type Server struct {
 	dumpMu   sync.Mutex
 	dumpSess kv.Session
 
-	wg        sync.WaitGroup
-	notifyCh  chan uint64
-	cancelSub func()
+	wg sync.WaitGroup
 
 	conns64      atomic.Int64
 	requests     atomic.Int64
@@ -218,29 +227,11 @@ func newServer(cfg Config, st *kv.Stack) *Server {
 		st:       st.Store,
 		keyLimit: ^uint64(0),
 		conns:    map[*conn]struct{}{},
-		notifyCh: make(chan uint64, 1),
 	}
 	if st.Kind.Bounded {
 		s.keyLimit = cfg.KeySpace - 1
 	}
-	s.cancelSub = s.sys.SubscribeDurable(s.notifyCh)
-	s.wg.Add(1)
-	go s.notifyLoop()
 	return s
-}
-
-// notifyLoop fans each durable-watermark wake out to every open
-// connection's acker. Sends are non-blocking (each conn's durable
-// channel is a coalescing doorbell).
-func (s *Server) notifyLoop() {
-	defer s.wg.Done()
-	for range s.notifyCh {
-		s.mu.Lock()
-		for c := range s.conns {
-			c.pokeDurable()
-		}
-		s.mu.Unlock()
-	}
 }
 
 // TMStats snapshots the server's HTM commit/abort counters.
@@ -287,13 +278,13 @@ func (s *Server) oldestUnackedNS() int64 {
 	var oldest int64
 	s.mu.Lock()
 	for c := range s.conns {
-		c.ackMu.Lock()
+		c.mu.Lock()
 		if c.pending.len() > 0 {
 			if t := c.pending.front().decNS; t > 0 && (oldest == 0 || t < oldest) {
 				oldest = t
 			}
 		}
-		c.ackMu.Unlock()
+		c.mu.Unlock()
 	}
 	s.mu.Unlock()
 	if oldest == 0 {
@@ -417,10 +408,10 @@ func (s *Server) startConn(nc net.Conn) {
 	sess := s.takeSessionLocked()
 	if sess == nil {
 		s.mu.Unlock()
-		// Over MaxSessions: refuse politely and close.
-		w := wire.NewWriter(nc)
-		w.Write(&wire.Msg{Type: wire.RespError, Code: wire.ECodeServer, Text: "server at connection capacity"})
-		w.Flush()
+		// Over MaxSessions: refuse politely and close. The frame always
+		// encodes, and a failed write changes nothing: the socket closes.
+		b, _ := wire.Append(nil, &wire.Msg{Type: wire.RespError, Code: wire.ECodeServer, Text: "server at connection capacity"})
+		nc.Write(b)
 		nc.Close()
 		return
 	}
@@ -428,11 +419,11 @@ func (s *Server) startConn(nc net.Conn) {
 		srv:        s,
 		nc:         nc,
 		sess:       sess,
-		respCh:     make(chan outMsg, 256),
-		durCh:      make(chan struct{}, 1),
-		writerGone: make(chan struct{}),
+		durCh:      make(chan uint64, 1),
 		readerGone: make(chan struct{}),
 	}
+	c.room.L = &c.mu
+	c.cancelSub = s.sys.SubscribeDurable(c.durCh)
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
 
@@ -469,12 +460,12 @@ func (s *Server) putSession(sess kv.Session) {
 	s.mu.Unlock()
 }
 
-// dropConn runs on the writer goroutine after writeLoop returns (its
-// writerGone is already closed, so a reader blocked in send unblocks).
-// It must not recycle the session until the reader has also exited: the
-// reader executes ops on the session, and on a writer-side error (client
-// RST mid-pipeline) it can still be draining buffered requests.
+// dropConn runs on the writer goroutine after writeLoop returns. It must
+// not recycle the session until the reader has also exited: the reader
+// executes ops on the session, and after a failed write (client RST
+// mid-pipeline) it can still be executing a request.
 func (s *Server) dropConn(c *conn) {
+	c.cancelSub()
 	s.mu.Lock()
 	_, live := s.conns[c]
 	delete(s.conns, c)
@@ -482,25 +473,25 @@ func (s *Server) dropConn(c *conn) {
 	if !live {
 		return
 	}
-	// Writer error paths leave the socket half-open; close it (flagging
-	// teardown so the reader's Read error isn't counted as a protocol
-	// violation) and wait out the reader before touching its state.
+	// Close the socket (flagging teardown so the reader's Read error isn't
+	// counted as a protocol violation) and wait out the reader before
+	// touching its state.
 	c.closing.Store(true)
 	c.nc.Close()
 	<-c.readerGone
 	s.openConns.Add(-1)
 	// Whatever this connection still owed (unanswered requests,
-	// unflushed durable acks) dies with it; the gauges must not leak.
-	c.ackMu.Lock()
+	// unsent durable acks) dies with it; the gauges must not leak.
+	c.mu.Lock()
 	orphaned := int64(c.pending.len())
+	unsent := c.firsts
+	if s.cfg.SyncAcks {
+		unsent += orphaned // each was a request still owed its only response
+	}
 	c.pending = ackFIFO{}
-	c.ackMu.Unlock()
-	if orphaned > 0 {
-		s.ackQueue.Add(-orphaned)
-	}
-	if inflight := c.inflight.Swap(0); inflight > 0 {
-		s.inflight.Add(-inflight)
-	}
+	c.mu.Unlock()
+	s.ackQueue.Add(-orphaned)
+	s.inflight.Add(-unsent)
 	// Only now is the session quiescent and safe to hand to another
 	// connection.
 	s.mu.Lock()
@@ -543,8 +534,6 @@ func (s *Server) shutdownNet() {
 	for _, c := range conns {
 		c.nc.Close()
 	}
-	s.cancelSub()
-	close(s.notifyCh)
 	s.wg.Wait()
 }
 

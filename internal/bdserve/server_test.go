@@ -226,6 +226,18 @@ func TestAdversarialProtocol(t *testing.T) {
 		}
 	})
 
+	t.Run("one-garbage-byte", func(t *testing.T) {
+		// One bad byte and the socket left open: the server must judge
+		// the magic byte at once, not wait for a whole header.
+		c := dial(t, addr)
+		c.nc.Write([]byte{0x00})
+		c.nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		m, err := c.r.Read()
+		if err != nil || m.Type != wire.RespError || m.Code != wire.ECodeProto {
+			t.Fatalf("want proto error frame for one garbage byte, got %+v err %v", m, err)
+		}
+	})
+
 	t.Run("oversized", func(t *testing.T) {
 		c := dial(t, addr)
 		hdr := []byte{wire.Magic, wire.Version, byte(wire.CmdPut), 0, 0xff, 0xff, 0xff, 0x7f}

@@ -435,3 +435,33 @@ func TestStatsNilPayloadRejected(t *testing.T) {
 		t.Fatal("Append(RespStats with nil Stats) succeeded, want error")
 	}
 }
+
+// TestShortStreamBadMagic: a stream too short to hold a header is judged
+// by its first byte before it is called truncated, so one garbage byte
+// reads as bad magic and one magic byte as a torn header.
+func TestShortStreamBadMagic(t *testing.T) {
+	for _, tc := range []struct {
+		in   []byte
+		want error
+	}{
+		{[]byte{0x00}, ErrBadMagic},
+		{[]byte{0x42, Version}, ErrBadMagic},
+		{[]byte{Magic}, ErrTruncated},
+		{[]byte{Magic, Version, byte(CmdGet)}, ErrTruncated},
+	} {
+		if _, err := NewReader(bytes.NewReader(tc.in)).Read(); !errors.Is(err, tc.want) {
+			t.Errorf("Read(% x) = %v, want %v", tc.in, err, tc.want)
+		}
+	}
+}
+
+// TestAckFrameLen: the applied and durable frames encode to AckFrameLen,
+// the size the server reserves for each durable ack it owes.
+func TestAckFrameLen(t *testing.T) {
+	for _, typ := range []Type{RespApplied, RespDurable} {
+		b, err := Append(nil, &Msg{Type: typ, ID: 1, OK: true, Epoch: 2})
+		if err != nil || len(b) != AckFrameLen {
+			t.Errorf("Append(%s) = %d bytes, %v; want %d", typ, len(b), err, AckFrameLen)
+		}
+	}
+}

@@ -114,6 +114,9 @@ const (
 	ECodeOrder  uint8 = 3 // a response-type frame arrived at the server
 )
 
+// AckFrameLen is the encoded size of a RespApplied or RespDurable frame.
+const AckFrameLen = HeaderSize + 17 // id + ok + epoch
+
 // payloadLen returns the exact payload length of a fixed-size frame
 // type, or (min, -1) for the variable-length RespError.
 func payloadLen(t Type) (n int, ok bool) {
@@ -129,7 +132,7 @@ func payloadLen(t Type) (n int, ok bool) {
 	case RespValue:
 		return 17, true // id + found + value
 	case RespApplied, RespDurable:
-		return 17, true // id + ok + epoch
+		return AckFrameLen - HeaderSize, true
 	case RespScan:
 		return 12, true // id + count
 	case RespError:
@@ -351,9 +354,7 @@ func b2u(b bool) byte {
 // Reader decodes frames from a stream. It is not safe for concurrent
 // use; each connection side owns one Reader.
 type Reader struct {
-	br  *bufio.Reader
-	hdr [HeaderSize]byte // a field, not a local: io.ReadFull would move it to the heap
-	buf [MaxPayload]byte
+	br *bufio.Reader
 }
 
 // NewReader wraps r for frame decoding.
@@ -361,13 +362,23 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 1<<14)}
 }
 
+// Buffered reports how many bytes already read from the stream wait to
+// be decoded. When it is 0, the next Read blocks on the stream.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
+
 // Read decodes the next frame. A clean close at a frame boundary
 // returns io.EOF; a close mid-frame returns ErrTruncated; any malformed
 // header or payload returns a *ProtocolError. After a non-EOF error the
 // stream position is undefined and the connection should be closed.
+//
+// The frame is decoded in place: the header is peeked and validated,
+// then the whole frame is peeked, decoded and discarded, so nothing is
+// copied out of the stream's buffer.
 func (r *Reader) Read() (Msg, error) {
-	hdr := &r.hdr
-	if _, err := io.ReadFull(r.br, hdr[:1]); err != nil {
+	// The magic byte is judged on its own first, so a peer that sends a
+	// garbage byte and waits hears of it at once.
+	hdr, err := r.br.Peek(1)
+	if err != nil {
 		if err == io.EOF {
 			return Msg{}, io.EOF
 		}
@@ -376,7 +387,7 @@ func (r *Reader) Read() (Msg, error) {
 	if hdr[0] != Magic {
 		return Msg{}, protoErr(ErrBadMagic, "%#x", hdr[0])
 	}
-	if _, err := io.ReadFull(r.br, hdr[1:]); err != nil {
+	if hdr, err = r.br.Peek(HeaderSize); err != nil {
 		return Msg{}, protoErr(ErrTruncated, "reading header: %v", err)
 	}
 	if hdr[1] != Version {
@@ -400,10 +411,11 @@ func (r *Reader) Read() (Msg, error) {
 	if want < 0 && int(n) < respErrorMinLen {
 		return Msg{}, protoErr(ErrBadLength, "type %s: %d < minimum %d", t, n, respErrorMinLen)
 	}
-	p := r.buf[:n]
-	if _, err := io.ReadFull(r.br, p); err != nil {
+	frame, err := r.br.Peek(HeaderSize + int(n))
+	if err != nil {
 		return Msg{}, protoErr(ErrTruncated, "reading %d-byte payload: %v", n, err)
 	}
+	p := frame[HeaderSize:]
 	m := Msg{Type: t, ID: binary.LittleEndian.Uint64(p[0:])}
 	switch t {
 	case CmdGet, CmdDel:
@@ -443,13 +455,14 @@ func (r *Reader) Read() (Msg, error) {
 		}
 		m.Text = string(p[respErrorMinLen : respErrorMinLen+tl])
 	}
+	r.br.Discard(len(frame))
 	return m, nil
 }
 
-// Writer encodes frames onto a buffered stream. It is not safe for
-// concurrent use; each connection side owns one Writer and calls Flush
-// at batch boundaries (the group-commit acker flushes once per ack
-// batch, not per frame).
+// Writer encodes frames onto a buffered stream, for clients. It is not
+// safe for concurrent use; each connection side owns one Writer and calls
+// Flush at batch boundaries. (The server encodes its replies with Append
+// into its own per-connection buffer.)
 type Writer struct {
 	bw      *bufio.Writer
 	scratch []byte
