@@ -10,14 +10,16 @@ import (
 )
 
 // serve measures the networked service layer: an in-process bdserve
-// instance driven by the closed-loop generator over loopback TCP, once
-// in buffered mode (applied acks at HTM-commit speed, durable acks on
-// the group-commit watermark) and once in -sync mode (durable-only
-// acks). The comparison is the paper's buffered-durability claim at the
-// service boundary: buffered clients see commit-latency acks while
-// durability rides the epoch cadence for free; sync clients pay the
-// epoch wait on every write. Any dropped or duplicated ack fails the run
-// — the gate CI's serve-smoke lane relies on.
+// instance driven by the closed-loop generator over loopback TCP. The
+// server sends every write an applied ack at HTM-commit speed and a
+// durable ack on the group-commit watermark; the client runs once
+// buffered (a write frees its window slot at the applied ack) and once
+// sync (loadgen's WaitDurable: the slot waits for the durable ack). The
+// comparison is the paper's buffered-durability claim at the service
+// boundary: buffered clients see commit-latency acks while durability
+// rides the epoch cadence for free; sync clients pay the epoch wait on
+// every write. Any dropped or duplicated ack fails the run — the gate
+// CI's serve-smoke lane relies on.
 func serve() {
 	const (
 		conns    = 4
@@ -37,7 +39,6 @@ func serve() {
 		srv := bdserve.New(bdserve.Config{
 			KeySpace:    *keySpace,
 			EpochLength: 2 * time.Millisecond,
-			SyncAcks:    sync,
 		})
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
@@ -45,14 +46,14 @@ func serve() {
 			os.Exit(1)
 		}
 		res, err := loadgen.Run(loadgen.Config{
-			Addr:     addr.String(),
-			Conns:    conns,
-			Ops:      opsPer,
-			Pipeline: 8,
-			Workload: workload,
-			KeySpace: *keySpace,
-			Seed:     42,
-			SyncAcks: sync,
+			Addr:        addr.String(),
+			Conns:       conns,
+			Ops:         opsPer,
+			Pipeline:    8,
+			Workload:    workload,
+			KeySpace:    *keySpace,
+			Seed:        42,
+			WaitDurable: sync,
 		})
 		st := srv.Stats()
 		srv.Close()
@@ -68,6 +69,11 @@ func serve() {
 		if res.DurableAcks != res.Writes || st.DurableAcks != res.DurableAcks {
 			fmt.Fprintf(os.Stderr, "bdbench: serve: dropped durable acks — client %d, server %d, writes %d\n",
 				res.DurableAcks, st.DurableAcks, res.Writes)
+			os.Exit(1)
+		}
+		if res.AppliedAcks != res.Writes || st.AppliedAcks != res.AppliedAcks {
+			fmt.Fprintf(os.Stderr, "bdbench: serve: dropped applied acks — client %d, server %d, writes %d\n",
+				res.AppliedAcks, st.AppliedAcks, res.Writes)
 			os.Exit(1)
 		}
 

@@ -9,17 +9,11 @@
 //	                                port, drive N ops per connection with
 //	                                the load generator, print the ack
 //	                                ledger, exit non-zero on violations
-//	bdserve -recover N [flags]      recover-then-serve cold start: fill N
-//	                                keys durably over the wire, power-fail
-//	                                the heap, recover on the same heap,
-//	                                verify every durable-acked key is
-//	                                served, exit non-zero on loss
 //
-// Write acks follow the group-commit discipline: RespApplied at HTM
-// commit (buffered mode), RespDurable when the epoch system's durable
-// watermark covers the op's commit epoch. -sync suppresses applied acks,
-// so clients block until durability — the synchronous-persistence
-// baseline.
+// Every write gets two acks, following the group-commit discipline:
+// RespApplied at HTM commit, RespDurable when the epoch system's durable
+// watermark covers the op's commit epoch. A client that wants the
+// synchronous-persistence baseline waits for the second.
 package main
 
 import (
@@ -43,20 +37,17 @@ var (
 	structure   = flag.String("structure", "bdhash", "store: "+strings.Join(kv.BufferedKinds(), "|"))
 	keySpace    = flag.Uint64("keyspace", 1<<12, "key universe size")
 	epochLength = flag.Duration("epoch-length", 2*time.Millisecond, "epoch advance cadence")
-	syncAcks    = flag.Bool("sync", false, "ack writes only when durable (no applied acks)")
 	maxSessions = flag.Int("max-sessions", 64, "maximum concurrently served connections")
 
 	selftest     = flag.Int("selftest", 0, "serve on a loopback port and drive N ops/conn in-process, then exit")
 	selfConns    = flag.Int("selftest-conns", 4, "selftest connections")
-	selfWorkload = flag.String("selftest-workload", "A", "selftest YCSB workload A-F")
+	selfWorkload = flag.String("selftest-workload", "A", "selftest YCSB workload: A, B, C, D or F")
 	obsFlag      = flag.Bool("obs", false, "record obs telemetry")
 	obsHTTP      = flag.String("obs-http", "", "serve /obs, /metrics and /debug/pprof on this address (implies -obs)")
 	spanSample   = flag.Int("span-sample", 0, "trace 1 in N requests as lifecycle spans (0 disables; implies -obs)")
 	traceOut     = flag.String("trace", "", "selftest: write sampled spans as a Chrome trace to this file")
 	spansOut     = flag.String("spans-out", "", "selftest: write sampled spans as JSONL to this file")
 	metricsOut   = flag.String("metrics-out", "", "selftest: write the OpenMetrics exposition to this file")
-
-	recoverN = flag.Int("recover", 0, "recover-then-serve cold start: fill N keys durably, crash, recover, verify over the wire, then exit")
 )
 
 // live is the server whose counters -obs-http serves; every mode stores
@@ -80,7 +71,6 @@ func main() {
 		Structure:   *structure,
 		KeySpace:    *keySpace,
 		EpochLength: *epochLength,
-		SyncAcks:    *syncAcks,
 		MaxSessions: *maxSessions,
 	}
 	if *obsFlag || *obsHTTP != "" || *spanSample > 0 {
@@ -98,9 +88,6 @@ func main() {
 		defer hs.Close()
 		fmt.Printf("bdserve: observability on http://%s (/obs /metrics /debug/pprof)\n", hs.Addr())
 	}
-	if *recoverN > 0 {
-		os.Exit(runRecover(cfg, *recoverN))
-	}
 	if *selftest > 0 {
 		os.Exit(runSelftest(cfg))
 	}
@@ -112,11 +99,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bdserve: %v\n", err)
 		os.Exit(1)
 	}
-	mode := "buffered (applied+durable acks)"
-	if *syncAcks {
-		mode = "sync (durable acks only)"
-	}
-	fmt.Printf("bdserve: %s on %s, epoch %s, %s\n", *structure, bound, *epochLength, mode)
+	fmt.Printf("bdserve: %s on %s, epoch %s\n", *structure, bound, *epochLength)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -149,15 +132,14 @@ func runSelftest(cfg bdserve.Config) int {
 		Workload: *selfWorkload,
 		KeySpace: cfg.KeySpace,
 		Seed:     42,
-		SyncAcks: cfg.SyncAcks,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bdserve: selftest: %v\n", err)
 		return 1
 	}
 	st := srv.Stats()
-	fmt.Printf("selftest: %d ops (%d reads / %d writes / %d scans) in %v\n",
-		res.Ops, res.Reads, res.Writes, res.Scans, res.Elapsed.Round(time.Millisecond))
+	fmt.Printf("selftest: %d ops (%d reads / %d writes) in %v\n",
+		res.Ops, res.Reads, res.Writes, res.Elapsed.Round(time.Millisecond))
 	fmt.Printf("selftest: acks applied=%d durable=%d  net p50=%s p99=%s\n",
 		res.AppliedAcks, res.DurableAcks,
 		time.Duration(res.NetP50NS), time.Duration(res.NetP99NS))
@@ -176,10 +158,8 @@ func runSelftest(cfg bdserve.Config) int {
 		return fail("%d error frames", res.Errors)
 	case res.DurableAcks != res.Writes:
 		return fail("dropped durable acks: %d acks for %d writes", res.DurableAcks, res.Writes)
-	case !cfg.SyncAcks && res.AppliedAcks != res.Writes:
+	case res.AppliedAcks != res.Writes:
 		return fail("dropped applied acks: %d acks for %d writes", res.AppliedAcks, res.Writes)
-	case cfg.SyncAcks && res.AppliedAcks != 0:
-		return fail("sync mode leaked %d applied acks", res.AppliedAcks)
 	case st.DurableAcks != res.DurableAcks || st.AppliedAcks != res.AppliedAcks:
 		return fail("server/client ack ledgers differ: server applied=%d durable=%d",
 			st.AppliedAcks, st.DurableAcks)
@@ -204,7 +184,7 @@ func runSelftest(cfg bdserve.Config) int {
 		// strict two-epoch lag bound is checked by the deterministic
 		// manual-mode tests; a live advancer can outrun a descheduled
 		// acker, so no bound here.
-		if err := obs.CheckSpans(spans, obs.SpanCheck{SyncAcks: cfg.SyncAcks, MaxAckLagEpochs: -1}); err != nil {
+		if err := obs.CheckSpans(spans, obs.SpanCheck{MaxAckLagEpochs: -1}); err != nil {
 			return fail("span invariant: %v", err)
 		}
 		var lagMax uint64

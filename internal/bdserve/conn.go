@@ -87,7 +87,7 @@ type conn struct {
 	mu      sync.Mutex
 	room    sync.Cond // broadcast when a write to the socket returns
 	out     []byte    // encoded replies not yet handed to the socket
-	firsts  int64     // frames in out that are their request's first response
+	replies int64     // reply frames in out (a durable ack is not one)
 	spare   []byte    // the last sent batch's array, reused as the next out
 	sending int       // bytes of the batch on the socket; 0 when nobody sends
 	dead    bool      // a socket write failed: replies are dropped
@@ -98,18 +98,14 @@ type conn struct {
 }
 
 // reply appends m's frame to out and, for a write, queues p for its
-// durable ack in the same critical section (m is the zero Msg for a
-// sync-mode write, which has no applied frame). It waits while the frame,
+// durable ack in the same critical section. It waits while the frame,
 // and p's durable frame to come, would take the unsent bytes past
 // outBound; only a sender's write frees room, and the reader sends out
 // itself once it holds sendAt bytes, so it waits only while another
 // goroutine is sending. sp and decNS, when set, get the applied phase.
 // It reports false once the socket is dead.
 func (c *conn) reply(m *wire.Msg, sp *obs.Span, decNS int64, p *pendingAck) bool {
-	c.frame = c.frame[:0]
-	if m.Type != 0 {
-		c.frame, _ = wire.Append(c.frame, m) // every frame the server builds encodes
-	}
+	c.frame, _ = wire.Append(c.frame[:0], m) // every frame the server builds encodes
 	need := len(c.frame)
 	if p != nil {
 		need += wire.AckFrameLen // the durable ack to come
@@ -123,12 +119,10 @@ func (c *conn) reply(m *wire.Msg, sp *obs.Span, decNS int64, p *pendingAck) bool
 		return false
 	}
 	c.out = append(c.out, c.frame...)
-	if len(c.frame) > 0 {
-		c.firsts++
-	}
-	c.srv.inflight.Add(1) // until a sender takes its first response (a sync-mode write's: the durable ack)
+	c.replies++
+	c.srv.inflight.Add(1) // until a sender takes the frame
 	full := len(c.out) >= sendAt
-	if o := c.srv.cfg.Obs; o != nil && len(c.frame) > 0 && decNS > 0 {
+	if o := c.srv.cfg.Obs; o != nil && decNS > 0 {
 		// Stamped under the lock: a drain that releases this write's
 		// durable ack takes its flush stamp later.
 		now := o.Now()
@@ -172,8 +166,8 @@ func (c *conn) send(wait bool) bool {
 		b := c.out
 		c.out, c.spare = c.spare, nil
 		c.sending = len(b)
-		c.srv.inflight.Add(-c.firsts)
-		c.firsts = 0
+		c.srv.inflight.Add(-c.replies)
+		c.replies = 0
 		c.mu.Unlock()
 		_, err := c.nc.Write(b)
 		c.mu.Lock()
@@ -263,16 +257,6 @@ func (c *conn) readLoop() {
 				sp.Stamp(obs.SpanCommit, o.Now())
 			}
 			resp = wire.Msg{Type: wire.RespValue, ID: m.ID, Found: found, Value: v}
-		case m.Type == wire.CmdScan:
-			// Wire-level stub: the scan op exists in the protocol and the
-			// workloads (YCSB E), but returns no entries yet.
-			if sp != nil {
-				now := o.Now()
-				sp.OK = true
-				sp.Stamp(obs.SpanExec, now)
-				sp.Stamp(obs.SpanCommit, now)
-			}
-			resp = wire.Msg{Type: wire.RespScan, ID: m.ID, Count: 0}
 		case m.Type == wire.CmdStats:
 			st := srv.WireStats()
 			resp = wire.Msg{Type: wire.RespStats, ID: m.ID, Stats: &st}
@@ -301,9 +285,7 @@ func (c *conn) readLoop() {
 			}
 			srv.writeCommits.Add(1)
 			pend = &pendingAck{id: m.ID, ok: ok, epoch: ep, sp: sp, decNS: decNS, cmtNS: cmtNS}
-			if !srv.cfg.SyncAcks {
-				resp = wire.Msg{Type: wire.RespApplied, ID: m.ID, OK: ok, Epoch: ep}
-			}
+			resp = wire.Msg{Type: wire.RespApplied, ID: m.ID, OK: ok, Epoch: ep}
 		}
 		if !c.reply(&resp, sp, decNS, pend) {
 			return
@@ -373,20 +355,11 @@ func (c *conn) drainDurable() {
 			}
 			o.SvcRecord(obs.SvcAckLagEpochs, c.lane, int64(watermark-p.epoch))
 			if p.sp != nil {
-				if srv.cfg.SyncAcks {
-					// Sync mode has no separate applied frame: the op is
-					// applied and durable from the client's view at this
-					// single ack.
-					p.sp.Stamp(obs.SpanApplied, flushNS)
-				}
 				p.sp.Stamp(obs.SpanFlush, flushNS)
 				p.sp.Stamp(obs.SpanDurable, now)
 				p.sp.DurableEpoch = watermark
 				p.sp.Finish()
 			}
-		}
-		if srv.cfg.SyncAcks {
-			c.firsts++
 		}
 		c.pending.pop()
 	}

@@ -10,21 +10,22 @@ import (
 	"bdhtm/internal/wire"
 )
 
-// TestRecoverColdStartServes is the recover-then-serve smoke for the
-// service layer (mirrors cmd/bdserve -recover): fill a server over the
-// wire, drive a durable checkpoint, power-fail, bring a new server up on
-// the same heap with its header scan on GOMAXPROCS = 1 or 4 workers, and
-// assert every durable-acked key is served with its exact value — plus
-// that the cold start reports its recovery metrics. Runs in CI's race
-// lane.
+// TestRecoverColdStartServes is the recover-then-serve cold start of the
+// service layer: fill a server over the wire, drive a durable checkpoint,
+// overwrite a tail without one, power-fail, bring a new server up on the
+// same heap with its header scan on GOMAXPROCS = 1 or 4 workers, and
+// assert every durable-acked key is served with its exact value (so no
+// tail update survived) — plus that the cold start reports its recovery
+// metrics, and that with 4 workers the scan really ran partitioned. Runs
+// in CI's race lane.
 func TestRecoverColdStartServes(t *testing.T) {
-	const n = 64
+	const n = 2048
 	for _, structure := range kv.BufferedKinds() {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", structure, workers), func(t *testing.T) {
 				prev := runtime.GOMAXPROCS(workers)
 				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-				cfg := Config{Structure: structure, KeySpace: 1 << 8, Manual: true}
+				cfg := Config{Structure: structure, KeySpace: 1 << 12, Manual: true}
 				srv := New(cfg)
 				if got := srv.Recovery(); got != (RecoveryInfo{}) {
 					t.Fatalf("fresh server reports recovery metrics: %+v", got)
@@ -72,6 +73,9 @@ func TestRecoverColdStartServes(t *testing.T) {
 				slabs := int(rec.System().Allocator().FootprintBytes() / (4096 * nvm.WordBytes))
 				if want := min(workers, slabs); ri.Workers != want {
 					t.Fatalf("RecoveryInfo.Workers = %d, want %d (GOMAXPROCS %d, %d formatted slabs)", ri.Workers, want, workers, slabs)
+				}
+				if workers > 1 && ri.Workers < 2 {
+					t.Fatalf("RecoveryInfo.Workers = %d with GOMAXPROCS %d: the scan did not partition", ri.Workers, workers)
 				}
 				if ri.ScanNS <= 0 || ri.RebuildNS <= 0 {
 					t.Fatalf("recovery timings missing: %+v", ri)

@@ -11,10 +11,9 @@
 // when the epoch system advances and its durable watermark reaches the
 // op's commit epoch, the acker flushes a *durable* ack
 // (RespDurable) — one watermark movement acks every op of that epoch on
-// every connection, the group commit. In -sync mode the applied ack is
-// suppressed and the client hears nothing until durability, which is
-// exactly the synchronous-persistence discipline the paper's buffered
-// mode is measured against.
+// every connection, the group commit. Every write gets both acks; a
+// client that wants the synchronous-persistence discipline the paper's
+// buffered mode is measured against simply waits for the second one.
 //
 // A client that has seen RespDurable for an op is guaranteed the op
 // survives any crash: the durable ack is emitted only after the durable
@@ -68,9 +67,6 @@ type Config struct {
 	// Manual disables the background advancer; tests drive
 	// System().AdvanceOnce() themselves for deterministic scripts.
 	Manual bool
-	// SyncAcks suppresses applied acks: every write is acked only once,
-	// when durable (the -sync server flag).
-	SyncAcks bool
 	// MaxSessions bounds concurrently served connections (default 64).
 	MaxSessions int
 	// Obs receives the service latency histograms, request spans and the
@@ -135,7 +131,7 @@ type Counters struct {
 	MaxAckLag    int64 // worst (watermark − commit epoch) seen at durable ack
 
 	OpenConns int64 // gauge: currently open connections
-	Inflight  int64 // gauge: requests decoded, first response not yet handed to the socket
+	Inflight  int64 // gauge: requests decoded, reply not yet handed to the socket
 	AckQueue  int64 // gauge: write ops applied, durable ack not yet queued
 
 	// OldestUnackedNS: age of the oldest write applied but not yet
@@ -484,10 +480,7 @@ func (s *Server) dropConn(c *conn) {
 	// unsent durable acks) dies with it; the gauges must not leak.
 	c.mu.Lock()
 	orphaned := int64(c.pending.len())
-	unsent := c.firsts
-	if s.cfg.SyncAcks {
-		unsent += orphaned // each was a request still owed its only response
-	}
+	unsent := c.replies
 	c.pending = ackFIFO{}
 	c.mu.Unlock()
 	s.ackQueue.Add(-orphaned)

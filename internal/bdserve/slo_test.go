@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"bdhtm/internal/obs"
 	"bdhtm/internal/wire"
@@ -127,61 +126,6 @@ func TestSpanLedgerParity(t *testing.T) {
 	}
 	if ws.PersistedEpoch > ws.GlobalEpoch || ws.GlobalEpoch == 0 {
 		t.Fatalf("wire stats epochs: global=%d persisted=%d", ws.GlobalEpoch, ws.PersistedEpoch)
-	}
-}
-
-// TestSpanLedgerParitySync: same cross-check in sync-ack mode, where the
-// single durable ack must stamp both the applied and durable phases.
-func TestSpanLedgerParitySync(t *testing.T) {
-	r := obs.New("slo-parity-sync")
-	r.EnableSpans(64, 1)
-	srv, addr := startServer(t, Config{KeySpace: 1 << 10, Manual: true, SyncAcks: true, Obs: r})
-	c := dial(t, addr)
-
-	const writes = 5
-	for i := 0; i < writes; i++ {
-		c.send(wire.Msg{Type: wire.CmdPut, ID: uint64(i + 1), Key: uint64(i), Value: 1})
-		// No applied frame exists to prove commit; poll the watermark
-		// forward until the durable ack lands.
-		deadline := time.Now().Add(10 * time.Second)
-		got := false
-		for !got {
-			if time.Now().After(deadline) {
-				t.Fatal("no durable ack")
-			}
-			srv.System().AdvanceOnce()
-			c.nc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-			if m, err := c.r.Read(); err == nil {
-				if m.Type != wire.RespDurable || m.ID != uint64(i+1) {
-					t.Fatalf("want durable ack for %d, got %+v", i+1, m)
-				}
-				got = true
-			}
-		}
-	}
-
-	st := srv.Stats()
-	if st.AppliedAcks != 0 || st.DurableAcks != writes {
-		t.Fatalf("sync counters: %+v", st)
-	}
-	if n := r.SvcSnapshot(obs.SvcAppliedAckNS).Count; n != 0 {
-		t.Fatalf("sync mode recorded %d applied-ack samples", n)
-	}
-	if n := r.SvcSnapshot(obs.SvcDurableAckNS).Count; n != writes {
-		t.Fatalf("durable-ack hist count = %d, want %d", n, writes)
-	}
-	spans := r.SpanRing().Spans()
-	if len(spans) != writes {
-		t.Fatalf("completed spans = %d, want %d", len(spans), writes)
-	}
-	if err := obs.CheckSpans(spans, obs.SpanCheck{SyncAcks: true, MaxAckLagEpochs: -1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range spans {
-		if spans[i].Phase[obs.SpanApplied] != spans[i].Phase[obs.SpanFlush] {
-			t.Fatalf("sync span %d: applied stamp %d != flush stamp %d",
-				i, spans[i].Phase[obs.SpanApplied], spans[i].Phase[obs.SpanFlush])
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -63,42 +64,6 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestPlanWorkloadE: scan ops flow through the plan with their lengths,
-// and the write remainder is insert-only.
-func TestPlanWorkloadE(t *testing.T) {
-	cfg := Config{Conns: 1, Ops: 2000, Workload: "E", KeySpace: 1 << 10, Seed: 7}
-	ops, err := Plan(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var scans, inserts, other int
-	for _, o := range ops {
-		switch o.Kind {
-		case ycsb.OpScan:
-			scans++
-			if o.Scan < 1 || o.Scan > ycsb.MaxScanLen {
-				t.Fatalf("scan length %d out of range", o.Scan)
-			}
-		case ycsb.OpInsert:
-			inserts++
-			if o.Value == 0 {
-				t.Fatal("insert op with empty value")
-			}
-		default:
-			other++
-		}
-	}
-	if other != 0 {
-		t.Fatalf("workload E planned %d non-scan non-insert ops", other)
-	}
-	if f := float64(scans) / float64(len(ops)); f < 0.9 {
-		t.Fatalf("scan fraction %.2f, want ~0.95", f)
-	}
-	if inserts == 0 {
-		t.Fatal("no inserts planned")
-	}
-}
-
 func TestPlanUnknownWorkload(t *testing.T) {
 	if _, err := Plan(Config{Workload: "Z"}, 0); err == nil {
 		t.Fatal("Plan accepted unknown workload")
@@ -108,15 +73,10 @@ func TestPlanUnknownWorkload(t *testing.T) {
 	}
 }
 
-// runAgainstServer is the end-to-end smoke shared by the run tests:
-// every planned op must complete with a balanced ack ledger.
-func runAgainstServer(t *testing.T, sync bool, workload string) (Result, *bdserve.Server) {
-	t.Helper()
-	srv := bdserve.New(bdserve.Config{
-		KeySpace:    1 << 10,
-		EpochLength: 2 * time.Millisecond,
-		SyncAcks:    sync,
-	})
+// TestRunClosedLoop is the end-to-end smoke: every planned op completes
+// with a balanced ack ledger on both ends of the wire.
+func TestRunClosedLoop(t *testing.T) {
+	srv := bdserve.New(bdserve.Config{KeySpace: 1 << 10, EpochLength: 2 * time.Millisecond})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -127,20 +87,14 @@ func runAgainstServer(t *testing.T, sync bool, workload string) (Result, *bdserv
 		Conns:    2,
 		Ops:      300,
 		Pipeline: 8,
-		Workload: workload,
+		Workload: "A",
 		KeySpace: 1 << 10,
 		Seed:     1,
-		SyncAcks: sync,
 		Timeout:  60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, srv
-}
-
-func TestRunClosedLoop(t *testing.T) {
-	res, srv := runAgainstServer(t, false, "A")
 	if res.Ops != 600 {
 		t.Fatalf("completed %d/600 ops", res.Ops)
 	}
@@ -162,32 +116,87 @@ func TestRunClosedLoop(t *testing.T) {
 	}
 }
 
+// TestRunSyncMode pins the WaitDurable client policy, the "sync" row of
+// bdbench serve: a write holds its window slot until its durable ack. On
+// a Manual-mode server, with one connection and a window of 1, the second
+// PUT reaches the server only once an advance releases the first PUT's
+// durable ack; without the policy it arrives before any advance. Either
+// way every write gets both acks.
 func TestRunSyncMode(t *testing.T) {
-	res, srv := runAgainstServer(t, true, "A")
-	if res.Ops != 600 {
-		t.Fatalf("completed %d/600 ops", res.Ops)
-	}
-	if res.AppliedAcks != 0 {
-		t.Fatalf("sync mode saw %d applied acks", res.AppliedAcks)
-	}
-	if res.DurableAcks != res.Writes || res.DupAcks != 0 {
-		t.Fatalf("sync ack ledger: durable %d writes %d dups %d", res.DurableAcks, res.Writes, res.DupAcks)
-	}
-	if st := srv.Stats(); st.AppliedAcks != 0 {
-		t.Fatalf("server emitted %d applied acks in sync mode", st.AppliedAcks)
-	}
-}
-
-func TestRunScanWorkload(t *testing.T) {
-	res, _ := runAgainstServer(t, false, "E")
-	if res.Ops != 600 {
-		t.Fatalf("completed %d/600 ops", res.Ops)
-	}
-	if res.Scans == 0 {
-		t.Fatal("workload E produced no scans over the wire")
-	}
-	if res.DupAcks != 0 || res.Errors != 0 {
-		t.Fatalf("dup acks %d, errors %d", res.DupAcks, res.Errors)
+	for _, waitDurable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("WaitDurable=%v", waitDurable), func(t *testing.T) {
+			srv := bdserve.New(bdserve.Config{KeySpace: 1 << 10, Manual: true})
+			addr, err := srv.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close)
+			type outcome struct {
+				res Result
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := Run(Config{
+					Addr:        addr.String(),
+					Conns:       1,
+					Ops:         2,
+					Pipeline:    1,
+					Mix:         ycsb.Mix{InsertOnly: true},
+					KeySpace:    1 << 10,
+					Seed:        1,
+					WaitDurable: waitDurable,
+					Timeout:     30 * time.Second,
+				})
+				done <- outcome{res, err}
+			}()
+			deadline := time.Now().Add(20 * time.Second)
+			waitFor := func(what string, cond func() bool) {
+				t.Helper()
+				for !cond() {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s", what)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if waitDurable {
+				waitFor("the first PUT's applied ack", func() bool { return srv.Stats().AppliedAcks >= 1 })
+				time.Sleep(100 * time.Millisecond)
+				if n := srv.Stats().Requests; n != 1 {
+					t.Fatalf("%d requests reached the server before the first PUT was durable", n)
+				}
+			} else {
+				waitFor("the second PUT", func() bool { return srv.Stats().Requests == 2 })
+			}
+			var out outcome
+			for waiting := true; waiting; {
+				select {
+				case out = <-done:
+					waiting = false
+				default:
+					if time.Now().After(deadline) {
+						t.Fatal("run did not complete")
+					}
+					srv.System().AdvanceOnce()
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			res := out.res
+			if res.Ops != 2 || res.Writes != 2 || res.AppliedAcks != 2 || res.DurableAcks != 2 {
+				t.Fatalf("ack ledger: ops %d writes %d applied %d durable %d; want 2 of each",
+					res.Ops, res.Writes, res.AppliedAcks, res.DurableAcks)
+			}
+			if res.DupAcks != 0 || res.Errors != 0 {
+				t.Fatalf("dup acks %d, errors %d", res.DupAcks, res.Errors)
+			}
+			if st := srv.Stats(); st.AppliedAcks != 2 || st.DurableAcks != 2 || st.Requests != 2 {
+				t.Fatalf("server ledger: %+v", st)
+			}
+		})
 	}
 }
 

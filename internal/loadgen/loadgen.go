@@ -1,6 +1,6 @@
 // Package loadgen drives a bdserve instance over the wire protocol:
-// closed-loop (windowed) YCSB A–F workloads on N connections, with full
-// ack bookkeeping. Op streams are a pure function of (seed, connection
+// closed-loop (windowed) YCSB A–D and F workloads on N connections, with
+// full ack bookkeeping. Op streams are a pure function of (seed, connection
 // index, op index), whatever the window, so any server-side anomaly found
 // under load replays exactly from the same Config.
 package loadgen
@@ -25,15 +25,16 @@ type Config struct {
 	// Pipeline is the window of outstanding requests per connection
 	// (default 8): a new request is sent when a previous one completes.
 	Pipeline int
-	// Workload is a YCSB letter A–F; empty uses Mix directly.
+	// Workload is a YCSB letter (A–D, F); empty uses Mix directly.
 	Workload string
 	Mix      ycsb.Mix
 	// KeySpace bounds the uniformly drawn keys.
 	KeySpace uint64
 	Seed     uint64
-	// SyncAcks mirrors the server's -sync flag: writes are acked once
-	// (durable only), so the applied-ack bookkeeping is skipped.
-	SyncAcks bool
+	// WaitDurable holds a write's window slot until its durable ack, the
+	// synchronous-persistence discipline; otherwise the slot is released
+	// at the applied ack. The server sends both acks either way.
+	WaitDurable bool
 	// Timeout bounds the whole run (default 60s).
 	Timeout time.Duration
 }
@@ -65,14 +66,12 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // Op is one planned request. ID encodes (connection, index) so acks are
-// attributable and the ID sequence is deterministic; Scan carries the
-// drawn scan length for OpScan.
+// attributable and the ID sequence is deterministic.
 type Op struct {
 	ID    uint64
 	Kind  ycsb.OpKind
 	Key   uint64
 	Value uint64
-	Scan  uint32
 }
 
 // OpID is the deterministic request ID of op i on connection conn (both
@@ -92,15 +91,8 @@ func Plan(cfg Config, conn int) ([]Op, error) {
 	g := ycsb.NewUniform(cfg.KeySpace, cfg.Mix, cfg.Seed+uint64(conn)*0x9e3779b97f4a7c15)
 	ops := make([]Op, cfg.Ops)
 	for i := range ops {
-		kind, k, v := g.Next()
-		op := Op{ID: OpID(conn, i), Kind: kind, Key: k}
-		switch kind {
-		case ycsb.OpInsert:
-			op.Value = v
-		case ycsb.OpScan:
-			op.Scan = uint32(v)
-		}
-		ops[i] = op
+		kind, k, v := g.Next() // v is 0 but for an insert
+		ops[i] = Op{ID: OpID(conn, i), Kind: kind, Key: k, Value: v}
 	}
 	return ops, nil
 }
@@ -111,10 +103,8 @@ func (o Op) wireMsg() wire.Msg {
 		return wire.Msg{Type: wire.CmdGet, ID: o.ID, Key: o.Key}
 	case ycsb.OpInsert:
 		return wire.Msg{Type: wire.CmdPut, ID: o.ID, Key: o.Key, Value: o.Value}
-	case ycsb.OpRemove:
-		return wire.Msg{Type: wire.CmdDel, ID: o.ID, Key: o.Key}
 	default:
-		return wire.Msg{Type: wire.CmdScan, ID: o.ID, Key: o.Key, Count: o.Scan}
+		return wire.Msg{Type: wire.CmdDel, ID: o.ID, Key: o.Key}
 	}
 }
 
@@ -123,7 +113,6 @@ type Result struct {
 	Ops    int64
 	Reads  int64
 	Writes int64
-	Scans  int64
 
 	AppliedAcks int64
 	DurableAcks int64
@@ -139,7 +128,6 @@ type Result struct {
 
 	// GapP50NS/GapP99NS are the client-observed applied→durable gap for
 	// writes — the buffered-durability window as the network sees it.
-	// Zero in sync mode (no applied ack exists to measure from).
 	GapP50NS int64
 	GapP99NS int64
 }
@@ -178,7 +166,6 @@ func Run(cfg Config) (Result, error) {
 			res.Ops += r.Ops
 			res.Reads += r.Reads
 			res.Writes += r.Writes
-			res.Scans += r.Scans
 			res.AppliedAcks += r.AppliedAcks
 			res.DurableAcks += r.DurableAcks
 			res.DupAcks += r.DupAcks
@@ -293,37 +280,30 @@ func runConn(cfg Config, ci int, ops []Op, deadline time.Time, hist, gapHist *ob
 			final = true
 			res.Reads++
 			release()
-		case wire.RespScan:
-			if st.isWrite || st.done {
-				res.DupAcks++
-				break
-			}
-			final = true
-			res.Scans++
-			release()
 		case wire.RespApplied:
 			res.AppliedAcks++
-			if !st.isWrite || st.applied || st.done || cfg.SyncAcks {
+			if !st.isWrite || st.applied || st.done {
 				res.DupAcks++
 				break
 			}
 			st.applied = true
 			st.appliedAt = time.Now()
-			// The window is released on applied: buffered mode's whole
-			// point is that the client can proceed at memory speed.
-			release()
+			// Buffered durability's whole point: the client proceeds at
+			// memory speed, unless it chose to wait for the durable ack.
+			if !cfg.WaitDurable {
+				release()
+			}
 		case wire.RespDurable:
 			res.DurableAcks++
-			if !st.isWrite || st.done || (!cfg.SyncAcks && !st.applied) {
+			if !st.isWrite || st.done || !st.applied {
 				res.DupAcks++
 				break
 			}
 			final = true
 			res.Writes++
-			if cfg.SyncAcks {
+			gapHist.Record(uint64(ci)%obs.NumShards, time.Since(st.appliedAt).Nanoseconds())
+			if cfg.WaitDurable {
 				release()
-			} else {
-				gapHist.Record(uint64(ci)%obs.NumShards, time.Since(st.appliedAt).Nanoseconds())
 			}
 		case wire.RespError:
 			res.Errors++

@@ -36,8 +36,7 @@ const (
 	// the epoch it committed in.
 	SpanCommit
 	// SpanApplied: the applied ack (or read response) was written back
-	// to the client. In sync-ack mode the single durable ack doubles as
-	// the applied ack and both phases carry the same timestamp.
+	// to the client.
 	SpanApplied
 	// SpanFlush: the durable watermark was first observed covering the
 	// op's commit epoch (the group-commit drain woke up for it).
@@ -240,9 +239,6 @@ func (sr *SpanRing) Counts() (sampled, dropped, active int64) {
 
 // SpanCheck configures CheckSpans.
 type SpanCheck struct {
-	// SyncAcks: the server runs in sync-ack mode, where writes get a
-	// single durable ack whose timestamp doubles as the applied stamp.
-	SyncAcks bool
 	// MaxAckLagEpochs bounds DurableEpoch-CommitEpoch per write span;
 	// negative disables the bound. Under the BDL two-epoch window a
 	// promptly drained ack lags at most 2.

@@ -62,10 +62,10 @@ func levelCapacity(i int) int {
 }
 
 type l0bucket struct {
-	mu      sync.Mutex
-	keys    [l0Capacity]uint64 // key+1; 0 empty; tombstone bit marks delete
-	values  [l0Capacity]uint64
-	n       int
+	mu     sync.Mutex
+	keys   [l0Capacity]uint64 // key+1; 0 empty; tombstone bit marks delete
+	values [l0Capacity]uint64
+	n      int
 }
 
 // Table is a Plush-style hash table. It owns its heap.
@@ -215,7 +215,7 @@ func (t *Table) removeBlind(k uint64) {
 
 // put inserts an encoded entry into level 0, migrating on overflow.
 func (t *Table) put(kw, v uint64) {
-	b := t.bucketFor(kw &^ tombstone - 1)
+	b := t.bucketFor(kw&^tombstone - 1)
 	b.mu.Lock()
 	// Overwrite an existing level-0 entry for the same key (newest wins
 	// anyway; this keeps buckets from filling with duplicates).

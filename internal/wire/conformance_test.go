@@ -37,11 +37,6 @@ var goldenFrames = []struct {
 		hex:  "bd010300" + "10000000" + "0300000000000000" + "0900000000000000",
 	},
 	{
-		name: "scan",
-		msg:  Msg{Type: CmdScan, ID: 4, Key: 100, Count: 16},
-		hex:  "bd010400" + "14000000" + "0400000000000000" + "6400000000000000" + "10000000",
-	},
-	{
 		name: "value-found",
 		msg:  Msg{Type: RespValue, ID: 5, Found: true, Value: 42},
 		hex:  "bd018100" + "11000000" + "0500000000000000" + "01" + "2a00000000000000",
@@ -60,11 +55,6 @@ var goldenFrames = []struct {
 		name: "durable",
 		msg:  Msg{Type: RespDurable, ID: 8, OK: false, Epoch: 13},
 		hex:  "bd018300" + "11000000" + "0800000000000000" + "00" + "0d00000000000000",
-	},
-	{
-		name: "scan-resp",
-		msg:  Msg{Type: RespScan, ID: 9, Count: 0},
-		hex:  "bd018400" + "0c000000" + "0900000000000000" + "00000000",
 	},
 	{
 		name: "error",
@@ -224,6 +214,14 @@ func mutateHeader(t *testing.T, base string, idx int, val byte) []byte {
 	return b
 }
 
+// retiredFrames are frames of types the protocol no longer has, at their
+// old payload lengths: 0x04 was a scan request (id, start key, count) and
+// 0x84 its reply (id, entry count). Each must decode to ErrUnknownType.
+var retiredFrames = []struct{ name, hex string }{
+	{"retired-scan", "bd010400" + "14000000" + "0400000000000000" + "6400000000000000" + "10000000"},
+	{"retired-scan-resp", "bd018400" + "0c000000" + "0900000000000000" + "00000000"},
+}
+
 func TestMalformedHeaders(t *testing.T) {
 	base := goldenFrames[0].hex
 	cases := []struct {
@@ -241,6 +239,13 @@ func TestMalformedHeaders(t *testing.T) {
 		{"short-length", mutateHeader(t, base, 4, 0x0f), ErrBadLength},
 		{"long-length", mutateHeader(t, base, 4, 0x11), ErrBadLength},
 		{"oversized", mutateHeader(t, base, 7, 0xff), ErrOversized},
+	}
+	for _, r := range retiredFrames {
+		cases = append(cases, struct {
+			name string
+			raw  []byte
+			want *ProtocolError
+		}{r.name, mutateHeader(t, r.hex, 0, Magic), ErrUnknownType})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -374,6 +379,10 @@ func TestGarbageOverPipe(t *testing.T) {
 func FuzzDecode(f *testing.F) {
 	for _, g := range goldenFrames {
 		b, _ := hex.DecodeString(g.hex)
+		f.Add(b)
+	}
+	for _, r := range retiredFrames {
+		b, _ := hex.DecodeString(r.hex)
 		f.Add(b)
 	}
 	f.Add([]byte{Magic, Version, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff})

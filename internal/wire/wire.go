@@ -17,9 +17,10 @@
 // *applied* ack (RespApplied) as soon as its HTM transaction commits —
 // memory speed, nothing fenced — and a *durable* ack (RespDurable) once
 // the epoch it committed in has persisted (the group-commit piggyback on
-// epoch advancement). A server in sync mode suppresses applied acks and
-// responds only when durable. Both acks carry the op's commit epoch, so
-// clients can observe the buffered-durability window directly.
+// epoch advancement). Every write gets both acks; a client that wants
+// synchronous durability waits for the second. Both acks carry the op's
+// commit epoch, so clients can observe the buffered-durability window
+// directly.
 //
 // Decoding is defensive by construction: every frame type has a fixed
 // payload length (RespError is bounded), the header is validated before
@@ -58,13 +59,11 @@ const (
 	CmdGet   Type = 0x01 // id, key -> RespValue
 	CmdPut   Type = 0x02 // id, key, value -> RespApplied / RespDurable
 	CmdDel   Type = 0x03 // id, key -> RespApplied / RespDurable
-	CmdScan  Type = 0x04 // id, start key, count -> RespScan (stub)
 	CmdStats Type = 0x05 // id -> RespStats
 
 	RespValue   Type = 0x81 // id, found, value
 	RespApplied Type = 0x82 // id, ok, commit epoch
 	RespDurable Type = 0x83 // id, ok, commit epoch
-	RespScan    Type = 0x84 // id, entry count (always 0: wire-level stub)
 	RespError   Type = 0x85 // id, code, text
 	RespStats   Type = 0x86 // id, StatsSnap (fixed counter block)
 )
@@ -77,8 +76,6 @@ func (t Type) String() string {
 		return "PUT"
 	case CmdDel:
 		return "DEL"
-	case CmdScan:
-		return "SCAN"
 	case CmdStats:
 		return "STATS"
 	case RespValue:
@@ -87,8 +84,6 @@ func (t Type) String() string {
 		return "APPLIED"
 	case RespDurable:
 		return "DURABLE"
-	case RespScan:
-		return "SCANR"
 	case RespError:
 		return "ERROR"
 	case RespStats:
@@ -101,7 +96,7 @@ func (t Type) String() string {
 // IsRequest reports whether t is a client-to-server frame type.
 func (t Type) IsRequest() bool {
 	switch t {
-	case CmdGet, CmdPut, CmdDel, CmdScan, CmdStats:
+	case CmdGet, CmdPut, CmdDel, CmdStats:
 		return true
 	}
 	return false
@@ -125,16 +120,12 @@ func payloadLen(t Type) (n int, ok bool) {
 		return 16, true // id + key
 	case CmdPut:
 		return 24, true // id + key + value
-	case CmdScan:
-		return 20, true // id + start + count
 	case CmdStats:
 		return 8, true // id
 	case RespValue:
 		return 17, true // id + found + value
 	case RespApplied, RespDurable:
 		return AckFrameLen - HeaderSize, true
-	case RespScan:
-		return 12, true // id + count
 	case RespError:
 		return -1, true // id + code + len + text (variable)
 	case RespStats:
@@ -162,7 +153,7 @@ type StatsSnap struct {
 	AppliedAcks     uint64 // applied acks sent
 	DurableAcks     uint64 // durable acks sent
 	ProtoErrors     uint64 // protocol errors (connection-fatal)
-	Inflight        uint64 // requests decoded, not yet applied-acked
+	Inflight        uint64 // requests decoded, reply not yet handed to the socket
 	AckQueue        uint64 // writes applied, awaiting durable ack
 	MaxAckLagEpochs uint64 // worst watermark-commit distance at ack
 	OldestUnackedNS uint64 // age of the oldest write awaiting its durable ack
@@ -257,11 +248,9 @@ func protoErr(s *ProtocolError, format string, args ...any) error {
 //
 //	CmdGet/CmdDel   Key
 //	CmdPut          Key, Value
-//	CmdScan         Key (start), Count (requested length)
 //	RespValue       Found, Value
 //	RespApplied     OK (replaced/removed report), Epoch (commit epoch)
 //	RespDurable     OK, Epoch (commit epoch, ≤ the durable watermark)
-//	RespScan        Count (entries; always 0 — wire-level stub)
 //	RespError       Code, Text
 //	CmdStats        (ID only)
 //	RespStats       Stats (the counter block)
@@ -273,7 +262,6 @@ type Msg struct {
 	Found bool
 	OK    bool
 	Epoch uint64
-	Count uint32
 	Code  uint8
 	Text  string
 	Stats *StatsSnap // RespStats only
@@ -295,11 +283,6 @@ func Append(buf []byte, m *Msg) ([]byte, error) {
 		binary.LittleEndian.PutUint64(payload[8:], m.Key)
 		binary.LittleEndian.PutUint64(payload[16:], m.Value)
 		body = payload[:24]
-	case CmdScan:
-		binary.LittleEndian.PutUint64(payload[0:], m.ID)
-		binary.LittleEndian.PutUint64(payload[8:], m.Key)
-		binary.LittleEndian.PutUint32(payload[16:], m.Count)
-		body = payload[:20]
 	case RespValue:
 		binary.LittleEndian.PutUint64(payload[0:], m.ID)
 		payload[8] = b2u(m.Found)
@@ -310,10 +293,6 @@ func Append(buf []byte, m *Msg) ([]byte, error) {
 		payload[8] = b2u(m.OK)
 		binary.LittleEndian.PutUint64(payload[9:], m.Epoch)
 		body = payload[:17]
-	case RespScan:
-		binary.LittleEndian.PutUint64(payload[0:], m.ID)
-		binary.LittleEndian.PutUint32(payload[8:], m.Count)
-		body = payload[:12]
 	case CmdStats:
 		binary.LittleEndian.PutUint64(payload[0:], m.ID)
 		body = payload[:8]
@@ -423,9 +402,6 @@ func (r *Reader) Read() (Msg, error) {
 	case CmdPut:
 		m.Key = binary.LittleEndian.Uint64(p[8:])
 		m.Value = binary.LittleEndian.Uint64(p[16:])
-	case CmdScan:
-		m.Key = binary.LittleEndian.Uint64(p[8:])
-		m.Count = binary.LittleEndian.Uint32(p[16:])
 	case RespValue:
 		// Booleans are exactly 0 or 1, so decode∘encode is the identity
 		// and a frame has one canonical byte representation.
@@ -440,8 +416,6 @@ func (r *Reader) Read() (Msg, error) {
 		}
 		m.OK = p[8] == 1
 		m.Epoch = binary.LittleEndian.Uint64(p[9:])
-	case RespScan:
-		m.Count = binary.LittleEndian.Uint32(p[8:])
 	case RespStats:
 		m.Stats = &StatsSnap{}
 		for i, f := range m.Stats.statsFields() {

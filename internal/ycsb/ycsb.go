@@ -20,18 +20,14 @@ const (
 	OpInsert
 	// OpRemove deletes a key.
 	OpRemove
-	// OpScan reads a short ordered range starting at the key (YCSB E).
-	// The second return value of Next carries the scan length.
-	OpScan
 )
 
-// Mix describes an operation mix. ReadPct is the percentage of reads and
-// ScanPct the percentage of short range scans; the remainder is split
-// evenly between inserts and removes, unless InsertOnly sends all of it
-// to inserts (YCSB D/E's insert-only write tail).
+// Mix describes an operation mix. ReadPct is the percentage of reads; the
+// remainder is split evenly between inserts and removes, unless
+// InsertOnly sends all of it to inserts (YCSB D/F's insert-only write
+// tail).
 type Mix struct {
 	ReadPct    int
-	ScanPct    int
 	InsertOnly bool
 }
 
@@ -45,16 +41,16 @@ var (
 	WriteOnly = Mix{ReadPct: 0}
 )
 
-// Workloads are the standard YCSB core mixes A–F by letter. C is pure
-// reads; D and E take their write halves as pure inserts; E is
-// scan-heavy; F models read-modify-write as a 50/50 read/insert mix at
-// the KV level (the upsert carries the modified value).
+// Workloads are the standard YCSB core mixes by letter, A–D and F: no
+// served structure scans, so the scan-heavy E is left out. C is pure
+// reads; D takes its write share as pure inserts; F models
+// read-modify-write as a 50/50 read/insert mix at the KV level (the
+// upsert carries the modified value).
 var Workloads = map[string]Mix{
 	"A": {ReadPct: 50},
 	"B": {ReadPct: 95},
 	"C": {ReadPct: 100},
 	"D": {ReadPct: 95, InsertOnly: true},
-	"E": {ScanPct: 95, InsertOnly: true},
 	"F": {ReadPct: 50, InsertOnly: true},
 }
 
@@ -66,10 +62,6 @@ func WorkloadMix(name string) (Mix, bool) {
 	m, ok := Workloads[name]
 	return m, ok
 }
-
-// MaxScanLen bounds the per-scan length drawn for OpScan (YCSB uses
-// uniform 1..100; we keep it small and deterministic).
-const MaxScanLen = 64
 
 // DefaultZipfian is the Zipfian constant used throughout the paper.
 const DefaultZipfian = 0.99
@@ -102,10 +94,7 @@ func NewZipfian(n uint64, theta float64, mix Mix, seed uint64) *Generator {
 }
 
 // Next returns the next operation. Values are derived from the key so that
-// verification code can recompute them. For OpScan the second value is
-// the scan length (1..MaxScanLen). The scan band sits between the read
-// and write bands and draws its length lazily, so mixes with ScanPct == 0
-// produce byte-identical streams to pre-scan generators.
+// verification code can recompute them.
 func (g *Generator) Next() (OpKind, uint64, uint64) {
 	r := g.rng.next()
 	var k uint64
@@ -119,9 +108,7 @@ func (g *Generator) Next() (OpKind, uint64, uint64) {
 	switch {
 	case pct < g.mix.ReadPct:
 		return OpRead, k, 0
-	case pct < g.mix.ReadPct+g.mix.ScanPct:
-		return OpScan, k, g.rng.next()%MaxScanLen + 1
-	case g.mix.InsertOnly || (pct-g.mix.ReadPct-g.mix.ScanPct)%2 == 0:
+	case g.mix.InsertOnly || (pct-g.mix.ReadPct)%2 == 0:
 		return OpInsert, k, v
 	default:
 		return OpRemove, k, 0

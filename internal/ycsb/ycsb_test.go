@@ -98,59 +98,17 @@ func TestZipfianSkewIncreasesWithTheta(t *testing.T) {
 	}
 }
 
-// TestWorkloadE pins the scan-fraction plumbing: ~95% scans with
-// lengths in [1, MaxScanLen], the rest pure inserts (no removes).
-func TestWorkloadE(t *testing.T) {
-	mix, ok := WorkloadMix("e")
-	if !ok {
-		t.Fatal("workload E missing")
-	}
-	g := NewZipfian(1<<12, DefaultZipfian, mix, 11)
-	const n = 100000
-	var scans, inserts, removes, reads int
-	for i := 0; i < n; i++ {
-		op, k, v := g.Next()
-		switch op {
-		case OpScan:
-			scans++
-			if v < 1 || v > MaxScanLen {
-				t.Fatalf("scan length %d outside [1, %d]", v, MaxScanLen)
-			}
-			if k >= 1<<12 {
-				t.Fatalf("scan start key %d out of range", k)
-			}
-		case OpInsert:
-			inserts++
-		case OpRemove:
-			removes++
-		case OpRead:
-			reads++
-		}
-	}
-	if f := float64(scans) / n; math.Abs(f-0.95) > 0.02 {
-		t.Fatalf("scan fraction %.3f, want ~0.95", f)
-	}
-	if removes != 0 || reads != 0 {
-		t.Fatalf("workload E produced %d removes / %d reads; want insert-only writes", removes, reads)
-	}
-	if inserts == 0 {
-		t.Fatal("workload E produced no inserts")
-	}
-}
-
 // TestWorkloadTable sanity-checks every named workload's measured mix
 // against its declared percentages.
 func TestWorkloadTable(t *testing.T) {
 	for name, mix := range Workloads {
 		g := NewUniform(1<<10, mix, 23)
 		const n = 50000
-		var reads, scans, inserts, removes int
+		var reads, inserts, removes int
 		for i := 0; i < n; i++ {
 			switch op, _, _ := g.Next(); op {
 			case OpRead:
 				reads++
-			case OpScan:
-				scans++
 			case OpInsert:
 				inserts++
 			case OpRemove:
@@ -160,49 +118,55 @@ func TestWorkloadTable(t *testing.T) {
 		if f := float64(reads) / n; math.Abs(f-float64(mix.ReadPct)/100) > 0.02 {
 			t.Errorf("workload %s: read fraction %.3f, want ~%.2f", name, f, float64(mix.ReadPct)/100)
 		}
-		if f := float64(scans) / n; math.Abs(f-float64(mix.ScanPct)/100) > 0.02 {
-			t.Errorf("workload %s: scan fraction %.3f, want ~%.2f", name, f, float64(mix.ScanPct)/100)
-		}
 		if mix.InsertOnly && removes != 0 {
 			t.Errorf("workload %s: %d removes despite InsertOnly", name, removes)
 		}
 		// The parity split is only 50/50 when the write band has even
 		// width (odd bands like B's 5% split 3:2 structurally).
-		if band := 100 - mix.ReadPct - mix.ScanPct; !mix.InsertOnly && band%2 == 0 && inserts+removes > 0 {
+		if band := 100 - mix.ReadPct; !mix.InsertOnly && band%2 == 0 && inserts+removes > 0 {
 			if d := math.Abs(float64(inserts-removes)) / float64(inserts+removes); d > 0.15 {
 				t.Errorf("workload %s: insert/remove imbalance %.3f", name, d)
 			}
 		}
 	}
-	if _, ok := WorkloadMix("G"); ok {
-		t.Error("WorkloadMix accepted unknown workload G")
+	for _, name := range []string{"E", "G"} {
+		if _, ok := WorkloadMix(name); ok {
+			t.Errorf("WorkloadMix accepted unknown workload %s", name)
+		}
 	}
 }
 
-// TestScanPctZeroStreamCompat pins that adding the scan band did not
-// perturb scan-free op streams: a ScanPct==0 mix must consume exactly
-// the RNG draws the pre-scan generator did.
+// TestScanPctZeroStreamCompat pins every op stream to the two-draw
+// generator that predates the scan band, which is gone again: each named
+// workload (and a plain 20 % read mix) must consume exactly the RNG draws
+// and yield exactly the ops of the reference below, so the A–D and F
+// streams are byte-identical to the ones every earlier run drew.
 func TestScanPctZeroStreamCompat(t *testing.T) {
-	g := NewUniform(1<<12, Mix{ReadPct: 20}, 99)
-	// Reference reimplementation of the historical two-draw stream.
-	rng := splitMix{99 ^ 0x9e3779b97f4a7c15}
-	for i := 0; i < 2000; i++ {
-		r := rng.next()
-		k := rng.next() % (1 << 12)
-		v := k*2654435761 + 12345
-		var wantOp OpKind
-		var wantV uint64
-		switch pct := int(r % 100); {
-		case pct < 20:
-			wantOp = OpRead
-		case (pct-20)%2 == 0:
-			wantOp, wantV = OpInsert, v
-		default:
-			wantOp = OpRemove
-		}
-		op, gk, gv := g.Next()
-		if op != wantOp || gk != k || gv != wantV {
-			t.Fatalf("step %d: stream diverged (got %v/%d/%d want %v/%d/%d)", i, op, gk, gv, wantOp, k, wantV)
+	mixes := map[string]Mix{"20/80": {ReadPct: 20}}
+	for name, mix := range Workloads {
+		mixes[name] = mix
+	}
+	for name, mix := range mixes {
+		g := NewUniform(1<<12, mix, 99)
+		rng := splitMix{99 ^ 0x9e3779b97f4a7c15}
+		for i := 0; i < 2000; i++ {
+			r := rng.next()
+			k := rng.next() % (1 << 12)
+			v := k*2654435761 + 12345
+			var wantOp OpKind
+			var wantV uint64
+			switch pct := int(r % 100); {
+			case pct < mix.ReadPct:
+				wantOp = OpRead
+			case mix.InsertOnly || (pct-mix.ReadPct)%2 == 0:
+				wantOp, wantV = OpInsert, v
+			default:
+				wantOp = OpRemove
+			}
+			op, gk, gv := g.Next()
+			if op != wantOp || gk != k || gv != wantV {
+				t.Fatalf("%s step %d: stream diverged (got %v/%d/%d want %v/%d/%d)", name, i, op, gk, gv, wantOp, k, wantV)
+			}
 		}
 	}
 }
