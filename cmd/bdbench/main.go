@@ -14,9 +14,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"strconv"
@@ -38,9 +38,9 @@ var (
 	latency  = flag.Bool("latency", true, "enable the Optane latency model on NVM heaps")
 	full     = flag.Bool("full", false, "paper-scale parameters (2^22 keys, 1s points)")
 
-	obsFlag  = flag.Bool("obs", false, "record obs telemetry and print a summary at exit")
+	obsFlag  = flag.Bool("obs", false, "record obs telemetry and print its OpenMetrics exposition at exit")
 	traceOut = flag.String("trace", "", "write a Chrome trace_event file (implies -obs)")
-	httpAddr = flag.String("http", "", "serve /obs, /metrics and pprof on this address (implies -obs)")
+	httpAddr = flag.String("http", "", "serve /metrics and pprof on this address (implies -obs)")
 )
 
 // benchObs is the process-wide recorder wired into every subject when
@@ -58,7 +58,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *obsFlag || *traceOut != "" || *httpAddr != "" {
-		benchObs = obs.New("bdbench")
+		benchObs = obs.New()
 	}
 	if *traceOut != "" {
 		benchObs.StartTrace(1 << 16)
@@ -69,7 +69,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bdbench: -http: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obs endpoint: http://%s/obs (metrics at /metrics, pprof at /debug/pprof)\n", hs.Addr())
+		fmt.Printf("obs endpoint: http://%s/metrics, pprof at /debug/pprof\n", hs.Addr())
 	}
 	exp := flag.Arg(0)
 	all := exp == "all"
@@ -100,7 +100,10 @@ func main() {
 		writeTrace()
 	}
 	if *obsFlag {
-		printObsSummary()
+		fmt.Println("\nobs summary")
+		if err := printObsSummary(os.Stdout, benchObs); err != nil {
+			fmt.Fprintf(os.Stderr, "bdbench: -obs: %v\n", err)
+		}
 	}
 }
 
@@ -126,14 +129,10 @@ func writeTrace() {
 	fmt.Printf("wrote %d trace events to %s (%d dropped by ring)\n", kept, *traceOut, dropped)
 }
 
-func printObsSummary() {
-	snap := benchObs.Snapshot()
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bdbench: -obs: %v\n", err)
-		return
-	}
-	fmt.Printf("\nobs summary (%s)\n%s\n", snap.Name, data)
+// printObsSummary writes rec's histograms to w in the OpenMetrics text
+// format, the exposition /metrics serves.
+func printObsSummary(w io.Writer, rec *obs.Recorder) error {
+	return rec.WriteOpenMetrics(w, nil)
 }
 
 // tailLatency quantifies the Sec. 4.2 claim that BDL preserves the

@@ -43,7 +43,7 @@ var (
 	selfConns    = flag.Int("selftest-conns", 4, "selftest connections")
 	selfWorkload = flag.String("selftest-workload", "A", "selftest YCSB workload: A, B, C, D or F")
 	obsFlag      = flag.Bool("obs", false, "record obs telemetry")
-	obsHTTP      = flag.String("obs-http", "", "serve /obs, /metrics and /debug/pprof on this address (implies -obs)")
+	obsHTTP      = flag.String("obs-http", "", "serve /metrics and /debug/pprof on this address (implies -obs)")
 	spanSample   = flag.Int("span-sample", 0, "trace 1 in N requests as lifecycle spans (0 disables; implies -obs)")
 	traceOut     = flag.String("trace", "", "selftest: write sampled spans as a Chrome trace to this file")
 	spansOut     = flag.String("spans-out", "", "selftest: write sampled spans as JSONL to this file")
@@ -74,7 +74,7 @@ func main() {
 		MaxSessions: *maxSessions,
 	}
 	if *obsFlag || *obsHTTP != "" || *spanSample > 0 {
-		cfg.Obs = obs.New("bdserve")
+		cfg.Obs = obs.New()
 	}
 	if *spanSample > 0 {
 		cfg.Obs.EnableSpans(4096, *spanSample)
@@ -86,7 +86,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer hs.Close()
-		fmt.Printf("bdserve: observability on http://%s (/obs /metrics /debug/pprof)\n", hs.Addr())
+		fmt.Printf("bdserve: observability on http://%s (/metrics, pprof at /debug/pprof)\n", hs.Addr())
 	}
 	if *selftest > 0 {
 		os.Exit(runSelftest(cfg))

@@ -16,7 +16,7 @@ import (
 // polls, rendering both the first-frame (totals) and steady-state
 // (rates + sparkline) layouts.
 func TestFetchAndRender(t *testing.T) {
-	r := obs.New("bdtop-test")
+	r := obs.New()
 	r.EnableSpans(64, 1)
 	srv := bdserve.New(bdserve.Config{KeySpace: 1 << 10, Manual: true, Obs: r})
 	addr, err := srv.Start("127.0.0.1:0")

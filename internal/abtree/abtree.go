@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 const (
@@ -89,13 +88,7 @@ type Tree struct {
 	eliminated atomic.Int64 // ops cancelled without NVM writes
 	combined   atomic.Int64 // ops applied by another thread's drain
 
-	obs *obs.Recorder
 }
-
-// SetObs attaches a telemetry recorder: every Get/Insert/Remove records
-// its latency on it. Attach before the tree is shared between goroutines;
-// nil disables recording.
-func (t *Tree) SetObs(r *obs.Recorder) { t.obs = r }
 
 type dirEntry struct {
 	minKey uint64
@@ -196,9 +189,6 @@ func (t *Tree) unlockLeaf(leaf nvm.Addr) {
 
 // Get returns the value stored under k, with an optimistic seqlock read.
 func (t *Tree) Get(k uint64) (uint64, bool) {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
-	}
 	for {
 		t.dirMu.RLock()
 		leaf := t.findLeaf(k)
@@ -230,17 +220,11 @@ func (t *Tree) Get(k uint64) (uint64, bool) {
 // Insert adds or updates k, reporting whether an existing value was
 // replaced.
 func (t *Tree) Insert(k, v uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpInsert, k, t.obs.Now())
-	}
 	return t.update(k, v, true)
 }
 
 // Remove deletes k, reporting whether it was present.
 func (t *Tree) Remove(k uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpRemove, k, t.obs.Now())
-	}
 	return t.update(k, 0, false)
 }
 

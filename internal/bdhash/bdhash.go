@@ -38,7 +38,6 @@ import (
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 const (
@@ -81,15 +80,8 @@ type Table struct {
 	// absence created by a newer-epoch removal (see epoch.RemovalStamps).
 	removals epoch.RemovalStamps
 
-	obs *obs.Recorder
-
 	perW []wstate
 }
-
-// SetObs attaches a telemetry recorder: every Get/Insert/Remove records
-// its latency on it. Attach before the table is shared between
-// goroutines; nil disables recording.
-func (t *Table) SetObs(r *obs.Recorder) { t.obs = r }
 
 type wstate struct {
 	prealloc epoch.Block
@@ -163,9 +155,6 @@ type insertOutcome struct {
 // value was replaced. Insert panics if the probe window is exhausted —
 // size the table for the expected key population.
 func (t *Table) Insert(w *epoch.Worker, k, v uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpInsert, k, t.obs.Now())
-	}
 	ws := &t.perW[w.ID()]
 retryRegist:
 	opEpoch := w.BeginOp()
@@ -292,9 +281,6 @@ func (t *Table) Get(k uint64) (uint64, bool) { return t.GetW(nil, k) }
 // abort a pure retry loop indefinitely; past its budget the lookup runs as
 // a read-only session, which waits its turn per line instead.
 func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
-	}
 	var v uint64
 	var ok bool
 	w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
@@ -320,9 +306,6 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 
 // Remove deletes a key, reporting whether it was present.
 func (t *Table) Remove(w *epoch.Worker, k uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpRemove, k, t.obs.Now())
-	}
 retryRegist:
 	opEpoch := w.BeginOp()
 	var retire epoch.Block

@@ -17,7 +17,7 @@ import (
 // drift between them means an ack was double-counted, a span orphaned,
 // or a histogram recorded off the ack path.
 func TestSpanLedgerParity(t *testing.T) {
-	r := obs.New("slo-parity")
+	r := obs.New()
 	r.EnableSpans(256, 1)
 	srv, addr := startServer(t, Config{KeySpace: 1 << 10, Manual: true, Obs: r})
 	c := dial(t, addr)
@@ -161,7 +161,7 @@ func TestStatsFlusherDepthWithoutRecorder(t *testing.T) {
 // reaches its TM, so the served /metrics has attempt histograms, and the
 // exposition's counters are the server's own.
 func TestServedMetricsCarryAttempts(t *testing.T) {
-	r := obs.New("served-metrics")
+	r := obs.New()
 	srv, addr := startServer(t, Config{KeySpace: 1 << 10, Manual: true, Obs: r})
 	hs, err := obs.StartHTTP("127.0.0.1:0", r, func() any { return srv.WireStats() })
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 const (
@@ -58,13 +57,7 @@ type Table struct {
 	count atomic.Int64
 	bump  nvm.Addr // next free heap word (mirrored durably)
 
-	obs *obs.Recorder
 }
-
-// SetObs attaches a telemetry recorder: every Get/Insert/Remove records
-// its latency on it. Attach before the table is shared between
-// goroutines; nil disables recording.
-func (t *Table) SetObs(r *obs.Recorder) { t.obs = r }
 
 func hash64(k uint64) uint64 {
 	k ^= k >> 33
@@ -151,9 +144,6 @@ func probeSlot(start, i int) int { return (start + i) % segSlots }
 
 // Get returns the value stored under k.
 func (t *Table) Get(k uint64) (uint64, bool) {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
-	}
 	h := hash64(k)
 	for {
 		seg, lock, _ := t.segFor(h)
@@ -182,9 +172,6 @@ func (t *Table) Get(k uint64) (uint64, bool) {
 // key write is the commit point, so a crash exposes either the complete
 // pair or nothing.
 func (t *Table) Insert(k, v uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpInsert, k, t.obs.Now())
-	}
 	h := hash64(k)
 	for {
 		seg, lock, _ := t.segFor(h)
@@ -228,9 +215,6 @@ func (t *Table) Insert(k, v uint64) bool {
 
 // Remove deletes k, reporting whether it was present.
 func (t *Table) Remove(k uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpRemove, k, t.obs.Now())
-	}
 	h := hash64(k)
 	for {
 		seg, lock, _ := t.segFor(h)

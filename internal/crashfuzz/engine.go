@@ -389,7 +389,7 @@ func newSession(p RoundParams, sub Subject, heapWords int) *session {
 	s := &session{p: p, sub: sub, buffered: sub.Durability() == Buffered}
 	// Every round runs with telemetry and a live tracer attached, so the
 	// fuzzer also exercises the obs hooks across crash and recovery.
-	rec := obs.New("crashfuzz")
+	rec := obs.New()
 	rec.StartTrace(1 << 10)
 	sub.Init(Env{
 		Seed:         p.Seed,
@@ -680,7 +680,7 @@ func runSingle(p RoundParams, sub Subject) *Failure {
 // checker.go).
 func runConcurrent(p RoundParams, sub Subject) *Failure {
 	buffered := sub.Durability() == Buffered
-	rec := obs.New("crashfuzz")
+	rec := obs.New()
 	rec.StartTrace(1 << 10)
 	sub.Init(Env{
 		Seed:         p.Seed,

@@ -79,7 +79,7 @@ func runRecoveryCell(t *testing.T, subject string, workers int) recoveryCell {
 	prev := runtime.GOMAXPROCS(workers)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	const keySpace = 64
-	rec := obs.New("equiv")
+	rec := obs.New()
 	sub, err := NewSubject(subject)
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bdhtm/internal/kv"
 	"bdhtm/internal/ycsb"
 )
 
@@ -82,14 +83,7 @@ func Run(inst *Instance, wl Workload, threads int, dur time.Duration, seed uint6
 			for !stop.Load() {
 				for i := 0; i < 64; i++ {
 					op, k, v := g.Next()
-					switch op {
-					case ycsb.OpRead:
-						h.Get(k)
-					case ycsb.OpInsert:
-						h.Insert(k, v)
-					case ycsb.OpRemove:
-						h.Remove(k)
-					}
+					apply(h, op, k, v)
 				}
 				ops += 64
 				runtime.Gosched() // let the epoch advancer breathe (single-CPU hosts)
@@ -126,14 +120,7 @@ func RunOps(inst *Instance, wl Workload, threads int, opsPerThread int, seed uin
 			g := wl.generator(seed + uint64(tid)*7919)
 			for i := 0; i < opsPerThread; i++ {
 				op, k, v := g.Next()
-				switch op {
-				case ycsb.OpRead:
-					h.Get(k)
-				case ycsb.OpInsert:
-					h.Insert(k, v)
-				case ycsb.OpRemove:
-					h.Remove(k)
-				}
+				apply(h, op, k, v)
 				if i&63 == 63 {
 					runtime.Gosched()
 				}
@@ -145,6 +132,18 @@ func RunOps(inst *Instance, wl Workload, threads int, opsPerThread int, seed uin
 	ops := int64(threads * opsPerThread)
 	return Result{Threads: threads, Ops: ops, Elapsed: elapsed,
 		Throughput: float64(ops) / elapsed.Seconds() / 1e6}
+}
+
+// apply runs one generated operation on the session.
+func apply(h kv.Session, op ycsb.OpKind, k, v uint64) {
+	switch op {
+	case ycsb.OpRead:
+		h.Get(k)
+	case ycsb.OpInsert:
+		h.Insert(k, v)
+	case ycsb.OpRemove:
+		h.Remove(k)
+	}
 }
 
 // Prefill inserts every even key (half the key space), the paper's

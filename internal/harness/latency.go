@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"time"
-
-	"bdhtm/internal/ycsb"
 )
 
 // LatencyResult holds per-operation latency percentiles, for the paper's
@@ -43,14 +41,7 @@ func RunLatency(inst *Instance, wl Workload, ops int, bgThreads int, seed uint64
 				}
 				for i := 0; i < 32; i++ {
 					op, k, v := g.Next()
-					switch op {
-					case ycsb.OpRead:
-						h.Get(k)
-					case ycsb.OpInsert:
-						h.Insert(k, v)
-					case ycsb.OpRemove:
-						h.Remove(k)
-					}
+					apply(h, op, k, v)
 				}
 			}
 		}(t)
@@ -61,14 +52,7 @@ func RunLatency(inst *Instance, wl Workload, ops int, bgThreads int, seed uint64
 	for i := 0; i < ops; i++ {
 		op, k, v := g.Next()
 		start := time.Now()
-		switch op {
-		case ycsb.OpRead:
-			h.Get(k)
-		case ycsb.OpInsert:
-			h.Insert(k, v)
-		case ycsb.OpRemove:
-			h.Remove(k)
-		}
+		apply(h, op, k, v)
 		lat[i] = time.Since(start)
 	}
 	close(stop)

@@ -28,8 +28,8 @@ type Opts struct {
 	// MemTypeRate injects the Fig. 2 MEMTYPE anomaly into HTM subjects.
 	MemTypeRate float64
 	// Obs, when non-nil, is attached to every component the subject
-	// builds: the TM, the heaps, the epoch system, the allocator, and
-	// the structure's op hot paths all record onto it.
+	// builds (the TM, the heaps, the epoch system, the allocator), and
+	// every session operation is timed onto it.
 	Obs *obs.Recorder
 	// Manual disables background epoch advancers on buffered-durable
 	// subjects; epochs then advance only via the instance's Sync.
@@ -93,7 +93,7 @@ type Instance struct {
 }
 
 // New builds the named kv kind scaled to o, with o.Obs attached to every
-// component.
+// component and timing every session operation.
 func New(kind string, o Opts) *Instance {
 	k, ok := kv.Lookup(kind)
 	if !ok {
@@ -105,8 +105,40 @@ func New(kind string, o Opts) *Instance {
 		p.Heap = o.heap(k)
 	}
 	st := kv.Open(kind, p)
-	st.Structure.(interface{ SetObs(*obs.Recorder) }).SetObs(o.Obs)
+	if o.Obs != nil {
+		st.Store = timedStore{st.Store, o.Obs}
+	}
 	return &Instance{Name: k.Title, Stack: st}
+}
+
+// timedStore records each of its sessions' operations on rec: every
+// harness operation runs on a session of Instance.Store, so each is timed
+// once, whatever the structure does inside it.
+type timedStore struct {
+	kv.Store
+	rec *obs.Recorder
+}
+
+func (s timedStore) NewSession() kv.Session { return timedSession{s.Store.NewSession(), s.rec} }
+
+type timedSession struct {
+	kv.Session
+	rec *obs.Recorder
+}
+
+func (s timedSession) Insert(k, v uint64) bool {
+	defer s.rec.EndOp(obs.OpInsert, k, s.rec.Now())
+	return s.Session.Insert(k, v)
+}
+
+func (s timedSession) Remove(k uint64) bool {
+	defer s.rec.EndOp(obs.OpRemove, k, s.rec.Now())
+	return s.Session.Remove(k)
+}
+
+func (s timedSession) Get(k uint64) (uint64, bool) {
+	defer s.rec.EndOp(obs.OpLookup, k, s.rec.Now())
+	return s.Session.Get(k)
 }
 
 // DRAMBytes is the index memory of Table 3: a vEB tree's node pool, LB+Tree's

@@ -145,7 +145,7 @@ func benchFallbackMixed(b *testing.B, g int) {
 // requests, the attempt-tally and finish cost a traced request pays.
 func benchTxSpan(b *testing.B, g, nReads, nWrites, every int) {
 	tm := New(Config{})
-	rec := obs.New("hotpath-bench")
+	rec := obs.New()
 	if every > 0 {
 		rec.EnableSpans(8192, every)
 	}

@@ -96,7 +96,7 @@ type Stack struct {
 	Store Store
 	// Structure is the concrete structure (*veb.Tree, *skiplist.List, …)
 	// for callers that need more than the contract: footprint accounting,
-	// SetObs, a test's Successor.
+	// a test's Successor.
 	Structure any
 }
 

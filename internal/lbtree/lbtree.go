@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 const (
@@ -50,14 +49,7 @@ type Tree struct {
 
 	bump  nvm.Addr
 	count atomic.Int64
-
-	obs *obs.Recorder
 }
-
-// SetObs attaches a telemetry recorder: every Get/Insert/Remove records
-// its latency on it. Attach before the tree is shared between goroutines;
-// nil disables recording.
-func (t *Tree) SetObs(r *obs.Recorder) { t.obs = r }
 
 type dirEntry struct {
 	minKey uint64
@@ -121,9 +113,6 @@ func entryAddr(leaf nvm.Addr, s int) nvm.Addr { return leaf + leafEntryOff + nvm
 // Get returns the value stored under k. Reads are lock-free: the bitmap
 // word gates entry visibility.
 func (t *Tree) Get(k uint64) (uint64, bool) {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
-	}
 	t.mu.RLock()
 	leaf := t.findLeaf(k)
 	t.mu.RUnlock()
@@ -143,9 +132,6 @@ func (t *Tree) Get(k uint64) (uint64, bool) {
 // Insert adds or updates k, reporting whether an existing value was
 // replaced.
 func (t *Tree) Insert(k, v uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpInsert, k, t.obs.Now())
-	}
 	for {
 		t.mu.RLock()
 		leaf := t.findLeaf(k)
@@ -200,9 +186,6 @@ func (t *Tree) Insert(k, v uint64) bool {
 // Remove deletes k, reporting whether it was present. Clearing the bitmap
 // bit is the single persisted commit point.
 func (t *Tree) Remove(k uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpRemove, k, t.obs.Now())
-	}
 	for {
 		t.mu.RLock()
 		leaf := t.findLeaf(k)

@@ -148,9 +148,6 @@ func NewDesc(h *nvm.Heap, persist bool, nThreads int, alloc func(words int) nvm.
 	return d
 }
 
-// Persistent reports whether the engine runs the PMwCAS protocol.
-func (d *Desc) Persistent() bool { return d.persist }
-
 func (d *Desc) flush(a nvm.Addr) {
 	if d.persist {
 		d.h.Persist(a)

@@ -24,7 +24,7 @@ import (
 // counts.
 func TestExactFlushCounts(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 16})
-	h.SetObs(obs.New("nvm-exact"))
+	h.SetObs(obs.New())
 
 	const n = 10
 	for i := uint64(0); i < n; i++ {
@@ -57,7 +57,7 @@ func TestExactFlushCounts(t *testing.T) {
 // a scripted run must record zero flushes and fences while still counting
 // every operation.
 func TestEADRNoFlushes(t *testing.T) {
-	rec := obs.New("eadr")
+	rec := obs.New()
 	inst := harness.New("spash-eadr", harness.Opts{KeySpace: 1 << 10, Obs: rec})
 	defer inst.Close()
 	h := inst.Store.NewSession()
@@ -78,7 +78,7 @@ func TestEADRNoFlushes(t *testing.T) {
 // retry commits. Exactly one abort and one commit land in obs, mirroring
 // the TM's own counters.
 func TestForcedMemTypeAbort(t *testing.T) {
-	rec := obs.New("memtype")
+	rec := obs.New()
 	tm := htm.New(htm.Config{MemTypeRate: 1})
 	tm.SetObs(rec)
 
@@ -138,7 +138,7 @@ func TestStructureOpCounts(t *testing.T) {
 	const inserts, lookups, removes = 100, 50, 25
 	for _, b := range subjectBuilders {
 		t.Run(b.name, func(t *testing.T) {
-			rec := obs.New(b.name)
+			rec := obs.New()
 			inst := harness.New(b.kind, harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
 			defer inst.Close()
 			h := inst.Store.NewSession()
@@ -195,7 +195,7 @@ func TestStructureOpCounts(t *testing.T) {
 // exactly one epoch and runs a known number of flush tasks; obs must
 // record every phase of every task exactly once.
 func TestEpochPhaseAccounting(t *testing.T) {
-	rec := obs.New("epoch")
+	rec := obs.New()
 	inst := harness.New("veb", harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
 	defer inst.Close()
 	h := inst.Store.NewSession()
@@ -229,7 +229,7 @@ func TestEpochPhaseAccounting(t *testing.T) {
 func TestEpochCounterParity(t *testing.T) {
 	for _, b := range subjectBuilders {
 		t.Run(b.name, func(t *testing.T) {
-			rec := obs.New(b.name)
+			rec := obs.New()
 			inst := harness.New(b.kind, harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
 			defer inst.Close()
 			h := inst.Store.NewSession()
@@ -276,7 +276,7 @@ func TestEpochCounterParity(t *testing.T) {
 // gate is released only after the waiter is observed, making the count
 // deterministic rather than timing-dependent.
 func TestForcedBackpressure(t *testing.T) {
-	rec := obs.New("backpressure")
+	rec := obs.New()
 	heap := nvm.New(nvm.Config{Words: 1 << 16})
 	heap.SetObs(rec)
 	sys := epoch.New(heap, epoch.Config{
@@ -348,7 +348,7 @@ func TestForcedBackpressure(t *testing.T) {
 // TestObsSurvivesCrash: tracing across a simulated power failure must not
 // deadlock, lose the crash event, or disturb the heap's own counts.
 func TestObsSurvivesCrash(t *testing.T) {
-	rec := obs.New("crash")
+	rec := obs.New()
 	tr := rec.StartTrace(1 << 10)
 	h := nvm.New(nvm.Config{Words: 1 << 14})
 	h.SetObs(rec)
@@ -415,5 +415,5 @@ func BenchmarkObsOff(b *testing.B) {
 }
 
 func BenchmarkObsOn(b *testing.B) {
-	runScripted(b, harness.Opts{KeySpace: 1 << 10, Obs: obs.New("bench")})
+	runScripted(b, harness.Opts{KeySpace: 1 << 10, Obs: obs.New()})
 }

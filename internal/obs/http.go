@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -22,8 +21,7 @@ func (h *HTTPServer) Addr() string { return h.addr }
 // Close shuts down the listener; in-flight requests are cut off.
 func (h *HTTPServer) Close() error { return h.srv.Close() }
 
-// StartHTTP serves live observability over HTTP on addr: /obs (JSON
-// snapshot of r, plus the counters under "counters"), /metrics (the
+// StartHTTP serves live observability over HTTP on addr: /metrics (the
 // OpenMetrics exposition of r and the counters) and /debug/pprof.
 // counters, if non-nil, is called on every request for the caller's
 // current flat counter struct (see WriteOpenMetrics). Each call builds
@@ -35,15 +33,6 @@ func StartHTTP(addr string, r *Recorder, counters func() any) (*HTTPServer, erro
 		counters = func() any { return nil }
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/obs", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Snapshot
-			Counters any `json:"counters,omitempty"`
-		}{r.Snapshot(), counters()})
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		_ = r.WriteOpenMetrics(w, counters())

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -27,10 +26,12 @@ func counterSource(reqs int64) func() any {
 	return func() any { return struct{ ServeReqs int64 }{reqs} }
 }
 
-// TestStartHTTPEndpoints: one endpoint serves /obs (JSON snapshot plus
-// the counters), /metrics (lintable OpenMetrics) and /debug/pprof.
+// TestStartHTTPEndpoints: one endpoint serves /metrics (lintable
+// OpenMetrics of the recorder's histograms and the counters) and
+// /debug/pprof; there is no /obs view beside it.
 func TestStartHTTPEndpoints(t *testing.T) {
-	r := New("http-test")
+	r := New()
+	r.EndOp(OpInsert, 1, r.Now())
 	h, err := StartHTTP("127.0.0.1:0", r, counterSource(3))
 	if err != nil {
 		t.Fatal(err)
@@ -38,32 +39,22 @@ func TestStartHTTPEndpoints(t *testing.T) {
 	defer h.Close()
 	base := "http://" + h.Addr()
 
-	code, body := httpGet(t, base+"/obs")
-	if code != http.StatusOK {
-		t.Fatalf("/obs status %d", code)
-	}
-	var snap struct {
-		Name     string
-		Counters struct{ ServeReqs int64 }
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("/obs is not JSON: %v\n%s", err, body)
-	}
-	if snap.Name != "http-test" || snap.Counters.ServeReqs != 3 {
-		t.Fatalf("/obs = %+v, want the recorder snapshot plus the counters:\n%s", snap, body)
-	}
-
-	code, body = httpGet(t, base+"/metrics")
+	code, body := httpGet(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
 	if err := LintOpenMetrics(body); err != nil {
 		t.Fatalf("/metrics fails lint: %v\n%s", err, body)
 	}
-	if !strings.Contains(string(body), "\nbdhtm_serve_reqs 3\n") {
-		t.Fatalf("/metrics missing the counter:\n%s", body)
+	for _, want := range []string{"\nbdhtm_serve_reqs 3\n", "\nbdhtm_op_latency_ns_count{op=\"insert\"} 1\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 
+	if code, _ := httpGet(t, base+"/obs"); code != http.StatusNotFound {
+		t.Fatalf("/obs status %d, want %d", code, http.StatusNotFound)
+	}
 	if code, _ := httpGet(t, base+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline status %d", code)
 	}
@@ -73,12 +64,12 @@ func TestStartHTTPEndpoints(t *testing.T) {
 // implementation panicked on the second DefaultServeMux registration),
 // each serving its own counters.
 func TestStartHTTPTwice(t *testing.T) {
-	h1, err := StartHTTP("127.0.0.1:0", New("first"), counterSource(1))
+	h1, err := StartHTTP("127.0.0.1:0", New(), counterSource(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h1.Close()
-	h2, err := StartHTTP("127.0.0.1:0", New("second"), counterSource(2))
+	h2, err := StartHTTP("127.0.0.1:0", New(), counterSource(2))
 	if err != nil {
 		t.Fatalf("second StartHTTP: %v", err)
 	}
@@ -97,7 +88,7 @@ func TestStartHTTPTwice(t *testing.T) {
 // TestStartHTTPStopRestart: Close releases the address; a later
 // StartHTTP (same process) serves the new recorder.
 func TestStartHTTPStopRestart(t *testing.T) {
-	r1 := New("gen-one")
+	r1 := New()
 	h, err := StartHTTP("127.0.0.1:0", r1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,21 +97,22 @@ func TestStartHTTPStopRestart(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := http.Get("http://" + addr + "/obs"); err == nil {
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("endpoint still serving after Close")
 	}
 
-	r2 := New("gen-two")
+	r2 := New()
+	r2.EndOp(OpLookup, 2, r2.Now())
 	h2, err := StartHTTP(addr, r2, nil) // exact same address must be free again
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
 	defer h2.Close()
-	code, body := httpGet(t, "http://"+h2.Addr()+"/obs")
+	code, body := httpGet(t, "http://"+h2.Addr()+"/metrics")
 	if code != http.StatusOK {
-		t.Fatalf("/obs status %d", code)
+		t.Fatalf("/metrics status %d", code)
 	}
-	if !strings.Contains(string(body), `"gen-two"`) {
-		t.Fatalf("/obs still bound to the old recorder:\n%s", body)
+	if !strings.Contains(string(body), "\nbdhtm_op_latency_ns_count{op=\"lookup\"} 1\n") {
+		t.Fatalf("/metrics still bound to the old recorder:\n%s", body)
 	}
 }

@@ -11,11 +11,16 @@
 //   - Hist: log-scale latency histograms, per op type (insert / remove /
 //     lookup), per HTM attempt outcome (commit vs. each abort cause),
 //     per epoch-advance phase, and per service latency (hist.go).
-//   - Tracer: a sharded ring-buffer event tracer with Chrome
-//     trace_event and JSONL exporters (trace.go); spans follow sampled
-//     requests through the service stack (span.go).
-//   - WriteOpenMetrics / StartHTTP: the OpenMetrics exposition and an
-//     optional /obs, /metrics and pprof HTTP endpoint (prom.go, http.go).
+//   - Tracer: a sharded ring-buffer event tracer with one exporter,
+//     Chrome trace_event (trace.go); spans follow sampled requests
+//     through the service stack (span.go).
+//   - WriteOpenMetrics / StartHTTP: the OpenMetrics exposition, served
+//     with pprof by an optional HTTP endpoint (prom.go, http.go).
+//
+// Who records what: the substrate layers (htm, nvm, palloc, epoch) take
+// a recorder for attempts, phases and trace events; the harness times
+// structure operations at its session boundary; bdserve records service
+// latencies and spans. The structures themselves carry none.
 //
 // Overhead discipline: a nil *Recorder is a valid, fully disabled
 // recorder — every method is nil-safe, and instrumented call sites guard
@@ -173,12 +178,10 @@ func (h SvcHist) String() string {
 }
 
 // Recorder is the telemetry hub one benchmark run (or one test) attaches
-// to the substrate and structures. A nil *Recorder is valid and records
+// to the substrate and the harness. A nil *Recorder is valid and records
 // nothing; all methods are nil-safe.
 type Recorder struct {
-	name string
-	base time.Time
-	now  func() int64 // ns since an arbitrary epoch; monotonic
+	now func() int64 // ns since an arbitrary epoch; monotonic
 
 	ops      [NumOps]Hist
 	attempts [NumOutcomes]Hist
@@ -190,27 +193,15 @@ type Recorder struct {
 }
 
 // New creates an enabled recorder using the monotonic wall clock.
-func New(name string) *Recorder {
+func New() *Recorder {
 	base := time.Now()
-	return &Recorder{
-		name: name,
-		base: base,
-		now:  func() int64 { return int64(time.Since(base)) },
-	}
+	return &Recorder{now: func() int64 { return int64(time.Since(base)) }}
 }
 
 // NewWithClock creates a recorder driven by an arbitrary clock, for
 // deterministic tests. The clock must be monotonic (never decrease).
-func NewWithClock(name string, now func() int64) *Recorder {
-	return &Recorder{name: name, now: now}
-}
-
-// Name returns the recorder's label ("" for a nil recorder).
-func (r *Recorder) Name() string {
-	if r == nil {
-		return ""
-	}
-	return r.name
+func NewWithClock(now func() int64) *Recorder {
+	return &Recorder{now: now}
 }
 
 // Now returns the recorder's clock reading, or 0 for a nil recorder.
@@ -394,58 +385,4 @@ func (r *Recorder) Tracer() *Tracer {
 		return nil
 	}
 	return r.tracer.Load()
-}
-
-// Snapshot captures every histogram and the tracer's counts, for the -obs
-// summary, the /obs endpoint, and tests. Call it while the workload is
-// paused for exact values; concurrent calls see a possibly-torn but safe
-// view.
-func (r *Recorder) Snapshot() Snapshot {
-	s := Snapshot{
-		Name:        r.Name(),
-		Ops:         map[string]HistSnapshot{},
-		Attempts:    map[string]HistSnapshot{},
-		EpochPhases: map[string]HistSnapshot{},
-	}
-	if r == nil {
-		return s
-	}
-	for k := OpKind(0); k < NumOps; k++ {
-		if h := r.ops[k].Snapshot(); h.Count > 0 {
-			s.Ops[k.String()] = h
-		}
-	}
-	for o := Outcome(0); o < NumOutcomes; o++ {
-		if h := r.attempts[o].Snapshot(); h.Count > 0 {
-			s.Attempts[o.String()] = h
-		}
-	}
-	for p := EpochPhase(0); p < NumEpochPhases; p++ {
-		if h := r.phases[p].Snapshot(); h.Count > 0 {
-			s.EpochPhases[p.String()] = h
-		}
-	}
-	for v := SvcHist(0); v < NumSvcHists; v++ {
-		if h := r.svc[v].Snapshot(); h.Count > 0 {
-			if s.Service == nil {
-				s.Service = map[string]HistSnapshot{}
-			}
-			s.Service[v.String()] = h
-		}
-	}
-	if tr := r.tracer.Load(); tr != nil {
-		s.TraceEvents, s.TraceDropped = tr.Counts()
-	}
-	return s
-}
-
-// Snapshot is the JSON-friendly point-in-time view of a Recorder.
-type Snapshot struct {
-	Name         string                  `json:"name"`
-	Ops          map[string]HistSnapshot `json:"ops"`
-	Attempts     map[string]HistSnapshot `json:"attempts"`
-	EpochPhases  map[string]HistSnapshot `json:"epoch_phases"`
-	Service      map[string]HistSnapshot `json:"service,omitempty"`
-	TraceEvents  int64                   `json:"trace_events"`
-	TraceDropped int64                   `json:"trace_dropped"`
 }

@@ -8,7 +8,7 @@ import (
 // advances by step nanoseconds per reading.
 func scripted(step int64) (*Recorder, *int64) {
 	var t int64
-	r := NewWithClock("test", func() int64 {
+	r := NewWithClock(func() int64 {
 		t += step
 		return t
 	})
@@ -17,9 +17,6 @@ func scripted(step int64) (*Recorder, *int64) {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Name() != "" {
-		t.Errorf("nil Name = %q", r.Name())
-	}
 	if r.Now() != 0 {
 		t.Errorf("nil Now = %d", r.Now())
 	}
@@ -38,6 +35,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if h := r.PhaseHist(PhaseRoot); h.Count != 0 {
 		t.Errorf("nil PhaseHist count = %d", h.Count)
 	}
+	r.SvcRecord(SvcAckLagNS, 0, 5)
+	if h := r.SvcSnapshot(SvcAckLagNS); h.Count != 0 {
+		t.Errorf("nil SvcSnapshot count = %d", h.Count)
+	}
 	if tr := r.StartTrace(64); tr != nil {
 		t.Errorf("nil StartTrace = %v", tr)
 	}
@@ -46,10 +47,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	if tr := r.Tracer(); tr != nil {
 		t.Errorf("nil Tracer = %v", tr)
-	}
-	s := r.Snapshot()
-	if s.Name != "" || len(s.Ops) != 0 || s.TraceEvents != 0 {
-		t.Errorf("nil Snapshot = %+v", s)
 	}
 }
 
@@ -145,8 +142,8 @@ func TestRecorderAttemptAndPhase(t *testing.T) {
 }
 
 // TestRecorderMetricsAndSnapshot: Hit is trace-only — without a tracer it
-// leaves no mark — and the snapshot carries the histograms and the
-// tracer's counts.
+// leaves no mark — and the typed accessors carry the histograms while the
+// tracer carries its counts.
 func TestRecorderMetricsAndSnapshot(t *testing.T) {
 	r, _ := scripted(1)
 	r.Hit(EvFence, 0, 0)
@@ -157,19 +154,14 @@ func TestRecorderMetricsAndSnapshot(t *testing.T) {
 	r.Hit(EvAdvance, 0, 1)
 	r.EndOp(OpRemove, 0, r.Now())
 
-	s := r.Snapshot()
-	if s.Name != "test" {
-		t.Errorf("snapshot name = %q", s.Name)
+	if kept, dropped := r.Tracer().Counts(); kept != 7 || dropped != 0 {
+		t.Errorf("trace counts = %d/%d, want 7/0 (5 flushes, 1 advance, 1 op)", kept, dropped)
 	}
-	if s.TraceEvents != 7 || s.TraceDropped != 0 {
-		t.Errorf("snapshot trace counts = %d/%d, want 7/0 (5 flushes, 1 advance, 1 op)", s.TraceEvents, s.TraceDropped)
+	if n := r.OpHist(OpInsert).Count; n != 0 {
+		t.Errorf("insert count = %d, want 0", n)
 	}
-	// Empty histograms are omitted entirely.
-	if _, ok := s.Ops["insert"]; ok {
-		t.Errorf("empty op hist present in snapshot: %v", s.Ops)
-	}
-	if s.Ops["remove"].Count != 1 {
-		t.Errorf("snapshot remove count = %d, want 1", s.Ops["remove"].Count)
+	if n := r.OpHist(OpRemove).Count; n != 1 {
+		t.Errorf("remove count = %d, want 1", n)
 	}
 }
 
@@ -208,7 +200,7 @@ func TestSnapshotInvariants(t *testing.T) {
 }
 
 func TestEnumStrings(t *testing.T) {
-	// The snapshot/export layer keys on these names; lock them.
+	// The exporters key on these names; lock them.
 	cases := []struct{ got, want string }{
 		{OpInsert.String(), "insert"},
 		{OpRemove.String(), "remove"},

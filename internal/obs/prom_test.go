@@ -15,7 +15,7 @@ import (
 // and dashboards key on.
 func TestWriteOpenMetricsLints(t *testing.T) {
 	clk := &fakeClock{}
-	r := NewWithClock("prom-test", clk.now)
+	r := NewWithClock(clk.now)
 	r.EndOp(OpInsert, 0, r.Now())
 	r.Attempt(OutCommit, 0, r.Now())
 	r.Attempt(OutConflict, 1, r.Now())
@@ -55,7 +55,7 @@ func TestWriteOpenMetricsLints(t *testing.T) {
 // TestWriteOpenMetricsEmptyRecorder: a fresh recorder with no counters
 // still produces a well-formed (lintable) exposition.
 func TestWriteOpenMetricsEmptyRecorder(t *testing.T) {
-	r := New("empty")
+	r := New()
 	var buf bytes.Buffer
 	if err := r.WriteOpenMetrics(&buf, nil); err != nil {
 		t.Fatal(err)

@@ -304,7 +304,7 @@ func checkSpan(sp *Span, c SpanCheck) error {
 
 // SpanEvents converts completed spans into trace events, one EvSpanPhase
 // per stamped phase with Dur running to the next stamped phase, so the
-// Chrome-trace and JSONL exporters render per-request lifecycle lanes
+// Chrome-trace exporter renders per-request lifecycle lanes
 // next to the substrate's own events. Shard is the connection lane and
 // Arg2 the request ID, grouping one request's phases together.
 func SpanEvents(spans []Span) []Event {

@@ -144,7 +144,7 @@ func TestCheckSpansRejects(t *testing.T) {
 // the service does: enable, sample, stamp, finish, export.
 func TestSpanLifecycleThroughRecorder(t *testing.T) {
 	clk := &fakeClock{}
-	r := NewWithClock("span-test", clk.now)
+	r := NewWithClock(clk.now)
 	if sp := r.SampleSpan(1, 0, 1); sp != nil {
 		t.Fatal("SampleSpan must return nil before EnableSpans")
 	}

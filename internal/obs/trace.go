@@ -187,16 +187,3 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	return bw.Flush()
 }
-
-// WriteJSONL renders events as one JSON object per line, the format
-// downstream log tooling (jq, DuckDB) consumes directly.
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		if _, err := fmt.Fprintf(bw, `{"ts_ns":%d,"dur_ns":%d,"kind":%q,"shard":%d,"a1":%d,"a2":%d}`+"\n",
-			e.TS, e.Dur, e.name(), e.Shard, e.Arg1, e.Arg2); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -149,35 +148,6 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	if evs[0]["name"] != "op.insert" || evs[1]["name"] != "attempt.memtype" || evs[3]["name"] != "epoch.flush" {
 		t.Fatalf("refined event names wrong: %v %v %v", evs[0]["name"], evs[1]["name"], evs[3]["name"])
-	}
-}
-
-func TestJSONLGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, fixedEvents()); err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "trace.golden.jsonl", buf.Bytes())
-
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(fixedEvents()) {
-		t.Fatalf("got %d lines, want %d", len(lines), len(fixedEvents()))
-	}
-	for i, line := range lines {
-		var obj struct {
-			TS    int64  `json:"ts_ns"`
-			Dur   int64  `json:"dur_ns"`
-			Kind  string `json:"kind"`
-			Shard int    `json:"shard"`
-			A1    uint64 `json:"a1"`
-			A2    uint64 `json:"a2"`
-		}
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("line %d is not valid JSON: %v", i, err)
-		}
-		if obj.TS != fixedEvents()[i].TS {
-			t.Fatalf("line %d ts = %d, want %d", i, obj.TS, fixedEvents()[i].TS)
-		}
 	}
 }
 

@@ -160,7 +160,6 @@ type Allocator struct {
 
 	liveBlocks atomic.Int64
 	liveBytes  atomic.Int64
-	peakBytes  atomic.Int64
 
 	obs *obs.Recorder
 }
@@ -294,13 +293,7 @@ func (al *Allocator) Alloc(class int, tag uint8) nvm.Addr {
 	if al.obs != nil {
 		al.obs.Hit(obs.EvAlloc, uint64(b), uint64(class))
 	}
-	bytes := al.liveBytes.Add(int64(classWords[class] * nvm.WordBytes))
-	for {
-		peak := al.peakBytes.Load()
-		if bytes <= peak || al.peakBytes.CompareAndSwap(peak, bytes) {
-			break
-		}
-	}
+	al.liveBytes.Add(int64(classWords[class] * nvm.WordBytes))
 	return b
 }
 
@@ -391,9 +384,6 @@ func (al *Allocator) LiveBlocks() int64 { return al.liveBlocks.Load() }
 
 // LiveBytes returns the bytes currently consumed by live blocks.
 func (al *Allocator) LiveBytes() int64 { return al.liveBytes.Load() }
-
-// PeakBytes returns the high-water mark of LiveBytes.
-func (al *Allocator) PeakBytes() int64 { return al.peakBytes.Load() }
 
 // FootprintBytes returns the NVM consumed by all formatted slabs — the
 // structure-level space number reported in the paper's Table 3 and Fig. 8.

@@ -130,9 +130,6 @@ func TestLiveAccounting(t *testing.T) {
 	if al.LiveBlocks() != 0 || al.LiveBytes() != 0 {
 		t.Fatalf("after frees: blocks=%d bytes=%d", al.LiveBlocks(), al.LiveBytes())
 	}
-	if al.PeakBytes() != wantBytes {
-		t.Fatalf("PeakBytes = %d, want %d", al.PeakBytes(), wantBytes)
-	}
 }
 
 func TestRecoveryRebuildsFreeLists(t *testing.T) {

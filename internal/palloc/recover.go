@@ -192,9 +192,5 @@ func (al *Allocator) Recover(workers int, judge func(worker int, bi BlockInfo) b
 		al.liveBytes.Add(st.bytes)
 	}
 	al.heap.Fence()
-	bytes := al.liveBytes.Load()
-	if bytes > al.peakBytes.Load() {
-		al.peakBytes.Store(bytes)
-	}
 	return workers
 }

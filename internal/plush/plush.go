@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 const (
@@ -83,14 +82,7 @@ type Table struct {
 	migMu sync.RWMutex
 
 	count atomic.Int64
-
-	obs *obs.Recorder
 }
-
-// SetObs attaches a telemetry recorder: every Get/Insert/Remove (and
-// their blind variants) records its latency on it. Attach before the
-// table is shared between goroutines; nil disables recording.
-func (t *Table) SetObs(r *obs.Recorder) { t.obs = r }
 
 type levelMeta struct {
 	base    nvm.Addr
@@ -160,11 +152,8 @@ func (t *Table) bucketFor(k uint64) *l0bucket {
 // probe serves only the return value and the live count; benchmarks use
 // PutBlind, which matches Plush's native blind-write fast path.
 func (t *Table) Insert(k, v uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpInsert, k, t.obs.Now())
-	}
-	_, existed := t.get(k)
-	t.putBlind(k, v)
+	_, existed := t.Get(k)
+	t.PutBlind(k, v)
 	if !existed {
 		t.count.Add(1)
 	}
@@ -175,40 +164,23 @@ func (t *Table) Insert(k, v uint64) bool {
 // log append plus a level-0 buffer write. The live-key count is not
 // maintained on this path.
 func (t *Table) PutBlind(k, v uint64) {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpInsert, k, t.obs.Now())
-	}
-	t.putBlind(k, v)
-}
-
-func (t *Table) putBlind(k, v uint64) {
 	t.logWrite(k+1, v)
 	t.put(k+1, v)
 }
 
 // Remove deletes k by writing a tombstone, reporting whether it existed.
 func (t *Table) Remove(k uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpRemove, k, t.obs.Now())
-	}
-	_, existed := t.get(k)
+	_, existed := t.Get(k)
 	if !existed {
 		return false
 	}
-	t.removeBlind(k)
+	t.RemoveBlind(k)
 	t.count.Add(-1)
 	return true
 }
 
 // RemoveBlind writes a tombstone without probing (benchmark fast path).
 func (t *Table) RemoveBlind(k uint64) {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpRemove, k, t.obs.Now())
-	}
-	t.removeBlind(k)
-}
-
-func (t *Table) removeBlind(k uint64) {
 	t.logWrite(k+1|tombstone, 0)
 	t.put(k+1|tombstone, 0)
 }
@@ -341,14 +313,6 @@ func (t *Table) compactDeepest(bi int) {
 // Get returns the value stored under k, probing level 0 then each NVM
 // level, newest entries first.
 func (t *Table) Get(k uint64) (uint64, bool) {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
-	}
-	return t.get(k)
-}
-
-// get is Get without telemetry, for internal existence probes.
-func (t *Table) get(k uint64) (uint64, bool) {
 	b := t.bucketFor(k)
 	b.mu.Lock()
 	for i := b.n - 1; i >= 0; i-- {

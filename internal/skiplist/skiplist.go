@@ -129,14 +129,7 @@ type List struct {
 	// removals guards BDL absence-dependent paths against acting on an
 	// absence created by a newer-epoch removal (see epoch.RemovalStamps).
 	removals epoch.RemovalStamps
-
-	obs *obs.Recorder
 }
-
-// SetObs attaches a telemetry recorder: every Get/Insert/Remove records
-// its latency on it. Attach before handles are created; nil disables
-// recording.
-func (l *List) SetObs(r *obs.Recorder) { l.obs = r }
 
 // New creates a list. For BDL, cfg.IndexHeap must be a DRAM-mode heap and
 // cfg.DataSys the epoch system over the NVM heap.
@@ -362,9 +355,6 @@ func (h *Handle) SetSpan(sp *obs.Span) {
 // Get returns the value stored under k.
 func (h *Handle) Get(k uint64) (uint64, bool) {
 	l := h.l
-	if l.obs != nil {
-		defer l.obs.EndOp(obs.OpLookup, k, l.obs.Now())
-	}
 	if l.cfg.Variant == BDL {
 		g := h.enterOp()
 		defer g.exitOp()
@@ -430,9 +420,6 @@ func (h *Handle) Contains(k uint64) bool {
 // was replaced.
 func (h *Handle) Insert(k, v uint64) bool {
 	l := h.l
-	if l.obs != nil {
-		defer l.obs.EndOp(obs.OpInsert, k, l.obs.Now())
-	}
 	g := h.enterOp()
 	defer g.exitOp()
 	if l.cfg.Variant == BDL {
@@ -467,9 +454,6 @@ func (h *Handle) Insert(k, v uint64) bool {
 // predecessor fail and retry.
 func (h *Handle) Remove(k uint64) bool {
 	l := h.l
-	if l.obs != nil {
-		defer l.obs.EndOp(obs.OpRemove, k, l.obs.Now())
-	}
 	g := h.enterOp()
 	defer g.exitOp()
 	if l.cfg.Variant == BDL {

@@ -7,7 +7,6 @@ import (
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 	"bdhtm/internal/palloc"
 )
 
@@ -24,9 +23,6 @@ type outcome struct {
 // was replaced. ModeBD requires the caller's epoch worker; ModeEADR
 // ignores w (it may be nil).
 func (t *Table) Insert(w *epoch.Worker, k, v uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpInsert, k, t.obs.Now())
-	}
 	h := hash64(k)
 	bd := t.cfg.Mode == ModeBD
 retryRegist:
@@ -156,9 +152,6 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr,
 
 // Get returns the value stored under k.
 func (t *Table) Get(k uint64) (uint64, bool) {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
-	}
 	h := hash64(k)
 	var v uint64
 	var ok bool
@@ -184,9 +177,6 @@ func (t *Table) Get(k uint64) (uint64, bool) {
 
 // Remove deletes k, reporting whether it was present.
 func (t *Table) Remove(w *epoch.Worker, k uint64) bool {
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpRemove, k, t.obs.Now())
-	}
 	h := hash64(k)
 	bd := t.cfg.Mode == ModeBD
 retryRegist:

@@ -37,7 +37,6 @@ import (
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 	"bdhtm/internal/palloc"
 )
 
@@ -160,15 +159,8 @@ type Table struct {
 	// epoch.RemovalStamps).
 	removals epoch.RemovalStamps
 
-	obs *obs.Recorder
-
 	perW []spashWState
 }
-
-// SetObs attaches a telemetry recorder: every Get/Insert/Remove records
-// its latency on it. Attach before the table is shared between
-// goroutines; nil disables recording.
-func (t *Table) SetObs(r *obs.Recorder) { t.obs = r }
 
 type spashWState struct {
 	prealloc nvm.Addr

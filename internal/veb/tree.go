@@ -26,7 +26,6 @@ import (
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 const maxRetries = 64
@@ -59,8 +58,6 @@ type Tree struct {
 	// created by a newer-epoch removal (see epoch.RemovalStamps).
 	removals epoch.RemovalStamps
 
-	obs *obs.Recorder
-
 	perW []vebWState
 }
 
@@ -90,9 +87,6 @@ func New(cfg Config) *Tree {
 	return t
 }
 
-// Persistent reports whether the tree is the buffered-durable flavor.
-func (t *Tree) Persistent() bool { return t.sys != nil }
-
 // Len returns the number of keys.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 
@@ -116,18 +110,9 @@ func (t *Tree) preWalk(k uint64) {
 	t.findSlot(m, t.rootNode(), k)
 }
 
-// SetObs attaches a telemetry recorder: every Get/Insert/Remove records
-// its latency on it. Attach before the tree is shared between goroutines;
-// nil disables recording.
-func (t *Tree) SetObs(r *obs.Recorder) { t.obs = r }
-
 // Get returns the value stored under k.
 func (t *Tree) Get(k uint64) (uint64, bool) {
 	t.checkKey(k)
-	if t.obs != nil {
-		// Deferred-args idiom: Now() is evaluated here, at op start.
-		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
-	}
 	var v uint64
 	var ok bool
 	t.tm.Run(nil, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
@@ -172,38 +157,11 @@ func (t *Tree) Successor(k uint64) (uint64, uint64, bool) {
 	return sk, v, ok
 }
 
-// Range calls fn for every key in [lo, hi] in ascending order, stopping
-// early if fn returns false. Each step is one Successor transaction, so
-// the scan is not a single atomic snapshot (matching how vEB range
-// queries compose from successor operations).
-func (t *Tree) Range(lo, hi uint64, fn func(k, v uint64) bool) {
-	t.checkKey(lo)
-	if v, ok := t.Get(lo); ok {
-		if !fn(lo, v) {
-			return
-		}
-	}
-	k := lo
-	for {
-		nk, v, ok := t.Successor(k)
-		if !ok || nk > hi {
-			return
-		}
-		if !fn(nk, v) {
-			return
-		}
-		k = nk
-	}
-}
-
 // Insert adds or updates k (upsert), reporting whether an existing value
 // was replaced. For persistent trees pass the worker whose epoch brackets
 // the operation; for transient trees w is ignored and may be nil.
 func (t *Tree) Insert(w *epoch.Worker, k, v uint64) bool {
 	t.checkKey(k)
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpInsert, k, t.obs.Now())
-	}
 	if t.sys == nil {
 		return t.insertTransient(k, v)
 	}
@@ -295,9 +253,6 @@ retryRegist:
 // Remove deletes k, reporting whether it was present.
 func (t *Tree) Remove(w *epoch.Worker, k uint64) bool {
 	t.checkKey(k)
-	if t.obs != nil {
-		defer t.obs.EndOp(obs.OpRemove, k, t.obs.Now())
-	}
 	if t.sys == nil {
 		return t.removeTransient(k)
 	}
