@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"os"
 	"strconv"
@@ -101,7 +100,7 @@ func main() {
 	}
 	if *obsFlag {
 		fmt.Println("\nobs summary")
-		if err := printObsSummary(os.Stdout, benchObs); err != nil {
+		if err := benchObs.WriteOpenMetrics(os.Stdout, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "bdbench: -obs: %v\n", err)
 		}
 	}
@@ -127,12 +126,6 @@ func writeTrace() {
 	}
 	kept, dropped := tr.Counts()
 	fmt.Printf("wrote %d trace events to %s (%d dropped by ring)\n", kept, *traceOut, dropped)
-}
-
-// printObsSummary writes rec's histograms to w in the OpenMetrics text
-// format, the exposition /metrics serves.
-func printObsSummary(w io.Writer, rec *obs.Recorder) error {
-	return rec.WriteOpenMetrics(w, nil)
 }
 
 // tailLatency quantifies the Sec. 4.2 claim that BDL preserves the

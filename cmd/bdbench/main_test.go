@@ -12,9 +12,10 @@ import (
 	"bdhtm/internal/ycsb"
 )
 
-// TestObsSummaryExposition: the -obs summary of a recorder fed by a
-// harness run is a lint-clean OpenMetrics exposition whose op histograms
-// count every operation the run made, prefill included.
+// TestObsSummaryExposition: the -obs summary (the recorder's OpenMetrics
+// text, as /metrics serves it) of a recorder fed by a harness run lints
+// clean, and its op histograms count every operation the run made,
+// prefill included.
 func TestObsSummaryExposition(t *testing.T) {
 	const keySpace, ops = 1 << 10, 600
 	rec := obs.New()
@@ -24,7 +25,7 @@ func TestObsSummaryExposition(t *testing.T) {
 	harness.RunOps(inst, wl, 1, ops, 1)
 
 	var buf bytes.Buffer
-	if err := printObsSummary(&buf, rec); err != nil {
+	if err := rec.WriteOpenMetrics(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.LintOpenMetrics(buf.Bytes()); err != nil {

@@ -18,8 +18,9 @@ import (
 // comparison is the paper's buffered-durability claim at the service
 // boundary: buffered clients see commit-latency acks while durability
 // rides the epoch cadence for free; sync clients pay the epoch wait on
-// every write. Any dropped or duplicated ack fails the run — the gate
-// CI's serve-smoke lane relies on.
+// every write. Any violation of the ack ledger (loadgen's Result.Verify,
+// the gate bdserve -selftest applies too) fails the run — the gate CI's
+// serve-smoke lane relies on.
 func serve() {
 	const (
 		conns    = 4
@@ -55,25 +56,13 @@ func serve() {
 			Seed:        42,
 			WaitDurable: sync,
 		})
-		st := srv.Stats()
+		ledger := srv.WireStats()
 		srv.Close()
+		if err == nil {
+			err = res.Verify(conns*opsPer, ledger)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bdbench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		if res.DupAcks != 0 || res.Errors != 0 {
-			fmt.Fprintf(os.Stderr, "bdbench: serve: ack violations — %d dup/reordered acks, %d errors\n",
-				res.DupAcks, res.Errors)
-			os.Exit(1)
-		}
-		if res.DurableAcks != res.Writes || st.DurableAcks != res.DurableAcks {
-			fmt.Fprintf(os.Stderr, "bdbench: serve: dropped durable acks — client %d, server %d, writes %d\n",
-				res.DurableAcks, st.DurableAcks, res.Writes)
-			os.Exit(1)
-		}
-		if res.AppliedAcks != res.Writes || st.AppliedAcks != res.AppliedAcks {
-			fmt.Fprintf(os.Stderr, "bdbench: serve: dropped applied acks — client %d, server %d, writes %d\n",
-				res.AppliedAcks, st.AppliedAcks, res.Writes)
+			fmt.Fprintf(os.Stderr, "bdbench: serve %s: %v\n", mode, err)
 			os.Exit(1)
 		}
 

@@ -47,7 +47,7 @@ var (
 	spanSample   = flag.Int("span-sample", 0, "trace 1 in N requests as lifecycle spans (0 disables; implies -obs)")
 	traceOut     = flag.String("trace", "", "selftest: write sampled spans as a Chrome trace to this file")
 	spansOut     = flag.String("spans-out", "", "selftest: write sampled spans as JSONL to this file")
-	metricsOut   = flag.String("metrics-out", "", "selftest: write the OpenMetrics exposition to this file")
+	metricsOut   = flag.String("metrics-out", "", "selftest: write the OpenMetrics exposition to this file (implies -obs)")
 )
 
 // live is the server whose counters -obs-http serves; every mode stores
@@ -73,7 +73,7 @@ func main() {
 		EpochLength: *epochLength,
 		MaxSessions: *maxSessions,
 	}
-	if *obsFlag || *obsHTTP != "" || *spanSample > 0 {
+	if *obsFlag || *obsHTTP != "" || *spanSample > 0 || *metricsOut != "" {
 		cfg.Obs = obs.New()
 	}
 	if *spanSample > 0 {
@@ -137,34 +137,18 @@ func runSelftest(cfg bdserve.Config) int {
 		fmt.Fprintf(os.Stderr, "bdserve: selftest: %v\n", err)
 		return 1
 	}
-	st := srv.Stats()
 	fmt.Printf("selftest: %d ops (%d reads / %d writes) in %v\n",
 		res.Ops, res.Reads, res.Writes, res.Elapsed.Round(time.Millisecond))
 	fmt.Printf("selftest: acks applied=%d durable=%d  net p50=%s p99=%s\n",
 		res.AppliedAcks, res.DurableAcks,
 		time.Duration(res.NetP50NS), time.Duration(res.NetP99NS))
 
-	want := int64(*selfConns) * int64(*selftest)
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "bdserve: selftest: "+format+"\n", args...)
 		return 1
 	}
-	switch {
-	case res.Ops != want:
-		return fail("completed %d/%d ops", res.Ops, want)
-	case res.DupAcks != 0:
-		return fail("%d duplicated or reordered acks", res.DupAcks)
-	case res.Errors != 0:
-		return fail("%d error frames", res.Errors)
-	case res.DurableAcks != res.Writes:
-		return fail("dropped durable acks: %d acks for %d writes", res.DurableAcks, res.Writes)
-	case res.AppliedAcks != res.Writes:
-		return fail("dropped applied acks: %d acks for %d writes", res.AppliedAcks, res.Writes)
-	case st.DurableAcks != res.DurableAcks || st.AppliedAcks != res.AppliedAcks:
-		return fail("server/client ack ledgers differ: server applied=%d durable=%d",
-			st.AppliedAcks, st.DurableAcks)
-	case st.WriteCommits != res.Writes:
-		return fail("server committed %d writes, client finished %d", st.WriteCommits, res.Writes)
+	if err := res.Verify(int64(*selfConns)*int64(*selftest), srv.WireStats()); err != nil {
+		return fail("%v", err)
 	}
 	fmt.Println("selftest: ack ledger balanced")
 
@@ -211,9 +195,9 @@ func runSelftest(cfg bdserve.Config) int {
 			fmt.Printf("selftest: span JSONL written to %s\n", *spansOut)
 		}
 	}
-	if r := cfg.Obs; r != nil && *metricsOut != "" {
+	if *metricsOut != "" {
 		var buf strings.Builder
-		if err := r.WriteOpenMetrics(&buf, srv.WireStats()); err != nil {
+		if err := cfg.Obs.WriteOpenMetrics(&buf, srv.WireStats()); err != nil {
 			return fail("metrics render: %v", err)
 		}
 		if err := obs.LintOpenMetrics([]byte(buf.String())); err != nil {

@@ -30,11 +30,11 @@
 //     kinds, Open and Recover) through which the harness, the crash
 //     fuzzer and the network service use all of the above;
 //   - internal/ycsb and internal/harness — workloads and the experiment
-//     driver behind cmd/bdbench and this package's benchmarks.
+//     driver behind cmd/bdbench.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation at reduced scale; cmd/bdbench produces the
-// figure-shaped output (use -full for paper-scale parameters). See
+// cmd/bdbench regenerates every table and figure of the paper's
+// evaluation, at reduced scale by default (use -full for paper-scale
+// parameters). See
 // DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // results against the paper's claims.
 package bdhtm

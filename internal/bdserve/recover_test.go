@@ -27,8 +27,9 @@ func TestRecoverColdStartServes(t *testing.T) {
 				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 				cfg := Config{Structure: structure, KeySpace: 1 << 12, Manual: true}
 				srv := New(cfg)
-				if got := srv.Recovery(); got != (RecoveryInfo{}) {
-					t.Fatalf("fresh server reports recovery metrics: %+v", got)
+				if es := srv.System().Stats(); es.RecoveryWorkers != 0 || es.RecoveryScanNS != 0 ||
+					es.RecoveryRebuildNS != 0 || es.RecoveredLive != 0 || es.Resurrected != 0 {
+					t.Fatalf("fresh server reports recovery metrics: %+v", es)
 				}
 				addr, err := srv.Start("127.0.0.1:0")
 				if err != nil {
@@ -69,19 +70,19 @@ func TestRecoverColdStartServes(t *testing.T) {
 
 				rec := Recover(srv.Heap(), cfg)
 				defer rec.Close()
-				ri := rec.Recovery()
+				es := rec.System().Stats()
 				slabs := int(rec.System().Allocator().FootprintBytes() / (4096 * nvm.WordBytes))
-				if want := min(workers, slabs); ri.Workers != want {
-					t.Fatalf("RecoveryInfo.Workers = %d, want %d (GOMAXPROCS %d, %d formatted slabs)", ri.Workers, want, workers, slabs)
+				if want := min(workers, slabs); es.RecoveryWorkers != want {
+					t.Fatalf("Stats.RecoveryWorkers = %d, want %d (GOMAXPROCS %d, %d formatted slabs)", es.RecoveryWorkers, want, workers, slabs)
 				}
-				if workers > 1 && ri.Workers < 2 {
-					t.Fatalf("RecoveryInfo.Workers = %d with GOMAXPROCS %d: the scan did not partition", ri.Workers, workers)
+				if workers > 1 && es.RecoveryWorkers < 2 {
+					t.Fatalf("Stats.RecoveryWorkers = %d with GOMAXPROCS %d: the scan did not partition", es.RecoveryWorkers, workers)
 				}
-				if ri.ScanNS <= 0 || ri.RebuildNS <= 0 {
-					t.Fatalf("recovery timings missing: %+v", ri)
+				if es.RecoveryScanNS <= 0 || es.RecoveryRebuildNS <= 0 {
+					t.Fatalf("recovery timings missing: %+v", es)
 				}
-				if ri.Blocks != n {
-					t.Fatalf("RecoveryInfo.Blocks = %d, want %d", ri.Blocks, n)
+				if es.RecoveredLive != n {
+					t.Fatalf("Stats.RecoveredLive = %d, want %d", es.RecoveredLive, n)
 				}
 				if rec.System().PersistedEpoch() < maxEpoch {
 					t.Fatalf("recovered watermark %d below durable cut %d",

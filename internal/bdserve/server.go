@@ -69,8 +69,9 @@ type Config struct {
 	Manual bool
 	// MaxSessions bounds concurrently served connections (default 64).
 	MaxSessions int
-	// Obs receives the service latency histograms, request spans and the
-	// TM's attempt histograms (nil disables). The counters are the
+	// Obs receives the service latency histograms, request spans, the
+	// TM's attempt histograms and one op-latency sample per structure op
+	// a session runs (kv.Timed; nil disables). The counters are the
 	// server's own: Stats and WireStats.
 	Obs *obs.Recorder
 }
@@ -140,16 +141,6 @@ type Counters struct {
 	OldestUnackedNS int64
 }
 
-// RecoveryInfo summarizes a Recover cold start: how the header scan was
-// partitioned and what it found. Zero value on servers built with New.
-type RecoveryInfo struct {
-	Workers     int   // scan worker goroutines
-	ScanNS      int64 // header scan + resurrection write-back
-	RebuildNS   int64 // structure rebuild from BlockRecords
-	Blocks      int64 // live blocks handed to rebuild
-	Resurrected int64 // deleted-but-unpersisted blocks revived
-}
-
 // Server is one bdserve instance.
 type Server struct {
 	cfg      Config
@@ -158,7 +149,6 @@ type Server struct {
 	tm       *htm.TM
 	st       kv.Store
 	keyLimit uint64 // largest key the structure accepts
-	recovery RecoveryInfo
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -201,17 +191,7 @@ func New(cfg Config) *Server {
 // formatted by a server with the same Structure.
 func Recover(heap *nvm.Heap, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	st := kv.Recover(cfg.Structure, cfg.parts(heap))
-	s := newServer(cfg, st)
-	es := st.Sys.Stats()
-	s.recovery = RecoveryInfo{
-		Workers:     es.RecoveryWorkers,
-		ScanNS:      es.RecoveryScanNS,
-		RebuildNS:   es.RecoveryRebuildNS,
-		Blocks:      es.RecoveredLive,
-		Resurrected: es.Resurrected,
-	}
-	return s
+	return newServer(cfg, kv.Recover(cfg.Structure, cfg.parts(heap)))
 }
 
 func newServer(cfg Config, st *kv.Stack) *Server {
@@ -220,7 +200,7 @@ func newServer(cfg Config, st *kv.Stack) *Server {
 		heap:     st.Heap,
 		sys:      st.Sys,
 		tm:       st.TM,
-		st:       st.Store,
+		st:       kv.Timed(st.Store, cfg.Obs),
 		keyLimit: ^uint64(0),
 		conns:    map[*conn]struct{}{},
 	}
@@ -234,15 +214,12 @@ func newServer(cfg Config, st *kv.Stack) *Server {
 func (s *Server) TMStats() htm.StatsSnapshot { return s.tm.Stats() }
 
 // System exposes the epoch system (tests drive AdvanceOnce in Manual
-// mode and read the watermark).
+// mode and read the watermark; its Stats carry a Recover cold start's
+// scan and rebuild counts).
 func (s *Server) System() *epoch.System { return s.sys }
 
 // Heap exposes the NVM heap (crash tests hand it to Recover).
 func (s *Server) Heap() *nvm.Heap { return s.heap }
-
-// Recovery reports the cold-start scan/rebuild summary; zero value if the
-// server was built with New rather than Recover.
-func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 
 // Stats snapshots the service counters and gauges.
 func (s *Server) Stats() Counters {

@@ -158,8 +158,10 @@ func TestStatsFlusherDepthWithoutRecorder(t *testing.T) {
 }
 
 // TestServedMetricsCarryAttempts: the recorder a server is configured with
-// reaches its TM, so the served /metrics has attempt histograms, and the
-// exposition's counters are the server's own.
+// reaches its TM, so the served /metrics has attempt histograms; each
+// request's structure op is timed once, so the op histograms count exactly
+// the PUTs, GETs and DELs sent; and the exposition's counters are the
+// server's own.
 func TestServedMetricsCarryAttempts(t *testing.T) {
 	r := obs.New()
 	srv, addr := startServer(t, Config{KeySpace: 1 << 10, Manual: true, Obs: r})
@@ -169,11 +171,25 @@ func TestServedMetricsCarryAttempts(t *testing.T) {
 	}
 	defer hs.Close()
 	c := dial(t, addr)
-	for i := uint64(1); i <= 10; i++ {
-		c.send(wire.Msg{Type: wire.CmdPut, ID: i, Key: i, Value: i})
-		if m := c.recv(); m.Type != wire.RespApplied {
-			t.Fatalf("want applied ack for %d, got %+v", i, m)
+	const puts, gets, dels = 10, 5, 3
+	id := uint64(0)
+	exchange := func(req wire.Msg, want wire.Type) {
+		t.Helper()
+		id++
+		req.ID = id
+		c.send(req)
+		if m := c.recv(); m.Type != want || m.ID != id {
+			t.Fatalf("%+v: want reply type %#x, got %+v", req, want, m)
 		}
+	}
+	for i := uint64(1); i <= puts; i++ {
+		exchange(wire.Msg{Type: wire.CmdPut, Key: i, Value: i}, wire.RespApplied)
+	}
+	for i := uint64(1); i <= gets; i++ {
+		exchange(wire.Msg{Type: wire.CmdGet, Key: i}, wire.RespValue)
+	}
+	for i := uint64(1); i <= dels; i++ {
+		exchange(wire.Msg{Type: wire.CmdDel, Key: i}, wire.RespApplied)
 	}
 
 	resp, err := http.Get("http://" + hs.Addr() + "/metrics")
@@ -204,6 +220,11 @@ func TestServedMetricsCarryAttempts(t *testing.T) {
 	}
 	if n := sample(`bdhtm_attempt_latency_ns_count{outcome="commit"}`); n == 0 {
 		t.Error("served attempt histogram is empty: the TM has no recorder")
+	}
+	for op, sent := range map[string]int64{"insert": puts, "lookup": gets, "remove": dels} {
+		if n := sample(`bdhtm_op_latency_ns_count{op="` + op + `"}`); n != sent {
+			t.Errorf("%s histogram counts %d ops, %d requests sent", op, n, sent)
+		}
 	}
 	if n, want := sample("bdhtm_tx_commits"), srv.TMStats().Commits; n != want {
 		t.Errorf("bdhtm_tx_commits = %d, TMStats().Commits = %d", n, want)

@@ -2,8 +2,8 @@
 // section: it builds any internal/kv kind scaled to an experiment,
 // generates YCSB-style workloads, measures throughput across
 // thread sweeps, and formats results as the rows/series of each figure
-// and table. Both cmd/bdbench and the repository's bench_test.go build on
-// it.
+// and table. cmd/bdbench, the one definition of each experiment, builds
+// on it.
 package harness
 
 import (
@@ -105,7 +105,7 @@ func Run(inst *Instance, wl Workload, threads int, dur time.Duration, seed uint6
 }
 
 // RunOps measures a fixed operation count per thread (deterministic work,
-// used by testing.B benchmarks).
+// for tests that assert exact counts).
 func RunOps(inst *Instance, wl Workload, threads int, opsPerThread int, seed uint64) Result {
 	if wl.Prefill {
 		Prefill(inst, wl.KeySpace)

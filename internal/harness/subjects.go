@@ -105,40 +105,8 @@ func New(kind string, o Opts) *Instance {
 		p.Heap = o.heap(k)
 	}
 	st := kv.Open(kind, p)
-	if o.Obs != nil {
-		st.Store = timedStore{st.Store, o.Obs}
-	}
+	st.Store = kv.Timed(st.Store, o.Obs)
 	return &Instance{Name: k.Title, Stack: st}
-}
-
-// timedStore records each of its sessions' operations on rec: every
-// harness operation runs on a session of Instance.Store, so each is timed
-// once, whatever the structure does inside it.
-type timedStore struct {
-	kv.Store
-	rec *obs.Recorder
-}
-
-func (s timedStore) NewSession() kv.Session { return timedSession{s.Store.NewSession(), s.rec} }
-
-type timedSession struct {
-	kv.Session
-	rec *obs.Recorder
-}
-
-func (s timedSession) Insert(k, v uint64) bool {
-	defer s.rec.EndOp(obs.OpInsert, k, s.rec.Now())
-	return s.Session.Insert(k, v)
-}
-
-func (s timedSession) Remove(k uint64) bool {
-	defer s.rec.EndOp(obs.OpRemove, k, s.rec.Now())
-	return s.Session.Remove(k)
-}
-
-func (s timedSession) Get(k uint64) (uint64, bool) {
-	defer s.rec.EndOp(obs.OpLookup, k, s.rec.Now())
-	return s.Session.Get(k)
 }
 
 // DRAMBytes is the index memory of Table 3: a vEB tree's node pool, LB+Tree's

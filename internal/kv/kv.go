@@ -371,3 +371,42 @@ func (s plushSession) Remove(k uint64) bool        { s.t.RemoveBlind(k); return 
 func (s plushSession) Get(k uint64) (uint64, bool) { return s.t.Get(k) }
 func (plushSession) Epoch() uint64                 { return 0 }
 func (plushSession) SetSpan(*obs.Span)             {}
+
+// Timed returns s with every session operation timed onto rec (one EndOp
+// per Insert, Remove and Get, with the key as shard hint), or s itself
+// when rec is nil. A caller that runs all its operations on sessions of
+// the returned store has each timed once, whatever the structure does
+// inside it.
+func Timed(s Store, rec *obs.Recorder) Store {
+	if rec == nil {
+		return s
+	}
+	return timedStore{s, rec}
+}
+
+type timedStore struct {
+	Store
+	rec *obs.Recorder
+}
+
+func (s timedStore) NewSession() Session { return timedSession{s.Store.NewSession(), s.rec} }
+
+type timedSession struct {
+	Session
+	rec *obs.Recorder
+}
+
+func (s timedSession) Insert(k, v uint64) bool {
+	defer s.rec.EndOp(obs.OpInsert, k, s.rec.Now())
+	return s.Session.Insert(k, v)
+}
+
+func (s timedSession) Remove(k uint64) bool {
+	defer s.rec.EndOp(obs.OpRemove, k, s.rec.Now())
+	return s.Session.Remove(k)
+}
+
+func (s timedSession) Get(k uint64) (uint64, bool) {
+	defer s.rec.EndOp(obs.OpLookup, k, s.rec.Now())
+	return s.Session.Get(k)
+}

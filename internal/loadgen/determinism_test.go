@@ -95,24 +95,14 @@ func TestRunClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops != 600 {
-		t.Fatalf("completed %d/600 ops", res.Ops)
-	}
-	if res.DupAcks != 0 || res.Errors != 0 {
-		t.Fatalf("dup acks %d, errors %d", res.DupAcks, res.Errors)
+	if err := res.Verify(600, srv.WireStats()); err != nil {
+		t.Fatal(err)
 	}
 	if res.Writes == 0 || res.Reads == 0 {
 		t.Fatalf("degenerate workload A split: %d reads, %d writes", res.Reads, res.Writes)
 	}
-	if res.DurableAcks != res.Writes || res.AppliedAcks != res.Writes {
-		t.Fatalf("ack ledger: applied %d durable %d writes %d", res.AppliedAcks, res.DurableAcks, res.Writes)
-	}
 	if res.NetP50NS <= 0 || res.NetP99NS < res.NetP50NS {
 		t.Fatalf("latency summary out of order: p50 %d p99 %d", res.NetP50NS, res.NetP99NS)
-	}
-	st := srv.Stats()
-	if st.DurableAcks != res.DurableAcks || st.AppliedAcks != res.AppliedAcks {
-		t.Fatalf("server/client ack ledgers differ: server %+v client %+v", st, res)
 	}
 }
 
@@ -185,16 +175,14 @@ func TestRunSyncMode(t *testing.T) {
 			if out.err != nil {
 				t.Fatal(out.err)
 			}
-			res := out.res
-			if res.Ops != 2 || res.Writes != 2 || res.AppliedAcks != 2 || res.DurableAcks != 2 {
-				t.Fatalf("ack ledger: ops %d writes %d applied %d durable %d; want 2 of each",
-					res.Ops, res.Writes, res.AppliedAcks, res.DurableAcks)
+			if out.res.Writes != 2 {
+				t.Fatalf("%d of 2 inserts were writes", out.res.Writes)
 			}
-			if res.DupAcks != 0 || res.Errors != 0 {
-				t.Fatalf("dup acks %d, errors %d", res.DupAcks, res.Errors)
+			if err := out.res.Verify(2, srv.WireStats()); err != nil {
+				t.Fatal(err)
 			}
-			if st := srv.Stats(); st.AppliedAcks != 2 || st.DurableAcks != 2 || st.Requests != 2 {
-				t.Fatalf("server ledger: %+v", st)
+			if n := srv.Stats().Requests; n != 2 {
+				t.Fatalf("server saw %d requests, want 2", n)
 			}
 		})
 	}

@@ -132,6 +132,31 @@ type Result struct {
 	GapP99NS int64
 }
 
+// Verify is the ack-ledger gate of a run that planned want ops in all:
+// every op completed, no ack was duplicated, reordered or refused, every
+// write got its applied and its durable ack, and the server's ledger (its
+// STATS counters, read after the run) agrees with the client's.
+func (r Result) Verify(want int64, srv wire.StatsSnap) error {
+	switch {
+	case r.Ops != want:
+		return fmt.Errorf("completed %d/%d ops", r.Ops, want)
+	case r.DupAcks != 0:
+		return fmt.Errorf("%d duplicated or reordered acks", r.DupAcks)
+	case r.Errors != 0:
+		return fmt.Errorf("%d error frames", r.Errors)
+	case r.DurableAcks != r.Writes:
+		return fmt.Errorf("dropped durable acks: %d acks for %d writes", r.DurableAcks, r.Writes)
+	case r.AppliedAcks != r.Writes:
+		return fmt.Errorf("dropped applied acks: %d acks for %d writes", r.AppliedAcks, r.Writes)
+	case int64(srv.DurableAcks) != r.DurableAcks || int64(srv.AppliedAcks) != r.AppliedAcks:
+		return fmt.Errorf("server/client ack ledgers differ: server applied=%d durable=%d, client applied=%d durable=%d",
+			srv.AppliedAcks, srv.DurableAcks, r.AppliedAcks, r.DurableAcks)
+	case int64(srv.WriteCommits) != r.Writes:
+		return fmt.Errorf("server committed %d writes, client finished %d", srv.WriteCommits, r.Writes)
+	}
+	return nil
+}
+
 // Run executes the configured load and blocks until every op on every
 // connection has received its final ack (durable for writes, value for
 // reads) or the timeout expires.

@@ -18,9 +18,10 @@
 //     with pprof by an optional HTTP endpoint (prom.go, http.go).
 //
 // Who records what: the substrate layers (htm, nvm, palloc, epoch) take
-// a recorder for attempts, phases and trace events; the harness times
-// structure operations at its session boundary; bdserve records service
-// latencies and spans. The structures themselves carry none.
+// a recorder for attempts, phases and trace events; the harness and
+// bdserve time structure operations at their session boundary (kv.Timed);
+// bdserve also records service latencies and spans. The structures
+// themselves carry none.
 //
 // Overhead discipline: a nil *Recorder is a valid, fully disabled
 // recorder — every method is nil-safe, and instrumented call sites guard
