@@ -359,9 +359,10 @@ func fig7() {
 		{Zipfian: true, Theta: 0.99},
 	}
 	fmt.Printf("\nFig. 7 — single-thread PHTM-vEB vs epoch length (80%% writes, keyspace 2^%d)\n", log2(*keySpace))
+	fmt.Println("(each cell: throughput, then the realized epoch length — elapsed ÷ advances)")
 	fmt.Printf("%-12s", "epoch")
 	for _, d := range dists {
-		fmt.Printf("%18s", d.String())
+		fmt.Printf("%26s", d.String())
 	}
 	fmt.Println()
 	for _, el := range lengths {
@@ -372,12 +373,29 @@ func fig7() {
 			o.CacheLines = 1 << 13 // 512 KiB simulated cache
 			inst := harness.New("veb", o)
 			wl := harness.Workload{KeySpace: *keySpace, Dist: d, Mix: ycsb.Mix{ReadPct: 20}, Prefill: true}
-			r := harness.Run(inst, wl, 1, *duration, 11)
+			r, realized := runRealized(inst, wl, 11)
 			inst.Close()
-			fmt.Printf("%12.3f Mops", r.Throughput)
+			fmt.Printf("%12.3f Mops %9s", r.Throughput, realized)
 		}
 		fmt.Println()
 	}
+}
+
+// runRealized is harness.Run on one thread for -duration that also
+// reports the epoch length the advancer realized over the measured phase:
+// its elapsed time over the advances it saw ("-" if none).
+func runRealized(inst *harness.Instance, wl harness.Workload, seed uint64) (harness.Result, string) {
+	if wl.Prefill {
+		harness.Prefill(inst, wl.KeySpace)
+		wl.Prefill = false
+	}
+	a0 := inst.Sys.Stats().Advances
+	r := harness.Run(inst, wl, 1, *duration, seed)
+	n := inst.Sys.Stats().Advances - a0
+	if n == 0 {
+		return r, "-"
+	}
+	return r, (r.Elapsed / time.Duration(n)).Round(time.Microsecond).String()
 }
 
 // fig8: PHTM-vEB NVM footprint across epoch lengths, uniform vs Zipfian,
@@ -388,7 +406,8 @@ func fig8() {
 		100 * time.Millisecond, time.Second,
 	}
 	fmt.Printf("\nFig. 8 — PHTM-vEB NVM space vs epoch length (keyspace 2^%d, 1 thread, 50/50 ins/rm)\n", log2(*keySpace))
-	fmt.Printf("%-12s %18s %18s\n", "epoch", "uniform", "zipf(0.99)")
+	fmt.Println("(each cell: footprint, then the realized epoch length — elapsed ÷ advances)")
+	fmt.Printf("%-12s %28s %28s\n", "epoch", "uniform", "zipf(0.99)")
 	for _, el := range lengths {
 		fmt.Printf("%-12s", el)
 		for _, d := range []harness.Dist{harness.Uniform, harness.Zipf99} {
@@ -396,10 +415,10 @@ func fig8() {
 			o.EpochLength = el
 			inst := harness.New("veb", o)
 			wl := harness.Workload{KeySpace: *keySpace, Dist: d, Mix: ycsb.WriteOnly, Prefill: true}
-			harness.Run(inst, wl, 1, *duration, 13)
+			_, realized := runRealized(inst, wl, 13)
 			mb := float64(inst.NVMBytes()) / (1 << 20)
 			inst.Close()
-			fmt.Printf("%14.1f MiB", mb)
+			fmt.Printf("%14.1f MiB %9s", mb, realized)
 		}
 		fmt.Println()
 	}

@@ -45,8 +45,8 @@ var (
 	obsFlag      = flag.Bool("obs", false, "record obs telemetry")
 	obsHTTP      = flag.String("obs-http", "", "serve /metrics and /debug/pprof on this address (implies -obs)")
 	spanSample   = flag.Int("span-sample", 0, "trace 1 in N requests as lifecycle spans (0 disables; implies -obs)")
-	traceOut     = flag.String("trace", "", "selftest: write sampled spans as a Chrome trace to this file")
-	spansOut     = flag.String("spans-out", "", "selftest: write sampled spans as JSONL to this file")
+	traceOut     = flag.String("trace", "", "selftest: write sampled spans as a Chrome trace to this file (implies -span-sample 1 if unset)")
+	spansOut     = flag.String("spans-out", "", "selftest: write sampled spans as JSONL to this file (implies -span-sample 1 if unset)")
 	metricsOut   = flag.String("metrics-out", "", "selftest: write the OpenMetrics exposition to this file (implies -obs)")
 )
 
@@ -72,6 +72,9 @@ func main() {
 		KeySpace:    *keySpace,
 		EpochLength: *epochLength,
 		MaxSessions: *maxSessions,
+	}
+	if *spanSample <= 0 && (*traceOut != "" || *spansOut != "") {
+		*spanSample = 1 // a span export with no spans to export writes nothing
 	}
 	if *obsFlag || *obsHTTP != "" || *spanSample > 0 || *metricsOut != "" {
 		cfg.Obs = obs.New()

@@ -46,13 +46,13 @@ func legalAfterCrash(base keyState, ws []keyWrite, watermark uint64, got keyStat
 }
 
 // TestTimerModeCrashWindow crash-tests the default path end to end: a
-// real ticker, a live flusher goroutine, backpressure, early write-backs,
+// real advancer clock, a live flusher goroutine, backpressure, early write-backs,
 // and Stop leaving a queued flush undrained. Four workers, each owning a
 // key range, write strictly increasing versions; at a seeded random moment
 // they stop and the power fails with the advancer and flusher wherever the
 // clock caught them. Every recovery must land within the window and leave
 // every key in a state its history allows. The recovered system runs the
-// same ticker, so the post-recovery catch-up is under test too. The Optane
+// same clock, so the post-recovery catch-up is under test too. The Optane
 // cell charges the latency profile's write-back costs, so the flusher's
 // measured per-block cost puts the early threshold within reach of every
 // epoch and the workers ring it for early passes; it must see some. The
@@ -142,7 +142,7 @@ func timerCrashWindow(t *testing.T, latency nvm.LatencyProfile, forced bool, hea
 			early += sys.Stats().EarlyFlushedBlocks
 			evict := []float64{0, 0.5, 1}[rng.Uint64N(3)]
 			sys.SimulateCrash(nvm.CrashOptions{EvictFraction: evict, Seed: rng.Uint64() | 1})
-			// The recovered system's ticker moves PersistedEpoch at once;
+			// The recovered system's advancer moves PersistedEpoch at once;
 			// the boundary recovery judges by is the media's watermark.
 			watermark := h.Load(epoch.WatermarkAddr)
 			if watermark+2 < crashEpoch {

@@ -323,7 +323,9 @@ func (c *conn) writeLoop() {
 // drainDurable is the group-commit acker: it re-reads the durable
 // watermark and appends RespDurable for every pending prefix entry whose
 // commit epoch has persisted, while the frames fit under outBound. The
-// caller holds c.mu.
+// server-wide counters move once per drain, not once per ack: every
+// reader bumps the counters beside them on every request. The caller holds
+// c.mu.
 func (c *conn) drainDurable() {
 	srv := c.srv
 	o := srv.cfg.Obs
@@ -333,15 +335,18 @@ func (c *conn) drainDurable() {
 	// epoch-flush instant. Taken under the lock, after the applied
 	// stamps of every entry it releases.
 	var flushNS int64
+	var acked int64
+	var lag uint64 // the first entry's: commit epochs never decrease
 	for c.pending.len() > 0 && len(c.out)+c.sending+wire.AckFrameLen <= outBound {
 		p := c.pending.front()
 		if p.epoch > watermark {
-			return
+			break
 		}
-		c.out, _ = wire.Append(c.out, &wire.Msg{Type: wire.RespDurable, ID: p.id, OK: p.ok, Epoch: p.epoch}) // always encodes
-		srv.durableAcks.Add(1)
-		srv.ackQueue.Add(-1)
-		srv.bumpAckLag(int64(watermark - p.epoch))
+		if acked == 0 {
+			lag = watermark - p.epoch
+		}
+		acked++
+		c.out = wire.AppendAck(c.out, wire.RespDurable, p.id, p.ok, p.epoch)
 		if o != nil {
 			now := o.Now()
 			if flushNS == 0 {
@@ -362,5 +367,10 @@ func (c *conn) drainDurable() {
 			}
 		}
 		c.pending.pop()
+	}
+	if acked > 0 {
+		srv.durableAcks.Add(acked)
+		srv.ackQueue.Add(-acked)
+		srv.bumpAckLag(int64(lag))
 	}
 }

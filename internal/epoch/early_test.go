@@ -116,7 +116,7 @@ func TestAbortOpKeepsEarlyPassesOut(t *testing.T) {
 func TestEarlyThresholdFromMeasuredCost(t *testing.T) {
 	for _, manual := range []bool{true, false} {
 		h := nvm.New(nvm.Config{Words: 1 << 18})
-		s := New(h, Config{Manual: manual, EpochLength: time.Hour}) // the ticker never fires
+		s := New(h, Config{Manual: manual, EpochLength: time.Hour}) // the advancer never fires
 		ws := []*Worker{s.Register(), s.Register()}
 		if s.earlyAt.Load() != neverEarly {
 			t.Fatal("threshold set before any write-back was timed")
@@ -276,7 +276,7 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 func TestWorkerWaitsForLaggingFlusher(t *testing.T) {
 	const at = 4
 	h := nvm.New(nvm.Config{Words: 1 << 16})
-	s := New(h, Config{EpochLength: time.Hour}) // the ticker never fires
+	s := New(h, Config{EpochLength: time.Hour}) // the advancer never fires
 	w := s.Register()
 	s.earlyAt.Store(at)
 	s.taskMu.Lock() // the flusher's next pass waits for this

@@ -77,8 +77,13 @@ const OldSeeNewCode uint8 = 0xE1
 
 // Config tunes an epoch system.
 type Config struct {
-	// EpochLength is the advancer's tick. Default 50ms (the paper's
-	// default experimental setting).
+	// EpochLength is the advancer's period: the background advancer
+	// closes an epoch at each deadline start + k·EpochLength, woken by a
+	// kernel timer (a timerfd on Linux) or a runtime timer, whichever
+	// comes first (clock.go). A deadline the advancer has wholly missed —
+	// a close that waited on the flusher past the next one — is skipped,
+	// not made up. Default 50ms (the paper's default experimental
+	// setting).
 	EpochLength time.Duration
 	// MaxWorkers bounds concurrently registered workers. Default 256.
 	MaxWorkers int
@@ -195,6 +200,7 @@ type System struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
+	clock    clock // the advancer's (clock.go); nil in Manual mode
 
 	advances      atomic.Int64
 	backpressure  atomic.Int64
@@ -299,19 +305,9 @@ func (s *System) startAdvancer() {
 	s.flusherDone = make(chan struct{})
 	s.flusherLive = true
 	go s.flusherLoop()
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(s.cfg.EpochLength)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.AdvanceOnce()
-			}
-		}
-	}()
+	start := time.Now()
+	s.clock = newClock(s.cfg.EpochLength)
+	go s.advancer(s.clock, start)
 }
 
 // flusherLoop is the background flusher: each doorbell ring persists the
@@ -505,7 +501,12 @@ func (s *System) eadr() bool { return s.heap.Mode() == nvm.ModeEADR }
 // Stop halts the background advancer. Used before simulating a crash and
 // when shutting down cleanly.
 func (s *System) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.stopOnce.Do(func() {
+		close(s.stop)
+		if s.clock != nil {
+			s.clock.close()
+		}
+	})
 	<-s.done
 	if s.flusherDone != nil {
 		<-s.flusherDone

@@ -14,7 +14,7 @@ import (
 // closed just to block on backpressure.
 func TestSyncClosesOneEpoch(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 16})
-	s := New(h, Config{EpochLength: time.Hour}) // the ticker never fires
+	s := New(h, Config{EpochLength: time.Hour}) // the advancer never fires
 	w := s.Register()
 	putKV(w, 7, 70)
 	e := s.GlobalEpoch()

@@ -280,7 +280,7 @@ func TestForcedBackpressure(t *testing.T) {
 	heap := nvm.New(nvm.Config{Words: 1 << 16})
 	heap.SetObs(rec)
 	sys := epoch.New(heap, epoch.Config{
-		EpochLength: time.Hour, // ticker never fires; the test owns every advance
+		EpochLength: time.Hour, // the advancer never fires; the test owns every advance
 		Obs:         rec,
 	})
 	defer sys.Stop()

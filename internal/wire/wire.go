@@ -323,6 +323,15 @@ func Append(buf []byte, m *Msg) ([]byte, error) {
 	return append(buf, body...), nil
 }
 
+// AppendAck encodes a RespApplied or RespDurable frame onto buf: the
+// bytes Append writes for the same Msg, without building one.
+func AppendAck(buf []byte, t Type, id uint64, ok bool, epoch uint64) []byte {
+	buf = append(buf, Magic, Version, uint8(t), 0, AckFrameLen-HeaderSize, 0, 0, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, id)
+	buf = append(buf, b2u(ok))
+	return binary.LittleEndian.AppendUint64(buf, epoch)
+}
+
 func b2u(b bool) byte {
 	if b {
 		return 1
