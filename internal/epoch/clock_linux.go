@@ -31,8 +31,8 @@ type fdClock struct {
 }
 
 // newClock arms the advancer's clock for a grid of period from now: a
-// timerfd, or a runtime timer if the kernel will not give one (say, no
-// file descriptor is left).
+// timerfd, or a runtime timer if the kernel will not give a pollable one
+// (say, no file descriptor is left).
 func newClock(period time.Duration) clock {
 	const clockMonotonic = 1
 	fd, _, errno := syscall.Syscall(syscall.SYS_TIMERFD_CREATE, clockMonotonic,
@@ -48,17 +48,24 @@ func newClock(period time.Duration) clock {
 		return newTimerClock()
 	}
 	// A non-blocking descriptor makes a pollable File: Read parks on the
-	// runtime's poller and honours the read deadline.
-	return &fdClock{f: os.NewFile(fd, "epoch-timerfd")}
+	// runtime's poller and honours the read deadline. A File the poller
+	// did not take refuses deadlines, and its Read would block.
+	f := os.NewFile(fd, "epoch-timerfd")
+	if f.SetReadDeadline(time.Time{}) != nil {
+		f.Close()
+		return newTimerClock()
+	}
+	return &fdClock{f: f}
 }
 
 func (c *fdClock) wait(deadline time.Time) bool {
 	if c.f.SetReadDeadline(deadline) != nil {
-		return false // closed
+		return false // closed: newClock made sure the file takes deadlines
 	}
 	_, err := c.f.Read(c.buf[:])
-	// The only other error is the close.
-	return err == nil || errors.Is(err, os.ErrDeadlineExceeded)
+	// Any other error is a wake too: the advancer re-reads the time, so
+	// it still advances on the grid and never stops on its own.
+	return !errors.Is(err, os.ErrClosed)
 }
 
 func (c *fdClock) close() { c.f.Close() }

@@ -170,16 +170,23 @@ func (s *System) earlyPass(force bool) {
 // by the close, which empties the buffer — or no flusher goroutine is left
 // to take it (Stop, or a crash hook that killed it). The worker announces
 // no epoch meanwhile, so no task waits for it. Manual mode and eADR heaps
-// never publish a threshold, so they never wait.
+// never publish a threshold, so they never wait. It spins spinRounds
+// rounds and then parks on pendCond, which the flusher broadcasts after
+// every pass and close and when it ends.
 func (s *System) awaitEarlyPass(l *pubList) {
-	for l.backlog() >= s.earlyAt.Load() {
+	for spin := 0; l.backlog() >= s.earlyAt.Load(); spin++ {
 		s.pendMu.Lock()
 		live := s.flusherLive
+		if live && spin >= spinRounds && l.backlog() >= s.earlyAt.Load() {
+			s.pendCond.Wait()
+		}
 		s.pendMu.Unlock()
 		if !live {
 			return
 		}
-		runtime.Gosched()
+		if spin < spinRounds {
+			runtime.Gosched()
+		}
 	}
 }
 

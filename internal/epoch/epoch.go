@@ -187,15 +187,22 @@ type System struct {
 	// Advancer→flusher hand-off. pendEpoch is the closed epoch awaiting
 	// its flush (0 = none); the doorbell wakes the flusher goroutine — the
 	// advancer rings it for pendEpoch, a worker for an early pass —
-	// pendCond wakes an advance blocked on backpressure. flusherLive is
-	// true while that goroutine runs — never in Manual mode, and no
-	// longer once Stop or a crash hook has ended it.
+	// pendCond wakes an advance blocked on backpressure and a worker
+	// waiting for an early pass (awaitEarlyPass). flusherLive is true
+	// while that goroutine runs — never in Manual mode, and no longer once
+	// Stop or a crash hook has ended it.
 	pendMu      sync.Mutex
 	pendCond    *sync.Cond
 	pendEpoch   uint64
 	flusherLive bool
 	doorbell    chan struct{} // nil in Manual mode
 	flusherDone chan struct{}
+
+	// quiesced wakes a flush parked in waitQuiesce: while quiesceWaiting
+	// is set, a worker that moves its announcement off an epoch sends on
+	// it (leftEpoch). One flush waits at a time: runTask holds taskMu.
+	quiesceWaiting atomic.Bool
+	quiesced       chan struct{}
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -268,12 +275,13 @@ type System struct {
 // startAdvancer.
 func newSystem(h *nvm.Heap, cfg Config) *System {
 	s := &System{
-		heap:    h,
-		alloc:   palloc.New(h),
-		cfg:     cfg,
-		workers: make([]*Worker, cfg.MaxWorkers),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		heap:     h,
+		alloc:    palloc.New(h),
+		cfg:      cfg,
+		workers:  make([]*Worker, cfg.MaxWorkers),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+		quiesced: make(chan struct{}, 1),
 	}
 	s.pendCond = sync.NewCond(&s.pendMu)
 	s.earlyAt.Store(neverEarly)
@@ -335,6 +343,9 @@ func (s *System) flusherLoop() {
 		case <-s.doorbell:
 			s.flushPending()
 			s.earlyPass(false)
+			s.pendMu.Lock() // a worker checks its backlog under pendMu before it waits
+			s.pendCond.Broadcast()
+			s.pendMu.Unlock()
 		}
 	}
 }
@@ -689,21 +700,52 @@ func (s *System) runTask(x uint64) {
 	}
 }
 
-// waitQuiesce spins until no worker is announced in epoch target.
+// spinRounds bounds the runtime.Gosched rounds of a wait for another
+// goroutine — a flush for the workers of a closed epoch (waitQuiesce), a
+// worker for an early pass (awaitEarlyPass) — before it parks. A yield
+// hands over the P but keeps the waiter's thread on its CPU, and with one
+// busy worker on two vCPUs the awaited worker then sometimes sat runnable
+// off its CPU for milliseconds: 100 µs epochs ran a third slower
+// (EXPERIMENTS, "Spinning waits").
+const spinRounds = 64
+
+// waitQuiesce returns once no worker is announced in epoch target: it
+// spins spinRounds rounds, then parks until a worker leaves an epoch.
 func (s *System) waitQuiesce(target uint64) {
-	for {
-		busy := false
-		n := int(s.nWorkers.Load())
-		for i := 0; i < n; i++ {
-			if s.workers[i].ann.Load() == target {
-				busy = true
-				break
-			}
-		}
-		if !busy {
+	for i := 0; i < spinRounds; i++ {
+		if !s.announced(target) {
 			return
 		}
 		runtime.Gosched()
+	}
+	// Sequentially consistent on both sides: either a check below sees
+	// the worker's announcement gone, or the worker sees the flag set.
+	s.quiesceWaiting.Store(true)
+	for s.announced(target) {
+		<-s.quiesced // a token may be stale: re-check
+	}
+	s.quiesceWaiting.Store(false)
+}
+
+// announced reports whether a worker is announced in epoch e.
+func (s *System) announced(e uint64) bool {
+	n := int(s.nWorkers.Load())
+	for i := 0; i < n; i++ {
+		if s.workers[i].ann.Load() == e {
+			return true
+		}
+	}
+	return false
+}
+
+// leftEpoch wakes a flush parked in waitQuiesce. A worker calls it after
+// moving its announcement off an epoch.
+func (s *System) leftEpoch() {
+	if s.quiesceWaiting.Load() {
+		select {
+		case s.quiesced <- struct{}{}:
+		default: // a wake is already pending
+		}
 	}
 }
 

@@ -114,6 +114,8 @@ func (w *Worker) BeginOp() uint64 {
 			w.retireMark = len(buf.retire.items)
 			return e
 		}
+		w.ann.Store(0)
+		w.sys.leftEpoch()
 	}
 }
 
@@ -137,6 +139,7 @@ func (w *Worker) EndOp() {
 		}
 	}
 	w.ann.Store(0)
+	w.sys.leftEpoch()
 	if buf.persist.backlog()-at >= at {
 		w.sys.awaitEarlyPass(&buf.persist)
 	}
@@ -150,6 +153,7 @@ func (w *Worker) AbortOp() {
 	buf.persist.items = buf.persist.items[:w.persistMark]
 	buf.retire.items = buf.retire.items[:w.retireMark]
 	w.ann.Store(0)
+	w.sys.leftEpoch()
 }
 
 // PNew allocates an NVM block whose payload holds at least payloadWords

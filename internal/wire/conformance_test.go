@@ -474,27 +474,3 @@ func TestAckFrameLen(t *testing.T) {
 		}
 	}
 }
-
-// TestAppendAckMatchesAppend: AppendAck writes the bytes Append writes for
-// the same applied or durable ack, after whatever buf already holds.
-func TestAppendAckMatchesAppend(t *testing.T) {
-	for _, typ := range []Type{RespApplied, RespDurable} {
-		for _, m := range []Msg{
-			{ID: 0, OK: false, Epoch: 0},
-			{ID: 1, OK: true, Epoch: 2},
-			{ID: 0x0102030405060708, OK: true, Epoch: 0xf0e0d0c0b0a09080},
-			{ID: ^uint64(0), OK: false, Epoch: ^uint64(0)},
-		} {
-			m.Type = typ
-			prefix := []byte{0xaa, 0xbb}
-			want, err := Append(append([]byte(nil), prefix...), &m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := AppendAck(append([]byte(nil), prefix...), typ, m.ID, m.OK, m.Epoch)
-			if !bytes.Equal(got, want) {
-				t.Errorf("AppendAck(%+v) = %x, want %x", m, got, want)
-			}
-		}
-	}
-}

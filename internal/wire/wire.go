@@ -289,10 +289,7 @@ func Append(buf []byte, m *Msg) ([]byte, error) {
 		binary.LittleEndian.PutUint64(payload[9:], m.Value)
 		body = payload[:17]
 	case RespApplied, RespDurable:
-		binary.LittleEndian.PutUint64(payload[0:], m.ID)
-		payload[8] = b2u(m.OK)
-		binary.LittleEndian.PutUint64(payload[9:], m.Epoch)
-		body = payload[:17]
+		return AppendAck(buf, m.Type, m.ID, m.OK, m.Epoch), nil
 	case CmdStats:
 		binary.LittleEndian.PutUint64(payload[0:], m.ID)
 		body = payload[:8]
@@ -323,8 +320,8 @@ func Append(buf []byte, m *Msg) ([]byte, error) {
 	return append(buf, body...), nil
 }
 
-// AppendAck encodes a RespApplied or RespDurable frame onto buf: the
-// bytes Append writes for the same Msg, without building one.
+// AppendAck encodes a RespApplied or RespDurable frame onto buf without
+// building a Msg: the one encoding of the ack frame, which Append uses too.
 func AppendAck(buf []byte, t Type, id uint64, ok bool, epoch uint64) []byte {
 	buf = append(buf, Magic, Version, uint8(t), 0, AckFrameLen-HeaderSize, 0, 0, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, id)
