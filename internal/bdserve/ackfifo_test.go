@@ -1,6 +1,9 @@
 package bdserve
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // A connection's pending-ack queue reuses its array in steady state: once
 // it has grown to its backlog, a long stream of pushes and pops allocates
@@ -8,6 +11,13 @@ import "testing"
 // keeps it from ever emptying or whole windows drain at once; and entries
 // come out in the order they went in. Each stream runs as one measured
 // call, so growth that is merely amortised still counts.
+//
+// testing.AllocsPerRun counts every goroutine's mallocs, and a garbage
+// collection still marking when the measured call starts can allocate on
+// its own: a background mark worker that blocks at mark termination
+// allocates a sudog when its P's cache is empty. So each measurement
+// starts right after a completed collection; the measured calls allocate
+// nothing, so none starts during them.
 func TestAckFIFOSteadyStateDoesNotAllocate(t *testing.T) {
 	var f ackFIFO
 	var in, out uint64
@@ -27,6 +37,7 @@ func TestAckFIFOSteadyStateDoesNotAllocate(t *testing.T) {
 		}
 	}
 	push(40)
+	runtime.GC()
 	if n := testing.AllocsPerRun(1, func() {
 		for range 10000 {
 			push(3)
@@ -39,6 +50,7 @@ func TestAckFIFOSteadyStateDoesNotAllocate(t *testing.T) {
 	if f.len() != 0 || in != out {
 		t.Fatalf("len %d after draining, pushed %d, popped %d", f.len(), in, out)
 	}
+	runtime.GC()
 	if n := testing.AllocsPerRun(1, func() {
 		for range 1000 {
 			push(32)

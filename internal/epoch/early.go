@@ -113,7 +113,7 @@ func (s *System) earlyPass(force bool) {
 			continue
 		}
 		for _, b := range (*l.arr.Load())[lo:hi] {
-			exts = append(exts, nvm.Extent{Addr: b, Words: palloc.ClassWords(s.alloc.ReadHeader(b).Class)})
+			exts = append(exts, nvm.Extent{Addr: b, Words: s.alloc.BlockWords(b)})
 		}
 		marks = append(marks, earlyMark{l: l, to: hi})
 	}

@@ -638,7 +638,7 @@ func (s *System) runTask(x uint64) {
 		t = o.Now()
 		h, exts := s.heap, s.taskExts[:0]
 		for _, b := range persist {
-			exts = append(exts, nvm.Extent{Addr: b, Words: palloc.ClassWords(s.alloc.ReadHeader(b).Class)})
+			exts = append(exts, nvm.Extent{Addr: b, Words: s.alloc.BlockWords(b)})
 		}
 		flushed = int64(len(persist))
 		exts, records, checkpoints = s.journalEpoch(x, retire[:unjournaled], exts)

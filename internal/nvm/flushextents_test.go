@@ -96,3 +96,93 @@ func TestFlushExtentsMatchesSerialImage(t *testing.T) {
 			bs.LineWritebacks, bs.UsefulBytes, ss.LineWritebacks, ss.UsefulBytes)
 	}
 }
+
+// TestFlushExtentsMatchesLineByLine: a shuffled batch of extents — with
+// duplicates, extents sharing lines and lines no store dirtied — must
+// flush exactly as flushing its distinct lines one at a time in ascending
+// order does: the same image, the same dirty bits, the same persist-hook
+// sequence and the same Stats deltas, except that the batch charges one
+// media write per XPLine it writes back instead of one per line.
+func TestFlushExtentsMatchesLineByLine(t *testing.T) {
+	const words = 1 << 18
+	type event struct {
+		p PersistPoint
+		a Addr
+	}
+	prepare := func() (*Heap, []Extent, *[]event) {
+		h := New(Config{Words: words})
+		x := uint64(7)
+		next := func() uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return x >> 11
+		}
+		for range words / 4 {
+			h.Store(Addr(next()%words), next())
+		}
+		var exts []Extent
+		for range 4096 {
+			n := 1 + int(next()%24)
+			exts = append(exts, Extent{Addr: Addr(next() % uint64(words-n)), Words: n})
+		}
+		exts = append(exts, exts[:512]...) // duplicates
+		for i := len(exts) - 1; i > 0; i-- {
+			j := int(next() % uint64(i+1))
+			exts[i], exts[j] = exts[j], exts[i]
+		}
+		var evs []event
+		h.SetPersistHook(func(p PersistPoint, a Addr) { evs = append(evs, event{p, a}) })
+		return h, exts, &evs
+	}
+
+	batched, exts, batchedEvs := prepare()
+	serial, _, serialEvs := prepare()
+	covered := map[uint64]bool{}
+	for _, ex := range exts {
+		for l := ex.Addr.Line(); l <= (ex.Addr + Addr(ex.Words) - 1).Line(); l++ {
+			covered[l] = true
+		}
+	}
+	xplines := map[uint64]bool{}
+	for l := range covered {
+		if serial.DirtyLine(Addr(l * LineWords)) {
+			xplines[l*LineWords/XPLineWords] = true
+		}
+	}
+
+	b0, s0 := batched.Stats(), serial.Stats()
+	batched.FlushExtents(exts)
+	for l := uint64(0); l < words/LineWords; l++ {
+		if covered[l] {
+			serial.Flush(Addr(l * LineWords))
+		}
+	}
+	bd, sd := batched.Stats().Sub(b0), serial.Stats().Sub(s0)
+
+	for a := Addr(0); a < words; a++ {
+		if b, s := batched.PersistedLoad(a), serial.PersistedLoad(a); b != s {
+			t.Fatalf("image diverges at %d: batched %d, line by line %d", a, b, s)
+		}
+		if b, s := batched.DirtyLine(a), serial.DirtyLine(a); b != s {
+			t.Fatalf("dirty bit of line %d diverges: batched %v, line by line %v", a.Line(), b, s)
+		}
+	}
+	if len(*batchedEvs) != len(*serialEvs) {
+		t.Fatalf("batched fired %d persist events, line by line %d", len(*batchedEvs), len(*serialEvs))
+	}
+	for i, e := range *batchedEvs {
+		if e != (*serialEvs)[i] {
+			t.Fatalf("persist event %d: batched %v, line by line %v", i, e, (*serialEvs)[i])
+		}
+	}
+	if bd.Flushes != int64(len(covered)) || bd.Flushes != sd.Flushes ||
+		bd.LineWritebacks != sd.LineWritebacks || bd.UsefulBytes != sd.UsefulBytes {
+		t.Fatalf("batched %+v, line by line %+v, %d distinct lines", bd, sd, len(covered))
+	}
+	if bd.LineWritebacks == 0 || bd.LineWritebacks == bd.Flushes {
+		t.Fatalf("%d write-backs of %d flushes: the batch should mix dirty and clean lines", bd.LineWritebacks, bd.Flushes)
+	}
+	if bd.MediaWrites != int64(len(xplines)) || bd.MediaBytes != bd.MediaWrites*XPLineBytes {
+		t.Fatalf("batched media writes %d (%d bytes), want one per written-back XPLine: %d",
+			bd.MediaWrites, bd.MediaBytes, len(xplines))
+	}
+}

@@ -54,6 +54,54 @@ func BenchmarkHotPath(b *testing.B) {
 			benchFlushExtents(b, g)
 		})
 	}
+	b.Run("flushextents/close", benchCloseBatch)
+}
+
+// benchCloseBatch times one epoch close's write-back shaped like
+// embed_hot's: about 5,000 tracked 3-word blocks, 2,700 of them distinct,
+// scattered over a 6 Mi-word heap, each dirtied and then flushed as one
+// FlushExtents batch. It reports ns per distinct line flushed.
+func benchCloseBatch(b *testing.B) {
+	const (
+		words    = 6 << 20
+		slab     = 4096
+		distinct = 2700
+		tracked  = 5000
+	)
+	h := New(Config{Words: words})
+	x := uint64(0x5eed)
+	next := func() uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return x >> 11
+	}
+	// Blocks sit where palloc packs KV blocks: from a slab's second line
+	// on, 3 words apart, so some straddle two lines.
+	blocks := make([]Addr, distinct)
+	for i := range blocks {
+		blocks[i] = Addr(next()%(words/slab)*slab + LineWords + next()%1362*3)
+	}
+	exts := make([]Extent, tracked)
+	lines := map[uint64]bool{}
+	for i := range exts {
+		blk := blocks[next()%distinct]
+		exts[i] = Extent{Addr: blk, Words: 3}
+		lines[blk.Line()], lines[(blk+2).Line()] = true, true
+	}
+	for _, ex := range exts {
+		h.Store(ex.Addr, 1)
+	}
+	h.FlushExtents(exts) // materialises the image pages
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		for _, ex := range exts {
+			h.Store(ex.Addr, uint64(ex.Addr))
+		}
+		b.StartTimer()
+		h.FlushExtents(exts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/line")
 }
 
 // benchFlushExtents measures the batched-flush path the epoch flusher and

@@ -23,6 +23,14 @@
 // a WordPtr is stable across Crash. Both tables hold ordinary Go memory:
 // the race detector sees atomics only on the Go heap.
 //
+// Each image page has a mutex. A write-back copies its line under the
+// page's lock and reads the view while holding it, so when two goroutines
+// write one line back at once the copy that lands last carries the newer
+// view: a flush that returned is never undone by an older copy landing
+// after it. The image is read only under the same lock (PersistedLoad) or
+// with the heap quiescent (Crash), so the copy writes it with plain
+// stores; the view is shared with every accessor and stays atomic.
+//
 // Stores update only the volatile view and mark the containing cache line
 // dirty. A line reaches the persistent image when it is explicitly flushed
 // (Flush, modeling clwb/clflushopt) or when the simulated cache evicts it in
@@ -51,7 +59,6 @@ package nvm
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -170,6 +177,7 @@ type Heap struct {
 	words int                    // heap size in words
 	view  []atomic.Pointer[page] // volatile view (CPU perspective), by page
 	pimg  []atomic.Pointer[page] // persistent image (media perspective), by page
+	imgMu []sync.Mutex           // per image page: write-backs and PersistedLoad
 
 	dirty  bitset // lines with volatile contents newer than the media
 	cached bitset // lines currently resident in the simulated cache
@@ -289,6 +297,7 @@ func New(cfg Config) *Heap {
 		words:    cfg.Words,
 		view:     make([]atomic.Pointer[page], pages),
 		pimg:     make([]atomic.Pointer[page], pages),
+		imgMu:    make([]sync.Mutex, pages),
 		dirty:    newBitset(lines),
 		cached:   newBitset(lines),
 		evictRNG: rand.New(rand.NewPCG(seed, seed^0xda942042e4dd58b5)),
@@ -422,14 +431,19 @@ func countPages(tbl []atomic.Pointer[page]) int64 {
 }
 
 // persistLine copies line l from the volatile view to the persistent
-// image: the one place a word reaches the media.
+// image: the one place a word reaches the media. It reads the view under
+// the image page's lock (package doc), so a line whose dirty bit a flush
+// cleared ends up in the image at least as new as the view was then.
 func (h *Heap) persistLine(l uint64) {
 	base := l * LineWords
 	src := materialise(h.view, base)[base%pageWords:][:LineWords]
+	mu := &h.imgMu[base/pageWords]
+	mu.Lock()
 	dst := materialise(h.pimg, base)[base%pageWords:][:LineWords]
 	for i := range src {
-		atomic.StoreUint64(&dst[i], atomic.LoadUint64(&src[i]))
+		dst[i] = atomic.LoadUint64(&src[i])
 	}
+	mu.Unlock()
 }
 
 // writeBackLine copies one cache line from the volatile view to the
@@ -569,8 +583,11 @@ func (h *Heap) FlushRange(a Addr, words int) {
 	if h.cfg.Mode != ModeADR {
 		return
 	}
-	lastXP := ^uint64(0)
-	h.flushLines(a.Line(), (a + Addr(words) - 1).Line(), &lastXP)
+	t := flushTally{lastXP: ^uint64(0)}
+	defer h.addTally(&t, a.Line())
+	for l := a.Line(); l <= (a + Addr(words) - 1).Line(); l++ {
+		h.flushLine(l, &t)
+	}
 }
 
 // Extent is one contiguous word range of an NVM heap, the unit of a
@@ -597,7 +614,7 @@ func (h *Heap) FlushExtents(exts []Extent) {
 	sc := flushScratchPool.Get().(*flushScratch)
 	// Deferred (not inline at the end) because persist hooks may panic
 	// mid-flush to simulate a crash; the scratch must still return to
-	// the pool on that path.
+	// the pool on that path, and the tally must still count what landed.
 	defer sc.release()
 	for _, ex := range exts {
 		if ex.Words <= 0 {
@@ -609,25 +626,28 @@ func (h *Heap) FlushExtents(exts []Extent) {
 			sc.lines = append(sc.lines, l)
 		}
 	}
-	slices.Sort(sc.lines)
-	lastXP := ^uint64(0)
+	if len(sc.lines) == 0 {
+		return
+	}
+	sortLines(sc.lines, &sc.radix)
+	t := flushTally{lastXP: ^uint64(0)}
+	defer h.addTally(&t, sc.lines[0])
 	prev := ^uint64(0)
 	for _, l := range sc.lines {
 		if l == prev {
 			continue // extents sharing a line cost a single clwb
 		}
 		prev = l
-		h.flushLines(l, l, &lastXP)
+		h.flushLine(l, &t)
 	}
 }
 
 // flushScratch is the reusable line buffer behind FlushExtents: covered
-// lines are appended, sorted, and dedup-iterated, replacing the two
-// per-call maps the batched flush path used to allocate. Sorting also
-// gives flushLines the ascending visit order its lastXP coalescing
-// relies on.
+// lines are appended, sorted in place, and dedup-iterated. Sorting gives
+// flushLine the ascending visit order its lastXP coalescing relies on.
 type flushScratch struct {
 	lines []uint64
+	radix radixCounts
 }
 
 var flushScratchPool = sync.Pool{
@@ -639,40 +659,56 @@ func (sc *flushScratch) release() {
 	flushScratchPool.Put(sc)
 }
 
-// flushLines is the shared body of FlushRange and FlushExtents: flush
-// lines [first, last] in ascending order, coalescing XPLine media-write
-// accounting through lastXP (callers seed it with ^uint64(0), which no
-// real XPLine index can equal; it survives across flushLines calls so a
-// whole FlushExtents batch shares one coalescing window).
-func (h *Heap) flushLines(first, last uint64, lastXP *uint64) {
-	for l := first; l <= last; l++ {
-		h.firePersist(PointFlush, Addr(l*LineWords))
-		h.stats.flushes.Add(l, 1)
-		if h.obs != nil {
-			h.obs.Hit(obs.EvFlush, l*LineWords, 0)
-		}
-		if !h.cfg.Latency.Zero() {
-			spin(h.cfg.Latency.FlushNS)
-		}
-		if h.cached.testAndClear(l) {
-			h.residentLines.Add(-1)
-		}
-		if !h.dirty.testAndClear(l) {
-			continue
-		}
-		base := l * LineWords
-		h.persistLine(l)
-		h.stats.lineWritebacks.Add(l, 1)
-		if h.obs != nil {
-			h.obs.Hit(obs.EvWriteBack, base, 0)
-		}
-		h.stats.usefulBytes.Add(l, LineBytes)
-		xp := base / XPLineWords
-		if xp != *lastXP {
-			*lastXP = xp
-			h.stats.mediaWrites.Add(l, 1)
-			h.stats.mediaBytes.Add(l, XPLineBytes)
-		}
+// flushTally is one flush call's counters, added to the heap's sharded
+// Stats once per call (addTally) rather than once per line. lastXP is the
+// XPLine the call last charged a media write for: the caller seeds it with
+// ^uint64(0), which no real XPLine index can equal, and adjacent lines in
+// one XPLine share its charge.
+type flushTally struct {
+	flushes, writebacks, mediaWrites int64
+	lastXP                           uint64
+}
+
+// addTally adds t to the heap's counters, lane being the call's first line.
+// Callers defer it, so a persist hook's panic mid-call still counts every
+// line flushed before it.
+func (h *Heap) addTally(t *flushTally, lane uint64) {
+	h.stats.flushes.Add(lane, t.flushes)
+	if t.writebacks != 0 {
+		h.stats.lineWritebacks.Add(lane, t.writebacks)
+		h.stats.usefulBytes.Add(lane, t.writebacks*LineBytes)
+		h.stats.mediaWrites.Add(lane, t.mediaWrites)
+		h.stats.mediaBytes.Add(lane, t.mediaWrites*XPLineBytes)
+	}
+}
+
+// flushLine is the shared per-line body of FlushRange and FlushExtents:
+// flush line l (its callers visit lines in ascending order), tallying into
+// t.
+func (h *Heap) flushLine(l uint64, t *flushTally) {
+	h.firePersist(PointFlush, Addr(l*LineWords))
+	t.flushes++
+	if h.obs != nil {
+		h.obs.Hit(obs.EvFlush, l*LineWords, 0)
+	}
+	if !h.cfg.Latency.Zero() {
+		spin(h.cfg.Latency.FlushNS)
+	}
+	if h.cached.testAndClear(l) {
+		h.residentLines.Add(-1)
+	}
+	if !h.dirty.testAndClear(l) {
+		return
+	}
+	base := l * LineWords
+	h.persistLine(l)
+	t.writebacks++
+	if h.obs != nil {
+		h.obs.Hit(obs.EvWriteBack, base, 0)
+	}
+	if xp := base / XPLineWords; xp != t.lastXP {
+		t.lastXP = xp
+		t.mediaWrites++
 	}
 }
 
@@ -767,11 +803,14 @@ func (h *Heap) Crash(opts CrashOptions) {
 // the volatile view. Intended for tests and debugging.
 func (h *Heap) PersistedLoad(a Addr) uint64 {
 	h.check(a)
+	mu := &h.imgMu[a/pageWords]
+	mu.Lock()
+	defer mu.Unlock()
 	pg := h.pimg[a/pageWords].Load()
 	if pg == nil {
 		return 0 // nothing in this page was ever written back
 	}
-	return atomic.LoadUint64(&pg[a%pageWords])
+	return pg[a%pageWords]
 }
 
 // DirtyLine reports whether the line containing a holds volatile data that

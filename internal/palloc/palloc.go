@@ -29,6 +29,7 @@
 package palloc
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -139,6 +140,9 @@ const (
 	// class — the slab's first XPLine is its header, the rest belongs to
 	// whoever formatted it.
 	journalClass = 0x3f
+
+	// noClass marks an unformatted slab in the DRAM slab table.
+	noClass = 0xff
 )
 
 // slabClass decodes a slab header word: ok reports a formatted slab,
@@ -152,6 +156,12 @@ type Allocator struct {
 	heap  *nvm.Heap
 	start nvm.Addr // first slab address (slab-aligned)
 	slabs int      // capacity in slabs
+
+	// slabCls holds each slab's class in DRAM, one byte per slab, so that
+	// the epoch flusher sizes a tracked block without loading its header:
+	// formatSlab sets it and Recover's slab scan rebuilds it. A slab not
+	// formatted (or a journal slab) holds a value no size class has.
+	slabCls []uint8
 
 	mu        sync.Mutex
 	formatted int          // slabs formatted so far
@@ -179,12 +189,14 @@ type activeSlab struct {
 func New(h *nvm.Heap) *Allocator {
 	start := nvm.Addr(((nvm.RootWords + slabWords - 1) / slabWords) * slabWords)
 	total := nvm.Addr(h.Words())
+	slabs := int((total - start) / slabWords)
 	al := &Allocator{
-		heap:   h,
-		start:  start,
-		slabs:  int((total - start) / slabWords),
-		free:   make([][]nvm.Addr, len(classWords)),
-		active: make([]activeSlab, len(classWords)),
+		heap:    h,
+		start:   start,
+		slabs:   slabs,
+		slabCls: bytes.Repeat([]byte{noClass}, slabs),
+		free:    make([][]nvm.Addr, len(classWords)),
+		active:  make([]activeSlab, len(classWords)),
 	}
 	return al
 }
@@ -203,6 +215,7 @@ func (al *Allocator) formatSlab(class int) nvm.Addr {
 		panic("palloc: out of NVM (all slabs formatted)")
 	}
 	base := al.start + nvm.Addr(al.formatted*slabWords)
+	al.slabCls[al.formatted] = uint8(class)
 	al.formatted++
 	// Durable slab header: magic + class.
 	fresh := al.heap.Load(base+slabHeaderOff) == 0
@@ -362,6 +375,14 @@ func (al *Allocator) release(b nvm.Addr) (class int) {
 	}
 	al.liveBytes.Add(-int64(classWords[hdr.Class] * nvm.WordBytes))
 	return hdr.Class
+}
+
+// BlockWords returns the size in words, header included, of block b, from
+// the class of its slab kept in DRAM: unlike ReadHeader it touches no heap
+// line. b must be a block of a formatted slab; it may be called
+// concurrently with Alloc and Free.
+func (al *Allocator) BlockWords(b nvm.Addr) int {
+	return classWords[al.slabCls[(b-al.start)/slabWords]]
 }
 
 // ReadHeader decodes the current (volatile-view) header of block b.

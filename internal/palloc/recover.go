@@ -46,11 +46,15 @@ func slabRange(formatted, workers, w int) (lo, hi int) {
 // appended to free[class] (when free != nil), non-FREE blocks go to
 // judge; a false verdict reclaims the block (marked FREE, extent queued
 // on *reclaim for a batched flush) and frees it. With free == nil the
-// walk is read-only and judge's verdict is ignored. A journal slab has no
+// walk is read-only and judge's verdict is ignored; otherwise it also
+// records the slab's class in the DRAM slab table. A journal slab has no
 // blocks to walk.
 func (al *Allocator) scanSlab(s int, judge func(BlockInfo) bool, free [][]nvm.Addr, reclaim *[]nvm.Extent) (liveBlocks, liveBytes int64) {
 	base := al.start + nvm.Addr(s*slabWords)
 	class, _ := slabClass(al.heap.Load(base + slabHeaderOff))
+	if free != nil {
+		al.slabCls[s] = uint8(class)
+	}
 	if class == journalClass {
 		return 0, 0
 	}
@@ -160,6 +164,9 @@ func (al *Allocator) Recover(workers int, judge func(worker int, bi BlockInfo) b
 	al.liveBytes.Store(0)
 	formatted := al.formattedSlabs()
 	al.formatted = formatted
+	for s := formatted; s < al.slabs; s++ {
+		al.slabCls[s] = noClass // the scan sets the formatted prefix
+	}
 	workers = max(1, min(workers, formatted))
 
 	type workerState struct {
