@@ -38,12 +38,11 @@ var (
 	full     = flag.Bool("full", false, "paper-scale parameters (2^22 keys, 1s points)")
 
 	obsFlag  = flag.Bool("obs", false, "record obs telemetry and print its OpenMetrics exposition at exit")
-	traceOut = flag.String("trace", "", "write a Chrome trace_event file (implies -obs)")
 	httpAddr = flag.String("http", "", "serve /metrics and pprof on this address (implies -obs)")
 )
 
 // benchObs is the process-wide recorder wired into every subject when
-// -obs/-trace/-http is given; nil otherwise (zero-overhead path).
+// -obs/-http is given; nil otherwise (zero-overhead path).
 var benchObs *obs.Recorder
 
 func main() {
@@ -56,11 +55,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: bdbench [flags] fig1|fig2|fig3|table3|fig4|fig5|fig6|fig7|fig8|recovery|tail|serve|all")
 		os.Exit(2)
 	}
-	if *obsFlag || *traceOut != "" || *httpAddr != "" {
+	if *obsFlag || *httpAddr != "" {
 		benchObs = obs.New()
-	}
-	if *traceOut != "" {
-		benchObs.StartTrace(1 << 16)
 	}
 	if *httpAddr != "" {
 		hs, err := obs.StartHTTP(*httpAddr, benchObs, nil)
@@ -95,37 +91,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
 		os.Exit(2)
 	}
-	if *traceOut != "" {
-		writeTrace()
-	}
 	if *obsFlag {
 		fmt.Println("\nobs summary")
 		if err := benchObs.WriteOpenMetrics(os.Stdout, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "bdbench: -obs: %v\n", err)
 		}
 	}
-}
-
-func writeTrace() {
-	tr := benchObs.StopTrace()
-	if tr == nil {
-		return
-	}
-	f, err := os.Create(*traceOut)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bdbench: -trace: %v\n", err)
-		os.Exit(1)
-	}
-	err = obs.WriteChromeTrace(f, tr.Events())
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bdbench: -trace: %v\n", err)
-		os.Exit(1)
-	}
-	kept, dropped := tr.Counts()
-	fmt.Printf("wrote %d trace events to %s (%d dropped by ring)\n", kept, *traceOut, dropped)
 }
 
 // tailLatency quantifies the Sec. 4.2 claim that BDL preserves the

@@ -183,7 +183,7 @@ func runSelftest(cfg bdserve.Config) int {
 		fmt.Printf("selftest: span chains valid, worst ack lag %d epochs\n", lagMax)
 		if *traceOut != "" {
 			if err := writeFileWith(*traceOut, func(w *os.File) error {
-				return obs.WriteChromeTrace(w, obs.SpanEvents(spans))
+				return obs.WriteChromeTrace(w, spans)
 			}); err != nil {
 				return fail("trace export: %v", err)
 			}

@@ -387,10 +387,9 @@ type session struct {
 // pass over the heap, which is most of what a short scripted run costs).
 func newSession(p RoundParams, sub Subject, heapWords int) *session {
 	s := &session{p: p, sub: sub, buffered: sub.Durability() == Buffered}
-	// Every round runs with telemetry and a live tracer attached, so the
-	// fuzzer also exercises the obs hooks across crash and recovery.
+	// Every round runs with a recorder attached, so the fuzzer also
+	// exercises the attempt and phase hooks across crash and recovery.
 	rec := obs.New()
-	rec.StartTrace(1 << 10)
 	sub.Init(Env{
 		Seed:         p.Seed,
 		HeapWords:    heapWords,
@@ -681,7 +680,6 @@ func runSingle(p RoundParams, sub Subject) *Failure {
 func runConcurrent(p RoundParams, sub Subject) *Failure {
 	buffered := sub.Durability() == Buffered
 	rec := obs.New()
-	rec.StartTrace(1 << 10)
 	sub.Init(Env{
 		Seed:         p.Seed,
 		HeapWords:    DefaultHeapWords,

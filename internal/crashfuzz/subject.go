@@ -52,10 +52,10 @@ type Env struct {
 	// step runs right after each advance (true) or lags a full epoch
 	// (false). See Env.advance.
 	Async bool
-	// Obs, when non-nil, is attached to every component the subject
-	// builds (TM, heaps, epoch system). The engine installs one per round
-	// with an active tracer, so every fuzzed schedule also exercises the
-	// telemetry hooks across crash and recovery.
+	// Obs, when non-nil, is attached to the TM and the epoch system the
+	// subject builds. The engine installs one per round, so every fuzzed
+	// schedule also exercises the attempt and phase hooks across crash
+	// and recovery.
 	Obs *obs.Recorder
 }
 
@@ -94,9 +94,7 @@ func (e Env) TM() *htm.TM {
 
 // NVMHeap builds the round's persistent heap.
 func (e Env) NVMHeap() *nvm.Heap {
-	h := nvm.New(nvm.Config{Words: e.HeapWords, Seed: e.Seed ^ 0x9e3779b97f4a7c15, CacheLines: e.CacheLines})
-	h.SetObs(e.Obs)
-	return h
+	return nvm.New(nvm.Config{Words: e.HeapWords, Seed: e.Seed ^ 0x9e3779b97f4a7c15, CacheLines: e.CacheLines})
 }
 
 // Subject adapts one persistent structure to the fuzzer: init / op /

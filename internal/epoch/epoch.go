@@ -95,11 +95,8 @@ type Config struct {
 	// and deterministic examples.
 	Manual bool
 	// Obs, when non-nil, receives the epoch-advance phase timeline
-	// (quiesce, flush, root and reclaim durations) and the advance,
-	// recovery and allocator alloc/free trace events. The counters stay
-	// in Stats.
-	// It does not reach the heap: attach a recorder there separately
-	// (nvm.Heap.SetObs) if persist events are wanted too.
+	// (quiesce, flush, root and reclaim durations). The counters stay in
+	// Stats, and the heap's and the allocator's in their own Stats.
 	Obs *obs.Recorder
 }
 
@@ -285,7 +282,6 @@ func newSystem(h *nvm.Heap, cfg Config) *System {
 	}
 	s.pendCond = sync.NewCond(&s.pendMu)
 	s.earlyAt.Store(neverEarly)
-	s.alloc.SetObs(cfg.Obs)
 	return s
 }
 
@@ -577,7 +573,6 @@ func (s *System) advance() {
 
 	s.advances.Add(1)
 	s.advHist.Record(e, int64(time.Since(t0)))
-	s.cfg.Obs.Hit(obs.EvAdvance, e-1, e+1)
 }
 
 // runTask persists epoch x: it waits for x to quiesce, collects every

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 	"bdhtm/internal/palloc"
 )
 
@@ -216,9 +215,6 @@ func RecoverInto(h *nvm.Heap, cfg Config, into func(*System) func(BlockRecord)) 
 		}
 	}
 	s.recoveryRebuildNS.Store(max(time.Since(rebuildStart).Nanoseconds(), 1))
-
-	// The watermark was re-persisted before the scan.
-	cfg.Obs.Hit(obs.EvRecover, p, uint64(s.recoveredLive.Load()))
 	s.startAdvancer()
 	return s
 }

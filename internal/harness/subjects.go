@@ -27,9 +27,8 @@ type Opts struct {
 	HeapWords int
 	// MemTypeRate injects the Fig. 2 MEMTYPE anomaly into HTM subjects.
 	MemTypeRate float64
-	// Obs, when non-nil, is attached to every component the subject
-	// builds (the TM, the heaps, the epoch system, the allocator), and
-	// every session operation is timed onto it.
+	// Obs, when non-nil, is attached to the TM and the epoch system the
+	// subject builds, and every session operation is timed onto it.
 	Obs *obs.Recorder
 	// Manual disables background epoch advancers on buffered-durable
 	// subjects; epochs then advance only via the instance's Sync.
@@ -65,9 +64,7 @@ func (o Opts) heap(k kv.Kind) *nvm.Heap {
 	if o.Latency {
 		cfg.Latency = nvm.OptaneProfile
 	}
-	h := nvm.New(cfg)
-	h.SetObs(o.Obs)
-	return h
+	return nvm.New(cfg)
 }
 
 func (o Opts) tm() *htm.TM {
@@ -92,8 +89,8 @@ type Instance struct {
 	*kv.Stack
 }
 
-// New builds the named kv kind scaled to o, with o.Obs attached to every
-// component and timing every session operation.
+// New builds the named kv kind scaled to o, with o.Obs attached to its
+// TM and epoch system and timing every session operation.
 func New(kind string, o Opts) *Instance {
 	k, ok := kv.Lookup(kind)
 	if !ok {

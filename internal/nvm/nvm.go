@@ -61,8 +61,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-
-	"bdhtm/internal/obs"
 )
 
 // Fundamental granularities, in words and bytes. A word is 8 bytes.
@@ -191,17 +189,8 @@ type Heap struct {
 	storeHook   atomic.Pointer[func(Addr)]
 
 	stats   Stats
-	obs     *obs.Recorder
 	crashes atomic.Int64
 }
-
-// SetObs attaches a telemetry recorder: flushes, fences, line write-backs,
-// and crashes emit trace events while a trace is active (Stats counts
-// them either way). A nil recorder disables tracing. Attach before the
-// heap is shared between goroutines. Word loads and stores are
-// deliberately not traced — they are orders of magnitude hotter than
-// persist events.
-func (h *Heap) SetObs(r *obs.Recorder) { h.obs = r }
 
 // PersistPoint identifies one durability-relevant heap event observed by a
 // persist hook: the instants at which a crash would leave distinct media
@@ -449,16 +438,8 @@ func (h *Heap) persistLine(l uint64) {
 // writeBackLine copies one cache line from the volatile view to the
 // persistent image and charges media-write accounting.
 func (h *Heap) writeBackLine(l uint64, eviction bool) {
-	base := l * LineWords
 	h.persistLine(l)
 	h.stats.lineWritebacks.Add(l, 1)
-	if h.obs != nil {
-		var ev uint64
-		if eviction {
-			ev = 1
-		}
-		h.obs.Hit(obs.EvWriteBack, base, ev)
-	}
 	if eviction {
 		h.stats.evictions.Add(l, 1)
 		if !h.cfg.Latency.Zero() {
@@ -555,9 +536,6 @@ func (h *Heap) Flush(a Addr) {
 	}
 	h.firePersist(PointFlush, a)
 	h.stats.flushes.Add(a.Line(), 1)
-	if h.obs != nil {
-		h.obs.Hit(obs.EvFlush, uint64(a), 0)
-	}
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.FlushNS)
 	}
@@ -688,9 +666,6 @@ func (h *Heap) addTally(t *flushTally, lane uint64) {
 func (h *Heap) flushLine(l uint64, t *flushTally) {
 	h.firePersist(PointFlush, Addr(l*LineWords))
 	t.flushes++
-	if h.obs != nil {
-		h.obs.Hit(obs.EvFlush, l*LineWords, 0)
-	}
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.FlushNS)
 	}
@@ -703,9 +678,6 @@ func (h *Heap) flushLine(l uint64, t *flushTally) {
 	base := l * LineWords
 	h.persistLine(l)
 	t.writebacks++
-	if h.obs != nil {
-		h.obs.Hit(obs.EvWriteBack, base, 0)
-	}
 	if xp := base / XPLineWords; xp != t.lastXP {
 		t.lastXP = xp
 		t.mediaWrites++
@@ -721,9 +693,6 @@ func (h *Heap) Fence() {
 	}
 	h.firePersist(PointFence, 0)
 	h.stats.fences.Add(0, 1)
-	if h.obs != nil {
-		h.obs.Hit(obs.EvFence, 0, 0)
-	}
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.FenceNS)
 	}
@@ -757,9 +726,6 @@ type CrashOptions struct {
 // image and recovery code may run.
 func (h *Heap) Crash(opts CrashOptions) {
 	n := h.crashes.Add(1)
-	if h.obs != nil {
-		h.obs.Hit(obs.EvCrash, uint64(n), 0)
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = uint64(n) * 0x9e3779b97f4a7c15

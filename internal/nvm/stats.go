@@ -1,26 +1,58 @@
 package nvm
 
-import "bdhtm/internal/obs"
+import "sync/atomic"
+
+// counterLanes is the number of lanes every counter is striped across.
+const counterLanes = 32
+
+// lane is one cache-line-padded counter stripe.
+type lane struct {
+	v atomic.Int64
+	_ [7]int64 // keep neighbouring lanes off this cache line
+}
+
+// counter is a lock-free sharded event counter. Increments land on the
+// caller-chosen lane; Load sums all lanes. The zero value is ready to
+// use.
+type counter struct {
+	lanes [counterLanes]lane
+}
+
+// Add adds delta on the lane selected by shard (any value; only the low
+// bits matter).
+func (c *counter) Add(shard uint64, delta int64) {
+	c.lanes[shard%counterLanes].v.Add(delta)
+}
+
+// Load returns the sum across all lanes. Concurrent with Add it is a
+// best-effort (but never torn per-lane) total; quiescent it is exact.
+func (c *counter) Load() int64 {
+	var sum int64
+	for i := range c.lanes {
+		sum += c.lanes[i].v.Load()
+	}
+	return sum
+}
 
 // Stats holds the heap's internal event counters. Every counter is a
-// sharded obs.Counter (cache-line-padded lanes, folded on snapshot)
-// rather than one atomic word: loads and stores are the hottest
-// operations in the whole simulator, and a single shared counter word
-// serializes otherwise-independent goroutines on one cache line. Hot
-// paths pass the accessed line index as the lane hint, so goroutines
-// working disjoint data bump disjoint lanes; correctness never depends
-// on the hint (obs.Counter sums all lanes on Load).
+// sharded counter (cache-line-padded lanes, folded on snapshot) rather
+// than one atomic word: loads and stores are the hottest operations in
+// the whole simulator, and a single shared counter word serializes
+// otherwise-independent goroutines on one cache line. Hot paths pass the
+// accessed line index as the lane hint, so goroutines working disjoint
+// data bump disjoint lanes; correctness never depends on the hint (Load
+// sums all lanes).
 type Stats struct {
-	loads          obs.Counter
-	stores         obs.Counter
-	misses         obs.Counter
-	flushes        obs.Counter
-	fences         obs.Counter
-	evictions      obs.Counter
-	lineWritebacks obs.Counter
-	mediaWrites    obs.Counter
-	mediaBytes     obs.Counter
-	usefulBytes    obs.Counter
+	loads          counter
+	stores         counter
+	misses         counter
+	flushes        counter
+	fences         counter
+	evictions      counter
+	lineWritebacks counter
+	mediaWrites    counter
+	mediaBytes     counter
+	usefulBytes    counter
 }
 
 // StatsSnapshot is a point-in-time copy of the heap counters.

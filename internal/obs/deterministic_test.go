@@ -19,12 +19,10 @@ import (
 	"bdhtm/internal/obs"
 )
 
-// TestExactFlushCounts scripts stores and flushes on an ADR heap (with a
-// recorder attached) and checks the heap's stats give the exact event
-// counts.
+// TestExactFlushCounts scripts stores and flushes on an ADR heap and
+// checks the heap's stats give the exact event counts.
 func TestExactFlushCounts(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 16})
-	h.SetObs(obs.New())
 
 	const n = 10
 	for i := uint64(0); i < n; i++ {
@@ -278,7 +276,6 @@ func TestEpochCounterParity(t *testing.T) {
 func TestForcedBackpressure(t *testing.T) {
 	rec := obs.New()
 	heap := nvm.New(nvm.Config{Words: 1 << 16})
-	heap.SetObs(rec)
 	sys := epoch.New(heap, epoch.Config{
 		EpochLength: time.Hour, // the advancer never fires; the test owns every advance
 		Obs:         rec,
@@ -345,37 +342,48 @@ func TestForcedBackpressure(t *testing.T) {
 	}
 }
 
-// TestObsSurvivesCrash: tracing across a simulated power failure must not
-// deadlock, lose the crash event, or disturb the heap's own counts.
+// TestObsSurvivesCrash: a recorder on an epoch system keeps recording
+// phase samples across SimulateCrash and Recover, one sample of every
+// phase per flush task, while the heap keeps its own crash and flush
+// counts.
 func TestObsSurvivesCrash(t *testing.T) {
 	rec := obs.New()
-	tr := rec.StartTrace(1 << 10)
-	h := nvm.New(nvm.Config{Words: 1 << 14})
-	h.SetObs(rec)
+	h := nvm.New(nvm.Config{Words: 1 << 16})
+	cfg := epoch.Config{Manual: true, Obs: rec}
+	tasks := func() int64 {
+		t.Helper()
+		n := rec.PhaseHist(obs.PhaseQuiesce).Count
+		for p := obs.EpochPhase(0); p < obs.NumEpochPhases; p++ {
+			if got := rec.PhaseHist(p).Count; got != n {
+				t.Fatalf("phase %v recorded %d times, quiesce %d", p, got, n)
+			}
+		}
+		return n
+	}
 
-	a := nvm.Addr(nvm.RootWords)
-	h.Store(a, 1)
-	h.Persist(a)
-	h.Crash(nvm.CrashOptions{})
+	sys := epoch.New(h, cfg)
+	sys.Sync()
+	before, flushes := tasks(), h.Stats().Flushes
+	if before == 0 || flushes == 0 {
+		t.Fatalf("before the crash: %d flush tasks, %d heap flushes, want both nonzero", before, flushes)
+	}
+	sys.SimulateCrash(nvm.CrashOptions{})
 	if got := h.Crashes(); got != 1 {
 		t.Fatalf("heap crashes = %d, want 1", got)
 	}
-	// Recording continues cleanly after the crash.
-	h.Store(a, 2)
-	h.Persist(a)
-	if got := h.Stats().Flushes; got != 2 {
-		t.Errorf("post-crash flushes = %d, want 2", got)
+	if got := h.Stats().Flushes; got != flushes {
+		t.Errorf("crash moved the heap's flushes from %d to %d", flushes, got)
 	}
-	var crashes int
-	for _, e := range rec.StopTrace().Events() {
-		if e.Kind == obs.EvCrash {
-			crashes++
-		}
+
+	sys = epoch.Recover(h, cfg, nil)
+	defer sys.Stop()
+	sys.Sync()
+	if got := tasks(); got <= before {
+		t.Errorf("flush tasks recorded = %d after recovery and a Sync, want more than %d", got, before)
 	}
-	if crashes != 1 {
-		t.Errorf("trace holds %d crash events, want 1", crashes)
+	if got := h.Stats().Flushes; got <= flushes {
+		t.Errorf("post-crash heap flushes = %d, want more than %d", got, flushes)
 	}
-	_ = tr
 }
 
 // TestIdleRatesAreOne is the regression test for the idle-division fix:

@@ -94,10 +94,10 @@ func (h *Hist) Snapshot() HistSnapshot {
 // trimmed of trailing zeros (its length is the highest occupied bucket
 // plus one).
 type HistSnapshot struct {
-	Count   int64   `json:"count"`
-	SumNS   int64   `json:"sum_ns"`
-	MaxNS   int64   `json:"max_ns"`
-	Buckets []int64 `json:"buckets,omitempty"`
+	Count   int64
+	SumNS   int64
+	MaxNS   int64
+	Buckets []int64
 }
 
 // Quantile returns an upper bound for the q-quantile (q in [0, 1]):

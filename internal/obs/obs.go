@@ -1,34 +1,30 @@
 // Package obs is the repository's telemetry layer for what no layer's
-// own Stats owns: latency distributions, event traces and request spans.
-// Counters and gauges are not declared here — each lives once, in the
-// Stats of the layer that owns it (htm.Stats, nvm.Stats, epoch.Stats,
-// bdserve's STATS snapshot) — and the exposition renders them from there.
+// own Stats owns: latency distributions and request spans. Counters and
+// gauges are not declared here — each lives once, in the Stats of the
+// layer that owns it (htm.Stats, nvm.Stats, epoch.Stats, bdserve's
+// STATS snapshot) — and the exposition renders them from there.
 //
 // Components:
 //
-//   - Counter: lock-free sharded event counters, the building block of
-//     nvm.Stats (counter.go).
 //   - Hist: log-scale latency histograms, per op type (insert / remove /
 //     lookup), per HTM attempt outcome (commit vs. each abort cause),
 //     per epoch-advance phase, and per service latency (hist.go).
-//   - Tracer: a sharded ring-buffer event tracer with one exporter,
-//     Chrome trace_event (trace.go); spans follow sampled requests
-//     through the service stack (span.go).
+//   - Span: follows one sampled request through the service stack; the
+//     one event stream, exported as Chrome trace_event JSON and as
+//     JSONL (span.go).
 //   - WriteOpenMetrics / StartHTTP: the OpenMetrics exposition, served
 //     with pprof by an optional HTTP endpoint (prom.go, http.go).
 //
-// Who records what: the substrate layers (htm, nvm, palloc, epoch) take
-// a recorder for attempts, phases and trace events; the harness and
-// bdserve time structure operations at their session boundary (kv.Timed);
-// bdserve also records service latencies and spans. The structures
-// themselves carry none.
+// Who records what: htm records attempts and epoch records advance
+// phases; the harness and bdserve time structure operations at their
+// session boundary (kv.Timed); bdserve also records service latencies
+// and spans. The structures themselves carry none.
 //
 // Overhead discipline: a nil *Recorder is a valid, fully disabled
 // recorder — every method is nil-safe, and instrumented call sites guard
 // with a single pointer test (`if obs != nil`), so the disabled cost is
 // one predictable branch. When enabled, the hot paths touch only sharded
-// atomics; the tracer adds one atomic pointer load unless a trace is
-// actually active.
+// atomics.
 package obs
 
 import (
@@ -37,10 +33,10 @@ import (
 	"time"
 )
 
-// NumShards is the number of independent lanes every counter and
-// histogram is striped across. Callers pick a lane with any cheap
-// per-thread-ish value (worker ID, key, timestamp); correctness never
-// depends on the choice, only contention does.
+// NumShards is the number of independent lanes every histogram is
+// striped across. Callers pick a lane with any cheap per-thread-ish value
+// (worker ID, key, timestamp); correctness never depends on the choice,
+// only contention does.
 const (
 	NumShards = 32
 	shardMask = NumShards - 1
@@ -189,8 +185,7 @@ type Recorder struct {
 	phases   [NumEpochPhases]Hist
 	svc      [NumSvcHists]Hist
 
-	tracer atomic.Pointer[Tracer]
-	spans  atomic.Pointer[SpanRing]
+	spans atomic.Pointer[SpanRing]
 }
 
 // New creates an enabled recorder using the monotonic wall clock.
@@ -216,18 +211,13 @@ func (r *Recorder) Now() int64 {
 }
 
 // EndOp records the completion of one structure-level operation that
-// began at start (a prior Now reading): latency goes to the op-kind
-// histogram and, when a trace is active, one EvOp event is emitted.
-// shard is any cheap spreading value (key, worker ID).
+// began at start (a prior Now reading) into the op-kind latency
+// histogram. shard is any cheap spreading value (key, worker ID).
 func (r *Recorder) EndOp(k OpKind, shard uint64, start int64) {
 	if r == nil {
 		return
 	}
-	end := r.now()
-	r.ops[k].Record(shard, end-start)
-	if tr := r.tracer.Load(); tr != nil {
-		tr.emit(Event{TS: start, Dur: end - start, Kind: EvOp, Shard: uint16(shard & shardMask), Arg1: uint64(k)})
-	}
+	r.ops[k].Record(shard, r.now()-start)
 }
 
 // Attempt records one HTM attempt that began at start, classified by
@@ -236,15 +226,11 @@ func (r *Recorder) Attempt(o Outcome, shard uint64, start int64) {
 	if r == nil {
 		return
 	}
-	end := r.now()
-	r.attempts[o].Record(shard, end-start)
-	if tr := r.tracer.Load(); tr != nil {
-		tr.emit(Event{TS: start, Dur: end - start, Kind: EvAttempt, Shard: uint16(shard & shardMask), Arg1: uint64(o)})
-	}
+	r.attempts[o].Record(shard, r.now()-start)
 }
 
-// Phase records one epoch-advance phase that began at start, tagging the
-// trace event with the epoch being closed. It returns the end timestamp
+// Phase records one epoch-advance phase that began at start, spread
+// across lanes by the epoch being closed. It returns the end timestamp
 // so the caller can chain phases without re-reading the clock.
 func (r *Recorder) Phase(p EpochPhase, epoch uint64, start int64) int64 {
 	if r == nil {
@@ -252,22 +238,7 @@ func (r *Recorder) Phase(p EpochPhase, epoch uint64, start int64) int64 {
 	}
 	end := r.now()
 	r.phases[p].Record(epoch, end-start)
-	if tr := r.tracer.Load(); tr != nil {
-		tr.emit(Event{TS: start, Dur: end - start, Kind: EvEpochPhase, Shard: uint16(epoch & shardMask), Arg1: uint64(p), Arg2: epoch})
-	}
 	return end
-}
-
-// Hit emits one instant trace event of the given kind when a trace is
-// active; it counts nothing (the emitting layer's Stats does). shard
-// doubles as the event's first argument (an address, an epoch).
-func (r *Recorder) Hit(kind EventKind, shard, arg2 uint64) {
-	if r == nil {
-		return
-	}
-	if tr := r.tracer.Load(); tr != nil {
-		tr.emit(Event{TS: r.now(), Kind: kind, Shard: uint16(shard & shardMask), Arg1: shard, Arg2: arg2})
-	}
 }
 
 // OpHist returns a snapshot of one op-kind latency histogram.
@@ -313,7 +284,7 @@ func (r *Recorder) SvcSnapshot(h SvcHist) HistSnapshot {
 }
 
 // EnableSpans attaches a span ring sampling one request in every to the
-// recorder and returns it; SampleSpan draws from it until DisableSpans.
+// recorder and returns it; SampleSpan draws from it from then on.
 func (r *Recorder) EnableSpans(capacity, every int) *SpanRing {
 	if r == nil {
 		return nil
@@ -321,15 +292,6 @@ func (r *Recorder) EnableSpans(capacity, every int) *SpanRing {
 	sr := NewSpanRing(capacity, every)
 	r.spans.Store(sr)
 	return sr
-}
-
-// DisableSpans detaches the span ring (completed spans stay readable on
-// the returned ring).
-func (r *Recorder) DisableSpans() *SpanRing {
-	if r == nil {
-		return nil
-	}
-	return r.spans.Swap(nil)
 }
 
 // SpanRing returns the active span ring, or nil.
@@ -356,34 +318,4 @@ func (r *Recorder) SampleSpan(reqID, conn uint64, op uint8) *Span {
 		return nil
 	}
 	return sr.sample(reqID, conn, op, r.now())
-}
-
-// StartTrace activates event tracing with room for roughly capacity
-// events (split across shards; older events are overwritten once a
-// shard's ring fills). It returns the tracer, which stays readable after
-// tracing is stopped.
-func (r *Recorder) StartTrace(capacity int) *Tracer {
-	if r == nil {
-		return nil
-	}
-	tr := newTracer(capacity)
-	r.tracer.Store(tr)
-	return tr
-}
-
-// StopTrace detaches the active tracer (events already captured remain
-// readable on the returned tracer).
-func (r *Recorder) StopTrace() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer.Swap(nil)
-}
-
-// Tracer returns the active tracer, or nil.
-func (r *Recorder) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer.Load()
 }

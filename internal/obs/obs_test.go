@@ -25,7 +25,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if end := r.Phase(PhaseFlush, 9, 2); end != 0 {
 		t.Errorf("nil Phase = %d", end)
 	}
-	r.Hit(EvFlush, 0, 0)
 	if h := r.OpHist(OpInsert); h.Count != 0 {
 		t.Errorf("nil OpHist count = %d", h.Count)
 	}
@@ -39,14 +38,11 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if h := r.SvcSnapshot(SvcAckLagNS); h.Count != 0 {
 		t.Errorf("nil SvcSnapshot count = %d", h.Count)
 	}
-	if tr := r.StartTrace(64); tr != nil {
-		t.Errorf("nil StartTrace = %v", tr)
+	if sr := r.EnableSpans(16, 1); sr != nil {
+		t.Errorf("nil EnableSpans = %v", sr)
 	}
-	if tr := r.StopTrace(); tr != nil {
-		t.Errorf("nil StopTrace = %v", tr)
-	}
-	if tr := r.Tracer(); tr != nil {
-		t.Errorf("nil Tracer = %v", tr)
+	if sr := r.SpanRing(); sr != nil {
+		t.Errorf("nil SpanRing = %v", sr)
 	}
 }
 
@@ -60,7 +56,6 @@ func TestNilRecorderIsCheap(t *testing.T) {
 		r.EndOp(OpInsert, 42, start)
 		r.Attempt(OutCommit, 42, start)
 		r.Phase(PhaseFlush, 1, start)
-		r.Hit(EvFlush, 7, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recording allocates %.1f objects/op, want 0", allocs)
@@ -68,15 +63,14 @@ func TestNilRecorderIsCheap(t *testing.T) {
 }
 
 // TestEnabledRecordingIsAllocFree pins the enabled hot path: histograms
-// are pre-sized arrays of atomics and Hit only emits to an active tracer,
-// so steady-state recording (without one) must not allocate either.
+// are pre-sized arrays of atomics, so steady-state recording must not
+// allocate either.
 func TestEnabledRecordingIsAllocFree(t *testing.T) {
 	r, _ := scripted(5)
 	allocs := testing.AllocsPerRun(1000, func() {
 		start := r.Now()
 		r.EndOp(OpLookup, 3, start)
 		r.Attempt(OutCommit, 3, start)
-		r.Hit(EvFence, 0, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled recording allocates %.1f objects/op, want 0", allocs)
@@ -141,22 +135,12 @@ func TestRecorderAttemptAndPhase(t *testing.T) {
 	}
 }
 
-// TestRecorderMetricsAndSnapshot: Hit is trace-only — without a tracer it
-// leaves no mark — and the typed accessors carry the histograms while the
-// tracer carries its counts.
+// TestRecorderMetricsAndSnapshot: the typed accessors read each
+// histogram on its own — a remove lands in the remove histogram only.
 func TestRecorderMetricsAndSnapshot(t *testing.T) {
 	r, _ := scripted(1)
-	r.Hit(EvFence, 0, 0)
-	r.StartTrace(64)
-	for i := 0; i < 5; i++ {
-		r.Hit(EvFlush, uint64(i), 0)
-	}
-	r.Hit(EvAdvance, 0, 1)
 	r.EndOp(OpRemove, 0, r.Now())
 
-	if kept, dropped := r.Tracer().Counts(); kept != 7 || dropped != 0 {
-		t.Errorf("trace counts = %d/%d, want 7/0 (5 flushes, 1 advance, 1 op)", kept, dropped)
-	}
 	if n := r.OpHist(OpInsert).Count; n != 0 {
 		t.Errorf("insert count = %d, want 0", n)
 	}
@@ -209,8 +193,8 @@ func TestEnumStrings(t *testing.T) {
 		{OutPersistOp.String(), "persist-op"},
 		{PhaseQuiesce.String(), "quiesce"},
 		{PhaseReclaim.String(), "reclaim"},
-		{EvRecover.String(), "recover"},
-		{EvEpochPhase.String(), "epoch-phase"},
+		{SpanDecode.String(), "decode"},
+		{SpanDurable.String(), "durable"},
 		{OpKind(99).String(), "OpKind(99)"},
 	}
 	for _, c := range cases {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -23,7 +24,8 @@ import (
 // and counted rather than corrupting the live one.
 
 // SpanPhase names one stage of a request's lifecycle. The numeric values
-// are part of the exported trace format (Event.Arg1); append only.
+// are part of the exported trace format (each Chrome event's a1
+// argument); append only.
 type SpanPhase uint8
 
 const (
@@ -35,8 +37,8 @@ const (
 	// the HTM commit that made the op visible; Span.CommitEpoch holds
 	// the epoch it committed in.
 	SpanCommit
-	// SpanApplied: the applied ack (or read response) was written back
-	// to the client.
+	// SpanApplied: the applied ack (or read response) entered the
+	// connection's reply buffer.
 	SpanApplied
 	// SpanFlush: the durable watermark was first observed covering the
 	// op's commit epoch (the group-commit drain woke up for it).
@@ -76,11 +78,13 @@ const (
 )
 
 // Span is one sampled request's lifecycle record. The exported fields
-// are written by the connection's reader/writer goroutines at the
-// matching pipeline stages; the channel handoff between them orders the
-// writes, so no per-field synchronization is needed. All methods are
-// nil-safe: unsampled requests carry a nil *Span through the pipeline
-// for the cost of one pointer test per stage.
+// are written at the matching pipeline stages: the connection's reader
+// stamps the phases up to applied and, for a write, pushes the span's
+// pending durable ack under the connection's lock; the durable drain
+// stamps the rest under the same lock. The lock orders the writes, so no
+// per-field synchronization is needed. All methods are nil-safe:
+// unsampled requests carry a nil *Span through the pipeline for the cost
+// of one pointer test per stage.
 type Span struct {
 	// state points at the ring's slot-state word (kept outside the
 	// struct so Span values stay copyable); nil for hand-built spans.
@@ -302,13 +306,21 @@ func checkSpan(sp *Span, c SpanCheck) error {
 	return nil
 }
 
-// SpanEvents converts completed spans into trace events, one EvSpanPhase
-// per stamped phase with Dur running to the next stamped phase, so the
-// Chrome-trace exporter renders per-request lifecycle lanes
-// next to the substrate's own events. Shard is the connection lane and
-// Arg2 the request ID, grouping one request's phases together.
-func SpanEvents(spans []Span) []Event {
-	var evs []Event
+// WriteChromeTrace renders completed spans in Chrome's trace_event JSON
+// array format, loadable in chrome://tracing and Perfetto: one event
+// named span.<phase> per stamped phase, running to the span's next
+// stamped phase. tid is the connection lane, args.a1 the SpanPhase and
+// args.a2 the request ID, so one request's phases group together. A
+// phase with a later stamp becomes a complete ("X") event, the last one
+// an instant ("i"). Timestamps are microseconds with nanosecond
+// fractions, emitted in non-decreasing order.
+func WriteChromeTrace(w io.Writer, spans []Span) error {
+	type event struct {
+		sp      *Span
+		p       SpanPhase
+		ts, dur int64
+	}
+	var evs []event
 	for i := range spans {
 		sp := &spans[i]
 		for p := SpanPhase(0); p < NumSpanPhases; p++ {
@@ -323,23 +335,34 @@ func SpanEvents(spans []Span) []Event {
 					break
 				}
 			}
-			evs = append(evs, Event{
-				TS:    ts,
-				Dur:   dur,
-				Kind:  EvSpanPhase,
-				Shard: uint16(sp.Conn & shardMask),
-				Arg1:  uint64(p),
-				Arg2:  sp.ReqID,
-			})
+			evs = append(evs, event{sp, p, ts, dur})
 		}
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
-	return evs
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].ts < evs[j].ts })
+
+	bw := bufio.NewWriter(w)
+	bw.WriteString("[\n")
+	for i, e := range evs {
+		sep := ","
+		if i == len(evs)-1 {
+			sep = ""
+		}
+		name, ts, tid := "span."+e.p.String(), float64(e.ts)/1e3, e.sp.Conn&shardMask
+		if e.dur > 0 {
+			fmt.Fprintf(bw, `  {"name":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{"a1":%d,"a2":%d}}%s`+"\n",
+				name, ts, float64(e.dur)/1e3, tid, e.p, e.sp.ReqID, sep)
+		} else {
+			fmt.Fprintf(bw, `  {"name":%q,"ph":"i","s":"t","ts":%.3f,"pid":1,"tid":%d,"args":{"a1":%d,"a2":%d}}%s`+"\n",
+				name, ts, tid, e.p, e.sp.ReqID, sep)
+		}
+	}
+	bw.WriteString("]\n")
+	return bw.Flush() // a bufio.Writer keeps its first error
 }
 
 // WriteSpansJSONL writes one JSON object per completed span: the full
 // request record (phases, epochs, per-cause attempt outcomes) at higher
-// fidelity than the flattened trace events.
+// fidelity than the Chrome trace events.
 func WriteSpansJSONL(w io.Writer, spans []Span) error {
 	for i := range spans {
 		sp := &spans[i]

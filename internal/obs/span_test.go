@@ -2,9 +2,15 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // fakeClock is a hand-cranked monotone clock for deterministic stamps.
 type fakeClock struct{ t int64 }
@@ -174,20 +180,27 @@ func TestSpanLifecycleThroughRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evs := SpanEvents(spans)
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	var evs []chromeEvent
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
 	if len(evs) != int(NumSpanPhases) {
 		t.Fatalf("got %d span events, want %d", len(evs), NumSpanPhases)
 	}
 	for i, ev := range evs {
-		if ev.Kind != EvSpanPhase || ev.Arg2 != 1 {
-			t.Fatalf("event %d: kind=%v arg2=%d", i, ev.Kind, ev.Arg2)
+		if ev.Name != "span."+SpanPhase(i).String() || ev.Args.A2 != 1 {
+			t.Fatalf("event %d: name=%s a2=%d", i, ev.Name, ev.Args.A2)
 		}
 		if i > 0 && ev.TS < evs[i-1].TS {
 			t.Fatalf("span events not time-ordered at %d", i)
 		}
 	}
 
-	var buf bytes.Buffer
+	buf.Reset()
 	if err := WriteSpansJSONL(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +216,6 @@ func TestSpanLifecycleThroughRecorder(t *testing.T) {
 
 	if sampled, dropped, _ := r.SpanRing().Counts(); sampled != 1 || dropped != 0 {
 		t.Fatalf("span counts = %d, %d, want 1, 0", sampled, dropped)
-	}
-
-	r.DisableSpans()
-	if sp := r.SampleSpan(2, 0, 1); sp != nil {
-		t.Fatal("SampleSpan must return nil after DisableSpans")
 	}
 }
 
@@ -225,5 +233,108 @@ func TestSpanNilSafety(t *testing.T) {
 	var sr *SpanRing
 	if sr.Spans() != nil {
 		t.Fatal("nil ring returned spans")
+	}
+}
+
+// chromeEvent is the decoded shape of one exported trace event.
+type chromeEvent struct {
+	Name string   `json:"name"`
+	Ph   string   `json:"ph"`
+	S    string   `json:"s"`
+	TS   float64  `json:"ts"`
+	Dur  *float64 `json:"dur"`
+	Args struct {
+		A1 uint64 `json:"a1"`
+		A2 uint64 `json:"a2"`
+	} `json:"args"`
+}
+
+// fixedSpans is a deterministic span set covering every export shape:
+// a write and a read whose phases interleave in time, the write with
+// its flush phase skipped, on a connection lane past the shard mask.
+func fixedSpans() []Span {
+	w := Span{ReqID: 0x11, Conn: 2, Op: 3, Write: true, OK: true, CommitEpoch: 7, DurableEpoch: 8}
+	w.Outcomes[OutCommit] = 1
+	w.Outcomes[OutConflict] = 1
+	w.Phase = [NumSpanPhases]int64{1000, 1100, 1500, 1600, 0, 52000}
+	r := Span{ReqID: 0x22, Conn: 35, Op: 1, OK: true}
+	r.Outcomes[OutCommit] = 1
+	r.Phase = [NumSpanPhases]int64{1200, 1300, 1400, 1450, 0, 0}
+	return []Span{w, r}
+}
+
+// TestChromeTraceGolden locks the exporter's byte-exact output: field
+// names, event phases, and µs timestamp formatting are a contract with
+// chrome://tracing / Perfetto and with downstream tooling.
+func TestChromeTraceGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, fixedSpans()); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "chrome_trace.golden.json", buf.Bytes())
+
+	// Beyond byte equality: a valid JSON array, one event per stamped
+	// phase, timestamps monotone overall and each request's phases in
+	// phase order.
+	var evs []chromeEvent
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatalf("exporter output is not valid JSON: %v", err)
+	}
+	if len(evs) != 9 {
+		t.Fatalf("got %d JSON events, want 9 (5 write phases, 4 read)", len(evs))
+	}
+	last := -1.0
+	lastPhase := map[uint64]uint64{}
+	for i, e := range evs {
+		if e.Name != "span."+SpanPhase(e.Args.A1).String() {
+			t.Fatalf("event %d: name %q for phase %d", i, e.Name, e.Args.A1)
+		}
+		if e.TS < last {
+			t.Fatalf("timestamps not monotonic at event %d", i)
+		}
+		last = e.TS
+		if p, ok := lastPhase[e.Args.A2]; ok && e.Args.A1 <= p {
+			t.Fatalf("event %d: request %#x phase %d after phase %d", i, e.Args.A2, e.Args.A1, p)
+		}
+		lastPhase[e.Args.A2] = e.Args.A1
+		if e.Args.A1 == uint64(SpanFlush) {
+			t.Fatalf("event %d: unstamped flush phase exported", i)
+		}
+		switch e.Ph {
+		case "X":
+			if e.Dur == nil || *e.Dur <= 0 {
+				t.Fatalf("complete event %d has no positive dur", i)
+			}
+		case "i":
+			if e.S != "t" {
+				t.Fatalf("instant event %d missing thread scope", i)
+			}
+		default:
+			t.Fatalf("event %d has unexpected phase %q", i, e.Ph)
+		}
+	}
+}
+
+// compareGolden diffs got against testdata/name, rewriting the file when
+// the test is run with -update.
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from %s (regenerate with -update if the change is intended)\ngot:\n%s\nwant:\n%s",
+			path, got, want)
 	}
 }

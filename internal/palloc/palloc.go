@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
 
 // Status is a block's durable lifecycle state.
@@ -170,14 +169,7 @@ type Allocator struct {
 
 	liveBlocks atomic.Int64
 	liveBytes  atomic.Int64
-
-	obs *obs.Recorder
 }
-
-// SetObs attaches a telemetry recorder: every Alloc and Free emits a
-// trace event while a trace is active. A nil recorder disables it.
-// Attach before the allocator is shared between goroutines.
-func (al *Allocator) SetObs(r *obs.Recorder) { al.obs = r }
 
 type activeSlab struct {
 	base nvm.Addr
@@ -303,9 +295,6 @@ func (al *Allocator) Alloc(class int, tag uint8) nvm.Addr {
 	// (Sec. 4.1).
 	al.heap.Store(b, Header{Status: Allocated, Class: class, Tag: tag, Epoch: InvalidEpoch}.Pack())
 	al.liveBlocks.Add(1)
-	if al.obs != nil {
-		al.obs.Hit(obs.EvAlloc, uint64(b), uint64(class))
-	}
 	al.liveBytes.Add(int64(classWords[class] * nvm.WordBytes))
 	return b
 }
@@ -370,9 +359,6 @@ func (al *Allocator) release(b nvm.Addr) (class int) {
 	}
 	al.heap.Store(b, Header{Status: Free, Class: hdr.Class}.Pack())
 	al.liveBlocks.Add(-1)
-	if al.obs != nil {
-		al.obs.Hit(obs.EvFree, uint64(b), uint64(hdr.Class))
-	}
 	al.liveBytes.Add(-int64(classWords[hdr.Class] * nvm.WordBytes))
 	return hdr.Class
 }
