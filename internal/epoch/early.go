@@ -3,6 +3,7 @@ package epoch
 import (
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"bdhtm/internal/nvm"
@@ -41,9 +42,14 @@ import (
 //
 // The trigger is event-driven: the flusher publishes a per-worker backlog
 // threshold (earlyAt) from the per-block cost it measured on its own last
-// write-backs, and a worker whose published backlog reaches it rings the
-// flusher's doorbell at EndOp. Manual mode has no flusher goroutine; its
-// caller runs the step explicitly (FlushEarly).
+// write-backs — the median of the last costWindow, so that one write-back
+// the flusher spent descheduled does not move it — and a worker whose
+// published backlog reaches it rings the flusher's doorbell at EndOp. The
+// budget, EpochLength/32, is the knee of the measured curve: tighter, the
+// early passes start writing back hot blocks that a same-epoch update
+// dirties again, and write_amp grows (EXPERIMENTS "Almost empty close").
+// Manual mode has no flusher goroutine; its caller runs the step
+// explicitly (FlushEarly).
 //
 // The trigger is also the flow control. A worker whose published backlog
 // reaches twice the threshold has outrun the flusher by a whole pass, and it
@@ -52,12 +58,15 @@ import (
 // flusher grows the open epoch without bound: the advance waits for the last
 // close, the epoch runs that much longer, and its close is longer again.
 const (
-	// earlyBudgetDiv sets the close-time flush budget: EpochLength/16.
-	earlyBudgetDiv = 16
+	// earlyBudgetDiv sets the close-time flush budget: EpochLength/32.
+	earlyBudgetDiv = 32
 	// costSample is the fewest blocks a write-back must carry for its
 	// duration to update the per-block cost estimate: below it the fixed
 	// costs of a flush (fences, the watermark) dominate.
 	costSample = 64
+	// costWindow is how many timed write-backs the per-block cost estimate
+	// is the median of.
+	costWindow = 5
 	// neverEarly is earlyAt before the flusher has measured a write-back,
 	// and always in Manual mode.
 	neverEarly = math.MaxInt64
@@ -195,13 +204,21 @@ func (s *System) awaitEarlyPass(l *pubList) {
 // early pass, journal pages and checkpoints included — and republishes the
 // early threshold: the backlog share at which the workers that tracked in
 // the last closed epoch, if they all held as much, would cost the closing
-// task the budget. Manual mode has no doorbell to ring, and its threshold
-// stays at never. The caller holds taskMu.
+// task the budget at the median of the last costWindow costs. A write-back's
+// wall time includes any time the flusher sat descheduled; the median
+// ignores such a sample until most of the window reads as slow, that is
+// until the host really is slower. Manual mode has no doorbell to ring, and
+// its threshold stays at never. The caller holds taskMu.
 func (s *System) noteCost(d time.Duration, blocks int) {
 	if s.cfg.Manual || blocks < costSample {
 		return
 	}
-	cost := max(d.Nanoseconds()/int64(blocks), 1)
+	s.costs[s.costN%costWindow] = max(d.Nanoseconds()/int64(blocks), 1)
+	s.costN++
+	window := s.costs // a copy: sorting it leaves the ring's order alone
+	sorted := window[:min(s.costN, costWindow)]
+	slices.Sort(sorted)
+	cost := sorted[len(sorted)/2]
 	budget := int64(s.cfg.EpochLength / earlyBudgetDiv)
 	s.earlyAt.Store(max(budget/cost/int64(max(s.trackers, 1)), 1))
 }

@@ -309,3 +309,28 @@ func TestWorkerWaitsForLaggingFlusher(t *testing.T) {
 		putKV(w, k, k) // would wait forever if it waited for a stopped flusher
 	}
 }
+
+// TestEarlyThresholdIgnoresOneSlowWriteBack pins the estimator's
+// robustness: a write-back's wall time includes any time the flusher sat
+// descheduled, so one write-back ten times as slow as a run of equal ones
+// must not move the threshold by half or more.
+func TestEarlyThresholdIgnoresOneSlowWriteBack(t *testing.T) {
+	h := nvm.New(nvm.Config{Words: 1 << 18})
+	s := New(h, Config{EpochLength: time.Hour}) // the advancer never fires
+	defer s.Stop()
+	const blocks = 2 * costSample
+	note := func(perBlock time.Duration) int64 {
+		s.taskMu.Lock()
+		defer s.taskMu.Unlock()
+		s.noteCost(perBlock*blocks, blocks)
+		return s.earlyAt.Load()
+	}
+	var steady int64
+	for i := 0; i < 2*costWindow; i++ {
+		steady = note(time.Microsecond)
+	}
+	slow := note(10 * time.Microsecond)
+	if slow <= steady/2 || slow >= steady*2 {
+		t.Fatalf("one write-back 10x as slow moved the threshold %d -> %d, want within 2x", steady, slow)
+	}
+}

@@ -250,11 +250,14 @@ type System struct {
 
 	// Early write-back (early.go). earlyAt is the per-worker published
 	// backlog that rings the flusher; trackers — the workers that tracked
-	// in the last closed epoch — and the scratch are the flusher's, under
+	// in the last closed epoch —, the ring of the last per-block costs
+	// (costN of them ever noted) and the scratch are the flusher's, under
 	// taskMu.
 	earlyAt      atomic.Int64
 	earlyFlushed atomic.Int64
 	trackers     int
+	costs        [costWindow]int64
+	costN        int
 	earlyExts    []nvm.Extent
 	earlyRecs    []nvm.Addr
 	earlyMarks   []earlyMark

@@ -6,15 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// HistBuckets is the number of log-scale buckets: bucket b counts
-// durations d (ns) with bits.Len64(d) == b, i.e. d in [2^(b-1), 2^b).
-// Bucket 0 counts exact zeros; the top bucket absorbs everything from
-// ~4.6 seconds up.
-const HistBuckets = 64
+// Hist buckets are log-linear: a value below histSub has a bucket of its
+// own, and each octave [2^k, 2^(k+1)) above splits into histSub equal
+// buckets, so a bucket is at most a quarter of its low edge wide. The top
+// bucket absorbs everything from 2^histTopBits ns (about 18 minutes) up.
+const (
+	histSubBits = 2
+	histSub     = 1 << histSubBits
+	histTopBits = 40
+	// HistBuckets is the number of buckets.
+	HistBuckets = (histTopBits-histSubBits+1)*histSub + 1
+)
 
-// Hist is a lock-free sharded log-scale histogram of durations in
-// nanoseconds. The zero value is ready to use. Recording touches only
-// atomics on the caller-chosen shard lane.
+// Hist is a lock-free sharded log-linear histogram of durations in
+// nanoseconds: 32 shards of 1280 bytes, 40 KiB. The zero value is ready to
+// use. Recording touches only atomics on the caller-chosen shard lane.
 type Hist struct {
 	shards [NumShards]histShard
 }
@@ -23,37 +29,42 @@ type histShard struct {
 	counts [HistBuckets]atomic.Int64
 	sum    atomic.Int64
 	max    atomic.Int64
-	_      [6]int64
+	_      [1]int64
 }
 
 func bucketOf(ns int64) int {
-	if ns <= 0 {
-		return 0
+	switch v := uint64(ns); {
+	case v >= 1<<histTopBits:
+		return HistBuckets - 1
+	case v < histSub:
+		return int(v)
+	default:
+		e := bits.Len64(v) - histSubBits - 1 // v>>e lies in [histSub, 2*histSub)
+		return (e+1)*histSub + int(v>>e) - histSub
 	}
-	b := bits.Len64(uint64(ns))
-	if b > HistBuckets-1 {
-		b = HistBuckets - 1
-	}
-	return b
 }
 
-// BucketUpper returns the largest duration bucket b covers (its value
-// for quantile reporting). Bucket 0 is exactly 0.
+// bucketSpan returns the lowest duration bucket b covers and its width.
+func bucketSpan(b int) (low, width int64) {
+	switch {
+	case b < histSub:
+		return int64(b), 1
+	case b >= HistBuckets-1:
+		return 1 << histTopBits, math.MaxInt64 - 1<<histTopBits + 1
+	}
+	e := b/histSub - 1
+	return int64(b%histSub+histSub) << e, 1 << e
+}
+
+// BucketUpper returns the largest duration bucket b covers, its le edge.
 func BucketUpper(b int) int64 {
-	if b <= 0 {
-		return 0
-	}
-	if b >= 63 {
-		return math.MaxInt64
-	}
-	return int64(uint64(1)<<uint(b)) - 1
+	low, width := bucketSpan(b)
+	return low + (width - 1)
 }
 
 // Record adds one duration (negative values clamp to 0).
 func (h *Hist) Record(shard uint64, ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
+	ns = max(ns, 0)
 	s := &h.shards[shard&shardMask]
 	s.counts[bucketOf(ns)].Add(1)
 	s.sum.Add(ns)
@@ -80,9 +91,9 @@ func (h *Hist) Snapshot() HistSnapshot {
 		}
 	}
 	top := 0
-	for b := 0; b < HistBuckets; b++ {
-		s.Count += counts[b]
-		if counts[b] != 0 {
+	for b, c := range counts {
+		s.Count += c
+		if c != 0 {
 			top = b + 1
 		}
 	}
@@ -100,31 +111,20 @@ type HistSnapshot struct {
 	Buckets []int64
 }
 
-// Quantile returns an upper bound for the q-quantile (q in [0, 1]):
-// the upper edge of the bucket holding the rank-⌈q·Count⌉ sample,
-// clamped to the exact observed maximum. Deterministic for a given set
-// of recorded values.
+// Quantile returns the q-quantile (q in [0, 1]), interpolated linearly in
+// the bucket that holds rank q·Count and clamped to the observed maximum;
+// a rank in the top bucket, too wide to interpolate in, reads the maximum.
 func (s HistSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
-	var cum int64
-	for b, c := range s.Buckets {
-		cum += c
-		if cum >= rank {
-			up := BucketUpper(b)
-			if up > s.MaxNS {
-				up = s.MaxNS
-			}
-			return up
+	rank, cum := q*float64(s.Count), 0.0
+	for b, c := range s.Buckets[:min(len(s.Buckets), HistBuckets-1)] {
+		if c == 0 {
+			continue
 		}
+		if cum+float64(c) >= rank {
+			low, width := bucketSpan(b)
+			return min(low+int64(float64(width)*(rank-cum)/float64(c)), s.MaxNS)
+		}
+		cum += float64(c)
 	}
 	return s.MaxNS
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestBucketBoundaries(t *testing.T) {
@@ -12,9 +13,10 @@ func TestBucketBoundaries(t *testing.T) {
 		bucket int
 	}{
 		{0, 0}, {-5, 0}, // zero and clamped negatives
-		{1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{1023, 10}, {1024, 11},
-		{math.MaxInt64, 63},
+		{1, 1}, {3, 3}, {4, 4}, {7, 7}, {8, 8}, {9, 8}, {10, 9},
+		{1023, 35}, {1024, 36},
+		{1<<histTopBits - 1, HistBuckets - 2}, {1 << histTopBits, HistBuckets - 1},
+		{math.MaxInt64, HistBuckets - 1},
 	}
 	for _, c := range cases {
 		var h Hist
@@ -24,12 +26,34 @@ func TestBucketBoundaries(t *testing.T) {
 			t.Errorf("Record(%d): buckets %v, want single count in bucket %d", c.ns, s.Buckets, c.bucket)
 		}
 	}
-	if BucketUpper(0) != 0 || BucketUpper(1) != 1 || BucketUpper(3) != 7 || BucketUpper(10) != 1023 {
+	if BucketUpper(0) != 0 || BucketUpper(1) != 1 || BucketUpper(8) != 9 || BucketUpper(35) != 1023 {
 		t.Errorf("BucketUpper low values wrong: %d %d %d %d",
-			BucketUpper(0), BucketUpper(1), BucketUpper(3), BucketUpper(10))
+			BucketUpper(0), BucketUpper(1), BucketUpper(8), BucketUpper(35))
 	}
-	if BucketUpper(63) != math.MaxInt64 {
-		t.Errorf("BucketUpper(63) = %d, want MaxInt64", BucketUpper(63))
+	if BucketUpper(HistBuckets-1) != math.MaxInt64 {
+		t.Errorf("BucketUpper(top) = %d, want MaxInt64", BucketUpper(HistBuckets-1))
+	}
+	// The buckets tile the durations: each starts one past the last one's
+	// upper edge, and both of its edges land in it.
+	for b := 0; b < HistBuckets; b++ {
+		low, _ := bucketSpan(b)
+		if b > 0 && low != BucketUpper(b-1)+1 {
+			t.Fatalf("bucket %d starts at %d, bucket %d ends at %d", b, low, b-1, BucketUpper(b-1))
+		}
+		if bucketOf(low) != b || bucketOf(BucketUpper(b)) != b {
+			t.Fatalf("bucket %d [%d, %d]: edges land in %d and %d", b, low, BucketUpper(b), bucketOf(low), bucketOf(BucketUpper(b)))
+		}
+		if w := BucketUpper(b) - low + 1; b < HistBuckets-1 && w > max(low/histSub, 1) {
+			t.Fatalf("bucket %d [%d, %d] is wider than a quarter of its low edge", b, low, BucketUpper(b))
+		}
+	}
+}
+
+// TestHistSize pins a Hist's memory: every Recorder holds 18 and every
+// epoch system one. Log2 buckets took 18 KiB; the log-linear ones take 40.
+func TestHistSize(t *testing.T) {
+	if got := unsafe.Sizeof(Hist{}); got != 40<<10 {
+		t.Fatalf("a Hist takes %d bytes, want 40 KiB (32 shards of 1280)", got)
 	}
 }
 
@@ -60,7 +84,8 @@ func TestHistExactStats(t *testing.T) {
 
 func TestHistQuantile(t *testing.T) {
 	var h Hist
-	// 90 fast ops (bucket upper 7), 10 slow ops of exactly 1000ns.
+	// 90 fast ops of 5ns (a bucket of its own), 10 slow ops of exactly
+	// 1000ns (bucket [896, 1023]).
 	for i := 0; i < 90; i++ {
 		h.Record(uint64(i), 5)
 	}
@@ -68,8 +93,8 @@ func TestHistQuantile(t *testing.T) {
 		h.Record(uint64(i), 1000)
 	}
 	s := h.Snapshot()
-	if q := s.Quantile(0.50); q != 7 {
-		t.Errorf("p50 = %d, want 7 (upper edge of bucket for 5ns)", q)
+	if q := s.Quantile(0.50); q != 5 {
+		t.Errorf("p50 = %d, want 5 (the 5ns bucket is 1ns wide)", q)
 	}
 	if q := s.Quantile(0.99); q != 1000 {
 		t.Errorf("p99 = %d, want 1000 (clamped to observed max)", q)
@@ -77,13 +102,42 @@ func TestHistQuantile(t *testing.T) {
 	if q := s.Quantile(1.0); q != 1000 {
 		t.Errorf("p100 = %d, want 1000", q)
 	}
-	if q := s.Quantile(0); q != 7 {
-		t.Errorf("q=0 = %d, want first bucket's upper (rank clamps to 1)", q)
+	if q := s.Quantile(0); q != 5 {
+		t.Errorf("q=0 = %d, want 5 (the first occupied bucket's low edge)", q)
+	}
+
+	// The top bucket spans [2^40, MaxInt64]: interpolating in it would
+	// overflow, so its ranks read the observed maximum.
+	for _, huge := range []int64{1 << 45, math.MaxInt64} {
+		var t2 Hist
+		t2.Record(0, 5)
+		t2.Record(1, huge)
+		if q := t2.Snapshot().Quantile(1); q != huge {
+			t.Errorf("p100 with one sample of %d ns = %d, want %d", huge, q, huge)
+		}
 	}
 
 	var empty HistSnapshot
 	if empty.Quantile(0.5) != 0 {
 		t.Errorf("empty snapshot quantile not 0")
+	}
+}
+
+// TestHistQuantileInterpolates pins what the log-linear buckets are for:
+// two latency distributions within one octave report different medians
+// (log2 buckets put both at 2^20-1 ns).
+func TestHistQuantileInterpolates(t *testing.T) {
+	p50 := func(lo int64) int64 {
+		var h Hist
+		for i := int64(0); i < 1000; i++ {
+			h.Record(uint64(i), lo+i*lo/1000) // uniform on [lo, 2lo)
+		}
+		return h.Snapshot().Quantile(0.5)
+	}
+	for _, lo := range []int64{540_000, 700_000} {
+		if got, want := p50(lo), lo*3/2; got < want*97/100 || got > want*103/100 {
+			t.Errorf("p50 of uniform [%d, %d) = %d, want %d ±3%%", lo, 2*lo, got, want)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Components:
 //
-//   - Hist: log-scale latency histograms, per op type (insert / remove /
+//   - Hist: log-linear latency histograms, per op type (insert / remove /
 //     lookup), per HTM attempt outcome (commit vs. each abort cause),
 //     per epoch-advance phase, and per service latency (hist.go).
 //   - Span: follows one sampled request through the service stack; the

@@ -96,9 +96,9 @@ func TestRecorderDeterministicLatencies(t *testing.T) {
 	if h.MaxNS != 10 {
 		t.Errorf("insert max = %d, want 10", h.MaxNS)
 	}
-	// 10ns lands in bucket bits.Len64(10) == 4.
-	if got := h.Buckets[4]; got != n {
-		t.Errorf("bucket[4] = %d, want %d (buckets %v)", got, n, h.Buckets)
+	// 10ns lands in bucket 9, [10, 11].
+	if got := h.Buckets[9]; got != n {
+		t.Errorf("bucket[9] = %d, want %d (buckets %v)", got, n, h.Buckets)
 	}
 	if q := h.Quantile(0.5); q != 10 {
 		t.Errorf("p50 = %d, want 10 (clamped to max)", q)
