@@ -17,9 +17,12 @@ import (
 // recoverCell builds the pre-crash image and recovers it. A row prints the
 // header scan (on up to GOMAXPROCS workers) and the rebuild, the blocks
 // recovered and resurrected, what the retire journal replay read, applied
-// and erased, and the recovered heap's materialised view and image pages
-// (32 KiB each, nvm.StatsSnapshot). Each row is verified: every synced key
-// must read back its value. Any failure exits non-zero once every row is printed.
+// and erased, the recovered heap's materialised view and image pages
+// (32 KiB each, nvm.StatsSnapshot) and the KiB that recovery and the
+// rebuild allocated (runtime.MemStats.TotalAlloc across kv.Recover: the
+// rebuilt index and whatever recovery held beside it). Each row is
+// verified: every synced key must read back its value. Any failure exits
+// non-zero once every row is printed.
 // The timings are report only: a single run's wall clock cannot rank
 // anything on a small host.
 func recovery() {
@@ -28,27 +31,27 @@ func recovery() {
 		heapSizes = append(heapSizes, 1<<25)
 	}
 	fmt.Printf("\nSec. 5.2 — recovery, scan+rebuild vs structure and heap size (GOMAXPROCS %d)\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("  %-22s %10s %7s %12s %12s %9s %11s %7s %9s %8s %8s %8s  %s\n",
+	fmt.Printf("  %-22s %10s %7s %12s %12s %9s %11s %7s %9s %8s %8s %8s %9s  %s\n",
 		"structure", "heap_words", "workers", "scan", "rebuild", "blocks", "resurrected",
-		"j_read", "j_applied", "j_erased", "view_pg", "image_pg", "verified")
+		"j_read", "j_applied", "j_erased", "view_pg", "image_pg", "alloc_KiB", "verified")
 	failed := false
 	for _, name := range kv.BufferedKinds() {
 		k, _ := kv.Lookup(name)
 		for _, words := range heapSizes {
-			rec, err := recoverCell(k, words)
+			rec, alloc, err := recoverCell(k, words)
 			st, hs := rec.Sys.Stats(), rec.Heap.Stats()
 			rec.Close()
 			verdict := "ok"
 			if err != nil {
 				verdict, failed = "FAIL: "+err.Error(), true
 			}
-			fmt.Printf("  %-22s %10d %7d %12v %12v %9d %11d %7d %9d %8d %8d %8d  %s\n",
+			fmt.Printf("  %-22s %10d %7d %12v %12v %9d %11d %7d %9d %8d %8d %8d %9d  %s\n",
 				k.Title, words, st.RecoveryWorkers,
 				time.Duration(st.RecoveryScanNS).Round(time.Microsecond),
 				time.Duration(st.RecoveryRebuildNS).Round(time.Microsecond),
 				st.RecoveredLive, st.Resurrected,
 				st.JournalPagesRead, st.JournalRecordsApplied, st.JournalPagesErased,
-				hs.ViewPages, hs.ImagePages, verdict)
+				hs.ViewPages, hs.ImagePages, alloc>>10, verdict)
 		}
 	}
 	if failed {
@@ -64,9 +67,10 @@ func recovery() {
 // retires the blocks it replaces, so the journal holds retirements at or
 // below the persisted epoch for the scan to apply. That eighth is then
 // removed without a sync, and the crash writes back half the dirty lines,
-// so the scan also resurrects the removals that reached the media. The
-// error reports synced keys the recovered store lost or got wrong.
-func recoverCell(k kv.Kind, heapWords int) (*kv.Stack, error) {
+// so the scan also resurrects the removals that reached the media. alloc is
+// the bytes kv.Recover allocated; the error reports synced keys the
+// recovered store lost or got wrong.
+func recoverCell(k kv.Kind, heapWords int) (rec *kv.Stack, alloc uint64, err error) {
 	records := heapWords / 32
 	parts := func(h *nvm.Heap) kv.Parts {
 		return kv.Parts{
@@ -99,7 +103,11 @@ func recoverCell(k kv.Kind, heapWords int) (*kv.Stack, error) {
 	}
 	st.Sys.SimulateCrash(nvm.CrashOptions{EvictFraction: 0.5, Seed: uint64(heapWords)})
 
-	rec := kv.Recover(k.Name, parts(st.Heap))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec = kv.Recover(k.Name, parts(st.Heap))
+	runtime.ReadMemStats(&after)
+	alloc = after.TotalAlloc - before.TotalAlloc
 	s = rec.Store.NewSession()
 	bad := 0
 	for i := 0; i < records; i++ {
@@ -108,7 +116,7 @@ func recoverCell(k kv.Kind, heapWords int) (*kv.Stack, error) {
 		}
 	}
 	if n := rec.Store.Len(); bad != 0 || n != records {
-		return rec, fmt.Errorf("%d of %d synced keys lost or wrong, Len %d", bad, records, n)
+		return rec, alloc, fmt.Errorf("%d of %d synced keys lost or wrong, Len %d", bad, records, n)
 	}
-	return rec, nil
+	return rec, alloc, nil
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"sync"
 
 	"bdhtm/internal/epoch"
@@ -69,6 +70,9 @@ func main() {
 	}
 	fmt.Printf("%d/%d accounts hold the checkpointed balance (unsynced updates rolled back)\n",
 		balanced, accounts)
+	if balanced != accounts {
+		log.Fatalf("%d accounts lost their checkpointed balance", accounts-balanced)
+	}
 
 	// The store keeps serving after recovery.
 	w2 := sys2.Register()

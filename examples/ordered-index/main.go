@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
@@ -47,8 +48,10 @@ func main() {
 		tree2 = veb.New(veb.Config{UniverseBits: 20, TM: htm.Default(), DataSys: sys})
 		return tree2.RebuildBlock
 	})
-	if nk, _, ok := tree2.Successor(250000); ok {
+	if nk, _, ok := tree2.Successor(250000); ok && nk == 777777 {
 		fmt.Printf("after crash+recovery, successor(250000) = %d\n", nk)
+	} else {
+		log.Fatalf("after crash+recovery, successor(250000) = %d, %v; want 777777", nk, ok)
 	}
 	sys2.Stop()
 

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"bdhtm/internal/bdhash"
 	"bdhtm/internal/epoch"
@@ -57,9 +58,13 @@ func main() {
 	fmt.Printf("recovered %d keys (persisted epoch %d)\n", table2.Len(), sys2.PersistedEpoch())
 	if v, ok := table2.Get(31); ok && v == 31*31 {
 		fmt.Println("synced data survived: Get(31) =", v)
+	} else {
+		log.Fatalf("synced key 31 lost: Get(31) = %d, %v", v, ok)
 	}
 	if _, ok := table2.Get(5003); !ok {
 		fmt.Println("unsynced tail correctly rolled back: Get(5003) -> not found")
+	} else {
+		log.Fatal("unsynced key 5003 survived the crash")
 	}
 	sys2.Stop()
 }

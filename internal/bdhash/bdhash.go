@@ -90,13 +90,14 @@ type wstate struct {
 
 // New creates a table with capacity for roughly `capacity` keys (sized to
 // a conservative load factor). tag distinguishes this table's blocks from
-// other structures sharing the heap during recovery.
+// other structures sharing the heap during recovery. The slot array is
+// DRAM: sys.SimulateCrash releases it, and the table is unusable after.
 func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 	nBuckets := uint64(1)
 	for nBuckets*BucketSize < uint64(capacity)*2 {
 		nBuckets *= 2
 	}
-	return &Table{
+	t := &Table{
 		sys:      sys,
 		tm:       tm,
 		tag:      tag,
@@ -104,7 +105,12 @@ func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 		slots:    make([]uint64, nBuckets*BucketSize),
 		perW:     make([]wstate, sys.MaxWorkers()),
 	}
+	epoch.OnCrash(sys, t, (*Table).dropIndex)
+	return t
 }
+
+// dropIndex releases the slot array, as a power failure loses it.
+func (t *Table) dropIndex() { t.slots = nil }
 
 func hash64(k uint64) uint64 {
 	k ^= k >> 33
@@ -375,12 +381,13 @@ func (t *Table) vacate(tx *htm.Tx, i uint64) {
 // table's tag. Recovery is single-threaded, so plain stores suffice, and
 // it builds a fresh table, so no tombstone survives a crash.
 func (t *Table) RebuildBlock(rec epoch.BlockRecord) {
-	k := rec.Block.Key()
+	b := t.sys.BlockAt(rec.Addr)
+	k := b.Key()
 	start, fp := t.probe(k)
 	for i := uint64(0); i < probeSlots; i++ {
 		sp := t.slotAt(start + i)
 		if *sp == 0 {
-			*sp = slotWord(rec.Block, fp)
+			*sp = slotWord(b, fp)
 			t.count.Add(1)
 			return
 		}

@@ -629,7 +629,7 @@ func TestFingerprintCollisions(t *testing.T) {
 	if dup.IsNil() {
 		t.Fatalf("key %d not found in the rebuilt slots", live[1])
 	}
-	if !panics(func() { f.tab.RebuildBlock(epoch.BlockRecord{Block: dup}) }) {
+	if !panics(func() { f.tab.RebuildBlock(epoch.BlockRecord{Addr: dup.Addr()}) }) {
 		t.Fatal("RebuildBlock accepted a duplicate of a recovered key")
 	}
 }

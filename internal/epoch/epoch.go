@@ -268,6 +268,10 @@ type System struct {
 	subMu   sync.Mutex
 	subs    map[uint64]chan<- uint64
 	subNext uint64
+
+	// The DRAM indexes a crash drops (OnCrash), each held weakly.
+	crashMu    sync.Mutex
+	crashHooks []func()
 }
 
 // newSystem builds the in-DRAM skeleton shared by New and Recover; the

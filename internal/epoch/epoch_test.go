@@ -20,9 +20,12 @@ func newManual(t *testing.T, words int) (*nvm.Heap, *System) {
 }
 
 // putKV performs one complete BDL insert of a KV block and returns it.
-func putKV(w *Worker, key, value uint64) Block {
+func putKV(w *Worker, key, value uint64) Block { return putTagged(w, 0, key, value) }
+
+// putTagged is putKV of a block allocated with tag.
+func putTagged(w *Worker, tag uint8, key, value uint64) Block {
 	e := w.BeginOp()
-	b := w.NewKV(0)
+	b := w.NewKV(tag)
 	b.InitKV(key, value)
 	// Stamp the epoch (normally done inside the HTM transaction that
 	// links the block; direct store is fine for a not-yet-visible block).
@@ -36,8 +39,11 @@ func putKV(w *Worker, key, value uint64) Block {
 
 func recoverAll(h *nvm.Heap) (*System, map[uint64]uint64) {
 	got := make(map[uint64]uint64)
-	s := Recover(h, Config{Manual: true}, func(r BlockRecord) {
-		got[r.Block.Key()] = r.Block.Value()
+	s := RecoverInto(h, Config{Manual: true}, func(s *System) func(BlockRecord) {
+		return func(r BlockRecord) {
+			b := s.BlockAt(r.Addr)
+			got[b.Key()] = b.Value()
+		}
 	})
 	return s, got
 }

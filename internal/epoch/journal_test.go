@@ -119,9 +119,11 @@ func TestRecoverHeapWithoutJournalSlabs(t *testing.T) {
 	s.SimulateCrash(nvm.CrashOptions{EvictFraction: 0.5, Seed: 3})
 
 	var first Block
-	s2 := Recover(h, Config{Manual: true}, func(r BlockRecord) {
-		if r.Block.Key() == 0 {
-			first = r.Block
+	s2 := RecoverInto(h, Config{Manual: true}, func(s *System) func(BlockRecord) {
+		return func(r BlockRecord) {
+			if b := s.BlockAt(r.Addr); b.Key() == 0 {
+				first = b
+			}
 		}
 	})
 	if st := s2.Stats(); st.RecoveredLive != 100 || st.JournalPagesRead != 0 || st.JournalPagesErased != 0 {

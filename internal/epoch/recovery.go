@@ -4,15 +4,19 @@ import (
 	"fmt"
 	"runtime"
 	"time"
+	"weak"
 
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/palloc"
 )
 
 // BlockRecord describes one live block handed to the rebuild callback
-// during recovery.
+// during recovery. It is a pointer-free 16-byte value: the callback that
+// needs the block's contents makes its handle on its own system
+// (System.BlockAt(rec.Addr)).
 type BlockRecord struct {
-	Block Block
+	// Addr is the block's heap address (of its header word).
+	Addr nvm.Addr
 	// Tag is the 8-bit user tag from allocation; structures sharing a
 	// heap dispatch on it. (The epoch the block was last modified in is
 	// its header's, Block.Epoch.)
@@ -20,25 +24,6 @@ type BlockRecord struct {
 	// Resurrected reports that the block had been deleted in an epoch
 	// that did not persist; the deletion has been rolled back.
 	Resurrected bool
-}
-
-// recordList is one recovery worker's rebuild records in scan order, held
-// in fixed-capacity chunks: a heap's worth of records (half a million at
-// the benchmark's size) is written once, where a single slice grown by
-// append would copy it five times over on the way up.
-type recordList struct {
-	chunks [][]BlockRecord
-}
-
-const recordChunk = 1024
-
-func (l *recordList) add(r BlockRecord) {
-	n := len(l.chunks)
-	if n == 0 || len(l.chunks[n-1]) == recordChunk {
-		l.chunks = append(l.chunks, make([]BlockRecord, 0, recordChunk))
-		n++
-	}
-	l.chunks[n-1] = append(l.chunks[n-1], r)
 }
 
 // Recover reopens a heap after a crash (heap.Crash) and reconstructs the
@@ -69,7 +54,13 @@ func (l *recordList) add(r BlockRecord) {
 //
 // For every recovered block, rebuild is called so the caller can
 // reconstruct its DRAM index; calls are made from a single goroutine,
-// in address order, after the header scan completes.
+// in address order, after the header scan completes. They replay the scan's
+// verdicts from the heap itself: the scan leaves exactly the survivors
+// non-FREE, so a second, read-only walk over the headers (Allocator.Scan)
+// finds them again, and recovery holds no list of records. A record names
+// its block by address; a callback that needs the block's contents uses
+// RecoverInto, whose callback is handed the recovered system to make the
+// handle on (System.BlockAt).
 // On an eADR heap every store was durable at the point of visibility, so
 // all ALLOCATED blocks are recovered regardless of epoch, and there is no
 // journal: the DELETED marks themselves are durable.
@@ -95,8 +86,9 @@ func Recover(h *nvm.Heap, cfg Config, rebuild func(BlockRecord)) *System {
 // recovered system itself — a structure built over it. After the header
 // scan, and before any record is replayed, it calls into with the
 // recovered system; into returns the rebuild callback (nil for none), which
-// then receives every record exactly as Recover's would. The records are
-// held once, in the scan's own chunked lists, from scan to replay.
+// then receives every record exactly as Recover's would. into must not
+// allocate blocks on the system: the replay would hand them to the
+// callback as survivors.
 func RecoverInto(h *nvm.Heap, cfg Config, into func(*System) func(BlockRecord)) *System {
 	cfg = cfg.withDefaults()
 	if h.Load(rootMagicAddr) != rootMagic {
@@ -127,11 +119,11 @@ func RecoverInto(h *nvm.Heap, cfg Config, into func(*System) func(BlockRecord)) 
 	}
 
 	// Per-worker accumulators. Workers own contiguous ascending slab
-	// ranges, so concatenating in worker order reproduces the slab-order
-	// record sequence; resurrection extents are flushed in batches under
-	// the one trailing fence instead of per-block.
+	// ranges, so concatenating in worker order lists the resurrected blocks
+	// in address order; their extents are flushed in batches under the one
+	// trailing fence instead of per-block, and the replay merges them to
+	// mark its records.
 	type workerState struct {
-		recs      recordList
 		resurrect []nvm.Extent
 		cursor    int   // this worker's position in the journal index
 		journaled int64 // blocks a journal record reclaimed
@@ -162,7 +154,6 @@ func RecoverInto(h *nvm.Heap, cfg Config, into func(*System) func(BlockRecord)) 
 				return false // retired in a persisted epoch
 			}
 			s.recoveredLive.Add(1)
-			st.recs.add(BlockRecord{Block: Block{sys: s, addr: bi.Addr}, Tag: hdr.Tag})
 			return true
 		case palloc.Deleted:
 			if eadr || hdr.Epoch > p {
@@ -180,7 +171,6 @@ func RecoverInto(h *nvm.Heap, cfg Config, into func(*System) func(BlockRecord)) 
 			st.resurrect = append(st.resurrect, nvm.Extent{Addr: bi.Addr, Words: palloc.HeaderWords})
 			s.resurrected.Add(1)
 			s.recoveredLive.Add(1)
-			st.recs.add(BlockRecord{Block: Block{sys: s, addr: bi.Addr}, Tag: hdr.Tag, Resurrected: true})
 			return true
 		default:
 			return false
@@ -201,18 +191,24 @@ func RecoverInto(h *nvm.Heap, cfg Config, into func(*System) func(BlockRecord)) 
 	s.recoveryScanNS.Store(max(time.Since(scanStart).Nanoseconds(), 1))
 
 	// The caller builds its rebuild target on s before any record is
-	// replayed. Serialized merge: replay the rebuild records from one
-	// goroutine, in slab (address) order, preserving the documented contract.
+	// replayed. The replay is one walk over the surviving headers, from one
+	// goroutine, in address order; it only loads. The resurrected blocks
+	// are met in the same order, worker by worker.
 	rebuild := into(s)
 	rebuildStart := time.Now()
 	if rebuild != nil {
-		for i := range ws {
-			for _, chunk := range ws[i].recs.chunks {
-				for _, r := range chunk {
-					rebuild(r)
-				}
+		w, i := 0, 0
+		s.alloc.Scan(func(bi palloc.BlockInfo) {
+			for w < len(ws) && i == len(ws[w].resurrect) {
+				w, i = w+1, 0
 			}
-		}
+			r := BlockRecord{Addr: bi.Addr, Tag: bi.Header.Tag}
+			if w < len(ws) && ws[w].resurrect[i].Addr == bi.Addr {
+				r.Resurrected = true
+				i++
+			}
+			rebuild(r)
+		})
 	}
 	s.recoveryRebuildNS.Store(max(time.Since(rebuildStart).Nanoseconds(), 1))
 	s.startAdvancer()
@@ -221,8 +217,34 @@ func RecoverInto(h *nvm.Heap, cfg Config, into func(*System) func(BlockRecord)) 
 
 // SimulateCrash stops the epoch system and power-fails the heap. opts
 // controls how many dirty lines the cache happened to write back first.
-// After SimulateCrash, use Recover on the same heap to come back up.
+// A power failure loses DRAM too: every index registered with OnCrash is
+// released, so the crashed index and the one recovery rebuilds never
+// coexist. After SimulateCrash, use Recover on the same heap to come back
+// up; a structure whose index was released panics if it is used.
 func (s *System) SimulateCrash(opts nvm.CrashOptions) {
 	s.Stop()
 	s.heap.Crash(opts)
+	s.crashMu.Lock()
+	hooks := s.crashHooks
+	s.crashHooks = nil
+	s.crashMu.Unlock()
+	for _, release := range hooks {
+		release()
+	}
+}
+
+// OnCrash registers v's DRAM state with s: when s.SimulateCrash
+// power-fails the heap, release(v) drops it, as a real crash would. s
+// holds v weakly, so a v its user drops while s runs is collected as
+// before, and its release is skipped. release must not hold v itself (a
+// method expression such as (*T).drop does not).
+func OnCrash[T any](s *System, v *T, release func(*T)) {
+	p := weak.Make(v)
+	s.crashMu.Lock()
+	s.crashHooks = append(s.crashHooks, func() {
+		if v := p.Value(); v != nil {
+			release(v)
+		}
+	})
+	s.crashMu.Unlock()
 }

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -92,7 +93,7 @@ func TestResurrectionWriteBackBatched(t *testing.T) {
 			var resurrected []nvm.Addr
 			s2 := Recover(h, Config{Manual: true}, func(r BlockRecord) {
 				if r.Resurrected {
-					resurrected = append(resurrected, r.Block.Addr())
+					resurrected = append(resurrected, r.Addr)
 				}
 			})
 			h.SetPersistHook(nil)
@@ -149,14 +150,14 @@ func TestResurrectionWriteBackBatched(t *testing.T) {
 	}
 }
 
-// TestRecoverAllocatesRecordsOnce pins the chunked record list: recovering
-// N live blocks may allocate their N rebuild records, a quarter again for
-// everything else, and a constant — where one slice grown by append
-// allocated five times the records on the way up, all of it live between
-// two collections at the moment a recovering process's memory peaks.
-func TestRecoverAllocatesRecordsOnce(t *testing.T) {
+// TestRecoverAllocationIsConstant pins the replay from the heap: recovery
+// holds no record per block — the survivors are walked again in the heap
+// once the scan has judged them — so recovering 64 whole slabs of live
+// blocks allocates a constant, whatever their number. A per-record buffer
+// (16 bytes a block, a megabyte here) fails it.
+func TestRecoverAllocationIsConstant(t *testing.T) {
 	const slabs = 64
-	const n = slabs * 1022 // KV blocks per 4096-word slab: whole slabs, so no free list to build
+	const n = slabs * 1362 // KV blocks per 4096-word slab: whole slabs, so no free list to build
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			withProcs(t, workers)
@@ -176,12 +177,102 @@ func TestRecoverAllocatesRecordsOnce(t *testing.T) {
 			if got != n {
 				t.Fatalf("recovered %d blocks, want %d", got, n)
 			}
-			records := uint64(n) * uint64(unsafe.Sizeof(BlockRecord{}))
-			limit := records*5/4 + 256<<10
+			const limit = 128 << 10 // ≈ 55 KiB measured at 1 and 4 workers
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
-				t.Fatalf("Recover of %d blocks allocated %d bytes (%.2f x the records), want <= %d", n, alloc, float64(alloc)/float64(records), limit)
+				t.Fatalf("Recover of %d blocks allocated %d bytes (%.1f per block), want <= %d whatever the count",
+					n, alloc, float64(alloc)/n, limit)
 			}
 			s2.Stop()
 		})
+	}
+}
+
+// TestReplayContract pins what the rebuild callback is handed, on a heap
+// with every verdict in it — blocks that survive, blocks a persisted
+// retirement reclaims, blocks of the lost epoch, and deletions the crash
+// rolls back — spread over several slabs so each scan worker judges some:
+// records arrive in strictly ascending address order, one per recovered
+// block, each with its header's tag, and exactly the resurrected blocks
+// say so.
+func TestReplayContract(t *testing.T) {
+	const n = 4 * 1362 // four slabs of KV blocks
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			withProcs(t, workers)
+			h, s := newManual(t, 1<<17)
+			w := s.Register()
+			blocks := make([]Block, n)
+			for i := range blocks {
+				blocks[i] = putTagged(w, uint8(i%5), uint64(i), uint64(i))
+			}
+			retire := func(i int) {
+				w.BeginOp()
+				w.PRetire(blocks[i])
+				w.EndOp()
+			}
+			for i := 0; i < n; i += 7 {
+				retire(i) // a persisted deletion: reclaimed
+			}
+			s.Sync()
+			resurrect := map[nvm.Addr]bool{}
+			for i := 3; i < n; i += 11 {
+				if i%7 != 0 {
+					retire(i) // deleted in the lost epoch: rolled back
+					resurrect[blocks[i].Addr()] = true
+				}
+			}
+			for i := 0; i < 50; i++ {
+				putKV(w, uint64(n+i), 0) // created in the lost epoch: reclaimed
+			}
+			s.SimulateCrash(nvm.CrashOptions{EvictFraction: 1})
+
+			var recs []BlockRecord
+			s2 := Recover(h, Config{Manual: true}, func(r BlockRecord) { recs = append(recs, r) })
+			defer s2.Stop()
+			if st := s2.Stats(); int64(len(recs)) != st.RecoveredLive || st.Resurrected != int64(len(resurrect)) {
+				t.Fatalf("%d records; Stats says %d recovered, %d resurrected; want %d resurrected",
+					len(recs), st.RecoveredLive, st.Resurrected, len(resurrect))
+			}
+			if want := n - (n+6)/7; len(recs) != want {
+				t.Fatalf("%d records, want %d", len(recs), want)
+			}
+			if got := s2.Stats().RecoveryWorkers; got != workers {
+				t.Fatalf("scan ran on %d workers, want %d", got, workers)
+			}
+			marked := 0
+			for i, r := range recs {
+				if i > 0 && r.Addr <= recs[i-1].Addr {
+					t.Fatalf("record %d at %d after one at %d: not strictly ascending", i, r.Addr, recs[i-1].Addr)
+				}
+				if tag := s2.BlockAt(r.Addr).Tag(); r.Tag != tag {
+					t.Fatalf("record at %d carries tag %d, its header %d", r.Addr, r.Tag, tag)
+				}
+				if r.Resurrected != resurrect[r.Addr] {
+					t.Fatalf("record at %d: Resurrected = %v, want %v", r.Addr, r.Resurrected, resurrect[r.Addr])
+				}
+				if r.Resurrected {
+					marked++
+				}
+			}
+			if marked != len(resurrect) {
+				t.Fatalf("%d records marked resurrected, want %d", marked, len(resurrect))
+			}
+		})
+	}
+}
+
+// TestBlockRecordIsAValue: a record is 16 bytes of plain data, so a caller
+// that keeps a heap's worth of them keeps nothing the collector must scan.
+func TestBlockRecordIsAValue(t *testing.T) {
+	if n := unsafe.Sizeof(BlockRecord{}); n != 16 {
+		t.Fatalf("BlockRecord is %d bytes, want 16", n)
+	}
+	rt := reflect.TypeOf(BlockRecord{})
+	for i := range rt.NumField() {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint64:
+		default:
+			t.Fatalf("BlockRecord.%s is a %s: a record holds no reference", f.Name, f.Type.Kind())
+		}
 	}
 }

@@ -9,9 +9,7 @@ package kv
 import (
 	"runtime"
 	"testing"
-	"unsafe"
 
-	"bdhtm/internal/epoch"
 	"bdhtm/internal/nvm"
 )
 
@@ -38,12 +36,11 @@ func TestHashSessionDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestRecoverAllocatesRecordsOnce is epoch's pin of the same name one layer
-// up: Recover replays the header scan's records straight into the
+// TestRecoverAllocatesRecordsOnce is epoch's TestRecoverAllocationIsConstant
+// one layer up: Recover replays the surviving headers straight into the
 // structure it builds on the recovered system, so recovering n blocks costs
-// what opening the structure costs plus the n records once, a quarter again
-// and a constant — not a second copy of the records grown by append, which
-// allocated five times them on the way up.
+// what opening the structure costs and a constant — no record is held per
+// block, neither by the epoch system nor by a second copy grown by append.
 func TestRecoverAllocatesRecordsOnce(t *testing.T) {
 	const n = 1 << 16
 	k, _ := Lookup("bdhash")
@@ -75,9 +72,8 @@ func TestRecoverAllocatesRecordsOnce(t *testing.T) {
 	if l := rec.Store.Len(); l != n {
 		t.Fatalf("recovered %d keys, want %d", l, n)
 	}
-	records := uint64(n) * uint64(unsafe.Sizeof(epoch.BlockRecord{}))
-	if limit := open + records*5/4 + 256<<10; got > limit {
-		t.Fatalf("Recover of %d blocks allocated %d bytes, Open %d: %.2f x the records over Open, want <= %d",
-			n, got, open, float64(got-min(got, open))/float64(records), limit)
+	if limit := open + 64<<10; got > limit {
+		t.Fatalf("Recover of %d blocks allocated %d bytes, Open %d: %.1f bytes per block over Open, want <= %d",
+			n, got, open, float64(got-min(got, open))/n, limit)
 	}
 }

@@ -59,7 +59,7 @@ func (l *List) RebuildBlock(rec epoch.BlockRecord) {
 	if l.cfg.Variant != BDL {
 		panic("skiplist: RebuildBlock is for BDL lists")
 	}
-	k := rec.Block.Key()
+	k := l.cfg.DataSys.BlockAt(rec.Addr).Key()
 	preds, succs, found := l.find(&guard{}, k)
 	if found != 0 {
 		panic("skiplist: duplicate key during BDL rebuild (BDL invariant violated)")
@@ -71,7 +71,7 @@ func (l *List) RebuildBlock(rec epoch.BlockRecord) {
 		lvl++
 		r >>= 1
 	}
-	node := l.allocNode(k, uint64(rec.Block.Addr()), lvl, succs[:lvl])
+	node := l.allocNode(k, uint64(rec.Addr), lvl, succs[:lvl])
 	for i := 0; i < lvl; i++ {
 		l.h.Store(l.nextAddr(preds[i], i), uint64(node))
 	}

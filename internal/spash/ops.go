@@ -353,7 +353,7 @@ func (t *Table) splitLocked(h uint64) {
 
 // RebuildBlock reinserts one recovered KV block (single-threaded).
 func (t *Table) RebuildBlock(rec epoch.BlockRecord) {
-	t.rebuildInsert(rec.Block.Addr())
+	t.rebuildInsert(rec.Addr)
 }
 
 func (t *Table) rebuildInsert(b nvm.Addr) {

@@ -310,14 +310,15 @@ func (t *Tree) RebuildBlock(rec epoch.BlockRecord) {
 	if t.sys == nil {
 		panic("veb: RebuildBlock on a transient tree")
 	}
-	k := rec.Block.Key()
+	b := t.sys.BlockAt(rec.Addr)
+	k := b.Key()
 	t.checkKey(k)
 	m := directMem{t.tm}
-	slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(rec.Block.Addr()))
+	slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(rec.Addr))
 	if !inserted {
 		old := t.sys.BlockAt(nvm.Addr(m.load(slot)))
 		panic(fmt.Sprintf("veb: duplicate key %d during recovery (BDL invariant violated): existing blk@%d epoch=%d vs new blk@%d epoch=%d resurrected=%v",
-			k, old.Addr(), old.Epoch(), rec.Block.Addr(), rec.Block.Epoch(), rec.Resurrected))
+			k, old.Addr(), old.Epoch(), rec.Addr, b.Epoch(), rec.Resurrected))
 	}
 	t.count.Add(1)
 }
