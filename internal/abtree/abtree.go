@@ -113,9 +113,6 @@ func New(h *nvm.Heap, elim bool) *Tree {
 	return t
 }
 
-// Elim reports whether publishing elimination is enabled.
-func (t *Tree) Elim() bool { return t.elim }
-
 // Len returns the number of keys.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 

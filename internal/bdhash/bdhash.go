@@ -48,8 +48,6 @@ const (
 	// this many consecutive buckets. A probe scans them only up to the
 	// first empty slot, so the window bounds capacity, not the usual scan.
 	maxProbeBuckets = 4
-	// maxRetries bounds transactional retries before the session.
-	maxRetries = 32
 
 	// A slot word is addr | fingerprint: the block address in the low
 	// addrBits bits, the top bits of the key's hash above them. An
@@ -171,7 +169,7 @@ retryRegist:
 	newBlk.InitKV(k, v) // initialize block, epoch reset to invalid
 
 	var out insertOutcome
-	res := w.Run(t.tm, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+	res := w.Run(t.tm, func() { t.preWalk(k) }, func(tx *htm.Tx) {
 		t.insertBody(tx, opEpoch, k, v, newBlk, &out)
 	})
 	if !res.Committed {
@@ -267,7 +265,7 @@ func (t *Table) preWalk(k uint64) {
 	start, fp := t.probe(k)
 	var sink uint64
 	for i := uint64(0); i < probeSlots; i++ {
-		word := t.tm.DirectLoad(t.slotAt(start + i))
+		word := atomic.LoadUint64(t.slotAt(start + i))
 		if word == 0 {
 			break
 		}
@@ -289,7 +287,7 @@ func (t *Table) Get(k uint64) (uint64, bool) { return t.GetW(nil, k) }
 func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 	var v uint64
 	var ok bool
-	w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
+	w.Run(t.tm, nil, func(tx *htm.Tx) {
 		v, ok = 0, false
 		start, fp := t.probe(k)
 		for i := uint64(0); i < probeSlots; i++ {
@@ -315,7 +313,7 @@ func (t *Table) Remove(w *epoch.Worker, k uint64) bool {
 retryRegist:
 	opEpoch := w.BeginOp()
 	var retire epoch.Block
-	res := w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
+	res := w.Run(t.tm, nil, func(tx *htm.Tx) {
 		retire = epoch.Block{}
 		start, fp := t.probe(k)
 		for i := uint64(0); i < probeSlots; i++ {

@@ -426,11 +426,13 @@ func TestDeadFastPathCostsOneProbePerOp(t *testing.T) {
 	tm := htm.New(htm.Config{SpuriousRate: 1})
 	tab := New(sys, tm, 4096, 1)
 	w := sys.Register()
-	for k := uint64(0); k < 8; k++ { // warm-up: 4 × maxRetries futile attempts trip it
+	tab.Insert(w, 0, 0)
+	budget := tm.Stats().Attempts()  // the first operation spends a whole budget
+	for k := uint64(1); k < 8; k++ { // warm-up: 4 budgets of futile attempts trip it
 		tab.Insert(w, k, k)
 	}
-	if s := tm.Stats(); s.Attempts() < 4*maxRetries {
-		t.Fatalf("warm-up spent %d attempts, want the first operations to spend full budgets (>= %d)", s.Attempts(), 4*maxRetries)
+	if s := tm.Stats(); budget < 2 || s.Attempts() < 4*budget {
+		t.Fatalf("warm-up spent %d attempts (%d in the first operation), want the first operations to spend full budgets", s.Attempts(), budget)
 	}
 	before := tm.Stats()
 	const n = 300

@@ -516,3 +516,22 @@ func TestEarlyStepShape(t *testing.T) {
 		}
 	}
 }
+
+// A round whose keyspace the subject cannot hold is a usage error, caught
+// before any op runs: not the structure's out-of-range panic, which would
+// read as a bug in it. A keyspace at the subject's maximum is accepted.
+func TestKeySpaceBeyondSubjectIsRejected(t *testing.T) {
+	const spec = "subject=veb seed=0x1 ops=64 workers=1 keyspace=%d evict=0.50 events=1 crash-after=10 crash-step=0 tail-adv=0 adv-every=8 spurious=0.00 memtype=0.00 async=0"
+	const want = "crashfuzz: keyspace 1000000 exceeds veb's maximum 65536"
+	if _, err := ParseReplay(fmt.Sprintf(spec, 1000000)); err == nil || err.Error() != want {
+		t.Fatalf("ParseReplay error = %v, want %q", err, want)
+	}
+	p, err := ParseReplay(fmt.Sprintf(spec, 1<<vebUniverseBits))
+	if err != nil {
+		t.Fatalf("keyspace at the maximum: %v", err)
+	}
+	p.KeySpace = 1000000
+	if f := RunRound(p); f == nil || f.Msg != want {
+		t.Fatalf("RunRound = %v, want the usage error %q", f, want)
+	}
+}

@@ -259,7 +259,21 @@ func ParseReplay(s string) (RoundParams, error) {
 	if p.Subject == "" {
 		return p, fmt.Errorf("crashfuzz: replay spec missing subject")
 	}
-	return p, nil
+	sub, err := NewSubject(p.Subject)
+	if err != nil {
+		return p, err
+	}
+	return p, checkKeySpace(p, sub)
+}
+
+// checkKeySpace rejects a round whose keyspace the subject cannot hold, so
+// that a bad spec reads as a usage error instead of the structure's own
+// out-of-range panic.
+func checkKeySpace(p RoundParams, sub Subject) error {
+	if max := sub.MaxKeySpace(); p.KeySpace > max {
+		return fmt.Errorf("crashfuzz: keyspace %d exceeds %s's maximum %d", p.KeySpace, p.Subject, max)
+	}
+	return nil
 }
 
 // Failure reports one consistency violation, with everything needed to
@@ -290,6 +304,9 @@ func RunRound(p RoundParams) (f *Failure) {
 		}
 	}()
 	sub, err := NewSubject(p.Subject)
+	if err == nil {
+		err = checkKeySpace(p, sub)
+	}
 	if err != nil {
 		return &Failure{Params: p, Msg: err.Error()}
 	}

@@ -6,7 +6,7 @@ import "testing"
 // session mode: with a spurious-abort rate of 1 no transactional attempt
 // ever reaches its body, so every insert and remove runs its body as a
 // slow-path session — after a full retry budget at first, after one probe
-// once the TM has taken its fast path for dead (htm.TM.Budget) — and the
+// once the TM has taken its fast path for dead (htm.TM.Run's budget) — and the
 // persist hook then power-fails at the n-th persist event past the crash
 // point. crashCheck asserts the full BDL window on the recovered image for
 // every buffered subject.

@@ -224,7 +224,7 @@ func TestPNewInsideSessionPanics(t *testing.T) {
 				t.Fatal("PNew inside a session should panic")
 			}
 		}()
-		w.Run(tm, 1, nil, func(tx *htm.Tx) {
+		w.Run(tm, nil, func(tx *htm.Tx) {
 			if !tx.InSession() {
 				t.Error("body ran as a transaction on a TM that kills every attempt")
 			}

@@ -1,6 +1,10 @@
 package epoch
 
-import "bdhtm/internal/htm"
+import (
+	"sync/atomic"
+
+	"bdhtm/internal/htm"
+)
 
 // RemovalStamps closes the "old sees new absence" hole in the Listing-1
 // discipline, a pitfall found by the crash fuzzer (internal/crashfuzz):
@@ -58,6 +62,6 @@ func (r *RemovalStamps) RaiseTx(tx *htm.Tx, k, opEpoch uint64) {
 
 // Ok is the non-transactional version of CheckTx: it reports whether an
 // absence observed for k is safe to act on in opEpoch.
-func (r *RemovalStamps) Ok(tm *htm.TM, k, opEpoch uint64) bool {
-	return tm.DirectLoad(r.slot(k)) <= opEpoch
+func (r *RemovalStamps) Ok(k, opEpoch uint64) bool {
+	return atomic.LoadUint64(r.slot(k)) <= opEpoch
 }

@@ -224,16 +224,15 @@ func (w *Worker) InTxn() bool { return w.inTxn }
 // SetSpan(sp) / SetSpan(nil).
 func (w *Worker) SetSpan(sp *obs.Span) { w.span = sp }
 
-// Span returns the attached request span, or nil.
-func (w *Worker) Span() *obs.Span { return w.span }
-
 // Attempt runs body as one HTM attempt with the worker marked in-txn, so
 // that misuse of PNew/PDelete inside the transaction is caught; any span
 // attached via SetSpan receives the attempt's outcome. Structures use Run.
-func (w *Worker) Attempt(tm *htm.TM, body func(tx *htm.Tx), opts ...htm.AttemptOption) htm.Result {
+func (w *Worker) Attempt(tm *htm.TM, body func(tx *htm.Tx)) htm.Result {
 	w.inTxn = true
 	defer func() { w.inTxn = false }()
-	return tm.AttemptSpan(w.span, body, opts...)
+	res := tm.Attempt(body)
+	w.span.RecordAttempt(obs.Outcome(res.Cause))
+	return res
 }
 
 // Run is htm.TM.Run routed through the worker: the standard way structures
@@ -242,11 +241,11 @@ func (w *Worker) Attempt(tm *htm.TM, body func(tx *htm.Tx), opts ...htm.AttemptO
 // transaction and, in a session, would run while holding line locks — and
 // the attached span receives each attempt's outcome. A nil worker (a
 // structure flavor with no epoch system) runs body on the TM directly.
-func (w *Worker) Run(tm *htm.TM, maxRetries int, preWalk func(), body func(tx *htm.Tx)) htm.Result {
+func (w *Worker) Run(tm *htm.TM, preWalk func(), body func(tx *htm.Tx)) htm.Result {
 	if w == nil {
-		return tm.Run(nil, maxRetries, preWalk, body)
+		return tm.Run(nil, preWalk, body)
 	}
 	w.inTxn = true
 	defer func() { w.inTxn = false }()
-	return tm.Run(w.span, maxRetries, preWalk, body)
+	return tm.Run(w.span, preWalk, body)
 }

@@ -53,7 +53,7 @@ func (d *outcomeDriver) attempt(c AbortCause, n int) {
 }
 
 func TestBudget(t *testing.T) {
-	const limit = 3 // trips at 4*limit = 12 futile aborts in a row
+	const trip = 4 * maxRetries // futile aborts in a row that exhaust the budget
 	type step struct {
 		cause AbortCause
 		n     int
@@ -63,48 +63,39 @@ func TestBudget(t *testing.T) {
 		steps []step
 		want  int
 	}{
-		{"fresh", nil, limit},
-		{"one short of tripping", []step{{CauseSpurious, 11}}, limit},
-		{"spurious trips", []step{{CauseSpurious, 12}}, 1},
-		{"memtype trips", []step{{CauseMemType, 12}}, 1},
-		{"capacity trips", []step{{CauseCapacity, 12}}, 1},
-		{"the three add up", []step{{CauseSpurious, 4}, {CauseCapacity, 4}, {CauseMemType, 4}}, 1},
-		{"conflicts never trip", []step{{CauseConflict, 40}}, limit},
-		{"explicit aborts never trip", []step{{CauseExplicit, 40}}, limit},
-		{"conflicts and explicit aborts do not count", []step{{CauseSpurious, 6}, {CauseConflict, 20}, {CauseExplicit, 20}, {CauseSpurious, 5}}, limit},
-		{"nor do they reset", []step{{CauseSpurious, 6}, {CauseConflict, 20}, {CauseExplicit, 20}, {CauseSpurious, 6}}, 1},
-		{"a commit resets the streak", []step{{CauseSpurious, 11}, {CauseNone, 1}, {CauseSpurious, 11}}, limit},
-		{"one commit restores a tripped budget", []step{{CauseSpurious, 30}, {CauseNone, 1}}, limit},
-		{"and it can trip again", []step{{CauseSpurious, 30}, {CauseNone, 1}, {CauseCapacity, 12}}, 1},
+		{"fresh", nil, maxRetries},
+		{"one short of tripping", []step{{CauseSpurious, trip - 1}}, maxRetries},
+		{"spurious trips", []step{{CauseSpurious, trip}}, 1},
+		{"memtype trips", []step{{CauseMemType, trip}}, 1},
+		{"capacity trips", []step{{CauseCapacity, trip}}, 1},
+		{"the three add up", []step{{CauseSpurious, trip / 2}, {CauseCapacity, trip / 4}, {CauseMemType, trip / 4}}, 1},
+		{"conflicts never trip", []step{{CauseConflict, 2 * trip}}, maxRetries},
+		{"explicit aborts never trip", []step{{CauseExplicit, 2 * trip}}, maxRetries},
+		{"conflicts and explicit aborts do not count", []step{{CauseSpurious, trip / 2}, {CauseConflict, 20}, {CauseExplicit, 20}, {CauseSpurious, trip/2 - 1}}, maxRetries},
+		{"nor do they reset", []step{{CauseSpurious, trip / 2}, {CauseConflict, 20}, {CauseExplicit, 20}, {CauseSpurious, trip / 2}}, 1},
+		{"a commit resets the streak", []step{{CauseSpurious, trip - 1}, {CauseNone, 1}, {CauseSpurious, trip - 1}}, maxRetries},
+		{"one commit restores a tripped budget", []step{{CauseSpurious, trip + 20}, {CauseNone, 1}}, maxRetries},
+		{"and it can trip again", []step{{CauseSpurious, trip + 20}, {CauseNone, 1}, {CauseCapacity, trip}}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newOutcomeDriver(t)
 			for _, s := range tc.steps {
 				d.attempt(s.cause, s.n)
 			}
-			if got := d.tm.Budget(limit); got != tc.want {
-				t.Fatalf("Budget(%d) = %d, want %d", limit, got, tc.want)
+			if got := d.tm.budget(); got != tc.want {
+				t.Fatalf("budget() = %d, want %d", got, tc.want)
 			}
 		})
-	}
-
-	// The threshold scales with the caller's limit: the same streak that
-	// exhausts a budget of 3 leaves a budget of 4 whole.
-	d := newOutcomeDriver(t)
-	d.attempt(CauseSpurious, 12)
-	if a, b := d.tm.Budget(3), d.tm.Budget(4); a != 1 || b != 4 {
-		t.Fatalf("after 12 futile aborts Budget(3), Budget(4) = %d, %d, want 1, 4", a, b)
 	}
 }
 
 // A tripped TM costs an operation one probe attempt, not a budget; the
 // first operations on a fresh TM still spend theirs in full.
 func TestRunOnTrippedTM(t *testing.T) {
-	const maxRetries = 3
 	tm := New(Config{SpuriousRate: 1})
 	var x uint64
 	run := func() {
-		tm.Run(nil, maxRetries, nil, func(tx *Tx) { tx.Store(&x, tx.Load(&x)+1) })
+		tm.Run(nil, nil, func(tx *Tx) { tx.Store(&x, tx.Load(&x)+1) })
 	}
 	for i := 0; i < 4; i++ {
 		run()
@@ -127,9 +118,9 @@ func TestRunOnTrippedTM(t *testing.T) {
 // Attempts racing on the streak counter (race lane): whatever interleaving
 // of futile aborts and commits the goroutines produced, the answer is one
 // of the two legal ones, and a commit after the dust settles restores it.
+// At 99 % injected aborts the streak both trips and clears along the way.
 func TestBudgetConcurrent(t *testing.T) {
-	const limit = 2
-	tm := New(Config{SpuriousRate: 0.5, Seed: 3})
+	tm := New(Config{SpuriousRate: 0.99, Seed: 3})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -138,8 +129,8 @@ func TestBudgetConcurrent(t *testing.T) {
 			var x [8]uint64
 			for i := 0; i < 5000; i++ {
 				tm.Attempt(func(tx *Tx) { tx.Store(&x[0], uint64(i)) })
-				if b := tm.Budget(limit); b != 1 && b != limit {
-					t.Errorf("Budget(%d) = %d", limit, b)
+				if b := tm.budget(); b != 1 && b != maxRetries {
+					t.Errorf("budget() = %d", b)
 					return
 				}
 			}
@@ -149,7 +140,7 @@ func TestBudgetConcurrent(t *testing.T) {
 	var x uint64
 	for !tm.Attempt(func(tx *Tx) { tx.Store(&x, 1) }).Committed {
 	}
-	if got := tm.Budget(limit); got != limit {
-		t.Fatalf("Budget(%d) = %d after a commit", limit, got)
+	if got := tm.budget(); got != maxRetries {
+		t.Fatalf("budget() = %d after a commit", got)
 	}
 }

@@ -93,7 +93,7 @@ func benchFallbackMixed(b *testing.B, g int) {
 			default:
 			}
 			i++
-			tm.Run(nil, 2, nil, func(tx *Tx) {
+			tm.Run(nil, nil, func(tx *Tx) {
 				for l := 0; l < bigLines; l++ {
 					tx.Store(&big[l*8], i)
 				}
@@ -167,14 +167,14 @@ func benchTxSpan(b *testing.B, g, nReads, nWrites, every int) {
 			for i := 0; i < per; i++ {
 				sp := rec.SampleSpan(uint64(w)<<32|uint64(i), uint64(w), 1)
 				for {
-					res := tm.AttemptSpan(sp, func(tx *Tx) {
+					res := tm.attempt(sp, func(tx *Tx) {
 						for r := 0; r < nReads; r++ {
 							sink += tx.Load(&region[r*8])
 						}
 						for wr := 0; wr < nWrites; wr++ {
 							tx.Store(&region[(nReads+wr)*8], uint64(i))
 						}
-					})
+					}, false)
 					if res.Committed {
 						break
 					}

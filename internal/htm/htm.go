@@ -29,16 +29,17 @@
 //     in steady state.
 //   - Run is the one retry-then-session driver: an operation hands it one
 //     body, which it attempts as a transaction and then runs as a session.
-//   - The retry budget is the TM's (Budget): Run asks it how many
-//     attempts an operation may spend before its session. The TM counts
+//   - The retry budget is the TM's (budget): Run asks it how many
+//     attempts an operation may spend before its session — maxRetries,
+//     the same for every structure, or 1 on a dead fast path. The TM counts
 //     consecutive attempts, TM-wide, that ended in an abort a retry does
 //     not cure — spurious, memtype, capacity — and any commit clears the
 //     count. Conflict and explicit aborts leave it alone: they are caused
 //     by other operations making progress or by the caller's own logic,
 //     and say nothing about whether the fast path works. Once the count
 //     reaches four budgets' worth the fast path is taken for dead and
-//     Budget answers 1: every operation still probes it once, and the
-//     first commit restores the full budget. It takes 4·max consecutive
+//     budget answers 1: every operation still probes it once, and the
+//     first commit restores the full budget. It takes 4·maxRetries consecutive
 //     such aborts with no commit anywhere on the TM to get there, so
 //     injection rates of a few percent never do (0.05^128).
 //
@@ -190,7 +191,7 @@ type TM struct {
 	fbMu sync.Mutex
 
 	// futile counts consecutive attempts that ended in an abort retrying
-	// cannot cure; see Budget.
+	// cannot cure; see budget.
 	futile atomic.Int64
 
 	stats Stats
@@ -587,35 +588,27 @@ func (tx *Tx) releaseLocks(n int, wv uint64, committed bool) {
 	tx.lockPrev = tx.lockPrev[:0]
 }
 
-// AttemptOption modifies a single transaction attempt. Options are plain
-// values, so passing and decoding them never allocates.
-type AttemptOption uint8
-
-const optPreWalked AttemptOption = 1
-
-// PreWalked marks the attempt as preceded by a non-transactional pre-walk
-// of the data, the paper's mitigation for MEMTYPE aborts.
-func PreWalked() AttemptOption { return optPreWalked }
-
 // Attempt runs body as one transaction attempt and reports the outcome.
 // There is no automatic retry, exactly as with _xbegin/_xend; operations
 // that want Listing 1's retry-then-session policy use Run. If body panics
 // with anything other than a transactional abort, the panic propagates
 // after the attempt's speculative state is discarded.
-func (tm *TM) Attempt(body func(tx *Tx), opts ...AttemptOption) Result {
-	return tm.AttemptSpan(nil, body, opts...)
+func (tm *TM) Attempt(body func(tx *Tx)) Result {
+	return tm.attempt(nil, body, false)
 }
 
-// AttemptSpan is Attempt with a sampled request span: each attempt's
-// outcome (commit or per-cause abort, including injected aborts) is
-// additionally counted on sp. sp may be nil — unsampled requests pay
-// one pointer test.
-func (tm *TM) AttemptSpan(sp *obs.Span, body func(tx *Tx), opts ...AttemptOption) Result {
+// attempt is Attempt with Run's two extras: a sampled request span, on
+// which the attempt's outcome (commit or per-cause abort, including
+// injected aborts) is also counted — nil for unsampled requests, which pay
+// one pointer test — and preWalked, which marks the attempt as preceded by
+// a non-transactional pre-walk of the data, the paper's mitigation for
+// MEMTYPE aborts.
+func (tm *TM) attempt(sp *obs.Span, body func(tx *Tx), preWalked bool) Result {
 	if tm.obs == nil && sp == nil {
-		return tm.attempt(body, opts...)
+		return tm.try(body, preWalked)
 	}
 	start := tm.obs.Now()
-	res := tm.attempt(body, opts...)
+	res := tm.try(body, preWalked)
 	// Cause doubles as the outcome index: CauseNone == OutCommit. The
 	// timestamp doubles as the shard hint, spreading concurrent attempts
 	// across histogram lanes without needing a thread ID.
@@ -624,7 +617,7 @@ func (tm *TM) AttemptSpan(sp *obs.Span, body func(tx *Tx), opts ...AttemptOption
 	return res
 }
 
-func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
+func (tm *TM) try(body func(tx *Tx), preWalked bool) Result {
 	// Injected aborts: decided up front, charged before any work, like a
 	// transaction killed early by an interrupt.
 	if tm.chance(tm.cfg.SpuriousRate) {
@@ -632,7 +625,7 @@ func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
 		return Result{Cause: CauseSpurious}
 	}
 	mtRate := tm.cfg.MemTypeRate
-	if slices.Contains(opts, optPreWalked) {
+	if preWalked {
 		mtRate = tm.cfg.PreWalkResidualRate
 	}
 	if tm.chance(mtRate) {
@@ -658,7 +651,7 @@ func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
 }
 
 // note records one attempt's outcome: the per-cause counter, and the
-// streak of futile aborts behind Budget. A commit pays one shared read
+// streak of futile aborts behind budget. A commit pays one shared read
 // unless there is a streak to clear.
 func (tm *TM) note(c AbortCause) {
 	tm.stats.record(c)
@@ -672,16 +665,21 @@ func (tm *TM) note(c AbortCause) {
 	}
 }
 
-// Budget returns how many fast-path attempts an operation whose retry
-// limit is maxRetries may spend before it takes its slow path. That is
-// maxRetries, until 4*maxRetries consecutive attempts anywhere on the TM
-// have ended in an abort a retry does not cure (spurious, memtype,
-// capacity — conflict and explicit aborts neither count nor reset) with no
-// commit in between; from then on it is 1, so every operation still probes
-// the fast path once, and the first commit restores the full budget. Run
-// compares against it after every failed attempt.
-func (tm *TM) Budget(maxRetries int) int {
-	if tm.futile.Load() >= 4*int64(maxRetries) {
+// maxRetries is every operation's retry budget: the transaction attempts
+// Run spends before it takes the slow path. It is the TM's call, not each
+// structure's.
+const maxRetries = 32
+
+// budget returns how many fast-path attempts an operation may spend before
+// it takes its slow path. That is maxRetries, until 4*maxRetries
+// consecutive attempts anywhere on the TM have ended in an abort a retry
+// does not cure (spurious, memtype, capacity — conflict and explicit
+// aborts neither count nor reset) with no commit in between; from then on
+// it is 1, so every operation still probes the fast path once, and the
+// first commit restores the full budget. Run compares against it after
+// every failed attempt.
+func (tm *TM) budget() int {
+	if tm.futile.Load() >= 4*maxRetries {
 		return 1
 	}
 	return maxRetries

@@ -117,7 +117,7 @@ func TestMemTypeInjectionAndPreWalk(t *testing.T) {
 	if res := tm.Attempt(func(tx *Tx) {}); res.Cause != CauseMemType {
 		t.Fatalf("got %+v, want memtype abort", res)
 	}
-	if res := tm.Attempt(func(tx *Tx) {}, PreWalked()); !res.Committed {
+	if res := tm.attempt(nil, func(tx *Tx) {}, true); !res.Committed {
 		t.Fatalf("pre-walked attempt should commit, got %+v", res)
 	}
 }
@@ -363,9 +363,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if got := s.CommitRate(); got != 0.5 {
 		t.Fatalf("CommitRate = %f, want 0.5", got)
-	}
-	if got := s.Rate(CauseExplicit); got != 0.5 {
-		t.Fatalf("Rate(explicit) = %f, want 0.5", got)
 	}
 }
 

@@ -70,8 +70,3 @@ func (tm *TM) DirectStore(p *uint64, v uint64) {
 	atomic.StoreUint64(p, v)
 	tm.unlockSlotDirect(slot)
 }
-
-// DirectLoad performs a non-transactional load. Plain atomic semantics are
-// sufficient: transactional and session writes only become visible at
-// commit/finish.
-func (tm *TM) DirectLoad(p *uint64) uint64 { return atomic.LoadUint64(p) }

@@ -227,32 +227,31 @@ func (tm *TM) RunSession(body func(tx *Tx)) Result {
 }
 
 // Run is the one retry-then-session driver (Listing 1's retry loop): it
-// attempts body as a transaction while the TM's Budget for maxRetries
-// lasts, then runs the same body once as a session. Per abort cause:
+// attempts body as a transaction while the TM's budget lasts, then runs
+// the same body once as a session. Per abort cause:
 //
 //   - explicit aborts, from either mode, return to the caller, which owns
 //     their meaning (restart in a newer epoch, split, re-find, fail);
 //   - CauseMemType runs preWalk (when there is one) and marks the
-//     following attempts PreWalked;
+//     following attempts as pre-walked;
 //   - every abort, MemType included, counts against the budget.
 //
 // There is no backoff between attempts. sp, when non-nil, receives each
-// attempt's outcome (AttemptSpan). The result is committed whichever mode
-// finished the body; Stats tells them apart.
-func (tm *TM) Run(sp *obs.Span, maxRetries int, preWalk func(), body func(tx *Tx)) Result {
-	var opt [1]AttemptOption
-	nopt := 0
+// attempt's outcome. The result is committed whichever mode finished the
+// body; Stats tells them apart.
+func (tm *TM) Run(sp *obs.Span, preWalk func(), body func(tx *Tx)) Result {
+	preWalked := false
 	for retries := 1; ; retries++ {
-		res := tm.AttemptSpan(sp, body, opt[:nopt]...)
+		res := tm.attempt(sp, body, preWalked)
 		if res.Committed || res.Cause == CauseExplicit {
 			return res
 		}
-		if retries >= tm.Budget(maxRetries) {
+		if retries >= tm.budget() {
 			return tm.RunSession(body)
 		}
 		if res.Cause == CauseMemType && preWalk != nil {
 			preWalk()
-			opt[0], nopt = optPreWalked, 1
+			preWalked = true
 		}
 	}
 }

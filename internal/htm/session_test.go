@@ -241,9 +241,8 @@ func TestMixedTxFallbackSerializable(t *testing.T) {
 // serving both modes: a clean commit never opens a session; an explicit
 // abort returns to the caller from either mode; every other abort —
 // capacity included — spends the budget and then exactly one session runs;
-// a MemType abort runs the pre-walk and the next attempt carries PreWalked.
+// a MemType abort runs the pre-walk and the next attempt is pre-walked.
 func TestRun(t *testing.T) {
-	const maxRetries = 3
 	store := func(tx *Tx, x *uint64, _ []*uint64) {
 		if tx.InSession() {
 			tx.Store(x, 2)
@@ -281,7 +280,7 @@ func TestRun(t *testing.T) {
 			lines := disjointWords(t, tm, 3)
 			var x uint64
 			preWalks := 0
-			res := tm.Run(nil, maxRetries, func() { preWalks++ }, func(tx *Tx) { tc.body(tx, &x, lines) })
+			res := tm.Run(nil, func() { preWalks++ }, func(tx *Tx) { tc.body(tx, &x, lines) })
 			if res != tc.want || x != tc.wantX {
 				t.Fatalf("res=%+v x=%d, want %+v and %d", res, x, tc.want, tc.wantX)
 			}

@@ -59,32 +59,6 @@ func (s StatsSnapshot) CommitRate() float64 {
 	return float64(s.Commits) / float64(a)
 }
 
-// Rate returns the fraction of attempts that aborted for the given cause.
-func (s StatsSnapshot) Rate(c AbortCause) float64 {
-	a := s.Attempts()
-	if a == 0 {
-		return 0
-	}
-	var n int64
-	switch c {
-	case CauseNone:
-		n = s.Commits
-	case CauseConflict:
-		n = s.Conflict
-	case CauseCapacity:
-		n = s.Capacity
-	case CauseExplicit:
-		n = s.Explicit
-	case CauseSpurious:
-		n = s.Spurious
-	case CauseMemType:
-		n = s.MemType
-	case CausePersistOp:
-		n = s.PersistOp
-	}
-	return float64(n) / float64(a)
-}
-
 // Sub returns the interval difference s - prev.
 func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 	return StatsSnapshot{

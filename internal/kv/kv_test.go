@@ -241,3 +241,37 @@ func TestUnknownKind(t *testing.T) {
 	}()
 	Open("nope", Parts{})
 }
+
+// The retry budget is the TM's, not each structure's: on a TM that kills
+// every attempt, each kind that runs on a TM spends as many attempts per
+// session its first operation opens as bdhash does. (The first operations
+// on a fresh TM spend full budgets; only a streak of them trips it.)
+func TestEveryKindSpendsTheTMsBudget(t *testing.T) {
+	attemptsPerSession := func(name string) float64 {
+		k, _ := Lookup(name)
+		p := testParts(k, nil)
+		p.TM = htm.New(htm.Config{SpuriousRate: 1})
+		st := Open(name, p)
+		defer st.Close()
+		s := st.Store.NewSession()
+		before := st.TM.Stats()
+		s.Insert(1, 2)
+		d := st.TM.Stats().Sub(before)
+		if d.FallbackAcquires == 0 {
+			t.Fatalf("%s: the first insert opened no session (%d attempts)", name, d.Attempts())
+		}
+		return float64(d.Attempts()) / float64(d.FallbackAcquires)
+	}
+	want := attemptsPerSession("bdhash")
+	if want < 2 {
+		t.Fatalf("bdhash spends %v attempts per session, want a budget of several", want)
+	}
+	for _, k := range kinds {
+		if !k.tm || k.Name == "bdhash" {
+			continue
+		}
+		if got := attemptsPerSession(k.Name); got != want {
+			t.Errorf("%s: %v attempts per session, bdhash spends %v", k.Name, got, want)
+		}
+	}
+}

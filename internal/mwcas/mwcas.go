@@ -60,8 +60,7 @@ const htmMwFailCode uint8 = 0xC5
 // runs as a transaction or, past the retry budget, as a session; either
 // way a mismatch aborts it with the fail code.
 func (m *HTMMwCAS) Apply(entries []Entry) bool {
-	const maxRetries = 64
-	return m.tm.Run(nil, maxRetries, nil, func(tx *htm.Tx) {
+	return m.tm.Run(nil, nil, func(tx *htm.Tx) {
 		for _, e := range entries {
 			if tx.LoadAddr(m.h, e.Addr) != e.Old {
 				tx.Abort(htmMwFailCode)

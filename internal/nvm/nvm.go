@@ -507,20 +507,12 @@ func (h *Heap) Add(a Addr, delta uint64) uint64 {
 
 // WordPtr returns a pointer to the volatile word at a, materialising its
 // page; the pointer is stable for the heap's lifetime, crashes included.
-// It allows CAS-based algorithms (and the HTM simulator) to address heap
-// words and plain Go words uniformly. Callers that store through the
-// pointer must call MarkDirty to preserve persistence accounting.
+// It lets the HTM simulator address heap words and plain Go words
+// uniformly. The pointer is for reading: a store through it would bypass
+// the dirty-line accounting, so writers use Store (as htm's commit does).
 func (h *Heap) WordPtr(a Addr) *uint64 {
 	h.check(a)
 	return &materialise(h.view, uint64(a))[a%pageWords]
-}
-
-// MarkDirty records that the line containing a has been modified through
-// a WordPtr and is not yet durable.
-func (h *Heap) MarkDirty(a Addr) {
-	h.check(a)
-	h.touch(a.Line())
-	h.dirty.set(a.Line())
 }
 
 // Flush writes the cache line containing a back to the persistent image

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -263,15 +264,14 @@ func TestConcurrentAccessIsRaceFree(t *testing.T) {
 func TestWordPtrSharesStorage(t *testing.T) {
 	h := newTestHeap(t, ModeADR)
 	p := h.WordPtr(100)
-	*p = 77
-	h.MarkDirty(100)
-	if got := h.Load(100); got != 77 {
-		t.Fatalf("Load = %d after WordPtr store, want 77", got)
+	h.Store(100, 77)
+	if got := atomic.LoadUint64(p); got != 77 {
+		t.Fatalf("WordPtr reads %d after Store, want 77", got)
 	}
 	h.Persist(100)
 	h.Crash(CrashOptions{})
-	if got := h.Load(100); got != 77 {
-		t.Fatalf("WordPtr store did not persist: got %d", got)
+	if got := atomic.LoadUint64(p); got != 77 {
+		t.Fatalf("WordPtr reads %d after the stored word persisted and the heap crashed, want 77", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -126,8 +127,10 @@ func TestViewPageFirstStoreRace(t *testing.T) {
 						h.Add(a, v)
 					default:
 						p := h.WordPtr(a)
-						*p = v
-						h.MarkDirty(a)
+						h.Store(a, v)
+						if got := atomic.LoadUint64(p); got != v {
+							t.Errorf("word %d: WordPtr reads %d after Store, want %d", w, got, v)
+						}
 					}
 				}
 			}()

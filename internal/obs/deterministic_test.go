@@ -72,21 +72,18 @@ func TestEADRNoFlushes(t *testing.T) {
 }
 
 // TestForcedMemTypeAbort reproduces the Fig. 2 anomaly deterministically:
-// with MemTypeRate 1 every plain attempt aborts MEMTYPE, and a pre-walked
-// retry commits. Exactly one abort and one commit land in obs, mirroring
-// the TM's own counters.
+// with MemTypeRate 1 Run's first attempt aborts MEMTYPE, and its
+// pre-walked retry commits. Exactly one abort and one commit land in obs,
+// mirroring the TM's own counters.
 func TestForcedMemTypeAbort(t *testing.T) {
 	rec := obs.New()
 	tm := htm.New(htm.Config{MemTypeRate: 1})
 	tm.SetObs(rec)
 
-	res := tm.Attempt(func(tx *htm.Tx) {})
-	if res.Committed || res.Cause != htm.CauseMemType {
-		t.Fatalf("plain attempt = %+v, want MEMTYPE abort", res)
-	}
-	res = tm.Attempt(func(tx *htm.Tx) {}, htm.PreWalked())
-	if !res.Committed {
-		t.Fatalf("pre-walked retry = %+v, want commit", res)
+	preWalks := 0
+	res := tm.Run(nil, func() { preWalks++ }, func(tx *htm.Tx) {})
+	if !res.Committed || preWalks != 1 {
+		t.Fatalf("Run = %+v after %d pre-walks, want a commit after 1", res, preWalks)
 	}
 
 	if got := rec.AttemptHist(obs.OutMemType).Count; got != 1 {

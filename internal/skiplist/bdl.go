@@ -111,7 +111,7 @@ retryRegist:
 	for {
 		preds, _, found := l.find(g, k)
 		if found == 0 {
-			if !l.removals.Ok(l.cfg.TM, k, opEpoch) {
+			if !l.removals.Ok(k, opEpoch) {
 				h.w.AbortOp()
 				goto retryRegist
 			}
@@ -133,7 +133,7 @@ retryRegist:
 		}
 		if raceLost {
 			if _, _, f := l.find(g, k); f == 0 {
-				if !l.removals.Ok(l.cfg.TM, k, opEpoch) {
+				if !l.removals.Ok(k, opEpoch) {
 					h.w.AbortOp()
 					goto retryRegist
 				}

@@ -86,7 +86,7 @@ func (e *ebr) scan(tid int) {
 		// DirectStore locks and re-versions seq's lock-table slot, so any
 		// transaction that read seq (guard.validate) aborts rather than
 		// committing over memory this scan frees.
-		s := e.tm.DirectLoad(&e.seq)
+		s := atomic.LoadUint64(&e.seq)
 		e.tm.DirectStore(&e.seq, s+1)
 		defer e.tm.DirectStore(&e.seq, s+2)
 	}
@@ -130,7 +130,7 @@ type guard struct {
 func (h *Handle) enterOp() guard {
 	l := h.l
 	if l.teleport {
-		if s := l.cfg.TM.DirectLoad(&l.reap.seq); s&1 == 0 {
+		if s := atomic.LoadUint64(&l.reap.seq); s&1 == 0 {
 			return guard{l: l, tid: h.tid, seq: s, tele: true}
 		}
 	}

@@ -383,7 +383,6 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 // body; guard.validate makes a teleporting one announce and re-find first.
 func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 	l := h.l
-	const maxRetries = 64
 	for {
 		_, _, found := l.find(g, k)
 		if found == 0 {
@@ -391,7 +390,7 @@ func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 		}
 		var v uint64
 		var ok bool
-		res := h.w.Run(l.cfg.TM, maxRetries, nil, func(tx *htm.Tx) {
+		res := h.w.Run(l.cfg.TM, nil, func(tx *htm.Tx) {
 			v, ok = 0, false
 			g.validate(tx)
 			if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
@@ -524,8 +523,7 @@ const (
 // sends a still-teleporting operation back (recaptureCode) to announce and
 // re-find before its entries are trusted.
 func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra func(tx *htm.Tx)) applyResult {
-	const maxRetries = 64
-	res := w.Run(l.cfg.TM, maxRetries, nil, func(tx *htm.Tx) {
+	res := w.Run(l.cfg.TM, nil, func(tx *htm.Tx) {
 		g.validate(tx)
 		for _, e := range entries {
 			if tx.LoadAddr(l.h, e.Addr) != e.Old {

@@ -42,7 +42,7 @@ retryRegist:
 
 	var out outcome
 retryTxn:
-	res := w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
+	res := w.Run(t.tm, nil, func(tx *htm.Tx) {
 		t.enter(tx)
 		t.insertBody(tx, opEpoch, h, k, v, newBlk, bd, &out)
 	})
@@ -155,7 +155,7 @@ func (t *Table) Get(k uint64) (uint64, bool) {
 	h := hash64(k)
 	var v uint64
 	var ok bool
-	t.tm.Run(nil, maxRetries, nil, func(tx *htm.Tx) {
+	t.tm.Run(nil, nil, func(tx *htm.Tx) {
 		t.enter(tx)
 		v, ok = 0, false
 		seg, bucket := t.locate(h)
@@ -185,7 +185,7 @@ retryRegist:
 		opEpoch = w.BeginOp()
 	}
 	var victim nvm.Addr
-	res := w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
+	res := w.Run(t.tm, nil, func(tx *htm.Tx) {
 		t.enter(tx)
 		victim = 0
 		seg, bucket := t.locate(h)
@@ -268,7 +268,7 @@ func (t *Table) splitLocked(h uint64) {
 		bucket := int(h >> 56 & (bucketsPerSeg - 1))
 		full := true
 		for s := 0; s < slotsPerBucket; s++ {
-			if t.tm.DirectLoad(&seg.slots[bucket*slotsPerBucket+s]) == 0 {
+			if atomic.LoadUint64(&seg.slots[bucket*slotsPerBucket+s]) == 0 {
 				full = false
 				break
 			}
@@ -278,14 +278,7 @@ func (t *Table) splitLocked(h uint64) {
 		}
 		ld := seg.localDepth
 		if ld == gd {
-			// Double the directory: duplicate every pointer.
-			newDir := make([]uint64, 2*len(dir))
-			for j := range newDir {
-				newDir[j] = atomic.LoadUint64(&dir[uint64(j)&(1<<gd-1)])
-			}
-			t.dir.Store(&newDir)
-			t.globalDepth.Store(gd + 1)
-			t.stats.doublings.Add(1)
+			t.doubleDir(dir, gd)
 			continue
 		}
 		// Split seg into two at depth ld+1.
@@ -293,7 +286,7 @@ func (t *Table) splitLocked(h uint64) {
 		s1 := &segment{localDepth: ld + 1}
 		overflow := false
 		for i := 0; i < segSlots; i++ {
-			sv := t.tm.DirectLoad(&seg.slots[i])
+			sv := atomic.LoadUint64(&seg.slots[i])
 			if sv == 0 {
 				continue
 			}
@@ -323,13 +316,7 @@ func (t *Table) splitLocked(h uint64) {
 			// retry at a deeper level by treating the child as full.
 			// Simplest correct strategy: raise the global depth and try
 			// again — eventually the hash bits separate the keys.
-			newDir := make([]uint64, 2*len(dir))
-			for j := range newDir {
-				newDir[j] = atomic.LoadUint64(&dir[uint64(j)&(1<<gd-1)])
-			}
-			t.dir.Store(&newDir)
-			t.globalDepth.Store(gd + 1)
-			t.stats.doublings.Add(1)
+			t.doubleDir(dir, gd)
 			continue
 		}
 		newSegs := make([]*segment, len(segs), len(segs)+2)
@@ -349,6 +336,18 @@ func (t *Table) splitLocked(h uint64) {
 		}
 		t.stats.splits.Add(1)
 	}
+}
+
+// doubleDir doubles the directory dir of global depth gd, duplicating every
+// pointer. The caller holds the split barrier.
+func (t *Table) doubleDir(dir []uint64, gd uint64) {
+	newDir := make([]uint64, 2*len(dir))
+	for j := range newDir {
+		newDir[j] = atomic.LoadUint64(&dir[uint64(j)&(1<<gd-1)])
+	}
+	t.dir.Store(&newDir)
+	t.globalDepth.Store(gd + 1)
+	t.stats.doublings.Add(1)
 }
 
 // RebuildBlock reinserts one recovered KV block (single-threaded).

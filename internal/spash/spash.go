@@ -64,7 +64,6 @@ const (
 	bucketsPerSeg  = 8
 	slotsPerBucket = 8
 	segSlots       = bucketsPerSeg * slotsPerBucket
-	maxRetries     = 32
 
 	// splitCode aborts a transaction whose bucket is full; the operation
 	// then splits the segment on the slow path and retries.

@@ -2,6 +2,7 @@ package veb
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"bdhtm/internal/htm"
 )
@@ -27,7 +28,7 @@ func (m txMem) store(p *uint64, v uint64) { m.tx.Store(p, v) }
 
 type directMem struct{ tm *htm.TM }
 
-func (m directMem) load(p *uint64) uint64     { return m.tm.DirectLoad(p) }
+func (m directMem) load(p *uint64) uint64     { return atomic.LoadUint64(p) }
 func (m directMem) store(p *uint64, v uint64) { m.tm.DirectStore(p, v) }
 
 // split decomposes key k in a 2^b universe into its cluster index (high

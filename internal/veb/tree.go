@@ -28,8 +28,6 @@ import (
 	"bdhtm/internal/nvm"
 )
 
-const maxRetries = 64
-
 // BlockTag marks this tree's KV blocks in the shared NVM heap.
 const BlockTag uint8 = 0x7E
 
@@ -115,7 +113,7 @@ func (t *Tree) Get(k uint64) (uint64, bool) {
 	t.checkKey(k)
 	var v uint64
 	var ok bool
-	t.tm.Run(nil, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+	t.tm.Run(nil, func() { t.preWalk(k) }, func(tx *htm.Tx) {
 		m := txMem{tx}
 		v, ok = 0, false
 		if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
@@ -141,7 +139,7 @@ func (t *Tree) Successor(k uint64) (uint64, uint64, bool) {
 	t.checkKey(k)
 	var sk, v uint64
 	var ok bool
-	t.tm.Run(nil, maxRetries, nil, func(tx *htm.Tx) {
+	t.tm.Run(nil, nil, func(tx *htm.Tx) {
 		m := txMem{tx}
 		sk, v, ok = t.succRec(m, t.rootNode(), k), 0, false
 		if sk == EMPTY {
@@ -170,7 +168,7 @@ func (t *Tree) Insert(w *epoch.Worker, k, v uint64) bool {
 
 func (t *Tree) insertTransient(k, v uint64) bool {
 	var replaced bool
-	t.tm.Run(nil, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+	t.tm.Run(nil, func() { t.preWalk(k) }, func(tx *htm.Tx) {
 		m := txMem{tx}
 		replaced = false
 		slot, inserted := t.insertRec(m, t.rootNode(), k, v)
@@ -197,7 +195,7 @@ retryRegist:
 
 	var retire, persist epoch.Block
 	var usedPrealloc, replaced bool
-	res := w.Run(t.tm, maxRetries, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+	res := w.Run(t.tm, func() { t.preWalk(k) }, func(tx *htm.Tx) {
 		// A failed attempt may have run to completion and a session may
 		// restart: reset the outputs before anything else.
 		retire, persist = epoch.Block{}, epoch.Block{}
@@ -261,7 +259,7 @@ func (t *Tree) Remove(w *epoch.Worker, k uint64) bool {
 
 func (t *Tree) removeTransient(k uint64) bool {
 	var removed bool
-	t.tm.Run(nil, maxRetries, nil, func(tx *htm.Tx) {
+	t.tm.Run(nil, nil, func(tx *htm.Tx) {
 		_, removed = t.removeRec(txMem{tx}, t.rootNode(), k)
 	})
 	if removed {
@@ -274,7 +272,7 @@ func (t *Tree) removePersistent(w *epoch.Worker, k uint64) bool {
 retryRegist:
 	opEpoch := w.BeginOp()
 	var retire epoch.Block
-	res := w.Run(t.tm, maxRetries, nil, func(tx *htm.Tx) {
+	res := w.Run(t.tm, nil, func(tx *htm.Tx) {
 		retire = epoch.Block{}
 		val, ok := t.removeRec(txMem{tx}, t.rootNode(), k)
 		if !ok {
