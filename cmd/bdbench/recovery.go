@@ -17,8 +17,8 @@ import (
 // recoverCell builds the pre-crash image and recovers it. A row prints the
 // header scan (on up to GOMAXPROCS workers) and the rebuild, the blocks
 // recovered and resurrected, what the retire journal replay read, applied
-// and erased, the recovered heap's materialised view and image pages
-// (32 KiB each, nvm.StatsSnapshot) and the KiB that recovery and the
+// and erased, the recovered heap's materialised view pages (32 KiB each)
+// and the lines holding a pre-image (nvm.StatsSnapshot) and the KiB that recovery and the
 // rebuild allocated (runtime.MemStats.TotalAlloc across kv.Recover: the
 // rebuilt index and whatever recovery held beside it). Each row is
 // verified: every synced key must read back its value. Any failure exits
@@ -33,7 +33,7 @@ func recovery() {
 	fmt.Printf("\nSec. 5.2 — recovery, scan+rebuild vs structure and heap size (GOMAXPROCS %d)\n", runtime.GOMAXPROCS(0))
 	fmt.Printf("  %-22s %10s %7s %12s %12s %9s %11s %7s %9s %8s %8s %8s %9s  %s\n",
 		"structure", "heap_words", "workers", "scan", "rebuild", "blocks", "resurrected",
-		"j_read", "j_applied", "j_erased", "view_pg", "image_pg", "alloc_KiB", "verified")
+		"j_read", "j_applied", "j_erased", "view_pg", "preimg", "alloc_KiB", "verified")
 	failed := false
 	for _, name := range kv.BufferedKinds() {
 		k, _ := kv.Lookup(name)
@@ -51,7 +51,7 @@ func recovery() {
 				time.Duration(st.RecoveryRebuildNS).Round(time.Microsecond),
 				st.RecoveredLive, st.Resurrected,
 				st.JournalPagesRead, st.JournalRecordsApplied, st.JournalPagesErased,
-				hs.ViewPages, hs.ImagePages, alloc>>10, verdict)
+				hs.ViewPages, hs.PreImages, alloc>>10, verdict)
 		}
 	}
 	if failed {

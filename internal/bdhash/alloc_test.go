@@ -18,7 +18,7 @@ import (
 // fast path of a healthy TM, and not on the session path of one whose fast
 // path is dead (SpuriousRate 1, budget tripped), where an operation is one
 // doomed probe attempt plus one pooled session. What is left is amortised
-// growth — the worker's epoch buffers, one image page per slab — which
+// growth — the worker's epoch buffers, a page's pre-image table — which
 // rounds to zero per operation; early passes between operations add none.
 func TestOperationsDoNotAllocate(t *testing.T) {
 	const runs = 500

@@ -71,9 +71,10 @@ func TestTimerModeCrashWindow(t *testing.T) {
 	} {
 		t.Run(cell.name, func(t *testing.T) {
 			early := timerCrashWindow(t, cell.latency, cell.forced, cell.heaps, cell.cycles)
-			// Short mode is the race lane, too slow for an epoch to track the
-			// 64 blocks the flusher needs to time a write-back over.
-			if cell.latency != (nvm.LatencyProfile{}) && early == 0 && !testing.Short() {
+			// Under the race detector the workers are too slow for an epoch
+			// to track the 64 blocks the flusher needs to time a write-back
+			// over.
+			if cell.latency != (nvm.LatencyProfile{}) && early == 0 && !raceEnabled {
 				t.Fatal("no early write-back in timer mode under the Optane profile")
 			}
 		})

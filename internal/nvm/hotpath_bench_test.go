@@ -49,12 +49,34 @@ func BenchmarkHotPath(b *testing.B) {
 			})
 		}
 	}
+	b.Run("store-clean/goroutines=1", benchStoreClean)
 	for _, g := range []int{1, 4} {
 		b.Run(fmt.Sprintf("flushextents/goroutines=%d", g), func(b *testing.B) {
 			benchFlushExtents(b, g)
 		})
 	}
 	b.Run("flushextents/close", benchCloseBatch)
+}
+
+// benchStoreClean times the store that dirties a clean line holding data,
+// the one that saves the line's pre-image: each op flushes a line and then
+// stores to it, so it is the store cell's cost plus one flush plus one
+// pre-image saved and dropped.
+func benchStoreClean(b *testing.B) {
+	const words = 1 << 16
+	h := New(Config{Words: words})
+	for a := Addr(0); a < words; a++ {
+		h.Store(a, uint64(a)|1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	x := uint64(1)
+	for range b.N {
+		x = x*6364136223846793005 + 1442695040888963407
+		a := Addr(x % words)
+		h.Flush(a)
+		h.Store(a, x|1)
+	}
 }
 
 // benchCloseBatch times one epoch close's write-back shaped like

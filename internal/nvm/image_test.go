@@ -6,11 +6,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
-// flatModel is the reference the paged image is checked against: both
-// copies of the heap as flat arrays, the obvious representation. Its crash
-// mirrors Heap.Crash draw for draw.
+// flatModel is the reference the heap is checked against: two copies of
+// memory, view and image, as flat arrays, the obvious representation. Its
+// crash mirrors Heap.Crash draw for draw.
 type flatModel struct {
 	mode  Mode
 	view  []uint64
@@ -68,14 +69,15 @@ func (m *flatModel) crash(opts CrashOptions) {
 
 // TestSparseImageMatchesFlatReference drives a seeded random schedule of
 // stores, the three flush calls, capacity evictions and crashes against
-// the flat reference: after every crash the persistent image must equal
-// the reference's on every word — pages never materialised included — and
-// so must the restored volatile view.
+// the flat reference: after every op the saved pre-images must be the
+// reference image of dirty lines (checkPreImages), and after every crash
+// the persistent image must equal the reference's on every word — pages
+// never materialised included — and so must the restored volatile view.
 func TestSparseImageMatchesFlatReference(t *testing.T) {
 	// Three whole pages and a partial fourth. Page 1 is never touched.
 	// Page 2 is stored to (its last line only) but never flushed, so with
-	// evictions off only a crash can write it back: until one does, the
-	// crash has to restore stored-to words from a page that does not exist.
+	// evictions off only a crash can write it back: until one does, its
+	// pre-image is the zero it started as and takes no slot.
 	const words = 3*pageWords + 5*XPLineWords
 	for _, mode := range []Mode{ModeADR, ModeEADR, ModeDRAM} {
 		for _, frac := range []float64{0, 0.5, 1} {
@@ -113,6 +115,7 @@ func sparseImageRounds(t *testing.T, words int, mode Mode, frac float64, cacheLi
 		return flushAddr()
 	}
 	span := func(a Addr, limit uint64) int { return 1 + int(rng.Uint64N(min(uint64(words)-uint64(a), limit))) }
+	sawFull := false // page 0 held pre-images for more than half its lines
 	for crash := 1; crash <= 6; crash++ {
 		h.SetPersistHook(hook)
 		for op := 0; op < 3000; op++ {
@@ -146,6 +149,15 @@ func sparseImageRounds(t *testing.T, words int, mode Mode, frac float64, cacheLi
 					t.Fatalf("crash %d op %d: Load(%d) = %#x, reference %#x", crash, op, a, got, m.view[a])
 				}
 			}
+			if err := checkPreImages(h, m, op%500 == 0); err != nil {
+				t.Fatalf("crash %d op %d: %v", crash, op, err)
+			}
+			if pt := h.pre[0].Load(); pt != nil && len(pt.slots) > pageLines/2 {
+				sawFull = true
+			}
+		}
+		if err := checkPreImages(h, m, true); err != nil {
+			t.Fatalf("before crash %d: %v", crash, err)
 		}
 		opts := CrashOptions{EvictFraction: frac, Seed: uint64(crash)}
 		h.Crash(opts)
@@ -154,24 +166,101 @@ func sparseImageRounds(t *testing.T, words int, mode Mode, frac float64, cacheLi
 			if got := h.PersistedLoad(a); got != m.img[a] {
 				t.Fatalf("after crash %d: PersistedLoad(%d) = %#x, reference %#x", crash, a, got, m.img[a])
 			}
-			if got := *h.WordPtr(a); got != m.view[a] {
+		}
+		if st := h.Stats(); st.PreImages != 0 {
+			t.Fatalf("after crash %d: %d lines hold a pre-image, want none", crash, st.PreImages)
+		}
+		if err := checkPreImages(h, m, true); err != nil {
+			t.Fatalf("after crash %d: %v", crash, err)
+		}
+		if h.view[1].Load() != nil || h.pre[1].Load() != nil {
+			t.Fatal("page 1 was never stored to, yet it has a view page or a pre-image table")
+		}
+		for a := Addr(0); a < Addr(words); a++ {
+			var got uint64 // read past Load: no residency change, no page made
+			if pg := h.view[a/pageWords].Load(); pg != nil {
+				got = pg[a%pageWords]
+			}
+			if got != m.view[a] {
 				t.Fatalf("after crash %d: view[%d] = %#x, reference %#x", crash, a, got, m.view[a])
 			}
 		}
 	}
-	if h.pimg[1].Load() != nil {
-		t.Fatal("page 1 was never written back to, yet the image materialised it")
+	// Without flushes or evictions every line stays dirty until the crash,
+	// so page 0's slots grow to a page's worth.
+	if mode == ModeEADR && cacheLines == 0 && !sawFull {
+		t.Fatal("page 0 never held pre-images for more than half its lines")
 	}
-	if cacheLines == 0 && mode == ModeADR && frac == 0 && h.pimg[2].Load() != nil {
-		t.Fatal("page 2 was never written back to, yet the image materialised it")
+}
+
+// checkPreImages checks the pre-image tables against the reference:
+// dirty ⇔ pre-image held, where a line that holds none has the zero
+// pre-image. Every pre-image held belongs to a dirty line, is where the
+// index says, holds that line's reference image and is not all zero
+// (those are not kept); the tables' counts add up to Stats().PreImages.
+// With all set it also checks that each index marks exactly its slots,
+// and every line: the dirty bits are the reference's, and a dirty line
+// that holds no pre-image has a zero reference image.
+func checkPreImages(h *Heap, m *flatModel, all bool) error {
+	held, kept := int64(0), map[uint64]bool{}
+	table := func(p int, t *preImages) error {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		for s := range t.slots {
+			i := uint64(t.slots[s].line)
+			l := uint64(p)*pageLines + i
+			if all {
+				kept[l] = true
+			}
+			w, img := &t.slots[s].words, m.img[l*LineWords:][:LineWords]
+			switch {
+			case t.find(i) != w:
+				return fmt.Errorf("line %d: its pre-image is in slot %d, the index says %d", l, s, int(t.index[i])-1)
+			case !h.dirty.test(l):
+				return fmt.Errorf("clean line %d holds a pre-image", l)
+			case *w == [LineWords]uint64{}:
+				return fmt.Errorf("line %d holds an all-zero pre-image", l)
+			case [LineWords]uint64(img) != *w:
+				return fmt.Errorf("line %d: pre-image %#x, reference image %#x", l, *w, img)
+			}
+		}
+		indexed := len(t.slots)
+		if all {
+			indexed = 0
+			for _, x := range t.index {
+				if x != 0 {
+					indexed++
+				}
+			}
+		}
+		if indexed != len(t.slots) || cap(t.slots) > pageLines {
+			return fmt.Errorf("page %d: %d lines indexed, %d slots of capacity %d", p, indexed, len(t.slots), cap(t.slots))
+		}
+		held += int64(len(t.slots))
+		return nil
 	}
-	if mode == ModeDRAM {
-		for p := range h.pimg {
-			if h.pimg[p].Load() != nil {
-				t.Fatalf("DRAM crash kept image page %d", p)
+	for p := range h.pre {
+		if t := h.pre[p].Load(); t != nil {
+			if err := table(p, t); err != nil {
+				return err
 			}
 		}
 	}
+	if n := h.stats.preImages.Load(); n != held {
+		return fmt.Errorf("Stats().PreImages = %d, the tables hold %d", n, held)
+	}
+	if !all {
+		return nil
+	}
+	for l := range m.dirty {
+		if d := h.dirty.test(uint64(l)); d != m.dirty[l] {
+			return fmt.Errorf("line %d: dirty %v, reference %v", l, d, m.dirty[l])
+		}
+		if m.dirty[l] && !kept[uint64(l)] && [LineWords]uint64(m.img[l*LineWords:][:LineWords]) != [LineWords]uint64{} {
+			return fmt.Errorf("dirty line %d holds no pre-image, reference image %#x", l, m.img[l*LineWords:][:LineWords])
+		}
+	}
+	return nil
 }
 
 // TestImagePageFirstWriteBackRace has four goroutines flush disjoint lines
@@ -216,10 +305,10 @@ func TestImagePageFirstWriteBackRace(t *testing.T) {
 	}
 }
 
-// TestNewAllocatesTablesOnly pins what paging both copies is for: a fresh
-// heap costs its two page tables and its two line bitsets — no copy of its
-// words, neither a view nothing has stored to nor an image nothing has
-// been written back to.
+// TestNewAllocatesTablesOnly pins what paging the view is for: a fresh
+// heap costs its one page table, one pre-image table pointer per page, its
+// two line bitsets and the Heap itself (its sharded counters), and 4 KiB
+// besides at most — no copy of its words.
 func TestNewAllocatesTablesOnly(t *testing.T) {
 	const words = 1 << 24
 	var before, after runtime.MemStats
@@ -227,9 +316,9 @@ func TestNewAllocatesTablesOnly(t *testing.T) {
 	h := New(Config{Words: words})
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	tables := uint64(2*8*(words/pageWords) + 2*(words/LineWords)/8)
-	if limit := tables*11/10 + 4<<10; got >= limit {
-		t.Fatalf("New(%d words) allocated %d bytes, want < %d (page tables and bitsets: %d)", words, got, limit, tables)
+	tables := uint64(8*(words/pageWords) + 8*(words/pageWords) + 2*(words/LineWords)/8)
+	if limit := tables + uint64(unsafe.Sizeof(Heap{})) + 4<<10; got >= limit {
+		t.Fatalf("New(%d words) allocated %d bytes, want < %d (page tables and bitsets: %d, Heap: %d)", words, got, limit, tables, unsafe.Sizeof(Heap{}))
 	}
 	runtime.KeepAlive(h)
 }

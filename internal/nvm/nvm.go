@@ -6,49 +6,52 @@
 // grouped into 64-byte cache lines and 256-byte "XPLines" (the internal
 // access granularity of first-generation Optane media).
 //
-// Two copies of memory are maintained, each a table of 4096-word (32 KiB)
-// pages:
+// The heap keeps one copy of memory: the volatile view (what the CPU sees
+// through its cache), a table of 4096-word (32 KiB) pages, each
+// materialised by the first store into it (Store, CompareAndSwap, Add) or
+// the first WordPtr. A page that does not exist reads as zero, the state
+// a fresh heap and the media start in, so a heap costs its page tables and
+// line bitsets plus one page per 32 KiB ever stored to (Stats reports the
+// count). View pages stay put for the heap's lifetime (a crash overwrites
+// them in place), so a WordPtr is stable across Crash.
 //
-//   - the volatile view (what the CPU sees through its cache), whose page
-//     is materialised by the first store into it (Store, CompareAndSwap,
-//     Add) or the first WordPtr; and
-//   - the persistent image (what has actually reached the NVM media), whose
-//     page is materialised by the first write-back that lands in it.
+// The persistent image (what has reached the NVM media) is derived, not
+// stored: a clean line's persisted contents are its view, and a dirty
+// line's are its pre-image, the line's contents when it last became dirty,
+// saved at that moment and dropped when the line is written back. A line
+// whose pre-image is all zero (every line the first time it is stored to)
+// saves nothing. So the image costs a 72-byte slot per dirty line that
+// held data, and a 1 KiB index per page stored to (preImages); Stats
+// reports how many lines hold a pre-image now. Both the view and the
+// pre-image tables are ordinary Go memory: the race detector sees atomics
+// only on the Go heap.
 //
-// A page that does not exist reads as zero — the state the media and a
-// fresh heap start in — so a heap costs its page tables and line bitsets
-// plus one page per 32 KiB that was ever stored to, and one more per
-// 32 KiB that was ever persisted; Stats reports both counts. View pages
-// stay put for the heap's lifetime (a crash overwrites them in place), so
-// a WordPtr is stable across Crash. Both tables hold ordinary Go memory:
-// the race detector sees atomics only on the Go heap.
-//
-// Each image page has a mutex. A write-back copies its line under the
-// page's lock and reads the view while holding it, so when two goroutines
-// write one line back at once the copy that lands last carries the newer
-// view: a flush that returned is never undone by an older copy landing
-// after it. The image is read only under the same lock (PersistedLoad) or
-// with the heap quiescent (Crash), so the copy writes it with plain
-// stores; the view is shared with every accessor and stays atomic.
+// Each page has a lock, and a line's dirty bit changes only under it. A
+// store to a clean line takes the lock, saves the pre-image, sets the
+// dirty bit and then stores. A store to a dirty line takes no lock; it
+// checks the dirty bit again after storing, and if a racing write-back
+// cleaned the line meanwhile (so the store may have reached the media
+// with it) it saves a new pre-image, which holds the store. A write-back
+// clears the dirty bit and drops the pre-image under the lock, and
+// PersistedLoad reads under it.
 //
 // Stores update only the volatile view and mark the containing cache line
 // dirty. A line reaches the persistent image when it is explicitly flushed
 // (Flush, modeling clwb/clflushopt) or when the simulated cache evicts it in
-// an unpredictable order (modeling capacity write-back). Crash discards the
-// volatile view and resurrects the persistent image (zeroes where the
-// image has no page), so software layered on this package observes exactly
-// the post-crash states that make persistent programming hard: the gap
-// between point of visibility and point of persistence, and out-of-order
-// line write-back.
+// an unpredictable order (modeling capacity write-back). Crash puts each
+// dirty line's pre-image back into the view, so software layered on this
+// package observes exactly the post-crash states that make persistent
+// programming hard: the gap between point of visibility and point of
+// persistence, and out-of-order line write-back.
 //
 // Three modes are supported:
 //
 //   - ModeADR: volatile cache; flush+fence required for durability.
 //   - ModeEADR: persistent cache (Intel eADR); every store is durable at the
 //     point of visibility, flushes are performance hints only.
-//   - ModeDRAM: plain DRAM; nothing survives a crash (the image's pages
-//     are dropped wholesale). Used for transient baselines so that all
-//     structures share one memory substrate.
+//   - ModeDRAM: plain DRAM; nothing survives a crash (the view is zeroed).
+//     Used for transient baselines so that all structures share one memory
+//     substrate.
 //
 // An optional latency model charges calibrated busy-wait delays for cache
 // misses, write-backs, flushes and fences, reproducing the ~3x read and
@@ -172,12 +175,11 @@ type Config struct {
 // may be shared freely between goroutines.
 type Heap struct {
 	cfg   Config
-	words int                    // heap size in words
-	view  []atomic.Pointer[page] // volatile view (CPU perspective), by page
-	pimg  []atomic.Pointer[page] // persistent image (media perspective), by page
-	imgMu []sync.Mutex           // per image page: write-backs and PersistedLoad
+	words int                         // heap size in words
+	view  []atomic.Pointer[page]      // volatile view (CPU perspective), by page
+	pre   []atomic.Pointer[preImages] // per page: its lock and its dirty lines' pre-images
 
-	dirty  bitset // lines with volatile contents newer than the media
+	dirty  bitset // lines whose persisted contents are their pre-image, not the view
 	cached bitset // lines currently resident in the simulated cache
 
 	residentLines atomic.Int64 // approximate count of cached lines
@@ -267,7 +269,8 @@ func (h *Heap) firePersist(p PersistPoint, a Addr) {
 }
 
 // New creates a heap of the configured size. The heap starts zeroed, with
-// the zero state already persistent.
+// the zero state already persistent; New allocates the page tables and the
+// line bitsets, and no page (see the package doc).
 func New(cfg Config) *Heap {
 	if cfg.Words < RootWords {
 		cfg.Words = RootWords
@@ -285,8 +288,7 @@ func New(cfg Config) *Heap {
 		cfg:      cfg,
 		words:    cfg.Words,
 		view:     make([]atomic.Pointer[page], pages),
-		pimg:     make([]atomic.Pointer[page], pages),
-		imgMu:    make([]sync.Mutex, pages),
+		pre:      make([]atomic.Pointer[preImages], pages),
 		dirty:    newBitset(lines),
 		cached:   newBitset(lines),
 		evictRNG: rand.New(rand.NewPCG(seed, seed^0xda942042e4dd58b5)),
@@ -306,7 +308,7 @@ func (h *Heap) Mode() Mode { return h.cfg.Mode }
 // Stats returns a snapshot of the heap's event counters.
 func (h *Heap) Stats() StatsSnapshot {
 	st := h.stats.snapshot()
-	st.ViewPages, st.ImagePages = countPages(h.view), countPages(h.pimg)
+	st.ViewPages = countPages(h.view)
 	return st
 }
 
@@ -373,9 +375,11 @@ func (h *Heap) evictSome() {
 			}
 			h.residentLines.Add(-1)
 			evicted++
-			if h.dirty.testAndClear(l) {
+			if h.dirty.test(l) {
 				h.firePersist(PointWriteBack, Addr(l*LineWords))
-				h.writeBackLine(l, true)
+				if h.cleanLine(l) {
+					h.chargeWriteBack(l, true)
+				}
 			}
 		}
 		if evicted == 0 {
@@ -387,24 +391,22 @@ func (h *Heap) evictSome() {
 	}
 }
 
-// pageWords is the granularity at which both copies of memory are
-// materialised: 4096 words, 32 KiB — one palloc slab, a whole number of
-// lines and XPLines.
+// pageWords is the granularity at which the view is materialised: 4096
+// words, 32 KiB — one palloc slab, a whole number of lines and XPLines.
+// It is also the span of one lock and one pre-image table.
 const pageWords = 4096
 
 type page [pageWords]uint64
 
-// materialise returns the page of table tbl holding word a, creating it
-// zeroed — the value a page that does not exist reads as — on first use.
-// First touches race here (concurrent first stores into a view page;
-// recovery workers, the flusher and capacity evictions writing back into
-// an image page); the CAS picks one page and every racer uses the winner.
-func materialise(tbl []atomic.Pointer[page], a uint64) *page {
-	slot := &tbl[a/pageWords]
+// materialise returns *slot, creating it zeroed on first use: a view page
+// (zero is what a page that does not exist reads as) or a page's
+// pre-image table. First touches race here (concurrent first stores into
+// a page); the CAS picks one and every racer uses the winner.
+func materialise[T any](slot *atomic.Pointer[T]) *T {
 	if pg := slot.Load(); pg != nil {
 		return pg
 	}
-	slot.CompareAndSwap(nil, new(page))
+	slot.CompareAndSwap(nil, new(T))
 	return slot.Load()
 }
 
@@ -419,26 +421,69 @@ func countPages(tbl []atomic.Pointer[page]) int64 {
 	return n
 }
 
-// persistLine copies line l from the volatile view to the persistent
-// image: the one place a word reaches the media. It reads the view under
-// the image page's lock (package doc), so a line whose dirty bit a flush
-// cleared ends up in the image at least as new as the view was then.
-func (h *Heap) persistLine(l uint64) {
-	base := l * LineWords
-	src := materialise(h.view, base)[base%pageWords:][:LineWords]
-	mu := &h.imgMu[base/pageWords]
-	mu.Lock()
-	dst := materialise(h.pimg, base)[base%pageWords:][:LineWords]
-	for i := range src {
-		dst[i] = atomic.LoadUint64(&src[i])
+// capture makes line l, which was clean when its caller looked, dirty:
+// it takes the page's lock and, should the line still be clean, saves the
+// line's contents as its pre-image and sets the dirty bit. A store checks
+// the dirty bit and calls it before it stores, so the pre-image cannot
+// hold the store, and again after, so a line that a racing write-back
+// cleaned (with or without the store) is dirty again over a pre-image that
+// holds it (package doc). The check stays at the call sites, where it
+// inlines; the line's page exists, since the store materialised it.
+func (h *Heap) capture(l uint64) {
+	t := materialise(&h.pre[l*LineWords/pageWords])
+	t.mu.Lock()
+	if !h.dirty.test(l) {
+		h.save(t, l, readLine(h.view[l*LineWords/pageWords].Load(), l))
+		h.dirty.set(l)
 	}
-	mu.Unlock()
+	t.mu.Unlock()
 }
 
-// writeBackLine copies one cache line from the volatile view to the
-// persistent image and charges media-write accounting.
-func (h *Heap) writeBackLine(l uint64, eviction bool) {
-	h.persistLine(l)
+// save keeps w, line l's persisted contents, as its pre-image in t, whose
+// lock the caller holds. An all-zero pre-image takes no slot.
+func (h *Heap) save(t *preImages, l uint64, w [LineWords]uint64) {
+	if w != ([LineWords]uint64{}) {
+		t.put(pageLine(l), &w)
+		h.stats.preImages.Add(l, 1)
+	}
+}
+
+// readLine reads line l of view page pg.
+func readLine(pg *page, l uint64) (w [LineWords]uint64) {
+	src := pg[l*LineWords%pageWords:][:LineWords]
+	for i := range w {
+		w[i] = atomic.LoadUint64(&src[i])
+	}
+	return w
+}
+
+// cleanLine writes line l back, if it is dirty: under its page's lock it
+// clears the dirty bit and drops the pre-image, which makes the view the
+// line's persisted contents. It reports whether the line was dirty; a
+// write-back's charges are the caller's (chargeWriteBack, flushLine).
+func (h *Heap) cleanLine(l uint64) bool {
+	if !h.dirty.test(l) {
+		return false
+	}
+	t := h.pre[l*LineWords/pageWords].Load() // a dirty line's page has one
+	t.mu.Lock()
+	was := h.cleanLocked(t, l)
+	t.mu.Unlock()
+	return was
+}
+
+// cleanLocked is cleanLine with line l's page lock, t's, held.
+func (h *Heap) cleanLocked(t *preImages, l uint64) bool {
+	was := h.dirty.testAndClear(l)
+	if was && t.drop(pageLine(l)) {
+		h.stats.preImages.Add(l, -1)
+	}
+	return was
+}
+
+// chargeWriteBack charges the media-write accounting of one line written
+// back on its own (cleanLine).
+func (h *Heap) chargeWriteBack(l uint64, eviction bool) {
 	h.stats.lineWritebacks.Add(l, 1)
 	if eviction {
 		h.stats.evictions.Add(l, 1)
@@ -474,20 +519,48 @@ func (h *Heap) Store(a Addr, v uint64) {
 	l := a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	atomic.StoreUint64(&materialise(h.view, uint64(a))[a%pageWords], v)
-	h.dirty.set(l)
+	pg := materialise(&h.view[a/pageWords])
+	if !h.dirty.test(l) {
+		h.capture(l) // before the store: the pre-image cannot hold it
+	}
+	atomic.StoreUint64(&pg[a%pageWords], v)
+	if !h.dirty.test(l) {
+		h.capture(l) // a racing write-back cleaned the line
+	}
 	h.fireStore(a)
 }
 
-// CompareAndSwap atomically replaces the word at a if it equals old.
+// CompareAndSwap atomically replaces the word at a if it equals old. A
+// swap that fails leaves a clean line clean.
 func (h *Heap) CompareAndSwap(a Addr, old, new uint64) bool {
 	h.check(a)
 	l := a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	ok := atomic.CompareAndSwapUint64(&materialise(h.view, uint64(a))[a%pageWords], old, new)
+	pg := materialise(&h.view[a/pageWords])
+	w := &pg[a%pageWords]
+	var ok bool
+	if h.dirty.test(l) {
+		if ok = atomic.CompareAndSwapUint64(w, old, new); ok && !h.dirty.test(l) {
+			h.capture(l)
+		}
+	} else {
+		// capture's protocol, with the swap inside the lock: the
+		// pre-image is kept only if the swap stored.
+		t := materialise(&h.pre[a/pageWords])
+		t.mu.Lock()
+		clean := !h.dirty.test(l)
+		var pre [LineWords]uint64
+		if clean {
+			pre = readLine(pg, l)
+		}
+		if ok = atomic.CompareAndSwapUint64(w, old, new); ok && clean {
+			h.save(t, l, pre)
+			h.dirty.set(l)
+		}
+		t.mu.Unlock()
+	}
 	if ok {
-		h.dirty.set(l)
 		h.fireStore(a)
 	}
 	return ok
@@ -499,8 +572,14 @@ func (h *Heap) Add(a Addr, delta uint64) uint64 {
 	l := a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	v := atomic.AddUint64(&materialise(h.view, uint64(a))[a%pageWords], delta)
-	h.dirty.set(l)
+	pg := materialise(&h.view[a/pageWords])
+	if !h.dirty.test(l) {
+		h.capture(l)
+	}
+	v := atomic.AddUint64(&pg[a%pageWords], delta)
+	if !h.dirty.test(l) {
+		h.capture(l)
+	}
 	h.fireStore(a)
 	return v
 }
@@ -509,13 +588,14 @@ func (h *Heap) Add(a Addr, delta uint64) uint64 {
 // page; the pointer is stable for the heap's lifetime, crashes included.
 // It lets the HTM simulator address heap words and plain Go words
 // uniformly. The pointer is for reading: a store through it would bypass
-// the dirty-line accounting, so writers use Store (as htm's commit does).
+// the dirty bit and the pre-image it guards, so writers use Store (as
+// htm's commit does).
 func (h *Heap) WordPtr(a Addr) *uint64 {
 	h.check(a)
-	return &materialise(h.view, uint64(a))[a%pageWords]
+	return &materialise(&h.view[a/pageWords])[a%pageWords]
 }
 
-// Flush writes the cache line containing a back to the persistent image
+// Flush writes the cache line containing a back to the persistent media
 // (modeling clwb). Like clwb on the evaluation machine described in the
 // paper, it also invalidates the line, so the next access is a miss.
 // In ModeDRAM it is a no-op.
@@ -535,8 +615,8 @@ func (h *Heap) Flush(a Addr) {
 	if h.cached.testAndClear(l) {
 		h.residentLines.Add(-1)
 	}
-	if h.dirty.testAndClear(l) {
-		h.writeBackLine(l, false)
+	if h.cleanLine(l) {
+		h.chargeWriteBack(l, false)
 	}
 }
 
@@ -664,20 +744,18 @@ func (h *Heap) flushLine(l uint64, t *flushTally) {
 	if h.cached.testAndClear(l) {
 		h.residentLines.Add(-1)
 	}
-	if !h.dirty.testAndClear(l) {
+	if !h.cleanLine(l) {
 		return
 	}
-	base := l * LineWords
-	h.persistLine(l)
 	t.writebacks++
-	if xp := base / XPLineWords; xp != t.lastXP {
+	if xp := l * LineWords / XPLineWords; xp != t.lastXP {
 		t.lastXP = xp
 		t.mediaWrites++
 	}
 }
 
 // Fence models sfence: it orders prior flushes before subsequent stores.
-// In this simulation flushes reach the persistent image synchronously, so
+// In this simulation flushes reach the persistent media synchronously, so
 // Fence only charges latency and counts the event.
 func (h *Heap) Fence() {
 	if h.cfg.Mode != ModeADR {
@@ -710,12 +788,15 @@ type CrashOptions struct {
 }
 
 // Crash simulates a full-system power failure and restart. All goroutines
-// using the heap must have stopped. In ModeADR, dirty lines are lost except
-// for a random EvictFraction that the cache happened to write back first.
-// In ModeEADR the whole cache drains (persistent cache). In ModeDRAM the
-// heap is zeroed: the image's pages are dropped and the view's zeroed in
-// place. After Crash returns, the volatile view equals the persistent
-// image and recovery code may run.
+// using the heap must have stopped. It visits the dirty lines in ascending
+// order. In ModeADR each is lost, its pre-image put back into the view,
+// except for a random EvictFraction that the cache happened to write back
+// first (each dirty line draws once when EvictFraction > 0); in ModeEADR
+// the whole cache drains (persistent cache), every dirty line written
+// back. In ModeDRAM the view is zeroed. The view is overwritten in place,
+// so WordPtrs stay valid. After Crash returns, no line is dirty, no
+// pre-image table is left, the volatile view is the persistent image and
+// recovery code may run.
 func (h *Heap) Crash(opts CrashOptions) {
 	n := h.crashes.Add(1)
 	seed := opts.Seed
@@ -723,33 +804,30 @@ func (h *Heap) Crash(opts CrashOptions) {
 		seed = uint64(n) * 0x9e3779b97f4a7c15
 	}
 	rng := rand.New(rand.NewPCG(seed, seed^0xbf58476d1ce4e5b9))
-	lines := uint64(h.words / LineWords)
-	switch h.cfg.Mode {
-	case ModeDRAM:
-		for i := range h.pimg {
-			h.pimg[i].Store(nil)
+	for l := uint64(0); l < uint64(h.words/LineWords); l++ {
+		switch {
+		case !h.dirty.test(l):
+		case h.cfg.Mode == ModeDRAM:
+			h.cleanLine(l) // the view is zeroed below
+		case h.cfg.Mode == ModeEADR,
+			opts.EvictFraction > 0 && rng.Float64() < opts.EvictFraction:
+			h.cleanLine(l)
+			h.chargeWriteBack(l, false)
+		default:
+			h.restoreLine(l)
 		}
-		h.restoreView()
-	case ModeEADR:
-		for l := uint64(0); l < lines; l++ {
-			if h.dirty.testAndClear(l) {
-				h.writeBackLine(l, false)
+	}
+	for p := range h.view {
+		// No line is dirty now: the pre-image tables go, and the first
+		// line dirtied after recovery starts its page's table afresh.
+		h.pre[p].Store(nil)
+		if pg := h.view[p].Load(); pg != nil && h.cfg.Mode == ModeDRAM {
+			for i := range pg {
+				atomic.StoreUint64(&pg[i], 0)
 			}
 		}
-		h.restoreView()
-	case ModeADR:
-		for l := uint64(0); l < lines; l++ {
-			if !h.dirty.testAndClear(l) {
-				continue
-			}
-			if opts.EvictFraction > 0 && rng.Float64() < opts.EvictFraction {
-				h.writeBackLine(l, false)
-			}
-		}
-		h.restoreView()
 	}
 	h.cached.clear()
-	h.dirty.clear()
 	h.residentLines.Store(0)
 	// The failure the hook was waiting for has happened; recovery-time
 	// flushes must not re-trigger it.
@@ -757,44 +835,46 @@ func (h *Heap) Crash(opts CrashOptions) {
 	h.storeHook.Store(nil)
 }
 
+// restoreLine is the crash of dirty line l: its pre-image (zero where it
+// saved none) goes back into the view, in place, and the line is clean.
+func (h *Heap) restoreLine(l uint64) {
+	pg := h.view[l*LineWords/pageWords].Load()
+	t := h.pre[l*LineWords/pageWords].Load()
+	t.mu.Lock()
+	var w [LineWords]uint64
+	if p := t.find(pageLine(l)); p != nil {
+		w = *p
+	}
+	dst := pg[l*LineWords%pageWords:][:LineWords]
+	for i := range dst {
+		atomic.StoreUint64(&dst[i], w[i])
+	}
+	h.cleanLocked(t, l)
+	t.mu.Unlock()
+}
+
 // PersistedLoad reads the word at a from the persistent image, bypassing
-// the volatile view. Intended for tests and debugging.
+// the volatile view: a dirty line's pre-image (zero where it saved none),
+// a clean line's view. Intended for tests and debugging.
 func (h *Heap) PersistedLoad(a Addr) uint64 {
 	h.check(a)
-	mu := &h.imgMu[a/pageWords]
-	mu.Lock()
-	defer mu.Unlock()
-	pg := h.pimg[a/pageWords].Load()
+	pg := h.view[a/pageWords].Load()
 	if pg == nil {
-		return 0 // nothing in this page was ever written back
+		return 0 // never stored to: persisted as the zero it started as
 	}
-	return pg[a%pageWords]
+	t := materialise(&h.pre[a/pageWords])
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l := a.Line()
+	if !h.dirty.test(l) {
+		return atomic.LoadUint64(&pg[a%pageWords])
+	}
+	if w := t.find(pageLine(l)); w != nil {
+		return w[a%LineWords]
+	}
+	return 0
 }
 
 // DirtyLine reports whether the line containing a holds volatile data that
-// has not reached the persistent image. Intended for tests.
+// has not reached the persistent media. Intended for tests.
 func (h *Heap) DirtyLine(a Addr) bool { return h.dirty.test(a.Line()) }
-
-// restoreView overwrites the volatile view with the persistent image, the
-// restart half of Crash. View pages are overwritten in place, so WordPtrs
-// stay valid; a page the image never materialised is zero, and a view
-// page is materialised only where the image holds one.
-func (h *Heap) restoreView() {
-	for p := range h.view {
-		img := h.pimg[p].Load()
-		view := h.view[p].Load()
-		if view == nil {
-			if img == nil {
-				continue // zero on both sides
-			}
-			view = materialise(h.view, uint64(p)*pageWords)
-		}
-		for i := range view {
-			var v uint64
-			if img != nil {
-				v = atomic.LoadUint64(&img[i])
-			}
-			atomic.StoreUint64(&view[i], v)
-		}
-	}
-}

@@ -53,6 +53,7 @@ type Stats struct {
 	mediaWrites    counter
 	mediaBytes     counter
 	usefulBytes    counter
+	preImages      counter // a gauge: lines holding a pre-image now
 }
 
 // StatsSnapshot is a point-in-time copy of the heap counters.
@@ -63,15 +64,15 @@ type StatsSnapshot struct {
 	Flushes        int64 // explicit line flushes (clwb)
 	Fences         int64 // store fences (sfence)
 	Evictions      int64 // capacity evictions of resident lines
-	LineWritebacks int64 // 64-byte lines copied to the persistent image
+	LineWritebacks int64 // 64-byte lines written back to the persistent media
 	MediaWrites    int64 // 256-byte XPLine writes at the media
 	MediaBytes     int64 // bytes written at the media (XPLine granularity)
 	UsefulBytes    int64 // bytes of actual payload written back
 
-	// Gauges, not counters: the 32 KiB pages of each copy of memory that
-	// exist now (see the package doc). Sub keeps the later snapshot's.
-	ViewPages  int64 // volatile-view pages materialised by a store or WordPtr
-	ImagePages int64 // persistent-image pages materialised by a write-back
+	// Gauges, not counters (see the package doc). Sub keeps the later
+	// snapshot's.
+	ViewPages int64 // 32 KiB view pages materialised by a store or WordPtr
+	PreImages int64 // dirty lines holding a saved pre-image (not all zero)
 }
 
 // WriteAmplification is the ratio of media bytes written to useful payload
@@ -100,7 +101,7 @@ func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 		MediaBytes:     s.MediaBytes - prev.MediaBytes,
 		UsefulBytes:    s.UsefulBytes - prev.UsefulBytes,
 		ViewPages:      s.ViewPages,
-		ImagePages:     s.ImagePages,
+		PreImages:      s.PreImages,
 	}
 }
 
@@ -119,5 +120,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		MediaWrites:    s.mediaWrites.Load(),
 		MediaBytes:     s.mediaBytes.Load(),
 		UsefulBytes:    s.usefulBytes.Load(),
+		PreImages:      s.preImages.Load(),
 	}
 }

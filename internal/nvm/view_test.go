@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// TestViewPagesFollowStores: a fresh heap has no page of either copy; a
-// page of the view appears with the first Store, CompareAndSwap, Add or
-// WordPtr into it, and one of the image with the first write-back into
-// it. Loads materialise nothing and read zero.
+// TestViewPagesFollowStores: a fresh heap has no view page; one appears
+// with the first Store, CompareAndSwap, Add or WordPtr into it. Loads
+// materialise nothing and read zero. A line saves a pre-image only when a
+// store dirties it over persisted contents that are not all zero, and
+// drops it when it is written back.
 func TestViewPagesFollowStores(t *testing.T) {
 	h := New(Config{Words: 8 * pageWords})
-	pages := func() (view, image int64) {
+	pages := func() (view, pre int64) {
 		st := h.Stats()
-		return st.ViewPages, st.ImagePages
+		return st.ViewPages, st.PreImages
 	}
 	for a := Addr(0); a < Addr(h.Words()); a += 61 {
 		if v := h.Load(a); v != 0 {
@@ -22,7 +23,7 @@ func TestViewPagesFollowStores(t *testing.T) {
 		}
 	}
 	if v, i := pages(); v != 0 || i != 0 {
-		t.Fatalf("loads of a fresh heap materialised %d view and %d image pages", v, i)
+		t.Fatalf("loads of a fresh heap: %d view pages and %d pre-images", v, i)
 	}
 	h.Store(1*pageWords+5, 1)
 	h.Store(1*pageWords+900, 2) // same page
@@ -30,43 +31,66 @@ func TestViewPagesFollowStores(t *testing.T) {
 	h.Add(5*pageWords+17, 4)
 	_ = h.WordPtr(7*pageWords - 1)
 	if v, i := pages(); v != 4 || i != 0 {
-		t.Fatalf("stores into 4 pages: %d view and %d image pages, want 4 and 0", v, i)
+		t.Fatalf("first stores into 4 pages: %d view pages and %d pre-images, want 4 and 0", v, i)
 	}
 	h.Persist(1*pageWords + 5)
 	h.FlushRange(5*pageWords, LineWords*4)
+	h.Store(1*pageWords+6, 5) // dirties a persisted line
+	h.Add(5*pageWords+17, 1)
+	h.Store(1*pageWords+900, 6) // still dirty: no second pre-image
 	if v, i := pages(); v != 4 || i != 2 {
-		t.Fatalf("write-backs into 2 pages: %d view and %d image pages, want 4 and 2", v, i)
+		t.Fatalf("stores to 2 written-back lines: %d view pages and %d pre-images, want 4 and 2", v, i)
 	}
-	for a, want := range map[Addr]uint64{1*pageWords + 5: 1, 1*pageWords + 900: 2, 3 * pageWords: 3, 5*pageWords + 17: 4, 2 * pageWords: 0} {
+	if got := h.PersistedLoad(1*pageWords + 5); got != 1 {
+		t.Fatalf("PersistedLoad of a dirty line's word = %d, want its pre-image's 1", got)
+	}
+	h.Persist(1*pageWords + 6)
+	if v, i := pages(); v != 4 || i != 1 {
+		t.Fatalf("one of them written back: %d view pages and %d pre-images, want 4 and 1", v, i)
+	}
+	for a, want := range map[Addr]uint64{1*pageWords + 5: 1, 1*pageWords + 6: 5, 1*pageWords + 900: 6, 3 * pageWords: 3, 5*pageWords + 17: 5, 2 * pageWords: 0} {
 		if got := h.Load(a); got != want {
 			t.Fatalf("Load(%d) = %d, want %d", a, got, want)
 		}
 	}
 }
 
-// TestCrashMaterialisesOnlyImagePages: restoring the view after a crash
-// overwrites the view's pages in place and creates none the image does not
-// hold: a page only the view had reads zero again, and a page neither copy
-// had stays unmaterialised. ModeDRAM drops every image page and zeroes the
-// view's in place.
+// TestCrashMaterialisesOnlyImagePages: a crash restores the persisted
+// image into the view's pages in place and materialises no page: a page
+// whose words were all lost reads zero again, and a page nothing stored to
+// stays unmaterialised. A lost line that held data before it was dirtied
+// gets its pre-image back, and no pre-image table outlives the crash. ModeDRAM
+// zeroes the view in place.
 func TestCrashMaterialisesOnlyImagePages(t *testing.T) {
 	for _, mode := range []Mode{ModeADR, ModeEADR, ModeDRAM} {
 		t.Run(mode.String(), func(t *testing.T) {
 			h := New(Config{Words: 8 * pageWords, Mode: mode})
 			h.Store(2*pageWords+8, 7)
 			h.Persist(2*pageWords + 8)
+			h.Store(2*pageWords+9, 8) // dirties the persisted line again
 			h.Store(4*pageWords+8, 9) // never flushed
+			if st := h.Stats(); st.PreImages != 1 && mode == ModeADR {
+				t.Fatalf("before the crash: %d pre-images, want 1", st.PreImages)
+			}
 			h.Crash(CrashOptions{})
 			st := h.Stats()
-			wantImage, wantPersisted, wantLost := int64(1), uint64(7), uint64(0)
+			wantPersisted, wantLost, wantSecond := uint64(7), uint64(0), uint64(0)
 			switch mode {
 			case ModeEADR:
-				wantImage, wantLost = 2, 9 // the cache drains at the crash
+				wantLost, wantSecond = 9, 8 // the cache drains at the crash
 			case ModeDRAM:
-				wantImage, wantPersisted = 0, 0
+				wantPersisted = 0
 			}
-			if st.ViewPages != 2 || st.ImagePages != wantImage {
-				t.Fatalf("after the crash: %d view and %d image pages, want 2 and %d", st.ViewPages, st.ImagePages, wantImage)
+			if st.ViewPages != 2 || st.PreImages != 0 {
+				t.Fatalf("after the crash: %d view pages and %d pre-images, want 2 and 0", st.ViewPages, st.PreImages)
+			}
+			for p := range h.pre {
+				if h.pre[p].Load() != nil {
+					t.Fatalf("page %d's pre-image table outlived the crash", p)
+				}
+			}
+			if got := h.Load(2*pageWords + 9); got != wantSecond {
+				t.Fatalf("the store over a persisted line reads %d after the crash, want %d", got, wantSecond)
 			}
 			if got := h.Load(2*pageWords + 8); got != wantPersisted {
 				t.Fatalf("persisted word reads %d after the crash, want %d", got, wantPersisted)

@@ -281,10 +281,12 @@ func (t *Table) splitLocked(h uint64) {
 			t.doubleDir(dir, gd)
 			continue
 		}
-		// Split seg into two at depth ld+1.
+		// Split seg into two at depth ld+1. An entry keeps its bucket
+		// index (the top hash bits), so a child bucket receives only the
+		// entries of the parent's bucket of the same index: at most
+		// slotsPerBucket, and it always has room.
 		s0 := &segment{localDepth: ld + 1}
 		s1 := &segment{localDepth: ld + 1}
-		overflow := false
 		for i := 0; i < segSlots; i++ {
 			sv := atomic.LoadUint64(&seg.slots[i])
 			if sv == 0 {
@@ -297,27 +299,14 @@ func (t *Table) splitLocked(h uint64) {
 				dst = s1
 			}
 			bkt := int(kh >> 56 & (bucketsPerSeg - 1))
-			placed := false
-			for s := 0; s < slotsPerBucket; s++ {
-				if dst.slots[bkt*slotsPerBucket+s] == 0 {
-					dst.slots[bkt*slotsPerBucket+s] = sv
-					placed = true
-					break
-				}
+			s := 0
+			for s < slotsPerBucket && dst.slots[bkt*slotsPerBucket+s] != 0 {
+				s++
 			}
-			if !placed {
-				overflow = true
-				break
+			if s == slotsPerBucket {
+				panic(fmt.Sprintf("spash: split: child bucket %d is full, yet it receives only its parent bucket's %d entries", bkt, slotsPerBucket))
 			}
-		}
-		if overflow {
-			// Rare: one child bucket still overflows. Publish the split
-			// anyway is impossible (data dropped), so instead double and
-			// retry at a deeper level by treating the child as full.
-			// Simplest correct strategy: raise the global depth and try
-			// again — eventually the hash bits separate the keys.
-			t.doubleDir(dir, gd)
-			continue
+			dst.slots[bkt*slotsPerBucket+s] = sv
 		}
 		newSegs := make([]*segment, len(segs), len(segs)+2)
 		copy(newSegs, segs)

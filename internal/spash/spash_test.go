@@ -77,6 +77,46 @@ func TestSplitsAndDoubling(t *testing.T) {
 	}
 }
 
+// TestSplitPlacesEveryEntry fills every bucket of one segment, splits it,
+// and checks that every entry lands: a child bucket receives only the
+// entries of its parent's bucket of the same index, so it never overflows
+// (splitLocked panics if one does).
+func TestSplitPlacesEveryEntry(t *testing.T) {
+	_, _, tab, w := newBD(t, 1<<20)
+	const seg = 3 // of the initial 2^4
+	var perBucket [bucketsPerSeg]int
+	var keys []uint64
+	for k := uint64(1); len(keys) < segSlots; k++ {
+		h := hash64(k)
+		if b := h >> 56 & (bucketsPerSeg - 1); h&(1<<4-1) == seg && perBucket[b] < slotsPerBucket {
+			perBucket[b]++
+			keys = append(keys, k)
+			tab.Insert(w, k, k*7)
+		}
+	}
+	if st := tab.Stats(); st.Splits != 0 {
+		t.Fatalf("filling one segment split %d times, want 0", st.Splits)
+	}
+	full, _ := tab.locate(hash64(keys[0]))
+	for i, sv := range full.slots {
+		if sv == 0 {
+			t.Fatalf("slot %d of the filled segment is empty", i)
+		}
+	}
+	tab.split(hash64(keys[0]))
+	if st := tab.Stats(); st.Splits == 0 {
+		t.Fatal("splitting a full segment did not split")
+	}
+	if tab.Len() != segSlots {
+		t.Fatalf("Len = %d after the split, want %d", tab.Len(), segSlots)
+	}
+	for _, k := range keys {
+		if v, ok := tab.Get(k); !ok || v != k*7 {
+			t.Fatalf("Get(%d) = %d,%v after the split", k, v, ok)
+		}
+	}
+}
+
 func TestModelEquivalenceBD(t *testing.T) {
 	_, sys, tab, w := newBD(t, 1<<22)
 	model := make(map[uint64]uint64)
