@@ -11,22 +11,23 @@
 // load reads one bucket line, not the whole window.
 // Every operation has one body, which epoch.Worker.Run attempts as a
 // hardware transaction and, after repeated aborts, runs as a slow-path
-// session; it brackets itself with BeginOp/EndOp, and follows the epoch
-// discipline:
+// session. A write is one epoch.Op, the Listing-1 bracket the epoch
+// package writes once for every buffered structure; this file holds only
+// the probe and the slot stores. Listing 1's lines map to it so:
 //
-//   - a preallocated NVM block (with invalid epoch) is kept per worker so
-//     that allocation never happens inside the transaction;
-//   - the block is stamped with the operation's epoch inside the
-//     transaction, by the branch that links it and only by that branch
-//     (a stamped block the transaction did not link is a phantom insert
-//     at recovery);
-//   - a block from an older epoch is replaced out-of-place and retired;
-//     a block from the *current* epoch is updated in place (pSet) and
-//     tracked again;
-//   - finding a block from a *newer* epoch aborts with OldSeeNewCode and
-//     restarts the operation in the current epoch;
-//   - persistence (PTrack) and reclamation (PRetire) happen after the
-//     transaction commits.
+//   - BeginOp, line 10 (preallocate outside the transaction with an
+//     invalid epoch) and line 12 (initialise): Worker.BeginInsert, whose
+//     spare block is the worker's, so allocation never happens inside the
+//     transaction;
+//   - lines 17-37 (the transaction: search, then link or update): Op.Run
+//     runs insertBody or Remove's body; the probe is here, and each
+//     decision is one Op method — Link for an empty slot (the absence is
+//     checked against newer removals, the spare stamped, line 17), Revise
+//     for a found key (lines 21-29: a newer block aborts with
+//     OldSeeNewCode, a current-epoch block is updated in place, an older
+//     one replaced by the stamped spare), Unlink and Absent for a removal;
+//   - the OldSeeNewException handler (restart in the current epoch): Op.Run;
+//   - PTrack/PRetire after the commit, then EndOp: Op.End.
 //
 // After a crash, the DRAM index is rebuilt by scanning recovered blocks.
 package bdhash
@@ -59,6 +60,9 @@ const (
 	// may run through it: not empty, so probes go on past it, and free to
 	// an insert. No block lives at address 1, so it is never a slot word.
 	tomb = 1
+
+	// fullCode aborts an insert whose probe window has no free slot.
+	fullCode uint8 = 0xB1
 )
 
 // Table is a buffered-durable hash table mapping uint64 keys to uint64
@@ -73,17 +77,6 @@ type Table struct {
 	slots    []uint64
 
 	count atomic.Int64
-
-	// removals guards the empty-slot insert path against acting on an
-	// absence created by a newer-epoch removal (see epoch.RemovalStamps).
-	removals epoch.RemovalStamps
-
-	perW []wstate
-}
-
-type wstate struct {
-	prealloc epoch.Block
-	_        [6]uint64
 }
 
 // New creates a table with capacity for roughly `capacity` keys (sized to
@@ -101,7 +94,6 @@ func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 		tag:      tag,
 		nBuckets: nBuckets,
 		slots:    make([]uint64, nBuckets*BucketSize),
-		perW:     make([]wstate, sys.MaxWorkers()),
 	}
 	epoch.OnCrash(sys, t, (*Table).dropIndex)
 	return t
@@ -145,64 +137,29 @@ func slotWord(b epoch.Block, fp uint64) uint64 { return uint64(b.Addr()) | fp }
 // Len returns the number of keys in the table.
 func (t *Table) Len() int { return int(t.count.Load()) }
 
-// insertOutcome captures the decisions made inside one transaction
-// attempt so they can be applied after commit.
-type insertOutcome struct {
-	usedPrealloc bool
-	retire       epoch.Block
-	persist      epoch.Block
-	replaced     bool
-	full         bool
-}
-
 // Insert adds or updates a key (upsert). It reports whether an existing
 // value was replaced. Insert panics if the probe window is exhausted —
 // size the table for the expected key population.
 func (t *Table) Insert(w *epoch.Worker, k, v uint64) bool {
-	ws := &t.perW[w.ID()]
-retryRegist:
-	opEpoch := w.BeginOp()
-	if ws.prealloc.IsNil() {
-		ws.prealloc = w.NewKV(t.tag) // skip allocation if one is available
-	}
-	newBlk := ws.prealloc
-	newBlk.InitKV(k, v) // initialize block, epoch reset to invalid
-
-	var out insertOutcome
-	res := w.Run(t.tm, func() { t.preWalk(k) }, func(tx *htm.Tx) {
-		t.insertBody(tx, opEpoch, k, v, newBlk, &out)
+	op := w.BeginInsert(t.tag, epoch.KVPayloadWords, k, v)
+	res := op.Run(t.tm, func() { t.preWalk(k) }, func(tx *htm.Tx) {
+		t.insertBody(tx, op, k, v)
 	})
-	if !res.Committed {
-		// OldSeeNewCode, the body's only explicit abort: restart in the
-		// (newer) current epoch.
-		w.AbortOp()
-		goto retryRegist
-	}
-	if out.full {
-		w.AbortOp()
+	if !res.Committed { // fullCode
+		op.Abort()
 		panic(fmt.Sprintf("bdhash: probe window full inserting key %d; table under-sized", k))
 	}
-	if !out.retire.IsNil() {
-		w.PRetire(out.retire)
-	}
-	if !out.persist.IsNil() {
-		w.PTrack(out.persist)
-	}
-	if out.usedPrealloc {
-		ws.prealloc = epoch.Block{}
-	}
-	if !out.replaced {
+	replaced := op.End()
+	if !replaced {
 		t.count.Add(1)
 	}
-	w.EndOp()
-	return out.replaced
+	return replaced
 }
 
 // insertBody is the insert of Listing 1 (lines 17-37), as a transaction or
-// as a session. A failed attempt may have run it to completion (conflicts
-// surface at commit) and a session may restart it, so it resets out first.
-func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) {
-	*out = insertOutcome{}
+// as a session: the probe, with op deciding what a found key or a free
+// slot gets.
+func (t *Table) insertBody(tx *htm.Tx, op *epoch.Op, k, v uint64) {
 	start, fp := t.probe(k)
 	var free *uint64 // the first tombstone or empty slot on the way
 	for i := uint64(0); i < probeSlots; i++ {
@@ -221,40 +178,15 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block,
 		if b.KeyTx(tx) != k {
 			continue
 		}
-		// Found: compare epochs (Listing 1 lines 21-29).
-		be := b.EpochTx(tx)
-		switch {
-		case be > opEpoch:
-			// Never overwrite a newer block from an old epoch.
-			tx.Abort(epoch.OldSeeNewCode)
-		case be < opEpoch:
-			// Out-of-place update: swap in the preallocated block.
-			newBlk.SetEpochTx(tx, opEpoch)
-			tx.Store(sp, slotWord(newBlk, fp))
-			out.retire = b
-			out.persist = newBlk
-			out.usedPrealloc = true
-		default:
-			// Same epoch: in-place update (pSet). The block is tracked in
-			// this epoch already, but an early pass may have written it back
-			// since: track it again, after the commit.
-			b.SetValueTx(tx, v)
-			out.persist = b
+		if nb := op.Revise(tx, b, v); nb != b {
+			tx.Store(sp, slotWord(nb, fp))
 		}
-		out.replaced = true
 		return
 	}
 	if free == nil {
-		out.full = true
-		return
+		tx.Abort(fullCode)
 	}
-	// Fresh insert: no block to epoch-compare, so the absence itself must
-	// be validated against newer removals.
-	t.removals.CheckTx(tx, k, opEpoch)
-	newBlk.SetEpochTx(tx, opEpoch)
-	tx.Store(free, slotWord(newBlk, fp))
-	out.persist = newBlk
-	out.usedPrealloc = true
+	tx.Store(free, slotWord(op.Link(tx, k), fp))
 }
 
 // preWalk touches the key's probe window non-transactionally, the paper's
@@ -310,11 +242,8 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 
 // Remove deletes a key, reporting whether it was present.
 func (t *Table) Remove(w *epoch.Worker, k uint64) bool {
-retryRegist:
-	opEpoch := w.BeginOp()
-	var retire epoch.Block
-	res := w.Run(t.tm, nil, func(tx *htm.Tx) {
-		retire = epoch.Block{}
+	op := w.BeginRemove()
+	op.Run(t.tm, nil, func(tx *htm.Tx) {
 		start, fp := t.probe(k)
 		for i := uint64(0); i < probeSlots; i++ {
 			word := tx.Load(t.slotAt(start + i))
@@ -328,27 +257,16 @@ retryRegist:
 			if b.KeyTx(tx) != k {
 				continue
 			}
-			if b.EpochTx(tx) > opEpoch {
-				tx.Abort(epoch.OldSeeNewCode)
-			}
-			t.removals.RaiseTx(tx, k, opEpoch)
+			op.Unlink(tx, k, b)
 			t.vacate(tx, start+i)
-			retire = b
 			return
 		}
-		// Absent: make sure the absence is not a newer removal's work.
-		t.removals.CheckTx(tx, k, opEpoch)
+		op.Absent(tx, k)
 	})
-	if !res.Committed {
-		w.AbortOp() // OldSeeNewCode: restart in the current epoch
-		goto retryRegist
-	}
-	removed := !retire.IsNil()
+	removed := op.End()
 	if removed {
-		w.PRetire(retire)
 		t.count.Add(-1)
 	}
-	w.EndOp()
 	return removed
 }
 

@@ -1,6 +1,9 @@
 package crashfuzz
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // opRec is one completed write in a concurrent round's history. Gets are
 // not recorded. Timestamps come from a shared atomic counter, so
@@ -61,10 +64,19 @@ func historyWithBaseline(baseline map[uint64]uint64, recs [][]opRec) []opRec {
 // that check, both versions of the key persist and recovery's duplicate
 // detection reports it as a Recover error instead.
 //
+// Epoch order is, however, checked as a property of the history itself,
+// across keys (checkEpochOrder): real-time order implies epoch order, the
+// converse of what the cut may not assume.
+//
 // Strict subjects use the same check with the epoch filter disabled
 // (buffered=false): every completed op is in the cut.
 func checkWindow(history []opRec, persisted uint64, buffered bool, recovered map[uint64]uint64) error {
 	inCut := func(o opRec) bool { return !buffered || o.epoch <= persisted }
+	if buffered {
+		if err := checkEpochOrder(history); err != nil {
+			return err
+		}
+	}
 
 	// after reports whether b can only linearize after a.
 	after := func(b, a opRec) bool { return b.start > a.end }
@@ -134,6 +146,43 @@ func checkWindow(history []opRec, persisted uint64, buffered bool, recovered map
 				return fmt.Errorf("key %d absent after recovery, but insert of %d (epoch %d) is inside the epoch-%d cut with no possible later remove",
 					k, ins.v, ins.epoch, persisted)
 			}
+		}
+	}
+	return nil
+}
+
+// checkEpochOrder requires e(o1) <= e(o2) for every pair of effectful ops
+// with o1.end < o2.start, whatever their keys. That holds of any correct
+// buffered history: o2 begins by reading the global epoch clock after o1
+// ended, when the clock had already reached the epoch o1 read, and the
+// clock only grows. A violation means an operation reported — or ran in — an
+// epoch older than one already observed: an epoch cached from an earlier
+// operation, which the per-key check cannot see when the keys differ.
+func checkEpochOrder(history []opRec) error {
+	ops := make([]opRec, 0, len(history))
+	for _, o := range history {
+		if o.effectful() {
+			ops = append(ops, o)
+		}
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i].end < ops[j].end })
+	// newest[i] is the op of highest epoch among ops[:i+1].
+	newest := make([]int, len(ops))
+	for i := range ops {
+		newest[i] = i
+		if i > 0 && ops[newest[i-1]].epoch > ops[i].epoch {
+			newest[i] = newest[i-1]
+		}
+	}
+	for _, o2 := range ops {
+		// ops[:n] are the ops that ended before o2 started.
+		n := sort.Search(len(ops), func(i int) bool { return ops[i].end >= o2.start })
+		if n == 0 {
+			continue
+		}
+		if o1 := ops[newest[n-1]]; o1.epoch > o2.epoch {
+			return fmt.Errorf("epoch order: op on key %d ended (t=%d) in epoch %d before op on key %d started (t=%d) in older epoch %d",
+				o1.k, o1.end, o1.epoch, o2.k, o2.start, o2.epoch)
 		}
 	}
 	return nil

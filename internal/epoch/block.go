@@ -112,14 +112,6 @@ func (w *Worker) NewKV(tag uint8) Block {
 	return w.PNew(KVPayloadWords, tag)
 }
 
-// InitKV initializes a preallocated, not-yet-visible KV block
-// non-transactionally (Listing 1 line 12) and resets its epoch to invalid.
-func (b Block) InitKV(key, value uint64) {
-	b.ResetEpoch()
-	b.Store(0, key)
-	b.Store(1, value)
-}
-
 // Key reads the key non-transactionally.
 func (b Block) Key() uint64 { return b.Load(0) }
 

@@ -91,7 +91,7 @@ func TestAbortOpKeepsEarlyPassesOut(t *testing.T) {
 	putKV(w, 1, 10)
 	w.BeginOp()
 	b := w.NewKV(0)
-	b.InitKV(3, 30)
+	initKV(b, 3, 30)
 	w.PTrack(b)
 	s.FlushEarly() // mid-operation: the tracking is not published yet
 	w.AbortOp()
@@ -221,7 +221,7 @@ func TestEarlyPassesRaceTrackingAndTasks(t *testing.T) {
 					want[g][k] = i
 				default:
 					nb := w.NewKV(0)
-					nb.InitKV(k, i)
+					initKV(nb, k, i)
 					hdr := s.alloc.ReadHeader(nb.Addr())
 					hdr.Epoch = e
 					s.alloc.WriteHeader(nb.Addr(), hdr)

@@ -35,8 +35,17 @@
 //     retire journal (journal.go), not as a write-back of the retired
 //     block's header;
 //   - updating a block that a later epoch already modified is forbidden —
-//     structures abort with ErrOldSeeNew (the OldSeeNewException) and
-//     restart in the current epoch.
+//     the operation aborts with OldSeeNewCode (the OldSeeNewException) and
+//     restarts in the current epoch.
+//
+// The paper's Table 2 API is the Worker's: BeginOp/EndOp/AbortOp bracket
+// an operation, PNew/PTrack/PRetire/PDelete manage blocks. The structures
+// do not call it directly. Listing 1 — preallocate, stamp inside the
+// transaction, compare epochs, restart on OldSeeNew, track and retire
+// after the commit — is written once, as Op (op.go): a buffered structure
+// begins a write with Worker.BeginInsert or BeginRemove, runs its body
+// with Op.Run, reports inside it what it found (Link, Revise, Unlink,
+// Absent) and ends with Op.End.
 package epoch
 
 import (
@@ -272,6 +281,10 @@ type System struct {
 	// The DRAM indexes a crash drops (OnCrash), each held weakly.
 	crashMu    sync.Mutex
 	crashHooks []func()
+
+	// removals guards every absence an operation acts on against a newer
+	// epoch's removal (removal.go, Op).
+	removals removalStamps
 }
 
 // newSystem builds the in-DRAM skeleton shared by New and Recover; the

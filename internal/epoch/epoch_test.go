@@ -19,6 +19,14 @@ func newManual(t *testing.T, words int) (*nvm.Heap, *System) {
 	return h, s
 }
 
+// initKV initializes a preallocated, not-yet-visible KV block outside any
+// transaction, with an invalid epoch (Listing 1 line 12).
+func initKV(b Block, key, value uint64) {
+	b.ResetEpoch()
+	b.Store(0, key)
+	b.Store(1, value)
+}
+
 // putKV performs one complete BDL insert of a KV block and returns it.
 func putKV(w *Worker, key, value uint64) Block { return putTagged(w, 0, key, value) }
 
@@ -26,7 +34,7 @@ func putKV(w *Worker, key, value uint64) Block { return putTagged(w, 0, key, val
 func putTagged(w *Worker, tag uint8, key, value uint64) Block {
 	e := w.BeginOp()
 	b := w.NewKV(tag)
-	b.InitKV(key, value)
+	initKV(b, key, value)
 	// Stamp the epoch (normally done inside the HTM transaction that
 	// links the block; direct store is fine for a not-yet-visible block).
 	hdr := palloc.UnpackHeader(w.sys.heap.Load(b.addr))
@@ -93,7 +101,7 @@ func TestUntrackedBlockReclaimed(t *testing.T) {
 	w := s.Register()
 	w.BeginOp()
 	b := w.NewKV(0)
-	b.InitKV(9, 90) // preallocated, epoch still invalid, never tracked
+	initKV(b, 9, 90) // preallocated, epoch still invalid, never tracked
 	w.EndOp()
 	_ = b
 	s.Sync()
@@ -173,7 +181,7 @@ func TestAbortOpDiscardsTracking(t *testing.T) {
 	w := s.Register()
 	w.BeginOp()
 	b := w.NewKV(0)
-	b.InitKV(3, 30)
+	initKV(b, 3, 30)
 	hdr := palloc.UnpackHeader(h.Load(b.Addr()))
 	hdr.Epoch = w.OpEpoch()
 	h.Store(b.Addr(), hdr.Pack())

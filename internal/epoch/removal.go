@@ -6,7 +6,7 @@ import (
 	"bdhtm/internal/htm"
 )
 
-// RemovalStamps closes the "old sees new absence" hole in the Listing-1
+// removalStamps closes the "old sees new absence" hole in the Listing-1
 // discipline, a pitfall found by the crash fuzzer (internal/crashfuzz):
 //
 // OldSeeNewException is detected by comparing the epoch stamp of the
@@ -21,47 +21,50 @@ import (
 // consistency.
 //
 // The fix mirrors the epoch-stamp rule: every effectful removal raises a
-// per-key-shard watermark to its operation epoch inside the transaction,
-// and every absence-dependent path (a fresh insert, or a remove that
-// found nothing) checks the watermark and restarts in a newer epoch if a
-// newer removal has been recorded. The watermarks are transactional DRAM words,
-// so HTM conflict detection (or, when the body runs as a session, the
-// stamp word's line lock) orders racing removals and inserts for free;
-// sharding by key hash keeps unrelated keys from contending. The stamps
+// per-key-shard watermark to its operation epoch inside the transaction
+// (Op.Unlink), and every absence-dependent path (a fresh insert, Op.Link,
+// or a remove that found nothing, Op.Absent) checks the watermark and
+// restarts in a newer epoch if a newer removal has been recorded. A System
+// keeps one set of stamps for all its structures: keys of two structures
+// that share a shard only add restarts, which are sound. The watermarks
+// are transactional DRAM words, so HTM conflict detection (or, when the
+// body runs as a session, the stamp word's line lock) orders racing
+// removals and inserts for free; sharding by key hash keeps unrelated keys
+// from contending. The stamps
 // are transient state: after a crash they start over at zero, which is
 // sound because the new system's epochs start strictly above every
 // recovered epoch.
-type RemovalStamps struct {
+type removalStamps struct {
 	shard [64]struct {
 		e uint64
 		_ [7]uint64 // one shard per cache line
 	}
 }
 
-func (r *RemovalStamps) slot(k uint64) *uint64 {
+func (r *removalStamps) slot(k uint64) *uint64 {
 	return &r.shard[(k*0x9e3779b97f4a7c15)>>58].e
 }
 
-// CheckTx guards an absence-dependent path inside a transaction: it
+// checkTx guards an absence-dependent path inside a transaction: it
 // aborts with OldSeeNewCode when a removal newer than opEpoch has been
 // recorded for k's shard.
-func (r *RemovalStamps) CheckTx(tx *htm.Tx, k, opEpoch uint64) {
+func (r *removalStamps) checkTx(tx *htm.Tx, k, opEpoch uint64) {
 	if tx.Load(r.slot(k)) > opEpoch {
 		tx.Abort(OldSeeNewCode)
 	}
 }
 
-// RaiseTx records an effectful removal of k in opEpoch, inside the
+// raiseTx records an effectful removal of k in opEpoch, inside the
 // transaction that unlinks the block.
-func (r *RemovalStamps) RaiseTx(tx *htm.Tx, k, opEpoch uint64) {
+func (r *removalStamps) raiseTx(tx *htm.Tx, k, opEpoch uint64) {
 	p := r.slot(k)
 	if tx.Load(p) < opEpoch {
 		tx.Store(p, opEpoch)
 	}
 }
 
-// Ok is the non-transactional version of CheckTx: it reports whether an
+// ok is the non-transactional version of checkTx: it reports whether an
 // absence observed for k is safe to act on in opEpoch.
-func (r *RemovalStamps) Ok(k, opEpoch uint64) bool {
+func (r *removalStamps) ok(k, opEpoch uint64) bool {
 	return atomic.LoadUint64(r.slot(k)) <= opEpoch
 }

@@ -65,7 +65,9 @@ func (b *opBuf) reset() {
 // Worker is the per-thread handle to the epoch system. A Worker must be
 // used by one goroutine at a time. It implements the per-operation half of
 // the Table 2 API: BeginOp/EndOp/AbortOp bracket each data-structure
-// operation; PNew/PTrack/PRetire/PDelete manage NVM blocks.
+// operation; PNew/PTrack/PRetire/PDelete manage NVM blocks. The structures
+// reach them through one write bracket, Op (BeginInsert/BeginRemove), which
+// owns the worker's preallocated block.
 type Worker struct {
 	sys *System
 	id  int
@@ -86,6 +88,15 @@ type Worker struct {
 	span *obs.Span
 
 	bufs [numSlots]opBuf
+
+	// spare is the worker's preallocated block (Listing 1 line 10), of
+	// spareTag and spareWords payload words, kept here so that checking its
+	// shape reads nothing from NVM; op is its write operation in progress
+	// (op.go).
+	spare      Block
+	spareTag   uint8
+	spareWords int
+	op         Op
 
 	_ [32]byte // keep workers' hot state apart
 }

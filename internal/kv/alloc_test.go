@@ -13,26 +13,44 @@ import (
 	"bdhtm/internal/nvm"
 )
 
-// The served path is one interface call onto bdhash's own methods: a
-// session adds no allocation to what bdhash pins at zero.
+// The served path is one interface call onto the structure's own methods:
+// a session adds no allocation to what the structure pins. Every buffered
+// kind is held at zero except the skiplist, pinned where it stands: its
+// find returns the search path as two heap slices (preds, succs) on every
+// operation, and a fresh insert or a remove adds the slice of its
+// multi-word update.
 func TestHashSessionDoesNotAllocate(t *testing.T) {
-	k, _ := Lookup("bdhash")
-	p := testParts(k, nvm.New(nvm.Config{Words: 1 << 20}))
-	p.KeySpace = 1 << 14
-	st := Open("bdhash", p)
-	defer st.Close()
-	s := st.Store.NewSession()
-	for key := uint64(0); key < 1000; key++ {
-		s.Insert(key, key)
+	const runs = 500
+	pinned := map[string]map[string]float64{
+		"skiplist": {"Insert (new)": 3, "Insert (update)": 2, "Remove": 3, "Get": 2},
 	}
-	probe := uint64(0)
-	for name, op := range map[string]func(){
-		"Get":             func() { s.Get(probe); probe++ },
-		"Insert (update)": func() { s.Insert(500, 2) },
-	} {
-		if n := testing.AllocsPerRun(500, op); n != 0 {
-			t.Errorf("%s: %v allocs per run, want 0", name, n)
-		}
+	for _, name := range BufferedKinds() {
+		t.Run(name, func(t *testing.T) {
+			k, _ := Lookup(name)
+			p := testParts(k, nvm.New(nvm.Config{Words: 1 << 20}))
+			p.KeySpace = 1 << 14
+			st := Open(name, p)
+			defer st.Close()
+			s := st.Store.NewSession()
+			for key := uint64(0); key < 2*runs; key++ {
+				s.Insert(key, key)
+			}
+			fresh, victim, probe := uint64(2*runs), uint64(0), uint64(runs)
+			for _, tc := range []struct {
+				name string
+				op   func()
+			}{
+				{"Insert (new)", func() { s.Insert(fresh, 1); fresh++ }},
+				{"Insert (update)", func() { s.Insert(2*runs-1, 2) }},
+				{"Remove", func() { s.Remove(victim); victim++ }},
+				{"Get", func() { s.Get(probe); probe++ }},
+			} {
+				n := testing.AllocsPerRun(runs, tc.op)
+				if want := pinned[name][tc.name]; n != want {
+					t.Errorf("%s: %v allocs per run, want %v", tc.name, n, want)
+				}
+			}
+		})
 	}
 }
 

@@ -7,116 +7,69 @@ import (
 	"bdhtm/internal/nvm"
 )
 
-// BDL operations follow the Listing-1 discipline: each operation runs in
-// one epoch, KV blocks are preallocated outside the transaction, stamped
-// with the operation's epoch inside it, and persisted / retired after it
-// commits. Towers live in the DRAM index heap and are rebuilt on recovery.
+// BDL operations are epoch.Ops, the Listing-1 bracket: each runs in one
+// epoch on the handle's worker, whose spare KV block is linked by a fresh
+// insert or an out-of-place update, and the Op tracks and retires blocks
+// after the commit. Towers live in the DRAM index heap and are rebuilt on
+// recovery. An OldSeeNew restart re-runs the body in the current epoch
+// inside Op.Run; a validation failure (retryCode, recaptureCode) comes
+// back here and re-runs find, with the operation still open.
 
 // insertBDL adds or updates k with buffered durability.
 func (h *Handle) insertBDL(g *guard, k, v uint64) bool {
 	l := h.l
-retryRegist:
-	opEpoch := h.w.BeginOp()
-	if h.prealloc.IsNil() {
-		h.prealloc = h.w.NewKV(NodeTag)
-	}
-	newBlk := h.prealloc
-	newBlk.InitKV(k, v)
-
+	op := h.w.BeginInsert(NodeTag, epoch.KVPayloadWords, k, v)
 	for {
 		preds, succs, found := l.find(g, k)
 
 		if found != 0 {
-			// Update path: epoch-check the existing block inside the
-			// transaction (Listing 1 lines 20-29).
-			var retire, persist epoch.Block
-			var usedPrealloc bool
-			res := l.htmApply(h.w, g, nil,
-				func(tx *htm.Tx) {
-					// A failed attempt may have run this closure to
-					// completion (conflicts surface at commit) and a
-					// session may restart it; reset the captured outputs
-					// so a retry that takes a different branch cannot
-					// inherit a stale retire/persist pair.
-					retire, persist, usedPrealloc = epoch.Block{}, epoch.Block{}, false
-					if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
-						tx.Abort(retryCode) // node was removed; re-find
-					}
-					ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
-					if g.teleporting() && !l.blockOK(ba) {
-						tx.Abort(recaptureCode) // recycled tower
-					}
-					blk := l.cfg.DataSys.BlockAt(ba)
-					be := blk.EpochTx(tx)
-					switch {
-					case be > opEpoch:
-						tx.Abort(epoch.OldSeeNewCode)
-					case be < opEpoch:
-						newBlk.SetEpochTx(tx, opEpoch)
-						tx.StoreAddr(l.h, l.valueAddr(found), uint64(newBlk.Addr()))
-						retire, persist, usedPrealloc = blk, newBlk, true
-					default:
-						// In place (pSet): re-track, an early pass may have
-						// written the block back since its first tracking.
-						blk.SetValueTx(tx, v)
-						persist = blk
-					}
-				},
-			)
-			switch res {
-			case applyOldSeeNew:
-				h.w.AbortOp()
-				goto retryRegist
-			case applyRetry:
-				continue
+			// Update path: the node's value word names the key's block.
+			ok := l.htmApply(op, g, nil, func(tx *htm.Tx) {
+				if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
+					tx.Abort(retryCode) // node was removed; re-find
+				}
+				ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
+				if g.teleporting() && !l.blockOK(ba) {
+					tx.Abort(recaptureCode) // recycled tower
+				}
+				old := l.cfg.DataSys.BlockAt(ba)
+				if nb := op.Revise(tx, old, v); nb != old {
+					tx.StoreAddr(l.h, l.valueAddr(found), uint64(nb.Addr()))
+				}
+			})
+			if ok {
+				return op.End()
 			}
-			h.finishOp(newBlk, usedPrealloc, retire, persist)
-			return true
+			continue
 		}
 
 		// Insert path: link a fresh tower whose value word references the
-		// preallocated NVM block.
+		// spare NVM block.
 		lvl := h.randLevel()
-		node := l.allocNode(k, uint64(newBlk.Addr()), lvl, succs[:lvl])
+		node := l.allocNode(k, uint64(op.Spare().Addr()), lvl, succs[:lvl])
 		entries := make([]mwcas.Entry, lvl)
 		for i := 0; i < lvl; i++ {
 			entries[i] = mwcas.Entry{Addr: l.nextAddr(preds[i], i), Old: succs[i], New: uint64(node)}
 		}
-		res := l.htmApply(h.w, g, entries,
-			func(tx *htm.Tx) {
-				// The absence this insert acts on may have been created by a
-				// removal from a newer epoch (no block left to epoch-check).
-				l.removals.CheckTx(tx, k, opEpoch)
-				newBlk.SetEpochTx(tx, opEpoch)
-			},
-		)
-		if res == applyOK {
+		if l.htmApply(op, g, entries, func(tx *htm.Tx) { op.Link(tx, k) }) {
 			l.count.Add(1)
-			h.finishOp(newBlk, true, epoch.Block{}, newBlk)
-			return false
+			return op.End()
 		}
 		l.al.Free(node) // never became visible
-		if res == applyOldSeeNew {
-			h.w.AbortOp()
-			goto retryRegist
-		}
 	}
 }
 
 // removeBDL deletes k with buffered durability.
 func (h *Handle) removeBDL(g *guard, k uint64) bool {
 	l := h.l
-retryRegist:
-	opEpoch := h.w.BeginOp()
+	op := h.w.BeginRemove()
 	for {
 		preds, _, found := l.find(g, k)
 		if found == 0 {
-			if !l.removals.Ok(k, opEpoch) {
-				h.w.AbortOp()
-				goto retryRegist
+			if op.AbsentDirect(k) {
+				return op.End()
 			}
-			h.w.EndOp()
-			return false
+			continue
 		}
 		lvl := l.levelClamped(found)
 		entries := make([]mwcas.Entry, 0, 2*lvl)
@@ -132,56 +85,23 @@ retryRegist:
 				mwcas.Entry{Addr: l.nextAddr(preds[i], i), Old: uint64(found), New: nxt})
 		}
 		if raceLost {
-			if _, _, f := l.find(g, k); f == 0 {
-				if !l.removals.Ok(k, opEpoch) {
-					h.w.AbortOp()
-					goto retryRegist
-				}
-				h.w.EndOp()
-				return false
+			if _, _, f := l.find(g, k); f == 0 && op.AbsentDirect(k) {
+				return op.End()
 			}
 			continue
 		}
-		var retire epoch.Block
-		res := l.htmApply(h.w, g, entries,
-			func(tx *htm.Tx) {
-				ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
-				if g.teleporting() && !l.blockOK(ba) {
-					tx.Abort(recaptureCode) // recycled tower
-				}
-				blk := l.cfg.DataSys.BlockAt(ba)
-				if blk.EpochTx(tx) > opEpoch {
-					tx.Abort(epoch.OldSeeNewCode)
-				}
-				l.removals.RaiseTx(tx, k, opEpoch)
-				retire = blk
-			},
-		)
-		switch res {
-		case applyOldSeeNew:
-			h.w.AbortOp()
-			goto retryRegist
-		case applyRetry:
-			continue
+		ok := l.htmApply(op, g, entries, func(tx *htm.Tx) {
+			ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
+			if g.teleporting() && !l.blockOK(ba) {
+				tx.Abort(recaptureCode) // recycled tower
+			}
+			op.Unlink(tx, k, l.cfg.DataSys.BlockAt(ba))
+		})
+		if ok {
+			op.End()
+			l.reap.retire(h.tid, found)
+			l.count.Add(-1)
+			return true
 		}
-		h.w.PRetire(retire)
-		l.reap.retire(h.tid, found)
-		l.count.Add(-1)
-		h.w.EndOp()
-		return true
 	}
-}
-
-// finishOp applies the post-commit half of the Listing-1 pattern.
-func (h *Handle) finishOp(newBlk epoch.Block, usedPrealloc bool, retire, persist epoch.Block) {
-	if usedPrealloc {
-		h.prealloc = epoch.Block{}
-	}
-	if !retire.IsNil() {
-		h.w.PRetire(retire)
-	}
-	if !persist.IsNil() {
-		h.w.PTrack(persist)
-	}
-	h.w.EndOp()
 }

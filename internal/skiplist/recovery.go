@@ -67,7 +67,7 @@ func (l *List) RebuildBlock(rec epoch.BlockRecord) {
 	// Deterministic-height rebuild keeps expected O(log n) search depth.
 	lvl := 1
 	r := k*0x9e3779b97f4a7c15 + 0x7f4a7c15
-	for r&1 == 1 && lvl < l.cfg.MaxLevel {
+	for r&1 == 1 && lvl < maxLevel {
 		lvl++
 		r >>= 1
 	}

@@ -79,9 +79,9 @@ const (
 	// headTag marks the head sentinel so recovery can find it.
 	headTag uint8 = 0x53
 
-	defaultMaxLevel = 20
-	retryCode       = 0xD7 // explicit-abort code: validation failed, re-find
-	recaptureCode   = 0xD8 // explicit-abort code: era-seqlock moved, capture + re-find
+	maxLevel      = 20   // bounds tower height
+	retryCode     = 0xD7 // explicit-abort code: validation failed, re-find
+	recaptureCode = 0xD8 // explicit-abort code: era-seqlock moved, capture + re-find
 )
 
 // Config describes a skiplist instance.
@@ -94,16 +94,11 @@ type Config struct {
 	DataSys *epoch.System
 	// TM is the transactional memory unit (PHTMMwCAS and BDL).
 	TM *htm.TM
-	// MaxLevel bounds tower height (default 20).
-	MaxLevel int
 	// Threads is the maximum number of concurrent handles (default 64).
 	Threads int
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxLevel == 0 {
-		c.MaxLevel = defaultMaxLevel
-	}
 	if c.Threads == 0 {
 		c.Threads = 64
 	}
@@ -125,10 +120,6 @@ type List struct {
 	// teleport elides the EBR announcement stores on HTM variants (see
 	// ebr / guard).
 	teleport bool
-
-	// removals guards BDL absence-dependent paths against acting on an
-	// absence created by a newer-epoch removal (see epoch.RemovalStamps).
-	removals epoch.RemovalStamps
 }
 
 // New creates a list. For BDL, cfg.IndexHeap must be a DRAM-mode heap and
@@ -158,7 +149,7 @@ func New(cfg Config) *List {
 		l.reap.tm = cfg.TM
 		l.reap.tele = true
 	}
-	l.head = l.allocTagged(headTag, 0, 0, cfg.MaxLevel, make([]uint64, cfg.MaxLevel))
+	l.head = l.allocTagged(headTag, 0, 0, maxLevel, make([]uint64, maxLevel))
 	return l
 }
 
@@ -218,11 +209,10 @@ func (l *List) IndexAllocator() *palloc.Allocator { return l.al }
 
 // Handle is a per-goroutine accessor.
 type Handle struct {
-	l        *List
-	tid      int
-	w        *epoch.Worker // BDL only
-	rng      uint64
-	prealloc epoch.Block // BDL: preallocated KV block
+	l   *List
+	tid int
+	w   *epoch.Worker // BDL only
+	rng uint64
 }
 
 // NewHandle registers a goroutine-local handle.
@@ -257,7 +247,7 @@ func (h *Handle) randLevel() int {
 	h.rng ^= h.rng << 17
 	lvl := 1
 	v := h.rng
-	for v&1 == 1 && lvl < h.l.cfg.MaxLevel {
+	for v&1 == 1 && lvl < maxLevel {
 		lvl++
 		v >>= 1
 	}
@@ -267,18 +257,18 @@ func (h *Handle) randLevel() int {
 // nodeOK bounds-checks a tower address read during an unannounced
 // (teleporting) traversal: the walk can observe freed-and-recycled
 // memory, so a raw word is not trusted to address a node until its whole
-// extent — header through a MaxLevel tower — fits the index heap.
+// extent — header through a maxLevel tower — fits the index heap.
 func (l *List) nodeOK(a nvm.Addr) bool {
-	return a != 0 && int(a)+palloc.HeaderWords+offNext+l.cfg.MaxLevel <= l.h.Words()
+	return a != 0 && int(a)+palloc.HeaderWords+offNext+maxLevel <= l.h.Words()
 }
 
-// levelClamped reads a node's level, clamped to [1, MaxLevel]: an
+// levelClamped reads a node's level, clamped to [1, maxLevel]: an
 // unannounced traversal can hand us a recycled block whose level word is
 // garbage. A wrong-but-bounded level only mis-shapes the entry list,
 // which transactional validation then rejects.
 func (l *List) levelClamped(n nvm.Addr) int {
 	lvl := l.level(n)
-	if lvl < 1 || lvl > l.cfg.MaxLevel {
+	if lvl < 1 || lvl > maxLevel {
 		return 1
 	}
 	return lvl
@@ -307,9 +297,8 @@ func (l *List) find(g *guard, k uint64) (preds []nvm.Addr, succs []uint64, found
 }
 
 func (l *List) tryFind(g *guard, k uint64) (preds []nvm.Addr, succs []uint64, found nvm.Addr, ok bool) {
-	ml := l.cfg.MaxLevel
-	preds = make([]nvm.Addr, ml)
-	succs = make([]uint64, ml)
+	preds = make([]nvm.Addr, maxLevel)
+	succs = make([]uint64, maxLevel)
 	steps, bound := 0, 0
 	if g.teleporting() {
 		// Recycled pointers could form a cycle; bound the walk well above
@@ -317,7 +306,7 @@ func (l *List) tryFind(g *guard, k uint64) (preds []nvm.Addr, succs []uint64, fo
 		bound = 1024 + 4*int(l.count.Load())
 	}
 	x := l.head
-	for i := ml - 1; i >= 0; i-- {
+	for i := maxLevel - 1; i >= 0; i-- {
 		for {
 			if bound != 0 {
 				if steps++; steps > bound {
@@ -498,32 +487,20 @@ func (h *Handle) apply(g *guard, entries []mwcas.Entry) bool {
 	if h.l.desc != nil {
 		return h.l.desc.Apply(h.tid, entries)
 	}
-	return h.l.htmApply(h.w, g, entries, nil) == applyOK
+	return h.l.htmApply(nil, g, entries, nil)
 }
 
-// applyResult is the outcome of one transactional multi-word update.
-type applyResult int
-
-const (
-	// applyOK: committed.
-	applyOK applyResult = iota
-	// applyRetry: validation failed; the caller should re-find and retry.
-	applyRetry
-	// applyOldSeeNew: the operation observed a block from a newer epoch
-	// and must restart in the current epoch (BDL).
-	applyOldSeeNew
-)
-
 // htmApply runs the entries — validate all Olds, run the optional extra
-// step, store all News — as one body under the worker's Run: a hardware
-// transaction, then a slow-path session. extra may call
-// tx.Abort(retryCode), tx.Abort(recaptureCode) or
-// tx.Abort(epoch.OldSeeNewCode), and like any body must reset its outputs
-// on entry. A session does not validate the era-seqlock, so guard.validate
+// step, store all News — as one body under op.Run (a nil op for the
+// variant with no epoch system): a hardware transaction, then a slow-path
+// session, restarted in the current epoch on an OldSeeNew abort. extra may
+// call tx.Abort(retryCode) or tx.Abort(recaptureCode); htmApply reports
+// whether the body committed, false meaning the caller should re-find and
+// retry. A session does not validate the era-seqlock, so guard.validate
 // sends a still-teleporting operation back (recaptureCode) to announce and
 // re-find before its entries are trusted.
-func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra func(tx *htm.Tx)) applyResult {
-	res := w.Run(l.cfg.TM, nil, func(tx *htm.Tx) {
+func (l *List) htmApply(op *epoch.Op, g *guard, entries []mwcas.Entry, extra func(tx *htm.Tx)) bool {
+	res := op.Run(l.cfg.TM, nil, func(tx *htm.Tx) {
 		g.validate(tx)
 		for _, e := range entries {
 			if tx.LoadAddr(l.h, e.Addr) != e.Old {
@@ -539,14 +516,12 @@ func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra 
 	})
 	switch {
 	case res.Committed:
-		return applyOK
+		return true
 	case res.Code == retryCode:
-		return applyRetry
+		return false
 	case res.Code == recaptureCode:
 		g.capture()
-		return applyRetry
-	case res.Code == epoch.OldSeeNewCode:
-		return applyOldSeeNew
+		return false
 	default:
 		panic(fmt.Sprintf("skiplist: unexpected outcome %+v", res))
 	}

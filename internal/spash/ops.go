@@ -10,144 +10,104 @@ import (
 	"bdhtm/internal/palloc"
 )
 
-// outcome captures one attempt's decisions for post-commit processing.
-type outcome struct {
-	usedNew  bool     // the new block was linked
-	retire   nvm.Addr // block to retire (ModeBD)
-	track    nvm.Addr // block to PTrack (ModeBD)
-	touched  nvm.Addr // block for the hotspot policy
-	replaced bool
-}
-
 // Insert adds or updates k (upsert), reporting whether an existing value
 // was replaced. ModeBD requires the caller's epoch worker; ModeEADR
 // ignores w (it may be nil).
 func (t *Table) Insert(w *epoch.Worker, k, v uint64) bool {
 	h := hash64(k)
-	bd := t.cfg.Mode == ModeBD
-retryRegist:
-	opEpoch := eadrEpoch
-	var newBlk nvm.Addr
-	if bd {
-		opEpoch = w.BeginOp()
-		ws := &t.perW[w.ID()]
-		if ws.prealloc.IsNil() {
-			ws.prealloc = w.PNew(1+t.cfg.ValueWords, BlockTag).Addr()
-		}
-		newBlk = ws.prealloc
-	} else {
-		newBlk = t.alloc.AllocWords(1+t.cfg.ValueWords, BlockTag)
+	if t.sys == nil {
+		return t.insertEADR(h, k, v)
 	}
-	t.initBlock(newBlk, k, v)
-
-	var out outcome
-retryTxn:
-	res := w.Run(t.tm, nil, func(tx *htm.Tx) {
-		t.enter(tx)
-		t.insertBody(tx, opEpoch, h, k, v, newBlk, bd, &out)
-	})
-	switch {
-	case res.Committed:
-	case res.Code == splitCode:
-		t.split(h)
-		goto retryTxn
-	default: // epoch.OldSeeNewCode
-		w.AbortOp()
-		goto retryRegist
+	op := w.BeginInsert(BlockTag, 1+t.cfg.ValueWords, k, v)
+	for {
+		res := op.Run(t.tm, nil, func(tx *htm.Tx) {
+			t.enter(tx)
+			sp, b := t.lookupTx(tx, h, k)
+			if b.IsNil() {
+				if sp == nil {
+					tx.Abort(splitCode)
+				}
+				tx.Store(sp, pack(h, op.Link(tx, k).Addr()))
+				return
+			}
+			old := t.sys.BlockAt(b)
+			if nb := op.Revise(tx, old, v); nb != old {
+				tx.Store(sp, pack(h, nb.Addr()))
+			}
+		})
+		if res.Committed {
+			break
+		}
+		t.split(h) // splitCode
 	}
-	t.finishInsert(w, newBlk, bd, &out)
-	return out.replaced
-}
-
-func (t *Table) finishInsert(w *epoch.Worker, newBlk nvm.Addr, bd bool, out *outcome) {
-	if bd {
-		ws := &t.perW[w.ID()]
-		if out.usedNew {
-			ws.prealloc = 0
-		}
-		if !out.retire.IsNil() {
-			w.PRetire(t.sys.BlockAt(out.retire))
-		}
-		if !out.track.IsNil() {
-			w.PTrack(t.sys.BlockAt(out.track))
-		}
-	} else if !out.usedNew {
-		t.alloc.Free(newBlk)
-	}
-	if !out.replaced {
+	touched := op.Tracked().Addr()
+	replaced := op.End()
+	if !replaced {
 		atomic.AddInt64(&t.count, 1)
 	}
-	// Hotspot policy, off the critical transactional path.
-	seg, bucket := t.locate(hash64(t.heap.Load(blockKeyAddr(out.touched))))
-	hot := t.touchBucket(seg, bucket)
-	t.maybeColdFlush(out.touched, hot)
-	if bd {
-		w.EndOp()
-	}
+	t.hotspot(touched)
+	return replaced
 }
 
-// insertBody is the probe-and-link, as a transaction or as a session. It
-// resets out first: a failed attempt may have run it to completion, and a
-// session may restart it.
-func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr, bd bool, out *outcome) {
-	*out = outcome{}
+// insertEADR is Insert on a persistent cache: a block is durable once its
+// stamp, which publishes it, is visible, and an update is a store.
+func (t *Table) insertEADR(h, k, v uint64) bool {
+	newBlk := t.alloc.AllocWords(1+t.cfg.ValueWords, BlockTag)
+	t.initBlock(newBlk, k, v)
+	var touched nvm.Addr
+	for {
+		res := t.tm.Run(nil, nil, func(tx *htm.Tx) {
+			t.enter(tx)
+			sp, b := t.lookupTx(tx, h, k)
+			if touched = b; !b.IsNil() {
+				tx.StoreAddr(t.heap, blockValueAddr(b), v)
+				return
+			}
+			if sp == nil {
+				tx.Abort(splitCode)
+			}
+			t.stampTx(tx, newBlk)
+			tx.Store(sp, pack(h, newBlk))
+			touched = newBlk
+		})
+		if res.Committed {
+			break
+		}
+		t.split(h) // splitCode
+	}
+	replaced := touched != newBlk
+	if replaced {
+		t.alloc.Free(newBlk)
+	} else {
+		atomic.AddInt64(&t.count, 1)
+	}
+	t.hotspot(touched)
+	return replaced
+}
+
+// lookupTx probes k's bucket, as a transaction or as a session: it returns
+// k's slot and block, or — b nil — the bucket's first empty slot, nil when
+// the bucket is full.
+func (t *Table) lookupTx(tx *htm.Tx, h, k uint64) (sp *uint64, b nvm.Addr) {
 	seg, bucket := t.locate(h)
 	base := bucket * slotsPerBucket
-	var empty *uint64
 	for s := 0; s < slotsPerBucket; s++ {
-		sp := &seg.slots[base+s]
-		sv := tx.Load(sp)
+		p := &seg.slots[base+s]
+		sv := tx.Load(p)
 		if sv == 0 {
-			if empty == nil {
-				empty = sp
+			if sp == nil {
+				sp = p
 			}
 			continue
 		}
 		if sv>>56 != h>>56 {
 			continue
 		}
-		b := unpackAddr(sv)
-		if tx.LoadAddr(t.heap, blockKeyAddr(b)) != k {
-			continue
+		if b := unpackAddr(sv); tx.LoadAddr(t.heap, blockKeyAddr(b)) == k {
+			return p, b
 		}
-		if bd {
-			be := t.epochTx(tx, b)
-			switch {
-			case be > opEpoch:
-				tx.Abort(epoch.OldSeeNewCode)
-			case be < opEpoch:
-				t.stampTx(tx, newBlk, opEpoch)
-				tx.Store(sp, pack(h, newBlk))
-				out.retire, out.track, out.usedNew = b, newBlk, true
-				out.touched = newBlk
-			default:
-				// In place (pSet): re-track, an early pass may have written
-				// the block back since its first tracking.
-				tx.StoreAddr(t.heap, blockValueAddr(b), v)
-				out.track, out.touched = b, b
-			}
-		} else {
-			tx.StoreAddr(t.heap, blockValueAddr(b), v)
-			out.touched = b
-		}
-		out.replaced = true
-		return
 	}
-	if empty == nil {
-		tx.Abort(splitCode)
-	}
-	if bd {
-		// Fresh insert: no block to epoch-compare, so the absence itself
-		// must be validated against newer removals.
-		t.removals.CheckTx(tx, k, opEpoch)
-	}
-	t.stampTx(tx, newBlk, opEpoch)
-	tx.Store(empty, pack(h, newBlk))
-	out.usedNew = true
-	out.touched = newBlk
-	if bd {
-		out.track = newBlk
-	}
+	return sp, 0
 }
 
 // Get returns the value stored under k.
@@ -158,18 +118,8 @@ func (t *Table) Get(k uint64) (uint64, bool) {
 	t.tm.Run(nil, nil, func(tx *htm.Tx) {
 		t.enter(tx)
 		v, ok = 0, false
-		seg, bucket := t.locate(h)
-		base := bucket * slotsPerBucket
-		for s := 0; s < slotsPerBucket; s++ {
-			sv := tx.Load(&seg.slots[base+s])
-			if sv == 0 || sv>>56 != h>>56 {
-				continue
-			}
-			b := unpackAddr(sv)
-			if tx.LoadAddr(t.heap, blockKeyAddr(b)) == k {
-				v, ok = tx.LoadAddr(t.heap, blockValueAddr(b)), true
-				return
-			}
+		if _, b := t.lookupTx(tx, h, k); !b.IsNil() {
+			v, ok = tx.LoadAddr(t.heap, blockValueAddr(b)), true
 		}
 	})
 	return v, ok
@@ -178,60 +128,44 @@ func (t *Table) Get(k uint64) (uint64, bool) {
 // Remove deletes k, reporting whether it was present.
 func (t *Table) Remove(w *epoch.Worker, k uint64) bool {
 	h := hash64(k)
-	bd := t.cfg.Mode == ModeBD
-retryRegist:
-	opEpoch := eadrEpoch
-	if bd {
-		opEpoch = w.BeginOp()
+	if t.sys == nil {
+		return t.removeEADR(h, k)
 	}
-	var victim nvm.Addr
-	res := w.Run(t.tm, nil, func(tx *htm.Tx) {
+	op := w.BeginRemove()
+	op.Run(t.tm, nil, func(tx *htm.Tx) {
 		t.enter(tx)
-		victim = 0
-		seg, bucket := t.locate(h)
-		base := bucket * slotsPerBucket
-		for s := 0; s < slotsPerBucket; s++ {
-			sp := &seg.slots[base+s]
-			sv := tx.Load(sp)
-			if sv == 0 || sv>>56 != h>>56 {
-				continue
-			}
-			b := unpackAddr(sv)
-			if tx.LoadAddr(t.heap, blockKeyAddr(b)) != k {
-				continue
-			}
-			if bd && t.epochTx(tx, b) > opEpoch {
-				tx.Abort(epoch.OldSeeNewCode)
-			}
-			if bd {
-				t.removals.RaiseTx(tx, k, opEpoch)
-			}
-			tx.Store(sp, 0)
-			victim = b
+		sp, b := t.lookupTx(tx, h, k)
+		if b.IsNil() {
+			op.Absent(tx, k)
 			return
 		}
-		if bd {
-			// Absent: make sure the absence is not a newer removal's work.
-			t.removals.CheckTx(tx, k, opEpoch)
-		}
+		op.Unlink(tx, k, t.sys.BlockAt(b))
+		tx.Store(sp, 0)
 	})
-	if !res.Committed {
-		w.AbortOp() // OldSeeNewCode: restart in the current epoch
-		goto retryRegist
-	}
-	removed := !victim.IsNil()
+	removed := op.End()
 	if removed {
-		if bd {
-			w.PRetire(t.sys.BlockAt(victim))
-		} else {
-			t.alloc.Free(victim)
-		}
 		atomic.AddInt64(&t.count, -1)
 	}
-	if bd {
-		w.EndOp()
-	}
 	return removed
+}
+
+// removeEADR is Remove on a persistent cache: the unlinked block is freed
+// at once.
+func (t *Table) removeEADR(h, k uint64) bool {
+	var victim nvm.Addr
+	t.tm.Run(nil, nil, func(tx *htm.Tx) {
+		t.enter(tx)
+		var sp *uint64
+		if sp, victim = t.lookupTx(tx, h, k); !victim.IsNil() {
+			tx.Store(sp, 0)
+		}
+	})
+	if victim.IsNil() {
+		return false
+	}
+	t.alloc.Free(victim)
+	atomic.AddInt64(&t.count, -1)
+	return true
 }
 
 // split splits the segment containing hash h (doubling the directory if

@@ -16,11 +16,12 @@
 //   - Spash (eADR heap): stores are durable at the point of visibility;
 //     flushes are pure performance hints. Cold blocks are proactively
 //     written back to free cache space, hot blocks stay cached.
-//   - BD-Spash (ADR heap + epoch system): blocks follow the Listing-1
-//     discipline (preallocation, epoch stamping, OldSeeNew restarts,
-//     PTrack/PRetire after commit). Large cold blocks are additionally
-//     flushed immediately to spare the epoch-close burst; small and hot
-//     data are left to the epoch system, which batches them naturally.
+//   - BD-Spash (ADR heap + epoch system): writes are epoch.Ops, the
+//     Listing-1 bracket (preallocation, epoch stamping, OldSeeNew
+//     restarts, PTrack/PRetire after commit). Large cold blocks are
+//     additionally flushed immediately to spare the epoch-close burst;
+//     small and hot data are left to the epoch system, which batches them
+//     naturally.
 //     If the heap reports a persistent cache, "the epoch system
 //     automatically disables itself" (paper) — batching degenerates to
 //     cheap bookkeeping.
@@ -72,6 +73,11 @@ const (
 	// they are published (any value other than InvalidEpoch works: the
 	// stamp only distinguishes linked blocks from preallocated garbage).
 	eadrEpoch uint64 = 1
+
+	// initialDepth is the starting directory depth (2^depth entries).
+	initialDepth = 4
+	// hotThreshold is the access count above which a bucket counts as hot.
+	hotThreshold = 4
 )
 
 // Config describes a table.
@@ -83,27 +89,9 @@ type Config struct {
 	Heap *nvm.Heap
 	// TM is the transactional memory unit. Required.
 	TM *htm.TM
-	// InitialDepth is the starting directory depth (2^depth entries).
-	InitialDepth int
 	// ValueWords is the value payload size in words (default 1). Larger
 	// values exercise the large-cold immediate-flush path.
 	ValueWords int
-	// HotThreshold is the access count above which a bucket counts as
-	// hot (default 4).
-	HotThreshold uint32
-}
-
-func (c Config) withDefaults() Config {
-	if c.InitialDepth == 0 {
-		c.InitialDepth = 4
-	}
-	if c.ValueWords == 0 {
-		c.ValueWords = 1
-	}
-	if c.HotThreshold == 0 {
-		c.HotThreshold = 4
-	}
-	return c
 }
 
 // segment is a DRAM segment: packed fingerprint|address slots plus the
@@ -152,24 +140,14 @@ type Table struct {
 	stats struct {
 		splits, doublings, coldFlushes, hotSkips atomic.Int64
 	}
-
-	// removals guards the empty-slot insert path against acting on an
-	// absence created by a newer-epoch removal (ModeBD only; see
-	// epoch.RemovalStamps).
-	removals epoch.RemovalStamps
-
-	perW []spashWState
-}
-
-type spashWState struct {
-	prealloc nvm.Addr
-	_        [7]uint64
 }
 
 // New creates a table. ModeBD requires cfg.Sys; ModeEADR requires
 // cfg.Heap (in nvm.ModeEADR).
 func New(cfg Config) *Table {
-	cfg = cfg.withDefaults()
+	if cfg.ValueWords == 0 {
+		cfg.ValueWords = 1
+	}
 	if cfg.TM == nil {
 		panic("spash: TM required")
 	}
@@ -181,7 +159,6 @@ func New(cfg Config) *Table {
 		}
 		t.sys = cfg.Sys
 		t.heap = cfg.Sys.Heap()
-		t.perW = make([]spashWState, cfg.Sys.MaxWorkers())
 	case ModeEADR:
 		if cfg.Heap == nil {
 			panic("spash: ModeEADR requires a heap")
@@ -192,16 +169,16 @@ func New(cfg Config) *Table {
 		t.heap = cfg.Heap
 		t.alloc = palloc.New(cfg.Heap)
 	}
-	nseg := 1 << cfg.InitialDepth
+	nseg := 1 << initialDepth
 	segs := make([]*segment, nseg)
 	dir := make([]uint64, nseg)
 	for i := range segs {
-		segs[i] = &segment{localDepth: uint64(cfg.InitialDepth)}
+		segs[i] = &segment{localDepth: initialDepth}
 		dir[i] = uint64(i)
 	}
 	t.segs.Store(&segs)
 	t.dir.Store(&dir)
-	t.globalDepth.Store(uint64(cfg.InitialDepth))
+	t.globalDepth.Store(initialDepth)
 	return t
 }
 
@@ -262,7 +239,7 @@ func (t *Table) touchBucket(seg *segment, bucket int) bool {
 	if seg.accesses[bucket].Add(1)%64 == 0 {
 		seg.counters[bucket].Store(c / 2)
 	}
-	return c >= t.cfg.HotThreshold
+	return c >= hotThreshold
 }
 
 // blockWords is the total block size of this table's KV class.
@@ -274,14 +251,16 @@ func (t *Table) blockWords() int {
 // immediate cold write-back in ModeBD.
 func (t *Table) largeBlock() bool { return t.blockWords() >= nvm.XPLineWords }
 
-// maybeColdFlush applies the hotspot policy to a block after its
-// transaction committed. Only XPLine-sized cold data is written back
+// hotspot applies the hotspot policy to the block an insert linked or
+// updated, after its transaction committed, off the critical
+// transactional path. Only XPLine-sized cold data is written back
 // immediately — that is the bandwidth-efficient case; small cold writes
 // are coalesced by Spash's thread-local chunks in the original (a
 // mechanism this port omits, like the paper's own BD-Spash) and by the
 // epoch system's natural batching in ModeBD.
-func (t *Table) maybeColdFlush(blk nvm.Addr, hot bool) {
-	if hot {
+func (t *Table) hotspot(blk nvm.Addr) {
+	seg, bucket := t.locate(hash64(t.heap.Load(blockKeyAddr(blk))))
+	if t.touchBucket(seg, bucket) {
 		t.stats.hotSkips.Add(1)
 		return
 	}
@@ -296,7 +275,8 @@ func (t *Table) maybeColdFlush(blk nvm.Addr, hot bool) {
 func blockKeyAddr(b nvm.Addr) nvm.Addr   { return palloc.Payload(b) }
 func blockValueAddr(b nvm.Addr) nvm.Addr { return palloc.Payload(b) + 1 }
 
-// initBlock initializes a not-yet-visible block and invalidates its epoch.
+// initBlock initializes a not-yet-visible eADR-mode block and invalidates
+// its epoch (ModeBD's spare is the epoch worker's: Worker.BeginInsert).
 func (t *Table) initBlock(b nvm.Addr, k, v uint64) {
 	hdr := palloc.UnpackHeader(t.heap.Load(b))
 	hdr.Epoch = palloc.InvalidEpoch
@@ -307,15 +287,11 @@ func (t *Table) initBlock(b nvm.Addr, k, v uint64) {
 	}
 }
 
-// stampTx stamps the block's epoch inside the operation's body.
-func (t *Table) stampTx(tx *htm.Tx, b nvm.Addr, e uint64) {
+// stampTx stamps an eADR-mode block's epoch inside the operation's body,
+// which publishes it: recovery keeps exactly the stamped blocks.
+func (t *Table) stampTx(tx *htm.Tx, b nvm.Addr) {
 	hdr := tx.LoadAddr(t.heap, b)
-	hdr = hdr&^(palloc.InvalidEpoch) | e
-	tx.StoreAddr(t.heap, b, hdr)
-}
-
-func (t *Table) epochTx(tx *htm.Tx, b nvm.Addr) uint64 {
-	return tx.LoadAddr(t.heap, b) & palloc.InvalidEpoch
+	tx.StoreAddr(t.heap, b, hdr&^palloc.InvalidEpoch|eadrEpoch)
 }
 
 // enter orders a body against structural changes; it is the one place the

@@ -9,7 +9,7 @@
 //     slow-path session.
 //   - PHTM-vEB (buffered durable): the index stays in DRAM for speed,
 //     while leaf value slots hold addresses of KV blocks in NVM managed
-//     by the epoch system. Operations follow the Listing-1 discipline
+//     by the epoch system. Writes are epoch.Ops, the Listing-1 bracket
 //     (preallocation, epoch stamping, OldSeeNew restarts, post-commit
 //     tracking), and a crash recovers to a recent epoch boundary by
 //     rescanning the KV blocks and rebuilding the tree.
@@ -51,17 +51,6 @@ type Tree struct {
 	pool  *pool
 	root  uint64
 	count atomic.Int64
-
-	// removals guards the fresh-insert path against acting on an absence
-	// created by a newer-epoch removal (see epoch.RemovalStamps).
-	removals epoch.RemovalStamps
-
-	perW []vebWState
-}
-
-type vebWState struct {
-	prealloc epoch.Block
-	_        [6]uint64
 }
 
 // New creates a tree. Universe bits must be in [1, 48].
@@ -77,9 +66,6 @@ func New(cfg Config) *Tree {
 		tm:   cfg.TM,
 		sys:  cfg.DataSys,
 		pool: newPool(),
-	}
-	if t.sys != nil {
-		t.perW = make([]vebWState, t.sys.MaxWorkers())
 	}
 	t.root = t.pool.alloc(cfg.UniverseBits)
 	return t
@@ -183,68 +169,26 @@ func (t *Tree) insertTransient(k, v uint64) bool {
 	return replaced
 }
 
+// insertPersistent is the Listing-1 insert: the tree holds the address of
+// a KV block in the key's value slot, and op decides which block.
 func (t *Tree) insertPersistent(w *epoch.Worker, k, v uint64) bool {
-	ws := &t.perW[w.ID()]
-retryRegist:
-	opEpoch := w.BeginOp()
-	if ws.prealloc.IsNil() {
-		ws.prealloc = w.NewKV(BlockTag)
-	}
-	newBlk := ws.prealloc
-	newBlk.InitKV(k, v)
-
-	var retire, persist epoch.Block
-	var usedPrealloc, replaced bool
-	res := w.Run(t.tm, func() { t.preWalk(k) }, func(tx *htm.Tx) {
-		// A failed attempt may have run to completion and a session may
-		// restart: reset the outputs before anything else.
-		retire, persist = epoch.Block{}, epoch.Block{}
-		usedPrealloc, replaced = false, false
+	op := w.BeginInsert(BlockTag, epoch.KVPayloadWords, k, v)
+	op.Run(t.tm, func() { t.preWalk(k) }, func(tx *htm.Tx) {
 		m := txMem{tx}
-		slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(newBlk.Addr()))
+		slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(op.Spare().Addr()))
 		if inserted {
-			// Fresh insert: there is no block to epoch-compare, so the
-			// absence itself must be validated against newer removals.
-			t.removals.CheckTx(tx, k, opEpoch)
-			newBlk.SetEpochTx(tx, opEpoch)
-			persist, usedPrealloc = newBlk, true
+			op.Link(tx, k)
 			return
 		}
-		// Existing key: epoch-compare its block (Listing 1).
-		blk := t.sys.BlockAt(nvm.Addr(m.load(slot)))
-		be := blk.EpochTx(tx)
-		switch {
-		case be > opEpoch:
-			tx.Abort(epoch.OldSeeNewCode)
-		case be < opEpoch:
-			newBlk.SetEpochTx(tx, opEpoch)
-			m.store(slot, uint64(newBlk.Addr()))
-			retire, persist, usedPrealloc = blk, newBlk, true
-		default:
-			// In place (pSet): re-track, an early pass may have written
-			// the block back since its first tracking.
-			blk.SetValueTx(tx, v)
-			persist = blk
+		old := t.sys.BlockAt(nvm.Addr(m.load(slot)))
+		if nb := op.Revise(tx, old, v); nb != old {
+			m.store(slot, uint64(nb.Addr()))
 		}
-		replaced = true
 	})
-	if !res.Committed {
-		w.AbortOp() // OldSeeNewCode: restart in the current epoch
-		goto retryRegist
-	}
-	if usedPrealloc {
-		ws.prealloc = epoch.Block{}
-	}
-	if !retire.IsNil() {
-		w.PRetire(retire)
-	}
-	if !persist.IsNil() {
-		w.PTrack(persist)
-	}
+	replaced := op.End()
 	if !replaced {
 		t.count.Add(1)
 	}
-	w.EndOp()
 	return replaced
 }
 
@@ -269,36 +213,21 @@ func (t *Tree) removeTransient(k uint64) bool {
 }
 
 func (t *Tree) removePersistent(w *epoch.Worker, k uint64) bool {
-retryRegist:
-	opEpoch := w.BeginOp()
-	var retire epoch.Block
-	res := w.Run(t.tm, nil, func(tx *htm.Tx) {
-		retire = epoch.Block{}
+	op := w.BeginRemove()
+	op.Run(t.tm, nil, func(tx *htm.Tx) {
 		val, ok := t.removeRec(txMem{tx}, t.rootNode(), k)
 		if !ok {
-			// Absent: make sure the absence is not a newer removal's work.
-			t.removals.CheckTx(tx, k, opEpoch)
+			op.Absent(tx, k)
 			return
 		}
-		// Epoch check after the (buffered) mutation: an abort rolls the
-		// whole body back, in a session as in a transaction.
-		blk := t.sys.BlockAt(nvm.Addr(val))
-		if blk.EpochTx(tx) > opEpoch {
-			tx.Abort(epoch.OldSeeNewCode)
-		}
-		t.removals.RaiseTx(tx, k, opEpoch)
-		retire = blk
+		// Decided after the (buffered) mutation: an OldSeeNew abort rolls
+		// the whole body back, in a session as in a transaction.
+		op.Unlink(tx, k, t.sys.BlockAt(nvm.Addr(val)))
 	})
-	if !res.Committed {
-		w.AbortOp() // OldSeeNewCode: restart in the current epoch
-		goto retryRegist
-	}
-	removed := !retire.IsNil()
+	removed := op.End()
 	if removed {
-		w.PRetire(retire)
 		t.count.Add(-1)
 	}
-	w.EndOp()
 	return removed
 }
 
