@@ -7,6 +7,7 @@
 package bdhash
 
 import (
+	"runtime"
 	"testing"
 
 	"bdhtm/internal/epoch"
@@ -59,5 +60,23 @@ func TestOperationsDoNotAllocate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// New's DRAM is the slot array, 4 bytes a slot (two 32-bit slots to a
+// word), and a constant for the table itself. 2^16 keys get 2^17 slots.
+func TestSlotArrayIsFourBytesASlot(t *testing.T) {
+	const capacity, slack = 1 << 16, 4 << 10
+	sys := epoch.New(nvm.New(nvm.Config{Words: 1 << 20}), epoch.Config{Manual: true})
+	tm := htm.Default()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := New(sys, tm, capacity, 1)
+	runtime.ReadMemStats(&after)
+	got, limit := after.TotalAlloc-before.TotalAlloc, 4*tab.nSlots()+slack
+	t.Logf("New(%d) allocated %d bytes for %d slots", capacity, got, tab.nSlots())
+	if got > limit {
+		t.Fatalf("New(%d) allocated %d bytes for %d slots, want <= %d (4 B a slot + %d)",
+			capacity, got, tab.nSlots(), limit, slack)
 	}
 }

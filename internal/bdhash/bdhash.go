@@ -2,9 +2,11 @@
 // paper's Listing 1 — the tutorial structure for the BDL + HTM strategy.
 //
 // The bucket array lives in DRAM and holds addresses of KV blocks in NVM.
-// A slot word packs the block's address (bits 0-47) with a 16-bit
-// fingerprint of its key (bits 48-63, hash bits the bucket index does not
-// use), so a probe reads a block's key from NVM only on a fingerprint hit.
+// A slot is 32 bits, two to a word of the array: the block's address in
+// the low bits, as many as the heap's highest address needs, and a
+// fingerprint of its key above them (the top bits of its hash, which the
+// bucket index does not use), so a probe reads a block's key from NVM only
+// on a fingerprint hit.
 // A probe ends at the first empty slot of its window: a removal leaves a
 // tombstone where a later key's probe may still have to pass, so every key
 // lies before the first empty slot of its window, and an operation at low
@@ -34,6 +36,8 @@ package bdhash
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"bdhtm/internal/epoch"
@@ -42,23 +46,23 @@ import (
 )
 
 const (
-	// BucketSize is the number of slots per bucket (one cache line of
-	// DRAM per bucket).
+	// BucketSize is the number of slots per bucket (half a cache line
+	// of DRAM per bucket: a slot is 32 bits).
 	BucketSize = 8
 	// maxProbeBuckets is the linear-probing window: a key lives in one of
 	// this many consecutive buckets. A probe scans them only up to the
 	// first empty slot, so the window bounds capacity, not the usual scan.
 	maxProbeBuckets = 4
 
-	// A slot word is addr | fingerprint: the block address in the low
-	// addrBits bits, the top bits of the key's hash above them. An
-	// occupied slot is nonzero because no block lives at address 0.
-	addrBits = 48
-	addrMask = 1<<addrBits - 1
+	// A slot is addr | fingerprint, slotBits wide: the block address in
+	// the low bits (Table.addrMask), the top bits of the key's hash above
+	// them. An occupied slot is nonzero because no block lives at
+	// address 0. Slot i is half i%2 of word i/2 of the slot array.
+	slotBits = 32
 
 	// tomb marks a slot whose key was removed while a later key's probe
 	// may run through it: not empty, so probes go on past it, and free to
-	// an insert. No block lives at address 1, so it is never a slot word.
+	// an insert. No block lives at address 1, so it is never a slot.
 	tomb = 1
 
 	// fullCode aborts an insert whose probe window has no free slot.
@@ -74,6 +78,7 @@ type Table struct {
 	tag uint8
 
 	nBuckets uint64 // power of two
+	addrMask uint32 // a slot's address bits
 	slots    []uint64
 
 	count atomic.Int64
@@ -83,6 +88,7 @@ type Table struct {
 // a conservative load factor). tag distinguishes this table's blocks from
 // other structures sharing the heap during recovery. The slot array is
 // DRAM: sys.SimulateCrash releases it, and the table is unusable after.
+// New panics if the heap's addresses do not fit in a slot.
 func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 	nBuckets := uint64(1)
 	for nBuckets*BucketSize < uint64(capacity)*2 {
@@ -93,10 +99,22 @@ func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 		tm:       tm,
 		tag:      tag,
 		nBuckets: nBuckets,
-		slots:    make([]uint64, nBuckets*BucketSize),
+		addrMask: addrMask(uint64(sys.Heap().Words())),
+		slots:    make([]uint64, nBuckets*BucketSize/2),
 	}
 	epoch.OnCrash(sys, t, (*Table).dropIndex)
 	return t
+}
+
+// addrMask is the mask of a slot's address bits on a heap of the given
+// words: as many bits as its highest address needs, so the fingerprint
+// gets the rest.
+func addrMask(words uint64) uint32 {
+	n := bits.Len64(words - 1)
+	if n > slotBits {
+		panic(fmt.Sprintf("bdhash: a heap of %d words has addresses wider than a %d-bit slot", words, slotBits))
+	}
+	return uint32(uint64(1)<<n - 1)
 }
 
 // dropIndex releases the slot array, as a power failure loses it.
@@ -114,25 +132,51 @@ func hash64(k uint64) uint64 {
 const probeSlots = maxProbeBuckets * BucketSize
 
 // probe returns the first slot of k's probe window and k's fingerprint,
-// in place in the slot word's top bits. The bucket index takes the hash's
-// low bits and the fingerprint its top 16, so keys that share a bucket
+// in place in the slot's top bits. The bucket index takes the hash's low
+// bits and the fingerprint its top ones, so keys that share a bucket
 // still differ in fingerprint unless they collide on both.
-func (t *Table) probe(k uint64) (start, fp uint64) {
+func (t *Table) probe(k uint64) (start uint64, fp uint32) {
 	h := hash64(k)
-	return (h & (t.nBuckets - 1)) * BucketSize, h &^ addrMask
+	return (h & (t.nBuckets - 1)) * BucketSize, uint32(h>>(64-slotBits)) &^ t.addrMask
 }
 
-func (t *Table) slotAt(i uint64) *uint64 {
-	return &t.slots[i&(t.nBuckets*BucketSize-1)]
+// nSlots is the table's slot count, a power of two.
+func (t *Table) nSlots() uint64 { return t.nBuckets * BucketSize }
+
+// slotAt returns the word holding slot i of the table (taken modulo its
+// slot count) and the slot's shift within that word.
+func (t *Table) slotAt(i uint64) (*uint64, uint) {
+	i &= t.nSlots() - 1
+	return &t.slots[i/2], uint(i%2) * slotBits
 }
 
-// blockAt decodes an occupied slot word's block.
-func (t *Table) blockAt(word uint64) epoch.Block {
-	return t.sys.BlockAt(nvm.Addr(word & addrMask))
+// load reads slot i in tx.
+func (t *Table) load(tx *htm.Tx, i uint64) uint32 {
+	p, sh := t.slotAt(i)
+	return uint32(tx.Load(p) >> sh)
 }
 
-// slotWord packs a block address with its key's fingerprint.
-func slotWord(b epoch.Block, fp uint64) uint64 { return uint64(b.Addr()) | fp }
+// store writes slot i in tx and keeps the other slot of its word. The
+// merge is exact: the transaction tracks the word's line from the load,
+// and a session locks it there.
+func (t *Table) store(tx *htm.Tx, i uint64, s uint32) {
+	p, sh := t.slotAt(i)
+	tx.Store(p, tx.Load(p)&^(math.MaxUint32<<sh)|uint64(s)<<sh)
+}
+
+// peek reads slot i outside a transaction.
+func (t *Table) peek(i uint64) uint32 {
+	p, sh := t.slotAt(i)
+	return uint32(atomic.LoadUint64(p) >> sh)
+}
+
+// blockAt decodes an occupied slot's block.
+func (t *Table) blockAt(s uint32) epoch.Block {
+	return t.sys.BlockAt(nvm.Addr(s & t.addrMask))
+}
+
+// slot packs a block address with its key's fingerprint.
+func slot(b epoch.Block, fp uint32) uint32 { return uint32(b.Addr()) | fp }
 
 // Len returns the number of keys in the table.
 func (t *Table) Len() int { return int(t.count.Load()) }
@@ -161,32 +205,32 @@ func (t *Table) Insert(w *epoch.Worker, k, v uint64) bool {
 // slot gets.
 func (t *Table) insertBody(tx *htm.Tx, op *epoch.Op, k, v uint64) {
 	start, fp := t.probe(k)
-	var free *uint64 // the first tombstone or empty slot on the way
-	for i := uint64(0); i < probeSlots; i++ {
-		sp := t.slotAt(start + i)
-		word := tx.Load(sp)
-		if word <= tomb && free == nil {
-			free = sp
+	end := start + probeSlots
+	free := end // the first tombstone or empty slot on the way
+	for i := start; i < end; i++ {
+		s := t.load(tx, i)
+		if s <= tomb && free == end {
+			free = i
 		}
-		if word == 0 {
+		if s == 0 {
 			break // k is absent: no key lies past an empty slot
 		}
-		if word == tomb || word&^addrMask != fp {
+		if s == tomb || s&^t.addrMask != fp {
 			continue
 		}
-		b := t.blockAt(word)
+		b := t.blockAt(s)
 		if b.KeyTx(tx) != k {
 			continue
 		}
 		if nb := op.Revise(tx, b, v); nb != b {
-			tx.Store(sp, slotWord(nb, fp))
+			t.store(tx, i, slot(nb, fp))
 		}
 		return
 	}
-	if free == nil {
+	if free == end {
 		tx.Abort(fullCode)
 	}
-	tx.Store(free, slotWord(op.Link(tx, k), fp))
+	t.store(tx, free, slot(op.Link(tx, k), fp))
 }
 
 // preWalk touches the key's probe window non-transactionally, the paper's
@@ -196,13 +240,13 @@ func (t *Table) insertBody(tx *htm.Tx, op *epoch.Op, k, v uint64) {
 func (t *Table) preWalk(k uint64) {
 	start, fp := t.probe(k)
 	var sink uint64
-	for i := uint64(0); i < probeSlots; i++ {
-		word := atomic.LoadUint64(t.slotAt(start + i))
-		if word == 0 {
+	for i := start; i < start+probeSlots; i++ {
+		s := t.peek(i)
+		if s == 0 {
 			break
 		}
-		if word != tomb && word&^addrMask == fp {
-			sink += t.sys.Heap().Load(nvm.Addr(word & addrMask))
+		if s != tomb && s&^t.addrMask == fp {
+			sink += t.sys.Heap().Load(nvm.Addr(s & t.addrMask))
 		}
 	}
 	_ = sink
@@ -222,15 +266,15 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 	w.Run(t.tm, nil, func(tx *htm.Tx) {
 		v, ok = 0, false
 		start, fp := t.probe(k)
-		for i := uint64(0); i < probeSlots; i++ {
-			word := tx.Load(t.slotAt(start + i))
-			if word == 0 {
+		for i := start; i < start+probeSlots; i++ {
+			s := t.load(tx, i)
+			if s == 0 {
 				return
 			}
-			if word == tomb || word&^addrMask != fp {
+			if s == tomb || s&^t.addrMask != fp {
 				continue
 			}
-			b := t.blockAt(word)
+			b := t.blockAt(s)
 			if b.KeyTx(tx) == k {
 				v, ok = b.ValueTx(tx), true
 				return
@@ -245,20 +289,20 @@ func (t *Table) Remove(w *epoch.Worker, k uint64) bool {
 	op := w.BeginRemove()
 	op.Run(t.tm, nil, func(tx *htm.Tx) {
 		start, fp := t.probe(k)
-		for i := uint64(0); i < probeSlots; i++ {
-			word := tx.Load(t.slotAt(start + i))
-			if word == 0 {
+		for i := start; i < start+probeSlots; i++ {
+			s := t.load(tx, i)
+			if s == 0 {
 				break
 			}
-			if word == tomb || word&^addrMask != fp {
+			if s == tomb || s&^t.addrMask != fp {
 				continue
 			}
-			b := t.blockAt(word)
+			b := t.blockAt(s)
 			if b.KeyTx(tx) != k {
 				continue
 			}
 			op.Unlink(tx, k, b)
-			t.vacate(tx, start+i)
+			t.vacate(tx, i)
 			return
 		}
 		op.Absent(tx, k)
@@ -277,18 +321,17 @@ func (t *Table) Remove(w *epoch.Worker, k uint64) bool {
 // in the probe's reads already, so only a bucket's last slot reads a new
 // line.
 func (t *Table) vacate(tx *htm.Tx, i uint64) {
-	if tx.Load(t.slotAt(i+1)) != 0 {
-		tx.Store(t.slotAt(i), tomb)
+	if t.load(tx, i+1) != 0 {
+		t.store(tx, i, tomb)
 		return
 	}
-	tx.Store(t.slotAt(i), 0)
+	t.store(tx, i, 0)
 	for i%BucketSize != 0 {
 		i--
-		sp := t.slotAt(i)
-		if tx.Load(sp) != tomb {
+		if t.load(tx, i) != tomb {
 			return
 		}
-		tx.Store(sp, 0)
+		t.store(tx, i, 0)
 	}
 }
 
@@ -300,14 +343,15 @@ func (t *Table) RebuildBlock(rec epoch.BlockRecord) {
 	b := t.sys.BlockAt(rec.Addr)
 	k := b.Key()
 	start, fp := t.probe(k)
-	for i := uint64(0); i < probeSlots; i++ {
-		sp := t.slotAt(start + i)
-		if *sp == 0 {
-			*sp = slotWord(b, fp)
+	for i := start; i < start+probeSlots; i++ {
+		p, sh := t.slotAt(i)
+		s := uint32(*p >> sh)
+		if s == 0 {
+			*p |= uint64(slot(b, fp)) << sh
 			t.count.Add(1)
 			return
 		}
-		if *sp&^addrMask == fp && t.blockAt(*sp).Key() == k {
+		if s&^t.addrMask == fp && t.blockAt(s).Key() == k {
 			panic(fmt.Sprintf("bdhash: duplicate key %d in recovery (BDL invariant violated)", k))
 		}
 	}
@@ -317,9 +361,9 @@ func (t *Table) RebuildBlock(rec epoch.BlockRecord) {
 // Keys calls fn for every key/value in the table. Not linearizable; for
 // tests and diagnostics.
 func (t *Table) Keys(fn func(k, v uint64)) {
-	for i := range t.slots {
-		if word := atomic.LoadUint64(&t.slots[i]); word != 0 && word != tomb {
-			b := t.blockAt(word)
+	for i := range t.nSlots() {
+		if s := t.peek(i); s != 0 && s != tomb {
+			b := t.blockAt(s)
 			fn(b.Key(), b.Value())
 		}
 	}

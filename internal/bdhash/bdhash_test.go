@@ -1,7 +1,10 @@
 package bdhash
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
+	"bdhtm/internal/palloc"
 )
 
 type fixture struct {
@@ -21,7 +25,13 @@ type fixture struct {
 
 func newFixture(t *testing.T, capacity int) *fixture {
 	t.Helper()
-	h := nvm.New(nvm.Config{Words: 1 << 20})
+	return newFixtureOn(t, 1<<20, capacity)
+}
+
+// newFixtureOn builds the fixture on a heap of the given words.
+func newFixtureOn(t *testing.T, words, capacity int) *fixture {
+	t.Helper()
+	h := nvm.New(nvm.Config{Words: words})
 	sys := epoch.New(h, epoch.Config{Manual: true})
 	tm := htm.Default()
 	tab := New(sys, tm, capacity, 1)
@@ -552,7 +562,7 @@ func collidingKeys(t *Table, n int) []uint64 {
 	classes := map[uint64][]uint64{}
 	for k := uint64(1); ; k++ {
 		start, fp := t.probe(k)
-		c := fp | start
+		c := start<<slotBits | uint64(fp)
 		classes[c] = append(classes[c], k)
 		if len(classes[c]) == n {
 			return classes[c]
@@ -560,13 +570,26 @@ func collidingKeys(t *Table, n int) []uint64 {
 	}
 }
 
-// TestFingerprintCollisions runs every operation on keys whose slot words
+// TestFingerprintCollisions runs every operation on keys whose slots
 // carry the same fingerprint in the same bucket, then crashes, recovers
 // and rebuilds. A probe that trusted a fingerprint match without comparing
 // keys would return, replace or remove the wrong key, or report a false
-// duplicate at rebuild.
+// duplicate at rebuild. It runs at a wide fingerprint and at the narrowest
+// one in the repo: 7 bits, on the 2^25-word heap of the largest recovery
+// experiment.
 func TestFingerprintCollisions(t *testing.T) {
-	f := newFixture(t, 64)
+	for _, tc := range []struct{ words, fpBits int }{{1 << 20, 12}, {1 << 25, 7}} {
+		t.Run(fmt.Sprintf("fp=%dbits", tc.fpBits), func(t *testing.T) {
+			f := newFixtureOn(t, tc.words, 64)
+			if n := bits.OnesCount32(^f.tab.addrMask); n != tc.fpBits {
+				t.Fatalf("a %d-word heap leaves a %d-bit fingerprint, want %d", tc.words, n, tc.fpBits)
+			}
+			testFingerprintCollisions(t, f)
+		})
+	}
+}
+
+func testFingerprintCollisions(t *testing.T, f *fixture) {
 	ks := collidingKeys(f.tab, 5)
 	live, absent := ks[:4], ks[4]
 	want := map[uint64]uint64{}
@@ -623,9 +646,9 @@ func TestFingerprintCollisions(t *testing.T) {
 
 	// The rebuild still refuses a real duplicate.
 	var dup epoch.Block
-	for _, word := range f.tab.slots {
-		if word != 0 && f.tab.blockAt(word).Key() == live[1] {
-			dup = f.tab.blockAt(word)
+	for i := range f.tab.nSlots() {
+		if s := f.tab.peek(i); s > tomb && f.tab.blockAt(s).Key() == live[1] {
+			dup = f.tab.blockAt(s)
 		}
 	}
 	if dup.IsNil() {
@@ -633,6 +656,76 @@ func TestFingerprintCollisions(t *testing.T) {
 	}
 	if !panics(func() { f.tab.RebuildBlock(epoch.BlockRecord{Addr: dup.Addr()}) }) {
 		t.Fatal("RebuildBlock accepted a duplicate of a recovered key")
+	}
+}
+
+// TestBlocksAtTheTopOfTheHeap fills most of a 2^16-word heap with other
+// blocks, so that the table's blocks sit in its last slabs and their
+// addresses set a slot's highest address bit, the one next to the
+// fingerprint. Every operation, a crash that evicts half the dirty lines,
+// and the rebuild must round-trip them.
+func TestBlocksAtTheTopOfTheHeap(t *testing.T) {
+	const words, capacity, universe, fillerTag = 1 << 16, 256, 200, 0x77
+	f := newFixtureOn(t, words, capacity)
+	for f.sys.Allocator().Alloc(palloc.NumClasses()-1, fillerTag) < words*3/4 {
+	}
+	top := nvm.Addr(f.tab.addrMask>>1 + 1) // the highest address bit
+	model := map[uint64]uint64{}
+	for k := uint64(0); k < universe; k++ {
+		f.tab.Insert(f.w, k, k+1000)
+		model[k] = k + 1000
+	}
+	for i := range f.tab.nSlots() {
+		if s := f.tab.peek(i); s > tomb && f.tab.blockAt(s).Addr() < top {
+			t.Fatalf("slot %d holds block %#x, below the top half of the heap at %#x", i, f.tab.blockAt(s).Addr(), top)
+		}
+	}
+	for k := uint64(0); k < universe; k += 3 {
+		f.tab.Remove(f.w, k)
+		delete(model, k)
+	}
+	f.tab.Insert(f.w, 1, 1) // same epoch: in place
+	model[1] = 1
+	f.sys.AdvanceOnce()
+	f.tab.Insert(f.w, 2, 2) // older epoch: out of place
+	model[2] = 2
+	checkTable(t, f.tab, model, universe, "before the crash")
+	f.sys.Sync()
+	f.tab.Insert(f.w, 0, 7) // unpersisted epoch: rolls back
+	f.tab.Remove(f.w, 4)
+	f.recoverTable(t, nvm.CrashOptions{EvictFraction: 0.5, Seed: 11}, capacity)
+	checkTable(t, f.tab, model, universe, "after recovery")
+	for k := uint64(0); k < universe; k += 2 {
+		if _, in := model[k]; in {
+			f.tab.Remove(f.w, k)
+			delete(model, k)
+		} else {
+			f.tab.Insert(f.w, k, k+3000)
+			model[k] = k + 3000
+		}
+	}
+	checkTable(t, f.tab, model, universe, "operations after recovery")
+}
+
+// TestAddressesMustFitASlot: a heap of up to 2^32 words leaves its
+// addresses room in a 32-bit slot, with no bit to spare for the
+// fingerprint at 2^32; a larger one is refused, naming its size.
+func TestAddressesMustFitASlot(t *testing.T) {
+	for _, tc := range []struct {
+		words uint64
+		mask  uint32
+	}{{1 << 16, 1<<16 - 1}, {1<<16 + 1, 1<<17 - 1}, {6_300_000, 1<<23 - 1}, {1 << 25, 1<<25 - 1}, {1 << 32, 1<<32 - 1}} {
+		if got := addrMask(tc.words); got != tc.mask {
+			t.Errorf("addrMask(%d) = %#x, want %#x", tc.words, got, tc.mask)
+		}
+	}
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		addrMask(1<<32 + 1)
+		return ""
+	}()
+	if !strings.Contains(msg, "4294967297 words") {
+		t.Fatalf("addrMask of a heap past 2^32 words: panic %q, want one naming its size", msg)
 	}
 }
 

@@ -45,15 +45,16 @@ func checkTable(t *testing.T, tab *Table, model map[uint64]uint64, universe uint
 	if len(seen) != len(model) {
 		t.Fatalf("%s: Keys reports %d keys, want %d", stage, len(seen), len(model))
 	}
-	n := uint64(len(tab.slots))
-	for s, word := range tab.slots {
+	n := tab.nSlots()
+	for s := range n {
+		word := tab.peek(s)
 		if word == 0 || word == tomb {
 			continue
 		}
 		k := tab.blockAt(word).Key()
 		start, _ := tab.probe(k)
-		for i := start % n; i != uint64(s); i = (i + 1) % n {
-			if tab.slots[i] == 0 {
+		for i := start % n; i != s; i = (i + 1) % n {
+			if tab.peek(i) == 0 {
 				t.Fatalf("%s: key %d in slot %d lies past empty slot %d of its window (start %d)", stage, k, s, i, start)
 			}
 		}
@@ -62,8 +63,8 @@ func checkTable(t *testing.T, tab *Table, model map[uint64]uint64, universe uint
 
 // countTombs is the number of tombstones in tab's slots.
 func countTombs(tab *Table) (n int) {
-	for _, word := range tab.slots {
-		if word == tomb {
+	for i := range tab.nSlots() {
+		if tab.peek(i) == tomb {
 			n++
 		}
 	}
@@ -88,7 +89,7 @@ func TestProbeModel(t *testing.T) {
 				sys := epoch.New(h, epoch.Config{Manual: true})
 				tab := New(sys, htm.New(path.cfg), capacity, 1)
 				w := sys.Register()
-				universe := uint64(len(tab.slots))
+				universe := tab.nSlots()
 				rng := rand.New(rand.NewPCG(uint64(capacity), 0x7b0b))
 				model := map[uint64]uint64{}
 				tombs := 0

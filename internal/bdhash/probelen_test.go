@@ -20,7 +20,7 @@ import (
 func missProbe(tab *Table, k uint64) int {
 	start, _ := tab.probe(k)
 	for i := uint64(0); i < probeSlots; i++ {
-		if *tab.slotAt(start + i) == 0 {
+		if tab.peek(start+i) == 0 {
 			return int(i) + 1
 		}
 	}
@@ -66,9 +66,9 @@ func TestMissProbeStaysShort(t *testing.T) {
 		}
 	}
 	churned := meanMiss()
-	tombPct := 100 * float64(countTombs(tab)) / float64(len(tab.slots))
+	tombPct := 100 * float64(countTombs(tab)) / float64(tab.nSlots())
 	t.Logf("mean slots read by a miss: %.2f after prefill, %.2f after churn; %d keys, tombstones at %.1f %% of %d slots",
-		prefilled, churned, tab.Len(), tombPct, len(tab.slots))
+		prefilled, churned, tab.Len(), tombPct, tab.nSlots())
 	if churned > 5 {
 		t.Errorf("a miss reads %.2f slots on average after churn, want <= 5", churned)
 	}

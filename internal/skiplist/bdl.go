@@ -19,8 +19,9 @@ import (
 func (h *Handle) insertBDL(g *guard, k, v uint64) bool {
 	l := h.l
 	op := h.w.BeginInsert(NodeTag, epoch.KVPayloadWords, k, v)
+	var p path
 	for {
-		preds, succs, found := l.find(g, k)
+		found := l.find(g, k, &p)
 
 		if found != 0 {
 			// Update path: the node's value word names the key's block.
@@ -46,10 +47,10 @@ func (h *Handle) insertBDL(g *guard, k, v uint64) bool {
 		// Insert path: link a fresh tower whose value word references the
 		// spare NVM block.
 		lvl := h.randLevel()
-		node := l.allocNode(k, uint64(op.Spare().Addr()), lvl, succs[:lvl])
+		node := l.allocNode(k, uint64(op.Spare().Addr()), lvl, p.succs[:lvl])
 		entries := make([]mwcas.Entry, lvl)
 		for i := 0; i < lvl; i++ {
-			entries[i] = mwcas.Entry{Addr: l.nextAddr(preds[i], i), Old: succs[i], New: uint64(node)}
+			entries[i] = mwcas.Entry{Addr: l.nextAddr(p.preds[i], i), Old: p.succs[i], New: uint64(node)}
 		}
 		if l.htmApply(op, g, entries, func(tx *htm.Tx) { op.Link(tx, k) }) {
 			l.count.Add(1)
@@ -63,8 +64,9 @@ func (h *Handle) insertBDL(g *guard, k, v uint64) bool {
 func (h *Handle) removeBDL(g *guard, k uint64) bool {
 	l := h.l
 	op := h.w.BeginRemove()
+	var p path
 	for {
-		preds, _, found := l.find(g, k)
+		found := l.find(g, k, &p)
 		if found == 0 {
 			if op.AbsentDirect(k) {
 				return op.End()
@@ -82,10 +84,10 @@ func (h *Handle) removeBDL(g *guard, k uint64) bool {
 			}
 			entries = append(entries,
 				mwcas.Entry{Addr: l.nextAddr(found, i), Old: nxt, New: nxt | delMark},
-				mwcas.Entry{Addr: l.nextAddr(preds[i], i), Old: uint64(found), New: nxt})
+				mwcas.Entry{Addr: l.nextAddr(p.preds[i], i), Old: uint64(found), New: nxt})
 		}
 		if raceLost {
-			if _, _, f := l.find(g, k); f == 0 && op.AbsentDirect(k) {
+			if f := l.find(g, k, &p); f == 0 && op.AbsentDirect(k) {
 				return op.End()
 			}
 			continue

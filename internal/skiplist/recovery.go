@@ -36,9 +36,9 @@ func (h *Handle) Successor(k uint64) (uint64, uint64, bool) {
 	l := h.l
 	l.reap.enter(h.tid)
 	defer l.reap.exit(h.tid)
-	_, succs, found := l.find(&guard{}, k+1)
-	_ = found
-	s := succs[0]
+	var p path
+	l.find(&guard{}, k+1, &p)
+	s := p.succs[0]
 	if s == 0 {
 		return 0, 0, false
 	}
@@ -60,8 +60,8 @@ func (l *List) RebuildBlock(rec epoch.BlockRecord) {
 		panic("skiplist: RebuildBlock is for BDL lists")
 	}
 	k := l.cfg.DataSys.BlockAt(rec.Addr).Key()
-	preds, succs, found := l.find(&guard{}, k)
-	if found != 0 {
+	var p path
+	if l.find(&guard{}, k, &p) != 0 {
 		panic("skiplist: duplicate key during BDL rebuild (BDL invariant violated)")
 	}
 	// Deterministic-height rebuild keeps expected O(log n) search depth.
@@ -71,9 +71,9 @@ func (l *List) RebuildBlock(rec epoch.BlockRecord) {
 		lvl++
 		r >>= 1
 	}
-	node := l.allocNode(k, uint64(rec.Addr), lvl, succs[:lvl])
+	node := l.allocNode(k, uint64(rec.Addr), lvl, p.succs[:lvl])
 	for i := 0; i < lvl; i++ {
-		l.h.Store(l.nextAddr(preds[i], i), uint64(node))
+		l.h.Store(l.nextAddr(p.preds[i], i), uint64(node))
 	}
 	l.count.Add(1)
 }

@@ -281,24 +281,29 @@ func (l *List) blockOK(a nvm.Addr) bool {
 	return a != 0 && int(a)+palloc.HeaderWords+epoch.KVPayloadWords <= l.cfg.DataSys.Heap().Words()
 }
 
-// find locates the key's position: preds[i] is the rightmost node whose
-// key < k at level i, succs[i] the (unmarked) value of preds[i].next[i].
-// It returns the node with key k, if linked. A teleporting traversal that
-// overruns its step bound or reads a malformed pointer captures (full
-// hazard announcement) and re-walks.
-func (l *List) find(g *guard, k uint64) (preds []nvm.Addr, succs []uint64, found nvm.Addr) {
+// path is a search's result at every level: preds[i] is the rightmost
+// node whose key < k at level i, succs[i] the (unmarked) value of
+// preds[i].next[i]. The caller owns it, so a search allocates nothing.
+type path struct {
+	preds [maxLevel]nvm.Addr
+	succs [maxLevel]uint64
+}
+
+// find fills p with the key's position and returns the node with key k,
+// if linked. A teleporting traversal that overruns its step bound or
+// reads a malformed pointer captures (full hazard announcement) and
+// re-walks.
+func (l *List) find(g *guard, k uint64, p *path) (found nvm.Addr) {
 	for {
-		preds, succs, found, ok := l.tryFind(g, k)
+		found, ok := l.tryFind(g, k, p)
 		if ok {
-			return preds, succs, found
+			return found
 		}
 		g.capture()
 	}
 }
 
-func (l *List) tryFind(g *guard, k uint64) (preds []nvm.Addr, succs []uint64, found nvm.Addr, ok bool) {
-	preds = make([]nvm.Addr, maxLevel)
-	succs = make([]uint64, maxLevel)
+func (l *List) tryFind(g *guard, k uint64, p *path) (found nvm.Addr, ok bool) {
 	steps, bound := 0, 0
 	if g.teleporting() {
 		// Recycled pointers could form a cycle; bound the walk well above
@@ -310,26 +315,26 @@ func (l *List) tryFind(g *guard, k uint64) (preds []nvm.Addr, succs []uint64, fo
 		for {
 			if bound != 0 {
 				if steps++; steps > bound {
-					return nil, nil, 0, false
+					return 0, false
 				}
 			}
 			raw := l.read(l.nextAddr(x, i))
 			nxt := raw &^ delMark
 			if nxt != 0 && bound != 0 && !l.nodeOK(nvm.Addr(nxt)) {
-				return nil, nil, 0, false
+				return 0, false
 			}
 			if nxt == 0 || l.key(nvm.Addr(nxt)) >= k {
-				preds[i] = x
-				succs[i] = nxt
+				p.preds[i] = x
+				p.succs[i] = nxt
 				break
 			}
 			x = nvm.Addr(nxt)
 		}
 	}
-	if s := succs[0]; s != 0 && l.key(nvm.Addr(s)) == k {
+	if s := p.succs[0]; s != 0 && l.key(nvm.Addr(s)) == k {
 		found = nvm.Addr(s)
 	}
-	return preds, succs, found, true
+	return found, true
 }
 
 // SetSpan attaches a sampled request span to the handle's epoch worker
@@ -353,7 +358,8 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 	// validate against: they always announce.
 	l.reap.enter(h.tid)
 	defer l.reap.exit(h.tid)
-	_, _, found := l.find(&guard{}, k)
+	var p path
+	found := l.find(&guard{}, k, &p)
 	if found == 0 {
 		return 0, false
 	}
@@ -372,8 +378,9 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 // body; guard.validate makes a teleporting one announce and re-find first.
 func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 	l := h.l
+	var p path
 	for {
-		_, _, found := l.find(g, k)
+		found := l.find(g, k, &p)
 		if found == 0 {
 			return 0, false
 		}
@@ -413,8 +420,9 @@ func (h *Handle) Insert(k, v uint64) bool {
 	if l.cfg.Variant == BDL {
 		return h.insertBDL(&g, k, v)
 	}
+	var p path
 	for {
-		preds, succs, found := l.find(&g, k)
+		found := l.find(&g, k, &p)
 		if found != 0 {
 			old := l.read(l.valueAddr(found))
 			if h.apply(&g, []mwcas.Entry{{Addr: l.valueAddr(found), Old: old, New: v}}) {
@@ -423,10 +431,10 @@ func (h *Handle) Insert(k, v uint64) bool {
 			continue
 		}
 		lvl := h.randLevel()
-		node := l.allocNode(k, v, lvl, succs[:lvl])
+		node := l.allocNode(k, v, lvl, p.succs[:lvl])
 		entries := make([]mwcas.Entry, lvl)
 		for i := 0; i < lvl; i++ {
-			entries[i] = mwcas.Entry{Addr: l.nextAddr(preds[i], i), Old: succs[i], New: uint64(node)}
+			entries[i] = mwcas.Entry{Addr: l.nextAddr(p.preds[i], i), Old: p.succs[i], New: uint64(node)}
 		}
 		if h.apply(&g, entries) {
 			l.count.Add(1)
@@ -447,8 +455,9 @@ func (h *Handle) Remove(k uint64) bool {
 	if l.cfg.Variant == BDL {
 		return h.removeBDL(&g, k)
 	}
+	var p path
 	for {
-		preds, _, found := l.find(&g, k)
+		found := l.find(&g, k, &p)
 		if found == 0 {
 			return false
 		}
@@ -463,12 +472,12 @@ func (h *Handle) Remove(k uint64) bool {
 			}
 			entries = append(entries,
 				mwcas.Entry{Addr: l.nextAddr(found, i), Old: nxt, New: nxt | delMark},
-				mwcas.Entry{Addr: l.nextAddr(preds[i], i), Old: uint64(found), New: nxt})
+				mwcas.Entry{Addr: l.nextAddr(p.preds[i], i), Old: uint64(found), New: nxt})
 		}
 		if retryFind {
 			// Help the competing remove finish by re-finding; if the key
 			// is gone we lost the race.
-			if _, _, f := l.find(&g, k); f == 0 {
+			if f := l.find(&g, k, &p); f == 0 {
 				return false
 			}
 			continue
