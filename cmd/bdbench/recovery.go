@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"strconv"
+	"strings"
 	"time"
 
 	"bdhtm/internal/epoch"
@@ -18,9 +21,12 @@ import (
 // header scan (on up to GOMAXPROCS workers) and the rebuild, the blocks
 // recovered and resurrected, what the retire journal replay read, applied
 // and erased, the recovered heap's materialised view pages (32 KiB each)
-// and the lines holding a pre-image (nvm.StatsSnapshot) and the KiB that recovery and the
-// rebuild allocated (runtime.MemStats.TotalAlloc across kv.Recover: the
-// rebuilt index and whatever recovery held beside it). Each row is
+// and the lines holding a pre-image (nvm.StatsSnapshot), the KiB that
+// recovery and the rebuild allocated on the Go heap
+// (runtime.MemStats.TotalAlloc across kv.Recover: whatever recovery held
+// beside the index) and the process's resident MiB after the rebuild
+// (VmRSS), which also counts what the Go heap does not: the heap's view and
+// bdhash's slot array, both mappings (nvm.MapWords). Each row is
 // verified: every synced key must read back its value. Any failure exits
 // non-zero once every row is printed.
 // The timings are report only: a single run's wall clock cannot rank
@@ -31,27 +37,27 @@ func recovery() {
 		heapSizes = append(heapSizes, 1<<25)
 	}
 	fmt.Printf("\nSec. 5.2 — recovery, scan+rebuild vs structure and heap size (GOMAXPROCS %d)\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("  %-22s %10s %7s %12s %12s %9s %11s %7s %9s %8s %8s %8s %9s  %s\n",
+	fmt.Printf("  %-22s %10s %7s %12s %12s %9s %11s %7s %9s %8s %8s %8s %9s %7s  %s\n",
 		"structure", "heap_words", "workers", "scan", "rebuild", "blocks", "resurrected",
-		"j_read", "j_applied", "j_erased", "view_pg", "preimg", "alloc_KiB", "verified")
+		"j_read", "j_applied", "j_erased", "view_pg", "preimg", "alloc_KiB", "rss_MiB", "verified")
 	failed := false
 	for _, name := range kv.BufferedKinds() {
 		k, _ := kv.Lookup(name)
 		for _, words := range heapSizes {
-			rec, alloc, err := recoverCell(k, words)
+			rec, alloc, rss, err := recoverCell(k, words)
 			st, hs := rec.Sys.Stats(), rec.Heap.Stats()
 			rec.Close()
 			verdict := "ok"
 			if err != nil {
 				verdict, failed = "FAIL: "+err.Error(), true
 			}
-			fmt.Printf("  %-22s %10d %7d %12v %12v %9d %11d %7d %9d %8d %8d %8d %9d  %s\n",
+			fmt.Printf("  %-22s %10d %7d %12v %12v %9d %11d %7d %9d %8d %8d %8d %9d %7.1f  %s\n",
 				k.Title, words, st.RecoveryWorkers,
 				time.Duration(st.RecoveryScanNS).Round(time.Microsecond),
 				time.Duration(st.RecoveryRebuildNS).Round(time.Microsecond),
 				st.RecoveredLive, st.Resurrected,
 				st.JournalPagesRead, st.JournalRecordsApplied, st.JournalPagesErased,
-				hs.ViewPages, hs.PreImages, alloc>>10, verdict)
+				hs.ViewPages, hs.PreImages, alloc>>10, float64(rss)/(1<<20), verdict)
 		}
 	}
 	if failed {
@@ -68,9 +74,10 @@ func recovery() {
 // below the persisted epoch for the scan to apply. That eighth is then
 // removed without a sync, and the crash writes back half the dirty lines,
 // so the scan also resurrects the removals that reached the media. alloc is
-// the bytes kv.Recover allocated; the error reports synced keys the
-// recovered store lost or got wrong.
-func recoverCell(k kv.Kind, heapWords int) (rec *kv.Stack, alloc uint64, err error) {
+// the bytes kv.Recover allocated, rss the process's resident bytes once it
+// returned; the error reports synced keys the recovered store lost or got
+// wrong.
+func recoverCell(k kv.Kind, heapWords int) (rec *kv.Stack, alloc, rss uint64, err error) {
 	records := heapWords / 32
 	parts := func(h *nvm.Heap) kv.Parts {
 		return kv.Parts{
@@ -103,11 +110,15 @@ func recoverCell(k kv.Kind, heapWords int) (rec *kv.Stack, alloc uint64, err err
 	}
 	st.Sys.SimulateCrash(nvm.CrashOptions{EvictFraction: 0.5, Seed: uint64(heapWords)})
 
+	// What the build left as garbage goes back to the kernel first, so rss
+	// is what the recovered store holds (and the runtime keeps).
+	debug.FreeOSMemory()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rec = kv.Recover(k.Name, parts(st.Heap))
 	runtime.ReadMemStats(&after)
 	alloc = after.TotalAlloc - before.TotalAlloc
+	rss = residentBytes()
 	s = rec.Store.NewSession()
 	bad := 0
 	for i := 0; i < records; i++ {
@@ -116,7 +127,20 @@ func recoverCell(k kv.Kind, heapWords int) (rec *kv.Stack, alloc uint64, err err
 		}
 	}
 	if n := rec.Store.Len(); bad != 0 || n != records {
-		return rec, alloc, fmt.Errorf("%d of %d synced keys lost or wrong, Len %d", bad, records, n)
+		return rec, alloc, rss, fmt.Errorf("%d of %d synced keys lost or wrong, Len %d", bad, records, n)
 	}
-	return rec, alloc, nil
+	return rec, alloc, rss, nil
+}
+
+// residentBytes is the process's resident set, VmRSS in /proc/self/status;
+// 0 where there is none.
+func residentBytes() uint64 {
+	b, _ := os.ReadFile("/proc/self/status")
+	for _, line := range strings.Split(string(b), "\n") {
+		if kb, ok := strings.CutPrefix(line, "VmRSS:"); ok {
+			n, _ := strconv.ParseUint(strings.TrimSpace(strings.TrimSuffix(kb, "kB")), 10, 64)
+			return n << 10
+		}
+	}
+	return 0
 }

@@ -20,7 +20,7 @@ func TestRecoveryCellVerifies(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				prev := runtime.GOMAXPROCS(workers)
 				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-				rec, _, err := recoverCell(k, 1<<17)
+				rec, _, _, err := recoverCell(k, 1<<17)
 				defer rec.Close()
 				if err != nil {
 					t.Fatal(err)

@@ -17,6 +17,19 @@
 // The seed may also come from BDFUZZ_SEED; the -seed flag wins. Every
 // round also takes the early write-back step every few operations (its
 // replay line carries early=).
+//
+// A change meant to keep behaviour is checked with -digest: it runs each
+// round single-writer, twice (no early step, and the derived one), and
+// prints one line per run: the persist-event count, an ordered and a
+// multiset hash of the events (point, address, the touched line's view),
+// a hash of the view each crash left, the verdict and the replay spec.
+// Two builds must print the same lines (pin GOMAXPROCS: recovery's scan
+// splits its write-backs by it). With -replay, -digest prints that round's
+// events one a line, so a diff of two builds' output names the first
+// event that differs:
+//
+//	bdfuzz -digest -subject bdhash -rounds 80
+//	bdfuzz -digest -replay 'subject=bdhash seed=0x... workers=1 ...'
 package main
 
 import (
@@ -40,6 +53,7 @@ func main() {
 		evict   = flag.Float64("evict", crashfuzz.Derive, "eviction fraction at crash (default: derive per round)")
 		async   = flag.Int("async", crashfuzz.Derive, "schedule: flusher step runs right after each advance (1) or lags a full epoch (0) (default: derive per round)")
 		replay  = flag.String("replay", "", "replay one fully specified round (as printed by a failure) and exit")
+		digest  = flag.Bool("digest", false, "print each single-writer round's persist-event digest instead of fuzzing; with -replay, every event of that round")
 		verbose = flag.Bool("v", false, "log each subject's progress")
 	)
 	flag.Parse()
@@ -49,6 +63,17 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
+		}
+		if *digest {
+			n := 0
+			d := crashfuzz.DigestRound(p, func(e crashfuzz.PersistEvent) {
+				n++
+				fmt.Printf("event %d %s %#x %x\n", n, e.Point, e.Addr, e.Line)
+			})
+			if !printDigest(p.Subject, d, p) {
+				os.Exit(1)
+			}
+			return
 		}
 		if f := crashfuzz.RunRound(p); f != nil {
 			fmt.Fprintf(os.Stderr, "FAIL: %s\n", f.Error())
@@ -90,6 +115,19 @@ func main() {
 		base.Evict = *evict
 		base.Async = *async
 		base.Early = crashfuzz.Derive // every round takes early write-back steps
+		if *digest {
+			for i := range *rounds {
+				p := base
+				p.Seed = crashfuzz.Mix(seed, uint64(i))
+				for _, early := range []int{0, crashfuzz.Derive} {
+					p.Early = early
+					if !printDigest(name, crashfuzz.DigestRound(p, nil), p) {
+						failed = true
+					}
+				}
+			}
+			continue
+		}
 		start := time.Now()
 		if f := crashfuzz.Fuzz(base, *rounds, logf); f != nil {
 			fmt.Fprintf(os.Stderr, "%-9s FAIL after shrink: %s\n", name, f.Error())
@@ -101,4 +139,13 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// printDigest prints one round's digest line and reports whether it
+// passed.
+func printDigest(name string, d crashfuzz.Digest, p crashfuzz.RoundParams) bool {
+	p.Workers = 1
+	fmt.Printf("%-9s events=%d ordered=%016x multiset=%016x view=%016x %s  %s\n",
+		name, d.Events, d.Ordered, d.Multiset, d.View, d.Verdict, crashfuzz.Resolve(p).ReplayString())
+	return d.Verdict == "ok"
 }

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 
 	"bdhtm/internal/epoch"
@@ -80,6 +81,7 @@ type Table struct {
 	nBuckets uint64 // power of two
 	addrMask uint32 // a slot's address bits
 	slots    []uint64
+	unmap    runtime.Cleanup // releases slots when the table is collected
 
 	count atomic.Int64
 }
@@ -87,8 +89,10 @@ type Table struct {
 // New creates a table with capacity for roughly `capacity` keys (sized to
 // a conservative load factor). tag distinguishes this table's blocks from
 // other structures sharing the heap during recovery. The slot array is
-// DRAM: sys.SimulateCrash releases it, and the table is unusable after.
-// New panics if the heap's addresses do not fit in a slot.
+// DRAM, a mapping outside the Go heap (nvm.MapWords), faulted in whole
+// here: sys.SimulateCrash releases it, and the table panics on use after;
+// otherwise it goes when the table is collected. New panics if the heap's
+// addresses do not fit in a slot.
 func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 	nBuckets := uint64(1)
 	for nBuckets*BucketSize < uint64(capacity)*2 {
@@ -100,8 +104,10 @@ func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 		tag:      tag,
 		nBuckets: nBuckets,
 		addrMask: addrMask(uint64(sys.Heap().Words())),
-		slots:    make([]uint64, nBuckets*BucketSize/2),
+		slots:    nvm.MapWords(int(nBuckets * BucketSize / 2)),
 	}
+	nvm.Populate(t.slots)
+	t.unmap = runtime.AddCleanup(t, nvm.UnmapWords, t.slots)
 	epoch.OnCrash(sys, t, (*Table).dropIndex)
 	return t
 }
@@ -117,8 +123,13 @@ func addrMask(words uint64) uint32 {
 	return uint32(uint64(1)<<n - 1)
 }
 
-// dropIndex releases the slot array, as a power failure loses it.
-func (t *Table) dropIndex() { t.slots = nil }
+// dropIndex releases the slot array, as a power failure loses it: once,
+// here, and not again when the table is collected.
+func (t *Table) dropIndex() {
+	t.unmap.Stop()
+	nvm.UnmapWords(t.slots)
+	t.slots = nil
+}
 
 func hash64(k uint64) uint64 {
 	k ^= k >> 33

@@ -36,11 +36,12 @@ func closeOnCleanup[T any](p *T) <-chan struct{} {
 	return done
 }
 
-// TestCrashReleasesSlots: a power failure loses DRAM, so the crashed
-// tables' slot arrays are garbage once SimulateCrash returns, even while
-// the tables themselves are still referenced — the old index and the one
-// recovery rebuilds never coexist. The tables are built on the system from
-// several goroutines at once.
+// TestCrashReleasesSlots: a power failure loses DRAM, so SimulateCrash
+// releases each crashed table's slot array (releasedSoon), even while the
+// tables themselves are still referenced — the old index and the one
+// recovery rebuilds never coexist — and a crashed table panics on use
+// rather than reading released memory. The tables are built on the system
+// from several goroutines at once.
 func TestCrashReleasesSlots(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 16})
 	sys := epoch.New(h, epoch.Config{Manual: true})
@@ -59,19 +60,30 @@ func TestCrashReleasesSlots(t *testing.T) {
 		tabs[0].Insert(w, k, k)
 	}
 	sys.Sync()
-	var done []<-chan struct{}
+	var released []func() bool
 	for _, tab := range tabs {
-		done = append(done, closeOnCleanup(&tab.slots[0]))
+		released = append(released, watchRelease(tab.slots))
 	}
 	sys.SimulateCrash(nvm.CrashOptions{})
-	if !collectedSoon(done...) {
-		t.Fatal("a crashed table's slot array is still reachable after SimulateCrash")
+	for i, tab := range tabs {
+		if !releasedSoon(released[i]) {
+			t.Fatalf("table %d's slot array is still held after SimulateCrash", i)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("table %d served a Get after the crash", i)
+				}
+			}()
+			tab.Get(1)
+		}()
 	}
 	runtime.KeepAlive(tabs)
 }
 
 // TestDroppedTableIsCollected: the system holds its tables weakly, so a
-// table its user drops is collected while the system still runs.
+// table its user drops is collected while the system still runs, and its
+// slot array is released with it.
 func TestDroppedTableIsCollected(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 16})
 	sys := epoch.New(h, epoch.Config{EpochLength: time.Millisecond})
@@ -80,9 +92,25 @@ func TestDroppedTableIsCollected(t *testing.T) {
 	w := sys.Register()
 	tab.Insert(w, 1, 1)
 	done := closeOnCleanup(tab)
+	released := watchRelease(tab.slots)
 	tab = nil
 	if !collectedSoon(done) {
 		t.Fatal("a dropped table is kept alive by its running system")
 	}
+	if !releasedSoon(released) {
+		t.Fatal("a collected table's slot array is still held")
+	}
 	runtime.KeepAlive(sys)
+}
+
+// releasedSoon runs collections until released reports true, or gives up
+// after a second.
+func releasedSoon(released func() bool) bool {
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		runtime.GC()
+		if released() {
+			return true
+		}
+	}
+	return false
 }

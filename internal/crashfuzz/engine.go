@@ -296,7 +296,11 @@ type crashSentinel struct{ point nvm.PersistPoint }
 // when the round passes and a Failure describing the first violation
 // otherwise. Subject panics (double frees, recovery invariant violations)
 // are converted into Failures so the round's replay line is not lost.
-func RunRound(p RoundParams) (f *Failure) {
+func RunRound(p RoundParams) *Failure { return runRound(p, nil) }
+
+// runRound is RunRound, with dig, if not nil, watching a single-writer
+// round's persist events (digest.go).
+func runRound(p RoundParams, dig *digester) (f *Failure) {
 	p = Resolve(p)
 	defer func() {
 		if r := recover(); r != nil {
@@ -311,7 +315,7 @@ func RunRound(p RoundParams) (f *Failure) {
 		return &Failure{Params: p, Msg: err.Error()}
 	}
 	if p.Workers <= 1 {
-		return runSingle(p, sub)
+		return runSingle(p, sub, dig)
 	}
 	return runConcurrent(p, sub)
 }
@@ -398,6 +402,8 @@ type session struct {
 	// itself at its recoverStep-th persist event (if it has that many)
 	// and recover again before checking.
 	recoverStep int
+	// dig, when not nil, sees every persist event and each crash's view.
+	dig *digester
 }
 
 // newSession opens a session on a fresh heap of heapWords (a crash costs a
@@ -489,11 +495,16 @@ func (s *session) advance() {
 // state (for multi-crash rounds).
 func (s *session) crashCheck(midOp bool) error {
 	crashEpoch := s.sub.GlobalEpoch()
-	s.sub.Heap().SetPersistHook(nil)
+	s.setHook(nil)
 	s.crashes++
 	s.sub.Crash(nvm.CrashOptions{EvictFraction: s.p.Evict, Seed: Mix(s.p.Seed, 0xC0+uint64(s.crashes))})
+	if s.dig != nil {
+		s.dig.crashed(s.sub.Heap())
+	}
 	if s.recoverStep > 0 {
 		s.armHook(s.recoverStep)
+	} else {
+		s.setHook(nil) // the crash removed it
 	}
 	err := s.sub.Recover()
 	if err != nil && s.recoverStep > 0 {
@@ -504,7 +515,7 @@ func (s *session) crashCheck(midOp bool) error {
 		s.sub.Heap().Crash(nvm.CrashOptions{EvictFraction: s.p.Evict, Seed: Mix(s.p.Seed, 0xC0+uint64(s.crashes))})
 		err = s.sub.Recover()
 	}
-	s.sub.Heap().SetPersistHook(nil)
+	s.setHook(nil)
 	if err != nil {
 		return err
 	}
@@ -580,11 +591,27 @@ func (s *session) crashCheck(midOp bool) error {
 func (s *session) armHook(countdown int) {
 	var n int64 = int64(countdown)
 	cnt := &n
-	s.sub.Heap().SetPersistHook(func(pt nvm.PersistPoint, _ nvm.Addr) {
+	s.setHook(func(pt nvm.PersistPoint, _ nvm.Addr) {
 		if atomic.AddInt64(cnt, -1) <= 0 {
 			panic(crashSentinel{point: pt})
 		}
 	})
+}
+
+// setHook installs fn as the heap's persist hook, behind the digester's
+// observer if the session has one; nil leaves the observer alone.
+func (s *session) setHook(fn func(nvm.PersistPoint, nvm.Addr)) {
+	h := s.sub.Heap()
+	if d := s.dig; d != nil {
+		next := fn
+		fn = func(pt nvm.PersistPoint, a nvm.Addr) {
+			d.event(h, pt, a)
+			if next != nil {
+				next(pt, a)
+			}
+		}
+	}
+	h.SetPersistHook(fn)
 }
 
 // catchCrash runs fn, converting a sentinel panic into crashed=true.
@@ -612,8 +639,12 @@ func subjectMsg(name string, err error) string {
 	return name + ": " + msg
 }
 
-func runSingle(p RoundParams, sub Subject) *Failure {
+func runSingle(p RoundParams, sub Subject, dig *digester) *Failure {
 	s := newSession(p, sub, DefaultHeapWords)
+	if dig != nil {
+		s.dig = dig
+		s.setHook(nil)
+	}
 	fail := func(err error) *Failure { return &Failure{Params: p, Msg: subjectMsg(sub.Name(), err)} }
 
 	opRNG := splitmix{s: Mix(p.Seed, 0x09)}

@@ -45,6 +45,16 @@ func (l *pubList) publish() bool {
 	return true
 }
 
+// add appends a to the list. A full array is replaced by one of twice
+// its length, where append would grow a large one by a quarter: an
+// epoch's list of n entries then costs about 2n words of arrays, not 5n.
+func (l *pubList) add(a nvm.Addr) {
+	if len(l.items) == cap(l.items) {
+		l.items = append(make([]nvm.Addr, 0, max(16, 2*cap(l.items))), l.items...)
+	}
+	l.items = append(l.items, a)
+}
+
 // backlog is the number of published entries no early pass has taken.
 func (l *pubList) backlog() int64 { return l.published.Load() - l.early.Load() }
 
@@ -202,7 +212,7 @@ func (w *Worker) PDelete(b Block) {
 // and only a tracking after the store puts it in the closing flush.
 func (w *Worker) PTrack(b Block) {
 	buf := &w.bufs[w.opEpoch%numSlots]
-	buf.persist.items = append(buf.persist.items, b.addr)
+	buf.persist.add(b.addr)
 }
 
 // PRetire tracks a block for future reclamation: it marks the block
@@ -221,7 +231,7 @@ func (w *Worker) PRetire(b Block) {
 	hdr.Status = palloc.Deleted
 	al.WriteHeader(b.addr, hdr)
 	buf := &w.bufs[w.opEpoch%numSlots]
-	buf.retire.items = append(buf.retire.items, b.addr)
+	buf.retire.add(b.addr)
 	w.sys.retired.Add(1)
 }
 

@@ -9,8 +9,8 @@ package nvm
 import "testing"
 
 // TestLoadsOfUnstoredWordsDoNotAllocate: a load of a word whose page was
-// never stored to reads zero from no page at all, so reading a fresh heap
-// end to end allocates nothing.
+// never stored to reads zero and stores to nothing, so reading a fresh
+// heap end to end allocates nothing and touches no page.
 func TestLoadsOfUnstoredWordsDoNotAllocate(t *testing.T) {
 	h := New(Config{Words: 64 * pageWords})
 	a := Addr(0)
@@ -21,6 +21,6 @@ func TestLoadsOfUnstoredWordsDoNotAllocate(t *testing.T) {
 		t.Fatalf("a load of a never-stored word: %v allocs, want 0", n)
 	}
 	if st := h.Stats(); st.ViewPages != 0 {
-		t.Fatalf("loads materialised %d view pages", st.ViewPages)
+		t.Fatalf("loads touched %d view pages", st.ViewPages)
 	}
 }

@@ -1,8 +1,12 @@
 package nvm
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
-// bitset is a fixed-size concurrent bitmap with one bit per cache line.
+// bitset is a fixed-size concurrent bitmap with one bit per cache line
+// (or per page).
 type bitset struct {
 	bits []atomic.Uint64
 }
@@ -15,19 +19,7 @@ func (b *bitset) test(i uint64) bool {
 	return b.bits[i/64].Load()&(1<<(i%64)) != 0
 }
 
-func (b *bitset) set(i uint64) {
-	w := &b.bits[i/64]
-	mask := uint64(1) << (i % 64)
-	for {
-		old := w.Load()
-		if old&mask != 0 {
-			return
-		}
-		if w.CompareAndSwap(old, old|mask) {
-			return
-		}
-	}
-}
+func (b *bitset) set(i uint64) { b.testAndSet(i) }
 
 // testAndSet sets bit i and reports whether it was already set.
 func (b *bitset) testAndSet(i uint64) bool {
@@ -63,4 +55,13 @@ func (b *bitset) clear() {
 	for i := range b.bits {
 		b.bits[i].Store(0)
 	}
+}
+
+// count is the number of bits set.
+func (b *bitset) count() int64 {
+	n := 0
+	for i := range b.bits {
+		n += bits.OnesCount64(b.bits[i].Load())
+	}
+	return int64(n)
 }

@@ -112,7 +112,7 @@ func benchCloseBatch(b *testing.B) {
 	for _, ex := range exts {
 		h.Store(ex.Addr, 1)
 	}
-	h.FlushExtents(exts) // materialises the image pages
+	h.FlushExtents(exts) // the lines start clean
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

@@ -6,14 +6,15 @@
 // grouped into 64-byte cache lines and 256-byte "XPLines" (the internal
 // access granularity of first-generation Optane media).
 //
-// The heap keeps one copy of memory: the volatile view (what the CPU sees
-// through its cache), a table of 4096-word (32 KiB) pages, each
-// materialised by the first store into it (Store, CompareAndSwap, Add) or
-// the first WordPtr. A page that does not exist reads as zero, the state
-// a fresh heap and the media start in, so a heap costs its page tables and
-// line bitsets plus one page per 32 KiB ever stored to (Stats reports the
-// count). View pages stay put for the heap's lifetime (a crash overwrites
-// them in place), so a WordPtr is stable across Crash.
+// The heap keeps one copy of memory, the volatile view (what the CPU sees
+// through its cache): one anonymous mapping of the heap's size outside the
+// Go heap (MapWords), as NVM is memory a program maps. A word never stored
+// to reads zero, the state a fresh heap and the media start in, and costs
+// nothing; the first store into a 32 KiB page faults the page in (Stats
+// counts them). A crash overwrites the view in place, so a WordPtr is
+// stable until the collected Heap releases the mapping. Under the race
+// detector, which sees atomics only on the Go heap, and off Linux, the view
+// is Go memory instead (mapping_other.go).
 //
 // The persistent image (what has reached the NVM media) is derived, not
 // stored: a clean line's persisted contents are its view, and a dirty
@@ -22,9 +23,7 @@
 // whose pre-image is all zero (every line the first time it is stored to)
 // saves nothing. So the image costs a 72-byte slot per dirty line that
 // held data, and a 1 KiB index per page stored to (preImages); Stats
-// reports how many lines hold a pre-image now. Both the view and the
-// pre-image tables are ordinary Go memory: the race detector sees atomics
-// only on the Go heap.
+// reports how many lines hold a pre-image now.
 //
 // Each page has a lock, and a line's dirty bit changes only under it. A
 // store to a clean line takes the lock, saves the pre-image, sets the
@@ -62,6 +61,7 @@ package nvm
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -150,9 +150,6 @@ var OptaneProfile = LatencyProfile{
 	FenceNS:     350,
 }
 
-// DRAMProfile models plain DRAM as the zero-latency baseline.
-var DRAMProfile = LatencyProfile{}
-
 // Config describes a simulated heap.
 type Config struct {
 	// Words is the heap size in 8-byte words. Rounded up to a whole
@@ -174,13 +171,13 @@ type Config struct {
 // Heap is a simulated NVM region. All word accesses are atomic, so a Heap
 // may be shared freely between goroutines.
 type Heap struct {
-	cfg   Config
-	words int                         // heap size in words
-	view  []atomic.Pointer[page]      // volatile view (CPU perspective), by page
-	pre   []atomic.Pointer[preImages] // per page: its lock and its dirty lines' pre-images
+	cfg  Config
+	view []uint64                    // volatile view (CPU perspective), a MapWords mapping; its length is the heap's
+	pre  []atomic.Pointer[preImages] // per page: its lock and its dirty lines' pre-images
 
-	dirty  bitset // lines whose persisted contents are their pre-image, not the view
-	cached bitset // lines currently resident in the simulated cache
+	dirty   bitset // lines whose persisted contents are their pre-image, not the view
+	cached  bitset // lines currently resident in the simulated cache
+	touched bitset // view pages stored to, and so faulted in
 
 	residentLines atomic.Int64 // approximate count of cached lines
 
@@ -269,8 +266,9 @@ func (h *Heap) firePersist(p PersistPoint, a Addr) {
 }
 
 // New creates a heap of the configured size. The heap starts zeroed, with
-// the zero state already persistent; New allocates the page tables and the
-// line bitsets, and no page (see the package doc).
+// the zero state already persistent; New maps the view and allocates the
+// pre-image table pointers and the bitsets, and no page (see the package
+// doc).
 func New(cfg Config) *Heap {
 	if cfg.Words < RootWords {
 		cfg.Words = RootWords
@@ -286,13 +284,14 @@ func New(cfg Config) *Heap {
 	pages := (cfg.Words + pageWords - 1) / pageWords
 	h := &Heap{
 		cfg:      cfg,
-		words:    cfg.Words,
-		view:     make([]atomic.Pointer[page], pages),
+		view:     MapWords(cfg.Words),
 		pre:      make([]atomic.Pointer[preImages], pages),
 		dirty:    newBitset(lines),
 		cached:   newBitset(lines),
+		touched:  newBitset(pages),
 		evictRNG: rand.New(rand.NewPCG(seed, seed^0xda942042e4dd58b5)),
 	}
+	runtime.AddCleanup(h, UnmapWords, h.view)
 	if !cfg.Latency.Zero() {
 		calibrateSpin()
 	}
@@ -300,7 +299,7 @@ func New(cfg Config) *Heap {
 }
 
 // Words returns the heap size in words.
-func (h *Heap) Words() int { return h.words }
+func (h *Heap) Words() int { return len(h.view) }
 
 // Mode returns the durability mode of the heap.
 func (h *Heap) Mode() Mode { return h.cfg.Mode }
@@ -308,48 +307,46 @@ func (h *Heap) Mode() Mode { return h.cfg.Mode }
 // Stats returns a snapshot of the heap's event counters.
 func (h *Heap) Stats() StatsSnapshot {
 	st := h.stats.snapshot()
-	st.ViewPages = countPages(h.view)
+	st.ViewPages = h.touched.count()
 	return st
 }
 
 // Crashes returns how many simulated crashes this heap has been through.
 func (h *Heap) Crashes() int64 { return h.crashes.Load() }
 
+// check panics if a is not an address of the heap. The word accessors
+// need not call it: their index into the view checks, first.
 func (h *Heap) check(a Addr) {
-	if uint64(a) >= uint64(h.words) {
-		panic(fmt.Sprintf("nvm: address %d out of range (heap %d words)", a, h.words))
+	if uint64(a) >= uint64(len(h.view)) {
+		panic(fmt.Sprintf("nvm: address %d out of range (heap %d words)", a, len(h.view)))
 	}
 }
 
-// touch simulates the cache-residency effects of accessing line l.
-// It returns true if the access was a miss. The hit path — the common
-// case by far on a warmed structure — is a single plain atomic load of
-// the residency bitset word; goroutines hitting resident lines never
-// issue an RMW, so they never contend on the bitset's cache lines.
-func (h *Heap) touch(l uint64) bool {
-	if h.cached.test(l) {
-		return false // hit
+// touch simulates the cache-residency effects of accessing line l. The
+// hit path — the common case by far on a warmed structure — is a single
+// plain atomic load of the residency bitset word; goroutines hitting
+// resident lines never issue an RMW, so they never contend on the
+// bitset's cache lines.
+func (h *Heap) touch(l uint64) {
+	if !h.cached.test(l) {
+		h.touchMiss(l)
 	}
-	return h.touchMiss(l)
 }
 
 // touchMiss is the slow path of touch: claim residency with the RMW
 // (another goroutine may win the race, turning this back into a hit),
 // then charge miss accounting and apply cache-capacity pressure.
-func (h *Heap) touchMiss(l uint64) bool {
+func (h *Heap) touchMiss(l uint64) {
 	if h.cached.testAndSet(l) {
-		return false // raced: someone else installed the line
+		return // raced: someone else installed the line
 	}
 	h.stats.misses.Add(l, 1)
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.ReadMissNS)
 	}
-	if h.cfg.CacheLines > 0 {
-		if h.residentLines.Add(1) > int64(h.cfg.CacheLines) {
-			h.evictSome()
-		}
+	if h.cfg.CacheLines > 0 && h.residentLines.Add(1) > int64(h.cfg.CacheLines) {
+		h.evictSome()
 	}
-	return true
 }
 
 // evictSome evicts randomly chosen resident lines, writing dirty ones
@@ -364,7 +361,7 @@ func (h *Heap) evictSome() {
 		return // someone else is already applying pressure
 	}
 	defer h.evictMu.Unlock()
-	lines := uint64(h.words / LineWords)
+	lines := uint64(len(h.view) / LineWords)
 	const batch = 16
 	for h.residentLines.Load() > int64(h.cfg.CacheLines) {
 		evicted := 0
@@ -391,35 +388,10 @@ func (h *Heap) evictSome() {
 	}
 }
 
-// pageWords is the granularity at which the view is materialised: 4096
+// pageWords is the granularity at which the view is faulted in: 4096
 // words, 32 KiB — one palloc slab, a whole number of lines and XPLines.
 // It is also the span of one lock and one pre-image table.
 const pageWords = 4096
-
-type page [pageWords]uint64
-
-// materialise returns *slot, creating it zeroed on first use: a view page
-// (zero is what a page that does not exist reads as) or a page's
-// pre-image table. First touches race here (concurrent first stores into
-// a page); the CAS picks one and every racer uses the winner.
-func materialise[T any](slot *atomic.Pointer[T]) *T {
-	if pg := slot.Load(); pg != nil {
-		return pg
-	}
-	slot.CompareAndSwap(nil, new(T))
-	return slot.Load()
-}
-
-// countPages is the number of materialised pages in tbl.
-func countPages(tbl []atomic.Pointer[page]) int64 {
-	n := int64(0)
-	for i := range tbl {
-		if tbl[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}
 
 // capture makes line l, which was clean when its caller looked, dirty:
 // it takes the page's lock and, should the line still be clean, saves the
@@ -428,15 +400,39 @@ func countPages(tbl []atomic.Pointer[page]) int64 {
 // hold the store, and again after, so a line that a racing write-back
 // cleaned (with or without the store) is dirty again over a pre-image that
 // holds it (package doc). The check stays at the call sites, where it
-// inlines; the line's page exists, since the store materialised it.
+// inlines.
 func (h *Heap) capture(l uint64) {
-	t := materialise(&h.pre[l*LineWords/pageWords])
-	t.mu.Lock()
+	t := h.lockPage(l)
 	if !h.dirty.test(l) {
-		h.save(t, l, readLine(h.view[l*LineWords/pageWords].Load(), l))
+		h.save(t, l, h.readLine(l))
 		h.dirty.set(l)
 	}
 	t.mu.Unlock()
+}
+
+// lockPage returns line l's page's pre-image table, locked, making the
+// table on its first use. Every store to a clean line comes through here
+// before it stores, so the page's first store does: that one marks the
+// page touched and faults it in.
+func (h *Heap) lockPage(l uint64) *preImages {
+	p := l / pageLines
+	if !h.touched.test(p) && !h.touched.testAndSet(p) {
+		Populate(h.view[p*pageWords : min((p+1)*pageWords, uint64(len(h.view)))])
+	}
+	t := materialise(&h.pre[p])
+	t.mu.Lock()
+	return t
+}
+
+// materialise returns the pre-image table in slot, creating it on first
+// use. First stores into a page race here; the CAS picks one table and
+// every racer uses the winner.
+func materialise(slot *atomic.Pointer[preImages]) *preImages {
+	if t := slot.Load(); t != nil {
+		return t
+	}
+	slot.CompareAndSwap(nil, new(preImages))
+	return slot.Load()
 }
 
 // save keeps w, line l's persisted contents, as its pre-image in t, whose
@@ -448,9 +444,9 @@ func (h *Heap) save(t *preImages, l uint64, w [LineWords]uint64) {
 	}
 }
 
-// readLine reads line l of view page pg.
-func readLine(pg *page, l uint64) (w [LineWords]uint64) {
-	src := pg[l*LineWords%pageWords:][:LineWords]
+// readLine reads line l of the view.
+func (h *Heap) readLine(l uint64) (w [LineWords]uint64) {
+	src := h.view[l*LineWords:][:LineWords]
 	for i := range w {
 		w[i] = atomic.LoadUint64(&src[i])
 	}
@@ -492,7 +488,7 @@ func (h *Heap) chargeWriteBack(l uint64, eviction bool) {
 		}
 	}
 	// Each independent line write-back costs one XPLine of media write.
-	// (FlushRange coalesces adjacent lines and accounts separately.)
+	// (FlushExtents coalesces adjacent lines and accounts separately.)
 	h.stats.mediaWrites.Add(l, 1)
 	h.stats.mediaBytes.Add(l, XPLineBytes)
 	h.stats.usefulBytes.Add(l, LineBytes)
@@ -500,30 +496,23 @@ func (h *Heap) chargeWriteBack(l uint64, eviction bool) {
 
 // Load atomically reads the word at a from the volatile view.
 func (h *Heap) Load(a Addr) uint64 {
-	h.check(a)
-	l := a.Line()
+	w, l := &h.view[a], a.Line()
 	h.stats.loads.Add(l, 1)
 	h.touch(l)
-	pg := h.view[a/pageWords].Load()
-	if pg == nil {
-		return 0 // never stored to: reads as the zero it started as
-	}
-	return atomic.LoadUint64(&pg[a%pageWords])
+	return atomic.LoadUint64(w)
 }
 
 // Store atomically writes the word at a in the volatile view and marks the
 // containing line dirty. The write is not durable until the line is flushed
 // or evicted (ModeADR); in ModeEADR it is durable immediately.
 func (h *Heap) Store(a Addr, v uint64) {
-	h.check(a)
-	l := a.Line()
+	w, l := &h.view[a], a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	pg := materialise(&h.view[a/pageWords])
 	if !h.dirty.test(l) {
 		h.capture(l) // before the store: the pre-image cannot hold it
 	}
-	atomic.StoreUint64(&pg[a%pageWords], v)
+	atomic.StoreUint64(w, v)
 	if !h.dirty.test(l) {
 		h.capture(l) // a racing write-back cleaned the line
 	}
@@ -533,12 +522,9 @@ func (h *Heap) Store(a Addr, v uint64) {
 // CompareAndSwap atomically replaces the word at a if it equals old. A
 // swap that fails leaves a clean line clean.
 func (h *Heap) CompareAndSwap(a Addr, old, new uint64) bool {
-	h.check(a)
-	l := a.Line()
+	w, l := &h.view[a], a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	pg := materialise(&h.view[a/pageWords])
-	w := &pg[a%pageWords]
 	var ok bool
 	if h.dirty.test(l) {
 		if ok = atomic.CompareAndSwapUint64(w, old, new); ok && !h.dirty.test(l) {
@@ -547,12 +533,11 @@ func (h *Heap) CompareAndSwap(a Addr, old, new uint64) bool {
 	} else {
 		// capture's protocol, with the swap inside the lock: the
 		// pre-image is kept only if the swap stored.
-		t := materialise(&h.pre[a/pageWords])
-		t.mu.Lock()
+		t := h.lockPage(l)
 		clean := !h.dirty.test(l)
 		var pre [LineWords]uint64
 		if clean {
-			pre = readLine(pg, l)
+			pre = h.readLine(l)
 		}
 		if ok = atomic.CompareAndSwapUint64(w, old, new); ok && clean {
 			h.save(t, l, pre)
@@ -568,15 +553,13 @@ func (h *Heap) CompareAndSwap(a Addr, old, new uint64) bool {
 
 // Add atomically adds delta to the word at a and returns the new value.
 func (h *Heap) Add(a Addr, delta uint64) uint64 {
-	h.check(a)
-	l := a.Line()
+	w, l := &h.view[a], a.Line()
 	h.stats.stores.Add(l, 1)
 	h.touch(l)
-	pg := materialise(&h.view[a/pageWords])
 	if !h.dirty.test(l) {
 		h.capture(l)
 	}
-	v := atomic.AddUint64(&pg[a%pageWords], delta)
+	v := atomic.AddUint64(w, delta)
 	if !h.dirty.test(l) {
 		h.capture(l)
 	}
@@ -584,16 +567,14 @@ func (h *Heap) Add(a Addr, delta uint64) uint64 {
 	return v
 }
 
-// WordPtr returns a pointer to the volatile word at a, materialising its
-// page; the pointer is stable for the heap's lifetime, crashes included.
+// WordPtr returns a pointer to the volatile word at a; the pointer is
+// stable for the heap's lifetime, crashes included, and must not outlive
+// the heap, which releases the view's mapping when it is collected.
 // It lets the HTM simulator address heap words and plain Go words
 // uniformly. The pointer is for reading: a store through it would bypass
 // the dirty bit and the pre-image it guards, so writers use Store (as
 // htm's commit does).
-func (h *Heap) WordPtr(a Addr) *uint64 {
-	h.check(a)
-	return &materialise(&h.view[a/pageWords])[a%pageWords]
-}
+func (h *Heap) WordPtr(a Addr) *uint64 { return &h.view[a] }
 
 // Flush writes the cache line containing a back to the persistent media
 // (modeling clwb). Like clwb on the evaluation machine described in the
@@ -606,38 +587,15 @@ func (h *Heap) Flush(a Addr) {
 		// the persistence domain, so flushes are unnecessary and free.
 		return
 	}
-	h.firePersist(PointFlush, a)
-	h.stats.flushes.Add(a.Line(), 1)
-	if !h.cfg.Latency.Zero() {
-		spin(h.cfg.Latency.FlushNS)
-	}
-	l := a.Line()
-	if h.cached.testAndClear(l) {
-		h.residentLines.Add(-1)
-	}
-	if h.cleanLine(l) {
-		h.chargeWriteBack(l, false)
-	}
-}
-
-// FlushRange flushes every line in [a, a+words), coalescing the media-write
-// accounting at XPLine granularity the way Optane's on-DIMM buffer does for
-// sequential write-back. It is the primitive used by the epoch system's
-// background persister.
-func (h *Heap) FlushRange(a Addr, words int) {
-	if words <= 0 {
-		return
-	}
-	h.check(a)
-	h.check(a + Addr(words) - 1)
-	if h.cfg.Mode != ModeADR {
-		return
-	}
 	t := flushTally{lastXP: ^uint64(0)}
 	defer h.addTally(&t, a.Line())
-	for l := a.Line(); l <= (a + Addr(words) - 1).Line(); l++ {
-		h.flushLine(l, &t)
-	}
+	h.flushLine(a, &t)
+}
+
+// FlushRange flushes every line in [a, a+words): FlushExtents of the one
+// extent.
+func (h *Heap) FlushRange(a Addr, words int) {
+	h.FlushExtents([]Extent{{a, words}})
 }
 
 // Extent is one contiguous word range of an NVM heap, the unit of a
@@ -688,7 +646,7 @@ func (h *Heap) FlushExtents(exts []Extent) {
 			continue // extents sharing a line cost a single clwb
 		}
 		prev = l
-		h.flushLine(l, &t)
+		h.flushLine(Addr(l*LineWords), &t)
 	}
 }
 
@@ -732,11 +690,12 @@ func (h *Heap) addTally(t *flushTally, lane uint64) {
 	}
 }
 
-// flushLine is the shared per-line body of FlushRange and FlushExtents:
-// flush line l (its callers visit lines in ascending order), tallying into
+// flushLine is the per-line body of Flush and FlushExtents: flush the line
+// holding a (FlushExtents visits lines in ascending order), tallying into
 // t.
-func (h *Heap) flushLine(l uint64, t *flushTally) {
-	h.firePersist(PointFlush, Addr(l*LineWords))
+func (h *Heap) flushLine(a Addr, t *flushTally) {
+	h.firePersist(PointFlush, a)
+	l := a.Line()
 	t.flushes++
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.FlushNS)
@@ -793,8 +752,9 @@ type CrashOptions struct {
 // except for a random EvictFraction that the cache happened to write back
 // first (each dirty line draws once when EvictFraction > 0); in ModeEADR
 // the whole cache drains (persistent cache), every dirty line written
-// back. In ModeDRAM the view is zeroed. The view is overwritten in place,
-// so WordPtrs stay valid. After Crash returns, no line is dirty, no
+// back. In ModeDRAM the view is zeroed, its pages given back to the
+// kernel, and no page is touched. The view is overwritten in place, so
+// WordPtrs stay valid. After Crash returns, no line is dirty, no
 // pre-image table is left, the volatile view is the persistent image and
 // recovery code may run.
 func (h *Heap) Crash(opts CrashOptions) {
@@ -804,7 +764,7 @@ func (h *Heap) Crash(opts CrashOptions) {
 		seed = uint64(n) * 0x9e3779b97f4a7c15
 	}
 	rng := rand.New(rand.NewPCG(seed, seed^0xbf58476d1ce4e5b9))
-	for l := uint64(0); l < uint64(h.words/LineWords); l++ {
+	for l := uint64(0); l < uint64(len(h.view)/LineWords); l++ {
 		switch {
 		case !h.dirty.test(l):
 		case h.cfg.Mode == ModeDRAM:
@@ -817,15 +777,14 @@ func (h *Heap) Crash(opts CrashOptions) {
 			h.restoreLine(l)
 		}
 	}
-	for p := range h.view {
+	for p := range h.pre {
 		// No line is dirty now: the pre-image tables go, and the first
 		// line dirtied after recovery starts its page's table afresh.
 		h.pre[p].Store(nil)
-		if pg := h.view[p].Load(); pg != nil && h.cfg.Mode == ModeDRAM {
-			for i := range pg {
-				atomic.StoreUint64(&pg[i], 0)
-			}
-		}
+	}
+	if h.cfg.Mode == ModeDRAM {
+		discard(h.view)
+		h.touched.clear()
 	}
 	h.cached.clear()
 	h.residentLines.Store(0)
@@ -838,14 +797,13 @@ func (h *Heap) Crash(opts CrashOptions) {
 // restoreLine is the crash of dirty line l: its pre-image (zero where it
 // saved none) goes back into the view, in place, and the line is clean.
 func (h *Heap) restoreLine(l uint64) {
-	pg := h.view[l*LineWords/pageWords].Load()
 	t := h.pre[l*LineWords/pageWords].Load()
 	t.mu.Lock()
 	var w [LineWords]uint64
 	if p := t.find(pageLine(l)); p != nil {
 		w = *p
 	}
-	dst := pg[l*LineWords%pageWords:][:LineWords]
+	dst := h.view[l*LineWords:][:LineWords]
 	for i := range dst {
 		atomic.StoreUint64(&dst[i], w[i])
 	}
@@ -858,16 +816,12 @@ func (h *Heap) restoreLine(l uint64) {
 // a clean line's view. Intended for tests and debugging.
 func (h *Heap) PersistedLoad(a Addr) uint64 {
 	h.check(a)
-	pg := h.view[a/pageWords].Load()
-	if pg == nil {
-		return 0 // never stored to: persisted as the zero it started as
-	}
 	t := materialise(&h.pre[a/pageWords])
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l := a.Line()
 	if !h.dirty.test(l) {
-		return atomic.LoadUint64(&pg[a%pageWords])
+		return atomic.LoadUint64(&h.view[a])
 	}
 	if w := t.find(pageLine(l)); w != nil {
 		return w[a%LineWords]

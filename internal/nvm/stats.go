@@ -71,7 +71,7 @@ type StatsSnapshot struct {
 
 	// Gauges, not counters (see the package doc). Sub keeps the later
 	// snapshot's.
-	ViewPages int64 // 32 KiB view pages materialised by a store or WordPtr
+	ViewPages int64 // 32 KiB view pages stored to (faulted in)
 	PreImages int64 // dirty lines holding a saved pre-image (not all zero)
 }
 

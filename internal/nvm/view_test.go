@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestViewPagesFollowStores: a fresh heap has no view page; one appears
-// with the first Store, CompareAndSwap, Add or WordPtr into it. Loads
-// materialise nothing and read zero. A line saves a pre-image only when a
-// store dirties it over persisted contents that are not all zero, and
-// drops it when it is written back.
+// TestViewPagesFollowStores: a fresh heap has stored to no view page;
+// ViewPages counts one from the first Store, CompareAndSwap or Add into
+// it. Loads and WordPtr count nothing and read zero. A line saves a
+// pre-image only when a store dirties it over persisted contents that are
+// not all zero, and drops it when it is written back.
 func TestViewPagesFollowStores(t *testing.T) {
 	h := New(Config{Words: 8 * pageWords})
 	pages := func() (view, pre int64) {
@@ -29,24 +29,26 @@ func TestViewPagesFollowStores(t *testing.T) {
 	h.Store(1*pageWords+900, 2) // same page
 	h.CompareAndSwap(3*pageWords, 0, 3)
 	h.Add(5*pageWords+17, 4)
-	_ = h.WordPtr(7*pageWords - 1)
-	if v, i := pages(); v != 4 || i != 0 {
-		t.Fatalf("first stores into 4 pages: %d view pages and %d pre-images, want 4 and 0", v, i)
+	if p := h.WordPtr(7*pageWords - 1); *p != 0 {
+		t.Fatalf("WordPtr into an untouched page reads %d", *p)
+	}
+	if v, i := pages(); v != 3 || i != 0 {
+		t.Fatalf("first stores into 3 pages: %d view pages and %d pre-images, want 3 and 0", v, i)
 	}
 	h.Persist(1*pageWords + 5)
 	h.FlushRange(5*pageWords, LineWords*4)
 	h.Store(1*pageWords+6, 5) // dirties a persisted line
 	h.Add(5*pageWords+17, 1)
 	h.Store(1*pageWords+900, 6) // still dirty: no second pre-image
-	if v, i := pages(); v != 4 || i != 2 {
-		t.Fatalf("stores to 2 written-back lines: %d view pages and %d pre-images, want 4 and 2", v, i)
+	if v, i := pages(); v != 3 || i != 2 {
+		t.Fatalf("stores to 2 written-back lines: %d view pages and %d pre-images, want 3 and 2", v, i)
 	}
 	if got := h.PersistedLoad(1*pageWords + 5); got != 1 {
 		t.Fatalf("PersistedLoad of a dirty line's word = %d, want its pre-image's 1", got)
 	}
 	h.Persist(1*pageWords + 6)
-	if v, i := pages(); v != 4 || i != 1 {
-		t.Fatalf("one of them written back: %d view pages and %d pre-images, want 4 and 1", v, i)
+	if v, i := pages(); v != 3 || i != 1 {
+		t.Fatalf("one of them written back: %d view pages and %d pre-images, want 3 and 1", v, i)
 	}
 	for a, want := range map[Addr]uint64{1*pageWords + 5: 1, 1*pageWords + 6: 5, 1*pageWords + 900: 6, 3 * pageWords: 3, 5*pageWords + 17: 5, 2 * pageWords: 0} {
 		if got := h.Load(a); got != want {
@@ -56,11 +58,11 @@ func TestViewPagesFollowStores(t *testing.T) {
 }
 
 // TestCrashMaterialisesOnlyImagePages: a crash restores the persisted
-// image into the view's pages in place and materialises no page: a page
-// whose words were all lost reads zero again, and a page nothing stored to
-// stays unmaterialised. A lost line that held data before it was dirtied
-// gets its pre-image back, and no pre-image table outlives the crash. ModeDRAM
-// zeroes the view in place.
+// image into the view in place and stores to no other page: a page whose
+// words were all lost reads zero again, and ViewPages still counts only
+// the pages stored to. A lost line that held data before it was dirtied
+// gets its pre-image back, and no pre-image table outlives the crash.
+// ModeDRAM zeroes the view and leaves no page stored to.
 func TestCrashMaterialisesOnlyImagePages(t *testing.T) {
 	for _, mode := range []Mode{ModeADR, ModeEADR, ModeDRAM} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -74,15 +76,15 @@ func TestCrashMaterialisesOnlyImagePages(t *testing.T) {
 			}
 			h.Crash(CrashOptions{})
 			st := h.Stats()
-			wantPersisted, wantLost, wantSecond := uint64(7), uint64(0), uint64(0)
+			wantPersisted, wantLost, wantSecond, wantPages := uint64(7), uint64(0), uint64(0), int64(2)
 			switch mode {
 			case ModeEADR:
 				wantLost, wantSecond = 9, 8 // the cache drains at the crash
 			case ModeDRAM:
-				wantPersisted = 0
+				wantPersisted, wantPages = 0, 0
 			}
-			if st.ViewPages != 2 || st.PreImages != 0 {
-				t.Fatalf("after the crash: %d view pages and %d pre-images, want 2 and 0", st.ViewPages, st.PreImages)
+			if st.ViewPages != wantPages || st.PreImages != 0 {
+				t.Fatalf("after the crash: %d view pages and %d pre-images, want %d and 0", st.ViewPages, st.PreImages, wantPages)
 			}
 			for p := range h.pre {
 				if h.pre[p].Load() != nil {
@@ -98,9 +100,9 @@ func TestCrashMaterialisesOnlyImagePages(t *testing.T) {
 			if got := h.Load(4*pageWords + 8); got != wantLost {
 				t.Fatalf("unflushed word reads %d after the crash, want %d", got, wantLost)
 			}
-			for p := range h.view {
-				if p != 2 && p != 4 && h.view[p].Load() != nil {
-					t.Fatalf("the crash materialised view page %d", p)
+			for a, v := range h.view {
+				if v != 0 && a/pageWords != 2 && a/pageWords != 4 {
+					t.Fatalf("after the crash word %d reads %d", a, v)
 				}
 			}
 		})
@@ -126,9 +128,10 @@ func TestWordPtrStableAcrossCrash(t *testing.T) {
 }
 
 // TestViewPageFirstStoreRace has goroutines make the first stores into one
-// fresh page at once, each through a different call: they race to
-// materialise it, and every store must land in the page that won. Part of
-// the race lane.
+// fresh page at once, each through a different call: they race to mark the
+// page touched and to make its pre-image table, and every store must land
+// and the page count once. Part of the race lane (which runs the Go-memory
+// view) and of tier-1 (which runs the mapping and its page fault-in).
 func TestViewPageFirstStoreRace(t *testing.T) {
 	const goroutines = 4
 	for round := 0; round < 50; round++ {
