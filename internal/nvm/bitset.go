@@ -19,7 +19,19 @@ func (b *bitset) test(i uint64) bool {
 	return b.bits[i/64].Load()&(1<<(i%64)) != 0
 }
 
-func (b *bitset) set(i uint64) { b.testAndSet(i) }
+func (b *bitset) set(i uint64) {
+	w := &b.bits[i/64]
+	mask := uint64(1) << (i % 64)
+	for {
+		old := w.Load()
+		if old&mask != 0 {
+			return
+		}
+		if w.CompareAndSwap(old, old|mask) {
+			return
+		}
+	}
+}
 
 // testAndSet sets bit i and reports whether it was already set.
 func (b *bitset) testAndSet(i uint64) bool {

@@ -173,8 +173,8 @@ func sparseImageRounds(t *testing.T, words int, mode Mode, frac float64, cacheLi
 		if err := checkPreImages(h, m, true); err != nil {
 			t.Fatalf("after crash %d: %v", crash, err)
 		}
-		if h.touched.test(1) {
-			t.Fatal("page 1 was never stored to, yet it is touched")
+		if h.touched.test(1) || h.pre[1].Load() != nil {
+			t.Fatal("page 1 was never stored to, yet it is touched or has a pre-image table")
 		}
 		for a := Addr(0); a < Addr(words); a++ {
 			if got := h.view[a]; got != m.view[a] { // read past Load: no residency change

@@ -26,10 +26,15 @@ func MapWords(n int) []uint64 {
 // UnmapWords releases a MapWords mapping.
 func UnmapWords(w []uint64) { syscall.Munmap(asBytes(w[:cap(w)])) }
 
-// Populate faults w's pages in, writable, in one call (MADV_POPULATE_WRITE,
-// Linux 5.14; older kernels leave it to the stores), where first stores
-// take a read fault and then a write fault per 4 KiB.
-func Populate(w []uint64) { syscall.Madvise(asBytes(w), 23) }
+// madvPopulateWrite is MADV_POPULATE_WRITE (Linux 5.14), which the syscall
+// package does not name.
+const madvPopulateWrite = 23
+
+// Populate faults w's pages in, writable, in one call, where first stores
+// take a read fault and then a write fault per 4 KiB. Its error is ignored
+// on purpose: a kernel older than 5.14 answers EINVAL and leaves the
+// faults to the stores, which is only slower.
+func Populate(w []uint64) { _ = syscall.Madvise(asBytes(w), madvPopulateWrite) }
 
 // discard zeroes w, giving its pages back to the kernel where w starts on
 // a page boundary.

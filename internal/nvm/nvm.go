@@ -150,6 +150,9 @@ var OptaneProfile = LatencyProfile{
 	FenceNS:     350,
 }
 
+// DRAMProfile models plain DRAM as the zero-latency baseline.
+var DRAMProfile = LatencyProfile{}
+
 // Config describes a simulated heap.
 type Config struct {
 	// Words is the heap size in 8-byte words. Rounded up to a whole
@@ -322,31 +325,35 @@ func (h *Heap) check(a Addr) {
 	}
 }
 
-// touch simulates the cache-residency effects of accessing line l. The
-// hit path — the common case by far on a warmed structure — is a single
-// plain atomic load of the residency bitset word; goroutines hitting
-// resident lines never issue an RMW, so they never contend on the
-// bitset's cache lines.
-func (h *Heap) touch(l uint64) {
-	if !h.cached.test(l) {
-		h.touchMiss(l)
+// touch simulates the cache-residency effects of accessing line l.
+// It returns true if the access was a miss. The hit path — the common
+// case by far on a warmed structure — is a single plain atomic load of
+// the residency bitset word; goroutines hitting resident lines never
+// issue an RMW, so they never contend on the bitset's cache lines.
+func (h *Heap) touch(l uint64) bool {
+	if h.cached.test(l) {
+		return false // hit
 	}
+	return h.touchMiss(l)
 }
 
 // touchMiss is the slow path of touch: claim residency with the RMW
 // (another goroutine may win the race, turning this back into a hit),
 // then charge miss accounting and apply cache-capacity pressure.
-func (h *Heap) touchMiss(l uint64) {
+func (h *Heap) touchMiss(l uint64) bool {
 	if h.cached.testAndSet(l) {
-		return // raced: someone else installed the line
+		return false // raced: someone else installed the line
 	}
 	h.stats.misses.Add(l, 1)
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.ReadMissNS)
 	}
-	if h.cfg.CacheLines > 0 && h.residentLines.Add(1) > int64(h.cfg.CacheLines) {
-		h.evictSome()
+	if h.cfg.CacheLines > 0 {
+		if h.residentLines.Add(1) > int64(h.cfg.CacheLines) {
+			h.evictSome()
+		}
 	}
+	return true
 }
 
 // evictSome evicts randomly chosen resident lines, writing dirty ones
@@ -488,7 +495,7 @@ func (h *Heap) chargeWriteBack(l uint64, eviction bool) {
 		}
 	}
 	// Each independent line write-back costs one XPLine of media write.
-	// (FlushExtents coalesces adjacent lines and accounts separately.)
+	// (FlushRange coalesces adjacent lines and accounts separately.)
 	h.stats.mediaWrites.Add(l, 1)
 	h.stats.mediaBytes.Add(l, XPLineBytes)
 	h.stats.usefulBytes.Add(l, LineBytes)
@@ -587,15 +594,38 @@ func (h *Heap) Flush(a Addr) {
 		// the persistence domain, so flushes are unnecessary and free.
 		return
 	}
-	t := flushTally{lastXP: ^uint64(0)}
-	defer h.addTally(&t, a.Line())
-	h.flushLine(a, &t)
+	h.firePersist(PointFlush, a)
+	h.stats.flushes.Add(a.Line(), 1)
+	if !h.cfg.Latency.Zero() {
+		spin(h.cfg.Latency.FlushNS)
+	}
+	l := a.Line()
+	if h.cached.testAndClear(l) {
+		h.residentLines.Add(-1)
+	}
+	if h.cleanLine(l) {
+		h.chargeWriteBack(l, false)
+	}
 }
 
-// FlushRange flushes every line in [a, a+words): FlushExtents of the one
-// extent.
+// FlushRange flushes every line in [a, a+words), coalescing the media-write
+// accounting at XPLine granularity the way Optane's on-DIMM buffer does for
+// sequential write-back. It is the primitive used by the epoch system's
+// background persister.
 func (h *Heap) FlushRange(a Addr, words int) {
-	h.FlushExtents([]Extent{{a, words}})
+	if words <= 0 {
+		return
+	}
+	h.check(a)
+	h.check(a + Addr(words) - 1)
+	if h.cfg.Mode != ModeADR {
+		return
+	}
+	t := flushTally{lastXP: ^uint64(0)}
+	defer h.addTally(&t, a.Line())
+	for l := a.Line(); l <= (a + Addr(words) - 1).Line(); l++ {
+		h.flushLine(l, &t)
+	}
 }
 
 // Extent is one contiguous word range of an NVM heap, the unit of a
@@ -646,7 +676,7 @@ func (h *Heap) FlushExtents(exts []Extent) {
 			continue // extents sharing a line cost a single clwb
 		}
 		prev = l
-		h.flushLine(Addr(l*LineWords), &t)
+		h.flushLine(l, &t)
 	}
 }
 
@@ -690,12 +720,11 @@ func (h *Heap) addTally(t *flushTally, lane uint64) {
 	}
 }
 
-// flushLine is the per-line body of Flush and FlushExtents: flush the line
-// holding a (FlushExtents visits lines in ascending order), tallying into
+// flushLine is the shared per-line body of FlushRange and FlushExtents:
+// flush line l (its callers visit lines in ascending order), tallying into
 // t.
-func (h *Heap) flushLine(a Addr, t *flushTally) {
-	h.firePersist(PointFlush, a)
-	l := a.Line()
+func (h *Heap) flushLine(l uint64, t *flushTally) {
+	h.firePersist(PointFlush, Addr(l*LineWords))
 	t.flushes++
 	if !h.cfg.Latency.Zero() {
 		spin(h.cfg.Latency.FlushNS)
@@ -816,7 +845,10 @@ func (h *Heap) restoreLine(l uint64) {
 // a clean line's view. Intended for tests and debugging.
 func (h *Heap) PersistedLoad(a Addr) uint64 {
 	h.check(a)
-	t := materialise(&h.pre[a/pageWords])
+	t := h.pre[a/pageWords].Load()
+	if t == nil {
+		return atomic.LoadUint64(&h.view[a]) // no table, so no line of the page is dirty
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l := a.Line()
